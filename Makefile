@@ -4,10 +4,11 @@ BENCHTIME ?= 1s
 # executor's scaling gate compares (benchcmp addresses variants as Name-N).
 BENCH_CPU ?= 1,4
 # Benchmark output file; CI writes BENCH_ci.json and uploads it as an
-# artifact, release PRs commit a BENCH_prN.json snapshot as the new
-# baseline.
+# artifact. Neither is committed.
 BENCH_OUT ?= BENCH.json
-# Committed baseline the regression gate compares against.
+# The one committed go-test-bench baseline the regression gate compares
+# against (recorded by PR 7; the end-to-end benchmark keeps its own
+# baseline under bench/).
 BENCH_BASELINE ?= BENCH_pr7.json
 # The multi-core scaling assertions only mean something on a machine that
 # actually has the cores: asserting 4-core speedup on a 1-CPU box would
@@ -23,7 +24,7 @@ PROFILE_DIR ?= profiles
 # failing schedule replays with SIM_SEEDS=<that seed> make sim.
 SIM_SEEDS ?= 1-100
 
-.PHONY: all vet lint build test race bench bench-check profile sim check
+.PHONY: all vet lint build test race bench bench-check benchmark profile sim check
 
 all: check
 
@@ -66,6 +67,13 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCH_CPU) -json ./... > $(BENCH_OUT) \
 		|| { tail -5 $(BENCH_OUT); exit 1; }
 	@grep -o '"Output":".*Benchmark[^"]*' $(BENCH_OUT) | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
+
+# The repository's benchmark: the command BENCHMARK.json declares, run from
+# the repo root. bench/ is a module of its own (see bench/README.md for
+# workloads, -trace and -compare), so `make build`/`make test` never touch
+# it; CI vets and smoke-tests it separately.
+benchmark:
+	$(GO) run -C bench iaccf/bench
 
 # CPU and heap profiles of the cross-shard commit hot path, plus the test
 # binary pprof needs to symbolize them. Start digging with:

@@ -4,15 +4,16 @@
 // granularity (marks), as L-PBFT's early execution requires (Lemma 1), and
 // deterministic checkpoint serialization with content digests (§3.4).
 //
-// The store is backed by the persistent CHAMP map, so snapshots and
-// rollback are O(1) pointer copies.
+// There is one store, ShardedStore (sharded.go): the key space is
+// partitioned across N persistent CHAMP maps so the checkpoint digest is
+// incremental, and NewSharded(1) is the unsharded case. Snapshots, marks
+// and rollback are pointer copies. This file holds the transaction type
+// and the canonical serialization helpers the store is built from.
 package kv
 
 import (
 	"errors"
-	"fmt"
 	"hash"
-	"io"
 	"sort"
 	"sync"
 
@@ -25,114 +26,13 @@ import (
 // has been pruned.
 var ErrNoMark = errors.New("kv: no mark for sequence number")
 
-// Store is a transactional key-value store. Transactions execute serially
-// (the replica's execution loop is single-threaded, which is what makes the
-// history strictly serializable); Store itself is not safe for concurrent
-// mutation.
-type Store struct {
-	cur   *champ.Map
-	marks []mark
-}
-
-type mark struct {
-	seq uint64
-	m   *champ.Map
-}
-
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{cur: champ.Empty()}
-}
-
-// Len returns the number of live keys.
-func (s *Store) Len() int { return s.cur.Len() }
-
-// Get reads a key outside any transaction. The returned slice is a copy:
-// the stored value is shared by every snapshot and mark referencing the same
-// CHAMP node, so handing it out directly would let a caller silently corrupt
-// history that rollback depends on.
-func (s *Store) Get(key string) ([]byte, bool) {
-	v, ok := s.cur.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
-}
-
-// Begin starts a transaction. Reads see the current state plus the
-// transaction's own writes; nothing is visible to the store until Commit.
-func (s *Store) Begin() *Tx {
-	return newTx(&storeTxBackend{store: s, base: s.cur})
-}
-
-// storeTxBackend runs a transaction against an unsharded Store.
-type storeTxBackend struct {
-	store *Store
-	base  *champ.Map
-}
-
-func (b *storeTxBackend) snapshotGet(key string) ([]byte, bool) {
-	return b.base.Get(key)
-}
-
-func (b *storeTxBackend) apply(writes map[string][]byte, deletes map[string]bool) {
-	cur := b.store.cur
-	for k := range deletes {
-		cur = cur.Delete(k)
-	}
-	for k, v := range writes {
-		cur = cur.Set(k, v)
-	}
-	b.store.cur = cur
-}
-
-// Mark records a rollback point labelled seq, capturing the state before
-// the batch with that sequence number executes. Marks are kept until
-// PruneMarks.
-func (s *Store) Mark(seq uint64) {
-	s.marks = append(s.marks, mark{seq: seq, m: s.cur})
-}
-
-// RollbackTo restores the state captured by Mark(seq) and discards that
-// mark and all later ones.
-func (s *Store) RollbackTo(seq uint64) error {
-	for i := len(s.marks) - 1; i >= 0; i-- {
-		if s.marks[i].seq == seq {
-			s.cur = s.marks[i].m
-			s.marks = s.marks[:i]
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %d", ErrNoMark, seq)
-}
-
-// PruneMarks drops marks with seq < before; batches that have committed can
-// no longer be rolled back.
-func (s *Store) PruneMarks(before uint64) {
-	keep := s.marks[:0]
-	for _, m := range s.marks {
-		if m.seq >= before {
-			keep = append(keep, m)
-		}
-	}
-	s.marks = keep
-}
-
-// txBackend is the store side of a transaction: a point-in-time snapshot
-// for reads plus an atomic apply of the buffered effects. Store and
-// ShardedStore both implement it, so application code always sees the same
-// *Tx regardless of how the key space is partitioned.
-type txBackend interface {
-	snapshotGet(key string) ([]byte, bool)
-	apply(writes map[string][]byte, deletes map[string]bool)
-}
-
 // Tx is a single transaction: buffered writes over a snapshot. A finished
 // transaction (Commit or Abort) is dead: every further use panics, so a
 // bug that retains a transaction past its batch is caught immediately
 // instead of silently reading stale state or writing into the void.
 type Tx struct {
-	back    txBackend
+	store   *ShardedStore
+	base    []*champ.Map // shard heads at Begin (immutable once captured)
 	writes  map[string][]byte
 	deletes map[string]bool
 	done    bool
@@ -143,10 +43,6 @@ type Tx struct {
 	// validate an application's declared shard footprint after the fact.
 	trackShards uint32
 	touched     []uint64
-}
-
-func newTx(back txBackend) *Tx {
-	return &Tx{back: back, writes: map[string][]byte{}, deletes: map[string]bool{}}
 }
 
 // touch records key's shard when tracking is enabled.
@@ -171,8 +67,8 @@ func (t *Tx) active(op string) {
 	}
 }
 
-// Get reads key, seeing the transaction's own writes first. Like Store.Get
-// it returns a copy, both of snapshot values (shared with marks) and of
+// Get reads key, seeing the transaction's own writes first. Like
+// ShardedStore.Get it returns a copy, both of snapshot values (shared with marks) and of
 // buffered writes (mutating a buffered write through the returned slice
 // would change what Commit publishes).
 func (t *Tx) Get(key string) ([]byte, bool) {
@@ -183,7 +79,7 @@ func (t *Tx) Get(key string) ([]byte, bool) {
 	}
 	v, ok := t.writes[key]
 	if !ok {
-		v, ok = t.back.snapshotGet(key)
+		v, ok = t.base[champ.ShardOf(key, uint32(len(t.base)))].Get(key)
 		if !ok {
 			return nil, false
 		}
@@ -240,54 +136,13 @@ func (t *Tx) WriteSetDigest() hashsig.Digest {
 func (t *Tx) Commit() {
 	t.active("Commit")
 	t.done = true
-	t.back.apply(t.writes, t.deletes)
+	t.store.apply(t.writes, t.deletes)
 }
 
 // Abort discards the transaction (rollback at transaction granularity).
 func (t *Tx) Abort() {
 	t.active("Abort")
 	t.done = true
-}
-
-// Digest returns the deterministic digest of the full store contents. Two
-// replicas with identical state produce identical digests regardless of the
-// order operations were applied in; this is the key-value half of the
-// checkpoint digest d_C that pre-prepare messages carry.
-func (s *Store) Digest() hashsig.Digest {
-	h := newDigestWriter()
-	if err := s.writeSorted(wire.NewWriter(h)); err != nil {
-		// digestWriter never fails.
-		panic(err)
-	}
-	return h.sum()
-}
-
-// Serialize writes the full store deterministically (sorted by key):
-// count, then (klen,key,vlen,val)* in the wire codec.
-func (s *Store) Serialize(w io.Writer) error {
-	return s.writeSorted(wire.NewWriter(w))
-}
-
-// ShardDigest returns the canonical digest of the subset of this store's
-// keys that the given shard of a shards-way partition owns — the same value
-// ShardedStore.ShardDigest reports for that shard when its contents match.
-// An auditor holding a flat replay of the state can thereby pinpoint which
-// shard of a sharded replica diverged, shard by shard, without ever
-// materializing a sharded copy of the whole store. RangeShard yields keys in
-// canonical order already, so the collected entries stream with no sort pass
-// (they are collected only because the count is not known up front).
-func (s *Store) ShardDigest(shard, shards uint32) hashsig.Digest {
-	var entries []sortedEntry
-	s.cur.RangeShard(shard, shards, func(k string, v []byte) bool {
-		entries = append(entries, sortedEntry{key: k, val: v})
-		return true
-	})
-	return digestOfEntries(entries)
-}
-
-func (s *Store) writeSorted(w *wire.Writer) error {
-	encodeEntriesSorted(w, collectEntries(make([]sortedEntry, 0, s.cur.Len()), s.cur))
-	return w.Flush()
 }
 
 // sortedEntry is a (key, value) reference collected while walking a trie,
@@ -299,7 +154,7 @@ type sortedEntry struct {
 
 // encodeEntriesSorted sorts entries by key and streams them in the flat
 // checkpoint form: count, then (key, value) pairs in ascending key order.
-// The flat stream (Store.Serialize, the partition-independent Digest) is
+// The flat stream (the partition-independent ShardedStore.Digest) is
 // key-sorted so that it stays a plain wire codec any party can produce
 // without knowing champ's hash; per-shard streams use encodeMapCanonical
 // instead, which needs no sort pass.
@@ -338,25 +193,6 @@ func encodeMapCanonical(w *wire.Writer, m *champ.Map) {
 	})
 }
 
-// digestOfEntries returns the digest of the per-shard serialization of the
-// given entries, which must already be in canonical order (as RangeShard
-// yields them). The serialization streams straight into a borrowed hasher
-// through an unbuffered writer: no bufio buffer, no hasher allocation.
-func digestOfEntries(entries []sortedEntry) hashsig.Digest {
-	h := borrowDigestWriter()
-	w := wire.NewDirectWriter(h)
-	w.Uint64(uint64(len(entries)))
-	for _, e := range entries {
-		w.String(e.key)
-		w.Bytes(e.val)
-	}
-	if err := w.Flush(); err != nil {
-		// digestWriter never fails.
-		panic(err)
-	}
-	return h.sumAndReturn()
-}
-
 // digestOfMap returns the digest of one map's per-shard serialization.
 func digestOfMap(m *champ.Map) hashsig.Digest {
 	h := borrowDigestWriter()
@@ -369,25 +205,13 @@ func digestOfMap(m *champ.Map) hashsig.Digest {
 	return h.sumAndReturn()
 }
 
-// Restore replaces the store contents with a stream produced by Serialize.
-// The stream must contain exactly one checkpoint: trailing data is rejected,
-// so distinct byte streams never restore to the same store.
-func Restore(r io.Reader) (*Store, error) {
-	rd := wire.NewReader(r)
-	m := readMap(rd)
-	rd.ExpectEOF()
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("kv: restore: %w", err)
-	}
-	return &Store{cur: m}, nil
-}
-
 // readMap reads one canonical map stream (count + pairs) from rd. Errors
 // stick in the reader; on error the partial map is returned and ignored by
 // callers. Every frame boundary annotates a failure with its position, so
 // a truncated or oversized stream reports exactly which frame broke — and
-// no partially-read map is ever installed into a store (Restore and
-// friends only construct the store after a clean ExpectEOF).
+// no partially-read map is ever installed into a store (RestoreShardedFor
+// and NewShardedFromChunks only construct the store after a clean
+// ExpectEOF).
 func readMap(rd *wire.Reader) *champ.Map {
 	n := rd.Uint64()
 	rd.Annotate("entry count header")
@@ -406,15 +230,6 @@ func readMap(rd *wire.Reader) *champ.Map {
 		m = m.Set(k, v)
 	}
 	return m
-}
-
-// Snapshot returns an immutable view of the current contents, for replay
-// comparisons by auditors.
-func (s *Store) Snapshot() *champ.Map { return s.cur }
-
-// Clone returns an independent store with the same contents (O(1)).
-func (s *Store) Clone() *Store {
-	return &Store{cur: s.cur}
 }
 
 // digestWriter hashes the serialization stream without materializing it.

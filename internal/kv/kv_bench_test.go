@@ -6,15 +6,7 @@ import (
 	"testing"
 )
 
-func benchStore(n int) *Store {
-	s := NewStore()
-	for i := 0; i < n; i++ {
-		tx := s.Begin()
-		tx.Put(fmt.Sprintf("account_%08d", i), []byte("0000000100"))
-		tx.Commit()
-	}
-	return s
-}
+func benchStore(n int) *ShardedStore { return benchShardedStore(n, 1) }
 
 // BenchmarkCommit measures one transaction (SmallBank-style: read-modify-
 // write of two keys) committing against stores of increasing size.
@@ -36,8 +28,8 @@ func BenchmarkCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkDigest measures checkpoint digest computation d_C over the full
-// store: the cost a replica pays at each checkpoint interval.
+// BenchmarkDigest measures the flat key-sorted digest over the full store:
+// what every checkpoint cost before the store was sharded.
 func BenchmarkDigest(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -67,7 +59,7 @@ func BenchmarkSerialize(b *testing.B) {
 
 // BenchmarkWriteSetDigest measures the per-transaction result digest o.
 func BenchmarkWriteSetDigest(b *testing.B) {
-	s := NewStore()
+	s := NewSharded(1)
 	tx := s.Begin()
 	for i := 0; i < 8; i++ {
 		tx.Put(fmt.Sprintf("k%d", i), []byte("value"))

@@ -11,7 +11,7 @@ import (
 )
 
 func TestBasicTx(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Put("alice", []byte("100"))
 	tx.Put("bob", []byte("50"))
@@ -31,7 +31,7 @@ func TestBasicTx(t *testing.T) {
 }
 
 func TestAbort(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Put("k", []byte("v"))
 	tx.Abort()
@@ -41,7 +41,7 @@ func TestAbort(t *testing.T) {
 }
 
 func TestTxDeleteSemantics(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Put("k", []byte("v"))
 	tx.Commit()
@@ -63,7 +63,7 @@ func TestTxDeleteSemantics(t *testing.T) {
 }
 
 func TestTxFinishedPanics(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Commit()
 	defer func() {
@@ -75,7 +75,7 @@ func TestTxFinishedPanics(t *testing.T) {
 }
 
 func TestWriteSetDigestDeterministic(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	tx1 := s.Begin()
 	tx1.Put("b", []byte("2"))
 	tx1.Put("a", []byte("1"))
@@ -112,7 +112,7 @@ func TestWriteSetDigestDeterministic(t *testing.T) {
 }
 
 func TestMarksAndRollback(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	apply := func(k, v string) {
 		tx := s.Begin()
 		tx.Put(k, []byte(v))
@@ -158,7 +158,7 @@ func TestMarksAndRollback(t *testing.T) {
 }
 
 func TestPruneMarks(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	for i := uint64(1); i <= 5; i++ {
 		s.Mark(i)
 	}
@@ -172,7 +172,7 @@ func TestPruneMarks(t *testing.T) {
 }
 
 func TestDigestDeterminism(t *testing.T) {
-	a, b := NewStore(), NewStore()
+	a, b := NewSharded(1), NewSharded(1)
 	// Apply the same logical content in different orders/histories.
 	for i := 0; i < 200; i++ {
 		tx := a.Begin()
@@ -201,7 +201,7 @@ func TestDigestDeterminism(t *testing.T) {
 }
 
 func TestSerializeRestore(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	for i := 0; i < 500; i++ {
 		tx := s.Begin()
 		tx.Put(fmt.Sprintf("key-%04d", i), bytes.Repeat([]byte{byte(i)}, i%32))
@@ -211,7 +211,7 @@ func TestSerializeRestore(t *testing.T) {
 	if err := s.Serialize(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf)
+	restored, err := RestoreSharded(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,35 +230,8 @@ func TestSerializeRestore(t *testing.T) {
 	}
 }
 
-func TestRestoreCorrupt(t *testing.T) {
-	if _, err := Restore(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream restored")
-	}
-	if _, err := Restore(bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 5})); err == nil {
-		t.Fatal("truncated stream restored")
-	}
-	// Unreasonable key length.
-	bad := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}
-	if _, err := Restore(bytes.NewReader(bad)); err == nil {
-		t.Fatal("hostile key length accepted")
-	}
-	// Trailing data after the declared entries.
-	s := NewStore()
-	tx := s.Begin()
-	tx.Put("k", []byte("v"))
-	tx.Commit()
-	var buf bytes.Buffer
-	if err := s.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0x00)
-	if _, err := Restore(&buf); err == nil {
-		t.Fatal("stream with trailing data restored")
-	}
-}
-
 func TestClone(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Put("a", []byte("1"))
 	tx.Commit()
@@ -277,7 +250,7 @@ func TestClone(t *testing.T) {
 // Regression: Get used to return the slice stored inside the CHAMP map, so
 // mutating the result corrupted every snapshot and mark sharing that node.
 func TestGetReturnsDefensiveCopy(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Put("k", []byte("original"))
 	tx.Commit()
@@ -287,10 +260,10 @@ func TestGetReturnsDefensiveCopy(t *testing.T) {
 	v, _ := s.Get("k")
 	copy(v, "CLOBBER!")
 	if got, _ := s.Get("k"); string(got) != "original" {
-		t.Fatal("mutating Store.Get result corrupted the store")
+		t.Fatal("mutating Get result corrupted the store")
 	}
 	if s.Digest() != before {
-		t.Fatal("mutating Store.Get result changed the store digest")
+		t.Fatal("mutating Get result changed the store digest")
 	}
 
 	tx = s.Begin()
@@ -315,17 +288,19 @@ func TestGetReturnsDefensiveCopy(t *testing.T) {
 	}
 }
 
-// The checkpoint stream is plain wire codec: count, then sorted
+// The flat stream behind Digest is plain wire codec: count, then sorted
 // (key, value) pairs, each parseable by wire.Reader.
-func TestSerializeIsWireCodec(t *testing.T) {
-	s := NewStore()
+func TestFlatStreamIsWireCodec(t *testing.T) {
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Put("b", []byte("2"))
 	tx.Put("a", []byte("1"))
 	tx.Put("c", nil)
 	tx.Commit()
 	var buf bytes.Buffer
-	if err := s.Serialize(&buf); err != nil {
+	w := wire.NewWriter(&buf)
+	s.encodeSortedFlat(w)
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(&buf)
@@ -351,7 +326,7 @@ func TestSerializeIsWireCodec(t *testing.T) {
 // Round trip through the wire codec preserves contents, digest, and the
 // serialized byte stream itself.
 func TestWireRoundTripCanonical(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	for i := 0; i < 100; i++ {
 		tx := s.Begin()
 		tx.Put(fmt.Sprintf("key-%03d", i), bytes.Repeat([]byte{byte(i)}, i%17))
@@ -361,7 +336,7 @@ func TestWireRoundTripCanonical(t *testing.T) {
 	if err := s.Serialize(&first); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(bytes.NewReader(first.Bytes()))
+	restored, err := RestoreSharded(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +353,7 @@ func TestWireRoundTripCanonical(t *testing.T) {
 }
 
 func TestPutCopiesValue(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	v := []byte("mutable")
 	tx := s.Begin()
 	tx.Put("k", v)
@@ -395,7 +370,7 @@ func TestPutCopiesValue(t *testing.T) {
 func TestQuickRollbackRestoresDigest(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewStore()
+		s := NewSharded(1)
 		for i := 0; i < 50; i++ {
 			tx := s.Begin()
 			tx.Put(fmt.Sprintf("k%d", rng.Intn(30)), []byte{byte(rng.Int())})
@@ -438,7 +413,7 @@ func TestTxUseAfterFinishPanics(t *testing.T) {
 	for name, op := range ops {
 		for _, finish := range []string{"Commit", "Abort"} {
 			t.Run(name+"-after-"+finish, func(t *testing.T) {
-				for _, store := range []interface{ Begin() *Tx }{NewStore(), NewSharded(4)} {
+				for _, store := range []*ShardedStore{NewSharded(1), NewSharded(4)} {
 					tx := store.Begin()
 					tx.Put("seed", []byte("x"))
 					if finish == "Commit" {

@@ -20,69 +20,46 @@ func populatedSharded(t *testing.T, shards int) *ShardedStore {
 	return s
 }
 
-// TestRestoreTruncatedAtEveryOffset cuts a valid stream at every byte
-// boundary: no prefix may restore, panic, or return a store, and every
-// failure must carry a descriptive message rather than a bare io error.
-func TestRestoreTruncatedAtEveryOffset(t *testing.T) {
-	s := NewStore()
-	tx := s.Begin()
-	tx.Put("alpha", []byte("one"))
-	tx.Put("beta", []byte("two"))
-	tx.Commit()
-	var buf bytes.Buffer
-	if err := s.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut++ {
-		_, err := Restore(bytes.NewReader(full[:cut]))
-		if err == nil {
-			t.Fatalf("stream truncated at %d/%d restored", cut, len(full))
-		}
-		if msg := err.Error(); !strings.Contains(msg, "kv: restore") {
-			t.Fatalf("truncation at %d: undescriptive error %q", cut, msg)
-		}
-	}
-	if _, err := Restore(bytes.NewReader(full)); err != nil {
-		t.Fatalf("untruncated stream rejected: %v", err)
-	}
-}
-
-// TestRestoreShardedTruncatedAtEveryOffset is the sharded variant: each cut
-// must fail with an error that names the frame it broke in (header, or the
-// shard index mid-stream).
+// TestRestoreShardedTruncatedAtEveryOffset cuts a valid stream at every
+// byte boundary, unsharded and sharded: no prefix may restore, panic, or
+// return a store, and each cut must fail with an error that names the frame
+// it broke in (header, or the shard index mid-stream) rather than a bare io
+// error.
 func TestRestoreShardedTruncatedAtEveryOffset(t *testing.T) {
-	s := populatedSharded(t, 4)
-	var buf bytes.Buffer
-	if err := s.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	sawShardFrame := false
-	for cut := 0; cut < len(full); cut++ {
-		_, err := RestoreSharded(bytes.NewReader(full[:cut]))
-		if err == nil {
-			t.Fatalf("stream truncated at %d/%d restored", cut, len(full))
+	for _, shards := range []int{1, 4} {
+		s := populatedSharded(t, shards)
+		var buf bytes.Buffer
+		if err := s.Serialize(&buf); err != nil {
+			t.Fatal(err)
 		}
-		msg := err.Error()
-		if !strings.Contains(msg, "kv: restore") {
-			t.Fatalf("truncation at %d: undescriptive error %q", cut, msg)
+		full := buf.Bytes()
+		sawShardFrame := false
+		for cut := 0; cut < len(full); cut++ {
+			_, err := RestoreSharded(bytes.NewReader(full[:cut]))
+			if err == nil {
+				t.Fatalf("shards %d: stream truncated at %d/%d restored", shards, cut, len(full))
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "kv: restore") {
+				t.Fatalf("shards %d: truncation at %d: undescriptive error %q", shards, cut, msg)
+			}
+			if strings.Contains(msg, "shard ") && strings.Contains(msg, fmt.Sprintf(" of %d", shards)) {
+				sawShardFrame = true
+			}
 		}
-		if strings.Contains(msg, "shard ") && strings.Contains(msg, " of 4") {
-			sawShardFrame = true
+		if !sawShardFrame {
+			t.Fatalf("shards %d: no truncation error ever named the shard frame it broke in", shards)
 		}
-	}
-	if !sawShardFrame {
-		t.Fatal("no truncation error ever named the shard frame it broke in")
-	}
-	if _, err := RestoreSharded(bytes.NewReader(full)); err != nil {
-		t.Fatalf("untruncated stream rejected: %v", err)
+		if _, err := RestoreSharded(bytes.NewReader(full)); err != nil {
+			t.Fatalf("shards %d: untruncated stream rejected: %v", shards, err)
+		}
 	}
 }
 
 // TestRestoreOversizedDeclarations feeds streams whose length fields
 // declare more than the stream (or the codec's limits) can hold.
 func TestRestoreOversizedDeclarations(t *testing.T) {
+	// Each case is the one shard of a one-shard stream.
 	cases := map[string][]byte{
 		// Entry count far beyond the bytes that follow.
 		"entry count": {0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
@@ -91,8 +68,9 @@ func TestRestoreOversizedDeclarations(t *testing.T) {
 		// One entry with a plausible key but a hostile value length.
 		"value length": append(append([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1}, 'k'), 0xff, 0xff, 0xff, 0xff),
 	}
-	for name, stream := range cases {
-		if _, err := Restore(bytes.NewReader(stream)); err == nil {
+	for name, shard := range cases {
+		stream := append([]byte{0, 0, 0, 1}, shard...)
+		if _, err := RestoreSharded(bytes.NewReader(stream)); err == nil {
 			t.Fatalf("%s: oversized declaration restored", name)
 		}
 	}

@@ -6,13 +6,12 @@
 // checkpoint and recomputes only those shard digests, then combines the N
 // cached digests into d_C (O(dirty) hashing, O(N) combining).
 //
-// Determinism invariants, matching the unsharded Store:
+// Determinism invariants:
 //
 //   - identical contents + identical shard count ⇒ identical CheckpointDigest,
 //     regardless of the operation history that produced the state;
 //   - identical contents ⇒ identical Digest (the flat canonical digest),
-//     regardless of shard count — a ShardedStore and a Store holding the
-//     same keys agree byte-for-byte on the canonical serialization.
+//     regardless of shard count.
 package kv
 
 import (
@@ -43,7 +42,9 @@ const MaxShards = wire.MaxStreamShards
 func ShardOfKey(key string, shards uint32) uint32 { return champ.ShardOf(key, shards) }
 
 // ShardedStore is a transactional key-value store over a sharded key space.
-// Like Store it is single-writer: the replica execution loop owns it.
+// Transactions execute serially (the replica's execution loop is
+// single-threaded, which is what makes the history strictly serializable);
+// the store itself is not safe for concurrent mutation.
 type ShardedStore struct {
 	shards  []*champ.Map
 	digests []hashsig.Digest // cached per-shard digests, valid where !dirty
@@ -83,21 +84,6 @@ func NewSharded(shards int) *ShardedStore {
 	return s
 }
 
-// NewShardedFromStore splits an unsharded store into the given number of
-// shards, preserving contents, in one pass over the source (each key is
-// hashed once and routed to its owning shard). This is the migration path
-// for restoring a flat checkpoint into a sharded replica.
-func NewShardedFromStore(src *Store, shards int) *ShardedStore {
-	s := NewSharded(shards)
-	n := uint32(len(s.shards))
-	src.Snapshot().Range(func(k string, v []byte) bool {
-		i := champ.ShardOf(k, n)
-		s.shards[i] = s.shards[i].Set(k, v)
-		return true
-	})
-	return s
-}
-
 // ShardCount returns the number of shards in the partition.
 func (s *ShardedStore) ShardCount() uint32 { return uint32(len(s.shards)) }
 
@@ -115,8 +101,10 @@ func (s *ShardedStore) Len() int {
 	return n
 }
 
-// Get reads a key outside any transaction. Like Store.Get, the returned
-// slice is a defensive copy.
+// Get reads a key outside any transaction. The returned slice is a copy:
+// the stored value is shared by every snapshot and mark referencing the same
+// CHAMP node, so handing it out directly would let a caller silently corrupt
+// history that rollback depends on.
 func (s *ShardedStore) Get(key string) ([]byte, bool) {
 	v, ok := s.shards[s.shardFor(key)].Get(key)
 	if !ok {
@@ -135,7 +123,7 @@ func (s *ShardedStore) Get(key string) ([]byte, bool) {
 // hottest path, paid per transaction by both the primary and the auditor —
 // is O(1) regardless of shard count.
 func (s *ShardedStore) Begin() *Tx {
-	return newTx(&shardedTxBackend{store: s, base: s.shards})
+	return &Tx{store: s, base: s.shards, writes: map[string][]byte{}, deletes: map[string]bool{}}
 }
 
 // BeginTracked starts a transaction like Begin, additionally recording
@@ -151,16 +139,6 @@ func (s *ShardedStore) BeginTracked() *Tx {
 	return tx
 }
 
-// shardedTxBackend runs a transaction against a ShardedStore.
-type shardedTxBackend struct {
-	store *ShardedStore
-	base  []*champ.Map // shard heads at Begin (immutable once captured)
-}
-
-func (b *shardedTxBackend) snapshotGet(key string) ([]byte, bool) {
-	return b.base[champ.ShardOf(key, uint32(len(b.base)))].Get(key)
-}
-
 // apply publishes the buffered effects copy-on-write: the current shard,
 // digest, and dirty slices are never mutated in place — fresh slices
 // replace them — so every snapshot captured by Begin, Mark, or Clone stays
@@ -168,11 +146,10 @@ func (b *shardedTxBackend) snapshotGet(key string) ([]byte, bool) {
 // cache fill in ShardDigest/CheckpointDigest, which is safe to share: it
 // runs strictly between applies, when every live snapshot has the same
 // shard heads the filled cache describes.)
-func (b *shardedTxBackend) apply(writes map[string][]byte, deletes map[string]bool) {
+func (s *ShardedStore) apply(writes map[string][]byte, deletes map[string]bool) {
 	if len(writes) == 0 && len(deletes) == 0 {
 		return
 	}
-	s := b.store
 	shards := append([]*champ.Map(nil), s.shards...)
 	digests := append([]hashsig.Digest(nil), s.digests...)
 	dirty := append([]bool(nil), s.dirty...)
@@ -189,9 +166,10 @@ func (b *shardedTxBackend) apply(writes map[string][]byte, deletes map[string]bo
 	s.shards, s.digests, s.dirty = shards, digests, dirty
 }
 
-// Mark records a rollback point labelled seq, like Store.Mark. Thanks to
-// copy-on-write applies it captures the three current slices by reference:
-// O(1), like the flat store's single-pointer mark.
+// Mark records a rollback point labelled seq, capturing the state before
+// the batch with that sequence number executes. Marks are kept until
+// PruneMarks. Thanks to copy-on-write applies a mark captures the three
+// current slices by reference: O(1).
 func (s *ShardedStore) Mark(seq uint64) {
 	s.marks = append(s.marks, shardedMark{
 		seq:     seq,
@@ -215,7 +193,8 @@ func (s *ShardedStore) RollbackTo(seq uint64) error {
 	return fmt.Errorf("%w: %d", ErrNoMark, seq)
 }
 
-// PruneMarks drops marks with seq < before.
+// PruneMarks drops marks with seq < before; batches that have committed can
+// no longer be rolled back.
 func (s *ShardedStore) PruneMarks(before uint64) {
 	keep := s.marks[:0]
 	for _, m := range s.marks {
@@ -239,9 +218,9 @@ func (s *ShardedStore) DirtyShards() int {
 }
 
 // ShardDigest returns the canonical digest of one shard's contents,
-// computing and caching it if the shard is dirty. Together with
-// Store.ShardDigest it lets an auditor localize a checkpoint divergence to
-// the shard that diverged instead of just observing that d_C differs.
+// computing and caching it if the shard is dirty. It lets an auditor
+// localize a checkpoint divergence to the shard that diverged instead of
+// just observing that d_C differs.
 func (s *ShardedStore) ShardDigest(i int) hashsig.Digest {
 	if s.dirty[i] {
 		s.digests[i] = digestOfMap(s.shards[i])
@@ -277,7 +256,7 @@ func (s *ShardedStore) CheckpointDigest() hashsig.Digest {
 		s.digests[i] = digestOfMap(s.shards[i])
 		s.dirty[i] = false
 	})
-	return combineShardDigests(s.digests)
+	return CombineShardDigests(s.digests)
 }
 
 // minParallelDigestKeys gates the parallel digest path: below this many
@@ -293,14 +272,17 @@ func (s *ShardedStore) FullRescanDigest() hashsig.Digest {
 	for i, m := range s.shards {
 		digests[i] = digestOfMap(m)
 	}
-	return combineShardDigests(digests)
+	return CombineShardDigests(digests)
 }
 
-// combineShardDigests hashes the shard digest vector into d_C. The shard
+// CombineShardDigests hashes a shard digest vector into d_C. The shard
 // count is included so the same contents under a different partition can
 // never alias: d_C commits to the execution configuration the header's
-// shard-count field declares.
-func combineShardDigests(digests []hashsig.Digest) hashsig.Digest {
+// shard-count field declares. Exported as the verification half of chunked
+// state transfer: a syncing replica that holds a signed header's CkptDigest
+// and a claimed per-shard digest vector recomputes the combine to check the
+// vector is the one the header certified — before fetching a single chunk.
+func CombineShardDigests(digests []hashsig.Digest) hashsig.Digest {
 	h := hashsig.BorrowHasher()
 	h.Write(ckptDomain)
 	var n [4]byte
@@ -312,15 +294,6 @@ func combineShardDigests(digests []hashsig.Digest) hashsig.Digest {
 	h.Sum(out[:0])
 	hashsig.ReturnHasher(h)
 	return out
-}
-
-// CombineShardDigests hashes a shard digest vector into d_C exactly as
-// CheckpointDigest does. It is the verification half of chunked state
-// transfer: a syncing replica that holds a signed header's CkptDigest and a
-// claimed per-shard digest vector recomputes the combine to check the
-// vector is the one the header certified — before fetching a single chunk.
-func CombineShardDigests(digests []hashsig.Digest) hashsig.Digest {
-	return combineShardDigests(digests)
 }
 
 // ShardDigests returns a copy of the full per-shard digest vector,
@@ -335,11 +308,11 @@ func (s *ShardedStore) ShardDigests() []hashsig.Digest {
 	return out
 }
 
-// Digest returns the flat canonical digest of the full contents — the same
-// value an unsharded Store with identical contents returns from
-// Store.Digest. It rescans everything (O(n)); checkpointing uses
-// CheckpointDigest instead. It exists so sharded and unsharded stores can
-// be compared for state equality independent of partitioning.
+// Digest returns the flat canonical digest of the full contents: the hash
+// of the key-sorted serialization, identical for identical contents under
+// any shard count. It rescans everything (O(n)); checkpointing uses
+// CheckpointDigest instead. It exists so stores can be compared for state
+// equality independent of partitioning.
 func (s *ShardedStore) Digest() hashsig.Digest {
 	h := newDigestWriter()
 	w := wire.NewWriter(h)
@@ -352,8 +325,7 @@ func (s *ShardedStore) Digest() hashsig.Digest {
 }
 
 // encodeSortedFlat streams the union of all shards in canonical flat form
-// (count, then globally key-sorted pairs) — byte-identical to
-// Store.Serialize over the same contents.
+// (count, then globally key-sorted pairs).
 func (s *ShardedStore) encodeSortedFlat(w *wire.Writer) {
 	entries := make([]sortedEntry, 0, s.Len())
 	for _, m := range s.shards {

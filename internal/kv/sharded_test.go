@@ -62,13 +62,8 @@ func TestShardedSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// applyRandom drives the same pseudo-random workload against any set of
-// stores sharing the Begin/Tx interface.
-type txStore interface {
-	Begin() *Tx
-}
-
-func applyRandom(rng *rand.Rand, ops int, stores ...txStore) {
+// applyRandom drives the same pseudo-random workload against every store.
+func applyRandom(rng *rand.Rand, ops int, stores ...*ShardedStore) {
 	for i := 0; i < ops; i++ {
 		txs := make([]*Tx, len(stores))
 		for j, s := range stores {
@@ -93,16 +88,16 @@ func applyRandom(rng *rand.Rand, ops int, stores ...txStore) {
 	}
 }
 
-// The satellite property: sharded and unsharded stores fed identical random
-// workloads produce identical canonical digests, and the sharded store's
+// Partition independence: a one-shard store and N-shard stores fed
+// identical random workloads produce identical canonical digests, and the
 // incremental checkpoint digest always equals a from-scratch recomputation.
 func TestQuickShardedMatchesUnsharded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		flat := NewStore()
+		flat := NewSharded(1)
 		counts := []int{1, 2, 7, 16}
 		sharded := make([]*ShardedStore, len(counts))
-		stores := []txStore{flat}
+		stores := []*ShardedStore{flat}
 		for i, n := range counts {
 			sharded[i] = NewSharded(n)
 			stores = append(stores, sharded[i])
@@ -349,33 +344,6 @@ func TestRestoreShardedRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestNewShardedFromStore(t *testing.T) {
-	flat := NewStore()
-	for i := 0; i < 400; i++ {
-		tx := flat.Begin()
-		tx.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
-		tx.Commit()
-	}
-	s := NewShardedFromStore(flat, 8)
-	if s.Len() != flat.Len() {
-		t.Fatalf("split lost keys: %d != %d", s.Len(), flat.Len())
-	}
-	if s.Digest() != flat.Digest() {
-		t.Fatal("split changed the canonical digest")
-	}
-	// Migration equals native construction.
-	native := NewSharded(8)
-	flat.Snapshot().Range(func(k string, v []byte) bool {
-		tx := native.Begin()
-		tx.Put(k, v)
-		tx.Commit()
-		return true
-	})
-	if s.CheckpointDigest() != native.CheckpointDigest() {
-		t.Fatal("migrated store diverges from natively built store")
-	}
-}
-
 func TestShardedClone(t *testing.T) {
 	s := NewSharded(4)
 	tx := s.Begin()
@@ -427,17 +395,17 @@ func TestNewShardedBounds(t *testing.T) {
 	NewSharded(MaxShards + 1)
 }
 
-// Shard-level cross-auditing: a flat store can compute any one shard's
-// digest of its own contents and match the sharded replica's cached value,
-// localizing a divergence to the shard that caused it.
+// Shard-level cross-auditing: an auditor's replayed store and the replica's
+// agree shard digest by shard digest, and a divergence is localized to the
+// shard that caused it.
 func TestShardDigestCrossAudit(t *testing.T) {
-	flat := NewStore()
+	flat := NewSharded(8)
 	sharded := NewSharded(8)
 	rng := rand.New(rand.NewSource(7))
 	applyRandom(rng, 30, flat, sharded)
 	for i := 0; i < 8; i++ {
-		if flat.ShardDigest(uint32(i), 8) != sharded.ShardDigest(i) {
-			t.Fatalf("shard %d digest diverges between flat and sharded views", i)
+		if flat.ShardDigest(i) != sharded.ShardDigest(i) {
+			t.Fatalf("shard %d digest diverges between the two views", i)
 		}
 	}
 	// Diverge one key; exactly its owning shard's digest must differ.
@@ -446,7 +414,7 @@ func TestShardDigestCrossAudit(t *testing.T) {
 	tx.Commit()
 	bad := int(ShardOfKey("poisoned", 8))
 	for i := 0; i < 8; i++ {
-		same := flat.ShardDigest(uint32(i), 8) == sharded.ShardDigest(i)
+		same := flat.ShardDigest(i) == sharded.ShardDigest(i)
 		if i == bad && same {
 			t.Fatal("divergent shard not detected")
 		}

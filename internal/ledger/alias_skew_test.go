@@ -32,6 +32,9 @@ func genSkewedBatch(rng *rand.Rand, n, keyPool, hotTenths int) []Request {
 // byte-identical headers and receipts, and identical post-state. Header
 // equality is checked via SigningDigest, which covers ¯M, ¯G, and d_C —
 // so checkpoint digests are compared batch by batch, not just at the end.
+// Replay of the resulting stream must land on the live ledger's roots too,
+// and — these batches being ≥ 64 entries at GOMAXPROCS=4 — must get there
+// through the wave executor whenever the store is sharded.
 func TestParallelMatchesSequentialUnderAuthorSkew(t *testing.T) {
 	forceParallel(t)
 	for _, shards := range []uint32{1, 4, 16} {

@@ -4,15 +4,15 @@ import (
 	"errors"
 	"fmt"
 
-	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
 )
 
 // ErrApply reports a proposed batch that diverges from this replica's own
-// execution: a forged result, a wrong root, a misplaced checkpoint, or a
-// sequence/shard mismatch. The ledger is rolled back to the pre-batch
-// boundary before the error is returned (Lemma 1), so a backup that rejects
-// a pre-prepare keeps exactly the state it had before speculating.
+// execution: a forged result, a wrong root, a misplaced checkpoint (each
+// also a *Divergence, see errors.As), or a sequence/shard mismatch. The
+// ledger is rolled back to the pre-batch boundary before the error is
+// returned (Lemma 1), so a backup that rejects a pre-prepare keeps exactly
+// the state it had before speculating.
 var ErrApply = errors.New("ledger: proposed batch diverges from local execution")
 
 // CheckBatchShape verifies, without executing anything, that the batch's
@@ -29,34 +29,31 @@ func CheckBatchShape(b *Batch) error {
 	if got := uint64(len(b.Entries)); got != h.GSize {
 		return fmt.Errorf("%w: batch %d: %d entries, header claims %d", ErrBadBatch, h.Seq, got, h.GSize)
 	}
-	digests := make([]hashsig.Digest, len(b.Entries))
-	leaves := make([]hashsig.Digest, len(b.Entries))
-	hasher := newEntryHasher(digests, leaves, len(b.Entries))
+	var scratch execScratch
+	scratch.grow(len(b.Entries), h.Shards)
+	hasher := newEntryHasher(scratch.digests, scratch.leaves, len(b.Entries))
 	for ei := range b.Entries {
 		hasher.submit(ei, &b.Entries[ei])
 	}
 	hasher.wait()
-	perShard := make([][]hashsig.Digest, h.Shards)
-	for ei := range b.Entries {
-		s := entryShard(&b.Entries[ei], h.Shards)
-		perShard[s] = append(perShard[s], leaves[ei])
-	}
-	if _, gRoot := buildShardRoots(perShard); gRoot != h.GRoot {
+	if gRoot, _ := scratch.batchTrees(b.Entries, h.Shards, false); gRoot != h.GRoot {
 		return fmt.Errorf("%w: batch %d: batch root mismatch", ErrBadBatch, h.Seq)
 	}
 	return nil
 }
 
-// ApplyBatch is the backup half of a pre-prepare: it re-executes a batch
-// proposed by another replica against this ledger's own store, checks every
-// field the proposer's header commits to — per-entry results, the combined
-// batch root ¯G under the declared partition, the history root ¯M, and the
-// checkpoint digest d_C — and, if they all reproduce, adopts the batch and
-// returns this replica's own signed header over the identical commitments
-// (the header a prepare message carries, paper §3.1). On any divergence the
-// store, history tree, and checkpoint digest are rolled back to the state
-// just before the batch and an ErrApply-wrapped error describes the first
-// mismatch.
+// ApplyBatch is the backup policy, the other half of a pre-prepare: it
+// runs a batch proposed by another replica through this ledger's own core,
+// which re-executes it and compares every field the proposer's header
+// commits to — per-entry results, the checkpoint marker, the combined batch
+// root ¯G under the declared partition, the history root ¯M, and the
+// checkpoint digest d_C. If they all reproduce, and the marker is present
+// exactly when this replica's checkpoint interval says one is due, it
+// adopts the batch and returns this replica's own signed header over the
+// identical commitments (the header a prepare message carries, paper §3.1).
+// On any divergence the store, history tree, and checkpoint digest are
+// rolled back to the state just before the batch (Lemma 1) and the error
+// wraps both ErrApply and the *Divergence naming the first mismatch.
 //
 // ApplyBatch checks execution, not provenance: callers (the consensus
 // layer) must have verified the proposer's header signature already.
@@ -74,136 +71,44 @@ func (l *Ledger) ApplyBatch(b *Batch) (*BatchHeader, error) {
 	// cost of the apply path — starts now and overlaps the entire
 	// re-execution. A rejected batch wastes one signature, which is cheap
 	// next to the re-execution a rejection already paid for.
-	own := BatchHeader{
-		Seq:        h.Seq,
-		HistSize:   h.HistSize,
-		MRoot:      h.MRoot,
-		GRoot:      h.GRoot,
-		GSize:      h.GSize,
-		Shards:     h.Shards,
-		CkptDigest: h.CkptDigest,
-	}
+	own := *h
+	own.Sig = nil
 	sigf := l.cfg.Key.SignAsync(own.SigningDigest())
 
-	seq := l.nextSeq
-	l.store.Mark(seq)
+	seq := h.Seq
 	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
-	reject := func(err error) (*BatchHeader, error) {
+	_, _, div := l.derive(seq, b.Entries, h)
+	if div == nil {
+		div = l.checkInterval(b)
+	}
+	if div != nil {
 		if rb := l.RollbackTo(seq); rb != nil {
 			// The mark pushed above cannot have vanished.
 			panic(rb)
 		}
-		return nil, err
-	}
-
-	ckptDue := seq%l.cfg.CheckpointEvery == 0
-	// Entry digesting overlaps re-execution, mirroring ExecuteBatch's
-	// pipeline. Unlike the executor, every entry is final on arrival —
-	// re-execution compares results, it never sets them — so all entries are
-	// submitted up front and hash while transactions re-run. Digests and
-	// leaf hashes land in the ledger's batch-to-batch scratch and are only
-	// read after hasher.wait(); the deferred wait releases the workers on
-	// every reject path (and before any later call reuses the scratch).
-	l.scratch.grow(len(b.Entries), l.cfg.Shards)
-	digests, leaves := l.scratch.digests[:len(b.Entries)], l.scratch.leaves[:len(b.Entries)]
-	hasher := newEntryHasher(digests, leaves, len(b.Entries))
-	defer hasher.wait()
-	for ei := range b.Entries {
-		hasher.submit(ei, &b.Entries[ei])
-	}
-
-	applied := false
-	if f, ok := l.parallelExec(len(b.Entries)); ok {
-		applied = l.applyEntriesParallel(f, seq, b)
-		if !applied {
-			// Any anomaly — a result mismatch, a violated footprint, a
-			// malformed checkpoint — discards the speculation and re-runs
-			// the sequential loop below, which reports the exact error the
-			// unparallelized replica would have.
-			if err := l.store.RollbackTo(seq); err != nil {
-				panic(err)
-			}
-			l.store.Mark(seq)
-		}
-	}
-	if !applied {
-		for ei := range b.Entries {
-			e := &b.Entries[ei]
-			switch e.Kind {
-			case KindTransaction:
-				tx := l.store.Begin()
-				var got hashsig.Digest
-				if err := l.cfg.App.Execute(tx, e.Payload); err != nil {
-					tx.Abort()
-				} else {
-					got = tx.WriteSetDigest()
-					tx.Commit()
-				}
-				if got != e.Result {
-					return reject(fmt.Errorf("%w: batch %d entry %d: result digest mismatch", ErrApply, seq, ei))
-				}
-			case KindGovernance:
-				// Recorded, no state effect.
-			case KindCheckpoint:
-				// A correct proposer appends exactly one checkpoint marker, last,
-				// and only when the interval says one is due; anything else would
-				// desynchronize lastCkpt across honest replicas even if the digest
-				// itself happens to match.
-				if !ckptDue || ei != len(b.Entries)-1 {
-					return reject(fmt.Errorf("%w: batch %d entry %d: unexpected checkpoint marker", ErrApply, seq, ei))
-				}
-				if e.Seq != seq {
-					return reject(fmt.Errorf("%w: batch %d entry %d: checkpoint labelled %d", ErrApply, seq, ei, e.Seq))
-				}
-				if got := l.store.CheckpointDigest(); got != e.State {
-					return reject(fmt.Errorf("%w: batch %d: checkpoint digest mismatch", ErrApply, seq))
-				}
-				l.lastCkpt = e.State
-			default:
-				return reject(fmt.Errorf("%w: batch %d entry %d: unknown kind %d", ErrApply, seq, ei, e.Kind))
-			}
-		}
-		if ckptDue && (len(b.Entries) == 0 || b.Entries[len(b.Entries)-1].Kind != KindCheckpoint) {
-			return reject(fmt.Errorf("%w: batch %d: checkpoint marker due but absent", ErrApply, seq))
-		}
-	}
-	hasher.wait()
-
-	// Rebuild the per-shard batch trees G_s under the local partition and
-	// combine their roots; the proposer's ¯G must reproduce exactly. The
-	// trees consume the pipeline's leaf hashes directly.
-	perShard := l.scratch.perShard
-	for ei := range b.Entries {
-		s := entryShard(&b.Entries[ei], l.cfg.Shards)
-		perShard[s] = append(perShard[s], leaves[ei])
-	}
-	if got := uint64(len(b.Entries)); got != h.GSize {
-		return reject(fmt.Errorf("%w: batch %d: %d entries, header claims %d", ErrApply, seq, got, h.GSize))
-	}
-	if _, gRoot := buildShardRoots(perShard); gRoot != h.GRoot {
-		return reject(fmt.Errorf("%w: batch %d: batch root mismatch", ErrApply, seq))
-	}
-	for _, lh := range leaves {
-		l.hist.AppendLeafHash(lh)
-	}
-	if got := l.hist.Size(); got != h.HistSize {
-		return reject(fmt.Errorf("%w: batch %d: history size %d, header claims %d", ErrApply, seq, got, h.HistSize))
-	}
-	if got := l.hist.Root(); got != h.MRoot {
-		return reject(fmt.Errorf("%w: batch %d: history root mismatch", ErrApply, seq))
-	}
-	if h.CkptDigest != l.lastCkpt {
-		return reject(fmt.Errorf("%w: batch %d: checkpoint reference mismatch", ErrApply, seq))
+		return nil, fmt.Errorf("%w: %w", ErrApply, div)
 	}
 
 	own.Sig = sigf.MustWait()
 	// The retained stream carries this replica's own signature, so replaying
 	// Batches() verifies against this replica's key; entries are shared with
 	// the caller and treated as immutable, like Batches().
-	l.batches = append(l.batches, &Batch{Header: own, Entries: b.Entries})
-	l.nextSeq = seq + 1
-	if ckptDue {
-		l.captureCheckpoint(seq)
-	}
+	l.adopt(&Batch{Header: own, Entries: b.Entries})
 	return &own, nil
+}
+
+// checkInterval is the one rule only a configured replica can apply: a
+// batch carries a checkpoint marker exactly when CheckpointEvery says one
+// is due. (Placement and label are the core's; an auditor, who is not told
+// the interval, checks only those.)
+func (l *Ledger) checkInterval(b *Batch) *Divergence {
+	last := len(b.Entries) - 1
+	has := last >= 0 && b.Entries[last].Kind == KindCheckpoint
+	switch due := l.checkpointDue(b.Header.Seq); {
+	case has && !due:
+		return diverge(&b.Header, last, "Marker", " entry %d: unexpected checkpoint marker", last)
+	case due && !has:
+		return diverge(&b.Header, -1, "Marker", ": checkpoint marker due but absent")
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -87,57 +88,150 @@ func snapshotLedger(l *Ledger) applySnapshot {
 	}
 }
 
-func TestApplyBatchRejectsAndRollsBack(t *testing.T) {
-	primary, backup := applyPair(t, 4)
-	// Advance both one batch so the divergence cases run mid-stream.
-	warm, _, err := primary.ExecuteBatch(applyReqs(5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := backup.ApplyBatch(warm); err != nil {
-		t.Fatal(err)
-	}
-
-	batch, _, err := primary.ExecuteBatch(applyReqs(100, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestTamperedBatchRejectedAlike is the unification's negative table: every
+// tampering is driven through BOTH a backup's ApplyBatch and an auditor's
+// Replay — over one core they must reject alike, naming the same field of
+// the same signed header. The misbehaving primary re-signs what it
+// tampered with (Replay verifies signatures before anything else; ApplyBatch
+// leaves provenance to consensus), so the Divergence both return carries a
+// header that verifies under the primary's key: signed evidence. Small
+// batches take the sequential loop; the large ones run at GOMAXPROCS=4 so
+// the wave executor sees each anomaly first and must fall back to the
+// sequential loop's exact report. A rejected ApplyBatch must also leave the
+// backup exactly as it was.
+func TestTamperedBatchRejectedAlike(t *testing.T) {
+	forceParallel(t)
+	last := func(b *Batch) *Entry { return &b.Entries[len(b.Entries)-1] }
 	tamper := []struct {
-		name string
-		mut  func(b *Batch)
+		name  string
+		mut   func(b *Batch)
+		field string // Divergence.Field both paths must name; "" = rejected before derivation
 	}{
-		{"forged result", func(b *Batch) { b.Entries[0].Result[0] ^= 1 }},
-		{"tampered payload", func(b *Batch) { b.Entries[1].Payload = EncodeOps([]Op{{Key: "evil", Val: []byte("x")}}) }},
-		{"wrong seq", func(b *Batch) { b.Header.Seq = 7 }},
-		{"wrong shard count", func(b *Batch) { b.Header.Shards = 2 }},
-		{"wrong batch root", func(b *Batch) { b.Header.GRoot[0] ^= 1 }},
-		{"wrong history root", func(b *Batch) { b.Header.MRoot[0] ^= 1 }},
-		{"wrong history size", func(b *Batch) { b.Header.HistSize++ }},
-		{"wrong entry count", func(b *Batch) { b.Header.GSize++ }},
-		{"wrong checkpoint ref", func(b *Batch) { b.Header.CkptDigest[0] ^= 1 }},
-		{"checkpoint mislabelled", func(b *Batch) { b.Entries[len(b.Entries)-1].Seq = 9 }},
-		{"checkpoint digest forged", func(b *Batch) { b.Entries[len(b.Entries)-1].State[0] ^= 1 }},
-		{"checkpoint dropped", func(b *Batch) { b.Entries = b.Entries[:len(b.Entries)-1] }},
-		{"unknown kind", func(b *Batch) { b.Entries[0].Kind = 99 }},
+		{"forged result", func(b *Batch) { b.Entries[0].Result[0] ^= 1 }, "Result"},
+		{"tampered payload", func(b *Batch) { b.Entries[1].Payload = EncodeOps([]Op{{Key: "evil", Val: []byte("x")}}) }, "Result"},
+		{"swapped entries", func(b *Batch) { b.Entries[0], b.Entries[1] = b.Entries[1], b.Entries[0] }, "MRoot"},
+		{"unknown kind", func(b *Batch) { b.Entries[0].Kind = 99 }, "Kind"},
+		{"wrong seq", func(b *Batch) { b.Header.Seq = 7 }, ""},
+		{"wrong shard count", func(b *Batch) { b.Header.Shards = 2 }, ""},
+		{"wrong batch root", func(b *Batch) { b.Header.GRoot[0] ^= 1 }, "GRoot"},
+		{"wrong history root", func(b *Batch) { b.Header.MRoot[0] ^= 1 }, "MRoot"},
+		{"wrong history size", func(b *Batch) { b.Header.HistSize++ }, "HistSize"},
+		{"wrong entry count", func(b *Batch) { b.Header.GSize++ }, "GSize"},
+		{"stale checkpoint ref", func(b *Batch) { b.Header.CkptDigest = hashsig.Digest{} }, "CkptDigest"},
+		{"marker misplaced", func(b *Batch) { b.Entries[0], *last(b) = *last(b), b.Entries[0] }, "Marker"},
+		{"marker mislabelled", func(b *Batch) { last(b).Seq = 9 }, "Seq"},
+		{"marker digest forged", func(b *Batch) { last(b).State[0] ^= 1 }, "State"},
+		{"marker missing", func(b *Batch) { b.Entries = b.Entries[:len(b.Entries)-1] }, "GSize"},
 	}
-	for _, tc := range tamper {
+	for _, size := range []int{3, minParallelBatch + 8} {
+		primary, backup := applyPair(t, 4)
+		pub := primary.cfg.Key.Public()
+		// Advance both one batch so the divergence cases run mid-stream.
+		warm, _, err := primary.ExecuteBatch(applyReqs(5, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := backup.ApplyBatch(warm); err != nil {
+			t.Fatal(err)
+		}
+		batch, _, err := primary.ExecuteBatch(applyReqs(1000, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range tamper {
+			name := fmt.Sprintf("%s/size=%d", tc.name, size)
+			before := snapshotLedger(backup)
+			evil := &Batch{Header: batch.Header, Entries: append([]Entry(nil), batch.Entries...)}
+			tc.mut(evil)
+			evil.Header.Sig = primary.cfg.Key.MustSign(evil.Header.SigningDigest())
+
+			_, applyErr := backup.ApplyBatch(evil)
+			if !errors.Is(applyErr, ErrApply) {
+				t.Fatalf("%s: ApplyBatch err = %v, want ErrApply", name, applyErr)
+			}
+			if after := snapshotLedger(backup); after != before {
+				t.Fatalf("%s: backup state not rolled back: %+v -> %+v", name, before, after)
+			}
+			_, replayErr := Replay([]*Batch{warm, evil}, pub, KVApp{}, nil)
+			if !errors.Is(replayErr, ErrReplay) {
+				t.Fatalf("%s: Replay err = %v, want ErrReplay", name, replayErr)
+			}
+
+			var fromApply, fromReplay *Divergence
+			if got := errors.As(applyErr, &fromApply); got != (tc.field != "") {
+				t.Fatalf("%s: ApplyBatch err %v: is a Divergence = %v", name, applyErr, got)
+			}
+			if got := errors.As(replayErr, &fromReplay); got != (tc.field != "") {
+				t.Fatalf("%s: Replay err %v: is a Divergence = %v", name, replayErr, got)
+			}
+			if tc.field == "" {
+				continue
+			}
+			if fromApply.Field != tc.field || fromReplay.Field != tc.field {
+				t.Fatalf("%s: ApplyBatch names %q (%v), Replay names %q (%v), want %q",
+					name, fromApply.Field, applyErr, fromReplay.Field, replayErr, tc.field)
+			}
+			if fromApply.Seq != 2 || fromApply.Entry != fromReplay.Entry || fromApply.Error() != fromReplay.Error() {
+				t.Fatalf("%s: reports differ: %+v vs %+v", name, fromApply, fromReplay)
+			}
+			for _, d := range []*Divergence{fromApply, fromReplay} {
+				if !d.Header.Verify(pub) || d.Header.SigningDigest() != evil.Header.SigningDigest() {
+					t.Fatalf("%s: divergence does not carry the header the primary signed", name)
+				}
+			}
+		}
+
+		// The untampered batch still applies after every rejection.
+		if _, err := backup.ApplyBatch(batch); err != nil {
+			t.Fatalf("clean batch rejected after rollbacks: %v", err)
+		}
+		if primary.StateDigest() != backup.StateDigest() {
+			t.Fatal("states diverged")
+		}
+	}
+}
+
+// TestApplyBatchEnforcesCheckpointInterval covers the one rule that stays
+// ApplyBatch's own: a stream whose checkpoint markers are individually
+// well-formed and consistently signed replays clean for an auditor, who is
+// not told CheckpointEvery, but a backup configured with a different
+// interval rejects the first batch whose marker is undue or overdue.
+func TestApplyBatchEnforcesCheckpointInterval(t *testing.T) {
+	mk := func(every uint64) *Ledger {
+		l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: every, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	for _, tc := range []struct {
+		primary, backup uint64
+		entry           int
+		text            string
+	}{
+		{1, 2, 2, "entry 2: unexpected checkpoint marker"},
+		{2, 1, -1, "checkpoint marker due but absent"},
+	} {
+		primary, backup := mk(tc.primary), mk(tc.backup)
+		b, _, err := primary.ExecuteBatch(applyReqs(10, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Replay([]*Batch{b}, testKey.Public(), KVApp{}, nil); err != nil {
+			t.Fatalf("interval %d stream does not replay: %v", tc.primary, err)
+		}
 		before := snapshotLedger(backup)
-		evil := &Batch{Header: batch.Header, Entries: append([]Entry(nil), batch.Entries...)}
-		tc.mut(evil)
-		if _, err := backup.ApplyBatch(evil); !errors.Is(err, ErrApply) {
-			t.Fatalf("%s: err = %v, want ErrApply", tc.name, err)
+		_, err = backup.ApplyBatch(b)
+		var div *Divergence
+		if !errors.Is(err, ErrApply) || !errors.As(err, &div) {
+			t.Fatalf("interval %d batch on an interval %d backup: err = %v", tc.primary, tc.backup, err)
+		}
+		if div.Field != "Marker" || div.Entry != tc.entry || !strings.HasSuffix(err.Error(), tc.text) {
+			t.Fatalf("interval %d batch on an interval %d backup: %+v (%v)", tc.primary, tc.backup, div, err)
 		}
 		if after := snapshotLedger(backup); after != before {
-			t.Fatalf("%s: backup state not rolled back: %+v -> %+v", tc.name, before, after)
+			t.Fatalf("backup state not rolled back: %+v -> %+v", before, after)
 		}
-	}
-
-	// The untampered batch still applies after every rejection.
-	if _, err := backup.ApplyBatch(batch); err != nil {
-		t.Fatalf("clean batch rejected after rollbacks: %v", err)
-	}
-	if primary.StateDigest() != backup.StateDigest() {
-		t.Fatal("states diverged")
 	}
 }
 

@@ -25,8 +25,7 @@ type Checkpoint struct {
 }
 
 // captureCheckpoint records the checkpoint materialization for seq. Called
-// at the success tail of ExecuteBatch/ApplyBatch when seq is a checkpoint
-// boundary — after the batch's entries landed in the history tree, so the
+// by adopt when seq is a checkpoint boundary — after the batch's entries landed in the history tree, so the
 // frontier matches the signed header's (HistSize, ¯M). All shards are clean
 // at this point (CheckpointDigest just ran), so the digest vector copy does
 // no hashing.

@@ -1,12 +1,3 @@
-// Package ledger binds IA-CCF's building blocks into the paper's core
-// artifact: an append-only ledger of typed entries executed in batches
-// (paper §3.1–§3.4). Every entry is appended to the history tree M; each
-// batch additionally gets a small tree G over its entries. The replica
-// signs a BatchHeader over (seq, ¯M, ¯G, d_C) and hands each client a
-// Receipt containing its entry's audit path in G, verifiable offline
-// against the signed header. RollbackTo undoes batches per Lemma 1, and
-// Replay is the auditor's half of individual accountability: it re-executes
-// a batch stream and checks every root, result, and signature.
 package ledger
 
 import (

@@ -1,22 +1,24 @@
-// Conflict-aware parallel batch execution (paper §6): requests whose shard
-// footprints are disjoint run concurrently; requests that conflict keep
-// batch order. The executor is speculative but never trusts a declared
-// footprint — every transaction runs under shard-access tracking, and any
-// access outside the declaration aborts the speculation and re-runs the
-// whole batch through the sequential core, so results, receipts, and signed
-// headers are byte-identical to sequential execution in every case.
+// Conflict-aware parallel batch execution (paper §6): transactions whose
+// shard footprints are disjoint run concurrently; transactions that
+// conflict keep batch order. The executor is speculative but never trusts a
+// declared footprint — every transaction runs under shard-access tracking,
+// and any access outside the declaration aborts the speculation and re-runs
+// the whole batch through the sequential loop, so results, receipts, and
+// signed headers are byte-identical to sequential execution in every case.
+// It serves all three policies: a proposal's results are set, a backup's or
+// an auditor's are compared, by the same waves.
 //
 // # Why waves preserve sequential semantics
 //
-// Requests are planned in batch order. A request's wave is one past the
-// highest wave of any earlier request whose footprint intersects its own
-// (lastWave below); a request with an unknown footprint is a barrier that
-// conflicts with everything before and after it. Two facts follow:
+// Transactions are planned in batch order. A transaction's wave is one past
+// the highest wave of any earlier one whose footprint intersects its own
+// (lastWave below); a transaction with an unknown footprint is a barrier
+// that conflicts with everything before and after it. Two facts follow:
 //
-//  1. Conflicting requests always execute in batch order, in different
+//  1. Conflicting transactions always execute in batch order, in different
 //     waves, with the later one beginning after the earlier one committed.
-//  2. A request can only be scheduled at or before an earlier-indexed
-//     request's wave when their footprints are disjoint — the planner's
+//  2. A transaction can only be scheduled at or before an earlier-indexed
+//     one's wave when their footprints are disjoint — the planner's
 //     recurrence would otherwise have pushed it later. Transactions over
 //     disjoint shard sets touch disjoint keys, so their effects and results
 //     commute: executing them out of batch order, or concurrently against
@@ -41,19 +43,19 @@ import (
 	"iaccf/internal/kv"
 )
 
-// minParallelBatch gates the parallel executor: below this many requests,
+// minParallelBatch gates the parallel executor: below this many entries,
 // wave planning and worker hand-off cost more than one core's loop.
 const minParallelBatch = 64
 
-// parallelExec returns the app's Footprinter when this ledger and batch
-// size can profit from parallel execution: a multi-shard store, more than
-// one CPU to run on, enough requests to amortize planning, and an app that
-// can declare footprints at all.
-func (l *Ledger) parallelExec(n int) (Footprinter, bool) {
-	if n < minParallelBatch || l.cfg.Shards <= 1 || runtime.GOMAXPROCS(0) <= 1 {
+// parallelExec returns the app's Footprinter when this core and batch size
+// can profit from parallel execution: a multi-shard store, more than one
+// CPU to run on, enough entries to amortize planning, and an app that can
+// declare footprints at all.
+func (c *core) parallelExec(n int) (Footprinter, bool) {
+	if n < minParallelBatch || c.shards <= 1 || runtime.GOMAXPROCS(0) <= 1 {
 		return nil, false
 	}
-	f, ok := l.cfg.App.(Footprinter)
+	f, ok := c.app.(Footprinter)
 	return f, ok
 }
 
@@ -80,7 +82,7 @@ func (s shardSet) covers(other []uint64) bool {
 	return true
 }
 
-// footprintOf resolves one request body to its declared shard set.
+// footprintOf resolves one transaction payload to its declared shard set.
 func footprintOf(f Footprinter, body []byte, shards uint32) shardSet {
 	keys, ok := f.Footprint(body)
 	if !ok {
@@ -93,18 +95,17 @@ func footprintOf(f Footprinter, body []byte, shards uint32) shardSet {
 	return fp
 }
 
-// planWaves groups the transaction indices of reqs into conflict-free
-// waves. fps[i] is request i's declared shard set (nil = barrier);
-// governance requests never execute and are not scheduled. Returned waves
-// hold request indices in batch order.
-func planWaves(reqs []Request, fps []shardSet, shards uint32) [][]int {
+// planWaves groups the transaction indices of entries into conflict-free
+// waves. fps[i] is entry i's declared shard set (nil = barrier); entries of
+// any other kind never execute and are not scheduled. Returned waves hold
+// entry indices in batch order.
+func planWaves(entries []Entry, fps []shardSet, shards uint32) [][]int {
 	lastWave := make([]int, shards)
-	barrier := 0 // wave of the most recent barrier; floors every request after it
+	barrier := 0 // wave of the most recent barrier; floors every transaction after it
 	maxWave := 0
-	waveOf := make([]int, len(reqs))
-	for i := range reqs {
-		if reqs[i].Governance {
-			waveOf[i] = 0
+	waveOf := make([]int, len(entries))
+	for i := range entries {
+		if entries[i].Kind != KindTransaction {
 			continue
 		}
 		fp := fps[i]
@@ -134,7 +135,7 @@ func planWaves(reqs []Request, fps []shardSet, shards uint32) [][]int {
 		waveOf[i] = w
 	}
 	waves := make([][]int, maxWave)
-	for i := range reqs {
+	for i := range entries {
 		if w := waveOf[i]; w > 0 {
 			waves[w-1] = append(waves[w-1], i)
 		}
@@ -181,7 +182,7 @@ func newWaveRunner(app App, queue int) *waveRunner {
 // run executes one job, trapping panics so a buggy App cannot kill the
 // process from a worker goroutine; the owning goroutine re-panics with the
 // original value, preserving the recover-then-RollbackTo contract callers
-// of ExecuteBatch rely on.
+// of ExecuteBatch and ApplyBatch rely on.
 func (r *waveRunner) run(j *waveJob) {
 	defer j.done.Done()
 	defer func() {
@@ -200,71 +201,50 @@ func (r *waveRunner) close() {
 	r.wg.Wait()
 }
 
-// runParallel owns the speculative attempt: it gives the parallel core its
-// own entry hasher and, on a declined speculation, rolls the store back to
-// the pre-batch mark (re-pushing the mark for the sequential re-run) and
-// drains the hasher — entries submitted before the violation surfaced may
-// carry results a sequential execution would not produce, so the caller
-// must hash everything again from scratch.
-func (l *Ledger) runParallel(f Footprinter, seq uint64, reqs []Request, entries []Entry, digests, leaves []hashsig.Digest) (txIdx []int, ok bool) {
-	hasher := newEntryHasher(digests, leaves, cap(entries))
+// runWaves is the speculative fast path of execute: it runs the batch's
+// transactions in conflict-free waves and leaves the store, the entries,
+// c.lastCkpt and the scratch's digests exactly as runSequential would. It
+// returns false — leaving execute to discard the store's partial effects
+// and re-run sequentially — on any anomaly at all: a violated footprint, a
+// result or checkpoint digest that does not compare, a malformed marker, an
+// unknown kind. Entries are hashed only once final, but a declined
+// speculation may already have hashed results a sequential run would not
+// produce, so the re-run hashes everything again.
+func (c *core) runWaves(f Footprinter, seq uint64, entries []Entry, want *BatchHeader) bool {
+	hasher := newEntryHasher(c.scratch.digests, c.scratch.leaves, len(entries))
 	defer hasher.wait()
-	txIdx, ok = l.executeBatchParallel(f, reqs, entries, hasher)
-	if !ok {
-		if err := l.store.RollbackTo(seq); err != nil {
-			// The mark pushed by ExecuteBatch cannot have vanished.
-			panic(err)
-		}
-		l.store.Mark(seq)
-	}
-	hasher.wait()
-	return txIdx, ok
-}
-
-// executeBatchParallel is the speculative fast path of ExecuteBatch. It
-// fills entries (pre-sized to len(reqs); pointer-stable) with the same
-// contents the sequential core would produce, submits each entry to hasher
-// once its result is final, and returns the transaction entry indices. ok
-// is false when a declared footprint was violated; the store then holds
-// partial speculative effects and runParallel discards them.
-func (l *Ledger) executeBatchParallel(f Footprinter, reqs []Request, entries []Entry, hasher *entryHasher) (txIdx []int, ok bool) {
-	shards := l.cfg.Shards
-	fps := make([]shardSet, len(reqs))
-	txIdx = make([]int, 0, len(reqs))
-	for i := range reqs {
-		e := &entries[i]
-		if reqs[i].Governance {
-			*e = Entry{
-				Kind:    KindGovernance,
-				Author:  reqs[i].Author,
-				Payload: append([]byte(nil), reqs[i].Body...),
-			}
+	last := len(entries) - 1
+	fps := make([]shardSet, len(entries))
+	for ei := range entries {
+		e := &entries[ei]
+		switch e.Kind {
+		case KindTransaction:
+			fps[ei] = footprintOf(f, e.Payload, c.shards)
+		case KindGovernance:
 			// Governance entries never change: hash them immediately.
-			hasher.submit(i, e)
-			continue
+			hasher.submit(ei, e)
+		case KindCheckpoint:
+			// A trailing marker is settled after the last wave, below.
+			if ei != last {
+				return false
+			}
+		default:
+			return false
 		}
-		*e = Entry{
-			Kind:    KindTransaction,
-			Author:  reqs[i].Author,
-			ReqNo:   reqs[i].ReqNo,
-			Payload: append([]byte(nil), reqs[i].Body...),
-		}
-		fps[i] = footprintOf(f, reqs[i].Body, shards)
-		txIdx = append(txIdx, i)
 	}
 
-	waves := planWaves(reqs, fps, shards)
-	runner := newWaveRunner(l.cfg.App, len(reqs))
+	waves := planWaves(entries, fps, c.shards)
+	runner := newWaveRunner(c.app, len(entries))
 	defer runner.close()
 
-	jobs := make([]*waveJob, len(reqs))
+	jobs := make([]*waveJob, len(entries))
 	for _, wave := range waves {
 		var done sync.WaitGroup
 		done.Add(len(wave))
 		// Begin on the owning goroutine: every transaction of the wave sees
 		// the same snapshot, the store after the previous wave's commits.
 		for _, i := range wave {
-			j := &waveJob{tx: l.store.BeginTracked(), body: entries[i].Payload, done: &done}
+			j := &waveJob{tx: c.store.BeginTracked(), body: entries[i].Payload, done: &done}
 			jobs[i] = j
 			runner.jobs <- j
 		}
@@ -278,107 +258,28 @@ func (l *Ledger) executeBatchParallel(f Footprinter, reqs []Request, entries []E
 			if !fps[i].covers(j.tx.TouchedShards()) {
 				// The declaration missed an access: the wave's snapshot
 				// reasoning no longer holds. Abandon the speculation.
-				return nil, false
+				return false
+			}
+			// j.res is zero when the app failed, as a recorded abort is.
+			if want == nil {
+				entries[i].Result = j.res
+			} else if j.res != entries[i].Result {
+				return false
 			}
 			if j.err != nil {
 				j.tx.Abort()
 			} else {
-				entries[i].Result = j.res
 				j.tx.Commit()
 			}
 			hasher.submit(i, &entries[i])
 		}
 	}
-	return txIdx, true
-}
-
-// applyEntriesParallel is the speculative fast path of ApplyBatch's
-// re-execution loop. It re-runs the batch's transactions in conflict-free
-// waves and compares each write-set digest with the entry's recorded
-// result. It returns false — leaving the caller to discard store effects
-// and re-run the sequential loop for its exact error reporting — on any
-// anomaly at all: a result mismatch, a violated footprint, a checkpoint
-// marker that is misplaced, mislabelled, undue, missing, or wrong, or an
-// unknown entry kind. On success the store and l.lastCkpt are exactly as
-// the sequential loop would leave them.
-func (l *Ledger) applyEntriesParallel(f Footprinter, seq uint64, b *Batch) bool {
-	shards := l.cfg.Shards
-	ckptDue := seq%l.cfg.CheckpointEvery == 0
-	// Structural scan first: the wave plan covers transactions only, so
-	// everything else must be exactly what the sequential loop accepts.
-	sawCkpt := false
-	for ei := range b.Entries {
-		switch b.Entries[ei].Kind {
-		case KindTransaction, KindGovernance:
-		case KindCheckpoint:
-			if !ckptDue || ei != len(b.Entries)-1 || b.Entries[ei].Seq != seq {
-				return false
-			}
-			sawCkpt = true
-		default:
+	if last >= 0 && entries[last].Kind == KindCheckpoint {
+		if c.marker(seq, entries, last, want) != nil {
 			return false
 		}
+		hasher.submit(last, &entries[last])
 	}
-	if ckptDue && !sawCkpt {
-		return false
-	}
-
-	reqs := make([]Request, len(b.Entries))
-	fps := make([]shardSet, len(b.Entries))
-	for ei := range b.Entries {
-		e := &b.Entries[ei]
-		if e.Kind != KindTransaction {
-			// Governance and the checkpoint marker execute nothing; schedule
-			// them as governance (never planned).
-			reqs[ei].Governance = true
-			continue
-		}
-		reqs[ei].Body = e.Payload
-		fps[ei] = footprintOf(f, e.Payload, shards)
-	}
-
-	waves := planWaves(reqs, fps, shards)
-	runner := newWaveRunner(l.cfg.App, len(b.Entries))
-	defer runner.close()
-
-	jobs := make([]*waveJob, len(b.Entries))
-	for _, wave := range waves {
-		var done sync.WaitGroup
-		done.Add(len(wave))
-		for _, i := range wave {
-			j := &waveJob{tx: l.store.BeginTracked(), body: b.Entries[i].Payload, done: &done}
-			jobs[i] = j
-			runner.jobs <- j
-		}
-		done.Wait()
-		for _, i := range wave {
-			j := jobs[i]
-			if j.panicked != nil {
-				panic(j.panicked)
-			}
-			if !fps[i].covers(j.tx.TouchedShards()) {
-				return false
-			}
-			var got hashsig.Digest
-			if j.err == nil {
-				got = j.res
-			}
-			if got != b.Entries[i].Result {
-				return false
-			}
-			if j.err != nil {
-				j.tx.Abort()
-			} else {
-				j.tx.Commit()
-			}
-		}
-	}
-	if sawCkpt {
-		e := &b.Entries[len(b.Entries)-1]
-		if l.store.CheckpointDigest() != e.State {
-			return false
-		}
-		l.lastCkpt = e.State
-	}
+	hasher.wait()
 	return true
 }

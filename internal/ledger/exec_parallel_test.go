@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -18,6 +19,42 @@ type hiddenFootprint struct{ app App }
 
 func (h hiddenFootprint) Execute(tx *kv.Tx, request []byte) error {
 	return h.app.Execute(tx, request)
+}
+
+// waveProbe wraps a footprint-declaring App and counts its executions by
+// how they were begun: only the wave executor runs transactions under
+// shard-access tracking, so tracked > 0 proves a run speculated through it
+// and plain > 0 proves the sequential loop ran.
+type waveProbe struct {
+	app interface {
+		App
+		Footprinter
+	}
+	tracked, plain atomic.Int64
+}
+
+func (p *waveProbe) Execute(tx *kv.Tx, request []byte) error {
+	if tx.TouchedShards() != nil {
+		p.tracked.Add(1)
+	} else {
+		p.plain.Add(1)
+	}
+	return p.app.Execute(tx, request)
+}
+
+func (p *waveProbe) Footprint(request []byte) ([]string, bool) { return p.app.Footprint(request) }
+
+// assertReplayEqualsLive replays a live ledger's stream through probe and
+// checks the auditor lands on the live replica's roots and state.
+func assertReplayEqualsLive(t *testing.T, label string, live *Ledger, probe *waveProbe) {
+	t.Helper()
+	res, err := Replay(live.Batches(), testKey.Public(), probe, nil)
+	if err != nil {
+		t.Fatalf("%s: replay of the live stream: %v", label, err)
+	}
+	if res.HistSize != live.HistSize() || res.HistRoot != live.HistRoot() || res.StateDigest != live.StateDigest() {
+		t.Fatalf("%s: replay diverges from the live ledger", label)
+	}
 }
 
 // forceParallel pins GOMAXPROCS above 1 for the duration of a test so the
@@ -191,6 +228,14 @@ func TestParallelExecuteFallsBackOnViolatedFootprint(t *testing.T) {
 	if par.StateDigest() != seqL.StateDigest() {
 		t.Fatal("post-state digests diverge after fallback")
 	}
+	// The auditor's replay speculates over the same lie, falls back the same
+	// way, and still agrees with the live ledger.
+	probe := &waveProbe{app: lyingApp{}}
+	assertReplayEqualsLive(t, "lying-app", par, probe)
+	if probe.tracked.Load() == 0 || probe.plain.Load() == 0 {
+		t.Fatalf("replay ran %d tracked and %d plain executions, want a speculation and a sequential re-run",
+			probe.tracked.Load(), probe.plain.Load())
+	}
 }
 
 // barrierApp refuses to declare footprints for some requests: those become
@@ -360,8 +405,11 @@ func TestPlanWavesOrdersConflicts(t *testing.T) {
 		}
 		return s
 	}
-	reqs := make([]Request, 7)
-	reqs[2].Governance = true
+	entries := make([]Entry, 7)
+	for i := range entries {
+		entries[i].Kind = KindTransaction
+	}
+	entries[2].Kind = KindGovernance
 	fps := []shardSet{
 		fp(0),    // wave 1
 		fp(1),    // wave 1 (disjoint)
@@ -371,7 +419,7 @@ func TestPlanWavesOrdersConflicts(t *testing.T) {
 		fp(5),    // wave 4 (after barrier)
 		fp(5),    // wave 5 (conflicts with req 5)
 	}
-	waves := planWaves(reqs, fps, shards)
+	waves := planWaves(entries, fps, shards)
 	want := [][]int{{0, 1}, {3}, {4}, {5}, {6}}
 	if len(waves) != len(want) {
 		t.Fatalf("got %d waves %v, want %v", len(waves), waves, want)

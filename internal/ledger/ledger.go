@@ -1,10 +1,46 @@
-// Package ledger implements the IA-CCF replicated ledger: batches of
-// client requests executed against the sharded key-value store, committed
-// to a history tree M and per-shard batch trees G_s whose roots roll up
-// into the signed combined root ¯G, with offline-verifiable receipts and
-// periodic checkpoint digests d_C (paper §3, §6). ExecuteBatch is the
-// proposer path, ApplyBatch the backup path; both run a conflict-aware
-// parallel executor that must stay byte-identical to the sequential core.
+// Package ledger implements the IA-CCF replicated ledger (paper §3, §6):
+// an append-only sequence of typed entries executed in batches against the
+// sharded key-value store. Every entry is a leaf of the history tree M;
+// each batch also gets per-shard batch trees G_s whose roots roll up into
+// ¯G. A replica signs a BatchHeader over (seq, ¯M, ¯G, shard count, d_C)
+// and hands each client a Receipt — its entry's audit path to ¯G —
+// verifiable offline against that header. RollbackTo undoes batches per
+// Lemma 1; checkpoints, pruning and NewFromCheckpoint bound memory and let
+// a laggard resume from a verified d_C.
+//
+// # One core, three policies
+//
+// The audit (§4–§5) is sound only if the auditor re-derives exactly the
+// commitments the replicas signed, so exactly one piece of code derives
+// them: core.derive (core.go) turns a batch's entries into results, entry
+// digests and leaf hashes, G_s roots, ¯G, ¯M and d_C over a given store
+// and history tree. It owns the only sequential execute loop, the only
+// conflict-aware wave executor (exec_parallel.go), the only
+// checkpoint-marker rule and the only G_s/¯G roll-up. The three public
+// paths are policies over it:
+//
+//   - ExecuteBatch (propose) mints entries from requests and appends the
+//     checkpoint marker when CheckpointEvery says one is due. The core SETS
+//     each transaction's result and the marker's d_C and builds audit
+//     paths; the policy signs the derived header, cuts receipts, and
+//     retains the batch with its rollback mark.
+//   - ApplyBatch (backup, state-transfer suffix) hands the core another
+//     replica's entries and header. The core COMPARES every result, the
+//     marker, and every header field; the policy adds the one rule only a
+//     configured replica can check (a marker is present exactly when due),
+//     co-signs the identical commitments under its own key, retains the
+//     batch — and on any divergence rolls store, M and d_C back to the
+//     pre-batch boundary.
+//   - Replay / ReplayFrom (audit) drive a stream through a core over a
+//     fresh (or checkpoint-seeded) store. The core compares exactly as for
+//     a backup; the policy verifies header signatures up front, never
+//     signs, and retains nothing — no batches, no rollback marks.
+//
+// A mismatch is reported once, by the core, as a *Divergence naming the
+// first field that failed to reproduce and carrying the signed header it
+// failed against; ApplyBatch wraps it in ErrApply, Replay in ErrReplay.
+// CheckBatchShape uses the same roll-up to validate relayed batches
+// without executing them.
 //
 // # Memory ownership on the commit path
 //
@@ -23,9 +59,10 @@
 //     into the retained stream and must not be mutated afterwards, same
 //     as Batches() results.
 //   - Internal scratch (per-entry digests, leaf hashes, per-shard
-//     grouping tables) lives on the Ledger and is reused batch to batch;
+//     grouping tables) lives on the core and is reused batch to batch;
 //     it is dead the moment the call returns, which the aliasing property
 //     tests prove by poisoning pools between batches (pool.SetPoison).
+//   - Replay and ReplayFrom only read the batches they are given.
 //
 // These rules, plus the determinism requirements (no map-order bytes, no
 // wall clocks or unseeded randomness), are enforced statically by the
@@ -246,12 +283,10 @@ type Config struct {
 // maintaining the history tree M, emitting signed batch headers and client
 // receipts. It is single-writer, like the replica execution loop it models.
 type Ledger struct {
-	cfg      Config
-	store    *kv.ShardedStore
-	hist     *merkle.Tree
-	nextSeq  uint64
-	lastCkpt hashsig.Digest
-	marks    []ledgerMark
+	core
+	cfg     Config
+	nextSeq uint64
+	marks   []ledgerMark
 	// baseSeq is the pruned boundary: batches[0] (if any) has sequence
 	// number baseSeq+1. Zero until the first Prune (or the checkpoint seq
 	// after NewFromCheckpoint); see the package doc's pruning invariant.
@@ -260,46 +295,7 @@ type Ledger struct {
 	// ckpts are the retained checkpoint materializations, ascending by Seq
 	// (speculative ones included; rollback discards them). Prune keeps only
 	// those at or above the boundary.
-	ckpts   []*Checkpoint
-	scratch execScratch
-}
-
-// execScratch is per-batch working storage handed batch to batch: the
-// digest and leaf-hash vectors plus the per-shard grouping tables. Nothing
-// stored here may escape ExecuteBatch/ApplyBatch — every value a caller
-// retains (entries, headers, receipt paths, payloads) is freshly allocated
-// or arena-backed per batch. The Ledger is single-writer, so reuse without
-// synchronization is safe; the concurrent entry hasher writes disjoint
-// indices and is joined before the slices are read or reused.
-type execScratch struct {
-	digests  []hashsig.Digest   // entry digests, one per entry
-	leaves   []hashsig.Digest   // merkle.LeafHash of each digest
-	shardOf  []uint32           // shard assignment per entry
-	leafPos  []uint64           // leaf index of each entry within its shard tree
-	perShard [][]hashsig.Digest // leaf hashes grouped by shard (inner slices reused)
-}
-
-// grow returns the scratch vectors sized for n entries and shards shard
-// groups, reusing prior capacity.
-func (s *execScratch) grow(n int, shards uint32) {
-	s.digests = growSlice(s.digests, n)
-	s.leaves = growSlice(s.leaves, n)
-	s.shardOf = growSlice(s.shardOf, n)
-	s.leafPos = growSlice(s.leafPos, n)
-	if cap(s.perShard) < int(shards) {
-		s.perShard = make([][]hashsig.Digest, shards)
-	}
-	s.perShard = s.perShard[:shards]
-	for i := range s.perShard {
-		s.perShard[i] = s.perShard[i][:0]
-	}
-}
-
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	ckpts []*Checkpoint
 }
 
 // ledgerMark pairs a kv mark with the history-tree size and checkpoint
@@ -330,9 +326,13 @@ func New(cfg Config) (*Ledger, error) {
 		return nil, fmt.Errorf("%w: shard count %d exceeds limit %d", ErrConfig, cfg.Shards, kv.MaxShards)
 	}
 	return &Ledger{
+		core: core{
+			app:    cfg.App,
+			shards: cfg.Shards,
+			store:  kv.NewSharded(int(cfg.Shards)),
+			hist:   merkle.New(),
+		},
 		cfg:     cfg,
-		store:   kv.NewSharded(int(cfg.Shards)),
-		hist:    merkle.New(),
 		nextSeq: 1,
 	}, nil
 }
@@ -380,35 +380,13 @@ func (l *Ledger) BatchAt(seq uint64) *Batch {
 	return l.batches[seq-l.baseSeq-1]
 }
 
-// entryShard deterministically assigns a ledger entry to a per-shard batch
-// tree G_s. Transactions and governance actions are routed by author — the
-// request-routing analogue of the paper's key-space partitioning, chosen so
-// an auditor can re-derive the placement from the entry alone (a write-set
-// based placement would be undefined for aborted transactions). Checkpoint
-// markers always live in shard 0.
-func entryShard(e *Entry, shards uint32) uint32 {
-	if shards <= 1 || e.Kind == KindCheckpoint {
-		return 0
-	}
-	return kv.ShardOfKey(string(e.Author[:]), shards)
-}
-
-// ExecuteBatch executes the requests as one batch (paper §6). When the
-// batch, shard count, CPU count, and app allow it (see exec_parallel.go),
-// requests are grouped into conflict-free waves by declared shard
-// footprint and executed concurrently, with a sequential re-run as the
-// safety net — the emitted entries, header, and receipts are byte-identical
-// either way. The sequential core runs each transaction in its own kv
-// transaction (aborting individually on error) and overlaps entry
-// digesting with execution through a concurrent hashing stage. The digests
-// are then grouped into per-shard batch trees G_s (built in parallel
-// across a bounded worker pool) whose roots combine into the single ¯G the
-// header signs; every entry is appended to M in ledger order, a checkpoint
-// marker (with the incremental sharded digest d_C) is appended when due,
-// and the signed header plus one receipt per transaction entry are
-// returned. The header's ECDSA signature is computed concurrently with
-// receipt construction — the last serial hot path on the commit critical
-// path.
+// ExecuteBatch is the propose policy: it mints the requests into entries —
+// plus a checkpoint marker when one is due — runs them through the core,
+// which sets every transaction's result (zero for an aborted one) and the
+// marker's incremental d_C and builds the audit paths, signs the derived
+// header, and returns the batch with one receipt per transaction entry.
+// The header's ECDSA signature is computed concurrently with receipt
+// construction — the last serial hot path on the commit critical path.
 func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
 	for i := range reqs {
 		if len(reqs[i].Body) > MaxRequestLen {
@@ -417,185 +395,53 @@ func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
 		}
 	}
 	seq := l.nextSeq
-	l.store.Mark(seq)
-	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
+	// Allocated with its final capacity: the entry hasher holds pointers
+	// into the slice.
+	entries := make([]Entry, len(reqs), len(reqs)+1)
+	for i, req := range reqs {
+		e := Entry{Kind: KindTransaction, Author: req.Author, ReqNo: req.ReqNo, Payload: append([]byte(nil), req.Body...)}
+		if req.Governance {
+			// Recorded, never executed; the ledger keeps no request number.
+			e.Kind, e.ReqNo = KindGovernance, 0
+		}
+		entries[i] = e
+	}
+	if l.checkpointDue(seq) {
+		entries = append(entries, Entry{Kind: KindCheckpoint, Seq: seq})
+	}
 
 	// If anything below panics (a buggy App retaining a finished Tx, say),
-	// the execution cores release their hashing and wave workers on the way
-	// out; the mark pushed above stays, so a caller that recovers can
+	// the core releases its hashing and wave workers on the way out; the
+	// marks pushed here and by derive stay, so a caller that recovers can
 	// RollbackTo(seq) to discard the half-executed batch.
-	maxEntries := len(reqs) + 1 // every request plus at most one checkpoint marker
-	l.scratch.grow(maxEntries, l.cfg.Shards)
-	digests, leaves := l.scratch.digests, l.scratch.leaves
-	var entries []Entry
-	var txIdx []int
-	executed := false
-	if f, ok := l.parallelExec(len(reqs)); ok {
-		entries = make([]Entry, len(reqs), maxEntries)
-		txIdx, executed = l.runParallel(f, seq, reqs, entries, digests, leaves)
-	}
-	if !executed {
-		entries = make([]Entry, 0, maxEntries)
-		entries, txIdx = l.runSequential(reqs, entries, digests, leaves)
-	}
+	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
+	header, proofs, _ := l.derive(seq, entries, nil)
 
-	if seq%l.cfg.CheckpointEvery == 0 {
-		// Incremental d_C: only shards touched since the last checkpoint are
-		// re-hashed (the refactor's perf win over the old full rescan).
-		d := l.store.CheckpointDigest()
-		entries = append(entries, Entry{Kind: KindCheckpoint, Seq: seq, State: d})
-		digests[len(entries)-1] = entries[len(entries)-1].Digest()
-		leaves[len(entries)-1] = merkle.LeafHash(digests[len(entries)-1])
-		l.lastCkpt = d
-	}
-
-	// Group the pre-computed leaf hashes by shard: both G_s and M consume
-	// them directly, so the roll-up below does no per-entry SHA work beyond
-	// the interior nodes.
-	shards := l.cfg.Shards
-	shardOf := l.scratch.shardOf[:len(entries)]
-	leafPos := l.scratch.leafPos[:len(entries)]
-	perShard := l.scratch.perShard
-	for i := range entries {
-		s := entryShard(&entries[i], shards)
-		shardOf[i] = s
-		leafPos[i] = uint64(len(perShard[s]))
-		perShard[s] = append(perShard[s], leaves[i])
-	}
-	shardRoots := make([]hashsig.Digest, shards)
-	shardPaths := make([][][]hashsig.Digest, shards)
-	forEachShard(int(shards), len(entries), func(s int) {
-		g := merkle.New()
-		_, root, paths, err := g.AppendAndProveLeafHashes(perShard[s])
-		if err != nil {
-			// A fresh tree over in-range leaves cannot fail.
-			panic(err)
-		}
-		shardRoots[s] = root
-		shardPaths[s] = paths
-	})
-	top := merkle.New()
-	_, gRoot, topPaths, err := top.AppendAndProve(shardRoots)
-	if err != nil {
-		panic(err)
-	}
-	for _, lh := range leaves[:len(entries)] {
-		l.hist.AppendLeafHash(lh)
-	}
-
-	header := BatchHeader{
-		Seq:        seq,
-		HistSize:   l.hist.Size(),
-		MRoot:      l.hist.Root(),
-		GRoot:      gRoot,
-		GSize:      uint64(len(entries)),
-		Shards:     shards,
-		CkptDigest: l.lastCkpt,
-	}
-	// The ECDSA sign runs concurrently with receipt construction below; the
+	// The ECDSA sign runs concurrently with receipt construction; the
 	// signature is patched into the batch and every receipt once both are
 	// done. Nothing observes the header before this function returns.
 	sigf := l.cfg.Key.SignAsync(header.SigningDigest())
-
-	batch := &Batch{Header: header, Entries: entries}
-	receipts := make([]Receipt, len(txIdx))
-	// Two arenas back every receipt in the batch: one for the combined
-	// shard+top audit paths, one for the defensive payload copies (a client
-	// mutating its receipt must not corrupt the ledger's retained stream).
-	// Each receipt gets a three-index sub-slice whose capacity ends at its
-	// own region, so appending to one receipt's path or payload reallocates
-	// instead of stomping the next receipt's. The per-shard top path is
-	// copied from the single slice the top tree produced — same-shard
-	// receipts no longer each build their own intermediate path slice.
-	pathTotal, payloadTotal := 0, 0
-	for _, idx := range txIdx {
-		s := shardOf[idx]
-		pathTotal += len(shardPaths[s][leafPos[idx]]) + len(topPaths[s])
-		payloadTotal += len(entries[idx].Payload)
-	}
-	pathArena := make([]hashsig.Digest, 0, pathTotal)
-	payloadArena := make([]byte, 0, payloadTotal)
-	for i, idx := range txIdx {
-		e := entries[idx]
-		pStart := len(payloadArena)
-		payloadArena = append(payloadArena, e.Payload...)
-		e.Payload = payloadArena[pStart:len(payloadArena):len(payloadArena)]
-		s := shardOf[idx]
-		aStart := len(pathArena)
-		pathArena = append(pathArena, shardPaths[s][leafPos[idx]]...)
-		pathArena = append(pathArena, topPaths[s]...)
-		receipts[i] = Receipt{
-			Header:    header,
-			Entry:     e,
-			Shard:     s,
-			Index:     leafPos[idx],
-			ShardSize: uint64(len(perShard[s])),
-			Path:      pathArena[aStart:len(pathArena):len(pathArena)],
-		}
-	}
-	sig := sigf.MustWait()
-	batch.Header.Sig = sig
+	receipts := l.scratch.receipts(header, entries, proofs)
+	header.Sig = sigf.MustWait()
 	for i := range receipts {
-		receipts[i].Header.Sig = sig
+		receipts[i].Header.Sig = header.Sig
 	}
-	l.batches = append(l.batches, batch)
-	l.nextSeq = seq + 1
-	if seq%l.cfg.CheckpointEvery == 0 {
-		l.captureCheckpoint(seq)
-	}
+	batch := &Batch{Header: header, Entries: entries}
+	l.adopt(batch)
 	return batch, receipts, nil
 }
 
-// runSequential is the reference execution core: one kv transaction per
-// request, strictly in batch order, with entry digesting pipelined through
-// hasher. It is both the single-core fast path and the fallback that
-// re-executes a batch whose speculative parallel run was abandoned; its
-// behaviour defines what the parallel core must reproduce byte-for-byte.
-func (l *Ledger) runSequential(reqs []Request, entries []Entry, digests, leaves []hashsig.Digest) ([]Entry, []int) {
-	// Stage 2 (hashing) consumes completed entries concurrently with stage 1
-	// (execution). Entry digesting hashes full payloads — for large batches
-	// this is comparable to execution itself, and the two overlap here. The
-	// deferred wait releases the workers even if the App panics.
-	hasher := newEntryHasher(digests, leaves, cap(entries))
-	defer hasher.wait()
-	emit := func() {
-		i := len(entries) - 1
-		hasher.submit(i, &entries[i])
-	}
+// checkpointDue reports whether batch seq ends a checkpoint interval.
+func (l *Ledger) checkpointDue(seq uint64) bool { return seq%l.cfg.CheckpointEvery == 0 }
 
-	txIdx := make([]int, 0, len(reqs))
-	for _, req := range reqs {
-		if req.Governance {
-			entries = append(entries, Entry{
-				Kind:    KindGovernance,
-				Author:  req.Author,
-				Payload: append([]byte(nil), req.Body...),
-			})
-			emit()
-			continue
-		}
-		e := Entry{
-			Kind:    KindTransaction,
-			Author:  req.Author,
-			ReqNo:   req.ReqNo,
-			Payload: append([]byte(nil), req.Body...),
-		}
-		tx := l.store.Begin()
-		if err := l.cfg.App.Execute(tx, req.Body); err != nil {
-			// Failed transactions are still recorded, with a zero result:
-			// the ledger holds clients accountable for what they submitted,
-			// not only for what succeeded.
-			tx.Abort()
-		} else {
-			e.Result = tx.WriteSetDigest()
-			tx.Commit()
-		}
-		txIdx = append(txIdx, len(entries))
-		entries = append(entries, e)
-		emit()
+// adopt retains a batch the core just derived under this replica's
+// signature and, at a checkpoint boundary, its materialization.
+func (l *Ledger) adopt(b *Batch) {
+	l.batches = append(l.batches, b)
+	l.nextSeq = b.Header.Seq + 1
+	if l.checkpointDue(b.Header.Seq) {
+		l.captureCheckpoint(b.Header.Seq)
 	}
-	hasher.wait()
-	return entries, txIdx
 }
 
 // RollbackTo undoes batch seq and everything after it, restoring the store,

@@ -6,46 +6,7 @@ import (
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/merkle"
-	"iaccf/internal/par"
 )
-
-// forEachShard runs fn(s) for every shard index through the shared bounded
-// worker pool (leaves is the total entry count across shards, gating the
-// fan-out); fn must touch only per-shard state.
-func forEachShard(shards, leaves int, fn func(s int)) {
-	par.ForEach(shards, leaves, minParallelShardLeaves, fn)
-}
-
-// minParallelShardLeaves gates parallel per-shard tree building: small
-// batches build G_s faster inline than across goroutines.
-const minParallelShardLeaves = 256
-
-// buildShardRoots constructs the per-shard batch trees G_s over the grouped
-// pre-hashed leaves (merkle.LeafHash over the entry digests — the entry
-// hasher computes them alongside the digests, so no second SHA pass per
-// entry happens here) and combines their roots into ¯G, in parallel across
-// shards when worthwhile. It is the shared roll-up of ApplyBatch and
-// CheckBatchShape, which need only the roots; ExecuteBatch keeps its own
-// path-producing variant.
-func buildShardRoots(perShard [][]hashsig.Digest) (shardRoots []hashsig.Digest, gRoot hashsig.Digest) {
-	shardRoots = make([]hashsig.Digest, len(perShard))
-	leaves := 0
-	for s := range perShard {
-		leaves += len(perShard[s])
-	}
-	forEachShard(len(perShard), leaves, func(s int) {
-		g := merkle.New()
-		for _, lh := range perShard[s] {
-			g.AppendLeafHash(lh)
-		}
-		shardRoots[s] = g.Root()
-	})
-	top := merkle.New()
-	for _, r := range shardRoots {
-		top.Append(r)
-	}
-	return shardRoots, top.Root()
-}
 
 // entryHasher computes entry digests — and their merkle leaf hashes —
 // concurrently with the execution loop that produces the entries. On a
@@ -76,7 +37,6 @@ type hashJob struct {
 }
 
 // newEntryHasher sizes the hashing stage for up to maxEntries entries.
-// leaves may be nil when the caller needs only entry digests.
 func newEntryHasher(digests, leaves []hashsig.Digest, maxEntries int) *entryHasher {
 	h := &entryHasher{digests: digests, leaves: leaves}
 	workers := runtime.GOMAXPROCS(0) - 1
@@ -104,9 +64,7 @@ func newEntryHasher(digests, leaves []hashsig.Digest, maxEntries int) *entryHash
 func (h *entryHasher) hash(idx int, e *Entry) {
 	d := e.Digest()
 	h.digests[idx] = d
-	if h.leaves != nil {
-		h.leaves[idx] = merkle.LeafHash(d)
-	}
+	h.leaves[idx] = merkle.LeafHash(d)
 }
 
 // submit hands entry e (stored at idx) to the hashing stage.

@@ -10,7 +10,8 @@ import (
 )
 
 // ErrReplay reports a batch stream that does not reproduce its own signed
-// commitments: a tampered entry, a forged result, an inconsistent root, or
+// commitments: a tampered entry, a forged result, an inconsistent root
+// (each also a *Divergence carrying the signed header, see errors.As), or
 // an invalid header signature. This is the auditor's evidence of
 // misbehaviour (paper §5).
 var ErrReplay = errors.New("ledger: replay divergence")
@@ -26,16 +27,18 @@ type ReplayResult struct {
 	CkptDigest  hashsig.Digest // d_C of the last checkpoint taken
 }
 
-// Replay re-executes a batch stream from genesis and checks every signed
-// commitment against the recomputed state: header signatures (verified
-// batch-parallel through pool when provided), per-entry results, per-shard
-// batch tree roots combined into ¯G, history tree roots ¯M, and sharded
-// checkpoint digests d_C. The auditor rebuilds a sharded store with the
-// shard count the signed headers declare, so a replica that executed under
-// a different partition than it claims is caught by the first checkpoint
-// digest. app must be the same deterministic application the primary ran.
-// A nil error means the stream is exactly reproducible — the replica that
-// signed it executed it faithfully.
+// Replay is the audit policy: it drives a batch stream from genesis through
+// a fresh core and checks every signed commitment against the recomputed
+// state: header signatures (verified batch-parallel through pool when
+// provided), per-entry results, per-shard batch tree roots combined into
+// ¯G, history tree roots ¯M, and sharded checkpoint digests d_C. The
+// auditor rebuilds a sharded store with the shard count the signed headers
+// declare, so a replica that executed under a different partition than it
+// claims is caught by the first checkpoint digest. app must be the same
+// deterministic application the primary ran. A nil error means the stream
+// is exactly reproducible — the replica that signed it executed it
+// faithfully. Nothing is signed and nothing retained: the batches are only
+// read.
 func Replay(batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.VerifierPool) (*ReplayResult, error) {
 	if app == nil {
 		return nil, ErrConfig
@@ -48,7 +51,8 @@ func Replay(batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.Ver
 	if len(batches) > 0 {
 		wantSeq = batches[0].Header.Seq
 	}
-	return replayStream(kv.NewSharded(int(shards)), merkle.New(), hashsig.Digest{}, wantSeq, shards, batches, app)
+	c := &core{app: app, shards: shards, store: kv.NewSharded(int(shards)), hist: merkle.New()}
+	return c.replay(wantSeq, batches)
 }
 
 // ReplayFrom re-executes a batch suffix resuming from a verified
@@ -78,7 +82,8 @@ func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app Ap
 	if err != nil {
 		return nil, fmt.Errorf("%w: checkpoint %d: %v", ErrReplay, ck.Seq, err)
 	}
-	return replayStream(store, hist, ck.Digest, ck.Seq+1, shards, batches, app)
+	c := &core{app: app, shards: shards, store: store, hist: hist, lastCkpt: ck.Digest}
+	return c.replay(ck.Seq+1, batches)
 }
 
 // verifyStreamHeaders checks the stream's structural coherence (one shard
@@ -123,92 +128,28 @@ func verifyStreamHeaders(batches []*Batch, pub *hashsig.PublicKey, pool *hashsig
 	return shards, nil
 }
 
-// replayStream is the shared re-execution core behind Replay and
-// ReplayFrom: it drives batches through the given store and history tree
-// (fresh at genesis, or checkpoint-seeded) and checks every commitment.
-// wantSeq pins the first batch's sequence number.
-func replayStream(store *kv.ShardedStore, hist *merkle.Tree, lastCkpt hashsig.Digest,
-	wantSeq uint64, shards uint32, batches []*Batch, app App) (*ReplayResult, error) {
-	res := &ReplayResult{Shards: shards}
+// replay drives batches through the core (fresh at genesis, or
+// checkpoint-seeded) exactly as a backup would, minus everything a backup
+// keeps: each batch's rollback mark is dropped as soon as the batch
+// reproduces. wantSeq pins the first batch's sequence number.
+func (c *core) replay(wantSeq uint64, batches []*Batch) (*ReplayResult, error) {
+	res := &ReplayResult{Shards: c.shards}
 	for _, b := range batches {
 		seq := b.Header.Seq
 		if seq != wantSeq {
 			return nil, fmt.Errorf("%w: batch %d: expected sequence %d", ErrReplay, seq, wantSeq)
 		}
 		wantSeq++
-		digests := make([]hashsig.Digest, len(b.Entries))
-		for ei := range b.Entries {
-			e := &b.Entries[ei]
-			switch e.Kind {
-			case KindTransaction:
-				tx := store.Begin()
-				var got hashsig.Digest
-				if err := app.Execute(tx, e.Payload); err != nil {
-					tx.Abort()
-				} else {
-					got = tx.WriteSetDigest()
-					tx.Commit()
-				}
-				if got != e.Result {
-					return nil, fmt.Errorf("%w: batch %d entry %d: result digest mismatch", ErrReplay, seq, ei)
-				}
-			case KindGovernance:
-				// Recorded, no state effect.
-			case KindCheckpoint:
-				if e.Seq != seq {
-					return nil, fmt.Errorf("%w: batch %d entry %d: checkpoint labelled %d", ErrReplay, seq, ei, e.Seq)
-				}
-				// The auditor pays the same incremental cost the primary did:
-				// only shards dirtied since the previous checkpoint re-hash.
-				if got := store.CheckpointDigest(); got != e.State {
-					return nil, fmt.Errorf("%w: batch %d: checkpoint digest mismatch", ErrReplay, seq)
-				}
-				lastCkpt = e.State
-			default:
-				return nil, fmt.Errorf("%w: batch %d entry %d: unknown kind %d", ErrReplay, seq, ei, e.Kind)
-			}
-			digests[ei] = e.Digest()
-			res.Entries++
+		if _, _, div := c.derive(seq, b.Entries, &b.Header); div != nil {
+			return nil, fmt.Errorf("%w: %w", ErrReplay, div)
 		}
-
-		// Rebuild the per-shard batch trees G_s under the declared partition
-		// and combine their roots; the header's ¯G must match exactly.
-		perShard := make([][]hashsig.Digest, shards)
-		for ei := range b.Entries {
-			s := entryShard(&b.Entries[ei], shards)
-			perShard[s] = append(perShard[s], digests[ei])
-		}
-		top := merkle.New()
-		for s := range perShard {
-			g := merkle.New()
-			for _, d := range perShard[s] {
-				g.Append(d)
-			}
-			top.Append(g.Root())
-		}
-		if got := uint64(len(digests)); got != b.Header.GSize {
-			return nil, fmt.Errorf("%w: batch %d: %d entries, header claims %d", ErrReplay, seq, got, b.Header.GSize)
-		}
-		if got := top.Root(); got != b.Header.GRoot {
-			return nil, fmt.Errorf("%w: batch %d: batch root mismatch", ErrReplay, seq)
-		}
-		for _, d := range digests {
-			hist.Append(d)
-		}
-		if got := hist.Size(); got != b.Header.HistSize {
-			return nil, fmt.Errorf("%w: batch %d: history size %d, header claims %d", ErrReplay, seq, got, b.Header.HistSize)
-		}
-		if got := hist.Root(); got != b.Header.MRoot {
-			return nil, fmt.Errorf("%w: batch %d: history root mismatch", ErrReplay, seq)
-		}
-		if b.Header.CkptDigest != lastCkpt {
-			return nil, fmt.Errorf("%w: batch %d: checkpoint reference mismatch", ErrReplay, seq)
-		}
+		c.store.PruneMarks(seq + 1)
+		res.Entries += len(b.Entries)
 		res.Batches++
 	}
-	res.HistSize = hist.Size()
-	res.HistRoot = hist.Root()
-	res.StateDigest = store.CheckpointDigest()
-	res.CkptDigest = lastCkpt
+	res.HistSize = c.hist.Size()
+	res.HistRoot = c.hist.Root()
+	res.StateDigest = c.store.CheckpointDigest()
+	res.CkptDigest = c.lastCkpt
 	return res, nil
 }

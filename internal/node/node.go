@@ -301,6 +301,12 @@ func (n *Node) onFrame(f inFrame) {
 
 func (n *Node) onTick() {
 	n.ticks++
+	if n.rep.InFlight() == 0 {
+		// The stall timer runs only while work is in flight. Without this
+		// re-arm it would keep counting through idle gaps, and the first
+		// proposal after one would find it already expired.
+		n.lastProgressTick = n.ticks
+	}
 	n.route(n.rep.SyncTick())
 	n.proposeFromPool()
 	if n.ticks%uint64(n.cfg.RetransmitEvery) == 0 {
