@@ -71,9 +71,10 @@ bench:
 # The repository's benchmark: the command BENCHMARK.json declares, run from
 # the repo root. bench/ is a module of its own (see bench/README.md for
 # workloads, -trace and -compare), so `make build`/`make test` never touch
-# it; CI vets and smoke-tests it separately.
+# it; CI vets and smoke-tests it separately. ARGS passes flags through:
+#   make benchmark ARGS='-workload rpc4.closed2 -seconds 5'
 benchmark:
-	$(GO) run -C bench iaccf/bench
+	$(GO) run -C bench iaccf/bench $(ARGS)
 
 # CPU and heap profiles of the cross-shard commit hot path, plus the test
 # binary pprof needs to symbolize them. Start digging with:

@@ -38,7 +38,7 @@ func main() {
 		seed       = flag.String("seed", "demo", "shared cluster key seed")
 		checkpoint = flag.Uint64("checkpoint", 4, "checkpoint interval (sequences)")
 		shards     = flag.Uint("shards", 1, "ledger shard trees per batch")
-		tick       = flag.Duration("tick", 5*time.Millisecond, "runtime tick interval")
+		tick       = flag.Duration("tick", 5*time.Millisecond, "timer granularity (sync, retransmit, stall, submit patience); not on the commit path")
 	)
 	flag.Parse()
 

@@ -2,11 +2,13 @@
 // RPC and measures committed throughput. It is both the library behind
 // cmd/loadgen and the workload driver for the CI acceptance job: workers
 // submit ordered request streams, follow leader hints, verify every
-// receipt client-side, and the run reports committed entries/sec.
+// receipt client-side, and the run reports committed entries/sec and the
+// median submit→verified-receipt latency.
 package loadgen
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,11 +46,16 @@ type Result struct {
 	Failures      int
 	Elapsed       time.Duration
 	EntriesPerSec float64
+	// MedianLatency is the median, over committed requests, of the time
+	// from a worker's first submission of the request to its receipt
+	// verifying — leader redirects and busy back-offs included.
+	MedianLatency time.Duration
 }
 
 func (r *Result) String() string {
-	return fmt.Sprintf("committed %d (dup %d, failed %d) in %.2fs: %.1f entries/sec",
-		r.Committed, r.Duplicates, r.Failures, r.Elapsed.Seconds(), r.EntriesPerSec)
+	return fmt.Sprintf("committed %d (dup %d, failed %d) in %.2fs: %.1f entries/sec, median latency %.2f ms",
+		r.Committed, r.Duplicates, r.Failures, r.Elapsed.Seconds(), r.EntriesPerSec,
+		float64(r.MedianLatency)/float64(time.Millisecond))
 }
 
 func (c *Config) defaults() {
@@ -81,6 +88,7 @@ func Run(cfg Config) (*Result, error) {
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		res      Result
+		lats     []time.Duration
 		firstErr error
 	)
 	start := time.Now()
@@ -88,10 +96,11 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			committed, dups, fails, err := runWorker(&cfg, w)
+			workerLats, dups, fails, err := runWorker(&cfg, w)
 			mu.Lock()
 			defer mu.Unlock()
-			res.Committed += committed
+			res.Committed += len(workerLats)
+			lats = append(lats, workerLats...)
 			res.Duplicates += dups
 			res.Failures += fails
 			if err != nil && firstErr == nil {
@@ -107,6 +116,10 @@ func Run(cfg Config) (*Result, error) {
 	if s := res.Elapsed.Seconds(); s > 0 {
 		res.EntriesPerSec = float64(res.Committed) / s
 	}
+	if len(lats) > 0 {
+		slices.Sort(lats)
+		res.MedianLatency = lats[len(lats)/2]
+	}
 	return &res, nil
 }
 
@@ -119,7 +132,8 @@ type worker struct {
 	cl     *node.RPCClient
 }
 
-func runWorker(cfg *Config, idx int) (committed, dups, fails int, err error) {
+// runWorker returns one latency per committed request.
+func runWorker(cfg *Config, idx int) (lats []time.Duration, dups, fails int, err error) {
 	wk := &worker{
 		cfg:    cfg,
 		author: hashsig.Sum([]byte(fmt.Sprintf("%s/worker/%d", cfg.Seed, idx))),
@@ -136,12 +150,13 @@ func runWorker(cfg *Config, idx int) (committed, dups, fails int, err error) {
 				Val: val,
 			}}),
 		}
+		start := time.Now()
 		st, rerr := wk.submit(&rq)
 		switch {
 		case rerr != nil:
-			return committed, dups, fails, rerr
+			return lats, dups, fails, rerr
 		case st == node.StatusCommitted:
-			committed++
+			lats = append(lats, time.Since(start))
 		case st == node.StatusDuplicate:
 			// A retry after a lost response raced an already-committed
 			// request: the entry is on the ledger, just not re-receipted.
@@ -150,7 +165,7 @@ func runWorker(cfg *Config, idx int) (committed, dups, fails int, err error) {
 			fails++
 		}
 	}
-	return committed, dups, fails, nil
+	return lats, dups, fails, nil
 }
 
 // submit pushes one request until a terminal verdict, rotating through

@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
 	"iaccf/internal/transport"
-	"iaccf/internal/txpool"
 )
 
 // clusterKeys derives the n replica keypairs every test component (nodes,
@@ -222,116 +220,5 @@ func TestSubmitStatuses(t *testing.T) {
 	res, err = leader.Submit(&big, 5*time.Second)
 	if err == nil && res.Status != StatusTooLarge {
 		t.Fatalf("oversized body answered %v", res.Status)
-	}
-}
-
-// directNet is an in-memory transport for hand-clocked clusters: a frame
-// goes straight into the destination node's inbound queue. It counts the
-// view-change votes that cross it.
-type directNet struct {
-	handlers    []transport.Handler
-	viewChanges atomic.Int64
-}
-
-type directEndpoint struct {
-	net  *directNet
-	self transport.NodeID
-}
-
-func (e directEndpoint) Send(to transport.NodeID, frame []byte) error {
-	if to == e.self {
-		return nil
-	}
-	if m, err := consensus.DecodeMessage(frame); err == nil {
-		if _, ok := m.(*consensus.ViewChange); ok {
-			e.net.viewChanges.Add(1)
-		}
-	}
-	e.net.handlers[to](e.self, frame)
-	return nil
-}
-
-func (e directEndpoint) Broadcast(frame []byte) error {
-	for to := range e.net.handlers {
-		e.Send(transport.NodeID(to), frame)
-	}
-	return nil
-}
-
-func (directEndpoint) Close() error { return nil }
-
-// TestIdleGapDoesNotArmStallTimer is the idle-arm regression: the stall
-// timer used to advance only on commit, so after any idle gap of StallTicks
-// or more the primary's first proposal found the timer already expired and
-// the same tick voted a view change against a healthy view.
-func TestIdleGapDoesNotArmStallTimer(t *testing.T) {
-	const n, stallTicks = 4, 4
-	keys, pubs := clusterKeys("idle-arm", n)
-	net := &directNet{handlers: make([]transport.Handler, n)}
-	nodes := make([]*Node, n)
-	clocks := make([]*ManualClock, n)
-	pool := txpool.New(txpool.Config{})
-	for i := 0; i < n; i++ {
-		clocks[i] = NewManualClock()
-		cfg := Config{
-			Consensus: consensus.Config{
-				ID:              consensus.ReplicaID(i),
-				Key:             keys[i],
-				Peers:           pubs,
-				App:             ledger.KVApp{},
-				CheckpointEvery: 4,
-				Shards:          1,
-			},
-			Transport:  directEndpoint{net: net, self: transport.NodeID(i)},
-			Clock:      clocks[i],
-			StallTicks: stallTicks,
-		}
-		if i == 0 {
-			cfg.Pool = pool
-		}
-		nd, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
-		net.handlers[i] = nd.InboundHandler()
-	}
-	for i := range nodes {
-		nodes[i].Start()
-		t.Cleanup(nodes[i].Stop)
-		t.Cleanup(clocks[i].Stop)
-	}
-
-	// Idle past the stall threshold with nothing in flight.
-	for _, clk := range clocks {
-		clk.Advance(stallTicks + 1)
-	}
-
-	rq := ledger.Request{
-		Author: hashsig.Sum([]byte("idle-client")),
-		ReqNo:  1,
-		Body:   ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}}),
-	}
-	done := make(chan SubmitResult, 1)
-	go func() { done <- nodes[0].Submit(rq) }()
-	for deadline := time.Now().Add(5 * time.Second); pool.Len() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("submission never reached the pool")
-		}
-	}
-
-	// One tick on the primary proposes the batch; from there the protocol
-	// is message-driven, so the request commits with no further ticks.
-	clocks[0].Advance(1)
-	select {
-	case res := <-done:
-		if res.Status != StatusCommitted {
-			t.Fatalf("request after an idle gap: status %v", res.Status)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("request after an idle gap did not commit (%d view-change votes sent)", net.viewChanges.Load())
-	}
-	if v := net.viewChanges.Load(); v != 0 {
-		t.Fatalf("%d view-change votes after an idle gap, want 0", v)
 	}
 }
