@@ -96,8 +96,7 @@ func TestRangeCanonicalHistoryIndependent(t *testing.T) {
 			a = a.Set(keys[i], []byte{byte(i)})
 		}
 		// Build b with the same final contents through a scrambled insertion
-		// order, plus inserted-then-deleted extras that perturb the trie
-		// structure (delete does not collapse single-child paths).
+		// order, plus inserted-then-deleted extras along the way.
 		perm := rng.Perm(n)
 		b := Empty()
 		for _, i := range perm {

@@ -10,11 +10,48 @@
 // Access cost grows logarithmically (base 32) with the number of entries,
 // which is the effect Fig. 7 measures when the SmallBank account count
 // grows.
+//
+// # Merkle hash
+//
+// The trie is also a Merkle tree: every node caches the SHA-256 of its own
+// contents, and Map.Hash returns the root's. With u32 big-endian integers
+// and lp(x) = u32(len(x)) ‖ x, a node hashes
+//
+//	branch:    0x00 ‖ u32(dataMap) ‖ u32(nodeMap)
+//	           ‖ lp(key) ‖ lp(value)  for each inline entry, in slot order
+//	           ‖ hash(child)          for each child, in slot order
+//	collision: 0x01 ‖ u32(count)
+//	           ‖ lp(key) ‖ lp(value)  for each entry, in ascending key order
+//
+// The two bitmaps give the number of entries and children, so the encoding
+// is injective. Hashes are lazy: Set and Delete build their path of fresh
+// nodes without one (cloneShallow never copies it), every node off that
+// path keeps the hash it had, and Hash fills in exactly the missing ones —
+// O(nodes rewritten since the last Hash), not O(entries). An old Map value
+// (a snapshot, a rollback target) keeps its nodes and so its hashes.
+//
+// A hash is written once, by Hash, into a node that no other Map value can
+// have hashed differently (the hash is a function of the immutable
+// contents). Hash is therefore safe for the single writer that owns the map
+// and its snapshots, and not for concurrent callers sharing unhashed nodes;
+// the one node every map in the process shares, Empty's root, is hashed at
+// package init.
+//
+// The root hash is a function of the contents only because the trie shape
+// is: a key is inline at the shallowest node where no other key shares its
+// chunk prefix, and every non-root node holds at least two keys in its
+// subtree. Set preserves that by construction; Delete restores it by
+// hoisting a child left with a single inline entry (or a collision bucket
+// left with one key) back into its parent, level by level.
 package champ
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
+
+	"iaccf/internal/hashsig"
 )
 
 const (
@@ -85,7 +122,13 @@ type Map struct {
 	size int
 }
 
-var empty = &Map{root: &node{}}
+// empty's root is the one node shared by every map in the process; it is
+// hashed here so that no later Hash call ever writes to it.
+var empty = func() *Map {
+	m := &Map{root: &node{}}
+	m.Hash()
+	return m
+}()
 
 // Empty returns the empty map.
 func Empty() *Map { return empty }
@@ -124,6 +167,18 @@ func (m *Map) Delete(key string) *Map {
 	return &Map{root: root, size: m.size - 1}
 }
 
+// Hash returns the Merkle root of the map (see the package comment): equal
+// for equal contents whatever the history, different for different
+// contents. It hashes the nodes written since the last call on this map or
+// on any map this one was derived from; a second call is a field read.
+func (m *Map) Hash() hashsig.Digest {
+	if !m.root.hashed {
+		buf := make([]byte, 0, 1024)
+		m.root.fillHash(&buf)
+	}
+	return m.root.hash
+}
+
 // Range calls fn for every entry until fn returns false. Iteration order is
 // raw trie order (data entries before children at each node): stable for a
 // given map value but dependent on the construction history, so callers
@@ -139,25 +194,10 @@ func (m *Map) Range(fn func(key string, val []byte) bool) {
 // the key itself (its hash chunk sequence), independent of the construction
 // history and of how deep the trie happens to hold it. Two maps with the
 // same contents therefore always stream in the same order, on any process:
-// this is the iterator that lets checkpoint serialization and shard digests
-// skip the collect-then-sort pass they used to pay per dirty shard.
+// this is the iterator that lets checkpoint serialization skip a
+// collect-then-sort pass.
 func (m *Map) RangeCanonical(fn func(key string, val []byte) bool) {
 	m.root.rangCanonical(fn)
-}
-
-// RangeShard calls fn for every entry whose key lands in the given shard of
-// a shards-way partition (per ShardOf), until fn returns false. Iteration
-// order is canonical (RangeCanonical), so the subsequence for one shard is
-// byte-for-byte the order a standalone map holding only that shard's keys
-// would stream — which is what lets an auditor's flat store cross-check a
-// sharded replica's per-shard digests without materializing the shard.
-func (m *Map) RangeShard(shard, shards uint32, fn func(key string, val []byte) bool) {
-	m.root.rangCanonical(func(k string, v []byte) bool {
-		if ShardOf(k, shards) != shard {
-			return true
-		}
-		return fn(k, v)
-	})
 }
 
 // RangeSorted calls fn for every entry in ascending key order until fn
@@ -184,8 +224,10 @@ func (m *Map) RangeSorted(fn func(key string, val []byte) bool) {
 }
 
 // node is a CHAMP trie node: dataMap marks chunks holding inline entries,
-// nodeMap marks chunks holding children. A node with coll != nil is a
-// collision bucket at max depth and uses only the slices.
+// nodeMap marks chunks holding children. A node with coll set is a
+// collision bucket at max depth and uses only the slices. hash is the
+// node's Merkle hash once hashed is set; everything else is immutable from
+// the moment the node is reachable from a Map.
 type node struct {
 	dataMap  uint32
 	nodeMap  uint32
@@ -193,6 +235,46 @@ type node struct {
 	vals     [][]byte
 	children []*node
 	coll     bool
+	hashed   bool
+	hash     hashsig.Digest
+}
+
+// Node kinds, the first byte of a node's hash preimage.
+const (
+	kindBranch    = 0x00
+	kindCollision = 0x01
+)
+
+// fillHash computes n's hash, first filling in any child that lacks one.
+// buf is scratch shared by the whole walk: children are done with it before
+// their parent assembles its own preimage.
+func (n *node) fillHash(buf *[]byte) {
+	for _, c := range n.children {
+		if !c.hashed {
+			c.fillHash(buf)
+		}
+	}
+	b := (*buf)[:0]
+	if n.coll {
+		b = append(b, kindCollision)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(n.keys)))
+	} else {
+		b = append(b, kindBranch)
+		b = binary.BigEndian.AppendUint32(b, n.dataMap)
+		b = binary.BigEndian.AppendUint32(b, n.nodeMap)
+	}
+	for i, k := range n.keys {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(k)))
+		b = append(b, k...)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(n.vals[i])))
+		b = append(b, n.vals[i]...)
+	}
+	for _, c := range n.children {
+		b = append(b, c.hash[:]...)
+	}
+	n.hash = hashsig.Sum(b)
+	n.hashed = true
+	*buf = b
 }
 
 func chunk(h uint64, level int) uint32 {
@@ -305,7 +387,11 @@ func merge(k1 string, v1 []byte, h1 uint64, k2 string, v2 []byte, h2 uint64, lev
 	return n
 }
 
-// delete returns the updated node and whether the key was present.
+// delete returns the updated node and whether the key was present. The
+// result is in canonical form: a child left with a single entry is replaced
+// by that entry inline, and since the caller applies the same rule to what
+// it gets back, a chain of single-child nodes collapses all the way up to
+// the level where the survivor has a neighbour (or to the root).
 func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 	if n.coll {
 		for i, k := range n.keys {
@@ -335,8 +421,9 @@ func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 			return n, false
 		}
 		c := n.cloneShallow()
-		if child.isEmpty() {
+		if child.isSingleton() {
 			c.removeChild(bit)
+			c.insertData(bit, child.keys[0], child.vals[0])
 		} else {
 			c.children[i] = child
 		}
@@ -345,11 +432,10 @@ func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 	return n, false
 }
 
-func (n *node) isEmpty() bool {
-	if n.coll {
-		return len(n.keys) == 0
-	}
-	return n.dataMap == 0 && n.nodeMap == 0
+// isSingleton reports whether n holds exactly one entry and no children —
+// the one shape a non-root node may not keep.
+func (n *node) isSingleton() bool {
+	return len(n.keys) == 1 && len(n.children) == 0
 }
 
 func (n *node) rang(fn func(string, []byte) bool) bool {
@@ -398,6 +484,8 @@ func (n *node) rangCanonical(fn func(string, []byte) bool) bool {
 	return true
 }
 
+// cloneShallow copies everything but the hash: the clone is about to
+// differ from n.
 func (n *node) cloneShallow() *node {
 	return &node{
 		dataMap:  n.dataMap,
@@ -411,8 +499,8 @@ func (n *node) cloneShallow() *node {
 
 func (n *node) insertData(bit uint32, key string, val []byte) {
 	i := bits.OnesCount32(n.dataMap & (bit - 1))
-	n.keys = append(n.keys[:i], append([]string{key}, n.keys[i:]...)...)
-	n.vals = append(n.vals[:i], append([][]byte{val}, n.vals[i:]...)...)
+	n.keys = slices.Insert(n.keys, i, key)
+	n.vals = slices.Insert(n.vals, i, val)
 	n.dataMap |= bit
 }
 
@@ -425,7 +513,7 @@ func (n *node) removeData(bit uint32) {
 
 func (n *node) insertChild(bit uint32, child *node) {
 	i := bits.OnesCount32(n.nodeMap & (bit - 1))
-	n.children = append(n.children[:i], append([]*node{child}, n.children[i:]...)...)
+	n.children = slices.Insert(n.children, i, child)
 	n.nodeMap |= bit
 }
 

@@ -374,44 +374,3 @@ func TestShardOfSpreads(t *testing.T) {
 		}
 	}
 }
-
-func TestRangeShardPartitions(t *testing.T) {
-	m := Empty()
-	want := map[string]string{}
-	for i := 0; i < 500; i++ {
-		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
-		m = m.Set(k, []byte(v))
-		want[k] = v
-	}
-	const shards = 7
-	seen := map[string]string{}
-	for s := uint32(0); s < shards; s++ {
-		m.RangeShard(s, shards, func(k string, v []byte) bool {
-			if ShardOf(k, shards) != s {
-				t.Fatalf("RangeShard(%d) yielded key %q of shard %d", s, k, ShardOf(k, shards))
-			}
-			if _, dup := seen[k]; dup {
-				t.Fatalf("key %q yielded by two shards", k)
-			}
-			seen[k] = string(v)
-			return true
-		})
-	}
-	if len(seen) != len(want) {
-		t.Fatalf("shards yielded %d keys, map holds %d", len(seen), len(want))
-	}
-	for k, v := range want {
-		if seen[k] != v {
-			t.Fatalf("key %q value %q, want %q", k, seen[k], v)
-		}
-	}
-	// Early exit stops iteration.
-	n := 0
-	m.RangeShard(0, 1, func(string, []byte) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Fatalf("early exit iterated %d entries", n)
-	}
-}

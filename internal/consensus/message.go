@@ -507,8 +507,9 @@ const maxFrontierBytes = 1 << 12
 // frontier) plus the commit certificate for its latest committed batch.
 // The certificate is the sole trust anchor of the transfer: its signed
 // header's d_C must equal the combined shard digest vector, each state
-// chunk must hash to its slot in that vector, and the batch suffix up to
-// the certified sequence number must replay to the certified header.
+// chunk must rebuild to a shard whose digest is its slot in that vector,
+// and the batch suffix up to the certified sequence number must replay to
+// the certified header.
 type SyncAvail struct {
 	Replica      ReplicaID // responder
 	Requester    ReplicaID
@@ -563,7 +564,8 @@ func decodeSyncAvail(r *wire.Reader) *SyncAvail {
 // Chunk kinds carried by SyncChunkRequest/SyncChunk.
 const (
 	// SyncChunkState is one shard's canonical serialization; Index is the
-	// shard number. It verifies by hashing to ShardDigests[Index].
+	// shard number. It verifies by decoding to a shard whose digest
+	// (kv.ShardDigest) is ShardDigests[Index].
 	SyncChunkState uint32 = 0
 	// SyncChunkBatch is one committed batch above the checkpoint; Index is
 	// the offset, so the batch's sequence number is CkptSeq+1+Index. It

@@ -26,8 +26,9 @@ import (
 //   - The SyncAvail's commit certificate proves its batch header committed;
 //     the header signs d_C, so the announced shard digest vector must
 //     combine to the header's d_C.
-//   - Each state chunk must hash to its slot in that vector (the canonical
-//     per-shard serialization is exactly the preimage d_C is built from).
+//   - Each state chunk must rebuild to its slot in that vector: a slot is
+//     the digest of a shard's trie (kv.ShardDigest), so the chunk is
+//     decoded, placement-checked and rebuilt on arrival, and kept decoded.
 //   - The frontier and the batch suffix are verified transitively: a
 //     candidate ledger is restored from the checkpoint and the suffix is
 //     re-executed onto it (ledger.ApplyBatch checks results, ¯G, ¯M, d_C
@@ -110,8 +111,9 @@ type syncState struct {
 	attempts int
 
 	offer  *syncOffer
-	state  [][]byte        // per-shard chunks, nil = missing
-	batch  []*ledger.Batch // suffix ckptSeq+1..cert.Seq(), nil = missing
+	store  *kv.ShardedStore // candidate state: the shards verified so far
+	have   []bool           // have[i]: shard i is installed in store
+	batch  []*ledger.Batch  // suffix ckptSeq+1..cert.Seq(), nil = missing
 	banned map[ReplicaID]bool
 	// adopted counts completed transfers (verified and swapped in).
 	adopted int
@@ -120,8 +122,8 @@ type syncState struct {
 // missing counts chunks not yet received and verified.
 func (s *syncState) missing() int {
 	n := 0
-	for _, c := range s.state {
-		if c == nil {
+	for _, ok := range s.have {
+		if !ok {
 			n++
 		}
 	}
@@ -140,9 +142,12 @@ func (s *syncState) reset() {
 	s.deadline = 0
 	s.backoff = 0
 	s.attempts = 0
-	s.offer = nil
-	s.state = nil
-	s.batch = nil
+	s.dropOffer()
+}
+
+// dropOffer forgets the accepted offer and everything fetched under it.
+func (s *syncState) dropOffer() {
+	s.offer, s.store, s.have, s.batch = nil, nil, nil, nil
 }
 
 // Syncing reports whether a state transfer is in progress.
@@ -216,7 +221,7 @@ func (r *Replica) SyncTick() []Outbound {
 				s.phase = syncCollecting
 				s.backoff = syncBaseBackoff
 				s.deadline = s.tick + s.backoff
-				s.offer, s.state, s.batch = nil, nil, nil
+				s.dropOffer()
 				out = append(out, toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed}))
 				break
 			}
@@ -254,8 +259,8 @@ func (r *Replica) requestMissingChunks() []Outbound {
 		return nil
 	}
 	var out []Outbound
-	for i, c := range s.state {
-		if c == nil {
+	for i, ok := range s.have {
+		if !ok {
 			out = append(out, toPeer(s.offer.source, &SyncChunkRequest{
 				Replica: r.cfg.ID, Source: s.offer.source,
 				CkptSeq: s.offer.ckptSeq, Kind: SyncChunkState, Index: uint64(i),
@@ -341,7 +346,8 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 		frontier:     f,
 		cert:         m.Cert,
 	}
-	s.state = make([][]byte, len(m.ShardDigests))
+	s.store = kv.NewSharded(len(m.ShardDigests))
+	s.have = make([]bool, len(m.ShardDigests))
 	s.batch = make([]*ledger.Batch, m.Cert.Seq()-m.CkptSeq)
 	s.phase = syncFetching
 	s.attempts = 0
@@ -407,10 +413,12 @@ func encodeBatchChunk(b *ledger.Batch) []byte {
 }
 
 // handleSyncChunk is the laggard receiving one chunk. State chunks verify
-// immediately against the offer's digest vector; batch chunks must decode
-// and carry the right sequence number, with full verification deferred to
-// adoption. A chunk that fails its check is simply not recorded — the next
-// timeout re-requests it, and persistent failure bans the source.
+// immediately against the offer's digest vector — decoded, every key checked
+// against the shard, rebuilt, and the rebuilt shard's digest compared — and
+// are kept as the shard they decoded to; batch chunks must decode and carry
+// the right sequence number, with full verification deferred to adoption. A
+// chunk that fails its check is simply not recorded — the next timeout
+// re-requests it, and persistent failure bans the source.
 func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 	s := &r.sync
 	if s.phase != syncFetching || s.offer == nil {
@@ -421,13 +429,13 @@ func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 	}
 	switch m.Kind {
 	case SyncChunkState:
-		if m.Index >= uint64(len(s.state)) || s.state[m.Index] != nil {
+		if m.Index >= uint64(len(s.have)) || s.have[m.Index] {
 			return nil
 		}
-		if hashsig.Sum(m.Data) != s.offer.shardDigests[m.Index] {
-			return fmt.Errorf("%w: sync state chunk %d does not hash to its certified digest", ErrInvalid, m.Index)
+		if err := s.store.InstallShard(int(m.Index), m.Data, s.offer.shardDigests[m.Index]); err != nil {
+			return fmt.Errorf("%w: sync state chunk %d: %v", ErrInvalid, m.Index, err)
 		}
-		s.state[m.Index] = m.Data
+		s.have[m.Index] = true
 	case SyncChunkBatch:
 		if m.Index >= uint64(len(s.batch)) || s.batch[m.Index] != nil {
 			return nil
@@ -468,20 +476,17 @@ func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 }
 
 // adoptSync performs all-or-nothing adoption of the assembled transfer: a
-// candidate ledger is restored from the chunks and the suffix is replayed
-// onto it; only if the final header reproduces the certified signing digest
-// does the replica swap ledgers and resume at the certified watermark.
+// candidate ledger is started from the verified shards and the suffix is
+// replayed onto it; only if the final header reproduces the certified
+// signing digest does the replica swap ledgers and resume at the certified
+// watermark.
 func (r *Replica) adoptSync() error {
 	s := &r.sync
 	offer := s.offer
 	shards := uint32(len(offer.shardDigests))
-	store, err := kv.NewShardedFromChunks(shards, s.state)
-	if err != nil {
-		return err
-	}
 	ck := &ledger.Checkpoint{
 		Seq:          offer.ckptSeq,
-		Store:        store,
+		Store:        s.store,
 		ShardDigests: offer.shardDigests,
 		Frontier:     offer.frontier,
 		Digest:       offer.cert.Prop.Header.CkptDigest,

@@ -5,17 +5,17 @@
 // deterministic checkpoint serialization with content digests (§3.4).
 //
 // There is one store, ShardedStore (sharded.go): the key space is
-// partitioned across N persistent CHAMP maps so the checkpoint digest is
-// incremental, and NewSharded(1) is the unsharded case. Snapshots, marks
-// and rollback are pointer copies. This file holds the transaction type
-// and the canonical serialization helpers the store is built from.
+// partitioned across N persistent CHAMP maps (the executor's conflict grain
+// and the state-transfer chunk unit), and NewSharded(1) is the unsharded
+// case. Snapshots, marks and rollback are pointer copies, and the
+// checkpoint digest d_C is read off the tries' cached Merkle roots. This
+// file holds the transaction type and the canonical serialization helpers
+// the store is built from.
 package kv
 
 import (
 	"errors"
-	"hash"
 	"sort"
-	"sync"
 
 	"iaccf/internal/champ"
 	"iaccf/internal/hashsig"
@@ -181,9 +181,7 @@ func collectEntries(dst []sortedEntry, m *champ.Map) []sortedEntry {
 
 // encodeMapCanonical streams one map in the per-shard checkpoint form:
 // count, then (key, value) pairs in champ's canonical iteration order. One
-// pass over the trie, no intermediate collection and no sort — this is what
-// per-dirty-shard digest recomputation pays at every checkpoint, so it is
-// the hot half of d_C.
+// pass over the trie, no intermediate collection and no sort.
 func encodeMapCanonical(w *wire.Writer, m *champ.Map) {
 	w.Uint64(uint64(m.Len()))
 	m.RangeCanonical(func(k string, v []byte) bool {
@@ -193,25 +191,12 @@ func encodeMapCanonical(w *wire.Writer, m *champ.Map) {
 	})
 }
 
-// digestOfMap returns the digest of one map's per-shard serialization.
-func digestOfMap(m *champ.Map) hashsig.Digest {
-	h := borrowDigestWriter()
-	w := wire.NewDirectWriter(h)
-	encodeMapCanonical(w, m)
-	if err := w.Flush(); err != nil {
-		// digestWriter never fails.
-		panic(err)
-	}
-	return h.sumAndReturn()
-}
-
 // readMap reads one canonical map stream (count + pairs) from rd. Errors
 // stick in the reader; on error the partial map is returned and ignored by
 // callers. Every frame boundary annotates a failure with its position, so
 // a truncated or oversized stream reports exactly which frame broke — and
 // no partially-read map is ever installed into a store (RestoreShardedFor
-// and NewShardedFromChunks only construct the store after a clean
-// ExpectEOF).
+// and InstallShard only publish a shard after a clean ExpectEOF).
 func readMap(rd *wire.Reader) *champ.Map {
 	n := rd.Uint64()
 	rd.Annotate("entry count header")
@@ -230,39 +215,4 @@ func readMap(rd *wire.Reader) *champ.Map {
 		m = m.Set(k, v)
 	}
 	return m
-}
-
-// digestWriter hashes the serialization stream without materializing it.
-type digestWriter struct {
-	h hash.Hash
-}
-
-func newDigestWriter() *digestWriter {
-	return &digestWriter{h: hashsig.NewHasher()}
-}
-
-// digestWriterPool recycles digestWriters (and their SHA-256 states): shard
-// digest recomputation borrows one per dirty shard at every checkpoint.
-var digestWriterPool = sync.Pool{New: func() any { return newDigestWriter() }}
-
-func borrowDigestWriter() *digestWriter {
-	d := digestWriterPool.Get().(*digestWriter)
-	d.h.Reset()
-	return d
-}
-
-func (d *digestWriter) Write(p []byte) (int, error) { return d.h.Write(p) }
-
-func (d *digestWriter) sum() hashsig.Digest {
-	var out hashsig.Digest
-	d.h.Sum(out[:0])
-	return out
-}
-
-// sumAndReturn finalizes the digest and returns the writer to the pool; the
-// caller must not use d afterwards.
-func (d *digestWriter) sumAndReturn() hashsig.Digest {
-	out := d.sum()
-	digestWriterPool.Put(d)
-	return out
 }

@@ -108,10 +108,13 @@ func TestRestoreShardedForAuditsShardCount(t *testing.T) {
 	}
 }
 
-// TestNewShardedFromChunksNegative covers the chunk-assembly guardrails the
-// state-transfer path relies on.
-func TestNewShardedFromChunksNegative(t *testing.T) {
+// TestInstallShard covers the chunk guardrails the state-transfer path
+// relies on: a chunk is installed only if it decodes exactly, holds only
+// keys of its shard, and rebuilds to the certified shard digest — and a
+// refused chunk leaves the candidate store as it was.
+func TestInstallShard(t *testing.T) {
 	s := populatedSharded(t, 4)
+	want := s.ShardDigests()
 	chunks := make([][]byte, 4)
 	for i := range chunks {
 		var buf bytes.Buffer
@@ -120,39 +123,50 @@ func TestNewShardedFromChunksNegative(t *testing.T) {
 		}
 		chunks[i] = buf.Bytes()
 	}
-	got, err := NewShardedFromChunks(4, chunks)
-	if err != nil {
+	got := NewSharded(4)
+	refuse := func(what string, i int, chunk []byte) {
+		t.Helper()
+		before := got.CheckpointDigest()
+		if err := got.InstallShard(i, chunk, want[i]); err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+		if got.CheckpointDigest() != before {
+			t.Fatalf("%s refused, but the store changed", what)
+		}
+	}
+	refuse("chunk with trailing data", 2, append(append([]byte(nil), chunks[2]...), 0x00))
+	refuse("chunk truncated mid-frame", 1, chunks[1][:len(chunks[1])-1])
+	refuse("chunk of another shard", 0, chunks[1])
+
+	// A chunk that decodes cleanly, keeps every key in its shard, and
+	// differs from the certified contents in one value: well-formed, wrong.
+	other := s.Clone()
+	var key string
+	other.ShardSnapshot(3).Range(func(k string, _ []byte) bool { key = k; return false })
+	tx := other.Begin()
+	tx.Put(key, []byte("forged"))
+	tx.Commit()
+	var forged bytes.Buffer
+	if err := other.SerializeShard(3, &forged); err != nil {
 		t.Fatal(err)
 	}
-	if got.CheckpointDigest() != s.CheckpointDigest() {
-		t.Fatal("reassembled store digest diverges")
+	refuse("well-formed chunk with different contents", 3, forged.Bytes())
+	// ... and one key short.
+	tx = other.Begin()
+	tx.Delete(key)
+	tx.Commit()
+	forged.Reset()
+	if err := other.SerializeShard(3, &forged); err != nil {
+		t.Fatal(err)
 	}
+	refuse("well-formed chunk missing a key", 3, forged.Bytes())
 
-	if _, err := NewShardedFromChunks(0, nil); err == nil {
-		t.Fatal("zero shards accepted")
+	for i, c := range chunks {
+		if err := got.InstallShard(i, c, want[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := NewShardedFromChunks(MaxShards+1, nil); err == nil {
-		t.Fatal("hostile shard count accepted")
-	}
-	if _, err := NewShardedFromChunks(4, chunks[:3]); err == nil {
-		t.Fatal("missing chunk accepted")
-	}
-	// Trailing garbage after a chunk's declared entries.
-	bad := append([][]byte(nil), chunks...)
-	bad[2] = append(append([]byte(nil), chunks[2]...), 0x00)
-	if _, err := NewShardedFromChunks(4, bad); err == nil {
-		t.Fatal("chunk with trailing data accepted")
-	}
-	// A chunk truncated mid-frame.
-	bad = append([][]byte(nil), chunks...)
-	bad[1] = chunks[1][:len(chunks[1])-1]
-	if _, err := NewShardedFromChunks(4, bad); err == nil {
-		t.Fatal("truncated chunk accepted")
-	}
-	// Chunks swapped between shards: every key lands in the wrong slot.
-	bad = append([][]byte(nil), chunks...)
-	bad[0], bad[1] = bad[1], bad[0]
-	if _, err := NewShardedFromChunks(4, bad); err == nil {
-		t.Fatal("chunks smuggled into the wrong shards accepted")
+	if got.CheckpointDigest() != s.CheckpointDigest() {
+		t.Fatal("store assembled from chunks does not reproduce the serving store's d_C")
 	}
 }

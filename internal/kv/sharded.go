@@ -1,10 +1,23 @@
 // ShardedStore partitions the key space across N champ-backed shards
 // (paper §6): each key lives in exactly one shard, chosen by the
-// cross-process-deterministic champ.ShardOf. The payoff is the checkpoint
-// digest d_C: instead of re-hashing the whole store at every checkpoint
-// (O(n)), the store tracks which shards were touched since the last
-// checkpoint and recomputes only those shard digests, then combines the N
-// cached digests into d_C (O(dirty) hashing, O(N) combining).
+// cross-process-deterministic champ.ShardOf. A shard is what the parallel
+// executor treats as one conflict unit and what state transfer ships as one
+// chunk.
+//
+// The checkpoint digest d_C is the combination of the per-shard digests,
+// and a shard's digest is H(domain ‖ key count ‖ Merkle root of its trie).
+// The trie caches a hash in every node and a write path-copies exactly the
+// nodes it passes through, so a checkpoint hashes the nodes written since
+// the last one — about depth × keys written — and reads one cached root per
+// untouched shard: O(keys written), not O(keys stored). Rollback to a mark
+// and Clone reinstate old shard heads, whose nodes still carry their
+// hashes, so the store keeps no digest cache of its own.
+//
+// The shard count is not what makes this cheap, and raising it would not:
+// a digest that re-serialized the shards written to since the last
+// checkpoint only helps while writes miss most shards, and a checkpoint
+// interval of a few hundred uniformly hashed keys touches every one of 64.
+// Writes have the grain of trie paths, so that is where the cache lives.
 //
 // Determinism invariants:
 //
@@ -20,13 +33,16 @@ import (
 
 	"iaccf/internal/champ"
 	"iaccf/internal/hashsig"
-	"iaccf/internal/par"
 	"iaccf/internal/wire"
 )
 
-// ckptDomain domain-separates the combined sharded checkpoint digest from
-// plain serialization digests.
-var ckptDomain = []byte("iaccf-ckpt-shards:")
+// ckptDomain and shardDomain domain-separate the combined checkpoint
+// digest and a single shard's digest from each other and from every other
+// hash in the system.
+var (
+	ckptDomain  = []byte("iaccf-ckpt-shards:")
+	shardDomain = []byte("iaccf-ckpt-shard:")
+)
 
 // MaxShards bounds the shard count accepted from configuration and from
 // serialized checkpoints, so a hostile stream cannot drive allocation of
@@ -46,20 +62,14 @@ func ShardOfKey(key string, shards uint32) uint32 { return champ.ShardOf(key, sh
 // single-threaded, which is what makes the history strictly serializable);
 // the store itself is not safe for concurrent mutation.
 type ShardedStore struct {
-	shards  []*champ.Map
-	digests []hashsig.Digest // cached per-shard digests, valid where !dirty
-	dirty   []bool           // shard touched since its digest was cached
-	marks   []shardedMark
+	shards []*champ.Map
+	marks  []shardedMark
 }
 
-// shardedMark captures every shard head plus the digest cache at a batch
-// boundary, so rollback restores both the contents and the incremental
-// checkpoint state in lockstep.
+// shardedMark captures every shard head at a batch boundary.
 type shardedMark struct {
-	seq     uint64
-	shards  []*champ.Map
-	digests []hashsig.Digest
-	dirty   []bool
+	seq    uint64
+	shards []*champ.Map
 }
 
 // NewSharded returns an empty store partitioned into the given number of
@@ -72,14 +82,9 @@ func NewSharded(shards int) *ShardedStore {
 	if shards > MaxShards {
 		panic(fmt.Sprintf("kv: shard count %d exceeds limit %d", shards, MaxShards))
 	}
-	s := &ShardedStore{
-		shards:  make([]*champ.Map, shards),
-		digests: make([]hashsig.Digest, shards),
-		dirty:   make([]bool, shards),
-	}
+	s := &ShardedStore{shards: make([]*champ.Map, shards)}
 	for i := range s.shards {
 		s.shards[i] = champ.Empty()
-		s.dirty[i] = true
 	}
 	return s
 }
@@ -139,53 +144,44 @@ func (s *ShardedStore) BeginTracked() *Tx {
 	return tx
 }
 
-// apply publishes the buffered effects copy-on-write: the current shard,
-// digest, and dirty slices are never mutated in place — fresh slices
-// replace them — so every snapshot captured by Begin, Mark, or Clone stays
-// frozen for free. (The only in-place mutation anywhere is the digest
-// cache fill in ShardDigest/CheckpointDigest, which is safe to share: it
-// runs strictly between applies, when every live snapshot has the same
-// shard heads the filled cache describes.)
+// apply publishes the buffered effects copy-on-write: the shard-head slice
+// is never mutated in place — a fresh slice replaces it — so every snapshot
+// captured by Begin, Mark, or Clone stays frozen for free. (The only
+// in-place mutation anywhere is champ filling in node hashes under
+// ShardDigest/CheckpointDigest, which runs strictly between applies, on the
+// goroutine that owns the store, and writes what any holder of the node
+// would compute.)
 func (s *ShardedStore) apply(writes map[string][]byte, deletes map[string]bool) {
 	if len(writes) == 0 && len(deletes) == 0 {
 		return
 	}
 	shards := append([]*champ.Map(nil), s.shards...)
-	digests := append([]hashsig.Digest(nil), s.digests...)
-	dirty := append([]bool(nil), s.dirty...)
 	for k := range deletes {
 		i := s.shardFor(k)
 		shards[i] = shards[i].Delete(k)
-		dirty[i] = true
 	}
 	for k, v := range writes {
 		i := s.shardFor(k)
 		shards[i] = shards[i].Set(k, v)
-		dirty[i] = true
 	}
-	s.shards, s.digests, s.dirty = shards, digests, dirty
+	s.shards = shards
 }
 
 // Mark records a rollback point labelled seq, capturing the state before
 // the batch with that sequence number executes. Marks are kept until
-// PruneMarks. Thanks to copy-on-write applies a mark captures the three
-// current slices by reference: O(1).
+// PruneMarks. Thanks to copy-on-write applies a mark captures the current
+// shard-head slice by reference: O(1).
 func (s *ShardedStore) Mark(seq uint64) {
-	s.marks = append(s.marks, shardedMark{
-		seq:     seq,
-		shards:  s.shards,
-		digests: s.digests,
-		dirty:   s.dirty,
-	})
+	s.marks = append(s.marks, shardedMark{seq: seq, shards: s.shards})
 }
 
-// RollbackTo restores the state captured by Mark(seq) — contents and digest
-// cache — and discards that mark and all later ones.
+// RollbackTo restores the state captured by Mark(seq) and discards that
+// mark and all later ones. The restored heads were hashed if a checkpoint
+// was taken on them, and still are.
 func (s *ShardedStore) RollbackTo(seq uint64) error {
 	for i := len(s.marks) - 1; i >= 0; i-- {
 		if s.marks[i].seq == seq {
-			m := s.marks[i]
-			s.shards, s.digests, s.dirty = m.shards, m.digests, m.dirty
+			s.shards = s.marks[i].shards
 			s.marks = s.marks[:i]
 			return nil
 		}
@@ -205,74 +201,26 @@ func (s *ShardedStore) PruneMarks(before uint64) {
 	s.marks = keep
 }
 
-// DirtyShards returns how many shards have been touched since their digest
-// was last cached — the work CheckpointDigest will do.
-func (s *ShardedStore) DirtyShards() int {
-	n := 0
-	for _, d := range s.dirty {
-		if d {
-			n++
-		}
-	}
-	return n
+// shardDigest is the digest of one shard: its key count and the Merkle
+// root of its trie, under the shard domain tag.
+func shardDigest(m *champ.Map) hashsig.Digest {
+	root := m.Hash()
+	var n [8]byte
+	return hashsig.SumMany(shardDomain, wire.AppendUint64(n[:0], uint64(m.Len())), root[:])
 }
 
-// ShardDigest returns the canonical digest of one shard's contents,
-// computing and caching it if the shard is dirty. It lets an auditor
-// localize a checkpoint divergence to the shard that diverged instead of
-// just observing that d_C differs.
-func (s *ShardedStore) ShardDigest(i int) hashsig.Digest {
-	if s.dirty[i] {
-		s.digests[i] = digestOfMap(s.shards[i])
-		s.dirty[i] = false
-	}
-	return s.digests[i]
-}
+// ShardDigest returns the digest of one shard's contents. It lets an
+// auditor localize a checkpoint divergence to the shard that diverged
+// instead of just observing that d_C differs.
+func (s *ShardedStore) ShardDigest(i int) hashsig.Digest { return shardDigest(s.shards[i]) }
 
 // CheckpointDigest returns the sharded checkpoint digest d_C: the hash of
-// the shard count and every per-shard digest, where each shard digest is
-// the canonical serialization digest of that shard's contents. Only dirty
-// shards are re-hashed; clean shards reuse their cached digest, which is
-// what turns the per-checkpoint cost from O(keys) into O(keys in touched
-// shards). The digest is deterministic: it depends only on contents and
-// shard count, never on which shards happened to be cached.
-//
-// Dirty shards are re-hashed across a bounded worker pool when there is
-// enough work to amortize the goroutines (paper §6 pairs sharded execution
-// with parallel digesting). The workers write disjoint slice elements and
-// are joined before the combine, so the single-writer discipline of the
-// store is preserved.
+// the shard count and every per-shard digest. It depends only on contents
+// and shard count, never on the history that produced them, and costs the
+// hashing of the trie nodes written since the previous call (see the file
+// comment) plus one small hash per shard.
 func (s *ShardedStore) CheckpointDigest() hashsig.Digest {
-	var dirtyIdx []int
-	keys := 0
-	for i, d := range s.dirty {
-		if d {
-			dirtyIdx = append(dirtyIdx, i)
-			keys += s.shards[i].Len()
-		}
-	}
-	par.ForEach(len(dirtyIdx), keys, minParallelDigestKeys, func(j int) {
-		i := dirtyIdx[j]
-		s.digests[i] = digestOfMap(s.shards[i])
-		s.dirty[i] = false
-	})
-	return CombineShardDigests(s.digests)
-}
-
-// minParallelDigestKeys gates the parallel digest path: below this many
-// keys across all dirty shards, goroutine startup costs more than the
-// hashing it would spread.
-const minParallelDigestKeys = 4096
-
-// FullRescanDigest recomputes every shard digest from scratch, ignoring the
-// cache. It must always equal CheckpointDigest; it exists as the oracle for
-// tests and as the full-rescan baseline for benchmarks.
-func (s *ShardedStore) FullRescanDigest() hashsig.Digest {
-	digests := make([]hashsig.Digest, len(s.shards))
-	for i, m := range s.shards {
-		digests[i] = digestOfMap(m)
-	}
-	return CombineShardDigests(digests)
+	return CombineShardDigests(s.ShardDigests())
 }
 
 // CombineShardDigests hashes a shard digest vector into d_C. The shard
@@ -296,10 +244,10 @@ func CombineShardDigests(digests []hashsig.Digest) hashsig.Digest {
 	return out
 }
 
-// ShardDigests returns a copy of the full per-shard digest vector,
-// computing any dirty entries. Element i is the digest of the byte stream
-// SerializeShard(i) produces, so a state-transfer chunk verifies by
-// hashing its bytes and comparing against this vector.
+// ShardDigests returns the per-shard digest vector d_C combines. Element i
+// commits to the contents SerializeShard(i) streams, so a state-transfer
+// chunk verifies by being decoded and rebuilt (InstallShard) and its digest
+// compared against this vector.
 func (s *ShardedStore) ShardDigests() []hashsig.Digest {
 	out := make([]hashsig.Digest, len(s.shards))
 	for i := range s.shards {
@@ -314,14 +262,16 @@ func (s *ShardedStore) ShardDigests() []hashsig.Digest {
 // CheckpointDigest instead. It exists so stores can be compared for state
 // equality independent of partitioning.
 func (s *ShardedStore) Digest() hashsig.Digest {
-	h := newDigestWriter()
+	h := hashsig.NewHasher()
 	w := wire.NewWriter(h)
 	s.encodeSortedFlat(w)
 	if err := w.Flush(); err != nil {
-		// digestWriter never fails.
+		// A hash never fails to write.
 		panic(err)
 	}
-	return h.sum()
+	var out hashsig.Digest
+	h.Sum(out[:0])
+	return out
 }
 
 // encodeSortedFlat streams the union of all shards in canonical flat form
@@ -348,10 +298,10 @@ func (s *ShardedStore) Serialize(w io.Writer) error {
 	return ww.Flush()
 }
 
-// SerializeShard writes one shard's canonical stream — the exact bytes
-// whose hash is ShardDigest(i). This is the state-transfer chunk unit: a
-// checkpoint travels as one chunk per shard, each independently verifiable
-// against the signed d_C's per-shard digest vector.
+// SerializeShard writes one shard's canonical stream. This is the
+// state-transfer chunk unit: a checkpoint travels as one chunk per shard,
+// each independently verifiable (InstallShard) against the signed d_C's
+// per-shard digest vector.
 func (s *ShardedStore) SerializeShard(i int, w io.Writer) error {
 	ww := wire.NewWriter(w)
 	encodeMapCanonical(ww, s.shards[i])
@@ -423,44 +373,37 @@ func readShardMap(rd *wire.Reader, shard, shards uint32) (*champ.Map, bool) {
 	return m, ok
 }
 
-// NewShardedFromChunks assembles a store from per-shard state-transfer
-// chunks, one chunk per shard in shard order — the receiving half of
-// SerializeShard. Each chunk must decode exactly (trailing bytes rejected)
-// and every key must belong to its chunk's shard. The caller is expected to
-// have verified each chunk's bytes against the signed d_C's shard digest
-// vector first; the placement check here makes a lying chunk that passes a
-// stolen digest impossible to combine into a structurally valid store.
-func NewShardedFromChunks(shards uint32, chunks [][]byte) (*ShardedStore, error) {
-	if shards < 1 || shards > MaxShards {
-		return nil, fmt.Errorf("kv: restore: %w: shard count %d", wire.ErrCorrupt, shards)
+// InstallShard is the receiving half of SerializeShard: it decodes one
+// state-transfer chunk, checks that it decodes exactly (trailing bytes
+// rejected) and that every key belongs to shard i, rebuilds the shard, and
+// installs it only if its digest is want — the element of the certified
+// digest vector the chunk was fetched for. A chunk that decodes cleanly to
+// the wrong contents is refused like one that does not decode; on any
+// error the store is unchanged.
+func (s *ShardedStore) InstallShard(i int, chunk []byte, want hashsig.Digest) error {
+	n := uint32(len(s.shards))
+	rd := wire.NewBytesReader(chunk)
+	m, ok := readShardMap(rd, uint32(i), n)
+	if ok {
+		rd.ExpectEOF()
+		rd.Annotate("shard %d of %d", i, n)
 	}
-	if uint32(len(chunks)) != shards {
-		return nil, fmt.Errorf("kv: restore: %w: %d chunks for %d shards", wire.ErrCorrupt, len(chunks), shards)
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("kv: restore: %w", err)
 	}
-	s := NewSharded(int(shards))
-	for i, chunk := range chunks {
-		rd := wire.NewBytesReader(chunk)
-		m, ok := readShardMap(rd, uint32(i), shards)
-		if ok {
-			rd.ExpectEOF()
-			rd.Annotate("shard %d of %d", i, shards)
-		}
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("kv: restore: %w", err)
-		}
-		s.shards[i] = m
+	if shardDigest(m) != want {
+		return fmt.Errorf("kv: restore: %w: shard %d of %d does not have the certified digest", wire.ErrCorrupt, i, n)
 	}
-	return s, nil
+	shards := append([]*champ.Map(nil), s.shards...)
+	shards[i] = m
+	s.shards = shards
+	return nil
 }
 
-// Clone returns an independent store with the same contents and digest
-// cache (O(shards)).
+// Clone returns an independent store with the same contents (O(shards)).
+// The tries, and the hashes cached in them, are shared.
 func (s *ShardedStore) Clone() *ShardedStore {
-	return &ShardedStore{
-		shards:  append([]*champ.Map(nil), s.shards...),
-		digests: append([]hashsig.Digest(nil), s.digests...),
-		dirty:   append([]bool(nil), s.dirty...),
-	}
+	return &ShardedStore{shards: append([]*champ.Map(nil), s.shards...)}
 }
 
 // ShardSnapshot returns the immutable map backing one shard, for replay

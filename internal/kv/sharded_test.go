@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +64,25 @@ func TestShardedSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// scratchDigest is the oracle for the incremental checkpoint digest: d_C of
+// a store rebuilt from nothing — fresh tries, no cached hash anywhere —
+// holding s's contents, inserted in flat key order (not the order, or the
+// history, that built s).
+func scratchDigest(s *ShardedStore) [32]byte {
+	var entries []sortedEntry
+	for i := 0; i < int(s.ShardCount()); i++ {
+		entries = collectEntries(entries, s.ShardSnapshot(i))
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	fresh := NewSharded(int(s.ShardCount()))
+	for _, e := range entries {
+		tx := fresh.Begin()
+		tx.Put(e.key, e.val)
+		tx.Commit()
+	}
+	return fresh.CheckpointDigest()
+}
+
 // applyRandom drives the same pseudo-random workload against every store.
 func applyRandom(rng *rand.Rand, ops int, stores ...*ShardedStore) {
 	for i := 0; i < ops; i++ {
@@ -115,9 +136,9 @@ func TestQuickShardedMatchesUnsharded(t *testing.T) {
 				t.Logf("shards=%d: flat digest diverges from unsharded store", counts[i])
 				return false
 			}
-			// Incremental == full rescan.
-			if s.CheckpointDigest() != s.FullRescanDigest() {
-				t.Logf("shards=%d: incremental checkpoint digest != full rescan", counts[i])
+			// Incremental == rebuilt from scratch.
+			if s.CheckpointDigest() != scratchDigest(s) {
+				t.Logf("shards=%d: incremental checkpoint digest != rebuild from scratch", counts[i])
 				return false
 			}
 			// Identical state reached by a different history (restore) gives
@@ -159,42 +180,55 @@ func TestShardedCheckpointDigestBindsShardCount(t *testing.T) {
 	}
 }
 
-func TestShardedDirtyTracking(t *testing.T) {
-	s := NewSharded(16)
-	for i := 0; i < 200; i++ {
-		tx := s.Begin()
-		tx.Put(fmt.Sprintf("key-%d", i), []byte("v"))
-		tx.Commit()
+// TestShardedIncrementalDigestMatchesRebuild holds the incremental d_C —
+// old node hashes kept, only rewritten paths hashed — to the rebuild oracle
+// after every step of a workload with overwrites and deletes, with a
+// checkpoint taken at every step so each one starts from a hashed trie.
+func TestShardedIncrementalDigestMatchesRebuild(t *testing.T) {
+	for _, shards := range []int{1, 16} {
+		s := NewSharded(shards)
+		rng := rand.New(rand.NewSource(int64(shards)))
+		for step := 0; step < 150; step++ {
+			applyRandom(rng, 1+rng.Intn(3), s)
+			d := s.CheckpointDigest()
+			if d != scratchDigest(s) {
+				t.Fatalf("shards=%d step %d: incremental d_C != rebuild from scratch", shards, step)
+			}
+			if s.CheckpointDigest() != d {
+				t.Fatalf("shards=%d step %d: d_C unstable with no writes", shards, step)
+			}
+		}
 	}
-	d1 := s.CheckpointDigest()
-	if got := s.DirtyShards(); got != 0 {
-		t.Fatalf("%d dirty shards after checkpoint", got)
+}
+
+// TestShardedDigestConcurrentStores digests independent stores from
+// several goroutines at once, as in-process replicas do. The stores share
+// exactly one trie node — champ's empty root, which every untouched shard
+// of every store points at — and under -race this fails if digesting
+// writes to it.
+func TestShardedDigestConcurrentStores(t *testing.T) {
+	const workers = 8
+	digests := make([][32]byte, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := NewSharded(16)
+			s.CheckpointDigest() // all sixteen shards still empty
+			for i := 0; i < 50; i++ {
+				tx := s.Begin()
+				tx.Put(fmt.Sprintf("key-%d", i%5), []byte{byte(i)}) // most shards stay empty
+				tx.Commit()
+				digests[g] = s.CheckpointDigest()
+			}
+		}(g)
 	}
-	// An untouched store re-checkpoints to the same digest with zero work.
-	if s.CheckpointDigest() != d1 {
-		t.Fatal("checkpoint digest unstable with no writes")
-	}
-	// One write dirties exactly the owning shard.
-	tx := s.Begin()
-	tx.Put("key-0", []byte("changed"))
-	tx.Commit()
-	if got := s.DirtyShards(); got != 1 {
-		t.Fatalf("one write dirtied %d shards", got)
-	}
-	d2 := s.CheckpointDigest()
-	if d2 == d1 {
-		t.Fatal("changed contents, same checkpoint digest")
-	}
-	if d2 != s.FullRescanDigest() {
-		t.Fatal("incremental digest diverged from full rescan")
-	}
-	// Deleting restores the exact prior... no — contents differ (key-0
-	// changed). Restore the original value and digests must converge again.
-	tx = s.Begin()
-	tx.Put("key-0", []byte("v"))
-	tx.Commit()
-	if s.CheckpointDigest() != d1 {
-		t.Fatal("identical state, different checkpoint digest")
+	wg.Wait()
+	for g := 1; g < workers; g++ {
+		if digests[g] != digests[0] {
+			t.Fatalf("worker %d reached a different d_C for the same contents", g)
+		}
 	}
 }
 
@@ -221,8 +255,8 @@ func TestShardedMarksRollbackRestoresDigestCache(t *testing.T) {
 	if got := s.CheckpointDigest(); got != d1 {
 		t.Fatal("rollback did not restore the checkpoint digest")
 	}
-	if s.CheckpointDigest() != s.FullRescanDigest() {
-		t.Fatal("post-rollback cache inconsistent with contents")
+	if s.CheckpointDigest() != scratchDigest(s) {
+		t.Fatal("post-rollback digest inconsistent with contents")
 	}
 	if err := s.RollbackTo(10); err == nil {
 		t.Fatal("consumed mark usable")
@@ -259,8 +293,8 @@ func TestShardedRollbackAcrossCheckpointsWithPrune(t *testing.T) {
 	if err := s.RollbackTo(3); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.CheckpointDigest(), s.FullRescanDigest(); got != want {
-		t.Fatal("digest cache corrupt after prune+rollback")
+	if got, want := s.CheckpointDigest(), scratchDigest(s); got != want {
+		t.Fatal("digest inconsistent with contents after prune+rollback")
 	}
 }
 
@@ -375,7 +409,7 @@ func TestShardedGetReturnsDefensiveCopy(t *testing.T) {
 	if got, _ := s.Get("k"); string(got) != "original" {
 		t.Fatal("mutating Get result corrupted the store")
 	}
-	if s.FullRescanDigest() != before {
+	if scratchDigest(s) != before {
 		t.Fatal("mutating Get result changed the digest")
 	}
 }
@@ -422,47 +456,4 @@ func TestShardDigestCrossAudit(t *testing.T) {
 			t.Fatalf("clean shard %d flagged as divergent", i)
 		}
 	}
-}
-
-// Copy-on-write regression: a digest-cache fill between Mark and later
-// writes mutates slices the mark shares by reference; that sharing must
-// stay consistent because fills describe the same shard heads, while
-// writes must never reach a mark's snapshot.
-func TestShardedMarkSharesCacheSafely(t *testing.T) {
-	s := NewSharded(8)
-	for i := 0; i < 40; i++ {
-		tx := s.Begin()
-		tx.Put(fmt.Sprintf("k%d", i), []byte("v"))
-		tx.Commit()
-	}
-	s.Mark(1)
-	d1 := s.CheckpointDigest() // fills the cache the mark shares
-	for i := 0; i < 40; i++ {
-		tx := s.Begin()
-		tx.Put(fmt.Sprintf("k%d", i), []byte("other"))
-		tx.Commit()
-	}
-	if s.CheckpointDigest() == d1 {
-		t.Fatal("writes invisible to the digest")
-	}
-	if err := s.RollbackTo(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.CheckpointDigest(); got != d1 {
-		t.Fatal("mark snapshot was corrupted by post-mark writes or cache fills")
-	}
-	if s.CheckpointDigest() != s.FullRescanDigest() {
-		t.Fatal("restored cache inconsistent with restored contents")
-	}
-	// Read-only and aborted transactions never trigger a copy; the
-	// snapshot a reader captured before a commit stays frozen.
-	reader := s.Begin()
-	v1, _ := reader.Get("k0")
-	w := s.Begin()
-	w.Put("k0", []byte("newer"))
-	w.Commit()
-	if v2, _ := reader.Get("k0"); string(v2) != string(v1) {
-		t.Fatal("reader snapshot observed a later commit")
-	}
-	reader.Abort()
 }

@@ -12,10 +12,10 @@ import (
 // everything a replica needs to serve chunked state transfer for that
 // boundary, or to resume execution from it. The store snapshot is a
 // copy-on-write clone (O(shards), shares the immutable tries), the shard
-// digest vector is the one d_C commits to (chunk i verifies by hashing
-// SerializeShard(i)'s bytes against element i), and the frontier is the
-// history tree's compact state at the boundary, so a restored tree appends
-// onward to the same roots ¯M.
+// digest vector is the one d_C commits to (chunk i, SerializeShard(i)'s
+// bytes, verifies by kv's InstallShard against element i), and the frontier
+// is the history tree's compact state at the boundary, so a restored tree
+// appends onward to the same roots ¯M.
 type Checkpoint struct {
 	Seq          uint64
 	Store        *kv.ShardedStore
@@ -26,9 +26,9 @@ type Checkpoint struct {
 
 // captureCheckpoint records the checkpoint materialization for seq. Called
 // by adopt when seq is a checkpoint boundary — after the batch's entries landed in the history tree, so the
-// frontier matches the signed header's (HistSize, ¯M). All shards are clean
-// at this point (CheckpointDigest just ran), so the digest vector copy does
-// no hashing.
+// frontier matches the signed header's (HistSize, ¯M). Every trie node is
+// hashed at this point (CheckpointDigest just ran), so the digest vector
+// costs one small hash per shard.
 func (l *Ledger) captureCheckpoint(seq uint64) {
 	f, err := l.hist.Frontier()
 	if err != nil {

@@ -177,10 +177,10 @@ func (c *core) runSequential(seq uint64, entries []Entry, want *BatchHeader) *Di
 // number; anything else would desynchronize lastCkpt across honest
 // replicas even if the digest itself happened to match. The marker pins
 // d_C of the store as of all the batch's transactions: set when minting,
-// compared otherwise — incrementally either way, only shards dirtied since
-// the previous checkpoint re-hash. (Whether a marker is due at seq at all
-// is the replica's CheckpointEvery, which an auditor is not told; that
-// rule is ApplyBatch's.)
+// compared otherwise — incrementally either way, only the trie paths
+// written since the previous checkpoint re-hash. (Whether a marker is due
+// at seq at all is the replica's CheckpointEvery, which an auditor is not
+// told; that rule is ApplyBatch's.)
 func (c *core) marker(seq uint64, entries []Entry, ei int, want *BatchHeader) *Divergence {
 	e := &entries[ei]
 	if ei != len(entries)-1 {

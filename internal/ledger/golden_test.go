@@ -11,15 +11,29 @@ import (
 	"iaccf/internal/hashsig"
 )
 
-// The golden files pin this package's commitments to the ones commit
-// d6cf8cd (the last with three separate derivation loops) produced; see
-// testdata/README.md for their layout and provenance.
+// The golden files pin this package's commitments to recorded bytes; see
+// testdata/README.md for their layout and provenance (written by d6cf8cd,
+// the last commit with three separate derivation loops; regenerated once,
+// when d_C became the Merkle root of the tries).
 const (
 	goldenStream  = "testdata/golden_s4.stream"
 	goldenDigests = "testdata/golden.txt"
 	goldenKeySeed = "ledger-golden-replica"
 	goldenCkpt    = 2
 )
+
+// goldenUpstreamOfCkpt is what ties the regenerated files to d6cf8cd's:
+// every line of that commit's golden.txt that no checkpoint digest enters
+// — batch 1 precedes the first marker, so its header and receipts are
+// d_C-free — and the history size of every run. The regeneration changed
+// the files only downstream of d_C; these are held byte-for-byte.
+var goldenUpstreamOfCkpt = map[uint32]string{
+	1:  "batch 1 1 90838639661e81728332a0913140fe59be34453db3aeb410d25109644e1d3708 4df18c68809d25273a96d0c479860aa6af4df15b4f24757946a991d807dbf9a1",
+	4:  "batch 4 1 5a4906a779a27afec4cc3afa14911a2d7587c8fe483c533b7a312b7ce1836e4b 966b9b3cf1d8068a450d3e6b362b33900b760f4b37ab8815d53007ea4970cbed",
+	16: "batch 16 1 e255799293a56f2ac57d0341f3bdf7a6cba1aed29c778c95531f62f25fa0f2ba 3d9d0ab704a9151093e55b72ba7e1ac822c927a6ccb345b121be59be7ada9b0d",
+}
+
+const goldenHistSize = 217
 
 // goldenRequests recovers the request stream a batch stream was executed
 // from: entries carry everything a Request holds, and checkpoint markers
@@ -96,14 +110,22 @@ func readGolden(t *testing.T) (stream []*Batch, lines map[uint32][]string) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	for shards, first := range goldenUpstreamOfCkpt {
+		l := lines[shards]
+		if len(l) == 0 || l[0] != first {
+			t.Fatalf("golden.txt, %d shards: batch 1 is not d6cf8cd's", shards)
+		}
+		if want := fmt.Sprintf("final %d %d ", shards, goldenHistSize); !strings.HasPrefix(l[len(l)-1], want) {
+			t.Fatalf("golden.txt, %d shards: final line %q does not start %q", shards, l[len(l)-1], want)
+		}
+	}
 	return stream, lines
 }
 
-// TestGoldenByteIdentity is the refactor's byte-identity gate: for the
-// request stream behind the golden ledger, propose, apply and replay must
-// each reproduce the parent commit's headers, receipts, ¯M, state digest
-// and d_C under shards 1/4/16, and the ledger the parent commit wrote must
-// replay clean. It runs at GOMAXPROCS=4 with 72-request batches, so under
+// TestGoldenByteIdentity is the byte-identity gate: for the request stream
+// behind the golden ledger, propose, apply and replay must each reproduce
+// the recorded headers, receipts, ¯M, state digest and d_C under shards
+// 1/4/16, and the recorded ledger must replay clean. It runs at GOMAXPROCS=4 with 72-request batches, so under
 // 4 and 16 shards all three policies go through the wave executor.
 func TestGoldenByteIdentity(t *testing.T) {
 	forceParallel(t)
@@ -112,14 +134,14 @@ func TestGoldenByteIdentity(t *testing.T) {
 	pub := key.Public()
 	reqs := goldenRequests(stream)
 
-	// The parent's own bytes replay clean, to the parent's own summary.
+	// The recorded bytes replay clean, to the recorded summary.
 	res, err := Replay(stream, pub, KVApp{}, nil)
 	if err != nil {
-		t.Fatalf("ledger written by the parent commit does not replay: %v", err)
+		t.Fatalf("recorded ledger does not replay: %v", err)
 	}
 	want := golden[4][len(golden[4])-1]
 	if got := goldenFinal(4, res.HistSize, res.HistRoot, res.StateDigest, res.CkptDigest); got != want {
-		t.Fatalf("replay of the parent's ledger:\n got %s\nwant %s", got, want)
+		t.Fatalf("replay of the recorded ledger:\n got %s\nwant %s", got, want)
 	}
 
 	for _, shards := range []uint32{1, 4, 16} {
@@ -147,11 +169,11 @@ func TestGoldenByteIdentity(t *testing.T) {
 				proposed, applied, rcs = append(proposed, b.Header), append(applied, *own), append(rcs, r)
 				if shards == 4 {
 					if len(b.Entries) != len(stream[i].Entries) {
-						t.Fatalf("batch %d: %d entries, the parent's ledger has %d", b.Header.Seq, len(b.Entries), len(stream[i].Entries))
+						t.Fatalf("batch %d: %d entries, the recorded ledger has %d", b.Header.Seq, len(b.Entries), len(stream[i].Entries))
 					}
 					for j := range b.Entries {
 						if !bytes.Equal(b.Entries[j].Encode(nil), stream[i].Entries[j].Encode(nil)) {
-							t.Fatalf("batch %d entry %d differs from the parent's ledger", b.Header.Seq, j)
+							t.Fatalf("batch %d entry %d differs from the recorded ledger", b.Header.Seq, j)
 						}
 					}
 				}
@@ -160,11 +182,11 @@ func TestGoldenByteIdentity(t *testing.T) {
 			last := proposed[len(proposed)-1]
 			got := goldenLines(shards, proposed, rcs, primary.HistSize(), primary.HistRoot(), primary.StateDigest(), last.CkptDigest)
 			if g := strings.Join(got, "\n"); g != wantLines {
-				t.Fatalf("propose diverges from the parent commit:\n got\n%s\nwant\n%s", g, wantLines)
+				t.Fatalf("propose diverges from the recorded ledger:\n got\n%s\nwant\n%s", g, wantLines)
 			}
 			got = goldenLines(shards, applied, rcs, backup.HistSize(), backup.HistRoot(), backup.StateDigest(), applied[len(applied)-1].CkptDigest)
 			if g := strings.Join(got, "\n"); g != wantLines {
-				t.Fatalf("apply diverges from the parent commit:\n got\n%s\nwant\n%s", g, wantLines)
+				t.Fatalf("apply diverges from the recorded ledger:\n got\n%s\nwant\n%s", g, wantLines)
 			}
 			res, err := Replay(primary.Batches(), pub, KVApp{}, nil)
 			if err != nil {
@@ -172,7 +194,7 @@ func TestGoldenByteIdentity(t *testing.T) {
 			}
 			wantFinal := golden[shards][len(golden[shards])-1]
 			if g := goldenFinal(shards, res.HistSize, res.HistRoot, res.StateDigest, res.CkptDigest); g != wantFinal {
-				t.Fatalf("replay diverges from the parent commit:\n got %s\nwant %s", g, wantFinal)
+				t.Fatalf("replay diverges from the recorded ledger:\n got %s\nwant %s", g, wantFinal)
 			}
 		})
 	}

@@ -347,8 +347,9 @@ func (l *Ledger) HistRoot() hashsig.Digest { return l.hist.Root() }
 func (l *Ledger) HistSize() uint64 { return l.hist.Size() }
 
 // StateDigest returns the deterministic sharded digest of the current store
-// state — the d_C a checkpoint taken now would pin. Clean shards reuse
-// cached digests, so this is cheap between checkpoints.
+// state — the d_C a checkpoint taken now would pin. It hashes only the
+// trie nodes written since the last digest, so it is cheap between
+// checkpoints.
 func (l *Ledger) StateDigest() hashsig.Digest { return l.store.CheckpointDigest() }
 
 // Shards returns the execution shard count.

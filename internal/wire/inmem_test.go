@@ -8,7 +8,7 @@ import (
 	"iaccf/internal/hashsig"
 )
 
-// TestAppendWriterMatchesStreamWriter proves the in-memory writer modes are
+// TestAppendWriterMatchesStreamWriter proves the in-memory writer mode is
 // byte-identical to the buffered stream writer for every field type.
 func TestAppendWriterMatchesStreamWriter(t *testing.T) {
 	emit := func(w *Writer) {
@@ -33,16 +33,6 @@ func TestAppendWriterMatchesStreamWriter(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), aw.AppendedBytes()) {
 		t.Fatalf("append writer diverges from stream writer:\n%x\n%x", buf.Bytes(), aw.AppendedBytes())
-	}
-
-	var direct bytes.Buffer
-	dw := NewDirectWriter(&direct)
-	emit(dw)
-	if err := dw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), direct.Bytes()) {
-		t.Fatalf("direct writer diverges from stream writer:\n%x\n%x", buf.Bytes(), direct.Bytes())
 	}
 }
 

@@ -131,15 +131,11 @@ func AppendDigest(dst []byte, d hashsig.Digest) []byte {
 }
 
 // Writer streams wire-encoded fields to a sink. The first error sticks:
-// subsequent writes are no-ops and Flush reports it. Three sinks exist,
+// subsequent writes are no-ops and Flush reports it. Two sinks exist,
 // chosen by constructor:
 //
 //   - NewWriter buffers onto an io.Writer through bufio — for real streams
 //     (files, sockets) where syscall batching matters.
-//   - NewDirectWriter writes straight to an io.Writer with no intermediate
-//     buffer — for in-memory sinks like hash states, where bufio would only
-//     add an allocation and a copy. It never fails between the underlying
-//     writer's own errors, and Flush is a no-op check.
 //   - NewAppendWriter appends to a caller-provided byte slice — for
 //     building signing preimages and message frames in memory, typically on
 //     pooled scratch. AppendedBytes returns the accumulated encoding; the
@@ -147,22 +143,14 @@ func AppendDigest(dst []byte, d hashsig.Digest) []byte {
 //     AppendedBytes, so the caller may pool it).
 type Writer struct {
 	bw  *bufio.Writer
-	out io.Writer // direct mode sink (nil otherwise)
-	buf []byte    // append mode storage (nil unless append mode)
-	app bool      // append mode flag (buf may legitimately be nil/empty)
+	buf []byte // append mode storage (nil unless append mode)
+	app bool   // append mode flag (buf may legitimately be nil/empty)
 	err error
 }
 
 // NewWriter returns a Writer buffering onto w.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriter(w)}
-}
-
-// NewDirectWriter returns a Writer that writes to w without buffering.
-// Intended for in-memory sinks (hash states): every field write goes
-// straight through, so there is no bufio allocation per encode.
-func NewDirectWriter(w io.Writer) *Writer {
-	return &Writer{out: w}
 }
 
 // NewAppendWriter returns a Writer that appends to buf (which may be nil).
@@ -180,12 +168,9 @@ func (w *Writer) write(p []byte) {
 	if w.err != nil {
 		return
 	}
-	switch {
-	case w.app:
+	if w.app {
 		w.buf = append(w.buf, p...)
-	case w.out != nil:
-		_, w.err = w.out.Write(p)
-	default:
+	} else {
 		_, w.err = w.bw.Write(p)
 	}
 }
@@ -216,12 +201,9 @@ func (w *Writer) String(s string) {
 	if w.err != nil {
 		return
 	}
-	switch {
-	case w.app:
+	if w.app {
 		w.buf = append(w.buf, s...)
-	case w.out != nil:
-		_, w.err = io.WriteString(w.out, s)
-	default:
+	} else {
 		_, w.err = w.bw.WriteString(s)
 	}
 }
@@ -241,8 +223,8 @@ func (w *Writer) Nonce(n hashsig.Nonce) {
 func (w *Writer) Err() error { return w.err }
 
 // Flush drains the buffer and returns the first error encountered. In
-// append and direct modes there is no buffer to drain; Flush just reports
-// the sticky error.
+// append mode there is no buffer to drain; Flush just reports the sticky
+// error.
 func (w *Writer) Flush() error {
 	if w.err != nil || w.bw == nil {
 		return w.err
