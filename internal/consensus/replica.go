@@ -184,13 +184,11 @@ type Replica struct {
 	// later view, or instance not created). Bounded; oldest dropped first.
 	future []Message
 
-	// sigOK memoizes successful signature checks by memoKey (digest,
-	// signature, and key bound together), so buffered messages are not
-	// re-verified on every drain pass; bounded by two-generation
-	// eviction. peerID holds each peer key's precomputed ID digest for
-	// those memo lookups.
-	sigOK  *sigMemo
-	peerID map[*hashsig.PublicKey]hashsig.Digest
+	// sigOK holds the signature checks this replica has already made (or
+	// signatures it produced itself), so buffered messages are not
+	// re-verified on every drain pass and a proposal carried by several
+	// prepares is checked once.
+	sigOK *hashsig.VerifiedSet
 
 	// sync is the checkpoint state-transfer state machine (sync.go): how
 	// this replica recovers once the cluster has pruned the batches it
@@ -241,12 +239,6 @@ func New(cfg Config) (*Replica, error) {
 	if pool == nil {
 		pool = hashsig.DefaultPool()
 	}
-	peerID := make(map[*hashsig.PublicKey]hashsig.Digest, n)
-	for _, pub := range cfg.Peers {
-		if pub != nil {
-			peerID[pub] = pub.ID()
-		}
-	}
 	return &Replica{
 		cfg:           cfg,
 		n:             n,
@@ -262,8 +254,7 @@ func New(cfg Config) (*Replica, error) {
 		mustRepropose: make(map[uint64]hashsig.Digest),
 		seen:          make(map[slotKey]*Proposal),
 		blamed:        make(map[slotKey]bool),
-		sigOK:         newSigMemo(),
-		peerID:        peerID,
+		sigOK:         hashsig.NewVerifiedSet(maxSigCache),
 	}, nil
 }
 
@@ -379,13 +370,20 @@ func (r *Replica) proposeBatch(batch *ledger.Batch) *PrePrepare {
 		Header:      batch.Header,
 		NonceCommit: nonce.Commit(),
 	}
-	prop.Sig = r.cfg.Key.MustSign(prop.SigningDigest())
+	headerDigest, propDigest := prop.Header.SigningDigest(), prop.SigningDigest()
+	prop.Sig = r.cfg.Key.MustSign(propDigest)
+	// Both signatures are this replica's own (every retained header is
+	// signed or co-signed locally), so the prepares that carry the proposal
+	// back owe them no ECDSA check.
+	self := r.cfg.Peers[r.cfg.ID]
+	r.sigOK.Add(hashsig.VerifyTask{Key: self, Digest: headerDigest, Sig: prop.Header.Sig}.MemoKey())
+	r.sigOK.Add(hashsig.VerifyTask{Key: self, Digest: propDigest, Sig: prop.Sig}.MemoKey())
 	pp := &PrePrepare{Prop: *prop, Entries: batch.Entries}
 	r.seen[slotKey{prop.View, prop.Seq()}] = prop
 	in := &instance{
 		prop:          prop,
-		headerDigest:  prop.Header.SigningDigest(),
-		propDigest:    prop.SigningDigest(),
+		headerDigest:  headerDigest,
+		propDigest:    propDigest,
 		entries:       batch.Entries,
 		ownHeader:     &batch.Header,
 		nonce:         nonce,
@@ -726,7 +724,7 @@ func (r *Replica) handlePrepare(p *Prepare, out *[]Outbound) error {
 		return fmt.Errorf("%w: prepare from %d", ErrInvalid, p.Replica)
 	}
 	// All three signature checks — the carried proposal's pair and the
-	// backup's own — go through the memo and pool in one pass.
+	// backup's own — go through the set and pool in one pass.
 	if !r.verifyTasks(r.prepareTasks(p, nil)) {
 		return fmt.Errorf("%w: bad signature in prepare from %d", ErrInvalid, p.Replica)
 	}

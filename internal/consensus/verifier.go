@@ -4,72 +4,14 @@ import (
 	"iaccf/internal/hashsig"
 )
 
-// memoKey identifies one (digest, signature, key) verification so a
-// successful check is never repeated. All three components are bound: a
-// digest alone would let a valid signature by one key vouch for a
-// different signature (or a different key) over the same digest — exactly
-// the aliasing TestHeaderSigCacheCrossKeyProbe probes for. Peer key IDs
-// are precomputed at construction: recomputing the point marshal + hash
-// per lookup would tax every memo hit in the verification hot path.
-func (r *Replica) memoKey(t hashsig.VerifyTask) hashsig.Digest {
-	id, ok := r.peerID[t.Key]
-	if !ok {
-		id = t.Key.ID()
-	}
-	return hashsig.SumMany(t.Digest[:], t.Sig, id[:])
-}
-
-// maxSigCache bounds the verified-signature memo across both generations;
-// eviction only re-imposes verification costs on the buffered-message
-// drain, never correctness.
+// maxSigCache bounds each replica's hashsig.VerifiedSet; eviction only
+// re-imposes verification costs on the buffered-message drain, never
+// correctness. The set is per replica and never shared: replicas built
+// from the same key objects in one process must not vouch for each other's
+// checks — no multi-process deployment could.
 const maxSigCache = 1 << 16
 
-// sigMemo is a two-generation set of verified-signature memo keys. Entries
-// land in cur; when cur fills its half of the budget, cur becomes prev and
-// a fresh cur starts, discarding the old prev. A hit in prev promotes the
-// entry back into cur, so signatures still circulating (re-sent prepares,
-// view-change evidence) survive rotations while one-shot traffic ages out
-// within two generations — unlike the previous drop-everything reset, which
-// threw away the hot set alongside the cold on every overflow.
-type sigMemo struct {
-	cur, prev map[hashsig.Digest]bool
-}
-
-func newSigMemo() *sigMemo {
-	return &sigMemo{cur: make(map[hashsig.Digest]bool)}
-}
-
-// hit reports whether k was memoized, refreshing its generation on a
-// prev-hit so repeated lookups keep it resident.
-func (m *sigMemo) hit(k hashsig.Digest) bool {
-	if m.cur[k] {
-		return true
-	}
-	if m.prev[k] {
-		m.add(k)
-		return true
-	}
-	return false
-}
-
-// add records a successful verification. Only successes are cached: a
-// failure says nothing about a different signature from the same sender.
-func (m *sigMemo) add(k hashsig.Digest) {
-	if len(m.cur) >= maxSigCache/2 {
-		m.prev = m.cur
-		m.cur = make(map[hashsig.Digest]bool)
-	}
-	m.cur[k] = true
-}
-
-// len reports resident entries across both generations (prev and cur are
-// disjoint by construction: add never inserts a key already counted in cur,
-// and rotation moves the whole map).
-func (m *sigMemo) len() int { return len(m.cur) + len(m.prev) }
-
-func (r *Replica) cacheSig(k hashsig.Digest) { r.sigOK.add(k) }
-
-// verifyTasks checks every task, consulting the memo first and routing the
+// verifyTasks checks every task, consulting the set first and routing the
 // remainder through the verifier pool (paper §3.4: protocol signature
 // verification is pooled so replicas stay compute-bound on useful work).
 // Single leftovers — and every task when the pool cannot actually run
@@ -79,8 +21,8 @@ func (r *Replica) verifyTasks(tasks []hashsig.VerifyTask) bool {
 	pending := tasks[:0:0]
 	var keys []hashsig.Digest
 	for _, t := range tasks {
-		k := r.memoKey(t)
-		if r.sigOK.hit(k) {
+		k := t.MemoKey()
+		if r.sigOK.Has(k) {
 			continue
 		}
 		pending = append(pending, t)
@@ -93,7 +35,7 @@ func (r *Replica) verifyTasks(tasks []hashsig.VerifyTask) bool {
 		ok := true
 		for i, t := range pending {
 			if t.Key.Verify(t.Digest, t.Sig) {
-				r.cacheSig(keys[i])
+				r.sigOK.Add(keys[i])
 			} else {
 				ok = false
 			}
@@ -104,7 +46,7 @@ func (r *Replica) verifyTasks(tasks []hashsig.VerifyTask) bool {
 	ok := true
 	for i, res := range results {
 		if res {
-			r.cacheSig(keys[i])
+			r.sigOK.Add(keys[i])
 		} else {
 			ok = false
 		}
@@ -184,23 +126,23 @@ func (r *Replica) viewChangeMsgTasks(vc *ViewChange, tasks []hashsig.VerifyTask)
 }
 
 // prewarm batch-verifies every signature the given messages will need and
-// seeds the memo with the successes, so the serial Handle pass afterwards
-// hits the memo instead of verifying one signature at a time. Failures are
+// seeds the set with the successes, so the serial Handle pass afterwards
+// hits the set instead of verifying one signature at a time. Failures are
 // not recorded; the serial path re-verifies and rejects them with a proper
 // error. With a proposal window above one there are several instances'
 // worth of traffic in flight at once, which is what gives the pool real
 // batches to spread across workers.
 func (r *Replica) prewarm(msgs []Message) {
 	if r.pool == nil || r.pool.Workers() <= 1 {
-		return // nothing to parallelize; the serial path memoizes as it goes
+		return // nothing to parallelize; the serial path records as it goes
 	}
 	var tasks []hashsig.VerifyTask
 	var keys []hashsig.Digest
 	seen := make(map[hashsig.Digest]bool)
 	for _, m := range msgs {
 		for _, t := range r.messageTasks(m, nil) {
-			k := r.memoKey(t)
-			if seen[k] || r.sigOK.hit(k) {
+			k := t.MemoKey()
+			if seen[k] || r.sigOK.Has(k) {
 				continue
 			}
 			seen[k] = true
@@ -213,7 +155,7 @@ func (r *Replica) prewarm(msgs []Message) {
 	}
 	for i, res := range r.pool.VerifyAll(tasks) {
 		if res {
-			r.cacheSig(keys[i])
+			r.sigOK.Add(keys[i])
 		}
 	}
 }

@@ -1,0 +1,84 @@
+package consensus
+
+import (
+	"fmt"
+	"testing"
+
+	"iaccf/internal/hashsig"
+	"iaccf/internal/ledger"
+)
+
+// sharedKeyReplicas builds replicas 0..count-1 of a four-replica cluster
+// from ONE []*hashsig.PublicKey, the way the benchmark's in-process cluster
+// does.
+func sharedKeyReplicas(t *testing.T, seed string, count int) []*Replica {
+	t.Helper()
+	keys := make([]*hashsig.PrivateKey, 4)
+	pubs := make([]*hashsig.PublicKey, 4)
+	for i := range keys {
+		keys[i] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("%s-%d", seed, i))
+		pubs[i] = keys[i].Public()
+	}
+	rs := make([]*Replica, count)
+	for i := range rs {
+		r, err := New(Config{ID: ReplicaID(i), Key: keys[i], Peers: pubs, App: probeApp{}, CheckpointEvery: 4, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs[i] = r
+	}
+	return rs
+}
+
+func resident(r *Replica, tasks []hashsig.VerifyTask) int {
+	n := 0
+	for _, t := range tasks {
+		if r.sigOK.Has(t.MemoKey()) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPrimaryRecordsOwnSignatures: the header and proposal signatures a
+// primary has just produced are in its set, so the prepares that carry the
+// proposal back leave verifyTasks nothing pending for them.
+func TestPrimaryRecordsOwnSignatures(t *testing.T) {
+	primary := sharedKeyReplicas(t, "own-sigs", 1)[0]
+	pp, _, err := primary.Propose([]ledger.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := primary.proposalTasks(&pp.Prop, nil)
+	if got := resident(primary, tasks); len(tasks) != 2 || got != 2 {
+		t.Fatalf("%d of %d own proposal signatures resident after Propose", got, len(tasks))
+	}
+	before := primary.sigOK.Len()
+	if !primary.verifyTasks(tasks) || primary.sigOK.Len() != before {
+		t.Fatal("own proposal went back through verification")
+	}
+}
+
+// TestReplicasShareNoVerificationState: replicas built from the same key
+// objects in one process must each make their own checks — what replica 1
+// verified is not in replica 2's set.
+func TestReplicasShareNoVerificationState(t *testing.T) {
+	rs := sharedKeyReplicas(t, "no-share", 3)
+	pp, _, err := rs[0].Propose([]ledger.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs[1].Handle(pp); err != nil {
+		t.Fatalf("valid pre-prepare rejected: %v", err)
+	}
+	tasks := rs[1].proposalTasks(&pp.Prop, nil)
+	if got := resident(rs[1], tasks); got != len(tasks) {
+		t.Fatalf("verifying replica holds %d of %d checks", got, len(tasks))
+	}
+	if got := resident(rs[2], rs[2].proposalTasks(&pp.Prop, nil)); got != 0 {
+		t.Fatalf("replica 2 holds %d checks only replica 1 made", got)
+	}
+	if rs[2].sigOK.Len() != 0 {
+		t.Fatalf("replica 2's set has %d members before it handled anything", rs[2].sigOK.Len())
+	}
+}

@@ -1,6 +1,20 @@
 // Package hashsig provides the cryptographic substrate for IA-CCF: SHA-256
 // digests, ECDSA P-256 signatures, the nonce-commitment scheme used by
-// L-PBFT, and a parallel verification pool.
+// L-PBFT, a parallel verification pool, and the set of signature checks
+// already made.
+//
+// VerifiedSet is the one place the repo remembers a successful signature
+// check. A member is the digest of (signed digest, signature bytes, key
+// ID): binding all three is what makes a hit mean "this exact check
+// succeeded here before" — a digest alone would let one key's valid
+// signature vouch for other bytes or another key over the same message.
+// Only successes are members, residency is bounded (two generations, hits
+// promote), and eviction costs a re-check, never a verdict. Sets are
+// instances, not global state: ledger keeps one behind BatchHeader.Verify
+// for the clients and auditors of a process, each consensus replica keeps
+// its own, and PublicKey.Verify itself consults none — a memo on the key
+// would let in-process replicas that share key objects skip each other's
+// checks, a saving no real deployment has.
 //
 // The paper's implementation uses secp256k1 and EverCrypt; this package
 // substitutes the Go standard library's P-256 and crypto/sha256, which have

@@ -47,3 +47,16 @@ func BenchmarkSign(b *testing.B) {
 		key.MustSign(d)
 	}
 }
+
+// BenchmarkVerify is one ECDSA check: what a VerifiedSet miss costs and a
+// hit saves (ledger's BenchmarkReceiptVerify/cold is this plus a path).
+func BenchmarkVerify(b *testing.B) {
+	t := benchTasks(1)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !t.Key.Verify(t.Digest, t.Sig) {
+			b.Fatal("valid signature rejected")
+		}
+	}
+}

@@ -27,8 +27,15 @@ type PrivateKey struct {
 
 // PublicKey is the verification half of a PrivateKey. Its canonical byte
 // encoding (Bytes) is what the ledger and governance transactions store.
+// The key's ID is computed once, when the object is built, so a
+// VerifiedSet lookup never pays a point marshal.
 type PublicKey struct {
 	key *ecdsa.PublicKey
+	id  Digest
+}
+
+func newPublicKey(k *ecdsa.PublicKey) *PublicKey {
+	return &PublicKey{key: k, id: Sum(elliptic.Marshal(elliptic.P256(), k.X, k.Y))}
 }
 
 // GenerateKey creates a fresh P-256 key pair using entropy from r
@@ -56,7 +63,7 @@ func MustGenerateKey() *PrivateKey {
 
 // Public returns the public half of the key.
 func (p *PrivateKey) Public() *PublicKey {
-	return &PublicKey{key: &p.key.PublicKey}
+	return newPublicKey(&p.key.PublicKey)
 }
 
 // Sign signs the digest d and returns an ASN.1 DER signature.
@@ -93,9 +100,7 @@ func (k *PublicKey) Bytes() []byte {
 
 // ID returns the digest of the canonical key encoding. Clients and members
 // are identified by their key IDs throughout the system.
-func (k *PublicKey) ID() Digest {
-	return Sum(k.Bytes())
-}
+func (k *PublicKey) ID() Digest { return k.id }
 
 // Equal reports whether two public keys are the same point.
 func (k *PublicKey) Equal(o *PublicKey) bool {
@@ -111,7 +116,7 @@ func ParsePublicKey(b []byte) (*PublicKey, error) {
 	if x == nil {
 		return nil, errors.New("hashsig: invalid public key encoding")
 	}
-	return &PublicKey{key: &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}}, nil
+	return newPublicKey(&ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}), nil
 }
 
 // GenerateKeyFromSeed deterministically derives a key pair from a seed

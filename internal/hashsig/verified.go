@@ -1,0 +1,105 @@
+package hashsig
+
+import "sync"
+
+// VerifiedSet remembers signature checks that succeeded, so a fact this
+// process has already established — "this key signed this digest with these
+// signature bytes" — is not re-derived through ECDSA. It is the repo's one
+// such set: the ledger keeps an instance behind BatchHeader.Verify (64
+// receipts cut from one batch share one signed header) and every consensus
+// replica keeps its own for protocol messages.
+//
+// Members are MemoKeys, which bind all three components of the check. Only
+// successes are ever added: a failure says nothing about a different
+// signature from the same signer, and caching it would let one bad message
+// poison a good one. The set stores digests only, never the caller's
+// signature slice.
+//
+// Residency is bounded by two generations: entries land in cur; when cur
+// fills its half of the budget it becomes prev and the old prev is dropped.
+// A hit in prev promotes the entry back into cur, so signatures still
+// circulating survive rotations while one-shot traffic ages out. Eviction
+// only re-imposes a verification, never changes a verdict.
+//
+// A VerifiedSet is safe for concurrent use. The lock is held for a map
+// probe; concurrent misses on one key each run the check (at most
+// GOMAXPROCS of them), which is cheaper than coordinating them.
+type VerifiedSet struct {
+	mu        sync.Mutex
+	half      int
+	cur, prev map[Digest]struct{}
+}
+
+// NewVerifiedSet returns an empty set holding at most max entries across
+// both generations.
+func NewVerifiedSet(max int) *VerifiedSet {
+	return &VerifiedSet{half: max / 2, cur: make(map[Digest]struct{})}
+}
+
+// MemoKey identifies the check t performs in a VerifiedSet: the digest of
+// (signed digest, signature bytes, key ID). A digest alone would let a
+// valid signature by one key vouch for different signature bytes, or for
+// another key, over the same digest. A nil key contributes the zero ID; it
+// never verifies, so its MemoKey is never a member.
+func (t VerifyTask) MemoKey() Digest {
+	var id Digest
+	if t.Key != nil {
+		id = t.Key.id
+	}
+	return SumMany(t.Digest[:], t.Sig, id[:])
+}
+
+// Has reports whether k was added and is still resident, refreshing its
+// generation on a prev-hit so repeated lookups keep it resident.
+func (s *VerifiedSet) Has(k Digest) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.cur[k]; ok {
+		return true
+	}
+	if _, ok := s.prev[k]; ok {
+		s.add(k)
+		return true
+	}
+	return false
+}
+
+// Add records a successful verification.
+func (s *VerifiedSet) Add(k Digest) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.add(k)
+}
+
+func (s *VerifiedSet) add(k Digest) {
+	if _, ok := s.cur[k]; ok {
+		return
+	}
+	if len(s.cur) >= s.half {
+		s.prev = s.cur
+		s.cur = make(map[Digest]struct{})
+	}
+	delete(s.prev, k) // a promoted entry moves; generations stay disjoint
+	s.cur[k] = struct{}{}
+}
+
+// Verify is t.Key.Verify behind the set: a resident check returns true
+// without touching ECDSA, a miss runs the check and records a success.
+func (s *VerifiedSet) Verify(t VerifyTask) bool {
+	k := t.MemoKey()
+	if s.Has(k) {
+		return true
+	}
+	if !t.Key.Verify(t.Digest, t.Sig) {
+		return false
+	}
+	s.Add(k)
+	return true
+}
+
+// Len reports resident entries across both generations.
+func (s *VerifiedSet) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.cur) + len(s.prev)
+}

@@ -42,6 +42,22 @@
 // CheckBatchShape uses the same roll-up to validate relayed batches
 // without executing them.
 //
+// # What a receipt check costs
+//
+// The signature is per batch and only the audit path is per transaction
+// (§3.3): a client or auditor holding the 64 receipts of one batch owes
+// their shared header one signature check. BatchHeader.Verify — and so
+// Receipt.Verify — therefore consults one process-wide
+// hashsig.VerifiedSet: one ECDSA verification per distinct (key, signed
+// header fields, signature bytes) per process, then path hashing only,
+// until the triple ages out of a bounded two-generation set (a re-check,
+// never a different verdict). Failures are never cached. Two callers do
+// not use the set: Replay / ReplayFrom verify every header of the stream
+// they are given, every time — an auditor replays a ledger once, and a
+// replay must not be vouched for by an earlier one — and consensus
+// replicas, which verify headers through their own per-replica sets so
+// that replicas sharing a process share no verification state.
+//
 // # Memory ownership on the commit path
 //
 // The commit path recycles memory aggressively (see internal/pool), so
@@ -183,9 +199,25 @@ func (h *BatchHeader) SigningDigest() hashsig.Digest {
 	return d
 }
 
-// Verify reports whether the header carries a valid signature by pub.
+// maxVerifiedHeaders bounds verifiedHeaders across both generations. A
+// client's working set is the batches it has receipts outstanding for — a
+// few, or a few thousand for an auditor sampling a ledger — and 4096
+// members cost well under 1 MB; past it the oldest headers are re-checked.
+const maxVerifiedHeaders = 4096
+
+// verifiedHeaders is the process's set of header signature checks that
+// have succeeded, consulted by BatchHeader.Verify only (see the package
+// doc, "What a receipt check costs").
+var verifiedHeaders = hashsig.NewVerifiedSet(maxVerifiedHeaders)
+
+// Verify reports whether the header carries a valid signature by pub. The
+// first successful check of a given (pub, signed fields, signature bytes)
+// in this process costs one ECDSA verification; repeating it costs two
+// hashes and a map probe until the triple ages out of a bounded set.
+// Failures are never remembered, so a false verdict is always a fresh
+// ECDSA check, and changing any one of the three components is a miss.
 func (h *BatchHeader) Verify(pub *hashsig.PublicKey) bool {
-	return pub.Verify(h.SigningDigest(), h.Sig)
+	return verifiedHeaders.Verify(hashsig.VerifyTask{Key: pub, Digest: h.SigningDigest(), Sig: h.Sig})
 }
 
 // MaxSigLen bounds signature fields accepted on decode.
@@ -239,7 +271,10 @@ type Receipt struct {
 
 // Verify checks the receipt against the replica public key: the header
 // signature must be valid and the entry's sharded audit path must root in
-// ¯G under the header's signed shard count.
+// ¯G under the header's signed shard count. The signature is per batch and
+// only the path is per transaction (§3.3), so the receipts of one batch owe
+// their shared header one ECDSA check between them (BatchHeader.Verify);
+// the path is hashed for every receipt, every time.
 func (r *Receipt) Verify(pub *hashsig.PublicKey) bool {
 	if !r.Header.Verify(pub) {
 		return false

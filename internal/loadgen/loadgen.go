@@ -130,6 +130,11 @@ type worker struct {
 	author hashsig.Digest
 	target int // index into cfg.Addrs
 	cl     *node.RPCClient
+	// signer indexes the cfg.Pubs key the last receipt verified under: it
+	// is tried first, because a failed check is never cached — after a
+	// view change every receipt would otherwise pay a full ECDSA failure
+	// under each earlier key before reaching the primary's.
+	signer int
 }
 
 // runWorker returns one latency per committed request.
@@ -230,8 +235,10 @@ func (wk *worker) verify(rq *ledger.Request, rc *ledger.Receipt) error {
 		return fmt.Errorf("loadgen: receipt is for author %x reqno %d, want reqno %d",
 			rc.Entry.Author[:4], rc.Entry.ReqNo, rq.ReqNo)
 	}
-	for _, pub := range wk.cfg.Pubs {
-		if rc.Verify(pub) {
+	for i := range wk.cfg.Pubs {
+		try := (wk.signer + i) % len(wk.cfg.Pubs)
+		if rc.Verify(wk.cfg.Pubs[try]) {
+			wk.signer = try
 			return nil
 		}
 	}

@@ -130,3 +130,50 @@ func TestWorkerFollowsLeaderHint(t *testing.T) {
 		t.Fatalf("unexpected result: %s", res)
 	}
 }
+
+// TestVerifyTriesLastSignerFirst: failed checks are never cached, so after
+// a view change a worker that walked Pubs in index order would pay a full
+// failed ECDSA check per earlier key on every receipt. The first receipt
+// from a new signer walks (one miss of the remembered index); the following
+// ones start at the key that verified last.
+func TestVerifyTriesLastSignerFirst(t *testing.T) {
+	keys := make([]*hashsig.PrivateKey, 4)
+	pubs := make([]*hashsig.PublicKey, 4)
+	for i := range keys {
+		keys[i] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("signer/%d", i))
+		pubs[i] = keys[i].Public()
+	}
+	author := hashsig.Sum([]byte("signer/client"))
+	reqNo := uint64(0)
+	receiptFrom := func(signer int) (*ledger.Request, *ledger.Receipt) {
+		l, err := ledger.New(ledger.Config{Key: keys[signer], App: ledger.KVApp{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqNo++
+		rq := ledger.Request{Author: author, ReqNo: reqNo, Body: ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}})}
+		_, rcs, err := l.ExecuteBatch([]ledger.Request{rq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &rq, &rcs[0]
+	}
+	wk := &worker{cfg: &Config{Pubs: pubs}}
+	for step, signer := range []int{2, 2, 2, 0, 3} {
+		rq, rc := receiptFrom(signer)
+		if err := wk.verify(rq, rc); err != nil {
+			t.Fatalf("step %d: honest receipt from replica %d rejected: %v", step, signer, err)
+		}
+		if wk.signer != signer {
+			t.Fatalf("step %d: worker remembers key %d, receipt verified under %d", step, wk.signer, signer)
+		}
+	}
+	rq, rc := receiptFrom(1)
+	rc.Header.Seq++
+	if err := wk.verify(rq, rc); err == nil {
+		t.Fatal("receipt that verifies under no key accepted")
+	}
+	if wk.signer != 3 {
+		t.Fatalf("a failed verification moved the remembered key to %d", wk.signer)
+	}
+}

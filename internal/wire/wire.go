@@ -175,8 +175,15 @@ func (w *Writer) write(p []byte) {
 	}
 }
 
-// Uint32 writes v big-endian.
+// Uint32 writes v big-endian. Like Uint64 and Digest it appends directly
+// in append mode (which never fails): a stack buffer handed to write
+// escapes through the stream sink, and signing preimages — built per
+// receipt check, not just per batch — must not allocate.
 func (w *Writer) Uint32(v uint32) {
+	if w.app {
+		w.buf = AppendUint32(w.buf, v)
+		return
+	}
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], v)
 	w.write(b[:])
@@ -184,6 +191,10 @@ func (w *Writer) Uint32(v uint32) {
 
 // Uint64 writes v big-endian.
 func (w *Writer) Uint64(v uint64) {
+	if w.app {
+		w.buf = AppendUint64(w.buf, v)
+		return
+	}
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	w.write(b[:])
@@ -210,7 +221,12 @@ func (w *Writer) String(s string) {
 
 // Digest writes the raw digest bytes.
 func (w *Writer) Digest(d hashsig.Digest) {
-	w.write(d[:])
+	if w.app {
+		w.buf = AppendDigest(w.buf, d)
+		return
+	}
+	b := d // the copy, not the parameter, is what escapes into the sink
+	w.write(b[:])
 }
 
 // Nonce writes the raw nonce bytes (fixed size, no prefix). Consensus
