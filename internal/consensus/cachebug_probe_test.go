@@ -38,16 +38,16 @@ func TestHeaderSigCacheCrossKeyProbe(t *testing.T) {
 	if _, err := backup.Handle(pp); err != nil {
 		t.Fatalf("valid pre-prepare rejected: %v", err)
 	}
-	// Tamper the embedded header signature: Proposal.Sig does not cover
-	// Header.Sig bytes, so the proposal signature still verifies.
+	// Same statement, other signature bytes: the set is keyed on the
+	// signature as well as the digest, so the warm replica must not vouch.
 	evil := *pp
-	evil.Prop.Header.Sig = []byte("garbage")
-	if err := backup.validateProposal(&evil.Prop); err == nil {
-		t.Errorf("BUG CONFIRMED: proposal with garbage header signature passes validateProposal (cache hit)")
+	evil.Header.Sig = []byte("garbage")
+	if err := backup.verifyStatement(&evil.Header); err == nil {
+		t.Errorf("BUG CONFIRMED: pre-prepare with a garbage signature passes verifyStatement (cache hit)")
 	}
-	// Fresh backup with cold cache rejects it, showing divergent validation.
+	// Fresh backup with cold cache rejects it too: no divergent validation.
 	cold := mk(2)
-	if err := cold.validateProposal(&evil.Prop); err == nil {
-		t.Errorf("cold replica also accepts garbage header sig?!")
+	if err := cold.verifyStatement(&evil.Header); err == nil {
+		t.Errorf("cold replica also accepts a garbage signature?!")
 	}
 }

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"iaccf/internal/hashsig"
+	"iaccf/internal/ledger"
 	"iaccf/internal/wire"
 )
 
@@ -11,24 +12,24 @@ type NonceOpen struct {
 	Nonce   hashsig.Nonce
 }
 
-// CommitCert proves that a batch committed: the proposal, the signed
-// prepares that announced each backup's nonce commitment, and 2f+1 revealed
-// nonces opening those commitments (the primary's commitment rides in the
-// proposal itself). View-change messages carry the sender's certificate for
+// CommitCert proves that a batch committed: the primary's signed header,
+// the signed prepares that announced each backup's nonce commitment, and
+// 2f+1 revealed nonces opening those commitments (the primary's commitment
+// rides in the header itself). View-change messages carry the sender's certificate for
 // its last committed batch, making the CommittedSeq claim verifiable — a
 // Byzantine replica can replay an old certificate but can never exhibit one
 // for a sequence number that did not actually commit.
 type CommitCert struct {
-	Prop     Proposal
+	Header   ledger.BatchHeader
 	Prepares []Prepare
 	Opens    []NonceOpen
 }
 
 // Seq returns the committed batch sequence number the certificate proves.
-func (c *CommitCert) Seq() uint64 { return c.Prop.Seq() }
+func (c *CommitCert) Seq() uint64 { return c.Header.Seq }
 
 // Verify reports whether the certificate proves a commit under the given
-// replica keys: the proposal and every counted prepare must be validly
+// replica keys: the header and every counted prepare must be validly
 // signed, and at least quorum distinct replicas must have an opened nonce
 // matching their announced commitment.
 func (c *CommitCert) Verify(peers []*hashsig.PublicKey, quorum int) bool {
@@ -45,25 +46,29 @@ func (c *CommitCert) Verify(peers []*hashsig.PublicKey, quorum int) bool {
 }
 
 // structure checks everything about the certificate except signature
-// validity — identities, proposal binding, and the opened-nonce quorum —
-// and returns the signature checks still owed as verification tasks.
+// validity — identities, every prepare naming this exact statement (the
+// same content under another view's statement does not count), and the
+// opened-nonce quorum — and returns the signature checks still owed as
+// verification tasks.
 // Replicas batch those through a memoizing pooled verifier; the plain
 // Verify above runs them inline.
 func (c *CommitCert) structure(peers []*hashsig.PublicKey, quorum int) ([]hashsig.VerifyTask, bool) {
 	n := ReplicaID(len(peers))
-	if c.Prop.Primary >= n || c.Prop.Primary != ReplicaID(c.Prop.View%uint64(n)) {
+	primary := ReplicaID(c.Header.Primary)
+	key := StatementKey(peers)(&c.Header)
+	if key == nil {
 		return nil, false
 	}
-	propDigest := c.Prop.SigningDigest()
+	statement := c.Header.StatementDigest()
 	tasks := make([]hashsig.VerifyTask, 0, 1+len(c.Prepares))
-	tasks = append(tasks, hashsig.VerifyTask{Key: peers[c.Prop.Primary], Digest: propDigest, Sig: c.Prop.Sig})
-	commits := map[ReplicaID]hashsig.Digest{c.Prop.Primary: c.Prop.NonceCommit}
+	tasks = append(tasks, hashsig.VerifyTask{Key: key, Digest: statement, Sig: c.Header.Sig})
+	commits := map[ReplicaID]hashsig.Digest{primary: c.Header.NonceCommit}
 	for i := range c.Prepares {
 		p := &c.Prepares[i]
-		if p.Replica >= n || p.Replica == c.Prop.Primary {
+		if p.Replica >= n || p.Replica == primary {
 			return nil, false
 		}
-		if p.Prop.SigningDigest() != propDigest {
+		if p.Header.StatementDigest() != statement {
 			return nil, false
 		}
 		tasks = append(tasks, hashsig.VerifyTask{Key: peers[p.Replica], Digest: p.SigningDigest(), Sig: p.Sig})
@@ -80,7 +85,7 @@ func (c *CommitCert) structure(peers []*hashsig.PublicKey, quorum int) ([]hashsi
 }
 
 func (c *CommitCert) encodeTo(w *wire.Writer) {
-	c.Prop.encodeTo(w)
+	c.Header.EncodeTo(w)
 	w.Uint32(uint32(len(c.Prepares)))
 	for i := range c.Prepares {
 		c.Prepares[i].encodeBody(w)
@@ -93,7 +98,7 @@ func (c *CommitCert) encodeTo(w *wire.Writer) {
 }
 
 func decodeCommitCert(r *wire.Reader) *CommitCert {
-	c := &CommitCert{Prop: decodeProposal(r)}
+	c := &CommitCert{Header: ledger.DecodeHeader(r)}
 	np := r.Uint32()
 	if r.Err() == nil && np > maxViewChanges {
 		r.Fail(errTooMany("prepares", np))

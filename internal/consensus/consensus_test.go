@@ -78,6 +78,12 @@ func (c *cluster) flood(skip ...ReplicaID) {
 	}
 }
 
+// envelope is the envelope primary would sign with in view, under a fresh
+// nonce commitment — what tests forging a primary's statements need.
+func envelope(view uint64, primary ReplicaID) ledger.Envelope {
+	return ledger.Envelope{View: view, Primary: uint32(primary), NonceCommit: hashsig.NewNonce().Commit()}
+}
+
 func reqs(author hashsig.Digest, base uint64, n int) []ledger.Request {
 	out := make([]ledger.Request, n)
 	for i := range out {
@@ -204,24 +210,19 @@ func TestEquivocatingPrimaryYieldsBlame(t *testing.T) {
 
 	// The primary signs two different batches for seq 1 by executing one,
 	// rolling back (Lemma 1 makes this cheap), and executing the other.
-	batchA, _, err := primary.Ledger().ExecuteBatch(reqs(author, 10, 2))
+	batchA, _, err := primary.Ledger().ExecuteBatchAs(envelope(0, 0), reqs(author, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.Ledger().RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
-	batchB, _, err := primary.Ledger().ExecuteBatch(reqs(author, 99, 2))
+	batchB, _, err := primary.Ledger().ExecuteBatchAs(envelope(0, 0), reqs(author, 99, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(b *ledger.Batch) *PrePrepare {
-		nonce := hashsig.NewNonce()
-		prop := Proposal{View: 0, Primary: 0, Header: b.Header, NonceCommit: nonce.Commit()}
-		prop.Sig = c.keys[0].MustSign(prop.SigningDigest())
-		return &PrePrepare{Prop: prop, Entries: b.Entries}
-	}
-	ppA, ppB := mk(batchA), mk(batchB)
+	ppA := &PrePrepare{Header: batchA.Header, Entries: batchA.Entries}
+	ppB := &PrePrepare{Header: batchB.Header, Entries: batchB.Entries}
 
 	outA, err := c.replicas[1].Handle(ppA)
 	if err != nil {
@@ -231,7 +232,7 @@ func TestEquivocatingPrimaryYieldsBlame(t *testing.T) {
 		t.Fatalf("replica 2 rejects honest-looking pre-prepare: %v", err)
 	}
 	// Replica 2 now receives replica 1's prepare, which carries the
-	// conflicting primary-signed proposal: blame must appear.
+	// conflicting primary-signed header: blame must appear.
 	for _, o := range outA {
 		c.replicas[2].Handle(o.Msg)
 	}
@@ -257,16 +258,13 @@ func TestEquivocatingPrimaryYieldsBlame(t *testing.T) {
 func TestBlameVerifyRejectsForgery(t *testing.T) {
 	key := hashsig.GenerateKeyFromSeed("blame-forge")
 	other := hashsig.GenerateKeyFromSeed("blame-other")
-	mk := func(seq uint64, tag byte) Proposal {
-		p := Proposal{
-			View:        3,
-			Primary:     3,
-			Header:      ledger.BatchHeader{Seq: seq, GSize: uint64(tag), Shards: 1},
-			NonceCommit: hashsig.Sum([]byte{tag}),
+	mk := func(seq uint64, tag byte) ledger.BatchHeader {
+		h := ledger.BatchHeader{
+			Envelope: ledger.Envelope{View: 3, Primary: 3, NonceCommit: hashsig.Sum([]byte{tag})},
+			Seq:      seq, GSize: uint64(tag), Shards: 1,
 		}
-		p.Header.Sig = key.MustSign(p.Header.SigningDigest())
-		p.Sig = key.MustSign(p.SigningDigest())
-		return p
+		h.Sig = key.MustSign(h.StatementDigest())
+		return h
 	}
 	a, b := mk(7, 1), mk(7, 2)
 	bl := blameFrom(&a, &b, key.Public())
@@ -276,6 +274,21 @@ func TestBlameVerifyRejectsForgery(t *testing.T) {
 	if blameFrom(&a, &a, key.Public()) != nil {
 		t.Fatal("identical proposals produced blame")
 	}
+	// Two statements for one slot and one batch — a second nonce commitment,
+	// both validly signed — bind the primary to one content: not blame.
+	renonced := a
+	renonced.NonceCommit = hashsig.Sum([]byte("another nonce"))
+	renonced.Sig = key.MustSign(renonced.StatementDigest())
+	if renonced.StatementDigest() == a.StatementDigest() || blameFrom(&a, &renonced, key.Public()) != nil {
+		t.Fatal("same content under a second nonce commitment produced blame")
+	}
+	// Nor is the same content stated in another view.
+	later := a
+	later.View = 7
+	later.Sig = key.MustSign(later.StatementDigest())
+	if blameFrom(&a, &later, key.Public()) != nil {
+		t.Fatal("statements from different views produced blame")
+	}
 	cross := mk(8, 3)
 	if blameFrom(&a, &cross, key.Public()) != nil {
 		t.Fatal("different sequence numbers produced blame")
@@ -284,7 +297,7 @@ func TestBlameVerifyRejectsForgery(t *testing.T) {
 		t.Fatal("blame verified against the wrong key")
 	}
 	tampered := *bl
-	tampered.B.Header.GSize = 99
+	tampered.B.GSize = 99
 	if tampered.Verify(key.Public()) {
 		t.Fatal("tampered blame verified")
 	}
@@ -365,8 +378,8 @@ func TestPreparedBatchSurvivesViewChange(t *testing.T) {
 		t.Fatal("no replica reached the prepared stage")
 	}
 	// View change: the prepared batch must be re-proposed and commit in
-	// view 1 with the same header commitments.
-	wantDigest := pp.Prop.Header.SigningDigest()
+	// view 1 with the same content, under the new primary's statement.
+	wantDigest := pp.Header.ContentDigest()
 	for _, id := range []int{1, 2, 3} {
 		c.queue = append(c.queue, outMsgs(c.replicas[id].OnTimeout())...)
 	}
@@ -374,8 +387,11 @@ func TestPreparedBatchSurvivesViewChange(t *testing.T) {
 	c.assertAgreement(1, 1, 2, 3)
 	for _, id := range []int{1, 2, 3} {
 		b := c.replicas[id].Ledger().Batches()
-		if len(b) != 1 || b[0].Header.SigningDigest() != wantDigest {
+		if len(b) != 1 || b[0].Header.ContentDigest() != wantDigest {
 			t.Fatalf("replica %d committed a different batch than the prepared one", id)
+		}
+		if h := &b[0].Header; h.View != 1 || h.Primary != 1 || !h.Verify(c.keys[1].Public()) {
+			t.Fatalf("replica %d holds the batch under view %d primary %d, want the new primary's statement", id, h.View, h.Primary)
 		}
 	}
 }
@@ -395,8 +411,8 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	msgs = append(msgs, outMsgs(out1)...)
 	msgs = append(msgs, &Commit{
 		View: 1, Replica: 2, Seq: 9,
-		HeaderDigest: hashsig.Sum([]byte("h")),
-		Nonce:        hashsig.NonceFromSeed("n"),
+		Statement: hashsig.Sum([]byte("h")),
+		Nonce:     hashsig.NonceFromSeed("n"),
 	})
 	msgs = append(msgs, outMsgs(c.replicas[2].OnTimeout())...)
 	for i, m := range msgs {

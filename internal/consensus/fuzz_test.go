@@ -18,7 +18,9 @@ func messageCorpus() [][]byte {
 	if err != nil {
 		panic(err)
 	}
-	batch, _, err := led.ExecuteBatch([]ledger.Request{{
+	nonce := hashsig.NonceFromSeed("fuzz-nonce")
+	env := ledger.Envelope{View: 1, Primary: 1, NonceCommit: nonce.Commit()}
+	batch, _, err := led.ExecuteBatchAs(env, []ledger.Request{{
 		Author: hashsig.Sum([]byte("client")),
 		ReqNo:  1,
 		Body:   ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}}),
@@ -26,16 +28,13 @@ func messageCorpus() [][]byte {
 	if err != nil {
 		panic(err)
 	}
-	nonce := hashsig.NonceFromSeed("fuzz-nonce")
-	prop := Proposal{View: 1, Primary: 1, Header: batch.Header, NonceCommit: nonce.Commit()}
-	prop.Sig = key.MustSign(prop.SigningDigest())
-	pp := &PrePrepare{Prop: prop, Entries: batch.Entries}
-	prep := &Prepare{Replica: 2, Prop: prop, NonceCommit: nonce.Commit()}
+	pp := &PrePrepare{Header: batch.Header, Entries: batch.Entries}
+	prep := &Prepare{Replica: 2, Header: batch.Header, NonceCommit: nonce.Commit()}
 	prep.Sig = key.MustSign(prep.SigningDigest())
-	cm := &Commit{View: 1, Replica: 2, Seq: 1, HeaderDigest: batch.Header.SigningDigest(), Nonce: nonce}
+	cm := &Commit{View: 1, Replica: 2, Seq: 1, Statement: batch.Header.StatementDigest(), Nonce: nonce}
 	vc := &ViewChange{
 		NewView: 2, Replica: 3, CommittedSeq: 1,
-		CommitProof: &CommitCert{Prop: prop, Prepares: []Prepare{*prep}, Opens: []NonceOpen{{Replica: 2, Nonce: nonce}}},
+		CommitProof: &CommitCert{Header: batch.Header, Prepares: []Prepare{*prep}, Opens: []NonceOpen{{Replica: 2, Nonce: nonce}}},
 		Prepared:    []PreparedProof{{PP: *pp, Prepares: []Prepare{*prep}}},
 	}
 	vc.Sig = key.MustSign(vc.SigningDigest())

@@ -1,11 +1,23 @@
 // Package consensus implements the L-PBFT core of IA-CCF (paper §3): the
-// pre-prepare / prepare / commit / view-change message flow over signed
-// ledger.BatchHeader commitments, with nonce-commitment openings replacing
-// commit-phase signatures (Appx. A Lemma 3) and view changes that roll
-// replicas back to the last committed batch boundary (Lemma 1).
+// pre-prepare / prepare / commit / view-change message flow, with
+// nonce-commitment openings replacing commit-phase signatures (Appx. A
+// Lemma 3) and view changes that roll replicas back to the last committed
+// batch boundary (Lemma 1).
 //
-// Every signed message binds the signer's ReplicaID and the view, so a
-// replica that signs two conflicting proposals for the same (view, seq) has
+// A replica signs once per batch. The primary's statement is the signed
+// ledger.BatchHeader itself — view, primary, nonce commitment and content
+// under one signature — so a pre-prepare is a ledger.Batch and there is no
+// separate proposal object. A backup's statement is its Prepare, which
+// signs (its identity, the header's StatementDigest, its own nonce
+// commitment). Commits are unsigned openings. Two questions are kept apart
+// throughout (see the ledger package doc): "same batch?" compares
+// BatchHeader.ContentDigest — re-acks, re-proposal pins, the prepared chain
+// a new view inherits, the state-transfer anchor; "same pre-prepare?"
+// compares BatchHeader.StatementDigest — prepares, commits, certificates,
+// the verified-signature set.
+//
+// Every statement binds the signer's index and the view, so a primary that
+// signs two statements with different content for the same (view, seq) has
 // produced self-contained blame evidence (see Blame) naming its key — the
 // individual accountability the paper is built around.
 package consensus
@@ -27,18 +39,19 @@ type ReplicaID uint32
 type MsgType uint8
 
 const (
-	// MsgPrePrepare carries the primary's proposal plus the batch entries.
+	// MsgPrePrepare carries the primary's signed header plus the batch
+	// entries.
 	MsgPrePrepare MsgType = 1
-	// MsgPrepare is a backup's signed agreement to a proposal, carrying the
-	// proposal itself so conflicting primary signatures cross-pollinate into
-	// blame evidence.
+	// MsgPrepare is a backup's signed agreement to a pre-prepare, carrying
+	// the signed header itself so conflicting primary signatures
+	// cross-pollinate into blame evidence.
 	MsgPrepare MsgType = 2
 	// MsgCommit reveals the sender's nonce preimage; opening the commitment
 	// announced in its pre-prepare/prepare authenticates the message without
 	// a second signature (Lemma 3), so commits are unsigned.
 	MsgCommit MsgType = 3
 	// MsgViewChange asks to move to a new view, carrying the sender's
-	// committed sequence number and its prepared-but-uncommitted proposal.
+	// committed sequence number and its prepared-but-uncommitted batches.
 	MsgViewChange MsgType = 4
 	// MsgNewView is the new primary's 2f+1 view-change certificate.
 	MsgNewView MsgType = 5
@@ -72,74 +85,33 @@ type Message interface {
 }
 
 // Domain separators for every consensus signature, so no message can be
-// replayed as another kind.
+// replayed as another kind. (The pre-prepare's is in package ledger, with
+// the header it signs.)
 var (
-	proposalDomain   = []byte("iaccf-preprepare:")
 	prepareDomain    = []byte("iaccf-prepare:")
 	viewChangeDomain = []byte("iaccf-viewchange:")
 	newViewDomain    = []byte("iaccf-newview:")
 )
 
-// Proposal is the signed core of a pre-prepare, detached from the batch
-// entries: the view, the proposing primary, the primary-signed batch header
-// it commits to, and the primary's nonce commitment H(n). Prepares carry
-// the proposal they answer and blame evidence stores conflicting pairs.
-type Proposal struct {
-	View        uint64
-	Primary     ReplicaID
-	Header      ledger.BatchHeader
-	NonceCommit hashsig.Digest
-	Sig         hashsig.Signature
+// StatementKey returns the ledger.KeyOf for headers signed under this
+// replica set: the key of the header's claimed primary, provided that
+// replica leads the header's claimed view — nil otherwise, which verifies
+// nothing. It is how a replica checks a pre-prepare and how an auditor
+// replays a ledger that lived through view changes.
+func StatementKey(peers []*hashsig.PublicKey) ledger.KeyOf {
+	return func(h *ledger.BatchHeader) *hashsig.PublicKey {
+		if n := uint64(len(peers)); n == 0 || uint64(h.Primary) != h.View%n {
+			return nil
+		}
+		return peers[h.Primary]
+	}
 }
 
-// Seq returns the batch sequence number the proposal is for.
-func (p *Proposal) Seq() uint64 { return p.Header.Seq }
-
-// SigningDigest returns the digest the primary signs: the view, its own
-// identity, the header's signing digest (not its malleable signature
-// bytes), and the nonce commitment, domain separated. Signing preimages
-// here and below are assembled in pooled scratch: these run for every
-// message sent and verified, and must not allocate per call.
-func (p *Proposal) SigningDigest() hashsig.Digest {
-	b := wire.GetScratch(128)
-	b = append(b, proposalDomain...)
-	b = wire.AppendUint64(b, p.View)
-	b = wire.AppendUint32(b, uint32(p.Primary))
-	b = wire.AppendDigest(b, p.Header.SigningDigest())
-	b = wire.AppendDigest(b, p.NonceCommit)
-	d := hashsig.Sum(b)
-	wire.PutScratch(b)
-	return d
-}
-
-// Verify reports whether the proposal carries a valid signature by pub.
-func (p *Proposal) Verify(pub *hashsig.PublicKey) bool {
-	return pub.Verify(p.SigningDigest(), p.Sig)
-}
-
-func (p *Proposal) encodeTo(w *wire.Writer) {
-	w.Uint64(p.View)
-	w.Uint32(uint32(p.Primary))
-	p.Header.EncodeTo(w)
-	w.Digest(p.NonceCommit)
-	w.Bytes(p.Sig)
-}
-
-func decodeProposal(r *wire.Reader) Proposal {
-	var p Proposal
-	p.View = r.Uint64()
-	p.Primary = ReplicaID(r.Uint32())
-	p.Header = ledger.DecodeHeader(r)
-	p.NonceCommit = r.Digest()
-	p.Sig = r.Bytes(ledger.MaxSigLen)
-	return p
-}
-
-// PrePrepare is the primary's proposal plus the batch entries backups
-// re-execute (ledger.ApplyBatch). Prop.Header is the header of the carried
-// batch.
+// PrePrepare is the primary's proposal: the signed header — the statement,
+// carrying the primary's one signature for the batch — plus the entries
+// backups re-execute (ledger.ApplyBatch). On the wire it is a ledger.Batch.
 type PrePrepare struct {
-	Prop    Proposal
+	Header  ledger.BatchHeader
 	Entries []ledger.Entry
 }
 
@@ -148,56 +120,25 @@ func (m *PrePrepare) Type() MsgType { return MsgPrePrepare }
 
 // Batch reassembles the proposed batch from the header and entries.
 func (m *PrePrepare) Batch() *ledger.Batch {
-	return &ledger.Batch{Header: m.Prop.Header, Entries: m.Entries}
+	return &ledger.Batch{Header: m.Header, Entries: m.Entries}
 }
 
-func (m *PrePrepare) encodeBody(w *wire.Writer) {
-	m.Prop.encodeTo(w)
-	w.Uint32(uint32(len(m.Entries)))
-	// One pooled scratch buffer serves every entry: w.Bytes copies the
-	// encoding into the frame, so the scratch never escapes.
-	b := wire.GetScratch(256)
-	for i := range m.Entries {
-		b = m.Entries[i].Encode(b[:0])
-		w.Bytes(b)
-	}
-	wire.PutScratch(b)
-}
+func (m *PrePrepare) encodeBody(w *wire.Writer) { m.Batch().EncodeTo(w) }
 
 func decodePrePrepare(r *wire.Reader) *PrePrepare {
-	m := &PrePrepare{Prop: decodeProposal(r)}
-	ne := r.Uint32()
-	if r.Err() == nil && ne > ledger.MaxBatchEntries {
-		r.Fail(fmt.Errorf("%w: %d entries", ErrBadMessage, ne))
-		return m
-	}
-	m.Entries = make([]ledger.Entry, 0, min(ne, 1024))
-	for i := uint32(0); i < ne && r.Err() == nil; i++ {
-		// View, not copy: DecodeEntry itself copies everything an Entry
-		// retains (Payload), so the frame slice is only read within the loop
-		// body and one copy per entry is saved in bytes mode.
-		b := r.BytesView(wire.MaxValueLen)
-		if r.Err() != nil {
-			break
-		}
-		e, err := ledger.DecodeEntry(b)
-		if err != nil {
-			r.Fail(err)
-			break
-		}
-		m.Entries = append(m.Entries, e)
-	}
-	return m
+	b := ledger.DecodeBatch(r)
+	return &PrePrepare{Header: b.Header, Entries: b.Entries}
 }
 
-// Prepare is a backup's signed agreement to a proposal. It carries the full
-// proposal (primary signature included) rather than a bare digest: a
-// replica that received a different proposal for the same (view, seq)
-// thereby obtains both conflicting primary signatures and can construct
-// Blame evidence without any extra round.
+// Prepare is a backup's signed agreement to a pre-prepare, and the backup's
+// only signature for the batch. It carries the full signed header (primary
+// signature included) rather than a bare digest: a replica that received a
+// different header for the same (view, seq) thereby obtains both
+// conflicting primary signatures and can construct Blame evidence without
+// any extra round.
 type Prepare struct {
 	Replica     ReplicaID
-	Prop        Proposal
+	Header      ledger.BatchHeader
 	NonceCommit hashsig.Digest // H(n) of the backup's own commit nonce
 	Sig         hashsig.Signature
 }
@@ -205,13 +146,15 @@ type Prepare struct {
 // Type implements Message.
 func (m *Prepare) Type() MsgType { return MsgPrepare }
 
-// SigningDigest covers the backup's identity, the proposal it answers, and
-// the backup's nonce commitment.
+// SigningDigest covers the backup's identity, the statement it answers, and
+// the backup's nonce commitment. Signing preimages here and below are
+// assembled in pooled scratch: these run for every message sent and
+// verified, and must not allocate per call.
 func (m *Prepare) SigningDigest() hashsig.Digest {
 	b := wire.GetScratch(128)
 	b = append(b, prepareDomain...)
 	b = wire.AppendUint32(b, uint32(m.Replica))
-	b = wire.AppendDigest(b, m.Prop.SigningDigest())
+	b = wire.AppendDigest(b, m.Header.StatementDigest())
 	b = wire.AppendDigest(b, m.NonceCommit)
 	d := hashsig.Sum(b)
 	wire.PutScratch(b)
@@ -225,14 +168,14 @@ func (m *Prepare) Verify(pub *hashsig.PublicKey) bool {
 
 func (m *Prepare) encodeBody(w *wire.Writer) {
 	w.Uint32(uint32(m.Replica))
-	m.Prop.encodeTo(w)
+	m.Header.EncodeTo(w)
 	w.Digest(m.NonceCommit)
 	w.Bytes(m.Sig)
 }
 
 func decodePrepare(r *wire.Reader) *Prepare {
 	m := &Prepare{Replica: ReplicaID(r.Uint32())}
-	m.Prop = decodeProposal(r)
+	m.Header = ledger.DecodeHeader(r)
 	m.NonceCommit = r.Digest()
 	m.Sig = r.Bytes(ledger.MaxSigLen)
 	return m
@@ -241,14 +184,14 @@ func decodePrepare(r *wire.Reader) *Prepare {
 // Commit reveals the sender's nonce preimage for one instance. It carries
 // no signature: only the replica that committed to H(n) in its
 // pre-prepare or prepare can produce n, so the opening itself authenticates
-// the message (Lemma 3). HeaderDigest pins which proposal the nonce was
+// the message (Lemma 3). Statement pins which pre-prepare the nonce was
 // committed for.
 type Commit struct {
-	View         uint64
-	Replica      ReplicaID
-	Seq          uint64
-	HeaderDigest hashsig.Digest // BatchHeader.SigningDigest of the proposal
-	Nonce        hashsig.Nonce
+	View      uint64
+	Replica   ReplicaID
+	Seq       uint64
+	Statement hashsig.Digest // BatchHeader.StatementDigest of the pre-prepare
+	Nonce     hashsig.Nonce
 }
 
 // Type implements Message.
@@ -258,23 +201,23 @@ func (m *Commit) encodeBody(w *wire.Writer) {
 	w.Uint64(m.View)
 	w.Uint32(uint32(m.Replica))
 	w.Uint64(m.Seq)
-	w.Digest(m.HeaderDigest)
+	w.Digest(m.Statement)
 	w.Nonce(m.Nonce)
 }
 
 func decodeCommit(r *wire.Reader) *Commit {
 	return &Commit{
-		View:         r.Uint64(),
-		Replica:      ReplicaID(r.Uint32()),
-		Seq:          r.Uint64(),
-		HeaderDigest: r.Digest(),
-		Nonce:        r.Nonce(),
+		View:      r.Uint64(),
+		Replica:   ReplicaID(r.Uint32()),
+		Seq:       r.Uint64(),
+		Statement: r.Digest(),
+		Nonce:     r.Nonce(),
 	}
 }
 
 // PreparedProof is one prepared-but-uncommitted instance carried inside a
 // view-change: the batch's pre-prepare plus the prepares backing it —
-// together with the proposal's own primary signature they must cover 2f+1
+// together with the header's own primary signature they must cover 2f+1
 // replicas.
 type PreparedProof struct {
 	PP       PrePrepare
@@ -312,7 +255,7 @@ type ViewChange struct {
 func (m *ViewChange) Type() MsgType { return MsgViewChange }
 
 // SigningDigest covers the target view, the sender, its committed sequence
-// number, and the identity of every prepared proposal in order; the
+// number, and the identity of every prepared statement in order; the
 // prepared entries are bound transitively through each header's ¯G.
 func (m *ViewChange) SigningDigest() hashsig.Digest {
 	b := wire.GetScratch(64 + 32*len(m.Prepared))
@@ -322,7 +265,7 @@ func (m *ViewChange) SigningDigest() hashsig.Digest {
 	b = wire.AppendUint64(b, m.CommittedSeq)
 	b = wire.AppendUint32(b, uint32(len(m.Prepared)))
 	for i := range m.Prepared {
-		b = wire.AppendDigest(b, m.Prepared[i].PP.Prop.SigningDigest())
+		b = wire.AppendDigest(b, m.Prepared[i].PP.Header.StatementDigest())
 	}
 	d := hashsig.Sum(b)
 	wire.PutScratch(b)

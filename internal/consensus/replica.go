@@ -31,9 +31,10 @@ const DefaultWindow = 4
 type Config struct {
 	// ID is this replica's index; Peers[ID] must be Key's public half.
 	ID ReplicaID
-	// Key signs batch headers and protocol messages. One key per replica,
-	// shared with its ledger, so blame evidence names the same identity the
-	// ledger's signed headers do.
+	// Key signs this replica's statements — batch headers while it is
+	// primary, prepares while it is a backup — and view-change messages. One
+	// key per replica, shared with its ledger, so blame evidence names the
+	// same identity the ledger's signed headers do.
 	Key *hashsig.PrivateKey
 	// Peers holds every replica's public key, indexed by ReplicaID. The
 	// configuration tolerates f = (len(Peers)-1)/3 faults.
@@ -53,7 +54,9 @@ type Config struct {
 	Pool *hashsig.VerifierPool
 }
 
-// slotKey identifies one proposal slot for equivocation detection.
+// slotKey identifies one proposal slot for equivocation detection: a
+// primary may sign any number of views' statements for one seq, but only
+// one batch content per (view, seq).
 type slotKey struct {
 	view uint64
 	seq  uint64
@@ -65,12 +68,13 @@ type slotKey struct {
 // (execution is sequential) but their prepare/commit quorums may complete
 // in any order — commits are applied in order by advanceCommits.
 type instance struct {
-	prop         *Proposal
-	headerDigest hashsig.Digest // prop.Header.SigningDigest()
-	propDigest   hashsig.Digest // prop.SigningDigest()
-	entries      []ledger.Entry
-	ownHeader    *ledger.BatchHeader
-	nonce        hashsig.Nonce // own commit nonce
+	// stmt is the primary's signed header for this instance; content and
+	// statement cache its two digests (which batch; which pre-prepare).
+	stmt      *ledger.BatchHeader
+	content   hashsig.Digest // stmt.ContentDigest()
+	statement hashsig.Digest // stmt.StatementDigest()
+	entries   []ledger.Entry
+	nonce     hashsig.Nonce // own commit nonce
 	// passive marks a catch-up instance replayed from an older view's
 	// traffic: the replica executes and collects, but emits nothing, and
 	// commits only on a full quorum of openings.
@@ -78,7 +82,7 @@ type instance struct {
 	// reack marks an instance for a seq this replica already committed.
 	reack bool
 	// prepMsgs holds the valid prepares seen, by backup (never the
-	// primary, whose endorsement and nonce commitment ride in prop).
+	// primary, whose endorsement and nonce commitment ride in stmt).
 	prepMsgs map[ReplicaID]*Prepare
 	// opens holds revealed nonces, validated against commitments lazily.
 	opens        map[ReplicaID]hashsig.Nonce
@@ -89,15 +93,15 @@ type instance struct {
 	ownCommit     *Commit
 }
 
-// endorsers counts distinct replicas backing the proposal: the primary via
-// its proposal signature plus one per valid prepare.
+// endorsers counts distinct replicas backing the statement: the primary via
+// its header signature plus one per valid prepare.
 func (in *instance) endorsers() int { return 1 + len(in.prepMsgs) }
 
 // commitment returns the nonce commitment replica id announced for this
 // instance, if known.
 func (in *instance) commitment(id ReplicaID) (hashsig.Digest, bool) {
-	if id == in.prop.Primary {
-		return in.prop.NonceCommit, true
+	if id == ReplicaID(in.stmt.Primary) {
+		return in.stmt.NonceCommit, true
 	}
 	if p, ok := in.prepMsgs[id]; ok {
 		return p.NonceCommit, true
@@ -130,6 +134,7 @@ type Replica struct {
 	window int
 	led    *ledger.Ledger
 	pool   *hashsig.VerifierPool
+	keyOf  ledger.KeyOf // StatementKey(cfg.Peers)
 
 	view      uint64
 	committed uint64 // highest committed batch seq (0 = none)
@@ -163,9 +168,10 @@ type Replica struct {
 	ownVC        *ViewChange
 	vcs          map[uint64]map[ReplicaID]*ViewChange
 	lastNewView  *NewView
-	// mustRepropose pins, per sequence number, the header digest the
+	// mustRepropose pins, per sequence number, the content digest the
 	// current view's primary is obliged to re-propose (from the new-view
-	// certificate's contiguous prepared chain).
+	// certificate's contiguous prepared chain) — content, not statement: the
+	// new primary re-signs the batch under its own view.
 	mustRepropose map[uint64]hashsig.Digest
 	// pendingRepropose is the chain a new primary must re-propose but
 	// cannot yet, because it is still catching up to the chain's start.
@@ -174,9 +180,9 @@ type Replica struct {
 	// new-view certificate; fresh proposals stay above it.
 	proposeFloor uint64
 
-	// seen records the first valid proposal per (view, seq); a second one
-	// with a different header digest is equivocation.
-	seen     map[slotKey]*Proposal
+	// seen records the first valid statement per (view, seq); a second one
+	// with different content is equivocation.
+	seen     map[slotKey]*ledger.BatchHeader
 	evidence []*Blame
 	blamed   map[slotKey]bool
 
@@ -186,7 +192,7 @@ type Replica struct {
 
 	// sigOK holds the signature checks this replica has already made (or
 	// signatures it produced itself), so buffered messages are not
-	// re-verified on every drain pass and a proposal carried by several
+	// re-verified on every drain pass and a statement carried by several
 	// prepares is checked once.
 	sigOK *hashsig.VerifiedSet
 
@@ -247,12 +253,13 @@ func New(cfg Config) (*Replica, error) {
 		window:        cfg.Window,
 		led:           led,
 		pool:          pool,
+		keyOf:         StatementKey(cfg.Peers),
 		insts:         make(map[uint64]*instance),
 		reacks:        make(map[uint64]*instance),
 		recentOwn:     make(map[uint64][]Message),
 		vcs:           make(map[uint64]map[ReplicaID]*ViewChange),
 		mustRepropose: make(map[uint64]hashsig.Digest),
-		seen:          make(map[slotKey]*Proposal),
+		seen:          make(map[slotKey]*ledger.BatchHeader),
 		blamed:        make(map[slotKey]bool),
 		sigOK:         hashsig.NewVerifiedSet(maxSigCache),
 	}, nil
@@ -296,11 +303,11 @@ func (r *Replica) DebugState() string {
 		for _, seq := range sortedKeys(r.insts) {
 			in := r.insts[seq]
 			win += fmt.Sprintf("inst{view %d seq %d passive %v prepared %v endorsers %d opens %d} ",
-				in.prop.View, seq, in.passive, in.preparedCert, in.endorsers(), len(in.opens))
+				in.stmt.View, seq, in.passive, in.preparedCert, in.endorsers(), len(in.opens))
 		}
 		for _, seq := range sortedKeys(r.reacks) {
 			in := r.reacks[seq]
-			win += fmt.Sprintf("reack{view %d seq %d endorsers %d opens %d} ", in.prop.View, seq, in.endorsers(), len(in.opens))
+			win += fmt.Sprintf("reack{view %d seq %d endorsers %d opens %d} ", in.stmt.View, seq, in.endorsers(), len(in.opens))
 		}
 	}
 	return fmt.Sprintf("replica %d: view %d committed %d window %d vc %v(target %d) floor %d obligations %d pending %d future %d sync %d(ahead %d) retained %d %s",
@@ -346,59 +353,79 @@ func (r *Replica) Idle() bool {
 
 // Propose executes reqs as the next batch and returns the pre-prepare to
 // broadcast plus the client receipts. Only the primary may propose, and
-// only while the proposal window has room (CanPropose).
+// only while the proposal window has room (CanPropose). The batch's header
+// is the pre-prepare statement: the ledger signs it, once, with this view,
+// this replica and a fresh nonce commitment in the envelope.
 func (r *Replica) Propose(reqs []ledger.Request) (*PrePrepare, []ledger.Receipt, error) {
 	if !r.IsPrimary() || !r.CanPropose() {
 		return nil, nil, ErrNotPrimary
 	}
-	batch, receipts, err := r.led.ExecuteBatch(reqs)
+	nonce := hashsig.NewNonce()
+	batch, receipts, err := r.led.ExecuteBatchAs(r.envelope(nonce), reqs)
 	if err != nil {
 		return nil, nil, err
 	}
-	pp := r.proposeBatch(batch)
-	return pp, receipts, nil
+	return r.openOwn(batch, nonce), receipts, nil
 }
 
-// proposeBatch wraps an already-executed batch (ExecuteBatch or ApplyBatch
-// output adopted into the ledger) into a proposal and opens the instance.
-// A batch at or below the committed boundary opens as a re-ack.
-func (r *Replica) proposeBatch(batch *ledger.Batch) *PrePrepare {
+// envelope is what this replica, as primary of the current view, puts
+// around a batch it proposes under nonce.
+func (r *Replica) envelope(nonce hashsig.Nonce) ledger.Envelope {
+	return ledger.Envelope{View: r.view, Primary: uint32(r.cfg.ID), NonceCommit: nonce.Commit()}
+}
+
+// restate re-signs a batch this replica re-proposes as primary of the
+// current view: the same content under this view's envelope and a fresh
+// nonce — one signature, no execution.
+func (r *Replica) restate(h *ledger.BatchHeader, entries []ledger.Entry) (*ledger.Batch, hashsig.Nonce) {
 	nonce := hashsig.NewNonce()
-	prop := &Proposal{
-		View:        r.view,
-		Primary:     r.cfg.ID,
-		Header:      batch.Header,
-		NonceCommit: nonce.Commit(),
-	}
-	headerDigest, propDigest := prop.Header.SigningDigest(), prop.SigningDigest()
-	prop.Sig = r.cfg.Key.MustSign(propDigest)
-	// Both signatures are this replica's own (every retained header is
-	// signed or co-signed locally), so the prepares that carry the proposal
-	// back owe them no ECDSA check.
-	self := r.cfg.Peers[r.cfg.ID]
-	r.sigOK.Add(hashsig.VerifyTask{Key: self, Digest: headerDigest, Sig: prop.Header.Sig}.MemoKey())
-	r.sigOK.Add(hashsig.VerifyTask{Key: self, Digest: propDigest, Sig: prop.Sig}.MemoKey())
-	pp := &PrePrepare{Prop: *prop, Entries: batch.Entries}
-	r.seen[slotKey{prop.View, prop.Seq()}] = prop
-	in := &instance{
-		prop:          prop,
-		headerDigest:  headerDigest,
-		propDigest:    propDigest,
-		entries:       batch.Entries,
-		ownHeader:     &batch.Header,
-		nonce:         nonce,
-		reack:         prop.Seq() <= r.committed,
-		prepMsgs:      make(map[ReplicaID]*Prepare),
-		opens:         make(map[ReplicaID]hashsig.Nonce),
-		ownPrePrepare: pp,
-	}
+	return &ledger.Batch{Header: r.led.Restate(h, r.envelope(nonce)), Entries: entries}, nonce
+}
+
+// openOwn opens the instance for a batch whose header this replica just
+// signed as primary under nonce, and returns the pre-prepare. A batch at or
+// below the committed boundary opens as a re-ack.
+func (r *Replica) openOwn(batch *ledger.Batch, nonce hashsig.Nonce) *PrePrepare {
+	pp := &PrePrepare{Header: batch.Header, Entries: batch.Entries}
+	in := newInstance(&pp.Header, pp.Entries, nonce)
+	in.reack = in.stmt.Seq <= r.committed
+	in.ownPrePrepare = pp
+	// The signature is this replica's own, so the prepares that carry the
+	// statement back owe it no ECDSA check.
+	r.sigOK.Add(hashsig.VerifyTask{Key: r.cfg.Peers[r.cfg.ID], Digest: in.statement, Sig: in.stmt.Sig}.MemoKey())
+	r.seen[slotKey{in.stmt.View, in.stmt.Seq}] = in.stmt
 	if in.reack {
-		r.reacks[prop.Seq()] = in
+		r.reacks[in.stmt.Seq] = in
 	} else {
-		r.insts[prop.Seq()] = in
+		r.insts[in.stmt.Seq] = in
 	}
 	r.gen++
 	return pp
+}
+
+// newInstance returns an instance for the statement stmt under this
+// replica's own commit nonce.
+func newInstance(stmt *ledger.BatchHeader, entries []ledger.Entry, nonce hashsig.Nonce) *instance {
+	return &instance{
+		stmt:      stmt,
+		content:   stmt.ContentDigest(),
+		statement: stmt.StatementDigest(),
+		entries:   entries,
+		nonce:     nonce,
+		prepMsgs:  make(map[ReplicaID]*Prepare),
+		opens:     make(map[ReplicaID]hashsig.Nonce),
+	}
+}
+
+// prepare signs this replica's agreement to the instance's statement — its
+// one signature for the batch as a backup — records it and queues the
+// broadcast.
+func (r *Replica) prepare(in *instance, out *[]Outbound) {
+	prep := &Prepare{Replica: r.cfg.ID, Header: *in.stmt, NonceCommit: in.nonce.Commit()}
+	prep.Sig = r.cfg.Key.MustSign(prep.SigningDigest())
+	in.ownPrepare = prep
+	in.prepMsgs[r.cfg.ID] = prep
+	*out = append(*out, toAll(prep))
 }
 
 // Handle processes one message and returns the addressed envelopes to send
@@ -476,11 +503,12 @@ func (r *Replica) handle(m Message, out *[]Outbound) error {
 	}
 }
 
-// checkEquivocation records prop as the canonical proposal for its slot, or
-// — if a different proposal already holds the slot — captures blame against
-// the primary and reports the conflict.
-func (r *Replica) checkEquivocation(prop *Proposal) bool {
-	key := slotKey{prop.View, prop.Seq()}
+// checkEquivocation records h as the canonical statement for its slot, or —
+// if a statement with different content already holds the slot — captures
+// blame against the primary and reports the conflict. The same content
+// under a second nonce commitment is not a conflict.
+func (r *Replica) checkEquivocation(h *ledger.BatchHeader) bool {
+	key := slotKey{h.View, h.Seq}
 	if key.seq > r.committed+uint64(r.window) {
 		// Outside the proposal window: the message gets buffered and
 		// re-checked once in range. Recording it now would let a Byzantine
@@ -489,14 +517,14 @@ func (r *Replica) checkEquivocation(prop *Proposal) bool {
 	}
 	prev, ok := r.seen[key]
 	if !ok {
-		r.seen[key] = prop
+		r.seen[key] = h
 		return false
 	}
-	if prev.Header.SigningDigest() == prop.Header.SigningDigest() {
+	if prev.ContentDigest() == h.ContentDigest() {
 		return false
 	}
 	if !r.blamed[key] {
-		if bl := blameFrom(prev, prop, r.cfg.Peers[prop.Primary]); bl != nil {
+		if bl := blameFrom(prev, h, r.cfg.Peers[h.Primary]); bl != nil {
 			r.blamed[key] = true
 			r.evidence = append(r.evidence, bl)
 		}
@@ -504,23 +532,20 @@ func (r *Replica) checkEquivocation(prop *Proposal) bool {
 	return true
 }
 
-// proposalStructure checks a proposal's identity claims: right primary for
-// its view, indices in range.
-func (r *Replica) proposalStructure(prop *Proposal) error {
-	if int(prop.Primary) >= r.n || prop.Primary != r.primaryOf(prop.View) {
-		return fmt.Errorf("%w: proposal from %d for view %d", ErrInvalid, prop.Primary, prop.View)
+// statementStructure checks a statement's identity claims: right primary
+// for its view, index in range.
+func (r *Replica) statementStructure(h *ledger.BatchHeader) error {
+	if r.keyOf(h) == nil {
+		return fmt.Errorf("%w: proposal from %d for view %d", ErrInvalid, h.Primary, h.View)
 	}
 	return nil
 }
 
-// validateProposal checks a proposal's provenance: right primary for its
-// view, valid proposal signature, valid header signature by the same key.
-func (r *Replica) validateProposal(prop *Proposal) error {
-	if err := r.proposalStructure(prop); err != nil {
-		return err
-	}
-	if !r.verifyTasks(r.proposalTasks(prop, nil)) {
-		return fmt.Errorf("%w: bad proposal or header signature", ErrInvalid)
+// verifyStatement checks the statement's one signature, by the primary it
+// names (structure already checked).
+func (r *Replica) verifyStatement(h *ledger.BatchHeader) error {
+	if !r.verifyTasks([]hashsig.VerifyTask{r.statementTask(h)}) {
+		return fmt.Errorf("%w: bad pre-prepare signature", ErrInvalid)
 	}
 	return nil
 }
@@ -536,20 +561,25 @@ func (r *Replica) instanceAt(seq uint64) *instance {
 }
 
 func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
-	prop := &pp.Prop
-	if err := r.validateProposal(prop); err != nil {
+	h := &pp.Header
+	if err := r.statementStructure(h); err != nil {
 		return err
 	}
-	seq := prop.Seq()
+	seq := h.Seq
 	if seq == 0 || seq+uint64(r.window) <= r.committed {
-		return nil // stale: outside the retained re-ack window
+		// Stale: outside the retained re-ack window. Dropped before the
+		// signature check — a verdict nobody will use is not worth an ECDSA.
+		return nil
 	}
-	if prop.View > r.view {
+	if err := r.verifyStatement(h); err != nil {
+		return err
+	}
+	if h.View > r.view {
 		r.buffer(pp)
 		return nil
 	}
-	if r.checkEquivocation(prop) {
-		return fmt.Errorf("%w: equivocating proposal at view %d seq %d", ErrInvalid, prop.View, seq)
+	if r.checkEquivocation(h) {
+		return fmt.Errorf("%w: equivocating proposal at view %d seq %d", ErrInvalid, h.View, seq)
 	}
 	if r.inViewChange {
 		// Park it: if the view change lands us past this proposal's view,
@@ -559,7 +589,7 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 	}
 
 	if seq <= r.committed {
-		if prop.View < r.view {
+		if h.View < r.view {
 			return nil // an old view's re-proposal; nothing to gain
 		}
 		// Re-proposal of a batch we already committed (a new primary helping
@@ -575,9 +605,9 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 		return nil
 	}
 
-	passive := prop.View < r.view
+	passive := h.View < r.view
 	if in := r.insts[seq]; in != nil {
-		if in.prop.View == prop.View && in.headerDigest == prop.Header.SigningDigest() {
+		if in.statement == h.StatementDigest() {
 			// Duplicate delivery; stragglers pull resends via Retransmit
 			// (re-emitting here would echo-amplify every broadcast).
 			return nil
@@ -585,7 +615,7 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 		if passive {
 			return nil // one catch-up instance per slot; first wins
 		}
-		if !in.passive && in.prop.View == prop.View {
+		if !in.passive && in.stmt.View == h.View {
 			return nil // conflicting same-view proposal; blame recorded above
 		}
 		// A current-view proposal replaces an older view's passive
@@ -600,36 +630,25 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 		return nil
 	}
 	if !passive {
-		if want, pinned := r.mustRepropose[seq]; pinned && prop.Header.SigningDigest() != want {
+		// The pin is on content: the prepared batch comes back under the new
+		// primary's own statement.
+		if want, pinned := r.mustRepropose[seq]; pinned && h.ContentDigest() != want {
 			return fmt.Errorf("%w: view %d primary must re-propose the prepared batch at seq %d", ErrInvalid, r.view, seq)
 		}
 	}
 
-	ownHeader, err := r.led.ApplyBatch(pp.Batch())
-	if err != nil {
+	// Re-execute, compare, and adopt the primary's header as received: the
+	// ledger holds the pre-prepare this replica accepted.
+	if _, err := r.led.ApplyBatch(pp.Batch()); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	nonce := hashsig.NewNonce()
-	in := &instance{
-		prop:         prop,
-		headerDigest: prop.Header.SigningDigest(),
-		propDigest:   prop.SigningDigest(),
-		entries:      pp.Entries,
-		ownHeader:    ownHeader, // our own signature over the same commitments
-		nonce:        nonce,
-		passive:      passive,
-		prepMsgs:     make(map[ReplicaID]*Prepare),
-		opens:        make(map[ReplicaID]hashsig.Nonce),
-	}
+	in := newInstance(h, pp.Entries, hashsig.NewNonce())
+	in.passive = passive
 	r.insts[seq] = in
 	r.gen++
 	if !passive {
 		delete(r.mustRepropose, seq)
-		prep := &Prepare{Replica: r.cfg.ID, Prop: *prop, NonceCommit: nonce.Commit()}
-		prep.Sig = r.cfg.Key.MustSign(prep.SigningDigest())
-		in.ownPrepare = prep
-		in.prepMsgs[r.cfg.ID] = prep
-		*out = append(*out, toAll(prep))
+		r.prepare(in, out)
 	}
 	r.checkPrepared(in, out)
 	r.advanceCommits(out)
@@ -638,37 +657,22 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 
 // startReack opens a participation-only instance for a batch this replica
 // already committed, so replicas that missed the original round can gather
-// a quorum in the new view.
+// a quorum in the new view. The re-proposal is a new statement; what must
+// match the committed batch is its content.
 func (r *Replica) startReack(pp *PrePrepare, out *[]Outbound) error {
-	seq := pp.Prop.Seq()
-	digest := pp.Prop.Header.SigningDigest()
+	seq := pp.Header.Seq
 	ownBatch := r.committedBatch(seq)
-	if ownBatch == nil || ownBatch.Header.SigningDigest() != digest {
+	if ownBatch == nil || ownBatch.Header.ContentDigest() != pp.Header.ContentDigest() {
 		return fmt.Errorf("%w: re-proposal conflicts with committed batch %d", ErrInvalid, seq)
 	}
-	if in := r.reacks[seq]; in != nil && in.prop.View >= pp.Prop.View {
+	if in := r.reacks[seq]; in != nil && in.stmt.View >= pp.Header.View {
 		return nil // duplicate delivery (same-view conflicts blame earlier)
 	}
-	prop := &pp.Prop
-	nonce := hashsig.NewNonce()
-	in := &instance{
-		prop:         prop,
-		headerDigest: digest,
-		propDigest:   prop.SigningDigest(),
-		entries:      pp.Entries,
-		ownHeader:    &ownBatch.Header,
-		nonce:        nonce,
-		reack:        true,
-		prepMsgs:     make(map[ReplicaID]*Prepare),
-		opens:        make(map[ReplicaID]hashsig.Nonce),
-	}
+	in := newInstance(&pp.Header, pp.Entries, hashsig.NewNonce())
+	in.reack = true
 	r.reacks[seq] = in
 	r.gen++
-	prep := &Prepare{Replica: r.cfg.ID, Prop: *prop, NonceCommit: nonce.Commit()}
-	prep.Sig = r.cfg.Key.MustSign(prep.SigningDigest())
-	in.ownPrepare = prep
-	in.prepMsgs[r.cfg.ID] = prep
-	*out = append(*out, toAll(prep))
+	r.prepare(in, out)
 	r.checkPrepared(in, out)
 	return nil
 }
@@ -716,33 +720,36 @@ func (r *Replica) abandonFrom(seq uint64) {
 }
 
 func (r *Replica) handlePrepare(p *Prepare, out *[]Outbound) error {
-	prop := &p.Prop
-	if err := r.proposalStructure(prop); err != nil {
+	h := &p.Header
+	if err := r.statementStructure(h); err != nil {
 		return err
 	}
-	if int(p.Replica) >= r.n || p.Replica == prop.Primary {
+	if int(p.Replica) >= r.n || p.Replica == ReplicaID(h.Primary) {
 		return fmt.Errorf("%w: prepare from %d", ErrInvalid, p.Replica)
 	}
-	// All three signature checks — the carried proposal's pair and the
-	// backup's own — go through the set and pool in one pass.
+	seq := h.Seq
+	if seq <= r.committed && r.reacks[seq] == nil {
+		// The slot committed without this prepare (routinely: the third of
+		// three). Dropped before the signature checks — their verdict would
+		// be discarded.
+		return nil
+	}
+	// Both signature checks — the carried statement's and the backup's own —
+	// go through the set and pool in one pass.
 	if !r.verifyTasks(r.prepareTasks(p, nil)) {
 		return fmt.Errorf("%w: bad signature in prepare from %d", ErrInvalid, p.Replica)
 	}
-	seq := prop.Seq()
-	if seq <= r.committed && r.reacks[seq] == nil {
-		return nil
-	}
-	if prop.View > r.view {
+	if h.View > r.view {
 		r.buffer(p)
 		return nil
 	}
-	r.checkEquivocation(prop)
+	r.checkEquivocation(h)
 	if r.inViewChange {
 		r.buffer(p)
 		return nil
 	}
 	in := r.instanceAt(seq)
-	if in == nil || in.propDigest != prop.SigningDigest() {
+	if in == nil || in.statement != h.StatementDigest() {
 		if seq > r.committed {
 			r.buffer(p)
 		}
@@ -772,8 +779,8 @@ func (r *Replica) handleCommit(c *Commit, out *[]Outbound) error {
 		return nil
 	}
 	in := r.instanceAt(c.Seq)
-	if in == nil || in.prop.View != c.View || in.headerDigest != c.HeaderDigest ||
-		in.prop.Seq() != c.Seq {
+	if in == nil || in.stmt.View != c.View || in.statement != c.Statement ||
+		in.stmt.Seq != c.Seq {
 		if c.Seq > r.committed {
 			r.buffer(c)
 		}
@@ -799,7 +806,7 @@ func (r *Replica) handleCommit(c *Commit, out *[]Outbound) error {
 }
 
 // checkPrepared fires once 2f+1 distinct replicas back the instance's
-// proposal: the replica reveals its nonce in an unsigned commit message
+// statement: the replica reveals its nonce in an unsigned commit message
 // (Lemma 3).
 func (r *Replica) checkPrepared(in *instance, out *[]Outbound) {
 	if in == nil || in.preparedCert || in.passive || in.endorsers() < r.quorum {
@@ -807,11 +814,11 @@ func (r *Replica) checkPrepared(in *instance, out *[]Outbound) {
 	}
 	in.preparedCert = true
 	cm := &Commit{
-		View:         in.prop.View,
-		Replica:      r.cfg.ID,
-		Seq:          in.prop.Seq(),
-		HeaderDigest: in.headerDigest,
-		Nonce:        in.nonce,
+		View:      in.stmt.View,
+		Replica:   r.cfg.ID,
+		Seq:       in.stmt.Seq,
+		Statement: in.statement,
+		Nonce:     in.nonce,
 	}
 	in.ownCommit = cm
 	in.opens[r.cfg.ID] = in.nonce
@@ -866,10 +873,10 @@ func (r *Replica) advanceCommits(out *[]Outbound) {
 	}
 	// A parked re-proposal chain resumes the moment the primary reaches its
 	// start.
-	for len(r.pendingRepropose) > 0 && r.pendingRepropose[0].Prop.Seq() <= r.committed {
+	for len(r.pendingRepropose) > 0 && r.pendingRepropose[0].Header.Seq <= r.committed {
 		r.pendingRepropose = r.pendingRepropose[1:]
 	}
-	if len(r.pendingRepropose) > 0 && r.pendingRepropose[0].Prop.Seq() == r.committed+1 {
+	if len(r.pendingRepropose) > 0 && r.pendingRepropose[0].Header.Seq == r.committed+1 {
 		chain := r.pendingRepropose
 		r.pendingRepropose = nil
 		r.reproposeChain(chain, out)
@@ -878,7 +885,7 @@ func (r *Replica) advanceCommits(out *[]Outbound) {
 
 // buildCommitCert assembles the proof that the instance committed.
 func (r *Replica) buildCommitCert(in *instance) *CommitCert {
-	cert := &CommitCert{Prop: *in.prop}
+	cert := &CommitCert{Header: *in.stmt}
 	for _, id := range sortedKeys(in.prepMsgs) {
 		cert.Prepares = append(cert.Prepares, *in.prepMsgs[id])
 	}
@@ -934,7 +941,7 @@ func (r *Replica) startViewChange(target uint64) []Outbound {
 		if !in.preparedCert || seq <= r.committed {
 			continue
 		}
-		claim := PreparedProof{PP: PrePrepare{Prop: *in.prop, Entries: in.entries}}
+		claim := PreparedProof{PP: PrePrepare{Header: *in.stmt, Entries: in.entries}}
 		for _, id := range sortedKeys(in.prepMsgs) {
 			claim.Prepares = append(claim.Prepares, *in.prepMsgs[id])
 		}
@@ -969,34 +976,35 @@ func (r *Replica) viewChangeStructure(vc *ViewChange, tasks *[]hashsig.VerifyTas
 	lastSeq := vc.CommittedSeq
 	for i := range vc.Prepared {
 		claim := &vc.Prepared[i]
-		prop := &claim.PP.Prop
-		seq := prop.Seq()
+		h := &claim.PP.Header
+		seq := h.Seq
 		if seq <= lastSeq || seq > vc.CommittedSeq+uint64(r.window) {
 			return fmt.Errorf("%w: prepared batch at seq %d out of place", ErrInvalid, seq)
 		}
 		lastSeq = seq
-		if prop.View >= vc.NewView {
-			return fmt.Errorf("%w: prepared batch from view %d >= target %d", ErrInvalid, prop.View, vc.NewView)
+		if h.View >= vc.NewView {
+			return fmt.Errorf("%w: prepared batch from view %d >= target %d", ErrInvalid, h.View, vc.NewView)
 		}
-		if err := r.proposalStructure(prop); err != nil {
+		if err := r.statementStructure(h); err != nil {
 			return err
 		}
-		*tasks = r.proposalTasks(prop, *tasks)
+		*tasks = append(*tasks, r.statementTask(h))
 		// The entries ride outside every signature (the view-change binds
-		// only the proposal digest), so check they reproduce the signed ¯G:
+		// only the statement digest), so check they reproduce the signed ¯G:
 		// a relayed certificate with tampered entries must not reach the
 		// new primary, which would fail to re-execute it and stall the view.
 		if err := ledger.CheckBatchShape(claim.PP.Batch()); err != nil {
 			return fmt.Errorf("%w: prepared batch entries do not match header: %v", ErrInvalid, err)
 		}
-		endorsers := map[ReplicaID]bool{prop.Primary: true}
-		d := prop.SigningDigest()
+		primary := ReplicaID(h.Primary)
+		endorsers := map[ReplicaID]bool{primary: true}
+		d := h.StatementDigest()
 		for j := range claim.Prepares {
 			p := &claim.Prepares[j]
-			if int(p.Replica) >= r.n || p.Replica == prop.Primary {
+			if int(p.Replica) >= r.n || p.Replica == primary {
 				continue
 			}
-			if p.Prop.SigningDigest() != d {
+			if p.Header.StatementDigest() != d {
 				return fmt.Errorf("%w: bad prepare proof", ErrInvalid)
 			}
 			*tasks = append(*tasks, hashsig.VerifyTask{
@@ -1052,7 +1060,7 @@ func (r *Replica) handleViewChange(vc *ViewChange, out *[]Outbound) error {
 	// The committed claim was just certified against its commit proof.
 	r.noteAhead(vc.CommittedSeq)
 	for i := range vc.Prepared {
-		r.checkEquivocation(&vc.Prepared[i].PP.Prop)
+		r.checkEquivocation(&vc.Prepared[i].PP.Header)
 	}
 	r.recordViewChange(vc)
 	// Join rule: f+1 distinct replicas already gave up on our view — at
@@ -1142,11 +1150,11 @@ func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 	for i := range nv.VCs {
 		for j := range nv.VCs[i].Prepared {
 			pp := &nv.VCs[i].Prepared[j].PP
-			seq := pp.Prop.Seq()
+			seq := pp.Header.Seq
 			if seq <= maxCommitted {
 				continue
 			}
-			if cur, ok := best[seq]; !ok || pp.Prop.View > cur.Prop.View {
+			if cur, ok := best[seq]; !ok || pp.Header.View > cur.Header.View {
 				best[seq] = pp
 			}
 		}
@@ -1183,8 +1191,8 @@ func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 	isPrimary := r.primaryOf(v) == r.cfg.ID
 	if len(chain) > 0 {
 		for _, pp := range chain {
-			if seq := pp.Prop.Seq(); seq > r.committed {
-				r.mustRepropose[seq] = pp.Prop.Header.SigningDigest()
+			if seq := pp.Header.Seq; seq > r.committed {
+				r.mustRepropose[seq] = pp.Header.ContentDigest()
 			}
 		}
 		if isPrimary {
@@ -1214,7 +1222,9 @@ func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 // the last Window committed sequence numbers, oldest first. Bounded by the
 // window, it is the new primary's catch-up offer to laggards that fell
 // behind by more than one batch — the boundary batch alone would buffer
-// unusably on any replica whose ledger is further back.
+// unusably on any replica whose ledger is further back. Each goes out under
+// a new statement of this view (one signature, no re-execution); the ledger
+// keeps the statement the batch committed under.
 func (r *Replica) reproposeCommittedWindow(out *[]Outbound) {
 	if r.committed == 0 {
 		return
@@ -1225,18 +1235,19 @@ func (r *Replica) reproposeCommittedWindow(out *[]Outbound) {
 	}
 	for seq := lo; seq <= r.committed; seq++ {
 		if b := r.led.BatchAt(seq); b != nil {
-			*out = append(*out, toAll(r.proposeBatch(b)))
+			*out = append(*out, toAll(r.openOwn(r.restate(&b.Header, b.Entries))))
 		}
 	}
 }
 
-// reproposeChain is the new primary's obligation: re-execute and re-propose
-// the certificate's prepared chain, in order, byte-identically
-// (deterministic re-execution reproduces every header commitment). If the
-// primary is still behind the chain's start it parks the chain and resumes
-// as soon as it catches up.
+// reproposeChain is the new primary's obligation: re-propose the
+// certificate's prepared chain, in order, with identical content
+// (deterministic re-execution reproduces every commitment) under its own
+// statements — this view, this replica, a fresh nonce commitment, one
+// signature per batch. If the primary is still behind the chain's start it
+// parks the chain and resumes as soon as it catches up.
 func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
-	for len(chain) > 0 && chain[0].Prop.Seq() <= r.committed {
+	for len(chain) > 0 && chain[0].Header.Seq <= r.committed {
 		chain = chain[1:] // already committed here
 	}
 	if len(chain) == 0 {
@@ -1245,7 +1256,7 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 		r.reproposeCommittedWindow(out)
 		return
 	}
-	if first := chain[0].Prop.Seq(); first > r.committed+1 {
+	if first := chain[0].Header.Seq; first > r.committed+1 {
 		r.pendingRepropose = chain
 		return
 	}
@@ -1253,16 +1264,17 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 	// re-proposals supersede them either way.
 	r.abandonFrom(r.committed + 1)
 	for _, pp := range chain {
-		batch := pp.Batch()
-		ownHeader, err := r.led.ApplyBatch(batch)
-		if err != nil {
+		restated, nonce := r.restate(&pp.Header, pp.Entries)
+		// The ledger executes the batch under the statement it goes out
+		// with, as a backup accepting this pre-prepare will.
+		if _, err := r.led.ApplyBatch(restated); err != nil {
 			// A certified prepared batch re-executes cleanly by
 			// construction; if the application is nondeterministic nothing
 			// further can be proposed safely.
 			return
 		}
-		delete(r.mustRepropose, pp.Prop.Seq())
-		*out = append(*out, toAll(r.proposeBatch(&ledger.Batch{Header: *ownHeader, Entries: batch.Entries})))
+		delete(r.mustRepropose, pp.Header.Seq)
+		*out = append(*out, toAll(r.openOwn(restated, nonce)))
 	}
 }
 

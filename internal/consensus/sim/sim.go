@@ -156,9 +156,10 @@ type Sim struct {
 	lastCommit uint64 // sum of honest committed seqs at last progress
 	stall      int
 
-	// canon pins the first-committed header digest per seq; any honest
-	// replica committing a different header for the same seq is a safety
-	// violation.
+	// canon pins the first-committed content digest per seq; any honest
+	// replica committing different content for the same seq is a safety
+	// violation (the statement may differ: replicas can commit one batch
+	// under different views' pre-prepares).
 	canon map[uint64]hashsig.Digest
 	// checked tracks how far each honest replica's committed prefix has
 	// been compared against canon.
@@ -455,19 +456,12 @@ func (s *Sim) equivocate(id consensus.ReplicaID, rep *consensus.Replica) {
 	led := rep.Ledger()
 	seq := rep.Committed() + 1
 	mk := func(reqs []ledger.Request) *consensus.PrePrepare {
-		batch, _, err := led.ExecuteBatch(reqs)
+		env := ledger.Envelope{View: rep.View(), Primary: uint32(id), NonceCommit: hashsig.NewNonce().Commit()}
+		batch, _, err := led.ExecuteBatchAs(env, reqs)
 		if err != nil {
 			panic(err) // the deterministic workload always executes
 		}
-		nonce := hashsig.NewNonce()
-		prop := consensus.Proposal{
-			View:        rep.View(),
-			Primary:     id,
-			Header:      batch.Header,
-			NonceCommit: nonce.Commit(),
-		}
-		prop.Sig = s.keys[id].MustSign(prop.SigningDigest())
-		pp := &consensus.PrePrepare{Prop: prop, Entries: batch.Entries}
+		pp := &consensus.PrePrepare{Header: batch.Header, Entries: batch.Entries}
 		// Lemma 1 is the equivocator's accomplice: roll back and the ledger
 		// will happily sign a different batch for the same seq.
 		if err := led.RollbackTo(seq); err != nil {
@@ -520,10 +514,10 @@ func (s *Sim) checkInvariants() error {
 			if seq <= s.checked[id] || seq > committed {
 				continue
 			}
-			d := b.Header.SigningDigest()
+			d := b.Header.ContentDigest()
 			if prev, ok := s.canon[seq]; ok {
 				if prev != d {
-					return fmt.Errorf("safety: replica %d committed a different header at seq %d", id, seq)
+					return fmt.Errorf("safety: replica %d committed a different batch at seq %d", id, seq)
 				}
 			} else {
 				s.canon[seq] = d

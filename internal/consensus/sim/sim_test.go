@@ -178,7 +178,9 @@ func TestSimPartition(t *testing.T) {
 // TestSimReplayMatchesLiveState is the auditing property (paper §5) over a
 // consensus-committed stream: replaying any honest replica's batch stream
 // must reproduce every other honest replica's live state — store digest and
-// ¯M — across seeds and shard counts 1/4/16.
+// ¯M — across seeds and shard counts 1/4/16. A replica's ledger holds the
+// pre-prepares it accepted, so the replay is the keyed one: each header
+// under the key of the primary it names.
 func TestSimReplayMatchesLiveState(t *testing.T) {
 	pool := hashsig.NewVerifierPool(0)
 	defer pool.Close()
@@ -195,23 +197,86 @@ func TestSimReplayMatchesLiveState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, rep := range res.Replicas {
-				batches := rep.Ledger().Batches()
-				got, err := ledger.Replay(batches, keyFor(seed, id), ledger.KVApp{}, pool)
-				if err != nil {
-					t.Fatalf("shards %d seed %d: replay of replica %d: %v", shards, seed, id, err)
+			replayAll(t, fmt.Sprintf("shards %d seed %d", shards, seed), res, seed, shards, pool)
+		}
+	}
+}
+
+// TestSimReplayAcrossViews cuts the view-0 primary off mid-run, so the
+// majority finishes the workload in a later view: every honest ledger then
+// holds headers signed by more than one primary — each under the view it
+// was accepted in — and must still replay, keyed, to every replica's live
+// state. Replaying under any single replica key must fail.
+func TestSimReplayAcrossViews(t *testing.T) {
+	pool := hashsig.NewVerifierPool(0)
+	defer pool.Close()
+	for seed := int64(1); seed <= 5; seed++ {
+		res, err := Run(Config{
+			Seed:    seed,
+			Batches: 6,
+			// One batch at a time, so the cut lands between commits rather
+			// than after the whole workload is already in flight; no
+			// checkpoint, so nothing is pruned and every ledger still starts
+			// at genesis for the replay.
+			Window:          1,
+			CheckpointEvery: 100,
+			DropRate:        0.1,
+			ReorderRate:     0.3,
+			Partitions: []Partition{{
+				From:  40,
+				Until: 1500,
+				Group: map[consensus.ReplicaID]int{0: 1}, // isolate the view-0 primary
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Committed != 6 || res.FinalView == 0 {
+			t.Fatalf("seed %d: committed %d in final view %d", seed, res.Committed, res.FinalView)
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		replayAll(t, label, res, seed, 1, pool)
+		for id, rep := range res.Replicas {
+			batches := rep.Ledger().Batches()
+			views := map[uint64]bool{}
+			for _, b := range batches {
+				views[b.Header.View] = true
+			}
+			if len(views) < 2 {
+				t.Fatalf("%s: replica %d's ledger spans %d view(s); the schedule no longer crosses a view change", label, id, len(views))
+			}
+			for signer := range res.Replicas {
+				if _, err := ledger.Replay(batches, keyFor(seed, signer), ledger.KVApp{}, pool); err == nil {
+					t.Fatalf("%s: replica %d's two-view ledger replays under replica %d's key alone", label, id, signer)
 				}
-				if got.Shards != shards {
-					t.Fatalf("shards %d seed %d: replay saw %d shards", shards, seed, got.Shards)
-				}
-				for oid, other := range res.Replicas {
-					if got.HistRoot != other.Ledger().HistRoot() {
-						t.Fatalf("shards %d seed %d: replay of %d != live ¯M of %d", shards, seed, id, oid)
-					}
-					if got.StateDigest != other.Ledger().StateDigest() {
-						t.Fatalf("shards %d seed %d: replay of %d != live state of %d", shards, seed, id, oid)
-					}
-				}
+			}
+		}
+	}
+}
+
+// replayAll replays every honest replica's retained stream through the
+// keyed audit and compares the result with every honest replica's live
+// state.
+func replayAll(t *testing.T, label string, res *Result, seed int64, shards uint32, pool *hashsig.VerifierPool) {
+	t.Helper()
+	peers := make([]*hashsig.PublicKey, 4)
+	for i := range peers {
+		peers[i] = keyFor(seed, consensus.ReplicaID(i))
+	}
+	for id, rep := range res.Replicas {
+		got, err := ledger.ReplayKeyed(rep.Ledger().Batches(), consensus.StatementKey(peers), ledger.KVApp{}, pool)
+		if err != nil {
+			t.Fatalf("%s: replay of replica %d: %v", label, id, err)
+		}
+		if got.Shards != shards {
+			t.Fatalf("%s: replay saw %d shards", label, got.Shards)
+		}
+		for oid, other := range res.Replicas {
+			if got.HistRoot != other.Ledger().HistRoot() {
+				t.Fatalf("%s: replay of %d != live ¯M of %d", label, id, oid)
+			}
+			if got.StateDigest != other.Ledger().StateDigest() {
+				t.Fatalf("%s: replay of %d != live state of %d", label, id, oid)
 			}
 		}
 	}

@@ -1,0 +1,422 @@
+package consensus
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"iaccf/internal/hashsig"
+	"iaccf/internal/ledger"
+)
+
+// routed is one message with its sender, for delivery that — like every real
+// transport — never loops a message back to the replica that emitted it.
+type routed struct {
+	from ReplicaID
+	msg  Message
+}
+
+// deliverFIFO hands every queued message to every replica but its sender,
+// in order, queueing what they emit, until nothing is left.
+func deliverFIFO(reps []*Replica, queue []routed) {
+	for len(queue) > 0 {
+		e := queue[0]
+		queue = queue[1:]
+		for _, r := range reps {
+			if r.ID() == e.from {
+				continue
+			}
+			out, _ := r.Handle(e.msg)
+			for _, o := range out {
+				queue = append(queue, routed{r.ID(), o.Msg})
+			}
+		}
+	}
+}
+
+// TestSignaturesPerBatch asserts the protocol's ECDSA bill as a count: one
+// signed statement per replica per batch. The primary signs the header (1);
+// each backup verifies it (3), signs its prepare (3) and verifies the other
+// two backups' prepares (6); the primary verifies all three prepares (3) and
+// never its own statement coming back. 4 signs and 12 verifies — it was 8
+// and 15 while the header and the proposal were signed separately and every
+// backup co-signed the header. A ledger on its own pays 1 and 0.
+func TestSignaturesPerBatch(t *testing.T) {
+	const n, batches = 4, 32
+	reps := make([]*Replica, n)
+	for i := range reps {
+		// Distinct key objects per replica, as in separate processes: nothing
+		// is shared that a verification could be remembered on.
+		peers := make([]*hashsig.PublicKey, n)
+		for j := range peers {
+			peers[j] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("sig-bill-%d", j)).Public()
+		}
+		r, err := New(Config{
+			ID: ReplicaID(i), Key: hashsig.GenerateKeyFromSeed(fmt.Sprintf("sig-bill-%d", i)), Peers: peers,
+			App: ledger.KVApp{}, CheckpointEvery: 4, Shards: 1, Window: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = r
+	}
+	author := hashsig.Sum([]byte("client"))
+	for b := uint64(1); b <= batches; b++ {
+		signs, verifies := hashsig.Counts()
+		pp, _, err := reps[0].Propose(reqs(author, 10*b, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliverFIFO(reps, []routed{{0, pp}})
+		for _, r := range reps {
+			if r.Committed() != b || r.InFlight() != 0 {
+				t.Fatalf("batch %d: %s", b, r.DebugState())
+			}
+		}
+		s, v := hashsig.Counts()
+		if s-signs != 4 || v-verifies != 12 {
+			t.Fatalf("batch %d cost %d signs and %d verifies, want 4 and 12", b, s-signs, v-verifies)
+		}
+	}
+
+	led, err := ledger.New(ledger.Config{Key: hashsig.GenerateKeyFromSeed("sig-bill-bare"), App: ledger.KVApp{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	signs, verifies := hashsig.Counts()
+	if _, _, err := led.ExecuteBatch(reqs(author, 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if s, v := hashsig.Counts(); s-signs != 1 || v != verifies {
+		t.Fatalf("a bare ExecuteBatch cost %d signs and %d verifies, want 1 and 0", s-signs, v-verifies)
+	}
+}
+
+// TestStaleMessagesAreDroppedUnverified: a message whose slot has already
+// been decided is dropped on its sequence number alone — no signature is
+// checked, because the verdict would be discarded. The same bytes aimed at
+// a live slot are verified and rejected, which is what shows the drop is
+// the staleness rule and not a hole.
+func TestStaleMessagesAreDroppedUnverified(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	author := hashsig.Sum([]byte("client"))
+	var first *PrePrepare
+	for b := uint64(1); b <= DefaultWindow+1; b++ {
+		pp, _, err := c.replicas[0].Propose(reqs(author, 10*b, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = pp
+		}
+		c.queue = append(c.queue, pp)
+		c.flood()
+	}
+	c.assertAgreement(DefaultWindow+1, 0, 1, 2, 3)
+	r := c.replicas[3]
+	latest := r.Ledger().BatchAt(r.Committed())
+
+	// Validly structured, garbage signatures throughout.
+	forge := func(h ledger.BatchHeader) (*Prepare, *PrePrepare) {
+		h.Sig = []byte("garbage")
+		return &Prepare{Replica: 2, Header: h, NonceCommit: hashsig.Sum([]byte("n")), Sig: []byte("garbage")},
+			&PrePrepare{Header: h}
+	}
+	unverified := func(what string, m Message) {
+		t.Helper()
+		_, verifies := hashsig.Counts()
+		resident, buffered := r.sigOK.Len(), len(r.future)
+		out, err := r.Handle(m)
+		if err != nil || len(out) != 0 {
+			t.Fatalf("%s: got %d envelopes, err %v; want a silent drop", what, len(out), err)
+		}
+		if _, v := hashsig.Counts(); v != verifies {
+			t.Fatalf("%s cost %d signature verifications, want 0", what, v-verifies)
+		}
+		if r.sigOK.Len() != resident || len(r.future) != buffered {
+			t.Fatalf("%s changed replica state", what)
+		}
+	}
+	latePrep, _ := forge(latest.Header) // committed, inside the re-ack window, no re-ack open
+	unverified("a late prepare for a committed slot", latePrep)
+	_, stalePP := forge(first.Header) // seq 1 + window <= committed
+	unverified("a pre-prepare below the re-ack window", stalePP)
+
+	// The same forgeries for a slot that is still open are checked.
+	live := latest.Header
+	live.Seq = r.Committed() + 1
+	livePrep, livePP := forge(live)
+	for what, m := range map[string]Message{"prepare": livePrep, "pre-prepare": livePP} {
+		_, verifies := hashsig.Counts()
+		if _, err := r.Handle(m); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("forged %s for a live slot: err = %v, want ErrInvalid", what, err)
+		}
+		if _, v := hashsig.Counts(); v == verifies {
+			t.Fatalf("forged %s for a live slot was rejected without a signature check", what)
+		}
+	}
+}
+
+// viewChangeTo1 times replicas 1-3 out of view 0 and returns what the new
+// primary (replica 1) emits on forming the view-1 certificate: the new-view
+// message and its re-proposals. Replicas 2 and 3 have not seen any of it.
+func viewChangeTo1(t *testing.T, c *cluster) (nv *NewView, reproposals []*PrePrepare) {
+	t.Helper()
+	var vcs []Message
+	for _, id := range []int{1, 2, 3} {
+		vcs = append(vcs, outMsgs(c.replicas[id].OnTimeout())...)
+	}
+	var out []Outbound
+	for _, m := range vcs {
+		o, err := c.replicas[1].Handle(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, o...)
+	}
+	for _, m := range outMsgs(out) {
+		switch msg := m.(type) {
+		case *NewView:
+			nv = msg
+		case *PrePrepare:
+			reproposals = append(reproposals, msg)
+		}
+	}
+	if nv == nil || c.replicas[1].View() != 1 {
+		t.Fatal("replica 1 did not form view 1")
+	}
+	return nv, reproposals
+}
+
+// prepareFor returns the prepare among outs, which must answer stmt.
+func prepareFor(t *testing.T, outs []Outbound, stmt *ledger.BatchHeader) *Prepare {
+	t.Helper()
+	for _, m := range outMsgs(outs) {
+		if p, ok := m.(*Prepare); ok {
+			if p.Header.StatementDigest() != stmt.StatementDigest() {
+				t.Fatal("prepare answers another statement than the one delivered")
+			}
+			return p
+		}
+	}
+	t.Fatal("no prepare emitted")
+	return nil
+}
+
+// TestReackAcceptsNewViewsStatement: a batch committed under view 0 comes
+// back under the view-1 primary's statement (its offer to laggards). A
+// replica that committed it compares content, not statements: it joins the
+// new round from storage, and its ledger keeps the pre-prepare it committed.
+func TestReackAcceptsNewViewsStatement(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
+	old := c.queue[0].(*PrePrepare).Header
+	c.flood()
+	c.assertAgreement(1, 0, 1, 2, 3)
+
+	nv, reproposals := viewChangeTo1(t, c)
+	if len(reproposals) != 1 {
+		t.Fatalf("new primary re-proposed %d batches, want its one committed batch", len(reproposals))
+	}
+	pp := reproposals[0]
+	if pp.Header.View != 1 || pp.Header.Primary != 1 || pp.Header.Seq != 1 {
+		t.Fatalf("re-proposal is (view %d, primary %d, seq %d)", pp.Header.View, pp.Header.Primary, pp.Header.Seq)
+	}
+	if pp.Header.ContentDigest() != old.ContentDigest() || pp.Header.StatementDigest() == old.StatementDigest() {
+		t.Fatal("re-proposal must keep the content and change the statement")
+	}
+	if !pp.Header.Verify(c.keys[1].Public()) || pp.Header.Verify(c.keys[0].Public()) {
+		t.Fatal("re-proposal is not signed by the new primary alone")
+	}
+	r := c.replicas[2]
+	if _, err := r.Handle(nv); err != nil {
+		t.Fatal(err)
+	}
+	signs, _ := hashsig.Counts()
+	out, err := r.Handle(pp)
+	if err != nil {
+		t.Fatalf("replica that committed the batch under view 0 rejects its view-1 statement: %v", err)
+	}
+	prepareFor(t, out, &pp.Header)
+	if s, _ := hashsig.Counts(); s-signs != 1 {
+		t.Fatalf("re-ack cost %d signatures, want the prepare's one", s-signs)
+	}
+	if got := r.Ledger().BatchAt(1).Header.StatementDigest(); got != old.StatementDigest() {
+		t.Fatal("re-ack replaced the committed pre-prepare in the ledger")
+	}
+
+	// Different content at a committed seq is no re-ack, whoever signs it.
+	scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, _, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(hashsig.Sum([]byte("client")), 666, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.replicas[3].Handle(nv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.replicas[3].Handle(&PrePrepare{Header: evil.Header, Entries: evil.Entries}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("re-proposal with other content than the committed batch: err = %v, want ErrInvalid", err)
+	}
+}
+
+// TestPinnedReproposalIsByContent: a batch prepared in view 0 pins view 1's
+// primary to its content. The pinned backup accepts the batch under the new
+// primary's statement — and then holds that pre-prepare — but rejects any
+// other content at the pinned seq, validly signed or not.
+func TestPinnedReproposalIsByContent(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	author := hashsig.Sum([]byte("client"))
+	pp0, _, err := c.replicas[0].Propose(reqs(author, 10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prepares []Message
+	for _, id := range []int{1, 2, 3} {
+		out, err := c.replicas[id].Handle(pp0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepares = append(prepares, outMsgs(out)...)
+	}
+	for _, m := range prepares {
+		for _, id := range []int{1, 2, 3} {
+			c.replicas[id].Handle(m) // commits withheld: prepared, never committed
+		}
+	}
+
+	nv, reproposals := viewChangeTo1(t, c)
+	if len(reproposals) != 1 {
+		t.Fatalf("new primary re-proposed %d batches, want the prepared one", len(reproposals))
+	}
+	pp1 := reproposals[0]
+	if pp1.Header.View != 1 || pp1.Header.ContentDigest() != pp0.Header.ContentDigest() ||
+		pp1.Header.StatementDigest() == pp0.Header.StatementDigest() {
+		t.Fatal("the prepared batch must come back with its content under a view-1 statement")
+	}
+	if h := c.replicas[1].Ledger().BatchAt(1).Header; h.StatementDigest() != pp1.Header.StatementDigest() {
+		t.Fatal("new primary's ledger does not hold the statement it issued")
+	}
+
+	pinned := c.replicas[2]
+	if _, err := pinned.Handle(nv); err != nil {
+		t.Fatal(err)
+	}
+	if want, ok := pinned.mustRepropose[1]; !ok || want != pp0.Header.ContentDigest() {
+		t.Fatal("replica 2 is not pinned to the prepared content")
+	}
+	out, err := pinned.Handle(pp1)
+	if err != nil {
+		t.Fatalf("pinned replica rejects the prepared batch under the new view's statement: %v", err)
+	}
+	prepareFor(t, out, &pp1.Header)
+	if h := pinned.Ledger().BatchAt(1).Header; h.StatementDigest() != pp1.Header.StatementDigest() || !h.Verify(c.keys[1].Public()) {
+		t.Fatal("pinned replica's ledger does not hold the pre-prepare it accepted")
+	}
+
+	// Replica 3 is pinned too, and is offered different content instead —
+	// properly signed by the view-1 primary's key.
+	scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, _, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := c.replicas[3]
+	if _, err := other.Handle(nv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Handle(&PrePrepare{Header: evil.Header, Entries: evil.Entries}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("different content at a pinned seq: err = %v, want ErrInvalid", err)
+	}
+	if other.Ledger().Seq() != 1 {
+		t.Fatal("rejected re-proposal left its execution in the ledger")
+	}
+}
+
+// TestSecondNonceCommitmentIsNotEquivocation: at replica level, a second
+// statement for a slot with the same content and another nonce commitment
+// is neither accepted nor blamed; a second content is blamed, and the
+// evidence verifies offline under the primary's key alone.
+func TestSecondNonceCommitmentIsNotEquivocation(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	author := hashsig.Sum([]byte("client"))
+	primary, backup := c.replicas[0], c.replicas[1]
+	pp, _, err := primary.Propose(reqs(author, 10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backup.Handle(pp); err != nil {
+		t.Fatal(err)
+	}
+	renonced := &PrePrepare{Header: primary.Ledger().Restate(&pp.Header, envelope(0, 0)), Entries: pp.Entries}
+	if renonced.Header.StatementDigest() == pp.Header.StatementDigest() {
+		t.Fatal("a new nonce commitment left the statement unchanged")
+	}
+	if out, err := backup.Handle(renonced); err != nil || len(out) != 0 {
+		t.Fatalf("same content under a second nonce commitment: %d envelopes, err %v; want it ignored", len(out), err)
+	}
+	if ev := backup.Evidence(); len(ev) != 0 {
+		t.Fatalf("same content under a second nonce commitment produced blame: %v", ev[0])
+	}
+
+	scratch, err := ledger.New(ledger.Config{Key: c.keys[0], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, _, err := scratch.ExecuteBatchAs(envelope(0, 0), reqs(author, 666, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backup.Handle(&PrePrepare{Header: evil.Header, Entries: evil.Entries}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("second content for the slot: err = %v, want ErrInvalid", err)
+	}
+	ev := backup.Evidence()
+	if len(ev) != 1 || ev[0].View != 0 || ev[0].Seq != 1 {
+		t.Fatalf("want one blame at (view 0, seq 1), got %v", ev)
+	}
+	for i, k := range c.keys {
+		if got := ev[0].Verify(k.Public()); got != (i == 0) {
+			t.Fatalf("blame verifies under replica %d's key: %v", i, got)
+		}
+	}
+}
+
+// TestCommitCertBindsTheStatement: a certificate is about one pre-prepare.
+// Prepares that validly sign another view's statement of the same content
+// do not count toward it.
+func TestCommitCertBindsTheStatement(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
+	c.flood()
+	c.assertAgreement(1, 0, 1, 2, 3)
+	peers := c.replicas[0].cfg.Peers
+	cert := c.replicas[2].lastCommit
+	if cert == nil || !cert.Verify(peers, 3) {
+		t.Fatal("honest certificate does not verify")
+	}
+
+	// The same batch as view 1's primary would state it, and every backup's
+	// prepare re-signed over that statement with the nonce commitments the
+	// certificate's openings fit.
+	restated := c.replicas[1].Ledger().Restate(&cert.Header, ledger.Envelope{View: 1, Primary: 1, NonceCommit: cert.Header.NonceCommit})
+	forged := &CommitCert{Header: cert.Header, Opens: cert.Opens}
+	for _, p := range cert.Prepares {
+		q := Prepare{Replica: p.Replica, Header: restated, NonceCommit: p.NonceCommit}
+		q.Sig = c.keys[p.Replica].MustSign(q.SigningDigest())
+		if !q.Verify(peers[p.Replica]) {
+			t.Fatal("test forged an invalid prepare")
+		}
+		forged.Prepares = append(forged.Prepares, q)
+	}
+	if _, ok := forged.structure(peers, 3); ok {
+		t.Fatal("certificate whose prepares sign another view's statement passes structure")
+	}
+	if forged.Verify(peers, 3) {
+		t.Fatal("certificate whose prepares sign another view's statement verifies")
+	}
+}

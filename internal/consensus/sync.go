@@ -33,8 +33,12 @@ import (
 //     candidate ledger is restored from the checkpoint and the suffix is
 //     re-executed onto it (ledger.ApplyBatch checks results, ¯G, ¯M, d_C
 //     per batch); the final batch's header must reproduce the certified
-//     header's signing digest. The history roots chain every entry, so a
-//     lying frontier or a tampered suffix batch cannot survive the anchor.
+//     header's content digest (content, not statement: the server may hold
+//     the batch under another view's statement than its certificate's). The
+//     history roots chain every entry, so a lying frontier or a tampered
+//     suffix batch cannot survive the anchor. Each suffix header is adopted
+//     as received, so its signature is checked on arrival like any
+//     pre-prepare's — a replica's ledger holds only statements it verified.
 //
 // Adoption is all-or-nothing: the replica's ledger is only swapped after
 // the full chain verifies. A source whose data fails any check is banned
@@ -328,7 +332,7 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	}
 	// The certified header pins the digest vector: d_C is the domain-tagged
 	// combination of exactly these per-shard digests.
-	if kv.CombineShardDigests(m.ShardDigests) != m.Cert.Prop.Header.CkptDigest {
+	if kv.CombineShardDigests(m.ShardDigests) != m.Cert.Header.CkptDigest {
 		return fmt.Errorf("%w: sync offer digests do not combine to the certified d_C", ErrInvalid)
 	}
 	f, err := merkle.DecodeFrontier(m.Frontier)
@@ -415,8 +419,9 @@ func encodeBatchChunk(b *ledger.Batch) []byte {
 // handleSyncChunk is the laggard receiving one chunk. State chunks verify
 // immediately against the offer's digest vector — decoded, every key checked
 // against the shard, rebuilt, and the rebuilt shard's digest compared — and
-// are kept as the shard they decoded to; batch chunks must decode and carry
-// the right sequence number, with full verification deferred to adoption. A
+// are kept as the shard they decoded to; batch chunks must decode, carry the
+// right sequence number and a validly signed statement, with execution
+// checks deferred to adoption. A
 // chunk that fails its check is simply not recorded — the next timeout
 // re-requests it, and persistent failure bans the source.
 func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
@@ -449,6 +454,12 @@ func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 		if want := s.offer.ckptSeq + 1 + m.Index; b.Header.Seq != want {
 			return fmt.Errorf("%w: sync batch chunk %d carries seq %d, want %d", ErrInvalid, m.Index, b.Header.Seq, want)
 		}
+		if err := r.statementStructure(&b.Header); err != nil {
+			return err
+		}
+		if err := r.verifyStatement(&b.Header); err != nil {
+			return err
+		}
 		s.batch[m.Index] = b
 	default:
 		return nil
@@ -478,7 +489,7 @@ func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 // adoptSync performs all-or-nothing adoption of the assembled transfer: a
 // candidate ledger is started from the verified shards and the suffix is
 // replayed onto it; only if the final header reproduces the certified
-// signing digest does the replica swap ledgers and resume at the certified
+// content digest does the replica swap ledgers and resume at the certified
 // watermark.
 func (r *Replica) adoptSync() error {
 	s := &r.sync
@@ -489,7 +500,7 @@ func (r *Replica) adoptSync() error {
 		Store:        s.store,
 		ShardDigests: offer.shardDigests,
 		Frontier:     offer.frontier,
-		Digest:       offer.cert.Prop.Header.CkptDigest,
+		Digest:       offer.cert.Header.CkptDigest,
 	}
 	cand, err := ledger.NewFromCheckpoint(ledger.Config{
 		Key:             r.cfg.Key,
@@ -501,7 +512,7 @@ func (r *Replica) adoptSync() error {
 		return err
 	}
 	cert := offer.cert
-	certHeader := &cert.Prop.Header
+	certHeader := &cert.Header
 	if len(s.batch) == 0 {
 		// Empty suffix: the certificate is for the checkpoint batch itself,
 		// so the frontier must reproduce the certified history commitment
@@ -516,7 +527,7 @@ func (r *Replica) adoptSync() error {
 			}
 		}
 		final := cand.BatchAt(cert.Seq())
-		if final == nil || final.Header.SigningDigest() != certHeader.SigningDigest() {
+		if final == nil || final.Header.ContentDigest() != certHeader.ContentDigest() {
 			return fmt.Errorf("%w: sync suffix does not reproduce the certified header", ErrInvalid)
 		}
 	}
@@ -529,8 +540,8 @@ func (r *Replica) adoptSync() error {
 	r.led = cand
 	r.committed = cert.Seq()
 	r.lastCommit = cert
-	if cert.Prop.View > r.view {
-		r.view = cert.Prop.View
+	if cert.Header.View > r.view {
+		r.view = cert.Header.View
 	}
 	if r.inViewChange && r.vcTarget <= r.view {
 		r.inViewChange = false
@@ -581,9 +592,9 @@ func (r *Replica) Syncs() int { return r.sync.adopted }
 func messageSeq(m Message) (uint64, bool) {
 	switch msg := m.(type) {
 	case *PrePrepare:
-		return msg.Prop.Seq(), true
+		return msg.Header.Seq, true
 	case *Prepare:
-		return msg.Prop.Seq(), true
+		return msg.Header.Seq, true
 	case *Commit:
 		return msg.Seq, true
 	}

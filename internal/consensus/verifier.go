@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"iaccf/internal/hashsig"
+	"iaccf/internal/ledger"
 )
 
 // maxSigCache bounds each replica's hashsig.VerifiedSet; eviction only
@@ -54,23 +55,17 @@ func (r *Replica) verifyTasks(tasks []hashsig.VerifyTask) bool {
 	return ok
 }
 
-// proposalTasks appends the two signature checks a proposal owes (the
-// proposal signature and the embedded header signature, both by the
-// claimed primary) when the primary index is in range.
-func (r *Replica) proposalTasks(p *Proposal, tasks []hashsig.VerifyTask) []hashsig.VerifyTask {
-	if int(p.Primary) >= r.n {
-		return tasks
-	}
-	pub := r.cfg.Peers[p.Primary]
-	tasks = append(tasks, hashsig.VerifyTask{Key: pub, Digest: p.SigningDigest(), Sig: p.Sig})
-	tasks = append(tasks, hashsig.VerifyTask{Key: pub, Digest: p.Header.SigningDigest(), Sig: p.Header.Sig})
-	return tasks
+// statementTask is the one signature check a pre-prepare statement owes:
+// the header's signature under the key of the primary it names. A header
+// whose primary does not lead its view gets a nil key, which never verifies.
+func (r *Replica) statementTask(h *ledger.BatchHeader) hashsig.VerifyTask {
+	return hashsig.VerifyTask{Key: r.keyOf(h), Digest: h.StatementDigest(), Sig: h.Sig}
 }
 
-// prepareTasks appends a prepare's three checks: the carried proposal's two
-// plus the backup's own signature.
+// prepareTasks appends a prepare's two checks: the carried statement's and
+// the backup's own signature.
 func (r *Replica) prepareTasks(p *Prepare, tasks []hashsig.VerifyTask) []hashsig.VerifyTask {
-	tasks = r.proposalTasks(&p.Prop, tasks)
+	tasks = append(tasks, r.statementTask(&p.Header))
 	if int(p.Replica) < r.n {
 		tasks = append(tasks, hashsig.VerifyTask{Key: r.cfg.Peers[p.Replica], Digest: p.SigningDigest(), Sig: p.Sig})
 	}
@@ -84,7 +79,7 @@ func (r *Replica) prepareTasks(p *Prepare, tasks []hashsig.VerifyTask) []hashsig
 func (r *Replica) messageTasks(m Message, tasks []hashsig.VerifyTask) []hashsig.VerifyTask {
 	switch msg := m.(type) {
 	case *PrePrepare:
-		tasks = r.proposalTasks(&msg.Prop, tasks)
+		tasks = append(tasks, r.statementTask(&msg.Header))
 	case *Prepare:
 		tasks = r.prepareTasks(msg, tasks)
 	case *ViewChange:
@@ -113,7 +108,7 @@ func (r *Replica) viewChangeMsgTasks(vc *ViewChange, tasks []hashsig.VerifyTask)
 	}
 	for i := range vc.Prepared {
 		claim := &vc.Prepared[i]
-		tasks = r.proposalTasks(&claim.PP.Prop, tasks)
+		tasks = append(tasks, r.statementTask(&claim.PP.Header))
 		for j := range claim.Prepares {
 			p := &claim.Prepares[j]
 			if int(p.Replica) < r.n {

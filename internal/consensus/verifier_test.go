@@ -40,18 +40,18 @@ func resident(r *Replica, tasks []hashsig.VerifyTask) int {
 	return n
 }
 
-// TestPrimaryRecordsOwnSignatures: the header and proposal signatures a
-// primary has just produced are in its set, so the prepares that carry the
-// proposal back leave verifyTasks nothing pending for them.
+// TestPrimaryRecordsOwnSignatures: the statement signature a primary has
+// just produced is in its set, so the prepares that carry the statement
+// back leave verifyTasks nothing pending for it.
 func TestPrimaryRecordsOwnSignatures(t *testing.T) {
 	primary := sharedKeyReplicas(t, "own-sigs", 1)[0]
 	pp, _, err := primary.Propose([]ledger.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := primary.proposalTasks(&pp.Prop, nil)
-	if got := resident(primary, tasks); len(tasks) != 2 || got != 2 {
-		t.Fatalf("%d of %d own proposal signatures resident after Propose", got, len(tasks))
+	tasks := []hashsig.VerifyTask{primary.statementTask(&pp.Header)}
+	if got := resident(primary, tasks); got != 1 {
+		t.Fatal("own statement signature not resident after Propose")
 	}
 	before := primary.sigOK.Len()
 	if !primary.verifyTasks(tasks) || primary.sigOK.Len() != before {
@@ -71,11 +71,11 @@ func TestReplicasShareNoVerificationState(t *testing.T) {
 	if _, err := rs[1].Handle(pp); err != nil {
 		t.Fatalf("valid pre-prepare rejected: %v", err)
 	}
-	tasks := rs[1].proposalTasks(&pp.Prop, nil)
+	tasks := []hashsig.VerifyTask{rs[1].statementTask(&pp.Header)}
 	if got := resident(rs[1], tasks); got != len(tasks) {
 		t.Fatalf("verifying replica holds %d of %d checks", got, len(tasks))
 	}
-	if got := resident(rs[2], rs[2].proposalTasks(&pp.Prop, nil)); got != 0 {
+	if got := resident(rs[2], []hashsig.VerifyTask{rs[2].statementTask(&pp.Header)}); got != 0 {
 		t.Fatalf("replica 2 holds %d checks only replica 1 made", got)
 	}
 	if rs[2].sigOK.Len() != 0 {

@@ -123,19 +123,19 @@ func TestViewChangePartiallyCommittedWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantSeq2 := pps[1].Prop.Header.SigningDigest()
+	wantSeq2 := pps[1].Header.ContentDigest()
 	for _, id := range []int{1, 2, 3} {
 		c.queue = append(c.queue, outMsgs(c.replicas[id].OnTimeout())...)
 	}
 	c.flood(0) // old primary stays silent
 
 	// The quorum {1,2,3} lands in view 1 with the prepared seq 2
-	// re-committed byte-identically and the unprepared seq 3 gone.
+	// re-committed with identical content and the unprepared seq 3 gone.
 	c.assertAgreement(2, 1, 2, 3)
 	for _, id := range []int{1, 2, 3} {
 		b := c.replicas[id].Ledger().Batches()
-		if len(b) != 2 || b[1].Header.SigningDigest() != wantSeq2 {
-			t.Fatalf("replica %d did not re-commit the prepared batch byte-identically", id)
+		if len(b) != 2 || b[1].Header.ContentDigest() != wantSeq2 {
+			t.Fatalf("replica %d did not re-commit the prepared batch", id)
 		}
 	}
 	// The window is clean: the new primary proposes fresh batches for the
@@ -180,14 +180,11 @@ func TestEquivocationNonHeadInstance(t *testing.T) {
 	if _, _, err := led.ExecuteBatch(reqs(author, 100, 2)); err != nil {
 		t.Fatal(err)
 	}
-	evil, _, err := led.ExecuteBatch(reqs(author, 666, 2))
+	evil, _, err := led.ExecuteBatchAs(envelope(0, 0), reqs(author, 666, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce := hashsig.NewNonce()
-	prop := Proposal{View: 0, Primary: 0, Header: evil.Header, NonceCommit: nonce.Commit()}
-	prop.Sig = c.keys[0].MustSign(prop.SigningDigest())
-	evilPP := &PrePrepare{Prop: prop, Entries: evil.Entries}
+	evilPP := &PrePrepare{Header: evil.Header, Entries: evil.Entries}
 
 	if _, err := c.replicas[1].Handle(evilPP); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("conflicting non-head proposal accepted: %v", err)
@@ -233,7 +230,7 @@ func TestHandleAllMatchesHandle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ppA.Prop.Header.SigningDigest() != ppB.Prop.Header.SigningDigest() {
+			if ppA.Header.ContentDigest() != ppB.Header.ContentDigest() {
 				t.Fatal("clusters diverged before delivery")
 			}
 			aMsgs = append(aMsgs, ppA)

@@ -3,10 +3,7 @@ package hashsig
 // SigFuture is a signature being computed concurrently with other work.
 // ECDSA signing over P-256 is the single largest fixed cost on the batch
 // commit path (paper §6.4: one header signature per batch); SignAsync lets
-// the replica overlap it with receipt construction, and lets a backup
-// overlap its own co-signature with re-executing the batch it is checking —
-// the signed fields are known before re-execution starts, because adopting
-// the primary's header means signing the primary's exact field values.
+// the primary overlap it with receipt construction.
 type SigFuture struct {
 	done chan struct{}
 	sig  Signature

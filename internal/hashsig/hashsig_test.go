@@ -218,3 +218,44 @@ func TestSignatureClone(t *testing.T) {
 		t.Fatal("clone aliases original")
 	}
 }
+
+// TestCountsCountThePrimitive: Counts moves once per ECDSA operation run —
+// through Sign, SignAsync, Verify and the pool alike — and not for work that
+// never reaches the primitive: a nil key, a VerifiedSet hit.
+func TestCountsCountThePrimitive(t *testing.T) {
+	key := GenerateKeyFromSeed("counts")
+	pub := key.Public()
+	d := Sum([]byte("counted"))
+	delta := func(f func()) (signs, verifies uint64) {
+		s0, v0 := Counts()
+		f()
+		s1, v1 := Counts()
+		return s1 - s0, v1 - v0
+	}
+	var sig Signature
+	if s, v := delta(func() { sig = key.MustSign(d) }); s != 1 || v != 0 {
+		t.Fatalf("MustSign counted %d signs, %d verifies", s, v)
+	}
+	if s, v := delta(func() { key.SignAsync(d).MustWait() }); s != 1 || v != 0 {
+		t.Fatalf("SignAsync counted %d signs, %d verifies", s, v)
+	}
+	if s, v := delta(func() { pub.Verify(d, sig); pub.Verify(d, Signature("garbage")) }); s != 0 || v != 2 {
+		t.Fatalf("two Verify calls counted %d signs, %d verifies", s, v)
+	}
+	if s, v := delta(func() { (*PublicKey)(nil).Verify(d, sig) }); s != 0 || v != 0 {
+		t.Fatalf("nil-key Verify counted %d signs, %d verifies", s, v)
+	}
+	pool := NewVerifierPool(2)
+	defer pool.Close()
+	tasks := make([]VerifyTask, 5)
+	for i := range tasks {
+		tasks[i] = VerifyTask{Key: pub, Digest: d, Sig: sig}
+	}
+	if s, v := delta(func() { pool.VerifyAll(tasks) }); s != 0 || v != 5 {
+		t.Fatalf("pooled VerifyAll of 5 counted %d signs, %d verifies", s, v)
+	}
+	set := NewVerifiedSet(8)
+	if s, v := delta(func() { set.Verify(tasks[0]); set.Verify(tasks[0]); set.Verify(tasks[0]) }); s != 0 || v != 1 {
+		t.Fatalf("one miss and two hits counted %d signs, %d verifies", s, v)
+	}
+}

@@ -8,7 +8,21 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 )
+
+// signCount and verifyCount count ECDSA operations performed by this
+// process — the primitive, not the callers: a VerifiedSet hit is not a
+// verification. No clock is read; see Counts.
+var signCount, verifyCount atomic.Uint64
+
+// Counts returns how many ECDSA signatures this process has produced and
+// how many verifications it has run since it started. Signatures are the
+// largest fixed cost of a batch, so tests assert the protocol's bill as a
+// difference of two Counts calls (consensus.TestSignaturesPerBatch).
+func Counts() (signs, verifies uint64) {
+	return signCount.Load(), verifyCount.Load()
+}
 
 // Signature is an ASN.1 DER-encoded ECDSA signature over a Digest.
 type Signature []byte
@@ -68,6 +82,7 @@ func (p *PrivateKey) Public() *PublicKey {
 
 // Sign signs the digest d and returns an ASN.1 DER signature.
 func (p *PrivateKey) Sign(d Digest) (Signature, error) {
+	signCount.Add(1)
 	sig, err := ecdsa.SignASN1(rand.Reader, p.key, d[:])
 	if err != nil {
 		return nil, fmt.Errorf("hashsig: sign: %w", err)
@@ -90,6 +105,7 @@ func (k *PublicKey) Verify(d Digest, sig Signature) bool {
 	if k == nil || k.key == nil {
 		return false
 	}
+	verifyCount.Add(1)
 	return ecdsa.VerifyASN1(k.key, d[:], sig)
 }
 

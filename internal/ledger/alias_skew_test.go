@@ -30,7 +30,7 @@ func genSkewedBatch(rng *rand.Rand, n, keyPool, hotTenths int) []Request {
 // entries landing in one shard tree, the arena'd proof builder, the shared
 // per-shard top path, and the parallel leaf hashing must still emit
 // byte-identical headers and receipts, and identical post-state. Header
-// equality is checked via SigningDigest, which covers ¯M, ¯G, and d_C —
+// equality is checked via ContentDigest, which covers ¯M, ¯G, and d_C —
 // so checkpoint digests are compared batch by batch, not just at the end.
 // Replay of the resulting stream must land on the live ledger's roots too,
 // and — these batches being ≥ 64 entries at GOMAXPROCS=4 — must get there
@@ -103,7 +103,7 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	headerDigest := b1.Header.SigningDigest()
+	headerDigest := b1.Header.StatementDigest()
 	payloads := make([][]byte, len(b1.Entries))
 	digests := make([]hashsig.Digest, len(b1.Entries))
 	for i := range b1.Entries {
@@ -113,7 +113,7 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 	snaps := make([]receiptSnap, len(r1))
 	for i := range r1 {
 		snaps[i] = receiptSnap{
-			header:  r1[i].Header.SigningDigest(),
+			header:  r1[i].Header.StatementDigest(),
 			payload: append([]byte(nil), r1[i].Entry.Payload...),
 			path:    append([]hashsig.Digest(nil), r1[i].Path...),
 		}
@@ -127,7 +127,7 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 		}
 	}
 
-	if got := b1.Header.SigningDigest(); got != headerDigest {
+	if got := b1.Header.StatementDigest(); got != headerDigest {
 		t.Fatal("batch header mutated after pool reuse")
 	}
 	for i := range b1.Entries {
@@ -139,7 +139,7 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 		}
 	}
 	for i := range r1 {
-		if r1[i].Header.SigningDigest() != snaps[i].header {
+		if r1[i].Header.StatementDigest() != snaps[i].header {
 			t.Fatalf("receipt %d header mutated after pool reuse", i)
 		}
 		if !bytes.Equal(r1[i].Entry.Payload, snaps[i].payload) {

@@ -44,19 +44,21 @@ func CheckBatchShape(b *Batch) error {
 
 // ApplyBatch is the backup policy, the other half of a pre-prepare: it
 // runs a batch proposed by another replica through this ledger's own core,
-// which re-executes it and compares every field the proposer's header
+// which re-executes it and compares every field the proposer's content
 // commits to — per-entry results, the checkpoint marker, the combined batch
 // root ¯G under the declared partition, the history root ¯M, and the
 // checkpoint digest d_C. If they all reproduce, and the marker is present
 // exactly when this replica's checkpoint interval says one is due, it
-// adopts the batch and returns this replica's own signed header over the
-// identical commitments (the header a prepare message carries, paper §3.1).
-// On any divergence the store, history tree, and checkpoint digest are
-// rolled back to the state just before the batch (Lemma 1) and the error
-// wraps both ErrApply and the *Divergence naming the first mismatch.
+// adopts the batch under the header as received — the primary's statement,
+// the primary's signature; this replica signs nothing here (its agreement
+// is the prepare that names the statement, paper §3.1) — and returns the
+// retained header. On any divergence the store, history tree, and
+// checkpoint digest are rolled back to the state just before the batch
+// (Lemma 1) and the error wraps both ErrApply and the *Divergence naming
+// the first mismatch.
 //
 // ApplyBatch checks execution, not provenance: callers (the consensus
-// layer) must have verified the proposer's header signature already.
+// layer) must have verified the statement's signature already.
 func (l *Ledger) ApplyBatch(b *Batch) (*BatchHeader, error) {
 	h := &b.Header
 	if h.Seq != l.nextSeq {
@@ -65,16 +67,6 @@ func (l *Ledger) ApplyBatch(b *Batch) (*BatchHeader, error) {
 	if h.Shards != l.cfg.Shards {
 		return nil, fmt.Errorf("%w: batch built under %d shards, replica runs %d", ErrApply, h.Shards, l.cfg.Shards)
 	}
-	// Speculative co-signature: the fields this replica will sign on success
-	// are the proposer's exact field values (adopting the header means
-	// committing to identical roots), so the ECDSA sign — the largest fixed
-	// cost of the apply path — starts now and overlaps the entire
-	// re-execution. A rejected batch wastes one signature, which is cheap
-	// next to the re-execution a rejection already paid for.
-	own := *h
-	own.Sig = nil
-	sigf := l.cfg.Key.SignAsync(own.SigningDigest())
-
 	seq := h.Seq
 	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
 	_, _, div := l.derive(seq, b.Entries, h)
@@ -88,13 +80,11 @@ func (l *Ledger) ApplyBatch(b *Batch) (*BatchHeader, error) {
 		}
 		return nil, fmt.Errorf("%w: %w", ErrApply, div)
 	}
-
-	own.Sig = sigf.MustWait()
-	// The retained stream carries this replica's own signature, so replaying
-	// Batches() verifies against this replica's key; entries are shared with
-	// the caller and treated as immutable, like Batches().
-	l.adopt(&Batch{Header: own, Entries: b.Entries})
-	return &own, nil
+	// Entries are shared with the caller and treated as immutable, like
+	// Batches(); the header is copied so the caller's cannot alias it.
+	adopted := &Batch{Header: *h, Entries: b.Entries}
+	l.adopt(adopted)
+	return &adopted.Header, nil
 }
 
 // checkInterval is the one rule only a configured replica can apply: a

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -38,7 +39,10 @@ func applyReqs(base uint64, n int) []Request {
 	return out
 }
 
-func TestApplyBatchAdoptsAndCoSigns(t *testing.T) {
+// TestApplyBatchAdoptsAsReceived: a backup's ledger holds the pre-prepare it
+// accepted — the primary's statement under the primary's signature — and
+// ApplyBatch signs nothing.
+func TestApplyBatchAdoptsAsReceived(t *testing.T) {
 	for _, shards := range []uint32{1, 4} {
 		primary, backup := applyPair(t, shards)
 		for seq := uint64(1); seq <= 4; seq++ {
@@ -46,18 +50,25 @@ func TestApplyBatchAdoptsAndCoSigns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			signs, _ := hashsig.Counts()
 			own, err := backup.ApplyBatch(batch)
 			if err != nil {
 				t.Fatalf("shards %d seq %d: ApplyBatch: %v", shards, seq, err)
 			}
-			if own.SigningDigest() != batch.Header.SigningDigest() {
-				t.Fatalf("shards %d seq %d: backup commitments differ from primary's", shards, seq)
+			if after, _ := hashsig.Counts(); after != signs {
+				t.Fatalf("shards %d seq %d: ApplyBatch signed %d times, want 0", shards, seq, after-signs)
 			}
-			if !own.Verify(backup.cfg.Key.Public()) {
-				t.Fatal("backup header not signed by backup key")
+			if own.StatementDigest() != batch.Header.StatementDigest() || !bytes.Equal(own.Sig, batch.Header.Sig) {
+				t.Fatalf("shards %d seq %d: backup did not adopt the primary's header as received", shards, seq)
 			}
-			if own.Verify(primary.cfg.Key.Public()) {
-				t.Fatal("backup header verifies under the primary key")
+			if own == &batch.Header {
+				t.Fatal("retained header aliases the caller's")
+			}
+			if !own.Verify(primary.cfg.Key.Public()) {
+				t.Fatal("adopted header does not verify under the primary key")
+			}
+			if own.Verify(backup.cfg.Key.Public()) {
+				t.Fatal("adopted header verifies under the backup key")
 			}
 		}
 		if primary.StateDigest() != backup.StateDigest() {
@@ -143,7 +154,7 @@ func TestTamperedBatchRejectedAlike(t *testing.T) {
 			before := snapshotLedger(backup)
 			evil := &Batch{Header: batch.Header, Entries: append([]Entry(nil), batch.Entries...)}
 			tc.mut(evil)
-			evil.Header.Sig = primary.cfg.Key.MustSign(evil.Header.SigningDigest())
+			evil.Header.Sig = primary.cfg.Key.MustSign(evil.Header.StatementDigest())
 
 			_, applyErr := backup.ApplyBatch(evil)
 			if !errors.Is(applyErr, ErrApply) {
@@ -175,7 +186,7 @@ func TestTamperedBatchRejectedAlike(t *testing.T) {
 				t.Fatalf("%s: reports differ: %+v vs %+v", name, fromApply, fromReplay)
 			}
 			for _, d := range []*Divergence{fromApply, fromReplay} {
-				if !d.Header.Verify(pub) || d.Header.SigningDigest() != evil.Header.SigningDigest() {
+				if !d.Header.Verify(pub) || d.Header.StatementDigest() != evil.Header.StatementDigest() {
 					t.Fatalf("%s: divergence does not carry the header the primary signed", name)
 				}
 			}
@@ -261,5 +272,80 @@ func TestApplyBatchThenRollbackTo(t *testing.T) {
 	}
 	if _, err := backup.ApplyBatch(b2); err != nil {
 		t.Fatalf("re-apply after rollback: %v", err)
+	}
+}
+
+// TestReplayKeyedTwoSigners: a ledger that lived through a view change holds
+// headers by more than one primary. ReplayKeyed verifies each under the key
+// its own envelope names; the single-key form, and a key function that
+// knows no signer for a header, reject the same stream.
+func TestReplayKeyedTwoSigners(t *testing.T) {
+	first, second := applyPair(t, 1)
+	pubs := []*hashsig.PublicKey{first.cfg.Key.Public(), second.cfg.Key.Public()}
+	b1, _, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0}, applyReqs(10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.ApplyBatch(b1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := second.ExecuteBatchAs(Envelope{View: 1, Primary: 1}, applyReqs(20, 3)); err != nil {
+		t.Fatal(err)
+	}
+	stream := second.Batches()
+	byPrimary := func(h *BatchHeader) *hashsig.PublicKey { return pubs[h.Primary] }
+	res, err := ReplayKeyed(stream, byPrimary, KVApp{}, nil)
+	if err != nil {
+		t.Fatalf("two-signer stream does not replay under its own keys: %v", err)
+	}
+	if res.Batches != 2 || res.HistRoot != second.HistRoot() || res.StateDigest != second.StateDigest() {
+		t.Fatalf("keyed replay reached %+v, live ledger differs", res)
+	}
+	for i, pub := range pubs {
+		if _, err := Replay(stream, pub, KVApp{}, nil); !errors.Is(err, ErrReplay) {
+			t.Fatalf("single-key replay under signer %d: err = %v, want ErrReplay", i, err)
+		}
+	}
+	onlyFirst := func(h *BatchHeader) *hashsig.PublicKey {
+		if h.View == 0 {
+			return pubs[0]
+		}
+		return nil
+	}
+	if _, err := ReplayKeyed(stream, onlyFirst, KVApp{}, nil); !errors.Is(err, ErrReplay) {
+		t.Fatalf("replay with no key for view 1: err = %v, want ErrReplay", err)
+	}
+}
+
+// TestRestateKeepsContent: a restated header is the same batch under a new
+// statement — one signature, by the restating ledger's key, and the ledger
+// itself is untouched.
+func TestRestateKeepsContent(t *testing.T) {
+	first, second := applyPair(t, 1)
+	b, _, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0, NonceCommit: hashsig.Sum([]byte("n0"))}, applyReqs(10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotLedger(second)
+	signs, verifies := hashsig.Counts()
+	env := Envelope{View: 1, Primary: 1, NonceCommit: hashsig.Sum([]byte("n1"))}
+	h := second.Restate(&b.Header, env)
+	if s, v := hashsig.Counts(); s-signs != 1 || v != verifies {
+		t.Fatalf("Restate cost %d signs and %d verifies, want 1 and 0", s-signs, v-verifies)
+	}
+	if h.Envelope != env || h.ContentDigest() != b.Header.ContentDigest() {
+		t.Fatal("restated header lost its content or did not take the envelope")
+	}
+	if h.StatementDigest() == b.Header.StatementDigest() {
+		t.Fatal("a new envelope left the statement digest unchanged")
+	}
+	if !h.Verify(second.cfg.Key.Public()) || h.Verify(first.cfg.Key.Public()) {
+		t.Fatal("restated header is not signed by the restating ledger's key alone")
+	}
+	if !b.Header.Verify(first.cfg.Key.Public()) {
+		t.Fatal("the original statement stopped verifying")
+	}
+	if after := snapshotLedger(second); after != before {
+		t.Fatalf("Restate touched the ledger: %+v -> %+v", before, after)
 	}
 }

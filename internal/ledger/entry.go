@@ -91,14 +91,12 @@ func (e *Entry) Digest() hashsig.Digest {
 	return d
 }
 
-// encodeTo streams the entry through a wire.Writer (batch serialization).
-func (e *Entry) encodeTo(w *wire.Writer) {
-	w.Bytes(e.Encode(nil))
-}
-
-// decodeEntry reads one entry from a wire.Reader.
+// decodeEntry reads one length-prefixed entry from a wire.Reader. View, not
+// copy: DecodeEntry itself copies everything an Entry retains (Payload), so
+// the frame slice is only read within this call and one copy per entry is
+// saved in bytes mode.
 func decodeEntry(r *wire.Reader) Entry {
-	b := r.Bytes(wire.MaxValueLen)
+	b := r.BytesView(wire.MaxValueLen)
 	if r.Err() != nil {
 		return Entry{}
 	}

@@ -112,7 +112,7 @@ func genBatch(rng *rand.Rand, n, keyPool int) []Request {
 // signed header field.
 func assertBatchesEqual(t *testing.T, label string, pb, sb *Batch, pr, sr []Receipt) {
 	t.Helper()
-	if pb.Header.SigningDigest() != sb.Header.SigningDigest() {
+	if pb.Header.ContentDigest() != sb.Header.ContentDigest() {
 		t.Fatalf("%s: header signing digests differ\nparallel:   %+v\nsequential: %+v",
 			label, pb.Header, sb.Header)
 	}
@@ -283,7 +283,7 @@ func TestParallelExecuteWithBarriers(t *testing.T) {
 
 // TestParallelApplyAdoptsSequentialBatch drives the backup path: a
 // sequential primary proposes, a parallel backup re-executes and must adopt
-// with an identical signing digest; a tampered batch must be rejected and
+// the primary's header as received; a tampered batch must be rejected and
 // leave the backup rolled back, exactly like the sequential backup.
 func TestParallelApplyAdoptsAndRejects(t *testing.T) {
 	forceParallel(t)
@@ -307,11 +307,11 @@ func TestParallelApplyAdoptsAndRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if own.SigningDigest() != pb.Header.SigningDigest() {
-			t.Fatalf("batch %d: backup adopted different commitments", batch)
+		if own.StatementDigest() != pb.Header.StatementDigest() {
+			t.Fatalf("batch %d: backup adopted a different statement", batch)
 		}
-		if !own.Verify(backupKey.Public()) {
-			t.Fatalf("batch %d: backup co-signature invalid", batch)
+		if !own.Verify(testKey.Public()) {
+			t.Fatalf("batch %d: adopted header does not carry the primary's signature", batch)
 		}
 		if backup.StateDigest() != primary.StateDigest() {
 			t.Fatalf("batch %d: backup state diverges", batch)

@@ -13,8 +13,9 @@ import (
 
 // The golden files pin this package's commitments to recorded bytes; see
 // testdata/README.md for their layout and provenance (written by d6cf8cd,
-// the last commit with three separate derivation loops; regenerated once,
-// when d_C became the Merkle root of the tries).
+// the last commit with three separate derivation loops; regenerated when
+// d_C became the Merkle root of the tries, and again when the header became
+// the whole pre-prepare statement).
 const (
 	goldenStream  = "testdata/golden_s4.stream"
 	goldenDigests = "testdata/golden.txt"
@@ -22,18 +23,28 @@ const (
 	goldenCkpt    = 2
 )
 
-// goldenUpstreamOfCkpt is what ties the regenerated files to d6cf8cd's:
-// every line of that commit's golden.txt that no checkpoint digest enters
-// — batch 1 precedes the first marker, so its header and receipts are
-// d_C-free — and the history size of every run. The regeneration changed
-// the files only downstream of d_C; these are held byte-for-byte.
-var goldenUpstreamOfCkpt = map[uint32]string{
-	1:  "batch 1 1 90838639661e81728332a0913140fe59be34453db3aeb410d25109644e1d3708 4df18c68809d25273a96d0c479860aa6af4df15b4f24757946a991d807dbf9a1",
-	4:  "batch 4 1 5a4906a779a27afec4cc3afa14911a2d7587c8fe483c533b7a312b7ce1836e4b 966b9b3cf1d8068a450d3e6b362b33900b760f4b37ab8815d53007ea4970cbed",
-	16: "batch 16 1 e255799293a56f2ac57d0341f3bdf7a6cba1aed29c778c95531f62f25fa0f2ba 3d9d0ab704a9151093e55b72ba7e1ac822c927a6ccb345b121be59be7ada9b0d",
+// goldenPinned is what ties the regenerated files to their predecessors:
+// golden.txt line by line as the commit before the header change (9db225c)
+// had it, minus the one field that change touched — every content digest
+// and every final line, byte for byte. The header change moved the
+// envelope and the signature preimage; derivation is untouched, so only
+// the receipts digests (a receipt encodes its header, envelope included)
+// and the stream's framing differ. Batch 1's content digests and the 217
+// are still d6cf8cd's: batch 1 precedes the first checkpoint marker.
+var goldenPinned = []string{
+	"batch 1 1 90838639661e81728332a0913140fe59be34453db3aeb410d25109644e1d3708 ",
+	"batch 1 2 7c014a4fe815c448bc841647a47a3fc38f1c24e879bd72e52d9671526d8f30a9 ",
+	"batch 1 3 91c28403da6783cdd1b86867b6e1e9e3b77be2a1dcf966e1d169c0b53eda27aa ",
+	"final 1 217 54339c59b66cc9a6adfe903f2ba044b06b04538870b10b9544f9e89684a6239a 48737f7bbb59cfc6eb9e9073716e2f8605ae0e07fa87478ff0b420282f94753c 8dfcd2acef7c12ea10a1b785f539a5736fae005f6a872ab1ec08e2653340f32f",
+	"batch 4 1 5a4906a779a27afec4cc3afa14911a2d7587c8fe483c533b7a312b7ce1836e4b ",
+	"batch 4 2 1c6262a6670e4582c8a76643827572742634782b7a54b7368e5d5f156bf043b5 ",
+	"batch 4 3 4ddbae1e4ff3fb10283a767cf89a38873350c3578564d68cd73ce931b34ce908 ",
+	"final 4 217 8136af3df3b8205dfcf47c242c5ac7d2d650782df8ecd403bb566309e0a64e36 9df0f16580fdb31b3b6608265b2cc0bc8954ca3ea0f88edd0a5454948f5ea4bc 72bc5ba71f3e7509dd69200b97b002d07db5fe1bdea641d1cad2e0197b1605ad",
+	"batch 16 1 e255799293a56f2ac57d0341f3bdf7a6cba1aed29c778c95531f62f25fa0f2ba ",
+	"batch 16 2 6922a7a6882ce5274abdd2abdb7e411b1c9aa9bd5128b1d0a684dc5b381a2229 ",
+	"batch 16 3 7906826359c23c0ea6d6ddd0d146f58ea5277ae665bd467186ca5e3454e4d180 ",
+	"final 16 217 0d173a0811d08127644d55387dea6460048b755845dac9c5b09cdfa9e0d9cafc 3e0f95d7dbb0683e055008d1fd07e8e70d5a5e63fc6e8726d7db8f0de9a6a4ad 77b4ce4f7f1db570cf5df9aa2c0b675a410c05e784f44f311f87744714beb312",
 }
-
-const goldenHistSize = 217
 
 // goldenRequests recovers the request stream a batch stream was executed
 // from: entries carry everything a Request holds, and checkpoint markers
@@ -66,11 +77,13 @@ func receiptsDigest(rcs []Receipt) hashsig.Digest {
 }
 
 // goldenLines renders what one ledger run commits to, one line per batch
-// plus a final summary, in the format of testdata/golden.txt.
+// (its content digest — identical for the primary's header and the copy a
+// backup adopts — and its receipts digest) plus a final summary, in the
+// format of testdata/golden.txt.
 func goldenLines(shards uint32, headers []BatchHeader, rcs [][]Receipt, histSize uint64, histRoot, state, ckpt hashsig.Digest) []string {
 	var out []string
 	for i := range headers {
-		hd, rd := headers[i].SigningDigest(), receiptsDigest(rcs[i])
+		hd, rd := headers[i].ContentDigest(), receiptsDigest(rcs[i])
 		out = append(out, fmt.Sprintf("batch %d %d %x %x", shards, headers[i].Seq, hd[:], rd[:]))
 	}
 	return append(out, goldenFinal(shards, histSize, histRoot, state, ckpt))
@@ -110,13 +123,16 @@ func readGolden(t *testing.T) (stream []*Batch, lines map[uint32][]string) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for shards, first := range goldenUpstreamOfCkpt {
-		l := lines[shards]
-		if len(l) == 0 || l[0] != first {
-			t.Fatalf("golden.txt, %d shards: batch 1 is not d6cf8cd's", shards)
-		}
-		if want := fmt.Sprintf("final %d %d ", shards, goldenHistSize); !strings.HasPrefix(l[len(l)-1], want) {
-			t.Fatalf("golden.txt, %d shards: final line %q does not start %q", shards, l[len(l)-1], want)
+	if got := len(lines[1]) + len(lines[4]) + len(lines[16]); got != len(goldenPinned) {
+		t.Fatalf("golden.txt has %d lines, want %d", got, len(goldenPinned))
+	}
+	i := 0
+	for _, shards := range []uint32{1, 4, 16} {
+		for _, l := range lines[shards] {
+			if want := goldenPinned[i]; !strings.HasPrefix(l, want) || (strings.HasPrefix(l, "final ") && l != want) {
+				t.Fatalf("golden.txt line %q is not 9db225c's %q", l, want)
+			}
+			i++
 		}
 	}
 	return stream, lines

@@ -2,11 +2,33 @@
 // an append-only sequence of typed entries executed in batches against the
 // sharded key-value store. Every entry is a leaf of the history tree M;
 // each batch also gets per-shard batch trees G_s whose roots roll up into
-// ¯G. A replica signs a BatchHeader over (seq, ¯M, ¯G, shard count, d_C)
-// and hands each client a Receipt — its entry's audit path to ¯G —
-// verifiable offline against that header. RollbackTo undoes batches per
-// Lemma 1; checkpoints, pruning and NewFromCheckpoint bound memory and let
-// a laggard resume from a verified d_C.
+// ¯G. The primary signs one BatchHeader per batch — the paper's
+// pre-prepare statement (§3.1): its view, its index and its nonce
+// commitment around the content (seq, ¯M, ¯G, shard count, d_C) — and hands
+// each client a Receipt — its entry's audit path to ¯G — verifiable offline
+// against that header. RollbackTo undoes batches per Lemma 1; checkpoints,
+// pruning and NewFromCheckpoint bound memory and let a laggard resume from
+// a verified d_C.
+//
+// # One statement, two digests
+//
+// A header answers two questions, and each has its own digest.
+// ContentDigest is the identity of the batch — the same entries executed
+// from the same state produce it in any view, under any primary.
+// StatementDigest is the identity of the act of proposing — this primary,
+// in this view, with this nonce commitment, proposes that content — and it
+// is what Sig signs, once. "Is this the batch I executed, committed, was
+// pinned to?" compares content; "is this the pre-prepare that prepare,
+// commit or certificate answers?" compares statements. A batch re-proposed
+// after a view change keeps its content and gets a new statement.
+//
+// A ledger therefore holds the pre-prepares its replica proposed or
+// accepted, as the paper's does: a backup's retained headers carry the
+// primary's signature, not its own (its agreement is its signed prepare,
+// which names the statement), and a ledger that lived through a view change
+// has more than one signer — ReplayKeyed takes the key as a function of the
+// header. A ledger used without consensus (ExecuteBatch) signs with the zero
+// envelope.
 //
 // # One core, three policies
 //
@@ -22,15 +44,15 @@
 //   - ExecuteBatch (propose) mints entries from requests and appends the
 //     checkpoint marker when CheckpointEvery says one is due. The core SETS
 //     each transaction's result and the marker's d_C and builds audit
-//     paths; the policy signs the derived header, cuts receipts, and
-//     retains the batch with its rollback mark.
+//     paths; the policy puts the caller's envelope around the derived
+//     content, signs the statement, cuts receipts, and retains the batch
+//     with its rollback mark.
 //   - ApplyBatch (backup, state-transfer suffix) hands the core another
 //     replica's entries and header. The core COMPARES every result, the
-//     marker, and every header field; the policy adds the one rule only a
+//     marker, and every content field; the policy adds the one rule only a
 //     configured replica can check (a marker is present exactly when due),
-//     co-signs the identical commitments under its own key, retains the
-//     batch — and on any divergence rolls store, M and d_C back to the
-//     pre-batch boundary.
+//     retains the batch under the header as received — and on any
+//     divergence rolls store, M and d_C back to the pre-batch boundary.
 //   - Replay / ReplayFrom (audit) drive a stream through a core over a
 //     fresh (or checkpoint-seeded) store. The core compares exactly as for
 //     a backup; the policy verifies header signatures up front, never
@@ -51,8 +73,12 @@
 // hashsig.VerifiedSet: one ECDSA verification per distinct (key, signed
 // header fields, signature bytes) per process, then path hashing only,
 // until the triple ages out of a bounded two-generation set (a re-check,
-// never a different verdict). Failures are never cached. Two callers do
-// not use the set: Replay / ReplayFrom verify every header of the stream
+// never a different verdict). Failures are never cached. The signed fields
+// are the envelope as well as the content, so the one check also proves
+// which primary proposed the batch, in which view, under which nonce
+// commitment — the first component of the §3.3 receipt — and the envelope
+// rides in hash blocks the content already paid for. Two callers do not
+// use the set: Replay / ReplayFrom verify every header of the stream
 // they are given, every time — an auditor replays a ledger once, and a
 // replay must not be vouched for by an earlier one — and consensus
 // replicas, which verify headers through their own per-replica sets so
@@ -137,20 +163,40 @@ var (
 // backup or auditor can decode.
 const MaxRequestLen = wire.MaxValueLen - 128
 
-// headerDomain domain-separates batch header signatures from all other
-// signed messages.
-var headerDomain = []byte("iaccf-batch-header:")
+// contentDomain and statementDomain domain-separate the two header digests
+// from each other and from all other hashed and signed messages. The
+// statement domain is short on purpose: with it the statement preimage —
+// 44 bytes of envelope ahead of the 124 of content — still fits three
+// SHA-256 blocks, what the content alone costs, so checking a receipt
+// hashes no more than it did before the header carried an envelope.
+const (
+	contentDomain   = "iaccf-batch-header:"
+	statementDomain = "iaccf-stmt:"
+)
 
-// BatchHeader is the signed commitment a replica issues for one executed
-// batch. It binds the batch sequence number, the history tree root ¯M
-// after the batch, the combined batch tree root ¯G with its entry count and
-// the shard count it was built under, and the digest d_C of the latest
-// checkpoint (paper §3.1: the signed part of a pre-prepare; §6: sharded
-// execution). ¯G is the root of a small tree over the per-shard batch tree
-// roots G_s, so the shard count is part of what the signature commits to —
-// the same entries partitioned differently produce a different ¯G and a
-// different d_C.
+// Envelope is the part of a pre-prepare statement that is about the act of
+// proposing rather than the batch proposed: the view, the proposing
+// primary's replica index, and the primary's commit-nonce commitment H(n)
+// (paper §3.1). The zero Envelope is what a ledger used without consensus
+// signs with.
+type Envelope struct {
+	View        uint64
+	Primary     uint32
+	NonceCommit hashsig.Digest
+}
+
+// BatchHeader is the signed statement a primary issues for one executed
+// batch — the signed part of the paper's pre-prepare (§3.1). The content
+// binds the batch sequence number, the history tree root ¯M after the
+// batch, the combined batch tree root ¯G with its entry count and the shard
+// count it was built under, and the digest d_C of the latest checkpoint
+// (§6: sharded execution). ¯G is the root of a small tree over the
+// per-shard batch tree roots G_s, so the shard count is part of what the
+// signature commits to — the same entries partitioned differently produce a
+// different ¯G and a different d_C. The envelope says who proposes that
+// content, and when. Sig signs StatementDigest, which covers both.
 type BatchHeader struct {
+	Envelope
 	Seq        uint64         // batch sequence number
 	HistSize   uint64         // leaves in M after this batch
 	MRoot      hashsig.Digest // ¯M
@@ -161,11 +207,52 @@ type BatchHeader struct {
 	Sig        hashsig.Signature
 }
 
-// writeSignedFields emits every header field covered by the signature, in
-// signing order. It is the single enumeration shared by SigningDigest and
-// the batch codec, so the signature preimage and the serialized form can
-// never drift apart; readSignedFields is its inverse.
-func (h *BatchHeader) writeSignedFields(w *wire.Writer) {
+// ContentDigest identifies the batch, whoever proposes it: every content
+// field (not the envelope, not the signature), domain separated. Two
+// headers with equal content digests commit to the same entries, results,
+// history and state in any view. It is NOT what is signed — see
+// StatementDigest.
+func (h *BatchHeader) ContentDigest() hashsig.Digest {
+	b := wire.GetScratch(len(contentDomain) + 128)
+	w := wire.NewAppendWriter(append(b, contentDomain...))
+	h.writeContent(w)
+	b = w.AppendedBytes()
+	d := hashsig.Sum(b)
+	wire.PutScratch(b)
+	return d
+}
+
+// StatementDigest identifies the pre-prepare — this primary, in this view,
+// under this nonce commitment, proposes this content — and is the digest
+// Sig signs: every field but the signature, envelope first, domain
+// separated, in one pass. Prepares, commits and certificates name a
+// statement by it. Like ContentDigest's, the preimage is assembled in
+// pooled scratch through the append-mode writer — the digests run for
+// every message sent and verified and for every receipt checked, and must
+// not allocate.
+func (h *BatchHeader) StatementDigest() hashsig.Digest {
+	b := wire.GetScratch(len(statementDomain) + 176)
+	w := wire.NewAppendWriter(append(b, statementDomain...))
+	h.writeSigned(w)
+	b = w.AppendedBytes()
+	d := hashsig.Sum(b)
+	wire.PutScratch(b)
+	return d
+}
+
+// writeSigned emits every field the signature covers — the envelope, then
+// the content — and writeContent the content alone. They are the single
+// enumerations shared by the two digests and the header codec, so a digest
+// preimage and the serialized form can never drift apart; readSigned is
+// writeSigned's inverse.
+func (h *BatchHeader) writeSigned(w *wire.Writer) {
+	w.Uint64(h.View)
+	w.Uint32(h.Primary)
+	w.Digest(h.NonceCommit)
+	h.writeContent(w)
+}
+
+func (h *BatchHeader) writeContent(w *wire.Writer) {
 	w.Uint64(h.Seq)
 	w.Uint64(h.HistSize)
 	w.Digest(h.MRoot)
@@ -175,7 +262,10 @@ func (h *BatchHeader) writeSignedFields(w *wire.Writer) {
 	w.Digest(h.CkptDigest)
 }
 
-func (h *BatchHeader) readSignedFields(r *wire.Reader) {
+func (h *BatchHeader) readSigned(r *wire.Reader) {
+	h.View = r.Uint64()
+	h.Primary = r.Uint32()
+	h.NonceCommit = r.Digest()
 	h.Seq = r.Uint64()
 	h.HistSize = r.Uint64()
 	h.MRoot = r.Digest()
@@ -183,20 +273,6 @@ func (h *BatchHeader) readSignedFields(r *wire.Reader) {
 	h.GSize = r.Uint64()
 	h.Shards = r.Uint32()
 	h.CkptDigest = r.Digest()
-}
-
-// SigningDigest returns the digest the replica signs: every header field
-// except the signature, domain separated. The preimage is assembled in
-// pooled scratch through the append-mode writer — this runs twice per batch
-// per replica (sign and verify) and must not allocate.
-func (h *BatchHeader) SigningDigest() hashsig.Digest {
-	b := wire.GetScratch(len(headerDomain) + 128)
-	w := wire.NewAppendWriter(append(b, headerDomain...))
-	h.writeSignedFields(w)
-	b = w.AppendedBytes()
-	d := hashsig.Sum(b)
-	wire.PutScratch(b)
-	return d
 }
 
 // maxVerifiedHeaders bounds verifiedHeaders across both generations. A
@@ -210,14 +286,14 @@ const maxVerifiedHeaders = 4096
 // doc, "What a receipt check costs").
 var verifiedHeaders = hashsig.NewVerifiedSet(maxVerifiedHeaders)
 
-// Verify reports whether the header carries a valid signature by pub. The
-// first successful check of a given (pub, signed fields, signature bytes)
-// in this process costs one ECDSA verification; repeating it costs two
-// hashes and a map probe until the triple ages out of a bounded set.
+// Verify reports whether the statement carries a valid signature by pub. The
+// first successful check of a given (pub, envelope and content, signature
+// bytes) in this process costs one ECDSA verification; repeating it costs
+// three hashes and a map probe until the triple ages out of a bounded set.
 // Failures are never remembered, so a false verdict is always a fresh
 // ECDSA check, and changing any one of the three components is a miss.
 func (h *BatchHeader) Verify(pub *hashsig.PublicKey) bool {
-	return verifiedHeaders.Verify(hashsig.VerifyTask{Key: pub, Digest: h.SigningDigest(), Sig: h.Sig})
+	return verifiedHeaders.Verify(hashsig.VerifyTask{Key: pub, Digest: h.StatementDigest(), Sig: h.Sig})
 }
 
 // MaxSigLen bounds signature fields accepted on decode.
@@ -227,7 +303,7 @@ const MaxSigLen = 1 << 10
 // signature — so consensus messages can frame headers on their own, outside
 // a batch stream.
 func (h *BatchHeader) EncodeTo(w *wire.Writer) {
-	h.writeSignedFields(w)
+	h.writeSigned(w)
 	w.Bytes(h.Sig)
 }
 
@@ -235,7 +311,7 @@ func (h *BatchHeader) EncodeTo(w *wire.Writer) {
 // reader; the caller checks r.Err().
 func DecodeHeader(r *wire.Reader) BatchHeader {
 	var h BatchHeader
-	h.readSignedFields(r)
+	h.readSigned(r)
 	h.Sig = r.Bytes(MaxSigLen)
 	return h
 }
@@ -416,14 +492,21 @@ func (l *Ledger) BatchAt(seq uint64) *Batch {
 	return l.batches[seq-l.baseSeq-1]
 }
 
-// ExecuteBatch is the propose policy: it mints the requests into entries —
+// ExecuteBatch proposes reqs as the next batch under the zero envelope: the
+// form a ledger used without consensus takes (a single writer, one signer).
+func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
+	return l.ExecuteBatchAs(Envelope{}, reqs)
+}
+
+// ExecuteBatchAs is the propose policy: it mints the requests into entries —
 // plus a checkpoint marker when one is due — runs them through the core,
 // which sets every transaction's result (zero for an aborted one) and the
-// marker's incremental d_C and builds the audit paths, signs the derived
-// header, and returns the batch with one receipt per transaction entry.
-// The header's ECDSA signature is computed concurrently with receipt
-// construction — the last serial hot path on the commit critical path.
-func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
+// marker's incremental d_C and builds the audit paths, puts env around the
+// derived content, signs the statement — the batch's one signature — and
+// returns the batch with one receipt per transaction entry. The ECDSA
+// signature is computed concurrently with receipt construction — the last
+// serial hot path on the commit critical path.
+func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, []Receipt, error) {
 	for i := range reqs {
 		if len(reqs[i].Body) > MaxRequestLen {
 			return nil, nil, fmt.Errorf("%w: request %d body %d bytes exceeds %d",
@@ -452,11 +535,12 @@ func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
 	// RollbackTo(seq) to discard the half-executed batch.
 	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
 	header, proofs, _ := l.derive(seq, entries, nil)
+	header.Envelope = env
 
 	// The ECDSA sign runs concurrently with receipt construction; the
 	// signature is patched into the batch and every receipt once both are
 	// done. Nothing observes the header before this function returns.
-	sigf := l.cfg.Key.SignAsync(header.SigningDigest())
+	sigf := l.cfg.Key.SignAsync(header.StatementDigest())
 	receipts := l.scratch.receipts(header, entries, proofs)
 	header.Sig = sigf.MustWait()
 	for i := range receipts {
@@ -467,11 +551,22 @@ func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
 	return batch, receipts, nil
 }
 
+// Restate returns h's content under a new envelope, signed with this
+// ledger's key: what a new primary issues for a batch it re-proposes after
+// a view change. The batch is not re-executed and the ledger is not
+// touched — the content is h's, only the statement is new.
+func (l *Ledger) Restate(h *BatchHeader, env Envelope) BatchHeader {
+	out := *h
+	out.Envelope = env
+	out.Sig = l.cfg.Key.MustSign(out.StatementDigest())
+	return out
+}
+
 // checkpointDue reports whether batch seq ends a checkpoint interval.
 func (l *Ledger) checkpointDue(seq uint64) bool { return seq%l.cfg.CheckpointEvery == 0 }
 
-// adopt retains a batch the core just derived under this replica's
-// signature and, at a checkpoint boundary, its materialization.
+// adopt retains a batch the core just derived or reproduced and, at a
+// checkpoint boundary, its materialization.
 func (l *Ledger) adopt(b *Batch) {
 	l.batches = append(l.batches, b)
 	l.nextSeq = b.Header.Seq + 1
@@ -564,15 +659,21 @@ func WriteBatches(w io.Writer, batches []*Batch) error {
 // batch (stream framing and consensus pre-prepares alike).
 const MaxBatchEntries = 1 << 20
 
-// EncodeTo writes one batch — header fields, signature, then entries — in
-// the deterministic wire codec. It is the framing unit shared by the batch
-// stream (WriteBatches) and consensus pre-prepare messages.
+// EncodeTo writes one batch — the signed header, then the entries — in the
+// deterministic wire codec. It is the framing unit shared by the batch
+// stream (WriteBatches), state-transfer chunks and consensus pre-prepare
+// messages: a pre-prepare is a batch.
 func (b *Batch) EncodeTo(w *wire.Writer) {
 	b.Header.EncodeTo(w)
 	w.Uint32(uint32(len(b.Entries)))
+	// One pooled scratch buffer serves every entry: w.Bytes copies the
+	// encoding out, so the scratch never escapes.
+	buf := wire.GetScratch(256)
 	for i := range b.Entries {
-		b.Entries[i].encodeTo(w)
+		buf = b.Entries[i].Encode(buf[:0])
+		w.Bytes(buf)
 	}
+	wire.PutScratch(buf)
 }
 
 // DecodeBatch reads one batch written by EncodeTo. Errors stick to the

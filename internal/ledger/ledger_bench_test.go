@@ -73,7 +73,7 @@ func BenchmarkReplay(b *testing.B) {
 // BenchmarkReceiptVerify is the client-side cost of checking one receipt,
 // on both sides of the verified-header set. warm is the shape a client
 // with many requests outstanding sees: the 64 receipts of one batch, whose
-// shared header was checked once before the timer — SigningDigest, the set
+// shared header was checked once before the timer — StatementDigest, the set
 // probe and the audit path, no ECDSA and no allocation. cold gives every
 // iteration a header this process has never seen — the same receipts
 // re-signed under another Seq before the timer starts, so the path is the
@@ -106,7 +106,7 @@ func BenchmarkReceiptVerify(b *testing.B) {
 		for i := range fresh {
 			fresh[i] = receipts[i%len(receipts)]
 			fresh[i].Header.Seq = uint64(i) + 2
-			fresh[i].Header.Sig = testKey.MustSign(fresh[i].Header.SigningDigest())
+			fresh[i].Header.Sig = testKey.MustSign(fresh[i].Header.StatementDigest())
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

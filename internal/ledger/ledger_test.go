@@ -312,7 +312,7 @@ func TestBatchStreamRoundTrip(t *testing.T) {
 	}
 	for i, b := range decoded {
 		orig := l.Batches()[i]
-		if b.Header.SigningDigest() != orig.Header.SigningDigest() {
+		if b.Header.StatementDigest() != orig.Header.StatementDigest() {
 			t.Fatalf("batch %d header changed across codec", i)
 		}
 		if len(b.Entries) != len(orig.Entries) {
@@ -415,7 +415,7 @@ func TestReplayRejectsTampering(t *testing.T) {
 	// Re-signed header over a forged root: signature valid, roots diverge.
 	tampered = deepCopyBatches(l.Batches())
 	tampered[2].Header.MRoot = hashsig.Sum([]byte("rewritten history"))
-	tampered[2].Header.Sig = testKey.MustSign(tampered[2].Header.SigningDigest())
+	tampered[2].Header.Sig = testKey.MustSign(tampered[2].Header.StatementDigest())
 	if _, err := Replay(tampered, pub, KVApp{}, nil); err == nil {
 		t.Fatal("re-signed forged root replayed cleanly")
 	}

@@ -17,7 +17,8 @@ var ErrBadReceipt = fmt.Errorf("ledger: malformed receipt")
 const maxReceiptPath = 256
 
 // EncodeReceipt appends the wire encoding of the receipt to dst: the
-// signed header, the entry, the position metadata, and the audit path.
+// signed header (envelope, content, signature), the entry, the position
+// metadata, and the audit path.
 // Receipts cross the client submission RPC, so the encoding is versioned
 // by the enclosing transport frame, not here.
 func EncodeReceipt(dst []byte, rc *Receipt) []byte {
@@ -107,4 +108,3 @@ func DecodeRequest(b []byte) (Request, error) {
 	}
 	return rq, nil
 }
-

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -58,6 +59,71 @@ func TestReceiptCodecRoundTrip(t *testing.T) {
 	}
 	if !dec.Verify(pub) {
 		t.Fatal("decoded receipt aliases the input frame")
+	}
+}
+
+// TestReceiptCodecEnvelope: the receipt codec carries the statement's
+// envelope — a receipt cut under consensus proves view, primary and nonce
+// commitment — and altering any envelope field in a serialized receipt,
+// signature kept, fails Verify whether or not the honest header's check is
+// resident in verifiedHeaders.
+func TestReceiptCodecEnvelope(t *testing.T) {
+	key := hashsig.GenerateKeyFromSeed("receipt-codec-envelope")
+	pub := key.Public()
+	led, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 4, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alter := []struct {
+		field string
+		mut   func(*Receipt)
+	}{
+		{"View", func(x *Receipt) { x.Header.View ^= 1 }},
+		{"Primary", func(x *Receipt) { x.Header.Primary ^= 1 }},
+		{"NonceCommit", func(x *Receipt) { x.Header.NonceCommit[31] ^= 1 }},
+	}
+	for _, warm := range []bool{false, true} {
+		env := Envelope{View: 7, Primary: 3, NonceCommit: hashsig.NonceFromSeed(fmt.Sprint("codec", warm)).Commit()}
+		_, rcs, err := led.ExecuteBatchAs(env, []Request{{
+			Author: hashsig.Sum([]byte("client")), ReqNo: 1, Body: EncodeOps([]Op{{Key: "k", Val: []byte("v")}}),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := EncodeReceipt(nil, &rcs[0])
+		dec, err := DecodeReceipt(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Header.Envelope != env {
+			t.Fatalf("envelope changed across the codec: %+v vs %+v", dec.Header.Envelope, env)
+		}
+		if re := EncodeReceipt(nil, dec); !bytes.Equal(re, enc) {
+			t.Fatal("re-encode differs")
+		}
+		if warm && !dec.Verify(pub) {
+			t.Fatal("honest receipt does not verify")
+		}
+		if got := headerResident(&dec.Header, pub); got != warm {
+			t.Fatalf("honest header resident = %v, want %v", got, warm)
+		}
+		for _, a := range alter {
+			x, err := DecodeReceipt(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.mut(x)
+			forged, err := DecodeReceipt(EncodeReceipt(nil, x))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forged.Verify(pub) {
+				t.Errorf("warm=%v: receipt with altered %s and the signature kept verifies", warm, a.field)
+			}
+		}
+		if !dec.Verify(pub) {
+			t.Fatal("honest receipt does not verify after the forgeries")
+		}
 	}
 }
 

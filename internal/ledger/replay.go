@@ -27,23 +27,43 @@ type ReplayResult struct {
 	CkptDigest  hashsig.Digest // d_C of the last checkpoint taken
 }
 
-// Replay is the audit policy: it drives a batch stream from genesis through
-// a fresh core and checks every signed commitment against the recomputed
-// state: header signatures (verified batch-parallel through pool when
-// provided), per-entry results, per-shard batch tree roots combined into
-// ¯G, history tree roots ¯M, and sharded checkpoint digests d_C. The
-// auditor rebuilds a sharded store with the shard count the signed headers
-// declare, so a replica that executed under a different partition than it
-// claims is caught by the first checkpoint digest. app must be the same
-// deterministic application the primary ran. A nil error means the stream
-// is exactly reproducible — the replica that signed it executed it
-// faithfully. Nothing is signed and nothing retained: the batches are only
-// read.
+// KeyOf names the key a header's signature must verify under, or nil when
+// no acceptable signer exists for it. A ledger that lived through a view
+// change has one signer per view: under consensus the key is
+// peers[h.Primary], given that h.Primary leads h.View
+// (consensus.StatementKey). Reconfiguration will make it a function of
+// h.Seq as well; the seam is here so the audit need not change shape.
+type KeyOf func(h *BatchHeader) *hashsig.PublicKey
+
+// singleKey is the KeyOf of a single-writer ledger: every header must verify
+// under pub.
+func singleKey(pub *hashsig.PublicKey) KeyOf {
+	return func(*BatchHeader) *hashsig.PublicKey { return pub }
+}
+
+// Replay is ReplayKeyed for a single-writer ledger: every header must
+// verify under pub.
 func Replay(batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.VerifierPool) (*ReplayResult, error) {
+	return ReplayKeyed(batches, singleKey(pub), app, pool)
+}
+
+// ReplayKeyed is the audit policy: it drives a batch stream from genesis
+// through a fresh core and checks every signed commitment against the
+// recomputed state: header signatures, each under the key keyOf names for
+// it (verified batch-parallel through pool when provided), per-entry
+// results, per-shard batch tree roots combined into ¯G, history tree roots
+// ¯M, and sharded checkpoint digests d_C. The auditor rebuilds a sharded
+// store with the shard count the signed headers declare, so a replica that
+// executed under a different partition than it claims is caught by the
+// first checkpoint digest. app must be the same deterministic application
+// the primaries ran. A nil error means the stream is exactly reproducible —
+// the replicas that signed it executed it faithfully. Nothing is signed and
+// nothing retained: the batches are only read.
+func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierPool) (*ReplayResult, error) {
 	if app == nil {
 		return nil, ErrConfig
 	}
-	shards, err := verifyStreamHeaders(batches, pub, pool, 0)
+	shards, err := verifyStreamHeaders(batches, keyOf, pool, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +90,7 @@ func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app Ap
 	if app == nil || ck == nil {
 		return nil, ErrConfig
 	}
-	shards, err := verifyStreamHeaders(batches, pub, pool, ck.Store.ShardCount())
+	shards, err := verifyStreamHeaders(batches, singleKey(pub), pool, ck.Store.ShardCount())
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +111,7 @@ func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app Ap
 // wantShards when non-zero) and verifies all header signatures up front as
 // one parallel batch: replay is the verification-heavy path the paper
 // parallelizes (§3.4).
-func verifyStreamHeaders(batches []*Batch, pub *hashsig.PublicKey, pool *hashsig.VerifierPool, wantShards uint32) (uint32, error) {
+func verifyStreamHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool, wantShards uint32) (uint32, error) {
 	shards := wantShards
 	if shards == 0 {
 		shards = 1
@@ -109,7 +129,7 @@ func verifyStreamHeaders(batches []*Batch, pub *hashsig.PublicKey, pool *hashsig
 	}
 	tasks := make([]hashsig.VerifyTask, len(batches))
 	for i, b := range batches {
-		tasks[i] = hashsig.VerifyTask{Key: pub, Digest: b.Header.SigningDigest(), Sig: b.Header.Sig}
+		tasks[i] = hashsig.VerifyTask{Key: keyOf(&b.Header), Digest: b.Header.StatementDigest(), Sig: b.Header.Sig}
 	}
 	var oks []bool
 	if pool != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,7 +148,7 @@ func TestShardedReplayRejectsTampering(t *testing.T) {
 			tampered = deepCopyBatches(l.Batches())
 			for _, b := range tampered {
 				b.Header.Shards = shards + 1
-				b.Header.Sig = testKey.MustSign(b.Header.SigningDigest())
+				b.Header.Sig = testKey.MustSign(b.Header.StatementDigest())
 			}
 			if _, err := Replay(tampered, pub, KVApp{}, nil); err == nil {
 				t.Fatal("re-signed shard-count lie replayed cleanly")
@@ -156,7 +157,7 @@ func TestShardedReplayRejectsTampering(t *testing.T) {
 			// Inconsistent shard counts mid-stream.
 			tampered = deepCopyBatches(l.Batches())
 			tampered[3].Header.Shards = shards + 1
-			tampered[3].Header.Sig = testKey.MustSign(tampered[3].Header.SigningDigest())
+			tampered[3].Header.Sig = testKey.MustSign(tampered[3].Header.StatementDigest())
 			if _, err := Replay(tampered, pub, KVApp{}, nil); err == nil {
 				t.Fatal("mixed shard counts replayed cleanly")
 			}
@@ -239,6 +240,20 @@ func TestReadBatchesRejectsShardMismatchAndLegacy(t *testing.T) {
 	}
 	if _, err := ReadBatches(&unknown); err == nil {
 		t.Fatal("unknown stream version accepted")
+	}
+	// So is the previous one: a version-2 header has no envelope and its
+	// signature covers other bytes, so it must not be half-decoded.
+	var v2 bytes.Buffer
+	w = wire.NewWriter(&v2)
+	w.Uint32(wire.StreamMagic)
+	w.Uint32(2)
+	w.Uint32(4)
+	w.Uint32(0)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBatches(&v2); err == nil || !strings.Contains(err.Error(), "unsupported stream version 2") {
+		t.Fatalf("version-2 stream: err = %v, want unsupported stream version", err)
 	}
 	// Garbage magic.
 	if _, err := ReadBatches(bytes.NewReader([]byte("not a ledger stream"))); err == nil {

@@ -49,12 +49,12 @@ func warmBatch(t *testing.T, key *hashsig.PrivateKey, tag string, n int) []Recei
 }
 
 func headerResident(h *BatchHeader, pub *hashsig.PublicKey) bool {
-	return verifiedHeaders.Has(hashsig.VerifyTask{Key: pub, Digest: h.SigningDigest(), Sig: h.Sig}.MemoKey())
+	return verifiedHeaders.Has(hashsig.VerifyTask{Key: pub, Digest: h.StatementDigest(), Sig: h.Sig}.MemoKey())
 }
 
 // TestReceiptVerifyWarmSetFailsClosed: with the honest header's check
-// resident, changing any one component of (key, signed fields, signature
-// bytes) — or the path under the untouched header — must still be rejected,
+// resident, changing any one component of (key, signed fields — envelope
+// or content — signature bytes) — or the path under the untouched header — must still be rejected,
 // twice over, and must never become resident. TestReceiptNegativeTable's
 // own table runs warm too: it verifies its honest receipts first.
 func TestReceiptVerifyWarmSetFailsClosed(t *testing.T) {
@@ -90,6 +90,9 @@ func TestReceiptVerifyWarmSetFailsClosed(t *testing.T) {
 		{"another replica's key", otherPub, func(*Receipt) {}},
 		{"nil key", nil, func(*Receipt) {}},
 		{"empty signature", pub, func(x *Receipt) { x.Header.Sig = nil }},
+		{"view", pub, func(x *Receipt) { x.Header.View++ }},
+		{"primary", pub, func(x *Receipt) { x.Header.Primary++ }},
+		{"nonce commitment", pub, func(x *Receipt) { x.Header.NonceCommit[0] ^= 1 }},
 		{"seq", pub, func(x *Receipt) { x.Header.Seq++ }},
 		{"hist size", pub, func(x *Receipt) { x.Header.HistSize++ }},
 		{"M root", pub, func(x *Receipt) { x.Header.MRoot[0] ^= 1 }},
@@ -186,7 +189,7 @@ func TestReplayBypassesVerifiedHeaders(t *testing.T) {
 	// that read the set would take its word.
 	forged := *stream[1]
 	forged.Header.Sig = []byte("garbage")
-	verifiedHeaders.Add(hashsig.VerifyTask{Key: pub, Digest: forged.Header.SigningDigest(), Sig: forged.Header.Sig}.MemoKey())
+	verifiedHeaders.Add(hashsig.VerifyTask{Key: pub, Digest: forged.Header.StatementDigest(), Sig: forged.Header.Sig}.MemoKey())
 	if !forged.Header.Verify(pub) {
 		t.Fatal("setup: planted member not visible through the set")
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"iaccf/internal/consensus"
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
 	"iaccf/internal/node"
@@ -22,7 +23,8 @@ type Config struct {
 	// Addrs lists the cluster's RPC addresses, indexed by node ID. The
 	// NotPrimary leader hint is an index into this slice.
 	Addrs []string
-	// Pubs are the replica public keys receipts must verify against.
+	// Pubs are the replica public keys, indexed by replica ID: a receipt
+	// must verify under the key of the primary its header names.
 	// Empty disables client-side verification.
 	Pubs []*hashsig.PublicKey
 	// Workers is the number of concurrent submitters, each with its own
@@ -130,11 +132,6 @@ type worker struct {
 	author hashsig.Digest
 	target int // index into cfg.Addrs
 	cl     *node.RPCClient
-	// signer indexes the cfg.Pubs key the last receipt verified under: it
-	// is tried first, because a failed check is never cached — after a
-	// view change every receipt would otherwise pay a full ECDSA failure
-	// under each earlier key before reaching the primary's.
-	signer int
 }
 
 // runWorker returns one latency per committed request.
@@ -221,9 +218,9 @@ func (wk *worker) submit(rq *ledger.Request) (node.Status, error) {
 	return 0, fmt.Errorf("loadgen: request %d/%d gave up: %v", rq.ReqNo, len(wk.cfg.Addrs), lastErr)
 }
 
-// verify checks the receipt proves THIS request committed, under some
-// replica's key — the client-side audit step the paper's receipts exist
-// for.
+// verify checks the receipt proves THIS request committed, under the key
+// of the primary its header names (which must lead the view it names) —
+// the client-side audit step the paper's receipts exist for.
 func (wk *worker) verify(rq *ledger.Request, rc *ledger.Receipt) error {
 	if len(wk.cfg.Pubs) == 0 {
 		return nil
@@ -235,14 +232,11 @@ func (wk *worker) verify(rq *ledger.Request, rc *ledger.Receipt) error {
 		return fmt.Errorf("loadgen: receipt is for author %x reqno %d, want reqno %d",
 			rc.Entry.Author[:4], rc.Entry.ReqNo, rq.ReqNo)
 	}
-	for i := range wk.cfg.Pubs {
-		try := (wk.signer + i) % len(wk.cfg.Pubs)
-		if rc.Verify(wk.cfg.Pubs[try]) {
-			wk.signer = try
-			return nil
-		}
+	if key := consensus.StatementKey(wk.cfg.Pubs)(&rc.Header); key == nil || !rc.Verify(key) {
+		return fmt.Errorf("loadgen: receipt for reqno %d does not verify under the key of view %d's primary %d",
+			rq.ReqNo, rc.Header.View, rc.Header.Primary)
 	}
-	return fmt.Errorf("loadgen: receipt for reqno %d verifies under no replica key", rq.ReqNo)
+	return nil
 }
 
 func (wk *worker) disconnect() {

@@ -131,12 +131,12 @@ func TestWorkerFollowsLeaderHint(t *testing.T) {
 	}
 }
 
-// TestVerifyTriesLastSignerFirst: failed checks are never cached, so after
-// a view change a worker that walked Pubs in index order would pay a full
-// failed ECDSA check per earlier key on every receipt. The first receipt
-// from a new signer walks (one miss of the remembered index); the following
-// ones start at the key that verified last.
-func TestVerifyTriesLastSignerFirst(t *testing.T) {
+// TestVerifyUnderTheNamedPrimary: a receipt's header names the view and the
+// primary that proposed its batch, so the client checks exactly one key —
+// no walk over the replica set, whichever view the receipt comes from — and
+// a header naming a replica that does not lead its view, or signed by
+// another replica than the one it names, is refused.
+func TestVerifyUnderTheNamedPrimary(t *testing.T) {
 	keys := make([]*hashsig.PrivateKey, 4)
 	pubs := make([]*hashsig.PublicKey, 4)
 	for i := range keys {
@@ -145,35 +145,43 @@ func TestVerifyTriesLastSignerFirst(t *testing.T) {
 	}
 	author := hashsig.Sum([]byte("signer/client"))
 	reqNo := uint64(0)
-	receiptFrom := func(signer int) (*ledger.Request, *ledger.Receipt) {
+	receiptFrom := func(signer int, view uint64, primary uint32) (*ledger.Request, *ledger.Receipt) {
 		l, err := ledger.New(ledger.Config{Key: keys[signer], App: ledger.KVApp{}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		reqNo++
 		rq := ledger.Request{Author: author, ReqNo: reqNo, Body: ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}})}
-		_, rcs, err := l.ExecuteBatch([]ledger.Request{rq})
+		_, rcs, err := l.ExecuteBatchAs(ledger.Envelope{View: view, Primary: primary}, []ledger.Request{rq})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &rq, &rcs[0]
 	}
 	wk := &worker{cfg: &Config{Pubs: pubs}}
-	for step, signer := range []int{2, 2, 2, 0, 3} {
-		rq, rc := receiptFrom(signer)
+	for _, view := range []uint64{0, 2, 2, 4, 7} {
+		primary := int(view % 4)
+		_, verifies := hashsig.Counts()
+		rq, rc := receiptFrom(primary, view, uint32(primary))
 		if err := wk.verify(rq, rc); err != nil {
-			t.Fatalf("step %d: honest receipt from replica %d rejected: %v", step, signer, err)
+			t.Fatalf("honest receipt from view %d rejected: %v", view, err)
 		}
-		if wk.signer != signer {
-			t.Fatalf("step %d: worker remembers key %d, receipt verified under %d", step, wk.signer, signer)
+		if _, v := hashsig.Counts(); v-verifies != 1 {
+			t.Fatalf("view %d: receipt cost %d signature checks, want 1", view, v-verifies)
 		}
 	}
-	rq, rc := receiptFrom(1)
-	rc.Header.Seq++
-	if err := wk.verify(rq, rc); err == nil {
-		t.Fatal("receipt that verifies under no key accepted")
-	}
-	if wk.signer != 3 {
-		t.Fatalf("a failed verification moved the remembered key to %d", wk.signer)
+	for what, forge := range map[string]func() (*ledger.Request, *ledger.Receipt){
+		"signed by another replica than the primary it names": func() (*ledger.Request, *ledger.Receipt) { return receiptFrom(2, 0, 0) },
+		"naming a primary that does not lead its view":        func() (*ledger.Request, *ledger.Receipt) { return receiptFrom(2, 1, 2) },
+		"naming a replica out of range":                       func() (*ledger.Request, *ledger.Receipt) { return receiptFrom(2, 1, 9) },
+		"with the view altered after signing": func() (*ledger.Request, *ledger.Receipt) {
+			rq, rc := receiptFrom(1, 1, 1)
+			rc.Header.View = 5
+			return rq, rc
+		},
+	} {
+		if err := wk.verify(forge()); err == nil {
+			t.Fatalf("receipt %s accepted", what)
+		}
 	}
 }

@@ -100,7 +100,7 @@ func runAdversarialSchedule(t *testing.T, seed int64) {
 				if seq <= checked[i] || seq > committed {
 					continue
 				}
-				d := b.Header.SigningDigest()
+				d := b.Header.ContentDigest()
 				if prev, ok := canon[seq]; ok {
 					if prev != d {
 						t.Fatalf("step %d: safety violation: replica %d committed a different header at seq %d",

@@ -185,15 +185,16 @@ type pendingSub struct {
 }
 
 // pendingBatch parks a speculative proposal's delivery material until its
-// sequence commits. The header digest is the speculative header's signing
-// digest: delivery compares it against the batch that actually committed
-// at that sequence, so a view change that replaced the batch can never
-// hand a client a receipt for content that did not commit.
+// sequence commits. content is the speculative header's content digest:
+// delivery compares it against the batch that actually committed at that
+// sequence, so a view change that replaced the batch can never hand a
+// client a receipt for content that did not commit — while the same batch
+// re-proposed under a later view's statement still delivers.
 type pendingBatch struct {
-	view         uint64
-	headerDigest hashsig.Digest
-	rcs          []ledger.Receipt
-	subs         []pendingSub
+	view    uint64
+	content hashsig.Digest
+	rcs     []ledger.Receipt
+	subs    []pendingSub
 }
 
 // Node runs one cluster member: replica, pool, and delivery bookkeeping.
@@ -451,9 +452,9 @@ func (n *Node) proposeFromPool() int {
 		return 0
 	}
 	pb := pendingBatch{
-		view:         n.rep.View(),
-		headerDigest: pp.Prop.Header.SigningDigest(),
-		rcs:          rcs,
+		view:    n.rep.View(),
+		content: pp.Header.ContentDigest(),
+		rcs:     rcs,
 	}
 	ti := 0
 	for i := range batch {
@@ -464,7 +465,7 @@ func (n *Node) proposeFromPool() int {
 		}
 		pb.subs = append(pb.subs, pendingSub{hash: txpool.Hash(&batch[i]), rcIdx: idx})
 	}
-	n.pending[pp.Prop.Header.Seq] = pb
+	n.pending[pp.Header.Seq] = pb
 	n.route([]consensus.Outbound{{Dest: consensus.Broadcast, Msg: pp}})
 	return len(batch)
 }
@@ -530,13 +531,13 @@ func (n *Node) deliverSeq(seq uint64) {
 	}
 	delete(n.pending, seq)
 	// A view change may have replaced the speculative batch this material
-	// was minted for. When the committed batch is retained, compare headers
+	// was minted for. When the committed batch is retained, compare content
 	// directly. When a commit jump already pruned it, fall back to the view:
 	// within one view the primary signs exactly one pre-prepare per
 	// sequence, so if the view never changed since Propose, the batch that
 	// committed at seq can only be the one these receipts embed.
 	if b != nil {
-		if b.Header.SigningDigest() != pb.headerDigest {
+		if b.Header.ContentDigest() != pb.content {
 			return
 		}
 	} else if n.rep.View() != pb.view {

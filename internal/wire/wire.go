@@ -49,14 +49,17 @@ const (
 // first bytes were the raw batch count — so any unframed legacy stream
 // fails the magic check rather than mis-decoding. Version 2 carries the
 // execution shard count that sharded checkpoint digests and per-shard
-// batch trees depend on (paper §6).
+// batch trees depend on (paper §6). Version 3 changed the batch header:
+// it is the whole pre-prepare statement (view, primary and nonce commitment
+// before the content fields) under one signature over all of it, so a
+// version-2 header neither decodes nor verifies and is refused here.
 const (
 	// StreamMagic opens every batch stream ("iacc").
 	StreamMagic = 0x69616363
 	// StreamVCurrent is the only version current readers decode; writers
 	// always emit it. Future format changes bump it and gate their fields
 	// on it.
-	StreamVCurrent = 2
+	StreamVCurrent = 3
 	// MaxStreamShards bounds the shard count accepted from a stream. It is
 	// the definition kv.MaxShards aliases, so the wire and store limits
 	// cannot drift.
