@@ -42,8 +42,8 @@ var Analyzer = &analysis.Analyzer{
 var sinks = []taint.FuncMatch{
 	{PkgPath: "iaccf/internal/hashsig", Name: "Sum"},
 	{PkgPath: "iaccf/internal/hashsig", Name: "SumMany"},
-	{PkgPath: "iaccf/internal/hashsig", Name: "SignAsync"},
-	{PkgPath: "iaccf/internal/hashsig", Recv: "Signer", Name: "Sign"},
+	{PkgPath: "iaccf/internal/hashsig", Recv: "PrivateKey", Name: "Sign"},
+	{PkgPath: "iaccf/internal/hashsig", Recv: "PrivateKey", Name: "MustSign"},
 	{PkgPath: "iaccf/internal/wire", Name: "AppendUint32"},
 	{PkgPath: "iaccf/internal/wire", Name: "AppendUint64"},
 	{PkgPath: "iaccf/internal/wire", Name: "AppendBytes"},

@@ -450,6 +450,31 @@ func TestDecodeMessageRejectsMalformed(t *testing.T) {
 			t.Fatalf("case %d: malformed message decoded", i)
 		}
 	}
+
+	// Every signature field is capped at the scheme's size. A header,
+	// prepare or view-change signature of exactly that many garbage bytes
+	// decodes (and would fail verification); one byte more is rejected by
+	// the decoder, before any signature check.
+	out, err := c.replicas[1].Handle(pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := outMsgs(out)[0].(*Prepare)
+	vc := outMsgs(c.replicas[2].OnTimeout())[0].(*ViewChange)
+	for _, n := range []int{hashsig.SignatureSize, hashsig.SignatureSize + 1} {
+		sig := make(hashsig.Signature, n)
+		badPP, badPrep, badVC := *pp, *prep, *vc
+		badPP.Header.Sig, badPrep.Sig, badVC.Sig = sig, sig, sig
+		for _, m := range []Message{&badPP, &badPrep, &badVC} {
+			_, err := DecodeMessage(EncodeMessage(m))
+			if n == hashsig.SignatureSize && err != nil {
+				t.Fatalf("%T with a %d-byte signature does not decode: %v", m, n, err)
+			}
+			if n > hashsig.SignatureSize && !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("%T with a %d-byte signature: %v, want ErrBadMessage", m, n, err)
+			}
+		}
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

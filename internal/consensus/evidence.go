@@ -64,8 +64,8 @@ func blameFrom(a, b *ledger.BatchHeader, pub *hashsig.PublicKey) *Blame {
 // content, and carry valid signatures by pub, whose ID must match Culprit.
 // A true result is transferable proof of equivocation: honest replicas sign
 // at most one batch per (view, seq), so no honest key can ever be blamed.
-// The signatures are checked by plain ECDSA, consulting no verified set: an
-// accusation is re-derived by whoever weighs it.
+// The signatures are checked by plain PublicKey.Verify, consulting no
+// verified set: an accusation is re-derived by whoever weighs it.
 func (bl *Blame) Verify(pub *hashsig.PublicKey) bool {
 	if pub == nil || pub.ID() != bl.Culprit {
 		return false

@@ -177,7 +177,7 @@ func decodePrepare(r *wire.Reader) *Prepare {
 	m := &Prepare{Replica: ReplicaID(r.Uint32())}
 	m.Header = ledger.DecodeHeader(r)
 	m.NonceCommit = r.Digest()
-	m.Sig = r.Bytes(ledger.MaxSigLen)
+	m.Sig = r.Bytes(hashsig.SignatureSize)
 	return m
 }
 
@@ -341,7 +341,7 @@ func decodeViewChange(r *wire.Reader) *ViewChange {
 		}
 		m.Prepared = append(m.Prepared, claim)
 	}
-	m.Sig = r.Bytes(ledger.MaxSigLen)
+	m.Sig = r.Bytes(hashsig.SignatureSize)
 	return m
 }
 
@@ -411,7 +411,7 @@ func decodeNewView(r *wire.Reader) *NewView {
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		m.VCs = append(m.VCs, *decodeViewChange(r))
 	}
-	m.Sig = r.Bytes(ledger.MaxSigLen)
+	m.Sig = r.Bytes(hashsig.SignatureSize)
 	return m
 }
 

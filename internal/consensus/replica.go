@@ -391,7 +391,7 @@ func (r *Replica) openOwn(batch *ledger.Batch, nonce hashsig.Nonce) *PrePrepare 
 	in.reack = in.stmt.Seq <= r.committed
 	in.ownPrePrepare = pp
 	// The signature is this replica's own, so the prepares that carry the
-	// statement back owe it no ECDSA check.
+	// statement back owe it no signature check.
 	r.sigOK.Add(hashsig.VerifyTask{Key: r.cfg.Peers[r.cfg.ID], Digest: in.statement, Sig: in.stmt.Sig}.MemoKey())
 	r.seen[slotKey{in.stmt.View, in.stmt.Seq}] = in.stmt
 	if in.reack {
@@ -568,7 +568,7 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 	seq := h.Seq
 	if seq == 0 || seq+uint64(r.window) <= r.committed {
 		// Stale: outside the retained re-ack window. Dropped before the
-		// signature check — a verdict nobody will use is not worth an ECDSA.
+		// signature check — a verdict nobody will use is not worth a verify.
 		return nil
 	}
 	if err := r.verifyStatement(h); err != nil {

@@ -34,7 +34,7 @@ func deliverFIFO(reps []*Replica, queue []routed) {
 	}
 }
 
-// TestSignaturesPerBatch asserts the protocol's ECDSA bill as a count: one
+// TestSignaturesPerBatch asserts the protocol's signature bill as a count: one
 // signed statement per replica per batch. The primary signs the header (1);
 // each backup verifies it (3), signs its prepare (3) and verifies the other
 // two backups' prepares (6); the primary verifies all three prepares (3) and

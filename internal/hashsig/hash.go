@@ -1,7 +1,33 @@
 // Package hashsig provides the cryptographic substrate for IA-CCF: SHA-256
-// digests, ECDSA P-256 signatures, the nonce-commitment scheme used by
-// L-PBFT, a parallel verification pool, and the set of signature checks
-// already made.
+// digests, Ed25519 signatures, the nonce-commitment scheme used by L-PBFT,
+// a parallel verification pool, and the set of signature checks already
+// made.
+//
+// # The signature scheme
+//
+// A Signature is the 64-byte RFC 8032 Ed25519 signature over the 32 bytes
+// of a Digest; a PublicKey encodes to 32 bytes. This package alone knows
+// that: it exports SignatureSize and PublicKeySize, every decoder caps its
+// signature fields at the former, and nothing else imports a signature
+// package. The paper's implementation signs with secp256k1 through
+// EverCrypt; the design needs only unforgeable signed statements, so the
+// scheme is a cost row, and at the same ~128-bit level Ed25519 is the
+// cheapest one the standard library has (≈ 22 µs to sign and ≈ 55 µs to
+// verify on two cores, against ≈ 40 and ≈ 82 µs for its P-256 ECDSA; it has
+// no secp256k1). crypto/sha256 likewise stands in for EverCrypt's SHA-256.
+//
+// Signing is deterministic — no entropy is read on the commit path, and one
+// key over one statement always yields the same bytes, so a replica that
+// re-issues a statement re-issues the same message and ledgers can be
+// compared signatures included. Verification is strict: the scalar half S
+// must be reduced (S < L), so a third party cannot turn one valid signature
+// into a second encoding of it. Even where some encoding did slip through,
+// it could not poison a VerifiedSet: members are keyed by the exact
+// signature bytes, so only bytes that themselves passed Verify are ever
+// vouched for. Verify is total — no key or signature off a socket, of any
+// length, makes it panic.
+//
+// # The verified set
 //
 // VerifiedSet is the one place the repo remembers a successful signature
 // check. A member is the digest of (signed digest, signature bytes, key
@@ -15,10 +41,6 @@
 // its own, and PublicKey.Verify itself consults none — a memo on the key
 // would let in-process replicas that share key objects skip each other's
 // checks, a saving no real deployment has.
-//
-// The paper's implementation uses secp256k1 and EverCrypt; this package
-// substitutes the Go standard library's P-256 and crypto/sha256, which have
-// the same asymptotics (see DESIGN.md §2).
 package hashsig
 
 import (

@@ -2,6 +2,7 @@ package hashsig
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +89,111 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	}
 	if _, err := ParsePublicKey(nil); err == nil {
 		t.Fatal("nil key accepted")
+	}
+}
+
+// TestParsePublicKeyHostile: only exactly PublicKeySize bytes parse; 65 is
+// the length of the SEC1 point this package encoded before Ed25519. The
+// parsed key owns its bytes: neither the input nor Bytes() reaches it.
+func TestParsePublicKeyHostile(t *testing.T) {
+	for _, n := range []int{0, 31, 33, 65} {
+		if _, err := ParsePublicKey(make([]byte, n)); err == nil {
+			t.Fatalf("%d-byte key accepted", n)
+		}
+	}
+	key := GenerateKeyFromSeed("hostile-parse")
+	d := Sum([]byte("m"))
+	sig := key.MustSign(d)
+	enc := key.Public().Bytes()
+	pub, err := ParsePublicKey(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[0] ^= 0xff
+	pub.Bytes()[1] ^= 0xff
+	if !pub.Verify(d, sig) || !pub.Equal(key.Public()) || pub.ID() != key.Public().ID() {
+		t.Fatal("mutating the parsed input or Bytes() changed the key")
+	}
+}
+
+// TestVerifyTotal: Verify answers false, never panics, for every malformed
+// key or signature a socket can deliver — ed25519.Verify itself panics on a
+// key of the wrong length.
+func TestVerifyTotal(t *testing.T) {
+	key := GenerateKeyFromSeed("hostile-verify")
+	pub := key.Public()
+	d := Sum([]byte("m"))
+	sig := key.MustSign(d)
+	if !pub.Verify(d, sig) {
+		t.Fatal("valid signature rejected")
+	}
+	// S + L encodes the same scalar mod L; RFC 8032 requires S < L, and
+	// accepting it would make every signature malleable. S < L < 2^253, so
+	// the sum fits.
+	groupOrder := [32]byte{0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10}
+	nonCanonical := sig.Clone()
+	carry := 0
+	for i := 0; i < 32; i++ {
+		v := int(sig[32+i]) + int(groupOrder[i]) + carry
+		nonCanonical[32+i], carry = byte(v), v>>8
+	}
+	// Not a point on the curve: y = 2 has no x (decompression fails).
+	offCurve, err := ParsePublicKey(append([]byte{2}, make([]byte, PublicKeySize-1)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		key  *PublicKey
+		sig  Signature
+	}{
+		{"nil key", nil, sig},
+		{"zero-value key", &PublicKey{}, sig},
+		{"off-curve key", offCurve, sig},
+		{"empty signature", pub, Signature{}},
+		{"nil signature", pub, nil},
+		{"63-byte signature", pub, sig[:SignatureSize-1]},
+		{"65-byte signature", pub, append(sig.Clone(), 0)},
+		{"DER-sized signature", pub, make(Signature, 71)},
+		{"S >= L", pub, nonCanonical},
+	}
+	for _, c := range cases {
+		if c.key.Verify(d, c.sig) {
+			t.Errorf("%s: verified", c.name)
+		}
+		if NewVerifiedSet(8).Verify(VerifyTask{Key: c.key, Digest: d, Sig: c.sig}) {
+			t.Errorf("%s: verified through a VerifiedSet", c.name)
+		}
+	}
+}
+
+// TestSignDeterministic: the same key over the same digest yields the same
+// bytes, so a statement signed again — by a restarted replica, a re-proposed
+// batch — is a VerifiedSet hit and owes the primitive nothing.
+func TestSignDeterministic(t *testing.T) {
+	key := GenerateKeyFromSeed("deterministic")
+	d := Sum([]byte("statement"))
+	first := key.MustSign(d)
+	if len(first) != SignatureSize {
+		t.Fatalf("signature is %d bytes, want %d", len(first), SignatureSize)
+	}
+	if again := key.MustSign(d); !bytes.Equal(first, again) {
+		t.Fatal("same key and digest produced different signature bytes")
+	}
+	if other := GenerateKeyFromSeed("deterministic-2").MustSign(d); bytes.Equal(first, other) {
+		t.Fatal("a second key produced the same signature")
+	}
+	set := NewVerifiedSet(8)
+	if !set.Verify(VerifyTask{Key: key.Public(), Digest: d, Sig: first}) {
+		t.Fatal("valid signature rejected")
+	}
+	_, v0 := Counts()
+	if !set.Verify(VerifyTask{Key: key.Public(), Digest: d, Sig: key.MustSign(d)}) {
+		t.Fatal("re-signed statement rejected")
+	}
+	if _, v1 := Counts(); v1 != v0 {
+		t.Fatalf("re-signed statement cost %d verifications, want a set hit", v1-v0)
 	}
 }
 
@@ -180,6 +286,34 @@ func TestVerifierPool(t *testing.T) {
 	}
 }
 
+func TestDefaultPoolTracksGOMAXPROCS(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+
+	runtime.GOMAXPROCS(2)
+	p2 := DefaultPool()
+	if p2.Workers() != 2 {
+		t.Fatalf("pool at GOMAXPROCS=2 has %d workers", p2.Workers())
+	}
+	runtime.GOMAXPROCS(3)
+	p3 := DefaultPool()
+	if p3.Workers() != 3 {
+		t.Fatalf("pool at GOMAXPROCS=3 has %d workers", p3.Workers())
+	}
+	// The earlier pool stays usable after the change.
+	key := GenerateKeyFromSeed("pool-test")
+	d := Sum([]byte("m"))
+	sig := key.MustSign(d)
+	tasks := []VerifyTask{{Key: key.Public(), Digest: d, Sig: sig}}
+	if !p2.AllValid(tasks) || !p3.AllValid(tasks) {
+		t.Fatal("default pools failed a valid verification")
+	}
+	// Same size is the same cached pool.
+	if DefaultPool() != p3 {
+		t.Fatal("same GOMAXPROCS did not reuse the cached pool")
+	}
+}
+
 func TestVerifierPoolEmpty(t *testing.T) {
 	pool := NewVerifierPool(0)
 	defer pool.Close()
@@ -219,9 +353,9 @@ func TestSignatureClone(t *testing.T) {
 	}
 }
 
-// TestCountsCountThePrimitive: Counts moves once per ECDSA operation run —
-// through Sign, SignAsync, Verify and the pool alike — and not for work that
-// never reaches the primitive: a nil key, a VerifiedSet hit.
+// TestCountsCountThePrimitive: Counts moves once per Ed25519 operation run —
+// through Sign, Verify and the pool alike — and not for work that never
+// reaches the primitive: a nil key, a VerifiedSet hit.
 func TestCountsCountThePrimitive(t *testing.T) {
 	key := GenerateKeyFromSeed("counts")
 	pub := key.Public()
@@ -235,9 +369,6 @@ func TestCountsCountThePrimitive(t *testing.T) {
 	var sig Signature
 	if s, v := delta(func() { sig = key.MustSign(d) }); s != 1 || v != 0 {
 		t.Fatalf("MustSign counted %d signs, %d verifies", s, v)
-	}
-	if s, v := delta(func() { key.SignAsync(d).MustWait() }); s != 1 || v != 0 {
-		t.Fatalf("SignAsync counted %d signs, %d verifies", s, v)
 	}
 	if s, v := delta(func() { pub.Verify(d, sig); pub.Verify(d, Signature("garbage")) }); s != 0 || v != 2 {
 		t.Fatalf("two Verify calls counted %d signs, %d verifies", s, v)

@@ -42,13 +42,14 @@ func BenchmarkVerifyAll(b *testing.B) {
 func BenchmarkSign(b *testing.B) {
 	key := GenerateKeyFromSeed("bench-signer")
 	d := Sum([]byte("header"))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key.MustSign(d)
 	}
 }
 
-// BenchmarkVerify is one ECDSA check: what a VerifiedSet miss costs and a
+// BenchmarkVerify is one Ed25519 check: what a VerifiedSet miss costs and a
 // hit saves (ledger's BenchmarkReceiptVerify/cold is this plus a path).
 func BenchmarkVerify(b *testing.B) {
 	t := benchTasks(1)[0]

@@ -1,30 +1,39 @@
 package hashsig
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
+	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"sync/atomic"
 )
 
-// signCount and verifyCount count ECDSA operations performed by this
+// SignatureSize and PublicKeySize are the exact encoded lengths of a
+// Signature and of PublicKey.Bytes. Decoders cap signature fields read
+// from a socket at SignatureSize; this package alone knows the scheme
+// behind the numbers.
+const (
+	SignatureSize = ed25519.SignatureSize
+	PublicKeySize = ed25519.PublicKeySize
+)
+
+// signCount and verifyCount count Ed25519 operations performed by this
 // process — the primitive, not the callers: a VerifiedSet hit is not a
 // verification. No clock is read; see Counts.
 var signCount, verifyCount atomic.Uint64
 
-// Counts returns how many ECDSA signatures this process has produced and
-// how many verifications it has run since it started. Signatures are the
+// Counts returns how many signatures this process has produced and how
+// many verifications it has run since it started. Signatures are the
 // largest fixed cost of a batch, so tests assert the protocol's bill as a
 // difference of two Counts calls (consensus.TestSignaturesPerBatch).
 func Counts() (signs, verifies uint64) {
 	return signCount.Load(), verifyCount.Load()
 }
 
-// Signature is an ASN.1 DER-encoded ECDSA signature over a Digest.
+// Signature is a SignatureSize-byte Ed25519 signature (RFC 8032, R || S)
+// over the 32 bytes of a Digest. Signing is deterministic: one key over
+// one digest always yields the same bytes.
 type Signature []byte
 
 // Clone returns a copy of the signature.
@@ -36,29 +45,29 @@ func (s Signature) Clone() Signature {
 
 // PrivateKey is a replica, member, or client signing key.
 type PrivateKey struct {
-	key *ecdsa.PrivateKey
+	key ed25519.PrivateKey
 }
 
 // PublicKey is the verification half of a PrivateKey. Its canonical byte
 // encoding (Bytes) is what the ledger and governance transactions store.
 // The key's ID is computed once, when the object is built, so a
-// VerifiedSet lookup never pays a point marshal.
+// VerifiedSet lookup never hashes the key. The zero value is a key that
+// verifies nothing.
 type PublicKey struct {
-	key *ecdsa.PublicKey
+	key ed25519.PublicKey
 	id  Digest
 }
 
-func newPublicKey(k *ecdsa.PublicKey) *PublicKey {
-	return &PublicKey{key: k, id: Sum(elliptic.Marshal(elliptic.P256(), k.X, k.Y))}
+// newPublicKey wraps k, which must be PublicKeySize bytes the caller will
+// not modify.
+func newPublicKey(k ed25519.PublicKey) *PublicKey {
+	return &PublicKey{key: k, id: Sum(k)}
 }
 
-// GenerateKey creates a fresh P-256 key pair using entropy from r
+// GenerateKey creates a fresh key pair using entropy from r
 // (crypto/rand.Reader if r is nil).
 func GenerateKey(r io.Reader) (*PrivateKey, error) {
-	if r == nil {
-		r = rand.Reader
-	}
-	k, err := ecdsa.GenerateKey(elliptic.P256(), r)
+	_, k, err := ed25519.GenerateKey(r)
 	if err != nil {
 		return nil, fmt.Errorf("hashsig: generate key: %w", err)
 	}
@@ -77,78 +86,68 @@ func MustGenerateKey() *PrivateKey {
 
 // Public returns the public half of the key.
 func (p *PrivateKey) Public() *PublicKey {
-	return newPublicKey(&p.key.PublicKey)
+	return newPublicKey(p.key.Public().(ed25519.PublicKey))
 }
 
-// Sign signs the digest d and returns an ASN.1 DER signature.
+// Sign signs the digest d. It reads no entropy and allocates only the
+// signature. The error is always nil — Ed25519 signing cannot fail — and
+// is kept so callers written against a fallible signer do not change.
 func (p *PrivateKey) Sign(d Digest) (Signature, error) {
 	signCount.Add(1)
-	sig, err := ecdsa.SignASN1(rand.Reader, p.key, d[:])
-	if err != nil {
-		return nil, fmt.Errorf("hashsig: sign: %w", err)
-	}
-	return sig, nil
+	return ed25519.Sign(p.key, d[:]), nil
 }
 
-// MustSign is Sign panicking on failure; ECDSA signing over a fixed-size
-// digest only fails on entropy exhaustion.
+// MustSign is Sign without the error that is never set.
 func (p *PrivateKey) MustSign(d Digest) Signature {
-	sig, err := p.Sign(d)
-	if err != nil {
-		panic(err)
-	}
+	sig, _ := p.Sign(d)
 	return sig
 }
 
-// Verify reports whether sig is a valid signature by k over digest d.
+// Verify reports whether sig is a valid signature by k over digest d. It
+// is total: a nil or zero-value key, a signature of any length other than
+// SignatureSize, or one whose S is not reduced (S ≥ L) answers false, and
+// no input panics.
 func (k *PublicKey) Verify(d Digest, sig Signature) bool {
-	if k == nil || k.key == nil {
+	if k == nil || len(k.key) != PublicKeySize {
 		return false
 	}
 	verifyCount.Add(1)
-	return ecdsa.VerifyASN1(k.key, d[:], sig)
+	return ed25519.Verify(k.key, d[:], sig)
 }
 
-// Bytes returns the canonical (uncompressed SEC1) encoding of the key.
+// Bytes returns a copy of the canonical PublicKeySize-byte encoding of
+// the key (RFC 8032 §5.1.5).
 func (k *PublicKey) Bytes() []byte {
-	return elliptic.Marshal(elliptic.P256(), k.key.X, k.key.Y)
+	return bytes.Clone(k.key)
 }
 
 // ID returns the digest of the canonical key encoding. Clients and members
 // are identified by their key IDs throughout the system.
 func (k *PublicKey) ID() Digest { return k.id }
 
-// Equal reports whether two public keys are the same point.
+// Equal reports whether two public keys have the same encoding.
 func (k *PublicKey) Equal(o *PublicKey) bool {
 	if k == nil || o == nil {
 		return k == o
 	}
-	return k.key.Equal(o.key)
+	return bytes.Equal(k.key, o.key)
 }
 
-// ParsePublicKey decodes a canonical public key encoding.
+// ParsePublicKey decodes a canonical public key encoding: exactly
+// PublicKeySize bytes, copied. Bytes that name no curve point parse — the
+// check would cost a decompression per key — and verify nothing.
 func ParsePublicKey(b []byte) (*PublicKey, error) {
-	x, y := elliptic.Unmarshal(elliptic.P256(), b)
-	if x == nil {
+	if len(b) != PublicKeySize {
 		return nil, errors.New("hashsig: invalid public key encoding")
 	}
-	return newPublicKey(&ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}), nil
+	return newPublicKey(bytes.Clone(b)), nil
 }
 
 // GenerateKeyFromSeed deterministically derives a key pair from a seed
-// string by hashing the seed into the private scalar. Intended for tests,
-// examples, and reproducible benchmarks; real deployments must use
+// string by hashing the seed into the RFC 8032 private seed. Intended for
+// tests, examples, and reproducible benchmarks; real deployments must use
 // GenerateKey.
 func GenerateKeyFromSeed(seed string) *PrivateKey {
-	curve := elliptic.P256()
-	order := curve.Params().N
 	h := Sum([]byte("iaccf-key-seed:" + seed))
-	d := new(big.Int).SetBytes(h[:])
-	// Map into [1, order-1].
-	d.Mod(d, new(big.Int).Sub(order, big.NewInt(1)))
-	d.Add(d, big.NewInt(1))
-	k := &ecdsa.PrivateKey{D: d}
-	k.PublicKey.Curve = curve
-	k.PublicKey.X, k.PublicKey.Y = curve.ScalarBaseMult(d.Bytes())
-	return &PrivateKey{key: k}
+	return &PrivateKey{key: ed25519.NewKeyFromSeed(h[:])}
 }

@@ -4,10 +4,11 @@ import "sync"
 
 // VerifiedSet remembers signature checks that succeeded, so a fact this
 // process has already established — "this key signed this digest with these
-// signature bytes" — is not re-derived through ECDSA. It is the repo's one
+// signature bytes" — is not re-derived through Ed25519. It is the repo's one
 // such set: the ledger keeps an instance behind BatchHeader.Verify (64
 // receipts cut from one batch share one signed header) and every consensus
-// replica keeps its own for protocol messages.
+// replica keeps its own for protocol messages. Signing is deterministic, so
+// a statement its signer issues twice is the same member both times.
 //
 // Members are MemoKeys, which bind all three components of the check. Only
 // successes are ever added: a failure says nothing about a different
@@ -84,7 +85,7 @@ func (s *VerifiedSet) add(k Digest) {
 }
 
 // Verify is t.Key.Verify behind the set: a resident check returns true
-// without touching ECDSA, a miss runs the check and records a success.
+// without touching Ed25519, a miss runs the check and records a success.
 func (s *VerifiedSet) Verify(t VerifyTask) bool {
 	k := t.MemoKey()
 	if s.Has(k) {

@@ -107,9 +107,9 @@ func genBatch(rng *rand.Rand, n, keyPool int) []Request {
 	return reqs
 }
 
-// assertBatchesEqual compares everything the executors emit except raw
-// ECDSA signatures (randomized per sign); the signing digest covers every
-// signed header field.
+// assertBatchesEqual compares everything the executors emit except the
+// signature bytes, which are a function of the key and the statement; the
+// content digest covers every content field of the header.
 func assertBatchesEqual(t *testing.T, label string, pb, sb *Batch, pr, sr []Receipt) {
 	t.Helper()
 	if pb.Header.ContentDigest() != sb.Header.ContentDigest() {

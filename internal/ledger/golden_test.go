@@ -14,8 +14,9 @@ import (
 // The golden files pin this package's commitments to recorded bytes; see
 // testdata/README.md for their layout and provenance (written by d6cf8cd,
 // the last commit with three separate derivation loops; regenerated when
-// d_C became the Merkle root of the tries, and again when the header became
-// the whole pre-prepare statement).
+// d_C became the Merkle root of the tries, again when the header became the
+// whole pre-prepare statement, and re-signed — nothing else — when hashsig
+// went to Ed25519).
 const (
 	goldenStream  = "testdata/golden_s4.stream"
 	goldenDigests = "testdata/golden.txt"
@@ -64,8 +65,11 @@ func goldenRequests(batches []*Batch) [][]Request {
 	return out
 }
 
-// receiptsDigest hashes a batch's receipts in order, signatures excluded
-// (ECDSA signatures are randomized; everything else is deterministic).
+// receiptsDigest hashes a batch's receipts in order, signatures excluded:
+// the column was recorded while signatures were randomized ECDSA, and
+// blanking them keeps it independent of the key and the scheme. The
+// signatures themselves are pinned by the stream comparison in
+// TestGoldenByteIdentity.
 func receiptsDigest(rcs []Receipt) hashsig.Digest {
 	var buf []byte
 	for i := range rcs {
@@ -95,7 +99,7 @@ func goldenFinal(shards uint32, histSize uint64, histRoot, state, ckpt hashsig.D
 	return fmt.Sprintf("final %d %d %x %x %x", shards, histSize, histRoot[:], state[:], ckpt[:])
 }
 
-func readGolden(t *testing.T) (stream []*Batch, lines map[uint32][]string) {
+func readGolden(t *testing.T) (raw []byte, stream []*Batch, lines map[uint32][]string) {
 	t.Helper()
 	raw, err := os.ReadFile(goldenStream)
 	if err != nil {
@@ -135,17 +139,20 @@ func readGolden(t *testing.T) (stream []*Batch, lines map[uint32][]string) {
 			i++
 		}
 	}
-	return stream, lines
+	return raw, stream, lines
 }
 
 // TestGoldenByteIdentity is the byte-identity gate: for the request stream
 // behind the golden ledger, propose, apply and replay must each reproduce
 // the recorded headers, receipts, ¯M, state digest and d_C under shards
-// 1/4/16, and the recorded ledger must replay clean. It runs at GOMAXPROCS=4 with 72-request batches, so under
-// 4 and 16 shards all three policies go through the wave executor.
+// 1/4/16, and the recorded ledger must replay clean. Signing is
+// deterministic, so the 4-shard run must also re-issue the recorded stream
+// byte for byte, signatures included. It runs at GOMAXPROCS=4 with
+// 72-request batches, so under 4 and 16 shards all three policies go
+// through the wave executor.
 func TestGoldenByteIdentity(t *testing.T) {
 	forceParallel(t)
-	stream, golden := readGolden(t)
+	raw, stream, golden := readGolden(t)
 	key := hashsig.GenerateKeyFromSeed(goldenKeySeed)
 	pub := key.Public()
 	reqs := goldenRequests(stream)
@@ -192,6 +199,15 @@ func TestGoldenByteIdentity(t *testing.T) {
 							t.Fatalf("batch %d entry %d differs from the recorded ledger", b.Header.Seq, j)
 						}
 					}
+				}
+			}
+			if shards == 4 {
+				var reissued bytes.Buffer
+				if err := WriteBatches(&reissued, primary.Batches()); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(reissued.Bytes(), raw) {
+					t.Fatalf("the 4-shard run's stream (%d bytes) is not the recorded one (%d bytes), signatures included", reissued.Len(), len(raw))
 				}
 			}
 			wantLines := strings.Join(golden[shards], "\n")

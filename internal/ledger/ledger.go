@@ -70,7 +70,7 @@
 // (§3.3): a client or auditor holding the 64 receipts of one batch owes
 // their shared header one signature check. BatchHeader.Verify — and so
 // Receipt.Verify — therefore consults one process-wide
-// hashsig.VerifiedSet: one ECDSA verification per distinct (key, signed
+// hashsig.VerifiedSet: one signature verification per distinct (key, signed
 // header fields, signature bytes) per process, then path hashing only,
 // until the triple ages out of a bounded two-generation set (a re-check,
 // never a different verdict). Failures are never cached. The signed fields
@@ -288,16 +288,14 @@ var verifiedHeaders = hashsig.NewVerifiedSet(maxVerifiedHeaders)
 
 // Verify reports whether the statement carries a valid signature by pub. The
 // first successful check of a given (pub, envelope and content, signature
-// bytes) in this process costs one ECDSA verification; repeating it costs
+// bytes) in this process costs one signature verification; repeating it costs
 // three hashes and a map probe until the triple ages out of a bounded set.
 // Failures are never remembered, so a false verdict is always a fresh
-// ECDSA check, and changing any one of the three components is a miss.
+// check of the primitive, and changing any one of the three components is
+// a miss.
 func (h *BatchHeader) Verify(pub *hashsig.PublicKey) bool {
 	return verifiedHeaders.Verify(hashsig.VerifyTask{Key: pub, Digest: h.StatementDigest(), Sig: h.Sig})
 }
-
-// MaxSigLen bounds signature fields accepted on decode.
-const MaxSigLen = 1 << 10
 
 // EncodeTo writes the header — signed fields in signing order, then the
 // signature — so consensus messages can frame headers on their own, outside
@@ -308,11 +306,13 @@ func (h *BatchHeader) EncodeTo(w *wire.Writer) {
 }
 
 // DecodeHeader reads a header written by EncodeTo. Errors stick to the
-// reader; the caller checks r.Err().
+// reader; the caller checks r.Err(). The signature field is capped at
+// hashsig.SignatureSize: a longer one is wire.ErrCorrupt here, a shorter
+// one decodes and fails Verify.
 func DecodeHeader(r *wire.Reader) BatchHeader {
 	var h BatchHeader
 	h.readSigned(r)
-	h.Sig = r.Bytes(MaxSigLen)
+	h.Sig = r.Bytes(hashsig.SignatureSize)
 	return h
 }
 
@@ -349,7 +349,7 @@ type Receipt struct {
 // signature must be valid and the entry's sharded audit path must root in
 // ¯G under the header's signed shard count. The signature is per batch and
 // only the path is per transaction (§3.3), so the receipts of one batch owe
-// their shared header one ECDSA check between them (BatchHeader.Verify);
+// their shared header one signature check between them (BatchHeader.Verify);
 // the path is hashed for every receipt, every time.
 func (r *Receipt) Verify(pub *hashsig.PublicKey) bool {
 	if !r.Header.Verify(pub) {
@@ -503,9 +503,8 @@ func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
 // which sets every transaction's result (zero for an aborted one) and the
 // marker's incremental d_C and builds the audit paths, puts env around the
 // derived content, signs the statement — the batch's one signature — and
-// returns the batch with one receipt per transaction entry. The ECDSA
-// signature is computed concurrently with receipt construction — the last
-// serial hot path on the commit critical path.
+// returns the batch with one receipt per transaction entry, each cut from
+// the signed header.
 func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, []Receipt, error) {
 	for i := range reqs {
 		if len(reqs[i].Body) > MaxRequestLen {
@@ -537,15 +536,8 @@ func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, []Receipt
 	header, proofs, _ := l.derive(seq, entries, nil)
 	header.Envelope = env
 
-	// The ECDSA sign runs concurrently with receipt construction; the
-	// signature is patched into the batch and every receipt once both are
-	// done. Nothing observes the header before this function returns.
-	sigf := l.cfg.Key.SignAsync(header.StatementDigest())
+	header.Sig = l.cfg.Key.MustSign(header.StatementDigest())
 	receipts := l.scratch.receipts(header, entries, proofs)
-	header.Sig = sigf.MustWait()
-	for i := range receipts {
-		receipts[i].Header.Sig = header.Sig
-	}
 	batch := &Batch{Header: header, Entries: entries}
 	l.adopt(batch)
 	return batch, receipts, nil

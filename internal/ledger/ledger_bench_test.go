@@ -70,15 +70,20 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
+// coldSeq numbers the headers BenchmarkReceiptVerify/cold signs and never
+// repeats within the process: signatures are deterministic, so a Seq signed
+// in an earlier b.N round would be a set hit in a later one and the row
+// would silently read warm.
+var coldSeq uint64 = 1
+
 // BenchmarkReceiptVerify is the client-side cost of checking one receipt,
 // on both sides of the verified-header set. warm is the shape a client
 // with many requests outstanding sees: the 64 receipts of one batch, whose
 // shared header was checked once before the timer — StatementDigest, the set
-// probe and the audit path, no ECDSA and no allocation. cold gives every
-// iteration a header this process has never seen — the same receipts
+// probe and the audit path, no signature check and no allocation. cold gives
+// every iteration a header this process has never seen — the same receipts
 // re-signed under another Seq before the timer starts, so the path is the
-// same length, and ECDSA signatures are randomized, so no two rounds share
-// a triple: one pub.Verify (hashsig's BenchmarkVerify) plus warm.
+// same length: one pub.Verify (hashsig's BenchmarkVerify) plus warm.
 func BenchmarkReceiptVerify(b *testing.B) {
 	l, err := New(Config{Key: testKey, App: KVApp{}})
 	if err != nil {
@@ -105,7 +110,8 @@ func BenchmarkReceiptVerify(b *testing.B) {
 		fresh := make([]Receipt, b.N)
 		for i := range fresh {
 			fresh[i] = receipts[i%len(receipts)]
-			fresh[i].Header.Seq = uint64(i) + 2
+			coldSeq++
+			fresh[i].Header.Seq = coldSeq
 			fresh[i].Header.Sig = testKey.MustSign(fresh[i].Header.StatementDigest())
 		}
 		b.ReportAllocs()

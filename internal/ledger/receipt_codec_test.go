@@ -2,10 +2,12 @@ package ledger
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"iaccf/internal/hashsig"
+	"iaccf/internal/wire"
 )
 
 // TestReceiptCodecRoundTrip encodes real receipts — produced by executing a
@@ -151,6 +153,36 @@ func TestReceiptCodecRejects(t *testing.T) {
 	}
 	if _, err := DecodeReceipt(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+
+	// The signature field is capped at the scheme's size: one byte over is
+	// corrupt at decode — in a bare header, a receipt and a batch stream —
+	// while one byte under decodes and simply fails Verify.
+	long, short := rcs[0], rcs[0]
+	long.Header.Sig = append(long.Header.Sig.Clone(), 0)
+	short.Header.Sig = short.Header.Sig[:hashsig.SignatureSize-1]
+	w := wire.NewAppendWriter(nil)
+	long.Header.EncodeTo(w)
+	r := wire.NewBytesReader(w.AppendedBytes())
+	if DecodeHeader(r); !errors.Is(r.Err(), wire.ErrCorrupt) {
+		t.Fatalf("header with a %d-byte signature: %v, want wire.ErrCorrupt", len(long.Header.Sig), r.Err())
+	}
+	if _, err := DecodeReceipt(EncodeReceipt(nil, &long)); !errors.Is(err, ErrBadReceipt) {
+		t.Fatalf("receipt with a %d-byte signature: %v, want ErrBadReceipt", len(long.Header.Sig), err)
+	}
+	var stream bytes.Buffer
+	if err := WriteBatches(&stream, []*Batch{{Header: long.Header, Entries: led.Batches()[0].Entries}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBatches(&stream); !errors.Is(err, ErrBadBatch) {
+		t.Fatalf("stream with a %d-byte signature: %v, want ErrBadBatch", len(long.Header.Sig), err)
+	}
+	got, err := DecodeReceipt(EncodeReceipt(nil, &short))
+	if err != nil {
+		t.Fatalf("receipt with a %d-byte signature does not decode: %v", len(short.Header.Sig), err)
+	}
+	if got.Verify(key.Public()) {
+		t.Fatal("receipt with a truncated signature verified")
 	}
 }
 
