@@ -13,9 +13,9 @@ import (
 // included — across 3f+1 = 4 replicas with f = 1, per batch size and
 // proposal window. One iteration commits `window` consecutive batches: the
 // primary fills its window before any traffic is delivered, so with W > 1
-// every replica receives several instances' messages per round and the
-// pooled signature prewarm (HandleAll) gets real batches to spread across
-// workers. window=1 is the serial baseline the pipelined runs must beat.
+// every replica receives several instances' messages per round, one Handle
+// call per message as the node's run loop makes them. window=1 is the serial
+// baseline the pipelined runs must beat.
 // The metric that matters is entries/sec: how much ledger throughput the
 // consensus pipeline sustains.
 func BenchmarkConsensusCommit(b *testing.B) {
@@ -144,9 +144,8 @@ func benchCommitKeyed(b *testing.B, batchSize, window int, shards uint32, mkReq 
 			frames = append(frames, EncodeMessage(pp))
 		}
 		// Flood-deliver encoded frames until quiescent, like the harness
-		// but with no loss: each round every replica gets the whole batch
-		// of in-flight frames at once (HandleAll), the steady-state fast
-		// path a pipelining transport produces.
+		// but with no loss: each round every replica gets every in-flight
+		// frame, the steady state a pipelining transport produces.
 		for len(frames) > 0 {
 			msgs := make([]Message, len(frames))
 			for j, frame := range frames {
@@ -158,8 +157,11 @@ func benchCommitKeyed(b *testing.B, batchSize, window int, shards uint32, mkReq 
 			}
 			frames = frames[:0]
 			for _, r := range replicas {
-				for _, o := range r.HandleAll(msgs) {
-					frames = append(frames, EncodeMessage(o.Msg))
+				for _, m := range msgs {
+					out, _ := r.Handle(m)
+					for _, o := range out {
+						frames = append(frames, EncodeMessage(o.Msg))
+					}
 				}
 			}
 		}
@@ -256,8 +258,11 @@ func BenchmarkConsensusBoundedMemory(b *testing.B) {
 			}
 			frames = frames[:0]
 			for _, r := range replicas {
-				for _, o := range r.HandleAll(msgs) {
-					frames = append(frames, EncodeMessage(o.Msg))
+				for _, m := range msgs {
+					out, _ := r.Handle(m)
+					for _, o := range out {
+						frames = append(frames, EncodeMessage(o.Msg))
+					}
 				}
 			}
 		}

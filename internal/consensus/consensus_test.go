@@ -415,6 +415,8 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		Nonce:     hashsig.NonceFromSeed("n"),
 	})
 	msgs = append(msgs, outMsgs(c.replicas[2].OnTimeout())...)
+	// A suffix-only offer: no shard digests, no frontier.
+	msgs = append(msgs, &SyncAvail{Replica: 1, Requester: 3, CkptSeq: 5, Cert: &CommitCert{Header: pp.Header}})
 	for i, m := range msgs {
 		enc := EncodeMessage(m)
 		dec, err := DecodeMessage(enc)
@@ -533,34 +535,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestBufferDiscardsPermanentlyStale: a delayed retransmit for a batch the
-// replica has checkpointed past can never become processable — buffering it
-// would leak it until maxFuture churn. The guard acks-and-discards exactly
-// the messages below the retained re-ack window; view-keyed traffic is
-// never seq-gated.
-func TestBufferDiscardsPermanentlyStale(t *testing.T) {
+// TestFutureBuffer: what the out-of-order buffer keeps and what it lets go.
+// A later view's message is kept whatever its seq says about this view; the
+// buffer holds maxFuture messages and evicts the oldest; and the drain a
+// commit triggers drops what that commit decided, keeping the rest.
+func TestFutureBuffer(t *testing.T) {
 	c := newCluster(t, 4, 1)
-	r := c.replicas[0]
-	r.committed = 100 // window is DefaultWindow = 4
-
-	r.buffer(&Commit{Seq: 3})
-	if len(r.future) != 0 {
-		t.Fatal("commit far below the checkpoint was buffered")
+	r := c.replicas[3]
+	later := func(seq uint64) *Commit { return &Commit{View: 7, Replica: 2, Seq: seq} }
+	for _, seq := range []uint64{1, 2} {
+		if out, err := r.Handle(later(seq)); err != nil || len(out) != 0 {
+			t.Fatalf("later view's commit for seq %d: %d envelopes, err %v", seq, len(out), err)
+		}
 	}
-	r.buffer(&Commit{Seq: 96}) // 96 + 4 <= 100: still unreachable
-	if len(r.future) != 0 {
-		t.Fatal("commit at the discard boundary was buffered")
-	}
-	r.buffer(&Commit{Seq: 97}) // inside the re-ack window: keep
-	if len(r.future) != 1 {
-		t.Fatal("in-window commit was discarded")
-	}
-	r.buffer(&PrePrepare{}) // seq 0 placeholder traffic is never discarded
 	if len(r.future) != 2 {
-		t.Fatal("zero-seq message was discarded")
+		t.Fatalf("%d of 2 later-view commits buffered", len(r.future))
 	}
-	r.buffer(&ViewChange{}) // view-keyed: not subject to the seq gate
-	if len(r.future) != 3 {
-		t.Fatal("view-change was discarded by the seq gate")
+	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
+	c.flood()
+	c.assertAgreement(1, 0, 1, 2, 3)
+	if len(r.future) != 1 || r.future[0].(*Commit).Seq != 2 {
+		t.Fatalf("after seq 1 committed the buffer holds %d messages, want the one for seq 2", len(r.future))
+	}
+
+	for seq := uint64(3); len(r.future) < maxFuture; seq++ {
+		r.buffer(later(seq))
+	}
+	r.buffer(later(1 << 40))
+	if got := len(r.future); got != maxFuture {
+		t.Fatalf("buffer holds %d messages, cap is %d", got, maxFuture)
+	}
+	if oldest, newest := r.future[0].(*Commit).Seq, r.future[maxFuture-1].(*Commit).Seq; oldest != 3 || newest != 1<<40 {
+		t.Fatalf("full buffer runs from seq %d to %d, want the oldest (2) evicted for the newest", oldest, newest)
 	}
 }

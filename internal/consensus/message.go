@@ -11,8 +11,8 @@
 // signs (its identity, the header's StatementDigest, its own nonce
 // commitment). Commits are unsigned openings. Two questions are kept apart
 // throughout (see the ledger package doc): "same batch?" compares
-// BatchHeader.ContentDigest — re-acks, re-proposal pins, the prepared chain
-// a new view inherits, the state-transfer anchor; "same pre-prepare?"
+// BatchHeader.ContentDigest — re-proposal pins, the prepared chain a new
+// view inherits, the catch-up anchor; "same pre-prepare?"
 // compares BatchHeader.StatementDigest — prepares, commits, certificates,
 // the verified-signature set.
 //
@@ -55,19 +55,19 @@ const (
 	MsgViewChange MsgType = 4
 	// MsgNewView is the new primary's 2f+1 view-change certificate.
 	MsgNewView MsgType = 5
-	// MsgSyncRequest is a laggard's ask for checkpoint availability: who
-	// holds a checkpoint past its committed watermark.
+	// MsgSyncRequest is a laggard's ask: who committed past its watermark.
 	MsgSyncRequest MsgType = 6
-	// MsgSyncAvail answers a sync request: the responder's latest committed
-	// checkpoint coordinates, anchored by the commit certificate for its
+	// MsgSyncAvail answers a sync request: where the fetch starts — the
+	// requester's own watermark, or the responder's latest committed
+	// checkpoint — anchored by the commit certificate for the responder's
 	// latest committed batch.
 	MsgSyncAvail MsgType = 7
 	// MsgSyncChunkRequest asks one peer for one state or batch chunk of an
-	// announced checkpoint.
+	// accepted offer.
 	MsgSyncChunkRequest MsgType = 8
 	// MsgSyncChunk carries one requested chunk: a shard's canonical
 	// serialization, or one committed batch of the suffix above the
-	// checkpoint.
+	// offer's start.
 	MsgSyncChunk MsgType = 9
 )
 
@@ -415,9 +415,9 @@ func decodeNewView(r *wire.Reader) *NewView {
 	return m
 }
 
-// SyncRequest is a laggard's broadcast ask for state transfer: any replica
-// holding a committed checkpoint past HaveSeq answers with a SyncAvail.
-// Sync messages are unsigned — nothing in them is trusted. The availability
+// SyncRequest is a laggard's broadcast ask for the commits it lacks: any
+// replica that committed past HaveSeq answers with a SyncAvail. Sync
+// messages are unsigned — nothing in them is trusted. The availability
 // answer carries a commit certificate, and every chunk is verified against
 // the digests that certificate signs over before adoption, so a forged or
 // spoofed sync message can waste a round trip but never corrupt state.
@@ -445,9 +445,13 @@ func decodeSyncRequest(r *wire.Reader) *SyncRequest {
 // decode: 12 header bytes plus at most 64 peak digests.
 const maxFrontierBytes = 1 << 12
 
-// SyncAvail announces what the responder can serve: its latest committed
-// checkpoint (sequence number, per-shard digest vector, history-tree
-// frontier) plus the commit certificate for its latest committed batch.
+// SyncAvail announces what the responder can serve, under the commit
+// certificate for its latest committed batch. While it still retains batch
+// HaveSeq+1 the offer is the suffix alone: CkptSeq is the requester's
+// HaveSeq, ShardDigests and Frontier are empty, and the batches
+// CkptSeq+1..Cert.Seq() apply onto the requester's own ledger. Otherwise it
+// is the responder's latest committed checkpoint (sequence number,
+// per-shard digest vector, history-tree frontier) plus the suffix above it.
 // The certificate is the sole trust anchor of the transfer: its signed
 // header's d_C must equal the combined shard digest vector, each state
 // chunk must rebuild to a shard whose digest is its slot in that vector,
@@ -510,14 +514,14 @@ const (
 	// shard number. It verifies by decoding to a shard whose digest
 	// (kv.ShardDigest) is ShardDigests[Index].
 	SyncChunkState uint32 = 0
-	// SyncChunkBatch is one committed batch above the checkpoint; Index is
-	// the offset, so the batch's sequence number is CkptSeq+1+Index. It
-	// verifies transitively by replaying onto the checkpoint up to the
-	// certified header.
+	// SyncChunkBatch is one committed batch above the offer's start; Index
+	// is the offset, so the batch's sequence number is CkptSeq+1+Index. It
+	// verifies transitively by replaying up to the certified header.
 	SyncChunkBatch uint32 = 1
 )
 
-// SyncChunkRequest asks Source for one chunk of the checkpoint at CkptSeq.
+// SyncChunkRequest asks Source for one chunk of the offer starting at
+// CkptSeq.
 type SyncChunkRequest struct {
 	Replica ReplicaID // requester
 	Source  ReplicaID

@@ -49,9 +49,6 @@ type Config struct {
 	// configuration must agree on it (it bounds the prepared claims a
 	// view-change may carry).
 	Window int
-	// Pool verifies protocol signatures; nil selects the process-wide
-	// hashsig.DefaultPool.
-	Pool *hashsig.VerifierPool
 }
 
 // slotKey identifies one proposal slot for equivocation detection: a
@@ -75,12 +72,6 @@ type instance struct {
 	statement hashsig.Digest // stmt.StatementDigest()
 	entries   []ledger.Entry
 	nonce     hashsig.Nonce // own commit nonce
-	// passive marks a catch-up instance replayed from an older view's
-	// traffic: the replica executes and collects, but emits nothing, and
-	// commits only on a full quorum of openings.
-	passive bool
-	// reack marks an instance for a seq this replica already committed.
-	reack bool
 	// prepMsgs holds the valid prepares seen, by backup (never the
 	// primary, whose endorsement and nonce commitment ride in stmt).
 	prepMsgs map[ReplicaID]*Prepare
@@ -123,9 +114,9 @@ func (in *instance) openedQuorum() int {
 
 // Replica is one L-PBFT replica: a ledger plus the protocol state machine.
 // It is single-threaded, like the replica loop it models: callers feed it
-// one message (Handle) or one batch of messages (HandleAll) at a time and
-// route the addressed envelopes it returns — Broadcast envelopes to every
-// peer, unicast envelopes to exactly their Dest.
+// one message at a time (Handle) and route the addressed envelopes it
+// returns — Broadcast envelopes to every peer, unicast envelopes to exactly
+// their Dest.
 type Replica struct {
 	cfg    Config
 	n      int
@@ -140,27 +131,14 @@ type Replica struct {
 	committed uint64 // highest committed batch seq (0 = none)
 	// insts holds the in-flight window, keyed by sequence number. Keys are
 	// always the contiguous range (committed, Ledger().Seq()): instances
-	// are created in execution order and abandoned as a suffix.
+	// are created in execution order and abandoned as a suffix, and all of
+	// them belong to the current view.
 	insts map[uint64]*instance
-	// reacks holds participation-only instances for already committed
-	// batches (a new primary re-proposing them so laggards can finish),
-	// keyed by sequence number and bounded to the last Window commits.
-	// They never touch the ledger: the replica answers from its stored
-	// batch copy, lending its prepare and opening to the new round's
-	// quorum. Without them a replica that committed seq could never help
-	// re-form a quorum for it, and two laggards stuck below it would wait
-	// forever (quorums need 2f+1 participants, committed-or-not).
-	reacks map[uint64]*instance
 
-	// lastCommit retains the proof for the latest committed batch, carried
-	// in view-changes to certify CommittedSeq.
+	// lastCommit retains the proof for the latest committed batch: carried
+	// in view-changes to certify CommittedSeq, and offered to laggards as
+	// the anchor of what they fetch (sync.go).
 	lastCommit *CommitCert
-	// recentOwn keeps this replica's own protocol messages for the last
-	// Window committed instances. Retransmit re-emits them so a replica
-	// that missed a whole pipelined window — the original broadcasts are
-	// one-shot — can still rebuild passive catch-up instances and gather
-	// the openings it needs, without a state-transfer protocol.
-	recentOwn map[uint64][]Message
 
 	// view-change state
 	inViewChange bool
@@ -196,9 +174,8 @@ type Replica struct {
 	// prepares is checked once.
 	sigOK *hashsig.VerifiedSet
 
-	// sync is the checkpoint state-transfer state machine (sync.go): how
-	// this replica recovers once the cluster has pruned the batches it
-	// would need for in-window catch-up.
+	// sync is the catch-up state machine (sync.go): how this replica
+	// obtains every batch it did not commit itself.
 	sync syncState
 
 	// gen counts state transitions that can make buffered messages
@@ -241,10 +218,6 @@ func New(cfg Config) (*Replica, error) {
 		return nil, err
 	}
 	f := (n - 1) / 3
-	pool := cfg.Pool
-	if pool == nil {
-		pool = hashsig.DefaultPool()
-	}
 	return &Replica{
 		cfg:           cfg,
 		n:             n,
@@ -252,11 +225,9 @@ func New(cfg Config) (*Replica, error) {
 		quorum:        2*f + 1,
 		window:        cfg.Window,
 		led:           led,
-		pool:          pool,
+		pool:          hashsig.DefaultPool(),
 		keyOf:         StatementKey(cfg.Peers),
 		insts:         make(map[uint64]*instance),
-		reacks:        make(map[uint64]*instance),
-		recentOwn:     make(map[uint64][]Message),
 		vcs:           make(map[uint64]map[ReplicaID]*ViewChange),
 		mustRepropose: make(map[uint64]hashsig.Digest),
 		seen:          make(map[slotKey]*ledger.BatchHeader),
@@ -278,8 +249,7 @@ func (r *Replica) Committed() uint64 { return r.committed }
 // Window returns the configured proposal window W.
 func (r *Replica) Window() int { return r.window }
 
-// InFlight returns the number of speculative instances currently open
-// (excluding re-acks of already committed batches).
+// InFlight returns the number of speculative instances currently open.
 func (r *Replica) InFlight() int { return len(r.insts) }
 
 // NextProposalSeq returns the sequence number the next Propose call would
@@ -298,16 +268,12 @@ func (r *Replica) Evidence() []*Blame {
 // failure reports.
 func (r *Replica) DebugState() string {
 	win := "idle"
-	if len(r.insts) > 0 || len(r.reacks) > 0 {
+	if len(r.insts) > 0 {
 		win = ""
 		for _, seq := range sortedKeys(r.insts) {
 			in := r.insts[seq]
-			win += fmt.Sprintf("inst{view %d seq %d passive %v prepared %v endorsers %d opens %d} ",
-				in.stmt.View, seq, in.passive, in.preparedCert, in.endorsers(), len(in.opens))
-		}
-		for _, seq := range sortedKeys(r.reacks) {
-			in := r.reacks[seq]
-			win += fmt.Sprintf("reack{view %d seq %d endorsers %d opens %d} ", in.stmt.View, seq, in.endorsers(), len(in.opens))
+			win += fmt.Sprintf("inst{view %d seq %d prepared %v endorsers %d opens %d} ",
+				in.stmt.View, seq, in.preparedCert, in.endorsers(), len(in.opens))
 		}
 	}
 	return fmt.Sprintf("replica %d: view %d committed %d window %d vc %v(target %d) floor %d obligations %d pending %d future %d sync %d(ahead %d) retained %d %s",
@@ -317,8 +283,8 @@ func (r *Replica) DebugState() string {
 }
 
 // sortedKeys returns m's keys in ascending order. Every place the replica
-// iterates a protocol map — window instances, re-acks, certificate
-// assembly — must do so deterministically, or identical replicas would
+// iterates a protocol map — window instances, certificate assembly — must
+// do so deterministically, or identical replicas would
 // emit differently-ordered (and differently-signed-over) messages.
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
@@ -345,10 +311,10 @@ func (r *Replica) CanPropose() bool {
 }
 
 // Idle reports whether the replica has nothing in flight at all: no open
-// instances, no re-acks, and CanPropose holds. With a window above one a
-// pipelining primary is rarely Idle — use CanPropose to pace proposals.
+// instances, and CanPropose holds. With a window above one a pipelining
+// primary is rarely Idle — use CanPropose to pace proposals.
 func (r *Replica) Idle() bool {
-	return len(r.insts) == 0 && len(r.reacks) == 0 && r.CanPropose()
+	return len(r.insts) == 0 && r.CanPropose()
 }
 
 // Propose executes reqs as the next batch and returns the pre-prepare to
@@ -383,22 +349,16 @@ func (r *Replica) restate(h *ledger.BatchHeader, entries []ledger.Entry) (*ledge
 }
 
 // openOwn opens the instance for a batch whose header this replica just
-// signed as primary under nonce, and returns the pre-prepare. A batch at or
-// below the committed boundary opens as a re-ack.
+// signed as primary under nonce, and returns the pre-prepare.
 func (r *Replica) openOwn(batch *ledger.Batch, nonce hashsig.Nonce) *PrePrepare {
 	pp := &PrePrepare{Header: batch.Header, Entries: batch.Entries}
 	in := newInstance(&pp.Header, pp.Entries, nonce)
-	in.reack = in.stmt.Seq <= r.committed
 	in.ownPrePrepare = pp
 	// The signature is this replica's own, so the prepares that carry the
 	// statement back owe it no signature check.
 	r.sigOK.Add(hashsig.VerifyTask{Key: r.cfg.Peers[r.cfg.ID], Digest: in.statement, Sig: in.stmt.Sig}.MemoKey())
 	r.seen[slotKey{in.stmt.View, in.stmt.Seq}] = in.stmt
-	if in.reack {
-		r.reacks[in.stmt.Seq] = in
-	} else {
-		r.insts[in.stmt.Seq] = in
-	}
+	r.insts[in.stmt.Seq] = in
 	r.gen++
 	return pp
 }
@@ -463,15 +423,10 @@ func (r *Replica) drainFuture(out *[]Outbound) {
 	}
 }
 
+// buffer parks a message that is valid but premature. Handlers drop
+// anything about a decided slot before they get here, and every commit
+// triggers a drain that re-handles — and so drops — what it made stale.
 func (r *Replica) buffer(m Message) {
-	// Ack-and-discard: a delayed retransmit (or a later-view copy) of a
-	// message for a batch below the retained re-ack window can never be
-	// processed — the replica checkpointed past it and its peers pruned it.
-	// Buffering it would leak it until maxFuture churn under long
-	// adversarial schedules.
-	if seq, ok := messageSeq(m); ok && seq > 0 && seq+uint64(r.window) <= r.committed {
-		return
-	}
 	if len(r.future) >= maxFuture {
 		r.future = r.future[1:]
 	}
@@ -550,25 +505,17 @@ func (r *Replica) verifyStatement(h *ledger.BatchHeader) error {
 	return nil
 }
 
-// instanceAt returns the in-flight instance owning seq: a window instance
-// above the committed boundary, a re-ack at or below it (the two maps'
-// key ranges are disjoint).
-func (r *Replica) instanceAt(seq uint64) *instance {
-	if in, ok := r.insts[seq]; ok {
-		return in
-	}
-	return r.reacks[seq]
-}
-
 func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 	h := &pp.Header
 	if err := r.statementStructure(h); err != nil {
 		return err
 	}
 	seq := h.Seq
-	if seq == 0 || seq+uint64(r.window) <= r.committed {
-		// Stale: outside the retained re-ack window. Dropped before the
-		// signature check — a verdict nobody will use is not worth a verify.
+	if seq <= r.committed || h.View < r.view {
+		// A decided slot, or a view this replica left: a committed batch is
+		// fetched with its certificate (sync.go), never re-agreed. Dropped
+		// before the signature check — a verdict nobody will use is not worth
+		// a verify.
 		return nil
 	}
 	if err := r.verifyStatement(h); err != nil {
@@ -582,46 +529,22 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 		return fmt.Errorf("%w: equivocating proposal at view %d seq %d", ErrInvalid, h.View, seq)
 	}
 	if r.inViewChange {
-		// Park it: if the view change lands us past this proposal's view,
-		// the batch may still commit passively from its quorum's traffic.
-		r.buffer(pp)
-		return nil
-	}
-
-	if seq <= r.committed {
-		if h.View < r.view {
-			return nil // an old view's re-proposal; nothing to gain
-		}
-		// Re-proposal of a batch we already committed (a new primary helping
-		// laggards finish): participate from our stored copy, no re-execution.
-		return r.startReack(pp, out)
+		return nil // this replica gave up on the view the proposal belongs to
 	}
 	if seq > r.committed+uint64(r.window) {
 		// A validly signed proposal at seq implies its primary committed at
-		// least seq-window: evidence this replica may be beyond in-window
-		// catch-up (sync.go decides after patience).
+		// least seq-window: a commit this replica lacks (sync.go asks for it
+		// after patience).
 		r.noteAhead(seq - uint64(r.window))
 		r.buffer(pp)
 		return nil
 	}
-
-	passive := h.View < r.view
-	if in := r.insts[seq]; in != nil {
-		if in.statement == h.StatementDigest() {
-			// Duplicate delivery; stragglers pull resends via Retransmit
-			// (re-emitting here would echo-amplify every broadcast).
-			return nil
-		}
-		if passive {
-			return nil // one catch-up instance per slot; first wins
-		}
-		if !in.passive && in.stmt.View == h.View {
-			return nil // conflicting same-view proposal; blame recorded above
-		}
-		// A current-view proposal replaces an older view's passive
-		// speculation — which, sitting in the ledger, takes every later
-		// speculative batch down with it (Lemma 1, suffix rollback).
-		r.abandonFrom(seq)
+	if r.insts[seq] != nil {
+		// Duplicate delivery (stragglers pull resends via Retransmit;
+		// re-emitting here would echo-amplify every broadcast), the same
+		// content under a second nonce commitment, or a conflicting proposal
+		// whose blame was recorded above: the first statement keeps the slot.
+		return nil
 	}
 	if seq != r.led.Seq() {
 		// In the window but ahead of the execution chain (an earlier
@@ -629,12 +552,10 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 		r.buffer(pp)
 		return nil
 	}
-	if !passive {
-		// The pin is on content: the prepared batch comes back under the new
-		// primary's own statement.
-		if want, pinned := r.mustRepropose[seq]; pinned && h.ContentDigest() != want {
-			return fmt.Errorf("%w: view %d primary must re-propose the prepared batch at seq %d", ErrInvalid, r.view, seq)
-		}
+	// The pin is on content: the prepared batch comes back under the new
+	// primary's own statement.
+	if want, pinned := r.mustRepropose[seq]; pinned && h.ContentDigest() != want {
+		return fmt.Errorf("%w: view %d primary must re-propose the prepared batch at seq %d", ErrInvalid, r.view, seq)
 	}
 
 	// Re-execute, compare, and adopt the primary's header as received: the
@@ -643,78 +564,40 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	in := newInstance(h, pp.Entries, hashsig.NewNonce())
-	in.passive = passive
 	r.insts[seq] = in
 	r.gen++
-	if !passive {
-		delete(r.mustRepropose, seq)
-		r.prepare(in, out)
-	}
+	delete(r.mustRepropose, seq)
+	r.prepare(in, out)
 	r.checkPrepared(in, out)
 	r.advanceCommits(out)
 	return nil
 }
 
-// startReack opens a participation-only instance for a batch this replica
-// already committed, so replicas that missed the original round can gather
-// a quorum in the new view. The re-proposal is a new statement; what must
-// match the committed batch is its content.
-func (r *Replica) startReack(pp *PrePrepare, out *[]Outbound) error {
-	seq := pp.Header.Seq
-	ownBatch := r.committedBatch(seq)
-	if ownBatch == nil || ownBatch.Header.ContentDigest() != pp.Header.ContentDigest() {
-		return fmt.Errorf("%w: re-proposal conflicts with committed batch %d", ErrInvalid, seq)
-	}
-	if in := r.reacks[seq]; in != nil && in.stmt.View >= pp.Header.View {
-		return nil // duplicate delivery (same-view conflicts blame earlier)
-	}
-	in := newInstance(&pp.Header, pp.Entries, hashsig.NewNonce())
-	in.reack = true
-	r.reacks[seq] = in
-	r.gen++
-	r.prepare(in, out)
-	r.checkPrepared(in, out)
-	return nil
-}
-
-// committedBatch returns this replica's stored batch for a committed seq,
-// or nil.
-func (r *Replica) committedBatch(seq uint64) *ledger.Batch {
-	if seq > r.committed {
-		return nil
-	}
-	return r.led.BatchAt(seq)
-}
-
 // abandonFrom discards the in-flight instance at seq and every later one,
-// rolling back the speculative execution they put in the ledger (Lemma 1).
+// rolling back the speculative execution the ledger holds from seq on
+// (Lemma 1). seq is always above the committed boundary.
 func (r *Replica) abandonFrom(seq uint64) {
-	dropped := false
 	for s := range r.insts {
 		if s >= seq {
 			delete(r.insts, s)
-			dropped = true
 		}
 	}
-	if !dropped {
+	if r.led.Seq() <= seq {
 		return
 	}
-	if r.led.Seq() > seq {
-		if err := r.led.RollbackTo(seq); err != nil {
-			if errors.Is(err, ledger.ErrPruned) {
-				// The rollback target fell below the pruned checkpoint
-				// boundary: local history can no longer reach the state the
-				// protocol needs, so route into state transfer instead of
-				// crashing — the sync protocol replaces the whole ledger with
-				// a verified checkpoint.
-				r.sync.force = true
-				r.gen++
-				return
-			}
-			// The mark exists: every executed batch leaves one, and marks at
-			// or above the committed boundary are never pruned.
-			panic(err)
+	if err := r.led.RollbackTo(seq); err != nil {
+		if errors.Is(err, ledger.ErrPruned) {
+			// The rollback target fell below the pruned checkpoint boundary:
+			// local history can no longer reach the state the protocol needs,
+			// so route into state transfer instead of crashing — a checkpoint
+			// offer replaces the whole ledger.
+			r.sync.force = true
+			r.gen++
+			return
 		}
+		// The mark exists: every executed batch leaves one, and marks at or
+		// above the committed boundary are never pruned.
+		panic(err)
 	}
 	r.gen++
 }
@@ -728,31 +611,29 @@ func (r *Replica) handlePrepare(p *Prepare, out *[]Outbound) error {
 		return fmt.Errorf("%w: prepare from %d", ErrInvalid, p.Replica)
 	}
 	seq := h.Seq
-	if seq <= r.committed && r.reacks[seq] == nil {
-		// The slot committed without this prepare (routinely: the third of
+	if seq <= r.committed {
+		// The slot is decided without this prepare (routinely: the third of
 		// three). Dropped before the signature checks — their verdict would
 		// be discarded.
 		return nil
 	}
 	// Both signature checks — the carried statement's and the backup's own —
 	// go through the set and pool in one pass.
-	if !r.verifyTasks(r.prepareTasks(p, nil)) {
+	if !r.verifyTasks(r.prepareTasks(p)) {
 		return fmt.Errorf("%w: bad signature in prepare from %d", ErrInvalid, p.Replica)
 	}
 	if h.View > r.view {
 		r.buffer(p)
 		return nil
 	}
+	// An older view's statement is still evidence, though no longer a vote.
 	r.checkEquivocation(h)
-	if r.inViewChange {
-		r.buffer(p)
+	if r.inViewChange || h.View < r.view {
 		return nil
 	}
-	in := r.instanceAt(seq)
+	in := r.insts[seq]
 	if in == nil || in.statement != h.StatementDigest() {
-		if seq > r.committed {
-			r.buffer(p)
-		}
+		r.buffer(p)
 		return nil
 	}
 	if _, dup := in.prepMsgs[p.Replica]; !dup {
@@ -767,7 +648,7 @@ func (r *Replica) handleCommit(c *Commit, out *[]Outbound) error {
 	if int(c.Replica) >= r.n {
 		return fmt.Errorf("%w: commit from %d", ErrInvalid, c.Replica)
 	}
-	if c.Seq <= r.committed && r.reacks[c.Seq] == nil {
+	if c.Seq <= r.committed || c.View < r.view {
 		return nil
 	}
 	if c.View > r.view {
@@ -775,15 +656,11 @@ func (r *Replica) handleCommit(c *Commit, out *[]Outbound) error {
 		return nil
 	}
 	if r.inViewChange {
-		r.buffer(c)
 		return nil
 	}
-	in := r.instanceAt(c.Seq)
-	if in == nil || in.stmt.View != c.View || in.statement != c.Statement ||
-		in.stmt.Seq != c.Seq {
-		if c.Seq > r.committed {
-			r.buffer(c)
-		}
+	in := r.insts[c.Seq]
+	if in == nil || in.statement != c.Statement {
+		r.buffer(c)
 		return nil
 	}
 	// The nonce authenticates itself: it must open the commitment c.Replica
@@ -809,7 +686,7 @@ func (r *Replica) handleCommit(c *Commit, out *[]Outbound) error {
 // statement: the replica reveals its nonce in an unsigned commit message
 // (Lemma 3).
 func (r *Replica) checkPrepared(in *instance, out *[]Outbound) {
-	if in == nil || in.preparedCert || in.passive || in.endorsers() < r.quorum {
+	if in.preparedCert || in.endorsers() < r.quorum {
 		return
 	}
 	in.preparedCert = true
@@ -829,47 +706,14 @@ func (r *Replica) checkPrepared(in *instance, out *[]Outbound) {
 // order: the instance just above the committed boundary commits once 2f+1
 // distinct replicas opened their commitments, which may unblock the next.
 // Quorums that completed out of order simply wait here, fully buffered,
-// until their predecessors commit. A completed re-ack is dropped (its
-// batch was already committed).
+// until their predecessors commit.
 func (r *Replica) advanceCommits(out *[]Outbound) {
-	progressed := false
 	for {
-		seq := r.committed + 1
-		in := r.insts[seq]
+		in := r.insts[r.committed+1]
 		if in == nil || in.openedQuorum() < r.quorum {
 			break
 		}
-		progressed = true
-		cert := r.buildCommitCert(in)
-		delete(r.insts, seq)
-		r.committed = seq
-		r.lastCommit = cert
-		r.retainOwn(seq, in)
-		r.led.PruneMarks(seq)
-		delete(r.mustRepropose, seq)
-		// Blame slots at or below the committed boundary stay recorded (the
-		// evidence keeps its value), but the seen map is pruned to bound it.
-		for k := range r.seen {
-			if k.seq < seq {
-				delete(r.seen, k)
-			}
-		}
-		r.gen++
-	}
-	if progressed {
-		// Commits advanced past a checkpoint boundary eventually: drop
-		// batches below both the latest committed checkpoint and the re-ack
-		// window, bounding retained ledger memory (sync.go serves anything
-		// older via chunked state transfer).
-		r.maybePrune()
-	}
-	// Close out re-acks that served their purpose (full quorum of
-	// openings re-formed) or slid out of the retained window.
-	for seq, in := range r.reacks {
-		if seq+uint64(r.window) <= r.committed || in.openedQuorum() >= r.quorum {
-			delete(r.reacks, seq)
-			r.gen++
-		}
+		r.markCommitted(r.buildCommitCert(in))
 	}
 	// A parked re-proposal chain resumes the moment the primary reaches its
 	// start.
@@ -883,6 +727,35 @@ func (r *Replica) advanceCommits(out *[]Outbound) {
 	}
 }
 
+// markCommitted moves the committed boundary to the batch cert proves —
+// formed here by advanceCommits or fetched by sync.go; the ledger already
+// holds the batch — and retires what the boundary passed: instances, pins
+// and rollback marks at or below it, seen slots below it (blame already
+// captured keeps its value), and the batches maybePrune lets go.
+func (r *Replica) markCommitted(cert *CommitCert) {
+	seq := cert.Seq()
+	r.committed = seq
+	r.lastCommit = cert
+	r.led.PruneMarks(seq)
+	for s := range r.insts {
+		if s <= seq {
+			delete(r.insts, s)
+		}
+	}
+	for s := range r.mustRepropose {
+		if s <= seq {
+			delete(r.mustRepropose, s)
+		}
+	}
+	for k := range r.seen {
+		if k.seq < seq {
+			delete(r.seen, k)
+		}
+	}
+	r.maybePrune()
+	r.gen++
+}
+
 // buildCommitCert assembles the proof that the instance committed.
 func (r *Replica) buildCommitCert(in *instance) *CommitCert {
 	cert := &CommitCert{Header: *in.stmt}
@@ -893,22 +766,6 @@ func (r *Replica) buildCommitCert(in *instance) *CommitCert {
 		cert.Opens = append(cert.Opens, NonceOpen{Replica: id, Nonce: in.opens[id]})
 	}
 	return cert
-}
-
-// retainOwn records the replica's own messages for a just-committed
-// instance and prunes retention to the last Window sequence numbers. A
-// passive instance contributes nothing (it never emitted).
-func (r *Replica) retainOwn(seq uint64, in *instance) {
-	var own []Message
-	r.retransmitInstance(in, &own)
-	if len(own) > 0 {
-		r.recentOwn[seq] = own
-	}
-	for s := range r.recentOwn {
-		if s+uint64(r.window) <= seq {
-			delete(r.recentOwn, s)
-		}
-	}
 }
 
 // OnTimeout abandons the current view and broadcasts a view change for the
@@ -1133,10 +990,11 @@ func (r *Replica) handleNewView(nv *NewView, out *[]Outbound) error {
 // sequence number the claim from the highest view wins (a later view's
 // certificate supersedes earlier ones, as in PBFT), and the chain stops at
 // the first uncertified gap — commits are in order, so nothing beyond a
-// gap can have committed anywhere. Speculative instances are kept as
-// passive catch-up instances (their openings may still complete them);
-// conflicting re-proposals in the new view replace them, rolling the
-// speculation back at that point (Lemma 1).
+// gap can have committed anywhere. Nothing speculative crosses into the new
+// view (Lemma 1): what prepared comes back in the chain, re-executed under
+// the new primary's statement; what committed elsewhere is fetched with its
+// certificate (noteAhead arms the ask, proposeFloor bars a lagging primary
+// from proposing over it).
 func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 	v := nv.View
 	maxCommitted := uint64(0)
@@ -1178,65 +1036,19 @@ func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 			delete(r.vcs, tv)
 		}
 	}
-	for _, in := range r.insts {
-		in.passive = true
-	}
-	r.reacks = make(map[uint64]*instance) // old-view re-acks; nothing speculative to undo
+	r.abandonFrom(r.committed + 1)
 	r.mustRepropose = make(map[uint64]hashsig.Digest)
 	r.pendingRepropose = nil
 	if maxCommitted > r.proposeFloor {
 		r.proposeFloor = maxCommitted
 	}
-
-	isPrimary := r.primaryOf(v) == r.cfg.ID
-	if len(chain) > 0 {
-		for _, pp := range chain {
-			if seq := pp.Header.Seq; seq > r.committed {
-				r.mustRepropose[seq] = pp.Header.ContentDigest()
-			}
-		}
-		if isPrimary {
-			r.reproposeChain(chain, out)
-		}
-	} else if isPrimary {
-		// Leading a view with no surviving prepared chain: passive leftovers
-		// above the certificate's commit mark can never complete (their
-		// batches demonstrably have no prepared quorum, or they would be in
-		// the certificate), so clear them rather than letting them block
-		// proposals. Leftovers at or below the mark are catch-up instances
-		// for batches that committed elsewhere — keep them, they complete
-		// from retransmitted openings (and proposeFloor already blocks
-		// fresh proposals until this replica catches up through them).
-		r.abandonFrom(max(r.committed, maxCommitted) + 1)
-		if r.committed >= maxCommitted {
-			// Laggards may still need quorums anywhere inside the last
-			// committed window in this view: re-propose the whole retained
-			// suffix (a laggard applies these in order as active instances;
-			// replicas that already committed them re-ack from storage).
-			r.reproposeCommittedWindow(out)
+	for _, pp := range chain {
+		if seq := pp.Header.Seq; seq > r.committed {
+			r.mustRepropose[seq] = pp.Header.ContentDigest()
 		}
 	}
-}
-
-// reproposeCommittedWindow re-proposes this replica's stored batches for
-// the last Window committed sequence numbers, oldest first. Bounded by the
-// window, it is the new primary's catch-up offer to laggards that fell
-// behind by more than one batch — the boundary batch alone would buffer
-// unusably on any replica whose ledger is further back. Each goes out under
-// a new statement of this view (one signature, no re-execution); the ledger
-// keeps the statement the batch committed under.
-func (r *Replica) reproposeCommittedWindow(out *[]Outbound) {
-	if r.committed == 0 {
-		return
-	}
-	lo := uint64(1)
-	if r.committed > uint64(r.window) {
-		lo = r.committed - uint64(r.window) + 1
-	}
-	for seq := lo; seq <= r.committed; seq++ {
-		if b := r.led.BatchAt(seq); b != nil {
-			*out = append(*out, toAll(r.openOwn(r.restate(&b.Header, b.Entries))))
-		}
+	if r.primaryOf(v) == r.cfg.ID {
+		r.reproposeChain(chain, out)
 	}
 }
 
@@ -1250,19 +1062,10 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 	for len(chain) > 0 && chain[0].Header.Seq <= r.committed {
 		chain = chain[1:] // already committed here
 	}
-	if len(chain) == 0 {
-		// The whole chain is committed locally; re-propose our retained
-		// committed window so laggards can finish.
-		r.reproposeCommittedWindow(out)
-		return
-	}
-	if first := chain[0].Header.Seq; first > r.committed+1 {
+	if len(chain) > 0 && chain[0].Header.Seq > r.committed+1 {
 		r.pendingRepropose = chain
 		return
 	}
-	// Any passive leftovers occupy the ledger slots the chain needs; the
-	// re-proposals supersede them either way.
-	r.abandonFrom(r.committed + 1)
 	for _, pp := range chain {
 		restated, nonce := r.restate(&pp.Header, pp.Entries)
 		// The ledger executes the batch under the statement it goes out
@@ -1281,9 +1084,9 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 // Retransmit returns this replica's current outbound state — the messages a
 // peer would need if earlier deliveries were lost. Harness and transport
 // call it to model timeout-driven resends. Everything here is broadcast:
-// own protocol messages and re-ack resupply feed every peer's quorum
-// formation (a committed replica's prepares count toward others' endorser
-// tallies), unlike the pairwise sync chunk traffic.
+// own protocol messages feed every peer's quorum formation, unlike the
+// pairwise sync chunk traffic. Nothing is resent for a committed instance —
+// a peer that missed one fetches it (sync.go).
 func (r *Replica) Retransmit() []Outbound {
 	var msgs []Message
 	if r.inViewChange {
@@ -1300,16 +1103,6 @@ func (r *Replica) Retransmit() []Outbound {
 	for _, seq := range sortedKeys(r.insts) {
 		r.retransmitInstance(r.insts[seq], &msgs)
 	}
-	for _, seq := range sortedKeys(r.reacks) {
-		r.retransmitInstance(r.reacks[seq], &msgs)
-	}
-	// Re-emit the window's worth of committed-instance messages: between
-	// them, 2f+1 replicas resupply the pre-prepares, commitments, and
-	// openings a laggard needs to passively re-commit the batches it
-	// missed, however deep inside the last window it fell behind.
-	for _, seq := range sortedKeys(r.recentOwn) {
-		msgs = append(msgs, r.recentOwn[seq]...)
-	}
 	var out []Outbound
 	broadcastAll(&out, msgs)
 	return out
@@ -1318,9 +1111,6 @@ func (r *Replica) Retransmit() []Outbound {
 // retransmitInstance re-emits this replica's own messages for one in-flight
 // instance.
 func (r *Replica) retransmitInstance(in *instance, out *[]Message) {
-	if in == nil {
-		return
-	}
 	if in.ownPrePrepare != nil {
 		*out = append(*out, in.ownPrePrepare)
 	}

@@ -58,6 +58,10 @@ const (
 // Partition isolates replica groups during a step window.
 type Partition struct {
 	From, Until int // active while From <= step < Until
+	// FromCommit, when nonzero, also holds the partition off until some
+	// honest replica has committed it: the way to cut a replica off at a
+	// chosen point of the ledger rather than of the schedule.
+	FromCommit uint64
 	// UntilCommit, when nonzero, keeps the partition active from From until
 	// some honest replica's committed sequence number reaches it (Until is
 	// ignored). It requires Loss: there is no predictable release step for
@@ -67,8 +71,7 @@ type Partition struct {
 	UntilCommit uint64
 	// Loss drops cross-group envelopes outright instead of holding them for
 	// release at heal time — the overflowed-buffer model. A replica cut off
-	// by a loss partition can only recover through checkpoint state
-	// transfer once its peers prune the batches it missed.
+	// by a loss partition can only recover by fetching what it missed.
 	Loss bool
 	// Group maps replica -> group index; unlisted replicas are group 0.
 	Group map[consensus.ReplicaID]int
@@ -333,7 +336,7 @@ func (s *Sim) sendTo(from, to consensus.ReplicaID, m consensus.Message) {
 // step: a fixed step window, or — commit-gated — until some honest replica
 // commits UntilCommit.
 func (s *Sim) partitionActive(p *Partition) bool {
-	if s.step < p.From {
+	if s.step < p.From || s.maxHonestCommitted() < p.FromCommit {
 		return false
 	}
 	if p.UntilCommit > 0 {
@@ -496,8 +499,8 @@ func (s *Sim) checkInvariants() error {
 	for _, id := range s.honestIDs() {
 		rep := s.honest[id]
 		// Bounded memory: the commit path prunes below the latest committed
-		// checkpoint and the re-ack window, so a replica never retains more
-		// than max(window, interval-1) committed batches plus window
+		// checkpoint and the last window of commits, so a replica never retains
+		// more than max(window, interval-1) committed batches plus window
 		// speculative ones — window + max(window, interval) is a safe cap
 		// that must hold at every step of every schedule.
 		limit := rep.Window() + max(rep.Window(), int(s.cfg.CheckpointEvery))

@@ -359,36 +359,85 @@ func TestSimStateTransferChurn(t *testing.T) {
 	}
 }
 
-// TestSimStateTransferLyingServer adds an adversarial chunk server to the
-// churn scenario: replica 1 takes part in consensus honestly but corrupts
-// every sync chunk it serves. The laggard must detect the corruption against
-// the signed checkpoint digests, ban the liar, and complete the transfer
-// from an honest peer.
+// TestSimStateTransferLyingServer adds an adversarial chunk server: replica
+// 1 takes part in consensus honestly but corrupts every sync chunk it
+// serves. The laggard must detect the corruption — state chunks against the
+// signed checkpoint digests, suffix batches at decode, signature or
+// re-execution — ban the liar, and complete the transfer from an honest
+// peer. Once with the churn scenario's gap (a checkpoint offer), once with a
+// gap the last W retained batches cover (a suffix-only offer).
 func TestSimStateTransferLyingServer(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		res, err := Run(Config{
-			Seed:            seed,
-			CheckpointEvery: 4,
-			Batches:         12,
-			DropRate:        0.1,
-			ReorderRate:     0.3,
-			Byzantine:       map[consensus.ReplicaID]Behaviour{1: BehaviourLyingSync},
-			Partitions: []Partition{{
-				From:        0,
-				UntilCommit: 9,
-				Loss:        true,
-				Group:       map[consensus.ReplicaID]int{3: 1},
-			}},
-		})
-		if err != nil {
-			t.Fatal(err)
+	for what, cfg := range map[string]struct {
+		checkpointEvery, untilCommit uint64
+		batches                      int
+	}{
+		"checkpoint offer": {checkpointEvery: 4, untilCommit: 9, batches: 12},
+		"suffix offer":     {checkpointEvery: 100, untilCommit: 3, batches: 6},
+	} {
+		for seed := int64(1); seed <= 10; seed++ {
+			res, err := Run(Config{
+				Seed:            seed,
+				CheckpointEvery: cfg.checkpointEvery,
+				Batches:         cfg.batches,
+				DropRate:        0.1,
+				ReorderRate:     0.3,
+				Byzantine:       map[consensus.ReplicaID]Behaviour{1: BehaviourLyingSync},
+				Partitions: []Partition{{
+					From:        0,
+					UntilCommit: cfg.untilCommit,
+					Loss:        true,
+					Group:       map[consensus.ReplicaID]int{3: 1},
+				}},
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if res.Committed != uint64(cfg.batches) {
+				t.Fatalf("%s seed %d: committed %d batches, want %d", what, seed, res.Committed, cfg.batches)
+			}
+			if got := res.Replicas[3].Syncs(); got < 1 {
+				t.Fatalf("%s seed %d: laggard rejoined without fetching (%s)",
+					what, seed, res.Replicas[3].DebugState())
+			}
 		}
-		if res.Committed != 12 {
-			t.Fatalf("seed %d: committed %d batches, want 12", seed, res.Committed)
-		}
-		if got := res.Replicas[3].Syncs(); got < 1 {
-			t.Fatalf("seed %d: laggard rejoined without state transfer (%s)",
-				seed, res.Replicas[3].DebugState())
+	}
+}
+
+// TestSimLossBeforeFirstCheckpoint: a replica that lost more than a window
+// of commits where no checkpoint covers the gap — none taken yet, or the
+// laggard already past the latest one — rejoins from the batches its peers
+// still retain. Nothing else can serve it: a committed batch is fetched, not
+// re-agreed, and a checkpoint offer needs a checkpoint above the laggard.
+func TestSimLossBeforeFirstCheckpoint(t *testing.T) {
+	lossy := func(cfg Config, p Partition) Config {
+		cfg.DropRate, cfg.ReorderRate = 0.1, 0.3
+		p.Loss, p.Group = true, map[consensus.ReplicaID]int{3: 1}
+		cfg.Partitions = []Partition{p}
+		return cfg
+	}
+	for what, cfg := range map[string]Config{
+		"no checkpoint yet, window 1": lossy(Config{Batches: 10, CheckpointEvery: 100, Window: 1}, Partition{From: 40, UntilCommit: 8}),
+		"no checkpoint yet, window 4": lossy(Config{Batches: 10, CheckpointEvery: 100, Window: 4}, Partition{From: 40, UntilCommit: 8}),
+		// Cut off once checkpoint 8 is behind it, healed W+1 commits later,
+		// and the workload ends before checkpoint 16 could rescue anyone.
+		"above the latest checkpoint": lossy(Config{Batches: 15, CheckpointEvery: 8, Window: 4}, Partition{FromCommit: 9, UntilCommit: 14}),
+		// Cut off for the last batches: when it heals the workload is over,
+		// and a peer that committed everything has nothing left to resend.
+		"the last batches, then an idle cluster": lossy(Config{Batches: 6, CheckpointEvery: 100, Window: 1}, Partition{FromCommit: 4, UntilCommit: 6}),
+	} {
+		for seed := int64(1); seed <= 10; seed++ {
+			cfg.Seed = seed
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if res.Committed != uint64(cfg.Batches) {
+				t.Fatalf("%s seed %d: committed %d batches, want %d", what, seed, res.Committed, cfg.Batches)
+			}
+			if res.Lost == 0 || res.Replicas[3].Syncs() < 1 {
+				t.Fatalf("%s seed %d: lost %d envelopes, laggard fetched %d times; the schedule no longer cuts it off",
+					what, seed, res.Lost, res.Replicas[3].Syncs())
+			}
 		}
 	}
 }

@@ -93,26 +93,19 @@ func TestSignaturesPerBatch(t *testing.T) {
 }
 
 // TestStaleMessagesAreDroppedUnverified: a message whose slot has already
-// been decided is dropped on its sequence number alone — no signature is
-// checked, because the verdict would be discarded. The same bytes aimed at
-// a live slot are verified and rejected, which is what shows the drop is
-// the staleness rule and not a hole.
+// been decided, or whose view the replica has left, is dropped on its
+// coordinates alone — no signature is checked, because the verdict would be
+// discarded, and nothing is buffered. The same bytes aimed at a live slot
+// are verified and rejected, which is what shows the drop is the staleness
+// rule and not a hole.
 func TestStaleMessagesAreDroppedUnverified(t *testing.T) {
 	c := newCluster(t, 4, 1)
 	author := hashsig.Sum([]byte("client"))
-	var first *PrePrepare
-	for b := uint64(1); b <= DefaultWindow+1; b++ {
-		pp, _, err := c.replicas[0].Propose(reqs(author, 10*b, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = pp
-		}
-		c.queue = append(c.queue, pp)
+	for b := uint64(1); b <= 2; b++ {
+		c.propose(0, reqs(author, 10*b, 2))
 		c.flood()
 	}
-	c.assertAgreement(DefaultWindow+1, 0, 1, 2, 3)
+	c.assertAgreement(2, 0, 1, 2, 3)
 	r := c.replicas[3]
 	latest := r.Ledger().BatchAt(r.Committed())
 
@@ -137,10 +130,10 @@ func TestStaleMessagesAreDroppedUnverified(t *testing.T) {
 			t.Fatalf("%s changed replica state", what)
 		}
 	}
-	latePrep, _ := forge(latest.Header) // committed, inside the re-ack window, no re-ack open
+	latePrep, latePP := forge(latest.Header)
 	unverified("a late prepare for a committed slot", latePrep)
-	_, stalePP := forge(first.Header) // seq 1 + window <= committed
-	unverified("a pre-prepare below the re-ack window", stalePP)
+	unverified("a pre-prepare for a committed slot", latePP)
+	unverified("a later view's commit for a committed slot", &Commit{View: 7, Replica: 2, Seq: latest.Header.Seq})
 
 	// The same forgeries for a slot that is still open are checked.
 	live := latest.Header
@@ -155,6 +148,14 @@ func TestStaleMessagesAreDroppedUnverified(t *testing.T) {
 			t.Fatalf("forged %s for a live slot was rejected without a signature check", what)
 		}
 	}
+
+	// Once the replica is in view 1, view 0's proposal for that open slot is
+	// about a view it left.
+	nv, _ := viewChangeTo1(t, c)
+	if _, err := r.Handle(nv); err != nil || r.View() != 1 {
+		t.Fatalf("replica 3 did not enter view 1: %v", err)
+	}
+	unverified("a pre-prepare of a view the replica left", livePP)
 }
 
 // viewChangeTo1 times replicas 1-3 out of view 0 and returns what the new
@@ -203,62 +204,86 @@ func prepareFor(t *testing.T, outs []Outbound, stmt *ledger.BatchHeader) *Prepar
 	return nil
 }
 
-// TestReackAcceptsNewViewsStatement: a batch committed under view 0 comes
-// back under the view-1 primary's statement (its offer to laggards). A
-// replica that committed it compares content, not statements: it joins the
-// new round from storage, and its ledger keeps the pre-prepare it committed.
-func TestReackAcceptsNewViewsStatement(t *testing.T) {
+// TestReproposalOfCommittedBatchIsIgnored: a batch committed under view 0
+// comes back under the view-1 primary's statement. A replica that committed
+// it has nothing to re-agree: the message costs no signature check, draws no
+// answer, and the ledger keeps the pre-prepare the batch committed under. A
+// new primary, for its part, re-proposes nothing that it committed.
+func TestReproposalOfCommittedBatchIsIgnored(t *testing.T) {
 	c := newCluster(t, 4, 1)
 	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
-	old := c.queue[0].(*PrePrepare).Header
+	old := c.queue[0].(*PrePrepare)
 	c.flood()
 	c.assertAgreement(1, 0, 1, 2, 3)
 
 	nv, reproposals := viewChangeTo1(t, c)
-	if len(reproposals) != 1 {
-		t.Fatalf("new primary re-proposed %d batches, want its one committed batch", len(reproposals))
+	if len(reproposals) != 0 {
+		t.Fatalf("new primary re-proposed %d committed batches", len(reproposals))
 	}
-	pp := reproposals[0]
-	if pp.Header.View != 1 || pp.Header.Primary != 1 || pp.Header.Seq != 1 {
-		t.Fatalf("re-proposal is (view %d, primary %d, seq %d)", pp.Header.View, pp.Header.Primary, pp.Header.Seq)
-	}
-	if pp.Header.ContentDigest() != old.ContentDigest() || pp.Header.StatementDigest() == old.StatementDigest() {
-		t.Fatal("re-proposal must keep the content and change the statement")
-	}
-	if !pp.Header.Verify(c.keys[1].Public()) || pp.Header.Verify(c.keys[0].Public()) {
-		t.Fatal("re-proposal is not signed by the new primary alone")
+	pp := &PrePrepare{Header: c.replicas[1].Ledger().Restate(&old.Header, envelope(1, 1)), Entries: old.Entries}
+	if pp.Header.ContentDigest() != old.Header.ContentDigest() || !pp.Header.Verify(c.keys[1].Public()) {
+		t.Fatal("test did not restate the committed batch under view 1")
 	}
 	r := c.replicas[2]
-	if _, err := r.Handle(nv); err != nil {
-		t.Fatal(err)
+	if _, err := r.Handle(nv); err != nil || r.View() != 1 {
+		t.Fatalf("replica 2 did not enter view 1: %v", err)
 	}
-	signs, _ := hashsig.Counts()
+	signs, verifies := hashsig.Counts()
 	out, err := r.Handle(pp)
-	if err != nil {
-		t.Fatalf("replica that committed the batch under view 0 rejects its view-1 statement: %v", err)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("re-proposal of a committed batch: %d envelopes, err %v; want it ignored", len(out), err)
 	}
-	prepareFor(t, out, &pp.Header)
-	if s, _ := hashsig.Counts(); s-signs != 1 {
-		t.Fatalf("re-ack cost %d signatures, want the prepare's one", s-signs)
+	if s, v := hashsig.Counts(); s != signs || v != verifies {
+		t.Fatalf("re-proposal of a committed batch cost %d signs and %d verifies, want 0 and 0", s-signs, v-verifies)
 	}
-	if got := r.Ledger().BatchAt(1).Header.StatementDigest(); got != old.StatementDigest() {
-		t.Fatal("re-ack replaced the committed pre-prepare in the ledger")
+	if got := r.Ledger().BatchAt(1).Header.StatementDigest(); got != old.Header.StatementDigest() || r.InFlight() != 0 {
+		t.Fatal("re-proposal disturbed the committed pre-prepare")
+	}
+}
+
+// TestLaggardFetchesAcrossViews: seq 1 commits under view 0 and seq 2 under
+// view 1 while replica 3 hears neither. It asks, is offered the suffix above
+// its own boundary under the view-1 certificate, fetches both batches and
+// adopts them under the statements they committed with: a two-view ledger
+// that the keyed replay accepts and no single key does.
+func TestLaggardFetchesAcrossViews(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	author := hashsig.Sum([]byte("client"))
+	c.propose(0, reqs(author, 10, 2))
+	c.flood(3)
+	c.assertAgreement(1, 0, 1, 2)
+
+	nv, _ := viewChangeTo1(t, c)
+	c.queue = append(c.queue, nv)
+	c.flood()
+	c.propose(1, reqs(author, 20, 2))
+	c.flood(3)
+	c.assertAgreement(2, 0, 1, 2)
+
+	lag := c.replicas[3]
+	if lag.Committed() != 0 || lag.View() != 1 {
+		t.Fatalf("laggard is not where the test wants it: %s", lag.DebugState())
+	}
+	c.tickUntilAsking(lag)
+	c.flood()
+	c.assertAgreement(2, 0, 1, 2, 3)
+	if lag.Syncs() != 1 || lag.Syncing() {
+		t.Fatalf("laggard adopted %d transfers: %s", lag.Syncs(), lag.DebugState())
 	}
 
-	// Different content at a committed seq is no re-ack, whoever signs it.
-	scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+	batches := lag.Ledger().Batches()
+	if len(batches) != 2 || batches[0].Header.View != 0 || batches[1].Header.View != 1 {
+		t.Fatalf("laggard's ledger does not hold the view-0 and view-1 statements the batches committed under")
 	}
-	evil, _, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(hashsig.Sum([]byte("client")), 666, 2))
-	if err != nil {
-		t.Fatal(err)
+	peers := lag.cfg.Peers
+	got, err := ledger.ReplayKeyed(batches, StatementKey(peers), ledger.KVApp{}, nil)
+	if err != nil || got.HistRoot != lag.Ledger().HistRoot() || got.StateDigest != lag.Ledger().StateDigest() {
+		t.Fatalf("keyed replay of the fetched ledger: %v", err)
 	}
-	if _, err := c.replicas[3].Handle(nv); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.replicas[3].Handle(&PrePrepare{Header: evil.Header, Entries: evil.Entries}); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("re-proposal with other content than the committed batch: err = %v, want ErrInvalid", err)
+	for i, pub := range peers {
+		if _, err := ledger.Replay(batches, pub, ledger.KVApp{}, nil); err == nil {
+			t.Fatalf("two-view ledger replays under replica %d's key alone", i)
+		}
 	}
 }
 

@@ -11,48 +11,64 @@ import (
 	"iaccf/internal/wire"
 )
 
-// Chunked checkpoint state transfer (paper §3.4, §6). A replica that falls
-// behind by more than the proposal window cannot catch up from re-acks and
-// retransmissions: its peers have pruned the batches it needs, retaining
-// only the suffix above their latest committed checkpoint. The laggard
-// instead discovers who holds a checkpoint (SyncRequest/SyncAvail), fetches
-// the checkpoint as per-shard state chunks plus the committed batch suffix
-// (SyncChunkRequest/SyncChunk), verifies everything against one commit
-// certificate, and adopts the result wholesale before resuming as a normal
-// replica.
+// Catching up (paper §3.4, §6). A commit is a transferable fact — 2f+1
+// prepares plus opened nonces, retained as CommitCert — so a replica that
+// missed one never re-runs agreement on it: it fetches the batches from a
+// peer, anchored by the peer's latest certificate, and checks them by
+// re-execution. This file is the only way a replica obtains a batch it did
+// not commit itself.
+//
+// Who asks: a replica that made no commit progress for as many ticks as
+// what it knows warrants (patience: few on certified evidence of a commit it
+// lacks, more on a hunch, many when it hears nothing at all) broadcasts
+// SyncRequest{HaveSeq: committed}. A commit that lands cancels the ask. Who
+// answers: any peer with committed > HaveSeq, to the requester alone; peers
+// with nothing newer stay silent, so a cluster under load sends nothing and
+// an idle one a 12-byte question per replica every syncMaxBackoff ticks. The
+// answer (SyncAvail) takes one of two shapes:
+//
+//   - suffix-only, when the peer still retains batch HaveSeq+1 (maybePrune
+//     keeps the last W) and the suffix is one a requester accepts
+//     (maxSyncSuffix): CkptSeq = HaveSeq, no shard digests, no frontier — the
+//     batches HaveSeq+1..Cert.Seq() apply onto the requester's own ledger;
+//   - checkpoint, otherwise: the peer's latest committed checkpoint (seq,
+//     shard digest vector, frontier) fetched as per-shard state chunks, plus
+//     the batch suffix above it.
 //
 // Trust chain — one certificate anchors the whole transfer:
 //
 //   - The SyncAvail's commit certificate proves its batch header committed;
-//     the header signs d_C, so the announced shard digest vector must
+//     the header signs d_C, so a checkpoint offer's shard digest vector must
 //     combine to the header's d_C.
 //   - Each state chunk must rebuild to its slot in that vector: a slot is
 //     the digest of a shard's trie (kv.ShardDigest), so the chunk is
 //     decoded, placement-checked and rebuilt on arrival, and kept decoded.
-//   - The frontier and the batch suffix are verified transitively: a
-//     candidate ledger is restored from the checkpoint and the suffix is
-//     re-executed onto it (ledger.ApplyBatch checks results, ¯G, ¯M, d_C
-//     per batch); the final batch's header must reproduce the certified
-//     header's content digest (content, not statement: the server may hold
-//     the batch under another view's statement than its certificate's). The
-//     history roots chain every entry, so a lying frontier or a tampered
-//     suffix batch cannot survive the anchor. Each suffix header is adopted
-//     as received, so its signature is checked on arrival like any
-//     pre-prepare's — a replica's ledger holds only statements it verified.
+//   - The frontier and the batch suffix are verified transitively: the
+//     suffix is re-executed (ledger.ApplyBatch checks results, ¯G, ¯M, d_C
+//     per batch) onto the replica's own ledger or onto a candidate restored
+//     from the checkpoint; the final batch's header must reproduce the
+//     certified header's content digest (content, not statement: the server
+//     may hold the batch under another view's statement than its
+//     certificate's). The history roots chain every entry, so a lying
+//     frontier or a tampered suffix batch cannot survive the anchor. Each
+//     suffix header is adopted as received, so its signature is checked on
+//     arrival like any pre-prepare's — a replica's ledger holds only
+//     statements it verified.
 //
-// Adoption is all-or-nothing: the replica's ledger is only swapped after
-// the full chain verifies. A source whose data fails any check is banned
-// for the rest of the sync and the transfer restarts from discovery, which
-// is what makes lying chunk servers a liveness nuisance, never a safety
-// risk. Timeouts are integer ticks (SyncTick) with exponential backoff —
-// the replica owns no clock; the harness drives it deterministically.
+// Adoption is all-or-nothing (adoptSync): the committed boundary moves only
+// after the full chain verifies; a failed one undoes what it executed and
+// puts back the speculation it displaced. A source whose data fails any
+// check is banned for the rest of the effort and the transfer restarts from
+// discovery, which is what makes lying chunk servers a liveness nuisance,
+// never a safety risk. Timeouts are integer ticks (SyncTick) with
+// exponential backoff — the replica owns no clock; the harness drives it
+// deterministically.
 
-// syncPhase is the state-transfer protocol state.
+// syncPhase is the catch-up protocol state.
 type syncPhase uint8
 
 const (
-	// syncIdle: in-window operation; watching for credible evidence that
-	// the cluster has moved beyond reach of normal catch-up.
+	// syncIdle: not asking.
 	syncIdle syncPhase = iota
 	// syncCollecting: broadcasting SyncRequest, waiting for a verifiable
 	// SyncAvail.
@@ -62,10 +78,9 @@ const (
 )
 
 const (
-	// syncPatience is how many consecutive ticks the replica must observe
-	// itself behind (with no commit progress) before starting a transfer:
-	// within-window gaps heal via retransmission, and a transfer discards
-	// all in-flight participation.
+	// syncPatience is how many consecutive ticks the replica must go without
+	// commit progress, holding certified evidence of a commit it lacks, before
+	// it asks: the normal case's own messages are usually just late.
 	syncPatience = 3
 	// syncBaseBackoff and syncMaxBackoff bound the retry deadline ticks.
 	// Ticks are scheduling rounds, and one request/reply round trip spans
@@ -77,14 +92,15 @@ const (
 	// syncMaxAttempts is how many fetch rounds one source gets before it is
 	// banned and discovery restarts.
 	syncMaxAttempts = 6
-	// maxSyncSuffix bounds the committed batch suffix accepted above a
-	// checkpoint. An honest server's suffix is shorter than its checkpoint
-	// interval (it serves its latest committed checkpoint); the bound stops
-	// a hostile offer from driving an unbounded fetch plan.
+	// maxSyncSuffix bounds the committed batch suffix an offer may span. An
+	// honest server's suffix is shorter than its retention (window plus
+	// checkpoint interval); the bound stops a hostile offer from driving an
+	// unbounded fetch plan.
 	maxSyncSuffix = 1 << 12
 )
 
-// syncOffer is one accepted, certificate-verified SyncAvail.
+// syncOffer is one accepted, certificate-verified SyncAvail. shardDigests is
+// empty for a suffix-only offer.
 type syncOffer struct {
 	source       ReplicaID
 	ckptSeq      uint64
@@ -93,21 +109,22 @@ type syncOffer struct {
 	cert         *CommitCert
 }
 
-// syncState is the laggard side of state transfer. Zero value is idle.
+// syncState is the laggard side of catch-up. Zero value is idle.
 type syncState struct {
 	phase syncPhase
 	tick  uint64
 
 	// ahead is the highest cluster-committed sequence number credibly
 	// observed (certified view-change claims, new-view certificates, and
-	// far-future proposals); behindFor counts consecutive ticks spent with
-	// ahead out of window and no local commit progress.
+	// far-future proposals); behindFor counts consecutive ticks with no local
+	// commit progress under one unchanged patience.
 	ahead         uint64
 	behindFor     int
+	waitFor       int
 	lastCommitted uint64
 	// force requests a transfer regardless of patience: set when a rollback
 	// hit the pruned checkpoint boundary, where local history cannot reach
-	// the state the protocol needs (satellite: ErrPruned routes here).
+	// the state the protocol needs.
 	force bool
 
 	deadline uint64
@@ -119,7 +136,7 @@ type syncState struct {
 	have   []bool           // have[i]: shard i is installed in store
 	batch  []*ledger.Batch  // suffix ckptSeq+1..cert.Seq(), nil = missing
 	banned map[ReplicaID]bool
-	// adopted counts completed transfers (verified and swapped in).
+	// adopted counts completed transfers (verified and committed).
 	adopted int
 }
 
@@ -146,15 +163,10 @@ func (s *syncState) reset() {
 	s.deadline = 0
 	s.backoff = 0
 	s.attempts = 0
-	s.dropOffer()
-}
-
-// dropOffer forgets the accepted offer and everything fetched under it.
-func (s *syncState) dropOffer() {
 	s.offer, s.store, s.have, s.batch = nil, nil, nil, nil
 }
 
-// Syncing reports whether a state transfer is in progress.
+// Syncing reports whether a catch-up is in progress.
 func (r *Replica) Syncing() bool { return r.sync.phase != syncIdle }
 
 // noteAhead records credible evidence that the cluster committed through
@@ -168,37 +180,63 @@ func (r *Replica) noteAhead(seq uint64) {
 	}
 }
 
-// SyncTick advances the state-transfer clock one step and returns any
-// envelopes to send: discovery requests broadcast (the laggard does not
-// know who holds a checkpoint), chunk re-requests unicast to the accepted
-// offer's source. The harness or node runtime calls it once per scheduling
-// round; all deadlines and backoffs are in these ticks, never wall time.
+// patience is how many ticks without a commit this replica lets pass before
+// it asks, by what it knows. Certified evidence of a commit it lacks waits
+// out late delivery only. Instances in flight, or buffered traffic for a slot
+// above the boundary, are a hunch — the quorum may have completed elsewhere,
+// and nobody retransmits for a decided slot — so retransmission gets its turn
+// first and a cluster under load never asks. A replica that hears nothing
+// asks too, rarely: its peers go quiet after a commit whose every frame to it
+// was lost.
+func (r *Replica) patience() int {
+	if r.sync.ahead > r.committed {
+		return syncPatience
+	}
+	hunch := len(r.insts) > 0
+	for _, m := range r.future {
+		if seq, ok := messageSeq(m); ok && seq > r.committed {
+			hunch = true
+		}
+	}
+	if hunch {
+		return syncBaseBackoff
+	}
+	return syncMaxBackoff
+}
+
+// discover (re)starts discovery and returns the request to broadcast — the
+// laggard does not know who holds what it lacks.
+func (r *Replica) discover() Outbound {
+	s := &r.sync
+	s.reset()
+	s.phase = syncCollecting
+	s.backoff = syncBaseBackoff
+	s.deadline = s.tick + s.backoff
+	return toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed})
+}
+
+// SyncTick advances the catch-up clock one step and returns any envelopes
+// to send: discovery requests broadcast, chunk re-requests unicast to the
+// accepted offer's source. The harness or node runtime calls it once per
+// scheduling round; all deadlines and backoffs are in these ticks, never
+// wall time.
 func (r *Replica) SyncTick() []Outbound {
 	s := &r.sync
 	s.tick++
-	if r.committed != s.lastCommitted {
-		s.lastCommitted = r.committed
-		s.behindFor = 0
+	progressed := r.committed != s.lastCommitted
+	if wait := r.patience(); progressed || wait != s.waitFor {
+		s.lastCommitted, s.waitFor, s.behindFor = r.committed, wait, 0
 	}
 	var out []Outbound
 	switch s.phase {
 	case syncIdle:
-		behind := s.ahead > r.committed+uint64(r.window)
-		if behind {
-			s.behindFor++
-		} else {
-			s.behindFor = 0
-		}
-		if s.force || (behind && s.behindFor >= syncPatience) {
-			s.phase = syncCollecting
-			s.backoff = syncBaseBackoff
-			s.deadline = s.tick + s.backoff
-			out = append(out, toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed}))
+		s.behindFor++
+		if s.force || s.behindFor >= s.waitFor {
+			out = append(out, r.discover())
 		}
 	case syncCollecting:
-		if !s.force && s.ahead <= r.committed+uint64(r.window) {
-			// Caught up organically (delayed traffic arrived after all):
-			// stop asking.
+		if !s.force && progressed && s.ahead <= r.committed {
+			// The commit landed after all: stop asking.
 			s.reset()
 			break
 		}
@@ -222,11 +260,7 @@ func (r *Replica) SyncTick() []Outbound {
 				// The source keeps failing to deliver verifiable chunks:
 				// ban it and rediscover.
 				r.banSyncSource(s.offer.source)
-				s.phase = syncCollecting
-				s.backoff = syncBaseBackoff
-				s.deadline = s.tick + s.backoff
-				s.dropOffer()
-				out = append(out, toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed}))
+				out = append(out, r.discover())
 				break
 			}
 			if s.backoff < syncMaxBackoff {
@@ -256,63 +290,63 @@ func (r *Replica) banSyncSource(id ReplicaID) {
 
 // requestMissingChunks re-emits chunk requests for everything still owed by
 // the current offer, each addressed to the offer's source alone — the only
-// replica whose checkpoint the fetch plan was derived from.
+// replica the fetch plan was derived from.
 func (r *Replica) requestMissingChunks() []Outbound {
 	s := &r.sync
 	if s.offer == nil {
 		return nil
 	}
 	var out []Outbound
+	ask := func(kind uint32, i int) {
+		out = append(out, toPeer(s.offer.source, &SyncChunkRequest{
+			Replica: r.cfg.ID, Source: s.offer.source,
+			CkptSeq: s.offer.ckptSeq, Kind: kind, Index: uint64(i),
+		}))
+	}
 	for i, ok := range s.have {
 		if !ok {
-			out = append(out, toPeer(s.offer.source, &SyncChunkRequest{
-				Replica: r.cfg.ID, Source: s.offer.source,
-				CkptSeq: s.offer.ckptSeq, Kind: SyncChunkState, Index: uint64(i),
-			}))
+			ask(SyncChunkState, i)
 		}
 	}
 	for i, b := range s.batch {
 		if b == nil {
-			out = append(out, toPeer(s.offer.source, &SyncChunkRequest{
-				Replica: r.cfg.ID, Source: s.offer.source,
-				CkptSeq: s.offer.ckptSeq, Kind: SyncChunkBatch, Index: uint64(i),
-			}))
+			ask(SyncChunkBatch, i)
 		}
 	}
 	return out
 }
 
-// handleSyncRequest is the server side of discovery: if this replica holds
-// a committed checkpoint past the requester's watermark, it answers — the
-// requester alone; an offer means nothing to anyone else — with the
-// checkpoint coordinates anchored by its latest commit certificate.
+// handleSyncRequest is the server side of discovery: a replica that
+// committed past the requester's watermark answers — the requester alone; an
+// offer means nothing to anyone else — with its latest commit certificate
+// and where the fetch starts: the requester's own watermark while the batch
+// above it is still retained and the suffix is one the requester would take,
+// this replica's latest committed checkpoint otherwise.
 func (r *Replica) handleSyncRequest(m *SyncRequest, out *[]Outbound) error {
 	if int(m.Replica) >= r.n || m.Replica == r.cfg.ID {
 		return nil
 	}
-	if r.lastCommit == nil || r.lastCommit.Seq() != r.committed {
+	if r.committed <= m.HaveSeq {
 		return nil
 	}
-	ck := r.led.CheckpointAt(r.committed)
-	if ck == nil || ck.Seq <= m.HaveSeq {
-		// Nothing to offer beyond what normal retransmission covers.
-		return nil
+	avail := &SyncAvail{Replica: r.cfg.ID, Requester: m.Replica, CkptSeq: m.HaveSeq, Cert: r.lastCommit}
+	if r.led.BatchAt(m.HaveSeq+1) == nil || r.committed-m.HaveSeq > maxSyncSuffix {
+		ck := r.led.CheckpointAt(r.committed)
+		if ck == nil {
+			return nil
+		}
+		avail.CkptSeq, avail.ShardDigests, avail.Frontier = ck.Seq, ck.ShardDigests, ck.Frontier.Encode()
 	}
-	*out = append(*out, toPeer(m.Replica, &SyncAvail{
-		Replica:      r.cfg.ID,
-		Requester:    m.Replica,
-		CkptSeq:      ck.Seq,
-		ShardDigests: ck.ShardDigests,
-		Frontier:     ck.Frontier.Encode(),
-		Cert:         r.lastCommit,
-	}))
+	*out = append(*out, toPeer(m.Replica, avail))
 	return nil
 }
 
 // handleSyncAvail is the laggard accepting an offer: the certificate must
-// verify, certify a sequence number past our watermark, and sign over a
-// d_C that the announced shard digest vector combines to. First verified
-// offer wins; the fetch plan is derived entirely from it.
+// verify and certify a sequence number past our watermark. An offer with
+// state chunks to fetch must announce a shard digest vector that combines to
+// the d_C the certificate signs; one without starts at our own watermark or
+// is of no use. First verified offer wins; the fetch plan is derived
+// entirely from it.
 func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	s := &r.sync
 	if s.phase != syncCollecting || m.Requester != r.cfg.ID {
@@ -324,61 +358,67 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	if m.Cert == nil || m.Cert.Seq() <= r.committed {
 		return nil
 	}
-	if m.CkptSeq == 0 || m.CkptSeq > m.Cert.Seq() || m.Cert.Seq()-m.CkptSeq > maxSyncSuffix {
-		return fmt.Errorf("%w: sync offer for checkpoint %d under certificate %d", ErrInvalid, m.CkptSeq, m.Cert.Seq())
+	if m.CkptSeq > m.Cert.Seq() || m.Cert.Seq()-m.CkptSeq > maxSyncSuffix {
+		return fmt.Errorf("%w: sync offer starting at %d under certificate %d", ErrInvalid, m.CkptSeq, m.Cert.Seq())
 	}
-	if got := uint32(len(m.ShardDigests)); got != r.led.Shards() {
-		return fmt.Errorf("%w: sync offer with %d shards, replica runs %d", ErrInvalid, got, r.led.Shards())
-	}
-	// The certified header pins the digest vector: d_C is the domain-tagged
-	// combination of exactly these per-shard digests.
-	if kv.CombineShardDigests(m.ShardDigests) != m.Cert.Header.CkptDigest {
-		return fmt.Errorf("%w: sync offer digests do not combine to the certified d_C", ErrInvalid)
-	}
-	f, err := merkle.DecodeFrontier(m.Frontier)
-	if err != nil {
-		return fmt.Errorf("%w: sync offer frontier: %v", ErrInvalid, err)
+	offer := &syncOffer{source: m.Replica, ckptSeq: m.CkptSeq, cert: m.Cert}
+	if len(m.ShardDigests) > 0 {
+		if got := uint32(len(m.ShardDigests)); m.CkptSeq == 0 || got != r.led.Shards() {
+			return fmt.Errorf("%w: sync offer for checkpoint %d with %d shards, replica runs %d", ErrInvalid, m.CkptSeq, got, r.led.Shards())
+		}
+		// The certified header pins the digest vector: d_C is the
+		// domain-tagged combination of exactly these per-shard digests.
+		if kv.CombineShardDigests(m.ShardDigests) != m.Cert.Header.CkptDigest {
+			return fmt.Errorf("%w: sync offer digests do not combine to the certified d_C", ErrInvalid)
+		}
+		f, err := merkle.DecodeFrontier(m.Frontier)
+		if err != nil {
+			return fmt.Errorf("%w: sync offer frontier: %v", ErrInvalid, err)
+		}
+		offer.shardDigests = append([]hashsig.Digest(nil), m.ShardDigests...)
+		offer.frontier = f
+	} else if m.CkptSeq != r.committed {
+		return nil // answers an ask this replica has since moved past
 	}
 	tasks, ok := m.Cert.structure(r.cfg.Peers, r.quorum)
 	if !ok || !r.verifyTasks(tasks) {
 		return fmt.Errorf("%w: sync offer certificate from %d does not verify", ErrInvalid, m.Replica)
 	}
-	s.offer = &syncOffer{
-		source:       m.Replica,
-		ckptSeq:      m.CkptSeq,
-		shardDigests: append([]hashsig.Digest(nil), m.ShardDigests...),
-		frontier:     f,
-		cert:         m.Cert,
-	}
-	s.store = kv.NewSharded(len(m.ShardDigests))
-	s.have = make([]bool, len(m.ShardDigests))
+	s.offer = offer
+	s.store = kv.NewSharded(len(offer.shardDigests))
+	s.have = make([]bool, len(offer.shardDigests))
 	s.batch = make([]*ledger.Batch, m.Cert.Seq()-m.CkptSeq)
+	if own := r.led.BatchAt(m.Cert.Seq()); own != nil && own.Header.ContentDigest() == m.Cert.Header.ContentDigest() {
+		// The certificate is for a batch this replica already executed: ¯M
+		// chains every batch below it, so what it holds of the suffix is the
+		// suffix, and nothing of it is fetched.
+		for i := range s.batch {
+			s.batch[i] = r.led.BatchAt(m.CkptSeq + 1 + uint64(i))
+		}
+	}
 	s.phase = syncFetching
-	s.attempts = 0
 	s.backoff = syncBaseBackoff
 	s.deadline = s.tick + s.backoff
 	*out = append(*out, r.requestMissingChunks()...)
-	return nil
+	return r.adoptIfComplete(out)
 }
 
-// handleSyncChunkRequest is the server side of the fetch: serve one chunk
-// of the checkpoint this replica announced, unicast back to the requester
-// (chunks are the bulk of sync traffic; broadcasting them would multiply
-// transfer bandwidth by the cluster size), if still retained. Requests
-// for checkpoints this replica no longer holds (pruned past, or rolled
-// back) are silently ignored; the requester's timeout re-discovers.
+// handleSyncChunkRequest is the server side of the fetch: serve one chunk,
+// unicast back to the requester (chunks are the bulk of sync traffic;
+// broadcasting them would multiply transfer bandwidth by the cluster size).
+// A batch chunk is any retained committed batch; a state chunk must be of
+// the checkpoint this replica would announce now. Requests for what this
+// replica no longer holds (pruned past, or rolled back) are silently
+// ignored; the requester's timeout re-discovers.
 func (r *Replica) handleSyncChunkRequest(m *SyncChunkRequest, out *[]Outbound) error {
 	if m.Source != r.cfg.ID || int(m.Replica) >= r.n || m.Replica == r.cfg.ID {
-		return nil
-	}
-	ck := r.led.CheckpointAt(r.committed)
-	if ck == nil || ck.Seq != m.CkptSeq {
 		return nil
 	}
 	var data []byte
 	switch m.Kind {
 	case SyncChunkState:
-		if m.Index >= uint64(len(ck.ShardDigests)) {
+		ck := r.led.CheckpointAt(r.committed)
+		if ck == nil || ck.Seq != m.CkptSeq || m.Index >= uint64(len(ck.ShardDigests)) {
 			return nil
 		}
 		var buf bytes.Buffer
@@ -464,127 +504,145 @@ func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 	default:
 		return nil
 	}
-	if s.missing() == 0 {
-		if r.committed >= s.offer.cert.Seq() {
-			// Organic progress overtook the transfer; drop it.
-			s.reset()
-			return nil
-		}
-		if err := r.adoptSync(); err != nil {
-			// The assembled transfer failed the certificate anchor: the
-			// source lied somewhere cheap verification could not catch
-			// (frontier, batch contents). Ban it and rediscover.
-			r.banSyncSource(s.offer.source)
-			s.reset()
-			s.phase = syncCollecting
-			s.backoff = syncBaseBackoff
-			s.deadline = s.tick + s.backoff
-			*out = append(*out, toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed}))
-			return fmt.Errorf("%w: sync adoption failed: %v", ErrInvalid, err)
-		}
+	return r.adoptIfComplete(out)
+}
+
+// adoptIfComplete adopts the transfer once nothing is missing. A transfer
+// that fails the certificate anchor means the source lied somewhere cheap
+// verification could not catch (frontier, batch contents): ban it and
+// rediscover.
+func (r *Replica) adoptIfComplete(out *[]Outbound) error {
+	s := &r.sync
+	if s.missing() > 0 {
+		return nil
+	}
+	if r.committed >= s.offer.cert.Seq() {
+		// Organic progress overtook the transfer; drop it.
+		s.reset()
+		return nil
+	}
+	source := s.offer.source
+	if err := r.adoptSync(out); err != nil {
+		r.banSyncSource(source)
+		*out = append(*out, r.discover())
+		return fmt.Errorf("%w: sync adoption failed: %v", ErrInvalid, err)
 	}
 	return nil
 }
 
-// adoptSync performs all-or-nothing adoption of the assembled transfer: a
-// candidate ledger is started from the verified shards and the suffix is
-// replayed onto it; only if the final header reproduces the certified
-// content digest does the replica swap ledgers and resume at the certified
-// watermark.
-func (r *Replica) adoptSync() error {
+// adoptSync performs all-or-nothing adoption of the assembled transfer. A
+// checkpoint offer first builds a candidate ledger from the verified
+// shards; either way the suffix is then re-executed onto the ledger — own
+// speculation that already holds a suffix batch's content stays, the first
+// that does not is rolled back — and only if the final header reproduces
+// the certified content digest does the committed boundary move to the
+// certificate. On failure everything this adoption executed is undone and
+// the speculation it rolled back is executed again under the instances it
+// had: Committed, Ledger().Seq(), StateDigest and the in-flight window read
+// as before the offer.
+func (r *Replica) adoptSync(out *[]Outbound) error {
 	s := &r.sync
-	offer := s.offer
-	shards := uint32(len(offer.shardDigests))
-	ck := &ledger.Checkpoint{
-		Seq:          offer.ckptSeq,
-		Store:        s.store,
-		ShardDigests: offer.shardDigests,
-		Frontier:     offer.frontier,
-		Digest:       offer.cert.Header.CkptDigest,
+	offer, cert := s.offer, s.offer.cert
+	led := r.led
+	if len(offer.shardDigests) > 0 {
+		cand, err := ledger.NewFromCheckpoint(ledger.Config{
+			Key:             r.cfg.Key,
+			App:             r.cfg.App,
+			CheckpointEvery: r.cfg.CheckpointEvery,
+			Shards:          uint32(len(offer.shardDigests)),
+		}, &ledger.Checkpoint{
+			Seq:          offer.ckptSeq,
+			Store:        s.store,
+			ShardDigests: offer.shardDigests,
+			Frontier:     offer.frontier,
+			Digest:       cert.Header.CkptDigest,
+		})
+		if err != nil {
+			return err
+		}
+		led = cand
 	}
-	cand, err := ledger.NewFromCheckpoint(ledger.Config{
-		Key:             r.cfg.Key,
-		App:             r.cfg.App,
-		CheckpointEvery: r.cfg.CheckpointEvery,
-		Shards:          shards,
-	}, ck)
-	if err != nil {
+	executed := uint64(0)     // first seq this adoption executed onto led
+	var displaced []*instance // own speculation the suffix contradicted, in order
+	fail := func(err error) error {
+		if led == r.led && executed != 0 {
+			r.abandonFrom(executed)
+			for _, in := range displaced {
+				// Same instance, same nonce: the prepare this replica sent for
+				// the slot still opens.
+				if _, err := led.ApplyBatch(&ledger.Batch{Header: *in.stmt, Entries: in.entries}); err != nil {
+					break
+				}
+				r.insts[in.stmt.Seq] = in
+			}
+		}
 		return err
 	}
-	cert := offer.cert
-	certHeader := &cert.Header
+	for _, b := range s.batch {
+		seq := b.Header.Seq
+		if led == r.led && seq <= r.committed {
+			continue // committed here while the fetch was under way
+		}
+		if own := led.BatchAt(seq); own != nil {
+			if own.Header.ContentDigest() == b.Header.ContentDigest() {
+				continue
+			}
+			for _, at := range sortedKeys(r.insts) {
+				if at >= seq {
+					displaced = append(displaced, r.insts[at])
+				}
+			}
+			r.abandonFrom(seq)
+		}
+		if executed == 0 {
+			executed = seq
+		}
+		if _, err := led.ApplyBatch(b); err != nil {
+			return fail(err)
+		}
+	}
 	if len(s.batch) == 0 {
 		// Empty suffix: the certificate is for the checkpoint batch itself,
 		// so the frontier must reproduce the certified history commitment
 		// directly (with a suffix, the per-batch ¯M checks anchor it).
-		if cand.HistSize() != certHeader.HistSize || cand.HistRoot() != certHeader.MRoot {
-			return fmt.Errorf("%w: sync frontier does not reproduce the certified history root", ErrInvalid)
+		if led.HistSize() != cert.Header.HistSize || led.HistRoot() != cert.Header.MRoot {
+			return fail(fmt.Errorf("%w: sync frontier does not reproduce the certified history root", ErrInvalid))
 		}
-	} else {
-		for _, b := range s.batch {
-			if _, err := cand.ApplyBatch(b); err != nil {
-				return err
-			}
-		}
-		final := cand.BatchAt(cert.Seq())
-		if final == nil || final.Header.ContentDigest() != certHeader.ContentDigest() {
-			return fmt.Errorf("%w: sync suffix does not reproduce the certified header", ErrInvalid)
-		}
+	} else if final := led.BatchAt(cert.Seq()); final == nil || final.Header.ContentDigest() != cert.Header.ContentDigest() {
+		return fail(fmt.Errorf("%w: sync suffix does not reproduce the certified header", ErrInvalid))
 	}
 
-	// Verified end to end: swap the ledger and resume as a normal replica
-	// at the certified watermark. Every in-flight instance was speculation
-	// on the abandoned ledger; the certificate's view is adopted (a replica
-	// this far behind trusts certified progress, as with new-view
-	// re-proposals).
-	r.led = cand
-	r.committed = cert.Seq()
-	r.lastCommit = cert
+	// Verified end to end: resume as a normal replica at the certified
+	// watermark. A certificate from a later view moves this replica there (it
+	// trusts certified progress, as with new-view re-proposals), and what it
+	// held for the view it leaves goes: speculation, pins, a parked chain.
+	// Within the view, pins and instances above the certificate stand —
+	// instances as far as the ledger they executed on does.
+	r.led = led
+	stand := led.Seq()
 	if cert.Header.View > r.view {
 		r.view = cert.Header.View
+		r.mustRepropose = make(map[uint64]hashsig.Digest)
+		r.pendingRepropose = nil
+		stand = cert.Seq() + 1
 	}
+	r.abandonFrom(stand)
 	if r.inViewChange && r.vcTarget <= r.view {
 		r.inViewChange = false
 		r.ownVC = nil
 	}
-	r.insts = make(map[uint64]*instance)
-	r.reacks = make(map[uint64]*instance)
-	r.recentOwn = make(map[uint64][]Message)
-	r.mustRepropose = make(map[uint64]hashsig.Digest)
-	r.pendingRepropose = nil
-	if r.committed > r.proposeFloor {
-		r.proposeFloor = r.committed
-	}
-	for k := range r.seen {
-		if k.seq <= r.committed {
-			delete(r.seen, k)
-		}
-	}
-	// Drop buffered messages the new watermark makes permanently stale
-	// (ack-and-discard below the checkpoint, instead of holding them until
-	// the bounded buffer churns them out).
-	kept := r.future[:0]
-	for _, m := range r.future {
-		if seq, ok := messageSeq(m); ok && seq+uint64(r.window) <= r.committed {
-			continue
-		}
-		kept = append(kept, m)
-	}
-	for i := len(kept); i < len(r.future); i++ {
-		r.future[i] = nil
-	}
-	r.future = kept
-
+	r.markCommitted(cert)
 	s.reset()
 	s.force = false
 	s.behindFor = 0
 	s.lastCommitted = r.committed
 	s.adopted++
-	r.gen++
+	r.advanceCommits(out)
 	return nil
 }
 
-// Syncs returns how many chunked state transfers this replica has adopted.
+// Syncs returns how many transfers, of either shape, this replica has
+// adopted.
 func (r *Replica) Syncs() int { return r.sync.adopted }
 
 // messageSeq extracts the batch sequence number a message is about, for
@@ -602,11 +660,10 @@ func messageSeq(m Message) (uint64, bool) {
 }
 
 // maybePrune drops committed batches below both the latest committed
-// checkpoint and the re-ack window, keeping steady-state ledger memory at
-// O(window + checkpoint interval): everything a peer might still need —
-// re-ack batches inside the window, the chunk-servable checkpoint, and the
-// suffix above it — survives; anything older is reachable only through
-// state transfer, which is exactly what SyncRequest serves.
+// checkpoint and the last W commits, keeping steady-state ledger memory at
+// O(window + checkpoint interval): the last W batches stay so a near
+// laggard gets the suffix-only offer, the chunk-servable checkpoint and the
+// suffix above it stay for everyone else.
 func (r *Replica) maybePrune() {
 	ck := r.led.CheckpointAt(r.committed)
 	if ck == nil {
@@ -614,7 +671,7 @@ func (r *Replica) maybePrune() {
 	}
 	w := uint64(r.window)
 	if r.committed+1 <= w {
-		return // the whole history is still inside the re-ack window
+		return // the whole history is still inside the last W commits
 	}
 	r.led.Prune(min(ck.Seq+1, r.committed+1-w))
 }

@@ -206,72 +206,3 @@ func TestEquivocationNonHeadInstance(t *testing.T) {
 		t.Fatalf("equivocation disturbed the window: %d in flight", got)
 	}
 }
-
-// TestHandleAllMatchesHandle drives two identical clusters through the
-// same pipelined workload — one message at a time via Handle, batched via
-// HandleAll — and demands identical outcomes. HandleAll's pooled prewarm
-// and error-dropping must be pure optimizations: any divergence in
-// committed state, history, or evidence is a bug in the batch path.
-func TestHandleAllMatchesHandle(t *testing.T) {
-	a := newCluster(t, 4, 1) // per-message Handle
-	b := newCluster(t, 4, 1) // batched HandleAll (same seeded keys)
-	author := hashsig.Sum([]byte("client"))
-
-	for round := 0; round < 2; round++ {
-		var aMsgs, bMsgs []Message
-		for w := 0; w < DefaultWindow; w++ {
-			seq := uint64(round*DefaultWindow + w + 1)
-			rs := reqs(author, 100*seq, 2)
-			ppA, _, err := a.replicas[0].Propose(rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ppB, _, err := b.replicas[0].Propose(rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ppA.Header.ContentDigest() != ppB.Header.ContentDigest() {
-				t.Fatal("clusters diverged before delivery")
-			}
-			aMsgs = append(aMsgs, ppA)
-			bMsgs = append(bMsgs, ppB)
-		}
-		// A malformed message rides along: Handle reports it, HandleAll
-		// drops it — neither may change state.
-		bad := &Commit{View: 0, Replica: 99, Seq: 1}
-		aMsgs = append(aMsgs, bad)
-		bMsgs = append(bMsgs, bad)
-
-		for len(aMsgs) > 0 {
-			m := aMsgs[0]
-			aMsgs = aMsgs[1:]
-			for _, r := range a.replicas {
-				out, _ := r.Handle(m)
-				aMsgs = append(aMsgs, outMsgs(out)...)
-			}
-		}
-		for len(bMsgs) > 0 {
-			var next []Message
-			for _, r := range b.replicas {
-				next = append(next, outMsgs(r.HandleAll(bMsgs))...)
-			}
-			bMsgs = next
-		}
-	}
-	for i := range a.replicas {
-		ra, rb := a.replicas[i], b.replicas[i]
-		if ra.Committed() != rb.Committed() {
-			t.Fatalf("replica %d: Handle committed %d, HandleAll %d", i, ra.Committed(), rb.Committed())
-		}
-		if ra.Ledger().HistRoot() != rb.Ledger().HistRoot() ||
-			ra.Ledger().StateDigest() != rb.Ledger().StateDigest() {
-			t.Fatalf("replica %d: batch path reached a different ledger state", i)
-		}
-		if len(ra.Evidence()) != 0 || len(rb.Evidence()) != 0 {
-			t.Fatalf("replica %d: honest run produced evidence", i)
-		}
-	}
-	if got := a.replicas[0].Committed(); got != uint64(2*DefaultWindow) {
-		t.Fatalf("workload incomplete: committed %d", got)
-	}
-}

@@ -116,7 +116,7 @@
 // at or below it are dropped, the history tree is compacted past their
 // leaves (only the peak summary survives), and their rollback marks are
 // discarded. Everything above the boundary behaves exactly as before —
-// BatchAt, RollbackTo, ApplyBatch, re-acks. At or below it, BatchAt
+// BatchAt, RollbackTo, ApplyBatch. At or below it, BatchAt
 // returns nil and RollbackTo fails with ErrPruned (wrapped, so
 // errors.Is(err, ErrPruned) routes a consensus view change into state
 // transfer instead of a crash). Callers must maintain: the boundary never
@@ -482,9 +482,9 @@ func (l *Ledger) Batches() []*Batch {
 // range — above the retained stream or at/below the pruned boundary. The
 // retained stream is contiguous from baseSeq+1 (rollbacks truncate a
 // suffix, Prune drops a prefix), so this is index arithmetic — hot paths
-// (consensus re-acks answering from storage) must not pay Batches()'s
-// slice copy per lookup. The result is shared and must be treated as
-// immutable, like Batches.
+// (the node delivering receipts per commit, consensus serving a laggard its
+// suffix) must not pay Batches()'s slice copy per lookup. The result is
+// shared and must be treated as immutable, like Batches.
 func (l *Ledger) BatchAt(seq uint64) *Batch {
 	if seq <= l.baseSeq || seq > l.baseSeq+uint64(len(l.batches)) {
 		return nil

@@ -386,9 +386,15 @@ func TestPacing(t *testing.T) {
 		c.settle(t)
 		wantProposals(t, c.nodes[1], 0, 0, 0, 0)
 
-		// The parked votes for seq 1 let node 1 catch up; the frame turn
-		// that commits it proposes the pooled request. Node 1 never ticked.
+		// The parked votes are about a view node 1 has left: released, they
+		// clear nothing. The certificate told it seq 1 committed, so after
+		// three ticks (consensus' syncPatience) without it node 1 asks a
+		// peer; the frame turn that delivers the fetched batch commits it
+		// and proposes the pooled request. No tick turn proposed anything.
 		c.net.release()
+		c.settle(t)
+		wantProposals(t, c.nodes[1], 0, 0, 0, 0)
+		c.clocks[1].Advance(3)
 		rc := wantCommitted(t, "request pooled under the obligation", done)
 		if _, pubs := clusterKeys("pace-floor", manualClusterSize); rc.Header.Seq != 2 || !rc.Verify(pubs[1]) {
 			t.Fatalf("committed at seq %d, want seq 2 under node 1's signature", rc.Header.Seq)
