@@ -92,7 +92,9 @@ profile:
 # consensus window must sustain the serial (window=1) baseline's
 # throughput, the bounded-memory workload must keep its retained ledger
 # residency under the window + checkpoint-interval cap (absolute, however
-# long the run — a leak grows with b.N and blows the cap), and — on
+# long the run — a leak grows with b.N and blows the cap), the store must
+# keep fewer than one live heap object per key it holds (absolute too: the
+# trie stores bytes, and a pointer per entry is what would break it), and — on
 # machines with the cores to show it — the cross-shard commit workload
 # must scale at least 2x (skewed: 1.5x) from 1 to 4 CPUs through the
 # parallel batch executor.
@@ -104,6 +106,7 @@ bench-check:
 		-faster 'BenchmarkConsensusCommit/entries=128/window=4:BenchmarkConsensusCommit/entries=128/window=1' \
 		-max 'BenchmarkConsensusBoundedMemory:retained-batches:8' \
 		-max 'BenchmarkConsensusBoundedMemory:retained-bytes:65536' \
+		-max 'BenchmarkStoreInsert:live-objects/key:1' \
 		$(SCALE_GATE)
 
 check: lint build race

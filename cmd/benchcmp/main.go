@@ -316,7 +316,9 @@ func main() {
 			fail("max", parts[0], metric, limit, v, "absolute cap exceeded")
 			continue
 		}
-		fmt.Printf("%-60s %s %12.0f <= cap %12.0f ok\n", parts[0], metric, v, limit)
+		// Shortest exact form: a cap may be 65536 bytes or 1 object per key.
+		fmt.Printf("%-60s %s %12s <= cap %12s ok\n", parts[0], metric,
+			strconv.FormatFloat(v, 'f', -1, 64), strconv.FormatFloat(limit, 'f', -1, 64))
 	}
 
 	if failed {

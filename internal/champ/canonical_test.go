@@ -127,15 +127,15 @@ func TestRangeCanonicalHistoryIndependent(t *testing.T) {
 // at max depth (all keys share hash 0) and checks keys stream sorted no
 // matter the order they arrived in.
 func TestRangeCanonicalCollisions(t *testing.T) {
-	n := merge("delta", []byte("4"), 0, "bravo", []byte("2"), 0, maxLevel)
+	n := merge(entry{"delta", []byte("4")}, 0, entry{"bravo", []byte("2")}, 0, maxLevel)
 	if !n.coll {
 		t.Fatal("expected collision node at max level")
 	}
 	for _, k := range []string{"echo", "alpha", "charlie"} {
-		n, _ = n.set(k, []byte(k), 0, maxLevel)
+		n, _ = n.set(entry{k, []byte(k)}, 0, maxLevel)
 	}
-	if !sort.StringsAreSorted(n.keys) {
-		t.Fatalf("collision bucket not sorted: %v", n.keys)
+	if !sort.StringsAreSorted(nodeKeys(n)) {
+		t.Fatalf("collision bucket not sorted: %v", nodeKeys(n))
 	}
 	var got []string
 	n.rangCanonical(func(k string, v []byte) bool {
@@ -153,12 +153,12 @@ func TestRangeCanonicalCollisions(t *testing.T) {
 	}
 	// Delete keeps the remaining bucket sorted; overwrite keeps position.
 	n, removed := n.delete("charlie", 0, maxLevel)
-	if !removed || !sort.StringsAreSorted(n.keys) {
-		t.Fatalf("bucket after delete: %v", n.keys)
+	if !removed || !sort.StringsAreSorted(nodeKeys(n)) {
+		t.Fatalf("bucket after delete: %v", nodeKeys(n))
 	}
-	n, added := n.set("bravo", []byte("new"), 0, maxLevel)
-	if added || !sort.StringsAreSorted(n.keys) {
-		t.Fatalf("bucket after overwrite: %v (added=%v)", n.keys, added)
+	n, added := n.set(entry{"bravo", []byte("new")}, 0, maxLevel)
+	if added || !sort.StringsAreSorted(nodeKeys(n)) {
+		t.Fatalf("bucket after overwrite: %v (added=%v)", nodeKeys(n), added)
 	}
 	// Early stop inside a bucket.
 	count := 0

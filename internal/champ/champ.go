@@ -25,7 +25,7 @@
 //
 // The two bitmaps give the number of entries and children, so the encoding
 // is injective. Hashes are lazy: Set and Delete build their path of fresh
-// nodes without one (cloneShallow never copies it), every node off that
+// nodes without one (clone never copies it), every node off that
 // path keeps the hash it had, and Hash fills in exactly the missing ones —
 // O(nodes rewritten since the last Hash), not O(entries). An old Map value
 // (a snapshot, a rollback target) keeps its nodes and so its hashes.
@@ -43,13 +43,42 @@
 // subtree. Set preserves that by construction; Delete restores it by
 // hoisting a child left with a single inline entry (or a collision bucket
 // left with one key) back into its parent, level by level.
+//
+// # Node layout
+//
+// Storage is the preimage. A node keeps its entries in one byte slice,
+// back to back as lp(key) ‖ lp(value) in slot order (a bucket: in key
+// order) — exactly the middle of what it hashes — so hashing a node is
+// header ‖ blob ‖ child hashes with nothing re-encoded, and a node is a
+// struct, a blob the collector never looks inside, and, for interior nodes,
+// a child slice: no pointer per entry, whatever the map holds. Entry i is
+// found by walking length prefixes from the start of the blob, at most 31
+// steps and two to eight in a trie of any size; there is no offset table.
+//
+// Nothing reachable from a Map is ever written again (hashes apart), blobs
+// included, which decides who copies what. A path copy below an unchanged
+// entry set makes a new struct and child slice and shares the blob. The
+// one node whose entries change builds its blob in a single allocation of
+// the exact size and shares the child slice if that did not change. Set
+// therefore copies the value it is given; Get and the Range functions hand
+// out views into the blob — keys as string headers over it, values with
+// capacity cut to length — which stay valid, and unchanged, for as long as
+// the caller holds them, and which the caller must not write to.
+//
+// An entry whose encoding exceeds maxInline is the exception: the blob
+// holds a four-byte mark in its slot and the node a reference to the key
+// and value, spliced into the preimage when the node is hashed. This is a
+// safety rule, not a tuning one — see maxInline — and it changes neither
+// the hash nor the trie shape.
 package champ
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"iaccf/internal/hashsig"
 )
@@ -136,7 +165,9 @@ func Empty() *Map { return empty }
 // Len returns the number of entries.
 func (m *Map) Len() int { return m.size }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key: a view of the map's own bytes,
+// shared by every map holding the same node, which the caller must not
+// write to. Its capacity is its length, so appending to it copies.
 func (m *Map) Get(key string) ([]byte, bool) {
 	return m.root.get(key, hashKey(key), 0)
 }
@@ -148,9 +179,13 @@ func (m *Map) Has(key string) bool {
 }
 
 // Set returns a new map with key bound to val. The receiver is unchanged.
-// The value slice is stored as-is; callers must not mutate it afterwards.
+// The value is copied: the caller may reuse its slice.
 func (m *Map) Set(key string, val []byte) *Map {
-	root, added := m.root.set(key, val, hashKey(key), 0)
+	e := entry{key, val}
+	if e.byRef() {
+		e.val = bytes.Clone(val) // an inline one is copied into the blob instead
+	}
+	root, added := m.root.set(e, hashKey(key), 0)
 	size := m.size
 	if added {
 		size++
@@ -206,10 +241,6 @@ func (m *Map) RangeCanonical(fn func(key string, val []byte) bool) {
 // copied and there are no per-key trie lookups, so checkpoint serialization
 // over a large store touches each node exactly once (paper §3.4).
 func (m *Map) RangeSorted(fn func(key string, val []byte) bool) {
-	type entry struct {
-		key string
-		val []byte
-	}
 	entries := make([]entry, 0, m.size)
 	m.root.rang(func(k string, v []byte) bool {
 		entries = append(entries, entry{key: k, val: v})
@@ -224,19 +255,163 @@ func (m *Map) RangeSorted(fn func(key string, val []byte) bool) {
 }
 
 // node is a CHAMP trie node: dataMap marks chunks holding inline entries,
-// nodeMap marks chunks holding children. A node with coll set is a
-// collision bucket at max depth and uses only the slices. hash is the
-// node's Merkle hash once hashed is set; everything else is immutable from
-// the moment the node is reachable from a Map.
+// nodeMap marks chunks holding children. ents holds the entries (see the
+// package comment), big the ones ents only marks. A node with coll set is a
+// collision bucket at max depth: no bitmaps, no children, entries in
+// ascending key order. hash is the node's Merkle hash once hashed is set;
+// everything else — the bytes of ents included — is immutable from the
+// moment the node is reachable from a Map, which is what lets copies share
+// ents, big and children whenever they do not change them.
 type node struct {
 	dataMap  uint32
 	nodeMap  uint32
-	keys     []string
-	vals     [][]byte
+	ents     []byte
+	big      []entry
 	children []*node
 	coll     bool
 	hashed   bool
 	hash     hashsig.Digest
+}
+
+// entry is a key and its value: what set, merge and delete hand from node
+// to node, and how a node holds an entry too large for its blob.
+type entry struct {
+	key string
+	val []byte
+}
+
+// size is the length of e's encoding, lp(key) ‖ lp(value).
+func (e entry) size() int { return 8 + len(e.key) + len(e.val) }
+
+// byRef reports whether a node holds e by reference rather than in its blob.
+func (e entry) byRef() bool { return e.size() > maxInline }
+
+const (
+	// maxInline is the largest encoding an entry may have and still live in
+	// its node's blob. A write at a node copies the whole blob, so an inline
+	// entry is copied again by every write to each of its up to 31
+	// neighbours; without a cap, one 16 MiB value (wire.MaxValueLen; a key
+	// may be 1 MiB) would be moved by every write that lands beside it. An
+	// entry held by reference is never moved, at the price of one more heap
+	// object with pointers to trace. The cap is a bound, not a crossover:
+	// with 400-byte values over 100 k keys a Set costs 7.6 µs inline and
+	// 9.2 µs by reference, and inline stays the faster to a few KiB; what
+	// grows is what a write allocates (3.0 KiB against 1.9 KiB per Set at
+	// 400 B, 14 KiB against 5 KiB at 3 200 B). At 512 no rebuilt blob
+	// exceeds 32 × 512 B = 16 KiB whatever is stored, and every entry of the
+	// named workloads (≈ 10-byte key, 32-byte value) is a tenth of it.
+	// Which way an entry is held depends on the entry alone, so the trie
+	// shape stays a function of the contents; the hash cannot tell.
+	maxInline = 512
+
+	// bigMark stands in ents for an entry held in big. No inline entry
+	// begins with it: that would be a key of 4 GiB.
+	bigMark = 0xFFFFFFFF
+)
+
+// appendEntry appends lp(key) ‖ lp(value).
+func appendEntry(b []byte, e entry) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(e.key)))
+	b = append(b, e.key...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(e.val)))
+	return append(b, e.val...)
+}
+
+// cursor is a position in a node's entries: the offset of the next one in
+// ents and how many entries before it are held in big.
+type cursor struct{ off, big int }
+
+// more reports whether n has an entry at c.
+func (c cursor) more(n *node) bool { return c.off < len(n.ents) }
+
+// next returns the entry at c and moves past it. This is the one place an
+// entry is read, wherever it is held. The key is a string header over the
+// blob, legitimate because the blob never changes and cheap because ranges
+// hand out every key of a checkpoint; the value is capped at its length so
+// that an append by the caller reallocates.
+func (c *cursor) next(n *node) entry {
+	b := n.ents
+	kl := binary.BigEndian.Uint32(b[c.off:])
+	if kl == bigMark {
+		e := n.big[c.big]
+		c.off += 4
+		c.big++
+		return entry{e.key, e.val[:len(e.val):len(e.val)]}
+	}
+	ks := c.off + 4
+	ke := ks + int(kl)
+	vs := ke + 4
+	ve := vs + int(binary.BigEndian.Uint32(b[ke:]))
+	c.off = ve
+	return entry{unsafe.String(unsafe.SliceData(b[ks:ke]), ke-ks), b[vs:ve:ve]}
+}
+
+// seek returns the position of the entry in compressed slot i: a walk over
+// i pairs of length prefixes, which is all the index a blob has.
+func (n *node) seek(i int) cursor {
+	b := n.ents
+	var c cursor
+	for ; i > 0; i-- {
+		kl := binary.BigEndian.Uint32(b[c.off:])
+		if kl == bigMark {
+			c.off += 4
+			c.big++
+			continue
+		}
+		c.off += 4 + int(kl)
+		c.off += 4 + int(binary.BigEndian.Uint32(b[c.off:]))
+	}
+	return c
+}
+
+// find locates key in a collision bucket: its entry spans c to to if it is
+// there, and if not, c == to is where it would go to keep the keys sorted.
+func (n *node) find(key string) (c, to cursor, found bool) {
+	for c.more(n) {
+		to = c
+		switch k := to.next(n).key; {
+		case k == key:
+			return c, to, true
+		case k > key:
+			return c, c, false
+		}
+		c = to
+	}
+	return c, c, false
+}
+
+// spliced returns a copy of n in which the entries from c up to to are
+// replaced by put: a fresh blob of exactly the size needed and, only if an
+// entry held by reference comes or goes, a fresh reference list. Bitmaps
+// and children are n's, for the caller to adjust.
+func (n *node) spliced(c, to cursor, put ...entry) *node {
+	size, refs := len(n.ents)-(to.off-c.off), to.big-c.big
+	for _, e := range put {
+		if e.byRef() {
+			size += 4
+			refs++
+		} else {
+			size += e.size()
+		}
+	}
+	out := n.clone()
+	out.ents = append(make([]byte, 0, size), n.ents[:c.off]...)
+	if refs > 0 {
+		out.big = append(make([]entry, 0, len(n.big)+len(put)), n.big[:c.big]...)
+	}
+	for _, e := range put {
+		if e.byRef() {
+			out.ents = binary.BigEndian.AppendUint32(out.ents, bigMark)
+			out.big = append(out.big, e)
+		} else {
+			out.ents = appendEntry(out.ents, e)
+		}
+	}
+	out.ents = append(out.ents, n.ents[to.off:]...)
+	if refs > 0 {
+		out.big = append(out.big, n.big[to.big:]...)
+	}
+	return out
 }
 
 // Node kinds, the first byte of a node's hash preimage.
@@ -257,17 +432,18 @@ func (n *node) fillHash(buf *[]byte) {
 	b := (*buf)[:0]
 	if n.coll {
 		b = append(b, kindCollision)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(n.keys)))
+		b = binary.BigEndian.AppendUint32(b, uint32(n.entries()))
 	} else {
 		b = append(b, kindBranch)
 		b = binary.BigEndian.AppendUint32(b, n.dataMap)
 		b = binary.BigEndian.AppendUint32(b, n.nodeMap)
 	}
-	for i, k := range n.keys {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(k)))
-		b = append(b, k...)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(n.vals[i])))
-		b = append(b, n.vals[i]...)
+	if len(n.big) == 0 {
+		b = append(b, n.ents...)
+	} else {
+		for c := (cursor{}); c.more(n); {
+			b = appendEntry(b, c.next(n))
+		}
 	}
 	for _, c := range n.children {
 		b = append(b, c.hash[:]...)
@@ -291,20 +467,31 @@ func (n *node) nodeIndex(bit uint32) int {
 	return bits.OnesCount32(n.nodeMap & (bit - 1))
 }
 
+// entries returns the number of entries n holds itself.
+func (n *node) entries() int {
+	if !n.coll {
+		return bits.OnesCount32(n.dataMap)
+	}
+	count := 0
+	for c := (cursor{}); c.more(n); c.next(n) {
+		count++
+	}
+	return count
+}
+
 func (n *node) get(key string, h uint64, level int) ([]byte, bool) {
 	if n.coll {
-		for i, k := range n.keys {
-			if k == key {
-				return n.vals[i], true
-			}
+		c, _, found := n.find(key)
+		if !found {
+			return nil, false
 		}
-		return nil, false
+		return c.next(n).val, true
 	}
 	bit := uint32(1) << chunk(h, level)
 	if n.dataMap&bit != 0 {
-		i := n.dataIndex(bit)
-		if n.keys[i] == key {
-			return n.vals[i], true
+		c := n.seek(n.dataIndex(bit))
+		if e := c.next(n); e.key == key {
+			return e.val, true
 		}
 		return nil, false
 	}
@@ -315,76 +502,61 @@ func (n *node) get(key string, h uint64, level int) ([]byte, bool) {
 }
 
 // set returns the updated node and whether a new key was added.
-func (n *node) set(key string, val []byte, h uint64, level int) (*node, bool) {
+func (n *node) set(e entry, h uint64, level int) (*node, bool) {
 	if n.coll {
-		for i, k := range n.keys {
-			if k == key {
-				c := n.cloneShallow()
-				c.vals[i] = val
-				return c, false
-			}
-		}
-		c := n.cloneShallow()
-		i := sort.SearchStrings(c.keys, key)
-		c.keys = append(c.keys[:i], append([]string{key}, c.keys[i:]...)...)
-		c.vals = append(c.vals[:i], append([][]byte{val}, c.vals[i:]...)...)
-		return c, true
+		c, to, found := n.find(e.key)
+		return n.spliced(c, to, e), !found
 	}
 	bit := uint32(1) << chunk(h, level)
 	switch {
 	case n.dataMap&bit != 0:
-		i := n.dataIndex(bit)
-		if n.keys[i] == key {
-			c := n.cloneShallow()
-			c.vals[i] = val
-			return c, false
+		c := n.seek(n.dataIndex(bit))
+		to := c
+		old := to.next(n)
+		if old.key == e.key {
+			return n.spliced(c, to, e), false
 		}
 		// Two distinct keys share this chunk: push both one level down.
-		child := merge(n.keys[i], n.vals[i], hashKey(n.keys[i]), key, val, h, level+1)
-		c := n.cloneShallow()
-		c.removeData(bit)
-		c.insertChild(bit, child)
-		return c, true
+		child := merge(old, hashKey(old.key), e, h, level+1)
+		out := n.spliced(c, to)
+		out.dataMap &^= bit
+		i := n.nodeIndex(bit)
+		out.children = slices.Concat(n.children[:i], []*node{child}, n.children[i:])
+		out.nodeMap |= bit
+		return out, true
 	case n.nodeMap&bit != 0:
 		i := n.nodeIndex(bit)
-		child, added := n.children[i].set(key, val, h, level+1)
-		c := n.cloneShallow()
-		c.children[i] = child
-		return c, added
+		child, added := n.children[i].set(e, h, level+1)
+		return n.withChild(i, child), added
 	default:
-		c := n.cloneShallow()
-		c.insertData(bit, key, val)
-		return c, true
+		c := n.seek(n.dataIndex(bit))
+		out := n.spliced(c, c, e)
+		out.dataMap |= bit
+		return out, true
 	}
 }
 
-// merge builds the subtree holding two keys that collide at a chunk.
-func merge(k1 string, v1 []byte, h1 uint64, k2 string, v2 []byte, h2 uint64, level int) *node {
+// merge builds the subtree holding two entries that collide at a chunk.
+func merge(e1 entry, h1 uint64, e2 entry, h2 uint64, level int) *node {
+	var shape node // what the node is apart from its two entries
 	if level >= maxLevel {
 		// Collision buckets keep keys sorted so canonical order is defined
 		// even where hashes cannot distinguish entries.
-		if k2 < k1 {
-			k1, k2 = k2, k1
-			v1, v2 = v2, v1
+		shape.coll = true
+		if e2.key < e1.key {
+			e1, e2 = e2, e1
 		}
-		return &node{coll: true, keys: []string{k1, k2}, vals: [][]byte{v1, v2}}
-	}
-	c1, c2 := chunk(h1, level), chunk(h2, level)
-	if c1 == c2 {
-		child := merge(k1, v1, h1, k2, v2, h2, level+1)
-		return &node{nodeMap: 1 << c1, children: []*node{child}}
-	}
-	n := &node{}
-	if c1 < c2 {
-		n.dataMap = 1<<c1 | 1<<c2
-		n.keys = []string{k1, k2}
-		n.vals = [][]byte{v1, v2}
 	} else {
-		n.dataMap = 1<<c1 | 1<<c2
-		n.keys = []string{k2, k1}
-		n.vals = [][]byte{v2, v1}
+		c1, c2 := chunk(h1, level), chunk(h2, level)
+		if c1 == c2 {
+			return &node{nodeMap: 1 << c1, children: []*node{merge(e1, h1, e2, h2, level+1)}}
+		}
+		shape.dataMap = 1<<c1 | 1<<c2
+		if c2 < c1 {
+			e1, e2 = e2, e1
+		}
 	}
-	return n
+	return shape.spliced(cursor{}, cursor{}, e1, e2)
 }
 
 // delete returns the updated node and whether the key was present. The
@@ -394,25 +566,22 @@ func merge(k1 string, v1 []byte, h1 uint64, k2 string, v2 []byte, h2 uint64, lev
 // the level where the survivor has a neighbour (or to the root).
 func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 	if n.coll {
-		for i, k := range n.keys {
-			if k == key {
-				c := n.cloneShallow()
-				c.keys = append(append([]string{}, n.keys[:i]...), n.keys[i+1:]...)
-				c.vals = append(append([][]byte{}, n.vals[:i]...), n.vals[i+1:]...)
-				return c, true
-			}
+		c, to, found := n.find(key)
+		if !found {
+			return n, false
 		}
-		return n, false
+		return n.spliced(c, to), true
 	}
 	bit := uint32(1) << chunk(h, level)
 	if n.dataMap&bit != 0 {
-		i := n.dataIndex(bit)
-		if n.keys[i] != key {
+		c := n.seek(n.dataIndex(bit))
+		to := c
+		if to.next(n).key != key {
 			return n, false
 		}
-		c := n.cloneShallow()
-		c.removeData(bit)
-		return c, true
+		out := n.spliced(c, to)
+		out.dataMap &^= bit
+		return out, true
 	}
 	if n.nodeMap&bit != 0 {
 		i := n.nodeIndex(bit)
@@ -420,14 +589,16 @@ func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 		if !removed {
 			return n, false
 		}
-		c := n.cloneShallow()
-		if child.isSingleton() {
-			c.removeChild(bit)
-			c.insertData(bit, child.keys[0], child.vals[0])
-		} else {
-			c.children[i] = child
+		if !child.isSingleton() {
+			return n.withChild(i, child), true
 		}
-		return c, true
+		var only cursor
+		c := n.seek(n.dataIndex(bit))
+		out := n.spliced(c, c, only.next(child))
+		out.dataMap |= bit
+		out.children = slices.Concat(n.children[:i], n.children[i+1:])
+		out.nodeMap &^= bit
+		return out, true
 	}
 	return n, false
 }
@@ -435,12 +606,12 @@ func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 // isSingleton reports whether n holds exactly one entry and no children —
 // the one shape a non-root node may not keep.
 func (n *node) isSingleton() bool {
-	return len(n.keys) == 1 && len(n.children) == 0
+	return len(n.children) == 0 && n.entries() == 1
 }
 
 func (n *node) rang(fn func(string, []byte) bool) bool {
-	for i, k := range n.keys {
-		if !fn(k, n.vals[i]) {
+	for c := (cursor{}); c.more(n); {
+		if e := c.next(n); !fn(e.key, e.val) {
 			return false
 		}
 	}
@@ -463,62 +634,44 @@ func (n *node) rang(fn func(string, []byte) bool) bool {
 // where the hash alone cannot order entries.
 func (n *node) rangCanonical(fn func(string, []byte) bool) bool {
 	if n.coll {
-		for i, k := range n.keys {
-			if !fn(k, n.vals[i]) {
-				return false
-			}
-		}
-		return true
+		return n.rang(fn)
 	}
+	var c cursor
+	child := 0
 	for rest := n.dataMap | n.nodeMap; rest != 0; rest &= rest - 1 {
-		bit := rest & -rest
-		if n.dataMap&bit != 0 {
-			i := n.dataIndex(bit)
-			if !fn(n.keys[i], n.vals[i]) {
+		if bit := rest & -rest; n.dataMap&bit != 0 {
+			if e := c.next(n); !fn(e.key, e.val) {
 				return false
 			}
-		} else if !n.children[n.nodeIndex(bit)].rangCanonical(fn) {
-			return false
+		} else {
+			if !n.children[child].rangCanonical(fn) {
+				return false
+			}
+			child++
 		}
 	}
 	return true
 }
 
-// cloneShallow copies everything but the hash: the clone is about to
-// differ from n.
-func (n *node) cloneShallow() *node {
+// clone copies everything but the hash: the copy is about to differ from
+// n. It shares n's blob, reference list and child slice, so the caller
+// replaces, never writes into, the ones it changes.
+func (n *node) clone() *node {
 	return &node{
 		dataMap:  n.dataMap,
 		nodeMap:  n.nodeMap,
-		keys:     append([]string(nil), n.keys...),
-		vals:     append([][]byte(nil), n.vals...),
-		children: append([]*node(nil), n.children...),
+		ents:     n.ents,
+		big:      n.big,
+		children: n.children,
 		coll:     n.coll,
 	}
 }
 
-func (n *node) insertData(bit uint32, key string, val []byte) {
-	i := bits.OnesCount32(n.dataMap & (bit - 1))
-	n.keys = slices.Insert(n.keys, i, key)
-	n.vals = slices.Insert(n.vals, i, val)
-	n.dataMap |= bit
-}
-
-func (n *node) removeData(bit uint32) {
-	i := bits.OnesCount32(n.dataMap & (bit - 1))
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	n.dataMap &^= bit
-}
-
-func (n *node) insertChild(bit uint32, child *node) {
-	i := bits.OnesCount32(n.nodeMap & (bit - 1))
-	n.children = slices.Insert(n.children, i, child)
-	n.nodeMap |= bit
-}
-
-func (n *node) removeChild(bit uint32) {
-	i := bits.OnesCount32(n.nodeMap & (bit - 1))
-	n.children = append(n.children[:i], n.children[i+1:]...)
-	n.nodeMap &^= bit
+// withChild is the path copy below an unchanged entry set: a copy of n
+// whose i-th child is child.
+func (n *node) withChild(i int, child *node) *node {
+	out := n.clone()
+	out.children = slices.Clone(n.children)
+	out.children[i] = child
+	return out
 }

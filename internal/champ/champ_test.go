@@ -1,6 +1,7 @@
 package champ
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -57,15 +58,31 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
+// TestImmutability holds a snapshot against everything that could reach
+// its bytes: later writes and deletes to the same nodes, the caller
+// scribbling over the slice it passed to Set, and a caller appending to
+// what Get returned. Every third value is held by reference rather than in
+// its node's blob; the contract is the same.
 func TestImmutability(t *testing.T) {
-	base := Empty()
-	for i := 0; i < 100; i++ {
-		base = base.Set(fmt.Sprintf("k%d", i), []byte{byte(i)})
+	val := func(i int, fill byte) []byte {
+		if i%3 == 0 {
+			return bytes.Repeat([]byte{fill}, maxInline)
+		}
+		return []byte{fill}
 	}
-	snapshot := base
+	base := Empty()
+	buf := make([]byte, 0, maxInline)
+	for i := 0; i < 100; i++ {
+		buf = append(buf[:0], val(i, byte(i))...)
+		base = base.Set(fmt.Sprintf("k%d", i), buf)
+		for j := range buf {
+			buf[j] = 0xee // Set copied: the caller's slice is the caller's again
+		}
+	}
+	snapshot, before := base, base.Hash()
 	derived := base
 	for i := 0; i < 100; i++ {
-		derived = derived.Set(fmt.Sprintf("k%d", i), []byte{0xff})
+		derived = derived.Set(fmt.Sprintf("k%d", i), val(i+1, 0xff))
 		derived = derived.Delete(fmt.Sprintf("k%d", (i+50)%100))
 	}
 	// The snapshot must be untouched.
@@ -74,9 +91,21 @@ func TestImmutability(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		v, ok := snapshot.Get(fmt.Sprintf("k%d", i))
-		if !ok || v[0] != byte(i) {
-			t.Fatalf("snapshot entry k%d changed: %v %v", i, v, ok)
+		if !ok || !bytes.Equal(v, val(i, byte(i))) {
+			t.Fatalf("snapshot entry k%d changed: %.8x… %v", i, v, ok)
 		}
+		if cap(v) != len(v) {
+			t.Fatalf("Get(k%d) has %d spare bytes of the map's memory behind it", i, cap(v)-len(v))
+		}
+		_ = append(v, "would land on the next entry"...)
+	}
+	rebuilt := Empty()
+	snapshot.RangeCanonical(func(k string, v []byte) bool {
+		rebuilt = rebuilt.Set(k, v)
+		return true
+	})
+	if snapshot.Hash() != before || rebuilt.Hash() != before {
+		t.Fatal("snapshot contents moved under its hash")
 	}
 }
 
@@ -262,15 +291,15 @@ func TestManyKeysDeepPaths(t *testing.T) {
 
 func TestCollisionNodePaths(t *testing.T) {
 	// Drive merge/collision logic directly at max depth.
-	n1 := merge("a", []byte("1"), 0, "b", []byte("2"), 0, maxLevel)
+	n1 := merge(entry{"a", []byte("1")}, 0, entry{"b", []byte("2")}, 0, maxLevel)
 	if !n1.coll {
 		t.Fatal("expected collision node at max level")
 	}
-	n2, added := n1.set("c", []byte("3"), 0, maxLevel)
-	if !added || len(n2.keys) != 3 {
+	n2, added := n1.set(entry{"c", []byte("3")}, 0, maxLevel)
+	if !added || n2.entries() != 3 {
 		t.Fatal("collision insert failed")
 	}
-	n3, added := n2.set("a", []byte("9"), 0, maxLevel)
+	n3, added := n2.set(entry{"a", []byte("9")}, 0, maxLevel)
 	if added {
 		t.Fatal("collision overwrite reported as add")
 	}

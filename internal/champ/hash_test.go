@@ -33,7 +33,7 @@ func bucketTrie() trie {
 }
 
 func (t trie) set(k string, v []byte) trie {
-	t.root, _ = t.root.set(k, v, t.place(k), t.level)
+	t.root, _ = t.root.set(entry{k, v}, t.place(k), t.level)
 	return t
 }
 
@@ -73,14 +73,86 @@ func sortedKeys(model map[string][]byte) []string {
 	return keys
 }
 
-// sameShape reports whether two subtrees are node-for-node identical.
+// specHash computes the root hash of a trie holding model from the package
+// comment's specification alone — placement, the shape rule, the preimage —
+// sharing no code with node: no blob, no cursor, no splice. keys are the
+// ones under this node, level its depth.
+func specHash(model map[string][]byte, keys []string, level int, place func(string) uint64) hashsig.Digest {
+	lp := func(b []byte, x string) []byte {
+		b = append(b, byte(len(x)>>24), byte(len(x)>>16), byte(len(x)>>8), byte(len(x)))
+		return append(b, x...)
+	}
+	if level >= maxLevel {
+		sort.Strings(keys)
+		b := []byte{0x01, byte(len(keys) >> 24), byte(len(keys) >> 16), byte(len(keys) >> 8), byte(len(keys))}
+		for _, k := range keys {
+			b = lp(lp(b, k), string(model[k]))
+		}
+		return hashsig.Sum(b)
+	}
+	var slots [branchSize][]string
+	for _, k := range keys {
+		c := place(k) >> (level * branchBits) & chunkMask
+		slots[c] = append(slots[c], k)
+	}
+	var dataMap, nodeMap uint32
+	var ents, kids []byte
+	for c, in := range slots {
+		switch {
+		case len(in) == 1:
+			dataMap |= 1 << c
+			ents = lp(lp(ents, in[0]), string(model[in[0]]))
+		case len(in) > 1:
+			nodeMap |= 1 << c
+			h := specHash(model, in, level+1, place)
+			kids = append(kids, h[:]...)
+		}
+	}
+	b := []byte{0x00,
+		byte(dataMap >> 24), byte(dataMap >> 16), byte(dataMap >> 8), byte(dataMap),
+		byte(nodeMap >> 24), byte(nodeMap >> 16), byte(nodeMap >> 8), byte(nodeMap)}
+	return hashsig.Sum(append(append(b, ents...), kids...))
+}
+
+// sized returns a value that makes key's entry encode to exactly size
+// bytes, filled with fill. Sizes around maxInline put the same key in its
+// node's blob or behind a reference.
+func sized(key string, size int, fill byte) []byte {
+	return bytes.Repeat([]byte{fill}, size-8-len(key))
+}
+
+// straddle is the entry sizes the property tests draw from besides tiny
+// ones: the last two that stay in the blob, the first that does not, and
+// one well past it.
+var straddle = []int{maxInline - 1, maxInline, maxInline + 1, 3 * maxInline}
+
+// bigCount returns how many entries the subtree holds by reference.
+func bigCount(n *node) int {
+	count := len(n.big)
+	for _, c := range n.children {
+		count += bigCount(c)
+	}
+	return count
+}
+
+// nodeKeys returns the keys n holds itself, in slot order.
+func nodeKeys(n *node) []string {
+	var keys []string
+	for c := (cursor{}); c.more(n); {
+		keys = append(keys, c.next(n).key)
+	}
+	return keys
+}
+
+// sameShape reports whether two subtrees are node-for-node identical, down
+// to which entries sit in the blob and which are held by reference.
 func sameShape(a, b *node) bool {
 	if a.coll != b.coll || a.dataMap != b.dataMap || a.nodeMap != b.nodeMap ||
-		len(a.keys) != len(b.keys) || len(a.children) != len(b.children) {
+		!bytes.Equal(a.ents, b.ents) || len(a.big) != len(b.big) || len(a.children) != len(b.children) {
 		return false
 	}
-	for i := range a.keys {
-		if a.keys[i] != b.keys[i] || !bytes.Equal(a.vals[i], b.vals[i]) {
+	for i := range a.big {
+		if a.big[i].key != b.big[i].key || !bytes.Equal(a.big[i].val, b.big[i].val) {
 			return false
 		}
 	}
@@ -114,7 +186,9 @@ type hashOp struct {
 // the fuzz target. It applies ops to an initially empty trie and after
 // every step holds the incrementally maintained root (old hashes kept, the
 // rewritten path filled in) to the root and shape of a trie rebuilt from
-// scratch. The final contents are then reached four more ways — shuffled
+// scratch. The final root must be the one specHash derives from the
+// contents, with exactly the oversized entries held by reference. The
+// final contents are then reached four more ways — shuffled
 // insertion, insertion with extra keys added and deleted along the way,
 // deletion down from a superset, and a rebuild from RangeCanonical's output
 // — and each must land on the same root and shape.
@@ -133,6 +207,18 @@ func checkHistoryIndependent(t testing.TB, fresh trie, ops []hashOp, extras []st
 		same(t, fmt.Sprintf("step %d", i), cur, fresh.build(model, sortedKeys(model)))
 	}
 	keys := sortedKeys(model)
+	if cur.hash() != specHash(model, sortedKeys(model), fresh.level, fresh.place) {
+		t.Fatal("root hash is not the one the package comment specifies")
+	}
+	want := 0
+	for k, v := range model {
+		if (entry{k, v}).byRef() {
+			want++
+		}
+	}
+	if got := bigCount(cur.root); got != want {
+		t.Fatalf("%d entries held by reference, %d are over maxInline", got, want)
+	}
 
 	shuffled := append([]string(nil), keys...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
@@ -171,15 +257,21 @@ func checkHistoryIndependent(t testing.TB, fresh trie, ops []hashOp, extras []st
 }
 
 // randomOps draws n operations over alphabet: mostly fresh inserts and
-// overwrites, one in three a delete (of a possibly absent key).
+// overwrites, one in three a delete (of a possibly absent key). One value
+// in four has a size from straddle, so keys move between the blob and the
+// reference list as they are overwritten.
 func randomOps(rng *rand.Rand, alphabet []string, n int) []hashOp {
 	ops := make([]hashOp, n)
 	for i := range ops {
-		ops[i] = hashOp{
+		op := hashOp{
 			del: rng.Intn(3) == 0,
 			key: alphabet[rng.Intn(len(alphabet))],
 			val: []byte(fmt.Sprintf("v%d", rng.Intn(4))),
 		}
+		if rng.Intn(4) == 0 {
+			op.val = sized(op.key, straddle[rng.Intn(len(straddle))], byte(rng.Intn(2)))
+		}
+		ops[i] = op
 	}
 	return ops
 }
@@ -218,17 +310,23 @@ func TestHashHistoryIndependent(t *testing.T) {
 
 // TestDeleteHoistsLoneBucketKey pins the bucket-shrinks-to-one-key case by
 // hand: the survivor must sit inline in the parent, as if its neighbour had
-// never existed.
+// never existed. A survivor held by reference moves up as the reference it
+// was: same bytes, not a copy of them.
 func TestDeleteHoistsLoneBucketKey(t *testing.T) {
-	two := bucketTrie().set("a1", []byte("x")).set("a2", []byte("y"))
-	if two.root.nodeMap == 0 || !two.root.children[0].coll {
-		t.Fatal("two keys in one slot did not form a collision bucket")
+	for _, x := range [][]byte{[]byte("x"), sized("a1", maxInline+1, 'x')} {
+		two := bucketTrie().set("a1", x).set("a2", []byte("y"))
+		if two.root.nodeMap == 0 || !two.root.children[0].coll {
+			t.Fatal("two keys in one slot did not form a collision bucket")
+		}
+		one := two.del("a2")
+		if keys := nodeKeys(one.root); one.root.nodeMap != 0 || len(keys) != 1 || keys[0] != "a1" {
+			t.Fatalf("lone bucket key not hoisted: dataMap=%b nodeMap=%b keys=%v", one.root.dataMap, one.root.nodeMap, keys)
+		}
+		same(t, "bucket shrunk to one key", one, bucketTrie().set("a1", x))
+		if len(x) > 1 && &one.root.big[0].val[0] != &two.root.children[0].big[0].val[0] {
+			t.Fatal("large survivor was copied on its way up")
+		}
 	}
-	one := two.del("a2")
-	if one.root.nodeMap != 0 || len(one.root.keys) != 1 || one.root.keys[0] != "a1" {
-		t.Fatalf("lone bucket key not hoisted: dataMap=%b nodeMap=%b keys=%v", one.root.dataMap, one.root.nodeMap, one.root.keys)
-	}
-	same(t, "bucket shrunk to one key", one, bucketTrie().set("a1", []byte("x")))
 }
 
 // TestHashDistinguishesContents is the negative half: one value, one key,
@@ -307,6 +405,23 @@ func TestHashSurvivesOnOldHeads(t *testing.T) {
 	if fresh > 2 {
 		t.Fatalf("%d of %d root children rewritten by two writes", fresh, len(next.root.children))
 	}
+	// A thousand writes that each rebuild the blob k7 lives in: the old
+	// head shares none of the rebuilt ones, so its entries and the hashes
+	// computed over them stand.
+	for i := 0; i < 1000; i++ {
+		next = next.Set("k7", []byte(fmt.Sprint(i)))
+		if i%100 == 0 {
+			next.Hash()
+		}
+	}
+	if v, _ := m.Get("k7"); string(v) != "v" || m.Hash() != before {
+		t.Fatal("old head changed under later writes")
+	}
+	rebuilt := Empty()
+	m.Range(func(k string, v []byte) bool { rebuilt = rebuilt.Set(k, v); return true })
+	if rebuilt.Hash() != before {
+		t.Fatal("old head's cached hash no longer matches its contents")
+	}
 }
 
 // TestEmptyHashedAtInit: the process-wide empty root must never be written
@@ -335,11 +450,18 @@ func TestEmptyHashedAtInit(t *testing.T) {
 
 // FuzzHashHistoryIndependent feeds checkHistoryIndependent op sequences
 // over a 16-key alphabet, at map level and at bucket level: two bytes per
-// op, the first choosing set-a / set-b / delete, the second the key.
+// op, the second the key, the first choosing delete or set and, for a set,
+// one of ten values — two of a single byte, then two fills of each size in
+// straddle — so an overwrite can move an entry across maxInline either way.
 func FuzzHashHistoryIndependent(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 2, 0, 2, 4})
 	f.Add([]byte{0, 1, 0, 5, 0, 9, 2, 5, 2, 9, 1, 1})
 	f.Add([]byte{0, 3, 1, 3, 2, 3, 0, 3})
+	// a0 over maxInline, far over, at it and over again beside a small a4,
+	// then alone; a bucket of two oversized keys that loses one, regains it
+	// and loses the other.
+	f.Add([]byte{9, 0, 0, 4, 12, 0, 6, 0, 10, 0, 2, 4})
+	f.Add([]byte{12, 1, 25, 5, 2, 1, 13, 1, 2, 5})
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%c%d", 'a'+i%4, i)
@@ -351,11 +473,11 @@ func FuzzHashHistoryIndependent(f *testing.F) {
 		}
 		ops := make([]hashOp, 0, len(data)/2)
 		for i := 0; i+1 < len(data); i += 2 {
-			ops = append(ops, hashOp{
-				del: data[i]%3 == 2,
-				key: keys[data[i+1]%16],
-				val: []byte{data[i] % 3},
-			})
+			op := hashOp{del: data[i]%3 == 2, key: keys[data[i+1]%16], val: []byte{data[i] % 3}}
+			if v := int(data[i]) / 3 % (1 + len(straddle)); v > 0 {
+				op.val = sized(op.key, straddle[v-1], data[i]%3)
+			}
+			ops = append(ops, op)
 		}
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		checkHistoryIndependent(t, mapTrie(), ops, extras, rng)

@@ -68,9 +68,9 @@ func (t *Tx) active(op string) {
 }
 
 // Get reads key, seeing the transaction's own writes first. Like
-// ShardedStore.Get it returns a copy, both of snapshot values (shared with marks) and of
-// buffered writes (mutating a buffered write through the returned slice
-// would change what Commit publishes).
+// ShardedStore.Get it returns a copy, both of snapshot values (views into a
+// trie node shared with marks) and of buffered writes (mutating a buffered
+// write through the returned slice would change what Commit publishes).
 func (t *Tx) Get(key string) ([]byte, bool) {
 	t.active("Get")
 	t.touch(key)
@@ -87,7 +87,8 @@ func (t *Tx) Get(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// Put buffers a write. The value is copied.
+// Put buffers a write. The value is copied: the buffer outlives the call,
+// and Commit hands it to champ, which copies it once more into a node.
 func (t *Tx) Put(key string, val []byte) {
 	t.active("Put")
 	t.touch(key)
@@ -95,11 +96,15 @@ func (t *Tx) Put(key string, val []byte) {
 	t.writes[key] = append([]byte(nil), val...)
 }
 
-// Delete buffers a deletion.
+// Delete buffers a deletion. The deletes map is made here, not by Begin:
+// most transactions only put, and every read of a nil map is already right.
 func (t *Tx) Delete(key string) {
 	t.active("Delete")
 	t.touch(key)
 	delete(t.writes, key)
+	if t.deletes == nil {
+		t.deletes = map[string]bool{}
+	}
 	t.deletes[key] = true
 }
 
@@ -146,7 +151,8 @@ func (t *Tx) Abort() {
 }
 
 // sortedEntry is a (key, value) reference collected while walking a trie,
-// for streaming in a deterministic order. Values are never copied.
+// for streaming in a deterministic order. Neither is copied: both are
+// views into the trie's nodes, good for as long as they are held.
 type sortedEntry struct {
 	key string
 	val []byte
@@ -207,7 +213,7 @@ func readMap(rd *wire.Reader) *champ.Map {
 			rd.Annotate("entry %d of %d: key", i, n)
 			break
 		}
-		v := rd.Bytes(wire.MaxValueLen)
+		v := rd.BytesView(wire.MaxValueLen) // Set copies
 		if rd.Err() != nil {
 			rd.Annotate("entry %d of %d: value for key %q", i, n, k)
 			break

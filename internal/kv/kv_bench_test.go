@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -120,4 +121,57 @@ func BenchmarkCheckpointDigest(b *testing.B) {
 			run(b, benchStore(n), n, 256)
 		})
 	}
+}
+
+// liveObjects returns the number of heap objects that survive a collection.
+func liveObjects() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapObjects
+}
+
+// benchStoreWrites is the store's share of a committed request, isolated:
+// one transaction per 32-byte put, d_C every 256 of them (four 64-entry
+// batches, cmd/node's checkpoint interval). The first warm puts are setup,
+// so live-objects/key — heap objects the store keeps alive per key it
+// holds, which is what every mark phase walks — is taken over at least that
+// many keys whatever b.N is.
+func benchStoreWrites(b *testing.B, warm int, key func(i int) string) {
+	base := liveObjects()
+	s := NewSharded(1)
+	val := make([]byte, 32)
+	put := func(i int) {
+		tx := s.Begin()
+		tx.Put(key(i), val)
+		tx.Commit()
+		if i%256 == 255 {
+			s.CheckpointDigest()
+		}
+	}
+	for i := 0; i < warm; i++ {
+		put(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		put(warm + i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(liveObjects()-base)/float64(s.Len()), "live-objects/key")
+	runtime.KeepAlive(s)
+}
+
+// BenchmarkStoreInsert is submit4.insert512's store: every put is a key
+// never seen before, named as that workload's 512 callers name theirs, so
+// the state and the live heap grow with b.N. `make bench-check` caps its
+// live-objects/key at 1.
+func BenchmarkStoreInsert(b *testing.B) {
+	benchStoreWrites(b, 8192, func(i int) string { return fmt.Sprintf("i%d/%d", i%512, i/512) })
+}
+
+// BenchmarkStoreOverwrite8k is submit4.sat512's: puts over a fixed set of
+// 8192 keys, so the state is constant and every put rewrites a trie path.
+func BenchmarkStoreOverwrite8k(b *testing.B) {
+	benchStoreWrites(b, 8192, func(i int) string { return fmt.Sprintf("k%d", i*7919%8192) })
 }

@@ -13,6 +13,15 @@
 // and Clone reinstate old shard heads, whose nodes still carry their
 // hashes, so the store keeps no digest cache of its own.
 //
+// What the store holds per key is bytes in a trie node's blob, not objects:
+// champ copies a value in on Set and keeps no pointer per entry, so the
+// live heap the collector walks grows with the number of nodes (well under
+// one object per key; BenchmarkStoreInsert reports it) and not with the
+// number of keys. Everything champ hands back — Get, the Range callbacks —
+// is a view into a node shared by every snapshot and mark that holds it:
+// Get copies before returning, and the serializers below stream the views
+// out without keeping them.
+//
 // The shard count is not what makes this cheap, and raising it would not:
 // a digest that re-serialized the shards written to since the last
 // checkpoint only helps while writes miss most shards, and a checkpoint
@@ -107,9 +116,9 @@ func (s *ShardedStore) Len() int {
 }
 
 // Get reads a key outside any transaction. The returned slice is a copy:
-// the stored value is shared by every snapshot and mark referencing the same
-// CHAMP node, so handing it out directly would let a caller silently corrupt
-// history that rollback depends on.
+// the stored value is bytes of a CHAMP node shared by every snapshot and
+// mark referencing it, so handing it out directly would let a caller
+// silently corrupt history that rollback depends on.
 func (s *ShardedStore) Get(key string) ([]byte, bool) {
 	v, ok := s.shards[s.shardFor(key)].Get(key)
 	if !ok {
@@ -128,7 +137,7 @@ func (s *ShardedStore) Get(key string) ([]byte, bool) {
 // hottest path, paid per transaction by both the primary and the auditor —
 // is O(1) regardless of shard count.
 func (s *ShardedStore) Begin() *Tx {
-	return &Tx{store: s, base: s.shards, writes: map[string][]byte{}, deletes: map[string]bool{}}
+	return &Tx{store: s, base: s.shards, writes: map[string][]byte{}}
 }
 
 // BeginTracked starts a transaction like Begin, additionally recording
