@@ -9,6 +9,11 @@
 //	done
 //	loadgen -rpc 127.0.0.1:8000,127.0.0.1:8001,127.0.0.1:8002,127.0.0.1:8003 -seed demo
 //
+// With -debug addr a replica also serves net/http/pprof under
+// /debug/pprof/ and its counters as JSON at /status (run-loop Stats,
+// commit watermark, transport drops, signature counts) — for example
+// `go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10`.
+//
 // Seed-derived keys exist so a demo cluster needs no key distribution
 // step; real deployments would load per-replica private keys instead.
 package main
@@ -17,6 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -39,6 +46,7 @@ func main() {
 		checkpoint = flag.Uint64("checkpoint", 4, "checkpoint interval (sequences)")
 		shards     = flag.Uint("shards", 1, "ledger shard trees per batch")
 		tick       = flag.Duration("tick", 5*time.Millisecond, "timer granularity (sync, retransmit, stall, submit patience); not on the commit path")
+		debug      = flag.String("debug", "", "serve net/http/pprof and /status on this address (empty: off)")
 	)
 	flag.Parse()
 
@@ -100,6 +108,17 @@ func main() {
 		log.Printf("node %d: transport %s, rpc %s", *id, tp.Addr(), srv.Addr())
 	} else {
 		log.Printf("node %d: transport %s (no rpc)", *id, tp.Addr())
+	}
+
+	if *debug != "" {
+		ln, err := net.Listen("tcp", *debug)
+		if err != nil {
+			log.Fatalf("node: debug: %v", err)
+		}
+		dbg := &http.Server{Handler: debugHandler(nd, tp.Dropped)}
+		go dbg.Serve(ln)
+		defer dbg.Close()
+		log.Printf("node %d: debug %s", *id, ln.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)

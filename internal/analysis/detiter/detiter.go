@@ -16,7 +16,7 @@
 //     sanctioned pattern (kv.Tx.WriteSetDigest, consensus sortedKeys);
 //     a collect that escapes unsorted preserves map order.
 //
-// The fix is champ.RangeCanonical / RangeSorted for store contents, or
+// The fix is champ.RangeCanonical for store contents, or
 // the collect-then-sort idiom for protocol maps.
 package detiter
 

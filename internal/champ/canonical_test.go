@@ -171,8 +171,8 @@ func TestRangeCanonicalCollisions(t *testing.T) {
 	}
 }
 
-// BenchmarkRangeCanonical measures the streaming iterator against the
-// collect-then-sort path it replaces on the checkpoint-serialization shape.
+// BenchmarkRangeCanonical measures the streaming iterator on the
+// checkpoint-serialization shape.
 func BenchmarkRangeCanonical(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		m := Empty()
@@ -182,11 +182,6 @@ func BenchmarkRangeCanonical(b *testing.B) {
 		b.Run(fmt.Sprintf("canonical/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.RangeCanonical(func(string, []byte) bool { return true })
-			}
-		})
-		b.Run(fmt.Sprintf("sorted/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.RangeSorted(func(string, []byte) bool { return true })
 			}
 		})
 	}

@@ -77,7 +77,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"iaccf/internal/hashsig"
@@ -233,25 +232,6 @@ func (m *Map) Range(fn func(key string, val []byte) bool) {
 // collect-then-sort pass.
 func (m *Map) RangeCanonical(fn func(key string, val []byte) bool) {
 	m.root.rangCanonical(fn)
-}
-
-// RangeSorted calls fn for every entry in ascending key order until fn
-// returns false. It walks the trie once, gathering (key, value) references
-// into a sort index, then streams entries in order — values are never
-// copied and there are no per-key trie lookups, so checkpoint serialization
-// over a large store touches each node exactly once (paper §3.4).
-func (m *Map) RangeSorted(fn func(key string, val []byte) bool) {
-	entries := make([]entry, 0, m.size)
-	m.root.rang(func(k string, v []byte) bool {
-		entries = append(entries, entry{key: k, val: v})
-		return true
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	for _, e := range entries {
-		if !fn(e.key, e.val) {
-			return
-		}
-	}
 }
 
 // node is a CHAMP trie node: dataMap marks chunks holding inline entries,

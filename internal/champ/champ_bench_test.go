@@ -15,27 +15,6 @@ func benchMap(n int) *Map {
 	return m
 }
 
-// BenchmarkRangeSorted measures the checkpoint-serialization iteration
-// order: one trie walk plus a key sort, streamed in key order.
-func BenchmarkRangeSorted(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := benchMap(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				count := 0
-				m.RangeSorted(func(string, []byte) bool {
-					count++
-					return true
-				})
-				if count != n {
-					b.Fatal("short iteration")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDelete measures structural-sharing removal cost.
 func BenchmarkDelete(b *testing.B) {
 	for _, n := range []int{1000, 100000} {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -181,48 +180,6 @@ func TestRangeStableForSameValue(t *testing.T) {
 			t.Fatal("iteration order not stable")
 		}
 	}
-}
-
-func TestRangeSorted(t *testing.T) {
-	m := Empty()
-	want := make([]string, 0, 100)
-	for i := 99; i >= 0; i-- {
-		k := fmt.Sprintf("key-%03d", i)
-		m = m.Set(k, []byte{byte(i)})
-		want = append(want, k)
-	}
-	sort.Strings(want)
-	got := make([]string, 0, 100)
-	m.RangeSorted(func(k string, v []byte) bool {
-		if len(got) > 0 && got[len(got)-1] >= k {
-			t.Fatalf("keys out of order: %q after %q", k, got[len(got)-1])
-		}
-		i := len(got)
-		if v[0] != byte(i) {
-			t.Fatalf("key %q paired with wrong value %d", k, v[0])
-		}
-		got = append(got, k)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("visited %d keys, want %d", len(got), len(want))
-	}
-
-	// Early stop.
-	n := 0
-	m.RangeSorted(func(string, []byte) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Fatalf("early stop visited %d", n)
-	}
-
-	// Empty map.
-	Empty().RangeSorted(func(string, []byte) bool {
-		t.Fatal("callback on empty map")
-		return true
-	})
 }
 
 // TestQuickModel drives the map against Go's builtin map with random ops.

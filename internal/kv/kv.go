@@ -150,41 +150,6 @@ func (t *Tx) Abort() {
 	t.done = true
 }
 
-// sortedEntry is a (key, value) reference collected while walking a trie,
-// for streaming in a deterministic order. Neither is copied: both are
-// views into the trie's nodes, good for as long as they are held.
-type sortedEntry struct {
-	key string
-	val []byte
-}
-
-// encodeEntriesSorted sorts entries by key and streams them in the flat
-// checkpoint form: count, then (key, value) pairs in ascending key order.
-// The flat stream (the partition-independent ShardedStore.Digest) is
-// key-sorted so that it stays a plain wire codec any party can produce
-// without knowing champ's hash; per-shard streams use encodeMapCanonical
-// instead, which needs no sort pass.
-func encodeEntriesSorted(w *wire.Writer, entries []sortedEntry) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	w.Uint64(uint64(len(entries)))
-	for _, e := range entries {
-		w.String(e.key)
-		w.Bytes(e.val)
-		if w.Err() != nil {
-			return
-		}
-	}
-}
-
-// collectEntries gathers one map's contents as sortedEntry references.
-func collectEntries(dst []sortedEntry, m *champ.Map) []sortedEntry {
-	m.Range(func(k string, v []byte) bool {
-		dst = append(dst, sortedEntry{key: k, val: v})
-		return true
-	})
-	return dst
-}
-
 // encodeMapCanonical streams one map in the per-shard checkpoint form:
 // count, then (key, value) pairs in champ's canonical iteration order. One
 // pass over the trie, no intermediate collection and no sort.
@@ -201,8 +166,8 @@ func encodeMapCanonical(w *wire.Writer, m *champ.Map) {
 // stick in the reader; on error the partial map is returned and ignored by
 // callers. Every frame boundary annotates a failure with its position, so
 // a truncated or oversized stream reports exactly which frame broke — and
-// no partially-read map is ever installed into a store (RestoreShardedFor
-// and InstallShard only publish a shard after a clean ExpectEOF).
+// no partially-read map is ever installed into a store (InstallShard only
+// publishes a shard after a clean ExpectEOF).
 func readMap(rd *wire.Reader) *champ.Map {
 	n := rd.Uint64()
 	rd.Annotate("entry count header")

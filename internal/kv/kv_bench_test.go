@@ -29,28 +29,15 @@ func BenchmarkCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkDigest measures the flat key-sorted digest over the full store:
-// what every checkpoint cost before the store was sharded.
-func BenchmarkDigest(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := benchStore(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Digest()
-			}
-		})
-	}
-}
-
-// BenchmarkSerialize measures streaming checkpoint serialization.
+// BenchmarkSerialize measures streaming one shard's checkpoint stream, the
+// state-transfer chunk.
 func BenchmarkSerialize(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			s := benchStore(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.Serialize(io.Discard); err != nil {
+				if err := s.SerializeShard(0, io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -95,8 +82,6 @@ func benchShardedStore(n, shards int) *ShardedStore {
 //   - incremental/shards=1/n=…: 256 writes per checkpoint into one shard —
 //     four 64-entry batches under cmd/node's defaults, the shape the
 //     repository benchmark runs.
-//
-// (BenchmarkDigest above is what hashing every key costs.)
 func BenchmarkCheckpointDigest(b *testing.B) {
 	const shards = 64
 	run := func(b *testing.B, s *ShardedStore, n, writes int) {

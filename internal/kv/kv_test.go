@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"iaccf/internal/wire"
 )
 
 func TestBasicTx(t *testing.T) {
@@ -189,13 +187,13 @@ func TestDigestDeterminism(t *testing.T) {
 		tx.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
 		tx.Commit()
 	}
-	if a.Digest() != b.Digest() {
+	if a.CheckpointDigest() != b.CheckpointDigest() {
 		t.Fatal("equal contents, different digests")
 	}
 	tx := b.Begin()
 	tx.Put("k0", []byte("changed"))
 	tx.Commit()
-	if a.Digest() == b.Digest() {
+	if a.CheckpointDigest() == b.CheckpointDigest() {
 		t.Fatal("different contents, same digest")
 	}
 }
@@ -207,18 +205,11 @@ func TestSerializeRestore(t *testing.T) {
 		tx.Put(fmt.Sprintf("key-%04d", i), bytes.Repeat([]byte{byte(i)}, i%32))
 		tx.Commit()
 	}
-	var buf bytes.Buffer
-	if err := s.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreSharded(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := restoreByChunks(t, s)
 	if restored.Len() != s.Len() {
 		t.Fatalf("restored len %d != %d", restored.Len(), s.Len())
 	}
-	if restored.Digest() != s.Digest() {
+	if restored.CheckpointDigest() != s.CheckpointDigest() {
 		t.Fatal("restored digest differs")
 	}
 	for i := 0; i < 500; i += 37 {
@@ -255,14 +246,14 @@ func TestGetReturnsDefensiveCopy(t *testing.T) {
 	tx.Put("k", []byte("original"))
 	tx.Commit()
 	s.Mark(1)
-	before := s.Digest()
+	before := s.CheckpointDigest()
 
 	v, _ := s.Get("k")
 	copy(v, "CLOBBER!")
 	if got, _ := s.Get("k"); string(got) != "original" {
 		t.Fatal("mutating Get result corrupted the store")
 	}
-	if s.Digest() != before {
+	if scratchDigest(s) != before {
 		t.Fatal("mutating Get result changed the store digest")
 	}
 
@@ -288,42 +279,7 @@ func TestGetReturnsDefensiveCopy(t *testing.T) {
 	}
 }
 
-// The flat stream behind Digest is plain wire codec: count, then sorted
-// (key, value) pairs, each parseable by wire.Reader.
-func TestFlatStreamIsWireCodec(t *testing.T) {
-	s := NewSharded(1)
-	tx := s.Begin()
-	tx.Put("b", []byte("2"))
-	tx.Put("a", []byte("1"))
-	tx.Put("c", nil)
-	tx.Commit()
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	s.encodeSortedFlat(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := wire.NewReader(&buf)
-	if n := r.Uint64(); n != 3 {
-		t.Fatalf("count = %d", n)
-	}
-	wantKeys := []string{"a", "b", "c"}
-	wantVals := []string{"1", "2", ""}
-	for i := range wantKeys {
-		if k := r.String(wire.MaxKeyLen); k != wantKeys[i] {
-			t.Fatalf("key %d = %q, want %q (stream must be key-sorted)", i, k, wantKeys[i])
-		}
-		if v := r.Bytes(wire.MaxValueLen); string(v) != wantVals[i] {
-			t.Fatalf("val %d = %q", i, v)
-		}
-	}
-	r.ExpectEOF()
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Round trip through the wire codec preserves contents, digest, and the
+// Round trip through the chunk codec preserves contents, digest, and the
 // serialized byte stream itself.
 func TestWireRoundTripCanonical(t *testing.T) {
 	s := NewSharded(1)
@@ -333,21 +289,21 @@ func TestWireRoundTripCanonical(t *testing.T) {
 		tx.Commit()
 	}
 	var first bytes.Buffer
-	if err := s.Serialize(&first); err != nil {
+	if err := s.SerializeShard(0, &first); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSharded(bytes.NewReader(first.Bytes()))
-	if err != nil {
+	restored := NewSharded(1)
+	if err := restored.InstallShard(0, first.Bytes(), s.ShardDigest(0)); err != nil {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := restored.Serialize(&second); err != nil {
+	if err := restored.SerializeShard(0, &second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("serialize -> restore -> serialize is not byte-identical")
+		t.Fatal("serialize -> install -> serialize is not byte-identical")
 	}
-	if restored.Digest() != s.Digest() {
+	if restored.CheckpointDigest() != s.CheckpointDigest() {
 		t.Fatal("round trip changed the digest")
 	}
 }
@@ -376,7 +332,7 @@ func TestQuickRollbackRestoresDigest(t *testing.T) {
 			tx.Put(fmt.Sprintf("k%d", rng.Intn(30)), []byte{byte(rng.Int())})
 			tx.Commit()
 		}
-		before := s.Digest()
+		before := s.CheckpointDigest()
 		s.Mark(100)
 		for i := 0; i < 30; i++ {
 			tx := s.Begin()
@@ -391,7 +347,7 @@ func TestQuickRollbackRestoresDigest(t *testing.T) {
 		if err := s.RollbackTo(100); err != nil {
 			return false
 		}
-		return s.Digest() == before
+		return s.CheckpointDigest() == before && before == scratchDigest(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

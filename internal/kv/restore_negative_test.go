@@ -20,46 +20,49 @@ func populatedSharded(t *testing.T, shards int) *ShardedStore {
 	return s
 }
 
-// TestRestoreShardedTruncatedAtEveryOffset cuts a valid stream at every
-// byte boundary, unsharded and sharded: no prefix may restore, panic, or
-// return a store, and each cut must fail with an error that names the frame
-// it broke in (header, or the shard index mid-stream) rather than a bare io
-// error.
+// TestRestoreShardedTruncatedAtEveryOffset restores a sharded store chunk
+// by chunk (InstallShard, the socket-fed decoder) from every shard's chunk
+// cut at every byte boundary, unsharded and sharded: no prefix may install,
+// panic, or change the store, and each cut must fail with an error that
+// names the shard frame it broke in rather than a bare io error.
 func TestRestoreShardedTruncatedAtEveryOffset(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		s := populatedSharded(t, shards)
-		var buf bytes.Buffer
-		if err := s.Serialize(&buf); err != nil {
-			t.Fatal(err)
-		}
-		full := buf.Bytes()
-		sawShardFrame := false
-		for cut := 0; cut < len(full); cut++ {
-			_, err := RestoreSharded(bytes.NewReader(full[:cut]))
-			if err == nil {
-				t.Fatalf("shards %d: stream truncated at %d/%d restored", shards, cut, len(full))
+		got := NewSharded(shards)
+		for i := 0; i < shards; i++ {
+			var buf bytes.Buffer
+			if err := s.SerializeShard(i, &buf); err != nil {
+				t.Fatal(err)
 			}
-			msg := err.Error()
-			if !strings.Contains(msg, "kv: restore") {
-				t.Fatalf("shards %d: truncation at %d: undescriptive error %q", shards, cut, msg)
+			full := buf.Bytes()
+			frame := fmt.Sprintf("shard %d of %d", i, shards)
+			before := got.CheckpointDigest()
+			for cut := 0; cut < len(full); cut++ {
+				err := got.InstallShard(i, full[:cut], s.ShardDigest(i))
+				if err == nil {
+					t.Fatalf("shards %d: shard %d truncated at %d/%d installed", shards, i, cut, len(full))
+				}
+				if msg := err.Error(); !strings.Contains(msg, "kv: restore") || !strings.Contains(msg, frame) {
+					t.Fatalf("shards %d: truncation at %d: error %q does not name %q", shards, cut, msg, frame)
+				}
 			}
-			if strings.Contains(msg, "shard ") && strings.Contains(msg, fmt.Sprintf(" of %d", shards)) {
-				sawShardFrame = true
+			if got.CheckpointDigest() != before {
+				t.Fatalf("shards %d: a truncated chunk changed the store", shards)
+			}
+			if err := got.InstallShard(i, full, s.ShardDigest(i)); err != nil {
+				t.Fatalf("shards %d: untruncated shard %d rejected: %v", shards, i, err)
 			}
 		}
-		if !sawShardFrame {
-			t.Fatalf("shards %d: no truncation error ever named the shard frame it broke in", shards)
-		}
-		if _, err := RestoreSharded(bytes.NewReader(full)); err != nil {
-			t.Fatalf("shards %d: untruncated stream rejected: %v", shards, err)
+		if got.CheckpointDigest() != s.CheckpointDigest() {
+			t.Fatalf("shards %d: restored store does not reproduce d_C", shards)
 		}
 	}
 }
 
-// TestRestoreOversizedDeclarations feeds streams whose length fields
-// declare more than the stream (or the codec's limits) can hold.
+// TestRestoreOversizedDeclarations feeds a one-shard store chunks whose
+// length fields declare more than the chunk (or the codec's limits) can
+// hold.
 func TestRestoreOversizedDeclarations(t *testing.T) {
-	// Each case is the one shard of a one-shard stream.
 	cases := map[string][]byte{
 		// Entry count far beyond the bytes that follow.
 		"entry count": {0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
@@ -68,43 +71,11 @@ func TestRestoreOversizedDeclarations(t *testing.T) {
 		// One entry with a plausible key but a hostile value length.
 		"value length": append(append([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1}, 'k'), 0xff, 0xff, 0xff, 0xff),
 	}
-	for name, shard := range cases {
-		stream := append([]byte{0, 0, 0, 1}, shard...)
-		if _, err := RestoreSharded(bytes.NewReader(stream)); err == nil {
-			t.Fatalf("%s: oversized declaration restored", name)
+	s := NewSharded(1)
+	for name, chunk := range cases {
+		if err := s.InstallShard(0, chunk, s.ShardDigest(0)); err == nil {
+			t.Fatalf("%s: oversized declaration installed", name)
 		}
-	}
-	// Sharded header declaring more shards than the codec allows.
-	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := RestoreSharded(bytes.NewReader(huge)); err == nil {
-		t.Fatal("hostile shard count restored")
-	}
-}
-
-// TestRestoreShardedForAuditsShardCount: a stream with a valid but
-// different partition than the restoring replica's configuration must be
-// rejected before any shard bytes are read.
-func TestRestoreShardedForAuditsShardCount(t *testing.T) {
-	s := populatedSharded(t, 4)
-	var buf bytes.Buffer
-	if err := s.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreShardedFor(bytes.NewReader(buf.Bytes()), 2); err == nil {
-		t.Fatal("4-shard stream restored into a 2-shard store")
-	} else if msg := err.Error(); !strings.Contains(msg, "4") || !strings.Contains(msg, "2") {
-		t.Fatalf("shard-count mismatch error %q names neither count", msg)
-	}
-	got, err := RestoreShardedFor(bytes.NewReader(buf.Bytes()), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CheckpointDigest() != s.CheckpointDigest() {
-		t.Fatal("matching-count restore changed the digest")
-	}
-	// wantShards 0 accepts any valid count.
-	if _, err := RestoreShardedFor(bytes.NewReader(buf.Bytes()), 0); err != nil {
-		t.Fatal(err)
 	}
 }
 

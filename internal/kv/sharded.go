@@ -19,8 +19,8 @@
 // one object per key; BenchmarkStoreInsert reports it) and not with the
 // number of keys. Everything champ hands back — Get, the Range callbacks —
 // is a view into a node shared by every snapshot and mark that holds it:
-// Get copies before returning, and the serializers below stream the views
-// out without keeping them.
+// Get copies before returning, and SerializeShard streams the views out
+// without keeping them.
 //
 // The shard count is not what makes this cheap, and raising it would not:
 // a digest that re-serialized the shards written to since the last
@@ -32,8 +32,11 @@
 //
 //   - identical contents + identical shard count ⇒ identical CheckpointDigest,
 //     regardless of the operation history that produced the state;
-//   - identical contents ⇒ identical Digest (the flat canonical digest),
-//     regardless of shard count.
+//   - identical contents + identical shard count ⇒ identical SerializeShard
+//     streams, shard by shard (champ's canonical order, no sort pass);
+//   - a shard is installed (InstallShard) only from a stream that decodes
+//     exactly, holds only keys of that shard and rebuilds to the expected
+//     shard digest, so d_C cannot vouch for other contents.
 package kv
 
 import (
@@ -265,48 +268,6 @@ func (s *ShardedStore) ShardDigests() []hashsig.Digest {
 	return out
 }
 
-// Digest returns the flat canonical digest of the full contents: the hash
-// of the key-sorted serialization, identical for identical contents under
-// any shard count. It rescans everything (O(n)); checkpointing uses
-// CheckpointDigest instead. It exists so stores can be compared for state
-// equality independent of partitioning.
-func (s *ShardedStore) Digest() hashsig.Digest {
-	h := hashsig.NewHasher()
-	w := wire.NewWriter(h)
-	s.encodeSortedFlat(w)
-	if err := w.Flush(); err != nil {
-		// A hash never fails to write.
-		panic(err)
-	}
-	var out hashsig.Digest
-	h.Sum(out[:0])
-	return out
-}
-
-// encodeSortedFlat streams the union of all shards in canonical flat form
-// (count, then globally key-sorted pairs).
-func (s *ShardedStore) encodeSortedFlat(w *wire.Writer) {
-	entries := make([]sortedEntry, 0, s.Len())
-	for _, m := range s.shards {
-		entries = collectEntries(entries, m)
-	}
-	encodeEntriesSorted(w, entries)
-}
-
-// Serialize writes the sharded checkpoint: the shard count, then each
-// shard's canonical stream in shard order. Shard placement and champ's
-// canonical iteration order are both deterministic, so two stores with
-// identical contents and shard count serialize identically — in one pass,
-// with no per-shard sort.
-func (s *ShardedStore) Serialize(w io.Writer) error {
-	ww := wire.NewWriter(w)
-	ww.Uint32(uint32(len(s.shards)))
-	for _, m := range s.shards {
-		encodeMapCanonical(ww, m)
-	}
-	return ww.Flush()
-}
-
 // SerializeShard writes one shard's canonical stream. This is the
 // state-transfer chunk unit: a checkpoint travels as one chunk per shard,
 // each independently verifiable (InstallShard) against the signed d_C's
@@ -315,49 +276,6 @@ func (s *ShardedStore) SerializeShard(i int, w io.Writer) error {
 	ww := wire.NewWriter(w)
 	encodeMapCanonical(ww, s.shards[i])
 	return ww.Flush()
-}
-
-// RestoreSharded replaces a store with a stream produced by Serialize. Every
-// key is checked against its declared shard: a stream that smuggles a key
-// into the wrong shard is rejected, so distinct logical states can never
-// restore to equal checkpoint digests.
-func RestoreSharded(r io.Reader) (*ShardedStore, error) {
-	return RestoreShardedFor(r, 0)
-}
-
-// RestoreShardedFor is RestoreSharded with the restoring replica's
-// configured shard count enforced: a stream whose header declares a
-// different partition than the store being restored is rejected up front,
-// before any shard bytes are read. wantShards 0 accepts any valid count.
-// On any error no store is returned — a partial restore is never
-// observable.
-func RestoreShardedFor(r io.Reader, wantShards uint32) (*ShardedStore, error) {
-	rd := wire.NewReader(r)
-	n := rd.Uint32()
-	rd.Annotate("shard count header")
-	if rd.Err() == nil && (n < 1 || n > MaxShards) {
-		return nil, fmt.Errorf("kv: restore: %w: shard count %d", wire.ErrCorrupt, n)
-	}
-	if rd.Err() == nil && wantShards != 0 && n != wantShards {
-		return nil, fmt.Errorf("kv: restore: %w: stream has %d shards, store configured for %d",
-			wire.ErrCorrupt, n, wantShards)
-	}
-	if rd.Err() != nil {
-		return nil, fmt.Errorf("kv: restore: %w", rd.Err())
-	}
-	s := NewSharded(int(n))
-	for i := range s.shards {
-		m, ok := readShardMap(rd, uint32(i), n)
-		if !ok {
-			break
-		}
-		s.shards[i] = m
-	}
-	rd.ExpectEOF()
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("kv: restore: %w", err)
-	}
-	return s, nil
 }
 
 // readShardMap reads one shard's canonical stream and validates every key's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -64,18 +65,55 @@ func TestShardedSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// kvPair is one (key, value) of a store, for comparing contents.
+type kvPair struct {
+	key string
+	val []byte
+}
+
+// sortedContents lists s's contents in ascending key order, whatever its
+// partition: two stores hold the same contents iff their lists are equal.
+func sortedContents(s *ShardedStore) []kvPair {
+	var out []kvPair
+	for i := 0; i < int(s.ShardCount()); i++ {
+		s.ShardSnapshot(i).Range(func(k string, v []byte) bool {
+			out = append(out, kvPair{k, v})
+			return true
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+func sameContents(a, b []kvPair) bool {
+	return slices.EqualFunc(a, b, func(x, y kvPair) bool { return x.key == y.key && bytes.Equal(x.val, y.val) })
+}
+
+// restoreByChunks rebuilds s in a fresh store of the same partition, shard
+// by shard through SerializeShard and InstallShard — the state-transfer
+// path, the one way a store is restored from bytes.
+func restoreByChunks(t testing.TB, s *ShardedStore) *ShardedStore {
+	t.Helper()
+	out := NewSharded(int(s.ShardCount()))
+	for i := 0; i < int(s.ShardCount()); i++ {
+		var chunk bytes.Buffer
+		if err := s.SerializeShard(i, &chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := out.InstallShard(i, chunk.Bytes(), s.ShardDigest(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // scratchDigest is the oracle for the incremental checkpoint digest: d_C of
 // a store rebuilt from nothing — fresh tries, no cached hash anywhere —
 // holding s's contents, inserted in flat key order (not the order, or the
 // history, that built s).
 func scratchDigest(s *ShardedStore) [32]byte {
-	var entries []sortedEntry
-	for i := 0; i < int(s.ShardCount()); i++ {
-		entries = collectEntries(entries, s.ShardSnapshot(i))
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	fresh := NewSharded(int(s.ShardCount()))
-	for _, e := range entries {
+	for _, e := range sortedContents(s) {
 		tx := fresh.Begin()
 		tx.Put(e.key, e.val)
 		tx.Commit()
@@ -110,8 +148,8 @@ func applyRandom(rng *rand.Rand, ops int, stores ...*ShardedStore) {
 }
 
 // Partition independence: a one-shard store and N-shard stores fed
-// identical random workloads produce identical canonical digests, and the
-// incremental checkpoint digest always equals a from-scratch recomputation.
+// identical random workloads hold identical contents, and the incremental
+// checkpoint digest always equals a from-scratch recomputation.
 func TestQuickShardedMatchesUnsharded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -125,15 +163,14 @@ func TestQuickShardedMatchesUnsharded(t *testing.T) {
 		}
 		applyRandom(rng, 40, stores...)
 
-		want := flat.Digest()
+		want := sortedContents(flat)
 		for i, s := range sharded {
 			if s.Len() != flat.Len() {
 				t.Logf("shards=%d: len %d != %d", counts[i], s.Len(), flat.Len())
 				return false
 			}
-			// Flat digest is partition-independent.
-			if s.Digest() != want {
-				t.Logf("shards=%d: flat digest diverges from unsharded store", counts[i])
+			if !sameContents(sortedContents(s), want) {
+				t.Logf("shards=%d: contents diverge from the unsharded store", counts[i])
 				return false
 			}
 			// Incremental == rebuilt from scratch.
@@ -143,17 +180,7 @@ func TestQuickShardedMatchesUnsharded(t *testing.T) {
 			}
 			// Identical state reached by a different history (restore) gives
 			// an identical checkpoint digest.
-			var buf bytes.Buffer
-			if err := s.Serialize(&buf); err != nil {
-				t.Log(err)
-				return false
-			}
-			restored, err := RestoreSharded(&buf)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			if restored.CheckpointDigest() != s.CheckpointDigest() {
+			if restoreByChunks(t, s).CheckpointDigest() != s.CheckpointDigest() {
 				t.Logf("shards=%d: restored checkpoint digest diverges", counts[i])
 				return false
 			}
@@ -172,8 +199,8 @@ func TestShardedCheckpointDigestBindsShardCount(t *testing.T) {
 		tx.Put("k", []byte("v"))
 		tx.Commit()
 	}
-	if a.Digest() != b.Digest() {
-		t.Fatal("flat digest must not depend on shard count")
+	if !sameContents(sortedContents(a), sortedContents(b)) {
+		t.Fatal("equal contents must not depend on shard count")
 	}
 	if a.CheckpointDigest() == b.CheckpointDigest() {
 		t.Fatal("checkpoint digest must commit to the shard count")
@@ -305,76 +332,61 @@ func TestShardedSerializeRestore(t *testing.T) {
 		tx.Put(fmt.Sprintf("key-%04d", i), bytes.Repeat([]byte{byte(i)}, i%16))
 		tx.Commit()
 	}
-	var buf bytes.Buffer
-	if err := s.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreSharded(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := restoreByChunks(t, s)
 	if restored.Len() != s.Len() || restored.ShardCount() != s.ShardCount() {
 		t.Fatal("restored shape differs")
 	}
 	if restored.CheckpointDigest() != s.CheckpointDigest() {
 		t.Fatal("restored checkpoint digest differs")
 	}
-	if restored.Digest() != s.Digest() {
-		t.Fatal("restored flat digest differs")
+	if !sameContents(sortedContents(restored), sortedContents(s)) {
+		t.Fatal("restored contents differ")
 	}
-	// Round trip is canonical.
-	var again bytes.Buffer
-	if err := restored.Serialize(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("serialize -> restore -> serialize not byte-identical")
+	// Round trip is canonical, shard by shard.
+	for i := 0; i < int(s.ShardCount()); i++ {
+		var first, again bytes.Buffer
+		if err := s.SerializeShard(i, &first); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.SerializeShard(i, &again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("shard %d: serialize -> install -> serialize not byte-identical", i)
+		}
 	}
 }
 
+// TestRestoreShardedRejectsCorrupt: restoring a sharded store chunk by
+// chunk refuses an empty chunk, trailing data, and a key smuggled into a
+// shard it does not hash to — even when the chunk's digest is the one
+// expected — and a refused chunk changes nothing.
 func TestRestoreShardedRejectsCorrupt(t *testing.T) {
-	if _, err := RestoreSharded(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream restored")
+	s := NewSharded(2)
+	empty := s.ShardDigest(0)
+	if err := s.InstallShard(0, nil, empty); err == nil {
+		t.Fatal("empty chunk installed")
 	}
-	// Zero shards.
-	if _, err := RestoreSharded(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
-		t.Fatal("zero shard count accepted")
-	}
-	// Hostile shard count.
-	if _, err := RestoreSharded(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err == nil {
-		t.Fatal("huge shard count accepted")
-	}
-	s := NewSharded(4)
 	tx := s.Begin()
 	tx.Put("some-key", []byte("v"))
 	tx.Commit()
-	var buf bytes.Buffer
-	if err := s.Serialize(&buf); err != nil {
+	home := int(champ.ShardOf("some-key", 2))
+	var chunk bytes.Buffer
+	if err := s.SerializeShard(home, &chunk); err != nil {
 		t.Fatal(err)
 	}
-	// Trailing data.
-	bad := append(append([]byte(nil), buf.Bytes()...), 0x00)
-	if _, err := RestoreSharded(bytes.NewReader(bad)); err == nil {
+	got := NewSharded(2)
+	before := got.CheckpointDigest()
+	if err := got.InstallShard(home, append(bytes.Clone(chunk.Bytes()), 0x00), s.ShardDigest(home)); err == nil {
 		t.Fatal("trailing data accepted")
 	}
-	// A key declared in the wrong shard: craft a 2-shard stream putting a
-	// key into the shard it does not hash to.
-	key := "some-key"
-	wrong := 1 - champ.ShardOf(key, 2)
-	var crafted bytes.Buffer
-	crafted.Write([]byte{0, 0, 0, 2})
-	for i := uint32(0); i < 2; i++ {
-		if i == wrong {
-			crafted.Write([]byte{0, 0, 0, 0, 0, 0, 0, 1}) // one entry
-			crafted.Write([]byte{0, 0, 0, byte(len(key))})
-			crafted.WriteString(key)
-			crafted.Write([]byte{0, 0, 0, 1, 'v'})
-		} else {
-			crafted.Write([]byte{0, 0, 0, 0, 0, 0, 0, 0}) // empty shard
-		}
-	}
-	if _, err := RestoreSharded(bytes.NewReader(crafted.Bytes())); err == nil {
+	// The same well-formed chunk, with its own digest, offered for the
+	// other shard: the key does not belong there.
+	if err := got.InstallShard(1-home, chunk.Bytes(), s.ShardDigest(home)); err == nil {
 		t.Fatal("key smuggled into the wrong shard accepted")
+	}
+	if got.CheckpointDigest() != before {
+		t.Fatal("a refused chunk changed the store")
 	}
 }
 

@@ -13,6 +13,11 @@ import (
 // must produce the same write set (and the same error outcome), or replay
 // by an auditor would diverge from the primary's execution and wrongly
 // flag misbehaviour (paper §5).
+//
+// Execute must not write to request: it is the entry's payload, and an
+// auditor's replay digests the entry on another goroutine while it
+// executes (core.reproduce), as the entry hasher does on every policy once
+// a transaction has run.
 type App interface {
 	Execute(tx *kv.Tx, request []byte) error
 }

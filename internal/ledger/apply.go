@@ -31,7 +31,7 @@ func CheckBatchShape(b *Batch) error {
 	}
 	var scratch execScratch
 	scratch.grow(len(b.Entries), h.Shards)
-	hasher := newEntryHasher(scratch.digests, scratch.leaves, len(b.Entries))
+	hasher := newEntryHasher(&scratch, len(b.Entries))
 	for ei := range b.Entries {
 		hasher.submit(ei, &b.Entries[ei])
 	}

@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
@@ -64,31 +66,84 @@ type batchProofs struct {
 // every result, the marker, and then every header field is compared
 // against want, and the first mismatch is returned. The store is marked at
 // seq first, so whatever the outcome the caller can undo the batch.
+//
+// derive is two halves composed inline: the execution half (execute) with
+// entry digesting pipelined beside it, then the commitment half (commit).
+// The audit policy runs the same halves on two goroutines (reproduce).
 func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHeader, batchProofs, *Divergence) {
 	c.store.Mark(seq)
 	c.scratch.grow(len(entries), c.shards)
-	if div := c.execute(seq, entries, want); div != nil {
+	if div := c.execute(seq, entries, want, true); div != nil {
 		return BatchHeader{}, batchProofs{}, div
 	}
-	gRoot, proofs := c.scratch.batchTrees(entries, c.shards, want == nil)
-	for _, lh := range c.scratch.leaves {
-		c.hist.AppendLeafHash(lh)
-	}
-	got := BatchHeader{
-		Seq:        seq,
-		HistSize:   c.hist.Size(),
-		MRoot:      c.hist.Root(),
-		GRoot:      gRoot,
-		GSize:      uint64(len(entries)),
-		Shards:     c.shards,
-		CkptDigest: c.lastCkpt,
-	}
+	gRoot, proofs := c.commit(entries, want == nil)
+	got := c.header(seq, len(entries), gRoot)
 	if want != nil {
 		if div := compareHeader(want, &got); div != nil {
 			return BatchHeader{}, batchProofs{}, div
 		}
 	}
 	return got, proofs, nil
+}
+
+// reproduce is derive for entries that are final (the audit policy): the
+// same two halves and the same verdict, run on two goroutines when there is
+// a second CPU and the batch is large enough for the entry hasher to
+// pipeline (minPipelinedEntries), inline through derive otherwise. The
+// execution half runs here; the commitment half — entry digests, leaf
+// hashes, G_s/¯G, the M append — runs beside it over the same entries,
+// which neither half writes. They join before the header is compared, so
+// an execution divergence is still reported ahead of any header field.
+func (c *core) reproduce(seq uint64, entries []Entry, want *BatchHeader) *Divergence {
+	if len(entries) < minPipelinedEntries || runtime.GOMAXPROCS(0) <= 1 {
+		_, _, div := c.derive(seq, entries, want)
+		return div
+	}
+	c.store.Mark(seq)
+	c.scratch.grow(len(entries), c.shards)
+	var gRoot hashsig.Digest
+	var lane sync.WaitGroup
+	lane.Add(1)
+	go func() {
+		defer lane.Done()
+		for i := range entries {
+			c.scratch.hash(i, &entries[i])
+		}
+		gRoot, _ = c.commit(entries, false)
+	}()
+	// The deferred wait joins the lane even if the App panics.
+	defer lane.Wait()
+	div := c.execute(seq, entries, want, false)
+	lane.Wait()
+	if div != nil {
+		return div
+	}
+	got := c.header(seq, len(entries), gRoot)
+	return compareHeader(want, &got)
+}
+
+// commit is the commitment half given the batch's leaf hashes in the
+// scratch: the G_s/¯G roll-up, then every leaf appended to M.
+func (c *core) commit(entries []Entry, prove bool) (hashsig.Digest, batchProofs) {
+	gRoot, proofs := c.scratch.batchTrees(entries, c.shards, prove)
+	for _, lh := range c.scratch.leaves {
+		c.hist.AppendLeafHash(lh)
+	}
+	return gRoot, proofs
+}
+
+// header assembles the content this core derived for batch seq of n
+// entries.
+func (c *core) header(seq uint64, n int, gRoot hashsig.Digest) BatchHeader {
+	return BatchHeader{
+		Seq:        seq,
+		HistSize:   c.hist.Size(),
+		MRoot:      c.hist.Root(),
+		GRoot:      gRoot,
+		GSize:      uint64(n),
+		Shards:     c.shards,
+		CkptDigest: c.lastCkpt,
+	}
 }
 
 // compareHeader checks the derived commitments against the signed ones.
@@ -108,15 +163,16 @@ func compareHeader(want, got *BatchHeader) *Divergence {
 	return nil
 }
 
-// execute runs the entries against the store, leaving every entry digest
-// and leaf hash in the scratch. When the batch, shard count, CPU count and
-// app allow it (see exec_parallel.go) it speculates through the wave
-// executor; any anomaly there — a violated footprint, a mismatch, a
-// malformed entry — discards the speculation and re-runs the sequential
-// loop, which defines the results and reports the exact divergence.
-func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader) *Divergence {
+// execute is the execution half: it runs the entries against the store
+// and, with hash set, leaves every entry digest and leaf hash in the
+// scratch. When the batch, shard count, CPU count and app allow it (see
+// exec_parallel.go) it speculates through the wave executor; any anomaly
+// there — a violated footprint, a mismatch, a malformed entry — discards
+// the speculation and re-runs the sequential loop, which defines the
+// results and reports the exact divergence.
+func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, hash bool) *Divergence {
 	if f, ok := c.parallelExec(len(entries)); ok {
-		if c.runWaves(f, seq, entries, want) {
+		if c.runWaves(f, seq, entries, want, hash) {
 			return nil
 		}
 		if err := c.store.RollbackTo(seq); err != nil {
@@ -125,7 +181,16 @@ func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader) *Divergen
 		}
 		c.store.Mark(seq)
 	}
-	return c.runSequential(seq, entries, want)
+	return c.runSequential(seq, entries, want, hash)
+}
+
+// newHasher returns the entry hasher an execution loop feeds, or nil — a
+// hasher that hashes nothing — when the entries are digested elsewhere.
+func (c *core) newHasher(hash bool, n int) *entryHasher {
+	if !hash {
+		return nil
+	}
+	return newEntryHasher(&c.scratch, n)
 }
 
 // runSequential is the reference execution loop: one kv transaction per
@@ -133,9 +198,9 @@ func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader) *Divergen
 // pipelined through the hasher — digesting hashes full payloads, for large
 // batches comparable to execution itself, and the two overlap here. Its
 // behaviour defines what the wave executor must reproduce byte-for-byte.
-func (c *core) runSequential(seq uint64, entries []Entry, want *BatchHeader) *Divergence {
+func (c *core) runSequential(seq uint64, entries []Entry, want *BatchHeader, hash bool) *Divergence {
 	// The deferred wait releases the workers even if the App panics.
-	hasher := newEntryHasher(c.scratch.digests, c.scratch.leaves, len(entries))
+	hasher := c.newHasher(hash, len(entries))
 	defer hasher.wait()
 	for ei := range entries {
 		e := &entries[ei]
@@ -205,7 +270,8 @@ func (c *core) marker(seq uint64, entries []Entry, ei int, want *BatchHeader) *D
 // (entries, headers, receipt paths, payloads) is freshly allocated or
 // arena-backed per batch. The core is single-writer, so reuse without
 // synchronization is safe; the concurrent entry hasher writes disjoint
-// indices and is joined before the slices are read or reused.
+// indices and is joined before the slices are read or reused, and the
+// audit's commitment lane is the scratch's only user until it is joined.
 type execScratch struct {
 	digests  []hashsig.Digest   // entry digests, one per entry
 	leaves   []hashsig.Digest   // merkle.LeafHash of each digest

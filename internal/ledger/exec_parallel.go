@@ -203,15 +203,15 @@ func (r *waveRunner) close() {
 
 // runWaves is the speculative fast path of execute: it runs the batch's
 // transactions in conflict-free waves and leaves the store, the entries,
-// c.lastCkpt and the scratch's digests exactly as runSequential would. It
-// returns false — leaving execute to discard the store's partial effects
-// and re-run sequentially — on any anomaly at all: a violated footprint, a
-// result or checkpoint digest that does not compare, a malformed marker, an
-// unknown kind. Entries are hashed only once final, but a declined
-// speculation may already have hashed results a sequential run would not
-// produce, so the re-run hashes everything again.
-func (c *core) runWaves(f Footprinter, seq uint64, entries []Entry, want *BatchHeader) bool {
-	hasher := newEntryHasher(c.scratch.digests, c.scratch.leaves, len(entries))
+// c.lastCkpt and (with hash set) the scratch's digests exactly as
+// runSequential would. It returns false — leaving execute to discard the
+// store's partial effects and re-run sequentially — on any anomaly at all:
+// a violated footprint, a result or checkpoint digest that does not
+// compare, a malformed marker, an unknown kind. Entries are hashed only
+// once final, but a declined speculation may already have hashed results a
+// sequential run would not produce, so the re-run hashes everything again.
+func (c *core) runWaves(f Footprinter, seq uint64, entries []Entry, want *BatchHeader, hash bool) bool {
+	hasher := c.newHasher(hash, len(entries))
 	defer hasher.wait()
 	last := len(entries) - 1
 	fps := make([]shardSet, len(entries))

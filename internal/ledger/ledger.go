@@ -55,8 +55,21 @@
 //     divergence rolls store, M and d_C back to the pre-batch boundary.
 //   - Replay / ReplayFrom (audit) drive a stream through a core over a
 //     fresh (or checkpoint-seeded) store. The core compares exactly as for
-//     a backup; the policy verifies header signatures up front, never
+//     a backup; the policy verifies every header signature beside the
+//     replay (a bad one is the verdict whatever the replay found), never
 //     signs, and retains nothing — no batches, no rollback marks.
+//
+// derive is two halves: the execution half (transactions, markers, d_C,
+// result comparison) and the commitment half (entry digests, leaf hashes,
+// G_s/¯G, the M append). Propose and apply compose them inline, digesting
+// entries beside execution through the entry hasher: a replica under load
+// has no idle core, and running the halves on two goroutines there was
+// measured and lost. The audit is the one path with a core to spare and
+// entries that are final before it starts, so core.reproduce runs the
+// commitment half on a second goroutine beside the execution half, joining
+// before the header is compared — with the same gate as the entry hasher
+// (more than one CPU, at least minPipelinedEntries entries) and the same
+// verdict, byte for byte, as the inline composition.
 //
 // A mismatch is reported once, by the core, as a *Divergence naming the
 // first field that failed to reproduce and carrying the signed header it

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -45,29 +46,47 @@ func BenchmarkExecuteBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkReplay measures the auditor's throughput with pooled signature
-// verification.
+// BenchmarkReplay is the auditor's throughput in the shape of the
+// repository benchmark's audit.replay: 64-entry batches, one 32-byte put
+// per request over 8 192 keys, a checkpoint every 4 batches, one shard,
+// headers verified through DefaultPool. At -cpu 1 every batch runs derive
+// inline; with a second CPU it takes the audit's two-lane schedule
+// (core.reproduce), so `-cpu 1,2` prices that schedule.
 func BenchmarkReplay(b *testing.B) {
-	const batches = 32
-	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 8})
+	const batches, batchSize, keys = 256, 64, 8192
+	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 4, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(1))
+	entries := 0
 	for i := 0; i < batches; i++ {
-		if _, _, err := l.ExecuteBatch(benchRequests(i, 16)); err != nil {
+		reqs := make([]Request, batchSize)
+		for j := range reqs {
+			val := make([]byte, 32)
+			rng.Read(val)
+			reqs[j] = Request{
+				Author: hashsig.Sum([]byte(fmt.Sprintf("author-%d", j))),
+				ReqNo:  uint64(i + 1),
+				Body:   EncodeOps([]Op{{Key: fmt.Sprintf("k%d", rng.Intn(keys)), Val: val}}),
+			}
+		}
+		batch, _, err := l.ExecuteBatch(reqs)
+		if err != nil {
 			b.Fatal(err)
 		}
+		entries += len(batch.Entries)
 	}
 	stream := l.Batches()
 	pub := testKey.Public()
-	pool := hashsig.NewVerifierPool(0)
-	defer pool.Close()
+	pool := hashsig.DefaultPool()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Replay(stream, pub, KVApp{}, pool); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.N*entries)/b.Elapsed().Seconds(), "entries/s")
 }
 
 // coldSeq numbers the headers BenchmarkReceiptVerify/cold signs and never

@@ -4,28 +4,28 @@ import (
 	"runtime"
 	"sync"
 
-	"iaccf/internal/hashsig"
 	"iaccf/internal/merkle"
 )
 
 // entryHasher computes entry digests — and their merkle leaf hashes —
 // concurrently with the execution loop that produces the entries. On a
 // single-CPU process (or a tiny batch) it degrades to hashing inline at
-// submit time — the pipeline would only add channel traffic. Digests land
-// in the caller's digests slice at the submitted index, leaf hashes in the
-// leaves slice; the caller must wait() before reading any of them.
+// submit time — the pipeline would only add channel traffic. Digests and
+// leaf hashes land in the scratch at the submitted index; the caller must
+// wait() before reading any of them. A nil *entryHasher hashes nothing:
+// the audit's two-lane schedule digests on its commitment lane instead
+// (core.reproduce).
 //
 // Leaf hashes are computed here because both trees need the same value:
 // the history tree M and the per-shard batch tree G_s each commit to
 // LeafHash(Digest(entry)). Hashing it once in the pipeline removes two
 // serial SHA passes per entry from the roll-up stage.
 type entryHasher struct {
-	digests []hashsig.Digest
-	leaves  []hashsig.Digest
-	jobs    chan hashJob
-	wg      sync.WaitGroup
-	inline  bool
-	closed  bool
+	s      *execScratch
+	jobs   chan hashJob
+	wg     sync.WaitGroup
+	inline bool
+	closed bool
 }
 
 // hashJob hands one completed entry from the execution stage to the hashing
@@ -37,8 +37,8 @@ type hashJob struct {
 }
 
 // newEntryHasher sizes the hashing stage for up to maxEntries entries.
-func newEntryHasher(digests, leaves []hashsig.Digest, maxEntries int) *entryHasher {
-	h := &entryHasher{digests: digests, leaves: leaves}
+func newEntryHasher(s *execScratch, maxEntries int) *entryHasher {
+	h := &entryHasher{s: s}
 	workers := runtime.GOMAXPROCS(0) - 1
 	if workers > maxHashWorkers {
 		workers = maxHashWorkers
@@ -53,7 +53,7 @@ func newEntryHasher(digests, leaves []hashsig.Digest, maxEntries int) *entryHash
 		go func() {
 			defer h.wg.Done()
 			for j := range h.jobs {
-				h.hash(j.idx, j.e)
+				h.s.hash(j.idx, j.e)
 			}
 		}()
 	}
@@ -61,16 +61,19 @@ func newEntryHasher(digests, leaves []hashsig.Digest, maxEntries int) *entryHash
 }
 
 // hash computes the digest (and leaf hash) of one entry into slot idx.
-func (h *entryHasher) hash(idx int, e *Entry) {
+func (s *execScratch) hash(idx int, e *Entry) {
 	d := e.Digest()
-	h.digests[idx] = d
-	h.leaves[idx] = merkle.LeafHash(d)
+	s.digests[idx] = d
+	s.leaves[idx] = merkle.LeafHash(d)
 }
 
 // submit hands entry e (stored at idx) to the hashing stage.
 func (h *entryHasher) submit(idx int, e *Entry) {
-	if h.inline {
-		h.hash(idx, e)
+	switch {
+	case h == nil:
+		return
+	case h.inline:
+		h.s.hash(idx, e)
 		return
 	}
 	h.jobs <- hashJob{idx: idx, e: e}
@@ -80,7 +83,7 @@ func (h *entryHasher) submit(idx int, e *Entry) {
 // can both run deferred (releasing workers if the execution loop panics)
 // and be called explicitly before the digests are read.
 func (h *entryHasher) wait() {
-	if h.inline || h.closed {
+	if h == nil || h.inline || h.closed {
 		return
 	}
 	h.closed = true

@@ -59,14 +59,26 @@ func Replay(batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.Ver
 // the primaries ran. A nil error means the stream is exactly reproducible —
 // the replicas that signed it executed it faithfully. Nothing is signed and
 // nothing retained: the batches are only read.
-func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierPool) (*ReplayResult, error) {
+//
+// The signatures are checked beside the replay, not before it, and an
+// invalid one is the verdict whatever the replay found; every goroutine
+// Replay starts has exited by the time it returns or panics.
+func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierPool) (res *ReplayResult, err error) {
 	if app == nil {
 		return nil, ErrConfig
 	}
-	shards, err := verifyStreamHeaders(batches, keyOf, pool, 0)
+	shards, err := streamShards(batches, 0)
 	if err != nil {
 		return nil, err
 	}
+	sigs := checkHeaders(batches, keyOf, pool)
+	defer func() {
+		// Joined on every exit, a panic included; a bad signature wins
+		// over anything the replay found.
+		if bad := sigs(); bad != nil {
+			res, err = nil, bad
+		}
+	}()
 	var wantSeq uint64
 	if len(batches) > 0 {
 		wantSeq = batches[0].Header.Seq
@@ -86,14 +98,22 @@ func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierP
 // vouch for a suffix. The caller remains responsible for binding ck.Digest
 // to a signed header (paper §3.4); given that binding, a successful
 // ReplayFrom is equivalent evidence to a full replay.
-func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.VerifierPool) (*ReplayResult, error) {
+func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.VerifierPool) (res *ReplayResult, err error) {
 	if app == nil || ck == nil {
 		return nil, ErrConfig
 	}
-	shards, err := verifyStreamHeaders(batches, singleKey(pub), pool, ck.Store.ShardCount())
+	shards, err := streamShards(batches, ck.Store.ShardCount())
 	if err != nil {
 		return nil, err
 	}
+	sigs := checkHeaders(batches, singleKey(pub), pool)
+	defer func() {
+		// Joined on every exit, a panic included; a bad signature wins
+		// over anything the replay found.
+		if bad := sigs(); bad != nil {
+			res, err = nil, bad
+		}
+	}()
 	store := ck.Store.Clone()
 	if got := store.CheckpointDigest(); got != ck.Digest {
 		return nil, fmt.Errorf("%w: checkpoint %d: snapshot digest mismatch", ErrReplay, ck.Seq)
@@ -106,12 +126,10 @@ func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app Ap
 	return c.replay(ck.Seq+1, batches)
 }
 
-// verifyStreamHeaders checks the stream's structural coherence (one shard
-// count, declared by every header, within the store's limit — and matching
-// wantShards when non-zero) and verifies all header signatures up front as
-// one parallel batch: replay is the verification-heavy path the paper
-// parallelizes (§3.4).
-func verifyStreamHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool, wantShards uint32) (uint32, error) {
+// streamShards checks the stream's structural coherence — one shard count,
+// declared by every header, within the store's limit, and matching
+// wantShards when non-zero — and returns that count.
+func streamShards(batches []*Batch, wantShards uint32) (uint32, error) {
 	shards := wantShards
 	if shards == 0 {
 		shards = 1
@@ -127,25 +145,41 @@ func verifyStreamHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPo
 				ErrReplay, b.Header.Seq, b.Header.Shards, shards)
 		}
 	}
-	tasks := make([]hashsig.VerifyTask, len(batches))
-	for i, b := range batches {
-		tasks[i] = hashsig.VerifyTask{Key: keyOf(&b.Header), Digest: b.Header.StatementDigest(), Sig: b.Header.Sig}
-	}
+	return shards, nil
+}
+
+// checkHeaders starts verifying every header signature of the stream, each
+// under the key keyOf names for it, as one parallel batch through pool
+// when given — replay is the verification-heavy path the paper
+// parallelizes (§3.4) — on a goroutine of its own beside the replay. The
+// returned wait joins it and names the first batch whose signature failed.
+func checkHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool) (wait func() error) {
+	done := make(chan struct{})
 	var oks []bool
-	if pool != nil {
-		oks = pool.VerifyAll(tasks)
-	} else {
+	go func() {
+		defer close(done)
+		tasks := make([]hashsig.VerifyTask, len(batches))
+		for i, b := range batches {
+			tasks[i] = hashsig.VerifyTask{Key: keyOf(&b.Header), Digest: b.Header.StatementDigest(), Sig: b.Header.Sig}
+		}
+		if pool != nil {
+			oks = pool.VerifyAll(tasks)
+			return
+		}
 		oks = make([]bool, len(tasks))
 		for i, t := range tasks {
 			oks[i] = t.Key.Verify(t.Digest, t.Sig)
 		}
-	}
-	for i, ok := range oks {
-		if !ok {
-			return 0, fmt.Errorf("%w: batch %d: invalid header signature", ErrReplay, batches[i].Header.Seq)
+	}()
+	return func() error {
+		<-done
+		for i, ok := range oks {
+			if !ok {
+				return fmt.Errorf("%w: batch %d: invalid header signature", ErrReplay, batches[i].Header.Seq)
+			}
 		}
+		return nil
 	}
-	return shards, nil
 }
 
 // replay drives batches through the core (fresh at genesis, or
@@ -160,7 +194,7 @@ func (c *core) replay(wantSeq uint64, batches []*Batch) (*ReplayResult, error) {
 			return nil, fmt.Errorf("%w: batch %d: expected sequence %d", ErrReplay, seq, wantSeq)
 		}
 		wantSeq++
-		if _, _, div := c.derive(seq, b.Entries, &b.Header); div != nil {
+		if div := c.reproduce(seq, b.Entries, &b.Header); div != nil {
 			return nil, fmt.Errorf("%w: %w", ErrReplay, div)
 		}
 		c.store.PruneMarks(seq + 1)

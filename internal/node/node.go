@@ -144,6 +144,10 @@ type Stats struct {
 	DecodeErrors uint64
 	// HandleErrors counts decoded messages the replica rejected.
 	HandleErrors uint64
+	// SendErrors counts outbound frames the transport refused: a Send or
+	// Broadcast that returned an error (a closed transport, an unknown
+	// peer). A refused broadcast counts once.
+	SendErrors uint64
 }
 
 // Batches is the number of batches proposed, over all turn kinds.
@@ -226,6 +230,7 @@ type Node struct {
 	framesDropped   atomic.Uint64
 	decodeErrors    atomic.Uint64
 	handleErrors    atomic.Uint64
+	sendErrors      atomic.Uint64
 }
 
 // New builds a node (replica included) but does not start it.
@@ -317,6 +322,7 @@ func (n *Node) Stats() Stats {
 		FramesDropped:    n.framesDropped.Load(),
 		DecodeErrors:     n.decodeErrors.Load(),
 		HandleErrors:     n.handleErrors.Load(),
+		SendErrors:       n.sendErrors.Load(),
 	}
 }
 
@@ -371,14 +377,20 @@ func (n *Node) run() {
 // route encodes and ships consensus envelopes: broadcast sentinel to all
 // peers, addressed envelopes to exactly their destination. This is where
 // the Outbound API pays off — sync offer and chunk traffic leaves on one
-// lane instead of n-1.
+// lane instead of n-1. A frame the transport refuses is counted
+// (Stats.SendErrors), not retried: retransmission and sync cover a lost
+// frame, and the count says one was lost.
 func (n *Node) route(outs []consensus.Outbound) {
 	for _, o := range outs {
 		frame := consensus.EncodeMessage(o.Msg)
+		var err error
 		if o.IsBroadcast() {
-			n.cfg.Transport.Broadcast(frame)
+			err = n.cfg.Transport.Broadcast(frame)
 		} else {
-			n.cfg.Transport.Send(transport.NodeID(o.Dest), frame)
+			err = n.cfg.Transport.Send(transport.NodeID(o.Dest), frame)
+		}
+		if err != nil {
+			n.sendErrors.Add(1)
 		}
 	}
 }

@@ -222,3 +222,28 @@ func TestSubmitStatuses(t *testing.T) {
 		t.Fatalf("oversized body answered %v", res.Status)
 	}
 }
+
+// TestRouteCountsSendErrors: a frame the transport refuses is counted, not
+// dropped silently. The transport here is a real TCP one, closed before
+// anything is routed through it, so every Send and Broadcast fails.
+func TestRouteCountsSendErrors(t *testing.T) {
+	keys, pubs := clusterKeys("send-errors", 4)
+	tp, err := transport.ListenTCP(transport.TCPConfig{Self: 0, Addrs: reserveAddrs(t, 4), Handler: func(transport.NodeID, []byte) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.Close()
+	nd, err := New(Config{
+		Consensus: consensus.Config{Key: keys[0], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4, Shards: 1},
+		Transport: tp,
+		Clock:     NewManualClock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := &consensus.Commit{Seq: 1}
+	nd.route([]consensus.Outbound{{Dest: consensus.Broadcast, Msg: msg}, {Dest: 2, Msg: msg}})
+	if got := nd.Stats().SendErrors; got != 2 {
+		t.Fatalf("SendErrors = %d after a refused broadcast and a refused send, want 2", got)
+	}
+}
