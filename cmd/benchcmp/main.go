@@ -5,13 +5,10 @@
 // allocs/op (the latter two only when both files carry -benchmem
 // numbers). It also supports
 // intra-run assertions: `-faster A:B` proves the pipelined consensus
-// window sustains at least the serial baseline's throughput,
-// `-scale A:B:factor` proves a multi-core run (`-cpu` variants are
-// addressable as Name-N) reaches a multiple of its single-core twin —
-// the gate that keeps the parallel batch executor actually parallel —
-// and `-max name:metric:limit` caps an absolute reported metric, the
-// gate that keeps the bounded-memory benchmark's retained bytes from
-// growing with workload length.
+// window sustains at least the serial baseline's throughput, and
+// `-max name:metric:limit` caps an absolute reported metric, the gate
+// that keeps the bounded-memory benchmark's retained bytes from growing
+// with workload length.
 //
 // Only the standard library is used, so the gate runs with `go run` on a
 // bare runner — no benchstat install step to break or cache.
@@ -46,10 +43,10 @@ type event struct {
 
 // benchLine matches a completed benchmark result line. The -N suffix on
 // the name is the GOMAXPROCS tag; results are stored under both the
-// stripped name (so -watch gates compare across machines, last -cpu
-// variant winning) and an explicit per-CPU name with the suffix
-// normalized to always be present ("Foo-1" for a run with no suffix), so
-// -scale assertions can address a specific -cpu variant unambiguously.
+// stripped name (last -cpu variant winning) and an explicit per-CPU name
+// with the suffix normalized to always be present ("Foo-1" for a run with
+// no suffix), so a -watch prefix gates every -cpu variant separately and
+// any gate can address one variant unambiguously.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+(.*)$`)
 
 // parseFile reassembles each package's output stream (go test -json splits
@@ -129,12 +126,10 @@ func main() {
 		allowMissing = flag.Bool("allow-missing", false, "skip (with a note) benchmarks present in only one file instead of failing — for cross-revision comparisons where sub-benchmark names legitimately change")
 		watch        stringList
 		faster       stringList
-		scale        stringList
 		maxes        stringList
 	)
 	flag.Var(&watch, "watch", "benchmark name `prefix` to gate on ns/op regression (repeatable)")
 	flag.Var(&faster, "faster", "intra-run assertion `A:B[:metric]`: current A must not fall below current B on the metric (default entries/sec), beyond the tolerance (repeatable)")
-	flag.Var(&scale, "scale", "intra-run scaling assertion `A:B:factor[:metric]`: current A must reach at least factor x current B on the metric (default entries/sec), minus the tolerance; address -cpu variants as Name-N (repeatable)")
 	flag.Var(&maxes, "max", "intra-run absolute cap `name:metric:limit`: current name's reported metric must not exceed limit — no tolerance, a cap is a cap (repeatable)")
 	flag.Parse()
 
@@ -251,40 +246,6 @@ func main() {
 			continue
 		}
 		fmt.Printf("%-60s %s %12.0f vs %-40s %12.0f ok\n", parts[0], metric, av, parts[1], bv)
-	}
-
-	for _, spec := range scale {
-		parts := strings.SplitN(spec, ":", 4)
-		if len(parts) < 3 {
-			fmt.Fprintf(os.Stderr, "benchcmp: bad -scale spec %q (want A:B:factor[:metric])\n", spec)
-			os.Exit(2)
-		}
-		factor, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || factor <= 0 {
-			fmt.Fprintf(os.Stderr, "benchcmp: bad -scale factor in %q\n", spec)
-			os.Exit(2)
-		}
-		metric := "entries/sec"
-		if len(parts) == 4 {
-			metric = parts[3]
-		}
-		a, okA := current[parts[0]]
-		b, okB := current[parts[1]]
-		if !okA || !okB {
-			report("-scale %s: benchmark missing from current run", spec)
-			continue
-		}
-		av, bv := a.metrics[metric], b.metrics[metric]
-		if av == 0 || bv == 0 {
-			report("-scale %s: metric %q missing", spec, metric)
-			continue
-		}
-		if av < factor*bv*(1-*tolerance) {
-			fail("scale", parts[0], metric, factor*bv, av,
-				fmt.Sprintf("vs=%s actual=%.2fx want=%.2fx tolerance=%.0f%%", parts[1], av/bv, factor, *tolerance*100))
-			continue
-		}
-		fmt.Printf("%-60s %s %12.0f is %.2fx %-40s %12.0f ok\n", parts[0], metric, av, av/bv, parts[1], bv)
 	}
 
 	for _, spec := range maxes {

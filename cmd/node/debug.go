@@ -9,8 +9,8 @@ import (
 	"iaccf/internal/node"
 )
 
-// status is what /status reports: the node's run-loop counters, its
-// commit watermark, the frames its transport dropped and the process's
+// status is what /status reports: the node's run-loop counters and its
+// view and sync state (Stats), its commit watermark, the frames its transport dropped and the process's
 // signature bill.
 type status struct {
 	CommittedSeqs    uint64     `json:"committed_seqs"`

@@ -17,8 +17,9 @@ import (
 )
 
 // TestDebugEndpoints serves debugHandler for an unstarted node and reads
-// both endpoints: /status decodes as JSON carrying the node's counters and
-// the transport's, and /debug/pprof/ answers with pprof's index.
+// both endpoints: /status decodes as JSON carrying the node's counters, its
+// view and sync state, and the transport's counters, and /debug/pprof/
+// answers with pprof's index.
 func TestDebugEndpoints(t *testing.T) {
 	pubs := make([]*hashsig.PublicKey, 4)
 	keys := make([]*hashsig.PrivateKey, 4)
@@ -66,7 +67,7 @@ func TestDebugEndpoints(t *testing.T) {
 	if st.TransportDropped != 7 || st.CommittedSeqs != 0 || st.Stats != (node.Stats{}) {
 		t.Fatalf("/status = %+v", st)
 	}
-	for _, field := range []string{`"stats":{`, `"SendErrors":0`, `"verifies":`} {
+	for _, field := range []string{`"stats":{`, `"SendErrors":0`, `"View":0`, `"Syncs":0`, `"Syncing":false`, `"verifies":`} {
 		if !strings.Contains(string(body), field) {
 			t.Fatalf("/status lacks %s:\n%s", field, body)
 		}

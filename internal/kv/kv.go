@@ -5,12 +5,11 @@
 // deterministic checkpoint serialization with content digests (§3.4).
 //
 // There is one store, ShardedStore (sharded.go): the key space is
-// partitioned across N persistent CHAMP maps (the executor's conflict grain
-// and the state-transfer chunk unit), and NewSharded(1) is the unsharded
-// case. Snapshots, marks and rollback are pointer copies, and the
-// checkpoint digest d_C is read off the tries' cached Merkle roots. This
-// file holds the transaction type and the canonical serialization helpers
-// the store is built from.
+// partitioned across N persistent CHAMP maps (the state-transfer chunk
+// unit), and NewSharded(1) is the unsharded case. Snapshots, marks and
+// rollback are pointer copies, and the checkpoint digest d_C is read off
+// the tries' cached Merkle roots. This file holds the transaction type and
+// the canonical serialization helpers the store is built from.
 package kv
 
 import (
@@ -26,7 +25,10 @@ import (
 // has been pruned.
 var ErrNoMark = errors.New("kv: no mark for sequence number")
 
-// Tx is a single transaction: buffered writes over a snapshot. A finished
+// Tx is a single transaction: buffered writes over a snapshot. The ledger
+// runs a batch's transactions one at a time, in ledger order, on the
+// goroutine that owns the store, so a Tx records nothing beyond its own
+// writes and deletes. A finished
 // transaction (Commit or Abort) is dead: every further use panics, so a
 // bug that retains a transaction past its batch is caught immediately
 // instead of silently reading stale state or writing into the void.
@@ -36,29 +38,7 @@ type Tx struct {
 	writes  map[string][]byte
 	deletes map[string]bool
 	done    bool
-
-	// Shard-access tracking (BeginTracked): trackShards > 0 enables it, and
-	// touched is a bitset over shard indices recording every key this
-	// transaction read, wrote, or deleted. The parallel executor uses it to
-	// validate an application's declared shard footprint after the fact.
-	trackShards uint32
-	touched     []uint64
 }
-
-// touch records key's shard when tracking is enabled.
-func (t *Tx) touch(key string) {
-	if t.trackShards == 0 {
-		return
-	}
-	s := champ.ShardOf(key, t.trackShards)
-	t.touched[s>>6] |= 1 << (s & 63)
-}
-
-// TouchedShards returns the bitset of shards this transaction accessed
-// (word i bit j covers shard i*64+j), or nil when the transaction was not
-// started with tracking. The slice is the live bitset; callers must not
-// mutate it.
-func (t *Tx) TouchedShards() []uint64 { return t.touched }
 
 // active panics if the transaction has already finished.
 func (t *Tx) active(op string) {
@@ -73,7 +53,6 @@ func (t *Tx) active(op string) {
 // write through the returned slice would change what Commit publishes).
 func (t *Tx) Get(key string) ([]byte, bool) {
 	t.active("Get")
-	t.touch(key)
 	if t.deletes[key] {
 		return nil, false
 	}
@@ -91,7 +70,6 @@ func (t *Tx) Get(key string) ([]byte, bool) {
 // and Commit hands it to champ, which copies it once more into a node.
 func (t *Tx) Put(key string, val []byte) {
 	t.active("Put")
-	t.touch(key)
 	delete(t.deletes, key)
 	t.writes[key] = append([]byte(nil), val...)
 }
@@ -100,7 +78,6 @@ func (t *Tx) Put(key string, val []byte) {
 // most transactions only put, and every read of a nil map is already right.
 func (t *Tx) Delete(key string) {
 	t.active("Delete")
-	t.touch(key)
 	delete(t.writes, key)
 	if t.deletes == nil {
 		t.deletes = map[string]bool{}

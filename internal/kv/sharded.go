@@ -1,8 +1,7 @@
 // ShardedStore partitions the key space across N champ-backed shards
 // (paper §6): each key lives in exactly one shard, chosen by the
-// cross-process-deterministic champ.ShardOf. A shard is what the parallel
-// executor treats as one conflict unit and what state transfer ships as one
-// chunk.
+// cross-process-deterministic champ.ShardOf. A shard is what state transfer
+// ships as one chunk.
 //
 // The checkpoint digest d_C is the combination of the per-shard digests,
 // and a shard's digest is H(domain ‖ key count ‖ Merkle root of its trie).
@@ -141,19 +140,6 @@ func (s *ShardedStore) Get(key string) ([]byte, bool) {
 // is O(1) regardless of shard count.
 func (s *ShardedStore) Begin() *Tx {
 	return &Tx{store: s, base: s.shards, writes: map[string][]byte{}}
-}
-
-// BeginTracked starts a transaction like Begin, additionally recording
-// which shards every Get/Put/Delete touches (Tx.TouchedShards). The
-// parallel batch executor runs transactions under tracking so an
-// application's declared shard footprint can be checked against the shards
-// it actually accessed — the safety net that lets a wrong Footprint
-// implementation degrade to sequential re-execution instead of divergence.
-func (s *ShardedStore) BeginTracked() *Tx {
-	tx := s.Begin()
-	tx.trackShards = uint32(len(s.shards))
-	tx.touched = make([]uint64, (len(s.shards)+63)/64)
-	return tx
 }
 
 // apply publishes the buffered effects copy-on-write: the shard-head slice

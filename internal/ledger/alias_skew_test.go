@@ -25,18 +25,16 @@ func genSkewedBatch(rng *rand.Rand, n, keyPool, hotTenths int) []Request {
 	return out
 }
 
-// TestParallelMatchesSequentialUnderAuthorSkew extends the core
-// parallel-vs-sequential property across shard-placement skew: with 90% of
-// entries landing in one shard tree, the arena'd proof builder, the shared
-// per-shard top path, and the parallel leaf hashing must still emit
-// byte-identical headers and receipts, and identical post-state. Header
-// equality is checked via ContentDigest, which covers ¯M, ¯G, and d_C —
-// so checkpoint digests are compared batch by batch, not just at the end.
-// Replay of the resulting stream must land on the live ledger's roots too,
-// and — these batches being ≥ 64 entries at GOMAXPROCS=4 — must get there
-// through the wave executor whenever the store is sharded.
+// TestParallelMatchesSequentialUnderAuthorSkew holds shard counts 1, 4 and
+// 16 to one derivation under shard-placement skew: with 90% of entries
+// landing in one shard tree, the arena'd proof builder, the shared per-shard top path and
+// the pipelined leaf hashing must still emit byte-identical headers and
+// receipts, and identical post-state, at GOMAXPROCS=4 and GOMAXPROCS=1.
+// Header equality is checked via ContentDigest, which covers ¯M, ¯G, and
+// d_C — so checkpoint digests are compared batch by batch, not just at the
+// end. The resulting stream must replay to the live ledger's roots under
+// both of Replay's schedules, inline and two-lane.
 func TestParallelMatchesSequentialUnderAuthorSkew(t *testing.T) {
-	forceParallel(t)
 	for _, shards := range []uint32{1, 4, 16} {
 		for _, hotTenths := range []int{0, 9} {
 			label := fmt.Sprintf("shards=%d/hot=%d0%%", shards, hotTenths)
@@ -46,28 +44,24 @@ func TestParallelMatchesSequentialUnderAuthorSkew(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				seqL, err := New(Config{Key: testKey, App: hiddenFootprint{KVApp{}}, Shards: shards, CheckpointEvery: 2})
+				seq, err := New(Config{Key: testKey, App: KVApp{}, Shards: shards, CheckpointEvery: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for batch := 0; batch < 4; batch++ {
-					reqs := genSkewedBatch(rng, minParallelBatch+rng.Intn(100), 512, hotTenths)
-					pb, pr, err := par.ExecuteBatch(reqs)
+					reqs := genSkewedBatch(rng, 64+rng.Intn(100), 512, hotTenths)
+					executeAlike(t, fmt.Sprintf("%s/batch=%d", label, batch), par, seq, reqs)
+				}
+				stream := par.Batches()
+				for _, procs := range []int{1, 2} {
+					var res *ReplayResult
+					atProcs(procs, func() { res, err = Replay(stream, testKey.Public(), KVApp{}, nil) })
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: replay at GOMAXPROCS=%d: %v", label, procs, err)
 					}
-					sb, sr, err := seqL.ExecuteBatch(reqs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertBatchesEqual(t, fmt.Sprintf("%s/batch=%d", label, batch), pb, sb, pr, sr)
-					if par.StateDigest() != seqL.StateDigest() {
-						t.Fatalf("%s: post-state digests diverge after batch %d", label, batch)
-					}
-					for _, r := range pr {
-						if !r.Verify(testKey.Public()) {
-							t.Fatalf("%s: receipt does not verify", label)
-						}
+					if res.HistSize != par.HistSize() || res.HistRoot != par.HistRoot() ||
+						res.StateDigest != par.StateDigest() || res.CkptDigest != stream[len(stream)-1].Header.CkptDigest {
+						t.Fatalf("%s: replay at GOMAXPROCS=%d diverges from the live ledger", label, procs)
 					}
 				}
 			})
@@ -98,7 +92,7 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first := genBatch(rng, minParallelBatch+40, 256)
+	first := genBatch(rng, 104, 256)
 	b1, r1, err := l.ExecuteBatch(first)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +116,7 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 	// Six more batches cycle every pooled buffer and the ledger's
 	// batch-to-batch scratch several times over.
 	for i := 0; i < 6; i++ {
-		if _, _, err := l.ExecuteBatch(genBatch(rng, minParallelBatch+40, 256)); err != nil {
+		if _, _, err := l.ExecuteBatch(genBatch(rng, 104, 256)); err != nil {
 			t.Fatal(err)
 		}
 	}

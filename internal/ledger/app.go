@@ -22,20 +22,6 @@ type App interface {
 	Execute(tx *kv.Tx, request []byte) error
 }
 
-// Footprinter is an optional App extension that lets the ledger run batches
-// through the conflict-aware parallel executor. Footprint returns the full
-// set of keys Execute may read, write, or delete for the given request, and
-// ok=true when that set is known. Returning a superset is always safe (it
-// only costs parallelism); returning ok=false makes the request a barrier
-// that conflicts with everything. A footprint that *misses* a key Execute
-// later touches is not a safety problem either: the executor tracks actual
-// shard accesses and falls back to sequential re-execution when a declared
-// footprint is violated — but every violated batch pays for two executions,
-// so Footprint implementations should err on the side of over-declaring.
-type Footprinter interface {
-	Footprint(request []byte) (keys []string, ok bool)
-}
-
 // ErrBadRequest reports a request payload the application cannot decode.
 var ErrBadRequest = errors.New("ledger: malformed request payload")
 
@@ -110,36 +96,4 @@ func (KVApp) Execute(tx *kv.Tx, request []byte) error {
 		}
 	}
 	return nil
-}
-
-// Footprint returns every key the request's operations name. A request that
-// fails to decode touches nothing — Execute rejects it before the first
-// Put/Delete — so its footprint is known and empty, and it parallelizes
-// with everything.
-func (KVApp) Footprint(request []byte) ([]string, bool) {
-	r := wire.NewBytesReader(request)
-	n := r.Uint32()
-	const maxOps = 1 << 16
-	if r.Err() == nil && n > maxOps {
-		return nil, true
-	}
-	keys := make([]string, 0, n)
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		switch tag := r.Byte(); tag {
-		case 0x00:
-			keys = append(keys, r.String(wire.MaxKeyLen))
-		case 0x01:
-			keys = append(keys, r.String(wire.MaxKeyLen))
-			r.BytesView(wire.MaxValueLen)
-		default:
-			if r.Err() == nil {
-				return nil, true
-			}
-		}
-	}
-	r.ExpectEOF()
-	if r.Err() != nil {
-		return nil, true
-	}
-	return keys, true
 }

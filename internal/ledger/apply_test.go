@@ -106,10 +106,10 @@ func snapshotLedger(l *Ledger) applySnapshot {
 // tampered with (Replay verifies signatures before anything else; ApplyBatch
 // leaves provenance to consensus), so the Divergence both return carries a
 // header that verifies under the primary's key: signed evidence. Small
-// batches take the sequential loop; the large ones run at GOMAXPROCS=4 so
-// the wave executor sees each anomaly first and must fall back to the
-// sequential loop's exact report. A rejected ApplyBatch must also leave the
-// backup exactly as it was.
+// batches hash inline; the large ones (72 entries, above the pipelining
+// gate) run at GOMAXPROCS=4, so the entry hasher runs beside ApplyBatch and
+// Replay takes its two-lane schedule, and the report must be the inline
+// one. A rejected ApplyBatch must also leave the backup exactly as it was.
 func TestTamperedBatchRejectedAlike(t *testing.T) {
 	forceParallel(t)
 	last := func(b *Batch) *Entry { return &b.Entries[len(b.Entries)-1] }
@@ -134,7 +134,7 @@ func TestTamperedBatchRejectedAlike(t *testing.T) {
 		{"marker digest forged", func(b *Batch) { last(b).State[0] ^= 1 }, "State"},
 		{"marker missing", func(b *Batch) { b.Entries = b.Entries[:len(b.Entries)-1] }, "GSize"},
 	}
-	for _, size := range []int{3, minParallelBatch + 8} {
+	for _, size := range []int{3, 72} {
 		primary, backup := applyPair(t, 4)
 		pub := primary.cfg.Key.Public()
 		// Advance both one batch so the divergence cases run mid-stream.

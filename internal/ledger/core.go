@@ -163,44 +163,18 @@ func compareHeader(want, got *BatchHeader) *Divergence {
 	return nil
 }
 
-// execute is the execution half: it runs the entries against the store
-// and, with hash set, leaves every entry digest and leaf hash in the
-// scratch. When the batch, shard count, CPU count and app allow it (see
-// exec_parallel.go) it speculates through the wave executor; any anomaly
-// there — a violated footprint, a mismatch, a malformed entry — discards
-// the speculation and re-runs the sequential loop, which defines the
-// results and reports the exact divergence.
+// execute is the execution half, and the one execution loop: one kv
+// transaction per transaction entry, strictly in ledger order. With hash
+// set it leaves every entry digest and leaf hash in the scratch, digesting
+// entries beside execution through the hasher — digesting hashes full
+// payloads, for large batches comparable to execution itself, and the two
+// overlap here.
 func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, hash bool) *Divergence {
-	if f, ok := c.parallelExec(len(entries)); ok {
-		if c.runWaves(f, seq, entries, want, hash) {
-			return nil
-		}
-		if err := c.store.RollbackTo(seq); err != nil {
-			// The mark derive pushed cannot have vanished.
-			panic(err)
-		}
-		c.store.Mark(seq)
-	}
-	return c.runSequential(seq, entries, want, hash)
-}
-
-// newHasher returns the entry hasher an execution loop feeds, or nil — a
-// hasher that hashes nothing — when the entries are digested elsewhere.
-func (c *core) newHasher(hash bool, n int) *entryHasher {
-	if !hash {
-		return nil
-	}
-	return newEntryHasher(&c.scratch, n)
-}
-
-// runSequential is the reference execution loop: one kv transaction per
-// transaction entry, strictly in ledger order, with entry digesting
-// pipelined through the hasher — digesting hashes full payloads, for large
-// batches comparable to execution itself, and the two overlap here. Its
-// behaviour defines what the wave executor must reproduce byte-for-byte.
-func (c *core) runSequential(seq uint64, entries []Entry, want *BatchHeader, hash bool) *Divergence {
 	// The deferred wait releases the workers even if the App panics.
-	hasher := c.newHasher(hash, len(entries))
+	var hasher *entryHasher
+	if hash {
+		hasher = newEntryHasher(&c.scratch, len(entries))
+	}
 	defer hasher.wait()
 	for ei := range entries {
 		e := &entries[ei]

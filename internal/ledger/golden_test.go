@@ -148,8 +148,8 @@ func readGolden(t *testing.T) (raw []byte, stream []*Batch, lines map[uint32][]s
 // 1/4/16, and the recorded ledger must replay clean. Signing is
 // deterministic, so the 4-shard run must also re-issue the recorded stream
 // byte for byte, signatures included. It runs at GOMAXPROCS=4 with
-// 72-request batches, so under 4 and 16 shards all three policies go
-// through the wave executor.
+// 72-request batches, so all three policies digest entries beside
+// execution and the replay takes its two-lane schedule.
 func TestGoldenByteIdentity(t *testing.T) {
 	forceParallel(t)
 	raw, stream, golden := readGolden(t)

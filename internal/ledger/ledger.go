@@ -36,8 +36,8 @@
 // commitments the replicas signed, so exactly one piece of code derives
 // them: core.derive (core.go) turns a batch's entries into results, entry
 // digests and leaf hashes, G_s roots, ¯G, ¯M and d_C over a given store
-// and history tree. It owns the only sequential execute loop, the only
-// conflict-aware wave executor (exec_parallel.go), the only
+// and history tree. It owns the only execute loop (transactions one at a
+// time, in ledger order, whatever the shard count), the only
 // checkpoint-marker rule and the only G_s/¯G roll-up. The three public
 // paths are policies over it:
 //
@@ -542,7 +542,7 @@ func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, []Receipt
 	}
 
 	// If anything below panics (a buggy App retaining a finished Tx, say),
-	// the core releases its hashing and wave workers on the way out; the
+	// the core releases its hashing workers on the way out; the
 	// marks pushed here and by derive stay, so a caller that recovers can
 	// RollbackTo(seq) to discard the half-executed batch.
 	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})

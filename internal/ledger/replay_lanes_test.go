@@ -184,7 +184,7 @@ func replayAt(procs int, batches []*Batch) replayVerdict {
 func FuzzReplayStream(f *testing.F) {
 	honest := map[uint32][]*Batch{
 		1: laneStream(f, 1, 3, 40),
-		4: laneStream(f, 4, 3, 72), // ≥ minParallelBatch: the wave executor runs too
+		4: laneStream(f, 4, 3, 72),
 	}
 	for _, shards := range []uint32{1, 4} {
 		f.Add(encodeStream(f, honest[shards]))

@@ -125,8 +125,9 @@ type Config struct {
 }
 
 // Stats counts what the run loop decided and what it dropped, since the
-// node was built. Counts only — no clock is read — so a hand-clocked
-// cluster repeats them exactly.
+// node was built, and reports where its replica stood at the end of the
+// last run-loop turn. Counts and states only — no clock is read — so a
+// hand-clocked cluster repeats them exactly.
 type Stats struct {
 	// Batches proposed, by the kind of run-loop turn whose pace cut them.
 	ProposedOnSubmit uint64
@@ -148,6 +149,13 @@ type Stats struct {
 	// Broadcast that returned an error (a closed transport, an unknown
 	// peer). A refused broadcast counts once.
 	SendErrors uint64
+	// View is the replica's current view.
+	View uint64
+	// Syncs counts state transfers the replica adopted, checkpoint or
+	// suffix-only; it rises when a restarted or lagging replica catches up.
+	Syncs uint64
+	// Syncing reports a state transfer in progress.
+	Syncing bool
 }
 
 // Batches is the number of batches proposed, over all turn kinds.
@@ -219,8 +227,13 @@ type Node struct {
 	pending          map[uint64]pendingBatch
 	waiters          map[hashsig.Digest][]waiter
 
+	// Published by the run loop after every turn, so nothing off the loop
+	// reads the replica.
 	committedSeqs    atomic.Uint64
 	committedEntries atomic.Uint64
+	view             atomic.Uint64
+	syncs            atomic.Uint64
+	syncing          atomic.Bool
 
 	// Stats counters: written by the run loop (framesDropped by transport
 	// goroutines), read by anyone.
@@ -323,6 +336,9 @@ func (n *Node) Stats() Stats {
 		DecodeErrors:     n.decodeErrors.Load(),
 		HandleErrors:     n.handleErrors.Load(),
 		SendErrors:       n.sendErrors.Load(),
+		View:             n.view.Load(),
+		Syncs:            n.syncs.Load(),
+		Syncing:          n.syncing.Load(),
 	}
 }
 
@@ -371,7 +387,15 @@ func (n *Node) run() {
 		// the window decide whether to cut a batch.
 		n.afterProgress()
 		n.pace(t)
+		n.publish()
 	}
+}
+
+// publish copies the replica state Stats reports into the node's atomics.
+func (n *Node) publish() {
+	n.view.Store(n.rep.View())
+	n.syncs.Store(uint64(n.rep.Syncs()))
+	n.syncing.Store(n.rep.Syncing())
 }
 
 // route encodes and ships consensus envelopes: broadcast sentinel to all

@@ -464,3 +464,43 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 		t.Fatalf("ProposeFailures = %d, want 1", got)
 	}
 }
+
+// TestStatsReportLaggardSync: a replica cut off while the other three
+// commit, then ticked, catches up by state transfer, and the node's Stats
+// show it — Syncs rises, Syncing settles back to false, View stays where
+// the cluster is — all read off the run loop's published copy.
+func TestStatsReportLaggardSync(t *testing.T) {
+	c := startManualCluster(t, "stats-sync", nil)
+	const laggard = 3
+	c.net.setHold(func(to transport.NodeID, _ consensus.Message) bool { return to == laggard })
+	for i := uint64(1); i <= 6; i++ {
+		wantCommitted(t, "request while the laggard is cut off", submitAsync(c.nodes[0], kvRequest("sync-client", i)))
+	}
+	c.settle(t)
+	// The laggard never hears what it missed: the parked frames are lost.
+	c.net.mu.Lock()
+	c.net.hold, c.net.parked = nil, nil
+	c.net.mu.Unlock()
+
+	lag := c.nodes[laggard]
+	if s := lag.Stats(); s.Syncs != 0 || s.Syncing || lag.CommittedSeqs() != 0 {
+		t.Fatalf("laggard before ticking: %+v, committed %d", s, lag.CommittedSeqs())
+	}
+	want := c.nodes[0].CommittedSeqs()
+	for ticks := 0; lag.CommittedSeqs() < want; ticks++ {
+		if ticks > 1024 {
+			t.Fatalf("laggard still at seq %d of %d after %d ticks", lag.CommittedSeqs(), want, ticks)
+		}
+		c.clocks[laggard].Advance(1)
+		c.settle(t)
+	}
+	s := lag.Stats()
+	if s.Syncs == 0 || s.Syncing || s.View != c.nodes[0].Stats().View {
+		t.Fatalf("laggard after catching up: %+v, want Syncs > 0, not syncing, view %d", s, c.nodes[0].Stats().View)
+	}
+	for i, nd := range c.nodes[:laggard] {
+		if s := nd.Stats(); s.Syncs != 0 || s.Syncing {
+			t.Fatalf("node %d synced without lagging: %+v", i, s)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -196,43 +197,86 @@ func (t *TCP) acceptLoop() {
 }
 
 // readLoop validates the handshake then delivers frames until the
-// connection dies. The frame buffer is reused across frames, matching the
-// Handler ownership contract.
+// connection dies or the peer breaks the protocol. The frame buffer is
+// reused across frames, matching the Handler ownership contract.
 func (t *TCP) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(c)
 	br := bufio.NewReaderSize(c, 1<<16)
-	var hs [12]byte
-	if _, err := io.ReadFull(br, hs[:]); err != nil {
+	from, err := readHandshake(br)
+	if err != nil {
 		return
 	}
-	if binary.BigEndian.Uint32(hs[0:4]) != Magic ||
-		binary.BigEndian.Uint32(hs[4:8]) != VCurrent {
-		return
-	}
-	from := NodeID(binary.BigEndian.Uint32(hs[8:12]))
 	if _, known := t.peers[from]; !known {
 		return // unknown or self-claiming sender
 	}
-	var lenBuf [4]byte
 	var frame []byte
 	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n > MaxFrameLen {
-			return // protocol violation: hang up
-		}
-		if uint32(cap(frame)) < n {
-			frame = make([]byte, n)
-		}
-		frame = frame[:n]
-		if _, err := io.ReadFull(br, frame); err != nil {
+		if frame, err = readFrame(br, frame); err != nil {
 			return
 		}
 		t.cfg.Handler(from, frame)
 	}
+}
+
+var (
+	errBadHandshake  = errors.New("transport: bad handshake magic or version")
+	errFrameTooLarge = errors.New("transport: frame exceeds MaxFrameLen")
+)
+
+// writeHandshake writes the connection preamble naming from as the sender.
+func writeHandshake(w *bufio.Writer, from NodeID) error {
+	var hs [12]byte
+	binary.BigEndian.PutUint32(hs[0:4], Magic)
+	binary.BigEndian.PutUint32(hs[4:8], VCurrent)
+	binary.BigEndian.PutUint32(hs[8:12], uint32(from))
+	_, err := w.Write(hs[:])
+	return err
+}
+
+// readHandshake reads the connection preamble and returns the sender it
+// names. A wrong magic or version is errBadHandshake; whether the sender is
+// a cluster peer is the caller's check.
+func readHandshake(br *bufio.Reader) (NodeID, error) {
+	var hs [12]byte
+	if _, err := io.ReadFull(br, hs[:]); err != nil {
+		return 0, err
+	}
+	if binary.BigEndian.Uint32(hs[0:4]) != Magic ||
+		binary.BigEndian.Uint32(hs[4:8]) != VCurrent {
+		return 0, errBadHandshake
+	}
+	return NodeID(binary.BigEndian.Uint32(hs[8:12])), nil
+}
+
+// readFrame reads one length-prefixed frame body into buf, growing it only
+// when it is too small, and returns the body. The announced length is
+// checked against MaxFrameLen before anything is allocated, so a hostile
+// peer costs at most one MaxFrameLen buffer per connection.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	prefix, err := br.Peek(4)
+	if len(prefix) < 4 {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(prefix)
+	br.Discard(4)
+	if n > MaxFrameLen {
+		return nil, errFrameTooLarge
+	}
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(br, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the length prefix promised a body
+		}
+		return nil, err
+	}
+	return buf, nil
 }
 
 // sendLoop owns one peer's outbound connection: dial with backoff, write
@@ -273,11 +317,7 @@ func (t *TCP) sendLoop(p *tcpPeer) {
 					return
 				}
 				w := bufio.NewWriterSize(c, 1<<16)
-				var hs [12]byte
-				binary.BigEndian.PutUint32(hs[0:4], Magic)
-				binary.BigEndian.PutUint32(hs[4:8], VCurrent)
-				binary.BigEndian.PutUint32(hs[8:12], uint32(t.cfg.Self))
-				if _, err := w.Write(hs[:]); err != nil {
+				if err := writeHandshake(w, t.cfg.Self); err != nil {
 					t.untrack(c)
 					continue
 				}
@@ -305,6 +345,7 @@ func (t *TCP) sendLoop(p *tcpPeer) {
 	}
 }
 
+// writeFrame writes one frame: its length, then its body.
 func writeFrame(w *bufio.Writer, frame []byte) error {
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
