@@ -34,6 +34,7 @@ import (
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
 	"iaccf/internal/node"
+	"iaccf/internal/rpc"
 	"iaccf/internal/transport"
 )
 
@@ -41,7 +42,7 @@ func main() {
 	var (
 		id         = flag.Int("id", -1, "this node's ID (index into -cluster)")
 		cluster    = flag.String("cluster", "", "comma-separated replica transport addresses, ordered by node ID")
-		rpc        = flag.String("rpc", "", "client submission RPC listen address")
+		rpcAddr    = flag.String("rpc", "", "client submission RPC listen address")
 		seed       = flag.String("seed", "demo", "shared cluster key seed")
 		checkpoint = flag.Uint64("checkpoint", 4, "checkpoint interval (sequences)")
 		shards     = flag.Uint("shards", 1, "ledger shard trees per batch")
@@ -99,11 +100,12 @@ func main() {
 	nd.Start()
 	defer nd.Stop()
 
-	if *rpc != "" {
-		srv, err := node.ServeRPC(nd, *rpc)
+	if *rpcAddr != "" {
+		ln, err := net.Listen("tcp", *rpcAddr)
 		if err != nil {
 			log.Fatalf("node: rpc: %v", err)
 		}
+		srv := rpc.Serve(ln, nd.Submit)
 		defer srv.Close()
 		log.Printf("node %d: transport %s, rpc %s", *id, tp.Addr(), srv.Addr())
 	} else {

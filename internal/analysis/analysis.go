@@ -111,6 +111,9 @@ var deterministicExempt = []string{
 	// Tick/OnTimeout seam, so replica state stays a pure function of the
 	// delivered message sequence.
 	"iaccf/internal/node",
+	// The client RPC: it is the client side of submission and owns its
+	// connection deadlines.
+	"iaccf/internal/rpc",
 	// The load generator: a client-side workload driver that measures
 	// wall-clock throughput and paces retries. It runs outside the
 	// replicas entirely; nothing it computes is replicated.

@@ -267,11 +267,11 @@ func TestBlameVerifyRejectsForgery(t *testing.T) {
 		return h
 	}
 	a, b := mk(7, 1), mk(7, 2)
-	bl := blameFrom(&a, &b, key.Public())
+	bl := ledger.NewBlame(&a, &b, key.Public())
 	if bl == nil || !bl.Verify(key.Public()) {
 		t.Fatal("genuine conflict did not produce verifiable blame")
 	}
-	if blameFrom(&a, &a, key.Public()) != nil {
+	if ledger.NewBlame(&a, &a, key.Public()) != nil {
 		t.Fatal("identical proposals produced blame")
 	}
 	// Two statements for one slot and one batch — a second nonce commitment,
@@ -279,18 +279,18 @@ func TestBlameVerifyRejectsForgery(t *testing.T) {
 	renonced := a
 	renonced.NonceCommit = hashsig.Sum([]byte("another nonce"))
 	renonced.Sig = key.MustSign(renonced.StatementDigest())
-	if renonced.StatementDigest() == a.StatementDigest() || blameFrom(&a, &renonced, key.Public()) != nil {
+	if renonced.StatementDigest() == a.StatementDigest() || ledger.NewBlame(&a, &renonced, key.Public()) != nil {
 		t.Fatal("same content under a second nonce commitment produced blame")
 	}
 	// Nor is the same content stated in another view.
 	later := a
 	later.View = 7
 	later.Sig = key.MustSign(later.StatementDigest())
-	if blameFrom(&a, &later, key.Public()) != nil {
+	if ledger.NewBlame(&a, &later, key.Public()) != nil {
 		t.Fatal("statements from different views produced blame")
 	}
 	cross := mk(8, 3)
-	if blameFrom(&a, &cross, key.Public()) != nil {
+	if ledger.NewBlame(&a, &cross, key.Public()) != nil {
 		t.Fatal("different sequence numbers produced blame")
 	}
 	if bl.Verify(other.Public()) {
@@ -416,7 +416,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	})
 	msgs = append(msgs, outMsgs(c.replicas[2].OnTimeout())...)
 	// A suffix-only offer: no shard digests, no frontier.
-	msgs = append(msgs, &SyncAvail{Replica: 1, Requester: 3, CkptSeq: 5, Cert: &CommitCert{Header: pp.Header}})
+	msgs = append(msgs, &SyncAvail{Replica: 1, Requester: 3, CkptSeq: 5, Cert: &ledger.CommitCert{Header: pp.Header}})
 	for i, m := range msgs {
 		enc := EncodeMessage(m)
 		dec, err := DecodeMessage(enc)

@@ -29,13 +29,13 @@ func messageCorpus() [][]byte {
 		panic(err)
 	}
 	pp := &PrePrepare{Header: batch.Header, Entries: batch.Entries}
-	prep := &Prepare{Replica: 2, Header: batch.Header, NonceCommit: nonce.Commit()}
+	prep := &Prepare{ledger.Prepare{Replica: 2, Header: batch.Header, NonceCommit: nonce.Commit()}}
 	prep.Sig = key.MustSign(prep.SigningDigest())
 	cm := &Commit{View: 1, Replica: 2, Seq: 1, Statement: batch.Header.StatementDigest(), Nonce: nonce}
 	vc := &ViewChange{
 		NewView: 2, Replica: 3, CommittedSeq: 1,
-		CommitProof: &CommitCert{Header: batch.Header, Prepares: []Prepare{*prep}, Opens: []NonceOpen{{Replica: 2, Nonce: nonce}}},
-		Prepared:    []PreparedProof{{PP: *pp, Prepares: []Prepare{*prep}}},
+		CommitProof: &ledger.CommitCert{Header: batch.Header, Prepares: []ledger.Prepare{prep.Prepare}, Opens: []ledger.NonceOpen{{Replica: 2, Nonce: nonce}}},
+		Prepared:    []PreparedProof{{PP: *pp, Prepares: []ledger.Prepare{prep.Prepare}}},
 	}
 	vc.Sig = key.MustSign(vc.SigningDigest())
 	nv := &NewView{View: 2, Replica: 2, VCs: []ViewChange{*vc}}

@@ -7,19 +7,23 @@
 // A replica signs once per batch. The primary's statement is the signed
 // ledger.BatchHeader itself — view, primary, nonce commitment and content
 // under one signature — so a pre-prepare is a ledger.Batch and there is no
-// separate proposal object. A backup's statement is its Prepare, which
-// signs (its identity, the header's StatementDigest, its own nonce
-// commitment). Commits are unsigned openings. Two questions are kept apart
-// throughout (see the ledger package doc): "same batch?" compares
-// BatchHeader.ContentDigest — re-proposal pins, the prepared chain a new
-// view inherits, the catch-up anchor; "same pre-prepare?"
-// compares BatchHeader.StatementDigest — prepares, commits, certificates,
-// the verified-signature set.
+// separate proposal object. A backup's statement is its ledger.Prepare,
+// which signs (its identity, the header's StatementDigest, its own nonce
+// commitment). Commits are unsigned openings. The signed statements and the
+// evidence built from them (ledger.CommitCert, ledger.Blame) are ledger
+// data, checkable without this package; it holds the behaviour that
+// produces them and the message envelopes that carry them.
+//
+// Two questions are kept apart throughout (see the ledger package doc):
+// "same batch?" compares BatchHeader.ContentDigest — re-proposal pins, the
+// prepared chain a new view inherits, the catch-up anchor; "same
+// pre-prepare?" compares BatchHeader.StatementDigest — prepares, commits,
+// certificates, the verified-signature set.
 //
 // Every statement binds the signer's index and the view, so a primary that
 // signs two statements with different content for the same (view, seq) has
-// produced self-contained blame evidence (see Blame) naming its key — the
-// individual accountability the paper is built around.
+// produced self-contained blame evidence (see ledger.Blame) naming its key —
+// the individual accountability the paper is built around.
 package consensus
 
 import (
@@ -31,9 +35,8 @@ import (
 	"iaccf/internal/wire"
 )
 
-// ReplicaID indexes a replica within the current configuration. The primary
-// of view v is replica v mod n.
-type ReplicaID uint32
+// ReplicaID indexes a replica within the current configuration.
+type ReplicaID = ledger.ReplicaID
 
 // MsgType tags the consensus message frames on the wire.
 type MsgType uint8
@@ -84,28 +87,13 @@ type Message interface {
 	encodeBody(w *wire.Writer)
 }
 
-// Domain separators for every consensus signature, so no message can be
-// replayed as another kind. (The pre-prepare's is in package ledger, with
-// the header it signs.)
+// Domain separators for the view-change signatures, so no message can be
+// replayed as another kind. (The pre-prepare's and the prepare's are in
+// package ledger, with the statements they sign.)
 var (
-	prepareDomain    = []byte("iaccf-prepare:")
 	viewChangeDomain = []byte("iaccf-viewchange:")
 	newViewDomain    = []byte("iaccf-newview:")
 )
-
-// StatementKey returns the ledger.KeyOf for headers signed under this
-// replica set: the key of the header's claimed primary, provided that
-// replica leads the header's claimed view — nil otherwise, which verifies
-// nothing. It is how a replica checks a pre-prepare and how an auditor
-// replays a ledger that lived through view changes.
-func StatementKey(peers []*hashsig.PublicKey) ledger.KeyOf {
-	return func(h *ledger.BatchHeader) *hashsig.PublicKey {
-		if n := uint64(len(peers)); n == 0 || uint64(h.Primary) != h.View%n {
-			return nil
-		}
-		return peers[h.Primary]
-	}
-}
 
 // PrePrepare is the primary's proposal: the signed header — the statement,
 // carrying the primary's one signature for the batch — plus the entries
@@ -130,56 +118,14 @@ func decodePrePrepare(r *wire.Reader) *PrePrepare {
 	return &PrePrepare{Header: b.Header, Entries: b.Entries}
 }
 
-// Prepare is a backup's signed agreement to a pre-prepare, and the backup's
-// only signature for the batch. It carries the full signed header (primary
-// signature included) rather than a bare digest: a replica that received a
-// different header for the same (view, seq) thereby obtains both
-// conflicting primary signatures and can construct Blame evidence without
-// any extra round.
-type Prepare struct {
-	Replica     ReplicaID
-	Header      ledger.BatchHeader
-	NonceCommit hashsig.Digest // H(n) of the backup's own commit nonce
-	Sig         hashsig.Signature
-}
+// Prepare is a backup's signed prepare statement (ledger.Prepare) sent as
+// a message.
+type Prepare struct{ ledger.Prepare }
 
 // Type implements Message.
 func (m *Prepare) Type() MsgType { return MsgPrepare }
 
-// SigningDigest covers the backup's identity, the statement it answers, and
-// the backup's nonce commitment. Signing preimages here and below are
-// assembled in pooled scratch: these run for every message sent and
-// verified, and must not allocate per call.
-func (m *Prepare) SigningDigest() hashsig.Digest {
-	b := wire.GetScratch(128)
-	b = append(b, prepareDomain...)
-	b = wire.AppendUint32(b, uint32(m.Replica))
-	b = wire.AppendDigest(b, m.Header.StatementDigest())
-	b = wire.AppendDigest(b, m.NonceCommit)
-	d := hashsig.Sum(b)
-	wire.PutScratch(b)
-	return d
-}
-
-// Verify reports whether the prepare carries a valid signature by pub.
-func (m *Prepare) Verify(pub *hashsig.PublicKey) bool {
-	return pub.Verify(m.SigningDigest(), m.Sig)
-}
-
-func (m *Prepare) encodeBody(w *wire.Writer) {
-	w.Uint32(uint32(m.Replica))
-	m.Header.EncodeTo(w)
-	w.Digest(m.NonceCommit)
-	w.Bytes(m.Sig)
-}
-
-func decodePrepare(r *wire.Reader) *Prepare {
-	m := &Prepare{Replica: ReplicaID(r.Uint32())}
-	m.Header = ledger.DecodeHeader(r)
-	m.NonceCommit = r.Digest()
-	m.Sig = r.Bytes(hashsig.SignatureSize)
-	return m
-}
+func (m *Prepare) encodeBody(w *wire.Writer) { m.EncodeTo(w) }
 
 // Commit reveals the sender's nonce preimage for one instance. It carries
 // no signature: only the replica that committed to H(n) in its
@@ -221,7 +167,7 @@ func decodeCommit(r *wire.Reader) *Commit {
 // replicas.
 type PreparedProof struct {
 	PP       PrePrepare
-	Prepares []Prepare
+	Prepares []ledger.Prepare
 }
 
 // maxPreparedClaims bounds the prepared-instance list accepted on decode;
@@ -244,7 +190,7 @@ type ViewChange struct {
 	Replica      ReplicaID
 	CommittedSeq uint64
 	// CommitProof certifies CommittedSeq (nil only when CommittedSeq is 0).
-	CommitProof *CommitCert
+	CommitProof *ledger.CommitCert
 	// Prepared holds the prepared uncommitted instances, ascending by
 	// sequence number (gaps allowed: quorums can form out of order).
 	Prepared []PreparedProof
@@ -281,36 +227,39 @@ func (m *ViewChange) encodeBody(w *wire.Writer) {
 	w.Uint64(m.NewView)
 	w.Uint32(uint32(m.Replica))
 	w.Uint64(m.CommittedSeq)
-	if m.CommitProof != nil {
-		w.Uint32(1)
-		m.CommitProof.encodeTo(w)
-	} else {
-		w.Uint32(0)
-	}
+	encodeCert(w, m.CommitProof)
 	w.Uint32(uint32(len(m.Prepared)))
 	for i := range m.Prepared {
 		m.Prepared[i].PP.encodeBody(w)
 		w.Uint32(uint32(len(m.Prepared[i].Prepares)))
 		for j := range m.Prepared[i].Prepares {
-			m.Prepared[i].Prepares[j].encodeBody(w)
+			m.Prepared[i].Prepares[j].EncodeTo(w)
 		}
 	}
 	w.Bytes(m.Sig)
 }
 
-func decodeFlag(r *wire.Reader, what string) bool {
+// encodeCert writes an optional certificate: a uint32 presence flag, then
+// the certificate if there is one.
+func encodeCert(w *wire.Writer, c *ledger.CommitCert) {
+	if c == nil {
+		w.Uint32(0)
+		return
+	}
+	w.Uint32(1)
+	c.EncodeTo(w)
+}
+
+// decodeCert reads what encodeCert wrote; a flag other than 0 or 1 fails r.
+func decodeCert(r *wire.Reader, what string) *ledger.CommitCert {
 	switch flag := r.Uint32(); {
 	case r.Err() != nil:
 	case flag == 1:
-		return true
+		return ledger.DecodeCommitCert(r)
 	case flag != 0:
 		r.Fail(fmt.Errorf("%w: %s flag %d", ErrBadMessage, what, flag))
 	}
-	return false
-}
-
-func errTooMany(what string, n uint32) error {
-	return fmt.Errorf("%w: %d %s", ErrBadMessage, n, what)
+	return nil
 }
 
 func decodeViewChange(r *wire.Reader) *ViewChange {
@@ -319,28 +268,13 @@ func decodeViewChange(r *wire.Reader) *ViewChange {
 		Replica:      ReplicaID(r.Uint32()),
 		CommittedSeq: r.Uint64(),
 	}
-	if decodeFlag(r, "commit proof") {
-		m.CommitProof = decodeCommitCert(r)
-	}
-	nc := r.Uint32()
-	if r.Err() == nil && nc > maxPreparedClaims {
-		r.Fail(errTooMany("prepared claims", nc))
-		return m
-	}
-	m.Prepared = make([]PreparedProof, 0, min(nc, 16))
-	for i := uint32(0); i < nc && r.Err() == nil; i++ {
-		claim := PreparedProof{PP: *decodePrePrepare(r)}
-		np := r.Uint32()
-		if r.Err() == nil && np > maxViewChanges {
-			r.Fail(errTooMany("prepare proofs", np))
-			return m
+	m.CommitProof = decodeCert(r, "commit proof")
+	m.Prepared = wire.ReadList(r, maxPreparedClaims, "prepared claims", func(r *wire.Reader) PreparedProof {
+		return PreparedProof{
+			PP:       *decodePrePrepare(r),
+			Prepares: wire.ReadList(r, maxViewChanges, "prepare proofs", ledger.DecodePrepare),
 		}
-		claim.Prepares = make([]Prepare, 0, min(np, 64))
-		for j := uint32(0); j < np && r.Err() == nil; j++ {
-			claim.Prepares = append(claim.Prepares, *decodePrepare(r))
-		}
-		m.Prepared = append(m.Prepared, claim)
-	}
+	})
 	m.Sig = r.Bytes(hashsig.SignatureSize)
 	return m
 }
@@ -402,15 +336,9 @@ func decodeNewView(r *wire.Reader) *NewView {
 		View:    r.Uint64(),
 		Replica: ReplicaID(r.Uint32()),
 	}
-	n := r.Uint32()
-	if r.Err() == nil && n > maxViewChanges {
-		r.Fail(fmt.Errorf("%w: %d view-changes", ErrBadMessage, n))
-		return m
-	}
-	m.VCs = make([]ViewChange, 0, min(n, 64))
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		m.VCs = append(m.VCs, *decodeViewChange(r))
-	}
+	m.VCs = wire.ReadList(r, maxViewChanges, "view-changes", func(r *wire.Reader) ViewChange {
+		return *decodeViewChange(r)
+	})
 	m.Sig = r.Bytes(hashsig.SignatureSize)
 	return m
 }
@@ -463,7 +391,7 @@ type SyncAvail struct {
 	CkptSeq      uint64
 	ShardDigests []hashsig.Digest
 	Frontier     []byte // merkle.Frontier.Encode() at CkptSeq
-	Cert         *CommitCert
+	Cert         *ledger.CommitCert
 }
 
 // Type implements Message.
@@ -478,12 +406,7 @@ func (m *SyncAvail) encodeBody(w *wire.Writer) {
 		w.Digest(d)
 	}
 	w.Bytes(m.Frontier)
-	if m.Cert != nil {
-		w.Uint32(1)
-		m.Cert.encodeTo(w)
-	} else {
-		w.Uint32(0)
-	}
+	encodeCert(w, m.Cert)
 }
 
 func decodeSyncAvail(r *wire.Reader) *SyncAvail {
@@ -492,19 +415,9 @@ func decodeSyncAvail(r *wire.Reader) *SyncAvail {
 		Requester: ReplicaID(r.Uint32()),
 		CkptSeq:   r.Uint64(),
 	}
-	nd := r.Uint32()
-	if r.Err() == nil && nd > wire.MaxStreamShards {
-		r.Fail(errTooMany("shard digests", nd))
-		return m
-	}
-	m.ShardDigests = make([]hashsig.Digest, 0, min(nd, 64))
-	for i := uint32(0); i < nd && r.Err() == nil; i++ {
-		m.ShardDigests = append(m.ShardDigests, r.Digest())
-	}
+	m.ShardDigests = wire.ReadList(r, wire.MaxStreamShards, "shard digests", (*wire.Reader).Digest)
 	m.Frontier = r.Bytes(maxFrontierBytes)
-	if decodeFlag(r, "sync certificate") {
-		m.Cert = decodeCommitCert(r)
-	}
+	m.Cert = decodeCert(r, "sync certificate")
 	return m
 }
 
@@ -619,7 +532,7 @@ func DecodeMessage(b []byte) (Message, error) {
 	case MsgPrePrepare:
 		m = decodePrePrepare(r)
 	case MsgPrepare:
-		m = decodePrepare(r)
+		m = &Prepare{ledger.DecodePrepare(r)}
 	case MsgCommit:
 		m = decodeCommit(r)
 	case MsgViewChange:

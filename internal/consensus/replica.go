@@ -125,7 +125,7 @@ type Replica struct {
 	window int
 	led    *ledger.Ledger
 	pool   *hashsig.VerifierPool
-	keyOf  ledger.KeyOf // StatementKey(cfg.Peers)
+	keyOf  ledger.KeyOf // ledger.StatementKey(cfg.Peers)
 
 	view      uint64
 	committed uint64 // highest committed batch seq (0 = none)
@@ -138,7 +138,7 @@ type Replica struct {
 	// lastCommit retains the proof for the latest committed batch: carried
 	// in view-changes to certify CommittedSeq, and offered to laggards as
 	// the anchor of what they fetch (sync.go).
-	lastCommit *CommitCert
+	lastCommit *ledger.CommitCert
 
 	// view-change state
 	inViewChange bool
@@ -161,7 +161,7 @@ type Replica struct {
 	// seen records the first valid statement per (view, seq); a second one
 	// with different content is equivocation.
 	seen     map[slotKey]*ledger.BatchHeader
-	evidence []*Blame
+	evidence []*ledger.Blame
 	blamed   map[slotKey]bool
 
 	// future buffers messages that cannot be processed yet (later seq,
@@ -226,7 +226,7 @@ func New(cfg Config) (*Replica, error) {
 		window:        cfg.Window,
 		led:           led,
 		pool:          hashsig.DefaultPool(),
-		keyOf:         StatementKey(cfg.Peers),
+		keyOf:         ledger.StatementKey(cfg.Peers),
 		insts:         make(map[uint64]*instance),
 		vcs:           make(map[uint64]map[ReplicaID]*ViewChange),
 		mustRepropose: make(map[uint64]hashsig.Digest),
@@ -260,8 +260,8 @@ func (r *Replica) NextProposalSeq() uint64 { return r.led.Seq() }
 func (r *Replica) Ledger() *ledger.Ledger { return r.led }
 
 // Evidence returns the blame objects collected so far, as a fresh slice.
-func (r *Replica) Evidence() []*Blame {
-	return append([]*Blame(nil), r.evidence...)
+func (r *Replica) Evidence() []*ledger.Blame {
+	return append([]*ledger.Blame(nil), r.evidence...)
 }
 
 // DebugState renders the replica's protocol coordinates for harness
@@ -381,7 +381,7 @@ func newInstance(stmt *ledger.BatchHeader, entries []ledger.Entry, nonce hashsig
 // one signature for the batch as a backup — records it and queues the
 // broadcast.
 func (r *Replica) prepare(in *instance, out *[]Outbound) {
-	prep := &Prepare{Replica: r.cfg.ID, Header: *in.stmt, NonceCommit: in.nonce.Commit()}
+	prep := &Prepare{ledger.Prepare{Replica: r.cfg.ID, Header: *in.stmt, NonceCommit: in.nonce.Commit()}}
 	prep.Sig = r.cfg.Key.MustSign(prep.SigningDigest())
 	in.ownPrepare = prep
 	in.prepMsgs[r.cfg.ID] = prep
@@ -479,7 +479,7 @@ func (r *Replica) checkEquivocation(h *ledger.BatchHeader) bool {
 		return false
 	}
 	if !r.blamed[key] {
-		if bl := blameFrom(prev, h, r.cfg.Peers[h.Primary]); bl != nil {
+		if bl := ledger.NewBlame(prev, h, r.cfg.Peers[h.Primary]); bl != nil {
 			r.blamed[key] = true
 			r.evidence = append(r.evidence, bl)
 		}
@@ -732,7 +732,7 @@ func (r *Replica) advanceCommits(out *[]Outbound) {
 // holds the batch — and retires what the boundary passed: instances, pins
 // and rollback marks at or below it, seen slots below it (blame already
 // captured keeps its value), and the batches maybePrune lets go.
-func (r *Replica) markCommitted(cert *CommitCert) {
+func (r *Replica) markCommitted(cert *ledger.CommitCert) {
 	seq := cert.Seq()
 	r.committed = seq
 	r.lastCommit = cert
@@ -757,13 +757,13 @@ func (r *Replica) markCommitted(cert *CommitCert) {
 }
 
 // buildCommitCert assembles the proof that the instance committed.
-func (r *Replica) buildCommitCert(in *instance) *CommitCert {
-	cert := &CommitCert{Header: *in.stmt}
+func (r *Replica) buildCommitCert(in *instance) *ledger.CommitCert {
+	cert := &ledger.CommitCert{Header: *in.stmt}
 	for _, id := range sortedKeys(in.prepMsgs) {
-		cert.Prepares = append(cert.Prepares, *in.prepMsgs[id])
+		cert.Prepares = append(cert.Prepares, in.prepMsgs[id].Prepare)
 	}
 	for _, id := range sortedKeys(in.opens) {
-		cert.Opens = append(cert.Opens, NonceOpen{Replica: id, Nonce: in.opens[id]})
+		cert.Opens = append(cert.Opens, ledger.NonceOpen{Replica: id, Nonce: in.opens[id]})
 	}
 	return cert
 }
@@ -800,7 +800,7 @@ func (r *Replica) startViewChange(target uint64) []Outbound {
 		}
 		claim := PreparedProof{PP: PrePrepare{Header: *in.stmt, Entries: in.entries}}
 		for _, id := range sortedKeys(in.prepMsgs) {
-			claim.Prepares = append(claim.Prepares, *in.prepMsgs[id])
+			claim.Prepares = append(claim.Prepares, in.prepMsgs[id].Prepare)
 		}
 		vc.Prepared = append(vc.Prepared, claim)
 	}
@@ -824,7 +824,7 @@ func (r *Replica) viewChangeStructure(vc *ViewChange, tasks *[]hashsig.VerifyTas
 		if vc.CommitProof == nil || vc.CommitProof.Seq() != vc.CommittedSeq {
 			return fmt.Errorf("%w: uncertified committed seq %d", ErrInvalid, vc.CommittedSeq)
 		}
-		ts, ok := vc.CommitProof.structure(r.cfg.Peers, r.quorum)
+		ts, ok := vc.CommitProof.Structure(r.cfg.Peers, r.quorum)
 		if !ok {
 			return fmt.Errorf("%w: uncertified committed seq %d", ErrInvalid, vc.CommittedSeq)
 		}

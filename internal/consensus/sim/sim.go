@@ -130,7 +130,7 @@ type Result struct {
 	// FinalView is the highest view an honest replica ended in.
 	FinalView uint64
 	// Blames is the union of blame evidence across honest replicas.
-	Blames []*consensus.Blame
+	Blames []*ledger.Blame
 	// Replicas exposes the honest replicas for post-run assertions.
 	Replicas map[consensus.ReplicaID]*consensus.Replica
 }

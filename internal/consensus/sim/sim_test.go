@@ -264,7 +264,7 @@ func replayAll(t *testing.T, label string, res *Result, seed int64, shards uint3
 		peers[i] = keyFor(seed, consensus.ReplicaID(i))
 	}
 	for id, rep := range res.Replicas {
-		got, err := ledger.ReplayKeyed(rep.Ledger().Batches(), consensus.StatementKey(peers), ledger.KVApp{}, pool)
+		got, err := ledger.ReplayKeyed(rep.Ledger().Batches(), ledger.StatementKey(peers), ledger.KVApp{}, pool)
 		if err != nil {
 			t.Fatalf("%s: replay of replica %d: %v", label, id, err)
 		}

@@ -112,7 +112,7 @@ func TestStaleMessagesAreDroppedUnverified(t *testing.T) {
 	// Validly structured, garbage signatures throughout.
 	forge := func(h ledger.BatchHeader) (*Prepare, *PrePrepare) {
 		h.Sig = []byte("garbage")
-		return &Prepare{Replica: 2, Header: h, NonceCommit: hashsig.Sum([]byte("n")), Sig: []byte("garbage")},
+		return &Prepare{ledger.Prepare{Replica: 2, Header: h, NonceCommit: hashsig.Sum([]byte("n")), Sig: []byte("garbage")}},
 			&PrePrepare{Header: h}
 	}
 	unverified := func(what string, m Message) {
@@ -276,7 +276,7 @@ func TestLaggardFetchesAcrossViews(t *testing.T) {
 		t.Fatalf("laggard's ledger does not hold the view-0 and view-1 statements the batches committed under")
 	}
 	peers := lag.cfg.Peers
-	got, err := ledger.ReplayKeyed(batches, StatementKey(peers), ledger.KVApp{}, nil)
+	got, err := ledger.ReplayKeyed(batches, ledger.StatementKey(peers), ledger.KVApp{}, nil)
 	if err != nil || got.HistRoot != lag.Ledger().HistRoot() || got.StateDigest != lag.Ledger().StateDigest() {
 		t.Fatalf("keyed replay of the fetched ledger: %v", err)
 	}
@@ -429,16 +429,16 @@ func TestCommitCertBindsTheStatement(t *testing.T) {
 	// prepare re-signed over that statement with the nonce commitments the
 	// certificate's openings fit.
 	restated := c.replicas[1].Ledger().Restate(&cert.Header, ledger.Envelope{View: 1, Primary: 1, NonceCommit: cert.Header.NonceCommit})
-	forged := &CommitCert{Header: cert.Header, Opens: cert.Opens}
+	forged := &ledger.CommitCert{Header: cert.Header, Opens: cert.Opens}
 	for _, p := range cert.Prepares {
-		q := Prepare{Replica: p.Replica, Header: restated, NonceCommit: p.NonceCommit}
+		q := ledger.Prepare{Replica: p.Replica, Header: restated, NonceCommit: p.NonceCommit}
 		q.Sig = c.keys[p.Replica].MustSign(q.SigningDigest())
 		if !q.Verify(peers[p.Replica]) {
 			t.Fatal("test forged an invalid prepare")
 		}
 		forged.Prepares = append(forged.Prepares, q)
 	}
-	if _, ok := forged.structure(peers, 3); ok {
+	if _, ok := forged.Structure(peers, 3); ok {
 		t.Fatal("certificate whose prepares sign another view's statement passes structure")
 	}
 	if forged.Verify(peers, 3) {

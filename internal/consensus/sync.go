@@ -106,7 +106,7 @@ type syncOffer struct {
 	ckptSeq      uint64
 	shardDigests []hashsig.Digest
 	frontier     merkle.Frontier
-	cert         *CommitCert
+	cert         *ledger.CommitCert
 }
 
 // syncState is the laggard side of catch-up. Zero value is idle.
@@ -380,7 +380,7 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	} else if m.CkptSeq != r.committed {
 		return nil // answers an ask this replica has since moved past
 	}
-	tasks, ok := m.Cert.structure(r.cfg.Peers, r.quorum)
+	tasks, ok := m.Cert.Structure(r.cfg.Peers, r.quorum)
 	if !ok || !r.verifyTasks(tasks) {
 		return fmt.Errorf("%w: sync offer certificate from %d does not verify", ErrInvalid, m.Replica)
 	}

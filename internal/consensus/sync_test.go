@@ -225,7 +225,7 @@ func TestSuffixOfferAcceptance(t *testing.T) {
 	mutate := func(f func(m *SyncAvail)) *SyncAvail {
 		m := *honest
 		cert := *honest.Cert
-		cert.Prepares = append([]Prepare(nil), cert.Prepares...)
+		cert.Prepares = append([]ledger.Prepare(nil), cert.Prepares...)
 		m.Cert = &cert
 		f(&m)
 		return &m

@@ -21,7 +21,7 @@ func sharedKeyReplicas(t *testing.T, seed string, count int) []*Replica {
 	}
 	rs := make([]*Replica, count)
 	for i := range rs {
-		r, err := New(Config{ID: ReplicaID(i), Key: keys[i], Peers: pubs, App: probeApp{}, CheckpointEvery: 4, Shards: 1})
+		r, err := New(Config{ID: ReplicaID(i), Key: keys[i], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

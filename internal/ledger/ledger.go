@@ -97,6 +97,16 @@
 // replicas, which verify headers through their own per-replica sets so
 // that replicas sharing a process share no verification state.
 //
+// # The signed statements
+//
+// Every signed statement of the protocol, and the evidence built from
+// them, is ledger data (evidence.go), so a client or auditor checks it with
+// this package alone: the BatchHeader (the primary's pre-prepare), a
+// backup's Prepare, the CommitCert (a header, its prepares and 2f+1 opened
+// nonces; Structure hands a replica the signature checks it owes), Blame
+// (two headers with different content for one (view, seq) under one key)
+// and the Receipt. StatementKey names the key a header verifies under.
+//
 // # Memory ownership on the commit path
 //
 // The commit path recycles memory aggressively (see internal/pool), so

@@ -3,7 +3,6 @@ package ledger
 import (
 	"fmt"
 
-	"iaccf/internal/hashsig"
 	"iaccf/internal/wire"
 )
 
@@ -52,16 +51,7 @@ func DecodeReceipt(b []byte) (*Receipt, error) {
 	rc.Shard = r.Uint32()
 	rc.Index = r.Uint64()
 	rc.ShardSize = r.Uint64()
-	n := r.Uint32()
-	if n > maxReceiptPath {
-		return nil, fmt.Errorf("%w: path length %d exceeds %d", ErrBadReceipt, n, maxReceiptPath)
-	}
-	if r.Err() == nil && n > 0 {
-		rc.Path = make([]hashsig.Digest, 0, n)
-		for i := uint32(0); i < n; i++ {
-			rc.Path = append(rc.Path, r.Digest())
-		}
-	}
+	rc.Path = wire.ReadList(r, maxReceiptPath, "path digests", (*wire.Reader).Digest)
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadReceipt, err)

@@ -30,8 +30,7 @@ type ReplayResult struct {
 // KeyOf names the key a header's signature must verify under, or nil when
 // no acceptable signer exists for it. A ledger that lived through a view
 // change has one signer per view: under consensus the key is
-// peers[h.Primary], given that h.Primary leads h.View
-// (consensus.StatementKey). Reconfiguration will make it a function of
+// peers[h.Primary], given that h.Primary leads h.View (StatementKey). Reconfiguration will make it a function of
 // h.Seq as well; the seam is here so the audit need not change shape.
 type KeyOf func(h *BatchHeader) *hashsig.PublicKey
 

@@ -12,10 +12,9 @@ import (
 	"sync"
 	"time"
 
-	"iaccf/internal/consensus"
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
-	"iaccf/internal/node"
+	"iaccf/internal/rpc"
 )
 
 // Config parameterizes one load run.
@@ -131,7 +130,7 @@ type worker struct {
 	cfg    *Config
 	author hashsig.Digest
 	target int // index into cfg.Addrs
-	cl     *node.RPCClient
+	cl     *rpc.Client
 }
 
 // runWorker returns one latency per committed request.
@@ -157,9 +156,9 @@ func runWorker(cfg *Config, idx int) (lats []time.Duration, dups, fails int, err
 		switch {
 		case rerr != nil:
 			return lats, dups, fails, rerr
-		case st == node.StatusCommitted:
+		case st == rpc.StatusCommitted:
 			lats = append(lats, time.Since(start))
-		case st == node.StatusDuplicate:
+		case st == rpc.StatusDuplicate:
 			// A retry after a lost response raced an already-committed
 			// request: the entry is on the ledger, just not re-receipted.
 			dups++
@@ -172,12 +171,12 @@ func runWorker(cfg *Config, idx int) (lats []time.Duration, dups, fails int, err
 
 // submit pushes one request until a terminal verdict, rotating through
 // leader hints and (on connection failure) the remaining nodes.
-func (wk *worker) submit(rq *ledger.Request) (node.Status, error) {
+func (wk *worker) submit(rq *ledger.Request) (rpc.Status, error) {
 	deadline := time.Now().Add(wk.cfg.Timeout * 4)
 	var lastErr error
 	for attempt := 0; time.Now().Before(deadline); attempt++ {
 		if wk.cl == nil {
-			cl, err := node.DialRPC(wk.cfg.Addrs[wk.target], wk.cfg.Timeout)
+			cl, err := rpc.Dial(wk.cfg.Addrs[wk.target], wk.cfg.Timeout)
 			if err != nil {
 				lastErr = err
 				wk.target = (wk.target + 1) % len(wk.cfg.Addrs)
@@ -194,12 +193,12 @@ func (wk *worker) submit(rq *ledger.Request) (node.Status, error) {
 			continue
 		}
 		switch res.Status {
-		case node.StatusCommitted:
+		case rpc.StatusCommitted:
 			if err := wk.verify(rq, res.Receipt); err != nil {
 				return res.Status, err
 			}
 			return res.Status, nil
-		case node.StatusNotPrimary:
+		case rpc.StatusNotPrimary:
 			// Follow the hint; a stale hint just round-trips again.
 			next := int(res.Leader)
 			if next < 0 || next >= len(wk.cfg.Addrs) || next == wk.target {
@@ -207,7 +206,7 @@ func (wk *worker) submit(rq *ledger.Request) (node.Status, error) {
 			}
 			wk.disconnect()
 			wk.target = next
-		case node.StatusBusy, node.StatusTimeout:
+		case rpc.StatusBusy, rpc.StatusTimeout:
 			// Transient: pool backpressure or a slow view — back off and
 			// resubmit the same request (dedup makes this safe).
 			time.Sleep(100 * time.Millisecond)
@@ -232,7 +231,7 @@ func (wk *worker) verify(rq *ledger.Request, rc *ledger.Receipt) error {
 		return fmt.Errorf("loadgen: receipt is for author %x reqno %d, want reqno %d",
 			rc.Entry.Author[:4], rc.Entry.ReqNo, rq.ReqNo)
 	}
-	if key := consensus.StatementKey(wk.cfg.Pubs)(&rc.Header); key == nil || !rc.Verify(key) {
+	if key := ledger.StatementKey(wk.cfg.Pubs)(&rc.Header); key == nil || !rc.Verify(key) {
 		return fmt.Errorf("loadgen: receipt for reqno %d does not verify under the key of view %d's primary %d",
 			rq.ReqNo, rc.Header.View, rc.Header.Primary)
 	}

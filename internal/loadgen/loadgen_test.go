@@ -11,6 +11,7 @@ import (
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
 	"iaccf/internal/node"
+	"iaccf/internal/rpc"
 	"iaccf/internal/transport"
 )
 
@@ -65,10 +66,11 @@ func bootCluster(t *testing.T, n int, seed string) ([]string, []*hashsig.PublicK
 		proxy.Set(nd.InboundHandler())
 		nd.Start()
 		t.Cleanup(nd.Stop)
-		srv, err := node.ServeRPC(nd, "127.0.0.1:0")
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv := rpc.Serve(ln, nd.Submit)
 		t.Cleanup(func() { srv.Close() })
 		rpcAddrs[i] = srv.Addr().String()
 	}

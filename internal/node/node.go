@@ -37,67 +37,16 @@ package node
 
 import (
 	"fmt"
+	"net"
 	"sync/atomic"
 
 	"iaccf/internal/consensus"
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
+	"iaccf/internal/rpc"
 	"iaccf/internal/transport"
 	"iaccf/internal/txpool"
 )
-
-// Status is the submission RPC verdict.
-type Status uint8
-
-const (
-	// StatusCommitted: the request executed and committed; the result
-	// carries its receipt.
-	StatusCommitted Status = 1
-	// StatusNotPrimary: this node is a backup; the result names the
-	// current leader for the client to resubmit to.
-	StatusNotPrimary Status = 2
-	// StatusBusy: the transaction pool is full — backpressure, retry
-	// with backoff.
-	StatusBusy Status = 3
-	// StatusTooLarge: the request body exceeds ledger.MaxRequestLen.
-	StatusTooLarge Status = 4
-	// StatusDuplicate: the exact request was already committed or is no
-	// longer pending; the client has (or had) its receipt.
-	StatusDuplicate Status = 5
-	// StatusTimeout: the request did not commit within the node's
-	// patience; the client should retry (possibly against a new leader).
-	StatusTimeout Status = 6
-	// StatusShutdown: the node stopped before the request resolved.
-	StatusShutdown Status = 7
-)
-
-func (s Status) String() string {
-	switch s {
-	case StatusCommitted:
-		return "committed"
-	case StatusNotPrimary:
-		return "not-primary"
-	case StatusBusy:
-		return "busy"
-	case StatusTooLarge:
-		return "too-large"
-	case StatusDuplicate:
-		return "duplicate"
-	case StatusTimeout:
-		return "timeout"
-	case StatusShutdown:
-		return "shutdown"
-	default:
-		return fmt.Sprintf("status(%d)", uint8(s))
-	}
-}
-
-// SubmitResult is one submission's outcome.
-type SubmitResult struct {
-	Status  Status
-	Leader  transport.NodeID // set for StatusNotPrimary
-	Receipt *ledger.Receipt  // set for StatusCommitted
-}
 
 // Config parameterizes a Node.
 type Config struct {
@@ -120,7 +69,7 @@ type Config struct {
 	// 0 means 32.
 	StallTicks int
 	// SubmitPatienceTicks bounds how long a pending submission waits for
-	// its commit before StatusTimeout. 0 means 128.
+	// its commit before rpc.StatusTimeout. 0 means 128.
 	SubmitPatienceTicks int
 }
 
@@ -136,7 +85,7 @@ type Stats struct {
 	// EntriesProposed is the requests those batches carried.
 	EntriesProposed uint64
 	// ProposeFailures counts drained batches the replica refused; their
-	// waiters were answered StatusBusy.
+	// waiters were answered rpc.StatusBusy.
 	ProposeFailures uint64
 	// FramesDropped counts inbound frames discarded because the run loop's
 	// queue was full.
@@ -180,11 +129,11 @@ type inFrame struct {
 
 type submission struct {
 	rq   ledger.Request
-	resp chan SubmitResult
+	resp chan rpc.Result
 }
 
 type waiter struct {
-	resp     chan SubmitResult
+	resp     chan rpc.Result
 	deadline uint64 // tick number
 }
 
@@ -306,7 +255,7 @@ func (n *Node) InboundHandler() transport.Handler {
 func (n *Node) Start() { go n.run() }
 
 // Stop halts the run loop and fails pending submissions with
-// StatusShutdown. It does not close the transport or the clock — the
+// rpc.StatusShutdown. It does not close the transport or the clock — the
 // caller owns both.
 func (n *Node) Stop() {
 	select {
@@ -345,18 +294,18 @@ func (n *Node) Stats() Stats {
 // Submit hands one client request to the node and blocks until it
 // commits (receipt attached), fails fast (not primary / busy / too
 // large / duplicate), times out, or the node stops.
-func (n *Node) Submit(rq ledger.Request) SubmitResult {
-	s := submission{rq: rq, resp: make(chan SubmitResult, 1)}
+func (n *Node) Submit(rq ledger.Request) rpc.Result {
+	s := submission{rq: rq, resp: make(chan rpc.Result, 1)}
 	select {
 	case n.submits <- s:
 	case <-n.stop:
-		return SubmitResult{Status: StatusShutdown}
+		return rpc.Result{Status: rpc.StatusShutdown}
 	}
 	select {
 	case r := <-s.resp:
 		return r
 	case <-n.stopped:
-		return SubmitResult{Status: StatusShutdown}
+		return rpc.Result{Status: rpc.StatusShutdown}
 	}
 }
 
@@ -368,7 +317,7 @@ func (n *Node) run() {
 		case <-n.stop:
 			for h, ws := range n.waiters {
 				for _, w := range ws {
-					w.resp <- SubmitResult{Status: StatusShutdown}
+					w.resp <- rpc.Result{Status: rpc.StatusShutdown}
 				}
 				delete(n.waiters, h)
 			}
@@ -508,7 +457,7 @@ func (n *Node) proposeFromPool() int {
 
 // failBatch resolves a drained batch the replica refused to propose. The
 // requests are gone from the pool, so their submitters are told at once
-// (StatusBusy: back off and resubmit) rather than left to run out their
+// (rpc.StatusBusy: back off and resubmit) rather than left to run out their
 // patience. Nothing reachable makes Propose fail — the pool caps body size
 // and pace checked CanPropose in this same turn — so there is no requeue.
 func (n *Node) failBatch(batch []ledger.Request) {
@@ -516,7 +465,7 @@ func (n *Node) failBatch(batch []ledger.Request) {
 	for i := range batch {
 		h := txpool.Hash(&batch[i])
 		for _, w := range n.waiters[h] {
-			w.resp <- SubmitResult{Status: StatusBusy}
+			w.resp <- rpc.Result{Status: rpc.StatusBusy}
 		}
 		delete(n.waiters, h)
 	}
@@ -590,7 +539,7 @@ func (n *Node) deliverSeq(seq uint64) {
 			rc = &pb.rcs[sub.rcIdx]
 		}
 		for _, w := range ws {
-			w.resp <- SubmitResult{Status: StatusCommitted, Receipt: rc}
+			w.resp <- rpc.Result{Status: rpc.StatusCommitted, Receipt: rc}
 		}
 	}
 }
@@ -600,7 +549,7 @@ func (n *Node) expireWaiters() {
 		keep := ws[:0]
 		for _, w := range ws {
 			if n.ticks >= w.deadline {
-				w.resp <- SubmitResult{Status: StatusTimeout}
+				w.resp <- rpc.Result{Status: rpc.StatusTimeout}
 			} else {
 				keep = append(keep, w)
 			}
@@ -616,9 +565,9 @@ func (n *Node) expireWaiters() {
 func (n *Node) onSubmit(s submission) {
 	if !n.rep.IsPrimary() {
 		nPeers := uint64(len(n.cfg.Consensus.Peers))
-		s.resp <- SubmitResult{
-			Status: StatusNotPrimary,
-			Leader: transport.NodeID(n.rep.View() % nPeers),
+		s.resp <- rpc.Result{
+			Status: rpc.StatusNotPrimary,
+			Leader: uint32(n.rep.View() % nPeers),
 		}
 		return
 	}
@@ -628,25 +577,46 @@ func (n *Node) onSubmit(s submission) {
 	case err == nil:
 		// Pooled: wait for commit.
 	case err == txpool.ErrTooLarge:
-		s.resp <- SubmitResult{Status: StatusTooLarge}
+		s.resp <- rpc.Result{Status: rpc.StatusTooLarge}
 		return
 	case err == txpool.ErrFull:
-		s.resp <- SubmitResult{Status: StatusBusy}
+		s.resp <- rpc.Result{Status: rpc.StatusBusy}
 		return
 	case err == txpool.ErrDuplicate:
 		if len(n.waiters[h]) == 0 {
 			// Already drained with no one waiting: the commit (if any)
 			// has passed; tell the client it is a duplicate.
-			s.resp <- SubmitResult{Status: StatusDuplicate}
+			s.resp <- rpc.Result{Status: rpc.StatusDuplicate}
 			return
 		}
 		// In flight: join the existing waiters.
 	default:
-		s.resp <- SubmitResult{Status: StatusBusy}
+		s.resp <- rpc.Result{Status: rpc.StatusBusy}
 		return
 	}
 	n.waiters[h] = append(n.waiters[h], waiter{
 		resp:     s.resp,
 		deadline: n.ticks + uint64(n.cfg.SubmitPatienceTicks),
 	})
+}
+
+// bench/ names these; item 8 deletes them.
+type (
+	RPCServer    = rpc.Server
+	SubmitResult = rpc.Result
+)
+
+const (
+	StatusCommitted = rpc.StatusCommitted
+	StatusBusy      = rpc.StatusBusy
+)
+
+var DialRPC = rpc.Dial
+
+func ServeRPC(n *Node, addr string) (*RPCServer, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("node: rpc listen %s: %w", addr, err)
+	}
+	return rpc.Serve(ln, n.Submit), nil
 }

@@ -9,6 +9,7 @@ import (
 	"iaccf/internal/consensus"
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
+	"iaccf/internal/rpc"
 	"iaccf/internal/transport"
 )
 
@@ -78,10 +79,11 @@ func startTCPCluster(t *testing.T, n int, seed string) ([]*Node, []string) {
 		proxy.Set(nd.InboundHandler())
 		nd.Start()
 		t.Cleanup(nd.Stop)
-		srv, err := ServeRPC(nd, "127.0.0.1:0")
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv := rpc.Serve(ln, nd.Submit)
 		t.Cleanup(func() { srv.Close() })
 		nodes[i] = nd
 		rpcAddrs[i] = srv.Addr().String()
@@ -96,7 +98,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	nodes, rpcAddrs := startTCPCluster(t, 4, "e2e")
 	_, pubs := clusterKeys("e2e", 4)
 
-	cl, err := DialRPC(rpcAddrs[0], 5*time.Second)
+	cl, err := rpc.Dial(rpcAddrs[0], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		if res.Status != StatusCommitted {
+		if res.Status != rpc.StatusCommitted {
 			t.Fatalf("request %d: status %v", i, res.Status)
 		}
 		if res.Receipt == nil {
@@ -179,7 +181,7 @@ func TestSubmitStatuses(t *testing.T) {
 	author := hashsig.Sum([]byte("status-client"))
 
 	// A backup must refuse with the leader's identity.
-	backup, err := DialRPC(rpcAddrs[1], 5*time.Second)
+	backup, err := rpc.Dial(rpcAddrs[1], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +192,12 @@ func TestSubmitStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusNotPrimary || res.Leader != 0 {
+	if res.Status != rpc.StatusNotPrimary || res.Leader != 0 {
 		t.Fatalf("backup answered %v leader %d, want not-primary leader 0", res.Status, res.Leader)
 	}
 
 	// The leader commits it; an exact retry is a duplicate.
-	leader, err := DialRPC(rpcAddrs[res.Leader], 5*time.Second)
+	leader, err := rpc.Dial(rpcAddrs[res.Leader], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,21 +206,21 @@ func TestSubmitStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusCommitted {
+	if res.Status != rpc.StatusCommitted {
 		t.Fatalf("leader answered %v", res.Status)
 	}
 	res, err = leader.Submit(&rq, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusDuplicate {
+	if res.Status != rpc.StatusDuplicate {
 		t.Fatalf("retry of committed request answered %v, want duplicate", res.Status)
 	}
 
 	// An over-cap body dies at the frame boundary.
 	big := ledger.Request{Author: author, ReqNo: 2, Body: make([]byte, ledger.MaxRequestLen+1)}
 	res, err = leader.Submit(&big, 5*time.Second)
-	if err == nil && res.Status != StatusTooLarge {
+	if err == nil && res.Status != rpc.StatusTooLarge {
 		t.Fatalf("oversized body answered %v", res.Status)
 	}
 }

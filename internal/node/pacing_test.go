@@ -11,6 +11,7 @@ import (
 	"iaccf/internal/consensus"
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
+	"iaccf/internal/rpc"
 	"iaccf/internal/transport"
 	"iaccf/internal/txpool"
 )
@@ -192,17 +193,17 @@ func (c *manualCluster) settle(t *testing.T) {
 }
 
 // submitAsync submits from its own goroutine, as an RPC handler would.
-func submitAsync(nd *Node, rq ledger.Request) <-chan SubmitResult {
-	done := make(chan SubmitResult, 1)
+func submitAsync(nd *Node, rq ledger.Request) <-chan rpc.Result {
+	done := make(chan rpc.Result, 1)
 	go func() { done <- nd.Submit(rq) }()
 	return done
 }
 
-func wantCommitted(t *testing.T, what string, done <-chan SubmitResult) *ledger.Receipt {
+func wantCommitted(t *testing.T, what string, done <-chan rpc.Result) *ledger.Receipt {
 	t.Helper()
 	select {
 	case res := <-done:
-		if res.Status != StatusCommitted || res.Receipt == nil {
+		if res.Status != rpc.StatusCommitted || res.Receipt == nil {
 			t.Fatalf("%s: status %v, receipt %v", what, res.Status, res.Receipt != nil)
 		}
 		return res.Receipt
@@ -289,7 +290,7 @@ func TestPacing(t *testing.T) {
 		c.net.setHold(holdAll)
 		first := submitAsync(primary, kvRequest("first", 1))
 		await(t, "the first proposal", func() bool { return primary.Stats().Batches() == 1 })
-		var rest []<-chan SubmitResult
+		var rest []<-chan rpc.Result
 		for i := 0; i < k; i++ {
 			rest = append(rest, submitAsync(primary, kvRequest(fmt.Sprintf("gather-%d", i), 1)))
 		}
@@ -318,7 +319,7 @@ func TestPacing(t *testing.T) {
 		// One lone request opens the window; then full batches are cut the
 		// moment their last request pools, until the window is full; the
 		// rest (a full batch and a half) must wait for a commit.
-		var all []<-chan SubmitResult
+		var all []<-chan rpc.Result
 		submit := func(count int) {
 			for i := 0; i < count; i++ {
 				all = append(all, submitAsync(primary, kvRequest(fmt.Sprintf("full-%d", len(all)), 1)))
@@ -378,7 +379,7 @@ func TestPacing(t *testing.T) {
 			c.clocks[i].Advance(stallTicks)
 		}
 		c.settle(t)
-		if res := c.nodes[0].Submit(barrierRq); res.Status != StatusNotPrimary || res.Leader != 1 {
+		if res := c.nodes[0].Submit(barrierRq); res.Status != rpc.StatusNotPrimary || res.Leader != 1 {
 			t.Fatalf("after the view change node 0 answers %v leader %d, want not-primary leader 1", res.Status, res.Leader)
 		}
 		done := submitAsync(c.nodes[1], kvRequest("floor", 3))
@@ -405,7 +406,7 @@ func TestPacing(t *testing.T) {
 	t.Run("a backup answers not-primary and proposes nothing", func(t *testing.T) {
 		c := startManualCluster(t, "pace-backup", nil)
 		res := c.nodes[2].Submit(kvRequest("b", 1))
-		if res.Status != StatusNotPrimary || res.Leader != 0 {
+		if res.Status != rpc.StatusNotPrimary || res.Leader != 0 {
 			t.Fatalf("backup answered %v leader %d, want not-primary leader 0", res.Status, res.Leader)
 		}
 		c.clocks[2].Advance(1)
@@ -433,7 +434,7 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 	}
 	batch := []ledger.Request{kvRequest("x", 1), kvRequest("y", 1)}
 	bystander := kvRequest("z", 1)
-	resps := make(chan SubmitResult, 3)
+	resps := make(chan rpc.Result, 3)
 	park := func(rq *ledger.Request, count int) {
 		for i := 0; i < count; i++ {
 			h := txpool.Hash(rq)
@@ -442,7 +443,7 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 	}
 	park(&batch[0], 2)
 	park(&batch[1], 1)
-	unanswered := make(chan SubmitResult, 1)
+	unanswered := make(chan rpc.Result, 1)
 	nd.waiters[txpool.Hash(&bystander)] = []waiter{{resp: unanswered}}
 
 	nd.failBatch(batch)
@@ -450,7 +451,7 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		select {
 		case res := <-resps:
-			if res.Status != StatusBusy {
+			if res.Status != rpc.StatusBusy {
 				t.Fatalf("waiter answered %v, want busy", res.Status)
 			}
 		default:

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"iaccf/internal/wire"
 )
 
 // encodeConn is what a dialing peer writes: the handshake naming from,
-// then every frame through writeFrame.
+// then every frame through wire.WriteFrame.
 func encodeConn(tb testing.TB, from NodeID, frames ...[]byte) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -19,7 +21,7 @@ func encodeConn(tb testing.TB, from NodeID, frames ...[]byte) []byte {
 		tb.Fatal(err)
 	}
 	for _, f := range frames {
-		if err := writeFrame(w, f); err != nil {
+		if err := wire.WriteFrame(w, f); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -30,7 +32,7 @@ func encodeConn(tb testing.TB, from NodeID, frames ...[]byte) []byte {
 }
 
 // splitFrames cuts data into frames whose lengths the data's own bytes
-// choose, so one fuzz input also drives the writeFrame round trip.
+// choose, so one fuzz input also drives the wire.WriteFrame round trip.
 func splitFrames(data []byte) [][]byte {
 	var frames [][]byte
 	for len(data) > 0 {
@@ -45,14 +47,15 @@ func splitFrames(data []byte) [][]byte {
 }
 
 // FuzzReadFrames feeds arbitrary bytes to the inbound side of a connection,
-// read the way readLoop reads it: readHandshake, then readFrame until an
-// error. Properties: no panic; the handshake is accepted iff it carries
-// Magic and VCurrent, so a bad one is refused before any frame is read, and
-// an accepted one consumes exactly its 12 bytes; every frame returned is the body its length prefix
-// announces, at most MaxFrameLen, in a buffer no larger than MaxFrameLen; a
-// prefix over MaxFrameLen is refused as errFrameTooLarge; the stream ends
-// on io.EOF only at a frame boundary. And whatever frames writeFrame
-// writes read back byte for byte.
+// read the way readLoop reads it: readHandshake, then wire.ReadFrame under
+// MaxFrameLen until an error. Properties: no panic; the handshake is
+// accepted iff it carries Magic and VCurrent, so a bad one is refused before
+// any frame is read, and an accepted one consumes exactly its 12 bytes;
+// every frame returned is the body its length prefix announces, at most
+// MaxFrameLen, in a buffer no larger than MaxFrameLen; a prefix over
+// MaxFrameLen is refused as wire.ErrFrameTooLarge; the stream ends on io.EOF
+// only at a frame boundary. And whatever frames wire.WriteFrame writes read
+// back byte for byte.
 func FuzzReadFrames(f *testing.F) {
 	f.Add(encodeConn(f, 2, []byte("prepare"), nil, bytes.Repeat([]byte{0xab}, 300)))
 	f.Add(encodeConn(f, 0))
@@ -98,14 +101,14 @@ func FuzzReadFrames(f *testing.F) {
 		}
 		var buf []byte
 		for i, want := range frames {
-			if buf, err = readFrame(br, buf); err != nil {
+			if buf, err = wire.ReadFrame(br, buf, MaxFrameLen); err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
 			if !bytes.Equal(buf, want) {
 				t.Fatalf("frame %d read back as %x, wrote %x", i, buf, want)
 			}
 		}
-		if _, err := readFrame(br, buf); err != io.EOF {
+		if _, err := wire.ReadFrame(br, buf, MaxFrameLen); err != io.EOF {
 			t.Fatalf("after the last frame: %v, want io.EOF", err)
 		}
 	})
@@ -116,7 +119,7 @@ func FuzzReadFrames(f *testing.F) {
 func checkFrames(t *testing.T, br *bufio.Reader, rest []byte) {
 	var buf []byte
 	for {
-		frame, err := readFrame(br, buf)
+		frame, err := wire.ReadFrame(br, buf, MaxFrameLen)
 		switch {
 		case len(rest) == 0:
 			if err != io.EOF {
@@ -132,8 +135,8 @@ func checkFrames(t *testing.T, br *bufio.Reader, rest []byte) {
 		n := binary.BigEndian.Uint32(rest[:4])
 		switch {
 		case n > MaxFrameLen:
-			if !errors.Is(err, errFrameTooLarge) || frame != nil {
-				t.Fatalf("frame of %d bytes: %v, want errFrameTooLarge", n, err)
+			if !errors.Is(err, wire.ErrFrameTooLarge) || frame != nil {
+				t.Fatalf("frame of %d bytes: %v, want wire.ErrFrameTooLarge", n, err)
 			}
 			return
 		case uint64(len(rest)-4) < uint64(n):
@@ -148,24 +151,5 @@ func checkFrames(t *testing.T, br *bufio.Reader, rest []byte) {
 			t.Fatalf("frame of %d bytes read as %d (cap %d)", n, len(frame), cap(frame))
 		}
 		rest, buf = rest[4+n:], frame
-	}
-}
-
-// TestReadFrameRefusesBeforeAllocating: a length prefix over MaxFrameLen is
-// refused without allocating, so a hostile peer cannot make the reader
-// reserve the memory it announces.
-func TestReadFrameRefusesBeforeAllocating(t *testing.T) {
-	prefix := binary.BigEndian.AppendUint32(nil, 1<<31)
-	src := bytes.NewReader(prefix)
-	br := bufio.NewReader(src)
-	allocs := testing.AllocsPerRun(100, func() {
-		src.Reset(prefix)
-		br.Reset(src)
-		if _, err := readFrame(br, nil); !errors.Is(err, errFrameTooLarge) {
-			t.Fatalf("got %v, want errFrameTooLarge", err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("oversized prefix cost %.0f allocations", allocs)
 	}
 }

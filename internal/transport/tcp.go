@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"iaccf/internal/wire"
 )
 
 // TCPConfig parameterizes a TCP transport.
@@ -212,17 +214,14 @@ func (t *TCP) readLoop(c net.Conn) {
 	}
 	var frame []byte
 	for {
-		if frame, err = readFrame(br, frame); err != nil {
+		if frame, err = wire.ReadFrame(br, frame, MaxFrameLen); err != nil {
 			return
 		}
 		t.cfg.Handler(from, frame)
 	}
 }
 
-var (
-	errBadHandshake  = errors.New("transport: bad handshake magic or version")
-	errFrameTooLarge = errors.New("transport: frame exceeds MaxFrameLen")
-)
+var errBadHandshake = errors.New("transport: bad handshake magic or version")
 
 // writeHandshake writes the connection preamble naming from as the sender.
 func writeHandshake(w *bufio.Writer, from NodeID) error {
@@ -247,36 +246,6 @@ func readHandshake(br *bufio.Reader) (NodeID, error) {
 		return 0, errBadHandshake
 	}
 	return NodeID(binary.BigEndian.Uint32(hs[8:12])), nil
-}
-
-// readFrame reads one length-prefixed frame body into buf, growing it only
-// when it is too small, and returns the body. The announced length is
-// checked against MaxFrameLen before anything is allocated, so a hostile
-// peer costs at most one MaxFrameLen buffer per connection.
-func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	prefix, err := br.Peek(4)
-	if len(prefix) < 4 {
-		if err == io.EOF && len(prefix) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(prefix)
-	br.Discard(4)
-	if n > MaxFrameLen {
-		return nil, errFrameTooLarge
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // the length prefix promised a body
-		}
-		return nil, err
-	}
-	return buf, nil
 }
 
 // sendLoop owns one peer's outbound connection: dial with backoff, write
@@ -325,7 +294,7 @@ func (t *TCP) sendLoop(p *tcpPeer) {
 				backoff = t.cfg.DialBackoff
 			}
 			conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-			if err := writeFrame(bw, frame); err == nil {
+			if err := wire.WriteFrame(bw, frame); err == nil {
 				// Flush opportunistically: batch while the queue has more.
 				if len(p.queue) == 0 {
 					if err := bw.Flush(); err != nil {
@@ -343,15 +312,4 @@ func (t *TCP) sendLoop(p *tcpPeer) {
 			break
 		}
 	}
-}
-
-// writeFrame writes one frame: its length, then its body.
-func writeFrame(w *bufio.Writer, frame []byte) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(frame)
-	return err
 }

@@ -15,7 +15,8 @@
 //	frame:     length (4, big-endian) | body (length bytes)
 //
 // Frame bodies are opaque to the transport; the node layer encodes
-// consensus messages and RPC payloads with internal/wire. Bodies are
+// consensus messages with internal/wire, whose ReadFrame/WriteFrame are
+// the length-prefix codec here and in the client RPC. Bodies are
 // capped at MaxFrameLen — large enough for a full sync chunk plus
 // envelope overhead, small enough that a hostile peer cannot make the
 // reader allocate unboundedly. A handshake with the wrong magic or an
@@ -34,7 +35,7 @@ import (
 )
 
 // NodeID names a cluster node on the wire. It matches the width of
-// consensus.ReplicaID so node layers can convert without truncation.
+// ledger.ReplicaID so node layers can convert without truncation.
 type NodeID uint32
 
 const (

@@ -12,6 +12,9 @@
 //     signing preimages) without an intermediate writer.
 //   - Writer/Reader stream large structures (checkpoints) with sticky error
 //     handling, so call sites stay free of per-field error plumbing.
+//
+// ReadFrame/WriteFrame carry length-prefixed frames over a stream: the one
+// framing the replica transport and the client RPC share.
 package wire
 
 import (
@@ -359,6 +362,24 @@ func (r *Reader) Bytes(max uint32) []byte {
 	return b
 }
 
+// ReadList reads a uint32 element count of at most max, then that many
+// elements through read. A larger count fails r before anything is
+// allocated for it; what names the elements in that error.
+func ReadList[T any](r *Reader, max uint32, what string, read func(*Reader) T) []T {
+	n := r.Uint32()
+	if r.err == nil && n > max {
+		r.err = fmt.Errorf("%w: %d %s exceed the limit %d", ErrCorrupt, n, what, max)
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := make([]T, 0, min(n, 64))
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		out = append(out, read(r))
+	}
+	return out
+}
+
 // BytesView reads a length-prefixed byte string of at most max bytes and,
 // in bytes mode, returns a view aliasing the input slice — zero copies,
 // zero allocations. The view is only valid while the input slice is; a
@@ -444,6 +465,53 @@ func (r *Reader) Annotate(format string, args ...any) {
 	if r.err != nil {
 		r.err = fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), r.err)
 	}
+}
+
+// ErrFrameTooLarge reports a length prefix over the reader's cap. Nothing
+// of the body has been read or allocated when it is returned.
+var ErrFrameTooLarge = errors.New("wire: frame exceeds its length cap")
+
+// ReadFrame reads one length-prefixed frame — a big-endian uint32 length,
+// then that many bytes — into buf, growing it only when it is too small, and
+// returns the body. The announced length is checked against max before
+// anything is allocated, so a hostile peer costs at most one max-sized
+// buffer per connection. A stream that ends cleanly before a frame is io.EOF;
+// one that ends inside a frame is io.ErrUnexpectedEOF.
+func ReadFrame(br *bufio.Reader, buf []byte, max uint32) ([]byte, error) {
+	prefix, err := br.Peek(4)
+	if len(prefix) < 4 {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(prefix)
+	br.Discard(4)
+	if n > max {
+		return nil, ErrFrameTooLarge
+	}
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(br, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the length prefix promised a body
+		}
+		return nil, err
+	}
+	return buf, nil
+}
+
+// WriteFrame writes one frame: its length, then its body.
+func WriteFrame(w *bufio.Writer, frame []byte) error {
+	var lenBuf [4]byte
+	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
+	if _, err := w.Write(lenBuf[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(frame)
+	return err
 }
 
 // scratch is the shared pool behind GetScratch/PutScratch: encode buffers

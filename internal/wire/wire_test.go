@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -176,5 +179,24 @@ func TestStreamHeaderRejects(t *testing.T) {
 	}
 	if _, err := DecodeStreamHeader(encode(StreamMagic)); err == nil {
 		t.Fatal("truncated header accepted")
+	}
+}
+
+// TestReadFrameRefusesBeforeAllocating: a length prefix over the cap is
+// refused without allocating, so a hostile peer cannot make the reader
+// reserve the memory it announces.
+func TestReadFrameRefusesBeforeAllocating(t *testing.T) {
+	prefix := binary.BigEndian.AppendUint32(nil, 1<<31)
+	src := bytes.NewReader(prefix)
+	br := bufio.NewReader(src)
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(prefix)
+		br.Reset(src)
+		if _, err := ReadFrame(br, nil, 1<<20); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("got %v, want ErrFrameTooLarge", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("oversized prefix cost %.0f allocations", allocs)
 	}
 }
