@@ -88,7 +88,8 @@ profile:
 # residency under the window + checkpoint-interval cap (absolute, however
 # long the run — a leak grows with b.N and blows the cap), and the store
 # must keep fewer than one live heap object per key it holds (absolute too: the
-# trie stores bytes, and a pointer per entry is what would break it).
+# trie stores bytes, and a pointer per entry is what would break it), and a
+# warm receipt check must not allocate (its header is found by comparison).
 bench-check:
 	$(GO) run ./cmd/benchcmp \
 		-baseline $(BENCH_BASELINE) -current $(BENCH_OUT) \
@@ -97,6 +98,7 @@ bench-check:
 		-faster 'BenchmarkConsensusCommit/entries=128/window=4:BenchmarkConsensusCommit/entries=128/window=1' \
 		-max 'BenchmarkConsensusBoundedMemory:retained-batches:8' \
 		-max 'BenchmarkConsensusBoundedMemory:retained-bytes:65536' \
-		-max 'BenchmarkStoreInsert:live-objects/key:1'
+		-max 'BenchmarkStoreInsert:live-objects/key:1' \
+		-max 'BenchmarkReceiptVerify/warm:allocs/op:0'
 
 check: lint build race

@@ -8,7 +8,7 @@
 // window sustains at least the serial baseline's throughput, and
 // `-max name:metric:limit` caps an absolute reported metric, the gate
 // that keeps the bounded-memory benchmark's retained bytes from growing
-// with workload length.
+// with workload length and a warm receipt check at zero allocations.
 //
 // Only the standard library is used, so the gate runs with `go run` on a
 // bare runner — no benchstat install step to break or cache.
@@ -130,7 +130,7 @@ func main() {
 	)
 	flag.Var(&watch, "watch", "benchmark name `prefix` to gate on ns/op regression (repeatable)")
 	flag.Var(&faster, "faster", "intra-run assertion `A:B[:metric]`: current A must not fall below current B on the metric (default entries/sec), beyond the tolerance (repeatable)")
-	flag.Var(&maxes, "max", "intra-run absolute cap `name:metric:limit`: current name's reported metric must not exceed limit — no tolerance, a cap is a cap (repeatable)")
+	flag.Var(&maxes, "max", "intra-run absolute cap `name:metric:limit`: current name's reported metric must not exceed limit (0 allowed: allocs/op:0) — no tolerance, a cap is a cap; a name or metric the run lacks fails (repeatable)")
 	flag.Parse()
 
 	if *currentPath == "" {
@@ -255,7 +255,7 @@ func main() {
 			os.Exit(2)
 		}
 		limit, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || limit <= 0 {
+		if err != nil || limit < 0 {
 			fmt.Fprintf(os.Stderr, "benchcmp: bad -max limit in %q\n", spec)
 			os.Exit(2)
 		}

@@ -171,8 +171,8 @@ type Replica struct {
 	// sigOK holds the signature checks this replica has already made (or
 	// signatures it produced itself), so buffered messages are not
 	// re-verified on every drain pass and a statement carried by several
-	// prepares is checked once.
-	sigOK *hashsig.VerifiedSet
+	// prepares is checked once. Members are VerifyTask.MemoKeys.
+	sigOK *hashsig.VerifiedSet[hashsig.Digest]
 
 	// sync is the catch-up state machine (sync.go): how this replica
 	// obtains every batch it did not commit itself.
@@ -232,7 +232,7 @@ func New(cfg Config) (*Replica, error) {
 		mustRepropose: make(map[uint64]hashsig.Digest),
 		seen:          make(map[slotKey]*ledger.BatchHeader),
 		blamed:        make(map[slotKey]bool),
-		sigOK:         hashsig.NewVerifiedSet(maxSigCache),
+		sigOK:         hashsig.NewVerifiedSet[hashsig.Digest](maxSigCache),
 	}, nil
 }
 

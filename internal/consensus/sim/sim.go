@@ -27,11 +27,39 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 
 	"iaccf/internal/consensus"
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
 )
+
+// ParseSeeds reads a seed matrix in SIM_SEEDS syntax: comma-separated seeds
+// and inclusive ranges, as in "1,2,3", "1-100" or "5,30-40".
+func ParseSeeds(spec string) ([]int64, error) {
+	var seeds []int64
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if lo, hi, ok := strings.Cut(part, "-"); ok {
+			a, err1 := strconv.ParseInt(lo, 10, 64)
+			b, err2 := strconv.ParseInt(hi, 10, 64)
+			if err1 != nil || err2 != nil || b < a {
+				return nil, fmt.Errorf("sim: bad seed range %q", part)
+			}
+			for s := a; s <= b; s++ {
+				seeds = append(seeds, s)
+			}
+			continue
+		}
+		v, err := strconv.ParseInt(part, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("sim: bad seed %q", part)
+		}
+		seeds = append(seeds, v)
+	}
+	return seeds, nil
+}
 
 // Behaviour names a scripted fault for one replica.
 type Behaviour string

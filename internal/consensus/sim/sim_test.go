@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"testing"
 
 	"iaccf/internal/consensus"
@@ -21,25 +19,9 @@ func seedMatrix(t *testing.T) []int64 {
 	if spec == "" {
 		spec = "1-100"
 	}
-	var seeds []int64
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err1 := strconv.ParseInt(lo, 10, 64)
-			b, err2 := strconv.ParseInt(hi, 10, 64)
-			if err1 != nil || err2 != nil || b < a {
-				t.Fatalf("bad SIM_SEEDS range %q", part)
-			}
-			for s := a; s <= b; s++ {
-				seeds = append(seeds, s)
-			}
-			continue
-		}
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SIM_SEEDS entry %q", part)
-		}
-		seeds = append(seeds, v)
+	seeds, err := ParseSeeds(spec)
+	if err != nil {
+		t.Fatalf("SIM_SEEDS: %v", err)
 	}
 	if testing.Short() && len(seeds) > 10 {
 		seeds = seeds[:10]

@@ -30,17 +30,20 @@
 // # The verified set
 //
 // VerifiedSet is the one place the repo remembers a successful signature
-// check. A member is the digest of (signed digest, signature bytes, key
-// ID): binding all three is what makes a hit mean "this exact check
-// succeeded here before" — a digest alone would let one key's valid
-// signature vouch for other bytes or another key over the same message.
-// Only successes are members, residency is bounded (two generations, hits
-// promote), and eviction costs a re-check, never a verdict. Sets are
-// instances, not global state: ledger keeps one behind BatchHeader.Verify
-// for the clients and auditors of a process, each consensus replica keeps
-// its own, and PublicKey.Verify itself consults none — a memo on the key
-// would let in-process replicas that share key objects skip each other's
-// checks, a saving no real deployment has.
+// check. It is generic over its member type, and a member names all three
+// components of the check — key, signed statement, signature bytes: binding
+// all three is what makes a hit mean "this exact check succeeded here
+// before" — a digest alone would let one key's valid signature vouch for
+// other bytes or another key over the same message. Consensus replicas key
+// their sets by MemoKey, the digest of the three; the ledger keys headers by
+// the checked fields themselves, so a repeat check compares instead of
+// hashing. Only successes are members, residency is bounded (two
+// generations, hits promote), and eviction costs a re-check, never a
+// verdict. Sets are instances, not global state: ledger keeps one behind
+// BatchHeader.Verify for the clients and auditors of a process, each
+// consensus replica keeps its own, and PublicKey.Verify itself consults none
+// — a memo on the key would let in-process replicas that share key objects
+// skip each other's checks, a saving no real deployment has.
 package hashsig
 
 import (

@@ -162,7 +162,7 @@ func TestVerifyTotal(t *testing.T) {
 		if c.key.Verify(d, c.sig) {
 			t.Errorf("%s: verified", c.name)
 		}
-		if NewVerifiedSet(8).Verify(VerifyTask{Key: c.key, Digest: d, Sig: c.sig}) {
+		if memoVerify(NewVerifiedSet[Digest](8), VerifyTask{Key: c.key, Digest: d, Sig: c.sig}) {
 			t.Errorf("%s: verified through a VerifiedSet", c.name)
 		}
 	}
@@ -184,12 +184,12 @@ func TestSignDeterministic(t *testing.T) {
 	if other := GenerateKeyFromSeed("deterministic-2").MustSign(d); bytes.Equal(first, other) {
 		t.Fatal("a second key produced the same signature")
 	}
-	set := NewVerifiedSet(8)
-	if !set.Verify(VerifyTask{Key: key.Public(), Digest: d, Sig: first}) {
+	set := NewVerifiedSet[Digest](8)
+	if !memoVerify(set, VerifyTask{Key: key.Public(), Digest: d, Sig: first}) {
 		t.Fatal("valid signature rejected")
 	}
 	_, v0 := Counts()
-	if !set.Verify(VerifyTask{Key: key.Public(), Digest: d, Sig: key.MustSign(d)}) {
+	if !memoVerify(set, VerifyTask{Key: key.Public(), Digest: d, Sig: key.MustSign(d)}) {
 		t.Fatal("re-signed statement rejected")
 	}
 	if _, v1 := Counts(); v1 != v0 {
@@ -385,8 +385,8 @@ func TestCountsCountThePrimitive(t *testing.T) {
 	if s, v := delta(func() { pool.VerifyAll(tasks) }); s != 0 || v != 5 {
 		t.Fatalf("pooled VerifyAll of 5 counted %d signs, %d verifies", s, v)
 	}
-	set := NewVerifiedSet(8)
-	if s, v := delta(func() { set.Verify(tasks[0]); set.Verify(tasks[0]); set.Verify(tasks[0]) }); s != 0 || v != 1 {
+	set := NewVerifiedSet[Digest](8)
+	if s, v := delta(func() { memoVerify(set, tasks[0]); memoVerify(set, tasks[0]); memoVerify(set, tasks[0]) }); s != 0 || v != 1 {
 		t.Fatalf("one miss and two hits counted %d signs, %d verifies", s, v)
 	}
 }

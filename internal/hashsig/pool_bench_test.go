@@ -50,7 +50,8 @@ func BenchmarkSign(b *testing.B) {
 }
 
 // BenchmarkVerify is one Ed25519 check: what a VerifiedSet miss costs and a
-// hit saves (ledger's BenchmarkReceiptVerify/cold is this plus a path).
+// hit saves (ledger's BenchmarkReceiptVerify/cold is this, a statement
+// digest and a path).
 func BenchmarkVerify(b *testing.B) {
 	t := benchTasks(1)[0]
 	b.ReportAllocs()

@@ -6,12 +6,18 @@ import (
 	"testing"
 )
 
+// memoVerify is the consensus replicas' shape: a set keyed by MemoKey in
+// front of the primitive.
+func memoVerify(s *VerifiedSet[Digest], t VerifyTask) bool {
+	return s.Verify(t.MemoKey(), func() bool { return t.Key.Verify(t.Digest, t.Sig) })
+}
+
 // TestVerifiedSetBounded fills the set far past its budget and checks the
 // two-generation eviction keeps residency within max while the hottest
 // (recently re-hit) entries survive rotations.
 func TestVerifiedSetBounded(t *testing.T) {
 	const max = 1 << 10
-	s := NewVerifiedSet(max)
+	s := NewVerifiedSet[Digest](max)
 	hot := Sum([]byte("hot-entry"))
 	s.Add(hot)
 	for i := 0; i < 4*max; i++ {
@@ -41,7 +47,7 @@ func TestVerifiedSetBounded(t *testing.T) {
 // rotate cur into prev, then a hit must move the key back into cur so the
 // next rotation does not drop it.
 func TestVerifiedSetPrevHitPromotes(t *testing.T) {
-	s := NewVerifiedSet(8)
+	s := NewVerifiedSet[Digest](8)
 	k := Sum([]byte("promote-me"))
 	s.Add(k)
 	s.prev, s.cur = s.cur, make(map[Digest]struct{}) // force a rotation
@@ -66,9 +72,9 @@ func TestVerifiedSetBindsAllThree(t *testing.T) {
 	a, b := GenerateKeyFromSeed("set-a"), GenerateKeyFromSeed("set-b")
 	d := Sum([]byte("message"))
 	sig := a.MustSign(d)
-	s := NewVerifiedSet(8)
+	s := NewVerifiedSet[Digest](8)
 	good := VerifyTask{Key: a.Public(), Digest: d, Sig: sig}
-	if !s.Verify(good) || !s.Has(good.MemoKey()) || s.Len() != 1 {
+	if !memoVerify(s, good) || !s.Has(good.MemoKey()) || s.Len() != 1 {
 		t.Fatal("valid check not recorded")
 	}
 	// A second object for the same key is the same member.
@@ -84,7 +90,7 @@ func TestVerifiedSetBindsAllThree(t *testing.T) {
 		"nil key":      {Digest: d, Sig: sig},
 	} {
 		for round := 0; round < 2; round++ {
-			if s.Verify(bad) {
+			if memoVerify(s, bad) {
 				t.Fatalf("%s: accepted on round %d with the honest triple resident", name, round)
 			}
 			if s.Has(bad.MemoKey()) || s.Len() != 1 {
@@ -101,14 +107,14 @@ func TestVerifiedSetConcurrent(t *testing.T) {
 	pub := key.Public()
 	d := Sum([]byte("hot"))
 	hot := VerifyTask{Key: pub, Digest: d, Sig: key.MustSign(d)}
-	s := NewVerifiedSet(16)
+	s := NewVerifiedSet[Digest](16)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if !s.Verify(hot) {
+				if !memoVerify(s, hot) {
 					t.Error("hot triple rejected")
 					return
 				}

@@ -98,11 +98,13 @@ var coldSeq uint64 = 1
 // BenchmarkReceiptVerify is the client-side cost of checking one receipt,
 // on both sides of the verified-header set. warm is the shape a client
 // with many requests outstanding sees: the 64 receipts of one batch, whose
-// shared header was checked once before the timer — StatementDigest, the set
-// probe and the audit path, no signature check and no allocation. cold gives
-// every iteration a header this process has never seen — the same receipts
-// re-signed under another Seq before the timer starts, so the path is the
-// same length: one pub.Verify (hashsig's BenchmarkVerify) plus warm.
+// shared header was checked once before the timer — a set probe that
+// compares the header, then the audit path: no StatementDigest, no
+// signature check and no allocation (make bench-check caps it at 0
+// allocs/op). cold gives every iteration a header this process has never
+// seen — the same receipts re-signed under another Seq before the timer
+// starts, so the path is the same length: StatementDigest, one pub.Verify
+// (hashsig's BenchmarkVerify) and the new member's allocation, plus warm.
 func BenchmarkReceiptVerify(b *testing.B) {
 	l, err := New(Config{Key: testKey, App: KVApp{}})
 	if err != nil {

@@ -3,6 +3,7 @@ package ledger
 import (
 	"fmt"
 
+	"iaccf/internal/hashsig"
 	"iaccf/internal/wire"
 )
 
@@ -14,6 +15,16 @@ var ErrBadReceipt = fmt.Errorf("ledger: malformed receipt")
 // covers 2^128 leaves per side, far beyond any ledger this code can build,
 // while keeping a hostile frame from allocating unbounded digests.
 const maxReceiptPath = 256
+
+// MaxReceiptLen is the longest encoding EncodeReceipt gives a receipt
+// ExecuteBatch can cut: a transaction entry carrying a MaxRequestLen body,
+// under a maxReceiptPath-digest audit path. A reader of receipts (the
+// client RPC's response frame) caps at it without knowing the layout.
+const MaxReceiptLen = 4*8 + 2*4 + 4*hashsig.DigestSize + // header: signed fields
+	4 + hashsig.SignatureSize + // the signature, length-prefixed
+	4 + 1 + hashsig.DigestSize + 8 + 4 + MaxRequestLen + hashsig.DigestSize + // the entry, length-prefixed
+	4 + 8 + 8 + // shard, index, shard size
+	4 + maxReceiptPath*hashsig.DigestSize // the path, count-prefixed
 
 // EncodeReceipt appends the wire encoding of the receipt to dst: the
 // signed header (envelope, content, signature), the entry, the position

@@ -64,6 +64,24 @@ func TestReceiptCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMaxReceiptLen: the longest receipt — a MaxRequestLen transaction
+// body, a full signature, maxReceiptPath path digests — encodes to exactly
+// MaxReceiptLen bytes and decodes.
+func TestMaxReceiptLen(t *testing.T) {
+	rc := &Receipt{
+		Header: BatchHeader{Sig: make(hashsig.Signature, hashsig.SignatureSize)},
+		Entry:  Entry{Kind: KindTransaction, Payload: make([]byte, MaxRequestLen)},
+		Path:   make([]hashsig.Digest, maxReceiptPath),
+	}
+	enc := EncodeReceipt(nil, rc)
+	if len(enc) != MaxReceiptLen {
+		t.Fatalf("the longest receipt encodes to %d bytes, MaxReceiptLen is %d", len(enc), MaxReceiptLen)
+	}
+	if _, err := DecodeReceipt(enc); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReceiptCodecEnvelope: the receipt codec carries the statement's
 // envelope — a receipt cut under consensus proves view, primary and nonce
 // commitment — and altering any envelope field in a serialized receipt,

@@ -1,7 +1,9 @@
 package ledger
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -49,7 +51,8 @@ func warmBatch(t *testing.T, key *hashsig.PrivateKey, tag string, n int) []Recei
 }
 
 func headerResident(h *BatchHeader, pub *hashsig.PublicKey) bool {
-	return verifiedHeaders.Has(hashsig.VerifyTask{Key: pub, Digest: h.StatementDigest(), Sig: h.Sig}.MemoKey())
+	k, ok := h.checkOf(pub)
+	return ok && verifiedHeaders.Has(k)
 }
 
 // TestReceiptVerifyWarmSetFailsClosed: with the honest header's check
@@ -133,6 +136,88 @@ func TestReceiptVerifyWarmSetFailsClosed(t *testing.T) {
 	}
 }
 
+// TestReceiptVerifyWarmIsAComparison: with its header resident, checking a
+// receipt runs no Ed25519, and the header check allocates nothing — it is a
+// comparison, and only the audit path is hashed. (The path's pooled scratch
+// is why the allocation count is taken on the header: the race detector's
+// sync.Pool drops buffers at random. BenchmarkReceiptVerify/warm, gated at
+// 0 allocs/op, covers the whole receipt.)
+func TestReceiptVerifyWarmIsAComparison(t *testing.T) {
+	key := hashsig.GenerateKeyFromSeed("warm-set/comparison")
+	pub := key.Public()
+	receipts := warmBatch(t, key, "comparison", 16)
+	_, v0 := hashsig.Counts()
+	for i := range receipts {
+		if !receipts[i].Verify(pub) {
+			t.Fatalf("honest receipt %d rejected", i)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if !receipts[0].Header.Verify(pub) {
+			t.Fatal("honest header rejected")
+		}
+	})
+	if _, v1 := hashsig.Counts(); v1 != v0 {
+		t.Errorf("warm checks ran %d signature verifications, want 0", v1-v0)
+	}
+	if allocs != 0 {
+		t.Errorf("a warm header check allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestHeaderCheckBindsEverySignedField: every BatchHeader field but the
+// signature — the envelope's included, and any field added later — changes
+// the member a check adds, as do the key and each signature byte. A field
+// checkOf forgot would let a resident header vouch for a header that differs
+// in it.
+func TestHeaderCheckBindsEverySignedField(t *testing.T) {
+	key := hashsig.GenerateKeyFromSeed("warm-set/fields")
+	pub := key.Public()
+	h := execBatch(t, key, "fields", 2)[0].Header
+	base, ok := h.checkOf(pub)
+	if !ok {
+		t.Fatal("honest header has no member")
+	}
+	differs := func(what string, x *BatchHeader, p *hashsig.PublicKey) {
+		t.Helper()
+		if k, ok := x.checkOf(p); ok && k == base {
+			t.Errorf("%s: not bound by the member", what)
+		}
+	}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch {
+			case name == "Sig":
+			case f.Kind() == reflect.Struct:
+				walk(f, name+".")
+			case f.Kind() == reflect.Array:
+				f.Index(0).SetUint(f.Index(0).Uint() ^ 1)
+				differs(name, &h, pub)
+				f.Index(0).SetUint(f.Index(0).Uint() ^ 1)
+			case f.CanUint():
+				f.SetUint(f.Uint() ^ 1)
+				differs(name, &h, pub)
+				f.SetUint(f.Uint() ^ 1)
+			default:
+				t.Fatalf("field %s of kind %s: extend this test", name, f.Kind())
+			}
+		}
+	}
+	walk(reflect.ValueOf(&h).Elem(), "")
+	differs("another key", &h, hashsig.GenerateKeyFromSeed("warm-set/fields-other").Public())
+	for i := range h.Sig {
+		x := h
+		x.Sig = h.Sig.Clone()
+		x.Sig[i] ^= 1
+		differs(fmt.Sprintf("signature byte %d", i), &x, pub)
+	}
+	if k, _ := h.checkOf(pub); k != base {
+		t.Fatal("walk did not restore the header")
+	}
+}
+
 // TestVerifiedHeadersBounded pushes 4x the budget of distinct members
 // through the ledger's own instance: residency stays within the constant,
 // and an honest header evicted along the way is simply checked again —
@@ -142,7 +227,7 @@ func TestVerifiedHeadersBounded(t *testing.T) {
 	pub := key.Public()
 	r := warmBatch(t, key, "bounded", 4)[0]
 	for i := 0; i < 4*maxVerifiedHeaders; i++ {
-		verifiedHeaders.Add(hashsig.Sum([]byte(fmt.Sprintf("distinct-header-%d", i))))
+		verifiedHeaders.Add(headerCheck{seq: uint64(i), gRoot: hashsig.Sum([]byte("distinct-header"))})
 		if n := verifiedHeaders.Len(); n > maxVerifiedHeaders {
 			t.Fatalf("residency %d exceeds maxVerifiedHeaders %d", n, maxVerifiedHeaders)
 		}
@@ -188,8 +273,9 @@ func TestReplayBypassesVerifiedHeaders(t *testing.T) {
 	// under garbage signature bytes — and hand Replay that header: a policy
 	// that read the set would take its word.
 	forged := *stream[1]
-	forged.Header.Sig = []byte("garbage")
-	verifiedHeaders.Add(hashsig.VerifyTask{Key: pub, Digest: forged.Header.StatementDigest(), Sig: forged.Header.Sig}.MemoKey())
+	forged.Header.Sig = bytes.Repeat([]byte("garbage!"), hashsig.SignatureSize/8)
+	planted, _ := forged.Header.checkOf(pub)
+	verifiedHeaders.Add(planted)
 	if !forged.Header.Verify(pub) {
 		t.Fatal("setup: planted member not visible through the set")
 	}

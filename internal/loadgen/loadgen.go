@@ -7,6 +7,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -214,12 +215,15 @@ func (wk *worker) submit(rq *ledger.Request) (rpc.Status, error) {
 			return res.Status, nil
 		}
 	}
-	return 0, fmt.Errorf("loadgen: request %d/%d gave up: %v", rq.ReqNo, len(wk.cfg.Addrs), lastErr)
+	return 0, fmt.Errorf("loadgen: reqno %d gave up across %d nodes: %v", rq.ReqNo, len(wk.cfg.Addrs), lastErr)
 }
 
-// verify checks the receipt proves THIS request committed, under the key
-// of the primary its header names (which must lead the view it names) —
-// the client-side audit step the paper's receipts exist for.
+// verify checks the receipt proves THIS request committed — a transaction
+// entry with its author, reqno and body — under the key of the primary its
+// header names (which must lead the view it names): the client-side audit
+// step the paper's receipts exist for. While requests are unsigned, the body
+// is what stops a primary from receipting other words under the client's
+// ⟨author, reqno⟩.
 func (wk *worker) verify(rq *ledger.Request, rc *ledger.Receipt) error {
 	if len(wk.cfg.Pubs) == 0 {
 		return nil
@@ -227,9 +231,9 @@ func (wk *worker) verify(rq *ledger.Request, rc *ledger.Receipt) error {
 	if rc == nil {
 		return fmt.Errorf("loadgen: committed without receipt (reqno %d)", rq.ReqNo)
 	}
-	if rc.Entry.ReqNo != rq.ReqNo || rc.Entry.Author != rq.Author {
-		return fmt.Errorf("loadgen: receipt is for author %x reqno %d, want reqno %d",
-			rc.Entry.Author[:4], rc.Entry.ReqNo, rq.ReqNo)
+	if e := &rc.Entry; e.Kind != ledger.KindTransaction || e.ReqNo != rq.ReqNo || e.Author != rq.Author || !bytes.Equal(e.Payload, rq.Body) {
+		return fmt.Errorf("loadgen: receipt is for a %v entry by author %x reqno %d (%d-byte body), want reqno %d (%d bytes)",
+			e.Kind, e.Author[:4], e.ReqNo, len(e.Payload), rq.ReqNo, len(rq.Body))
 	}
 	if key := ledger.StatementKey(wk.cfg.Pubs)(&rc.Header); key == nil || !rc.Verify(key) {
 		return fmt.Errorf("loadgen: receipt for reqno %d does not verify under the key of view %d's primary %d",

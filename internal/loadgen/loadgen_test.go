@@ -181,6 +181,14 @@ func TestVerifyUnderTheNamedPrimary(t *testing.T) {
 			rc.Header.View = 5
 			return rq, rc
 		},
+		// An honest signature over an entry the client never sent: requests
+		// are unsigned, so only the body tells it from the client's own.
+		"for another body under the same author and reqno": func() (*ledger.Request, *ledger.Receipt) {
+			rq, rc := receiptFrom(1, 1, 1)
+			other := *rq
+			other.Body = ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("w")}})
+			return &other, rc
+		},
 	} {
 		if err := wk.verify(forge()); err == nil {
 			t.Fatalf("receipt %s accepted", what)

@@ -12,8 +12,10 @@
 //
 // A committed response's payload is the encoded receipt (or nothing), a
 // not-primary one's the leader's replica index (4, big-endian); every other
-// status carries nothing. Frames are capped just above ledger.MaxRequestLen,
-// so an oversized body is refused before it is read.
+// status carries nothing. Request frames are capped just above
+// ledger.MaxRequestLen, so an oversized body is refused before it is read;
+// response frames at a status byte plus ledger.MaxReceiptLen, since a
+// receipt carries its request's whole body.
 package rpc
 
 import (
@@ -36,9 +38,12 @@ const (
 	// Version is the only protocol version current clients and servers
 	// speak.
 	Version = 1
-	// maxFrame bounds frames in both directions: the request body cap plus
-	// the request envelope (flag, author, reqno, length prefixes).
-	maxFrame = ledger.MaxRequestLen + 128
+	// maxRequestFrame bounds request frames: the request body cap plus the
+	// request envelope (flag, author, reqno, length prefixes).
+	maxRequestFrame = ledger.MaxRequestLen + 128
+	// maxResponseFrame bounds response frames: the status byte and the
+	// longest receipt, which embeds a MaxRequestLen body.
+	maxResponseFrame = 1 + ledger.MaxReceiptLen
 )
 
 // Status is the submission verdict.
@@ -200,7 +205,7 @@ func (s *Server) serveConn(c net.Conn) {
 	var req, resp []byte
 	for {
 		var err error
-		req, err = wire.ReadFrame(br, req, maxFrame)
+		req, err = wire.ReadFrame(br, req, maxRequestFrame)
 		tooLarge := errors.Is(err, wire.ErrFrameTooLarge)
 		if err != nil && !tooLarge {
 			return
@@ -266,7 +271,7 @@ func (cl *Client) Submit(rq *ledger.Request, timeout time.Duration) (Result, err
 		return Result{}, err
 	}
 	var err error
-	if cl.buf, err = wire.ReadFrame(cl.br, cl.buf, maxFrame); err != nil {
+	if cl.buf, err = wire.ReadFrame(cl.br, cl.buf, maxResponseFrame); err != nil {
 		return Result{}, err
 	}
 	return decodeResult(cl.buf)

@@ -195,11 +195,51 @@ func TestServerRefusesOverCapBeforeReading(t *testing.T) {
 	var hello [12]byte
 	binary.BigEndian.PutUint32(hello[0:4], Magic)
 	binary.BigEndian.PutUint32(hello[4:8], Version)
-	binary.BigEndian.PutUint32(hello[8:12], maxFrame+1)
+	binary.BigEndian.PutUint32(hello[8:12], maxRequestFrame+1)
 	c.Write(hello[:])
 	got, err := io.ReadAll(c)
 	if err != nil || !bytes.Equal(got, frame([]byte{byte(StatusTooLarge)})) {
 		t.Fatalf("over-cap request answered %x, %v", got, err)
+	}
+}
+
+// TestLargestRequestRoundTrip: a request with a MaxRequestLen body — the
+// largest the server reads — commits, and the client reads back a receipt
+// that carries the whole body and verifies, although its response frame is
+// larger than any request frame.
+func TestLargestRequestRoundTrip(t *testing.T) {
+	key := hashsig.GenerateKeyFromSeed("rpc-largest")
+	led, err := ledger.New(ledger.Config{Key: key, App: ledger.KVApp{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(ln, func(rq ledger.Request) Result {
+		_, rcs, err := led.ExecuteBatch([]ledger.Request{rq})
+		if err != nil {
+			return Result{Status: StatusTooLarge}
+		}
+		return Result{Status: StatusCommitted, Receipt: &rcs[0]}
+	})
+	defer srv.Close()
+	cl, err := Dial(srv.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rq := &ledger.Request{Author: hashsig.Sum([]byte("rpc-largest/client")), ReqNo: 1, Body: bytes.Repeat([]byte{0xA5}, ledger.MaxRequestLen)}
+	res, err := cl.Submit(rq, time.Minute)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if res.Status != StatusCommitted || res.Receipt == nil {
+		t.Fatalf("answered %v, receipt %v", res.Status, res.Receipt != nil)
+	}
+	if !bytes.Equal(res.Receipt.Entry.Payload, rq.Body) || !res.Receipt.Verify(key.Public()) {
+		t.Fatal("the receipt does not prove the request")
 	}
 }
 
