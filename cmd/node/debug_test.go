@@ -67,7 +67,7 @@ func TestDebugEndpoints(t *testing.T) {
 	if st.TransportDropped != 7 || st.CommittedSeqs != 0 || st.Stats != (node.Stats{}) {
 		t.Fatalf("/status = %+v", st)
 	}
-	for _, field := range []string{`"stats":{`, `"SendErrors":0`, `"View":0`, `"Syncs":0`, `"Syncing":false`, `"verifies":`} {
+	for _, field := range []string{`"stats":{`, `"SendErrors":0`, `"View":0`, `"Syncs":0`, `"Syncing":false`, `"SyncRefused":{"State":0,"Batch":0}`, `"verifies":`} {
 		if !strings.Contains(string(body), field) {
 			t.Fatalf("/status lacks %s:\n%s", field, body)
 		}

@@ -276,10 +276,10 @@ func (r *Replica) DebugState() string {
 				in.stmt.View, seq, in.preparedCert, in.endorsers(), len(in.opens))
 		}
 	}
-	return fmt.Sprintf("replica %d: view %d committed %d window %d vc %v(target %d) floor %d obligations %d pending %d future %d sync %d(ahead %d) retained %d %s",
+	return fmt.Sprintf("replica %d: view %d committed %d window %d vc %v(target %d) floor %d obligations %d pending %d future %d sync %d(ahead %d) refused state %d batch %d retained %d %s",
 		r.cfg.ID, r.view, r.committed, r.window, r.inViewChange, r.vcTarget, r.proposeFloor,
 		len(r.mustRepropose), len(r.pendingRepropose), len(r.future), r.sync.phase, r.sync.ahead,
-		r.led.RetainedBatches(), win)
+		r.sync.refused.State, r.sync.refused.Batch, r.led.RetainedBatches(), win)
 }
 
 // sortedKeys returns m's keys in ascending order. Every place the replica

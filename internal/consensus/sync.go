@@ -138,6 +138,22 @@ type syncState struct {
 	banned map[ReplicaID]bool
 	// adopted counts completed transfers (verified and committed).
 	adopted int
+	// refused is the source side: chunk requests answered with nothing.
+	refused SyncRefusals
+}
+
+// SyncRefusals counts the chunk requests a replica, as a sync source, dropped
+// without an answer, by what it no longer held. Counts only, no clock: a
+// requester learns of a refusal only by timing out, so these say how often
+// that wait was spent on a chunk its source could not serve.
+type SyncRefusals struct {
+	// State counts state-chunk requests for a checkpoint other than the one
+	// the replica would offer now (CheckpointAt(committed)), or for a shard
+	// index that checkpoint does not have.
+	State uint64
+	// Batch counts batch-chunk requests for a batch above the replica's
+	// committed watermark or no longer retained.
+	Batch uint64
 }
 
 // missing counts chunks not yet received and verified.
@@ -409,7 +425,7 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 // A batch chunk is any retained committed batch; a state chunk must be of
 // the checkpoint this replica would announce now. Requests for what this
 // replica no longer holds (pruned past, or rolled back) are silently
-// ignored; the requester's timeout re-discovers.
+// ignored, and counted (SyncRefusals); the requester's timeout re-discovers.
 func (r *Replica) handleSyncChunkRequest(m *SyncChunkRequest, out *[]Outbound) error {
 	if m.Source != r.cfg.ID || int(m.Replica) >= r.n || m.Replica == r.cfg.ID {
 		return nil
@@ -419,6 +435,7 @@ func (r *Replica) handleSyncChunkRequest(m *SyncChunkRequest, out *[]Outbound) e
 	case SyncChunkState:
 		ck := r.led.CheckpointAt(r.committed)
 		if ck == nil || ck.Seq != m.CkptSeq || m.Index >= uint64(len(ck.ShardDigests)) {
+			r.sync.refused.State++
 			return nil
 		}
 		var buf bytes.Buffer
@@ -428,11 +445,12 @@ func (r *Replica) handleSyncChunkRequest(m *SyncChunkRequest, out *[]Outbound) e
 		data = buf.Bytes()
 	case SyncChunkBatch:
 		seq := m.CkptSeq + 1 + m.Index
-		if seq <= m.CkptSeq || seq > r.committed {
-			return nil
+		if seq <= m.CkptSeq {
+			return nil // the index wrapped: malformed, not a refusal
 		}
 		b := r.led.BatchAt(seq)
-		if b == nil {
+		if seq > r.committed || b == nil {
+			r.sync.refused.Batch++
 			return nil
 		}
 		data = encodeBatchChunk(b)
@@ -644,6 +662,10 @@ func (r *Replica) adoptSync(out *[]Outbound) error {
 // Syncs returns how many transfers, of either shape, this replica has
 // adopted.
 func (r *Replica) Syncs() int { return r.sync.adopted }
+
+// SyncRefusals returns the chunk requests this replica has dropped as a sync
+// source, by reason.
+func (r *Replica) SyncRefusals() SyncRefusals { return r.sync.refused }
 
 // messageSeq extracts the batch sequence number a message is about, for
 // staleness decisions. View-change traffic is view-keyed, not seq-keyed.

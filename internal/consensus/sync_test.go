@@ -75,6 +75,62 @@ func TestSyncChunkVerifiedAgainstCertifiedVector(t *testing.T) {
 	}
 }
 
+// TestSyncChunkRefusalsAreCounted: a source asked for a chunk it no longer
+// holds emits nothing and counts the refusal by kind — the state chunk of a
+// checkpoint it has moved past or of a shard that checkpoint lacks, a batch
+// it has pruned or has not committed — while a chunk it holds is served and
+// counts nothing.
+func TestSyncChunkRefusalsAreCounted(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	author := hashsig.Sum([]byte("client"))
+	source := c.replicas[1]
+	commitThrough := func(last uint64) {
+		for seq := source.Committed() + 1; seq <= last; seq++ {
+			c.propose(0, reqs(author, 10*seq, 2))
+			c.flood()
+		}
+		c.assertAgreement(last, 0, 1, 2, 3)
+	}
+	ask := func(ckptSeq uint64, kind uint32, index uint64) int {
+		t.Helper()
+		out, err := source.Handle(&SyncChunkRequest{Replica: 3, Source: source.ID(), CkptSeq: ckptSeq, Kind: kind, Index: index})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(out)
+	}
+
+	commitThrough(2)
+	if sent := ask(2, SyncChunkState, 0); sent != 1 || source.SyncRefusals() != (SyncRefusals{}) {
+		t.Fatalf("state chunk of the current checkpoint: %d chunks sent, refusals %+v", sent, source.SyncRefusals())
+	}
+	// CheckpointEvery 2, window 4: at 8 the checkpoint is 8 and batches
+	// below 5 are pruned.
+	commitThrough(8)
+	if first := source.Ledger().FirstRetainedSeq(); first != 5 {
+		t.Fatalf("first retained batch %d, want 5", first)
+	}
+	for _, tc := range []struct {
+		what    string
+		ckptSeq uint64
+		kind    uint32
+		index   uint64
+		sent    int
+		want    SyncRefusals // counted so far
+	}{
+		{"the state chunk of checkpoint 2, moved past", 2, SyncChunkState, 0, 0, SyncRefusals{State: 1}},
+		{"the state chunk of checkpoint 8", 8, SyncChunkState, 0, 1, SyncRefusals{State: 1}},
+		{"a shard checkpoint 8 does not have", 8, SyncChunkState, 1, 0, SyncRefusals{State: 2}},
+		{"pruned batch 1", 0, SyncChunkBatch, 0, 0, SyncRefusals{State: 2, Batch: 1}},
+		{"retained batch 5", 4, SyncChunkBatch, 0, 1, SyncRefusals{State: 2, Batch: 1}},
+		{"batch 9, above the watermark", 8, SyncChunkBatch, 0, 0, SyncRefusals{State: 2, Batch: 2}},
+	} {
+		if sent := ask(tc.ckptSeq, tc.kind, tc.index); sent != tc.sent || source.SyncRefusals() != tc.want {
+			t.Fatalf("%s: %d chunks sent, refusals %+v, want %d and %+v", tc.what, sent, source.SyncRefusals(), tc.sent, tc.want)
+		}
+	}
+}
+
 // laggingCluster commits batches seqs 1..committed on replicas 0-2 while
 // replica 3 hears nothing, and returns the cluster with replica 3 asking.
 func laggingCluster(t *testing.T, committed uint64) (*cluster, *Replica) {

@@ -80,8 +80,9 @@ func benchShardedStore(n, shards int) *ShardedStore {
 //     `make bench-check` has watched since BENCH_pr7.json (then: re-hash
 //     every key of the ≤ 6 touched shards);
 //   - incremental/shards=1/n=…: 256 writes per checkpoint into one shard —
-//     four 64-entry batches under cmd/node's defaults, the shape the
-//     repository benchmark runs.
+//     four 64-entry batches at cmd/node's checkpoint interval. The
+//     repository benchmark's saturated batches carry ≈ 116 entries, so its
+//     checkpoints see about twice as many writes.
 func BenchmarkCheckpointDigest(b *testing.B) {
 	const shards = 64
 	run := func(b *testing.B, s *ShardedStore, n, writes int) {

@@ -19,16 +19,24 @@
 // a batch iff nothing is in flight or a full BatchMax is pooled. That is
 // Nagle's rule on the proposal window. An idle pipeline proposes a lone
 // request in the turn that pooled it; a busy one lets requests gather
-// until an instance commits (the frame turn that lands the commit cuts
-// whatever gathered) or a full batch exists; a saturated one always has
-// full batches and keeps the window full.
+// until the window drains or a full batch exists; a saturated one always
+// has full batches and keeps the window full.
 //
-// Proposing greedily — whenever the window has room and the pool is
-// non-empty — was measured and rejected: a batch costs about 2.3 ms of CPU
-// across four replicas however few entries it carries, so at 3000 req/s on
-// two cores greedy proposing cut 5.9-entry batches, saturated the box and
-// raised open-loop p50 from 7.0 ms (tick-cut batches) to 11.5 ms, where
-// this rule cut 7.8-entry batches and lowered it to 4.9 ms.
+// Batching pays because a batch costs the cluster the same bill however few
+// entries it carries: 4 Ed25519 signs and 12 verifies for four replicas
+// (TestSignaturesPerBatch) and ≈ 26 frames. In-process on two cores that
+// is ≈ 0.9 ms per entry in one-entry batches against ≈ 34 µs in 64-entry
+// ones. Proposing greedily — whenever the window has room and the pool is
+// non-empty — pays the bill per request and was measured and rejected.
+// BatchMax defaults to 128: against 64, a saturated four-replica cluster
+// on two cores cut ≈ 116-entry batches and committed more per second,
+// while the lightly loaded workloads, whose window drains long before 64
+// requests pool, cut the batches they cut before. The price is at loads in
+// between: a primary owing more than one batch but fewer than W full ones
+// keeps fewer instances in flight than it did at 64; no benchmark workload
+// runs at that load. A rule that grew the batch with the requests the primary
+// owes was measured against the fixed 128 and lost on the saturated
+// workloads.
 //
 // Ticks drive timers only: sync, retransmission, the stall timer and
 // submission patience. The tick interval is their granularity and is not
@@ -60,7 +68,9 @@ type Config struct {
 	Clock Clock
 	// Pool is the transaction pool. Nil means a default-capacity pool.
 	Pool *txpool.Pool
-	// BatchMax bounds requests per proposed batch. 0 means 64.
+	// BatchMax bounds requests per proposed batch; with an instance in
+	// flight the primary waits for that many pooled. The pool may end a
+	// batch sooner when its bodies are large. 0 means 128.
 	BatchMax int
 	// RetransmitEvery is the tick cadence of Retransmit. 0 means 8.
 	RetransmitEvery int
@@ -105,6 +115,9 @@ type Stats struct {
 	Syncs uint64
 	// Syncing reports a state transfer in progress.
 	Syncing bool
+	// SyncRefused counts the chunk requests the replica, as a sync source,
+	// dropped because it no longer held what was asked for, by kind.
+	SyncRefused consensus.SyncRefusals
 }
 
 // Batches is the number of batches proposed, over all turn kinds.
@@ -183,6 +196,8 @@ type Node struct {
 	view             atomic.Uint64
 	syncs            atomic.Uint64
 	syncing          atomic.Bool
+	refusedState     atomic.Uint64
+	refusedBatch     atomic.Uint64
 
 	// Stats counters: written by the run loop (framesDropped by transport
 	// goroutines), read by anyone.
@@ -204,7 +219,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: nil clock")
 	}
 	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
+		cfg.BatchMax = 128
 	}
 	if cfg.RetransmitEvery <= 0 {
 		cfg.RetransmitEvery = 8
@@ -288,6 +303,10 @@ func (n *Node) Stats() Stats {
 		View:             n.view.Load(),
 		Syncs:            n.syncs.Load(),
 		Syncing:          n.syncing.Load(),
+		SyncRefused: consensus.SyncRefusals{
+			State: n.refusedState.Load(),
+			Batch: n.refusedBatch.Load(),
+		},
 	}
 }
 
@@ -345,6 +364,9 @@ func (n *Node) publish() {
 	n.view.Store(n.rep.View())
 	n.syncs.Store(uint64(n.rep.Syncs()))
 	n.syncing.Store(n.rep.Syncing())
+	refused := n.rep.SyncRefusals()
+	n.refusedState.Store(refused.State)
+	n.refusedBatch.Store(refused.Batch)
 }
 
 // route encodes and ships consensus envelopes: broadcast sentinel to all
@@ -583,13 +605,14 @@ func (n *Node) onSubmit(s submission) {
 		s.resp <- rpc.Result{Status: rpc.StatusBusy}
 		return
 	case err == txpool.ErrDuplicate:
-		if len(n.waiters[h]) == 0 {
-			// Already drained with no one waiting: the commit (if any)
-			// has passed; tell the client it is a duplicate.
+		if len(n.waiters[h]) == 0 && !n.undecided(h) {
+			// Committed, or drained by a proposal that is gone: the commit
+			// (if any) has passed; tell the client it is a duplicate.
 			s.resp <- rpc.Result{Status: rpc.StatusDuplicate}
 			return
 		}
-		// In flight: join the existing waiters.
+		// Pooled or proposed and not yet committed — a retry after its
+		// waiter timed out included: join (or rejoin) the waiters.
 	default:
 		s.resp <- rpc.Result{Status: rpc.StatusBusy}
 		return
@@ -598,6 +621,22 @@ func (n *Node) onSubmit(s submission) {
 		resp:     s.resp,
 		deadline: n.ticks + uint64(n.cfg.SubmitPatienceTicks),
 	})
+}
+
+// undecided reports whether request h is still on its way to a commit at
+// this primary: pooled, or in a batch it proposed that has not committed.
+func (n *Node) undecided(h hashsig.Digest) bool {
+	if n.pool.Pooled(h) {
+		return true
+	}
+	for _, pb := range n.pending {
+		for _, sub := range pb.subs {
+			if sub.hash == h {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // bench/ names these; item 8 deletes them.

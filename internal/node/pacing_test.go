@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"iaccf/internal/rpc"
 	"iaccf/internal/transport"
 	"iaccf/internal/txpool"
+	"iaccf/internal/wire"
 )
 
 // directNet is an in-memory transport for hand-clocked clusters: a frame
@@ -199,6 +201,16 @@ func submitAsync(nd *Node, rq ledger.Request) <-chan rpc.Result {
 	return done
 }
 
+// submitQueued queues rq on nd's run loop from the test goroutine and
+// returns the channel its verdict will arrive on. The request is queued
+// ahead of anything submitted after the call, so a barrier Submit that
+// follows returns only after rq's turn has run.
+func submitQueued(nd *Node, rq ledger.Request) <-chan rpc.Result {
+	resp := make(chan rpc.Result, 1)
+	nd.submits <- submission{rq: rq, resp: resp}
+	return resp
+}
+
 func wantCommitted(t *testing.T, what string, done <-chan rpc.Result) *ledger.Receipt {
 	t.Helper()
 	select {
@@ -350,6 +362,39 @@ func TestPacing(t *testing.T) {
 		wantProposals(t, primary, uint64(window), 2, 0, inWindow+waiting)
 	})
 
+	t.Run("large bodies end a batch before BatchMax does", func(t *testing.T) {
+		const batchMax = 4
+		c := startManualCluster(t, "pace-large", func(cfg *Config) { cfg.BatchMax = batchMax })
+		primary := c.nodes[0]
+		c.net.setHold(holdAll)
+		submitQueued(primary, kvRequest("opener", 1)) // opens the window
+		// A full batch by count of maximal bodies would not fit one sync
+		// chunk: the cut the last of them triggers takes what fits, one, and
+		// the rest wait for BatchMax pooled again or for a commit.
+		body := make([]byte, ledger.MaxRequestLen)
+		for i := 1; i <= batchMax; i++ {
+			submitQueued(primary, ledger.Request{Author: hashsig.Sum([]byte("large")), ReqNo: uint64(i), Body: body})
+		}
+		primary.Submit(barrierRq)
+		wantProposals(t, primary, 2, 0, 0, 2)
+		if l := c.pools[0].Len(); l != batchMax-1 {
+			t.Fatalf("%d large requests pooled after the cut, want %d", l, batchMax-1)
+		}
+		c.net.mu.Lock()
+		defer c.net.mu.Unlock()
+		for _, p := range c.net.parked {
+			if len(p.frame) > wire.MaxChunkLen {
+				t.Fatalf("a %d-byte frame: a batch must fit one %d-byte sync chunk", len(p.frame), wire.MaxChunkLen)
+			}
+		}
+	})
+
+	t.Run("the zero Config cuts batches of 128", func(t *testing.T) {
+		if got := unstartedNode(t, "pace-zero").cfg.BatchMax; got != 128 {
+			t.Fatalf("the zero Config's BatchMax is %d, want 128", got)
+		}
+	})
+
 	t.Run("a request pooled under an obligation goes when a frame clears it", func(t *testing.T) {
 		const stallTicks = 4 // < RetransmitEvery: the stall ticks below retransmit nothing
 		c := startManualCluster(t, "pace-floor", func(cfg *Config) { cfg.StallTicks = stallTicks })
@@ -418,11 +463,12 @@ func TestPacing(t *testing.T) {
 	})
 }
 
-// TestFailBatchAnswersWaiters covers the branch nothing public reaches: a
-// drained batch the replica refuses is counted and its submitters are told
-// at once, including several parked on one request.
-func TestFailBatchAnswersWaiters(t *testing.T) {
-	keys, pubs := clusterKeys("fail-batch", manualClusterSize)
+// unstartedNode builds node 0 of a four-replica cluster from a Config that
+// sets only what New requires, and never starts it: the test owns its
+// run-loop state.
+func unstartedNode(t *testing.T, seed string) *Node {
+	t.Helper()
+	keys, pubs := clusterKeys(seed, manualClusterSize)
 	net := &directNet{handlers: make([]transport.Handler, manualClusterSize)}
 	nd, err := New(Config{
 		Consensus: consensus.Config{Key: keys[0], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4, Shards: 1},
@@ -432,6 +478,14 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return nd
+}
+
+// TestFailBatchAnswersWaiters covers the branch nothing public reaches: a
+// drained batch the replica refuses is counted and its submitters are told
+// at once, including several parked on one request.
+func TestFailBatchAnswersWaiters(t *testing.T) {
+	nd := unstartedNode(t, "fail-batch")
 	batch := []ledger.Request{kvRequest("x", 1), kvRequest("y", 1)}
 	bystander := kvRequest("z", 1)
 	resps := make(chan rpc.Result, 3)
@@ -502,6 +556,48 @@ func TestStatsReportLaggardSync(t *testing.T) {
 	for i, nd := range c.nodes[:laggard] {
 		if s := nd.Stats(); s.Syncs != 0 || s.Syncing {
 			t.Fatalf("node %d synced without lagging: %+v", i, s)
+		}
+	}
+}
+
+// TestRetryAfterTimeoutGetsItsReceipt: a submission that runs out of
+// patience leaves its request where it is — proposed and not yet committed,
+// or pooled behind that proposal — so the client's retry must wait for the
+// commit and get the receipt, not be told the request is a duplicate.
+func TestRetryAfterTimeoutGetsItsReceipt(t *testing.T) {
+	// Below StallTicks, RetransmitEvery and consensus' sync patience: the
+	// ticks here expire submissions and do nothing else.
+	const patience = 4
+	c := startManualCluster(t, "retry-timeout", func(cfg *Config) { cfg.SubmitPatienceTicks = patience })
+	primary := c.nodes[0]
+	proposed, pooled := kvRequest("retry", 1), kvRequest("retry", 2)
+	c.net.setHold(holdAll)
+	first := submitQueued(primary, proposed)
+	second := submitQueued(primary, pooled)
+	primary.Submit(barrierRq)
+	wantProposals(t, primary, 1, 0, 0, 1)
+	if l := c.pools[0].Len(); l != 1 {
+		t.Fatalf("%d requests pooled behind the proposal, want 1", l)
+	}
+
+	c.clocks[0].Advance(patience)
+	for what, done := range map[string]<-chan rpc.Result{"proposed": first, "pooled": second} {
+		select {
+		case res := <-done:
+			if res.Status != rpc.StatusTimeout {
+				t.Fatalf("%s request answered %v after its patience, want timeout", what, res.Status)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s request not answered after its patience", what)
+		}
+	}
+	retries := []<-chan rpc.Result{submitQueued(primary, proposed), submitQueued(primary, pooled)}
+	primary.Submit(barrierRq)
+	c.net.release()
+	for i, rq := range []ledger.Request{proposed, pooled} {
+		rc := wantCommitted(t, fmt.Sprintf("retry %d", i), retries[i])
+		if e := rc.Entry; e.Author != rq.Author || e.ReqNo != rq.ReqNo || !bytes.Equal(e.Payload, rq.Body) {
+			t.Fatalf("retry %d got a receipt for another request", i)
 		}
 	}
 }

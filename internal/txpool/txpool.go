@@ -19,6 +19,7 @@ import (
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
+	"iaccf/internal/wire"
 )
 
 var (
@@ -38,7 +39,8 @@ type Config struct {
 }
 
 // DefaultCapacity bounds the pool when the caller does not say otherwise:
-// a few proposal windows' worth of full batches.
+// eight proposal windows of full batches at a node's defaults (a window of
+// 4 instances of 128 requests).
 const DefaultCapacity = 4096
 
 // seenBudget bounds the two-generation drained-request memo. Eviction only
@@ -93,6 +95,14 @@ func (p *Pool) Len() int {
 	return p.n
 }
 
+// Pooled reports whether the request with hash h is pooled: added and not
+// yet drained by NextBatch.
+func (p *Pool) Pooled(h hashsig.Digest) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pooled[h]
+}
+
 // Add pools a request. It rejects oversized bodies (ErrTooLarge), exact
 // duplicates of pooled or recently drained requests (ErrDuplicate), and
 // everything when at capacity (ErrFull). The request is copied shallowly;
@@ -128,10 +138,22 @@ func (p *Pool) Add(rq ledger.Request) error {
 	return nil
 }
 
+// maxBatchBytes bounds one NextBatch by size, charging each request its body
+// plus entryOverhead for the entry fields and length prefixes the ledger
+// wraps around it. Half of wire.MaxChunkLen: the batch's encoding, which a
+// pre-prepare frame and a sync batch chunk both carry whole, stays within the
+// caps their readers apply however many requests the batch holds.
+const (
+	maxBatchBytes = wire.MaxChunkLen / 2
+	entryOverhead = 256
+)
+
 // NextBatch drains up to max requests for proposal, round-robin across
-// senders, each sender's requests in ReqNo order. Drained requests move to
-// the seen memo so a client retry of an in-flight request is suppressed.
-// Returns nil when the pool is empty.
+// senders, each sender's requests in ReqNo order, and stops before the
+// batch's bodies pass maxBatchBytes (the first request always goes: Add caps
+// a body well below it). Drained requests move to the seen memo so a client
+// retry of an in-flight request is suppressed. Returns nil when the pool is
+// empty.
 func (p *Pool) NextBatch(max int) []ledger.Request {
 	if max <= 0 {
 		return nil
@@ -142,6 +164,7 @@ func (p *Pool) NextBatch(max int) []ledger.Request {
 		return nil
 	}
 	var out []ledger.Request
+	size := 0
 	for len(out) < max && p.n > 0 {
 		if p.next >= len(p.order) {
 			p.next = 0
@@ -154,6 +177,10 @@ func (p *Pool) NextBatch(max int) []ledger.Request {
 			continue
 		}
 		rq := s.reqs[0]
+		size += len(rq.Body) + entryOverhead
+		if len(out) > 0 && size > maxBatchBytes {
+			break
+		}
 		s.reqs = s.reqs[1:]
 		h := Hash(&rq)
 		delete(p.pooled, h)

@@ -62,7 +62,7 @@ func TestRoundRobinFairness(t *testing.T) {
 
 // TestDedupAndSeenMemo: a pooled duplicate and a retry of a drained
 // request are both rejected; Observe suppresses externally committed
-// hashes too.
+// hashes too. Pooled tells the first apart from the other two.
 func TestDedupAndSeenMemo(t *testing.T) {
 	p := New(Config{})
 	a := hashsig.Sum([]byte("a"))
@@ -70,17 +70,17 @@ func TestDedupAndSeenMemo(t *testing.T) {
 	if err := p.Add(r1); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(r1); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("pooled duplicate: %v", err)
+	if err := p.Add(r1); !errors.Is(err, ErrDuplicate) || !p.Pooled(Hash(&r1)) {
+		t.Fatalf("pooled duplicate: %v, pooled %v", err, p.Pooled(Hash(&r1)))
 	}
 	p.NextBatch(1)
-	if err := p.Add(r1); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("retry of drained request: %v", err)
+	if err := p.Add(r1); !errors.Is(err, ErrDuplicate) || p.Pooled(Hash(&r1)) {
+		t.Fatalf("retry of drained request: %v, pooled %v", err, p.Pooled(Hash(&r1)))
 	}
 	r2 := req(a, 2)
 	p.Observe(Hash(&r2))
-	if err := p.Add(r2); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("retry of observed request: %v", err)
+	if err := p.Add(r2); !errors.Is(err, ErrDuplicate) || p.Pooled(Hash(&r2)) {
+		t.Fatalf("retry of observed request: %v, pooled %v", err, p.Pooled(Hash(&r2)))
 	}
 	// A genuinely new request is still accepted.
 	if err := p.Add(req(a, 3)); err != nil {
@@ -119,6 +119,50 @@ func TestTooLarge(t *testing.T) {
 	big := ledger.Request{Author: a, ReqNo: 1, Body: make([]byte, ledger.MaxRequestLen+1)}
 	if err := p.Add(big); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized body: %v", err)
+	}
+}
+
+// TestNextBatchStopsAtByteBudget: large bodies end a batch before its count
+// does, without skipping past the request that would overflow it; small
+// bodies never hit the budget.
+func TestNextBatchStopsAtByteBudget(t *testing.T) {
+	p := New(Config{})
+	a, b := hashsig.Sum([]byte("a")), hashsig.Sum([]byte("b"))
+	body := make([]byte, ledger.MaxRequestLen) // shared: the pool keeps bodies by reference
+	for n := uint64(1); n <= 3; n++ {
+		if err := p.Add(ledger.Request{Author: a, ReqNo: n, Body: body}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := uint64(1); n <= 2; n++ {
+		if err := p.Add(req(b, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Round robin takes a large and a small request; the next large one
+	// would pass the budget, so it opens the following batch.
+	for i, want := range [][]hashsig.Digest{{a, b}, {a, b}, {a}} {
+		got := p.NextBatch(10)
+		size := 0
+		for _, rq := range got {
+			size += len(rq.Body) + entryOverhead
+		}
+		if len(got) != len(want) || size > maxBatchBytes {
+			t.Fatalf("batch %d: %d requests, %d bytes charged; want %d within %d", i, len(got), size, len(want), maxBatchBytes)
+		}
+		for j, rq := range got {
+			if rq.Author != want[j] {
+				t.Fatalf("batch %d position %d from the wrong sender", i, j)
+			}
+		}
+	}
+	for n := uint64(3); n < 100; n++ {
+		if err := p.Add(req(b, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.NextBatch(64); len(got) != 64 {
+		t.Fatalf("small bodies: drained %d, want 64", len(got))
 	}
 }
 
