@@ -10,9 +10,8 @@ import (
 )
 
 // status is what /status reports: the node's run-loop counters and its
-// view and sync state (Stats, the chunk requests it refused as a sync source
-// included), its commit watermark, the frames its transport dropped and the
-// process's signature bill.
+// view and sync state (Stats), its commit watermark, the frames its
+// transport dropped and the process's signature bill.
 type status struct {
 	CommittedSeqs    uint64     `json:"committed_seqs"`
 	CommittedEntries uint64     `json:"committed_entries"`

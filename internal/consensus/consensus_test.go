@@ -415,8 +415,8 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		Nonce:     hashsig.NonceFromSeed("n"),
 	})
 	msgs = append(msgs, outMsgs(c.replicas[2].OnTimeout())...)
-	// A suffix-only offer: no shard digests, no frontier.
-	msgs = append(msgs, &SyncAvail{Replica: 1, Requester: 3, CkptSeq: 5, Cert: &ledger.CommitCert{Header: pp.Header}})
+	// A chunk of a suffix-only offer: no shard digests, no frontier.
+	msgs = append(msgs, &SyncChunk{Replica: 1, Requester: 3, CkptSeq: 5, Cert: &ledger.CommitCert{Header: pp.Header}, Kind: SyncChunkBatch, Data: []byte("batch")})
 	for i, m := range msgs {
 		enc := EncodeMessage(m)
 		dec, err := DecodeMessage(enc)

@@ -40,9 +40,14 @@ func messageCorpus() [][]byte {
 	vc.Sig = key.MustSign(vc.SigningDigest())
 	nv := &NewView{View: 2, Replica: 2, VCs: []ViewChange{*vc}}
 	nv.Sig = key.MustSign(nv.SigningDigest())
+	ask := &SyncRequest{Replica: 3, HaveSeq: 1}
+	chunk := &SyncChunk{
+		Replica: 1, Requester: 3, CkptSeq: 0, Cert: vc.CommitProof,
+		Kind: SyncChunkBatch, Index: 0, Data: encodeBatchChunk(batch),
+	}
 
 	var out [][]byte
-	for _, m := range []Message{pp, prep, cm, vc, nv} {
+	for _, m := range []Message{pp, prep, cm, vc, nv, ask, chunk} {
 		frame := EncodeMessage(m)
 		out = append(out, frame)
 		out = append(out, frame[:len(frame)/2])
@@ -50,7 +55,11 @@ func messageCorpus() [][]byte {
 		mutated[4] ^= 0xff
 		out = append(out, mutated)
 	}
+	// Then the empty frame, tag 0, a truncated chunk, and the retired tags 7
+	// and 8 over a chunk's body.
 	out = append(out, nil, []byte{0, 0, 0, 0}, []byte{0, 0, 0, 9, 1, 2, 3})
+	body := EncodeMessage(chunk)[4:]
+	out = append(out, append([]byte{0, 0, 0, 7}, body...), append([]byte{0, 0, 0, 8}, body...))
 	return out
 }
 
@@ -79,12 +88,19 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 // TestMessageCorpusDecodes pins the corpus expectations explicitly: intact
-// frames decode, truncations error, and nothing panics.
+// frames decode, truncations and retired tags error, and nothing panics.
 func TestMessageCorpusDecodes(t *testing.T) {
 	corpus := messageCorpus()
+	const types = 7 // one intact frame and two mutants of each, first
 	for i, frame := range corpus {
 		m, err := DecodeMessage(frame)
-		if i%3 == 0 && i < 15 { // the intact frames
+		if i >= len(corpus)-2 { // the retired tags
+			if err == nil {
+				t.Fatalf("frame %d: retired tag %d decoded", i, frame[3])
+			}
+			continue
+		}
+		if i%3 == 0 && i < 3*types { // the intact frames
 			if err != nil {
 				t.Fatalf("frame %d: valid message rejected: %v", i, err)
 			}
@@ -108,7 +124,7 @@ func TestFuzzCorpusCoversAllTypes(t *testing.T) {
 			seen[m.Type()] = true
 		}
 	}
-	for _, want := range []MsgType{MsgPrePrepare, MsgPrepare, MsgCommit, MsgViewChange, MsgNewView} {
+	for _, want := range []MsgType{MsgPrePrepare, MsgPrepare, MsgCommit, MsgViewChange, MsgNewView, MsgSyncRequest, MsgSyncChunk} {
 		if !seen[want] {
 			t.Fatalf("corpus has no valid frame of type %d", want)
 		}

@@ -16,12 +16,15 @@ import (
 // goldenFrames holds one recorded frame of every message type, written
 // before the commit certificate, the signed prepare and the blame evidence
 // moved from this package into ledger. Do not regenerate it from the
-// current code: the point is that the move did not change a byte.
+// current code: the point is that the move did not change a byte. The one
+// exception was made on purpose: the SyncChunk frame was re-recorded when
+// chunks began to carry their offer, and the frames of the retired offer
+// and chunk request (tags 7 and 8) were deleted.
 const goldenFrames = "testdata/golden_frames.txt"
 
 // goldenMessages builds the recorded messages from fixed seeds: one of every
 // type, the view-change carrying a commit proof and a prepared claim, the
-// sync offer carrying a certificate.
+// sync chunk carrying its offer's certificate.
 func goldenMessages(t *testing.T) []Message {
 	t.Helper()
 	key := hashsig.GenerateKeyFromSeed("golden-frames")
@@ -61,14 +64,13 @@ func goldenMessages(t *testing.T) []Message {
 		vc,
 		nv,
 		&SyncRequest{Replica: 3, HaveSeq: 4},
-		&SyncAvail{
+		&SyncChunk{
 			Replica: 1, Requester: 3, CkptSeq: 1,
 			ShardDigests: []hashsig.Digest{led.StateDigest()},
 			Frontier:     []byte("frontier"),
 			Cert:         cert,
+			Kind:         SyncChunkState, Index: 0, Data: []byte("chunk"),
 		},
-		&SyncChunkRequest{Replica: 3, Source: 1, CkptSeq: 1, Kind: SyncChunkBatch, Index: 0},
-		&SyncChunk{Replica: 1, Requester: 3, CkptSeq: 1, Kind: SyncChunkState, Index: 0, Data: []byte("chunk")},
 	}
 }
 
@@ -114,34 +116,53 @@ func TestGoldenFrames(t *testing.T) {
 	}
 }
 
-// TestGoldenFramesMalformedCert: a sync offer whose certificate is cut
-// short or announces more prepares or openings than the decoder accepts is
-// ErrBadMessage, wherever the certificate decoder lives.
+// TestGoldenFramesMalformedCert: a sync chunk whose offer's certificate is
+// cut short or announces more prepares or openings than the decoder accepts
+// is ErrBadMessage, wherever the certificate decoder lives.
 func TestGoldenFramesMalformedCert(t *testing.T) {
-	avail := readGoldenFrames(t)[6]
+	chunk := readGoldenFrames(t)[6]
 	// Tag, replica, requester, ckpt seq, one shard digest, the frontier,
-	// the certificate flag, then the certificate: its header, then the
-	// prepare count.
+	// then the certificate: its header, then the prepare count.
 	w := wire.NewAppendWriter(nil)
 	goldenMessages(t)[0].(*PrePrepare).Header.EncodeTo(w)
-	certAt := 4 + 4 + 4 + 8 + 4 + 32 + 4 + len("frontier") + 4
+	certAt := 4 + 4 + 4 + 8 + 4 + 32 + 4 + len("frontier")
 	prepCount := certAt + len(w.AppendedBytes())
-	if n := binary.BigEndian.Uint32(avail[prepCount:]); n != 1 {
+	if n := binary.BigEndian.Uint32(chunk[prepCount:]); n != 1 {
 		t.Fatalf("prepare count at offset %d reads %d, want 1", prepCount, n)
 	}
-	tooMany := append([]byte(nil), avail...)
+	tooMany := append([]byte(nil), chunk...)
 	binary.BigEndian.PutUint32(tooMany[prepCount:], 1<<20)
-	opensCount := len(avail) - 2*(4+hashsig.NonceSize) - 4
-	manyOpens := append([]byte(nil), avail...)
+	// The certificate ends with the openings; kind, index and data follow.
+	certEnd := len(chunk) - (4 + 8 + 4 + len("chunk"))
+	opensCount := certEnd - 2*(4+hashsig.NonceSize) - 4
+	if n := binary.BigEndian.Uint32(chunk[opensCount:]); n != 2 {
+		t.Fatalf("opening count at offset %d reads %d, want 2", opensCount, n)
+	}
+	manyOpens := append([]byte(nil), chunk...)
 	binary.BigEndian.PutUint32(manyOpens[opensCount:], 1<<20)
 	for name, b := range map[string][]byte{
-		"too many prepares": tooMany,
-		"too many openings": manyOpens,
-		"truncated":         avail[:len(avail)-1],
-		"trailing":          append(append([]byte(nil), avail...), 0),
+		"too many prepares":          tooMany,
+		"too many openings":          manyOpens,
+		"cut inside the certificate": chunk[:certEnd-1],
+		"truncated":                  chunk[:len(chunk)-1],
+		"trailing":                   append(append([]byte(nil), chunk...), 0),
 	} {
 		if _, err := DecodeMessage(b); !errors.Is(err, ErrBadMessage) {
 			t.Fatalf("%s: %v, want ErrBadMessage", name, err)
+		}
+	}
+}
+
+// TestRetiredTagsDoNotDecode: tags 7 and 8 belonged to the pulled offer and
+// chunk request. A frame under either tag is ErrBadMessage, whatever body it
+// carries — here a well-formed sync chunk's.
+func TestRetiredTagsDoNotDecode(t *testing.T) {
+	chunk := readGoldenFrames(t)[6]
+	for _, tag := range []uint32{7, 8} {
+		frame := binary.BigEndian.AppendUint32(nil, tag)
+		frame = append(frame, chunk[4:]...)
+		if m, err := DecodeMessage(frame); !errors.Is(err, ErrBadMessage) || m != nil {
+			t.Fatalf("retired tag %d decodes: %T, %v", tag, m, err)
 		}
 	}
 }

@@ -58,19 +58,16 @@ const (
 	MsgViewChange MsgType = 4
 	// MsgNewView is the new primary's 2f+1 view-change certificate.
 	MsgNewView MsgType = 5
-	// MsgSyncRequest is a laggard's ask: who committed past its watermark.
+	// MsgSyncRequest is a laggard's ask, to one peer: push what you
+	// committed past my watermark.
 	MsgSyncRequest MsgType = 6
-	// MsgSyncAvail answers a sync request: where the fetch starts — the
-	// requester's own watermark, or the responder's latest committed
-	// checkpoint — anchored by the commit certificate for the responder's
-	// latest committed batch.
-	MsgSyncAvail MsgType = 7
-	// MsgSyncChunkRequest asks one peer for one state or batch chunk of an
-	// accepted offer.
-	MsgSyncChunkRequest MsgType = 8
-	// MsgSyncChunk carries one requested chunk: a shard's canonical
-	// serialization, or one committed batch of the suffix above the
-	// offer's start.
+	// Tags 7 and 8 carried the pulled offer and chunk request of an earlier
+	// catch-up protocol. They are retired, never reused: DecodeMessage
+	// refuses them.
+
+	// MsgSyncChunk carries one chunk of a pushed transfer — a shard's
+	// canonical serialization, or one committed batch of the suffix above
+	// the offer's start — together with the offer itself.
 	MsgSyncChunk MsgType = 9
 )
 
@@ -343,12 +340,12 @@ func decodeNewView(r *wire.Reader) *NewView {
 	return m
 }
 
-// SyncRequest is a laggard's broadcast ask for the commits it lacks: any
-// replica that committed past HaveSeq answers with a SyncAvail. Sync
-// messages are unsigned — nothing in them is trusted. The availability
-// answer carries a commit certificate, and every chunk is verified against
-// the digests that certificate signs over before adoption, so a forged or
-// spoofed sync message can waste a round trip but never corrupt state.
+// SyncRequest is a laggard's ask for the commits it lacks, sent to one
+// peer: a peer that committed past HaveSeq answers with SyncChunks. Sync
+// messages are unsigned — nothing in them is trusted. Every chunk carries a
+// commit certificate and is verified against the digests that certificate
+// signs over before adoption, so a forged or spoofed sync message can waste
+// a round trip but never corrupt state.
 type SyncRequest struct {
 	Replica ReplicaID // requester
 	HaveSeq uint64    // requester's committed watermark
@@ -373,55 +370,7 @@ func decodeSyncRequest(r *wire.Reader) *SyncRequest {
 // decode: 12 header bytes plus at most 64 peak digests.
 const maxFrontierBytes = 1 << 12
 
-// SyncAvail announces what the responder can serve, under the commit
-// certificate for its latest committed batch. While it still retains batch
-// HaveSeq+1 the offer is the suffix alone: CkptSeq is the requester's
-// HaveSeq, ShardDigests and Frontier are empty, and the batches
-// CkptSeq+1..Cert.Seq() apply onto the requester's own ledger. Otherwise it
-// is the responder's latest committed checkpoint (sequence number,
-// per-shard digest vector, history-tree frontier) plus the suffix above it.
-// The certificate is the sole trust anchor of the transfer: its signed
-// header's d_C must equal the combined shard digest vector, each state
-// chunk must rebuild to a shard whose digest is its slot in that vector,
-// and the batch suffix up to the certified sequence number must replay to
-// the certified header.
-type SyncAvail struct {
-	Replica      ReplicaID // responder
-	Requester    ReplicaID
-	CkptSeq      uint64
-	ShardDigests []hashsig.Digest
-	Frontier     []byte // merkle.Frontier.Encode() at CkptSeq
-	Cert         *ledger.CommitCert
-}
-
-// Type implements Message.
-func (m *SyncAvail) Type() MsgType { return MsgSyncAvail }
-
-func (m *SyncAvail) encodeBody(w *wire.Writer) {
-	w.Uint32(uint32(m.Replica))
-	w.Uint32(uint32(m.Requester))
-	w.Uint64(m.CkptSeq)
-	w.Uint32(uint32(len(m.ShardDigests)))
-	for _, d := range m.ShardDigests {
-		w.Digest(d)
-	}
-	w.Bytes(m.Frontier)
-	encodeCert(w, m.Cert)
-}
-
-func decodeSyncAvail(r *wire.Reader) *SyncAvail {
-	m := &SyncAvail{
-		Replica:   ReplicaID(r.Uint32()),
-		Requester: ReplicaID(r.Uint32()),
-		CkptSeq:   r.Uint64(),
-	}
-	m.ShardDigests = wire.ReadList(r, wire.MaxStreamShards, "shard digests", (*wire.Reader).Digest)
-	m.Frontier = r.Bytes(maxFrontierBytes)
-	m.Cert = decodeCert(r, "sync certificate")
-	return m
-}
-
-// Chunk kinds carried by SyncChunkRequest/SyncChunk.
+// Chunk kinds carried by SyncChunk.
 const (
 	// SyncChunkState is one shard's canonical serialization; Index is the
 	// shard number. It verifies by decoding to a shard whose digest
@@ -433,45 +382,30 @@ const (
 	SyncChunkBatch uint32 = 1
 )
 
-// SyncChunkRequest asks Source for one chunk of the offer starting at
-// CkptSeq.
-type SyncChunkRequest struct {
-	Replica ReplicaID // requester
-	Source  ReplicaID
-	CkptSeq uint64
-	Kind    uint32
-	Index   uint64
-}
-
-// Type implements Message.
-func (m *SyncChunkRequest) Type() MsgType { return MsgSyncChunkRequest }
-
-func (m *SyncChunkRequest) encodeBody(w *wire.Writer) {
-	w.Uint32(uint32(m.Replica))
-	w.Uint32(uint32(m.Source))
-	w.Uint64(m.CkptSeq)
-	w.Uint32(m.Kind)
-	w.Uint64(m.Index)
-}
-
-func decodeSyncChunkRequest(r *wire.Reader) *SyncChunkRequest {
-	return &SyncChunkRequest{
-		Replica: ReplicaID(r.Uint32()),
-		Source:  ReplicaID(r.Uint32()),
-		CkptSeq: r.Uint64(),
-		Kind:    r.Uint32(),
-		Index:   r.Uint64(),
-	}
-}
-
-// SyncChunk carries one chunk back to the requester.
+// SyncChunk is one chunk of the transfer a peer pushes to a requester, and
+// the offer the transfer is under: the commit certificate for the source's
+// latest committed batch, and where the transfer starts. While the source
+// still retains batch HaveSeq+1 the offer is the suffix alone: CkptSeq is
+// the requester's HaveSeq, ShardDigests and Frontier are empty, and the
+// batches CkptSeq+1..Cert.Seq() apply onto the requester's own ledger.
+// Otherwise it is the source's latest committed checkpoint (sequence
+// number, per-shard digest vector, history-tree frontier) plus the suffix
+// above it. Every chunk of one push carries the same offer, so chunks
+// verify and assemble in any arrival order. The certificate is the sole
+// trust anchor of the transfer: its signed header's d_C must equal the
+// combined shard digest vector, each state chunk must rebuild to a shard
+// whose digest is its slot in that vector, and the batch suffix up to the
+// certified sequence number must replay to the certified header.
 type SyncChunk struct {
-	Replica   ReplicaID // source
-	Requester ReplicaID
-	CkptSeq   uint64
-	Kind      uint32
-	Index     uint64
-	Data      []byte
+	Replica      ReplicaID // source
+	Requester    ReplicaID
+	CkptSeq      uint64
+	ShardDigests []hashsig.Digest
+	Frontier     []byte // merkle.Frontier.Encode() at CkptSeq
+	Cert         *ledger.CommitCert
+	Kind         uint32
+	Index        uint64
+	Data         []byte
 }
 
 // Type implements Message.
@@ -481,6 +415,12 @@ func (m *SyncChunk) encodeBody(w *wire.Writer) {
 	w.Uint32(uint32(m.Replica))
 	w.Uint32(uint32(m.Requester))
 	w.Uint64(m.CkptSeq)
+	w.Uint32(uint32(len(m.ShardDigests)))
+	for _, d := range m.ShardDigests {
+		w.Digest(d)
+	}
+	w.Bytes(m.Frontier)
+	m.Cert.EncodeTo(w)
 	w.Uint32(m.Kind)
 	w.Uint64(m.Index)
 	w.Bytes(m.Data)
@@ -491,9 +431,12 @@ func decodeSyncChunk(r *wire.Reader) *SyncChunk {
 		Replica:   ReplicaID(r.Uint32()),
 		Requester: ReplicaID(r.Uint32()),
 		CkptSeq:   r.Uint64(),
-		Kind:      r.Uint32(),
-		Index:     r.Uint64(),
 	}
+	m.ShardDigests = wire.ReadList(r, wire.MaxStreamShards, "shard digests", (*wire.Reader).Digest)
+	m.Frontier = r.Bytes(maxFrontierBytes)
+	m.Cert = ledger.DecodeCommitCert(r)
+	m.Kind = r.Uint32()
+	m.Index = r.Uint64()
 	m.Data = r.Bytes(wire.MaxChunkLen)
 	return m
 }
@@ -541,10 +484,6 @@ func DecodeMessage(b []byte) (Message, error) {
 		m = decodeNewView(r)
 	case MsgSyncRequest:
 		m = decodeSyncRequest(r)
-	case MsgSyncAvail:
-		m = decodeSyncAvail(r)
-	case MsgSyncChunkRequest:
-		m = decodeSyncChunkRequest(r)
 	case MsgSyncChunk:
 		m = decodeSyncChunk(r)
 	default:

@@ -136,8 +136,8 @@ type Replica struct {
 	insts map[uint64]*instance
 
 	// lastCommit retains the proof for the latest committed batch: carried
-	// in view-changes to certify CommittedSeq, and offered to laggards as
-	// the anchor of what they fetch (sync.go).
+	// in view-changes to certify CommittedSeq, and pushed to laggards as
+	// the anchor of what they catch up on (sync.go).
 	lastCommit *ledger.CommitCert
 
 	// view-change state
@@ -276,10 +276,10 @@ func (r *Replica) DebugState() string {
 				in.stmt.View, seq, in.preparedCert, in.endorsers(), len(in.opens))
 		}
 	}
-	return fmt.Sprintf("replica %d: view %d committed %d window %d vc %v(target %d) floor %d obligations %d pending %d future %d sync %d(ahead %d) refused state %d batch %d retained %d %s",
+	return fmt.Sprintf("replica %d: view %d committed %d window %d vc %v(target %d) floor %d obligations %d pending %d future %d sync %v(source %d ahead %d) retained %d %s",
 		r.cfg.ID, r.view, r.committed, r.window, r.inViewChange, r.vcTarget, r.proposeFloor,
-		len(r.mustRepropose), len(r.pendingRepropose), len(r.future), r.sync.phase, r.sync.ahead,
-		r.sync.refused.State, r.sync.refused.Batch, r.led.RetainedBatches(), win)
+		len(r.mustRepropose), len(r.pendingRepropose), len(r.future), r.sync.asking, r.sync.source, r.sync.ahead,
+		r.led.RetainedBatches(), win)
 }
 
 // sortedKeys returns m's keys in ascending order. Every place the replica
@@ -447,10 +447,6 @@ func (r *Replica) handle(m Message, out *[]Outbound) error {
 		return r.handleNewView(msg, out)
 	case *SyncRequest:
 		return r.handleSyncRequest(msg, out)
-	case *SyncAvail:
-		return r.handleSyncAvail(msg, out)
-	case *SyncChunkRequest:
-		return r.handleSyncChunkRequest(msg, out)
 	case *SyncChunk:
 		return r.handleSyncChunk(msg, out)
 	default:
@@ -1085,7 +1081,7 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 // peer would need if earlier deliveries were lost. Harness and transport
 // call it to model timeout-driven resends. Everything here is broadcast:
 // own protocol messages feed every peer's quorum formation, unlike the
-// pairwise sync chunk traffic. Nothing is resent for a committed instance —
+// pairwise sync traffic. Nothing is resent for a committed instance —
 // a peer that missed one fetches it (sync.go).
 func (r *Replica) Retransmit() []Outbound {
 	var msgs []Message

@@ -10,10 +10,9 @@
 // a Broadcast envelope becomes one wire envelope per recipient, a unicast
 // envelope is delivered to exactly its Dest, and each carries the
 // wire-encoded frame (so every delivery exercises the codec). The harness
-// asserts, per emission, that state-transfer offer/chunk traffic
-// (SyncAvail, SyncChunkRequest, SyncChunk) is never broadcast — the
-// pairwise protocol must not lean on cluster-wide delivery the real
-// transport would have to pay for.
+// asserts, per emission, that every sync message (SyncRequest, SyncChunk)
+// is unicast — the pairwise protocol must not lean on cluster-wide delivery
+// the real transport would have to pay for.
 // A "dropped" delivery is re-queued at a random later position — the
 // protocol has no timers of its own, so loss is modelled as the arbitrary
 // delay a retransmitting sender produces, which preserves the eventual
@@ -306,12 +305,11 @@ func (s *Sim) buildRequests(seq uint64, tag string) []ledger.Request {
 	return out
 }
 
-// pairwiseSync reports whether m belongs to the state-transfer offer/chunk
-// traffic that must always be unicast (discovery SyncRequests legitimately
-// broadcast: the laggard does not know who holds a checkpoint).
+// pairwiseSync reports whether m is a sync message: every one is unicast,
+// the ask to the one peer asked and the push to the one replica that asked.
 func pairwiseSync(m consensus.Message) bool {
 	switch m.(type) {
-	case *consensus.SyncAvail, *consensus.SyncChunkRequest, *consensus.SyncChunk:
+	case *consensus.SyncRequest, *consensus.SyncChunk:
 		return true
 	}
 	return false
@@ -326,7 +324,7 @@ func (s *Sim) route(from consensus.ReplicaID, outs []consensus.Outbound) {
 	for _, o := range outs {
 		if o.IsBroadcast() {
 			if pairwiseSync(o.Msg) && s.envelopeErr == nil {
-				s.envelopeErr = fmt.Errorf("envelope: replica %d broadcast %T; sync offer/chunk traffic must be unicast", from, o.Msg)
+				s.envelopeErr = fmt.Errorf("envelope: replica %d broadcast %T; sync traffic must be unicast", from, o.Msg)
 			}
 			frame := consensus.EncodeMessage(o.Msg)
 			for i := 0; i < s.cfg.N; i++ {

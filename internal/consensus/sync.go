@@ -13,32 +13,40 @@ import (
 
 // Catching up (paper §3.4, §6). A commit is a transferable fact — 2f+1
 // prepares plus opened nonces, retained as CommitCert — so a replica that
-// missed one never re-runs agreement on it: it fetches the batches from a
-// peer, anchored by the peer's latest certificate, and checks them by
+// missed one never re-runs agreement on it: a peer pushes it the batches,
+// anchored by the peer's latest certificate, and it checks them by
 // re-execution. This file is the only way a replica obtains a batch it did
 // not commit itself.
 //
 // Who asks: a replica that made no commit progress for as many ticks as
 // what it knows warrants (patience: few on certified evidence of a commit it
-// lacks, more on a hunch, many when it hears nothing at all) broadcasts
-// SyncRequest{HaveSeq: committed}. A commit that lands cancels the ask. Who
-// answers: any peer with committed > HaveSeq, to the requester alone; peers
-// with nothing newer stay silent, so a cluster under load sends nothing and
-// an idle one a 12-byte question per replica every syncMaxBackoff ticks. The
-// answer (SyncAvail) takes one of two shapes:
+// lacks, more on a hunch, many when it hears nothing at all) sends
+// SyncRequest{HaveSeq: committed} to one peer. Each deadline that passes
+// without an adopted transfer moves the ask to the next peer it has not
+// banned and doubles the wait; a commit that lands cancels the ask. Who
+// answers: a peer with committed > HaveSeq, at once and to the requester
+// alone, with every chunk of the transfer it would offer at that moment;
+// peers with nothing newer stay silent, so a cluster under load sends
+// nothing and an idle one a 12-byte question per replica every
+// syncMaxBackoff ticks. The transfer takes one of two shapes:
 //
 //   - suffix-only, when the peer still retains batch HaveSeq+1 (maybePrune
 //     keeps the last W) and the suffix is one a requester accepts
 //     (maxSyncSuffix): CkptSeq = HaveSeq, no shard digests, no frontier — the
 //     batches HaveSeq+1..Cert.Seq() apply onto the requester's own ledger;
 //   - checkpoint, otherwise: the peer's latest committed checkpoint (seq,
-//     shard digest vector, frontier) fetched as per-shard state chunks, plus
-//     the batch suffix above it.
+//     shard digest vector, frontier) as one state chunk per shard, then the
+//     batch suffix above it.
+//
+// Every chunk carries the offer, so chunks verify and assemble in any
+// arrival order. The source keeps nothing per requester and is never asked
+// for anything later: what it pushes is built from what it holds when the
+// ask arrives, so pruning afterwards takes none of it back.
 //
 // Trust chain — one certificate anchors the whole transfer:
 //
-//   - The SyncAvail's commit certificate proves its batch header committed;
-//     the header signs d_C, so a checkpoint offer's shard digest vector must
+//   - The offer's commit certificate proves its batch header committed; the
+//     header signs d_C, so a checkpoint offer's shard digest vector must
 //     combine to the header's d_C.
 //   - Each state chunk must rebuild to its slot in that vector: a slot is
 //     the digest of a shard's trie (kv.ShardDigest), so the chunk is
@@ -57,67 +65,59 @@ import (
 //
 // Adoption is all-or-nothing (adoptSync): the committed boundary moves only
 // after the full chain verifies; a failed one undoes what it executed and
-// puts back the speculation it displaced. A source whose data fails any
-// check is banned for the rest of the effort and the transfer restarts from
-// discovery, which is what makes lying chunk servers a liveness nuisance,
-// never a safety risk. Timeouts are integer ticks (SyncTick) with
-// exponential backoff — the replica owns no clock; the harness drives it
-// deterministically.
-
-// syncPhase is the catch-up protocol state.
-type syncPhase uint8
-
-const (
-	// syncIdle: not asking.
-	syncIdle syncPhase = iota
-	// syncCollecting: broadcasting SyncRequest, waiting for a verifiable
-	// SyncAvail.
-	syncCollecting
-	// syncFetching: requesting chunks of one accepted offer.
-	syncFetching
-)
+// puts back the speculation it displaced. A source whose push fails any
+// check is banned for the rest of the effort and the ask moves on at once —
+// nothing is re-requested, so that push can never complete — which is what
+// makes a lying source a liveness nuisance, never a safety risk. Timeouts
+// are integer ticks (SyncTick) with exponential backoff — the replica owns
+// no clock; the harness drives it deterministically.
 
 const (
 	// syncPatience is how many consecutive ticks the replica must go without
 	// commit progress, holding certified evidence of a commit it lacks, before
 	// it asks: the normal case's own messages are usually just late.
 	syncPatience = 3
-	// syncBaseBackoff and syncMaxBackoff bound the retry deadline ticks.
-	// Ticks are scheduling rounds, and one request/reply round trip spans
-	// many rounds under load (deliveries are one per round, drops re-queue),
-	// so the clock must be generous: banning an honest server for network
-	// slowness costs a full rediscovery.
+	// syncBaseBackoff and syncMaxBackoff bound the ticks an ask waits for
+	// its push before the next peer is asked. Ticks are scheduling rounds,
+	// and one request/push round trip spans many rounds under load
+	// (deliveries are one per round, drops re-queue), so the clock must be
+	// generous: an ask abandoned too early throws away a push in flight.
 	syncBaseBackoff = 16
 	syncMaxBackoff  = 512
-	// syncMaxAttempts is how many fetch rounds one source gets before it is
-	// banned and discovery restarts.
-	syncMaxAttempts = 6
 	// maxSyncSuffix bounds the committed batch suffix an offer may span. An
 	// honest server's suffix is shorter than its retention (window plus
-	// checkpoint interval); the bound stops a hostile offer from driving an
-	// unbounded fetch plan.
+	// checkpoint interval); the bound stops a hostile offer from sizing an
+	// unbounded assembly.
 	maxSyncSuffix = 1 << 12
 )
 
-// syncOffer is one accepted, certificate-verified SyncAvail. shardDigests is
-// empty for a suffix-only offer.
+// syncOffer is one accepted, certificate-verified offer, from the peer
+// asked last (syncState.source). shardDigests is empty for a suffix-only
+// offer.
 type syncOffer struct {
-	source       ReplicaID
 	ckptSeq      uint64
 	shardDigests []hashsig.Digest
 	frontier     merkle.Frontier
 	cert         *ledger.CommitCert
 }
 
+// carries reports whether chunk m belongs to offer o (nil: none does).
+// Only the start and the certified sequence number are compared: every
+// check runs against the accepted offer, never against what a later chunk
+// claims.
+func (o *syncOffer) carries(m *SyncChunk) bool {
+	return o != nil && o.ckptSeq == m.CkptSeq && o.cert.Seq() == m.Cert.Seq()
+}
+
 // syncState is the laggard side of catch-up. Zero value is idle.
 type syncState struct {
-	phase syncPhase
-	tick  uint64
+	asking bool
+	tick   uint64
 
 	// ahead is the highest cluster-committed sequence number credibly
-	// observed (certified view-change claims, new-view certificates, and
-	// far-future proposals); behindFor counts consecutive ticks with no local
-	// commit progress under one unchanged patience.
+	// observed (certified view-change claims, new-view certificates,
+	// far-future proposals, accepted offers); behindFor counts consecutive
+	// ticks with no local commit progress under one unchanged patience.
 	ahead         uint64
 	behindFor     int
 	waitFor       int
@@ -129,7 +129,8 @@ type syncState struct {
 
 	deadline uint64
 	backoff  uint64
-	attempts int
+	// source is the peer asked last, the only one whose push is assembled.
+	source ReplicaID
 
 	offer  *syncOffer
 	store  *kv.ShardedStore // candidate state: the shards verified so far
@@ -138,22 +139,6 @@ type syncState struct {
 	banned map[ReplicaID]bool
 	// adopted counts completed transfers (verified and committed).
 	adopted int
-	// refused is the source side: chunk requests answered with nothing.
-	refused SyncRefusals
-}
-
-// SyncRefusals counts the chunk requests a replica, as a sync source, dropped
-// without an answer, by what it no longer held. Counts only, no clock: a
-// requester learns of a refusal only by timing out, so these say how often
-// that wait was spent on a chunk its source could not serve.
-type SyncRefusals struct {
-	// State counts state-chunk requests for a checkpoint other than the one
-	// the replica would offer now (CheckpointAt(committed)), or for a shard
-	// index that checkpoint does not have.
-	State uint64
-	// Batch counts batch-chunk requests for a batch above the replica's
-	// committed watermark or no longer retained.
-	Batch uint64
 }
 
 // missing counts chunks not yet received and verified.
@@ -172,24 +157,29 @@ func (s *syncState) missing() int {
 	return n
 }
 
-// reset drops all transfer progress but keeps the ban list and trigger
-// evidence: a failed source should stay banned across the restart.
-func (s *syncState) reset() {
-	s.phase = syncIdle
-	s.deadline = 0
-	s.backoff = 0
-	s.attempts = 0
+// drop discards the transfer being assembled.
+func (s *syncState) drop() {
 	s.offer, s.store, s.have, s.batch = nil, nil, nil, nil
 }
 
+// reset stops asking but keeps the ban list and trigger evidence: a failed
+// source should stay banned across the restart.
+func (s *syncState) reset() {
+	s.asking = false
+	s.deadline = 0
+	s.backoff = 0
+	s.drop()
+}
+
 // Syncing reports whether a catch-up is in progress.
-func (r *Replica) Syncing() bool { return r.sync.phase != syncIdle }
+func (r *Replica) Syncing() bool { return r.sync.asking }
 
 // noteAhead records credible evidence that the cluster committed through
 // seq. Callers pass only validated claims (certified view-changes,
-// new-view certificates) or window-implied bounds from signed proposals;
-// the evidence only gates when discovery starts — everything fetched is
-// verified independently, so an inflated claim cannot corrupt state.
+// new-view certificates, verified offers) or window-implied bounds from
+// signed proposals; the evidence only gates when asking starts — everything
+// pushed is verified independently, so an inflated claim cannot corrupt
+// state.
 func (r *Replica) noteAhead(seq uint64) {
 	if seq > r.sync.ahead {
 		r.sync.ahead = seq
@@ -220,22 +210,24 @@ func (r *Replica) patience() int {
 	return syncMaxBackoff
 }
 
-// discover (re)starts discovery and returns the request to broadcast — the
-// laggard does not know who holds what it lacks.
-func (r *Replica) discover() Outbound {
+// askNext drops whatever was assembled, arms the deadline, and returns the
+// request for the next peer in turn that is not banned.
+func (r *Replica) askNext() Outbound {
 	s := &r.sync
-	s.reset()
-	s.phase = syncCollecting
-	s.backoff = syncBaseBackoff
+	s.drop()
+	for {
+		s.source = (s.source + 1) % ReplicaID(r.n)
+		if s.source != r.cfg.ID && !s.banned[s.source] {
+			break
+		}
+	}
 	s.deadline = s.tick + s.backoff
-	return toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed})
+	return toPeer(s.source, &SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed})
 }
 
-// SyncTick advances the catch-up clock one step and returns any envelopes
-// to send: discovery requests broadcast, chunk re-requests unicast to the
-// accepted offer's source. The harness or node runtime calls it once per
-// scheduling round; all deadlines and backoffs are in these ticks, never
-// wall time.
+// SyncTick advances the catch-up clock one step and returns the ask to
+// send, if any. The harness or node runtime calls it once per scheduling
+// round; all deadlines and backoffs are in these ticks, never wall time.
 func (r *Replica) SyncTick() []Outbound {
 	s := &r.sync
 	s.tick++
@@ -243,54 +235,25 @@ func (r *Replica) SyncTick() []Outbound {
 	if wait := r.patience(); progressed || wait != s.waitFor {
 		s.lastCommitted, s.waitFor, s.behindFor = r.committed, wait, 0
 	}
-	var out []Outbound
-	switch s.phase {
-	case syncIdle:
+	switch {
+	case !s.asking:
 		s.behindFor++
 		if s.force || s.behindFor >= s.waitFor {
-			out = append(out, r.discover())
+			s.asking, s.backoff = true, syncBaseBackoff
+			return []Outbound{r.askNext()}
 		}
-	case syncCollecting:
-		if !s.force && progressed && s.ahead <= r.committed {
-			// The commit landed after all: stop asking.
-			s.reset()
-			break
-		}
-		if s.tick >= s.deadline {
-			if s.backoff < syncMaxBackoff {
-				s.backoff *= 2
-			}
-			s.deadline = s.tick + s.backoff
-			out = append(out, toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed}))
-		}
-	case syncFetching:
-		if r.committed >= s.offer.cert.Seq() {
-			// Organic progress overtook the offer while fetching; adopting
-			// it now would move the watermark backwards.
-			s.reset()
-			break
-		}
-		if s.tick >= s.deadline {
-			s.attempts++
-			if s.attempts >= syncMaxAttempts {
-				// The source keeps failing to deliver verifiable chunks:
-				// ban it and rediscover.
-				r.banSyncSource(s.offer.source)
-				out = append(out, r.discover())
-				break
-			}
-			if s.backoff < syncMaxBackoff {
-				s.backoff *= 2
-			}
-			s.deadline = s.tick + s.backoff
-			out = append(out, r.requestMissingChunks()...)
-		}
+	case !s.force && progressed && s.ahead <= r.committed:
+		// The commit landed after all: stop asking.
+		s.reset()
+	case s.tick >= s.deadline:
+		s.backoff = min(2*s.backoff, syncMaxBackoff)
+		return []Outbound{r.askNext()}
 	}
-	return out
+	return nil
 }
 
 // banSyncSource excludes a source for the remainder of this replica's sync
-// effort (lying or persistently unresponsive chunk server).
+// effort (its push failed a check).
 func (r *Replica) banSyncSource(id ReplicaID) {
 	if r.sync.banned == nil {
 		r.sync.banned = make(map[ReplicaID]bool)
@@ -304,80 +267,116 @@ func (r *Replica) banSyncSource(id ReplicaID) {
 	}
 }
 
-// requestMissingChunks re-emits chunk requests for everything still owed by
-// the current offer, each addressed to the offer's source alone — the only
-// replica the fetch plan was derived from.
-func (r *Replica) requestMissingChunks() []Outbound {
-	s := &r.sync
-	if s.offer == nil {
-		return nil
-	}
-	var out []Outbound
-	ask := func(kind uint32, i int) {
-		out = append(out, toPeer(s.offer.source, &SyncChunkRequest{
-			Replica: r.cfg.ID, Source: s.offer.source,
-			CkptSeq: s.offer.ckptSeq, Kind: kind, Index: uint64(i),
-		}))
-	}
-	for i, ok := range s.have {
-		if !ok {
-			ask(SyncChunkState, i)
-		}
-	}
-	for i, b := range s.batch {
-		if b == nil {
-			ask(SyncChunkBatch, i)
-		}
-	}
-	return out
-}
-
-// handleSyncRequest is the server side of discovery: a replica that
-// committed past the requester's watermark answers — the requester alone; an
-// offer means nothing to anyone else — with its latest commit certificate
-// and where the fetch starts: the requester's own watermark while the batch
-// above it is still retained and the suffix is one the requester would take,
-// this replica's latest committed checkpoint otherwise.
+// handleSyncRequest is the source side: a replica that committed past the
+// requester's watermark pushes it, unicast, every chunk of the transfer it
+// holds now, under its latest commit certificate — from the requester's
+// own watermark while the batch above it is still retained and the suffix
+// is one the requester would take, from this replica's latest committed
+// checkpoint otherwise. The push is built here and nothing is kept: it
+// stands however far this replica prunes afterwards.
 func (r *Replica) handleSyncRequest(m *SyncRequest, out *[]Outbound) error {
-	if int(m.Replica) >= r.n || m.Replica == r.cfg.ID {
+	if int(m.Replica) >= r.n || m.Replica == r.cfg.ID || r.committed <= m.HaveSeq {
 		return nil
 	}
-	if r.committed <= m.HaveSeq {
-		return nil
+	offer := SyncChunk{Replica: r.cfg.ID, Requester: m.Replica, CkptSeq: m.HaveSeq, Cert: r.lastCommit}
+	var push []Outbound
+	send := func(kind uint32, index uint64, data []byte) {
+		c := offer
+		c.Kind, c.Index, c.Data = kind, index, data
+		push = append(push, toPeer(m.Replica, &c))
 	}
-	avail := &SyncAvail{Replica: r.cfg.ID, Requester: m.Replica, CkptSeq: m.HaveSeq, Cert: r.lastCommit}
-	if r.led.BatchAt(m.HaveSeq+1) == nil || r.committed-m.HaveSeq > maxSyncSuffix {
+	if !r.suffixServes(m.HaveSeq) {
 		ck := r.led.CheckpointAt(r.committed)
 		if ck == nil {
 			return nil
 		}
-		avail.CkptSeq, avail.ShardDigests, avail.Frontier = ck.Seq, ck.ShardDigests, ck.Frontier.Encode()
+		offer.CkptSeq, offer.ShardDigests, offer.Frontier = ck.Seq, ck.ShardDigests, ck.Frontier.Encode()
+		for i := range ck.ShardDigests {
+			var buf bytes.Buffer
+			if err := serializeShard(ck.Store, i, &buf); err != nil {
+				return fmt.Errorf("consensus: sync push to %d: shard %d of checkpoint %d: %w", m.Replica, i, ck.Seq, err)
+			}
+			send(SyncChunkState, uint64(i), buf.Bytes())
+		}
 	}
-	*out = append(*out, toPeer(m.Replica, avail))
+	// maybePrune keeps every batch above the offer's start.
+	for seq := offer.CkptSeq + 1; seq <= r.committed; seq++ {
+		send(SyncChunkBatch, seq-offer.CkptSeq-1, encodeBatchChunk(r.led.BatchAt(seq)))
+	}
+	*out = append(*out, push...)
 	return nil
 }
 
-// handleSyncAvail is the laggard accepting an offer: the certificate must
-// verify and certify a sequence number past our watermark. An offer with
-// state chunks to fetch must announce a shard digest vector that combines to
-// the d_C the certificate signs; one without starts at our own watermark or
-// is of no use. First verified offer wins; the fetch plan is derived
-// entirely from it.
-func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
+// suffixServes reports whether the batches above haveSeq alone make an
+// offer: this replica still retains the first of them, and a requester
+// accepts that many (maxSyncSuffix).
+func (r *Replica) suffixServes(haveSeq uint64) bool {
+	return r.led.BatchAt(haveSeq+1) != nil && r.committed-haveSeq <= maxSyncSuffix
+}
+
+// serializeShard writes one shard of a checkpoint as a state chunk. It is a
+// variable so a test can make the push fail; serializing into memory does
+// not.
+var serializeShard = (*kv.ShardedStore).SerializeShard
+
+// encodeBatchChunk frames one batch as a chunk payload.
+func encodeBatchChunk(b *ledger.Batch) []byte {
+	w := wire.NewAppendWriter(make([]byte, 0, 512))
+	b.EncodeTo(w)
+	if err := w.Flush(); err != nil {
+		panic(err) // appending never fails
+	}
+	return w.AppendedBytes()
+}
+
+// handleSyncChunk is the laggard receiving one chunk of the push it asked
+// for; chunks from anyone else are ignored. The first chunk of an offer —
+// or of a newer one from the same source, which replaces it — must carry an
+// offer that passes acceptOffer; each chunk then passes recordChunk, and
+// the transfer is adopted once nothing is missing. A failed check of any
+// kind bans the source and asks the next peer.
+func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 	s := &r.sync
-	if s.phase != syncCollecting || m.Requester != r.cfg.ID {
+	if !s.asking || m.Requester != r.cfg.ID || m.Replica != s.source || m.Cert == nil || m.Cert.Seq() <= r.committed {
 		return nil
 	}
-	if int(m.Replica) >= r.n || m.Replica == r.cfg.ID || s.banned[m.Replica] {
-		return nil
+	if !s.offer.carries(m) {
+		if s.offer != nil && m.Cert.Seq() <= s.offer.cert.Seq() {
+			return nil // an older push from the same source
+		}
+		if err := r.acceptOffer(m); err != nil {
+			return r.failSync(err, out)
+		}
+		if !s.offer.carries(m) {
+			return nil
+		}
 	}
-	if m.Cert == nil || m.Cert.Seq() <= r.committed {
-		return nil
+	if err := r.recordChunk(m); err != nil {
+		return r.failSync(err, out)
 	}
+	return r.adoptIfComplete(out)
+}
+
+// failSync bans the source whose push failed a check and asks the next
+// peer.
+func (r *Replica) failSync(err error, out *[]Outbound) error {
+	r.banSyncSource(r.sync.source)
+	*out = append(*out, r.askNext())
+	return err
+}
+
+// acceptOffer checks the offer a chunk carries and makes it the transfer
+// being assembled: the certificate must verify, and the offer must span at
+// most maxSyncSuffix batches. An offer with state chunks must announce a
+// shard digest vector that combines to the d_C the certificate signs; one
+// without starts at our own watermark or is of no use (nothing is accepted,
+// and nothing is wrong). Everything the assembly needs derives from the
+// accepted offer.
+func (r *Replica) acceptOffer(m *SyncChunk) error {
 	if m.CkptSeq > m.Cert.Seq() || m.Cert.Seq()-m.CkptSeq > maxSyncSuffix {
 		return fmt.Errorf("%w: sync offer starting at %d under certificate %d", ErrInvalid, m.CkptSeq, m.Cert.Seq())
 	}
-	offer := &syncOffer{source: m.Replica, ckptSeq: m.CkptSeq, cert: m.Cert}
+	offer := &syncOffer{ckptSeq: m.CkptSeq, cert: m.Cert}
 	if len(m.ShardDigests) > 0 {
 		if got := uint32(len(m.ShardDigests)); m.CkptSeq == 0 || got != r.led.Shards() {
 			return fmt.Errorf("%w: sync offer for checkpoint %d with %d shards, replica runs %d", ErrInvalid, m.CkptSeq, got, r.led.Shards())
@@ -400,6 +399,7 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	if !ok || !r.verifyTasks(tasks) {
 		return fmt.Errorf("%w: sync offer certificate from %d does not verify", ErrInvalid, m.Replica)
 	}
+	s := &r.sync
 	s.offer = offer
 	s.store = kv.NewSharded(len(offer.shardDigests))
 	s.have = make([]bool, len(offer.shardDigests))
@@ -407,89 +407,24 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	if own := r.led.BatchAt(m.Cert.Seq()); own != nil && own.Header.ContentDigest() == m.Cert.Header.ContentDigest() {
 		// The certificate is for a batch this replica already executed: ¯M
 		// chains every batch below it, so what it holds of the suffix is the
-		// suffix, and nothing of it is fetched.
+		// suffix, and no batch chunk is needed.
 		for i := range s.batch {
 			s.batch[i] = r.led.BatchAt(m.CkptSeq + 1 + uint64(i))
 		}
 	}
-	s.phase = syncFetching
-	s.backoff = syncBaseBackoff
-	s.deadline = s.tick + s.backoff
-	*out = append(*out, r.requestMissingChunks()...)
-	return r.adoptIfComplete(out)
-}
-
-// handleSyncChunkRequest is the server side of the fetch: serve one chunk,
-// unicast back to the requester (chunks are the bulk of sync traffic;
-// broadcasting them would multiply transfer bandwidth by the cluster size).
-// A batch chunk is any retained committed batch; a state chunk must be of
-// the checkpoint this replica would announce now. Requests for what this
-// replica no longer holds (pruned past, or rolled back) are silently
-// ignored, and counted (SyncRefusals); the requester's timeout re-discovers.
-func (r *Replica) handleSyncChunkRequest(m *SyncChunkRequest, out *[]Outbound) error {
-	if m.Source != r.cfg.ID || int(m.Replica) >= r.n || m.Replica == r.cfg.ID {
-		return nil
-	}
-	var data []byte
-	switch m.Kind {
-	case SyncChunkState:
-		ck := r.led.CheckpointAt(r.committed)
-		if ck == nil || ck.Seq != m.CkptSeq || m.Index >= uint64(len(ck.ShardDigests)) {
-			r.sync.refused.State++
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := ck.Store.SerializeShard(int(m.Index), &buf); err != nil {
-			return nil
-		}
-		data = buf.Bytes()
-	case SyncChunkBatch:
-		seq := m.CkptSeq + 1 + m.Index
-		if seq <= m.CkptSeq {
-			return nil // the index wrapped: malformed, not a refusal
-		}
-		b := r.led.BatchAt(seq)
-		if seq > r.committed || b == nil {
-			r.sync.refused.Batch++
-			return nil
-		}
-		data = encodeBatchChunk(b)
-	default:
-		return nil
-	}
-	*out = append(*out, toPeer(m.Replica, &SyncChunk{
-		Replica: r.cfg.ID, Requester: m.Replica,
-		CkptSeq: m.CkptSeq, Kind: m.Kind, Index: m.Index, Data: data,
-	}))
+	r.noteAhead(m.Cert.Seq())
 	return nil
 }
 
-// encodeBatchChunk frames one batch as a chunk payload.
-func encodeBatchChunk(b *ledger.Batch) []byte {
-	w := wire.NewAppendWriter(make([]byte, 0, 512))
-	b.EncodeTo(w)
-	if err := w.Flush(); err != nil {
-		panic(err) // appending never fails
-	}
-	return w.AppendedBytes()
-}
-
-// handleSyncChunk is the laggard receiving one chunk. State chunks verify
-// immediately against the offer's digest vector — decoded, every key checked
-// against the shard, rebuilt, and the rebuilt shard's digest compared — and
-// are kept as the shard they decoded to; batch chunks must decode, carry the
-// right sequence number and a validly signed statement, with execution
-// checks deferred to adoption. A
-// chunk that fails its check is simply not recorded — the next timeout
-// re-requests it, and persistent failure bans the source.
-func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
+// recordChunk checks one chunk against the accepted offer and keeps it.
+// State chunks verify immediately against the offer's digest vector —
+// decoded, every key checked against the shard, rebuilt, and the rebuilt
+// shard's digest compared — and are kept as the shard they decoded to;
+// batch chunks must decode, carry the right sequence number and a validly
+// signed statement, with execution checks deferred to adoption. A chunk
+// already held, or of no slot, changes nothing.
+func (r *Replica) recordChunk(m *SyncChunk) error {
 	s := &r.sync
-	if s.phase != syncFetching || s.offer == nil {
-		return nil
-	}
-	if m.Requester != r.cfg.ID || m.Replica != s.offer.source || m.CkptSeq != s.offer.ckptSeq {
-		return nil
-	}
 	switch m.Kind {
 	case SyncChunkState:
 		if m.Index >= uint64(len(s.have)) || s.have[m.Index] {
@@ -519,31 +454,20 @@ func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 			return err
 		}
 		s.batch[m.Index] = b
-	default:
-		return nil
 	}
-	return r.adoptIfComplete(out)
+	return nil
 }
 
 // adoptIfComplete adopts the transfer once nothing is missing. A transfer
 // that fails the certificate anchor means the source lied somewhere cheap
-// verification could not catch (frontier, batch contents): ban it and
-// rediscover.
+// verification could not catch (frontier, batch contents): ban it and ask
+// the next peer.
 func (r *Replica) adoptIfComplete(out *[]Outbound) error {
-	s := &r.sync
-	if s.missing() > 0 {
+	if r.sync.missing() > 0 {
 		return nil
 	}
-	if r.committed >= s.offer.cert.Seq() {
-		// Organic progress overtook the transfer; drop it.
-		s.reset()
-		return nil
-	}
-	source := s.offer.source
 	if err := r.adoptSync(out); err != nil {
-		r.banSyncSource(source)
-		*out = append(*out, r.discover())
-		return fmt.Errorf("%w: sync adoption failed: %v", ErrInvalid, err)
+		return r.failSync(fmt.Errorf("%w: sync adoption failed: %v", ErrInvalid, err), out)
 	}
 	return nil
 }
@@ -599,7 +523,7 @@ func (r *Replica) adoptSync(out *[]Outbound) error {
 	for _, b := range s.batch {
 		seq := b.Header.Seq
 		if led == r.led && seq <= r.committed {
-			continue // committed here while the fetch was under way
+			continue // committed here while the transfer was under way
 		}
 		if own := led.BatchAt(seq); own != nil {
 			if own.Header.ContentDigest() == b.Header.ContentDigest() {
@@ -663,10 +587,6 @@ func (r *Replica) adoptSync(out *[]Outbound) error {
 // adopted.
 func (r *Replica) Syncs() int { return r.sync.adopted }
 
-// SyncRefusals returns the chunk requests this replica has dropped as a sync
-// source, by reason.
-func (r *Replica) SyncRefusals() SyncRefusals { return r.sync.refused }
-
 // messageSeq extracts the batch sequence number a message is about, for
 // staleness decisions. View-change traffic is view-keyed, not seq-keyed.
 func messageSeq(m Message) (uint64, bool) {
@@ -684,8 +604,8 @@ func messageSeq(m Message) (uint64, bool) {
 // maybePrune drops committed batches below both the latest committed
 // checkpoint and the last W commits, keeping steady-state ledger memory at
 // O(window + checkpoint interval): the last W batches stay so a near
-// laggard gets the suffix-only offer, the chunk-servable checkpoint and the
-// suffix above it stay for everyone else.
+// laggard gets the suffix-only offer, the checkpoint a push starts from and
+// the suffix above it stay for everyone else.
 func (r *Replica) maybePrune() {
 	ck := r.led.CheckpointAt(r.committed)
 	if ck == nil {

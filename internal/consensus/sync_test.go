@@ -3,18 +3,21 @@ package consensus
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
 	"iaccf/internal/ledger"
+	"iaccf/internal/transport"
+	"iaccf/internal/wire"
 )
 
-// TestSyncChunkVerifiedAgainstCertifiedVector puts a replica mid-fetch and
-// serves it state chunks by hand. A chunk is judged at the chunk, by what
+// TestSyncChunkVerifiedAgainstCertifiedVector puts a replica mid-transfer
+// and hands it state chunks by hand. A chunk is judged at the chunk, by what
 // d_C commits to: one that decodes cleanly, keeps every key in its shard
 // and merely holds different contents is refused like a garbled one and
-// leaves the slot open for the re-request; the honest chunk then fills it.
+// leaves the slot open; the honest chunk then fills it.
 func TestSyncChunkVerifiedAgainstCertifiedVector(t *testing.T) {
 	const shards = 4
 	serving := kv.NewSharded(shards)
@@ -37,19 +40,17 @@ func TestSyncChunkVerifiedAgainstCertifiedVector(t *testing.T) {
 	tx.Commit()
 
 	r := newCluster(t, 4, shards).replicas[3]
-	const source, ckptSeq = ReplicaID(1), uint64(2)
-	r.sync.phase = syncFetching
-	r.sync.offer = &syncOffer{source: source, ckptSeq: ckptSeq, shardDigests: serving.ShardDigests()}
+	const ckptSeq = uint64(2)
+	r.sync.offer = &syncOffer{ckptSeq: ckptSeq, shardDigests: serving.ShardDigests()}
 	r.sync.store = kv.NewSharded(shards)
 	r.sync.have = make([]bool, shards)
 	r.sync.batch = make([]*ledger.Batch, 1) // a suffix batch still owed: no adoption here
 
 	deliver := func(data []byte) error {
-		var out []Outbound
-		return r.handleSyncChunk(&SyncChunk{
-			Replica: source, Requester: r.ID(), CkptSeq: ckptSeq,
+		return r.recordChunk(&SyncChunk{
+			Replica: 1, Requester: r.ID(), CkptSeq: ckptSeq,
 			Kind: SyncChunkState, Index: uint64(shard), Data: data,
-		}, &out)
+		})
 	}
 	garbled := chunkOf(serving)
 	garbled[len(garbled)/2] ^= 0xff
@@ -75,64 +76,9 @@ func TestSyncChunkVerifiedAgainstCertifiedVector(t *testing.T) {
 	}
 }
 
-// TestSyncChunkRefusalsAreCounted: a source asked for a chunk it no longer
-// holds emits nothing and counts the refusal by kind — the state chunk of a
-// checkpoint it has moved past or of a shard that checkpoint lacks, a batch
-// it has pruned or has not committed — while a chunk it holds is served and
-// counts nothing.
-func TestSyncChunkRefusalsAreCounted(t *testing.T) {
-	c := newCluster(t, 4, 1)
-	author := hashsig.Sum([]byte("client"))
-	source := c.replicas[1]
-	commitThrough := func(last uint64) {
-		for seq := source.Committed() + 1; seq <= last; seq++ {
-			c.propose(0, reqs(author, 10*seq, 2))
-			c.flood()
-		}
-		c.assertAgreement(last, 0, 1, 2, 3)
-	}
-	ask := func(ckptSeq uint64, kind uint32, index uint64) int {
-		t.Helper()
-		out, err := source.Handle(&SyncChunkRequest{Replica: 3, Source: source.ID(), CkptSeq: ckptSeq, Kind: kind, Index: index})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(out)
-	}
-
-	commitThrough(2)
-	if sent := ask(2, SyncChunkState, 0); sent != 1 || source.SyncRefusals() != (SyncRefusals{}) {
-		t.Fatalf("state chunk of the current checkpoint: %d chunks sent, refusals %+v", sent, source.SyncRefusals())
-	}
-	// CheckpointEvery 2, window 4: at 8 the checkpoint is 8 and batches
-	// below 5 are pruned.
-	commitThrough(8)
-	if first := source.Ledger().FirstRetainedSeq(); first != 5 {
-		t.Fatalf("first retained batch %d, want 5", first)
-	}
-	for _, tc := range []struct {
-		what    string
-		ckptSeq uint64
-		kind    uint32
-		index   uint64
-		sent    int
-		want    SyncRefusals // counted so far
-	}{
-		{"the state chunk of checkpoint 2, moved past", 2, SyncChunkState, 0, 0, SyncRefusals{State: 1}},
-		{"the state chunk of checkpoint 8", 8, SyncChunkState, 0, 1, SyncRefusals{State: 1}},
-		{"a shard checkpoint 8 does not have", 8, SyncChunkState, 1, 0, SyncRefusals{State: 2}},
-		{"pruned batch 1", 0, SyncChunkBatch, 0, 0, SyncRefusals{State: 2, Batch: 1}},
-		{"retained batch 5", 4, SyncChunkBatch, 0, 1, SyncRefusals{State: 2, Batch: 1}},
-		{"batch 9, above the watermark", 8, SyncChunkBatch, 0, 0, SyncRefusals{State: 2, Batch: 2}},
-	} {
-		if sent := ask(tc.ckptSeq, tc.kind, tc.index); sent != tc.sent || source.SyncRefusals() != tc.want {
-			t.Fatalf("%s: %d chunks sent, refusals %+v, want %d and %+v", tc.what, sent, source.SyncRefusals(), tc.sent, tc.want)
-		}
-	}
-}
-
 // laggingCluster commits batches seqs 1..committed on replicas 0-2 while
-// replica 3 hears nothing, and returns the cluster with replica 3 asking.
+// replica 3 hears nothing, and returns the cluster with replica 3 asking
+// replica 1.
 func laggingCluster(t *testing.T, committed uint64) (*cluster, *Replica) {
 	t.Helper()
 	c := newCluster(t, 4, 1)
@@ -144,14 +90,14 @@ func laggingCluster(t *testing.T, committed uint64) (*cluster, *Replica) {
 	c.assertAgreement(committed, 0, 1, 2)
 	lag := c.replicas[3]
 	lag.sync.force = true
-	if out := lag.SyncTick(); len(out) != 1 || !lag.Syncing() {
-		t.Fatalf("laggard did not ask: %s", lag.DebugState())
+	if out := lag.SyncTick(); len(out) != 1 || out[0].Dest != 1 || !lag.Syncing() {
+		t.Fatalf("laggard did not ask replica 1: %s", lag.DebugState())
 	}
 	return c, lag
 }
 
 // tickUntilAsking ticks a replica holding certified evidence of a commit it
-// lacks through its patience and queues the request it then broadcasts.
+// lacks through its patience and queues the request it then sends.
 func (c *cluster) tickUntilAsking(lag *Replica) {
 	c.t.Helper()
 	for i := 0; i < syncPatience && !lag.Syncing(); i++ {
@@ -168,7 +114,8 @@ func (c *cluster) tickUntilAsking(lag *Replica) {
 // that span starts the count again, so a cluster under load never asks. A
 // replica that lost every frame of the last batch before the cluster went
 // idle knows nothing, and still asks after syncMaxBackoff ticks; so does a
-// replica that lacks nothing, and nobody answers it.
+// replica that lacks nothing, and nobody answers it. Every ask goes to one
+// peer.
 func TestPatienceFollowsEvidence(t *testing.T) {
 	c := newCluster(t, 4, 1)
 	author := hashsig.Sum([]byte("client"))
@@ -184,8 +131,8 @@ func TestPatienceFollowsEvidence(t *testing.T) {
 	ask := func(r *Replica) {
 		t.Helper()
 		out := r.SyncTick()
-		if len(out) != 1 || !out[0].IsBroadcast() || !r.Syncing() {
-			t.Fatalf("replica %d did not ask: %s", r.ID(), r.DebugState())
+		if len(out) != 1 || out[0].IsBroadcast() || out[0].Dest == r.ID() || !r.Syncing() {
+			t.Fatalf("replica %d did not ask one peer: %s", r.ID(), r.DebugState())
 		}
 		c.queue = append(c.queue, out[0].Msg)
 	}
@@ -214,7 +161,7 @@ func TestPatienceFollowsEvidence(t *testing.T) {
 	c.flood()
 	c.assertAgreement(2, 0, 1, 2, 3)
 	if lag.Syncs() != 1 || lag.Syncing() {
-		t.Fatalf("replica 3 did not fetch seq 2: %s", lag.DebugState())
+		t.Fatalf("replica 3 did not catch up on seq 2: %s", lag.DebugState())
 	}
 
 	// Nothing in flight, nothing heard: seq 3 commits without a frame
@@ -227,7 +174,7 @@ func TestPatienceFollowsEvidence(t *testing.T) {
 	c.flood()
 	c.assertAgreement(3, 0, 1, 2, 3)
 	if lag.Syncs() != 2 {
-		t.Fatalf("replica 3 did not fetch seq 3: %s", lag.DebugState())
+		t.Fatalf("replica 3 did not catch up on seq 3: %s", lag.DebugState())
 	}
 
 	// A replica that lacks nothing asks as rarely, and gets no answer.
@@ -240,47 +187,75 @@ func TestPatienceFollowsEvidence(t *testing.T) {
 	}
 }
 
-// offerFrom returns the offer server makes to a request from lag.
-func offerFrom(t *testing.T, server, lag *Replica) *SyncAvail {
+// pushFrom returns the chunks server pushes in answer to an ask from lag,
+// each checked to be addressed to lag alone.
+func pushFrom(t *testing.T, server, lag *Replica) []*SyncChunk {
 	t.Helper()
 	out, err := server.Handle(&SyncRequest{Replica: lag.ID(), HaveSeq: lag.Committed()})
-	if err != nil || len(out) != 1 || out[0].Dest != lag.ID() {
+	if err != nil || len(out) == 0 {
 		t.Fatalf("replica %d answered a sync request with %d envelopes, err %v", server.ID(), len(out), err)
 	}
-	return out[0].Msg.(*SyncAvail)
+	var push []*SyncChunk
+	for _, o := range out {
+		chunk, ok := o.Msg.(*SyncChunk)
+		if !ok || o.Dest != lag.ID() {
+			t.Fatalf("replica %d pushed %T to %d", server.ID(), o.Msg, o.Dest)
+		}
+		push = append(push, chunk)
+	}
+	return push
+}
+
+// deliver hands lag a push chunk by chunk and returns what the last chunk
+// produced; every chunk before it must be taken without error.
+func deliver(t *testing.T, lag *Replica, push []*SyncChunk) (last []Outbound, err error) {
+	t.Helper()
+	for i, chunk := range push {
+		if last, err = lag.Handle(chunk); err != nil && i < len(push)-1 {
+			t.Fatalf("chunk %d of %d refused on arrival: %v", i, len(push), err)
+		}
+	}
+	return last, err
 }
 
 // TestSuffixOfferAcceptance: a peer that still retains the batch above the
-// requester's boundary offers the suffix alone — no shard digests, no
-// frontier, its latest certificate. The requester takes it only if it
-// starts exactly at its own boundary, spans a bounded suffix and carries a
-// certificate that verifies; what it then asks for is batch chunks, from
-// the source alone.
+// requester's boundary pushes the suffix alone — batch chunks, no shard
+// digests, no frontier, its latest certificate — to the requester alone.
+// The requester takes the offer only if it starts exactly at its own
+// boundary, spans a bounded suffix and carries a certificate that verifies;
+// an offer that fails a check leaves the replica as it was, bans its source
+// and moves the ask to the next peer.
 func TestSuffixOfferAcceptance(t *testing.T) {
 	c, lag := laggingCluster(t, 3)
-	honest := offerFrom(t, c.replicas[1], lag)
-	if honest.CkptSeq != 0 || len(honest.ShardDigests) != 0 || len(honest.Frontier) != 0 || honest.Cert.Seq() != 3 {
-		t.Fatalf("offer to a near laggard is (from %d, %d shard digests, cert %d), want the bare suffix 1..3",
-			honest.CkptSeq, len(honest.ShardDigests), honest.Cert.Seq())
+	honest := pushFrom(t, c.replicas[1], lag)
+	if len(honest) != 3 {
+		t.Fatalf("push of the suffix 1..3 holds %d chunks", len(honest))
+	}
+	for i, chunk := range honest {
+		if chunk.Kind != SyncChunkBatch || chunk.Index != uint64(i) || chunk.CkptSeq != 0 ||
+			len(chunk.ShardDigests) != 0 || len(chunk.Frontier) != 0 || chunk.Cert.Seq() != 3 {
+			t.Fatalf("chunk %d of the push to a near laggard is (kind %d index %d, from %d, %d shard digests, cert %d), want batch %d of the bare suffix 1..3",
+				i, chunk.Kind, chunk.Index, chunk.CkptSeq, len(chunk.ShardDigests), chunk.Cert.Seq(), i)
+		}
 	}
 	if out, _ := c.replicas[2].Handle(&SyncRequest{Replica: 0, HaveSeq: 3}); len(out) != 0 {
 		t.Fatal("a peer with nothing newer answered a sync request")
 	}
 	// A suffix the requester would refuse as too long is not offered: the
-	// server starts the fetch at its checkpoint instead. (The boundary is set
-	// by hand; committing maxSyncSuffix batches would say no more.)
+	// push starts at the checkpoint instead. (The boundary is set by hand;
+	// committing maxSyncSuffix batches would say no more.)
 	far := c.replicas[0]
+	near := far.suffixServes(0)
 	far.committed += maxSyncSuffix
-	capped := offerFrom(t, far, lag)
+	tooLong := far.suffixServes(0)
 	far.committed -= maxSyncSuffix
-	if capped.CkptSeq != 2 || len(capped.ShardDigests) != 1 || len(capped.Frontier) == 0 {
-		t.Fatalf("offer across more than maxSyncSuffix batches is (from %d, %d shard digests), want the checkpoint at 2",
-			capped.CkptSeq, len(capped.ShardDigests))
+	if !near || tooLong {
+		t.Fatalf("suffix offered across 3 batches %v, across more than maxSyncSuffix %v", near, tooLong)
 	}
 
-	mutate := func(f func(m *SyncAvail)) *SyncAvail {
-		m := *honest
-		cert := *honest.Cert
+	mutate := func(f func(m *SyncChunk)) *SyncChunk {
+		m := *honest[0]
+		cert := *honest[0].Cert
 		cert.Prepares = append([]ledger.Prepare(nil), cert.Prepares...)
 		m.Cert = &cert
 		f(&m)
@@ -288,45 +263,138 @@ func TestSuffixOfferAcceptance(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		what    string
-		offer   *SyncAvail
+		chunk   *SyncChunk
 		invalid bool
 	}{
-		{"starts above the requester's boundary", mutate(func(m *SyncAvail) { m.CkptSeq = 1 }), false},
-		{"spans more than maxSyncSuffix", mutate(func(m *SyncAvail) { m.Cert.Header.Seq = maxSyncSuffix + 1 }), true},
-		{"certificate with a forged prepare", mutate(func(m *SyncAvail) { m.Cert.Prepares[0].Sig = []byte("garbage") }), true},
-		{"certificate without an opened quorum", mutate(func(m *SyncAvail) { m.Cert.Opens = m.Cert.Opens[:1] }), true},
+		{"starts above the requester's boundary", mutate(func(m *SyncChunk) { m.CkptSeq = 1 }), false},
+		{"spans more than maxSyncSuffix", mutate(func(m *SyncChunk) { m.Cert.Header.Seq = maxSyncSuffix + 1 }), true},
+		{"certificate with a forged prepare", mutate(func(m *SyncChunk) { m.Cert.Prepares[0].Sig = []byte("garbage") }), true},
+		{"certificate without an opened quorum", mutate(func(m *SyncChunk) { m.Cert.Opens = m.Cert.Opens[:1] }), true},
 	} {
-		out, err := lag.Handle(tc.offer)
+		// Each case meets a fresh laggard asking replica 1; the cluster's
+		// keys are fixed, so the push verifies there as it does here.
+		_, fresh := laggingCluster(t, 3)
+		seq, state := fresh.Ledger().Seq(), fresh.Ledger().StateDigest()
+		out, err := fresh.Handle(tc.chunk)
 		if errors.Is(err, ErrInvalid) != tc.invalid || (err != nil) != tc.invalid {
 			t.Fatalf("offer that %s: err = %v, want invalid %v", tc.what, err, tc.invalid)
 		}
-		if len(out) != 0 || lag.sync.phase != syncCollecting || lag.sync.offer != nil {
-			t.Fatalf("offer that %s was taken up: %s", tc.what, lag.DebugState())
+		if fresh.sync.offer != nil || fresh.Committed() != 0 || fresh.Ledger().Seq() != seq || fresh.Ledger().StateDigest() != state {
+			t.Fatalf("offer that %s was taken up: %s", tc.what, fresh.DebugState())
+		}
+		if asked := len(out) == 1 && out[0].Dest == 2; fresh.sync.banned[1] != tc.invalid || asked != tc.invalid || !fresh.Syncing() {
+			t.Fatalf("offer that %s: source banned %v, %d envelopes, want the ban and an ask to replica 2 %v",
+				tc.what, fresh.sync.banned[1], len(out), tc.invalid)
 		}
 	}
 
-	out, err := lag.Handle(honest)
-	if err != nil || lag.sync.phase != syncFetching {
-		t.Fatalf("honest suffix offer refused: %v", err)
+	if _, err := deliver(t, lag, honest); err != nil {
+		t.Fatalf("honest suffix push refused: %v", err)
 	}
-	if len(out) != 3 {
-		t.Fatalf("accepted a 3-batch suffix and asked for %d chunks", len(out))
+	c.assertAgreement(3, 0, 1, 2, 3)
+	if lag.Syncs() != 1 || lag.Syncing() || lag.Ledger().FirstRetainedSeq() != 1 {
+		t.Fatalf("after the honest push: %s", lag.DebugState())
 	}
-	for _, o := range out {
-		if rq, ok := o.Msg.(*SyncChunkRequest); !ok || o.Dest != 1 || rq.Kind != SyncChunkBatch {
-			t.Fatalf("fetch plan holds %T to %d", o.Msg, o.Dest)
+}
+
+// TestPushSurvivesSourcePruning is the live-load race the push removes: the
+// source builds its push when the ask arrives. Here the push reaches the
+// laggard only after the source has committed two more checkpoints and
+// pruned the one it offered, with the batch above it, and the laggard still
+// adopts it: it asks the source for nothing more. (When the laggard pulled
+// each chunk of an accepted offer, its requests reached a source that no
+// longer held the chunks; every one was refused and nothing was adopted.)
+func TestPushSurvivesSourcePruning(t *testing.T) {
+	c, lag := laggingCluster(t, 7)
+	source := c.replicas[1]
+	// CheckpointEvery 2, window 4: at 7 the source has pruned batch 1, so it
+	// offers checkpoint 6 and the batch above it.
+	push := pushFrom(t, source, lag)
+	if len(push) != 2 || push[0].Kind != SyncChunkState || push[0].CkptSeq != 6 ||
+		push[1].Kind != SyncChunkBatch || push[1].Cert.Seq() != 7 {
+		t.Fatalf("push to a laggard at 0 holds %d chunks (first of kind %d from %d), want checkpoint 6 and batch 7",
+			len(push), push[0].Kind, push[0].CkptSeq)
+	}
+	author := hashsig.Sum([]byte("client"))
+	for seq := uint64(8); seq <= 11; seq++ {
+		c.propose(0, reqs(author, 10*seq, 2))
+		c.flood(3)
+	}
+	c.assertAgreement(11, 0, 1, 2)
+	if source.Ledger().CheckpointAt(7) != nil || source.Ledger().BatchAt(7) != nil {
+		t.Fatalf("the source still holds checkpoint 6 or batch 7 (first retained %d)", source.Ledger().FirstRetainedSeq())
+	}
+
+	if _, err := deliver(t, lag, push); err != nil {
+		t.Fatalf("push delivered after the source moved on: %v", err)
+	}
+	if lag.Syncs() != 1 || lag.Committed() != 7 || lag.Syncing() || lag.Ledger().FirstRetainedSeq() != 7 {
+		t.Fatalf("laggard did not adopt checkpoint 6 and batch 7: %s", lag.DebugState())
+	}
+	if got := lag.Ledger().BatchAt(7).Header.ContentDigest(); got != push[1].Cert.Header.ContentDigest() {
+		t.Fatal("laggard adopted another batch 7 than the certified one")
+	}
+}
+
+// TestPushFailureIsReturned: a source that cannot serialize a state chunk
+// pushes nothing and returns the error, wrapped, so the node counts it
+// (Stats.HandleErrors counts every error Handle returns) instead of the
+// laggard waiting for a push that is not coming, with nothing recorded.
+func TestPushFailureIsReturned(t *testing.T) {
+	c, lag := laggingCluster(t, 7)
+	broken := errors.New("shard unreadable")
+	defer func(f func(*kv.ShardedStore, int, io.Writer) error) { serializeShard = f }(serializeShard)
+	serializeShard = func(*kv.ShardedStore, int, io.Writer) error { return broken }
+	out, err := c.replicas[1].Handle(&SyncRequest{Replica: lag.ID(), HaveSeq: lag.Committed()})
+	if !errors.Is(err, broken) || len(out) != 0 {
+		t.Fatalf("push of an unserializable checkpoint: %d envelopes, err %v; want none and the error", len(out), err)
+	}
+}
+
+// TestSyncChunkFitsOneFrame: every chunk carries its offer, so the largest
+// state chunk a decoder accepts (wire.MaxChunkLen) must fit one transport
+// frame beside the largest offer an n-replica cluster can make — a
+// certificate with a prepare from every backup and an opening from every
+// replica, as many shard digests as a stream may declare and the longest
+// frontier a decoder accepts — for this cluster's 4 and for the 76 that
+// transport.MaxFrameLen's comment promises.
+func TestSyncChunkFitsOneFrame(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
+	c.flood()
+	c.assertAgreement(1, 0, 1, 2, 3)
+	committed := c.replicas[0].lastCommit
+	for _, n := range []int{4, 76} {
+		cert := *committed
+		cert.Prepares, cert.Opens = nil, nil
+		for len(cert.Prepares) < n-1 {
+			cert.Prepares = append(cert.Prepares, committed.Prepares[0])
+		}
+		for len(cert.Opens) < n {
+			cert.Opens = append(cert.Opens, committed.Opens[0])
+		}
+		chunk := &SyncChunk{
+			Replica: 1, Requester: 3, CkptSeq: 2,
+			ShardDigests: make([]hashsig.Digest, wire.MaxStreamShards),
+			Frontier:     make([]byte, maxFrontierBytes),
+			Cert:         &cert,
+			Kind:         SyncChunkState,
+		}
+		// Data is a length-prefixed field: a full chunk adds exactly its length.
+		if frame := len(EncodeMessage(chunk)) + wire.MaxChunkLen; frame > transport.MaxFrameLen {
+			t.Fatalf("a full state chunk under a %d-replica offer is a %d-byte frame, over transport.MaxFrameLen (%d)", n, frame, transport.MaxFrameLen)
 		}
 	}
 }
 
-// TestTamperedSuffixChangesNothing: a source serves one suffix batch that is
+// TestTamperedSuffixChangesNothing: a source pushes one suffix batch that is
 // validly signed and not what committed — the committed header over other
 // entries, above the laggard's speculation; or a batch the source signed as
 // primary of a view of its own, in place of the batch the laggard has in
 // flight. The adoption fails and the replica is exactly where it was —
 // boundary, ledger, state, the instance it had in flight under the nonce its
-// prepare committed to — with the source banned; an honest peer then
-// completes the transfer, and the speculation that matched it is not executed
+// prepare committed to — with the source banned and the next peer asked,
+// whose honest push then completes the transfer, and the speculation that matched it is not executed
 // twice.
 func TestTamperedSuffixChangesNothing(t *testing.T) {
 	author := hashsig.Sum([]byte("client"))
@@ -358,23 +426,18 @@ func TestTamperedSuffixChangesNothing(t *testing.T) {
 		inFlight, nonce := lag.insts[1], lag.insts[1].nonce
 		seq, state := lag.Ledger().Seq(), lag.Ledger().StateDigest()
 
-		serve := func(server *Replica, tamper uint64, with *ledger.Batch) (last []Outbound, err error) {
+		serve := func(server *Replica, tamper uint64, with *ledger.Batch) ([]Outbound, error) {
 			t.Helper()
-			requests, err := lag.Handle(offerFrom(t, server, lag))
-			if err != nil || len(requests) != 3 {
-				t.Fatalf("%s: offer from %d: %d chunk requests, err %v", what, server.ID(), len(requests), err)
+			push := pushFrom(t, server, lag)
+			if len(push) != 3 {
+				t.Fatalf("%s: push from %d holds %d chunks, want 3", what, server.ID(), len(push))
 			}
-			for _, rq := range requests {
-				out, _ := server.Handle(rq.Msg)
-				chunk := out[0].Msg.(*SyncChunk)
+			for _, chunk := range push {
 				if chunk.Index == tamper {
 					chunk.Data = encodeBatchChunk(with)
 				}
-				if last, err = lag.Handle(chunk); err != nil && rq.Msg != requests[2].Msg {
-					t.Fatalf("%s: chunk %d refused on arrival: %v", what, chunk.Index, err)
-				}
 			}
-			return last, err
+			return deliver(t, lag, push)
 		}
 
 		index, b := lie(c)
@@ -389,11 +452,13 @@ func TestTamperedSuffixChangesNothing(t *testing.T) {
 		if got := lag.Ledger().BatchAt(1); got == nil || got.Header.StatementDigest() != first.Header.StatementDigest() {
 			t.Fatalf("%s: failed adoption left another batch at the speculated seq", what)
 		}
-		if !lag.sync.banned[1] || lag.sync.phase != syncCollecting || len(out) != 1 {
-			t.Fatalf("%s: lying source not banned and rediscovered: %s", what, lag.DebugState())
+		if !lag.sync.banned[1] || !lag.Syncing() || len(out) != 1 || out[0].Dest != 2 {
+			t.Fatalf("%s: lying source not banned, or replica 2 not asked: %s", what, lag.DebugState())
 		}
-		if out, _ := lag.Handle(offerFrom(t, c.replicas[1], lag)); len(out) != 0 || lag.sync.phase != syncCollecting {
-			t.Fatalf("%s: offer from the banned source was taken up", what)
+		for _, chunk := range pushFrom(t, c.replicas[1], lag) {
+			if out, err := lag.Handle(chunk); err != nil || len(out) != 0 || lag.sync.offer != nil {
+				t.Fatalf("%s: push from the banned source was taken up", what)
+			}
 		}
 
 		if _, err := serve(c.replicas[2], 99, nil); err != nil {
@@ -412,7 +477,7 @@ func TestTamperedSuffixChangesNothing(t *testing.T) {
 // TestPinsSurviveAdoptionWithinView: the batch after the last commit
 // prepared in view 0, so view 1's new-view pins its content on every replica
 // that enters the view — among them replica 3, which is still at seq 0. It
-// fetches the committed prefix under the view-0 certificate — the suffix
+// catches up on the committed prefix under the view-0 certificate — the suffix
 // alone when its peers still retain seq 1, their checkpoint once they do
 // not: an adoption that does not change its view, and so must not lift the
 // pin above it. Without the pin a Byzantine view-1 primary could replace a
@@ -465,10 +530,16 @@ func TestPinsSurviveAdoptionWithinView(t *testing.T) {
 			t.Fatalf("%s: laggard is not pinned at seq %d from seq 0: %s", what, pinned, lag.DebugState())
 		}
 		c.tickUntilAsking(lag)
-		// Replica 2 has not entered view 1 and holds the view-0 certificate.
+		// Replica 1, asked first, stays silent; the laggard ticks past its
+		// deadline and asks replica 2, which has not entered view 1 and
+		// holds the view-0 certificate.
 		c.flood(0, 1)
+		for i := 0; i < syncBaseBackoff && lag.Syncs() == 0; i++ {
+			c.queue = append(c.queue, outMsgs(lag.SyncTick())...)
+			c.flood(0, 1)
+		}
 		if lag.Committed() != committed || lag.Syncs() != 1 || lag.View() != 1 {
-			t.Fatalf("%s: laggard did not fetch through seq %d within view 1: %s", what, committed, lag.DebugState())
+			t.Fatalf("%s: laggard did not catch up through seq %d within view 1: %s", what, committed, lag.DebugState())
 		}
 		if fromCheckpoint := lag.Ledger().FirstRetainedSeq() > 1; fromCheckpoint != (what == "checkpoint offer") {
 			t.Fatalf("%s: laggard's ledger starts at seq %d", what, lag.Ledger().FirstRetainedSeq())

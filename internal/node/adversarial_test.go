@@ -23,9 +23,8 @@ import (
 // protocol's Retransmit/SyncTick machinery exists for.
 //
 // SIM_SEEDS, in the sim matrix's syntax, picks the schedules; the default
-// is 1-12. Seeds 34 and 51 stall — one replica stays a few batches in
-// while the others run on — and replay with
-// SIM_SEEDS=34 go test -run TestAdversarialTransportSchedules ./internal/node/
+// is 1-12. A failing seed replays with
+// SIM_SEEDS=<seed> go test -run TestAdversarialTransportSchedules ./internal/node/
 func TestAdversarialTransportSchedules(t *testing.T) {
 	spec := os.Getenv("SIM_SEEDS")
 	if spec == "" {

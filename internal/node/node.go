@@ -115,9 +115,6 @@ type Stats struct {
 	Syncs uint64
 	// Syncing reports a state transfer in progress.
 	Syncing bool
-	// SyncRefused counts the chunk requests the replica, as a sync source,
-	// dropped because it no longer held what was asked for, by kind.
-	SyncRefused consensus.SyncRefusals
 }
 
 // Batches is the number of batches proposed, over all turn kinds.
@@ -196,8 +193,6 @@ type Node struct {
 	view             atomic.Uint64
 	syncs            atomic.Uint64
 	syncing          atomic.Bool
-	refusedState     atomic.Uint64
-	refusedBatch     atomic.Uint64
 
 	// Stats counters: written by the run loop (framesDropped by transport
 	// goroutines), read by anyone.
@@ -303,10 +298,6 @@ func (n *Node) Stats() Stats {
 		View:             n.view.Load(),
 		Syncs:            n.syncs.Load(),
 		Syncing:          n.syncing.Load(),
-		SyncRefused: consensus.SyncRefusals{
-			State: n.refusedState.Load(),
-			Batch: n.refusedBatch.Load(),
-		},
 	}
 }
 
@@ -364,15 +355,12 @@ func (n *Node) publish() {
 	n.view.Store(n.rep.View())
 	n.syncs.Store(uint64(n.rep.Syncs()))
 	n.syncing.Store(n.rep.Syncing())
-	refused := n.rep.SyncRefusals()
-	n.refusedState.Store(refused.State)
-	n.refusedBatch.Store(refused.Batch)
 }
 
 // route encodes and ships consensus envelopes: broadcast sentinel to all
 // peers, addressed envelopes to exactly their destination. This is where
-// the Outbound API pays off — sync offer and chunk traffic leaves on one
-// lane instead of n-1. A frame the transport refuses is counted
+// the Outbound API pays off — a sync ask and the push answering it leave on
+// one lane instead of n-1. A frame the transport refuses is counted
 // (Stats.SendErrors), not retried: retransmission and sync cover a lost
 // frame, and the count says one was lost.
 func (n *Node) route(outs []consensus.Outbound) {

@@ -41,10 +41,19 @@ type NodeID uint32
 const (
 	// Magic opens every transport connection ("iacT").
 	Magic = 0x69616354
-	// VCurrent is the only protocol version current nodes speak.
-	VCurrent = 1
-	// MaxFrameLen bounds frame bodies: a maximal sync chunk plus framing
-	// slack. Mirrors the codec caps in internal/wire.
+	// VCurrent is the only protocol version current nodes speak. Version 2
+	// pushes catch-up transfers (consensus tags 7 and 8 retired, SyncChunk
+	// carries its offer), so a version-1 peer is refused at the handshake
+	// rather than at its first sync frame.
+	VCurrent = 2
+	// MaxFrameLen bounds frame bodies: a maximal sync chunk
+	// (wire.MaxChunkLen) plus 64 KiB of slack for the envelope and the offer
+	// every SyncChunk carries. At the most shard digests a stream may
+	// declare (wire.MaxStreamShards) and the longest frontier a decoder
+	// accepts, the offer's certificate — a prepare from every backup and an
+	// opening from every replica, ≈ 376 bytes per replica — fits for
+	// clusters of up to 76 replicas (163 at one shard);
+	// consensus.TestSyncChunkFitsOneFrame holds 4 and 76.
 	MaxFrameLen = 1<<26 + 1<<16
 )
 
