@@ -51,11 +51,11 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Consensus simulation matrix: deterministic multi-replica schedules with
-# drops, reordering, partitions, and Byzantine scripts, race-enabled. A
+# Simulation matrix: real nodes over the Hub with loss, reordering,
+# partitions, Byzantine scripts and simulated clients, race-enabled. A
 # failure prints the seed that produced it.
 sim:
-	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -run 'TestSim' ./internal/consensus/sim/ -v
+	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -run 'TestSim' ./internal/sim/ -v
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCH_CPU) -json ./... > $(BENCH_OUT) \

@@ -396,6 +396,84 @@ func TestPreparedBatchSurvivesViewChange(t *testing.T) {
 	}
 }
 
+// TestPreparedCertificateOutlivesFailedReproposal: a batch prepares at
+// replicas 1-3 in view 0 and commits at replica 3, which then falls
+// silent. View 1 re-proposes it, but the pre-prepare is lost, so it never
+// prepares there. The view-changes for view 2 must still claim view 0's
+// certificate: otherwise view 2's primary may fill seq 1 with another batch
+// while replica 3 holds this one committed.
+func TestPreparedCertificateOutlivesFailedReproposal(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	author := hashsig.Sum([]byte("client"))
+	pp, _, err := c.replicas[0].Propose(reqs(author, 10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var round, commits []Message
+	for _, id := range []int{1, 2, 3} {
+		out, err := c.replicas[id].Handle(pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round = append(round, outMsgs(out)...)
+	}
+	for _, m := range round {
+		for _, id := range []int{1, 2, 3} {
+			out, _ := c.replicas[id].Handle(m)
+			for _, o := range out {
+				if _, ok := o.Msg.(*Commit); ok {
+					commits = append(commits, o.Msg)
+				}
+			}
+		}
+	}
+	for _, m := range commits {
+		c.replicas[3].Handle(m)
+	}
+	if got := c.replicas[3].Committed(); got != 1 {
+		t.Fatalf("replica 3 committed %d, want 1", got)
+	}
+
+	// From here replica 3 hears and says nothing.
+	deliver := func(lose func(Message) bool) {
+		for len(c.queue) > 0 {
+			m := c.queue[0]
+			c.queue = c.queue[1:]
+			if lose(m) {
+				continue
+			}
+			for _, id := range []int{0, 1, 2} {
+				out, _ := c.replicas[id].Handle(m)
+				c.queue = append(c.queue, outMsgs(out)...)
+			}
+		}
+	}
+	timeout := func() {
+		for _, id := range []int{0, 1, 2} {
+			c.queue = append(c.queue, outMsgs(c.replicas[id].OnTimeout())...)
+		}
+	}
+	timeout()
+	deliver(func(m Message) bool { _, ok := m.(*PrePrepare); return ok })
+	for _, id := range []int{0, 1, 2} {
+		if got := c.replicas[id].View(); got != 1 {
+			t.Fatalf("replica %d in view %d, want 1", id, got)
+		}
+	}
+	timeout()
+	deliver(func(Message) bool { return false })
+	want := pp.Header.ContentDigest()
+	for _, id := range []int{0, 1, 2} {
+		r := c.replicas[id]
+		if r.View() != 2 || r.Committed() != 1 {
+			t.Fatalf("replica %d in view %d committed %d, want view 2 and seq 1", id, r.View(), r.Committed())
+		}
+		if got := r.Ledger().BatchAt(1).Header.ContentDigest(); got != want {
+			t.Fatalf("replica %d committed another batch at seq 1 than replica 3 did", id)
+		}
+	}
+}
+
 func TestMessageCodecRoundTrip(t *testing.T) {
 	c := newCluster(t, 4, 4)
 	author := hashsig.Sum([]byte("client"))

@@ -157,6 +157,13 @@ type Replica struct {
 	// proposeFloor is the highest certified committed seq seen in a
 	// new-view certificate; fresh proposals stay above it.
 	proposeFloor uint64
+	// prepared keeps, per uncommitted seq, the prepared certificate of the
+	// highest view this replica held one in for an instance it abandoned.
+	// A view change abandons every instance, and the re-proposal that
+	// replaces a prepared one may never prepare; the next view-change must
+	// still claim the certificate (PBFT's P set), or a batch that committed
+	// elsewhere could lose its seq to another.
+	prepared map[uint64]*PreparedProof
 
 	// seen records the first valid statement per (view, seq); a second one
 	// with different content is equivocation.
@@ -230,6 +237,7 @@ func New(cfg Config) (*Replica, error) {
 		insts:         make(map[uint64]*instance),
 		vcs:           make(map[uint64]map[ReplicaID]*ViewChange),
 		mustRepropose: make(map[uint64]hashsig.Digest),
+		prepared:      make(map[uint64]*PreparedProof),
 		seen:          make(map[slotKey]*ledger.BatchHeader),
 		blamed:        make(map[slotKey]bool),
 		sigOK:         hashsig.NewVerifiedSet[hashsig.Digest](maxSigCache),
@@ -573,8 +581,11 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 // rolling back the speculative execution the ledger holds from seq on
 // (Lemma 1). seq is always above the committed boundary.
 func (r *Replica) abandonFrom(seq uint64) {
-	for s := range r.insts {
+	for s, in := range r.insts {
 		if s >= seq {
+			if in.preparedCert {
+				r.keepPrepared(in)
+			}
 			delete(r.insts, s)
 		}
 	}
@@ -743,6 +754,11 @@ func (r *Replica) markCommitted(cert *ledger.CommitCert) {
 			delete(r.mustRepropose, s)
 		}
 	}
+	for s := range r.prepared {
+		if s <= seq {
+			delete(r.prepared, s)
+		}
+	}
 	for k := range r.seen {
 		if k.seq < seq {
 			delete(r.seen, k)
@@ -776,9 +792,10 @@ func (r *Replica) OnTimeout() []Outbound {
 }
 
 // startViewChange emits this replica's view-change for the target view,
-// carrying a prepared claim for every in-window instance that reached its
-// prepare quorum (quorums can form out of order, so the claims may be
-// non-contiguous).
+// carrying a prepared claim for every uncommitted seq it holds a prepared
+// certificate for: an in-window instance that reached its prepare quorum,
+// or one an earlier view change abandoned (quorums can form out of order,
+// so the claims may be non-contiguous).
 func (r *Replica) startViewChange(target uint64) []Outbound {
 	r.inViewChange = true
 	r.vcTarget = target
@@ -790,15 +807,14 @@ func (r *Replica) startViewChange(target uint64) []Outbound {
 		CommitProof:  r.lastCommit,
 	}
 	for _, seq := range sortedKeys(r.insts) {
-		in := r.insts[seq]
-		if !in.preparedCert || seq <= r.committed {
-			continue
+		if in := r.insts[seq]; in.preparedCert && seq > r.committed {
+			r.keepPrepared(in)
 		}
-		claim := PreparedProof{PP: PrePrepare{Header: *in.stmt, Entries: in.entries}}
-		for _, id := range sortedKeys(in.prepMsgs) {
-			claim.Prepares = append(claim.Prepares, in.prepMsgs[id].Prepare)
+	}
+	for _, seq := range sortedKeys(r.prepared) {
+		if seq > r.committed {
+			vc.Prepared = append(vc.Prepared, *r.prepared[seq])
 		}
-		vc.Prepared = append(vc.Prepared, claim)
 	}
 	vc.Sig = r.cfg.Key.MustSign(vc.SigningDigest())
 	r.ownVC = vc
@@ -806,6 +822,20 @@ func (r *Replica) startViewChange(target uint64) []Outbound {
 	out := []Outbound{toAll(vc)}
 	r.maybeEmitNewView(target, &out)
 	return out
+}
+
+// keepPrepared records a prepared instance's certificate unless one from a
+// later view is already kept for its seq.
+func (r *Replica) keepPrepared(in *instance) {
+	seq := in.stmt.Seq
+	if cur := r.prepared[seq]; cur != nil && cur.PP.Header.View > in.stmt.View {
+		return
+	}
+	claim := &PreparedProof{PP: PrePrepare{Header: *in.stmt, Entries: in.entries}}
+	for _, id := range sortedKeys(in.prepMsgs) {
+		claim.Prepares = append(claim.Prepares, in.prepMsgs[id].Prepare)
+	}
+	r.prepared[seq] = claim
 }
 
 // viewChangeStructure checks everything about a view-change except

@@ -195,8 +195,10 @@ func (wk *worker) submit(rq *ledger.Request) (rpc.Status, error) {
 		}
 		switch res.Status {
 		case rpc.StatusCommitted:
-			if err := wk.verify(rq, res.Receipt); err != nil {
-				return res.Status, err
+			if len(wk.cfg.Pubs) > 0 {
+				if err := VerifyReceipt(wk.cfg.Pubs, rq, res.Receipt); err != nil {
+					return res.Status, err
+				}
 			}
 			return res.Status, nil
 		case rpc.StatusNotPrimary:
@@ -218,16 +220,14 @@ func (wk *worker) submit(rq *ledger.Request) (rpc.Status, error) {
 	return 0, fmt.Errorf("loadgen: reqno %d gave up across %d nodes: %v", rq.ReqNo, len(wk.cfg.Addrs), lastErr)
 }
 
-// verify checks the receipt proves THIS request committed — a transaction
-// entry with its author, reqno and body — under the key of the primary its
-// header names (which must lead the view it names): the client-side audit
-// step the paper's receipts exist for. While requests are unsigned, the body
-// is what stops a primary from receipting other words under the client's
-// ⟨author, reqno⟩.
-func (wk *worker) verify(rq *ledger.Request, rc *ledger.Receipt) error {
-	if len(wk.cfg.Pubs) == 0 {
-		return nil
-	}
+// VerifyReceipt checks that rc proves rq committed — a transaction entry
+// with its author, reqno and body — under the key of the primary its header
+// names (which must lead the view it names): the client-side audit step the
+// paper's receipts exist for. Every client path that accepts a
+// StatusCommitted result calls it: the load generator and the simulation.
+// While requests are unsigned, the body is what stops a primary from
+// receipting other words under the client's ⟨author, reqno⟩.
+func VerifyReceipt(pubs []*hashsig.PublicKey, rq *ledger.Request, rc *ledger.Receipt) error {
 	if rc == nil {
 		return fmt.Errorf("loadgen: committed without receipt (reqno %d)", rq.ReqNo)
 	}
@@ -235,7 +235,7 @@ func (wk *worker) verify(rq *ledger.Request, rc *ledger.Receipt) error {
 		return fmt.Errorf("loadgen: receipt is for a %v entry by author %x reqno %d (%d-byte body), want reqno %d (%d bytes)",
 			e.Kind, e.Author[:4], e.ReqNo, len(e.Payload), rq.ReqNo, len(rq.Body))
 	}
-	if key := ledger.StatementKey(wk.cfg.Pubs)(&rc.Header); key == nil || !rc.Verify(key) {
+	if key := ledger.StatementKey(pubs)(&rc.Header); key == nil || !rc.Verify(key) {
 		return fmt.Errorf("loadgen: receipt for reqno %d does not verify under the key of view %d's primary %d",
 			rq.ReqNo, rc.Header.View, rc.Header.Primary)
 	}

@@ -160,12 +160,11 @@ func TestVerifyUnderTheNamedPrimary(t *testing.T) {
 		}
 		return &rq, &rcs[0]
 	}
-	wk := &worker{cfg: &Config{Pubs: pubs}}
 	for _, view := range []uint64{0, 2, 2, 4, 7} {
 		primary := int(view % 4)
 		_, verifies := hashsig.Counts()
 		rq, rc := receiptFrom(primary, view, uint32(primary))
-		if err := wk.verify(rq, rc); err != nil {
+		if err := VerifyReceipt(pubs, rq, rc); err != nil {
 			t.Fatalf("honest receipt from view %d rejected: %v", view, err)
 		}
 		if _, v := hashsig.Counts(); v-verifies != 1 {
@@ -190,7 +189,7 @@ func TestVerifyUnderTheNamedPrimary(t *testing.T) {
 			return &other, rc
 		},
 	} {
-		if err := wk.verify(forge()); err == nil {
+		if rq, rc := forge(); VerifyReceipt(pubs, rq, rc) == nil {
 			t.Fatalf("receipt %s accepted", what)
 		}
 	}

@@ -7,8 +7,10 @@
 // One goroutine — the run loop — owns the consensus.Replica. Transport
 // handlers and RPC submissions communicate with it only through channels,
 // so replica state remains a pure function of the sequence of messages
-// and ticks the loop consumed, exactly the property the sim harness and
-// the detsource analyzer enforce on the layers below.
+// and ticks the loop consumed, the property the detsource analyzer
+// enforces on the layers below. Each input is one turn (step); a
+// deterministic driver (internal/sim) runs the same turns on a node it
+// never Started, through the Step methods.
 //
 // # Pacing
 //
@@ -322,7 +324,6 @@ func (n *Node) Submit(rq ledger.Request) rpc.Result {
 func (n *Node) run() {
 	defer close(n.stopped)
 	for {
-		var t turn
 		select {
 		case <-n.stop:
 			for h, ws := range n.waiters {
@@ -333,22 +334,51 @@ func (n *Node) run() {
 			}
 			return
 		case f := <-n.frames:
-			n.onFrame(f)
-			t = turnFrame
+			n.step(turnFrame, func() { n.onFrame(f) })
 		case <-n.cfg.Clock.C():
-			n.onTick()
-			t = turnTick
+			n.step(turnTick, n.onTick)
 		case s := <-n.submits:
-			n.onSubmit(s)
-			t = turnSubmit
+			n.step(turnSubmit, func() { n.onSubmit(s) })
 		}
-		// Every turn ends the same way: reconcile what committed, then let
-		// the window decide whether to cut a batch.
-		n.afterProgress()
-		n.pace(t)
-		n.publish()
 	}
 }
+
+// step runs one turn: handle its input, then end as every turn does —
+// reconcile what committed, let the window decide whether to cut a batch,
+// publish what Stats reports.
+func (n *Node) step(t turn, handle func()) {
+	handle()
+	n.afterProgress()
+	n.pace(t)
+	n.publish()
+}
+
+// StepFrame runs the turn for one inbound frame, which it does not retain.
+// The Step methods are for a driver that owns every input of a node it
+// never Started, and calls them from one goroutine.
+func (n *Node) StepFrame(from transport.NodeID, frame []byte) {
+	n.step(turnFrame, func() { n.onFrame(inFrame{from: from, frame: frame}) })
+}
+
+// StepTick runs the turn for one clock tick.
+func (n *Node) StepTick() { n.step(turnTick, n.onTick) }
+
+// StepSubmit runs the turn for one client submission. Its verdict arrives
+// on the returned channel in this turn or a later one.
+func (n *Node) StepSubmit(rq ledger.Request) <-chan rpc.Result {
+	resp := make(chan rpc.Result, 1)
+	n.step(turnSubmit, func() { n.onSubmit(submission{rq: rq, resp: resp}) })
+	return resp
+}
+
+// StepStall runs a tick turn in which the stall rule fires, whatever is in
+// flight. A backup with nothing in flight never fires it on its own, so
+// without this a cluster whose primary dies while idle never changes view.
+func (n *Node) StepStall() { n.step(turnTick, n.stall) }
+
+// Replica is the node's replica, for the driver of a node it never
+// Started: between turns, nothing else touches it.
+func (n *Node) Replica() *consensus.Replica { return n.rep }
 
 // publish copies the replica state Stats reports into the node's atomics.
 func (n *Node) publish() {
@@ -408,10 +438,16 @@ func (n *Node) onTick() {
 		n.route(n.rep.Retransmit())
 	}
 	if n.rep.InFlight() > 0 && n.ticks-n.lastProgressTick >= uint64(n.cfg.StallTicks) {
-		n.route(n.rep.OnTimeout())
-		n.lastProgressTick = n.ticks // re-arm rather than fire every tick
+		n.stall()
 	}
 	n.expireWaiters()
+}
+
+// stall is the stall rule's action: vote to leave the view, and re-arm
+// rather than fire again every tick.
+func (n *Node) stall() {
+	n.route(n.rep.OnTimeout())
+	n.lastProgressTick = n.ticks
 }
 
 // pace is the node's one proposing rule, run at the end of every turn:
@@ -459,6 +495,9 @@ func (n *Node) proposeFromPool() int {
 			ti++
 		}
 		pb.subs = append(pb.subs, pendingSub{hash: txpool.Hash(&batch[i]), rcIdx: idx})
+	}
+	if old, ok := n.pending[pp.Header.Seq]; ok {
+		n.forget(old) // a view change abandoned this node's earlier batch here
 	}
 	n.pending[pp.Header.Seq] = pb
 	n.route([]consensus.Outbound{{Dest: consensus.Broadcast, Msg: pp}})
@@ -531,11 +570,8 @@ func (n *Node) deliverSeq(seq uint64) {
 	// within one view the primary signs exactly one pre-prepare per
 	// sequence, so if the view never changed since Propose, the batch that
 	// committed at seq can only be the one these receipts embed.
-	if b != nil {
-		if b.Header.ContentDigest() != pb.content {
-			return
-		}
-	} else if n.rep.View() != pb.view {
+	if (b != nil && b.Header.ContentDigest() != pb.content) || (b == nil && n.rep.View() != pb.view) {
+		n.forget(pb)
 		return
 	}
 	for _, sub := range pb.subs {
@@ -551,6 +587,15 @@ func (n *Node) deliverSeq(seq uint64) {
 		for _, w := range ws {
 			w.resp <- rpc.Result{Status: rpc.StatusCommitted, Receipt: rc}
 		}
+	}
+}
+
+// forget drops a replaced batch's requests that were not seen committed
+// from the pool's memo, so a retry pools them again instead of hearing
+// they are duplicates.
+func (n *Node) forget(pb pendingBatch) {
+	for _, sub := range pb.subs {
+		n.pool.Forget(sub.hash)
 	}
 }
 
@@ -594,8 +639,8 @@ func (n *Node) onSubmit(s submission) {
 		return
 	case err == txpool.ErrDuplicate:
 		if len(n.waiters[h]) == 0 && !n.undecided(h) {
-			// Committed, or drained by a proposal that is gone: the commit
-			// (if any) has passed; tell the client it is a duplicate.
+			// Committed (a replaced batch's requests are forgotten): tell
+			// the client it is a duplicate.
 			s.resp <- rpc.Result{Status: rpc.StatusDuplicate}
 			return
 		}

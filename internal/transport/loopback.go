@@ -9,29 +9,43 @@ import (
 // TamperPolicy parameterizes the loopback hub's adversarial schedule.
 // Zero values mean in-order, lossless delivery.
 type TamperPolicy struct {
-	// DropRate is the probability a frame is silently discarded.
+	// DropRate is the probability a frame is lost. Senders retransmit, so
+	// loss is the only drop rule a schedule needs.
 	DropRate float64
-	// DupRate is the probability a delivered frame is re-queued once.
-	DupRate float64
 	// ReorderWindow lets Step pick any of the first W queued frames
 	// instead of the head (0 or 1 means strict FIFO).
 	ReorderWindow int
+	// Cut, when set, is consulted for each frame Step picks and for each
+	// frame it holds: a partition's verdict on that link at this moment.
+	Cut func(from, to NodeID) Cut
 }
 
+// Cut is a partition's verdict on one frame.
+type Cut uint8
+
+const (
+	// Pass delivers the frame (subject to DropRate).
+	Pass Cut = iota
+	// Hold keeps the frame aside until the link's verdict is Pass again.
+	Hold
+	// Lose discards the frame: the overflowed-buffer model, where a
+	// partitioned peer can only recover what it missed by asking for it.
+	Lose
+)
+
 // Hub is an in-process transport double: endpoints implement Transport,
-// frames land in one central queue, and the test drives delivery one
-// Step at a time under a seeded adversarial schedule. Determinism
-// contract: a single-threaded driver with the same seed, policy, and
-// send sequence sees the same delivery sequence — which is what lets a
-// failing adversarial run be replayed by seed, like the sim matrix.
+// frames land in one central queue, and the driver delivers them one Step
+// at a time under a seeded adversarial schedule. Determinism contract: a
+// single-threaded driver with the same seed, policy, and send sequence
+// sees the same delivery sequence — which is what lets a failing
+// simulation (internal/sim) be replayed by its seed.
 type Hub struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	policy TamperPolicy
 	eps    map[NodeID]*loopEndpoint
 	queue  []loopFrame
-	sent   uint64
-	lost   uint64
+	held   []loopFrame // frames a Hold verdict keeps aside, in arrival order
 }
 
 type loopFrame struct {
@@ -41,6 +55,9 @@ type loopFrame struct {
 
 // NewHub builds a hub with a seeded schedule.
 func NewHub(seed int64, policy TamperPolicy) *Hub {
+	if policy.Cut == nil {
+		policy.Cut = func(NodeID, NodeID) Cut { return Pass }
+	}
 	return &Hub{
 		rng:    rand.New(rand.NewSource(seed)),
 		policy: policy,
@@ -66,69 +83,62 @@ func (h *Hub) Endpoint(id NodeID, handler Handler) Transport {
 	return ep
 }
 
-// Pending reports undelivered frames.
-func (h *Hub) Pending() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.queue)
-}
-
-// Lost reports frames discarded by the drop schedule.
-func (h *Hub) Lost() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lost
-}
-
 // enqueue copies the body: the Transport contract gives the transport
 // ownership of sent frames, and the Handler contract says delivered
 // buffers are transport-owned, so the hub must hold its own copy either
 // way.
 func (h *Hub) enqueue(from, to NodeID, body []byte) {
 	h.queue = append(h.queue, loopFrame{from: from, to: to, body: append([]byte(nil), body...)})
-	h.sent++
 }
 
-// Step delivers (or adversarially drops/duplicates) one queued frame and
-// reports whether any work remains. The reorder window, drop, and dup
-// draws all come from the seeded rng, in a fixed order per step.
+// Step delivers, holds or loses one queued frame and reports whether
+// frames remain queued. Held frames whose link now passes rejoin the queue
+// first, in the order they were held. The reorder pick and the drop draw
+// come from the seeded rng, in that order; a Cut verdict draws nothing.
 func (h *Hub) Step() bool {
 	h.mu.Lock()
+	h.release()
 	if len(h.queue) == 0 {
 		h.mu.Unlock()
 		return false
 	}
-	w := h.policy.ReorderWindow
-	if w < 1 {
-		w = 1
-	}
-	if w > len(h.queue) {
-		w = len(h.queue)
-	}
 	i := 0
-	if w > 1 {
+	if w := min(h.policy.ReorderWindow, len(h.queue)); w > 1 {
 		i = h.rng.Intn(w)
 	}
 	f := h.queue[i]
 	h.queue = append(h.queue[:i], h.queue[i+1:]...)
-	if h.policy.DropRate > 0 && h.rng.Float64() < h.policy.DropRate {
-		h.lost++
-		n := len(h.queue)
-		h.mu.Unlock()
-		return n > 0
+	var ep *loopEndpoint
+	switch h.policy.Cut(f.from, f.to) {
+	case Hold:
+		h.held = append(h.held, f)
+	case Pass:
+		if h.policy.DropRate == 0 || h.rng.Float64() >= h.policy.DropRate {
+			ep = h.eps[f.to]
+		}
 	}
-	if h.policy.DupRate > 0 && h.rng.Float64() < h.policy.DupRate {
-		h.queue = append(h.queue, loopFrame{from: f.from, to: f.to, body: append([]byte(nil), f.body...)})
-	}
-	ep := h.eps[f.to]
 	h.mu.Unlock()
 	if ep != nil && ep.handler != nil {
 		ep.handler(f.from, f.body)
 	}
 	h.mu.Lock()
-	n := len(h.queue)
-	h.mu.Unlock()
-	return n > 0
+	defer h.mu.Unlock()
+	return len(h.queue) > 0
+}
+
+// release moves held frames whose link passes again back onto the queue
+// and discards those whose link now loses them.
+func (h *Hub) release() {
+	kept := h.held[:0]
+	for _, f := range h.held {
+		switch h.policy.Cut(f.from, f.to) {
+		case Hold:
+			kept = append(kept, f)
+		case Pass:
+			h.queue = append(h.queue, f)
+		}
+	}
+	h.held = kept
 }
 
 func (ep *loopEndpoint) Send(to NodeID, frame []byte) error {

@@ -292,7 +292,7 @@ func TestTCPBadHandshakeRejected(t *testing.T) {
 // (sanity that the schedule is actually random).
 func TestLoopbackDeterminism(t *testing.T) {
 	run := func(seed int64) []string {
-		hub := NewHub(seed, TamperPolicy{DropRate: 0.2, DupRate: 0.1, ReorderWindow: 4})
+		hub := NewHub(seed, TamperPolicy{DropRate: 0.2, ReorderWindow: 4})
 		var gotMu sync.Mutex
 		var got []string
 		eps := make([]Transport, 3)
@@ -333,5 +333,46 @@ func TestLoopbackDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical schedules; rng not wired")
+	}
+}
+
+// TestLoopbackCut: a Hold verdict keeps a frame aside until its link passes
+// again, then delivers it in the order it was held; a Lose verdict discards
+// it.
+func TestLoopbackCut(t *testing.T) {
+	verdict := Hold
+	hub := NewHub(1, TamperPolicy{Cut: func(from, to NodeID) Cut {
+		if to == 2 {
+			return verdict
+		}
+		return Pass
+	}})
+	var got []string
+	eps := make([]Transport, 3)
+	for i := range eps {
+		id := NodeID(i)
+		eps[i] = hub.Endpoint(id, func(from NodeID, frame []byte) {
+			got = append(got, fmt.Sprintf("%d<-%d:%s", id, from, frame))
+		})
+	}
+	eps[0].Broadcast([]byte("a"))
+	eps[1].Send(2, []byte("b"))
+	for hub.Step() {
+	}
+	if want := "[1<-0:a]"; fmt.Sprint(got) != want {
+		t.Fatalf("under Hold: delivered %v, want %s", got, want)
+	}
+	verdict = Pass
+	for hub.Step() {
+	}
+	if want := "[1<-0:a 2<-0:a 2<-1:b]"; fmt.Sprint(got) != want {
+		t.Fatalf("after the cut lifted: delivered %v, want %s", got, want)
+	}
+	verdict = Lose
+	eps[0].Send(2, []byte("c"))
+	for hub.Step() {
+	}
+	if len(got) != 3 {
+		t.Fatalf("under Lose: delivered %v, want nothing more", got)
 	}
 }

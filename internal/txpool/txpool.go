@@ -64,14 +64,17 @@ type sender struct {
 // Pool is the batching transaction pool. Safe for concurrent use: RPC
 // handler goroutines Add while the node's runtime loop drains NextBatch.
 type Pool struct {
-	mu       sync.Mutex
-	cap      int
-	n        int
-	senders  map[hashsig.Digest]*sender
-	order    []hashsig.Digest // round-robin arrival order of active senders
-	next     int              // round-robin cursor into order
-	pooled   map[hashsig.Digest]bool
-	seenCur  map[hashsig.Digest]bool // drained/committed memo, current gen
+	mu      sync.Mutex
+	cap     int
+	n       int
+	senders map[hashsig.Digest]*sender
+	order   []hashsig.Digest // round-robin arrival order of active senders
+	next    int              // round-robin cursor into order
+	pooled  map[hashsig.Digest]bool
+	// seenCur and seenPrev are the drained/committed memo, current and
+	// previous generation: a drained request maps to false, a committed one
+	// to true.
+	seenCur  map[hashsig.Digest]bool
 	seenPrev map[hashsig.Digest]bool
 }
 
@@ -114,7 +117,7 @@ func (p *Pool) Add(rq ledger.Request) error {
 	h := Hash(&rq)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pooled[h] || p.seenCur[h] || p.seenPrev[h] {
+	if p.pooled[h] || p.seen(h) {
 		return ErrDuplicate
 	}
 	if p.n >= p.cap {
@@ -184,7 +187,7 @@ func (p *Pool) NextBatch(max int) []ledger.Request {
 		s.reqs = s.reqs[1:]
 		h := Hash(&rq)
 		delete(p.pooled, h)
-		p.markSeen(h)
+		p.markSeen(h, false)
 		p.n--
 		out = append(out, rq)
 		p.next++
@@ -197,14 +200,33 @@ func (p *Pool) NextBatch(max int) []ledger.Request {
 // suppressed like drained requests.
 func (p *Pool) Observe(h hashsig.Digest) {
 	p.mu.Lock()
-	p.markSeen(h)
+	p.markSeen(h, true)
 	p.mu.Unlock()
 }
 
-func (p *Pool) markSeen(h hashsig.Digest) {
+// Forget drops a drained request from the memo unless it was observed
+// committed: the proposal that drained it is gone without committing it,
+// so a client's retry must be pooled again rather than refused as a
+// duplicate.
+func (p *Pool) Forget(h hashsig.Digest) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.seenCur[h] && !p.seenPrev[h] {
+		delete(p.seenCur, h)
+		delete(p.seenPrev, h)
+	}
+}
+
+func (p *Pool) seen(h hashsig.Digest) bool {
+	_, cur := p.seenCur[h]
+	_, prev := p.seenPrev[h]
+	return cur || prev
+}
+
+func (p *Pool) markSeen(h hashsig.Digest, committed bool) {
 	if len(p.seenCur) >= seenBudget/2 {
 		p.seenPrev = p.seenCur
 		p.seenCur = make(map[hashsig.Digest]bool)
 	}
-	p.seenCur[h] = true
+	p.seenCur[h] = committed || p.seenCur[h]
 }

@@ -62,7 +62,8 @@ func TestRoundRobinFairness(t *testing.T) {
 
 // TestDedupAndSeenMemo: a pooled duplicate and a retry of a drained
 // request are both rejected; Observe suppresses externally committed
-// hashes too. Pooled tells the first apart from the other two.
+// hashes too. Pooled tells the first apart from the other two, and Forget
+// readmits only the drained one.
 func TestDedupAndSeenMemo(t *testing.T) {
 	p := New(Config{})
 	a := hashsig.Sum([]byte("a"))
@@ -85,6 +86,21 @@ func TestDedupAndSeenMemo(t *testing.T) {
 	// A genuinely new request is still accepted.
 	if err := p.Add(req(a, 3)); err != nil {
 		t.Fatal(err)
+	}
+	// Forget readmits a drained request whose proposal is gone, but never
+	// one observed committed — not even one drained first.
+	p.Forget(Hash(&r1))
+	if err := p.Add(r1); err != nil {
+		t.Fatalf("retry of a forgotten drained request: %v", err)
+	}
+	p.NextBatch(2)
+	p.Observe(Hash(&r1))
+	p.Forget(Hash(&r1))
+	p.Forget(Hash(&r2))
+	for _, r := range []ledger.Request{r1, r2} {
+		if err := p.Add(r); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("retry of committed request %d after Forget: %v", r.ReqNo, err)
+		}
 	}
 }
 
