@@ -13,7 +13,7 @@
 //   - an append inside a map-range body to a slice declared outside the
 //     loop ("collect"), unless the slice is passed to a sort call
 //     (sort.* / slices.Sort*) after the loop. Collect-then-sort is the
-//     sanctioned pattern (kv.Tx.WriteSetDigest, consensus sortedKeys);
+//     sanctioned pattern (kv.WriteSet.Digest, consensus sortedKeys);
 //     a collect that escapes unsorted preserves map order.
 //
 // The fix is champ.RangeCanonical for store contents, or

@@ -32,10 +32,7 @@
 //
 // A hash is written once, by Hash, into a node that no other Map value can
 // have hashed differently (the hash is a function of the immutable
-// contents). Hash is therefore safe for the single writer that owns the map
-// and its snapshots, and not for concurrent callers sharing unhashed nodes;
-// the one node every map in the process shares, Empty's root, is hashed at
-// package init.
+// contents).
 //
 // The root hash is a function of the contents only because the trie shape
 // is: a key is inline at the shallowest node where no other key shares its
@@ -43,6 +40,19 @@
 // subtree. Set preserves that by construction; Delete restores it by
 // hoisting a child left with a single inline entry (or a collision bucket
 // left with one key) back into its parent, level by level.
+//
+// # Concurrency
+//
+// Nothing but Hash reads or writes a node's hash fields, and clone copies
+// neither. So one goroutine may Hash a map while another builds successors
+// of it with Set and Delete: the writer reads only the immutable fields
+// of the nodes the two share, and the nodes it creates are its own until
+// it hands a map over (through a channel, say). A replay checks d_C of a
+// checkpoint this way, beside the execution that continues from it. At
+// most one Hash may run at a time over maps that share unhashed nodes,
+// since two would write the same node; the one node every map in the
+// process shares, Empty's root, is hashed at package init.
+// TestHashBesideSet holds this contract under the race detector.
 //
 // # Node layout
 //

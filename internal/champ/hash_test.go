@@ -484,3 +484,82 @@ func FuzzHashHistoryIndependent(f *testing.F) {
 		checkHistoryIndependent(t, bucketTrie(), ops, extras, rng)
 	})
 }
+
+// TestHashBesideSet holds the concurrency contract of the package comment:
+// one goroutine may Hash a snapshot while another builds successors of it
+// with Set and Delete. A writer derives snapshots S_1 … S_m from S_0, a
+// few hundred writes apart — overwrites, inserts that push entries down,
+// deletes that hoist them back — and hands every fourth to a hasher
+// goroutine as soon as it exists, then goes on writing from it; it hashes
+// nothing itself. Every root the hasher reads must be the one a map
+// rebuilt from that snapshot's contents, alone, gives. Run it under -race:
+// a field both sides touch shows up there even when the roots agree.
+func TestHashBesideSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	model := map[string][]byte{}
+	m := Empty()
+	for i := 0; i < 2000; i++ {
+		k, v := fmt.Sprintf("k%d", i), []byte(fmt.Sprint(i))
+		model[k], m = v, m.Set(k, v)
+	}
+	m.Hash() // S_0 hashed, as a store is after its first checkpoint
+	type snap struct {
+		m     *Map
+		model map[string][]byte
+	}
+	const steps, every = 40, 4
+	queue := make(chan snap)
+	// One slot per snapshot: the hasher never waits for the reader, which
+	// reads only once it has joined the hasher.
+	roots := make(chan hashsig.Digest, steps/every)
+	var hasher sync.WaitGroup
+	hasher.Add(1)
+	go func() {
+		defer hasher.Done()
+		for s := range queue {
+			roots <- s.m.Hash()
+		}
+		close(roots)
+	}()
+	var sent []snap
+	for step := 1; step <= steps; step++ {
+		for w := 0; w < 300; w++ {
+			k := fmt.Sprintf("k%d", rng.Intn(3000))
+			switch rng.Intn(4) {
+			case 0:
+				delete(model, k)
+				m = m.Delete(k)
+			case 1:
+				v := sized(k, straddle[rng.Intn(len(straddle))], byte(step))
+				model[k], m = v, m.Set(k, v)
+			default:
+				v := []byte(fmt.Sprint(step, w))
+				model[k], m = v, m.Set(k, v)
+			}
+		}
+		if step%every == 0 {
+			s := snap{m: m, model: make(map[string][]byte, len(model))}
+			for k, v := range model {
+				s.model[k] = v
+			}
+			sent = append(sent, s)
+			queue <- s
+		}
+	}
+	close(queue)
+	hasher.Wait()
+	i := 0
+	for got := range roots {
+		rebuilt := Empty()
+		for _, k := range sortedKeys(sent[i].model) {
+			rebuilt = rebuilt.Set(k, sent[i].model[k])
+		}
+		if want := rebuilt.Hash(); got != want {
+			t.Fatalf("snapshot %d hashed beside later writes: root %v, rebuilt %v", i, got, want)
+		}
+		i++
+	}
+	if i != len(sent) {
+		t.Fatalf("%d roots for %d snapshots", i, len(sent))
+	}
+}

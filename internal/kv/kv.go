@@ -85,40 +85,56 @@ func (t *Tx) Delete(key string) {
 	t.deletes[key] = true
 }
 
-// WriteSetDigest returns a deterministic digest of the transaction's write
-// set (sorted puts and deletes). The paper stores this hash in each ledger
-// transaction entry's result o (§3.1, Fig. 3) so auditors can compare
-// replayed effects without serializing whole values into receipts.
+// WriteSetDigest returns the digest of the transaction's write set so far
+// (WriteSet.Digest), before it finishes.
 func (t *Tx) WriteSetDigest() hashsig.Digest {
 	t.active("WriteSetDigest")
-	keys := make([]string, 0, len(t.writes)+len(t.deletes))
-	for k := range t.writes {
+	return WriteSet{writes: t.writes, deletes: t.deletes}.Digest()
+}
+
+// Commit applies the buffered effects to the store and returns them.
+func (t *Tx) Commit() WriteSet {
+	t.active("Commit")
+	t.done = true
+	t.store.apply(t.writes, t.deletes)
+	return WriteSet{writes: t.writes, deletes: t.deletes}
+}
+
+// WriteSet is what a committed transaction published: its puts and its
+// deletes. Nothing writes to it after Commit — the store copies every value
+// it keeps, and the transaction is dead — so it may be digested later, on
+// any goroutine.
+type WriteSet struct {
+	writes  map[string][]byte
+	deletes map[string]bool
+}
+
+// Digest returns a deterministic digest of the write set (sorted puts and
+// deletes). The paper stores this hash in each ledger transaction entry's
+// result o (§3.1, Fig. 3) so auditors can compare replayed effects without
+// serializing whole values into receipts.
+func (w WriteSet) Digest() hashsig.Digest {
+	keys := make([]string, 0, len(w.writes)+len(w.deletes))
+	for k := range w.writes {
 		keys = append(keys, k)
 	}
-	for k := range t.deletes {
+	for k := range w.deletes {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	h := wire.GetScratch(256)
 	for _, k := range keys {
 		h = wire.AppendString(h, k)
-		if t.deletes[k] {
+		if w.deletes[k] {
 			h = append(h, 0x00)
 		} else {
 			h = append(h, 0x01)
-			h = wire.AppendBytes(h, t.writes[k])
+			h = wire.AppendBytes(h, w.writes[k])
 		}
 	}
 	d := hashsig.Sum(h)
 	wire.PutScratch(h)
 	return d
-}
-
-// Commit applies the buffered effects to the store.
-func (t *Tx) Commit() {
-	t.active("Commit")
-	t.done = true
-	t.store.apply(t.writes, t.deletes)
 }
 
 // Abort discards the transaction (rollback at transaction granularity).

@@ -146,9 +146,10 @@ func (s *ShardedStore) Begin() *Tx {
 // is never mutated in place — a fresh slice replaces it — so every snapshot
 // captured by Begin, Mark, or Clone stays frozen for free. (The only
 // in-place mutation anywhere is champ filling in node hashes under
-// ShardDigest/CheckpointDigest, which runs strictly between applies, on the
-// goroutine that owns the store, and writes what any holder of the node
-// would compute.)
+// ShardDigest/CheckpointDigest, which writes what any holder of the node
+// would compute, and touches nothing apply reads: one goroutine may take
+// the digest of a Clone while the owner goes on applying — see champ's
+// concurrency contract — as long as one digest runs at a time.)
 func (s *ShardedStore) apply(writes map[string][]byte, deletes map[string]bool) {
 	if len(writes) == 0 && len(deletes) == 0 {
 		return

@@ -33,7 +33,7 @@ func genSkewedBatch(rng *rand.Rand, n, keyPool, hotTenths int) []Request {
 // Header equality is checked via ContentDigest, which covers ¯M, ¯G, and
 // d_C — so checkpoint digests are compared batch by batch, not just at the
 // end. The resulting stream must replay to the live ledger's roots under
-// both of Replay's schedules, inline and two-lane.
+// both of Replay's schedules, inline and pipelined.
 func TestParallelMatchesSequentialUnderAuthorSkew(t *testing.T) {
 	for _, shards := range []uint32{1, 4, 16} {
 		for _, hotTenths := range []int{0, 9} {

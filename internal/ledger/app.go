@@ -15,9 +15,9 @@ import (
 // flag misbehaviour (paper §5).
 //
 // Execute must not write to request: it is the entry's payload, and an
-// auditor's replay digests the entry on another goroutine while it
-// executes (core.reproduce), as the entry hasher does on every policy once
-// a transaction has run.
+// auditor's replay digests the entry on its checker goroutine while later
+// entries execute (core.check), as the entry hasher does on every policy
+// once a transaction has run.
 type App interface {
 	Execute(tx *kv.Tx, request []byte) error
 }

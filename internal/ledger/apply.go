@@ -68,7 +68,7 @@ func (l *Ledger) ApplyBatch(b *Batch) (*BatchHeader, error) {
 		return nil, fmt.Errorf("%w: batch built under %d shards, replica runs %d", ErrApply, h.Shards, l.cfg.Shards)
 	}
 	seq := h.Seq
-	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
+	l.mark(seq)
 	_, _, div := l.derive(seq, b.Entries, h)
 	if div == nil {
 		div = l.checkInterval(b)

@@ -2,8 +2,6 @@ package ledger
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
@@ -64,16 +62,16 @@ type batchProofs struct {
 // minted: transaction results and the checkpoint marker's state digest are
 // set, and audit paths are built. With want non-nil the entries are final:
 // every result, the marker, and then every header field is compared
-// against want, and the first mismatch is returned. The store is marked at
-// seq first, so whatever the outcome the caller can undo the batch.
+// against want, and the first mismatch is returned. A caller that may have
+// to undo the batch marks the store first.
 //
 // derive is two halves composed inline: the execution half (execute) with
 // entry digesting pipelined beside it, then the commitment half (commit).
-// The audit policy runs the same halves on two goroutines (reproduce).
+// The audit policy runs every check of both halves on a checker goroutine
+// of its own, a batch behind execution (replay.go).
 func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHeader, batchProofs, *Divergence) {
-	c.store.Mark(seq)
 	c.scratch.grow(len(entries), c.shards)
-	if div := c.execute(seq, entries, want, true); div != nil {
+	if div := c.execute(seq, entries, want, nil); div != nil {
 		return BatchHeader{}, batchProofs{}, div
 	}
 	gRoot, proofs := c.commit(entries, want == nil)
@@ -84,42 +82,6 @@ func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHead
 		}
 	}
 	return got, proofs, nil
-}
-
-// reproduce is derive for entries that are final (the audit policy): the
-// same two halves and the same verdict, run on two goroutines when there is
-// a second CPU and the batch is large enough for the entry hasher to
-// pipeline (minPipelinedEntries), inline through derive otherwise. The
-// execution half runs here; the commitment half — entry digests, leaf
-// hashes, G_s/¯G, the M append — runs beside it over the same entries,
-// which neither half writes. They join before the header is compared, so
-// an execution divergence is still reported ahead of any header field.
-func (c *core) reproduce(seq uint64, entries []Entry, want *BatchHeader) *Divergence {
-	if len(entries) < minPipelinedEntries || runtime.GOMAXPROCS(0) <= 1 {
-		_, _, div := c.derive(seq, entries, want)
-		return div
-	}
-	c.store.Mark(seq)
-	c.scratch.grow(len(entries), c.shards)
-	var gRoot hashsig.Digest
-	var lane sync.WaitGroup
-	lane.Add(1)
-	go func() {
-		defer lane.Done()
-		for i := range entries {
-			c.scratch.hash(i, &entries[i])
-		}
-		gRoot, _ = c.commit(entries, false)
-	}()
-	// The deferred wait joins the lane even if the App panics.
-	defer lane.Wait()
-	div := c.execute(seq, entries, want, false)
-	lane.Wait()
-	if div != nil {
-		return div
-	}
-	got := c.header(seq, len(entries), gRoot)
-	return compareHeader(want, &got)
 }
 
 // commit is the commitment half given the batch's leaf hashes in the
@@ -164,15 +126,22 @@ func compareHeader(want, got *BatchHeader) *Divergence {
 }
 
 // execute is the execution half, and the one execution loop: one kv
-// transaction per transaction entry, strictly in ledger order. With hash
-// set it leaves every entry digest and leaf hash in the scratch, digesting
-// entries beside execution through the hasher — digesting hashes full
-// payloads, for large batches comparable to execution itself, and the two
-// overlap here.
-func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, hash bool) *Divergence {
+// transaction per transaction entry, strictly in ledger order, and the
+// structural rules execution itself needs (a known Kind, the marker's
+// placement and label).
+//
+// With job nil every check runs here: each transaction's result is set or
+// compared as it finishes (settle) and the marker's d_C when it is reached
+// (checkpoint), and every entry digest and leaf hash is left in the
+// scratch, digested beside execution through the entry hasher — digesting
+// hashes full payloads, for large batches comparable to execution itself,
+// and the two overlap here. With job non-nil (the audit, want non-nil)
+// execution only executes: each finished transaction's outcome and the
+// store as of the marker go into job, and the checker does the rest.
+func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, job *checkJob) *Divergence {
 	// The deferred wait releases the workers even if the App panics.
 	var hasher *entryHasher
-	if hash {
+	if job == nil {
 		hasher = newEntryHasher(&c.scratch, len(entries))
 	}
 	defer hasher.wait()
@@ -180,26 +149,30 @@ func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, hash bool
 		e := &entries[ei]
 		switch e.Kind {
 		case KindTransaction:
+			var o outcome
 			tx := c.store.Begin()
-			var got hashsig.Digest
 			if err := c.app.Execute(tx, e.Payload); err != nil {
 				// Failed transactions are still recorded, with a zero result:
 				// the ledger holds clients accountable for what they submitted,
 				// not only for what succeeded.
 				tx.Abort()
 			} else {
-				got = tx.WriteSetDigest()
-				tx.Commit()
+				o = outcome{ws: tx.Commit(), committed: true}
 			}
-			if want == nil {
-				e.Result = got
-			} else if got != e.Result {
-				return diverge(want, ei, "Result", " entry %d: result digest mismatch", ei)
+			if job != nil {
+				job.outcomes[ei] = o
+			} else if div := settle(want, ei, e, o); div != nil {
+				return div
 			}
 		case KindGovernance:
 			// Recorded, no state effect.
 		case KindCheckpoint:
 			if div := c.marker(seq, entries, ei, want); div != nil {
+				return div
+			}
+			if job != nil {
+				job.snap = c.store.Clone()
+			} else if div := c.checkpoint(want, ei, e, c.store); div != nil {
 				return div
 			}
 		default:
@@ -211,24 +184,52 @@ func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, hash bool
 	return nil
 }
 
-// marker is the checkpoint-marker rule. A correct proposer appends at most
-// one marker per batch, last, labelled with the batch's own sequence
-// number; anything else would desynchronize lastCkpt across honest
-// replicas even if the digest itself happened to match. The marker pins
-// d_C of the store as of all the batch's transactions: set when minting,
-// compared otherwise — incrementally either way, only the trie paths
-// written since the previous checkpoint re-hash. (Whether a marker is due
-// at seq at all is the replica's CheckpointEvery, which an auditor is not
-// told; that rule is ApplyBatch's.)
+// outcome is how a transaction finished: the write set it committed, or
+// nothing when it aborted.
+type outcome struct {
+	ws        kv.WriteSet
+	committed bool
+}
+
+// settle is the result rule for transaction entry ei: its result is the
+// digest of the write set it committed, zero if it aborted — set when
+// minting (want nil), compared otherwise.
+func settle(want *BatchHeader, ei int, e *Entry, o outcome) *Divergence {
+	var got hashsig.Digest
+	if o.committed {
+		got = o.ws.Digest()
+	}
+	if want == nil {
+		e.Result = got
+	} else if got != e.Result {
+		return diverge(want, ei, "Result", " entry %d: result digest mismatch", ei)
+	}
+	return nil
+}
+
+// marker is the checkpoint marker's structural rule. A correct proposer
+// appends at most one marker per batch, last, labelled with the batch's
+// own sequence number; anything else would desynchronize lastCkpt across
+// honest replicas even if the digest itself happened to match. (Whether a
+// marker is due at seq at all is the replica's CheckpointEvery, which an
+// auditor is not told; that rule is ApplyBatch's.)
 func (c *core) marker(seq uint64, entries []Entry, ei int, want *BatchHeader) *Divergence {
-	e := &entries[ei]
 	if ei != len(entries)-1 {
 		return diverge(want, ei, "Marker", " entry %d: unexpected checkpoint marker", ei)
 	}
-	if e.Seq != seq {
+	if e := &entries[ei]; e.Seq != seq {
 		return diverge(want, ei, "Seq", " entry %d: checkpoint labelled %d", ei, e.Seq)
 	}
-	d := c.store.CheckpointDigest()
+	return nil
+}
+
+// checkpoint is the marker's digest rule: marker e (entry ei) pins d_C of
+// store as of all the batch's transactions — set when minting, compared
+// otherwise, incrementally either way: only the trie paths written since
+// the previous checkpoint re-hash. It becomes the digest later headers
+// reference.
+func (c *core) checkpoint(want *BatchHeader, ei int, e *Entry, store *kv.ShardedStore) *Divergence {
+	d := store.CheckpointDigest()
 	if want == nil {
 		e.State = d
 	} else if d != e.State {
@@ -244,8 +245,8 @@ func (c *core) marker(seq uint64, entries []Entry, ei int, want *BatchHeader) *D
 // (entries, headers, receipt paths, payloads) is freshly allocated or
 // arena-backed per batch. The core is single-writer, so reuse without
 // synchronization is safe; the concurrent entry hasher writes disjoint
-// indices and is joined before the slices are read or reused, and the
-// audit's commitment lane is the scratch's only user until it is joined.
+// indices and is joined before the slices are read or reused, and during
+// an audit the checker is the scratch's only user.
 type execScratch struct {
 	digests  []hashsig.Digest   // entry digests, one per entry
 	leaves   []hashsig.Digest   // merkle.LeafHash of each digest

@@ -13,8 +13,8 @@ import (
 // The ledger executes one transaction at a time, but derives a batch on
 // more than one goroutine when it has the CPUs: the entry hasher digests
 // entries beside execution, the per-shard trees G_s and their audit paths
-// are built across workers, and Replay runs the commitment half on a lane
-// of its own. The tests here hold that schedule to the one-CPU derivation:
+// are built across workers, and Replay runs every check on a checker
+// goroutine beside its execution lane. The tests here hold that schedule to the one-CPU derivation:
 // a ledger run at GOMAXPROCS=4 and one run at GOMAXPROCS=1 must emit the
 // same bytes.
 

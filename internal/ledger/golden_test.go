@@ -149,7 +149,7 @@ func readGolden(t *testing.T) (raw []byte, stream []*Batch, lines map[uint32][]s
 // deterministic, so the 4-shard run must also re-issue the recorded stream
 // byte for byte, signatures included. It runs at GOMAXPROCS=4 with
 // 72-request batches, so all three policies digest entries beside
-// execution and the replay takes its two-lane schedule.
+// execution and the replay runs its pipeline.
 func TestGoldenByteIdentity(t *testing.T) {
 	forceParallel(t)
 	raw, stream, golden := readGolden(t)

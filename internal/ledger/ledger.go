@@ -65,11 +65,19 @@
 // entries beside execution through the entry hasher: a replica under load
 // has no idle core, and running the halves on two goroutines there was
 // measured and lost. The audit is the one path with a core to spare and
-// entries that are final before it starts, so core.reproduce runs the
-// commitment half on a second goroutine beside the execution half, joining
-// before the header is compared — with the same gate as the entry hasher
-// (more than one CPU, at least minPipelinedEntries entries) and the same
-// verdict, byte for byte, as the inline composition.
+// entries that are final before it starts, so with a second CPU it splits
+// the work differently: not by half but by kind. Its execution lane runs
+// the execution loop and nothing else — transactions in ledger order plus
+// the structural rules execution needs (a known Kind, the marker's
+// placement and label) — and hands each batch's finished write sets and,
+// at a marker, a snapshot of the store to one checker goroutine for the
+// whole replay. The checker runs every check, a batch or more behind:
+// results against the write sets, entry digests and leaf hashes, G_s/¯G,
+// the M append, d_C of the snapshot, the header (core.replay, core.check).
+// The one execution loop (core.execute) serves both: a transaction's
+// result check runs inline for propose and apply and is deferred to the
+// checker for the audit. The verdict is the same, byte for byte, as the
+// inline composition's: the first divergence in derivation order.
 //
 // A mismatch is reported once, by the core, as a *Divergence naming the
 // first field that failed to reproduce and carrying the signed header it
@@ -598,9 +606,9 @@ func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, []Receipt
 
 	// If anything below panics (a buggy App retaining a finished Tx, say),
 	// the core releases its hashing workers on the way out; the
-	// marks pushed here and by derive stay, so a caller that recovers can
-	// RollbackTo(seq) to discard the half-executed batch.
-	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
+	// marks pushed here stay, so a caller that recovers can RollbackTo(seq)
+	// to discard the half-executed batch.
+	l.mark(seq)
 	header, proofs, _ := l.derive(seq, entries, nil)
 	header.Envelope = env
 
@@ -624,6 +632,13 @@ func (l *Ledger) Restate(h *BatchHeader, env Envelope) BatchHeader {
 
 // checkpointDue reports whether batch seq ends a checkpoint interval.
 func (l *Ledger) checkpointDue(seq uint64) bool { return seq%l.cfg.CheckpointEvery == 0 }
+
+// mark records the boundary before batch seq — store, history tree size
+// and checkpoint digest — for RollbackTo.
+func (l *Ledger) mark(seq uint64) {
+	l.store.Mark(seq)
+	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
+}
 
 // adopt retains a batch the core just derived or reproduced and, at a
 // checkpoint boundary, its materialization.

@@ -50,8 +50,8 @@ func BenchmarkExecuteBatch(b *testing.B) {
 // repository benchmark's audit.replay: 64-entry batches, one 32-byte put
 // per request over 8 192 keys, a checkpoint every 4 batches, one shard,
 // headers verified through DefaultPool. At -cpu 1 every batch runs derive
-// inline; with a second CPU it takes the audit's two-lane schedule
-// (core.reproduce), so `-cpu 1,2` prices that schedule.
+// inline; with a second CPU replay is a pipeline (execution lane and
+// checker, core.replay), so `-cpu 1,2` prices that schedule.
 func BenchmarkReplay(b *testing.B) {
 	const batches, batchSize, keys = 256, 64, 8192
 	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 4, Shards: 1})

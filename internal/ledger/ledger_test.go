@@ -586,11 +586,11 @@ func TestReceiptChainsToHistory(t *testing.T) {
 			hist.Append(b.Entries[i].Digest())
 		}
 	}
-	path, err := hist.PathAt(first, hist.Size())
+	paths, err := hist.PathsAt(first, hist.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !merkle.VerifyPath(receipts[0].Entry.Digest(), first, hist.Size(), path, batch.Header.MRoot) {
+	if !merkle.VerifyPath(receipts[0].Entry.Digest(), first, hist.Size(), paths[0], batch.Header.MRoot) {
 		t.Fatal("receipt entry does not chain into the signed history root")
 	}
 }

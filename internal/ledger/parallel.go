@@ -13,8 +13,7 @@ import (
 // submit time — the pipeline would only add channel traffic. Digests and
 // leaf hashes land in the scratch at the submitted index; the caller must
 // wait() before reading any of them. A nil *entryHasher hashes nothing:
-// the audit's two-lane schedule digests on its commitment lane instead
-// (core.reproduce).
+// the audit's checker digests entries itself (core.check).
 //
 // Leaf hashes are computed here because both trees need the same value:
 // the history tree M and the per-shard batch tree G_s each commit to

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
@@ -183,26 +184,187 @@ func checkHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool) (wa
 
 // replay drives batches through the core (fresh at genesis, or
 // checkpoint-seeded) exactly as a backup would, minus everything a backup
-// keeps: each batch's rollback mark is dropped as soon as the batch
-// reproduces. wantSeq pins the first batch's sequence number.
+// keeps: no batch is retained and no rollback mark taken, since a replay
+// that diverges is over. wantSeq pins the first batch's sequence number.
+//
+// With one CPU every batch is derived inline. Otherwise replay is a
+// pipeline: this goroutine is the execution lane and only executes
+// (core.execute with a job), while a checker goroutine, fed through a small
+// bounded queue, runs every check of each batch in order a batch or more
+// behind it (core.check). The checker owns the history tree, the scratch
+// and lastCkpt; the lane owns the store, and hands the checker at each
+// marker a snapshot of it (Clone, O(shards)), which the checker hashes
+// while the lane builds its successors (see champ's concurrency contract).
+// The verdict is the one derive would reach: the first divergence in
+// derivation order — batch, then entry, then header field. A structural
+// divergence the lane meets ends the stream at that entry, and the checker
+// reports it only if nothing before it diverged; a divergence the checker
+// finds stops the lane at its next batch.
 func (c *core) replay(wantSeq uint64, batches []*Batch) (*ReplayResult, error) {
-	res := &ReplayResult{Shards: c.shards}
+	k := c.startChecker()
+	// Joined on every exit, an App panic included.
+	defer k.join()
 	for _, b := range batches {
-		seq := b.Header.Seq
-		if seq != wantSeq {
-			return nil, fmt.Errorf("%w: batch %d: expected sequence %d", ErrReplay, seq, wantSeq)
+		if k == nil {
+			if err := c.replayInline(wantSeq, b); err != nil {
+				return nil, err
+			}
+		} else if !k.submit(c.replayLane(wantSeq, b)) {
+			break
 		}
 		wantSeq++
-		if div := c.reproduce(seq, b.Entries, &b.Header); div != nil {
-			return nil, fmt.Errorf("%w: %w", ErrReplay, div)
-		}
-		c.store.PruneMarks(seq + 1)
-		res.Entries += len(b.Entries)
-		res.Batches++
 	}
-	res.HistSize = c.hist.Size()
-	res.HistRoot = c.hist.Root()
-	res.StateDigest = c.store.CheckpointDigest()
-	res.CkptDigest = c.lastCkpt
-	return res, nil
+	if err := k.join(); err != nil {
+		return nil, err
+	}
+	return &ReplayResult{
+		Batches:     len(batches),
+		Entries:     countEntries(batches),
+		Shards:      c.shards,
+		HistSize:    c.hist.Size(),
+		HistRoot:    c.hist.Root(),
+		StateDigest: c.store.CheckpointDigest(),
+		CkptDigest:  c.lastCkpt,
+	}, nil
+}
+
+// replayInline derives batch b, expected at wantSeq, on this goroutine.
+func (c *core) replayInline(wantSeq uint64, b *Batch) error {
+	seq := b.Header.Seq
+	if seq != wantSeq {
+		return errSequence(seq, wantSeq)
+	}
+	if _, _, div := c.derive(seq, b.Entries, &b.Header); div != nil {
+		return fmt.Errorf("%w: %w", ErrReplay, div)
+	}
+	return nil
+}
+
+// replayLane executes batch b, expected at wantSeq, and returns the
+// checker's share of it. If the lane cannot go on — a wrong sequence
+// number, a structural divergence at entry i — the job covers entries
+// [0, i) and carries that verdict as end.
+func (c *core) replayLane(wantSeq uint64, b *Batch) *checkJob {
+	seq := b.Header.Seq
+	j := &checkJob{seq: seq, entries: b.Entries, want: &b.Header, outcomes: make([]outcome, len(b.Entries))}
+	if seq != wantSeq {
+		j.entries, j.end = nil, errSequence(seq, wantSeq)
+	} else if div := c.execute(seq, b.Entries, &b.Header, j); div != nil {
+		j.entries, j.end = b.Entries[:div.Entry], fmt.Errorf("%w: %w", ErrReplay, div)
+	}
+	return j
+}
+
+func errSequence(seq, want uint64) error {
+	return fmt.Errorf("%w: batch %d: expected sequence %d", ErrReplay, seq, want)
+}
+
+func countEntries(batches []*Batch) int {
+	n := 0
+	for _, b := range batches {
+		n += len(b.Entries)
+	}
+	return n
+}
+
+// checkJob is one batch as the execution lane hands it to the checker.
+type checkJob struct {
+	seq      uint64
+	entries  []Entry
+	want     *BatchHeader
+	outcomes []outcome        // per entry; set for transactions
+	snap     *kv.ShardedStore // the store as of the batch's marker; nil without one
+	end      error            // the lane stopped in this batch, with this verdict
+}
+
+// check is every check of one batch the lane executed, in derivation
+// order: each result (settle) and the entry digests and leaf hashes, then
+// the lane's own verdict if it stopped here, then the marker's d_C
+// (checkpoint), G_s/¯G and the M append (commit), and the header.
+func (c *core) check(j *checkJob) error {
+	c.scratch.grow(len(j.entries), c.shards)
+	for ei := range j.entries {
+		e := &j.entries[ei]
+		if e.Kind == KindTransaction {
+			if div := settle(j.want, ei, e, j.outcomes[ei]); div != nil {
+				return fmt.Errorf("%w: %w", ErrReplay, div)
+			}
+		}
+		c.scratch.hash(ei, e)
+	}
+	if j.end != nil {
+		return j.end
+	}
+	if j.snap != nil {
+		last := len(j.entries) - 1
+		if div := c.checkpoint(j.want, last, &j.entries[last], j.snap); div != nil {
+			return fmt.Errorf("%w: %w", ErrReplay, div)
+		}
+	}
+	gRoot, _ := c.commit(j.entries, false)
+	got := c.header(j.seq, len(j.entries), gRoot)
+	if div := compareHeader(j.want, &got); div != nil {
+		return fmt.Errorf("%w: %w", ErrReplay, div)
+	}
+	return nil
+}
+
+// checkerDepth bounds the batches the lane may run ahead of the checker.
+// A few batches absorb the checker's burst at each marker, when it hashes
+// every trie path written since the last one.
+const checkerDepth = 8
+
+// checker is the goroutine that runs core.check over the jobs of one
+// replay, in order, until the first one fails.
+type checker struct {
+	jobs   chan *checkJob
+	failed chan struct{} // closed once err is set
+	done   chan struct{} // closed when the goroutine exits
+	closed bool
+	err    error
+}
+
+// startChecker starts c's checker, or returns nil on one CPU, where every
+// batch is derived inline.
+func (c *core) startChecker() *checker {
+	if runtime.GOMAXPROCS(0) <= 1 {
+		return nil
+	}
+	k := &checker{jobs: make(chan *checkJob, checkerDepth), failed: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(k.done)
+		for j := range k.jobs {
+			if k.err = c.check(j); k.err != nil {
+				close(k.failed)
+				return
+			}
+		}
+	}()
+	return k
+}
+
+// submit queues j and reports whether the lane should go on: not once j
+// ends the stream, nor once the checker has failed, since every later
+// batch comes after its verdict.
+func (k *checker) submit(j *checkJob) bool {
+	select {
+	case k.jobs <- j:
+		return j.end == nil
+	case <-k.failed:
+		return false
+	}
+}
+
+// join ends the job stream and waits for the checker, returning its
+// verdict. It is idempotent and a no-op on a nil checker.
+func (k *checker) join() error {
+	if k == nil {
+		return nil
+	}
+	if !k.closed {
+		k.closed = true
+		close(k.jobs)
+	}
+	<-k.done
+	return k.err
 }

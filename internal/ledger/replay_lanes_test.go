@@ -15,9 +15,8 @@ import (
 
 // laneStream executes batches × size requests (two puts each, over a small
 // key space, under several authors) on a fresh ledger with the given shard
-// count, signed by testKey, and returns its stream. size ≥
-// minPipelinedEntries makes Replay take the two-lane schedule when it has a
-// second CPU.
+// count, signed by testKey, and returns its stream. A checkpoint marker
+// ends every even-numbered batch.
 func laneStream(t testing.TB, shards uint32, batches, size int) []*Batch {
 	t.Helper()
 	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2, Shards: shards})
@@ -59,9 +58,9 @@ func encodeStream(t testing.TB, batches []*Batch) []byte {
 func resign(b *Batch) { b.Header.Sig = testKey.MustSign(b.Header.StatementDigest()) }
 
 // TestReplaySignatureWinsOverEarlierDivergence: the signatures are checked
-// beside the replay now, not before it, and the verdict must not change —
-// a stream whose batch j diverges and whose later batch k carries a forged
-// signature is rejected for the signature, under both schedules.
+// beside the replay, not before it, and the verdict must not change — a
+// stream whose batch j diverges and whose later batch k carries a forged
+// signature is rejected for the signature, inline and pipelined.
 func TestReplaySignatureWinsOverEarlierDivergence(t *testing.T) {
 	honest := laneStream(t, 1, 4, 40)
 	pool := hashsig.NewVerifierPool(2)
@@ -88,8 +87,7 @@ func (explodingApp) Execute(*kv.Tx, []byte) error { panic("app exploded") }
 
 // TestReplayLeavesNoGoroutines: whatever Replay concludes — success, a
 // divergence, a bad signature — or if the App panics, every goroutine it
-// started (the signature check, a batch's commitment lane, the entry
-// hasher) has exited once it returns.
+// started (the signature check, the checker) has exited once it returns.
 func TestReplayLeavesNoGoroutines(t *testing.T) {
 	forceParallel(t)
 	pool := hashsig.NewVerifierPool(2) // workers started before the baseline
@@ -165,9 +163,8 @@ func verdictOf(res *ReplayResult, err error) replayVerdict {
 	return v
 }
 
-// replayAt replays batches with GOMAXPROCS pinned to procs: 1 runs every
-// batch inline through derive, 2 gives every batch of minPipelinedEntries
-// or more the two-lane schedule.
+// replayAt replays batches with GOMAXPROCS pinned to procs: 1 derives
+// every batch inline, more runs the pipeline (execution lane and checker).
 func replayAt(procs int, batches []*Batch) replayVerdict {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
@@ -176,7 +173,7 @@ func replayAt(procs int, batches []*Batch) replayVerdict {
 
 // FuzzReplayStream feeds the auditor's whole input path — ReadBatches,
 // then Replay — mutated streams, with the inline schedule as the oracle
-// for the two-lane one. For every input: nothing panics; a stream Replay
+// for the pipeline. For every input: nothing panics; a stream Replay
 // accepts is a prefix of the honest stream of its shard count, batch for
 // batch byte-identical once re-encoded (nothing else is signed by
 // testKey); and GOMAXPROCS=1 and GOMAXPROCS=2 reach the same verdict — the
@@ -196,6 +193,15 @@ func FuzzReplayStream(f *testing.F) {
 	forgedResult[1].Entries[7].Result[0] ^= 1
 	resign(forgedResult[1])
 	f.Add(encodeStream(f, forgedResult))
+	forgedState := deepCopyBatches(honest[1])
+	lastEntry(forgedState[1]).State[0] ^= 1
+	resign(forgedState[1])
+	f.Add(encodeStream(f, forgedState))
+	resultThenKind := deepCopyBatches(honest[4])
+	resultThenKind[1].Entries[3].Result[0] ^= 1
+	resultThenKind[1].Entries[20].Kind = 99
+	resign(resultThenKind[1])
+	f.Add(encodeStream(f, resultThenKind))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batches, err := ReadBatches(bytes.NewReader(data))
@@ -204,7 +210,7 @@ func FuzzReplayStream(f *testing.F) {
 		}
 		inline, lanes := replayAt(1, batches), replayAt(2, batches)
 		if inline != lanes {
-			t.Fatalf("schedules disagree:\n inline    %+v\n two-lane  %+v", inline, lanes)
+			t.Fatalf("schedules disagree:\n inline    %+v\n pipeline  %+v", inline, lanes)
 		}
 		if !inline.ok || len(batches) == 0 {
 			return
@@ -219,4 +225,82 @@ func FuzzReplayStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// lastEntry is a batch's last entry: its checkpoint marker, if it has one.
+func lastEntry(b *Batch) *Entry { return &b.Entries[len(b.Entries)-1] }
+
+// TestReplayVerdictOrder: the pipeline runs the structural rules on the
+// execution lane and every other check on the checker, a batch or more
+// behind, yet must name the divergence derive names — the first in
+// derivation order (batch, then entry, then header field). For each
+// tampering the verdict at GOMAXPROCS 2 and 4 must equal the one at
+// GOMAXPROCS 1, where every batch is derived inline, and name the expected
+// batch and field. The paired cases put a structural divergence on the lane
+// after an earlier one only the checker can see, in one batch and in
+// adjacent ones, so the lane stops before the checker has reached the
+// verdict.
+func TestReplayVerdictOrder(t *testing.T) {
+	honest := laneStream(t, 1, 6, 64)
+	flip := func(d *hashsig.Digest) { d[0] ^= 1 }
+	cases := []struct {
+		name  string
+		mut   func(bs []*Batch)
+		seq   uint64 // batch the verdict names; 0 = accepted
+		field string
+	}{
+		{"honest", func([]*Batch) {}, 0, ""},
+		{"result", func(bs []*Batch) { flip(&bs[2].Entries[17].Result) }, 3, "Result"},
+		{"marker state", func(bs []*Batch) { flip(&lastEntry(bs[3]).State) }, 4, "State"},
+		{"marker misplaced", func(bs []*Batch) { bs[1].Entries[5], *lastEntry(bs[1]) = *lastEntry(bs[1]), bs[1].Entries[5] }, 2, "Marker"},
+		{"marker mislabelled", func(bs []*Batch) { lastEntry(bs[3]).Seq = 3 }, 4, "Seq"},
+		{"unknown kind", func(bs []*Batch) { bs[4].Entries[9].Kind = 99 }, 5, "Kind"},
+		{"GSize", func(bs []*Batch) { bs[2].Header.GSize++ }, 3, "GSize"},
+		{"GRoot", func(bs []*Batch) { flip(&bs[2].Header.GRoot) }, 3, "GRoot"},
+		{"HistSize", func(bs []*Batch) { bs[2].Header.HistSize++ }, 3, "HistSize"},
+		{"MRoot", func(bs []*Batch) { flip(&bs[2].Header.MRoot) }, 3, "MRoot"},
+		{"CkptDigest", func(bs []*Batch) { flip(&bs[2].Header.CkptDigest) }, 3, "CkptDigest"},
+		{"result then kind, one batch", func(bs []*Batch) {
+			flip(&bs[2].Entries[4].Result)
+			bs[2].Entries[40].Kind = 99
+		}, 3, "Result"},
+		{"kind then result, one batch", func(bs []*Batch) {
+			bs[2].Entries[4].Kind = 99
+			flip(&bs[2].Entries[40].Result)
+		}, 3, "Kind"},
+		{"result then kind, adjacent batches", func(bs []*Batch) {
+			flip(&bs[2].Entries[60].Result)
+			bs[3].Entries[0].Kind = 99
+		}, 3, "Result"},
+		{"state then kind, adjacent batches", func(bs []*Batch) {
+			flip(&lastEntry(bs[1]).State)
+			bs[2].Entries[0].Kind = 99
+		}, 2, "State"},
+		{"header then misplaced marker, adjacent batches", func(bs []*Batch) {
+			flip(&bs[2].Header.MRoot)
+			bs[3].Entries[0], *lastEntry(bs[3]) = *lastEntry(bs[3]), bs[3].Entries[0]
+		}, 3, "MRoot"},
+		{"result then mislabelled marker, one batch", func(bs []*Batch) {
+			flip(&bs[3].Entries[62].Result)
+			lastEntry(bs[3]).Seq = 9
+		}, 4, "Result"},
+	}
+	for _, tc := range cases {
+		evil := deepCopyBatches(honest)
+		tc.mut(evil)
+		for _, b := range evil {
+			resign(b)
+		}
+		want := replayAt(1, evil)
+		if want.ok != (tc.seq == 0) || want.seq != tc.seq || want.field != tc.field {
+			t.Fatalf("%s: inline verdict %+v, want batch %d field %q", tc.name, want, tc.seq, tc.field)
+		}
+		for _, procs := range []int{2, 4} {
+			for run := 0; run < 10; run++ {
+				if got := replayAt(procs, evil); got != want {
+					t.Fatalf("%s: GOMAXPROCS=%d run %d:\n pipeline %+v\n inline   %+v", tc.name, procs, run, got, want)
+				}
+			}
+		}
+	}
 }

@@ -68,8 +68,8 @@ type peak struct {
 //
 // A Tree retains the leaf hashes appended since its base (zero for a fresh
 // tree; the restore point for a tree built from a Frontier, or the Compact
-// point). Audit paths and prefix roots are available for the retained
-// region; the region before the base is summarized by its peaks.
+// point). Audit paths are available for the retained region; the region
+// before the base is summarized by its peaks.
 //
 // The tree additionally maintains its full peak decomposition incrementally
 // (a binary-counter merge per append, amortized one node hash), so Root is
@@ -146,21 +146,6 @@ func (t *Tree) Root() hashsig.Digest {
 	return acc
 }
 
-// RootAt returns the root of the prefix containing the first n leaves.
-// n must satisfy Base() <= n <= Size(), or n == 0.
-func (t *Tree) RootAt(n uint64) (hashsig.Digest, error) {
-	if n == 0 {
-		return EmptyRoot(), nil
-	}
-	if n < t.base || n > t.Size() {
-		return hashsig.Digest{}, fmt.Errorf("%w: prefix %d (base %d, size %d)", ErrOutOfRange, n, t.base, t.Size())
-	}
-	if n == t.Size() {
-		return t.Root(), nil
-	}
-	return t.hashRange(0, n)
-}
-
 // hashRange computes MTH(D[a:b)) for 0 <= a < b <= Size, using retained
 // leaves for positions >= base and base peaks for aligned blocks before it.
 func (t *Tree) hashRange(a, b uint64) (hashsig.Digest, error) {
@@ -218,54 +203,8 @@ func splitPoint(n uint64) uint64 {
 	return 1 << (bits.Len64(n-1) - 1)
 }
 
-// Path returns the audit path (bottom-up sibling hashes) proving leaf i is
-// part of the tree of the current size, per RFC 6962 PATH.
-func (t *Tree) Path(i uint64) ([]hashsig.Digest, error) {
-	return t.PathAt(i, t.Size())
-}
-
-// PathAt returns the audit path for leaf i within the prefix tree of n
-// leaves. Requires base <= i < n <= Size().
-func (t *Tree) PathAt(i, n uint64) ([]hashsig.Digest, error) {
-	if i >= n || n > t.Size() {
-		return nil, fmt.Errorf("%w: leaf %d of prefix %d (size %d)", ErrOutOfRange, i, n, t.Size())
-	}
-	if i < t.base {
-		return nil, fmt.Errorf("%w: leaf %d before base %d", ErrCompacted, i, t.base)
-	}
-	return t.pathRange(i, 0, n)
-}
-
-// pathRange computes the audit path for leaf i within the range [a, b).
-func (t *Tree) pathRange(i, a, b uint64) ([]hashsig.Digest, error) {
-	if b-a == 1 {
-		return nil, nil
-	}
-	k := splitPoint(b - a)
-	if i < a+k {
-		path, err := t.pathRange(i, a, a+k)
-		if err != nil {
-			return nil, err
-		}
-		sib, err := t.hashRange(a+k, b)
-		if err != nil {
-			return nil, err
-		}
-		return append(path, sib), nil
-	}
-	path, err := t.pathRange(i, a+k, b)
-	if err != nil {
-		return nil, err
-	}
-	sib, err := t.hashRange(a, a+k)
-	if err != nil {
-		return nil, err
-	}
-	return append(path, sib), nil
-}
-
 // VerifyPath checks that entry is the i-th of n leaves of the tree with the
-// given root, using the audit path returned by Path/PathAt.
+// given root, using the audit path PathsAt returns for it.
 func VerifyPath(entry hashsig.Digest, i, n uint64, path []hashsig.Digest, root hashsig.Digest) bool {
 	if i >= n {
 		return false
@@ -331,26 +270,4 @@ func (t *Tree) Rollback(n uint64) error {
 	t.leaves = t.leaves[:n-t.base]
 	t.peaks = rebuildPeaks(t.basePeaks, t.leaves)
 	return nil
-}
-
-// LeafHashAt returns the stored leaf hash for index i (i >= Base).
-func (t *Tree) LeafHashAt(i uint64) (hashsig.Digest, error) {
-	if i >= t.Size() {
-		return hashsig.Digest{}, fmt.Errorf("%w: leaf %d (size %d)", ErrOutOfRange, i, t.Size())
-	}
-	if i < t.base {
-		return hashsig.Digest{}, fmt.Errorf("%w: leaf %d before base %d", ErrCompacted, i, t.base)
-	}
-	return t.leaves[i-t.base], nil
-}
-
-// Clone returns an independent copy of the tree.
-func (t *Tree) Clone() *Tree {
-	c := &Tree{
-		base:      t.base,
-		basePeaks: append([]peak(nil), t.basePeaks...),
-		leaves:    append([]hashsig.Digest(nil), t.leaves...),
-		peaks:     append([]peak(nil), t.peaks...),
-	}
-	return c
 }

@@ -26,26 +26,7 @@ func BenchmarkAppendRoot(b *testing.B) {
 	}
 }
 
-// BenchmarkPath measures a single audit path on a full tree.
-func BenchmarkPath(b *testing.B) {
-	for _, n := range []int{1000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			tr := New()
-			for _, e := range entries(n, "bench") {
-				tr.Append(e)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tr.Path(uint64(i % n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAppendAndProve measures batch-tree construction with all paths,
-// against the naive per-leaf Path loop it replaces.
+// BenchmarkAppendAndProve measures batch-tree construction with all paths.
 func BenchmarkAppendAndProve(b *testing.B) {
 	for _, n := range []int{64, 512, 4096} {
 		es := entries(n, "batch")
@@ -54,20 +35,6 @@ func BenchmarkAppendAndProve(b *testing.B) {
 				tr := New()
 				if _, _, _, err := tr.AppendAndProve(es); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("perleaf/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr := New()
-				for _, e := range es {
-					tr.Append(e)
-				}
-				tr.Root()
-				for j := 0; j < n; j++ {
-					if _, err := tr.Path(uint64(j)); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		})

@@ -33,6 +33,46 @@ func refMTH(leaves []hashsig.Digest) hashsig.Digest {
 	return nodeHash(refMTH(leaves[:k]), refMTH(leaves[k:]))
 }
 
+// refPaths returns every leaf's audit path, bottom-up, straight from the
+// RFC 6962 definition of PATH: an independent reference for PathsAt.
+func refPaths(entries []hashsig.Digest) [][]hashsig.Digest {
+	leaves := make([]hashsig.Digest, len(entries))
+	for i, e := range entries {
+		leaves[i] = LeafHash(e)
+	}
+	paths := make([][]hashsig.Digest, len(leaves))
+	var walk func(a, b int)
+	walk = func(a, b int) {
+		if b-a <= 1 {
+			return
+		}
+		k := 1
+		for k*2 < b-a {
+			k *= 2
+		}
+		walk(a, a+k)
+		walk(a+k, b)
+		left, right := refMTH(leaves[a:a+k]), refMTH(leaves[a+k:b])
+		for i := a; i < a+k; i++ {
+			paths[i] = append(paths[i], right)
+		}
+		for i := a + k; i < b; i++ {
+			paths[i] = append(paths[i], left)
+		}
+	}
+	walk(0, len(leaves))
+	return paths
+}
+
+// pathOf returns leaf i's audit path in tr at its current size.
+func pathOf(tr *Tree, i uint64) ([]hashsig.Digest, error) {
+	paths, err := tr.PathsAt(i, tr.Size())
+	if err != nil {
+		return nil, err
+	}
+	return paths[0], nil
+}
+
 func entries(n int, seed string) []hashsig.Digest {
 	out := make([]hashsig.Digest, n)
 	for i := range out {
@@ -63,26 +103,6 @@ func TestRootMatchesReferenceAllSizes(t *testing.T) {
 	}
 }
 
-func TestRootAtPrefixes(t *testing.T) {
-	es := entries(40, "prefix")
-	tr := New()
-	for _, e := range es {
-		tr.Append(e)
-	}
-	for n := 0; n <= 40; n++ {
-		got, err := tr.RootAt(uint64(n))
-		if err != nil {
-			t.Fatalf("RootAt(%d): %v", n, err)
-		}
-		if want := refRoot(es[:n]); got != want {
-			t.Fatalf("RootAt(%d) mismatch", n)
-		}
-	}
-	if _, err := tr.RootAt(41); err == nil {
-		t.Fatal("RootAt beyond size succeeded")
-	}
-}
-
 func TestPathsVerifyAllSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64, 65} {
 		es := entries(n, fmt.Sprintf("path-%d", n))
@@ -92,7 +112,7 @@ func TestPathsVerifyAllSizes(t *testing.T) {
 		}
 		root := tr.Root()
 		for i := 0; i < n; i++ {
-			path, err := tr.Path(uint64(i))
+			path, err := pathOf(tr, uint64(i))
 			if err != nil {
 				t.Fatalf("n=%d Path(%d): %v", n, i, err)
 			}
@@ -119,7 +139,7 @@ func TestVerifyPathRejectsTruncatedPath(t *testing.T) {
 	for _, e := range es {
 		tr.Append(e)
 	}
-	path, err := tr.Path(3)
+	path, err := pathOf(tr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +239,7 @@ func TestFrontierRestore(t *testing.T) {
 		// Paths for post-restore leaves must verify against the full root.
 		root := restored.Root()
 		for i := cut; i < 60; i++ {
-			path, err := restored.Path(uint64(i))
+			path, err := pathOf(restored, uint64(i))
 			if err != nil {
 				t.Fatalf("cut=%d Path(%d): %v", cut, i, err)
 			}
@@ -229,7 +249,7 @@ func TestFrontierRestore(t *testing.T) {
 		}
 		// Pre-restore paths must be unavailable, not wrong.
 		if cut > 0 {
-			if _, err := restored.Path(uint64(cut - 1)); err == nil {
+			if _, err := pathOf(restored, uint64(cut-1)); err == nil {
 				t.Fatalf("cut=%d: path before base succeeded", cut)
 			}
 		}
@@ -294,7 +314,7 @@ func TestCompact(t *testing.T) {
 	}
 	// Paths at or after the compact point still work.
 	for i := 17; i < 48; i++ {
-		path, err := tr.Path(uint64(i))
+		path, err := pathOf(tr, uint64(i))
 		if err != nil {
 			t.Fatalf("Path(%d) after compact: %v", i, err)
 		}
@@ -302,7 +322,7 @@ func TestCompact(t *testing.T) {
 			t.Fatalf("path %d fails after compact", i)
 		}
 	}
-	if _, err := tr.Path(16); err == nil {
+	if _, err := pathOf(tr, 16); err == nil {
 		t.Fatal("path before compact point succeeded")
 	}
 	if err := tr.Rollback(16); err == nil {
@@ -326,42 +346,6 @@ func TestCompact(t *testing.T) {
 	}
 	if err := tr.Compact(1000); err == nil {
 		t.Fatal("compact beyond size succeeded")
-	}
-}
-
-func TestClone(t *testing.T) {
-	tr := New()
-	for _, e := range entries(11, "cl") {
-		tr.Append(e)
-	}
-	c := tr.Clone()
-	if c.Root() != tr.Root() {
-		t.Fatal("clone root differs")
-	}
-	c.Append(hashsig.Sum([]byte("extra")))
-	if c.Root() == tr.Root() {
-		t.Fatal("clone aliases original")
-	}
-	if tr.Size() != 11 || c.Size() != 12 {
-		t.Fatal("sizes wrong after clone append")
-	}
-}
-
-func TestLeafHashAt(t *testing.T) {
-	es := entries(5, "lh")
-	tr := New()
-	for _, e := range es {
-		tr.Append(e)
-	}
-	h, err := tr.LeafHashAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != LeafHash(es[2]) {
-		t.Fatal("leaf hash mismatch")
-	}
-	if _, err := tr.LeafHashAt(5); err == nil {
-		t.Fatal("leaf hash beyond size succeeded")
 	}
 }
 
@@ -420,7 +404,7 @@ func TestQuickFrontierPaths(t *testing.T) {
 		root := rt.Root()
 		n := uint64(cut + extra)
 		for i := cut; i < cut+extra; i++ {
-			path, err := rt.Path(uint64(i))
+			path, err := pathOf(rt, uint64(i))
 			if err != nil {
 				return false
 			}

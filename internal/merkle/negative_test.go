@@ -30,11 +30,11 @@ func TestVerifyShardedPathNegativeTable(t *testing.T) {
 
 	pathFor := func(s int, i uint64) []hashsig.Digest {
 		t.Helper()
-		sp, err := trees[s].Path(i)
+		sp, err := pathOf(trees[s], i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, err := top.Path(uint64(s))
+		tp, err := pathOf(top, uint64(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestVerifyShardedPathNegativeTable(t *testing.T) {
 		{"shard root replayed as entry", func() bool {
 			// The shard root itself must not verify as a leaf of the top
 			// tree via the suffix alone: leaf domain separation blocks it.
-			tp, err := top.Path(uint64(s))
+			tp, err := pathOf(top, uint64(s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestVerifyPathNegativeTable(t *testing.T) {
 		}
 		root := tr.Root()
 		for i := uint64(0); i < n; i++ {
-			path, err := tr.Path(i)
+			path, err := pathOf(tr, i)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,9 +15,10 @@ func entryDigests(n int) []hashsig.Digest {
 	return out
 }
 
-// TestPathsAtMatchesPathAt checks the shared-traversal (and, on multi-core
-// machines, forked) path builder against the reference single-leaf PathAt
-// across sizes spanning the parallel gate and ragged tree shapes.
+// TestPathsAtMatchesPathAt checks PathsAt's shared traversal (forked on
+// multi-core machines) against the reference paths (refPaths, RFC 6962 PATH
+// leaf by leaf) across sizes spanning the parallel gate and ragged tree
+// shapes.
 func TestPathsAtMatchesPathAt(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 64, 65, 511, 512, 1500} {
 		entries := entryDigests(n)
@@ -25,16 +26,14 @@ func TestPathsAtMatchesPathAt(t *testing.T) {
 		for _, e := range entries {
 			tree.Append(e)
 		}
+		ref := refPaths(entries)
 		for _, from := range []uint64{0, uint64(n) / 3, uint64(n) - 1} {
 			paths, err := tree.PathsAt(from, uint64(n))
 			if err != nil {
 				t.Fatalf("n=%d from=%d: %v", n, from, err)
 			}
 			for i := from; i < uint64(n); i++ {
-				want, err := tree.PathAt(i, uint64(n))
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := ref[i]
 				got := paths[i-from]
 				if len(got) != len(want) {
 					t.Fatalf("n=%d from=%d leaf %d: path len %d, want %d", n, from, i, len(got), len(want))
@@ -75,11 +74,9 @@ func TestPathsArenaAppendSafe(t *testing.T) {
 		paths[i] = append(paths[i], junk, junk, junk)
 	}
 	// ...then re-verify each original prefix against a fresh recompute.
+	ref := refPaths(entries)
 	for i := uint64(0); i < n; i++ {
-		want, err := tree.PathAt(i, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := ref[i]
 		for j := range want {
 			if paths[i][j] != want[j] {
 				t.Fatalf("leaf %d: append to other paths corrupted element %d", i, j)

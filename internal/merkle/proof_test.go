@@ -21,24 +21,18 @@ func TestAppendAndProveMatchesPathAt(t *testing.T) {
 		if len(paths) != n {
 			t.Fatalf("n=%d: %d paths", n, len(paths))
 		}
-		ref := New()
-		for _, e := range es {
-			ref.Append(e)
-		}
+		ref := refPaths(es)
 		for i, e := range es {
 			if !VerifyPath(e, uint64(i), uint64(n), paths[i], root) {
 				t.Fatalf("n=%d: path %d does not verify", n, i)
 			}
-			want, err := ref.Path(uint64(i))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := ref[i]
 			if len(want) != len(paths[i]) {
 				t.Fatalf("n=%d leaf %d: path length %d, want %d", n, i, len(paths[i]), len(want))
 			}
 			for j := range want {
 				if want[j] != paths[i][j] {
-					t.Fatalf("n=%d leaf %d: path node %d differs from Path()", n, i, j)
+					t.Fatalf("n=%d leaf %d: path node %d differs from the reference", n, i, j)
 				}
 			}
 		}
@@ -64,9 +58,9 @@ func TestAppendAndProveGrowsExistingTree(t *testing.T) {
 			t.Fatalf("appended leaf %d path does not verify", i)
 		}
 	}
-	// Old leaves still provable against the same root via PathAt.
+	// Old leaves still provable against the same root.
 	for i, e := range pre {
-		p, err := tr.Path(uint64(i))
+		p, err := pathOf(tr, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,10 +119,7 @@ func TestConsistencyProofAllSizes(t *testing.T) {
 		}
 		newRoot := tr.Root()
 		for m := 1; m <= n; m++ {
-			oldRoot, err := tr.RootAt(uint64(m))
-			if err != nil {
-				t.Fatal(err)
-			}
+			oldRoot := refRoot(es[:m])
 			proof, err := tr.ConsistencyProof(uint64(m), uint64(n))
 			if err != nil {
 				t.Fatalf("m=%d n=%d: %v", m, n, err)
@@ -214,16 +205,8 @@ func TestFrontierRestoreConsistency(t *testing.T) {
 			if restored.Root() != full.Root() {
 				t.Fatalf("m=%d n=%d: restored root diverges", m, n)
 			}
-			// The restored tree can still state the pre-restore root...
-			r, err := restored.RootAt(uint64(m))
-			if err != nil {
-				t.Fatalf("m=%d n=%d: RootAt(m): %v", m, n, err)
-			}
-			if r != oldRoot {
-				t.Fatalf("m=%d n=%d: RootAt(m) != pre-restore root", m, n)
-			}
-			// ...and prove consistency against it, identically to a tree
-			// that never dropped its leaves.
+			// The restored tree proves consistency with the pre-restore
+			// root, identically to a tree that never dropped its leaves.
 			proof, err := restored.ConsistencyProof(uint64(m), uint64(n))
 			if err != nil {
 				t.Fatalf("m=%d n=%d: restored proof: %v", m, n, err)
@@ -271,12 +254,12 @@ func TestVerifyShardedPath(t *testing.T) {
 
 	for s, tr := range shardTrees {
 		m := tr.Size()
-		topPath, err := top.Path(uint64(s))
+		topPath, err := pathOf(top, uint64(s))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := uint64(0); i < m; i++ {
-			shardPath, err := tr.Path(i)
+			shardPath, err := pathOf(tr, i)
 			if err != nil {
 				t.Fatal(err)
 			}

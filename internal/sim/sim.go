@@ -133,8 +133,8 @@ type Config struct {
 	// one request at a time. Default 1: then every request is a batch of
 	// its own, so a seq names a request.
 	Clients int
-	// Network is the Hub's drop and reorder rules; the sim sets its Cut
-	// from Partitions.
+	// Network is the Hub's drop and reorder rules. Its Cut must be unset:
+	// the sim cuts links from Partitions, and New refuses a Cut.
 	Network    transport.TamperPolicy
 	Partitions []Partition
 	Byzantine  map[consensus.ReplicaID]Behaviour
@@ -229,6 +229,9 @@ type Sim struct {
 // New builds a simulation from the config. Keys derive from the seed, so
 // distinct seeds exercise distinct key sets.
 func New(cfg Config) (*Sim, error) {
+	if cfg.Network.Cut != nil {
+		return nil, errors.New("sim: Config.Network.Cut is set; partition links with Config.Partitions instead")
+	}
 	cfg.CheckpointEvery, cfg.Clients = cmp.Or(cfg.CheckpointEvery, 2), cmp.Or(cfg.Clients, 1)
 	s := &Sim{
 		cfg:         cfg,

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"iaccf/internal/consensus"
@@ -177,6 +178,22 @@ func TestSimPartition(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSimRefusesNetworkCut: the sim owns the Hub's Cut (it is how
+// Partitions take effect), so New refuses a config that sets one rather
+// than silently replacing it, and says what to use instead.
+func TestSimRefusesNetworkCut(t *testing.T) {
+	_, err := New(Config{
+		Seed:     1,
+		Requests: 1,
+		Network: transport.TamperPolicy{Cut: func(transport.NodeID, transport.NodeID) transport.Cut {
+			return transport.Hold
+		}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "Partitions") {
+		t.Fatalf("New with Network.Cut set: err = %v, want a refusal naming Partitions", err)
 	}
 }
 
