@@ -32,9 +32,8 @@ func BenchmarkConsensusCommit(b *testing.B) {
 // shards, requests authored by many distinct clients, so entries spread
 // evenly across the per-shard batch trees G_s (which route by author), each
 // request writing several keys drawn from a wide pool. Transactions execute
-// one at a time; what extra CPUs take on is entry hashing, the per-shard
-// tree builds and signature checks, so -cpu 1,4 shows how much of a commit
-// that is.
+// one at a time; what extra CPUs take on is entry hashing and signature
+// checks, so -cpu 1,4 shows how much of a commit that is.
 func BenchmarkConsensusCommitCrossShard(b *testing.B) {
 	benchCommitKeyed(b, 1024, DefaultWindow, 16, func(seq uint64, i int) ledger.Request {
 		ops := make([]ledger.Op, 3)
@@ -55,10 +54,8 @@ func BenchmarkConsensusCommitCrossShard(b *testing.B) {
 // BenchmarkConsensusCommitSkewed is the load-imbalance twin of CrossShard:
 // same 16-shard configuration and key pool, but ~90% of requests are
 // authored by one hot client, so nine tenths of every batch lands in a
-// single per-shard batch tree G_s (entries route to shards by author).
-// Building the hot shard's tree and its audit paths is one worker's job
-// while the remaining shards spread across the others, so the skew
-// stresses shard grouping and proof building.
+// single per-shard batch tree G_s (entries route to shards by author), so
+// the skew stresses shard grouping.
 func BenchmarkConsensusCommitSkewed(b *testing.B) {
 	hot := hashsig.Sum([]byte("hot-client"))
 	benchCommitKeyed(b, 1024, DefaultWindow, 16, func(seq uint64, i int) ledger.Request {

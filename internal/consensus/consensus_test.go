@@ -20,6 +20,7 @@ type cluster struct {
 	replicas []*Replica
 	keys     []*hashsig.PrivateKey
 	queue    []Message
+	proposed map[uint64]int // requests c.propose put in each seq
 }
 
 // outMsgs strips the addressing off a batch of envelopes for flood-style
@@ -40,7 +41,7 @@ func newCluster(t *testing.T, n int, shards uint32) *cluster {
 		keys[i] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("consensus-test-%d", i))
 		peers[i] = keys[i].Public()
 	}
-	c := &cluster{t: t, keys: keys}
+	c := &cluster{t: t, keys: keys, proposed: map[uint64]int{}}
 	for i := 0; i < n; i++ {
 		r, err := New(Config{
 			ID:              ReplicaID(i),
@@ -100,18 +101,17 @@ func reqs(author hashsig.Digest, base uint64, n int) []ledger.Request {
 
 func (c *cluster) propose(primary int, rs []ledger.Request) {
 	c.t.Helper()
-	pp, receipts, err := c.replicas[primary].Propose(rs)
+	pp, _, err := c.replicas[primary].Propose(rs)
 	if err != nil {
 		c.t.Fatalf("Propose: %v", err)
 	}
-	if len(receipts) != len(rs) {
-		c.t.Fatalf("got %d receipts for %d requests", len(receipts), len(rs))
-	}
+	c.proposed[pp.Header.Seq] = len(rs)
 	c.queue = append(c.queue, pp)
 }
 
 // assertAgreement checks every listed replica committed seq with identical
-// (¯M, d_C, state digest).
+// (¯M, d_C, state digest), and, when c.propose put seq's requests in, that
+// the receipts every one of them cuts for seq agree.
 func (c *cluster) assertAgreement(seq uint64, ids ...int) {
 	c.t.Helper()
 	ref := c.replicas[ids[0]]
@@ -129,6 +129,34 @@ func (c *cluster) assertAgreement(seq uint64, ids ...int) {
 		if r.Ledger().StateDigest() != ref.Ledger().StateDigest() {
 			c.t.Fatalf("replica %d state digest diverges", id)
 		}
+	}
+	if n, ok := c.proposed[seq]; ok {
+		c.assertReceipts(seq, n, ids)
+	}
+}
+
+// assertReceipts checks the receipts cut from committed batch seq: one per
+// request on every listed replica, byte-identical across them, each
+// verifying under the key of the primary its header names.
+func (c *cluster) assertReceipts(seq uint64, n int, ids []int) {
+	c.t.Helper()
+	var want [][]byte
+	for _, id := range ids {
+		rcs := c.replicas[id].Ledger().Receipts(seq)
+		if len(rcs) != n {
+			c.t.Fatalf("replica %d cut %d receipts for seq %d, want %d", id, len(rcs), seq, n)
+		}
+		got := make([][]byte, n)
+		for i := range rcs {
+			if !rcs[i].Verify(c.keys[rcs[i].Header.Primary].Public()) {
+				c.t.Fatalf("replica %d: receipt %d of seq %d does not verify", id, i, seq)
+			}
+			got[i] = ledger.EncodeReceipt(nil, &rcs[i])
+			if want != nil && !bytes.Equal(got[i], want[i]) {
+				c.t.Fatalf("replica %d: receipt %d of seq %d differs from replica %d's", id, i, seq, ids[0])
+			}
+		}
+		want = got
 	}
 }
 
@@ -210,14 +238,14 @@ func TestEquivocatingPrimaryYieldsBlame(t *testing.T) {
 
 	// The primary signs two different batches for seq 1 by executing one,
 	// rolling back (Lemma 1 makes this cheap), and executing the other.
-	batchA, _, err := primary.Ledger().ExecuteBatchAs(envelope(0, 0), reqs(author, 10, 2))
+	batchA, err := primary.Ledger().ExecuteBatchAs(envelope(0, 0), reqs(author, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.Ledger().RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
-	batchB, _, err := primary.Ledger().ExecuteBatchAs(envelope(0, 0), reqs(author, 99, 2))
+	batchB, err := primary.Ledger().ExecuteBatchAs(envelope(0, 0), reqs(author, 99, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,20 +326,23 @@ func (r *Replica) Idle() bool {
 }
 
 // Propose executes reqs as the next batch and returns the pre-prepare to
-// broadcast plus the client receipts. Only the primary may propose, and
-// only while the proposal window has room (CanPropose). The batch's header
-// is the pre-prepare statement: the ledger signs it, once, with this view,
+// broadcast and the batch's content digest, which tells the caller whether
+// the batch that later commits at its seq is this one (receipts are cut
+// from that one: Ledger.Receipts). Only the primary may propose, and only
+// while the proposal window has room (CanPropose). The batch's header is
+// the pre-prepare statement: the ledger signs it, once, with this view,
 // this replica and a fresh nonce commitment in the envelope.
-func (r *Replica) Propose(reqs []ledger.Request) (*PrePrepare, []ledger.Receipt, error) {
+func (r *Replica) Propose(reqs []ledger.Request) (*PrePrepare, hashsig.Digest, error) {
 	if !r.IsPrimary() || !r.CanPropose() {
-		return nil, nil, ErrNotPrimary
+		return nil, hashsig.Digest{}, ErrNotPrimary
 	}
 	nonce := hashsig.NewNonce()
-	batch, receipts, err := r.led.ExecuteBatchAs(r.envelope(nonce), reqs)
+	batch, err := r.led.ExecuteBatchAs(r.envelope(nonce), reqs)
 	if err != nil {
-		return nil, nil, err
+		return nil, hashsig.Digest{}, err
 	}
-	return r.openOwn(batch, nonce), receipts, nil
+	pp := r.openOwn(batch, nonce)
+	return pp, r.insts[pp.Header.Seq].content, nil
 }
 
 // envelope is what this replica, as primary of the current view, puts

@@ -347,7 +347,7 @@ func TestPinnedReproposalIsByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil, _, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
+	evil, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestSecondNonceCommitmentIsNotEquivocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil, _, err := scratch.ExecuteBatchAs(envelope(0, 0), reqs(author, 666, 2))
+	evil, err := scratch.ExecuteBatchAs(envelope(0, 0), reqs(author, 666, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -410,7 +410,7 @@ func TestTamperedSuffixChangesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			evil, _, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
+			evil, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -548,7 +548,7 @@ func TestPinsSurviveAdoptionWithinView(t *testing.T) {
 			t.Fatalf("%s: adoption within the view lifted the pin above the adopted seq", what)
 		}
 
-		evil, _, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
+		evil, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func CheckBatchShape(b *Batch) error {
 		hasher.submit(ei, &b.Entries[ei])
 	}
 	hasher.wait()
-	if gRoot, _ := scratch.batchTrees(b.Entries, h.Shards, false); gRoot != h.GRoot {
+	if _, top := scratch.batchTrees(b.Entries, scratch.leaves, h.Shards); top.Root() != h.GRoot {
 		return fmt.Errorf("%w: batch %d: batch root mismatch", ErrBadBatch, h.Seq)
 	}
 	return nil
@@ -69,7 +69,7 @@ func (l *Ledger) ApplyBatch(b *Batch) (*BatchHeader, error) {
 	}
 	seq := h.Seq
 	l.mark(seq)
-	_, _, div := l.derive(seq, b.Entries, h)
+	_, div := l.derive(seq, b.Entries, h)
 	if div == nil {
 		div = l.checkInterval(b)
 	}

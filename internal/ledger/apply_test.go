@@ -282,14 +282,14 @@ func TestApplyBatchThenRollbackTo(t *testing.T) {
 func TestReplayKeyedTwoSigners(t *testing.T) {
 	first, second := applyPair(t, 1)
 	pubs := []*hashsig.PublicKey{first.cfg.Key.Public(), second.cfg.Key.Public()}
-	b1, _, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0}, applyReqs(10, 3))
+	b1, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0}, applyReqs(10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := second.ApplyBatch(b1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := second.ExecuteBatchAs(Envelope{View: 1, Primary: 1}, applyReqs(20, 3)); err != nil {
+	if _, err := second.ExecuteBatchAs(Envelope{View: 1, Primary: 1}, applyReqs(20, 3)); err != nil {
 		t.Fatal(err)
 	}
 	stream := second.Batches()
@@ -322,7 +322,7 @@ func TestReplayKeyedTwoSigners(t *testing.T) {
 // itself is untouched.
 func TestRestateKeepsContent(t *testing.T) {
 	first, second := applyPair(t, 1)
-	b, _, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0, NonceCommit: hashsig.Sum([]byte("n0"))}, applyReqs(10, 3))
+	b, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0, NonceCommit: hashsig.Sum([]byte("n0"))}, applyReqs(10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

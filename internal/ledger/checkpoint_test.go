@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -60,6 +61,62 @@ func TestPruneBoundsRetention(t *testing.T) {
 	l.Prune(3)
 	if got := l.FirstRetainedSeq(); got != 5 {
 		t.Fatalf("backwards prune moved the boundary to %d", got)
+	}
+}
+
+// TestReceiptsFromRetainedBatches: Receipts cuts a retained batch's
+// receipts from its leaves in M — the bytes ExecuteBatch handed out, after
+// Prune compacted M up to the boundary, and the same on a backup that
+// applied the batches and signed nothing — and returns nil for a pruned or
+// unknown seq.
+func TestReceiptsFromRetainedBatches(t *testing.T) {
+	for _, shards := range []uint32{1, 4} {
+		cfg := Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2, Shards: shards}
+		primary, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backup, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := map[uint64][][]byte{}
+		for seq := uint64(1); seq <= 6; seq++ {
+			b, rcs, err := primary.ExecuteBatch([]Request{
+				putReq("alice", seq, fmt.Sprintf("a%d", seq), "x"),
+				{Governance: true, Author: hashsig.Sum([]byte("member")), Body: []byte("gov")},
+				putReq("bob", seq, "shared", fmt.Sprintf("%d", seq)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := backup.ApplyBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			for i := range rcs {
+				cut[seq] = append(cut[seq], EncodeReceipt(nil, &rcs[i]))
+			}
+		}
+		primary.Prune(5)
+		for seq := uint64(0); seq <= 7; seq++ {
+			if rcs := primary.Receipts(seq); seq < 5 || seq > 6 {
+				if rcs != nil {
+					t.Fatalf("shards %d: %d receipts for seq %d, which is not retained", shards, len(rcs), seq)
+				}
+				continue
+			}
+			for name, l := range map[string]*Ledger{"primary": primary, "backup": backup} {
+				rcs := l.Receipts(seq)
+				if len(rcs) != 2 {
+					t.Fatalf("shards %d, %s: %d receipts for seq %d, want 2", shards, name, len(rcs), seq)
+				}
+				for i := range rcs {
+					if !bytes.Equal(EncodeReceipt(nil, &rcs[i]), cut[seq][i]) || !rcs[i].Verify(testKey.Public()) {
+						t.Fatalf("shards %d, %s: receipt %d of seq %d is not the one ExecuteBatch cut", shards, name, i, seq)
+					}
+				}
+			}
+		}
 	}
 }
 

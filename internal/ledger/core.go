@@ -6,7 +6,6 @@ import (
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
 	"iaccf/internal/merkle"
-	"iaccf/internal/par"
 )
 
 // core is the batch-derivation engine every policy runs: it executes one
@@ -50,17 +49,10 @@ func diverge(h *BatchHeader, entry int, field, format string, args ...any) *Dive
 	}
 }
 
-// batchProofs holds the audit paths of one derived batch: per shard, one
-// path per leaf of G_s, and per shard the path of its root within ¯G.
-type batchProofs struct {
-	shardPaths [][][]hashsig.Digest
-	topPaths   [][]hashsig.Digest
-}
-
 // derive runs batch seq through the core and returns the commitments this
 // replica computes for it. With want nil (propose) the entries are being
 // minted: transaction results and the checkpoint marker's state digest are
-// set, and audit paths are built. With want non-nil the entries are final:
+// set. With want non-nil the entries are final:
 // every result, the marker, and then every header field is compared
 // against want, and the first mismatch is returned. A caller that may have
 // to undo the batch marks the store first.
@@ -69,29 +61,28 @@ type batchProofs struct {
 // entry digesting pipelined beside it, then the commitment half (commit).
 // The audit policy runs every check of both halves on a checker goroutine
 // of its own, a batch behind execution (replay.go).
-func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHeader, batchProofs, *Divergence) {
+func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHeader, *Divergence) {
 	c.scratch.grow(len(entries), c.shards)
 	if div := c.execute(seq, entries, want, nil); div != nil {
-		return BatchHeader{}, batchProofs{}, div
+		return BatchHeader{}, div
 	}
-	gRoot, proofs := c.commit(entries, want == nil)
-	got := c.header(seq, len(entries), gRoot)
+	got := c.header(seq, len(entries), c.commit(entries))
 	if want != nil {
 		if div := compareHeader(want, &got); div != nil {
-			return BatchHeader{}, batchProofs{}, div
+			return BatchHeader{}, div
 		}
 	}
-	return got, proofs, nil
+	return got, nil
 }
 
 // commit is the commitment half given the batch's leaf hashes in the
 // scratch: the G_s/¯G roll-up, then every leaf appended to M.
-func (c *core) commit(entries []Entry, prove bool) (hashsig.Digest, batchProofs) {
-	gRoot, proofs := c.scratch.batchTrees(entries, c.shards, prove)
+func (c *core) commit(entries []Entry) hashsig.Digest {
+	_, top := c.scratch.batchTrees(entries, c.scratch.leaves, c.shards)
 	for _, lh := range c.scratch.leaves {
 		c.hist.AppendLeafHash(lh)
 	}
-	return gRoot, proofs
+	return top.Root()
 }
 
 // header assembles the content this core derived for batch seq of n
@@ -241,12 +232,12 @@ func (c *core) checkpoint(want *BatchHeader, ei int, e *Entry, store *kv.Sharded
 
 // execScratch is per-batch working storage handed batch to batch: the
 // digest and leaf-hash vectors plus the per-shard grouping tables. Nothing
-// stored here may escape derive's caller — every value a caller retains
-// (entries, headers, receipt paths, payloads) is freshly allocated or
-// arena-backed per batch. The core is single-writer, so reuse without
-// synchronization is safe; the concurrent entry hasher writes disjoint
-// indices and is joined before the slices are read or reused, and during
-// an audit the checker is the scratch's only user.
+// stored here may escape derive's or Receipts' caller — every value a
+// caller retains (entries, headers, receipt paths, payloads) is freshly
+// allocated or arena-backed per batch. The core is single-writer, so reuse
+// without synchronization is safe; the concurrent entry hasher writes
+// disjoint indices and is joined before the slices are read or reused, and
+// during an audit the checker is the scratch's only user.
 type execScratch struct {
 	digests  []hashsig.Digest   // entry digests, one per entry
 	leaves   []hashsig.Digest   // merkle.LeafHash of each digest
@@ -291,47 +282,27 @@ func entryShard(e *Entry, shards uint32) uint32 {
 	return kv.ShardOfKey(string(e.Author[:]), shards)
 }
 
-// minParallelShardLeaves gates parallel per-shard tree building: small
-// batches build G_s faster inline than across goroutines.
-const minParallelShardLeaves = 256
-
-// batchTrees is the G_s/¯G roll-up: it groups the scratch's pre-computed
-// leaf hashes by shard (recording each entry's shard and leaf position),
-// builds the per-shard batch trees G_s — in parallel across shards when
-// worthwhile — and combines their roots into ¯G. Both G_s and M consume
-// the hasher's leaf hashes directly, so no per-entry SHA work happens here
-// beyond the interior nodes. With prove set it also returns every leaf's
-// audit path and every shard root's path within ¯G.
-func (s *execScratch) batchTrees(entries []Entry, shards uint32, prove bool) (hashsig.Digest, batchProofs) {
+// batchTrees is the G_s/¯G roll-up over a batch's leaf hashes: it groups
+// them by shard (recording each entry's shard and leaf position), builds
+// the per-shard batch trees G_s, and the tree over their roots whose root
+// is ¯G. Both G_s and M consume the hasher's leaf hashes directly, so no
+// per-entry SHA work happens here beyond the interior nodes.
+func (s *execScratch) batchTrees(entries []Entry, leaves []hashsig.Digest, shards uint32) (gs []*merkle.Tree, top *merkle.Tree) {
 	for i := range entries {
 		sh := entryShard(&entries[i], shards)
 		s.shardOf[i] = sh
 		s.leafPos[i] = uint64(len(s.perShard[sh]))
-		s.perShard[sh] = append(s.perShard[sh], s.leaves[i])
+		s.perShard[sh] = append(s.perShard[sh], leaves[i])
 	}
-	shardRoots := make([]hashsig.Digest, shards)
-	var p batchProofs
-	if prove {
-		p.shardPaths = make([][][]hashsig.Digest, shards)
-	}
-	par.ForEach(int(shards), len(entries), minParallelShardLeaves, func(sh int) {
-		g := merkle.New()
-		for _, lh := range s.perShard[sh] {
-			g.AppendLeafHash(lh)
+	gs, top = make([]*merkle.Tree, shards), merkle.New()
+	for sh, group := range s.perShard {
+		gs[sh] = merkle.New()
+		for _, lh := range group {
+			gs[sh].AppendLeafHash(lh)
 		}
-		shardRoots[sh] = g.Root()
-		if prove {
-			p.shardPaths[sh] = allPaths(g)
-		}
-	})
-	top := merkle.New()
-	for _, r := range shardRoots {
-		top.Append(r)
+		top.Append(gs[sh].Root())
 	}
-	if prove {
-		p.topPaths = allPaths(top)
-	}
-	return top.Root(), p
+	return gs, top
 }
 
 // allPaths returns the audit path of every leaf of a freshly built tree.
@@ -347,16 +318,26 @@ func allPaths(t *merkle.Tree) [][]hashsig.Digest {
 	return paths
 }
 
-// receipts builds one receipt per transaction entry of a derived batch,
-// in ledger order, all carrying header. Two arenas back every receipt in
-// the batch: one for the combined shard+top audit paths, one for the
-// defensive payload copies (a client mutating its receipt must not corrupt
-// the ledger's retained stream). Each receipt gets a three-index sub-slice
-// whose capacity ends at its own region, so appending to one receipt's
-// path or payload reallocates instead of stomping the next receipt's. The
-// per-shard top path is copied from the single slice the top tree
-// produced — same-shard receipts do not each build their own.
-func (s *execScratch) receipts(header BatchHeader, entries []Entry, p batchProofs) []Receipt {
+// receipts cuts one receipt per transaction entry of a retained batch, in
+// ledger order, all carrying header, from the batch's leaf hashes: the
+// G_s/¯G roll-up again, then every leaf's audit path and every shard
+// root's path within ¯G. Two arenas back every receipt in the batch:
+// one for the combined shard+top audit paths, one for the defensive payload
+// copies (a client mutating its receipt must not corrupt the ledger's
+// retained stream). Each receipt gets a three-index sub-slice whose
+// capacity ends at its own region, so appending to one receipt's path or
+// payload reallocates instead of stomping the next receipt's. The per-shard
+// top path is copied from the single slice the top tree produced —
+// same-shard receipts do not each build their own.
+func (s *execScratch) receipts(header *BatchHeader, entries []Entry, leaves []hashsig.Digest) []Receipt {
+	s.grow(len(entries), header.Shards)
+	gs, top := s.batchTrees(entries, leaves, header.Shards)
+	shardPaths := make([][][]hashsig.Digest, len(gs))
+	for sh, g := range gs {
+		shardPaths[sh] = allPaths(g)
+	}
+	topPaths := allPaths(top)
+
 	n, pathTotal, payloadTotal := 0, 0, 0
 	for i := range entries {
 		if entries[i].Kind != KindTransaction {
@@ -364,7 +345,7 @@ func (s *execScratch) receipts(header BatchHeader, entries []Entry, p batchProof
 		}
 		sh := s.shardOf[i]
 		n++
-		pathTotal += len(p.shardPaths[sh][s.leafPos[i]]) + len(p.topPaths[sh])
+		pathTotal += len(shardPaths[sh][s.leafPos[i]]) + len(topPaths[sh])
 		payloadTotal += len(entries[i].Payload)
 	}
 	receipts := make([]Receipt, 0, n)
@@ -380,10 +361,10 @@ func (s *execScratch) receipts(header BatchHeader, entries []Entry, p batchProof
 		e.Payload = payloadArena[pStart:len(payloadArena):len(payloadArena)]
 		sh := s.shardOf[i]
 		aStart := len(pathArena)
-		pathArena = append(pathArena, p.shardPaths[sh][s.leafPos[i]]...)
-		pathArena = append(pathArena, p.topPaths[sh]...)
+		pathArena = append(pathArena, shardPaths[sh][s.leafPos[i]]...)
+		pathArena = append(pathArena, topPaths[sh]...)
 		receipts = append(receipts, Receipt{
-			Header:    header,
+			Header:    *header,
 			Entry:     e,
 			Shard:     sh,
 			Index:     s.leafPos[i],

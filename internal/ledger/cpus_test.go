@@ -12,8 +12,7 @@ import (
 
 // The ledger executes one transaction at a time, but derives a batch on
 // more than one goroutine when it has the CPUs: the entry hasher digests
-// entries beside execution, the per-shard trees G_s and their audit paths
-// are built across workers, and Replay runs every check on a checker
+// entries beside execution, and Replay runs every check on a checker
 // goroutine beside its execution lane. The tests here hold that schedule to the one-CPU derivation:
 // a ledger run at GOMAXPROCS=4 and one run at GOMAXPROCS=1 must emit the
 // same bytes.
@@ -136,8 +135,7 @@ func executeAlike(t *testing.T, label string, par, seq *Ledger, reqs []Request) 
 // TestParallelExecuteMatchesSequential: across shard counts, batch sizes
 // and key contention, proposing at GOMAXPROCS=4 emits byte-identical
 // entries, headers, receipts and post-state to proposing at GOMAXPROCS=1.
-// The last batch of each run is large enough for G_s to be built across
-// workers.
+// The last batch of each run is larger than any batch a node cuts.
 func TestParallelExecuteMatchesSequential(t *testing.T) {
 	for _, shards := range []uint32{1, 4, 16} {
 		for _, keyPool := range []int{4, 64, 4096} { // hot → cold keys
@@ -155,7 +153,7 @@ func TestParallelExecuteMatchesSequential(t *testing.T) {
 				for batch := 0; batch < 4; batch++ {
 					n := 64 + rng.Intn(100)
 					if batch == 3 {
-						n += minParallelShardLeaves
+						n += 256
 					}
 					executeAlike(t, fmt.Sprintf("%s/batch=%d", label, batch), par, seq, genBatch(rng, n, keyPool))
 				}

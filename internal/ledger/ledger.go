@@ -6,7 +6,8 @@
 // pre-prepare statement (§3.1): its view, its index and its nonce
 // commitment around the content (seq, ¯M, ¯G, shard count, d_C) — and hands
 // each client a Receipt — its entry's audit path to ¯G — verifiable offline
-// against that header. RollbackTo undoes batches per Lemma 1; checkpoints,
+// against that header, cut from the batch as committed (Receipts).
+// RollbackTo undoes batches per Lemma 1; checkpoints,
 // pruning and NewFromCheckpoint bound memory and let a laggard resume from
 // a verified d_C.
 //
@@ -41,12 +42,11 @@
 // checkpoint-marker rule and the only G_s/¯G roll-up. The three public
 // paths are policies over it:
 //
-//   - ExecuteBatch (propose) mints entries from requests and appends the
+//   - ExecuteBatchAs (propose) mints entries from requests and appends the
 //     checkpoint marker when CheckpointEvery says one is due. The core SETS
-//     each transaction's result and the marker's d_C and builds audit
-//     paths; the policy puts the caller's envelope around the derived
-//     content, signs the statement, cuts receipts, and retains the batch
-//     with its rollback mark.
+//     each transaction's result and the marker's d_C; the policy puts the
+//     caller's envelope around the derived content, signs the statement,
+//     and retains the batch with its rollback mark.
 //   - ApplyBatch (backup, state-transfer suffix) hands the core another
 //     replica's entries and header. The core COMPARES every result, the
 //     marker, and every content field; the policy adds the one rule only a
@@ -125,13 +125,14 @@
 // The commit path recycles memory aggressively (see internal/pool), so
 // every API boundary follows explicit ownership rules:
 //
-//   - Everything ExecuteBatch and ApplyBatch RETURN is caller-owned
-//     forever: Batch headers, entries, and Receipts never alias pooled
-//     scratch, and the ledger never writes to them after returning.
-//     Receipts from one call share arena backing with each other (paths
-//     in one []Digest arena, payloads in one []byte arena) — safe because
-//     the arenas are capped three-index sub-slices that a client append
-//     cannot grow into a neighbour — but never with any pool.
+//   - Everything ExecuteBatch, ApplyBatch and Receipts RETURN is
+//     caller-owned forever: Batch headers, entries, and Receipts never
+//     alias pooled scratch or the history tree, and the ledger never
+//     writes to them after returning. Receipts from one call share arena
+//     backing with each other (paths in one []Digest arena, payloads in
+//     one []byte arena) — safe because the arenas are capped three-index
+//     sub-slices that a client append cannot grow into a neighbour — but
+//     never with any pool or with the retained stream.
 //   - Request slices passed IN are read-only during the call and not
 //     retained. Entries inside a Batch handed to ApplyBatch are adopted
 //     into the retained stream and must not be mutated afterwards, same
@@ -568,23 +569,29 @@ func (l *Ledger) BatchAt(seq uint64) *Batch {
 	return l.batches[seq-l.baseSeq-1]
 }
 
-// ExecuteBatch proposes reqs as the next batch under the zero envelope: the
-// form a ledger used without consensus takes (a single writer, one signer).
+// ExecuteBatch proposes reqs as the next batch under the zero envelope —
+// the form a ledger used without consensus takes (a single writer, one
+// signer, no commit to wait for) — and returns its receipts too.
 func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
-	return l.ExecuteBatchAs(Envelope{}, reqs)
+	b, err := l.ExecuteBatchAs(Envelope{}, reqs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, l.Receipts(b.Header.Seq), nil
 }
 
 // ExecuteBatchAs is the propose policy: it mints the requests into entries —
 // plus a checkpoint marker when one is due — runs them through the core,
 // which sets every transaction's result (zero for an aborted one) and the
-// marker's incremental d_C and builds the audit paths, puts env around the
-// derived content, signs the statement — the batch's one signature — and
-// returns the batch with one receipt per transaction entry, each cut from
-// the signed header.
-func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, []Receipt, error) {
+// marker's incremental d_C, puts env around the derived content, signs the
+// statement — the batch's one signature — and retains the batch. It cuts
+// no receipts: under consensus the batch may yet commit under a later
+// view's statement, and Receipts cuts them from the header the ledger
+// holds then.
+func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, error) {
 	for i := range reqs {
 		if len(reqs[i].Body) > MaxRequestLen {
-			return nil, nil, fmt.Errorf("%w: request %d body %d bytes exceeds %d",
+			return nil, fmt.Errorf("%w: request %d body %d bytes exceeds %d",
 				ErrBadBatch, i, len(reqs[i].Body), MaxRequestLen)
 		}
 	}
@@ -609,14 +616,33 @@ func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, []Receipt
 	// marks pushed here stay, so a caller that recovers can RollbackTo(seq)
 	// to discard the half-executed batch.
 	l.mark(seq)
-	header, proofs, _ := l.derive(seq, entries, nil)
+	header, _ := l.derive(seq, entries, nil)
 	header.Envelope = env
-
 	header.Sig = l.cfg.Key.MustSign(header.StatementDigest())
-	receipts := l.scratch.receipts(header, entries, proofs)
 	batch := &Batch{Header: header, Entries: entries}
 	l.adopt(batch)
-	return batch, receipts, nil
+	return batch, nil
+}
+
+// Receipts cuts one receipt per transaction entry of retained batch seq, in
+// ledger order, each under the header the ledger holds for it — for a
+// committed batch, the statement that committed. The paths are rebuilt from
+// the leaf hashes the batch occupies in M, [HistSize−GSize, HistSize), so no
+// entry is digested again. Receipts returns nil for a seq that is not
+// retained (pruned, or never executed).
+func (l *Ledger) Receipts(seq uint64) []Receipt {
+	b := l.BatchAt(seq)
+	if b == nil {
+		return nil
+	}
+	h := &b.Header
+	leaves, err := l.hist.Leaves(h.HistSize-h.GSize, h.HistSize)
+	if err != nil {
+		// Prune compacts M only up to its anchor's HistSize, so every
+		// retained batch's leaves are retained too.
+		panic(err)
+	}
+	return l.scratch.receipts(h, b.Entries, leaves)
 }
 
 // Restate returns h's content under a new envelope, signed with this

@@ -104,13 +104,13 @@ func TestReceiptCodecEnvelope(t *testing.T) {
 	}
 	for _, warm := range []bool{false, true} {
 		env := Envelope{View: 7, Primary: 3, NonceCommit: hashsig.NonceFromSeed(fmt.Sprint("codec", warm)).Commit()}
-		_, rcs, err := led.ExecuteBatchAs(env, []Request{{
+		b, err := led.ExecuteBatchAs(env, []Request{{
 			Author: hashsig.Sum([]byte("client")), ReqNo: 1, Body: EncodeOps([]Op{{Key: "k", Val: []byte("v")}}),
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := EncodeReceipt(nil, &rcs[0])
+		enc := EncodeReceipt(nil, &led.Receipts(b.Header.Seq)[0])
 		dec, err := DecodeReceipt(enc)
 		if err != nil {
 			t.Fatal(err)

@@ -234,7 +234,7 @@ func (c *core) replayInline(wantSeq uint64, b *Batch) error {
 	if seq != wantSeq {
 		return errSequence(seq, wantSeq)
 	}
-	if _, _, div := c.derive(seq, b.Entries, &b.Header); div != nil {
+	if _, div := c.derive(seq, b.Entries, &b.Header); div != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, div)
 	}
 	return nil
@@ -301,8 +301,7 @@ func (c *core) check(j *checkJob) error {
 			return fmt.Errorf("%w: %w", ErrReplay, div)
 		}
 	}
-	gRoot, _ := c.commit(j.entries, false)
-	got := c.header(j.seq, len(j.entries), gRoot)
+	got := c.header(j.seq, len(j.entries), c.commit(j.entries))
 	if div := compareHeader(j.want, &got); div != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, div)
 	}

@@ -154,11 +154,11 @@ func TestVerifyUnderTheNamedPrimary(t *testing.T) {
 		}
 		reqNo++
 		rq := ledger.Request{Author: author, ReqNo: reqNo, Body: ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}})}
-		_, rcs, err := l.ExecuteBatchAs(ledger.Envelope{View: view, Primary: primary}, []ledger.Request{rq})
+		b, err := l.ExecuteBatchAs(ledger.Envelope{View: view, Primary: primary}, []ledger.Request{rq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &rq, &rcs[0]
+		return &rq, &l.Receipts(b.Header.Seq)[0]
 	}
 	for _, view := range []uint64{0, 2, 2, 4, 7} {
 		primary := int(view % 4)

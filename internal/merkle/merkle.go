@@ -93,6 +93,20 @@ func (t *Tree) Size() uint64 { return t.base + uint64(len(t.leaves)) }
 // hash. Paths and rollback are only available at or after the base.
 func (t *Tree) Base() uint64 { return t.base }
 
+// Leaves returns the leaf hashes at positions [from, to), which must lie in
+// the retained region: ErrCompacted below Base(). The result is a view into
+// the tree, valid until the next append, rollback or compaction, and must
+// not be written to.
+func (t *Tree) Leaves(from, to uint64) ([]hashsig.Digest, error) {
+	if from > to || to > t.Size() {
+		return nil, fmt.Errorf("%w: leaves [%d,%d) (size %d)", ErrOutOfRange, from, to, t.Size())
+	}
+	if from < t.base {
+		return nil, fmt.Errorf("%w: leaves from %d before base %d", ErrCompacted, from, t.base)
+	}
+	return t.leaves[from-t.base : to-t.base : to-t.base], nil
+}
+
 // Append adds the digest of a new ledger entry as the rightmost leaf and
 // returns its leaf index.
 func (t *Tree) Append(entry hashsig.Digest) uint64 {

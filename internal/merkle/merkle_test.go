@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -327,6 +328,16 @@ func TestCompact(t *testing.T) {
 	}
 	if err := tr.Rollback(16); err == nil {
 		t.Fatal("rollback before compact point succeeded")
+	}
+	// Retained leaf hashes read back from the compact point on, not before.
+	if got, err := tr.Leaves(17, 48); err != nil || len(got) != 31 || got[0] != LeafHash(es[17]) || got[30] != LeafHash(es[47]) {
+		t.Fatalf("Leaves(17, 48) after compact: %d leaves, %v", len(got), err)
+	}
+	if _, err := tr.Leaves(16, 48); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("Leaves before compact point: %v, want ErrCompacted", err)
+	}
+	if _, err := tr.Leaves(17, 49); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("Leaves beyond size: %v, want ErrOutOfRange", err)
 	}
 	// Appends continue correctly.
 	more := entries(9, "cp2")

@@ -2,18 +2,10 @@ package merkle
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"iaccf/internal/hashsig"
-	"iaccf/internal/par"
 	"iaccf/internal/pool"
 )
-
-// minParallelProofLeaves gates both parallel fan-outs in this file: leaf
-// hashing across the worker pool and the forked path-build recursion. Below
-// this many leaves one SHA-256 pass is cheaper than goroutine startup.
-const minParallelProofLeaves = 512
 
 // leafScratch recycles the leaf-hash staging slice used by AppendAndProve.
 // AppendLeafHash copies each digest into the tree, so the scratch never
@@ -27,14 +19,13 @@ var leafScratch pool.Slice[hashsig.Digest]
 // appending all of a batch's entries at once and handing the paths out in
 // client receipts (paper §3.1). Interior hashes are computed once and
 // shared across paths, instead of once per leaf as repeated Path calls
-// would. Leaf hashes for large batches are computed in parallel; see
-// PathsAt for the ownership of the returned paths.
+// would. See PathsAt for the ownership of the returned paths.
 func (t *Tree) AppendAndProve(entries []hashsig.Digest) (uint64, hashsig.Digest, [][]hashsig.Digest, error) {
 	scratch := leafScratch.Get(len(entries))
 	leaves := scratch[:len(entries)]
-	par.ForEach(len(entries), len(entries), minParallelProofLeaves, func(i int) {
-		leaves[i] = LeafHash(entries[i])
-	})
+	for i, e := range entries {
+		leaves[i] = LeafHash(e)
+	}
 	first, root, paths, err := t.AppendAndProveLeafHashes(leaves)
 	leafScratch.Put(scratch)
 	return first, root, paths, err
@@ -98,13 +89,7 @@ func (t *Tree) PathsAt(from, n uint64) ([][]hashsig.Digest, error) {
 		paths[j] = arena[off:off:end]
 		off = end
 	}
-	var err error
-	if runtime.GOMAXPROCS(0) > 1 && count >= minParallelProofLeaves {
-		_, err = t.buildPathsFork(from, 0, n, paths, runtime.GOMAXPROCS(0))
-	} else {
-		_, err = t.buildPaths(from, 0, n, paths)
-	}
-	if err != nil {
+	if _, err := t.buildPaths(from, 0, n, paths); err != nil {
 		return nil, err
 	}
 	return paths, nil
@@ -125,45 +110,6 @@ func pathLens(from, a, b uint64, lens []uint32) {
 	for i := max(a, from); i < b; i++ {
 		lens[i-from]++
 	}
-}
-
-// buildPathsFork is buildPaths with the two half-range recursions run
-// concurrently while the remaining range is large enough to split
-// profitably. Safety: the two halves append to disjoint sets of paths
-// (targets in [a,a+k) vs [a+k,b)) backed by disjoint arena regions, the
-// tree itself is only read, and the parent's own sibling appends happen
-// after the join — so every write to a given path is sequenced along that
-// leaf's spine exactly as in the sequential recursion.
-func (t *Tree) buildPathsFork(from, a, b uint64, paths [][]hashsig.Digest, procs int) (hashsig.Digest, error) {
-	if procs <= 1 || b <= from || b-a < minParallelProofLeaves {
-		return t.buildPaths(from, a, b, paths)
-	}
-	k := splitPoint(b - a)
-	var (
-		right hashsig.Digest
-		rerr  error
-		wg    sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		right, rerr = t.buildPathsFork(from, a+k, b, paths, procs/2)
-	}()
-	left, lerr := t.buildPathsFork(from, a, a+k, paths, procs-procs/2)
-	wg.Wait()
-	if lerr != nil {
-		return hashsig.Digest{}, lerr
-	}
-	if rerr != nil {
-		return hashsig.Digest{}, rerr
-	}
-	for i := max(a, from); i < a+k; i++ {
-		paths[i-from] = append(paths[i-from], right)
-	}
-	for i := max(a+k, from); i < b; i++ {
-		paths[i-from] = append(paths[i-from], left)
-	}
-	return nodeHash(left, right), nil
 }
 
 // buildPaths computes the hash of [a, b) while extending, bottom-up, the

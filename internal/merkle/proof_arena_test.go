@@ -15,10 +15,9 @@ func entryDigests(n int) []hashsig.Digest {
 	return out
 }
 
-// TestPathsAtMatchesPathAt checks PathsAt's shared traversal (forked on
-// multi-core machines) against the reference paths (refPaths, RFC 6962 PATH
-// leaf by leaf) across sizes spanning the parallel gate and ragged tree
-// shapes.
+// TestPathsAtMatchesPathAt checks PathsAt's shared traversal against the
+// reference paths (refPaths, RFC 6962 PATH leaf by leaf) across sizes from
+// one leaf to several perfect subtrees and ragged tree shapes.
 func TestPathsAtMatchesPathAt(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 64, 65, 511, 512, 1500} {
 		entries := entryDigests(n)
@@ -55,7 +54,7 @@ func TestPathsAtMatchesPathAt(t *testing.T) {
 // slices. Appending to one returned path (what the ledger does to join a
 // shard path with the top path) must not alter any sibling path.
 func TestPathsArenaAppendSafe(t *testing.T) {
-	const n = 600 // above the parallel gate
+	const n = 600 // a ragged tree over several perfect subtrees
 	entries := entryDigests(n)
 	tree := New()
 	for _, e := range entries {

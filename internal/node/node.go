@@ -48,6 +48,7 @@ package node
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 
 	"iaccf/internal/consensus"
@@ -149,25 +150,17 @@ type waiter struct {
 	deadline uint64 // tick number
 }
 
-// pendingSub links one proposed request to its receipt slot: rcIdx indexes
-// the batch's receipts for transactions, -1 for governance actions (which
-// get no receipt — the ledger records them without execution).
-type pendingSub struct {
-	hash  hashsig.Digest
-	rcIdx int
-}
-
-// pendingBatch parks a speculative proposal's delivery material until its
-// sequence commits. content is the speculative header's content digest:
-// delivery compares it against the batch that actually committed at that
-// sequence, so a view change that replaced the batch can never hand a
-// client a receipt for content that did not commit — while the same batch
-// re-proposed under a later view's statement still delivers.
+// pendingBatch parks a proposal until its sequence commits: its requests'
+// hashes (request i is entry i of the batch) and the batch's content
+// digest. Delivery compares that against the batch that actually committed
+// at that sequence, so a view change that replaced the batch can never
+// hand a client a receipt for content that did not commit, and then cuts
+// the receipts from the committed batch (Ledger.Receipts): a batch
+// re-proposed under a later view's statement delivers under that one.
 type pendingBatch struct {
 	view    uint64
 	content hashsig.Digest
-	rcs     []ledger.Receipt
-	subs    []pendingSub
+	subs    []hashsig.Digest
 }
 
 // Node runs one cluster member: replica, pool, and delivery bookkeeping.
@@ -326,11 +319,8 @@ func (n *Node) run() {
 	for {
 		select {
 		case <-n.stop:
-			for h, ws := range n.waiters {
-				for _, w := range ws {
-					w.resp <- rpc.Result{Status: rpc.StatusShutdown}
-				}
-				delete(n.waiters, h)
+			for h := range n.waiters {
+				n.answer(h, rpc.Result{Status: rpc.StatusShutdown})
 			}
 			return
 		case f := <-n.frames:
@@ -469,32 +459,21 @@ func (n *Node) pace(t turn) {
 }
 
 // proposeFromPool drains one batch from the pool into a proposal and
-// reports how many requests it carried, 0 if nothing was proposed.
-// Receipts from Propose are speculative until the sequence commits; they
-// are parked per seq and delivered by afterProgress.
+// reports how many requests it carried, 0 if nothing was proposed. The
+// proposal is parked per seq until afterProgress sees it commit.
 func (n *Node) proposeFromPool() int {
 	batch := n.pool.NextBatch(n.cfg.BatchMax)
 	if len(batch) == 0 {
 		return 0
 	}
-	pp, rcs, err := n.rep.Propose(batch)
+	pp, content, err := n.rep.Propose(batch)
 	if err != nil {
 		n.failBatch(batch)
 		return 0
 	}
-	pb := pendingBatch{
-		view:    n.rep.View(),
-		content: pp.Header.ContentDigest(),
-		rcs:     rcs,
-	}
-	ti := 0
+	pb := pendingBatch{view: n.rep.View(), content: content, subs: make([]hashsig.Digest, len(batch))}
 	for i := range batch {
-		idx := -1
-		if !batch[i].Governance {
-			idx = ti
-			ti++
-		}
-		pb.subs = append(pb.subs, pendingSub{hash: txpool.Hash(&batch[i]), rcIdx: idx})
+		pb.subs[i] = txpool.Hash(&batch[i])
 	}
 	if old, ok := n.pending[pp.Header.Seq]; ok {
 		n.forget(old) // a view change abandoned this node's earlier batch here
@@ -507,17 +486,24 @@ func (n *Node) proposeFromPool() int {
 // failBatch resolves a drained batch the replica refused to propose. The
 // requests are gone from the pool, so their submitters are told at once
 // (rpc.StatusBusy: back off and resubmit) rather than left to run out their
-// patience. Nothing reachable makes Propose fail — the pool caps body size
-// and pace checked CanPropose in this same turn — so there is no requeue.
+// patience, and the pool's memo forgets them so the resubmission pools
+// again. Nothing reachable makes Propose fail — the pool caps body size and
+// pace checked CanPropose in this same turn — so there is no requeue.
 func (n *Node) failBatch(batch []ledger.Request) {
 	n.proposeFailures.Add(1)
 	for i := range batch {
 		h := txpool.Hash(&batch[i])
-		for _, w := range n.waiters[h] {
-			w.resp <- rpc.Result{Status: rpc.StatusBusy}
-		}
-		delete(n.waiters, h)
+		n.pool.Forget(h)
+		n.answer(h, rpc.Result{Status: rpc.StatusBusy})
 	}
+}
+
+// answer resolves every waiter of request h with res.
+func (n *Node) answer(h hashsig.Digest, res rpc.Result) {
+	for _, w := range n.waiters[h] {
+		w.resp <- res
+	}
+	delete(n.waiters, h)
 }
 
 // afterProgress reconciles the committed watermark: counts throughput,
@@ -564,29 +550,40 @@ func (n *Node) deliverSeq(seq uint64) {
 		return
 	}
 	delete(n.pending, seq)
-	// A view change may have replaced the speculative batch this material
-	// was minted for. When the committed batch is retained, compare content
-	// directly. When a commit jump already pruned it, fall back to the view:
-	// within one view the primary signs exactly one pre-prepare per
-	// sequence, so if the view never changed since Propose, the batch that
-	// committed at seq can only be the one these receipts embed.
+	// A view change may have replaced the batch this node proposed. When the
+	// committed batch is retained, compare content directly. When a commit
+	// jump (state transfer) already pruned it, fall back to the view: within
+	// one view the primary signs exactly one pre-prepare per sequence, so if
+	// the view never changed since Propose, the batch that committed at seq
+	// can only be this one.
 	if (b != nil && b.Header.ContentDigest() != pb.content) || (b == nil && n.rep.View() != pb.view) {
 		n.forget(pb)
 		return
 	}
-	for _, sub := range pb.subs {
-		ws := n.waiters[sub.hash]
-		if len(ws) == 0 {
+	var rcs []ledger.Receipt
+	ti := -1 // index of entry i's receipt among the batch's transactions
+	for i, h := range pb.subs {
+		tx := b != nil && b.Entries[i].Kind == ledger.KindTransaction
+		if tx {
+			ti++
+		}
+		if len(n.waiters[h]) == 0 {
 			continue
 		}
-		delete(n.waiters, sub.hash)
-		var rc *ledger.Receipt
-		if sub.rcIdx >= 0 && sub.rcIdx < len(pb.rcs) {
-			rc = &pb.rcs[sub.rcIdx]
+		res := rpc.Result{Status: rpc.StatusCommitted}
+		switch {
+		case b == nil:
+			// Committed, but pruned: there is nothing to cut a receipt from.
+			res.Status = rpc.StatusDuplicate
+		case tx:
+			if rcs == nil {
+				rcs = n.rep.Ledger().Receipts(seq)
+			}
+			res.Receipt = &rcs[ti]
 		}
-		for _, w := range ws {
-			w.resp <- rpc.Result{Status: rpc.StatusCommitted, Receipt: rc}
-		}
+		// A governance action gets no receipt: the ledger records it
+		// without execution.
+		n.answer(h, res)
 	}
 }
 
@@ -594,8 +591,8 @@ func (n *Node) deliverSeq(seq uint64) {
 // from the pool's memo, so a retry pools them again instead of hearing
 // they are duplicates.
 func (n *Node) forget(pb pendingBatch) {
-	for _, sub := range pb.subs {
-		n.pool.Forget(sub.hash)
+	for _, h := range pb.subs {
+		n.pool.Forget(h)
 	}
 }
 
@@ -663,10 +660,8 @@ func (n *Node) undecided(h hashsig.Digest) bool {
 		return true
 	}
 	for _, pb := range n.pending {
-		for _, sub := range pb.subs {
-			if sub.hash == h {
-				return true
-			}
+		if slices.Contains(pb.subs, h) {
+			return true
 		}
 	}
 	return false

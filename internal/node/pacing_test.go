@@ -483,10 +483,18 @@ func unstartedNode(t *testing.T, seed string) *Node {
 
 // TestFailBatchAnswersWaiters covers the branch nothing public reaches: a
 // drained batch the replica refuses is counted and its submitters are told
-// at once, including several parked on one request.
+// at once, including several parked on one request. The busy answer asks
+// for a resubmission, so the pool forgets the drained requests: a
+// resubmission pools again and waits for its commit instead of being
+// answered duplicate.
 func TestFailBatchAnswersWaiters(t *testing.T) {
 	nd := unstartedNode(t, "fail-batch")
-	batch := []ledger.Request{kvRequest("x", 1), kvRequest("y", 1)}
+	for _, rq := range []ledger.Request{kvRequest("x", 1), kvRequest("y", 1)} {
+		if err := nd.pool.Add(rq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := nd.pool.NextBatch(2) // drained: the pool's memo holds them now
 	bystander := kvRequest("z", 1)
 	resps := make(chan rpc.Result, 3)
 	park := func(rq *ledger.Request, count int) {
@@ -517,6 +525,74 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 	}
 	if got := nd.Stats().ProposeFailures; got != 1 {
 		t.Fatalf("ProposeFailures = %d, want 1", got)
+	}
+
+	resubmit := make(chan rpc.Result, 1)
+	nd.onSubmit(submission{rq: batch[0], resp: resubmit})
+	h := txpool.Hash(&batch[0])
+	if len(resubmit) != 0 || len(nd.waiters[h]) != 1 || !nd.pool.Pooled(h) {
+		t.Fatalf("resubmission after busy: %d answers, %d waiters, pooled %v; want it pooled and waiting",
+			len(resubmit), len(nd.waiters[h]), nd.pool.Pooled(h))
+	}
+}
+
+// TestDeliverPrunedSeq covers delivery of a proposal whose batch a commit
+// jump (state transfer) already pruned, so no receipt can be cut from it.
+// In the view it was proposed in, the batch that committed at its seq can
+// only be this one: its waiters hear rpc.StatusDuplicate, committed with no
+// receipt. In another view it may have been replaced: nobody is answered,
+// and the pool forgets the requests so a retry pools again.
+func TestDeliverPrunedSeq(t *testing.T) {
+	for _, sameView := range []bool{true, false} {
+		nd := unstartedNode(t, "deliver-pruned")
+		for _, rq := range []ledger.Request{kvRequest("x", 1), kvRequest("y", 1)} {
+			if err := nd.pool.Add(rq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drained := nd.pool.NextBatch(2)
+		pb := pendingBatch{view: nd.rep.View()}
+		if !sameView {
+			pb.view++
+		}
+		resps := make(chan rpc.Result, len(drained))
+		for i := range drained {
+			h := txpool.Hash(&drained[i])
+			pb.subs = append(pb.subs, h)
+			nd.waiters[h] = []waiter{{resp: resps}}
+		}
+		const seq = 5 // never executed here, so BatchAt(seq) is nil, as after a prune
+		nd.pending[seq] = pb
+
+		nd.deliverSeq(seq)
+
+		if _, ok := nd.pending[seq]; ok {
+			t.Fatalf("same view %v: the delivered proposal is still parked", sameView)
+		}
+		if !sameView {
+			if len(resps) != 0 || len(nd.waiters) != len(drained) {
+				t.Fatalf("replaced batch: %d answers, %d waiter sets left; want none answered", len(resps), len(nd.waiters))
+			}
+			for _, rq := range drained {
+				if err := nd.pool.Add(rq); err != nil {
+					t.Fatalf("retry of a replaced batch's request: %v", err)
+				}
+			}
+			continue
+		}
+		for range drained {
+			select {
+			case res := <-resps:
+				if res.Status != rpc.StatusDuplicate || res.Receipt != nil {
+					t.Fatalf("pruned batch: waiter answered %v (receipt %v), want duplicate without one", res.Status, res.Receipt != nil)
+				}
+			default:
+				t.Fatal("pruned batch: a waiter was not answered")
+			}
+		}
+		if len(nd.waiters) != 0 {
+			t.Fatalf("pruned batch: %d waiter sets left", len(nd.waiters))
+		}
 	}
 }
 

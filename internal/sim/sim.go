@@ -10,7 +10,8 @@
 //  1. A scripted equivocator that leads an idle view strikes.
 //  2. Each client submits its next request (StepSubmit) or reads the
 //     verdict on the one it submitted: a receipt must pass
-//     loadgen.VerifyReceipt, a not-primary answer sends the client where
+//     loadgen.VerifyReceipt and carry the statement the node that
+//     delivered it committed, a not-primary answer sends the client where
 //     its hint points, busy resubmits, and a timeout — or clientPatience
 //     steps of silence — sends it to the next node.
 //  3. Every stepped node ticks (StepTick) every tickEvery steps, and at
@@ -412,7 +413,7 @@ func (s *Sim) strike(m *member) {
 			Body:   ledger.EncodeOps([]ledger.Op{{Key: fmt.Sprintf("equivocation-%d", seq), Val: []byte(variant)}}),
 		}}
 		env := ledger.Envelope{View: rep.View(), Primary: uint32(m.id), NonceCommit: hashsig.NewNonce().Commit()}
-		batch, _, err := led.ExecuteBatchAs(env, reqs)
+		batch, err := led.ExecuteBatchAs(env, reqs)
 		if err != nil {
 			panic(err) // the scripted request always executes
 		}
@@ -462,6 +463,9 @@ func (s *Sim) serve(c *client) error {
 		if err := loadgen.VerifyReceipt(s.pubs, rq, r.Receipt); err != nil {
 			return fmt.Errorf("client: %v", err)
 		}
+		if err := checkStatement(s.members[c.target], r.Receipt); err != nil {
+			return err
+		}
 	case rpc.StatusDuplicate:
 		s.res.ReceiptlessCommits++
 	case rpc.StatusNotPrimary, rpc.StatusTimeout:
@@ -479,6 +483,23 @@ func (s *Sim) serve(c *client) error {
 		return fmt.Errorf("client: request %d answered %v", rq.ReqNo, r.Status)
 	}
 	c.next++
+	return nil
+}
+
+// checkStatement holds a receipt that node m delivered to the statement m
+// committed at its seq: m has committed the seq and, while it retains the
+// batch, holds that very header. (Another honest node may have committed
+// the same content under another view's statement; canon holds every node
+// to the content.)
+func checkStatement(m *member, rc *ledger.Receipt) error {
+	seq := rc.Header.Seq
+	if c := m.rep.Committed(); c < seq {
+		return fmt.Errorf("client: replica %d delivered a receipt for seq %d at watermark %d", m.id, seq, c)
+	}
+	if b := m.rep.Ledger().BatchAt(seq); b != nil && b.Header.StatementDigest() != rc.Header.StatementDigest() {
+		return fmt.Errorf("client: receipt for seq %d carries view %d's statement, replica %d committed view %d's",
+			seq, rc.Header.View, m.id, b.Header.View)
+	}
 	return nil
 }
 
