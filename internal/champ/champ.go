@@ -37,19 +37,30 @@
 // The root hash is a function of the contents only because the trie shape
 // is: a key is inline at the shallowest node where no other key shares its
 // chunk prefix, and every non-root node holds at least two keys in its
-// subtree. Set preserves that by construction; Delete restores it by
-// hoisting a child left with a single inline entry (or a collision bucket
-// left with one key) back into its parent, level by level.
+// subtree. Set and SetAll preserve that by construction; Delete restores
+// it by hoisting a child left with a single inline entry (or a collision
+// bucket left with one key) back into its parent, level by level.
+//
+// # Bulk writes
+//
+// SetAll writes many keys in one pass: it sorts them once by trie path
+// (the hash's chunks, level 0 first, then the key, a collision bucket's
+// order), so the writes under every node form one contiguous run, and it
+// copies each node on the written paths once, where successive Sets copy
+// the root and every shared interior node once per key. Its result is the
+// trie successive Sets in any order build, node for node, so the order of
+// its input reaches no hash. The kv store flushes its pending writes
+// through it.
 //
 // # Concurrency
 //
 // Nothing but Hash reads or writes a node's hash fields, and clone copies
 // neither. So one goroutine may Hash a map while another builds successors
-// of it with Set and Delete: the writer reads only the immutable fields
-// of the nodes the two share, and the nodes it creates are its own until
-// it hands a map over (through a channel, say). A replay checks d_C of a
-// checkpoint this way, beside the execution that continues from it. At
-// most one Hash may run at a time over maps that share unhashed nodes,
+// of it with Set, SetAll and Delete: the writer reads only the immutable
+// fields of the nodes the two share, and the nodes it creates are its own
+// until it hands a map over (through a channel, say). A replay checks d_C
+// of a checkpoint this way, beside the execution that continues from it.
+// At most one Hash may run at a time over maps that share unhashed nodes,
 // since two would write the same node; the one node every map in the
 // process shares, Empty's root, is hashed at package init.
 // TestHashBesideSet holds this contract under the race detector.
@@ -202,6 +213,35 @@ func (m *Map) Set(key string, val []byte) *Map {
 	return &Map{root: root, size: size}
 }
 
+// SetAll returns a new map with every keys[i] bound to vals[i]: the map
+// successive Sets in any order would build, where a key that repeats is
+// bound to its last value. The receiver is unchanged and the values are
+// copied, as by Set.
+//
+// It builds the successor in one pass. The writes are sorted once by trie
+// path, so the writes under each node form one contiguous run, and every
+// node on a written path is copied once however many writes pass through
+// it, where n Sets would copy the root n times. The result does not depend
+// on the order of keys: the trie shape is a function of the contents.
+func (m *Map) SetAll(keys []string, vals [][]byte) *Map {
+	if len(keys) != len(vals) {
+		panic("champ: SetAll with unequal key and value counts")
+	}
+	if len(keys) == 0 {
+		return m
+	}
+	wp := writePool.Get().(*[]write)
+	ws := (*wp)[:0]
+	for i, k := range keys {
+		ws = append(ws, newWrite(k, vals[i], hashKey(k), i))
+	}
+	root, added := m.root.setAll(sortWrites(ws), 0)
+	clear(ws) // the pooled vector must not keep the values alive
+	*wp = ws[:0]
+	writePool.Put(wp)
+	return &Map{root: root, size: m.size + added}
+}
+
 // Delete returns a new map without key. The receiver is unchanged.
 func (m *Map) Delete(key string) *Map {
 	root, removed := m.root.delete(key, hashKey(key), 0)
@@ -338,9 +378,11 @@ func (c *cursor) next(n *node) entry {
 
 // seek returns the position of the entry in compressed slot i: a walk over
 // i pairs of length prefixes, which is all the index a blob has.
-func (n *node) seek(i int) cursor {
+func (n *node) seek(i int) cursor { return cursor{}.skip(n, i) }
+
+// skip returns the position i entries past c.
+func (c cursor) skip(n *node, i int) cursor {
 	b := n.ents
-	var c cursor
 	for ; i > 0; i-- {
 		kl := binary.BigEndian.Uint32(b[c.off:])
 		if kl == bigMark {
@@ -370,13 +412,85 @@ func (n *node) find(key string) (c, to cursor, found bool) {
 	return c, c, false
 }
 
-// spliced returns a copy of n in which the entries from c up to to are
-// replaced by put: a fresh blob of exactly the size needed and, only if an
-// entry held by reference comes or goes, a fresh reference list. Bitmaps
-// and children are n's, for the caller to adjust.
-func (n *node) spliced(c, to cursor, put ...entry) *node {
-	size, refs := len(n.ents)-(to.off-c.off), to.big-c.big
-	for _, e := range put {
+// spliced returns a copy of n with one edit applied (edited): a fresh
+// blob of exactly the size needed and, only if an entry held by reference
+// comes or goes, a fresh reference list. Bitmaps and children are n's, for
+// the caller to adjust.
+func (n *node) spliced(e edit) *node {
+	out := n.clone()
+	out.ents, out.big = n.edited([]edit{e})
+	return out
+}
+
+// edit replaces the entries of a node from c up to to with put, if has.
+type edit struct {
+	c, to cursor
+	put   entry
+	has   bool
+}
+
+// edited returns n's blob and reference list with edits applied, in
+// order, each new list built in one allocation of the exact size and the
+// reference list shared if no edit touches it. What lies between the edits
+// is copied as it is.
+func (n *node) edited(edits []edit) ([]byte, []entry) {
+	size, refs, refsChanged := len(n.ents), len(n.big), false
+	for _, e := range edits {
+		size -= e.to.off - e.c.off
+		if gone := e.to.big - e.c.big; gone > 0 {
+			refs -= gone
+			refsChanged = true
+		}
+		switch {
+		case !e.has:
+		case e.put.byRef():
+			size += 4
+			refs++
+			refsChanged = true
+		default:
+			size += e.put.size()
+		}
+	}
+	ents := make([]byte, 0, size)
+	big := n.big
+	if refsChanged {
+		big = nil
+		if refs > 0 {
+			big = make([]entry, 0, refs)
+		}
+	}
+	var at cursor
+	for _, e := range edits {
+		ents = append(ents, n.ents[at.off:e.c.off]...)
+		if refsChanged {
+			big = append(big, n.big[at.big:e.c.big]...)
+		}
+		if e.has {
+			if e.put.byRef() {
+				ents = binary.BigEndian.AppendUint32(ents, bigMark)
+				big = append(big, e.put)
+			} else {
+				ents = appendEntry(ents, e.put)
+			}
+		}
+		at = e.to
+	}
+	ents = append(ents, n.ents[at.off:]...)
+	if refsChanged {
+		big = append(big, n.big[at.big:]...)
+	}
+	return ents, big
+}
+
+// pack lays entries out, in slot order, as a node holds them: one blob of
+// exactly the size needed and, if any entry is over maxInline, the list of
+// those held by reference.
+func pack(es []entry) ([]byte, []entry) {
+	if len(es) == 0 {
+		return nil, nil
+	}
+	size, refs := 0, 0
+	for _, e := range es {
 		if e.byRef() {
 			size += 4
 			refs++
@@ -384,24 +498,20 @@ func (n *node) spliced(c, to cursor, put ...entry) *node {
 			size += e.size()
 		}
 	}
-	out := n.clone()
-	out.ents = append(make([]byte, 0, size), n.ents[:c.off]...)
+	ents := make([]byte, 0, size)
+	var big []entry
 	if refs > 0 {
-		out.big = append(make([]entry, 0, len(n.big)+len(put)), n.big[:c.big]...)
+		big = make([]entry, 0, refs)
 	}
-	for _, e := range put {
+	for _, e := range es {
 		if e.byRef() {
-			out.ents = binary.BigEndian.AppendUint32(out.ents, bigMark)
-			out.big = append(out.big, e)
+			ents = binary.BigEndian.AppendUint32(ents, bigMark)
+			big = append(big, e)
 		} else {
-			out.ents = appendEntry(out.ents, e)
+			ents = appendEntry(ents, e)
 		}
 	}
-	out.ents = append(out.ents, n.ents[to.off:]...)
-	if refs > 0 {
-		out.big = append(out.big, n.big[to.big:]...)
-	}
-	return out
+	return ents, big
 }
 
 // Node kinds, the first byte of a node's hash preimage.
@@ -495,7 +605,7 @@ func (n *node) get(key string, h uint64, level int) ([]byte, bool) {
 func (n *node) set(e entry, h uint64, level int) (*node, bool) {
 	if n.coll {
 		c, to, found := n.find(e.key)
-		return n.spliced(c, to, e), !found
+		return n.spliced(edit{c: c, to: to, put: e, has: true}), !found
 	}
 	bit := uint32(1) << chunk(h, level)
 	switch {
@@ -504,11 +614,11 @@ func (n *node) set(e entry, h uint64, level int) (*node, bool) {
 		to := c
 		old := to.next(n)
 		if old.key == e.key {
-			return n.spliced(c, to, e), false
+			return n.spliced(edit{c: c, to: to, put: e, has: true}), false
 		}
 		// Two distinct keys share this chunk: push both one level down.
 		child := merge(old, hashKey(old.key), e, h, level+1)
-		out := n.spliced(c, to)
+		out := n.spliced(edit{c: c, to: to})
 		out.dataMap &^= bit
 		i := n.nodeIndex(bit)
 		out.children = slices.Concat(n.children[:i], []*node{child}, n.children[i:])
@@ -520,7 +630,7 @@ func (n *node) set(e entry, h uint64, level int) (*node, bool) {
 		return n.withChild(i, child), added
 	default:
 		c := n.seek(n.dataIndex(bit))
-		out := n.spliced(c, c, e)
+		out := n.spliced(edit{c: c, to: c, put: e, has: true})
 		out.dataMap |= bit
 		return out, true
 	}
@@ -546,7 +656,8 @@ func merge(e1 entry, h1 uint64, e2 entry, h2 uint64, level int) *node {
 			e1, e2 = e2, e1
 		}
 	}
-	return shape.spliced(cursor{}, cursor{}, e1, e2)
+	shape.ents, shape.big = pack([]entry{e1, e2})
+	return &shape
 }
 
 // delete returns the updated node and whether the key was present. The
@@ -560,7 +671,7 @@ func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 		if !found {
 			return n, false
 		}
-		return n.spliced(c, to), true
+		return n.spliced(edit{c: c, to: to}), true
 	}
 	bit := uint32(1) << chunk(h, level)
 	if n.dataMap&bit != 0 {
@@ -569,7 +680,7 @@ func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 		if to.next(n).key != key {
 			return n, false
 		}
-		out := n.spliced(c, to)
+		out := n.spliced(edit{c: c, to: to})
 		out.dataMap &^= bit
 		return out, true
 	}
@@ -584,7 +695,7 @@ func (n *node) delete(key string, h uint64, level int) (*node, bool) {
 		}
 		var only cursor
 		c := n.seek(n.dataIndex(bit))
-		out := n.spliced(c, c, only.next(child))
+		out := n.spliced(edit{c: c, to: c, put: only.next(child), has: true})
 		out.dataMap |= bit
 		out.children = slices.Concat(n.children[:i], n.children[i+1:])
 		out.nodeMap &^= bit

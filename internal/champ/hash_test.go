@@ -37,6 +37,16 @@ func (t trie) set(k string, v []byte) trie {
 	return t
 }
 
+// setAll writes keys and vals in one pass, as Map.SetAll does.
+func (t trie) setAll(keys []string, vals [][]byte) trie {
+	ws := make([]write, len(keys))
+	for i, k := range keys {
+		ws[i] = newWrite(k, vals[i], t.place(k), i)
+	}
+	t.root, _ = t.root.setAll(sortWrites(ws), t.level)
+	return t
+}
+
 func (t trie) del(k string) trie {
 	t.root, _ = t.root.delete(k, t.place(k), t.level)
 	return t
@@ -175,11 +185,13 @@ func same(t testing.TB, what string, got, want trie) {
 	}
 }
 
-// hashOp is one step of an operation sequence over a key alphabet.
+// hashOp is one step of an operation sequence over a key alphabet. A run of
+// puts marked bulk is applied as one setAll.
 type hashOp struct {
-	del bool
-	key string
-	val []byte
+	del  bool
+	bulk bool
+	key  string
+	val  []byte
 }
 
 // checkHistoryIndependent is the oracle shared by the property test and
@@ -196,11 +208,21 @@ func checkHistoryIndependent(t testing.TB, fresh trie, ops []hashOp, extras []st
 	t.Helper()
 	model := map[string][]byte{}
 	cur := fresh
-	for i, op := range ops {
-		if op.del {
+	for i := 0; i < len(ops); i++ {
+		switch op := ops[i]; {
+		case op.del:
 			cur = cur.del(op.key)
 			delete(model, op.key)
-		} else {
+		case op.bulk:
+			var keys []string
+			var vals [][]byte
+			for ; i < len(ops) && ops[i].bulk && !ops[i].del; i++ {
+				keys, vals = append(keys, ops[i].key), append(vals, ops[i].val)
+				model[ops[i].key] = ops[i].val
+			}
+			i--
+			cur = cur.setAll(keys, vals)
+		default:
 			cur = cur.set(op.key, op.val)
 			model[op.key] = op.val
 		}
@@ -254,6 +276,12 @@ func checkHistoryIndependent(t testing.TB, fresh trie, ops []hashOp, extras []st
 		canon = canon.set(ck[i], cv[i])
 	}
 	same(t, "rebuild from RangeCanonical", canon, cur)
+
+	vals := make([][]byte, len(shuffled))
+	for i, k := range shuffled {
+		vals[i] = model[k]
+	}
+	same(t, "one setAll of shuffled contents", fresh.setAll(shuffled, vals), cur)
 }
 
 // randomOps draws n operations over alphabet: mostly fresh inserts and
@@ -448,6 +476,17 @@ func TestEmptyHashedAtInit(t *testing.T) {
 	wg.Wait()
 }
 
+// putsWithout drops key's puts from a pending SetAll.
+func putsWithout(keys []string, vals [][]byte, key string) ([]string, [][]byte) {
+	ok, ov := keys[:0], vals[:0]
+	for i, k := range keys {
+		if k != key {
+			ok, ov = append(ok, k), append(ov, vals[i])
+		}
+	}
+	return ok, ov
+}
+
 // FuzzHashHistoryIndependent feeds checkHistoryIndependent op sequences
 // over a 16-key alphabet, at map level and at bucket level: two bytes per
 // op, the second the key, the first choosing delete or set and, for a set,
@@ -462,6 +501,10 @@ func FuzzHashHistoryIndependent(f *testing.F) {
 	// and loses the other.
 	f.Add([]byte{9, 0, 0, 4, 12, 0, 6, 0, 10, 0, 2, 4})
 	f.Add([]byte{12, 1, 25, 5, 2, 1, 13, 1, 2, 5})
+	// Second bytes with bit 16 set are puts of one setAll: a run that
+	// overwrites, pushes an inline key down beside a new one, and holds a
+	// key twice; a delete ends it, and an oversized value starts the next.
+	f.Add([]byte{0, 0, 0, 4, 0, 20, 1, 16, 0, 24, 1, 20, 2, 0, 12, 17, 0, 21})
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%c%d", 'a'+i%4, i)
@@ -473,7 +516,7 @@ func FuzzHashHistoryIndependent(f *testing.F) {
 		}
 		ops := make([]hashOp, 0, len(data)/2)
 		for i := 0; i+1 < len(data); i += 2 {
-			op := hashOp{del: data[i]%3 == 2, key: keys[data[i+1]%16], val: []byte{data[i] % 3}}
+			op := hashOp{del: data[i]%3 == 2, bulk: data[i+1]&16 != 0, key: keys[data[i+1]%16], val: []byte{data[i] % 3}}
 			if v := int(data[i]) / 3 % (1 + len(straddle)); v > 0 {
 				op.val = sized(op.key, straddle[v-1], data[i]%3)
 			}
@@ -487,9 +530,10 @@ func FuzzHashHistoryIndependent(f *testing.F) {
 
 // TestHashBesideSet holds the concurrency contract of the package comment:
 // one goroutine may Hash a snapshot while another builds successors of it
-// with Set and Delete. A writer derives snapshots S_1 … S_m from S_0, a
-// few hundred writes apart — overwrites, inserts that push entries down,
-// deletes that hoist them back — and hands every fourth to a hasher
+// with Set, SetAll and Delete. A writer derives snapshots S_1 … S_m from
+// S_0, a few hundred writes apart — overwrites, inserts that push entries
+// down, deletes that hoist them back; every other step's puts land in one
+// SetAll — and hands every fourth to a hasher
 // goroutine as soon as it exists, then goes on writing from it; it hashes
 // nothing itself. Every root the hasher reads must be the one a map
 // rebuilt from that snapshot's contents, alone, gives. Run it under -race:
@@ -523,20 +567,35 @@ func TestHashBesideSet(t *testing.T) {
 	}()
 	var sent []snap
 	for step := 1; step <= steps; step++ {
+		// Odd steps write key by key; even ones, as a store flushes, delete
+		// key by key and put the rest in one SetAll.
+		bulk := step%2 == 0
+		var keys []string
+		var vals [][]byte
 		for w := 0; w < 300; w++ {
 			k := fmt.Sprintf("k%d", rng.Intn(3000))
+			var v []byte
 			switch rng.Intn(4) {
 			case 0:
 				delete(model, k)
 				m = m.Delete(k)
+				if bulk {
+					keys, vals = putsWithout(keys, vals, k)
+				}
+				continue
 			case 1:
-				v := sized(k, straddle[rng.Intn(len(straddle))], byte(step))
-				model[k], m = v, m.Set(k, v)
+				v = sized(k, straddle[rng.Intn(len(straddle))], byte(step))
 			default:
-				v := []byte(fmt.Sprint(step, w))
-				model[k], m = v, m.Set(k, v)
+				v = []byte(fmt.Sprint(step, w))
+			}
+			model[k] = v
+			if bulk {
+				keys, vals = append(keys, k), append(vals, v)
+			} else {
+				m = m.Set(k, v)
 			}
 		}
+		m = m.SetAll(keys, vals)
 		if step%every == 0 {
 			s := snap{m: m, model: make(map[string][]byte, len(model))}
 			for k, v := range model {

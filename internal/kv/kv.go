@@ -8,13 +8,25 @@
 // partitioned across N persistent CHAMP maps (the state-transfer chunk
 // unit), and NewSharded(1) is the unsharded case. Snapshots, marks and
 // rollback are pointer copies, and the checkpoint digest d_C is read off
-// the tries' cached Merkle roots. This file holds the transaction type and
-// the canonical serialization helpers the store is built from.
+// the tries' cached Merkle roots.
+//
+// Writes reach the tries in bulk. A transaction buffers its ops in a
+// slice; Commit adds them to the store's overlay of pending writes, which
+// reads see through; and the overlay is flushed into the tries — one
+// champ.Map.SetAll per shard — only when something needs them: a mark, a
+// clone, a digest, a snapshot, a chunk. A transaction reads the overlay it
+// found at Begin, which nothing writes in place while it lives, and a
+// flush replaces the overlay rather than clearing it (see ShardedStore).
+//
+// This file holds the transaction type and the canonical serialization
+// helpers the store is built from.
 package kv
 
 import (
 	"errors"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"iaccf/internal/champ"
 	"iaccf/internal/hashsig"
@@ -32,12 +44,113 @@ var ErrNoMark = errors.New("kv: no mark for sequence number")
 // transaction (Commit or Abort) is dead: every further use panics, so a
 // bug that retains a transaction past its batch is caught immediately
 // instead of silently reading stale state or writing into the void.
+//
+// The snapshot is the store as Begin found it: its shard heads and its
+// overlay of committed writes the tries have not absorbed yet (see
+// ShardedStore). The transaction's own writes are an opLog whose first ops
+// live in the Tx itself, so a transaction of a few writes allocates the Tx
+// and the copies of its values, and nothing else.
 type Tx struct {
 	store   *ShardedStore
 	base    []*champ.Map // shard heads at Begin (immutable once captured)
-	writes  map[string][]byte
-	deletes map[string]bool
+	pending opLog        // the store's overlay at Begin (never written while captured)
+	gen     uint64       // which overlay pending is (ShardedStore.gen)
+	writes  opLog
+	first   [txInline]op // backs writes' first ops
 	done    bool
+}
+
+// txInline is how many of a transaction's ops live in the Tx itself.
+const txInline = 4
+
+// op is one buffered write: a put of val, or a delete.
+type op struct {
+	key string
+	val []byte
+	del bool
+}
+
+// value returns what o leaves under its key: a copy of the value, or
+// nothing. Ops are shared (with write sets, overlays and snapshots), so
+// their bytes are never handed out.
+func (o op) value() ([]byte, bool) {
+	if o.del {
+		return nil, false
+	}
+	return append([]byte(nil), o.val...), true
+}
+
+// opLog holds at most one op per key, the last one written, in the order
+// the keys were first written: a transaction's writes, and the store's
+// overlay. Up to indexAt ops it is searched; past that it keeps an index
+// from key to position, so a transaction of KVApp's 65 536 ops, or an
+// overlay of a checkpoint interval's, stays linear.
+type opLog struct {
+	ops   []op
+	index map[string]int
+}
+
+// indexAt is the op count past which an opLog keeps an index.
+const indexAt = 8
+
+func (l *opLog) find(key string) (int, bool) {
+	if l.index != nil {
+		i, ok := l.index[key]
+		return i, ok
+	}
+	for i := range l.ops {
+		if l.ops[i].key == key {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// get returns the op on key, if there is one.
+func (l *opLog) get(key string) (op, bool) {
+	if i, ok := l.find(key); ok {
+		return l.ops[i], true
+	}
+	return op{}, false
+}
+
+// put records o, replacing the op on its key. hint sizes the index if this
+// put builds it.
+func (l *opLog) put(o op, hint int) {
+	if i, ok := l.find(o.key); ok {
+		l.ops[i] = o
+		return
+	}
+	l.ops = append(l.ops, o)
+	switch {
+	case l.index != nil:
+		l.index[o.key] = len(l.ops) - 1
+	case len(l.ops) > indexAt:
+		l.index = make(map[string]int, max(hint, 2*len(l.ops)))
+		for i := range l.ops {
+			l.index[l.ops[i].key] = i
+		}
+	}
+}
+
+// clone returns a copy of l that shares nothing it could write.
+func (l *opLog) clone() opLog {
+	return opLog{ops: slices.Clone(l.ops), index: maps.Clone(l.index)}
+}
+
+// read looks key up through an overlay into the shard heads beneath it and
+// returns a copy of the value: both are shared (trie nodes with marks and
+// snapshots, overlay values with write sets), so handing out the stored
+// bytes would let a caller change history.
+func read(pending *opLog, shards []*champ.Map, key string) ([]byte, bool) {
+	if o, ok := pending.get(key); ok {
+		return o.value()
+	}
+	v, ok := shards[champ.ShardOf(key, uint32(len(shards)))].Get(key)
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), v...), true
 }
 
 // active panics if the transaction has already finished.
@@ -47,100 +160,96 @@ func (t *Tx) active(op string) {
 	}
 }
 
-// Get reads key, seeing the transaction's own writes first. Like
-// ShardedStore.Get it returns a copy, both of snapshot values (views into a
-// trie node shared with marks) and of buffered writes (mutating a buffered
-// write through the returned slice would change what Commit publishes).
+// Get reads key, seeing the transaction's own writes first, then the
+// snapshot. Like ShardedStore.Get it returns a copy, of buffered writes too
+// (mutating a buffered write through the returned slice would change what
+// Commit publishes).
 func (t *Tx) Get(key string) ([]byte, bool) {
 	t.active("Get")
-	if t.deletes[key] {
-		return nil, false
+	if o, ok := t.writes.get(key); ok {
+		return o.value()
 	}
-	v, ok := t.writes[key]
-	if !ok {
-		v, ok = t.base[champ.ShardOf(key, uint32(len(t.base)))].Get(key)
-		if !ok {
-			return nil, false
-		}
-	}
-	return append([]byte(nil), v...), true
+	return read(&t.pending, t.base, key)
 }
 
 // Put buffers a write. The value is copied: the buffer outlives the call,
-// and Commit hands it to champ, which copies it once more into a node.
+// and it is what the store's overlay holds until a flush hands it to
+// champ, which copies it once more into a node.
 func (t *Tx) Put(key string, val []byte) {
 	t.active("Put")
-	delete(t.deletes, key)
-	t.writes[key] = append([]byte(nil), val...)
+	t.writes.put(op{key: key, val: append([]byte(nil), val...)}, 0)
 }
 
-// Delete buffers a deletion. The deletes map is made here, not by Begin:
-// most transactions only put, and every read of a nil map is already right.
+// Delete buffers a deletion.
 func (t *Tx) Delete(key string) {
 	t.active("Delete")
-	delete(t.writes, key)
-	if t.deletes == nil {
-		t.deletes = map[string]bool{}
-	}
-	t.deletes[key] = true
+	t.writes.put(op{key: key, del: true}, 0)
 }
 
 // WriteSetDigest returns the digest of the transaction's write set so far
 // (WriteSet.Digest), before it finishes.
 func (t *Tx) WriteSetDigest() hashsig.Digest {
 	t.active("WriteSetDigest")
-	return WriteSet{writes: t.writes, deletes: t.deletes}.Digest()
+	return WriteSet{ops: t.writes.ops}.Digest()
 }
 
-// Commit applies the buffered effects to the store and returns them.
+// Commit publishes the buffered effects to the store's overlay and returns
+// them.
 func (t *Tx) Commit() WriteSet {
 	t.active("Commit")
-	t.done = true
-	t.store.apply(t.writes, t.deletes)
-	return WriteSet{writes: t.writes, deletes: t.deletes}
-}
-
-// WriteSet is what a committed transaction published: its puts and its
-// deletes. Nothing writes to it after Commit — the store copies every value
-// it keeps, and the transaction is dead — so it may be digested later, on
-// any goroutine.
-type WriteSet struct {
-	writes  map[string][]byte
-	deletes map[string]bool
-}
-
-// Digest returns a deterministic digest of the write set (sorted puts and
-// deletes). The paper stores this hash in each ledger transaction entry's
-// result o (§3.1, Fig. 3) so auditors can compare replayed effects without
-// serializing whole values into receipts.
-func (w WriteSet) Digest() hashsig.Digest {
-	keys := make([]string, 0, len(w.writes)+len(w.deletes))
-	for k := range w.writes {
-		keys = append(keys, k)
-	}
-	for k := range w.deletes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := wire.GetScratch(256)
-	for _, k := range keys {
-		h = wire.AppendString(h, k)
-		if w.deletes[k] {
-			h = append(h, 0x00)
-		} else {
-			h = append(h, 0x01)
-			h = wire.AppendBytes(h, w.writes[k])
-		}
-	}
-	d := hashsig.Sum(h)
-	wire.PutScratch(h)
-	return d
+	t.finish()
+	t.store.commit(t.writes.ops)
+	return WriteSet{ops: t.writes.ops}
 }
 
 // Abort discards the transaction (rollback at transaction granularity).
 func (t *Tx) Abort() {
 	t.active("Abort")
+	t.finish()
+}
+
+// finish kills the transaction and releases its claim on the overlay it
+// read, so the next commit may write that overlay in place.
+func (t *Tx) finish() {
 	t.done = true
+	if t.gen == t.store.gen {
+		t.store.readers--
+	}
+	t.base, t.pending = nil, opLog{}
+}
+
+// WriteSet is what a committed transaction published: one put or delete
+// per key. Nothing writes to it after Commit — the overlay takes the ops
+// by value and never writes a value's bytes, and the transaction is dead —
+// so it may be digested later, on any goroutine.
+type WriteSet struct {
+	ops []op
+}
+
+// Digest returns a deterministic digest of the write set (puts and deletes
+// sorted by key). The paper stores this hash in each ledger transaction
+// entry's result o (§3.1, Fig. 3) so auditors can compare replayed effects
+// without serializing whole values into receipts. It sorts a copy: the
+// committed ops are shared with the store's overlay.
+func (w WriteSet) Digest() hashsig.Digest {
+	ops := w.ops
+	if len(ops) > 1 {
+		ops = slices.Clone(ops)
+		slices.SortFunc(ops, func(a, b op) int { return strings.Compare(a.key, b.key) })
+	}
+	h := wire.GetScratch(256)
+	for _, o := range ops {
+		h = wire.AppendString(h, o.key)
+		if o.del {
+			h = append(h, 0x00)
+		} else {
+			h = append(h, 0x01)
+			h = wire.AppendBytes(h, o.val)
+		}
+	}
+	d := hashsig.Sum(h)
+	wire.PutScratch(h)
+	return d
 }
 
 // encodeMapCanonical streams one map in the per-shard checkpoint form:

@@ -5,12 +5,12 @@
 //
 // The checkpoint digest d_C is the combination of the per-shard digests,
 // and a shard's digest is H(domain ‖ key count ‖ Merkle root of its trie).
-// The trie caches a hash in every node and a write path-copies exactly the
-// nodes it passes through, so a checkpoint hashes the nodes written since
-// the last one — about depth × keys written — and reads one cached root per
-// untouched shard: O(keys written), not O(keys stored). Rollback to a mark
-// and Clone reinstate old shard heads, whose nodes still carry their
-// hashes, so the store keeps no digest cache of its own.
+// The trie caches a hash in every node and a flush path-copies exactly the
+// nodes its writes pass through, so a checkpoint hashes the nodes written
+// since the last one — at most depth × keys written — and reads one cached
+// root per untouched shard: O(keys written), not O(keys stored). Rollback
+// to a mark and Clone reinstate old shard heads, whose nodes still carry
+// their hashes, so the store keeps no digest cache of its own.
 //
 // What the store holds per key is bytes in a trie node's blob, not objects:
 // champ copies a value in on Set and keeps no pointer per entry, so the
@@ -72,9 +72,36 @@ func ShardOfKey(key string, shards uint32) uint32 { return champ.ShardOf(key, sh
 // Transactions execute serially (the replica's execution loop is
 // single-threaded, which is what makes the history strictly serializable);
 // the store itself is not safe for concurrent mutation.
+//
+// Committed writes reach the tries in bulk. Commit adds a transaction's ops
+// to one overlay of pending writes (the latest value or a tombstone per
+// key), and Get and Tx.Get read through it. The overlay is flushed — its
+// deletes applied key by key, then each shard's puts in one
+// champ.Map.SetAll — when something needs the tries: Mark, Clone,
+// ShardSnapshot, the digests, SerializeShard, InstallShard and Len.
+// RollbackTo drops it. The ledger marks the store before every batch and
+// clones it at every checkpoint marker, so a write path-copies the trie once
+// per batch on a replica and once per checkpoint interval on an audit, with
+// every node on the written paths copied once.
+//
+// Two rules keep this right and cheap:
+//
+//   - An overlay a live transaction captured at Begin is never written in
+//     place: a commit while another transaction is live copies it first.
+//     The store counts the live transactions of the current overlay, so a
+//     transaction abandoned by a panicking App costs one copy, not one per
+//     later commit.
+//   - A flush replaces the overlay, never clears it: clear walks a map's
+//     whole capacity, which a checkpoint interval's writes grow far past
+//     the handful a digest between two batches finds. The next overlay is
+//     sized from the last flush's count.
 type ShardedStore struct {
-	shards []*champ.Map
-	marks  []shardedMark
+	shards  []*champ.Map
+	marks   []shardedMark
+	pending opLog  // committed writes the tries have not absorbed
+	gen     uint64 // bumped whenever pending is replaced
+	readers int    // live transactions that captured pending at gen
+	hint    int    // ops in the last flush, to size the next overlay
 }
 
 // shardedMark captures every shard head at a batch boundary.
@@ -110,6 +137,7 @@ func (s *ShardedStore) shardFor(key string) int {
 
 // Len returns the number of live keys across all shards.
 func (s *ShardedStore) Len() int {
+	s.flush()
 	n := 0
 	for _, m := range s.shards {
 		n += m.Len()
@@ -122,66 +150,145 @@ func (s *ShardedStore) Len() int {
 // mark referencing it, so handing it out directly would let a caller
 // silently corrupt history that rollback depends on.
 func (s *ShardedStore) Get(key string) ([]byte, bool) {
-	v, ok := s.shards[s.shardFor(key)].Get(key)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
+	return read(&s.pending, s.shards, key)
 }
 
 // Begin starts a transaction spanning all shards: reads see a consistent
 // snapshot of every shard plus the transaction's own writes, and Commit
-// applies the buffered effects to each owning shard atomically (the store
-// is single-writer, so "atomic" means no reader observes a partial apply).
+// publishes the buffered effects atomically (the store is single-writer,
+// so "atomic" means no reader observes a partial commit).
 //
-// The snapshot is the shard-head slice itself, captured by reference:
-// apply never mutates that slice (copy-on-write below), so Begin — the
-// hottest path, paid per transaction by both the primary and the auditor —
-// is O(1) regardless of shard count.
+// The snapshot is the shard-head slice and the overlay, both captured by
+// reference: neither is written in place while captured (flush builds a
+// fresh slice, commit copies a captured overlay), so Begin — the hottest
+// path, paid per transaction by both the primary and the auditor — is O(1)
+// regardless of shard count and overlay size.
 func (s *ShardedStore) Begin() *Tx {
-	return &Tx{store: s, base: s.shards, writes: map[string][]byte{}}
+	s.readers++
+	t := &Tx{store: s, base: s.shards, pending: s.pending, gen: s.gen}
+	t.writes.ops = t.first[:0]
+	return t
 }
 
-// apply publishes the buffered effects copy-on-write: the shard-head slice
+// commit adds a committed transaction's ops to the overlay, copying it
+// first if a live transaction still reads it.
+func (s *ShardedStore) commit(ops []op) {
+	if len(ops) == 0 {
+		return
+	}
+	if s.readers > 0 {
+		s.pending = s.pending.clone()
+		s.gen++
+		s.readers = 0
+	}
+	if s.pending.ops == nil {
+		s.pending.ops = make([]op, 0, max(s.hint, len(ops)))
+	}
+	for _, o := range ops {
+		s.pending.put(o, s.hint)
+	}
+}
+
+// replacePending installs an empty overlay; transactions still reading
+// the old one keep it.
+func (s *ShardedStore) replacePending() {
+	s.pending = opLog{}
+	s.gen++
+	s.readers = 0
+}
+
+// flush lands the overlay in the tries copy-on-write: the shard-head slice
 // is never mutated in place — a fresh slice replaces it — so every snapshot
-// captured by Begin, Mark, or Clone stays frozen for free. (The only
-// in-place mutation anywhere is champ filling in node hashes under
-// ShardDigest/CheckpointDigest, which writes what any holder of the node
-// would compute, and touches nothing apply reads: one goroutine may take
-// the digest of a Clone while the owner goes on applying — see champ's
-// concurrency contract — as long as one digest runs at a time.)
-func (s *ShardedStore) apply(writes map[string][]byte, deletes map[string]bool) {
-	if len(writes) == 0 && len(deletes) == 0 {
+// captured by Begin, Mark, or Clone stays frozen for free. Deletes go key
+// by key, then the puts: a handful key by key, more in one SetAll per
+// shard, grouped by a counting sort into one key and one value vector.
+// The overlay's order reaches no hash: the tries' shape, and so d_C, is a
+// function of their contents.
+//
+// (The only in-place mutation anywhere is champ filling in node hashes
+// under ShardDigest/CheckpointDigest, which writes what any holder of the
+// node would compute, and touches nothing a flush reads: one goroutine may
+// take the digest of a Clone while the owner goes on committing and
+// flushing — see champ's concurrency contract — as long as one digest runs
+// at a time.)
+func (s *ShardedStore) flush() {
+	ops := s.pending.ops
+	if len(ops) == 0 {
 		return
 	}
 	shards := append([]*champ.Map(nil), s.shards...)
-	for k := range deletes {
-		i := s.shardFor(k)
-		shards[i] = shards[i].Delete(k)
+	puts := 0
+	for _, o := range ops {
+		if o.del {
+			i := s.shardFor(o.key)
+			shards[i] = shards[i].Delete(o.key)
+		} else {
+			puts++
+		}
 	}
-	for k, v := range writes {
-		i := s.shardFor(k)
-		shards[i] = shards[i].Set(k, v)
+	if puts <= indexAt { // a handful: grouping would cost more than it saves
+		for _, o := range ops {
+			if !o.del {
+				i := s.shardFor(o.key)
+				shards[i] = shards[i].Set(o.key, o.val)
+			}
+		}
+	} else {
+		setAllByShard(shards, ops, puts)
 	}
 	s.shards = shards
+	s.hint = len(ops)
+	s.replacePending()
+}
+
+// setAllByShard writes the puts among ops into their shards, one SetAll
+// per shard written.
+func setAllByShard(shards []*champ.Map, ops []op, puts int) {
+	keys, vals := make([]string, puts), make([][]byte, puts)
+	// at[i] ends up where shard i's puts start, at[len(shards)] at puts.
+	n := uint32(len(shards))
+	at := make([]int, n+1)
+	for _, o := range ops {
+		if !o.del {
+			at[champ.ShardOf(o.key, n)]++
+		}
+	}
+	for i := 1; i <= len(shards); i++ {
+		at[i] += at[i-1]
+	}
+	for _, o := range ops {
+		if !o.del {
+			i := champ.ShardOf(o.key, n)
+			at[i]--
+			keys[at[i]], vals[at[i]] = o.key, o.val
+		}
+	}
+	for i := range shards {
+		if at[i] < at[i+1] {
+			shards[i] = shards[i].SetAll(keys[at[i]:at[i+1]], vals[at[i]:at[i+1]])
+		}
+	}
 }
 
 // Mark records a rollback point labelled seq, capturing the state before
 // the batch with that sequence number executes. Marks are kept until
-// PruneMarks. Thanks to copy-on-write applies a mark captures the current
-// shard-head slice by reference: O(1).
+// PruneMarks. It flushes the overlay, then captures the shard-head slice
+// by reference: a flush never writes that slice in place.
 func (s *ShardedStore) Mark(seq uint64) {
+	s.flush()
 	s.marks = append(s.marks, shardedMark{seq: seq, shards: s.shards})
 }
 
 // RollbackTo restores the state captured by Mark(seq) and discards that
-// mark and all later ones. The restored heads were hashed if a checkpoint
-// was taken on them, and still are.
+// mark and all later ones, and the overlay, which holds only writes
+// committed since the latest mark. The restored heads were hashed if a
+// checkpoint was taken on them, and still are.
 func (s *ShardedStore) RollbackTo(seq uint64) error {
 	for i := len(s.marks) - 1; i >= 0; i-- {
 		if s.marks[i].seq == seq {
 			s.shards = s.marks[i].shards
 			s.marks = s.marks[:i]
+			s.replacePending()
 			return nil
 		}
 	}
@@ -211,7 +318,10 @@ func shardDigest(m *champ.Map) hashsig.Digest {
 // ShardDigest returns the digest of one shard's contents. It lets an
 // auditor localize a checkpoint divergence to the shard that diverged
 // instead of just observing that d_C differs.
-func (s *ShardedStore) ShardDigest(i int) hashsig.Digest { return shardDigest(s.shards[i]) }
+func (s *ShardedStore) ShardDigest(i int) hashsig.Digest {
+	s.flush()
+	return shardDigest(s.shards[i])
+}
 
 // CheckpointDigest returns the sharded checkpoint digest d_C: the hash of
 // the shard count and every per-shard digest. It depends only on contents
@@ -248,9 +358,10 @@ func CombineShardDigests(digests []hashsig.Digest) hashsig.Digest {
 // chunk verifies by being decoded and rebuilt (InstallShard) and its digest
 // compared against this vector.
 func (s *ShardedStore) ShardDigests() []hashsig.Digest {
+	s.flush()
 	out := make([]hashsig.Digest, len(s.shards))
-	for i := range s.shards {
-		out[i] = s.ShardDigest(i)
+	for i, m := range s.shards {
+		out[i] = shardDigest(m)
 	}
 	return out
 }
@@ -260,6 +371,7 @@ func (s *ShardedStore) ShardDigests() []hashsig.Digest {
 // each independently verifiable (InstallShard) against the signed d_C's
 // per-shard digest vector.
 func (s *ShardedStore) SerializeShard(i int, w io.Writer) error {
+	s.flush()
 	ww := wire.NewWriter(w)
 	encodeMapCanonical(ww, s.shards[i])
 	return ww.Flush()
@@ -308,18 +420,25 @@ func (s *ShardedStore) InstallShard(i int, chunk []byte, want hashsig.Digest) er
 	if shardDigest(m) != want {
 		return fmt.Errorf("kv: restore: %w: shard %d of %d does not have the certified digest", wire.ErrCorrupt, i, n)
 	}
+	s.flush() // pending writes to other shards stay; shard i's are replaced
 	shards := append([]*champ.Map(nil), s.shards...)
 	shards[i] = m
 	s.shards = shards
 	return nil
 }
 
-// Clone returns an independent store with the same contents (O(shards)).
-// The tries, and the hashes cached in them, are shared.
+// Clone returns an independent store with the same contents (O(shards)
+// once the overlay is flushed). The tries, and the hashes cached in them,
+// are shared; the clone starts with no overlay, so it may be digested on
+// another goroutine while this store goes on.
 func (s *ShardedStore) Clone() *ShardedStore {
+	s.flush()
 	return &ShardedStore{shards: append([]*champ.Map(nil), s.shards...)}
 }
 
 // ShardSnapshot returns the immutable map backing one shard, for replay
 // comparisons and shard-level auditing.
-func (s *ShardedStore) ShardSnapshot(i int) *champ.Map { return s.shards[i] }
+func (s *ShardedStore) ShardSnapshot(i int) *champ.Map {
+	s.flush()
+	return s.shards[i]
+}

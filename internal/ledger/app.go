@@ -69,7 +69,9 @@ func (KVApp) Execute(tx *kv.Tx, request []byte) error {
 		val []byte
 		del bool
 	}
-	ops := make([]op, 0, n)
+	// The count is the request's claim: size by the bytes that can back it
+	// (an op is at least a tag and a key length), not by the claim.
+	ops := make([]op, 0, min(n, uint32(r.Remaining()/5)))
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		switch tag := r.Byte(); tag {
 		case 0x00:

@@ -60,11 +60,14 @@ func FuzzDecodeStreamHeader(f *testing.F) {
 }
 
 // FuzzReaderBytes drives the length-prefixed primitives: no input may cause
-// a panic or an allocation beyond the declared limit.
+// a panic or an allocation beyond the declared limit, and the bytes-mode
+// reader, which checks a claimed length against what is present before
+// allocating, must agree with the stream reader.
 func FuzzReaderBytes(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c'}, uint32(16))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint32(16))
 	f.Add([]byte{0, 0, 0, 5, 'x'}, uint32(4))
+	f.Add([]byte{0, 0x10, 0, 0, 'x'}, uint32(1<<20)) // claims the limit, holds one byte
 	f.Fuzz(func(t *testing.T, data []byte, max uint32) {
 		if max > 1<<20 {
 			max = 1 << 20 // keep hostile limits from masking hostile data
@@ -76,6 +79,14 @@ func FuzzReaderBytes(f *testing.F) {
 		}
 		if r.Err() != nil && b != nil {
 			t.Fatal("failed read returned data")
+		}
+		br := NewBytesReader(data)
+		bb := br.Bytes(max)
+		if (br.Err() == nil) != (r.Err() == nil) || !bytes.Equal(bb, b) {
+			t.Fatalf("bytes mode read %x (err %v), stream mode %x (err %v)", bb, br.Err(), b, r.Err())
+		}
+		if cap(bb) > len(data) {
+			t.Fatalf("bytes mode allocated %d for a %d-byte input", cap(bb), len(data))
 		}
 	})
 }

@@ -298,6 +298,29 @@ func (r *Reader) take(n int) ([]byte, bool) {
 	return b, true
 }
 
+// fixed returns the next n bytes, a view valid until the next read: of the
+// input in bytes mode, of the buffer in stream mode. Nothing is copied, so
+// the fixed-width fields allocate nothing (a scratch array passed through
+// io.ReadFull would escape). Short input fails as read does.
+func (r *Reader) fixed(n int) ([]byte, bool) {
+	if r.br == nil {
+		return r.take(n)
+	}
+	if r.err != nil {
+		return nil, false
+	}
+	b, err := r.br.Peek(n)
+	if len(b) < n {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, false
+	}
+	r.br.Discard(n) // cannot fail: Peek buffered n bytes
+	return b, true
+}
+
 func (r *Reader) read(p []byte) bool {
 	if r.err != nil {
 		return false
@@ -317,10 +340,20 @@ func (r *Reader) read(p []byte) bool {
 	return true
 }
 
+// Remaining returns the bytes a bytes-mode reader has left (0 once it has
+// failed), the most any count it decodes can be backed by. It is 0 for a
+// stream reader, whose length is unknown.
+func (r *Reader) Remaining() int {
+	if r.err != nil || r.br != nil {
+		return 0
+	}
+	return len(r.data) - r.pos
+}
+
 // Byte reads a single byte (type tags, flags).
 func (r *Reader) Byte() byte {
-	var b [1]byte
-	if !r.read(b[:]) {
+	b, ok := r.fixed(1)
+	if !ok {
 		return 0
 	}
 	return b[0]
@@ -328,20 +361,20 @@ func (r *Reader) Byte() byte {
 
 // Uint32 reads a big-endian uint32.
 func (r *Reader) Uint32() uint32 {
-	var b [4]byte
-	if !r.read(b[:]) {
+	b, ok := r.fixed(4)
+	if !ok {
 		return 0
 	}
-	return binary.BigEndian.Uint32(b[:])
+	return binary.BigEndian.Uint32(b)
 }
 
 // Uint64 reads a big-endian uint64.
 func (r *Reader) Uint64() uint64 {
-	var b [8]byte
-	if !r.read(b[:]) {
+	b, ok := r.fixed(8)
+	if !ok {
 		return 0
 	}
-	return binary.BigEndian.Uint64(b[:])
+	return binary.BigEndian.Uint64(b)
 }
 
 // Bytes reads a length-prefixed byte string of at most max bytes. The
@@ -354,6 +387,15 @@ func (r *Reader) Bytes(max uint32) []byte {
 	if n > max {
 		r.err = fmt.Errorf("%w: field length %d exceeds limit %d", ErrCorrupt, n, max)
 		return nil
+	}
+	if r.br == nil {
+		// What is claimed must be present before anything is allocated for
+		// it: a 4-byte input must not cost a MaxValueLen buffer.
+		b, ok := r.take(int(n))
+		if !ok {
+			return nil
+		}
+		return append(make([]byte, 0, n), b...)
 	}
 	b := make([]byte, n)
 	if !r.read(b) {
@@ -413,14 +455,18 @@ func (r *Reader) String(max uint32) string {
 // Digest reads raw digest bytes.
 func (r *Reader) Digest() hashsig.Digest {
 	var d hashsig.Digest
-	r.read(d[:])
+	if b, ok := r.fixed(len(d)); ok {
+		copy(d[:], b)
+	}
 	return d
 }
 
 // Nonce reads raw nonce bytes.
 func (r *Reader) Nonce() hashsig.Nonce {
 	var n hashsig.Nonce
-	r.read(n[:])
+	if b, ok := r.fixed(len(n)); ok {
+		copy(n[:], b)
+	}
 	return n
 }
 

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -198,5 +201,100 @@ func TestReadFrameRefusesBeforeAllocating(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("oversized prefix cost %.0f allocations", allocs)
+	}
+}
+
+// allocatedPerCall returns the bytes f allocates per call, averaged over
+// runs calls.
+func allocatedPerCall(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestBytesAllocatesWhatIsPresent: a bytes-mode Reader refuses a length
+// field that claims more than the input holds before it allocates, with
+// the ErrCorrupt a truncation has always failed with. Each limit is one a
+// socket or a ledger reaches: an entry payload or an RPC request body
+// (MaxValueLen and just under it) and a state-transfer chunk
+// (MaxChunkLen). A 4-byte claim of either used to allocate the whole
+// claim.
+func TestBytesAllocatesWhatIsPresent(t *testing.T) {
+	for _, max := range []uint32{MaxValueLen, MaxChunkLen} {
+		claim := binary.BigEndian.AppendUint32(nil, max)
+		var err error
+		perCall := allocatedPerCall(20, func() {
+			r := NewBytesReader(append(claim, "short"...))
+			if r.Bytes(max) != nil {
+				t.Fatal("a truncated field decoded")
+			}
+			err = r.Err()
+		})
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("claim of %d: error %v, want ErrCorrupt", max, err)
+		}
+		if perCall > 4<<10 {
+			t.Fatalf("claim of %d over 9 bytes allocated %d B per call", max, perCall)
+		}
+	}
+	r := NewBytesReader(binary.BigEndian.AppendUint32(nil, 3))
+	if r.Bytes(16); !errors.Is(r.Err(), ErrCorrupt) || r.Remaining() != 0 {
+		t.Fatalf("truncated field: error %v, %d bytes remaining", r.Err(), r.Remaining())
+	}
+}
+
+// TestFixedWidthReadsAllocateNothing: Byte, Uint32, Uint64, Digest and
+// Nonce read through a view of the input (bytes mode) or of the buffer
+// (stream mode), so decoding a header or an entry costs no allocation per
+// field; and a cut stream fails with ErrCorrupt and io.ReadFull's cause:
+// EOF at a field boundary, unexpected EOF inside a field.
+func TestFixedWidthReadsAllocateNothing(t *testing.T) {
+	var in []byte
+	in = append(in, 7)
+	in = AppendUint32(in, 1<<20)
+	in = AppendUint64(in, 1<<40)
+	in = AppendDigest(in, hashsig.Sum([]byte("d")))
+	in = append(in, make([]byte, hashsig.NonceSize)...)
+	decode := func(r *Reader) {
+		r.Byte()
+		r.Uint32()
+		r.Uint64()
+		r.Digest()
+		r.Nonce()
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+	}
+	src := bytes.NewReader(in)
+	stream := NewReader(src)
+	for mode, read := range map[string]func(){
+		"bytes": func() { decode(NewBytesReader(in)) },
+		"stream": func() {
+			src.Reset(in)
+			stream.br.Reset(src)
+			decode(stream)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(100, read); allocs > 1 { // bytes mode: the Reader
+			t.Fatalf("%s mode: %.0f allocations for five fixed-width fields", mode, allocs)
+		}
+	}
+	for cut := 1; cut < 13; cut++ {
+		r := NewReader(bytes.NewReader(in[:cut]))
+		r.Byte()
+		r.Uint32()
+		r.Uint64()
+		want := io.ErrUnexpectedEOF.Error()
+		if cut == 1 || cut == 5 {
+			want = ": " + io.EOF.Error()
+		}
+		if !errors.Is(r.Err(), ErrCorrupt) || !strings.HasSuffix(r.Err().Error(), want) {
+			t.Fatalf("stream cut at %d: %v, want ErrCorrupt and %q", cut, r.Err(), want)
+		}
 	}
 }
