@@ -303,7 +303,7 @@ type node struct {
 	hash     hashsig.Digest
 }
 
-// entry is a key and its value: what set, merge and delete hand from node
+// entry is a key and its value: what set, fresh and delete hand from node
 // to node, and how a node holds an entry too large for its blob.
 type entry struct {
 	key string
@@ -617,7 +617,7 @@ func (n *node) set(e entry, h uint64, level int) (*node, bool) {
 			return n.spliced(edit{c: c, to: to, put: e, has: true}), false
 		}
 		// Two distinct keys share this chunk: push both one level down.
-		child := merge(old, hashKey(old.key), e, h, level+1)
+		child := fresh([]write{{entry: e, h: h}}, &write{entry: old, h: hashKey(old.key)}, level+1)
 		out := n.spliced(edit{c: c, to: to})
 		out.dataMap &^= bit
 		i := n.nodeIndex(bit)
@@ -634,30 +634,6 @@ func (n *node) set(e entry, h uint64, level int) (*node, bool) {
 		out.dataMap |= bit
 		return out, true
 	}
-}
-
-// merge builds the subtree holding two entries that collide at a chunk.
-func merge(e1 entry, h1 uint64, e2 entry, h2 uint64, level int) *node {
-	var shape node // what the node is apart from its two entries
-	if level >= maxLevel {
-		// Collision buckets keep keys sorted so canonical order is defined
-		// even where hashes cannot distinguish entries.
-		shape.coll = true
-		if e2.key < e1.key {
-			e1, e2 = e2, e1
-		}
-	} else {
-		c1, c2 := chunk(h1, level), chunk(h2, level)
-		if c1 == c2 {
-			return &node{nodeMap: 1 << c1, children: []*node{merge(e1, h1, e2, h2, level+1)}}
-		}
-		shape.dataMap = 1<<c1 | 1<<c2
-		if c2 < c1 {
-			e1, e2 = e2, e1
-		}
-	}
-	shape.ents, shape.big = pack([]entry{e1, e2})
-	return &shape
 }
 
 // delete returns the updated node and whether the key was present. The
@@ -731,7 +707,7 @@ func (n *node) rang(fn func(string, []byte) bool) bool {
 // independent of how the trie was built: an entry inlined at level L in one
 // map and pushed deeper in another still appears at the same rank, because
 // every deeper placement keeps the same level-L chunk. Collision buckets
-// hold keys sorted (merge and set maintain this), closing the one case
+// hold keys sorted (fresh and set maintain this), closing the one case
 // where the hash alone cannot order entries.
 func (n *node) rangCanonical(fn func(string, []byte) bool) bool {
 	if n.coll {

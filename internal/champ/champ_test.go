@@ -228,7 +228,7 @@ func TestQuickModel(t *testing.T) {
 }
 
 // TestCollisions exercises collision buckets via keys engineered to collide
-// by exhausting the trie (many keys, ensuring deep paths exercise merge).
+// by exhausting the trie (many keys, ensuring deep paths exercise fresh).
 func TestManyKeysDeepPaths(t *testing.T) {
 	m := Empty()
 	const n = 20000
@@ -247,8 +247,8 @@ func TestManyKeysDeepPaths(t *testing.T) {
 }
 
 func TestCollisionNodePaths(t *testing.T) {
-	// Drive merge/collision logic directly at max depth.
-	n1 := merge(entry{"a", []byte("1")}, 0, entry{"b", []byte("2")}, 0, maxLevel)
+	// Drive push-down/collision logic directly at max depth.
+	n1 := fresh([]write{{entry: entry{"b", []byte("2")}}}, &write{entry: entry{"a", []byte("1")}}, maxLevel)
 	if !n1.coll {
 		t.Fatal("expected collision node at max level")
 	}

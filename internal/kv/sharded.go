@@ -102,6 +102,11 @@ type ShardedStore struct {
 	gen     uint64 // bumped whenever pending is replaced
 	readers int    // live transactions that captured pending at gen
 	hint    int    // ops in the last flush, to size the next overlay
+
+	// flush's scratch: the puts grouped by shard, and each shard's offset.
+	keys []string
+	vals [][]byte
+	at   []int
 }
 
 // shardedMark captures every shard head at a batch boundary.
@@ -200,8 +205,8 @@ func (s *ShardedStore) replacePending() {
 // flush lands the overlay in the tries copy-on-write: the shard-head slice
 // is never mutated in place — a fresh slice replaces it — so every snapshot
 // captured by Begin, Mark, or Clone stays frozen for free. Deletes go key
-// by key, then the puts: a handful key by key, more in one SetAll per
-// shard, grouped by a counting sort into one key and one value vector.
+// by key, then the puts in one SetAll per shard written, grouped by a
+// counting sort into one key and one value vector.
 // The overlay's order reaches no hash: the tries' shape, and so d_C, is a
 // function of their contents.
 //
@@ -226,15 +231,8 @@ func (s *ShardedStore) flush() {
 			puts++
 		}
 	}
-	if puts <= indexAt { // a handful: grouping would cost more than it saves
-		for _, o := range ops {
-			if !o.del {
-				i := s.shardFor(o.key)
-				shards[i] = shards[i].Set(o.key, o.val)
-			}
-		}
-	} else {
-		setAllByShard(shards, ops, puts)
+	if puts > 0 {
+		s.setAllByShard(shards, ops, puts)
 	}
 	s.shards = shards
 	s.hint = len(ops)
@@ -242,12 +240,15 @@ func (s *ShardedStore) flush() {
 }
 
 // setAllByShard writes the puts among ops into their shards, one SetAll
-// per shard written.
-func setAllByShard(shards []*champ.Map, ops []op, puts int) {
-	keys, vals := make([]string, puts), make([][]byte, puts)
-	// at[i] ends up where shard i's puts start, at[len(shards)] at puts.
+// per shard written. The key, value and offset vectors are the store's
+// scratch, reused from flush to flush (the store has one writer); the
+// values are cleared afterwards so the scratch keeps none alive.
+func (s *ShardedStore) setAllByShard(shards []*champ.Map, ops []op, puts int) {
 	n := uint32(len(shards))
-	at := make([]int, n+1)
+	keys, vals := grow(s.keys, puts), grow(s.vals, puts)
+	// at[i] ends up where shard i's puts start, at[n] at puts.
+	at := grow(s.at, int(n)+1)
+	clear(at)
 	for _, o := range ops {
 		if !o.del {
 			at[champ.ShardOf(o.key, n)]++
@@ -268,6 +269,18 @@ func setAllByShard(shards []*champ.Map, ops []op, puts int) {
 			shards[i] = shards[i].SetAll(keys[at[i]:at[i+1]], vals[at[i]:at[i+1]])
 		}
 	}
+	clear(keys)
+	clear(vals)
+	s.keys, s.vals, s.at = keys, vals, at
+}
+
+// grow returns buf resliced to length n, reallocated if its capacity is
+// short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Mark records a rollback point labelled seq, capturing the state before

@@ -50,13 +50,10 @@ func allocLedger(t testing.TB) *Ledger {
 // core.execute allocates per ledger entry — propose (ExecuteBatch), apply
 // (ApplyBatch) and the audit (Replay) — over allocStream, from a fresh
 // ledger each run. AllocsPerRun runs at GOMAXPROCS 1, so Replay derives
-// inline. Each bound is the count measured — 7.2, 5.8 and 5.1 — plus a
+// inline. Each bound is the count measured — 11.2, 9.8 and 9.1 — plus a
 // slack of 1 object per entry, 3 under the race detector, whose pools drop
 // items (it reads about 1.9 more). When every commit path-copied the trie
-// and every fixed-width wire field was read through a heap array, they
-// were 19.0, 17.6 and 17.6; taking writes in bulk (one overlay per batch
-// or checkpoint interval, one champ.SetAll per flush) alone made them
-// 11.2, 9.8 and 9.1.
+// they were 19.0, 17.6 and 17.6.
 func TestAllocsPerEntry(t *testing.T) {
 	reqs, stream := allocStream(t)
 	entries := 0
@@ -74,7 +71,7 @@ func TestAllocsPerEntry(t *testing.T) {
 		measured float64
 		run      func()
 	}{
-		{"ExecuteBatch", 7.2, func() {
+		{"ExecuteBatch", 11.2, func() {
 			l := allocLedger(t)
 			for _, batch := range reqs {
 				if _, _, err := l.ExecuteBatch(batch); err != nil {
@@ -82,7 +79,7 @@ func TestAllocsPerEntry(t *testing.T) {
 				}
 			}
 		}},
-		{"ApplyBatch", 5.8, func() {
+		{"ApplyBatch", 9.8, func() {
 			l := allocLedger(t)
 			for _, b := range stream {
 				if _, err := l.ApplyBatch(b); err != nil {
@@ -90,7 +87,7 @@ func TestAllocsPerEntry(t *testing.T) {
 				}
 			}
 		}},
-		{"Replay", 5.1, func() {
+		{"Replay", 9.1, func() {
 			if _, err := Replay(stream, pub, KVApp{}, pool); err != nil {
 				t.Fatal(err)
 			}

@@ -298,29 +298,6 @@ func (r *Reader) take(n int) ([]byte, bool) {
 	return b, true
 }
 
-// fixed returns the next n bytes, a view valid until the next read: of the
-// input in bytes mode, of the buffer in stream mode. Nothing is copied, so
-// the fixed-width fields allocate nothing (a scratch array passed through
-// io.ReadFull would escape). Short input fails as read does.
-func (r *Reader) fixed(n int) ([]byte, bool) {
-	if r.br == nil {
-		return r.take(n)
-	}
-	if r.err != nil {
-		return nil, false
-	}
-	b, err := r.br.Peek(n)
-	if len(b) < n {
-		if err == io.EOF && len(b) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return nil, false
-	}
-	r.br.Discard(n) // cannot fail: Peek buffered n bytes
-	return b, true
-}
-
 func (r *Reader) read(p []byte) bool {
 	if r.err != nil {
 		return false
@@ -352,8 +329,8 @@ func (r *Reader) Remaining() int {
 
 // Byte reads a single byte (type tags, flags).
 func (r *Reader) Byte() byte {
-	b, ok := r.fixed(1)
-	if !ok {
+	var b [1]byte
+	if !r.read(b[:]) {
 		return 0
 	}
 	return b[0]
@@ -361,20 +338,20 @@ func (r *Reader) Byte() byte {
 
 // Uint32 reads a big-endian uint32.
 func (r *Reader) Uint32() uint32 {
-	b, ok := r.fixed(4)
-	if !ok {
+	var b [4]byte
+	if !r.read(b[:]) {
 		return 0
 	}
-	return binary.BigEndian.Uint32(b)
+	return binary.BigEndian.Uint32(b[:])
 }
 
 // Uint64 reads a big-endian uint64.
 func (r *Reader) Uint64() uint64 {
-	b, ok := r.fixed(8)
-	if !ok {
+	var b [8]byte
+	if !r.read(b[:]) {
 		return 0
 	}
-	return binary.BigEndian.Uint64(b)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // Bytes reads a length-prefixed byte string of at most max bytes. The
@@ -455,18 +432,14 @@ func (r *Reader) String(max uint32) string {
 // Digest reads raw digest bytes.
 func (r *Reader) Digest() hashsig.Digest {
 	var d hashsig.Digest
-	if b, ok := r.fixed(len(d)); ok {
-		copy(d[:], b)
-	}
+	r.read(d[:])
 	return d
 }
 
 // Nonce reads raw nonce bytes.
 func (r *Reader) Nonce() hashsig.Nonce {
 	var n hashsig.Nonce
-	if b, ok := r.fixed(len(n)); ok {
-		copy(n[:], b)
-	}
+	r.read(n[:])
 	return n
 }
 

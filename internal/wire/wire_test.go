@@ -5,9 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"runtime"
-	"strings"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -245,56 +243,5 @@ func TestBytesAllocatesWhatIsPresent(t *testing.T) {
 	r := NewBytesReader(binary.BigEndian.AppendUint32(nil, 3))
 	if r.Bytes(16); !errors.Is(r.Err(), ErrCorrupt) || r.Remaining() != 0 {
 		t.Fatalf("truncated field: error %v, %d bytes remaining", r.Err(), r.Remaining())
-	}
-}
-
-// TestFixedWidthReadsAllocateNothing: Byte, Uint32, Uint64, Digest and
-// Nonce read through a view of the input (bytes mode) or of the buffer
-// (stream mode), so decoding a header or an entry costs no allocation per
-// field; and a cut stream fails with ErrCorrupt and io.ReadFull's cause:
-// EOF at a field boundary, unexpected EOF inside a field.
-func TestFixedWidthReadsAllocateNothing(t *testing.T) {
-	var in []byte
-	in = append(in, 7)
-	in = AppendUint32(in, 1<<20)
-	in = AppendUint64(in, 1<<40)
-	in = AppendDigest(in, hashsig.Sum([]byte("d")))
-	in = append(in, make([]byte, hashsig.NonceSize)...)
-	decode := func(r *Reader) {
-		r.Byte()
-		r.Uint32()
-		r.Uint64()
-		r.Digest()
-		r.Nonce()
-		if r.Err() != nil {
-			t.Fatal(r.Err())
-		}
-	}
-	src := bytes.NewReader(in)
-	stream := NewReader(src)
-	for mode, read := range map[string]func(){
-		"bytes": func() { decode(NewBytesReader(in)) },
-		"stream": func() {
-			src.Reset(in)
-			stream.br.Reset(src)
-			decode(stream)
-		},
-	} {
-		if allocs := testing.AllocsPerRun(100, read); allocs > 1 { // bytes mode: the Reader
-			t.Fatalf("%s mode: %.0f allocations for five fixed-width fields", mode, allocs)
-		}
-	}
-	for cut := 1; cut < 13; cut++ {
-		r := NewReader(bytes.NewReader(in[:cut]))
-		r.Byte()
-		r.Uint32()
-		r.Uint64()
-		want := io.ErrUnexpectedEOF.Error()
-		if cut == 1 || cut == 5 {
-			want = ": " + io.EOF.Error()
-		}
-		if !errors.Is(r.Err(), ErrCorrupt) || !strings.HasSuffix(r.Err().Error(), want) {
-			t.Fatalf("stream cut at %d: %v, want ErrCorrupt and %q", cut, r.Err(), want)
-		}
 	}
 }
