@@ -1,5 +1,5 @@
 // iaccfvet is the multichecker for this repository's invariant analyzers
-// (poolown, viewretain, detiter, detsource — see internal/analysis/README.md).
+// (viewretain, detiter, detsource — see internal/analysis/README.md).
 //
 // It runs in two modes:
 //
@@ -8,7 +8,7 @@
 //     (implemented in internal/analysis/unit), sharing the build cache so a
 //     whole-tree run costs about as much as plain `go vet`.
 //
-//   - standalone:  iaccfvet [-poolown=false ...] [packages]
+//   - standalone:  iaccfvet [-detiter=false ...] [packages]
 //     Loads the patterns (default ./...) itself via `go list -export` and
 //     analyzes them in-process. Handy for one-off runs and editors.
 //

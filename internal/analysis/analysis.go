@@ -4,11 +4,10 @@
 //
 // IA-CCF's safety argument needs every replica to reproduce byte-identical
 // headers, receipts, and checkpoint digests (PAPER.md §3, §6), and — since
-// the allocation-lean commit path landed — it also needs hand-written
-// memory-ownership rules for pooled buffers and decode-time aliases to
-// hold everywhere. Poison mode and -race property tests catch violations
-// that a test happens to execute; the analyzers here catch the whole
-// pattern at vet time. See README.md in this directory for the mapping
+// the allocation-lean commit path landed — it also needs the hand-written
+// rule for decode-time aliases to hold everywhere. The aliasing property
+// tests under -race catch violations that a test happens to execute; the
+// analyzers here catch the whole pattern at vet time. See README.md in this directory for the mapping
 // from each analyzer to the prose rule it enforces.
 //
 // The framework deliberately mirrors a small subset of
@@ -61,8 +60,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // InTestFile reports whether pos lies in a _test.go file. All analyzers in
 // the suite skip test files: the aliasing property tests deliberately
-// retain pooled buffers and views across pool cycles to prove the poison
-// mode works, and test-local nondeterminism is harmless.
+// retain views and returned values across later commits to prove nothing
+// aliases reused memory, and test-local nondeterminism is harmless.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f == nil || strings.HasSuffix(f.Name(), "_test.go")

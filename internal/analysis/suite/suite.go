@@ -8,14 +8,12 @@ import (
 	"iaccf/internal/analysis"
 	"iaccf/internal/analysis/detiter"
 	"iaccf/internal/analysis/detsource"
-	"iaccf/internal/analysis/poolown"
 	"iaccf/internal/analysis/viewretain"
 )
 
 // Analyzers returns the full iaccfvet suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		poolown.Analyzer,
 		viewretain.Analyzer,
 		detiter.Analyzer,
 		detsource.Analyzer,

@@ -1,7 +1,7 @@
 // Package taint is the intra-procedural alias-escape engine behind the
-// poolown and viewretain analyzers. Both enforce the same shape of rule —
-// "this call hands you a slice you may use here but must not retain" — so
-// both are expressed as a Rule over this engine: calls matching Sources
+// viewretain analyzer. It enforces one shape of rule — "this call hands
+// you a slice you may use here but must not retain" — expressed as a Rule
+// over this engine: calls matching Sources
 // taint the value they return, taint propagates through the aliasing
 // operations Go offers for slices (assignment, sub-slicing, append to the
 // same backing array, composite literals, range), and retention sinks
@@ -11,14 +11,9 @@
 // audited sink — hashing, verification, tx.Put, copy — is a call, and the
 // callee's documented contract governs what it may keep.
 //
-// The engine is deliberately flow-insensitive about aliasing (a taint
-// fact, once established for a variable, holds for the whole function)
-// and position-based about release: a value released by a Release call
-// (pool Put) must not be used at any later source position inside the
-// release's enclosing block. That approximation matches how the commit
-// path actually writes this code — straight-line Get ... Put, or
-// defer-Put — and deferred releases are exempt by construction. What the
-// engine cannot see is documented in internal/analysis/README.md.
+// The engine is deliberately flow-insensitive about aliasing: a taint
+// fact, once established for a variable, holds for the whole function.
+// What the engine cannot see is documented in internal/analysis/README.md.
 package taint
 
 import (
@@ -41,11 +36,7 @@ type FuncMatch struct {
 type Rule struct {
 	// Sources taint the value their call returns.
 	Sources []FuncMatch
-	// Release marks calls that end the tainted value's lifetime (pool
-	// Put): subsequent uses of the value in the same block are reported.
-	// Deferred releases do not arm the check.
-	Release []FuncMatch
-	// Kind names the tainted thing in diagnostics, e.g. "pooled buffer".
+	// Kind names the tainted thing in diagnostics, e.g. "frame view".
 	Kind string
 }
 
@@ -105,18 +96,8 @@ func match(fn *types.Func, ms []FuncMatch) (FuncMatch, bool) {
 
 // source is one taint origin: a matched Source call site.
 type source struct {
-	pos  token.Pos // the Get/BytesView call, for diagnostics
-	desc string    // "pool.Bytes.Get" etc.
-}
-
-// release is one armed use-after-release window.
-type release struct {
-	src      *source
-	after    token.Pos // uses past this position are dead
-	until    token.Pos // ... up to the end of the release's enclosing block
-	callPos  token.Pos
-	callEnd  token.Pos
-	origDesc string
+	pos  token.Pos // the BytesView call, for diagnostics
+	desc string    // "wire.Reader.BytesView" etc.
 }
 
 // Check runs the rule over every function in the pass's package.
@@ -130,13 +111,11 @@ func Check(pass *analysis.Pass, rule Rule) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			// A function that is itself a declared Source or Release of this
-			// rule (wire.GetScratch wrapping pool.Bytes.Get) transfers
-			// ownership by design; its body is the boundary, not a leak.
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				if matchesFunc(fn, rule.Sources) || matchesFunc(fn, rule.Release) {
-					continue
-				}
+			// A function that is itself a declared Source of this rule hands
+			// out the tainted value by design; its body is the boundary, not
+			// a leak.
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && matchesFunc(fn, rule.Sources) {
+				continue
 			}
 			checkFunc(pass, rule, fd)
 		}
@@ -148,18 +127,14 @@ type checker struct {
 	rule    Rule
 	fn      *ast.FuncDecl
 	tainted map[types.Object]*source
-	// retaints records positions where an object is re-tainted by a fresh
-	// Source call, closing any earlier use-after-release window for it.
-	retaints map[types.Object][]token.Pos
 }
 
 func checkFunc(pass *analysis.Pass, rule Rule, fn *ast.FuncDecl) {
 	c := &checker{
-		pass:     pass,
-		rule:     rule,
-		fn:       fn,
-		tainted:  map[types.Object]*source{},
-		retaints: map[types.Object][]token.Pos{},
+		pass:    pass,
+		rule:    rule,
+		fn:      fn,
+		tainted: map[types.Object]*source{},
 	}
 	// Propagate taint to a fixpoint: each pass can extend an alias chain by
 	// one assignment, so the statement count bounds the iterations.
@@ -171,7 +146,6 @@ func checkFunc(pass *analysis.Pass, rule Rule, fn *ast.FuncDecl) {
 	// reportSinks must run even with no tainted variables: a Source call
 	// can flow straight into a sink (`return r.BytesView(n)`).
 	c.reportSinks()
-	c.reportUseAfterRelease()
 }
 
 // localVar returns the local variable object an identifier denotes, nil
@@ -315,15 +289,6 @@ func (c *checker) propagate() bool {
 					switch lhs := ast.Unparen(n.Lhs[i]).(type) {
 					case *ast.Ident:
 						mark(lhs, s)
-						if v := c.localVar(lhs); v != nil {
-							if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-								if _, isSrc := matches(c.pass.TypesInfo, call, c.rule.Sources); isSrc {
-									// The whole assignment (LHS included) is the
-									// start of the renewed lifetime.
-									c.noteRetaint(v, n.Pos())
-								}
-							}
-						}
 					case *ast.IndexExpr:
 						// localArr[i] = tainted: the container now holds an
 						// alias. Stores into non-local containers are sinks.
@@ -353,17 +318,6 @@ func (c *checker) propagate() bool {
 		return true
 	})
 	return changed
-}
-
-// noteRetaint records that obj was freshly assigned from a Source call at
-// pos, which closes any earlier release window for it.
-func (c *checker) noteRetaint(obj types.Object, pos token.Pos) {
-	for _, p := range c.retaints[obj] {
-		if p == pos {
-			return
-		}
-	}
-	c.retaints[obj] = append(c.retaints[obj], pos)
 }
 
 // funcLits returns the position intervals of function literals within the
@@ -461,95 +415,6 @@ func (c *checker) reportSinks() {
 					return true
 				})
 			}
-		}
-		return true
-	})
-}
-
-// reportUseAfterRelease flags uses of a tainted variable after a matched
-// Release call in the same block (deferred releases excluded).
-func (c *checker) reportUseAfterRelease() {
-	if len(c.rule.Release) == 0 {
-		return
-	}
-	info := c.pass.TypesInfo
-	var releases []release
-	// Blocks are tracked so a release only kills uses up to its enclosing
-	// block's end: a Put in one branch says nothing about the other branch.
-	var blocks []*ast.BlockStmt
-	var visit func(n ast.Node) bool
-	deferred := map[*ast.CallExpr]bool{}
-	ast.Inspect(c.fn.Body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferred[d.Call] = true
-		}
-		return true
-	})
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BlockStmt:
-			blocks = append(blocks, n)
-			for _, st := range n.List {
-				ast.Inspect(st, visit)
-			}
-			blocks = blocks[:len(blocks)-1]
-			return false
-		case *ast.CallExpr:
-			if deferred[n] {
-				return true
-			}
-			if _, ok := matches(info, n, c.rule.Release); !ok {
-				return true
-			}
-			if len(n.Args) == 0 {
-				return true
-			}
-			s := c.taintOf(n.Args[0])
-			if s == nil {
-				return true
-			}
-			until := c.fn.Body.End()
-			if len(blocks) > 0 {
-				until = blocks[len(blocks)-1].End()
-			}
-			releases = append(releases, release{src: s, after: n.End(), until: until, callPos: n.Pos(), callEnd: n.End()})
-		}
-		return true
-	}
-	ast.Inspect(c.fn.Body, visit)
-	if len(releases) == 0 {
-		return
-	}
-	ast.Inspect(c.fn.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v := c.localVar(id)
-		if v == nil {
-			return true
-		}
-		s := c.tainted[v]
-		if s == nil {
-			return true
-		}
-		for _, rel := range releases {
-			if rel.src != s || id.Pos() <= rel.after || id.Pos() >= rel.until {
-				continue
-			}
-			// A fresh Source assignment to this variable after the release
-			// opens a new lifetime; uses from that point on are fine.
-			renewed := false
-			for _, rp := range c.retaints[v] {
-				if rp > rel.after && rp <= id.Pos() {
-					renewed = true
-					break
-				}
-			}
-			if !renewed {
-				c.pass.Reportf(id.Pos(), "%s %q is used after its release at %s; after Put the memory belongs to the pool", c.rule.Kind, id.Name, c.pass.Fset.Position(rel.callPos))
-			}
-			break
 		}
 		return true
 	})

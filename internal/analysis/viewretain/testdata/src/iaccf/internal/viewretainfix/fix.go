@@ -31,6 +31,31 @@ func decodeSendsView(r *wire.Reader, ch chan []byte) {
 	ch <- v // want `sent on a channel`
 }
 
+func decodeReturnsAlias(r *wire.Reader) []byte {
+	v := r.BytesView(64)
+	w := v[:16]
+	return w // want `frame view from wire\.Reader\.BytesView is returned`
+}
+
+var global []byte
+
+func decodeStoresGlobal(r *wire.Reader) {
+	v := r.BytesView(64)
+	global = v // want `stored into package-level variable global`
+}
+
+func decodeGoroutineArg(r *wire.Reader, sink func([]byte)) {
+	v := r.BytesView(64)
+	go sink(v) // want `passed to a goroutine`
+}
+
+func decodeGoroutineCapture(r *wire.Reader) {
+	v := r.BytesView(64)
+	go func() {
+		_ = v[0] // want `captured by a goroutine`
+	}()
+}
+
 // --- sanctioned idioms (must not fire) ---
 
 // Hashing or verifying the view inside the decode scope is the point of

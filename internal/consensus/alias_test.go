@@ -6,20 +6,18 @@ import (
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/ledger"
-	"iaccf/internal/pool"
 )
 
 // TestEncodedFramesSurvivePoolReuse is the aliasing property for the
 // message codec: an encoded frame handed to the transport, and the entry
 // payloads of a message decoded from such a frame, must not share backing
-// memory with any pooled scratch. The test commits one sequence while
-// retaining every frame it produced (and a decode of each), then commits
-// another sequence — cycling every pooled encode/digest buffer with poison
-// mode on — and asserts the retained frames are byte-identical, still
+// memory with anything the replicas reuse. The test commits one sequence
+// while retaining every frame it produced (and a decode of each), then
+// commits another sequence — reusing the ledgers' batch-to-batch scratch
+// and arenas — and asserts the retained frames are byte-identical, still
 // decode, and that the earlier decodes' payloads are untouched. Run under
 // -race in CI, concurrent scratch reuse is caught too.
 func TestEncodedFramesSurvivePoolReuse(t *testing.T) {
-	defer pool.SetPoison(pool.SetPoison(true))
 	c := newCluster(t, 4, 4)
 	author := hashsig.Sum([]byte("alias-client"))
 
@@ -85,7 +83,7 @@ func TestEncodedFramesSurvivePoolReuse(t *testing.T) {
 
 	for i, f := range first {
 		if !bytes.Equal(f, copies[i]) {
-			t.Fatalf("frame %d mutated after pool reuse", i)
+			t.Fatalf("frame %d mutated after scratch reuse", i)
 		}
 		if _, err := DecodeMessage(f); err != nil {
 			t.Fatalf("frame %d no longer decodes: %v", i, err)
@@ -93,7 +91,7 @@ func TestEncodedFramesSurvivePoolReuse(t *testing.T) {
 	}
 	for i := range keptEntries {
 		if !bytes.Equal(keptEntries[i].Payload, keptPayloads[i]) {
-			t.Fatalf("decoded entry %d payload mutated after pool reuse", i)
+			t.Fatalf("decoded entry %d payload mutated after scratch reuse", i)
 		}
 	}
 }

@@ -119,6 +119,25 @@ func TestGoldenFrames(t *testing.T) {
 // TestGoldenFramesMalformedCert: a sync chunk whose offer's certificate is
 // cut short or announces more prepares or openings than the decoder accepts
 // is ErrBadMessage, wherever the certificate decoder lives.
+// TestNewViewDigestAllocatesNothing: a new-view's signing digest streams
+// through a SHA-256 state on the stack, and each carried view-change
+// assembles its own preimage — prepared statements included — in a stack
+// array.
+func TestNewViewDigestAllocatesNothing(t *testing.T) {
+	var nv *NewView
+	for _, m := range goldenMessages(t) {
+		if m, ok := m.(*NewView); ok {
+			nv = m
+		}
+	}
+	if len(nv.VCs[0].Prepared) == 0 {
+		t.Fatal("the golden view-change carries no prepared claim")
+	}
+	if got := testing.AllocsPerRun(100, func() { nv.SigningDigest() }); got != 0 {
+		t.Fatalf("NewView.SigningDigest: %.1f allocations per call, want 0", got)
+	}
+}
+
 func TestGoldenFramesMalformedCert(t *testing.T) {
 	chunk := readGoldenFrames(t)[6]
 	// Tag, replica, requester, ckpt seq, one shard digest, the frontier,

@@ -201,8 +201,8 @@ func (m *ViewChange) Type() MsgType { return MsgViewChange }
 // number, and the identity of every prepared statement in order; the
 // prepared entries are bound transitively through each header's ¯G.
 func (m *ViewChange) SigningDigest() hashsig.Digest {
-	b := wire.GetScratch(64 + 32*len(m.Prepared))
-	b = append(b, viewChangeDomain...)
+	var buf [256]byte
+	b := append(buf[:0], viewChangeDomain...)
 	b = wire.AppendUint64(b, m.NewView)
 	b = wire.AppendUint32(b, uint32(m.Replica))
 	b = wire.AppendUint64(b, m.CommittedSeq)
@@ -210,9 +210,7 @@ func (m *ViewChange) SigningDigest() hashsig.Digest {
 	for i := range m.Prepared {
 		b = wire.AppendDigest(b, m.Prepared[i].PP.Header.StatementDigest())
 	}
-	d := hashsig.Sum(b)
-	wire.PutScratch(b)
-	return d
+	return hashsig.Sum(b)
 }
 
 // Verify reports whether the view-change carries a valid signature by pub.
@@ -294,7 +292,7 @@ func (m *NewView) Type() MsgType { return MsgNewView }
 // (its signing digest and signature bytes, so the certificate cannot be
 // reshuffled under the same signature).
 func (m *NewView) SigningDigest() hashsig.Digest {
-	h := hashsig.BorrowHasher()
+	h := hashsig.NewHasher()
 	h.Write(newViewDomain)
 	var u [8]byte
 	h.Write(wire.AppendUint64(u[:0], m.View))
@@ -309,7 +307,6 @@ func (m *NewView) SigningDigest() hashsig.Digest {
 	}
 	var d hashsig.Digest
 	h.Sum(d[:0])
-	hashsig.ReturnHasher(h)
 	return d
 }
 
@@ -446,7 +443,7 @@ func decodeSyncChunk(r *wire.Reader) *SyncChunk {
 // built with the append-mode writer — one allocation for the frame itself,
 // no bufio buffer, no bytes.Buffer growth chain. The returned slice is
 // freshly allocated and owned by the caller: frames outlive the call (they
-// sit in transport queues), so they are never pooled.
+// sit in transport queues), so they are never reused.
 func EncodeMessage(m Message) []byte {
 	w := wire.NewAppendWriter(make([]byte, 0, 256))
 	w.Uint32(uint32(m.Type()))

@@ -50,9 +50,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
-	"sync"
-
-	"iaccf/internal/pool"
 )
 
 // DigestSize is the size in bytes of all digests used by IA-CCF.
@@ -74,54 +71,16 @@ func Sum(data []byte) Digest {
 // NewHasher returns a streaming hasher whose Sum output is a Digest's bytes.
 func NewHasher() hash.Hash { return sha256.New() }
 
-// hasherPool recycles streaming SHA-256 states for BorrowHasher. A sha256
-// state is a heap allocation per NewHasher call; digest-heavy paths (shard
-// checkpoint digests, certificate signing digests) borrow instead.
-var hasherPool = sync.Pool{New: func() any { return sha256.New() }}
-
-// BorrowHasher returns a reset streaming hasher from a process-wide pool.
-// Ownership rule: the hasher is the caller's until ReturnHasher; it must
-// not be retained — directly or inside any returned value — after that.
-func BorrowHasher() hash.Hash {
-	h := hasherPool.Get().(hash.Hash)
-	h.Reset()
-	return h
-}
-
-// ReturnHasher gives a borrowed hasher back to the pool.
-func ReturnHasher(h hash.Hash) { hasherPool.Put(h) }
-
-// sumManyStack is the assembly-buffer size under which SumMany runs with
-// zero heap allocations. 256 bytes covers every fixed-shape preimage in the
-// system (domain prefix + a few digests + a signature).
-const sumManyStack = 256
-
-// sumManyScratch backs SumMany's over-stack-size path.
-var sumManyScratch pool.Bytes
-
 // SumMany returns the SHA-256 digest of the concatenation of the given
-// byte slices without materializing the concatenation on the heap: small
-// totals concatenate into a stack buffer, larger ones into pooled scratch.
-// Neither path retains any part slice past the call.
+// byte slices without materializing the concatenation: the parts stream
+// through one hasher, which stays on the stack, and none is retained.
 func SumMany(parts ...[]byte) Digest {
-	total := 0
+	h := sha256.New()
 	for _, p := range parts {
-		total += len(p)
+		h.Write(p)
 	}
-	if total <= sumManyStack {
-		var buf [sumManyStack]byte
-		b := buf[:0]
-		for _, p := range parts {
-			b = append(b, p...)
-		}
-		return sha256.Sum256(b)
-	}
-	b := sumManyScratch.Get(total)
-	for _, p := range parts {
-		b = append(b, p...)
-	}
-	d := Digest(sha256.Sum256(b))
-	sumManyScratch.Put(b)
+	var d Digest
+	h.Sum(d[:0])
 	return d
 }
 

@@ -17,6 +17,17 @@ func TestSumMatchesSumMany(t *testing.T) {
 	}
 }
 
+// TestSumManyAllocatesNothing: the parts stream through a SHA-256 state
+// that stays on the stack, whatever their total length.
+func TestSumManyAllocatesNothing(t *testing.T) {
+	small, large := make([]byte, 128), make([]byte, 4096)
+	for _, parts := range [][][]byte{{small}, {small, large, small}} {
+		if got := testing.AllocsPerRun(100, func() { SumMany(parts...) }); got != 0 {
+			t.Errorf("SumMany over %d parts: %.1f allocations per call, want 0", len(parts), got)
+		}
+	}
+}
+
 func TestDigestFromBytes(t *testing.T) {
 	d := Sum([]byte("hello"))
 	got, ok := DigestFromBytes(d.Bytes())

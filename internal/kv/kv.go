@@ -237,19 +237,18 @@ func (w WriteSet) Digest() hashsig.Digest {
 		ops = slices.Clone(ops)
 		slices.SortFunc(ops, func(a, b op) int { return strings.Compare(a.key, b.key) })
 	}
-	h := wire.GetScratch(256)
+	var buf [256]byte
+	b := buf[:0]
 	for _, o := range ops {
-		h = wire.AppendString(h, o.key)
+		b = wire.AppendString(b, o.key)
 		if o.del {
-			h = append(h, 0x00)
+			b = append(b, 0x00)
 		} else {
-			h = append(h, 0x01)
-			h = wire.AppendBytes(h, o.val)
+			b = append(b, 0x01)
+			b = wire.AppendBytes(b, o.val)
 		}
 	}
-	d := hashsig.Sum(h)
-	wire.PutScratch(h)
-	return d
+	return hashsig.Sum(b)
 }
 
 // encodeMapCanonical streams one map in the per-shard checkpoint form:

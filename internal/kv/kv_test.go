@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"iaccf/internal/hashsig"
 )
 
 func TestBasicTx(t *testing.T) {
@@ -107,6 +109,27 @@ func TestWriteSetDigestDeterministic(t *testing.T) {
 	tx2.Abort()
 	tx3.Abort()
 	tx4.Abort()
+}
+
+// TestDigestsAllocateNothing: a one-op write set's digest (a write set of
+// more ops sorts a copy, its one allocation) and the d_C combine hash
+// their preimages on the stack.
+func TestDigestsAllocateNothing(t *testing.T) {
+	tx := NewSharded(1).Begin()
+	tx.Put("k", make([]byte, 32))
+	ws := tx.Commit()
+	shards := make([]hashsig.Digest, 8)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"WriteSet.Digest", func() { ws.Digest() }},
+		{"CombineShardDigests", func() { CombineShardDigests(shards) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.run); got != 0 {
+			t.Errorf("%s: %.1f allocations per call, want 0", c.name, got)
+		}
+	}
 }
 
 func TestMarksAndRollback(t *testing.T) {

@@ -353,7 +353,7 @@ func (s *ShardedStore) CheckpointDigest() hashsig.Digest {
 // and a claimed per-shard digest vector recomputes the combine to check the
 // vector is the one the header certified — before fetching a single chunk.
 func CombineShardDigests(digests []hashsig.Digest) hashsig.Digest {
-	h := hashsig.BorrowHasher()
+	h := hashsig.NewHasher()
 	h.Write(ckptDomain)
 	var n [4]byte
 	h.Write(wire.AppendUint32(n[:0], uint32(len(digests))))
@@ -362,7 +362,6 @@ func CombineShardDigests(digests []hashsig.Digest) hashsig.Digest {
 	}
 	var out hashsig.Digest
 	h.Sum(out[:0])
-	hashsig.ReturnHasher(h)
 	return out
 }
 

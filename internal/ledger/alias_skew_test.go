@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"iaccf/internal/hashsig"
-	"iaccf/internal/pool"
 )
 
 // genSkewedBatch layers author skew over genBatch: hotTenths/10 of the
@@ -78,13 +77,11 @@ type receiptSnap struct {
 
 // TestBatchAndReceiptsSurvivePoolReuse is the aliasing property for the
 // execution path: nothing ExecuteBatch returns may share backing memory
-// with the ledger's pooled scratch or batch-to-batch arenas. Poison mode
-// overwrites every buffer as it re-enters a pool, and the ledger's own
-// scratch is reused by the subsequent batches, so any leaked alias turns
-// into a visible corruption in the retained batch or receipts. Run under
-// -race, concurrent reuse by the hashing workers is caught as well.
+// with the ledger's batch-to-batch scratch or arenas. The subsequent
+// batches reuse that scratch, so any leaked alias turns into a visible
+// corruption in the retained batch or receipts. Run under -race,
+// concurrent reuse by the hashing workers is caught as well.
 func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
-	defer pool.SetPoison(pool.SetPoison(true))
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(42))
 	l, err := New(Config{Key: testKey, App: KVApp{}, Shards: 8, CheckpointEvery: 2})
@@ -113,8 +110,8 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 		}
 	}
 
-	// Six more batches cycle every pooled buffer and the ledger's
-	// batch-to-batch scratch several times over.
+	// Six more batches cycle the ledger's batch-to-batch scratch several
+	// times over.
 	for i := 0; i < 6; i++ {
 		if _, _, err := l.ExecuteBatch(genBatch(rng, 104, 256)); err != nil {
 			t.Fatal(err)
@@ -122,33 +119,33 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 	}
 
 	if got := b1.Header.StatementDigest(); got != headerDigest {
-		t.Fatal("batch header mutated after pool reuse")
+		t.Fatal("batch header mutated after scratch reuse")
 	}
 	for i := range b1.Entries {
 		if !bytes.Equal(b1.Entries[i].Payload, payloads[i]) {
-			t.Fatalf("entry %d payload mutated after pool reuse", i)
+			t.Fatalf("entry %d payload mutated after scratch reuse", i)
 		}
 		if b1.Entries[i].Digest() != digests[i] {
-			t.Fatalf("entry %d digest changed after pool reuse", i)
+			t.Fatalf("entry %d digest changed after scratch reuse", i)
 		}
 	}
 	for i := range r1 {
 		if r1[i].Header.StatementDigest() != snaps[i].header {
-			t.Fatalf("receipt %d header mutated after pool reuse", i)
+			t.Fatalf("receipt %d header mutated after scratch reuse", i)
 		}
 		if !bytes.Equal(r1[i].Entry.Payload, snaps[i].payload) {
-			t.Fatalf("receipt %d entry payload mutated after pool reuse", i)
+			t.Fatalf("receipt %d entry payload mutated after scratch reuse", i)
 		}
 		if len(r1[i].Path) != len(snaps[i].path) {
-			t.Fatalf("receipt %d path length changed after pool reuse", i)
+			t.Fatalf("receipt %d path length changed after scratch reuse", i)
 		}
 		for j := range r1[i].Path {
 			if r1[i].Path[j] != snaps[i].path[j] {
-				t.Fatalf("receipt %d path element %d mutated after pool reuse", i, j)
+				t.Fatalf("receipt %d path element %d mutated after scratch reuse", i, j)
 			}
 		}
 		if !r1[i].Verify(testKey.Public()) {
-			t.Fatalf("receipt %d no longer verifies after pool reuse", i)
+			t.Fatalf("receipt %d no longer verifies after scratch reuse", i)
 		}
 	}
 }

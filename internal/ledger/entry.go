@@ -81,14 +81,12 @@ func (e *Entry) Encode(dst []byte) []byte {
 }
 
 // Digest returns the entry's leaf digest: what M and G commit to. The
-// encoding is assembled in pooled scratch — this runs once per entry per
-// replica on the commit path and must not allocate per call.
+// encoding is assembled on the stack — this runs once per entry per
+// replica on the commit path and must not allocate per call; only an
+// entry too large for the array spills to the heap.
 func (e *Entry) Digest() hashsig.Digest {
-	b := wire.GetScratch(64 + len(e.Payload))
-	b = e.Encode(append(b, entryDomain...))
-	d := hashsig.Sum(b)
-	wire.PutScratch(b)
-	return d
+	var buf [256]byte
+	return hashsig.Sum(e.Encode(append(buf[:0], entryDomain...)))
 }
 
 // decodeEntry reads one length-prefixed entry from a wire.Reader. View, not

@@ -44,18 +44,16 @@ type Prepare struct {
 }
 
 // SigningDigest covers the backup's identity, the statement it answers, and
-// the backup's nonce commitment. The preimage is assembled in pooled
-// scratch: it runs for every prepare sent and verified, and must not
-// allocate per call.
+// the backup's nonce commitment. The preimage is assembled on the stack:
+// it runs for every prepare sent and verified, and must not allocate per
+// call.
 func (p *Prepare) SigningDigest() hashsig.Digest {
-	b := wire.GetScratch(128)
-	b = append(b, prepareDomain...)
+	var buf [256]byte
+	b := append(buf[:0], prepareDomain...)
 	b = wire.AppendUint32(b, uint32(p.Replica))
 	b = wire.AppendDigest(b, p.Header.StatementDigest())
 	b = wire.AppendDigest(b, p.NonceCommit)
-	d := hashsig.Sum(b)
-	wire.PutScratch(b)
-	return d
+	return hashsig.Sum(b)
 }
 
 // Verify reports whether the prepare carries a valid signature by pub.

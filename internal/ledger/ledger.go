@@ -122,17 +122,17 @@
 //
 // # Memory ownership on the commit path
 //
-// The commit path recycles memory aggressively (see internal/pool), so
-// every API boundary follows explicit ownership rules:
+// The commit path reuses memory batch to batch, so every API boundary
+// follows explicit ownership rules:
 //
 //   - Everything ExecuteBatch, ApplyBatch and Receipts RETURN is
 //     caller-owned forever: Batch headers, entries, and Receipts never
-//     alias pooled scratch or the history tree, and the ledger never
+//     alias internal scratch or the history tree, and the ledger never
 //     writes to them after returning. Receipts from one call share arena
 //     backing with each other (paths in one []Digest arena, payloads in
 //     one []byte arena) — safe because the arenas are capped three-index
 //     sub-slices that a client append cannot grow into a neighbour — but
-//     never with any pool or with the retained stream.
+//     never with internal scratch or with the retained stream.
 //   - Request slices passed IN are read-only during the call and not
 //     retained. Entries inside a Batch handed to ApplyBatch are adopted
 //     into the retained stream and must not be mutated afterwards, same
@@ -140,7 +140,8 @@
 //   - Internal scratch (per-entry digests, leaf hashes, per-shard
 //     grouping tables) lives on the core and is reused batch to batch;
 //     it is dead the moment the call returns, which the aliasing property
-//     tests prove by poisoning pools between batches (pool.SetPoison).
+//     tests prove by retaining what one batch returned across the batches
+//     that reuse the scratch after it.
 //   - Replay and ReplayFrom only read the batches they are given.
 //
 // These rules, plus the determinism requirements (no map-order bytes, no
@@ -250,53 +251,42 @@ type BatchHeader struct {
 // history and state in any view. It is NOT what is signed — see
 // StatementDigest.
 func (h *BatchHeader) ContentDigest() hashsig.Digest {
-	b := wire.GetScratch(len(contentDomain) + 128)
-	w := wire.NewAppendWriter(append(b, contentDomain...))
-	h.writeContent(w)
-	b = w.AppendedBytes()
-	d := hashsig.Sum(b)
-	wire.PutScratch(b)
-	return d
+	var buf [256]byte
+	return hashsig.Sum(h.appendContent(append(buf[:0], contentDomain...)))
 }
 
 // StatementDigest identifies the pre-prepare — this primary, in this view,
 // under this nonce commitment, proposes this content — and is the digest
 // Sig signs: every field but the signature, envelope first, domain
 // separated, in one pass. Prepares, commits and certificates name a
-// statement by it. Like ContentDigest's, the preimage is assembled in
-// pooled scratch through the append-mode writer — the digests run for
-// every message sent and verified and for every receipt checked, and must
-// not allocate.
+// statement by it. Like ContentDigest's, the preimage is assembled on the
+// stack — the digests run for every message sent and verified and for
+// every receipt checked, and must not allocate.
 func (h *BatchHeader) StatementDigest() hashsig.Digest {
-	b := wire.GetScratch(len(statementDomain) + 176)
-	w := wire.NewAppendWriter(append(b, statementDomain...))
-	h.writeSigned(w)
-	b = w.AppendedBytes()
-	d := hashsig.Sum(b)
-	wire.PutScratch(b)
-	return d
+	var buf [256]byte
+	return hashsig.Sum(h.appendSigned(append(buf[:0], statementDomain...)))
 }
 
-// writeSigned emits every field the signature covers — the envelope, then
-// the content — and writeContent the content alone. They are the single
-// enumerations shared by the two digests and the header codec, so a digest
-// preimage and the serialized form can never drift apart; readSigned is
-// writeSigned's inverse.
-func (h *BatchHeader) writeSigned(w *wire.Writer) {
-	w.Uint64(h.View)
-	w.Uint32(h.Primary)
-	w.Digest(h.NonceCommit)
-	h.writeContent(w)
+// appendSigned appends every field the signature covers — the envelope,
+// then the content — and appendContent the content alone. They are the
+// single enumerations shared by the two digests and the header codec, so a
+// digest preimage and the serialized form can never drift apart;
+// readSigned is appendSigned's inverse.
+func (h *BatchHeader) appendSigned(dst []byte) []byte {
+	dst = wire.AppendUint64(dst, h.View)
+	dst = wire.AppendUint32(dst, h.Primary)
+	dst = wire.AppendDigest(dst, h.NonceCommit)
+	return h.appendContent(dst)
 }
 
-func (h *BatchHeader) writeContent(w *wire.Writer) {
-	w.Uint64(h.Seq)
-	w.Uint64(h.HistSize)
-	w.Digest(h.MRoot)
-	w.Digest(h.GRoot)
-	w.Uint64(h.GSize)
-	w.Uint32(h.Shards)
-	w.Digest(h.CkptDigest)
+func (h *BatchHeader) appendContent(dst []byte) []byte {
+	dst = wire.AppendUint64(dst, h.Seq)
+	dst = wire.AppendUint64(dst, h.HistSize)
+	dst = wire.AppendDigest(dst, h.MRoot)
+	dst = wire.AppendDigest(dst, h.GRoot)
+	dst = wire.AppendUint64(dst, h.GSize)
+	dst = wire.AppendUint32(dst, h.Shards)
+	return wire.AppendDigest(dst, h.CkptDigest)
 }
 
 func (h *BatchHeader) readSigned(r *wire.Reader) {
@@ -317,7 +307,7 @@ func (h *BatchHeader) readSigned(r *wire.Reader) {
 // (envelope and content) and all the signature's bytes — held by value, so
 // a lookup compares the triple and hashes none of it. Fields are ordered by
 // alignment, leaving no padding, so the map hashes a member as one block of
-// memory. checkOf is, with writeSigned and
+// memory. checkOf is, with appendSigned and
 // readSigned, an enumeration of the signed fields;
 // TestHeaderCheckBindsEverySignedField holds it to BatchHeader's.
 type headerCheck struct {
@@ -378,7 +368,8 @@ func (h *BatchHeader) Verify(pub *hashsig.PublicKey) bool {
 // signature — so consensus messages can frame headers on their own, outside
 // a batch stream.
 func (h *BatchHeader) EncodeTo(w *wire.Writer) {
-	h.writeSigned(w)
+	var buf [256]byte
+	w.Raw(h.appendSigned(buf[:0]))
 	w.Bytes(h.Sig)
 }
 
@@ -767,14 +758,15 @@ const MaxBatchEntries = 1 << 20
 func (b *Batch) EncodeTo(w *wire.Writer) {
 	b.Header.EncodeTo(w)
 	w.Uint32(uint32(len(b.Entries)))
-	// One pooled scratch buffer serves every entry: w.Bytes copies the
-	// encoding out, so the scratch never escapes.
-	buf := wire.GetScratch(256)
+	// One stack buffer serves every entry: w.Bytes copies the encoding out.
+	// An entry too large for it grows onto the heap once, and that buffer
+	// serves the entries after it.
+	var arr [256]byte
+	buf := arr[:0]
 	for i := range b.Entries {
 		buf = b.Entries[i].Encode(buf[:0])
 		w.Bytes(buf)
 	}
-	wire.PutScratch(buf)
 }
 
 // DecodeBatch reads one batch written by EncodeTo. Errors stick to the

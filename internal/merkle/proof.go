@@ -4,13 +4,7 @@ import (
 	"fmt"
 
 	"iaccf/internal/hashsig"
-	"iaccf/internal/pool"
 )
-
-// leafScratch recycles the leaf-hash staging slice used by AppendAndProve.
-// AppendLeafHash copies each digest into the tree, so the scratch never
-// escapes the call.
-var leafScratch pool.Slice[hashsig.Digest]
 
 // AppendAndProve appends the given entry digests and returns the index of
 // the first appended leaf, the root over the grown tree, and one audit path
@@ -21,14 +15,11 @@ var leafScratch pool.Slice[hashsig.Digest]
 // shared across paths, instead of once per leaf as repeated Path calls
 // would. See PathsAt for the ownership of the returned paths.
 func (t *Tree) AppendAndProve(entries []hashsig.Digest) (uint64, hashsig.Digest, [][]hashsig.Digest, error) {
-	scratch := leafScratch.Get(len(entries))
-	leaves := scratch[:len(entries)]
+	leaves := make([]hashsig.Digest, len(entries))
 	for i, e := range entries {
 		leaves[i] = LeafHash(e)
 	}
-	first, root, paths, err := t.AppendAndProveLeafHashes(leaves)
-	leafScratch.Put(scratch)
-	return first, root, paths, err
+	return t.AppendAndProveLeafHashes(leaves)
 }
 
 // AppendAndProveLeafHashes is AppendAndProve for pre-hashed (domain

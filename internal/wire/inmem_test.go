@@ -143,12 +143,3 @@ func TestBytesViewLimit(t *testing.T) {
 		t.Fatal("BytesView over limit not rejected")
 	}
 }
-
-func TestScratchPoolRoundTrip(t *testing.T) {
-	b := GetScratch(64)
-	if len(b) != 0 || cap(b) < 64 {
-		t.Fatalf("GetScratch(64): len=%d cap=%d", len(b), cap(b))
-	}
-	b = AppendUint64(b, 7)
-	PutScratch(b)
-}

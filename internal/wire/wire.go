@@ -23,9 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"iaccf/internal/hashsig"
-	"iaccf/internal/pool"
 )
 
 // ErrCorrupt reports a malformed or hostile input stream.
@@ -143,10 +143,11 @@ func AppendDigest(dst []byte, d hashsig.Digest) []byte {
 //   - NewWriter buffers onto an io.Writer through bufio — for real streams
 //     (files, sockets) where syscall batching matters.
 //   - NewAppendWriter appends to a caller-provided byte slice — for
-//     building signing preimages and message frames in memory, typically on
-//     pooled scratch. AppendedBytes returns the accumulated encoding; the
-//     backing array is still the caller's (the Writer retains nothing after
-//     AppendedBytes, so the caller may pool it).
+//     building message frames in memory. AppendedBytes returns the
+//     accumulated encoding; the backing array is still the caller's.
+//
+// A byte slice passed to a Writer is copied into the sink, never handed
+// on, so it may live on the caller's stack without moving to the heap.
 type Writer struct {
 	bw  *bufio.Writer
 	buf []byte // append mode storage (nil unless append mode)
@@ -170,26 +171,35 @@ func NewAppendWriter(buf []byte) *Writer {
 // caller of NewAppendWriter.
 func (w *Writer) AppendedBytes() []byte { return w.buf }
 
+// write copies p into the sink and never hands p itself on, so p does not
+// escape: in stream mode it appends to bufio's free space
+// (AvailableBuffer) and flushes whenever that is full.
 func (w *Writer) write(p []byte) {
 	if w.err != nil {
 		return
 	}
 	if w.app {
 		w.buf = append(w.buf, p...)
-	} else {
-		_, w.err = w.bw.Write(p)
+		return
+	}
+	for len(p) > 0 && w.err == nil {
+		if w.bw.Available() == 0 {
+			w.err = w.bw.Flush()
+			continue
+		}
+		b := w.bw.AvailableBuffer()
+		n := min(len(p), cap(b))
+		_, w.err = w.bw.Write(append(b, p[:n]...))
+		p = p[n:]
 	}
 }
 
-// Uint32 writes v big-endian. Like Uint64 and Digest it appends directly
-// in append mode (which never fails): a stack buffer handed to write
-// escapes through the stream sink, and signing preimages — built per
-// receipt check, not just per batch — must not allocate.
+// Raw writes p as it is: no length prefix. It is for an encoding a caller
+// assembled with the Append functions.
+func (w *Writer) Raw(p []byte) { w.write(p) }
+
+// Uint32 writes v big-endian.
 func (w *Writer) Uint32(v uint32) {
-	if w.app {
-		w.buf = AppendUint32(w.buf, v)
-		return
-	}
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], v)
 	w.write(b[:])
@@ -197,10 +207,6 @@ func (w *Writer) Uint32(v uint32) {
 
 // Uint64 writes v big-endian.
 func (w *Writer) Uint64(v uint64) {
-	if w.app {
-		w.buf = AppendUint64(w.buf, v)
-		return
-	}
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	w.write(b[:])
@@ -227,12 +233,7 @@ func (w *Writer) String(s string) {
 
 // Digest writes the raw digest bytes.
 func (w *Writer) Digest(d hashsig.Digest) {
-	if w.app {
-		w.buf = AppendDigest(w.buf, d)
-		return
-	}
-	b := d // the copy, not the parameter, is what escapes into the sink
-	w.write(b[:])
+	w.write(d[:])
 }
 
 // Nonce writes the raw nonce bytes (fixed size, no prefix). Consensus
@@ -374,11 +375,36 @@ func (r *Reader) Bytes(max uint32) []byte {
 		}
 		return append(make([]byte, 0, n), b...)
 	}
-	b := make([]byte, n)
-	if !r.read(b) {
+	// A stream's length is unknown, so the buffer grows as bytes arrive.
+	b, err := readN(r.br, make([]byte, 0, min(n, readStep)), int(n))
+	if err != nil {
+		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 		return nil
 	}
 	return b
+}
+
+// readStep is the smallest step by which readN grows a buffer.
+const readStep = 64 << 10
+
+// readN reads n bytes from r onto the end of dst. What fits dst's capacity
+// is read in place; past it, dst grows in steps of the larger of readStep
+// and its length so far, each taken only once the previous one is full. A
+// length claim therefore costs memory as its bytes arrive, not when it is
+// made, and the growth stays geometric.
+func readN(r io.Reader, dst []byte, n int) ([]byte, error) {
+	for n > 0 {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, min(n, max(len(dst), readStep)))
+		}
+		k := min(n, cap(dst)-len(dst))
+		m, err := io.ReadFull(r, dst[len(dst):len(dst)+k])
+		dst, n = dst[:len(dst)+m], n-m
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 // ReadList reads a uint32 element count of at most max, then that many
@@ -493,9 +519,10 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds its length cap")
 // ReadFrame reads one length-prefixed frame — a big-endian uint32 length,
 // then that many bytes — into buf, growing it only when it is too small, and
 // returns the body. The announced length is checked against max before
-// anything is allocated, so a hostile peer costs at most one max-sized
-// buffer per connection. A stream that ends cleanly before a frame is io.EOF;
-// one that ends inside a frame is io.ErrUnexpectedEOF.
+// anything is allocated, and past buf's capacity the buffer grows only as
+// the body arrives, so what a hostile peer makes the reader reserve is in
+// proportion to the bytes it sends, not to the length it claims. A stream that ends cleanly before a frame is io.EOF; one
+// that ends inside a frame is io.ErrUnexpectedEOF.
 func ReadFrame(br *bufio.Reader, buf []byte, max uint32) ([]byte, error) {
 	prefix, err := br.Peek(4)
 	if len(prefix) < 4 {
@@ -509,11 +536,8 @@ func ReadFrame(br *bufio.Reader, buf []byte, max uint32) ([]byte, error) {
 	if n > max {
 		return nil, ErrFrameTooLarge
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
+	buf, err = readN(br, buf[:0], int(n))
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // the length prefix promised a body
 		}
@@ -532,19 +556,3 @@ func WriteFrame(w *bufio.Writer, frame []byte) error {
 	_, err := w.Write(frame)
 	return err
 }
-
-// scratch is the shared pool behind GetScratch/PutScratch: encode buffers
-// for signing preimages, entry encodings, and message frames assembled in
-// memory on the commit critical path.
-var scratch pool.Bytes
-
-// GetScratch returns a pooled zero-length buffer with at least the given
-// capacity, for building an encoding in memory (typically through
-// NewAppendWriter or the Append* functions). Ownership rule: the buffer is
-// the caller's until PutScratch; nothing the caller returns or retains may
-// alias it — hash it, copy it out, then release it.
-func GetScratch(capacity int) []byte { return scratch.Get(capacity) }
-
-// PutScratch returns a buffer obtained from GetScratch to the pool. After
-// the call the slice (and anything aliasing its backing array) is dead.
-func PutScratch(b []byte) { scratch.Put(b) }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 
@@ -215,33 +216,84 @@ func allocatedPerCall(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestBytesAllocatesWhatIsPresent: a bytes-mode Reader refuses a length
-// field that claims more than the input holds before it allocates, with
-// the ErrCorrupt a truncation has always failed with. Each limit is one a
-// socket or a ledger reaches: an entry payload or an RPC request body
-// (MaxValueLen and just under it) and a state-transfer chunk
-// (MaxChunkLen). A 4-byte claim of either used to allocate the whole
-// claim.
+// TestBytesAllocatesWhatIsPresent: a length field that claims more than
+// the input holds costs what is present, not what is claimed. A bytes-mode
+// Reader refuses it before it allocates, with the ErrCorrupt a truncation
+// has always failed with; a stream-mode Reader and ReadFrame, which cannot
+// see the input's end, grow their buffer only as bytes arrive. Each limit
+// is one a socket or a ledger reaches: an entry payload or an RPC request
+// body (MaxValueLen) and a state-transfer chunk (MaxChunkLen). A 4-byte
+// claim of either used to allocate the whole claim.
 func TestBytesAllocatesWhatIsPresent(t *testing.T) {
 	for _, max := range []uint32{MaxValueLen, MaxChunkLen} {
-		claim := binary.BigEndian.AppendUint32(nil, max)
-		var err error
-		perCall := allocatedPerCall(20, func() {
-			r := NewBytesReader(append(claim, "short"...))
-			if r.Bytes(max) != nil {
-				t.Fatal("a truncated field decoded")
+		input := append(binary.BigEndian.AppendUint32(nil, max), "short"...)
+		src := bytes.NewReader(input)
+		br := bufio.NewReader(src)
+		for _, c := range []struct {
+			mode  string
+			bound uint64
+			read  func() error
+		}{
+			{"bytes", 4 << 10, func() error {
+				r := NewBytesReader(input)
+				if r.Bytes(max) != nil {
+					t.Fatal("a truncated field decoded")
+				}
+				return r.Err()
+			}},
+			{"stream", readStep + 4<<10, func() error {
+				src.Reset(input)
+				br.Reset(src)
+				r := Reader{br: br}
+				if r.Bytes(max) != nil {
+					t.Fatal("a truncated field decoded")
+				}
+				return r.Err()
+			}},
+			{"frame", readStep + 4<<10, func() error {
+				src.Reset(input)
+				br.Reset(src)
+				_, err := ReadFrame(br, make([]byte, 0, 64), max)
+				return err
+			}},
+		} {
+			var err error
+			perCall := allocatedPerCall(20, func() { err = c.read() })
+			if c.mode == "frame" && err != io.ErrUnexpectedEOF || c.mode != "frame" && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s mode, claim of %d: error %v", c.mode, max, err)
 			}
-			err = r.Err()
-		})
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("claim of %d: error %v, want ErrCorrupt", max, err)
-		}
-		if perCall > 4<<10 {
-			t.Fatalf("claim of %d over 9 bytes allocated %d B per call", max, perCall)
+			if perCall > c.bound {
+				t.Fatalf("%s mode, claim of %d over 9 bytes: %d B allocated per call", c.mode, max, perCall)
+			}
 		}
 	}
 	r := NewBytesReader(binary.BigEndian.AppendUint32(nil, 3))
 	if r.Bytes(16); !errors.Is(r.Err(), ErrCorrupt) || r.Remaining() != 0 {
 		t.Fatalf("truncated field: error %v, %d bytes remaining", r.Err(), r.Remaining())
+	}
+}
+
+// TestReadGrowsToTheClaim: a body longer than readStep, whose buffer grows
+// as it arrives, reads back whole in stream mode and through ReadFrame,
+// from no buffer, a small one and one that already holds it.
+func TestReadGrowsToTheClaim(t *testing.T) {
+	body := make([]byte, 5*readStep+17)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	input := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	input = append(input, body...)
+	r := NewReader(bytes.NewReader(input))
+	if got := r.Bytes(MaxChunkLen); r.Err() != nil || !bytes.Equal(got, body) {
+		t.Fatalf("stream Bytes: %d bytes, error %v", len(got), r.Err())
+	}
+	for _, buf := range [][]byte{nil, make([]byte, 10), make([]byte, 0, len(body))} {
+		got, err := ReadFrame(bufio.NewReader(bytes.NewReader(input)), buf, MaxChunkLen)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("ReadFrame into cap %d: %d bytes, error %v", cap(buf), len(got), err)
+		}
+		if cap(buf) >= len(body) && &got[0] != &buf[:1][0] {
+			t.Fatal("ReadFrame reallocated a buffer that held the frame")
+		}
 	}
 }
