@@ -74,16 +74,14 @@ func DecodeReceipt(b []byte) (*Receipt, error) {
 // is the submission-RPC body: what a client signs up to having recorded on
 // the ledger as ⟨t,i⟩.
 func EncodeRequest(dst []byte, rq *Request) []byte {
-	w := wire.NewAppendWriter(dst)
 	gov := uint32(0)
 	if rq.Governance {
 		gov = 1
 	}
-	w.Uint32(gov)
-	w.Digest(rq.Author)
-	w.Uint64(rq.ReqNo)
-	w.Bytes(rq.Body)
-	return w.AppendedBytes()
+	dst = wire.AppendUint32(dst, gov)
+	dst = wire.AppendDigest(dst, rq.Author)
+	dst = wire.AppendUint64(dst, rq.ReqNo)
+	return wire.AppendBytes(dst, rq.Body)
 }
 
 // DecodeRequest parses the encoding produced by EncodeRequest, enforcing

@@ -466,15 +466,17 @@ func (n *Node) proposeFromPool() int {
 	if len(batch) == 0 {
 		return 0
 	}
-	pp, content, err := n.rep.Propose(batch)
+	reqs := make([]ledger.Request, len(batch))
+	subs := make([]hashsig.Digest, len(batch))
+	for i := range batch {
+		reqs[i], subs[i] = batch[i].Req, batch[i].Hash
+	}
+	pp, content, err := n.rep.Propose(reqs)
 	if err != nil {
 		n.failBatch(batch)
 		return 0
 	}
-	pb := pendingBatch{view: n.rep.View(), content: content, subs: make([]hashsig.Digest, len(batch))}
-	for i := range batch {
-		pb.subs[i] = txpool.Hash(&batch[i])
-	}
+	pb := pendingBatch{view: n.rep.View(), content: content, subs: subs}
 	if old, ok := n.pending[pp.Header.Seq]; ok {
 		n.forget(old) // a view change abandoned this node's earlier batch here
 	}
@@ -489,12 +491,11 @@ func (n *Node) proposeFromPool() int {
 // patience, and the pool's memo forgets them so the resubmission pools
 // again. Nothing reachable makes Propose fail — the pool caps body size and
 // pace checked CanPropose in this same turn — so there is no requeue.
-func (n *Node) failBatch(batch []ledger.Request) {
+func (n *Node) failBatch(batch []txpool.Pooled) {
 	n.proposeFailures.Add(1)
-	for i := range batch {
-		h := txpool.Hash(&batch[i])
-		n.pool.Forget(h)
-		n.answer(h, rpc.Result{Status: rpc.StatusBusy})
+	for _, pr := range batch {
+		n.pool.Forget(pr.Hash)
+		n.answer(pr.Hash, rpc.Result{Status: rpc.StatusBusy})
 	}
 }
 
@@ -531,24 +532,7 @@ func (n *Node) afterProgress() {
 
 func (n *Node) deliverSeq(seq uint64) {
 	b := n.rep.Ledger().BatchAt(seq)
-	if b != nil {
-		// Suppress client retries of transactions this batch committed —
-		// including batches proposed by another primary. (Governance
-		// entries drop the request number on the ledger, so their
-		// duplicate suppression rests on the pool's drain memo alone.)
-		for i := range b.Entries {
-			e := &b.Entries[i]
-			if e.Kind != ledger.KindTransaction {
-				continue
-			}
-			rq := ledger.Request{Author: e.Author, ReqNo: e.ReqNo, Body: e.Payload}
-			n.pool.Observe(txpool.Hash(&rq))
-		}
-	}
 	pb, ok := n.pending[seq]
-	if !ok {
-		return
-	}
 	delete(n.pending, seq)
 	// A view change may have replaced the batch this node proposed. When the
 	// committed batch is retained, compare content directly. When a commit
@@ -556,8 +540,12 @@ func (n *Node) deliverSeq(seq uint64) {
 	// one view the primary signs exactly one pre-prepare per sequence, so if
 	// the view never changed since Propose, the batch that committed at seq
 	// can only be this one.
-	if (b != nil && b.Header.ContentDigest() != pb.content) || (b == nil && n.rep.View() != pb.view) {
-		n.forget(pb)
+	own := ok && (b != nil && b.Header.ContentDigest() == pb.content || b == nil && n.rep.View() == pb.view)
+	if b != nil {
+		n.observe(b, pb.subs, own)
+	}
+	if !own {
+		n.forget(pb) // a no-op when this node proposed nothing at seq
 		return
 	}
 	var rcs []ledger.Receipt
@@ -585,6 +573,27 @@ func (n *Node) deliverSeq(seq uint64) {
 		// without execution.
 		n.answer(h, res)
 	}
+}
+
+// observe suppresses client retries of the transactions committed batch b
+// carries, whoever proposed it. When b is this node's own proposal, subs
+// holds its requests' hashes (request i is entry i); otherwise each entry is
+// hashed as the request it records. (Governance entries drop the request
+// number on the ledger, so their duplicate suppression rests on the pool's
+// drain memo alone.)
+func (n *Node) observe(b *ledger.Batch, subs []hashsig.Digest, own bool) {
+	hs := make([]hashsig.Digest, 0, len(b.Entries))
+	for i := range b.Entries {
+		e := &b.Entries[i]
+		switch {
+		case e.Kind != ledger.KindTransaction:
+		case own:
+			hs = append(hs, subs[i])
+		default:
+			hs = append(hs, txpool.Hash(&ledger.Request{Author: e.Author, ReqNo: e.ReqNo, Body: e.Payload}))
+		}
+	}
+	n.pool.Observe(hs...)
 }
 
 // forget drops a replaced batch's requests that were not seen committed
@@ -624,7 +633,7 @@ func (n *Node) onSubmit(s submission) {
 		return
 	}
 	h := txpool.Hash(&s.rq)
-	err := n.pool.Add(s.rq)
+	err := n.pool.AddHashed(s.rq, h)
 	switch {
 	case err == nil:
 		// Pooled: wait for commit.

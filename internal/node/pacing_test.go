@@ -497,14 +497,13 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 	batch := nd.pool.NextBatch(2) // drained: the pool's memo holds them now
 	bystander := kvRequest("z", 1)
 	resps := make(chan rpc.Result, 3)
-	park := func(rq *ledger.Request, count int) {
+	park := func(pr txpool.Pooled, count int) {
 		for i := 0; i < count; i++ {
-			h := txpool.Hash(rq)
-			nd.waiters[h] = append(nd.waiters[h], waiter{resp: resps})
+			nd.waiters[pr.Hash] = append(nd.waiters[pr.Hash], waiter{resp: resps})
 		}
 	}
-	park(&batch[0], 2)
-	park(&batch[1], 1)
+	park(batch[0], 2)
+	park(batch[1], 1)
 	unanswered := make(chan rpc.Result, 1)
 	nd.waiters[txpool.Hash(&bystander)] = []waiter{{resp: unanswered}}
 
@@ -528,8 +527,8 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 	}
 
 	resubmit := make(chan rpc.Result, 1)
-	nd.onSubmit(submission{rq: batch[0], resp: resubmit})
-	h := txpool.Hash(&batch[0])
+	nd.onSubmit(submission{rq: batch[0].Req, resp: resubmit})
+	h := batch[0].Hash
 	if len(resubmit) != 0 || len(nd.waiters[h]) != 1 || !nd.pool.Pooled(h) {
 		t.Fatalf("resubmission after busy: %d answers, %d waiters, pooled %v; want it pooled and waiting",
 			len(resubmit), len(nd.waiters[h]), nd.pool.Pooled(h))
@@ -556,10 +555,9 @@ func TestDeliverPrunedSeq(t *testing.T) {
 			pb.view++
 		}
 		resps := make(chan rpc.Result, len(drained))
-		for i := range drained {
-			h := txpool.Hash(&drained[i])
-			pb.subs = append(pb.subs, h)
-			nd.waiters[h] = []waiter{{resp: resps}}
+		for _, pr := range drained {
+			pb.subs = append(pb.subs, pr.Hash)
+			nd.waiters[pr.Hash] = []waiter{{resp: resps}}
 		}
 		const seq = 5 // never executed here, so BatchAt(seq) is nil, as after a prune
 		nd.pending[seq] = pb
@@ -573,8 +571,8 @@ func TestDeliverPrunedSeq(t *testing.T) {
 			if len(resps) != 0 || len(nd.waiters) != len(drained) {
 				t.Fatalf("replaced batch: %d answers, %d waiter sets left; want none answered", len(resps), len(nd.waiters))
 			}
-			for _, rq := range drained {
-				if err := nd.pool.Add(rq); err != nil {
+			for _, pr := range drained {
+				if err := nd.pool.Add(pr.Req); err != nil {
 					t.Fatalf("retry of a replaced batch's request: %v", err)
 				}
 			}
@@ -592,6 +590,86 @@ func TestDeliverPrunedSeq(t *testing.T) {
 		}
 		if len(nd.waiters) != 0 {
 			t.Fatalf("pruned batch: %d waiter sets left", len(nd.waiters))
+		}
+	}
+}
+
+// TestObservePathsAgree: a committed batch feeds the pool's duplicate
+// filter from the hashes the primary drained with its proposal, and on a
+// backup from the batch's entries. The two must leave the same verdict for
+// every request in the batch: a transaction stays refused even after a
+// Forget, a governance request (whose entry drops its request number) is
+// pooled again. A primary whose proposal at a seq was replaced by another
+// batch observes what committed there, not what it proposed.
+func TestObservePathsAgree(t *testing.T) {
+	c := startManualCluster(t, "observe-paths", nil)
+	primary := c.nodes[0]
+	gov := kvRequest("gov", 1)
+	gov.Governance = true
+	batch := []ledger.Request{gov, kvRequest("observe", 1), kvRequest("observe", 2)}
+	c.net.setHold(holdAll)
+	opener := submitQueued(primary, kvRequest("opener", 1)) // seq 1; the batch gathers behind it
+	var done []<-chan rpc.Result
+	for _, rq := range batch {
+		done = append(done, submitQueued(primary, rq))
+	}
+	primary.Submit(barrierRq)
+	wantProposals(t, primary, 1, 0, 0, 1)
+	c.net.release()
+	wantCommitted(t, "opener", opener)
+	if res := <-done[0]; res.Status != rpc.StatusCommitted {
+		t.Fatalf("governance request answered %v, want committed", res.Status)
+	}
+	for i, ch := range done[1:] {
+		if rc := wantCommitted(t, fmt.Sprintf("transaction %d", i), ch); rc.Header.Seq != 2 {
+			t.Fatalf("transaction %d committed at seq %d, want 2", i, rc.Header.Seq)
+		}
+	}
+	c.settle(t)
+	for i, nd := range c.nodes {
+		if got := nd.CommittedSeqs(); got != 2 {
+			t.Fatalf("node %d committed %d seqs, want 2", i, got)
+		}
+	}
+	for j := range batch {
+		rq := batch[j]
+		want := txpool.ErrDuplicate
+		if rq.Governance {
+			want = nil
+		}
+		for i, pool := range c.pools {
+			pool.Forget(txpool.Hash(&rq))
+			if err := pool.Add(rq); err != want {
+				t.Fatalf("node %d, request %d of the batch: Add after Forget %v, want %v", i, j, err, want)
+			}
+		}
+	}
+
+	nd := unstartedNode(t, "observe-replaced")
+	proposed := []ledger.Request{kvRequest("x", 1), kvRequest("y", 1)}
+	for _, rq := range proposed {
+		if err := nd.pool.Add(rq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pb := pendingBatch{view: nd.rep.View(), content: hashsig.Sum([]byte("a batch that did not commit"))}
+	for _, pr := range nd.pool.NextBatch(len(proposed)) {
+		pb.subs = append(pb.subs, pr.Hash)
+	}
+	committed := kvRequest("z", 1)
+	if _, _, err := nd.rep.Propose([]ledger.Request{committed}); err != nil {
+		t.Fatal(err)
+	}
+	nd.pending[1] = pb
+
+	nd.deliverSeq(1)
+
+	if err := nd.pool.Add(committed); err != txpool.ErrDuplicate {
+		t.Fatalf("the request that committed in the replacing batch: Add %v, want duplicate", err)
+	}
+	for i, rq := range proposed {
+		if err := nd.pool.Add(rq); err != nil {
+			t.Fatalf("request %d of the replaced proposal: Add %v, want it pooled again", i, err)
 		}
 	}
 }

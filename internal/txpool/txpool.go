@@ -2,9 +2,12 @@
 // client submission RPC and the primary's Propose loop. It accepts client
 // requests concurrently, deduplicates them by request hash, keeps each
 // sender's requests ordered by request number, and hands the proposer
-// bounded batches. The pool is bounded: when it is full Add reports
-// ErrFull, which the RPC surfaces to the client as backpressure rather
-// than queueing without limit (the paper's clients resubmit with backoff).
+// bounded batches. The pool carries each request's hash beside it, from the
+// submission that pooled it to the proposer that drains it, so the node
+// hashes a request once and reuses that hash to park, answer and forget it.
+// The pool is bounded: when it is full Add reports ErrFull, which the RPC
+// surfaces to the client as backpressure rather than queueing without limit
+// (the paper's clients resubmit with backoff).
 //
 // The pool never inspects request semantics — ordering is per sender
 // ⟨author, reqno⟩, matching the ledger's uniqueness rule for client
@@ -50,15 +53,25 @@ const seenBudget = 1 << 16
 
 // Hash identifies a request for deduplication: the digest of its full wire
 // encoding, so two requests differing in any field (author, reqno, body,
-// governance flag) never collide.
+// governance flag) never collide. A replica computes it once per request —
+// at submission on the primary (then carried in Pooled), per committed
+// entry on a backup. The encoding is assembled in a stack array, so a body
+// of up to about 200 bytes costs no allocation; a larger one spills.
 func Hash(rq *ledger.Request) hashsig.Digest {
-	return hashsig.Sum(ledger.EncodeRequest(nil, rq))
+	var buf [256]byte
+	return hashsig.Sum(ledger.EncodeRequest(buf[:0], rq))
+}
+
+// Pooled is a pooled request and its Hash.
+type Pooled struct {
+	Req  ledger.Request
+	Hash hashsig.Digest
 }
 
 // sender is one author's pending queue, kept sorted by ReqNo ascending.
 type sender struct {
 	author hashsig.Digest
-	reqs   []ledger.Request
+	reqs   []Pooled
 }
 
 // Pool is the batching transaction pool. Safe for concurrent use: RPC
@@ -106,15 +119,18 @@ func (p *Pool) Pooled(h hashsig.Digest) bool {
 	return p.pooled[h]
 }
 
-// Add pools a request. It rejects oversized bodies (ErrTooLarge), exact
-// duplicates of pooled or recently drained requests (ErrDuplicate), and
-// everything when at capacity (ErrFull). The request is copied shallowly;
-// the caller must not mutate rq.Body afterwards.
-func (p *Pool) Add(rq ledger.Request) error {
+// Add pools a request: AddHashed with its Hash.
+func (p *Pool) Add(rq ledger.Request) error { return p.AddHashed(rq, Hash(&rq)) }
+
+// AddHashed pools a request whose Hash the caller computed as h. It rejects
+// oversized bodies (ErrTooLarge), exact duplicates of pooled or recently
+// drained requests (ErrDuplicate), and everything when at capacity
+// (ErrFull). The request is copied shallowly; the caller must not mutate
+// rq.Body afterwards.
+func (p *Pool) AddHashed(rq ledger.Request, h hashsig.Digest) error {
 	if len(rq.Body) > ledger.MaxRequestLen {
 		return ErrTooLarge
 	}
-	h := Hash(&rq)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.pooled[h] || p.seen(h) {
@@ -132,10 +148,10 @@ func (p *Pool) Add(rq ledger.Request) error {
 	// Insert keeping the sender's queue sorted by ReqNo: pipelined RPC
 	// goroutines may land out of order, but the proposer must see each
 	// sender's numbering ascend.
-	i := sort.Search(len(s.reqs), func(i int) bool { return s.reqs[i].ReqNo >= rq.ReqNo })
-	s.reqs = append(s.reqs, ledger.Request{})
+	i := sort.Search(len(s.reqs), func(i int) bool { return s.reqs[i].Req.ReqNo >= rq.ReqNo })
+	s.reqs = append(s.reqs, Pooled{})
 	copy(s.reqs[i+1:], s.reqs[i:])
-	s.reqs[i] = rq
+	s.reqs[i] = Pooled{Req: rq, Hash: h}
 	p.pooled[h] = true
 	p.n++
 	return nil
@@ -155,9 +171,9 @@ const (
 // senders, each sender's requests in ReqNo order, and stops before the
 // batch's bodies pass maxBatchBytes (the first request always goes: Add caps
 // a body well below it). Drained requests move to the seen memo so a client
-// retry of an in-flight request is suppressed. Returns nil when the pool is
-// empty.
-func (p *Pool) NextBatch(max int) []ledger.Request {
+// retry of an in-flight request is suppressed. Each comes with the hash it
+// was pooled under. Returns nil when the pool is empty.
+func (p *Pool) NextBatch(max int) []Pooled {
 	if max <= 0 {
 		return nil
 	}
@@ -166,7 +182,7 @@ func (p *Pool) NextBatch(max int) []ledger.Request {
 	if p.n == 0 {
 		return nil
 	}
-	var out []ledger.Request
+	var out []Pooled
 	size := 0
 	for len(out) < max && p.n > 0 {
 		if p.next >= len(p.order) {
@@ -179,28 +195,29 @@ func (p *Pool) NextBatch(max int) []ledger.Request {
 			p.order = append(p.order[:p.next], p.order[p.next+1:]...)
 			continue
 		}
-		rq := s.reqs[0]
-		size += len(rq.Body) + entryOverhead
+		pr := s.reqs[0]
+		size += len(pr.Req.Body) + entryOverhead
 		if len(out) > 0 && size > maxBatchBytes {
 			break
 		}
 		s.reqs = s.reqs[1:]
-		h := Hash(&rq)
-		delete(p.pooled, h)
-		p.markSeen(h, false)
+		delete(p.pooled, pr.Hash)
+		p.markSeen(pr.Hash, false)
 		p.n--
-		out = append(out, rq)
+		out = append(out, pr)
 		p.next++
 	}
 	return out
 }
 
-// Observe records an externally committed request hash (e.g. a batch a
-// backup executed from a pre-prepare) so client retries of it are
-// suppressed like drained requests.
-func (p *Pool) Observe(h hashsig.Digest) {
+// Observe records committed request hashes (e.g. a batch's, whoever
+// proposed it) so client retries of them are suppressed like drained
+// requests. A batch's hashes are recorded under one lock.
+func (p *Pool) Observe(hs ...hashsig.Digest) {
 	p.mu.Lock()
-	p.markSeen(h, true)
+	for _, h := range hs {
+		p.markSeen(h, true)
+	}
 	p.mu.Unlock()
 }
 

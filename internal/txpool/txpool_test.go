@@ -28,9 +28,9 @@ func TestPerSenderOrdering(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("drained %d, want 5", len(got))
 	}
-	for i, rq := range got {
-		if rq.ReqNo != uint64(i+1) {
-			t.Fatalf("position %d has ReqNo %d; order not ascending", i, rq.ReqNo)
+	for i, pr := range got {
+		if pr.Req.ReqNo != uint64(i+1) {
+			t.Fatalf("position %d has ReqNo %d; order not ascending", i, pr.Req.ReqNo)
 		}
 	}
 }
@@ -50,8 +50,8 @@ func TestRoundRobinFairness(t *testing.T) {
 	}
 	got := p.NextBatch(4)
 	var sawB bool
-	for _, rq := range got {
-		if rq.Author == b {
+	for _, pr := range got {
+		if pr.Req.Author == b {
 			sawB = true
 		}
 	}
@@ -160,14 +160,14 @@ func TestNextBatchStopsAtByteBudget(t *testing.T) {
 	for i, want := range [][]hashsig.Digest{{a, b}, {a, b}, {a}} {
 		got := p.NextBatch(10)
 		size := 0
-		for _, rq := range got {
-			size += len(rq.Body) + entryOverhead
+		for _, pr := range got {
+			size += len(pr.Req.Body) + entryOverhead
 		}
 		if len(got) != len(want) || size > maxBatchBytes {
 			t.Fatalf("batch %d: %d requests, %d bytes charged; want %d within %d", i, len(got), size, len(want), maxBatchBytes)
 		}
-		for j, rq := range got {
-			if rq.Author != want[j] {
+		for j, pr := range got {
+			if pr.Req.Author != want[j] {
 				t.Fatalf("batch %d position %d from the wrong sender", i, j)
 			}
 		}
@@ -204,7 +204,7 @@ func TestConcurrentAddDrain(t *testing.T) {
 	}
 	doneAdd := make(chan struct{})
 	done := make(chan struct{})
-	var drained []ledger.Request
+	var drained []Pooled
 	go func() {
 		defer close(done)
 		for {
@@ -231,10 +231,45 @@ func TestConcurrentAddDrain(t *testing.T) {
 	}
 	seen := make(map[hashsig.Digest]bool)
 	for i := range drained {
-		h := Hash(&drained[i])
+		h := drained[i].Hash
+		if h != Hash(&drained[i].Req) {
+			t.Fatal("a request drained under another request's hash")
+		}
 		if seen[h] {
 			t.Fatal("request drained twice")
 		}
 		seen[h] = true
+	}
+}
+
+// hashCases are requests whose encodings sit on both sides of the stack
+// array Hash encodes into.
+func hashCases() map[string]ledger.Request {
+	a := hashsig.Sum([]byte("a"))
+	return map[string]ledger.Request{
+		"empty":      {},
+		"governance": {Governance: true, Author: a, ReqNo: 7, Body: []byte("add member")},
+		"64-byte":    {Author: a, ReqNo: 1, Body: make([]byte, 64)},
+		"300-byte":   {Author: a, ReqNo: 2, Body: make([]byte, 300)},
+	}
+}
+
+// TestHashIsTheEncodingDigest: Hash is the digest of the request's wire
+// encoding whether that encoding fits Hash's stack array or spills.
+func TestHashIsTheEncodingDigest(t *testing.T) {
+	for name, rq := range hashCases() {
+		if got, want := Hash(&rq), hashsig.Sum(ledger.EncodeRequest(nil, &rq)); got != want {
+			t.Errorf("%s: Hash %v, digest of the encoding %v", name, got, want)
+		}
+	}
+}
+
+// TestHashAllocatesNothing pins Hash of a small request at zero heap
+// allocations, as ledger's TestDigestsAllocateNothing does the commit
+// path's digests: the encoding is assembled in a stack array.
+func TestHashAllocatesNothing(t *testing.T) {
+	rq := hashCases()["64-byte"]
+	if got := testing.AllocsPerRun(1000, func() { Hash(&rq) }); got != 0 {
+		t.Fatalf("Hash of a 64-byte body: %.1f allocations per call, want 0", got)
 	}
 }

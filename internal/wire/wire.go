@@ -299,6 +299,11 @@ func (r *Reader) take(n int) ([]byte, bool) {
 	return b, true
 }
 
+// read fills p, a fixed-width field of at most 32 bytes, from the source.
+// In stream mode it peeks at bufio's buffer, copies and discards rather than
+// handing p to io.ReadFull: p never leaves this call, so the callers' scratch
+// arrays stay on their stacks. Fixed widths sit far below the 4 096 bytes
+// NewReader buffers, so Peek fails only at the end of the stream.
 func (r *Reader) read(p []byte) bool {
 	if r.err != nil {
 		return false
@@ -311,10 +316,15 @@ func (r *Reader) read(p []byte) bool {
 		copy(p, b)
 		return true
 	}
-	if _, err := io.ReadFull(r.br, p); err != nil {
+	b, err := r.br.Peek(len(p))
+	if len(b) < len(p) {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a cut field
+		}
 		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 		return false
 	}
+	r.br.Discard(copy(p, b))
 	return true
 }
 
@@ -546,11 +556,10 @@ func ReadFrame(br *bufio.Reader, buf []byte, max uint32) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFrame writes one frame: its length, then its body.
+// WriteFrame writes one frame: its length, then its body. The length is
+// appended to w's free space (AvailableBuffer), so it costs no allocation.
 func WriteFrame(w *bufio.Writer, frame []byte) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(frame)))); err != nil {
 		return err
 	}
 	_, err := w.Write(frame)
