@@ -70,8 +70,9 @@ bench:
 benchmark:
 	$(GO) run -C bench iaccf/bench $(ARGS)
 
-# CPU and heap profiles of the cross-shard commit hot path, plus the test
-# binary pprof needs to symbolize them. Start digging with:
+# CPU and heap profiles of the commit hot path under many authors writing
+# 3 keys each (BenchmarkConsensusCommitCrossShard), plus the test binary
+# pprof needs to symbolize them. Start digging with:
 #   go tool pprof $(PROFILE_DIR)/consensus.test $(PROFILE_DIR)/mem.out
 profile:
 	mkdir -p $(PROFILE_DIR)

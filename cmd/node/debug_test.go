@@ -29,7 +29,7 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 	hub := transport.NewHub(1, transport.TamperPolicy{})
 	nd, err := node.New(node.Config{
-		Consensus: consensus.Config{ID: 1, Key: keys[1], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4, Shards: 1},
+		Consensus: consensus.Config{ID: 1, Key: keys[1], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4},
 		Transport: hub.Endpoint(1, nil),
 		Clock:     node.NewManualClock(),
 	})

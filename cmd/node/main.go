@@ -45,7 +45,6 @@ func main() {
 		rpcAddr    = flag.String("rpc", "", "client submission RPC listen address")
 		seed       = flag.String("seed", "demo", "shared cluster key seed")
 		checkpoint = flag.Uint64("checkpoint", 4, "checkpoint interval (sequences)")
-		shards     = flag.Uint("shards", 1, "ledger shard trees per batch")
 		tick       = flag.Duration("tick", 5*time.Millisecond, "timer granularity (sync, retransmit, stall, submit patience); not on the commit path")
 		debug      = flag.String("debug", "", "serve net/http/pprof and /status on this address (empty: off)")
 	)
@@ -88,7 +87,6 @@ func main() {
 			Peers:           pubs,
 			App:             ledger.KVApp{},
 			CheckpointEvery: *checkpoint,
-			Shards:          uint32(*shards),
 		},
 		Transport: tp,
 		Clock:     clk,

@@ -31,8 +31,8 @@ func newWrite(key string, val []byte, h uint64, ord int) write {
 	return write{entry: e, h: h, path: path, ord: ord}
 }
 
-// writePool recycles SetAll's write vectors, so that a store flushing into
-// many shards allocates none per shard.
+// writePool recycles SetAll's write vectors, so that a store flushing
+// once per batch allocates none per flush.
 var writePool = sync.Pool{New: func() any { return new([]write) }}
 
 // sortWrites sorts ws by path, then key (a collision bucket's order), and

@@ -114,13 +114,13 @@ const (
 
 // hashKey places a key in the trie. It is deterministic across processes:
 // trie placement — and therefore canonical iteration order (RangeCanonical)
-// — is a pure function of the key, so two replicas holding the same
-// contents stream them in the same order without any sort pass. The raw
-// FNV value is passed through a full-avalanche finalizer so trie placement
-// is statistically independent of shard placement (ShardOf uses the raw
-// value mod the shard count; without the mix, every key in one shard would
-// share its low chunk bits and the per-shard tries would degenerate into
-// single-child chains).
+// and the trie's Merkle root — is a pure function of the key, so two
+// replicas holding the same contents stream and hash them in the same
+// order without any sort pass. The mix is for the trie's shape: a level
+// reads five bits from the bottom of the hash up, and FNV-1a's low bits
+// depend only on the low bits of the key's bytes (its multiply carries
+// upward only), so the raw value goes through a full-avalanche finalizer
+// that lets every key bit reach every level's chunk.
 func hashKey(key string) uint64 {
 	return mix64(fnvOf(key))
 }
@@ -141,8 +141,8 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// fnvOf returns the 64-bit FNV-1a hash of key, the shared deterministic
-// base for both shard placement and (after mixing) trie placement.
+// fnvOf returns the 64-bit FNV-1a hash of key, the deterministic base of
+// trie placement.
 func fnvOf(key string) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(key); i++ {
@@ -150,18 +150,6 @@ func fnvOf(key string) uint64 {
 		h *= fnvPrime
 	}
 	return h
-}
-
-// ShardOf returns the shard index of key in a partition of the key space
-// into shards parts (paper §6: partitioned stores). The assignment is
-// deterministic across processes and depends only on the key and the shard
-// count, so replicas, auditors, and restored checkpoints all agree on
-// placement. shards must be >= 1; ShardOf(key, 1) is always 0.
-func ShardOf(key string, shards uint32) uint32 {
-	if shards <= 1 {
-		return 0
-	}
-	return uint32(fnvOf(key) % uint64(shards))
 }
 
 // Map is an immutable hash map from string keys to byte-slice values.
@@ -231,7 +219,10 @@ func (m *Map) SetAll(keys []string, vals [][]byte) *Map {
 		return m
 	}
 	wp := writePool.Get().(*[]write)
-	ws := (*wp)[:0]
+	// One allocation when the pooled vector is short (or the pool was
+	// emptied by a collection), not a doubling chain: one flush per batch
+	// hands over every write of the batch.
+	ws := slices.Grow((*wp)[:0], len(keys))
 	for i, k := range keys {
 		ws = append(ws, newWrite(k, vals[i], hashKey(k), i))
 	}

@@ -305,58 +305,42 @@ func BenchmarkSet(b *testing.B) {
 	}
 }
 
-func TestShardOfDeterministic(t *testing.T) {
-	// Known-answer values pin the FNV-1a assignment: any change to the hash
-	// moves keys between shards and invalidates every existing sharded
-	// checkpoint digest d_C, so a change here must be a deliberate,
-	// format-breaking decision — not an accident this test lets through.
+func TestHashKeyDeterministic(t *testing.T) {
+	// Known-answer values pin the key hash: trie placement, and with it
+	// canonical order and every trie root d_C commits to, is a function of
+	// it, so a change here must be a deliberate, format-breaking decision —
+	// not an accident this test lets through.
 	pinned := []struct {
-		key    string
-		shards uint32
-		want   uint32
+		key  string
+		want uint64
 	}{
-		{"", 16, 5}, {"", 64, 37}, {"", 1024, 805},
-		{"alice", 16, 7}, {"alice", 64, 7}, {"alice", 1024, 263},
-		{"bob", 16, 4}, {"bob", 64, 20}, {"bob", 1024, 596},
-		{"account_00000042", 16, 7}, {"account_00000042", 64, 23}, {"account_00000042", 1024, 215},
+		{"", 0xf52a15e9a9b5e89b},
+		{"alice", 0xc5d1556d66774a5c},
+		{"bob", 0x6e8572d08b268dec},
+		{"account_00000042", 0xcd4a968ba71864a2},
 	}
 	for _, p := range pinned {
-		if got := ShardOf(p.key, p.shards); got != p.want {
-			t.Fatalf("ShardOf(%q, %d) = %d, want pinned %d: the shard hash changed", p.key, p.shards, got, p.want)
-		}
-	}
-	if got := ShardOf("alice", 1); got != 0 {
-		t.Fatalf("ShardOf(_, 1) = %d, want 0", got)
-	}
-	if got := ShardOf("alice", 0); got != 0 {
-		t.Fatalf("ShardOf(_, 0) = %d, want 0", got)
-	}
-	for _, shards := range []uint32{2, 3, 16, 64} {
-		for i := 0; i < 1000; i++ {
-			k := fmt.Sprintf("key-%d", i)
-			s := ShardOf(k, shards)
-			if s >= shards {
-				t.Fatalf("ShardOf(%q, %d) = %d out of range", k, shards, s)
-			}
-			if s != ShardOf(k, shards) {
-				t.Fatalf("ShardOf(%q, %d) not deterministic", k, shards)
-			}
+		if got := hashKey(p.key); got != p.want {
+			t.Fatalf("hashKey(%q) = %#x, want pinned %#x: the key hash changed", p.key, got, p.want)
 		}
 	}
 }
 
-func TestShardOfSpreads(t *testing.T) {
-	const shards = 16
-	counts := make([]int, shards)
+func TestHashKeySpreads(t *testing.T) {
+	// Keys of one shape must spread over a node's slots at every level a
+	// realistic trie reaches, or the trie degenerates into chains.
 	const n = 16000
-	for i := 0; i < n; i++ {
-		counts[ShardOf(fmt.Sprintf("account_%08d", i), shards)]++
-	}
-	for s, c := range counts {
-		// Expect ~1000 per shard; a shard at <1/4 or >4x of uniform means the
-		// hash is badly skewed for realistic key shapes.
-		if c < n/shards/4 || c > n/shards*4 {
-			t.Fatalf("shard %d holds %d of %d keys: badly skewed", s, c, n)
+	for level := 0; level < 3; level++ {
+		var counts [1 << branchBits]int
+		for i := 0; i < n; i++ {
+			counts[chunk(hashKey(fmt.Sprintf("account_%08d", i)), level)]++
+		}
+		for slot, c := range counts {
+			// Expect 500 per slot; under a quarter or over four times that
+			// means the hash is badly skewed for this key shape.
+			if c < n/len(counts)/4 || c > n/len(counts)*4 {
+				t.Fatalf("level %d slot %d holds %d of %d keys: badly skewed", level, slot, c, n)
+			}
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // decode, and that the earlier decodes' payloads are untouched. Run under
 // -race in CI, concurrent scratch reuse is caught too.
 func TestEncodedFramesSurvivePoolReuse(t *testing.T) {
-	c := newCluster(t, 4, 4)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("alias-client"))
 
 	// commit floods one proposal to quiescence through encoded frames

@@ -33,7 +33,7 @@ func outMsgs(outs []Outbound) []Message {
 	return msgs
 }
 
-func newCluster(t *testing.T, n int, shards uint32) *cluster {
+func newCluster(t *testing.T, n int) *cluster {
 	t.Helper()
 	keys := make([]*hashsig.PrivateKey, n)
 	peers := make([]*hashsig.PublicKey, n)
@@ -49,7 +49,6 @@ func newCluster(t *testing.T, n int, shards uint32) *cluster {
 			Peers:           peers,
 			App:             ledger.KVApp{},
 			CheckpointEvery: 2,
-			Shards:          shards,
 		})
 		if err != nil {
 			t.Fatalf("New replica %d: %v", i, err)
@@ -161,7 +160,7 @@ func (c *cluster) assertReceipts(seq uint64, n int, ids []int) {
 }
 
 func TestHappyPathCommit(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	for seq := uint64(1); seq <= 5; seq++ {
 		c.propose(0, reqs(author, seq*10, 3))
@@ -185,7 +184,7 @@ func TestHappyPathCommit(t *testing.T) {
 }
 
 func TestCommitRequiresQuorum(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	// Two replicas never hear anything: 2 participants < 2f+1 = 3.
 	c.propose(0, reqs(author, 10, 2))
@@ -196,7 +195,7 @@ func TestCommitRequiresQuorum(t *testing.T) {
 }
 
 func TestLaggardCatchesUpFromBroadcasts(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	// Replica 3 misses two full rounds; the traffic is redelivered later
 	// (the sim models drops as delayed retransmission).
@@ -232,7 +231,7 @@ func TestLaggardCatchesUpFromBroadcasts(t *testing.T) {
 }
 
 func TestEquivocatingPrimaryYieldsBlame(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	primary := c.replicas[0]
 
@@ -289,7 +288,7 @@ func TestBlameVerifyRejectsForgery(t *testing.T) {
 	mk := func(seq uint64, tag byte) ledger.BatchHeader {
 		h := ledger.BatchHeader{
 			Envelope: ledger.Envelope{View: 3, Primary: 3, NonceCommit: hashsig.Sum([]byte{tag})},
-			Seq:      seq, GSize: uint64(tag), Shards: 1,
+			Seq:      seq, GSize: uint64(tag),
 		}
 		h.Sig = key.MustSign(h.StatementDigest())
 		return h
@@ -332,7 +331,7 @@ func TestBlameVerifyRejectsForgery(t *testing.T) {
 }
 
 func TestViewChangeRecoversLiveness(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 
 	// Commit one batch normally so the view change has committed state to
@@ -373,7 +372,7 @@ func TestViewChangeRecoversLiveness(t *testing.T) {
 }
 
 func TestPreparedBatchSurvivesViewChange(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 
 	// Seq 1 reaches the prepared stage at replicas 1-3 (pre-prepare and
@@ -431,7 +430,7 @@ func TestPreparedBatchSurvivesViewChange(t *testing.T) {
 // certificate: otherwise view 2's primary may fill seq 1 with another batch
 // while replica 3 holds this one committed.
 func TestPreparedCertificateOutlivesFailedReproposal(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	pp, _, err := c.replicas[0].Propose(reqs(author, 10, 2))
 	if err != nil {
@@ -503,7 +502,7 @@ func TestPreparedCertificateOutlivesFailedReproposal(t *testing.T) {
 }
 
 func TestMessageCodecRoundTrip(t *testing.T) {
-	c := newCluster(t, 4, 4)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	pp, _, err := c.replicas[0].Propose(reqs(author, 10, 3))
 	if err != nil {
@@ -521,7 +520,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		Nonce:     hashsig.NonceFromSeed("n"),
 	})
 	msgs = append(msgs, outMsgs(c.replicas[2].OnTimeout())...)
-	// A chunk of a suffix-only offer: no shard digests, no frontier.
+	// A chunk of a suffix-only offer: no frontier.
 	msgs = append(msgs, &SyncChunk{Replica: 1, Requester: 3, CkptSeq: 5, Cert: &ledger.CommitCert{Header: pp.Header}, Kind: SyncChunkBatch, Data: []byte("batch")})
 	for i, m := range msgs {
 		enc := EncodeMessage(m)
@@ -539,7 +538,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeMessageRejectsMalformed(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	pp, _, err := c.replicas[0].Propose(reqs(hashsig.Sum([]byte("x")), 1, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -607,6 +606,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{ID: 0, Key: keys[0], Peers: peers, App: ledger.KVApp{}, Window: maxPreparedClaims + 1}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("window beyond the decodable claim bound accepted: %v", err)
 	}
+	// Shards is bench/'s name for the one ledger: 0 or 1, nothing else.
+	if _, err := New(Config{ID: 0, Key: keys[0], Peers: peers, App: ledger.KVApp{}, Shards: 2}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("Shards: 2 accepted: %v", err)
+	}
+	if _, err := New(Config{ID: 0, Key: keys[0], Peers: peers, App: ledger.KVApp{}, Shards: 1}); err != nil {
+		t.Fatalf("Shards: 1 refused: %v", err)
+	}
 	// Window 1 restores the strict serial behaviour: one outstanding
 	// proposal at a time.
 	r, err := New(Config{ID: 0, Key: keys[0], Peers: peers, App: ledger.KVApp{}, Window: 1})
@@ -646,7 +652,7 @@ func TestConfigValidation(t *testing.T) {
 // buffer holds maxFuture messages and evicts the oldest; and the drain a
 // commit triggers drops what that commit decided, keeping the rest.
 func TestFutureBuffer(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	r := c.replicas[3]
 	later := func(seq uint64) *Commit { return &Commit{View: 7, Replica: 2, Seq: seq} }
 	for _, seq := range []uint64{1, 2} {

@@ -16,10 +16,12 @@ import (
 // goldenFrames holds one recorded frame of every message type, written
 // before the commit certificate, the signed prepare and the blame evidence
 // moved from this package into ledger. Do not regenerate it from the
-// current code: the point is that the move did not change a byte. The one
-// exception was made on purpose: the SyncChunk frame was re-recorded when
-// chunks began to carry their offer, and the frames of the retired offer
-// and chunk request (tags 7 and 8) were deleted.
+// current code: the point is that the move did not change a byte. Two
+// exceptions were made on purpose: the SyncChunk frame was re-recorded
+// when chunks began to carry their offer, and the frames of the retired
+// offer and chunk request (tags 7 and 8) were deleted; and every frame
+// carrying a batch header or naming its statement was re-recorded when the
+// shard partition went (testdata/README.md says what was held equal).
 const goldenFrames = "testdata/golden_frames.txt"
 
 // goldenMessages builds the recorded messages from fixed seeds: one of every
@@ -66,10 +68,9 @@ func goldenMessages(t *testing.T) []Message {
 		&SyncRequest{Replica: 3, HaveSeq: 4},
 		&SyncChunk{
 			Replica: 1, Requester: 3, CkptSeq: 1,
-			ShardDigests: []hashsig.Digest{led.StateDigest()},
-			Frontier:     []byte("frontier"),
-			Cert:         cert,
-			Kind:         SyncChunkState, Index: 0, Data: []byte("chunk"),
+			Frontier: []byte("frontier"),
+			Cert:     cert,
+			Kind:     SyncChunkState, Index: 0, Data: []byte("chunk"),
 		},
 	}
 }
@@ -140,11 +141,11 @@ func TestNewViewDigestAllocatesNothing(t *testing.T) {
 
 func TestGoldenFramesMalformedCert(t *testing.T) {
 	chunk := readGoldenFrames(t)[6]
-	// Tag, replica, requester, ckpt seq, one shard digest, the frontier,
-	// then the certificate: its header, then the prepare count.
+	// Tag, replica, requester, ckpt seq, the frontier, then the
+	// certificate: its header, then the prepare count.
 	w := wire.NewAppendWriter(nil)
 	goldenMessages(t)[0].(*PrePrepare).Header.EncodeTo(w)
-	certAt := 4 + 4 + 4 + 8 + 4 + 32 + 4 + len("frontier")
+	certAt := 4 + 4 + 4 + 8 + 4 + len("frontier")
 	prepCount := certAt + len(w.AppendedBytes())
 	if n := binary.BigEndian.Uint32(chunk[prepCount:]); n != 1 {
 		t.Fatalf("prepare count at offset %d reads %d, want 1", prepCount, n)

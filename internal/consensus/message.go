@@ -65,9 +65,9 @@ const (
 	// catch-up protocol. They are retired, never reused: DecodeMessage
 	// refuses them.
 
-	// MsgSyncChunk carries one chunk of a pushed transfer — a shard's
-	// canonical serialization, or one committed batch of the suffix above
-	// the offer's start — together with the offer itself.
+	// MsgSyncChunk carries one chunk of a pushed transfer — the
+	// checkpoint's state, or one committed batch of the suffix above the
+	// offer's start — together with the offer itself.
 	MsgSyncChunk MsgType = 9
 )
 
@@ -369,9 +369,9 @@ const maxFrontierBytes = 1 << 12
 
 // Chunk kinds carried by SyncChunk.
 const (
-	// SyncChunkState is one shard's canonical serialization; Index is the
-	// shard number. It verifies by decoding to a shard whose digest
-	// (kv.ShardDigest) is ShardDigests[Index].
+	// SyncChunkState is the checkpoint's state, the store's canonical
+	// serialization; Index is 0. It verifies by decoding to a store whose
+	// digest is the certified header's d_C.
 	SyncChunkState uint32 = 0
 	// SyncChunkBatch is one committed batch above the offer's start; Index
 	// is the offset, so the batch's sequence number is CkptSeq+1+Index. It
@@ -383,26 +383,25 @@ const (
 // the offer the transfer is under: the commit certificate for the source's
 // latest committed batch, and where the transfer starts. While the source
 // still retains batch HaveSeq+1 the offer is the suffix alone: CkptSeq is
-// the requester's HaveSeq, ShardDigests and Frontier are empty, and the
-// batches CkptSeq+1..Cert.Seq() apply onto the requester's own ledger.
-// Otherwise it is the source's latest committed checkpoint (sequence
-// number, per-shard digest vector, history-tree frontier) plus the suffix
-// above it. Every chunk of one push carries the same offer, so chunks
-// verify and assemble in any arrival order. The certificate is the sole
-// trust anchor of the transfer: its signed header's d_C must equal the
-// combined shard digest vector, each state chunk must rebuild to a shard
-// whose digest is its slot in that vector, and the batch suffix up to the
+// the requester's HaveSeq, Frontier is empty, and the batches
+// CkptSeq+1..Cert.Seq() apply onto the requester's own ledger. Otherwise
+// it is the source's latest committed checkpoint (sequence number and
+// history-tree frontier, never empty) plus one state chunk and the suffix
+// above it: a non-empty Frontier is what makes an offer a checkpoint
+// offer. Every chunk of one push carries the same offer, so chunks verify
+// and assemble in any arrival order. The certificate is the sole trust
+// anchor of the transfer: the state chunk must rebuild to a store whose
+// digest is its signed header's d_C, and the batch suffix up to the
 // certified sequence number must replay to the certified header.
 type SyncChunk struct {
-	Replica      ReplicaID // source
-	Requester    ReplicaID
-	CkptSeq      uint64
-	ShardDigests []hashsig.Digest
-	Frontier     []byte // merkle.Frontier.Encode() at CkptSeq
-	Cert         *ledger.CommitCert
-	Kind         uint32
-	Index        uint64
-	Data         []byte
+	Replica   ReplicaID // source
+	Requester ReplicaID
+	CkptSeq   uint64
+	Frontier  []byte // merkle.Frontier.Encode() at CkptSeq; empty for a suffix-only offer
+	Cert      *ledger.CommitCert
+	Kind      uint32
+	Index     uint64
+	Data      []byte
 }
 
 // Type implements Message.
@@ -412,10 +411,6 @@ func (m *SyncChunk) encodeBody(w *wire.Writer) {
 	w.Uint32(uint32(m.Replica))
 	w.Uint32(uint32(m.Requester))
 	w.Uint64(m.CkptSeq)
-	w.Uint32(uint32(len(m.ShardDigests)))
-	for _, d := range m.ShardDigests {
-		w.Digest(d)
-	}
 	w.Bytes(m.Frontier)
 	m.Cert.EncodeTo(w)
 	w.Uint32(m.Kind)
@@ -429,7 +424,6 @@ func decodeSyncChunk(r *wire.Reader) *SyncChunk {
 		Requester: ReplicaID(r.Uint32()),
 		CkptSeq:   r.Uint64(),
 	}
-	m.ShardDigests = wire.ReadList(r, wire.MaxStreamShards, "shard digests", (*wire.Reader).Digest)
 	m.Frontier = r.Bytes(maxFrontierBytes)
 	m.Cert = ledger.DecodeCommitCert(r)
 	m.Kind = r.Uint32()

@@ -41,9 +41,11 @@ type Config struct {
 	Peers []*hashsig.PublicKey
 	// App executes transaction payloads (must be deterministic).
 	App ledger.App
-	// CheckpointEvery and Shards parameterize the underlying ledger.
+	// CheckpointEvery parameterizes the underlying ledger.
 	CheckpointEvery uint64
-	Shards          uint32
+	// Shards is kept for bench/ only, which sets it to 1: 0 or 1. Any other
+	// value is refused with ErrConfig; the ledger is not partitioned.
+	Shards uint32
 	// Window is the proposal window W: how many consecutive instances may
 	// be in flight at once. 0 means DefaultWindow. All replicas of one
 	// configuration must agree on it (it bounds the prepared claims a
@@ -212,15 +214,13 @@ func New(cfg Config) (*Replica, error) {
 		// baked in at configuration time.
 		return nil, fmt.Errorf("%w: window %d exceeds the decodable claim bound %d", ErrConfig, cfg.Window, maxPreparedClaims)
 	}
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("%w: shard count %d: the ledger is not partitioned (0 or 1)", ErrConfig, cfg.Shards)
+	}
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
 	}
-	led, err := ledger.New(ledger.Config{
-		Key:             cfg.Key,
-		App:             cfg.App,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Shards:          cfg.Shards,
-	})
+	led, err := ledger.New(ledger.Config{Key: cfg.Key, App: cfg.App, CheckpointEvery: cfg.CheckpointEvery})
 	if err != nil {
 		return nil, err
 	}

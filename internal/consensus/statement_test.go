@@ -53,7 +53,7 @@ func TestSignaturesPerBatch(t *testing.T) {
 		}
 		r, err := New(Config{
 			ID: ReplicaID(i), Key: hashsig.GenerateKeyFromSeed(fmt.Sprintf("sig-bill-%d", i)), Peers: peers,
-			App: ledger.KVApp{}, CheckpointEvery: 4, Shards: 1, Window: 1,
+			App: ledger.KVApp{}, CheckpointEvery: 4, Window: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSignaturesPerBatch(t *testing.T) {
 // are verified and rejected, which is what shows the drop is the staleness
 // rule and not a hole.
 func TestStaleMessagesAreDroppedUnverified(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	for b := uint64(1); b <= 2; b++ {
 		c.propose(0, reqs(author, 10*b, 2))
@@ -210,7 +210,7 @@ func prepareFor(t *testing.T, outs []Outbound, stmt *ledger.BatchHeader) *Prepar
 // answer, and the ledger keeps the pre-prepare the batch committed under. A
 // new primary, for its part, re-proposes nothing that it committed.
 func TestReproposalOfCommittedBatchIsIgnored(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
 	old := c.queue[0].(*PrePrepare)
 	c.flood()
@@ -247,7 +247,7 @@ func TestReproposalOfCommittedBatchIsIgnored(t *testing.T) {
 // adopts them under the statements they committed with: a two-view ledger
 // that the keyed replay accepts and no single key does.
 func TestLaggardFetchesAcrossViews(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	c.propose(0, reqs(author, 10, 2))
 	c.flood(3)
@@ -292,7 +292,7 @@ func TestLaggardFetchesAcrossViews(t *testing.T) {
 // primary's statement — and then holds that pre-prepare — but rejects any
 // other content at the pinned seq, validly signed or not.
 func TestPinnedReproposalIsByContent(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	pp0, _, err := c.replicas[0].Propose(reqs(author, 10, 2))
 	if err != nil {
@@ -343,7 +343,7 @@ func TestPinnedReproposalIsByContent(t *testing.T) {
 
 	// Replica 3 is pinned too, and is offered different content instead —
 	// properly signed by the view-1 primary's key.
-	scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
+	scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestPinnedReproposalIsByContent(t *testing.T) {
 // is neither accepted nor blamed; a second content is blamed, and the
 // evidence verifies offline under the primary's key alone.
 func TestSecondNonceCommitmentIsNotEquivocation(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	primary, backup := c.replicas[0], c.replicas[1]
 	pp, _, err := primary.Propose(reqs(author, 10, 2))
@@ -389,7 +389,7 @@ func TestSecondNonceCommitmentIsNotEquivocation(t *testing.T) {
 		t.Fatalf("same content under a second nonce commitment produced blame: %v", ev[0])
 	}
 
-	scratch, err := ledger.New(ledger.Config{Key: c.keys[0], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
+	scratch, err := ledger.New(ledger.Config{Key: c.keys[0], App: ledger.KVApp{}, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestSecondNonceCommitmentIsNotEquivocation(t *testing.T) {
 // Prepares that validly sign another view's statement of the same content
 // do not count toward it.
 func TestCommitCertBindsTheStatement(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
 	c.flood()
 	c.assertAgreement(1, 0, 1, 2, 3)

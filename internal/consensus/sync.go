@@ -32,11 +32,10 @@ import (
 //
 //   - suffix-only, when the peer still retains batch HaveSeq+1 (maybePrune
 //     keeps the last W) and the suffix is one a requester accepts
-//     (maxSyncSuffix): CkptSeq = HaveSeq, no shard digests, no frontier — the
-//     batches HaveSeq+1..Cert.Seq() apply onto the requester's own ledger;
+//     (maxSyncSuffix): CkptSeq = HaveSeq, no frontier — the batches
+//     HaveSeq+1..Cert.Seq() apply onto the requester's own ledger;
 //   - checkpoint, otherwise: the peer's latest committed checkpoint (seq,
-//     shard digest vector, frontier) as one state chunk per shard, then the
-//     batch suffix above it.
+//     frontier) as one state chunk, then the batch suffix above it.
 //
 // Every chunk carries the offer, so chunks verify and assemble in any
 // arrival order. The source keeps nothing per requester and is never asked
@@ -46,11 +45,9 @@ import (
 // Trust chain — one certificate anchors the whole transfer:
 //
 //   - The offer's commit certificate proves its batch header committed; the
-//     header signs d_C, so a checkpoint offer's shard digest vector must
-//     combine to the header's d_C.
-//   - Each state chunk must rebuild to its slot in that vector: a slot is
-//     the digest of a shard's trie (kv.ShardDigest), so the chunk is
-//     decoded, placement-checked and rebuilt on arrival, and kept decoded.
+//     header signs d_C.
+//   - The state chunk must rebuild to a store whose digest is that d_C, so
+//     it is decoded and rebuilt on arrival, and kept decoded.
 //   - The frontier and the batch suffix are verified transitively: the
 //     suffix is re-executed (ledger.ApplyBatch checks results, ¯G, ¯M, d_C
 //     per batch) onto the replica's own ledger or onto a candidate restored
@@ -92,13 +89,13 @@ const (
 )
 
 // syncOffer is one accepted, certificate-verified offer, from the peer
-// asked last (syncState.source). shardDigests is empty for a suffix-only
-// offer.
+// asked last (syncState.source). A checkpoint offer carries a state chunk
+// and a frontier; a suffix-only offer neither.
 type syncOffer struct {
-	ckptSeq      uint64
-	shardDigests []hashsig.Digest
-	frontier     merkle.Frontier
-	cert         *ledger.CommitCert
+	ckptSeq    uint64
+	checkpoint bool
+	frontier   merkle.Frontier
+	cert       *ledger.CommitCert
 }
 
 // carries reports whether chunk m belongs to offer o (nil: none does).
@@ -133,9 +130,8 @@ type syncState struct {
 	source ReplicaID
 
 	offer  *syncOffer
-	store  *kv.ShardedStore // candidate state: the shards verified so far
-	have   []bool           // have[i]: shard i is installed in store
-	batch  []*ledger.Batch  // suffix ckptSeq+1..cert.Seq(), nil = missing
+	store  *kv.Store       // a checkpoint offer's state, once its chunk verified
+	batch  []*ledger.Batch // suffix ckptSeq+1..cert.Seq(), nil = missing
 	banned map[ReplicaID]bool
 	// adopted counts completed transfers (verified and committed).
 	adopted int
@@ -144,10 +140,8 @@ type syncState struct {
 // missing counts chunks not yet received and verified.
 func (s *syncState) missing() int {
 	n := 0
-	for _, ok := range s.have {
-		if !ok {
-			n++
-		}
+	if s.offer.checkpoint && s.store == nil {
+		n++
 	}
 	for _, b := range s.batch {
 		if b == nil {
@@ -159,7 +153,7 @@ func (s *syncState) missing() int {
 
 // drop discards the transfer being assembled.
 func (s *syncState) drop() {
-	s.offer, s.store, s.have, s.batch = nil, nil, nil, nil
+	s.offer, s.store, s.batch = nil, nil, nil
 }
 
 // reset stops asking but keeps the ban list and trigger evidence: a failed
@@ -290,14 +284,12 @@ func (r *Replica) handleSyncRequest(m *SyncRequest, out *[]Outbound) error {
 		if ck == nil {
 			return nil
 		}
-		offer.CkptSeq, offer.ShardDigests, offer.Frontier = ck.Seq, ck.ShardDigests, ck.Frontier.Encode()
-		for i := range ck.ShardDigests {
-			var buf bytes.Buffer
-			if err := serializeShard(ck.Store, i, &buf); err != nil {
-				return fmt.Errorf("consensus: sync push to %d: shard %d of checkpoint %d: %w", m.Replica, i, ck.Seq, err)
-			}
-			send(SyncChunkState, uint64(i), buf.Bytes())
+		offer.CkptSeq, offer.Frontier = ck.Seq, ck.Frontier.Encode()
+		var buf bytes.Buffer
+		if err := serializeState(ck.Store, &buf); err != nil {
+			return fmt.Errorf("consensus: sync push to %d: state of checkpoint %d: %w", m.Replica, ck.Seq, err)
 		}
+		send(SyncChunkState, 0, buf.Bytes())
 	}
 	// maybePrune keeps every batch above the offer's start.
 	for seq := offer.CkptSeq + 1; seq <= r.committed; seq++ {
@@ -314,10 +306,10 @@ func (r *Replica) suffixServes(haveSeq uint64) bool {
 	return r.led.BatchAt(haveSeq+1) != nil && r.committed-haveSeq <= maxSyncSuffix
 }
 
-// serializeShard writes one shard of a checkpoint as a state chunk. It is a
+// serializeState writes a checkpoint's state as its state chunk. It is a
 // variable so a test can make the push fail; serializing into memory does
 // not.
-var serializeShard = (*kv.ShardedStore).SerializeShard
+var serializeState = (*kv.Store).SerializeShard
 
 // encodeBatchChunk frames one batch as a chunk payload.
 func encodeBatchChunk(b *ledger.Batch) []byte {
@@ -367,30 +359,23 @@ func (r *Replica) failSync(err error, out *[]Outbound) error {
 
 // acceptOffer checks the offer a chunk carries and makes it the transfer
 // being assembled: the certificate must verify, and the offer must span at
-// most maxSyncSuffix batches. An offer with state chunks must announce a
-// shard digest vector that combines to the d_C the certificate signs; one
-// without starts at our own watermark or is of no use (nothing is accepted,
-// and nothing is wrong). Everything the assembly needs derives from the
-// accepted offer.
+// most maxSyncSuffix batches. A checkpoint offer (one with a frontier)
+// must start at a checkpoint; a suffix-only one starts at our own
+// watermark or is of no use (nothing is accepted, and nothing is wrong).
+// Everything the assembly needs derives from the accepted offer.
 func (r *Replica) acceptOffer(m *SyncChunk) error {
 	if m.CkptSeq > m.Cert.Seq() || m.Cert.Seq()-m.CkptSeq > maxSyncSuffix {
 		return fmt.Errorf("%w: sync offer starting at %d under certificate %d", ErrInvalid, m.CkptSeq, m.Cert.Seq())
 	}
-	offer := &syncOffer{ckptSeq: m.CkptSeq, cert: m.Cert}
-	if len(m.ShardDigests) > 0 {
-		if got := uint32(len(m.ShardDigests)); m.CkptSeq == 0 || got != r.led.Shards() {
-			return fmt.Errorf("%w: sync offer for checkpoint %d with %d shards, replica runs %d", ErrInvalid, m.CkptSeq, got, r.led.Shards())
-		}
-		// The certified header pins the digest vector: d_C is the
-		// domain-tagged combination of exactly these per-shard digests.
-		if kv.CombineShardDigests(m.ShardDigests) != m.Cert.Header.CkptDigest {
-			return fmt.Errorf("%w: sync offer digests do not combine to the certified d_C", ErrInvalid)
+	offer := &syncOffer{ckptSeq: m.CkptSeq, checkpoint: len(m.Frontier) > 0, cert: m.Cert}
+	if offer.checkpoint {
+		if m.CkptSeq == 0 {
+			return fmt.Errorf("%w: sync offer for a checkpoint at 0", ErrInvalid)
 		}
 		f, err := merkle.DecodeFrontier(m.Frontier)
 		if err != nil {
 			return fmt.Errorf("%w: sync offer frontier: %v", ErrInvalid, err)
 		}
-		offer.shardDigests = append([]hashsig.Digest(nil), m.ShardDigests...)
 		offer.frontier = f
 	} else if m.CkptSeq != r.committed {
 		return nil // answers an ask this replica has since moved past
@@ -401,8 +386,7 @@ func (r *Replica) acceptOffer(m *SyncChunk) error {
 	}
 	s := &r.sync
 	s.offer = offer
-	s.store = kv.NewSharded(len(offer.shardDigests))
-	s.have = make([]bool, len(offer.shardDigests))
+	s.store = nil
 	s.batch = make([]*ledger.Batch, m.Cert.Seq()-m.CkptSeq)
 	if own := r.led.BatchAt(m.Cert.Seq()); own != nil && own.Header.ContentDigest() == m.Cert.Header.ContentDigest() {
 		// The certificate is for a batch this replica already executed: ¯M
@@ -417,23 +401,24 @@ func (r *Replica) acceptOffer(m *SyncChunk) error {
 }
 
 // recordChunk checks one chunk against the accepted offer and keeps it.
-// State chunks verify immediately against the offer's digest vector —
-// decoded, every key checked against the shard, rebuilt, and the rebuilt
-// shard's digest compared — and are kept as the shard they decoded to;
-// batch chunks must decode, carry the right sequence number and a validly
-// signed statement, with execution checks deferred to adoption. A chunk
-// already held, or of no slot, changes nothing.
+// The state chunk verifies immediately against the certified d_C —
+// decoded, rebuilt, and the rebuilt store's digest compared — and is kept
+// as the store it decoded to; batch chunks must decode, carry the right
+// sequence number and a validly signed statement, with execution checks
+// deferred to adoption. A chunk already held, or of no slot, changes
+// nothing.
 func (r *Replica) recordChunk(m *SyncChunk) error {
 	s := &r.sync
 	switch m.Kind {
 	case SyncChunkState:
-		if m.Index >= uint64(len(s.have)) || s.have[m.Index] {
+		if !s.offer.checkpoint || m.Index != 0 || s.store != nil {
 			return nil
 		}
-		if err := s.store.InstallShard(int(m.Index), m.Data, s.offer.shardDigests[m.Index]); err != nil {
-			return fmt.Errorf("%w: sync state chunk %d: %v", ErrInvalid, m.Index, err)
+		store := kv.New()
+		if err := store.InstallShard(m.Data, s.offer.cert.Header.CkptDigest); err != nil {
+			return fmt.Errorf("%w: sync state chunk: %v", ErrInvalid, err)
 		}
-		s.have[m.Index] = true
+		s.store = store
 	case SyncChunkBatch:
 		if m.Index >= uint64(len(s.batch)) || s.batch[m.Index] != nil {
 			return nil
@@ -474,7 +459,7 @@ func (r *Replica) adoptIfComplete(out *[]Outbound) error {
 
 // adoptSync performs all-or-nothing adoption of the assembled transfer. A
 // checkpoint offer first builds a candidate ledger from the verified
-// shards; either way the suffix is then re-executed onto the ledger — own
+// state; either way the suffix is then re-executed onto the ledger — own
 // speculation that already holds a suffix batch's content stays, the first
 // that does not is rolled back — and only if the final header reproduces
 // the certified content digest does the committed boundary move to the
@@ -486,18 +471,16 @@ func (r *Replica) adoptSync(out *[]Outbound) error {
 	s := &r.sync
 	offer, cert := s.offer, s.offer.cert
 	led := r.led
-	if len(offer.shardDigests) > 0 {
+	if offer.checkpoint {
 		cand, err := ledger.NewFromCheckpoint(ledger.Config{
 			Key:             r.cfg.Key,
 			App:             r.cfg.App,
 			CheckpointEvery: r.cfg.CheckpointEvery,
-			Shards:          uint32(len(offer.shardDigests)),
 		}, &ledger.Checkpoint{
-			Seq:          offer.ckptSeq,
-			Store:        s.store,
-			ShardDigests: offer.shardDigests,
-			Frontier:     offer.frontier,
-			Digest:       cert.Header.CkptDigest,
+			Seq:      offer.ckptSeq,
+			Store:    s.store,
+			Frontier: offer.frontier,
+			Digest:   cert.Header.CkptDigest,
 		})
 		if err != nil {
 			return err

@@ -13,23 +13,21 @@ import (
 	"iaccf/internal/wire"
 )
 
-// TestSyncChunkVerifiedAgainstCertifiedVector puts a replica mid-transfer
-// and hands it state chunks by hand. A chunk is judged at the chunk, by what
-// d_C commits to: one that decodes cleanly, keeps every key in its shard
-// and merely holds different contents is refused like a garbled one and
-// leaves the slot open; the honest chunk then fills it.
-func TestSyncChunkVerifiedAgainstCertifiedVector(t *testing.T) {
-	const shards = 4
-	serving := kv.NewSharded(shards)
+// TestSyncChunkVerifiedAgainstCertifiedDigest puts a replica mid-transfer
+// and hands it state chunks by hand. A chunk is judged at the chunk, by
+// the d_C the offer's certificate signs: one that decodes cleanly and
+// merely holds different contents is refused like a garbled one and
+// leaves the state missing; the honest chunk then fills it.
+func TestSyncChunkVerifiedAgainstCertifiedDigest(t *testing.T) {
+	serving := kv.New()
 	tx := serving.Begin()
 	for _, k := range []string{"alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi"} {
 		tx.Put(k, []byte("100"))
 	}
 	tx.Commit()
-	shard := int(kv.ShardOfKey("alice", shards))
-	chunkOf := func(s *kv.ShardedStore) []byte {
+	chunkOf := func(s *kv.Store) []byte {
 		var buf bytes.Buffer
-		if err := s.SerializeShard(shard, &buf); err != nil {
+		if err := s.SerializeShard(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -39,17 +37,16 @@ func TestSyncChunkVerifiedAgainstCertifiedVector(t *testing.T) {
 	tx.Put("alice", []byte("999"))
 	tx.Commit()
 
-	r := newCluster(t, 4, shards).replicas[3]
+	r := newCluster(t, 4).replicas[3]
 	const ckptSeq = uint64(2)
-	r.sync.offer = &syncOffer{ckptSeq: ckptSeq, shardDigests: serving.ShardDigests()}
-	r.sync.store = kv.NewSharded(shards)
-	r.sync.have = make([]bool, shards)
+	cert := &ledger.CommitCert{Header: ledger.BatchHeader{Seq: ckptSeq + 1, CkptDigest: serving.CheckpointDigest()}}
+	r.sync.offer = &syncOffer{ckptSeq: ckptSeq, checkpoint: true, cert: cert}
 	r.sync.batch = make([]*ledger.Batch, 1) // a suffix batch still owed: no adoption here
 
 	deliver := func(data []byte) error {
 		return r.recordChunk(&SyncChunk{
 			Replica: 1, Requester: r.ID(), CkptSeq: ckptSeq,
-			Kind: SyncChunkState, Index: uint64(shard), Data: data,
+			Kind: SyncChunkState, Data: data,
 		})
 	}
 	garbled := chunkOf(serving)
@@ -61,18 +58,18 @@ func TestSyncChunkVerifiedAgainstCertifiedVector(t *testing.T) {
 		if err := deliver(data); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("%s: got %v, want ErrInvalid", what, err)
 		}
-		if r.sync.have[shard] || r.sync.store.ShardSnapshot(shard).Len() != 0 {
+		if r.sync.store != nil {
 			t.Fatalf("%s was recorded", what)
 		}
 	}
 	if err := deliver(chunkOf(serving)); err != nil {
 		t.Fatal(err)
 	}
-	if !r.sync.have[shard] || r.sync.store.ShardDigest(shard) != serving.ShardDigest(shard) {
+	if r.sync.store == nil || r.sync.store.CheckpointDigest() != serving.CheckpointDigest() {
 		t.Fatal("honest chunk not installed")
 	}
-	if got, want := r.sync.missing(), shards-1+1; got != want {
-		t.Fatalf("%d chunks missing, want %d", got, want)
+	if got := r.sync.missing(); got != 1 {
+		t.Fatalf("%d chunks missing, want the one suffix batch", got)
 	}
 }
 
@@ -81,7 +78,7 @@ func TestSyncChunkVerifiedAgainstCertifiedVector(t *testing.T) {
 // replica 1.
 func laggingCluster(t *testing.T, committed uint64) (*cluster, *Replica) {
 	t.Helper()
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	for seq := uint64(1); seq <= committed; seq++ {
 		c.propose(0, reqs(author, 10*seq, 2))
@@ -117,7 +114,7 @@ func (c *cluster) tickUntilAsking(lag *Replica) {
 // replica that lacks nothing, and nobody answers it. Every ask goes to one
 // peer.
 func TestPatienceFollowsEvidence(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 	lag := c.replicas[3]
 	silentFor := func(r *Replica, ticks int) {
@@ -219,8 +216,8 @@ func deliver(t *testing.T, lag *Replica, push []*SyncChunk) (last []Outbound, er
 }
 
 // TestSuffixOfferAcceptance: a peer that still retains the batch above the
-// requester's boundary pushes the suffix alone — batch chunks, no shard
-// digests, no frontier, its latest certificate — to the requester alone.
+// requester's boundary pushes the suffix alone — batch chunks, no
+// frontier, its latest certificate — to the requester alone.
 // The requester takes the offer only if it starts exactly at its own
 // boundary, spans a bounded suffix and carries a certificate that verifies;
 // an offer that fails a check leaves the replica as it was, bans its source
@@ -233,9 +230,9 @@ func TestSuffixOfferAcceptance(t *testing.T) {
 	}
 	for i, chunk := range honest {
 		if chunk.Kind != SyncChunkBatch || chunk.Index != uint64(i) || chunk.CkptSeq != 0 ||
-			len(chunk.ShardDigests) != 0 || len(chunk.Frontier) != 0 || chunk.Cert.Seq() != 3 {
-			t.Fatalf("chunk %d of the push to a near laggard is (kind %d index %d, from %d, %d shard digests, cert %d), want batch %d of the bare suffix 1..3",
-				i, chunk.Kind, chunk.Index, chunk.CkptSeq, len(chunk.ShardDigests), chunk.Cert.Seq(), i)
+			len(chunk.Frontier) != 0 || chunk.Cert.Seq() != 3 {
+			t.Fatalf("chunk %d of the push to a near laggard is (kind %d index %d, from %d, %d frontier bytes, cert %d), want batch %d of the bare suffix 1..3",
+				i, chunk.Kind, chunk.Index, chunk.CkptSeq, len(chunk.Frontier), chunk.Cert.Seq(), i)
 		}
 	}
 	if out, _ := c.replicas[2].Handle(&SyncRequest{Replica: 0, HaveSeq: 3}); len(out) != 0 {
@@ -342,9 +339,9 @@ func TestPushSurvivesSourcePruning(t *testing.T) {
 // laggard waiting for a push that is not coming, with nothing recorded.
 func TestPushFailureIsReturned(t *testing.T) {
 	c, lag := laggingCluster(t, 7)
-	broken := errors.New("shard unreadable")
-	defer func(f func(*kv.ShardedStore, int, io.Writer) error) { serializeShard = f }(serializeShard)
-	serializeShard = func(*kv.ShardedStore, int, io.Writer) error { return broken }
+	broken := errors.New("state unreadable")
+	defer func(f func(*kv.Store, io.Writer) error) { serializeState = f }(serializeState)
+	serializeState = func(*kv.Store, io.Writer) error { return broken }
 	out, err := c.replicas[1].Handle(&SyncRequest{Replica: lag.ID(), HaveSeq: lag.Committed()})
 	if !errors.Is(err, broken) || len(out) != 0 {
 		t.Fatalf("push of an unserializable checkpoint: %d envelopes, err %v; want none and the error", len(out), err)
@@ -355,16 +352,15 @@ func TestPushFailureIsReturned(t *testing.T) {
 // state chunk a decoder accepts (wire.MaxChunkLen) must fit one transport
 // frame beside the largest offer an n-replica cluster can make — a
 // certificate with a prepare from every backup and an opening from every
-// replica, as many shard digests as a stream may declare and the longest
-// frontier a decoder accepts — for this cluster's 4 and for the 76 that
-// transport.MaxFrameLen's comment promises.
+// replica, and the longest frontier a decoder accepts — for this cluster's
+// 4 and for the 165 that transport.MaxFrameLen's comment promises.
 func TestSyncChunkFitsOneFrame(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
 	c.flood()
 	c.assertAgreement(1, 0, 1, 2, 3)
 	committed := c.replicas[0].lastCommit
-	for _, n := range []int{4, 76} {
+	for _, n := range []int{4, 165} {
 		cert := *committed
 		cert.Prepares, cert.Opens = nil, nil
 		for len(cert.Prepares) < n-1 {
@@ -375,10 +371,9 @@ func TestSyncChunkFitsOneFrame(t *testing.T) {
 		}
 		chunk := &SyncChunk{
 			Replica: 1, Requester: 3, CkptSeq: 2,
-			ShardDigests: make([]hashsig.Digest, wire.MaxStreamShards),
-			Frontier:     make([]byte, maxFrontierBytes),
-			Cert:         &cert,
-			Kind:         SyncChunkState,
+			Frontier: make([]byte, maxFrontierBytes),
+			Cert:     &cert,
+			Kind:     SyncChunkState,
 		}
 		// Data is a length-prefixed field: a full chunk adds exactly its length.
 		if frame := len(EncodeMessage(chunk)) + wire.MaxChunkLen; frame > transport.MaxFrameLen {
@@ -406,7 +401,7 @@ func TestTamperedSuffixChangesNothing(t *testing.T) {
 			return 1, &b
 		},
 		"the source's own statement against the speculation": func(c *cluster) (uint64, *ledger.Batch) {
-			scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
+			scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -484,9 +479,9 @@ func TestTamperedSuffixChangesNothing(t *testing.T) {
 // batch that committed outside the new-view quorum.
 func TestPinsSurviveAdoptionWithinView(t *testing.T) {
 	for what, committed := range map[string]uint64{"suffix offer": 1, "checkpoint offer": 6} {
-		c := newCluster(t, 4, 1)
+		c := newCluster(t, 4)
 		author := hashsig.Sum([]byte("client"))
-		scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
+		scratch, err := ledger.New(ledger.Config{Key: c.keys[1], App: ledger.KVApp{}, CheckpointEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

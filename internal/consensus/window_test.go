@@ -27,7 +27,7 @@ func (c *cluster) deliver(msgs []Message) []Message {
 // that nothing commits until the head of the window completes — then the
 // buffered quorums cascade, strictly in order.
 func TestWindowOutOfOrderQuorums(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 
 	pps := make([]*PrePrepare, DefaultWindow)
@@ -79,7 +79,7 @@ func TestWindowOutOfOrderQuorums(t *testing.T) {
 // commitments), the committed boundary must survive, and the unprepared
 // tail must be discarded and its slot reusable.
 func TestViewChangePartiallyCommittedWindow(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 
 	var pps []*PrePrepare
@@ -153,7 +153,7 @@ func TestViewChangePartiallyCommittedWindow(t *testing.T) {
 // open, non-head slot must still produce verifiable blame naming the
 // primary's key.
 func TestEquivocationNonHeadInstance(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("client"))
 
 	pps := make([]*PrePrepare, DefaultWindow)
@@ -173,7 +173,7 @@ func TestEquivocationNonHeadInstance(t *testing.T) {
 	// Forge the primary's conflicting batch for seq 2 on a scratch ledger
 	// holding the same key (the equivocator re-executes divergent content;
 	// Lemma 1 makes the ledger a willing accomplice).
-	led, err := ledger.New(ledger.Config{Key: c.keys[0], App: ledger.KVApp{}, CheckpointEvery: 2, Shards: 1})
+	led, err := ledger.New(ledger.Config{Key: c.keys[0], App: ledger.KVApp{}, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

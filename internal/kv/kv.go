@@ -4,19 +4,18 @@
 // granularity (marks), as L-PBFT's early execution requires (Lemma 1), and
 // deterministic checkpoint serialization with content digests (§3.4).
 //
-// There is one store, ShardedStore (sharded.go): the key space is
-// partitioned across N persistent CHAMP maps (the state-transfer chunk
-// unit), and NewSharded(1) is the unsharded case. Snapshots, marks and
-// rollback are pointer copies, and the checkpoint digest d_C is read off
-// the tries' cached Merkle roots.
+// There is one store, Store (store.go): one persistent CHAMP map — the
+// state-transfer chunk — plus an overlay of committed writes. Snapshots,
+// marks and rollback are pointer copies, and the checkpoint digest d_C is
+// read off the trie's cached Merkle root.
 //
-// Writes reach the tries in bulk. A transaction buffers its ops in a
+// Writes reach the trie in bulk. A transaction buffers its ops in a
 // slice; Commit adds them to the store's overlay of pending writes, which
-// reads see through; and the overlay is flushed into the tries — one
-// champ.Map.SetAll per shard — only when something needs them: a mark, a
-// clone, a digest, a snapshot, a chunk. A transaction reads the overlay it
-// found at Begin, which nothing writes in place while it lives, and a
-// flush replaces the overlay rather than clearing it (see ShardedStore).
+// reads see through; and the overlay is flushed into the trie — one
+// champ.Map.SetAll — only when something needs it: a mark, a clone, a
+// digest, a snapshot, a chunk. A transaction reads the overlay it found at
+// Begin, which nothing writes in place while it lives, and a flush
+// replaces the overlay rather than clearing it (see Store).
 //
 // This file holds the transaction type and the canonical serialization
 // helpers the store is built from.
@@ -45,16 +44,15 @@ var ErrNoMark = errors.New("kv: no mark for sequence number")
 // bug that retains a transaction past its batch is caught immediately
 // instead of silently reading stale state or writing into the void.
 //
-// The snapshot is the store as Begin found it: its shard heads and its
-// overlay of committed writes the tries have not absorbed yet (see
-// ShardedStore). The transaction's own writes are an opLog whose first ops
+// The snapshot is the store as Begin found it: its trie head and its
+// overlay of committed writes the trie has not absorbed yet (see Store). The transaction's own writes are an opLog whose first ops
 // live in the Tx itself, so a transaction of a few writes allocates the Tx
 // and the copies of its values, and nothing else.
 type Tx struct {
-	store   *ShardedStore
-	base    []*champ.Map // shard heads at Begin (immutable once captured)
-	pending opLog        // the store's overlay at Begin (never written while captured)
-	gen     uint64       // which overlay pending is (ShardedStore.gen)
+	store   *Store
+	base    *champ.Map // the trie head at Begin (immutable)
+	pending opLog      // the store's overlay at Begin (never written while captured)
+	gen     uint64     // which overlay pending is (Store.gen)
 	writes  opLog
 	first   [txInline]op // backs writes' first ops
 	done    bool
@@ -138,15 +136,15 @@ func (l *opLog) clone() opLog {
 	return opLog{ops: slices.Clone(l.ops), index: maps.Clone(l.index)}
 }
 
-// read looks key up through an overlay into the shard heads beneath it and
+// read looks key up through an overlay into the trie head beneath it and
 // returns a copy of the value: both are shared (trie nodes with marks and
 // snapshots, overlay values with write sets), so handing out the stored
 // bytes would let a caller change history.
-func read(pending *opLog, shards []*champ.Map, key string) ([]byte, bool) {
+func read(pending *opLog, m *champ.Map, key string) ([]byte, bool) {
 	if o, ok := pending.get(key); ok {
 		return o.value()
 	}
-	v, ok := shards[champ.ShardOf(key, uint32(len(shards)))].Get(key)
+	v, ok := m.Get(key)
 	if !ok {
 		return nil, false
 	}
@@ -161,7 +159,7 @@ func (t *Tx) active(op string) {
 }
 
 // Get reads key, seeing the transaction's own writes first, then the
-// snapshot. Like ShardedStore.Get it returns a copy, of buffered writes too
+// snapshot. Like Store.Get it returns a copy, of buffered writes too
 // (mutating a buffered write through the returned slice would change what
 // Commit publishes).
 func (t *Tx) Get(key string) ([]byte, bool) {
@@ -251,7 +249,7 @@ func (w WriteSet) Digest() hashsig.Digest {
 	return hashsig.Sum(b)
 }
 
-// encodeMapCanonical streams one map in the per-shard checkpoint form:
+// encodeMapCanonical streams one map in the checkpoint form:
 // count, then (key, value) pairs in champ's canonical iteration order. One
 // pass over the trie, no intermediate collection and no sort.
 func encodeMapCanonical(w *wire.Writer, m *champ.Map) {
@@ -268,7 +266,7 @@ func encodeMapCanonical(w *wire.Writer, m *champ.Map) {
 // callers. Every frame boundary annotates a failure with its position, so
 // a truncated or oversized stream reports exactly which frame broke — and
 // no partially-read map is ever installed into a store (InstallShard only
-// publishes a shard after a clean ExpectEOF).
+// publishes a map after a clean ExpectEOF).
 func readMap(rd *wire.Reader) *champ.Map {
 	n := rd.Uint64()
 	rd.Annotate("entry count header")

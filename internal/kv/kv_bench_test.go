@@ -7,7 +7,16 @@ import (
 	"testing"
 )
 
-func benchStore(n int) *ShardedStore { return benchShardedStore(n, 1) }
+// benchStore returns a store holding n accounts.
+func benchStore(n int) *Store {
+	s := New()
+	for i := 0; i < n; i++ {
+		tx := s.Begin()
+		tx.Put(fmt.Sprintf("account_%08d", i), []byte("0000000100"))
+		tx.Commit()
+	}
+	return s
+}
 
 // BenchmarkCommit measures one transaction (SmallBank-style: read-modify-
 // write of two keys) committing against stores of increasing size. The
@@ -59,7 +68,7 @@ func BenchmarkCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkSerialize measures streaming one shard's checkpoint stream, the
+// BenchmarkSerialize measures streaming the store's checkpoint stream, the
 // state-transfer chunk.
 func BenchmarkSerialize(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
@@ -67,7 +76,7 @@ func BenchmarkSerialize(b *testing.B) {
 			s := benchStore(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.SerializeShard(0, io.Discard); err != nil {
+				if err := s.SerializeShard(io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -77,7 +86,7 @@ func BenchmarkSerialize(b *testing.B) {
 
 // BenchmarkWriteSetDigest measures the per-transaction result digest o.
 func BenchmarkWriteSetDigest(b *testing.B) {
-	s := NewSharded(1)
+	s := New()
 	tx := s.Begin()
 	for i := 0; i < 8; i++ {
 		tx.Put(fmt.Sprintf("k%d", i), []byte("value"))
@@ -90,32 +99,21 @@ func BenchmarkWriteSetDigest(b *testing.B) {
 	tx.Abort()
 }
 
-func benchShardedStore(n, shards int) *ShardedStore {
-	s := NewSharded(shards)
-	for i := 0; i < n; i++ {
-		tx := s.Begin()
-		tx.Put(fmt.Sprintf("account_%08d", i), []byte("0000000100"))
-		tx.Commit()
-	}
-	return s
-}
-
 // BenchmarkCheckpointDigest prices d_C in steady state: each iteration
 // commits some writes and takes a checkpoint, on a store whose every node
 // was hashed by the previous one. The cost is the trie paths the writes
 // rewrote, so it follows the writes per checkpoint and (logarithmically)
-// the store size, not the shard count:
+// the store size:
 //
-//   - incremental/n=…: 6 writes per checkpoint over 64 shards, the shape
-//     `make bench-check` has watched since BENCH_pr7.json (then: re-hash
-//     every key of the ≤ 6 touched shards);
-//   - incremental/shards=1/n=…: 256 writes per checkpoint into one shard —
-//     four 64-entry batches at cmd/node's checkpoint interval. The
-//     repository benchmark's saturated batches carry ≈ 116 entries, so its
+//   - incremental/n=…: 6 writes per checkpoint, the shape `make
+//     bench-check` has watched since BENCH_pr7.json (then: re-hash every
+//     key of the ≤ 6 touched shards of 64);
+//   - incremental/writes=256/n=…: 256 writes per checkpoint — four
+//     64-entry batches at cmd/node's checkpoint interval. The repository
+//     benchmark's saturated batches carry ≈ 116 entries, so its
 //     checkpoints see about twice as many writes.
 func BenchmarkCheckpointDigest(b *testing.B) {
-	const shards = 64
-	run := func(b *testing.B, s *ShardedStore, n, writes int) {
+	run := func(b *testing.B, s *Store, n, writes int) {
 		s.CheckpointDigest() // steady state starts fully hashed
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -129,11 +127,11 @@ func BenchmarkCheckpointDigest(b *testing.B) {
 	}
 	for _, n := range []int{10000, 100000, 1000000} {
 		b.Run(fmt.Sprintf("incremental/n=%d", n), func(b *testing.B) {
-			run(b, benchShardedStore(n, shards), n, 6)
+			run(b, benchStore(n), n, 6)
 		})
 	}
 	for _, n := range []int{10000, 100000} {
-		b.Run(fmt.Sprintf("incremental/shards=1/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("incremental/writes=256/n=%d", n), func(b *testing.B) {
 			run(b, benchStore(n), n, 256)
 		})
 	}
@@ -155,7 +153,7 @@ func liveObjects() uint64 {
 // many keys whatever b.N is.
 func benchStoreWrites(b *testing.B, warm int, key func(i int) string) {
 	base := liveObjects()
-	s := NewSharded(1)
+	s := New()
 	val := make([]byte, 32)
 	put := func(i int) {
 		tx := s.Begin()

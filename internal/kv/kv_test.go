@@ -6,12 +6,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"iaccf/internal/hashsig"
 )
 
 func TestBasicTx(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	tx := s.Begin()
 	tx.Put("alice", []byte("100"))
 	tx.Put("bob", []byte("50"))
@@ -31,7 +29,7 @@ func TestBasicTx(t *testing.T) {
 }
 
 func TestAbort(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	tx := s.Begin()
 	tx.Put("k", []byte("v"))
 	tx.Abort()
@@ -41,7 +39,7 @@ func TestAbort(t *testing.T) {
 }
 
 func TestTxDeleteSemantics(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	tx := s.Begin()
 	tx.Put("k", []byte("v"))
 	tx.Commit()
@@ -63,7 +61,7 @@ func TestTxDeleteSemantics(t *testing.T) {
 }
 
 func TestTxFinishedPanics(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	tx := s.Begin()
 	tx.Commit()
 	defer func() {
@@ -75,7 +73,7 @@ func TestTxFinishedPanics(t *testing.T) {
 }
 
 func TestWriteSetDigestDeterministic(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	tx1 := s.Begin()
 	tx1.Put("b", []byte("2"))
 	tx1.Put("a", []byte("1"))
@@ -112,19 +110,20 @@ func TestWriteSetDigestDeterministic(t *testing.T) {
 }
 
 // TestDigestsAllocateNothing: a one-op write set's digest (a write set of
-// more ops sorts a copy, its one allocation) and the d_C combine hash
-// their preimages on the stack.
+// more ops sorts a copy, its one allocation) and d_C of a hashed trie
+// hash their preimages on the stack.
 func TestDigestsAllocateNothing(t *testing.T) {
-	tx := NewSharded(1).Begin()
+	s := New()
+	tx := s.Begin()
 	tx.Put("k", make([]byte, 32))
 	ws := tx.Commit()
-	shards := make([]hashsig.Digest, 8)
+	s.CheckpointDigest()
 	for _, c := range []struct {
 		name string
 		run  func()
 	}{
 		{"WriteSet.Digest", func() { ws.Digest() }},
-		{"CombineShardDigests", func() { CombineShardDigests(shards) }},
+		{"CheckpointDigest", func() { s.CheckpointDigest() }},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got != 0 {
 			t.Errorf("%s: %.1f allocations per call, want 0", c.name, got)
@@ -133,7 +132,7 @@ func TestDigestsAllocateNothing(t *testing.T) {
 }
 
 func TestMarksAndRollback(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	apply := func(k, v string) {
 		tx := s.Begin()
 		tx.Put(k, []byte(v))
@@ -179,7 +178,7 @@ func TestMarksAndRollback(t *testing.T) {
 }
 
 func TestPruneMarks(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	for i := uint64(1); i <= 5; i++ {
 		s.Mark(i)
 	}
@@ -193,7 +192,7 @@ func TestPruneMarks(t *testing.T) {
 }
 
 func TestDigestDeterminism(t *testing.T) {
-	a, b := NewSharded(1), NewSharded(1)
+	a, b := New(), New()
 	// Apply the same logical content in different orders/histories.
 	for i := 0; i < 200; i++ {
 		tx := a.Begin()
@@ -222,13 +221,13 @@ func TestDigestDeterminism(t *testing.T) {
 }
 
 func TestSerializeRestore(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	for i := 0; i < 500; i++ {
 		tx := s.Begin()
 		tx.Put(fmt.Sprintf("key-%04d", i), bytes.Repeat([]byte{byte(i)}, i%32))
 		tx.Commit()
 	}
-	restored := restoreByChunks(t, s)
+	restored := restoreByChunk(t, s)
 	if restored.Len() != s.Len() {
 		t.Fatalf("restored len %d != %d", restored.Len(), s.Len())
 	}
@@ -245,7 +244,7 @@ func TestSerializeRestore(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	tx := s.Begin()
 	tx.Put("a", []byte("1"))
 	tx.Commit()
@@ -264,7 +263,7 @@ func TestClone(t *testing.T) {
 // Regression: Get used to return the slice stored inside the CHAMP map, so
 // mutating the result corrupted every snapshot and mark sharing that node.
 func TestGetReturnsDefensiveCopy(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	tx := s.Begin()
 	tx.Put("k", []byte("original"))
 	tx.Commit()
@@ -305,22 +304,22 @@ func TestGetReturnsDefensiveCopy(t *testing.T) {
 // Round trip through the chunk codec preserves contents, digest, and the
 // serialized byte stream itself.
 func TestWireRoundTripCanonical(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	for i := 0; i < 100; i++ {
 		tx := s.Begin()
 		tx.Put(fmt.Sprintf("key-%03d", i), bytes.Repeat([]byte{byte(i)}, i%17))
 		tx.Commit()
 	}
 	var first bytes.Buffer
-	if err := s.SerializeShard(0, &first); err != nil {
+	if err := s.SerializeShard(&first); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewSharded(1)
-	if err := restored.InstallShard(0, first.Bytes(), s.ShardDigest(0)); err != nil {
+	restored := New()
+	if err := restored.InstallShard(first.Bytes(), s.CheckpointDigest()); err != nil {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := restored.SerializeShard(0, &second); err != nil {
+	if err := restored.SerializeShard(&second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -332,7 +331,7 @@ func TestWireRoundTripCanonical(t *testing.T) {
 }
 
 func TestPutCopiesValue(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	v := []byte("mutable")
 	tx := s.Begin()
 	tx.Put("k", v)
@@ -349,7 +348,7 @@ func TestPutCopiesValue(t *testing.T) {
 func TestQuickRollbackRestoresDigest(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSharded(1)
+		s := New()
 		for i := 0; i < 50; i++ {
 			tx := s.Begin()
 			tx.Put(fmt.Sprintf("k%d", rng.Intn(30)), []byte{byte(rng.Int())})
@@ -392,23 +391,21 @@ func TestTxUseAfterFinishPanics(t *testing.T) {
 	for name, op := range ops {
 		for _, finish := range []string{"Commit", "Abort"} {
 			t.Run(name+"-after-"+finish, func(t *testing.T) {
-				for _, store := range []*ShardedStore{NewSharded(1), NewSharded(4)} {
-					tx := store.Begin()
-					tx.Put("seed", []byte("x"))
-					if finish == "Commit" {
-						tx.Commit()
-					} else {
-						tx.Abort()
-					}
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Fatalf("%s after %s did not panic", name, finish)
-							}
-						}()
-						op(tx)
-					}()
+				tx := New().Begin()
+				tx.Put("seed", []byte("x"))
+				if finish == "Commit" {
+					tx.Commit()
+				} else {
+					tx.Abort()
 				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s after %s did not panic", name, finish)
+						}
+					}()
+					op(tx)
+				}()
 			})
 		}
 	}

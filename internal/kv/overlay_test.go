@@ -13,7 +13,7 @@ import (
 
 // commitOps commits one transaction of puts (val non-nil) and deletes (val
 // nil) in the given order.
-func commitOps(s *ShardedStore, ops ...op) {
+func commitOps(s *Store, ops ...op) {
 	tx := s.Begin()
 	for _, o := range ops {
 		if o.del {
@@ -33,8 +33,8 @@ func del(k string) op    { return op{key: k, del: true} }
 // delete and delete then put within one interval. Puts of pending count
 // puts reach the overlay: a few take the key-by-key flush, many the SetAll
 // one.
-func overlayScenario(shards, pending int) *ShardedStore {
-	s := NewSharded(shards)
+func overlayScenario(pending int) *Store {
+	s := New()
 	for i := 0; i < 40; i++ {
 		commitOps(s, put(fmt.Sprint("base", i), fmt.Sprint("b", i)))
 	}
@@ -68,8 +68,8 @@ func overlayModel(pending int) map[string]string {
 
 // modelStore builds a store holding model, one flushed transaction per key
 // in sorted order: a history that shares nothing with overlayScenario's.
-func modelStore(shards int, model map[string]string) *ShardedStore {
-	s := NewSharded(shards)
+func modelStore(model map[string]string) *Store {
+	s := New()
 	keys := make([]string, 0, len(model))
 	for k := range model {
 		keys = append(keys, k)
@@ -85,13 +85,13 @@ func modelStore(shards int, model map[string]string) *ShardedStore {
 // TestOverlay covers the store's pending writes: every way to read the
 // store, taken as the first call after writes are left pending (so each
 // lands the overlay itself), must agree with a store that held the same
-// contents in its tries all along.
+// contents in its trie all along.
 func TestOverlay(t *testing.T) {
 	reads := []struct {
 		name string
-		read func(t *testing.T, s *ShardedStore) any
+		read func(t *testing.T, s *Store) any
 	}{
-		{"Get", func(t *testing.T, s *ShardedStore) any {
+		{"Get", func(t *testing.T, s *Store) any {
 			var out []string
 			for _, k := range []string{"base0", "base7", "base8", "base9", "gone", "new0", "new5", "absent"} {
 				v, ok := s.Get(k)
@@ -99,7 +99,7 @@ func TestOverlay(t *testing.T) {
 			}
 			return out
 		}},
-		{"Tx.Get", func(t *testing.T, s *ShardedStore) any {
+		{"Tx.Get", func(t *testing.T, s *Store) any {
 			tx := s.Begin()
 			defer tx.Abort()
 			var out []string
@@ -109,36 +109,22 @@ func TestOverlay(t *testing.T) {
 			}
 			return out
 		}},
-		{"Len", func(t *testing.T, s *ShardedStore) any { return s.Len() }},
-		{"CheckpointDigest", func(t *testing.T, s *ShardedStore) any { return s.CheckpointDigest() }},
-		{"ShardDigests", func(t *testing.T, s *ShardedStore) any { return s.ShardDigests() }},
-		{"ShardDigest", func(t *testing.T, s *ShardedStore) any {
-			return s.ShardDigest(int(s.ShardCount()) - 1)
-		}},
-		{"ShardSnapshot", func(t *testing.T, s *ShardedStore) any {
-			var out []hashsig.Digest
-			for i := 0; i < int(s.ShardCount()); i++ {
-				out = append(out, s.ShardSnapshot(i).Hash())
-			}
-			return out
-		}},
-		{"Clone", func(t *testing.T, s *ShardedStore) any {
+		{"Len", func(t *testing.T, s *Store) any { return s.Len() }},
+		{"CheckpointDigest", func(t *testing.T, s *Store) any { return s.CheckpointDigest() }},
+		{"ShardSnapshot", func(t *testing.T, s *Store) any { return s.ShardSnapshot().Hash() }},
+		{"Clone", func(t *testing.T, s *Store) any {
 			c := s.Clone()
 			commitOps(s, put("after-clone", "x")) // the clone must not see it
 			return c.CheckpointDigest()
 		}},
-		{"SerializeShard", func(t *testing.T, s *ShardedStore) any {
-			var out [][]byte
-			for i := 0; i < int(s.ShardCount()); i++ {
-				var b bytes.Buffer
-				if err := s.SerializeShard(i, &b); err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, b.Bytes())
+		{"SerializeShard", func(t *testing.T, s *Store) any {
+			var b bytes.Buffer
+			if err := s.SerializeShard(&b); err != nil {
+				t.Fatal(err)
 			}
-			return out
+			return b.Bytes()
 		}},
-		{"Mark", func(t *testing.T, s *ShardedStore) any {
+		{"Mark", func(t *testing.T, s *Store) any {
 			s.Mark(2)
 			commitOps(s, put("after-mark", "x"))
 			if err := s.RollbackTo(2); err != nil {
@@ -147,106 +133,103 @@ func TestOverlay(t *testing.T) {
 			return s.CheckpointDigest()
 		}},
 	}
-	for _, shards := range []int{1, 4} {
-		for _, pending := range []int{2, 200} {
-			model := overlayModel(pending)
-			for _, r := range reads {
-				t.Run(fmt.Sprintf("shards=%d/pending=%d/%s", shards, pending, r.name), func(t *testing.T) {
-					s := overlayScenario(shards, pending)
-					if len(s.pending.ops) == 0 {
-						t.Fatal("scenario left nothing pending")
-					}
-					got := r.read(t, s)
-					want := r.read(t, modelStore(shards, model))
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("with writes pending:\n got %v\nwant %v", got, want)
-					}
-				})
-			}
+	for _, pending := range []int{2, 200} {
+		model := overlayModel(pending)
+		for _, r := range reads {
+			t.Run(fmt.Sprintf("pending=%d/%s", pending, r.name), func(t *testing.T) {
+				s := overlayScenario(pending)
+				if len(s.pending.ops) == 0 {
+					t.Fatal("scenario left nothing pending")
+				}
+				got := r.read(t, s)
+				want := r.read(t, modelStore(model))
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("with writes pending:\n got %v\nwant %v", got, want)
+				}
+			})
 		}
 	}
 }
 
-// TestOverlayInstallShard: installing one shard's certified contents over
-// a store whose pending writes span every shard replaces that shard and
-// keeps the other shards' pending writes.
+// TestOverlayInstallShard: installing certified contents over a store
+// with writes pending replaces the store's contents, and the pending
+// writes go with them.
 func TestOverlayInstallShard(t *testing.T) {
 	for _, pending := range []int{2, 200} {
-		s := overlayScenario(4, pending)
-		ref := modelStore(4, overlayModel(pending))
+		s := overlayScenario(pending)
+		ref := modelStore(map[string]string{"installed": "i"})
 		var chunk bytes.Buffer
-		if err := ref.SerializeShard(0, &chunk); err != nil {
+		if err := ref.SerializeShard(&chunk); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.InstallShard(0, chunk.Bytes(), ref.ShardDigest(0)); err != nil {
+		if err := s.InstallShard(chunk.Bytes(), ref.CheckpointDigest()); err != nil {
 			t.Fatal(err)
 		}
-		if s.CheckpointDigest() != ref.CheckpointDigest() {
-			t.Fatalf("pending=%d: InstallShard lost pending writes to the other shards", pending)
+		if _, ok := s.Get("new0"); ok {
+			t.Fatalf("pending=%d: a pending write survived InstallShard", pending)
+		}
+		if s.CheckpointDigest() != ref.CheckpointDigest() || s.Len() != 1 {
+			t.Fatalf("pending=%d: InstallShard did not install the certified contents", pending)
 		}
 	}
 }
 
-// TestOverlayRollbackDropsPending: RollbackTo restores the mark's tries and
+// TestOverlayRollbackDropsPending: RollbackTo restores the mark's trie and
 // drops the overlay, whose writes all came after it; a failed rollback
 // keeps both.
 func TestOverlayRollbackDropsPending(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		s := overlayScenario(shards, 200)
-		if err := s.RollbackTo(99); err == nil {
-			t.Fatal("rollback to an unknown mark succeeded")
-		}
-		if _, ok := s.Get("new0"); !ok {
-			t.Fatal("a failed rollback dropped pending writes")
-		}
-		if err := s.RollbackTo(1); err != nil {
-			t.Fatal(err)
-		}
-		base := map[string]string{}
-		for i := 0; i < 40; i++ {
-			base[fmt.Sprint("base", i)] = fmt.Sprint("b", i)
-		}
-		if _, ok := s.Get("new0"); ok {
-			t.Fatal("rollback kept a pending write")
-		}
-		if v, _ := s.Get("base9"); string(v) != "b9" {
-			t.Fatal("rollback kept a pending delete")
-		}
-		if s.CheckpointDigest() != modelStore(shards, base).CheckpointDigest() {
-			t.Fatal("rollback did not restore the mark's digest")
-		}
+	s := overlayScenario(200)
+	if err := s.RollbackTo(99); err == nil {
+		t.Fatal("rollback to an unknown mark succeeded")
+	}
+	if _, ok := s.Get("new0"); !ok {
+		t.Fatal("a failed rollback dropped pending writes")
+	}
+	if err := s.RollbackTo(1); err != nil {
+		t.Fatal(err)
+	}
+	base := map[string]string{}
+	for i := 0; i < 40; i++ {
+		base[fmt.Sprint("base", i)] = fmt.Sprint("b", i)
+	}
+	if _, ok := s.Get("new0"); ok {
+		t.Fatal("rollback kept a pending write")
+	}
+	if v, _ := s.Get("base9"); string(v) != "b9" {
+		t.Fatal("rollback kept a pending delete")
+	}
+	if s.CheckpointDigest() != modelStore(base).CheckpointDigest() {
+		t.Fatal("rollback did not restore the mark's digest")
 	}
 }
 
 // TestOverlaySnapshotAcrossFlush: a transaction reads the store as of its
-// Begin — shard heads and overlay — through a flush and a later commit into
+// Begin — trie head and overlay — through a flush and a later commit into
 // the next overlay, and its commit still lands on the current state.
 func TestOverlaySnapshotAcrossFlush(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		s := NewSharded(shards)
-		commitOps(s, put("k", "v1"), put("j", "j1"))
-		s.Mark(1)
-		commitOps(s, put("k", "v2")) // pending
-		reader := s.Begin()
-		commitOps(s, put("k", "v3"), del("j")) // copies the overlay reader holds
-		s.CheckpointDigest()                   // flush
-		commitOps(s, put("k", "v4"))           // into the next overlay
-		if v, _ := reader.Get("k"); string(v) != "v2" {
-			t.Fatalf("shards=%d: reader saw %q, want its snapshot's v2", shards, v)
+	s := New()
+	commitOps(s, put("k", "v1"), put("j", "j1"))
+	s.Mark(1)
+	commitOps(s, put("k", "v2")) // pending
+	reader := s.Begin()
+	commitOps(s, put("k", "v3"), del("j")) // copies the overlay reader holds
+	s.CheckpointDigest()                   // flush
+	commitOps(s, put("k", "v4"))           // into the next overlay
+	if v, _ := reader.Get("k"); string(v) != "v2" {
+		t.Fatalf("reader saw %q, want its snapshot's v2", v)
+	}
+	if v, _ := reader.Get("j"); string(v) != "j1" {
+		t.Fatal("reader saw a later delete")
+	}
+	reader.Put("r", []byte("r"))
+	reader.Commit()
+	for k, want := range map[string]string{"k": "v4", "r": "r"} {
+		if v, _ := s.Get(k); string(v) != want {
+			t.Fatalf("%s is %q, want %q", k, v, want)
 		}
-		if v, _ := reader.Get("j"); string(v) != "j1" {
-			t.Fatalf("shards=%d: reader saw a later delete", shards)
-		}
-		reader.Put("r", []byte("r"))
-		reader.Commit()
-		for k, want := range map[string]string{"k": "v4", "r": "r"} {
-			if v, _ := s.Get(k); string(v) != want {
-				t.Fatalf("shards=%d: %s is %q, want %q", shards, k, v, want)
-			}
-		}
-		if _, ok := s.Get("j"); ok {
-			t.Fatalf("shards=%d: delete lost", shards)
-		}
+	}
+	if _, ok := s.Get("j"); ok {
+		t.Fatal("delete lost")
 	}
 }
 
@@ -254,7 +237,7 @@ func TestOverlaySnapshotAcrossFlush(t *testing.T) {
 // panicked) makes the next commit copy the overlay it captured, once;
 // every later commit writes in place again.
 func TestOverlayAbandonedTx(t *testing.T) {
-	s := NewSharded(1)
+	s := New()
 	commitOps(s, put("a", "1"))
 	abandoned := s.Begin()
 	abandoned.Put("a", []byte("x"))
@@ -281,7 +264,7 @@ func TestOverlayAbandonedTx(t *testing.T) {
 func TestTxLargeMatchesMap(t *testing.T) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewSource(48))
-	s := NewSharded(4)
+	s := New()
 	commitOps(s, put("k17", "before"), put("outside", "o"))
 	ref := map[string][]byte{} // nil: deleted
 	tx := s.Begin()
@@ -338,7 +321,7 @@ func TestTxLargeMatchesMap(t *testing.T) {
 			model[k] = string(v)
 		}
 	}
-	if s.CheckpointDigest() != modelStore(4, model).CheckpointDigest() {
+	if s.CheckpointDigest() != modelStore(model).CheckpointDigest() {
 		t.Fatal("store after the large commit differs from the reference")
 	}
 }

@@ -2,71 +2,11 @@ package ledger
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"iaccf/internal/hashsig"
 )
-
-// genSkewedBatch layers author skew over genBatch: hotTenths/10 of the
-// requests are re-authored by one hot client, so that fraction of the
-// batch routes to a single per-shard batch tree (entries shard by author).
-// ReqNos stay unique within the batch, so re-authoring never collides.
-func genSkewedBatch(rng *rand.Rand, n, keyPool, hotTenths int) []Request {
-	out := genBatch(rng, n, keyPool)
-	hot := hashsig.Sum([]byte("hot-client"))
-	for i := range out {
-		if rng.Intn(10) < hotTenths {
-			out[i].Author = hot
-		}
-	}
-	return out
-}
-
-// TestParallelMatchesSequentialUnderAuthorSkew holds shard counts 1, 4 and
-// 16 to one derivation under shard-placement skew: with 90% of entries
-// landing in one shard tree, the arena'd proof builder, the shared per-shard top path and
-// the pipelined leaf hashing must still emit byte-identical headers and
-// receipts, and identical post-state, at GOMAXPROCS=4 and GOMAXPROCS=1.
-// Header equality is checked via ContentDigest, which covers ¯M, ¯G, and
-// d_C — so checkpoint digests are compared batch by batch, not just at the
-// end. The resulting stream must replay to the live ledger's roots under
-// both of Replay's schedules, inline and pipelined.
-func TestParallelMatchesSequentialUnderAuthorSkew(t *testing.T) {
-	for _, shards := range []uint32{1, 4, 16} {
-		for _, hotTenths := range []int{0, 9} {
-			label := fmt.Sprintf("shards=%d/hot=%d0%%", shards, hotTenths)
-			t.Run(label, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(shards)*100 + int64(hotTenths)))
-				par, err := New(Config{Key: testKey, App: KVApp{}, Shards: shards, CheckpointEvery: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				seq, err := New(Config{Key: testKey, App: KVApp{}, Shards: shards, CheckpointEvery: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for batch := 0; batch < 4; batch++ {
-					reqs := genSkewedBatch(rng, 64+rng.Intn(100), 512, hotTenths)
-					executeAlike(t, fmt.Sprintf("%s/batch=%d", label, batch), par, seq, reqs)
-				}
-				stream := par.Batches()
-				for _, procs := range []int{1, 2} {
-					var res *ReplayResult
-					atProcs(procs, func() { res, err = Replay(stream, testKey.Public(), KVApp{}, nil) })
-					if err != nil {
-						t.Fatalf("%s: replay at GOMAXPROCS=%d: %v", label, procs, err)
-					}
-					if res.HistSize != par.HistSize() || res.HistRoot != par.HistRoot() ||
-						res.StateDigest != par.StateDigest() || res.CkptDigest != stream[len(stream)-1].Header.CkptDigest {
-						t.Fatalf("%s: replay at GOMAXPROCS=%d diverges from the live ledger", label, procs)
-					}
-				}
-			})
-		}
-	}
-}
 
 // receiptSnap deep-copies everything a client retains from a receipt.
 type receiptSnap struct {
@@ -84,7 +24,7 @@ type receiptSnap struct {
 func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(42))
-	l, err := New(Config{Key: testKey, App: KVApp{}, Shards: 8, CheckpointEvery: 2})
+	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

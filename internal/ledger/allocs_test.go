@@ -15,7 +15,7 @@ import (
 
 // allocStream is the fixed stream TestAllocsPerEntry prices: four 64-entry
 // batches in BenchmarkReplay's (and audit.replay's) shape — one 32-byte put
-// per request over 8 192 keys, one shard, a checkpoint every 4 batches, so
+// per request over 8 192 keys, a checkpoint every 4 batches, so
 // the last batch ends with a marker: 257 entries.
 func allocStream(t testing.TB) (reqs [][]Request, stream []*Batch) {
 	l := allocLedger(t)
@@ -40,7 +40,7 @@ func allocStream(t testing.TB) (reqs [][]Request, stream []*Batch) {
 }
 
 func allocLedger(t testing.TB) *Ledger {
-	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 4, Shards: 1})
+	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestKVAppAllocatesWhatIsPresent(t *testing.T) {
 		{0, 1, 0, 0, 1, 0, 0, 0},    // and the start of one
 		{0, 0, 0, 2, 0, 0, 0, 0, 1}, // two claimed, one truncated delete
 	} {
-		store := kv.NewSharded(1)
+		store := kv.New()
 		var err error
 		perCall := allocatedPerCall(20, func() {
 			tx := store.Begin()
@@ -190,7 +190,7 @@ func FuzzKVAppExecute(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1})
 	f.Add([]byte{0, 0, 0, 1, 2, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tx := kv.NewSharded(1).Begin()
+		tx := kv.New().Begin()
 		defer tx.Abort()
 		err := KVApp{}.Execute(tx, data)
 		want, ok := referenceOps(data)

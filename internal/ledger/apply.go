@@ -3,40 +3,34 @@ package ledger
 import (
 	"errors"
 	"fmt"
-
-	"iaccf/internal/kv"
 )
 
 // ErrApply reports a proposed batch that diverges from this replica's own
 // execution: a forged result, a wrong root, a misplaced checkpoint (each
-// also a *Divergence, see errors.As), or a sequence/shard mismatch. The
+// also a *Divergence, see errors.As), or a sequence mismatch. The
 // ledger is rolled back to the pre-batch boundary before the error is
 // returned (Lemma 1), so a backup that rejects a pre-prepare keeps exactly
 // the state it had before speculating.
 var ErrApply = errors.New("ledger: proposed batch diverges from local execution")
 
 // CheckBatchShape verifies, without executing anything, that the batch's
-// entries reproduce the header's combined batch tree: per-shard G_s trees
-// over the entry digests, rolled up into ¯G, under the header's declared
-// shard count. Consensus uses it to validate relayed batches (view-change
+// entries reproduce the header's batch tree: GSize entries whose tree G has
+// the root ¯G. Consensus uses it to validate relayed batches (view-change
 // certificates) whose header signature covers ¯G but whose entries travel
 // outside any signature: tampered entries cannot pass.
 func CheckBatchShape(b *Batch) error {
 	h := &b.Header
-	if h.Shards < 1 || h.Shards > kv.MaxShards {
-		return fmt.Errorf("%w: batch %d: shard count %d", ErrBadBatch, h.Seq, h.Shards)
-	}
 	if got := uint64(len(b.Entries)); got != h.GSize {
 		return fmt.Errorf("%w: batch %d: %d entries, header claims %d", ErrBadBatch, h.Seq, got, h.GSize)
 	}
 	var scratch execScratch
-	scratch.grow(len(b.Entries), h.Shards)
+	scratch.grow(len(b.Entries))
 	hasher := newEntryHasher(&scratch, len(b.Entries))
 	for ei := range b.Entries {
 		hasher.submit(ei, &b.Entries[ei])
 	}
 	hasher.wait()
-	if _, top := scratch.batchTrees(b.Entries, scratch.leaves, h.Shards); top.Root() != h.GRoot {
+	if batchTree(scratch.leaves).Root() != h.GRoot {
 		return fmt.Errorf("%w: batch %d: batch root mismatch", ErrBadBatch, h.Seq)
 	}
 	return nil
@@ -45,8 +39,8 @@ func CheckBatchShape(b *Batch) error {
 // ApplyBatch is the backup policy, the other half of a pre-prepare: it
 // runs a batch proposed by another replica through this ledger's own core,
 // which re-executes it and compares every field the proposer's content
-// commits to — per-entry results, the checkpoint marker, the combined batch
-// root ¯G under the declared partition, the history root ¯M, and the
+// commits to — per-entry results, the checkpoint marker, the batch root
+// ¯G, the history root ¯M, and the
 // checkpoint digest d_C. If they all reproduce, and the marker is present
 // exactly when this replica's checkpoint interval says one is due, it
 // adopts the batch under the header as received — the primary's statement,
@@ -63,9 +57,6 @@ func (l *Ledger) ApplyBatch(b *Batch) (*BatchHeader, error) {
 	h := &b.Header
 	if h.Seq != l.nextSeq {
 		return nil, fmt.Errorf("%w: batch seq %d, replica expects %d", ErrApply, h.Seq, l.nextSeq)
-	}
-	if h.Shards != l.cfg.Shards {
-		return nil, fmt.Errorf("%w: batch built under %d shards, replica runs %d", ErrApply, h.Shards, l.cfg.Shards)
 	}
 	seq := h.Seq
 	l.mark(seq)

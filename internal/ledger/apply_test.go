@@ -10,14 +10,13 @@ import (
 	"iaccf/internal/hashsig"
 )
 
-func applyPair(t *testing.T, shards uint32) (*Ledger, *Ledger) {
+func applyPair(t *testing.T) (*Ledger, *Ledger) {
 	t.Helper()
 	mk := func(seed string) *Ledger {
 		l, err := New(Config{
 			Key:             hashsig.GenerateKeyFromSeed(seed),
 			App:             KVApp{},
 			CheckpointEvery: 2,
-			Shards:          shards,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -43,40 +42,38 @@ func applyReqs(base uint64, n int) []Request {
 // accepted — the primary's statement under the primary's signature — and
 // ApplyBatch signs nothing.
 func TestApplyBatchAdoptsAsReceived(t *testing.T) {
-	for _, shards := range []uint32{1, 4} {
-		primary, backup := applyPair(t, shards)
-		for seq := uint64(1); seq <= 4; seq++ {
-			batch, _, err := primary.ExecuteBatch(applyReqs(seq*10, 3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			signs, _ := hashsig.Counts()
-			own, err := backup.ApplyBatch(batch)
-			if err != nil {
-				t.Fatalf("shards %d seq %d: ApplyBatch: %v", shards, seq, err)
-			}
-			if after, _ := hashsig.Counts(); after != signs {
-				t.Fatalf("shards %d seq %d: ApplyBatch signed %d times, want 0", shards, seq, after-signs)
-			}
-			if own.StatementDigest() != batch.Header.StatementDigest() || !bytes.Equal(own.Sig, batch.Header.Sig) {
-				t.Fatalf("shards %d seq %d: backup did not adopt the primary's header as received", shards, seq)
-			}
-			if own == &batch.Header {
-				t.Fatal("retained header aliases the caller's")
-			}
-			if !own.Verify(primary.cfg.Key.Public()) {
-				t.Fatal("adopted header does not verify under the primary key")
-			}
-			if own.Verify(backup.cfg.Key.Public()) {
-				t.Fatal("adopted header verifies under the backup key")
-			}
+	primary, backup := applyPair(t)
+	for seq := uint64(1); seq <= 4; seq++ {
+		batch, _, err := primary.ExecuteBatch(applyReqs(seq*10, 3))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if primary.StateDigest() != backup.StateDigest() {
-			t.Fatal("states diverged after honest applies")
+		signs, _ := hashsig.Counts()
+		own, err := backup.ApplyBatch(batch)
+		if err != nil {
+			t.Fatalf("seq %d: ApplyBatch: %v", seq, err)
 		}
-		if got := len(backup.Batches()); got != 4 {
-			t.Fatalf("backup retains %d batches, want 4", got)
+		if after, _ := hashsig.Counts(); after != signs {
+			t.Fatalf("seq %d: ApplyBatch signed %d times, want 0", seq, after-signs)
 		}
+		if own.StatementDigest() != batch.Header.StatementDigest() || !bytes.Equal(own.Sig, batch.Header.Sig) {
+			t.Fatalf("seq %d: backup did not adopt the primary's header as received", seq)
+		}
+		if own == &batch.Header {
+			t.Fatal("retained header aliases the caller's")
+		}
+		if !own.Verify(primary.cfg.Key.Public()) {
+			t.Fatal("adopted header does not verify under the primary key")
+		}
+		if own.Verify(backup.cfg.Key.Public()) {
+			t.Fatal("adopted header verifies under the backup key")
+		}
+	}
+	if primary.StateDigest() != backup.StateDigest() {
+		t.Fatal("states diverged after honest applies")
+	}
+	if got := len(backup.Batches()); got != 4 {
+		t.Fatalf("backup retains %d batches, want 4", got)
 	}
 }
 
@@ -120,10 +117,9 @@ func TestTamperedBatchRejectedAlike(t *testing.T) {
 	}{
 		{"forged result", func(b *Batch) { b.Entries[0].Result[0] ^= 1 }, "Result"},
 		{"tampered payload", func(b *Batch) { b.Entries[1].Payload = EncodeOps([]Op{{Key: "evil", Val: []byte("x")}}) }, "Result"},
-		{"swapped entries", func(b *Batch) { b.Entries[0], b.Entries[1] = b.Entries[1], b.Entries[0] }, "MRoot"},
+		{"swapped entries", func(b *Batch) { b.Entries[0], b.Entries[1] = b.Entries[1], b.Entries[0] }, "GRoot"}, // G orders the entries as M does
 		{"unknown kind", func(b *Batch) { b.Entries[0].Kind = 99 }, "Kind"},
 		{"wrong seq", func(b *Batch) { b.Header.Seq = 7 }, ""},
-		{"wrong shard count", func(b *Batch) { b.Header.Shards = 2 }, ""},
 		{"wrong batch root", func(b *Batch) { b.Header.GRoot[0] ^= 1 }, "GRoot"},
 		{"wrong history root", func(b *Batch) { b.Header.MRoot[0] ^= 1 }, "MRoot"},
 		{"wrong history size", func(b *Batch) { b.Header.HistSize++ }, "HistSize"},
@@ -135,7 +131,7 @@ func TestTamperedBatchRejectedAlike(t *testing.T) {
 		{"marker missing", func(b *Batch) { b.Entries = b.Entries[:len(b.Entries)-1] }, "GSize"},
 	}
 	for _, size := range []int{3, 72} {
-		primary, backup := applyPair(t, 4)
+		primary, backup := applyPair(t)
 		pub := primary.cfg.Key.Public()
 		// Advance both one batch so the divergence cases run mid-stream.
 		warm, _, err := primary.ExecuteBatch(applyReqs(5, size))
@@ -209,7 +205,7 @@ func TestTamperedBatchRejectedAlike(t *testing.T) {
 // interval rejects the first batch whose marker is undue or overdue.
 func TestApplyBatchEnforcesCheckpointInterval(t *testing.T) {
 	mk := func(every uint64) *Ledger {
-		l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: every, Shards: 4})
+		l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: every})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +243,7 @@ func TestApplyBatchEnforcesCheckpointInterval(t *testing.T) {
 }
 
 func TestApplyBatchThenRollbackTo(t *testing.T) {
-	primary, backup := applyPair(t, 1)
+	primary, backup := applyPair(t)
 	b1, _, err := primary.ExecuteBatch(applyReqs(10, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +276,7 @@ func TestApplyBatchThenRollbackTo(t *testing.T) {
 // its own envelope names; the single-key form, and a key function that
 // knows no signer for a header, reject the same stream.
 func TestReplayKeyedTwoSigners(t *testing.T) {
-	first, second := applyPair(t, 1)
+	first, second := applyPair(t)
 	pubs := []*hashsig.PublicKey{first.cfg.Key.Public(), second.cfg.Key.Public()}
 	b1, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0}, applyReqs(10, 3))
 	if err != nil {
@@ -321,7 +317,7 @@ func TestReplayKeyedTwoSigners(t *testing.T) {
 // statement — one signature, by the restating ledger's key, and the ledger
 // itself is untouched.
 func TestRestateKeepsContent(t *testing.T) {
-	first, second := applyPair(t, 1)
+	first, second := applyPair(t)
 	b, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0, NonceCommit: hashsig.Sum([]byte("n0"))}, applyReqs(10, 3))
 	if err != nil {
 		t.Fatal(err)

@@ -11,37 +11,27 @@ import (
 // Checkpoint is the retained materialization of one checkpoint boundary:
 // everything a replica needs to serve chunked state transfer for that
 // boundary, or to resume execution from it. The store snapshot is a
-// copy-on-write clone (O(shards), shares the immutable tries), the shard
-// digest vector is the one d_C commits to (chunk i, SerializeShard(i)'s
-// bytes, verifies by kv's InstallShard against element i), and the frontier
-// is the history tree's compact state at the boundary, so a restored tree
-// appends onward to the same roots ¯M.
+// copy-on-write clone (O(1), shares the immutable trie) whose one chunk,
+// SerializeShard's bytes, verifies by kv's InstallShard against Digest,
+// and the frontier is the history tree's compact state at the boundary, so
+// a restored tree appends onward to the same roots ¯M.
 type Checkpoint struct {
-	Seq          uint64
-	Store        *kv.ShardedStore
-	ShardDigests []hashsig.Digest
-	Frontier     merkle.Frontier
-	Digest       hashsig.Digest // d_C at Seq
+	Seq      uint64
+	Store    *kv.Store
+	Frontier merkle.Frontier
+	Digest   hashsig.Digest // d_C at Seq
 }
 
 // captureCheckpoint records the checkpoint materialization for seq. Called
 // by adopt when seq is a checkpoint boundary — after the batch's entries landed in the history tree, so the
-// frontier matches the signed header's (HistSize, ¯M). Every trie node is
-// hashed at this point (CheckpointDigest just ran), so the digest vector
-// costs one small hash per shard.
+// frontier matches the signed header's (HistSize, ¯M).
 func (l *Ledger) captureCheckpoint(seq uint64) {
 	f, err := l.hist.Frontier()
 	if err != nil {
 		// The frontier of the tree's own current size cannot be out of range.
 		panic(err)
 	}
-	l.ckpts = append(l.ckpts, &Checkpoint{
-		Seq:          seq,
-		Store:        l.store.Clone(),
-		ShardDigests: l.store.ShardDigests(),
-		Frontier:     f,
-		Digest:       l.lastCkpt,
-	})
+	l.ckpts = append(l.ckpts, &Checkpoint{Seq: seq, Store: l.store.Clone(), Frontier: f, Digest: l.lastCkpt})
 }
 
 // CheckpointAt returns the latest retained checkpoint with Seq <= upTo, or
@@ -116,15 +106,11 @@ func (l *Ledger) Prune(before uint64) {
 // tree is restored from the frontier (appends onward reproduce ¯M; paths
 // and rollback below the boundary are unavailable), and the next batch has
 // sequence number ck.Seq+1. The caller must have verified the checkpoint
-// against a signed d_C before trusting it; this constructor only checks
-// structural coherence with the configuration.
+// against a signed d_C before trusting it.
 func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Ledger, error) {
 	l, err := New(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if got := ck.Store.ShardCount(); got != l.cfg.Shards {
-		return nil, fmt.Errorf("%w: checkpoint has %d shards, config wants %d", ErrConfig, got, l.cfg.Shards)
 	}
 	hist, err := merkle.FromFrontier(ck.Frontier)
 	if err != nil {

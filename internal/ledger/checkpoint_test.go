@@ -70,50 +70,48 @@ func TestPruneBoundsRetention(t *testing.T) {
 // applied the batches and signed nothing — and returns nil for a pruned or
 // unknown seq.
 func TestReceiptsFromRetainedBatches(t *testing.T) {
-	for _, shards := range []uint32{1, 4} {
-		cfg := Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2, Shards: shards}
-		primary, err := New(cfg)
+	cfg := Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2}
+	primary, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := map[uint64][][]byte{}
+	for seq := uint64(1); seq <= 6; seq++ {
+		b, rcs, err := primary.ExecuteBatch([]Request{
+			putReq("alice", seq, fmt.Sprintf("a%d", seq), "x"),
+			{Governance: true, Author: hashsig.Sum([]byte("member")), Body: []byte("gov")},
+			putReq("bob", seq, "shared", fmt.Sprintf("%d", seq)),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		backup, err := New(cfg)
-		if err != nil {
+		if _, err := backup.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		cut := map[uint64][][]byte{}
-		for seq := uint64(1); seq <= 6; seq++ {
-			b, rcs, err := primary.ExecuteBatch([]Request{
-				putReq("alice", seq, fmt.Sprintf("a%d", seq), "x"),
-				{Governance: true, Author: hashsig.Sum([]byte("member")), Body: []byte("gov")},
-				putReq("bob", seq, "shared", fmt.Sprintf("%d", seq)),
-			})
-			if err != nil {
-				t.Fatal(err)
+		for i := range rcs {
+			cut[seq] = append(cut[seq], EncodeReceipt(nil, &rcs[i]))
+		}
+	}
+	primary.Prune(5)
+	for seq := uint64(0); seq <= 7; seq++ {
+		if rcs := primary.Receipts(seq); seq < 5 || seq > 6 {
+			if rcs != nil {
+				t.Fatalf("%d receipts for seq %d, which is not retained", len(rcs), seq)
 			}
-			if _, err := backup.ApplyBatch(b); err != nil {
-				t.Fatal(err)
+			continue
+		}
+		for name, l := range map[string]*Ledger{"primary": primary, "backup": backup} {
+			rcs := l.Receipts(seq)
+			if len(rcs) != 2 {
+				t.Fatalf("%s: %d receipts for seq %d, want 2", name, len(rcs), seq)
 			}
 			for i := range rcs {
-				cut[seq] = append(cut[seq], EncodeReceipt(nil, &rcs[i]))
-			}
-		}
-		primary.Prune(5)
-		for seq := uint64(0); seq <= 7; seq++ {
-			if rcs := primary.Receipts(seq); seq < 5 || seq > 6 {
-				if rcs != nil {
-					t.Fatalf("shards %d: %d receipts for seq %d, which is not retained", shards, len(rcs), seq)
-				}
-				continue
-			}
-			for name, l := range map[string]*Ledger{"primary": primary, "backup": backup} {
-				rcs := l.Receipts(seq)
-				if len(rcs) != 2 {
-					t.Fatalf("shards %d, %s: %d receipts for seq %d, want 2", shards, name, len(rcs), seq)
-				}
-				for i := range rcs {
-					if !bytes.Equal(EncodeReceipt(nil, &rcs[i]), cut[seq][i]) || !rcs[i].Verify(testKey.Public()) {
-						t.Fatalf("shards %d, %s: receipt %d of seq %d is not the one ExecuteBatch cut", shards, name, i, seq)
-					}
+				if !bytes.Equal(EncodeReceipt(nil, &rcs[i]), cut[seq][i]) || !rcs[i].Verify(testKey.Public()) {
+					t.Fatalf("%s: receipt %d of seq %d is not the one ExecuteBatch cut", name, i, seq)
 				}
 			}
 		}
@@ -184,62 +182,56 @@ func TestNewFromCheckpointResumes(t *testing.T) {
 	if cand.StateDigest() != l.StateDigest() {
 		t.Fatal("resumed ledger's state diverges from the original")
 	}
-	// Shard-count mismatch is rejected up front.
-	if _, err := NewFromCheckpoint(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2, Shards: 4}, ck); err == nil {
-		t.Fatal("checkpoint with 1 shard accepted by a 4-shard config")
-	}
 }
 
 // TestReplayFromMatchesFullReplay is the audit-equivalence property
 // (paper §3.4, §5): resuming verification from any retained checkpoint must
 // accept exactly the streams a from-genesis replay accepts and reach the
-// same summary, across shard counts.
+// same summary.
 func TestReplayFromMatchesFullReplay(t *testing.T) {
 	pool := hashsig.NewVerifierPool(4)
 	defer pool.Close()
-	for _, shards := range []uint32{1, 4, 16} {
-		l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 3, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
+	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBatches(t, l, 8)
+	full, err := Replay(l.Batches(), testKey.Public(), KVApp{}, pool)
+	if err != nil {
+		t.Fatalf("full replay: %v", err)
+	}
+	for _, ckSeq := range []uint64{3, 6} {
+		ck := l.CheckpointAt(ckSeq)
+		if ck == nil || ck.Seq != ckSeq {
+			t.Fatalf("no checkpoint at %d", ckSeq)
 		}
-		runBatches(t, l, 8)
-		full, err := Replay(l.Batches(), testKey.Public(), KVApp{}, pool)
-		if err != nil {
-			t.Fatalf("shards %d: full replay: %v", shards, err)
+		var suffix []*Batch
+		for seq := ckSeq + 1; seq <= 8; seq++ {
+			suffix = append(suffix, l.BatchAt(seq))
 		}
-		for _, ckSeq := range []uint64{3, 6} {
-			ck := l.CheckpointAt(ckSeq)
-			if ck == nil || ck.Seq != ckSeq {
-				t.Fatalf("shards %d: no checkpoint at %d", shards, ckSeq)
-			}
-			var suffix []*Batch
-			for seq := ckSeq + 1; seq <= 8; seq++ {
-				suffix = append(suffix, l.BatchAt(seq))
-			}
-			got, err := ReplayFrom(ck, suffix, testKey.Public(), KVApp{}, pool)
-			if err != nil {
-				t.Fatalf("shards %d ckpt %d: ReplayFrom: %v", shards, ckSeq, err)
-			}
-			if got.HistRoot != full.HistRoot || got.HistSize != full.HistSize {
-				t.Fatalf("shards %d ckpt %d: resumed ¯M diverges from full replay", shards, ckSeq)
-			}
-			if got.StateDigest != full.StateDigest {
-				t.Fatalf("shards %d ckpt %d: resumed state diverges from full replay", shards, ckSeq)
-			}
-			if got.Shards != full.Shards || got.CkptDigest != full.CkptDigest {
-				t.Fatalf("shards %d ckpt %d: resumed summary diverges from full replay", shards, ckSeq)
-			}
-			// A tampered suffix is rejected from a checkpoint exactly as it
-			// is from genesis.
-			bad := deepCopyBatches(suffix)
-			bad[len(bad)-1].Entries[0].Payload[0] ^= 0xff
-			if _, err := ReplayFrom(ck, bad, testKey.Public(), KVApp{}, pool); err == nil {
-				t.Fatalf("shards %d ckpt %d: tampered suffix accepted", shards, ckSeq)
-			}
-			// A suffix that does not start at ck.Seq+1 is rejected.
-			if _, err := ReplayFrom(ck, suffix[1:], testKey.Public(), KVApp{}, pool); err == nil {
-				t.Fatalf("shards %d ckpt %d: gapped suffix accepted", shards, ckSeq)
-			}
+		got, err := ReplayFrom(ck, suffix, testKey.Public(), KVApp{}, pool)
+		if err != nil {
+			t.Fatalf("ckpt %d: ReplayFrom: %v", ckSeq, err)
+		}
+		if got.HistRoot != full.HistRoot || got.HistSize != full.HistSize {
+			t.Fatalf("ckpt %d: resumed ¯M diverges from full replay", ckSeq)
+		}
+		if got.StateDigest != full.StateDigest {
+			t.Fatalf("ckpt %d: resumed state diverges from full replay", ckSeq)
+		}
+		if got.CkptDigest != full.CkptDigest {
+			t.Fatalf("ckpt %d: resumed summary diverges from full replay", ckSeq)
+		}
+		// A tampered suffix is rejected from a checkpoint exactly as it
+		// is from genesis.
+		bad := deepCopyBatches(suffix)
+		bad[len(bad)-1].Entries[0].Payload[0] ^= 0xff
+		if _, err := ReplayFrom(ck, bad, testKey.Public(), KVApp{}, pool); err == nil {
+			t.Fatalf("ckpt %d: tampered suffix accepted", ckSeq)
+		}
+		// A suffix that does not start at ck.Seq+1 is rejected.
+		if _, err := ReplayFrom(ck, suffix[1:], testKey.Public(), KVApp{}, pool); err == nil {
+			t.Fatalf("ckpt %d: gapped suffix accepted", ckSeq)
 		}
 	}
 }

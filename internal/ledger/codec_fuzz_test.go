@@ -10,8 +10,8 @@ import (
 
 // codecCorpus is every seed the two client-RPC decoders start from: the
 // encoders' output for requests of each shape and for receipts cut from
-// one- and four-shard batches, plus a truncation and a trailing byte of
-// each.
+// two batches — the second carries a checkpoint marker, so its paths are a
+// level longer — plus a truncation and a trailing byte of each.
 func codecCorpus(tb testing.TB) (requests, receipts [][]byte) {
 	author := hashsig.Sum([]byte("codec-fuzz-client"))
 	for _, rq := range []Request{
@@ -21,16 +21,16 @@ func codecCorpus(tb testing.TB) (requests, receipts [][]byte) {
 	} {
 		requests = append(requests, EncodeRequest(nil, &rq))
 	}
-	for _, shards := range []uint32{1, 4} {
-		l, err := New(Config{Key: testKey, App: KVApp{}, Shards: shards})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		reqs := []Request{
-			{Author: author, ReqNo: 1, Body: EncodeOps([]Op{{Key: "a", Val: []byte("1")}})},
-			{Author: hashsig.Sum([]byte("other")), ReqNo: 1, Body: []byte{0xff}}, // aborts: zero result
-			{Author: author, ReqNo: 2, Body: EncodeOps([]Op{{Key: "a", Delete: true}})},
-		}
+	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reqs := []Request{
+		{Author: author, ReqNo: 1, Body: EncodeOps([]Op{{Key: "a", Val: []byte("1")}})},
+		{Author: hashsig.Sum([]byte("other")), ReqNo: 1, Body: []byte{0xff}}, // aborts: zero result
+		{Author: author, ReqNo: 2, Body: EncodeOps([]Op{{Key: "a", Delete: true}})},
+	}
+	for range 2 {
 		_, rcs, err := l.ExecuteBatch(reqs)
 		if err != nil {
 			tb.Fatal(err)

@@ -13,8 +13,7 @@ import (
 // a header signs. It is single-writer, like the replica execution loop.
 type core struct {
 	app      App
-	shards   uint32
-	store    *kv.ShardedStore
+	store    *kv.Store
 	hist     *merkle.Tree
 	lastCkpt hashsig.Digest // d_C of the latest checkpoint marker executed
 	scratch  execScratch
@@ -62,11 +61,11 @@ func diverge(h *BatchHeader, entry int, field, format string, args ...any) *Dive
 // The audit policy runs every check of both halves on a checker goroutine
 // of its own, a batch behind execution (replay.go).
 func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHeader, *Divergence) {
-	c.scratch.grow(len(entries), c.shards)
+	c.scratch.grow(len(entries))
 	if div := c.execute(seq, entries, want, nil); div != nil {
 		return BatchHeader{}, div
 	}
-	got := c.header(seq, len(entries), c.commit(entries))
+	got := c.header(seq, len(entries), c.commit())
 	if want != nil {
 		if div := compareHeader(want, &got); div != nil {
 			return BatchHeader{}, div
@@ -76,13 +75,13 @@ func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHead
 }
 
 // commit is the commitment half given the batch's leaf hashes in the
-// scratch: the G_s/¯G roll-up, then every leaf appended to M.
-func (c *core) commit(entries []Entry) hashsig.Digest {
-	_, top := c.scratch.batchTrees(entries, c.scratch.leaves, c.shards)
+// scratch: the batch tree's root ¯G, then every leaf appended to M.
+func (c *core) commit() hashsig.Digest {
+	g := batchTree(c.scratch.leaves)
 	for _, lh := range c.scratch.leaves {
 		c.hist.AppendLeafHash(lh)
 	}
-	return top.Root()
+	return g.Root()
 }
 
 // header assembles the content this core derived for batch seq of n
@@ -94,7 +93,6 @@ func (c *core) header(seq uint64, n int, gRoot hashsig.Digest) BatchHeader {
 		MRoot:      c.hist.Root(),
 		GRoot:      gRoot,
 		GSize:      uint64(n),
-		Shards:     c.shards,
 		CkptDigest: c.lastCkpt,
 	}
 }
@@ -219,7 +217,7 @@ func (c *core) marker(seq uint64, entries []Entry, ei int, want *BatchHeader) *D
 // otherwise, incrementally either way: only the trie paths written since
 // the previous checkpoint re-hash. It becomes the digest later headers
 // reference.
-func (c *core) checkpoint(want *BatchHeader, ei int, e *Entry, store *kv.ShardedStore) *Divergence {
+func (c *core) checkpoint(want *BatchHeader, ei int, e *Entry, store *kv.Store) *Divergence {
 	d := store.CheckpointDigest()
 	if want == nil {
 		e.State = d
@@ -231,35 +229,22 @@ func (c *core) checkpoint(want *BatchHeader, ei int, e *Entry, store *kv.Sharded
 }
 
 // execScratch is per-batch working storage handed batch to batch: the
-// digest and leaf-hash vectors plus the per-shard grouping tables. Nothing
-// stored here may escape derive's or Receipts' caller — every value a
-// caller retains (entries, headers, receipt paths, payloads) is freshly
-// allocated or arena-backed per batch. The core is single-writer, so reuse
-// without synchronization is safe; the concurrent entry hasher writes
-// disjoint indices and is joined before the slices are read or reused, and
-// during an audit the checker is the scratch's only user.
+// digest and leaf-hash vectors. Nothing stored here may escape derive's or
+// Receipts' caller — every value a caller retains (entries, headers,
+// receipt paths, payloads) is freshly allocated or arena-backed per batch.
+// The core is single-writer, so reuse without synchronization is safe; the
+// concurrent entry hasher writes disjoint indices and is joined before the
+// slices are read or reused, and during an audit the checker is the
+// scratch's only user.
 type execScratch struct {
-	digests  []hashsig.Digest   // entry digests, one per entry
-	leaves   []hashsig.Digest   // merkle.LeafHash of each digest
-	shardOf  []uint32           // shard assignment per entry
-	leafPos  []uint64           // leaf index of each entry within its shard tree
-	perShard [][]hashsig.Digest // leaf hashes grouped by shard (inner slices reused)
+	digests []hashsig.Digest // entry digests, one per entry
+	leaves  []hashsig.Digest // merkle.LeafHash of each digest
 }
 
-// grow sizes the scratch vectors for n entries and shards shard groups,
-// reusing prior capacity.
-func (s *execScratch) grow(n int, shards uint32) {
+// grow sizes the scratch vectors for n entries, reusing prior capacity.
+func (s *execScratch) grow(n int) {
 	s.digests = growSlice(s.digests, n)
 	s.leaves = growSlice(s.leaves, n)
-	s.shardOf = growSlice(s.shardOf, n)
-	s.leafPos = growSlice(s.leafPos, n)
-	if cap(s.perShard) < int(shards) {
-		s.perShard = make([][]hashsig.Digest, shards)
-	}
-	s.perShard = s.perShard[:shards]
-	for i := range s.perShard {
-		s.perShard[i] = s.perShard[i][:0]
-	}
 }
 
 func growSlice[T any](s []T, n int) []T {
@@ -269,87 +254,44 @@ func growSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// entryShard deterministically assigns a ledger entry to a per-shard batch
-// tree G_s. Transactions and governance actions are routed by author — the
-// request-routing analogue of the paper's key-space partitioning, chosen so
-// an auditor can re-derive the placement from the entry alone (a write-set
-// based placement would be undefined for aborted transactions). Checkpoint
-// markers always live in shard 0.
-func entryShard(e *Entry, shards uint32) uint32 {
-	if shards <= 1 || e.Kind == KindCheckpoint {
-		return 0
+// batchTree builds the batch tree G over a batch's leaf hashes, one leaf
+// per entry in ledger order; its root is ¯G. G and M consume the hasher's
+// leaf hashes directly, so no per-entry SHA work happens here beyond the
+// interior nodes.
+func batchTree(leaves []hashsig.Digest) *merkle.Tree {
+	g := merkle.New()
+	for _, lh := range leaves {
+		g.AppendLeafHash(lh)
 	}
-	return kv.ShardOfKey(string(e.Author[:]), shards)
-}
-
-// batchTrees is the G_s/¯G roll-up over a batch's leaf hashes: it groups
-// them by shard (recording each entry's shard and leaf position), builds
-// the per-shard batch trees G_s, and the tree over their roots whose root
-// is ¯G. Both G_s and M consume the hasher's leaf hashes directly, so no
-// per-entry SHA work happens here beyond the interior nodes.
-func (s *execScratch) batchTrees(entries []Entry, leaves []hashsig.Digest, shards uint32) (gs []*merkle.Tree, top *merkle.Tree) {
-	for i := range entries {
-		sh := entryShard(&entries[i], shards)
-		s.shardOf[i] = sh
-		s.leafPos[i] = uint64(len(s.perShard[sh]))
-		s.perShard[sh] = append(s.perShard[sh], leaves[i])
-	}
-	gs, top = make([]*merkle.Tree, shards), merkle.New()
-	for sh, group := range s.perShard {
-		gs[sh] = merkle.New()
-		for _, lh := range group {
-			gs[sh].AppendLeafHash(lh)
-		}
-		top.Append(gs[sh].Root())
-	}
-	return gs, top
-}
-
-// allPaths returns the audit path of every leaf of a freshly built tree.
-func allPaths(t *merkle.Tree) [][]hashsig.Digest {
-	if t.Size() == 0 {
-		return nil
-	}
-	paths, err := t.PathsAt(0, t.Size())
-	if err != nil {
-		// A tree's own full range cannot be out of bounds.
-		panic(err)
-	}
-	return paths
+	return g
 }
 
 // receipts cuts one receipt per transaction entry of a retained batch, in
 // ledger order, all carrying header, from the batch's leaf hashes: the
-// G_s/¯G roll-up again, then every leaf's audit path and every shard
-// root's path within ¯G. Two arenas back every receipt in the batch:
-// one for the combined shard+top audit paths, one for the defensive payload
-// copies (a client mutating its receipt must not corrupt the ledger's
-// retained stream). Each receipt gets a three-index sub-slice whose
-// capacity ends at its own region, so appending to one receipt's path or
-// payload reallocates instead of stomping the next receipt's. The per-shard
-// top path is copied from the single slice the top tree produced —
-// same-shard receipts do not each build their own.
-func (s *execScratch) receipts(header *BatchHeader, entries []Entry, leaves []hashsig.Digest) []Receipt {
-	s.grow(len(entries), header.Shards)
-	gs, top := s.batchTrees(entries, leaves, header.Shards)
-	shardPaths := make([][][]hashsig.Digest, len(gs))
-	for sh, g := range gs {
-		shardPaths[sh] = allPaths(g)
-	}
-	topPaths := allPaths(top)
-
-	n, pathTotal, payloadTotal := 0, 0, 0
-	for i := range entries {
-		if entries[i].Kind != KindTransaction {
-			continue
+// batch tree again, then every leaf's audit path in it. Two arenas back
+// every receipt in the batch: the one PathsAt allocates for the paths, and
+// one for the defensive payload copies (a client mutating its receipt must
+// not corrupt the ledger's retained stream). Each receipt gets a
+// three-index sub-slice whose capacity ends at its own region, so
+// appending to one receipt's path or payload reallocates instead of
+// stomping the next receipt's.
+func receipts(header *BatchHeader, entries []Entry, leaves []hashsig.Digest) []Receipt {
+	var paths [][]hashsig.Digest
+	if len(leaves) > 0 {
+		var err error
+		if paths, err = batchTree(leaves).PathsAt(0, uint64(len(leaves))); err != nil {
+			// A tree's own full range cannot be out of bounds.
+			panic(err)
 		}
-		sh := s.shardOf[i]
-		n++
-		pathTotal += len(shardPaths[sh][s.leafPos[i]]) + len(topPaths[sh])
-		payloadTotal += len(entries[i].Payload)
+	}
+	n, payloadTotal := 0, 0
+	for i := range entries {
+		if entries[i].Kind == KindTransaction {
+			n++
+			payloadTotal += len(entries[i].Payload)
+		}
 	}
 	receipts := make([]Receipt, 0, n)
-	pathArena := make([]hashsig.Digest, 0, pathTotal)
 	payloadArena := make([]byte, 0, payloadTotal)
 	for i := range entries {
 		if entries[i].Kind != KindTransaction {
@@ -359,18 +301,7 @@ func (s *execScratch) receipts(header *BatchHeader, entries []Entry, leaves []ha
 		pStart := len(payloadArena)
 		payloadArena = append(payloadArena, e.Payload...)
 		e.Payload = payloadArena[pStart:len(payloadArena):len(payloadArena)]
-		sh := s.shardOf[i]
-		aStart := len(pathArena)
-		pathArena = append(pathArena, shardPaths[sh][s.leafPos[i]]...)
-		pathArena = append(pathArena, topPaths[sh]...)
-		receipts = append(receipts, Receipt{
-			Header:    *header,
-			Entry:     e,
-			Shard:     sh,
-			Index:     s.leafPos[i],
-			ShardSize: uint64(len(s.perShard[sh])),
-			Path:      pathArena[aStart:len(pathArena):len(pathArena)],
-		})
+		receipts = append(receipts, Receipt{Header: *header, Entry: e, Index: uint64(i), Path: paths[i]})
 	}
 	return receipts
 }

@@ -96,8 +96,7 @@ func assertBatchesEqual(t *testing.T, label string, pb, sb *Batch, pr, sr []Rece
 	}
 	for i := range pr {
 		p, s := pr[i], sr[i]
-		if p.Entry.Digest() != s.Entry.Digest() || p.Shard != s.Shard ||
-			p.Index != s.Index || p.ShardSize != s.ShardSize || len(p.Path) != len(s.Path) {
+		if p.Entry.Digest() != s.Entry.Digest() || p.Index != s.Index || len(p.Path) != len(s.Path) {
 			t.Fatalf("%s: receipt %d differs", label, i)
 		}
 		for j := range p.Path {
@@ -132,33 +131,31 @@ func executeAlike(t *testing.T, label string, par, seq *Ledger, reqs []Request) 
 	}
 }
 
-// TestParallelExecuteMatchesSequential: across shard counts, batch sizes
-// and key contention, proposing at GOMAXPROCS=4 emits byte-identical
+// TestParallelExecuteMatchesSequential: across batch sizes and key
+// contention, proposing at GOMAXPROCS=4 emits byte-identical
 // entries, headers, receipts and post-state to proposing at GOMAXPROCS=1.
 // The last batch of each run is larger than any batch a node cuts.
 func TestParallelExecuteMatchesSequential(t *testing.T) {
-	for _, shards := range []uint32{1, 4, 16} {
-		for _, keyPool := range []int{4, 64, 4096} { // hot → cold keys
-			label := fmt.Sprintf("shards=%d/pool=%d", shards, keyPool)
-			t.Run(label, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(shards)*1000 + int64(keyPool)))
-				par, err := New(Config{Key: testKey, App: KVApp{}, Shards: shards, CheckpointEvery: 2})
-				if err != nil {
-					t.Fatal(err)
+	for _, keyPool := range []int{4, 64, 4096} { // hot → cold keys
+		label := fmt.Sprintf("pool=%d", keyPool)
+		t.Run(label, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1000 + int64(keyPool)))
+			par, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for batch := 0; batch < 4; batch++ {
+				n := 64 + rng.Intn(100)
+				if batch == 3 {
+					n += 256
 				}
-				seq, err := New(Config{Key: testKey, App: KVApp{}, Shards: shards, CheckpointEvery: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for batch := 0; batch < 4; batch++ {
-					n := 64 + rng.Intn(100)
-					if batch == 3 {
-						n += 256
-					}
-					executeAlike(t, fmt.Sprintf("%s/batch=%d", label, batch), par, seq, genBatch(rng, n, keyPool))
-				}
-			})
-		}
+				executeAlike(t, fmt.Sprintf("%s/batch=%d", label, batch), par, seq, genBatch(rng, n, keyPool))
+			}
+		})
 	}
 }
 
@@ -168,12 +165,12 @@ func TestParallelExecuteMatchesSequential(t *testing.T) {
 // tampered batch must be rejected and leave the backup rolled back.
 func TestParallelApplyAdoptsAndRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	primary, err := New(Config{Key: testKey, App: KVApp{}, Shards: 8, CheckpointEvery: 2})
+	primary, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	backupKey := hashsig.GenerateKeyFromSeed("parallel-backup")
-	backup, err := New(Config{Key: backupKey, App: KVApp{}, Shards: 8, CheckpointEvery: 2})
+	backup, err := New(Config{Key: backupKey, App: KVApp{}, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +245,7 @@ func (panickyApp) Execute(tx *kv.Tx, request []byte) error {
 // — the same contract as on one CPU.
 func TestParallelExecutePanicPropagates(t *testing.T) {
 	forceParallel(t)
-	l, err := New(Config{Key: testKey, App: panickyApp{}, Shards: 8, CheckpointEvery: 1})
+	l, err := New(Config{Key: testKey, App: panickyApp{}, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

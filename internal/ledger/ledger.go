@@ -1,10 +1,9 @@
 // Package ledger implements the IA-CCF replicated ledger (paper §3, §6):
 // an append-only sequence of typed entries executed in batches against the
-// sharded key-value store. Every entry is a leaf of the history tree M;
-// each batch also gets per-shard batch trees G_s whose roots roll up into
-// ¯G. The primary signs one BatchHeader per batch — the paper's
-// pre-prepare statement (§3.1): its view, its index and its nonce
-// commitment around the content (seq, ¯M, ¯G, shard count, d_C) — and hands
+// key-value store. Every entry is a leaf of the history tree M and of its
+// batch's tree G, whose root is ¯G. The primary signs one BatchHeader per
+// batch — the paper's pre-prepare statement (§3.1): its view, its index and
+// its nonce commitment around the content (seq, ¯M, ¯G, d_C) — and hands
 // each client a Receipt — its entry's audit path to ¯G — verifiable offline
 // against that header, cut from the batch as committed (Receipts).
 // RollbackTo undoes batches per Lemma 1; checkpoints,
@@ -36,11 +35,10 @@
 // The audit (§4–§5) is sound only if the auditor re-derives exactly the
 // commitments the replicas signed, so exactly one piece of code derives
 // them: core.derive (core.go) turns a batch's entries into results, entry
-// digests and leaf hashes, G_s roots, ¯G, ¯M and d_C over a given store
-// and history tree. It owns the only execute loop (transactions one at a
-// time, in ledger order, whatever the shard count), the only
-// checkpoint-marker rule and the only G_s/¯G roll-up. The three public
-// paths are policies over it:
+// digests and leaf hashes, ¯G, ¯M and d_C over a given store and history
+// tree. It owns the only execute loop (transactions one at a time, in
+// ledger order), the only checkpoint-marker rule and the only batch tree.
+// The three public paths are policies over it:
 //
 //   - ExecuteBatchAs (propose) mints entries from requests and appends the
 //     checkpoint marker when CheckpointEvery says one is due. The core SETS
@@ -61,7 +59,7 @@
 //
 // derive is two halves: the execution half (transactions, markers, d_C,
 // result comparison) and the commitment half (entry digests, leaf hashes,
-// G_s/¯G, the M append). Propose and apply compose them inline, digesting
+// ¯G, the M append). Propose and apply compose them inline, digesting
 // entries beside execution through the entry hasher: a replica under load
 // has no idle core, and running the halves on two goroutines there was
 // measured and lost. The audit is the one path with a core to spare and
@@ -72,7 +70,7 @@
 // placement and label) — and hands each batch's finished write sets and,
 // at a marker, a snapshot of the store to one checker goroutine for the
 // whole replay. The checker runs every check, a batch or more behind:
-// results against the write sets, entry digests and leaf hashes, G_s/¯G,
+// results against the write sets, entry digests and leaf hashes, ¯G,
 // the M append, d_C of the snapshot, the header (core.replay, core.check).
 // The one execution loop (core.execute) serves both: a transaction's
 // result check runs inline for propose and apply and is deferred to the
@@ -82,7 +80,7 @@
 // A mismatch is reported once, by the core, as a *Divergence naming the
 // first field that failed to reproduce and carrying the signed header it
 // failed against; ApplyBatch wraps it in ErrApply, Replay in ErrReplay.
-// CheckBatchShape uses the same roll-up to validate relayed batches
+// CheckBatchShape uses the same batch tree to validate relayed batches
 // without executing them.
 //
 // # What a receipt check costs
@@ -137,8 +135,8 @@
 //     retained. Entries inside a Batch handed to ApplyBatch are adopted
 //     into the retained stream and must not be mutated afterwards, same
 //     as Batches() results.
-//   - Internal scratch (per-entry digests, leaf hashes, per-shard
-//     grouping tables) lives on the core and is reused batch to batch;
+//   - Internal scratch (per-entry digests and leaf hashes) lives on the
+//     core and is reused batch to batch;
 //     it is dead the moment the call returns, which the aliasing property
 //     tests prove by retaining what one batch returned across the batches
 //     that reuse the scratch after it.
@@ -204,7 +202,7 @@ const MaxRequestLen = wire.MaxValueLen - 128
 // contentDomain and statementDomain domain-separate the two header digests
 // from each other and from all other hashed and signed messages. The
 // statement domain is short on purpose: with it the statement preimage —
-// 44 bytes of envelope ahead of the 124 of content — still fits three
+// 44 bytes of envelope ahead of the 120 of content — still fits three
 // SHA-256 blocks, what the content alone costs, so checking a receipt
 // hashes no more than it did before the header carried an envelope.
 const (
@@ -226,21 +224,17 @@ type Envelope struct {
 // BatchHeader is the signed statement a primary issues for one executed
 // batch — the signed part of the paper's pre-prepare (§3.1). The content
 // binds the batch sequence number, the history tree root ¯M after the
-// batch, the combined batch tree root ¯G with its entry count and the shard
-// count it was built under, and the digest d_C of the latest checkpoint
-// (§6: sharded execution). ¯G is the root of a small tree over the
-// per-shard batch tree roots G_s, so the shard count is part of what the
-// signature commits to — the same entries partitioned differently produce a
-// different ¯G and a different d_C. The envelope says who proposes that
-// content, and when. Sig signs StatementDigest, which covers both.
+// batch, the root ¯G of the batch tree G over the batch's entries with its
+// entry count, and the digest d_C of the latest checkpoint. The envelope
+// says who proposes that content, and when. Sig signs StatementDigest,
+// which covers both.
 type BatchHeader struct {
 	Envelope
 	Seq        uint64         // batch sequence number
 	HistSize   uint64         // leaves in M after this batch
 	MRoot      hashsig.Digest // ¯M
-	GRoot      hashsig.Digest // ¯G: root over the G_s shard roots
-	GSize      uint64         // total entries under G across all shards
-	Shards     uint32         // execution shard count (>= 1)
+	GRoot      hashsig.Digest // ¯G: root of the batch tree G
+	GSize      uint64         // entries under G: the batch's entry count
 	CkptDigest hashsig.Digest // d_C of the latest checkpoint (zero before the first)
 	Sig        hashsig.Signature
 }
@@ -285,7 +279,6 @@ func (h *BatchHeader) appendContent(dst []byte) []byte {
 	dst = wire.AppendDigest(dst, h.MRoot)
 	dst = wire.AppendDigest(dst, h.GRoot)
 	dst = wire.AppendUint64(dst, h.GSize)
-	dst = wire.AppendUint32(dst, h.Shards)
 	return wire.AppendDigest(dst, h.CkptDigest)
 }
 
@@ -298,7 +291,6 @@ func (h *BatchHeader) readSigned(r *wire.Reader) {
 	h.MRoot = r.Digest()
 	h.GRoot = r.Digest()
 	h.GSize = r.Uint64()
-	h.Shards = r.Uint32()
 	h.CkptDigest = r.Digest()
 }
 
@@ -306,13 +298,12 @@ func (h *BatchHeader) readSigned(r *wire.Reader) {
 // BatchHeader.Verify made — the key's ID, every field the signature covers
 // (envelope and content) and all the signature's bytes — held by value, so
 // a lookup compares the triple and hashes none of it. Fields are ordered by
-// alignment, leaving no padding, so the map hashes a member as one block of
-// memory. checkOf is, with appendSigned and
+// alignment and primary is widened to 64 bits, leaving no padding, so the
+// map hashes a member as one block of memory. checkOf is, with appendSigned and
 // readSigned, an enumeration of the signed fields;
 // TestHeaderCheckBindsEverySignedField holds it to BatchHeader's.
 type headerCheck struct {
-	view, seq, histSize, gSize            uint64
-	primary, shards                       uint32
+	view, seq, histSize, gSize, primary   uint64
 	key                                   hashsig.Digest
 	nonceCommit, mRoot, gRoot, ckptDigest hashsig.Digest
 	sig                                   [hashsig.SignatureSize]byte
@@ -327,7 +318,7 @@ func (h *BatchHeader) checkOf(pub *hashsig.PublicKey) (headerCheck, bool) {
 	}
 	k := headerCheck{
 		view: h.View, seq: h.Seq, histSize: h.HistSize, gSize: h.GSize,
-		primary: h.Primary, shards: h.Shards,
+		primary:     uint64(h.Primary),
 		key:         pub.ID(),
 		nonceCommit: h.NonceCommit, mRoot: h.MRoot, gRoot: h.GRoot, ckptDigest: h.CkptDigest,
 	}
@@ -393,29 +384,24 @@ type Batch struct {
 }
 
 // Receipt is the client's offline-verifiable proof that its transaction
-// executed in a given batch: the transaction entry, its two-stage audit
-// path, and the signed header the path roots in (paper §3.1, §6). The path
-// prefix proves the entry within its per-shard batch tree G_s; the suffix
-// proves that shard root within the combined tree whose root ¯G the header
-// signs. The split point is implied by (Index, ShardSize), never declared.
-//
-// Shard, Index, and ShardSize are position metadata, not signed: what the
-// signature plus leaf/interior domain separation bind is that this exact
-// entry is committed under ¯G. A replica could emit aliasing position
-// metadata whose roll-up shape happens to coincide, but never a different
-// entry or a different root, so receipts stay sound as execution proofs.
+// executed in a given batch: the transaction entry, its audit path in the
+// batch tree G, and the signed header whose ¯G the path roots in (paper
+// §3.1). Index is the entry's position in the batch; the tree's size is
+// the header's signed GSize, so the one unsigned field is the position.
+// What the signature plus leaf/interior domain separation bind is that
+// this exact entry is committed under ¯G: another index whose roll-up
+// shape happens to coincide could verify, but never a different entry or
+// a different root, so receipts stay sound as execution proofs.
 type Receipt struct {
-	Header    BatchHeader
-	Entry     Entry
-	Shard     uint32 // shard tree the entry was placed in
-	Index     uint64 // leaf index of Entry within its shard tree
-	ShardSize uint64 // leaves in that shard tree
-	Path      []hashsig.Digest
+	Header BatchHeader
+	Entry  Entry
+	Index  uint64 // leaf index of Entry in G: its position in the batch
+	Path   []hashsig.Digest
 }
 
 // Verify checks the receipt against the replica public key: the header
-// signature must be valid and the entry's sharded audit path must root in
-// ¯G under the header's signed shard count. The signature is per batch and
+// signature must be valid and the entry's audit path must root in ¯G, in
+// a tree of the header's signed GSize leaves. The signature is per batch and
 // only the path is per transaction (§3.3), so the receipts of one batch owe
 // their shared header one signature check between them (BatchHeader.Verify);
 // the path is hashed for every receipt, every time.
@@ -423,8 +409,7 @@ func (r *Receipt) Verify(pub *hashsig.PublicKey) bool {
 	if !r.Header.Verify(pub) {
 		return false
 	}
-	return merkle.VerifyShardedPath(r.Entry.Digest(), r.Index, r.ShardSize,
-		uint64(r.Shard), uint64(r.Header.Shards), r.Path, r.Header.GRoot)
+	return merkle.VerifyPath(r.Entry.Digest(), r.Index, r.Header.GSize, r.Path, r.Header.GRoot)
 }
 
 // Request is one client or member submission awaiting execution.
@@ -452,9 +437,9 @@ type Config struct {
 	// marker entry) every n batches. 0 means every batch. Validated and
 	// normalized once in New.
 	CheckpointEvery uint64
-	// Shards partitions the key-value store and the per-batch trees into
-	// this many shards (paper §6). 0 means 1 (unsharded). Must not exceed
-	// kv.MaxShards.
+	// Shards is kept for bench/ only, which sets it to 1: 0 or 1. Any other
+	// value is refused with ErrConfig; the store and the batch tree are
+	// not partitioned.
 	Shards uint32
 }
 
@@ -486,30 +471,25 @@ type ledgerMark struct {
 	lastCkpt hashsig.Digest
 }
 
-// New returns a ledger executing against a fresh sharded store. The first
-// batch has sequence number 1. Configuration is validated here, once:
-// CheckpointEvery and Shards are normalized (0 → 1) so the execution path
-// never re-checks them, and an out-of-range shard count is an error rather
-// than a latent panic.
+// New returns a ledger executing against a fresh store. The first batch
+// has sequence number 1. Configuration is validated here, once:
+// CheckpointEvery is normalized (0 → 1) so the execution path never
+// re-checks it.
 func New(cfg Config) (*Ledger, error) {
 	if cfg.Key == nil || cfg.App == nil {
 		return nil, ErrConfig
 	}
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("%w: shard count %d: the store is not partitioned (0 or 1)", ErrConfig, cfg.Shards)
+	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 1
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > kv.MaxShards {
-		return nil, fmt.Errorf("%w: shard count %d exceeds limit %d", ErrConfig, cfg.Shards, kv.MaxShards)
-	}
 	return &Ledger{
 		core: core{
-			app:    cfg.App,
-			shards: cfg.Shards,
-			store:  kv.NewSharded(int(cfg.Shards)),
-			hist:   merkle.New(),
+			app:   cfg.App,
+			store: kv.New(),
+			hist:  merkle.New(),
 		},
 		cfg:     cfg,
 		nextSeq: 1,
@@ -525,14 +505,11 @@ func (l *Ledger) HistRoot() hashsig.Digest { return l.hist.Root() }
 // HistSize returns the number of entries in the history tree.
 func (l *Ledger) HistSize() uint64 { return l.hist.Size() }
 
-// StateDigest returns the deterministic sharded digest of the current store
-// state — the d_C a checkpoint taken now would pin. It hashes only the
+// StateDigest returns the deterministic digest of the current store state
+// — the d_C a checkpoint taken now would pin. It hashes only the
 // trie nodes written since the last digest, so it is cheap between
 // checkpoints.
 func (l *Ledger) StateDigest() hashsig.Digest { return l.store.CheckpointDigest() }
-
-// Shards returns the execution shard count.
-func (l *Ledger) Shards() uint32 { return l.cfg.Shards }
 
 // Get reads a key from the executed state.
 func (l *Ledger) Get(key string) ([]byte, bool) { return l.store.Get(key) }
@@ -633,7 +610,7 @@ func (l *Ledger) Receipts(seq uint64) []Receipt {
 		// retained batch's leaves are retained too.
 		panic(err)
 	}
-	return l.scratch.receipts(h, b.Entries, leaves)
+	return receipts(h, b.Entries, leaves)
 }
 
 // Restate returns h's content under a new envelope, signed with this
@@ -722,23 +699,12 @@ func (l *Ledger) PruneMarks(before uint64) {
 	l.marks = keep
 }
 
-// WriteBatches serializes a batch stream: the versioned stream header
-// (carrying the execution shard count), then the batch count, then each
-// batch's header and entries in the wire codec. Every batch must have been
-// built under the same shard count — a mixed stream is a caller bug and is
-// rejected rather than silently framed under the first batch's count.
+// WriteBatches serializes a batch stream: the versioned stream header,
+// then the batch count, then each batch's header and entries in the wire
+// codec.
 func WriteBatches(w io.Writer, batches []*Batch) error {
-	shards := uint32(1)
-	for i, b := range batches {
-		if i == 0 {
-			shards = b.Header.Shards
-		} else if b.Header.Shards != shards {
-			return fmt.Errorf("%w: batch %d built under %d shards, stream under %d",
-				ErrBadBatch, b.Header.Seq, b.Header.Shards, shards)
-		}
-	}
 	ww := wire.NewWriter(w)
-	sh := wire.StreamHeader{Version: wire.StreamVCurrent, Shards: shards}
+	sh := wire.StreamHeader{Version: wire.StreamVCurrent}
 	sh.EncodeTo(ww)
 	ww.Uint32(uint32(len(batches)))
 	for _, b := range batches {
@@ -790,12 +756,10 @@ func DecodeBatch(r *wire.Reader) *Batch {
 	return b
 }
 
-// ReadBatches parses a stream produced by WriteBatches, checking that every
-// batch header agrees with the stream header's shard count.
+// ReadBatches parses a stream produced by WriteBatches.
 func ReadBatches(r io.Reader) ([]*Batch, error) {
 	rr := wire.NewReader(r)
-	sh, err := wire.DecodeStreamHeader(rr)
-	if err != nil {
+	if _, err := wire.DecodeStreamHeader(rr); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadBatch, err)
 	}
 	n := rr.Uint32()
@@ -805,12 +769,7 @@ func ReadBatches(r io.Reader) ([]*Batch, error) {
 	}
 	batches := make([]*Batch, 0, min(n, 1024))
 	for i := uint32(0); i < n && rr.Err() == nil; i++ {
-		b := DecodeBatch(rr)
-		if rr.Err() == nil && b.Header.Shards != sh.Shards {
-			return nil, fmt.Errorf("%w: batch %d declares %d shards, stream header %d",
-				ErrBadBatch, b.Header.Seq, b.Header.Shards, sh.Shards)
-		}
-		batches = append(batches, b)
+		batches = append(batches, DecodeBatch(rr))
 	}
 	rr.ExpectEOF()
 	if err := rr.Err(); err != nil {

@@ -23,39 +23,36 @@ func benchRequests(batch, txPerBatch int) []Request {
 }
 
 // BenchmarkExecuteBatch is the end-to-end hot path: execute a batch of
-// transactions through the execution/hashing pipeline, build the per-shard
-// trees G_s, extend M, sign the header, then cut the receipts from the
-// batch's leaves in M. Shard counts 1/4/16
-// measure what partitioning costs (and buys) at the batch level; the
-// checkpoint interval exercises the incremental d_C path.
+// transactions through the execution/hashing pipeline, build the batch
+// tree G, extend M, sign the header, then cut the receipts from the
+// batch's leaves in M. The checkpoint interval exercises the incremental
+// d_C path.
 func BenchmarkExecuteBatch(b *testing.B) {
-	for _, shards := range []uint32{1, 4, 16} {
-		for _, txs := range []int{16, 128} {
-			b.Run(fmt.Sprintf("shards=%d/txs=%d", shards, txs), func(b *testing.B) {
-				l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 10, Shards: shards})
-				if err != nil {
+	for _, txs := range []int{16, 128} {
+		b.Run(fmt.Sprintf("txs=%d", txs), func(b *testing.B) {
+			l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := l.ExecuteBatch(benchRequests(i, txs)); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := l.ExecuteBatch(benchRequests(i, txs)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkReplay is the auditor's throughput in the shape of the
 // repository benchmark's audit.replay: 64-entry batches, one 32-byte put
-// per request over 8 192 keys, a checkpoint every 4 batches, one shard,
+// per request over 8 192 keys, a checkpoint every 4 batches,
 // headers verified through DefaultPool. At -cpu 1 every batch runs derive
 // inline; with a second CPU replay is a pipeline (execution lane and
 // checker, core.replay), so `-cpu 1,2` prices that schedule.
 func BenchmarkReplay(b *testing.B) {
 	const batches, batchSize, keys = 256, 64, 8192
-	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 4, Shards: 1})
+	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

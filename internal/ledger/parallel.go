@@ -16,7 +16,7 @@ import (
 // the audit's checker digests entries itself (core.check).
 //
 // Leaf hashes are computed here because both trees need the same value:
-// the history tree M and the per-shard batch tree G_s each commit to
+// the history tree M and the batch tree G each commit to
 // LeafHash(Digest(entry)). Hashing it once in the pipeline removes two
 // serial SHA passes per entry from the roll-up stage.
 type entryHasher struct {

@@ -10,34 +10,32 @@ import (
 // ErrBadReceipt reports a malformed receipt on decode.
 var ErrBadReceipt = fmt.Errorf("ledger: malformed receipt")
 
-// maxReceiptPath bounds the audit path accepted on decode. A sharded path
-// is the per-shard tree depth plus the shard roll-up depth; 256 levels
-// covers 2^128 leaves per side, far beyond any ledger this code can build,
-// while keeping a hostile frame from allocating unbounded digests.
-const maxReceiptPath = 256
+// maxReceiptPath bounds the audit path accepted on decode: 64 levels, the
+// depth of a tree of as many leaves as a uint64 GSize can count, so no
+// receipt whose path is longer can verify, and a hostile frame cannot
+// allocate unbounded digests.
+const maxReceiptPath = 64
 
 // MaxReceiptLen is the longest encoding EncodeReceipt gives a receipt
 // ExecuteBatch can cut: a transaction entry carrying a MaxRequestLen body,
 // under a maxReceiptPath-digest audit path. A reader of receipts (the
 // client RPC's response frame) caps at it without knowing the layout.
-const MaxReceiptLen = 4*8 + 2*4 + 4*hashsig.DigestSize + // header: signed fields
+const MaxReceiptLen = 4*8 + 4 + 4*hashsig.DigestSize + // header: signed fields
 	4 + hashsig.SignatureSize + // the signature, length-prefixed
 	4 + 1 + hashsig.DigestSize + 8 + 4 + MaxRequestLen + hashsig.DigestSize + // the entry, length-prefixed
-	4 + 8 + 8 + // shard, index, shard size
+	8 + // index
 	4 + maxReceiptPath*hashsig.DigestSize // the path, count-prefixed
 
 // EncodeReceipt appends the wire encoding of the receipt to dst: the
-// signed header (envelope, content, signature), the entry, the position
-// metadata, and the audit path.
+// signed header (envelope, content, signature), the entry, its index in
+// the batch, and the audit path.
 // Receipts cross the client submission RPC, so the encoding is versioned
 // by the enclosing transport frame, not here.
 func EncodeReceipt(dst []byte, rc *Receipt) []byte {
 	w := wire.NewAppendWriter(dst)
 	rc.Header.EncodeTo(w)
 	w.Bytes(rc.Entry.Encode(nil))
-	w.Uint32(rc.Shard)
 	w.Uint64(rc.Index)
-	w.Uint64(rc.ShardSize)
 	w.Uint32(uint32(len(rc.Path)))
 	for _, d := range rc.Path {
 		w.Digest(d)
@@ -59,9 +57,7 @@ func DecodeReceipt(b []byte) (*Receipt, error) {
 		}
 		rc.Entry = e
 	}
-	rc.Shard = r.Uint32()
 	rc.Index = r.Uint64()
-	rc.ShardSize = r.Uint64()
 	rc.Path = wire.ReadList(r, maxReceiptPath, "path digests", (*wire.Reader).Digest)
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {

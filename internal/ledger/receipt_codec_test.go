@@ -11,12 +11,12 @@ import (
 )
 
 // TestReceiptCodecRoundTrip encodes real receipts — produced by executing a
-// batch, so the path, shard placement, and header signature are genuine —
+// batch, so the index, path and header signature are genuine —
 // decodes them, and demands the decoded receipt still verifies offline and
 // re-encodes byte-identically.
 func TestReceiptCodecRoundTrip(t *testing.T) {
 	key := hashsig.GenerateKeyFromSeed("receipt-codec")
-	led, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 4, Shards: 2})
+	led, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,13 @@ func TestReceiptCodecRoundTrip(t *testing.T) {
 }
 
 // TestMaxReceiptLen: the longest receipt — a MaxRequestLen transaction
-// body, a full signature, maxReceiptPath path digests — encodes to exactly
-// MaxReceiptLen bytes and decodes.
+// body, a full signature, maxReceiptPath (64) path digests, the depth of a
+// tree of uint64 size — encodes to exactly MaxReceiptLen bytes and
+// decodes; one digest more is refused on decode.
 func TestMaxReceiptLen(t *testing.T) {
+	if maxReceiptPath != 64 {
+		t.Fatalf("maxReceiptPath is %d, want 64: a GSize-leaf tree is at most 64 levels deep", maxReceiptPath)
+	}
 	rc := &Receipt{
 		Header: BatchHeader{Sig: make(hashsig.Signature, hashsig.SignatureSize)},
 		Entry:  Entry{Kind: KindTransaction, Payload: make([]byte, MaxRequestLen)},
@@ -80,6 +84,10 @@ func TestMaxReceiptLen(t *testing.T) {
 	if _, err := DecodeReceipt(enc); err != nil {
 		t.Fatal(err)
 	}
+	rc.Path = append(rc.Path, hashsig.Digest{})
+	if _, err := DecodeReceipt(EncodeReceipt(nil, rc)); !errors.Is(err, ErrBadReceipt) {
+		t.Fatalf("a receipt with a %d-digest path: %v, want ErrBadReceipt", len(rc.Path), err)
+	}
 }
 
 // TestReceiptCodecEnvelope: the receipt codec carries the statement's
@@ -90,7 +98,7 @@ func TestMaxReceiptLen(t *testing.T) {
 func TestReceiptCodecEnvelope(t *testing.T) {
 	key := hashsig.GenerateKeyFromSeed("receipt-codec-envelope")
 	pub := key.Public()
-	led, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 4, Shards: 2})
+	led, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +159,7 @@ func TestReceiptCodecEnvelope(t *testing.T) {
 // garbage, and an oversized path count must all fail cleanly.
 func TestReceiptCodecRejects(t *testing.T) {
 	key := hashsig.GenerateKeyFromSeed("receipt-codec-bad")
-	led, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 4, Shards: 1})
+	led, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

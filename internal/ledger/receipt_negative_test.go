@@ -8,12 +8,12 @@ import (
 )
 
 // TestReceiptNegativeTable drives Receipt.Verify through adversarial
-// mutations on a sharded batch — wrong shard index, truncated and
-// reordered paths, cross-receipt splices — complementing the replay-side
-// tamper tests.
+// mutations — wrong and out-of-range indices, truncated and reordered
+// paths, cross-receipt splices, forged header fields — complementing the
+// replay-side tamper tests.
 func TestReceiptNegativeTable(t *testing.T) {
 	key := hashsig.GenerateKeyFromSeed("receipt-neg")
-	l, err := New(Config{Key: key, App: KVApp{}, Shards: 4, CheckpointEvery: 1})
+	l, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,25 +31,11 @@ func TestReceiptNegativeTable(t *testing.T) {
 	}
 	pub := key.Public()
 
-	// Pick a receipt whose path has both stages and a sibling to swap, and
-	// a second receipt in a different shard for splicing.
-	var r, other *Receipt
-	for i := range receipts {
-		if len(receipts[i].Path) >= 2 && r == nil {
-			r = &receipts[i]
-		}
-	}
-	if r == nil {
-		t.Fatal("no receipt with a two-node path")
-	}
-	for i := range receipts {
-		if receipts[i].Shard != r.Shard {
-			other = &receipts[i]
-			break
-		}
-	}
-	if other == nil {
-		t.Fatal("all receipts landed in one shard")
+	// The anchor is a receipt whose path has a sibling to swap; other is
+	// the next one, for splicing.
+	r, other := &receipts[2], &receipts[3]
+	if len(r.Path) < 2 {
+		t.Fatal("anchor receipt has no two-node path")
 	}
 	if !r.Verify(pub) || !other.Verify(pub) {
 		t.Fatal("honest receipts do not verify")
@@ -59,10 +45,8 @@ func TestReceiptNegativeTable(t *testing.T) {
 		name string
 		mut  func(x *Receipt)
 	}{
-		{"wrong shard index", func(x *Receipt) { x.Shard = (x.Shard + 1) % x.Header.Shards }},
-		{"shard index out of range", func(x *Receipt) { x.Shard = x.Header.Shards }},
 		{"wrong leaf index", func(x *Receipt) { x.Index++ }},
-		{"leaf index out of shard", func(x *Receipt) { x.Index = x.ShardSize }},
+		{"leaf index at GSize", func(x *Receipt) { x.Index = x.Header.GSize }},
 		{"truncated path", func(x *Receipt) { x.Path = x.Path[:len(x.Path)-1] }},
 		{"empty path", func(x *Receipt) { x.Path = nil }},
 		{"swapped siblings", func(x *Receipt) {
@@ -72,13 +56,11 @@ func TestReceiptNegativeTable(t *testing.T) {
 		{"overlong path", func(x *Receipt) {
 			x.Path = append(append([]hashsig.Digest(nil), x.Path...), hashsig.Sum([]byte("pad")))
 		}},
-		{"spliced path from another shard", func(x *Receipt) { x.Path = other.Path }},
-		{"spliced position from another shard", func(x *Receipt) {
-			x.Shard, x.Index, x.ShardSize = other.Shard, other.Index, other.ShardSize
-		}},
+		{"spliced path from another entry", func(x *Receipt) { x.Path = other.Path }},
+		{"spliced index from another entry", func(x *Receipt) { x.Index = other.Index }},
 		{"tampered entry", func(x *Receipt) { x.Entry.ReqNo++ }},
 		{"tampered result", func(x *Receipt) { x.Entry.Result[0] ^= 1 }},
-		{"forged shard count", func(x *Receipt) { x.Header.Shards++ }},
+		{"forged tree size", func(x *Receipt) { x.Header.GSize++ }},
 		{"forged root", func(x *Receipt) { x.Header.GRoot[0] ^= 1 }},
 	}
 	for _, tc := range cases {
@@ -90,5 +72,53 @@ func TestReceiptNegativeTable(t *testing.T) {
 	}
 	if !r.Verify(pub) {
 		t.Fatal("anchor receipt stopped verifying")
+	}
+}
+
+// TestReceiptRejectsReinterpretedPosition: the receipt's one unsigned
+// field is its index, and the tree size comes from the signed header, so
+// a valid receipt's entry and path verify at its own index and at no
+// other — not at any other index of the batch, nor at or past GSize.
+// Batches of every size up to 20 entries cover the ragged trees, where
+// the last leaves sit at uneven depths.
+func TestReceiptRejectsReinterpretedPosition(t *testing.T) {
+	key := hashsig.GenerateKeyFromSeed("receipt-position")
+	pub := key.Public()
+	l, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 20; n++ {
+		var reqs []Request
+		for i := 0; i < n; i++ {
+			reqs = append(reqs, putReq(fmt.Sprintf("pos-%d", n), uint64(i), fmt.Sprintf("k%d", i), "v"))
+		}
+		_, receipts, err := l.ExecuteBatch(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range receipts {
+			r := receipts[i]
+			if r.Index != uint64(i) || !r.Verify(pub) {
+				t.Fatalf("n=%d: receipt %d is not a valid receipt at its own index", n, i)
+			}
+			for _, j := range []uint64{uint64(n), uint64(n) + 1, 1<<63 + uint64(i)} {
+				bad := r
+				bad.Index = j
+				if bad.Verify(pub) {
+					t.Fatalf("n=%d: receipt %d verifies at index %d, past GSize %d", n, i, j, r.Header.GSize)
+				}
+			}
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
+				}
+				bad := r
+				bad.Index = uint64(j)
+				if bad.Verify(pub) {
+					t.Fatalf("n=%d: receipt %d's path verifies at index %d", n, i, j)
+				}
+			}
+		}
 	}
 }

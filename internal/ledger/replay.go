@@ -21,10 +21,9 @@ var ErrReplay = errors.New("ledger: replay divergence")
 type ReplayResult struct {
 	Batches     int
 	Entries     int
-	Shards      uint32 // execution shard count the stream declared
 	HistSize    uint64
 	HistRoot    hashsig.Digest // ¯M after the last batch
-	StateDigest hashsig.Digest // sharded store digest after the last batch
+	StateDigest hashsig.Digest // store digest after the last batch
 	CkptDigest  hashsig.Digest // d_C of the last checkpoint taken
 }
 
@@ -51,11 +50,8 @@ func Replay(batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.Ver
 // through a fresh core and checks every signed commitment against the
 // recomputed state: header signatures, each under the key keyOf names for
 // it (verified batch-parallel through pool when provided), per-entry
-// results, per-shard batch tree roots combined into ¯G, history tree roots
-// ¯M, and sharded checkpoint digests d_C. The auditor rebuilds a sharded
-// store with the shard count the signed headers declare, so a replica that
-// executed under a different partition than it claims is caught by the
-// first checkpoint digest. app must be the same deterministic application
+// results, batch tree roots ¯G, history tree roots ¯M, and checkpoint
+// digests d_C. app must be the same deterministic application
 // the primaries ran. A nil error means the stream is exactly reproducible —
 // the replicas that signed it executed it faithfully. Nothing is signed and
 // nothing retained: the batches are only read.
@@ -66,10 +62,6 @@ func Replay(batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.Ver
 func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierPool) (res *ReplayResult, err error) {
 	if app == nil {
 		return nil, ErrConfig
-	}
-	shards, err := streamShards(batches, 0)
-	if err != nil {
-		return nil, err
 	}
 	sigs := checkHeaders(batches, keyOf, pool)
 	defer func() {
@@ -83,7 +75,7 @@ func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierP
 	if len(batches) > 0 {
 		wantSeq = batches[0].Header.Seq
 	}
-	c := &core{app: app, shards: shards, store: kv.NewSharded(int(shards)), hist: merkle.New()}
+	c := &core{app: app, store: kv.New(), hist: merkle.New()}
 	return c.replay(wantSeq, batches)
 }
 
@@ -92,8 +84,8 @@ func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierP
 // snapshot and the history tree is restored from the frontier, so every
 // per-batch check — ¯G, ¯M, d_C, results, signatures — is exactly the one
 // a full-stream replay performs over the same suffix. The first batch must
-// have sequence number ck.Seq+1 and the stream's shard count must match
-// the checkpoint's. The checkpoint itself is re-verified: its snapshot
+// have sequence number ck.Seq+1. The checkpoint itself is re-verified: its
+// snapshot
 // must hash to its claimed d_C, so a corrupted checkpoint record cannot
 // vouch for a suffix. The caller remains responsible for binding ck.Digest
 // to a signed header (paper §3.4); given that binding, a successful
@@ -101,10 +93,6 @@ func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierP
 func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.VerifierPool) (res *ReplayResult, err error) {
 	if app == nil || ck == nil {
 		return nil, ErrConfig
-	}
-	shards, err := streamShards(batches, ck.Store.ShardCount())
-	if err != nil {
-		return nil, err
 	}
 	sigs := checkHeaders(batches, singleKey(pub), pool)
 	defer func() {
@@ -122,30 +110,8 @@ func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app Ap
 	if err != nil {
 		return nil, fmt.Errorf("%w: checkpoint %d: %v", ErrReplay, ck.Seq, err)
 	}
-	c := &core{app: app, shards: shards, store: store, hist: hist, lastCkpt: ck.Digest}
+	c := &core{app: app, store: store, hist: hist, lastCkpt: ck.Digest}
 	return c.replay(ck.Seq+1, batches)
-}
-
-// streamShards checks the stream's structural coherence — one shard count,
-// declared by every header, within the store's limit, and matching
-// wantShards when non-zero — and returns that count.
-func streamShards(batches []*Batch, wantShards uint32) (uint32, error) {
-	shards := wantShards
-	if shards == 0 {
-		shards = 1
-	}
-	for i, b := range batches {
-		if i == 0 && wantShards == 0 {
-			shards = b.Header.Shards
-			if shards < 1 || shards > kv.MaxShards {
-				return 0, fmt.Errorf("%w: batch %d: shard count %d", ErrReplay, b.Header.Seq, shards)
-			}
-		} else if b.Header.Shards != shards {
-			return 0, fmt.Errorf("%w: batch %d: shard count %d, stream expects %d",
-				ErrReplay, b.Header.Seq, b.Header.Shards, shards)
-		}
-	}
-	return shards, nil
 }
 
 // checkHeaders starts verifying every header signature of the stream, each
@@ -193,7 +159,7 @@ func checkHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool) (wa
 // bounded queue, runs every check of each batch in order a batch or more
 // behind it (core.check). The checker owns the history tree, the scratch
 // and lastCkpt; the lane owns the store, and hands the checker at each
-// marker a snapshot of it (Clone, O(shards)), which the checker hashes
+// marker a snapshot of it (Clone, O(1)), which the checker hashes
 // while the lane builds its successors (see champ's concurrency contract).
 // The verdict is the one derive would reach: the first divergence in
 // derivation order — batch, then entry, then header field. A structural
@@ -220,7 +186,6 @@ func (c *core) replay(wantSeq uint64, batches []*Batch) (*ReplayResult, error) {
 	return &ReplayResult{
 		Batches:     len(batches),
 		Entries:     countEntries(batches),
-		Shards:      c.shards,
 		HistSize:    c.hist.Size(),
 		HistRoot:    c.hist.Root(),
 		StateDigest: c.store.CheckpointDigest(),
@@ -272,17 +237,17 @@ type checkJob struct {
 	seq      uint64
 	entries  []Entry
 	want     *BatchHeader
-	outcomes []outcome        // per entry; set for transactions
-	snap     *kv.ShardedStore // the store as of the batch's marker; nil without one
-	end      error            // the lane stopped in this batch, with this verdict
+	outcomes []outcome // per entry; set for transactions
+	snap     *kv.Store // the store as of the batch's marker; nil without one
+	end      error     // the lane stopped in this batch, with this verdict
 }
 
 // check is every check of one batch the lane executed, in derivation
 // order: each result (settle) and the entry digests and leaf hashes, then
 // the lane's own verdict if it stopped here, then the marker's d_C
-// (checkpoint), G_s/¯G and the M append (commit), and the header.
+// (checkpoint), ¯G and the M append (commit), and the header.
 func (c *core) check(j *checkJob) error {
-	c.scratch.grow(len(j.entries), c.shards)
+	c.scratch.grow(len(j.entries))
 	for ei := range j.entries {
 		e := &j.entries[ei]
 		if e.Kind == KindTransaction {
@@ -301,7 +266,7 @@ func (c *core) check(j *checkJob) error {
 			return fmt.Errorf("%w: %w", ErrReplay, div)
 		}
 	}
-	got := c.header(j.seq, len(j.entries), c.commit(j.entries))
+	got := c.header(j.seq, len(j.entries), c.commit())
 	if div := compareHeader(j.want, &got); div != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, div)
 	}

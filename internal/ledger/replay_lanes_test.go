@@ -14,12 +14,12 @@ import (
 )
 
 // laneStream executes batches × size requests (two puts each, over a small
-// key space, under several authors) on a fresh ledger with the given shard
-// count, signed by testKey, and returns its stream. A checkpoint marker
-// ends every even-numbered batch.
-func laneStream(t testing.TB, shards uint32, batches, size int) []*Batch {
+// key space, under several authors) on a fresh ledger, signed by testKey,
+// and returns its stream. A checkpoint marker ends every even-numbered
+// batch.
+func laneStream(t testing.TB, batches, size int) []*Batch {
 	t.Helper()
-	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2, Shards: shards})
+	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func resign(b *Batch) { b.Header.Sig = testKey.MustSign(b.Header.StatementDigest
 // stream whose batch j diverges and whose later batch k carries a forged
 // signature is rejected for the signature, inline and pipelined.
 func TestReplaySignatureWinsOverEarlierDivergence(t *testing.T) {
-	honest := laneStream(t, 1, 4, 40)
+	honest := laneStream(t, 4, 40)
 	pool := hashsig.NewVerifierPool(2)
 	defer pool.Close()
 	for _, procs := range []int{1, 4} {
@@ -92,7 +92,7 @@ func TestReplayLeavesNoGoroutines(t *testing.T) {
 	forceParallel(t)
 	pool := hashsig.NewVerifierPool(2) // workers started before the baseline
 	defer pool.Close()
-	honest := laneStream(t, 1, 3, 40)
+	honest := laneStream(t, 3, 40)
 	diverged := deepCopyBatches(honest)
 	diverged[1].Header.MRoot[0] ^= 1
 	resign(diverged[1])
@@ -174,30 +174,31 @@ func replayAt(procs int, batches []*Batch) replayVerdict {
 // FuzzReplayStream feeds the auditor's whole input path — ReadBatches,
 // then Replay — mutated streams, with the inline schedule as the oracle
 // for the pipeline. For every input: nothing panics; a stream Replay
-// accepts is a prefix of the honest stream of its shard count, batch for
-// batch byte-identical once re-encoded (nothing else is signed by
-// testKey); and GOMAXPROCS=1 and GOMAXPROCS=2 reach the same verdict — the
-// same result, or the same error class and Divergence.
+// accepts is a prefix of one of the two honest streams — the one whose
+// first batch has as many entries — batch for batch byte-identical once
+// re-encoded (nothing else is signed by testKey); and GOMAXPROCS=1 and
+// GOMAXPROCS=2 reach the same verdict — the same result, or the same error
+// class and Divergence.
 func FuzzReplayStream(f *testing.F) {
-	honest := map[uint32][]*Batch{
-		1: laneStream(f, 1, 3, 40),
-		4: laneStream(f, 4, 3, 72),
+	honest := map[uint64][]*Batch{
+		40: laneStream(f, 3, 40),
+		72: laneStream(f, 3, 72),
 	}
-	for _, shards := range []uint32{1, 4} {
-		f.Add(encodeStream(f, honest[shards]))
+	for _, size := range []uint64{40, 72} {
+		f.Add(encodeStream(f, honest[size]))
 	}
-	forgedSig := deepCopyBatches(honest[1])
+	forgedSig := deepCopyBatches(honest[40])
 	forgedSig[2].Header.Sig[9] ^= 0x04
 	f.Add(encodeStream(f, forgedSig))
-	forgedResult := deepCopyBatches(honest[4])
+	forgedResult := deepCopyBatches(honest[72])
 	forgedResult[1].Entries[7].Result[0] ^= 1
 	resign(forgedResult[1])
 	f.Add(encodeStream(f, forgedResult))
-	forgedState := deepCopyBatches(honest[1])
+	forgedState := deepCopyBatches(honest[40])
 	lastEntry(forgedState[1]).State[0] ^= 1
 	resign(forgedState[1])
 	f.Add(encodeStream(f, forgedState))
-	resultThenKind := deepCopyBatches(honest[4])
+	resultThenKind := deepCopyBatches(honest[72])
 	resultThenKind[1].Entries[3].Result[0] ^= 1
 	resultThenKind[1].Entries[20].Kind = 99
 	resign(resultThenKind[1])
@@ -215,7 +216,10 @@ func FuzzReplayStream(f *testing.F) {
 		if !inline.ok || len(batches) == 0 {
 			return
 		}
-		want := honest[batches[0].Header.Shards]
+		want, ok := honest[batches[0].Header.GSize]
+		if !ok {
+			t.Fatalf("accepted a stream whose first batch has %d entries; no honest one has", batches[0].Header.GSize)
+		}
 		if len(batches) > len(want) {
 			t.Fatalf("accepted %d batches; the honest stream has %d", len(batches), len(want))
 		}
@@ -241,7 +245,7 @@ func lastEntry(b *Batch) *Entry { return &b.Entries[len(b.Entries)-1] }
 // adjacent ones, so the lane stops before the checker has reached the
 // verdict.
 func TestReplayVerdictOrder(t *testing.T) {
-	honest := laneStream(t, 1, 6, 64)
+	honest := laneStream(t, 6, 64)
 	flip := func(d *hashsig.Digest) { d[0] ^= 1 }
 	cases := []struct {
 		name  string

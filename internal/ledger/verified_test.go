@@ -10,11 +10,11 @@ import (
 	"iaccf/internal/hashsig"
 )
 
-// execBatch executes one n-request batch on a fresh 4-shard ledger under
+// execBatch executes one n-request batch on a fresh ledger under
 // key and returns its receipts, unchecked.
 func execBatch(t *testing.T, key *hashsig.PrivateKey, tag string, n int) []Receipt {
 	t.Helper()
-	l, err := New(Config{Key: key, App: KVApp{}, Shards: 4})
+	l, err := New(Config{Key: key, App: KVApp{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,22 +66,9 @@ func TestReceiptVerifyWarmSetFailsClosed(t *testing.T) {
 	receipts := warmBatch(t, key, "warm-set", 12)
 	pub := key.Public()
 
-	var r, other *Receipt
-	for i := range receipts {
-		if r == nil && len(receipts[i].Path) >= 2 {
-			r = &receipts[i]
-		}
-	}
-	if r == nil {
-		t.Fatal("no receipt with a two-node path")
-	}
-	for i := range receipts {
-		if receipts[i].Shard != r.Shard {
-			other = &receipts[i]
-		}
-	}
-	if other == nil {
-		t.Fatal("all receipts landed in one shard")
+	r, other := &receipts[2], &receipts[3]
+	if len(r.Path) < 2 {
+		t.Fatal("receipt has no two-node path")
 	}
 
 	type mutation struct {
@@ -101,13 +88,10 @@ func TestReceiptVerifyWarmSetFailsClosed(t *testing.T) {
 		{"M root", pub, func(x *Receipt) { x.Header.MRoot[0] ^= 1 }},
 		{"G root", pub, func(x *Receipt) { x.Header.GRoot[31] ^= 1 }},
 		{"G size", pub, func(x *Receipt) { x.Header.GSize++ }},
-		{"shard count", pub, func(x *Receipt) { x.Header.Shards++ }},
 		{"checkpoint digest", pub, func(x *Receipt) { x.Header.CkptDigest[0] ^= 1 }},
 		{"truncated path", pub, func(x *Receipt) { x.Path = x.Path[:len(x.Path)-1] }},
 		{"spliced path", pub, func(x *Receipt) { x.Path = other.Path }},
-		{"spliced position", pub, func(x *Receipt) {
-			x.Shard, x.Index, x.ShardSize = other.Shard, other.Index, other.ShardSize
-		}},
+		{"spliced position", pub, func(x *Receipt) { x.Index = other.Index }},
 		{"tampered entry", pub, func(x *Receipt) { x.Entry.ReqNo++ }},
 	}
 	for i := range r.Header.Sig {

@@ -55,7 +55,6 @@ func bootCluster(t *testing.T, n int, seed string) ([]string, []*hashsig.PublicK
 				Peers:           pubs,
 				App:             ledger.KVApp{},
 				CheckpointEvery: 4,
-				Shards:          1,
 			},
 			Transport: tp,
 			Clock:     clk,

@@ -227,27 +227,6 @@ func VerifyPath(entry hashsig.Digest, i, n uint64, path []hashsig.Digest, root h
 	return ok && len(rest) == 0 && h == root
 }
 
-// VerifyShardedPath checks a two-stage audit path: entry is the i-th of m
-// leaves in shard tree number `shard`, and that shard tree's root is the
-// shard-th of `shards` leaves in the top tree with the given root. The path
-// is the shard-tree audit path (the prefix) followed by the top-tree audit
-// path — exactly what a sharded-execution receipt carries, rooting a
-// transaction entry in the single signed ¯G that combines all per-shard
-// batch trees G_s (paper §6). The split point is not declared anywhere in
-// the path: the prefix length is fully determined by (i, m), so a path
-// cannot be reinterpreted across the stage boundary.
-func VerifyShardedPath(entry hashsig.Digest, i, m, shard, shards uint64, path []hashsig.Digest, root hashsig.Digest) bool {
-	if i >= m || shard >= shards {
-		return false
-	}
-	shardRoot, rest, ok := rollUp(LeafHash(entry), i, m, path)
-	if !ok {
-		return false
-	}
-	h, rest, ok := rollUp(LeafHash(shardRoot), shard, shards, rest)
-	return ok && len(rest) == 0 && h == root
-}
-
 // rollUp recomputes the subtree hash for the range containing leaf i.
 func rollUp(h hashsig.Digest, i, n uint64, path []hashsig.Digest) (hashsig.Digest, []hashsig.Digest, bool) {
 	if n == 1 {

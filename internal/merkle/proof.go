@@ -54,9 +54,8 @@ func (t *Tree) AppendAndProveLeafHashes(leaves []hashsig.Digest) (uint64, hashsi
 // All returned paths sub-slice a single backing arena allocated by this
 // call — one allocation for the whole batch instead of O(log n) appends per
 // leaf. Each path is a three-index sub-slice with capacity equal to its
-// length, so a caller that appends to a returned path (as the ledger does
-// when joining a shard path to the top path in a receipt) forces a fresh
-// copy instead of overwriting a neighboring path's hashes. Callers own the
+// length, so a caller that appends to a returned path forces a fresh copy
+// instead of overwriting a neighboring path's hashes. Callers own the
 // paths and may retain them indefinitely.
 func (t *Tree) PathsAt(from, n uint64) ([][]hashsig.Digest, error) {
 	if from >= n || n > t.Size() {

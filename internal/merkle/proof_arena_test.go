@@ -51,8 +51,7 @@ func TestPathsAtMatchesPathAt(t *testing.T) {
 }
 
 // TestPathsArenaAppendSafe: the arena'd paths must behave like independent
-// slices. Appending to one returned path (what the ledger does to join a
-// shard path with the top path) must not alter any sibling path.
+// slices. Appending to one returned path must not alter any sibling path.
 func TestPathsArenaAppendSafe(t *testing.T) {
 	const n = 600 // a ragged tree over several perfect subtrees
 	entries := entryDigests(n)

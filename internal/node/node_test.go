@@ -68,7 +68,6 @@ func startTCPCluster(t *testing.T, n int, seed string) ([]*Node, []string) {
 				Peers:           pubs,
 				App:             ledger.KVApp{},
 				CheckpointEvery: 4,
-				Shards:          1,
 			},
 			Transport: tp,
 			Clock:     clk,
@@ -236,7 +235,7 @@ func TestRouteCountsSendErrors(t *testing.T) {
 	}
 	tp.Close()
 	nd, err := New(Config{
-		Consensus: consensus.Config{Key: keys[0], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4, Shards: 1},
+		Consensus: consensus.Config{Key: keys[0], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4},
 		Transport: tp,
 		Clock:     NewManualClock(),
 	})

@@ -138,7 +138,6 @@ func startManualCluster(t *testing.T, seed string, tune func(*Config)) *manualCl
 				Peers:           pubs,
 				App:             ledger.KVApp{},
 				CheckpointEvery: 4,
-				Shards:          1,
 			},
 			Transport: directEndpoint{net: c.net, self: transport.NodeID(i)},
 			Clock:     clk,
@@ -471,7 +470,7 @@ func unstartedNode(t *testing.T, seed string) *Node {
 	keys, pubs := clusterKeys(seed, manualClusterSize)
 	net := &directNet{handlers: make([]transport.Handler, manualClusterSize)}
 	nd, err := New(Config{
-		Consensus: consensus.Config{Key: keys[0], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4, Shards: 1},
+		Consensus: consensus.Config{Key: keys[0], Peers: pubs, App: ledger.KVApp{}, CheckpointEvery: 4},
 		Transport: directEndpoint{net: net},
 		Clock:     NewManualClock(),
 	})

@@ -36,8 +36,10 @@ const (
 	// Magic opens every client RPC connection ("iacC").
 	Magic = 0x69616343
 	// Version is the only protocol version current clients and servers
-	// speak.
-	Version = 1
+	// speak. Version 2 carries the receipt without the shard partition: no
+	// shard count in its header, no shard index or shard size beside its
+	// leaf index, and a path of at most 64 digests.
+	Version = 2
 	// maxRequestFrame bounds request frames: the request body cap plus the
 	// request envelope (flag, author, reqno, length prefixes).
 	maxRequestFrame = ledger.MaxRequestLen + 128

@@ -20,7 +20,11 @@ import (
 // goldenRPC holds the protocol's recorded bytes: the hello, one request
 // frame, and one response frame per status, written while both ends of the
 // protocol still lived in the node package. Do not regenerate it from the
-// current code: the point is that the move did not change a byte.
+// current code: the point is that the move did not change a byte. The
+// hello and the committed response were re-recorded on purpose when the
+// shard partition went (version 2; the receipt lost its shard fields),
+// and only once their other bytes — every other frame, and the receipt's
+// entry — were checked unchanged.
 const goldenRPC = "testdata/rpc_golden.txt"
 
 // goldenStatuses names the recorded responses in the order the tests

@@ -124,7 +124,6 @@ type Partition struct {
 // Config parameterizes one simulation run.
 type Config struct {
 	Seed            int64
-	Shards          uint32 // ledger shard count; 0 means 1
 	CheckpointEvery uint64 // default 2
 	Window          int    // proposal window W; default consensus.DefaultWindow
 	// Requests is the workload: client requests that must commit on every
@@ -255,7 +254,6 @@ func New(cfg Config) (*Sim, error) {
 			Peers:           s.pubs,
 			App:             ledger.KVApp{},
 			CheckpointEvery: cfg.CheckpointEvery,
-			Shards:          cfg.Shards,
 			Window:          cfg.Window,
 		}
 		var handler transport.Handler

@@ -200,28 +200,25 @@ func TestSimRefusesNetworkCut(t *testing.T) {
 // TestSimReplayMatchesLiveState is the auditing property (paper §5) over a
 // consensus-committed stream: replaying any honest node's batch stream
 // must reproduce every other honest node's live state — store digest and
-// ¯M — across seeds and shard counts 1/4/16. A replica's ledger holds the
-// pre-prepares it accepted, so the replay is the keyed one: each header
-// under the key of the primary it names.
+// ¯M — across seeds. A replica's ledger holds the pre-prepares it
+// accepted, so the replay is the keyed one: each header under the key of
+// the primary it names.
 func TestSimReplayMatchesLiveState(t *testing.T) {
 	pool := hashsig.NewVerifierPool(0)
 	defer pool.Close()
-	for _, shards := range []uint32{1, 4, 16} {
-		for seed := int64(1); seed <= 5; seed++ {
-			res, err := Run(Config{
-				Seed:   seed,
-				Shards: shards,
-				// Every batch within one window of commits, so nothing is
-				// pruned and every ledger replays from genesis.
-				Requests: 4,
-				Clients:  2,
-				Network:  transport.TamperPolicy{DropRate: 0.2, ReorderWindow: 4},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			replayAll(t, fmt.Sprintf("shards %d seed %d", shards, seed), res, seed, shards, pool)
+	for seed := int64(1); seed <= 5; seed++ {
+		res, err := Run(Config{
+			Seed: seed,
+			// Every batch within one window of commits, so nothing is
+			// pruned and every ledger replays from genesis.
+			Requests: 4,
+			Clients:  2,
+			Network:  transport.TamperPolicy{DropRate: 0.2, ReorderWindow: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		replayAll(t, fmt.Sprintf("seed %d", seed), res, seed, pool)
 	}
 }
 
@@ -257,7 +254,7 @@ func TestSimReplayAcrossViews(t *testing.T) {
 			t.Fatalf("seed %d: committed %d in view 0", seed, res.Committed)
 		}
 		label := fmt.Sprintf("seed %d", seed)
-		replayAll(t, label, res, seed, 1, pool)
+		replayAll(t, label, res, seed, pool)
 		for id, nd := range res.Nodes {
 			batches := nd.Replica().Ledger().Batches()
 			views := map[uint64]bool{}
@@ -278,7 +275,7 @@ func TestSimReplayAcrossViews(t *testing.T) {
 
 // replayAll replays every honest node's retained stream through the keyed
 // audit and compares the result with every honest node's live state.
-func replayAll(t *testing.T, label string, res *Result, seed int64, shards uint32, pool *hashsig.VerifierPool) {
+func replayAll(t *testing.T, label string, res *Result, seed int64, pool *hashsig.VerifierPool) {
 	t.Helper()
 	peers := make([]*hashsig.PublicKey, 4)
 	for i := range peers {
@@ -288,9 +285,6 @@ func replayAll(t *testing.T, label string, res *Result, seed int64, shards uint3
 		got, err := ledger.ReplayKeyed(nd.Replica().Ledger().Batches(), ledger.StatementKey(peers), ledger.KVApp{}, pool)
 		if err != nil {
 			t.Fatalf("%s: replay of replica %d: %v", label, id, err)
-		}
-		if got.Shards != shards {
-			t.Fatalf("%s: replay saw %d shards", label, got.Shards)
 		}
 		for oid, other := range res.Nodes {
 			if got.HistRoot != other.Replica().Ledger().HistRoot() {

@@ -42,18 +42,19 @@ const (
 	// Magic opens every transport connection ("iacT").
 	Magic = 0x69616354
 	// VCurrent is the only protocol version current nodes speak. Version 2
-	// pushes catch-up transfers (consensus tags 7 and 8 retired, SyncChunk
-	// carries its offer), so a version-1 peer is refused at the handshake
-	// rather than at its first sync frame.
-	VCurrent = 2
+	// pushed catch-up transfers (consensus tags 7 and 8 retired, SyncChunk
+	// carries its offer). Version 3 dropped the shard partition: every
+	// batch header loses its shard count and SyncChunk its shard digest
+	// vector, so every pre-prepare and sync frame changes shape. A peer of
+	// another version is refused at the handshake rather than at its first
+	// frame.
+	VCurrent = 3
 	// MaxFrameLen bounds frame bodies: a maximal sync chunk
 	// (wire.MaxChunkLen) plus 64 KiB of slack for the envelope and the offer
-	// every SyncChunk carries. At the most shard digests a stream may
-	// declare (wire.MaxStreamShards) and the longest frontier a decoder
-	// accepts, the offer's certificate — a prepare from every backup and an
-	// opening from every replica, ≈ 376 bytes per replica — fits for
-	// clusters of up to 76 replicas (163 at one shard);
-	// consensus.TestSyncChunkFitsOneFrame holds 4 and 76.
+	// every SyncChunk carries. At the longest frontier a decoder accepts,
+	// the offer's certificate — a prepare from every backup and an opening
+	// from every replica, ≈ 376 bytes per replica — fits for clusters of up
+	// to 165 replicas; consensus.TestSyncChunkFitsOneFrame holds 4 and 165.
 	MaxFrameLen = 1<<26 + 1<<16
 )
 

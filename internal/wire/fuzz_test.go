@@ -11,21 +11,21 @@ import (
 func streamHeaderCorpus() [][]byte {
 	var valid bytes.Buffer
 	w := NewWriter(&valid)
-	(&StreamHeader{Version: StreamVCurrent, Shards: 4}).EncodeTo(w)
+	(&StreamHeader{Version: StreamVCurrent}).EncodeTo(w)
 	if err := w.Flush(); err != nil {
 		panic(err)
 	}
 	v := valid.Bytes()
 	return [][]byte{
 		v,
-		v[:len(v)-1],                      // truncated shard count
+		v[:len(v)-1],                      // truncated version
 		v[:4],                             // magic only
 		{},                                // empty
 		{0xde, 0xad, 0xbe, 0xef},          // foreign magic
 		append(append([]byte{}, v...), 0), // trailing byte (caller's concern)
-		{0x69, 0x61, 0x63, 0x63, 0, 0, 0, 1, 0, 0, 0, 1},             // legacy version 1
-		{0x69, 0x61, 0x63, 0x63, 0, 0, 0, 2, 0, 0, 0, 0},             // zero shards
-		{0x69, 0x61, 0x63, 0x63, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff}, // huge shards
+		{0x69, 0x61, 0x63, 0x63, 0, 0, 0, 1, 0, 0, 0, 1}, // legacy version 1
+		{0x69, 0x61, 0x63, 0x63, 0, 0, 0, 2, 0, 0, 0, 4}, // version 2, four shards
+		{0x69, 0x61, 0x63, 0x63, 0, 0, 0, 3, 0, 0, 0, 1}, // version 3, one shard
 	}
 }
 
@@ -43,9 +43,6 @@ func FuzzDecodeStreamHeader(f *testing.F) {
 		// re-encode to the exact bytes consumed.
 		if h.Version != StreamVCurrent {
 			t.Fatalf("decoded unsupported version %d", h.Version)
-		}
-		if h.Shards < 1 || h.Shards > MaxStreamShards {
-			t.Fatalf("decoded out-of-range shard count %d", h.Shards)
 		}
 		var buf bytes.Buffer
 		w := NewWriter(&buf)

@@ -39,7 +39,7 @@ const (
 	MaxKeyLen = 1 << 20
 	// MaxValueLen bounds key-value store values and ledger entry payloads.
 	MaxValueLen = 1 << 24
-	// MaxChunkLen bounds one state-transfer chunk payload: a single shard's
+	// MaxChunkLen bounds one state-transfer chunk payload: the store's
 	// canonical serialization or one batch's encoding, framed as an opaque
 	// byte field in sync messages.
 	MaxChunkLen = 1 << 26
@@ -50,43 +50,36 @@ const (
 // format can evolve behind the version field. The version count starts at
 // 2: the pre-sharding stream ("version 1") had no header at all — its
 // first bytes were the raw batch count — so any unframed legacy stream
-// fails the magic check rather than mis-decoding. Version 2 carries the
-// execution shard count that sharded checkpoint digests and per-shard
-// batch trees depend on (paper §6). Version 3 changed the batch header:
-// it is the whole pre-prepare statement (view, primary and nonce commitment
-// before the content fields) under one signature over all of it, so a
-// version-2 header neither decodes nor verifies and is refused here.
+// fails the magic check rather than mis-decoding. Version 2 carried the
+// execution shard count that per-shard checkpoint digests and batch trees
+// depended on. Version 3 changed the batch header: it is the whole
+// pre-prepare statement (view, primary and nonce commitment before the
+// content fields) under one signature over all of it. Version 4 dropped
+// the partition: the stream header and every batch header lose their
+// shard count, ¯G is the root of one batch tree, and d_C the digest of
+// one trie. A stream of any other version is refused here.
 const (
 	// StreamMagic opens every batch stream ("iacc").
 	StreamMagic = 0x69616363
 	// StreamVCurrent is the only version current readers decode; writers
 	// always emit it. Future format changes bump it and gate their fields
 	// on it.
-	StreamVCurrent = 3
-	// MaxStreamShards bounds the shard count accepted from a stream. It is
-	// the definition kv.MaxShards aliases, so the wire and store limits
-	// cannot drift.
-	MaxStreamShards = 1 << 10
+	StreamVCurrent = 4
 )
 
 // StreamHeader is the versioned opening of a batch stream.
 type StreamHeader struct {
 	Version uint32
-	// Shards is the execution shard count the stream's batches were built
-	// under. Always >= 1.
-	Shards uint32
 }
 
-// EncodeTo writes the header: magic, version, shard count.
+// EncodeTo writes the header: magic, version.
 func (h *StreamHeader) EncodeTo(w *Writer) {
 	w.Uint32(StreamMagic)
 	w.Uint32(h.Version)
-	w.Uint32(h.Shards)
 }
 
-// DecodeStreamHeader reads and validates a stream header. Foreign magic,
-// versions other than StreamVCurrent, and out-of-range shard counts are
-// all rejected.
+// DecodeStreamHeader reads and validates a stream header. Foreign magic
+// and versions other than StreamVCurrent are rejected.
 func DecodeStreamHeader(r *Reader) (StreamHeader, error) {
 	if m := r.Uint32(); r.Err() == nil && m != StreamMagic {
 		return StreamHeader{}, fmt.Errorf("%w: bad stream magic %#x", ErrCorrupt, m)
@@ -94,10 +87,6 @@ func DecodeStreamHeader(r *Reader) (StreamHeader, error) {
 	h := StreamHeader{Version: r.Uint32()}
 	if r.Err() == nil && h.Version != StreamVCurrent {
 		return StreamHeader{}, fmt.Errorf("%w: unsupported stream version %d", ErrCorrupt, h.Version)
-	}
-	h.Shards = r.Uint32()
-	if r.Err() == nil && (h.Shards < 1 || h.Shards > MaxStreamShards) {
-		return StreamHeader{}, fmt.Errorf("%w: stream shard count %d", ErrCorrupt, h.Shards)
 	}
 	if err := r.Err(); err != nil {
 		return StreamHeader{}, err
@@ -512,7 +501,7 @@ func (r *Reader) Fail(err error) {
 }
 
 // Annotate wraps an already-recorded error with frame-position context
-// ("shard 3: entry 17 key: …"), preserving the wrapped chain so sentinel
+// ("entry 17 key: …"), preserving the wrapped chain so sentinel
 // checks like errors.Is(err, ErrCorrupt) keep working. A clean reader is
 // left untouched, so decoders can annotate unconditionally after each
 // frame boundary.
