@@ -85,7 +85,7 @@ func modelStore(model map[string]string) *Store {
 // TestOverlay covers the store's pending writes: every way to read the
 // store, taken as the first call after writes are left pending (so each
 // lands the overlay itself), must agree with a store that held the same
-// contents in its trie all along.
+// contents in its trie all along. The store is one trie: shards=1.
 func TestOverlay(t *testing.T) {
 	reads := []struct {
 		name string
@@ -111,6 +111,16 @@ func TestOverlay(t *testing.T) {
 		}},
 		{"Len", func(t *testing.T, s *Store) any { return s.Len() }},
 		{"CheckpointDigest", func(t *testing.T, s *Store) any { return s.CheckpointDigest() }},
+		{"ShardDigests", func(t *testing.T, s *Store) any {
+			// The digest a state-transfer receiver rebuilds from the
+			// store's one chunk.
+			var b bytes.Buffer
+			if err := s.SerializeShard(&b); err != nil {
+				t.Fatal(err)
+			}
+			return digestOf(readMap(wire.NewBytesReader(b.Bytes())))
+		}},
+		{"ShardDigest", func(t *testing.T, s *Store) any { return digestOf(s.ShardSnapshot()) }},
 		{"ShardSnapshot", func(t *testing.T, s *Store) any { return s.ShardSnapshot().Hash() }},
 		{"Clone", func(t *testing.T, s *Store) any {
 			c := s.Clone()
@@ -136,7 +146,7 @@ func TestOverlay(t *testing.T) {
 	for _, pending := range []int{2, 200} {
 		model := overlayModel(pending)
 		for _, r := range reads {
-			t.Run(fmt.Sprintf("pending=%d/%s", pending, r.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("shards=1/pending=%d/%s", pending, r.name), func(t *testing.T) {
 				s := overlayScenario(pending)
 				if len(s.pending.ops) == 0 {
 					t.Fatal("scenario left nothing pending")

@@ -19,14 +19,14 @@ func populated(t *testing.T) *Store {
 	return s
 }
 
-// TestRestoreTruncatedAtEveryOffset restores a store (InstallShard, the
+// TestRestoreShardedTruncatedAtEveryOffset restores a store (InstallShard, the
 // socket-fed decoder) from its chunk cut at every byte boundary: no prefix
 // may install, panic, or change the store, and each cut must fail with an
 // error that names the entry frame it broke in rather than a bare io
 // error.
-func TestRestoreTruncatedAtEveryOffset(t *testing.T) {
+func TestRestoreShardedTruncatedAtEveryOffset(t *testing.T) {
 	s := populated(t)
-	got := New()
+	got := NewSharded(1)
 	var buf bytes.Buffer
 	if err := s.SerializeShard(&buf); err != nil {
 		t.Fatal(err)

@@ -8,10 +8,16 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
-func TestStoreBasic(t *testing.T) {
-	s := New()
+// The tests named Sharded build their store with NewSharded(1), the
+// constructor bench/ calls, so the store it hands out is held to the same
+// properties as New's. The store is one trie, the one shard that name
+// still counts.
+
+func TestShardedBasic(t *testing.T) {
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Put("alice", []byte("100"))
 	tx.Put("bob", []byte("50"))
@@ -39,8 +45,8 @@ func TestStoreBasic(t *testing.T) {
 	}
 }
 
-func TestSnapshotIsolation(t *testing.T) {
-	s := New()
+func TestShardedSnapshotIsolation(t *testing.T) {
+	s := NewSharded(1)
 	tx := s.Begin()
 	tx.Put("k", []byte("v1"))
 	tx.Commit()
@@ -137,13 +143,13 @@ func applyRandom(rng *rand.Rand, ops int, stores ...*Store) {
 	}
 }
 
-// TestIncrementalDigestMatchesRebuild holds the incremental d_C — old
+// TestShardedIncrementalDigestMatchesRebuild holds the incremental d_C — old
 // node hashes kept, only rewritten paths hashed — to the rebuild oracle
 // after every step of a workload with overwrites and deletes, with a
 // checkpoint taken at every step so each one starts from a hashed trie,
 // and a restored copy of every tenth step to the same digest.
-func TestIncrementalDigestMatchesRebuild(t *testing.T) {
-	s := New()
+func TestShardedIncrementalDigestMatchesRebuild(t *testing.T) {
+	s := NewSharded(1)
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 300; step++ {
 		applyRandom(rng, 1+rng.Intn(3), s)
@@ -160,11 +166,11 @@ func TestIncrementalDigestMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestDigestConcurrentStores digests independent stores from several
+// TestShardedDigestConcurrentStores digests independent stores from several
 // goroutines at once, as in-process replicas do. The stores start from one
 // shared trie node — champ's empty root, which every new store points at —
 // and under -race this fails if digesting writes to it.
-func TestDigestConcurrentStores(t *testing.T) {
+func TestShardedDigestConcurrentStores(t *testing.T) {
 	const workers = 8
 	digests := make([][32]byte, workers)
 	var wg sync.WaitGroup
@@ -172,7 +178,7 @@ func TestDigestConcurrentStores(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := New()
+			s := NewSharded(1)
 			s.CheckpointDigest() // the shared empty root
 			for i := 0; i < 50; i++ {
 				tx := s.Begin()
@@ -190,8 +196,8 @@ func TestDigestConcurrentStores(t *testing.T) {
 	}
 }
 
-func TestMarksRollbackRestoresDigestCache(t *testing.T) {
-	s := New()
+func TestShardedMarksRollbackRestoresDigestCache(t *testing.T) {
+	s := NewSharded(1)
 	for i := 0; i < 50; i++ {
 		tx := s.Begin()
 		tx.Put(fmt.Sprintf("k%d", i), []byte("v"))
@@ -224,8 +230,8 @@ func TestMarksRollbackRestoresDigestCache(t *testing.T) {
 // Rollback across checkpoint boundaries interacting with PruneMarks: marks
 // before the prune point die, later marks stay usable, and the digest cache
 // survives the round trip.
-func TestRollbackAcrossCheckpointsWithPrune(t *testing.T) {
-	s := New()
+func TestShardedRollbackAcrossCheckpointsWithPrune(t *testing.T) {
+	s := NewSharded(1)
 	digests := map[uint64][32]byte{}
 	for seq := uint64(1); seq <= 6; seq++ {
 		s.Mark(seq)
@@ -256,11 +262,11 @@ func TestRollbackAcrossCheckpointsWithPrune(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorrupt: restoring a store from a chunk refuses an
+// TestRestoreShardedRejectsCorrupt: restoring a store from a chunk refuses an
 // empty chunk and trailing data — even when the chunk's digest is the one
 // expected — and a refused chunk changes nothing.
-func TestRestoreRejectsCorrupt(t *testing.T) {
-	s := New()
+func TestRestoreShardedRejectsCorrupt(t *testing.T) {
+	s := NewSharded(1)
 	if err := s.InstallShard(nil, s.CheckpointDigest()); err == nil {
 		t.Fatal("empty chunk installed")
 	}
@@ -271,13 +277,124 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 	if err := s.SerializeShard(&chunk); err != nil {
 		t.Fatal(err)
 	}
-	got := New()
+	got := NewSharded(1)
 	before := got.CheckpointDigest()
 	if err := got.InstallShard(append(bytes.Clone(chunk.Bytes()), 0x00), s.CheckpointDigest()); err == nil {
 		t.Fatal("trailing data accepted")
 	}
 	if got.CheckpointDigest() != before {
 		t.Fatal("a refused chunk changed the store")
+	}
+}
+
+// TestShardedSerializeRestore: a store restored from its chunk holds the
+// same contents and d_C, and serializes to the same bytes again.
+func TestShardedSerializeRestore(t *testing.T) {
+	s := NewSharded(1)
+	for i := 0; i < 300; i++ {
+		tx := s.Begin()
+		tx.Put(fmt.Sprintf("key-%04d", i), bytes.Repeat([]byte{byte(i)}, i%16))
+		tx.Commit()
+	}
+	restored := restoreByChunk(t, s)
+	if restored.Len() != s.Len() || restored.CheckpointDigest() != s.CheckpointDigest() {
+		t.Fatal("restored store differs in size or d_C")
+	}
+	if !sameContents(sortedContents(restored), sortedContents(s)) {
+		t.Fatal("restored contents differ")
+	}
+	var first, again bytes.Buffer
+	if err := s.SerializeShard(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.SerializeShard(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), again.Bytes()) {
+		t.Fatal("serialize -> install -> serialize not byte-identical")
+	}
+}
+
+func TestShardedClone(t *testing.T) {
+	s := NewSharded(1)
+	tx := s.Begin()
+	tx.Put("a", []byte("1"))
+	tx.Commit()
+	c := s.Clone()
+	tx = c.Begin()
+	tx.Put("a", []byte("2"))
+	tx.Commit()
+	if v, _ := s.Get("a"); string(v) != "1" {
+		t.Fatal("clone mutation leaked into original")
+	}
+	if v, _ := c.Get("a"); string(v) != "2" {
+		t.Fatal("clone did not take write")
+	}
+	if s.CheckpointDigest() == c.CheckpointDigest() {
+		t.Fatal("diverged clones share a digest")
+	}
+}
+
+func TestShardedGetReturnsDefensiveCopy(t *testing.T) {
+	s := NewSharded(1)
+	tx := s.Begin()
+	tx.Put("k", []byte("original"))
+	tx.Commit()
+	before := s.CheckpointDigest()
+	v, _ := s.Get("k")
+	copy(v, "CLOBBER!")
+	if got, _ := s.Get("k"); string(got) != "original" {
+		t.Fatal("mutating Get result corrupted the store")
+	}
+	if scratchDigest(s) != before {
+		t.Fatal("mutating Get result changed the digest")
+	}
+}
+
+// TestQuickShardedMatchesUnsharded: a NewSharded(1) store and a New one
+// fed identical random workloads hold identical contents and d_C, the
+// incremental d_C equals a rebuild from scratch, and the same contents
+// reached by another history (a restore) digest alike.
+func TestQuickShardedMatchesUnsharded(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		flat, sharded := New(), NewSharded(1)
+		applyRandom(rng, 40, flat, sharded)
+		if sharded.Len() != flat.Len() || !sameContents(sortedContents(sharded), sortedContents(flat)) {
+			t.Log("contents diverge")
+			return false
+		}
+		d := sharded.CheckpointDigest()
+		if d != flat.CheckpointDigest() || d != scratchDigest(sharded) {
+			t.Log("d_C diverges from the other store or from a rebuild from scratch")
+			return false
+		}
+		if restoreByChunk(t, sharded).CheckpointDigest() != d {
+			t.Log("restored checkpoint digest diverges")
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardDigestCrossAudit: an auditor's replayed store and the
+// replica's agree on the digest of their one shard, d_C, and a divergence
+// in one key shows in it.
+func TestShardDigestCrossAudit(t *testing.T) {
+	auditor, replica := NewSharded(1), NewSharded(1)
+	rng := rand.New(rand.NewSource(7))
+	applyRandom(rng, 30, auditor, replica)
+	if auditor.CheckpointDigest() != replica.CheckpointDigest() {
+		t.Fatal("digest diverges between the two views")
+	}
+	tx := replica.Begin()
+	tx.Put("poisoned", []byte("x"))
+	tx.Commit()
+	if auditor.CheckpointDigest() == replica.CheckpointDigest() {
+		t.Fatal("divergent store not detected")
 	}
 }
 

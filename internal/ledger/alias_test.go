@@ -2,11 +2,69 @@ package ledger
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"iaccf/internal/hashsig"
 )
+
+// genSkewedBatch layers author skew over genBatch: hotTenths/10 of the
+// requests are re-authored by one hot client. ReqNos stay unique within
+// the batch, so re-authoring never collides.
+func genSkewedBatch(rng *rand.Rand, n, keyPool, hotTenths int) []Request {
+	out := genBatch(rng, n, keyPool)
+	hot := hashsig.Sum([]byte("hot-client"))
+	for i := range out {
+		if rng.Intn(10) < hotTenths {
+			out[i].Author = hot
+		}
+	}
+	return out
+}
+
+// TestParallelMatchesSequentialUnderAuthorSkew holds the derivation to one
+// answer under author skew: with 90% of the requests from one client, the
+// arena'd proof builder and the pipelined leaf hashing must still emit
+// byte-identical headers and receipts, and identical post-state, at
+// GOMAXPROCS=4 and GOMAXPROCS=1. Header equality is checked via
+// ContentDigest, which covers ¯M, ¯G and d_C, so checkpoint digests are
+// compared batch by batch, not just at the end. The resulting stream must
+// replay to the live ledger's roots under both of Replay's schedules,
+// inline and pipelined. The ledgers take bench/'s Shards: 1, which names
+// the subtests.
+func TestParallelMatchesSequentialUnderAuthorSkew(t *testing.T) {
+	for _, hotTenths := range []int{0, 9} {
+		label := fmt.Sprintf("shards=1/hot=%d0%%", hotTenths)
+		t.Run(label, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(100 + int64(hotTenths)))
+			par, err := New(Config{Key: testKey, App: KVApp{}, Shards: 1, CheckpointEvery: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := New(Config{Key: testKey, App: KVApp{}, Shards: 1, CheckpointEvery: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for batch := 0; batch < 4; batch++ {
+				reqs := genSkewedBatch(rng, 64+rng.Intn(100), 512, hotTenths)
+				executeAlike(t, fmt.Sprintf("%s/batch=%d", label, batch), par, seq, reqs)
+			}
+			stream := par.Batches()
+			for _, procs := range []int{1, 2} {
+				var res *ReplayResult
+				atProcs(procs, func() { res, err = Replay(stream, testKey.Public(), KVApp{}, nil) })
+				if err != nil {
+					t.Fatalf("%s: replay at GOMAXPROCS=%d: %v", label, procs, err)
+				}
+				if res.HistSize != par.HistSize() || res.HistRoot != par.HistRoot() ||
+					res.StateDigest != par.StateDigest() || res.CkptDigest != stream[len(stream)-1].Header.CkptDigest {
+					t.Fatalf("%s: replay at GOMAXPROCS=%d diverges from the live ledger", label, procs)
+				}
+			}
+		})
+	}
+}
 
 // receiptSnap deep-copies everything a client retains from a receipt.
 type receiptSnap struct {

@@ -134,17 +134,18 @@ func executeAlike(t *testing.T, label string, par, seq *Ledger, reqs []Request) 
 // TestParallelExecuteMatchesSequential: across batch sizes and key
 // contention, proposing at GOMAXPROCS=4 emits byte-identical
 // entries, headers, receipts and post-state to proposing at GOMAXPROCS=1.
-// The last batch of each run is larger than any batch a node cuts.
+// The last batch of each run is larger than any batch a node cuts. The
+// ledgers take bench/'s Shards: 1, which names the subtests.
 func TestParallelExecuteMatchesSequential(t *testing.T) {
 	for _, keyPool := range []int{4, 64, 4096} { // hot → cold keys
-		label := fmt.Sprintf("pool=%d", keyPool)
+		label := fmt.Sprintf("shards=1/pool=%d", keyPool)
 		t.Run(label, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1000 + int64(keyPool)))
-			par, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2})
+			par, err := New(Config{Key: testKey, App: KVApp{}, Shards: 1, CheckpointEvery: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 2})
+			seq, err := New(Config{Key: testKey, App: KVApp{}, Shards: 1, CheckpointEvery: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

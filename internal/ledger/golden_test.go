@@ -168,49 +168,53 @@ func TestGoldenByteIdentity(t *testing.T) {
 		t.Fatalf("replay of the recorded ledger:\n got %s\nwant %s", got, wantFinal)
 	}
 
-	primary, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: goldenCkpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup, err := New(Config{Key: hashsig.GenerateKeyFromSeed("ledger-golden-backup"), App: KVApp{}, CheckpointEvery: goldenCkpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var proposed, applied []BatchHeader
-	var rcs [][]Receipt
-	for i := range reqs {
-		b, r, err := primary.ExecuteBatch(reqs[i])
+	// The run's subtest keeps the name it had beside the partitioned runs,
+	// with bench/'s Shards: 1.
+	t.Run("shards=1", func(t *testing.T) {
+		primary, err := New(Config{Key: key, App: KVApp{}, CheckpointEvery: goldenCkpt, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		own, err := backup.ApplyBatch(b)
+		backup, err := New(Config{Key: hashsig.GenerateKeyFromSeed("ledger-golden-backup"), App: KVApp{}, CheckpointEvery: goldenCkpt, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		proposed, applied, rcs = append(proposed, b.Header), append(applied, *own), append(rcs, r)
-	}
-	var reissued bytes.Buffer
-	if err := WriteBatches(&reissued, primary.Batches()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reissued.Bytes(), raw) {
-		t.Fatalf("the run's stream (%d bytes) is not the recorded one (%d bytes), signatures included", reissued.Len(), len(raw))
-	}
-	got := goldenLines(proposed, rcs, primary.HistSize(), primary.HistRoot(), primary.StateDigest(), proposed[len(proposed)-1].CkptDigest)
-	if g := strings.Join(got, "\n"); g != want {
-		t.Fatalf("propose diverges from the recorded ledger:\n got\n%s\nwant\n%s", g, want)
-	}
-	got = goldenLines(applied, rcs, backup.HistSize(), backup.HistRoot(), backup.StateDigest(), applied[len(applied)-1].CkptDigest)
-	if g := strings.Join(got, "\n"); g != want {
-		t.Fatalf("apply diverges from the recorded ledger:\n got\n%s\nwant\n%s", g, want)
-	}
-	checkTrieRoots(t, "propose", primary)
-	checkTrieRoots(t, "apply", backup)
-	res, err = Replay(primary.Batches(), pub, KVApp{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := goldenFinal(res.HistSize, res.HistRoot, res.StateDigest, res.CkptDigest); g != wantFinal {
-		t.Fatalf("replay diverges from the recorded ledger:\n got %s\nwant %s", g, wantFinal)
-	}
+		var proposed, applied []BatchHeader
+		var rcs [][]Receipt
+		for i := range reqs {
+			b, r, err := primary.ExecuteBatch(reqs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			own, err := backup.ApplyBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proposed, applied, rcs = append(proposed, b.Header), append(applied, *own), append(rcs, r)
+		}
+		var reissued bytes.Buffer
+		if err := WriteBatches(&reissued, primary.Batches()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reissued.Bytes(), raw) {
+			t.Fatalf("the run's stream (%d bytes) is not the recorded one (%d bytes), signatures included", reissued.Len(), len(raw))
+		}
+		got := goldenLines(proposed, rcs, primary.HistSize(), primary.HistRoot(), primary.StateDigest(), proposed[len(proposed)-1].CkptDigest)
+		if g := strings.Join(got, "\n"); g != want {
+			t.Fatalf("propose diverges from the recorded ledger:\n got\n%s\nwant\n%s", g, want)
+		}
+		got = goldenLines(applied, rcs, backup.HistSize(), backup.HistRoot(), backup.StateDigest(), applied[len(applied)-1].CkptDigest)
+		if g := strings.Join(got, "\n"); g != want {
+			t.Fatalf("apply diverges from the recorded ledger:\n got\n%s\nwant\n%s", g, want)
+		}
+		checkTrieRoots(t, "propose", primary)
+		checkTrieRoots(t, "apply", backup)
+		res, err := Replay(primary.Batches(), pub, KVApp{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := goldenFinal(res.HistSize, res.HistRoot, res.StateDigest, res.CkptDigest); g != wantFinal {
+			t.Fatalf("replay diverges from the recorded ledger:\n got %s\nwant %s", g, wantFinal)
+		}
+	})
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
 	"iaccf/internal/wire"
 )
@@ -86,51 +85,6 @@ func TestConfigValidatedInNew(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("CheckpointEvery=0 did not checkpoint the first batch")
-	}
-}
-
-// Satellite: rollback across checkpoint boundaries interacting with
-// PruneMarks, at the ledger layer.
-func TestRollbackAcrossCheckpointsWithPrune(t *testing.T) {
-	l := newTestLedger(t, 2)
-	stateAt := map[uint64]hashsig.Digest{}
-	ckptAt := map[uint64]hashsig.Digest{}
-	for seq := uint64(1); seq <= 6; seq++ {
-		if _, _, err := l.ExecuteBatch([]Request{putReq("c", seq, fmt.Sprintf("k%d", seq), "v")}); err != nil {
-			t.Fatal(err)
-		}
-		stateAt[seq+1] = l.StateDigest() // state entering batch seq+1
-		b := l.Batches()[len(l.Batches())-1]
-		ckptAt[seq] = b.Header.CkptDigest
-	}
-	l.PruneMarks(3)
-	if err := l.RollbackTo(2); err == nil {
-		t.Fatal("pruned mark usable")
-	}
-	// Roll back across the seq-4 checkpoint boundary to just before batch 5.
-	if err := l.RollbackTo(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.StateDigest(); got != stateAt[5] {
-		t.Fatal("rollback across checkpoint boundary lost state")
-	}
-	// Diverge: the re-executed batch 5 references the seq-4 checkpoint.
-	batch, _, err := l.ExecuteBatch([]Request{putReq("c", 5, "divergent", "yes")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Header.CkptDigest != ckptAt[5] {
-		t.Fatal("re-executed batch references the wrong checkpoint")
-	}
-	if _, err := Replay(l.Batches(), testKey.Public(), KVApp{}, nil); err != nil {
-		t.Fatalf("post-prune post-rollback history does not replay: %v", err)
-	}
-	// A second rollback to a still-marked boundary works after pruning.
-	if err := l.RollbackTo(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.StateDigest(); got != stateAt[4] {
-		t.Fatal("second rollback lost state")
 	}
 }
 
