@@ -27,8 +27,8 @@ vet:
 
 # Full static-analysis pass, one command:
 #   - go vet (standard analyzers)
-#   - iaccfvet (this repo's invariant analyzers: viewretain, detiter,
-#     detsource — see internal/analysis/README.md), driven
+#   - iaccfvet (this repo's determinism analyzers: detiter, detsource
+#     — see internal/analysis/README.md), driven
 #     through `go vet -vettool` so it shares the build cache
 #   - staticcheck, when installed locally; CI pins and always runs it
 #     (see .github/workflows/ci.yml), so a missing local install skips

@@ -1,5 +1,5 @@
-// iaccfvet is the multichecker for this repository's invariant analyzers
-// (viewretain, detiter, detsource — see internal/analysis/README.md).
+// iaccfvet is the multichecker for this repository's determinism analyzers
+// (detiter, detsource — see internal/analysis/README.md).
 //
 // It runs in two modes:
 //

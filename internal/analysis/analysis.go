@@ -1,14 +1,15 @@
 // Package analysis is a self-contained static-analysis framework plus the
-// iaccfvet analyzer suite: build-time enforcement of the invariants this
-// repository otherwise states in prose and checks at runtime.
+// iaccfvet analyzer suite: build-time enforcement of the determinism
+// invariants this repository otherwise states in prose and checks at
+// runtime.
 //
 // IA-CCF's safety argument needs every replica to reproduce byte-identical
-// headers, receipts, and checkpoint digests (PAPER.md §3, §6), and — since
-// the allocation-lean commit path landed — it also needs the hand-written
-// rule for decode-time aliases to hold everywhere. The aliasing property
-// tests under -race catch violations that a test happens to execute; the
-// analyzers here catch the whole pattern at vet time. See README.md in this directory for the mapping
-// from each analyzer to the prose rule it enforces.
+// headers, receipts, and checkpoint digests (PAPER.md §3, §6). The replay
+// and cross-replica tests catch a divergence that a test happens to
+// execute; the analyzers here catch map-order and wall-clock or unseeded
+// randomness reaching replicated state at vet time. See README.md in this
+// directory for the mapping from each analyzer to the prose rule it
+// enforces.
 //
 // The framework deliberately mirrors a small subset of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the
@@ -59,12 +60,68 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // InTestFile reports whether pos lies in a _test.go file. All analyzers in
-// the suite skip test files: the aliasing property tests deliberately
-// retain views and returned values across later commits to prove nothing
-// aliases reused memory, and test-local nondeterminism is harmless.
+// the suite skip test files: test-local nondeterminism is harmless.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f == nil || strings.HasSuffix(f.Name(), "_test.go")
+}
+
+// FuncMatch identifies a function or method by package path, receiver type
+// name (empty for package-level functions), and name.
+type FuncMatch struct {
+	PkgPath string
+	Recv    string // named type of the receiver, pointer stripped; "" = none
+	Name    string
+}
+
+// String names m as pkg.Recv.Name, with the package path's last element.
+func (m FuncMatch) String() string {
+	short := m.PkgPath[strings.LastIndexByte(m.PkgPath, '/')+1:]
+	if m.Recv != "" {
+		return short + "." + m.Recv + "." + m.Name
+	}
+	return short + "." + m.Name
+}
+
+// Callee resolves the called function or method, or nil.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			fn, _ := sel.Obj().(*types.Func)
+			return fn
+		}
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// Match reports which of ms the call resolves to, if any.
+func Match(info *types.Info, call *ast.CallExpr, ms []FuncMatch) (FuncMatch, bool) {
+	fn := Callee(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return FuncMatch{}, false
+	}
+	recv := ""
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			recv = named.Obj().Name()
+		}
+	}
+	for _, m := range ms {
+		if fn.Pkg().Path() == m.PkgPath && fn.Name() == m.Name && recv == m.Recv {
+			return m, true
+		}
+	}
+	return FuncMatch{}, false
 }
 
 // RunAnalyzers applies every analyzer to the package and returns the

@@ -26,7 +26,6 @@ import (
 	"go/types"
 
 	"iaccf/internal/analysis"
-	"iaccf/internal/analysis/taint"
 )
 
 // Analyzer is the detiter pass.
@@ -39,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 
 // sinks are the order-sensitive calls: bytes that reach them must arrive
 // in the same order on every replica.
-var sinks = []taint.FuncMatch{
+var sinks = []analysis.FuncMatch{
 	{PkgPath: "iaccf/internal/hashsig", Name: "Sum"},
 	{PkgPath: "iaccf/internal/hashsig", Name: "SumMany"},
 	{PkgPath: "iaccf/internal/hashsig", Recv: "PrivateKey", Name: "Sign"},
@@ -65,7 +64,7 @@ var sinks = []taint.FuncMatch{
 }
 
 // sorters make a collected slice order-independent again.
-var sorters = []taint.FuncMatch{
+var sorters = []analysis.FuncMatch{
 	{PkgPath: "sort", Name: "Strings"},
 	{PkgPath: "sort", Name: "Ints"},
 	{PkgPath: "sort", Name: "Float64s"},
@@ -122,8 +121,8 @@ func checkMapRange(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStmt) {
 			return true
 		}
 		// Direct order-sensitive sink inside the loop body.
-		if m, hit := matchAny(info, call, sinks); hit {
-			pass.Reportf(call.Pos(), "map iteration order reaches %s; identical replicas would hash/sign/encode in different orders — iterate with champ.RangeCanonical or sort the keys first", describe(m))
+		if m, hit := analysis.Match(info, call, sinks); hit {
+			pass.Reportf(call.Pos(), "map iteration order reaches %s; identical replicas would hash/sign/encode in different orders — iterate with champ.RangeCanonical or sort the keys first", m)
 			return true
 		}
 		// Collect: append into a slice declared outside the loop.
@@ -174,7 +173,7 @@ func sortedAfter(info *types.Info, fn *ast.FuncDecl, rng *ast.RangeStmt, obj typ
 		if !ok || call.Pos() < rng.End() {
 			return true
 		}
-		if _, hit := matchAny(info, call, sorters); !hit {
+		if _, hit := analysis.Match(info, call, sorters); !hit {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -185,41 +184,4 @@ func sortedAfter(info *types.Info, fn *ast.FuncDecl, rng *ast.RangeStmt, obj typ
 		return true
 	})
 	return found
-}
-
-func matchAny(info *types.Info, call *ast.CallExpr, ms []taint.FuncMatch) (taint.FuncMatch, bool) {
-	fn := taint.Callee(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return taint.FuncMatch{}, false
-	}
-	recv := ""
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			recv = named.Obj().Name()
-		}
-	}
-	for _, m := range ms {
-		if fn.Pkg().Path() == m.PkgPath && fn.Name() == m.Name && recv == m.Recv {
-			return m, true
-		}
-	}
-	return taint.FuncMatch{}, false
-}
-
-func describe(m taint.FuncMatch) string {
-	short := m.PkgPath
-	for i := len(short) - 1; i >= 0; i-- {
-		if short[i] == '/' {
-			short = short[i+1:]
-			break
-		}
-	}
-	if m.Recv != "" {
-		return short + "." + m.Recv + "." + m.Name
-	}
-	return short + "." + m.Name
 }

@@ -26,7 +26,6 @@ import (
 	"strconv"
 
 	"iaccf/internal/analysis"
-	"iaccf/internal/analysis/taint"
 )
 
 // Analyzer is the detsource pass.
@@ -91,7 +90,7 @@ func checkCalls(pass *analysis.Pass, file *ast.File) {
 		if !ok {
 			return true
 		}
-		fn := taint.Callee(info, call)
+		fn := analysis.Callee(info, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}

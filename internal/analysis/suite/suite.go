@@ -8,13 +8,11 @@ import (
 	"iaccf/internal/analysis"
 	"iaccf/internal/analysis/detiter"
 	"iaccf/internal/analysis/detsource"
-	"iaccf/internal/analysis/viewretain"
 )
 
 // Analyzers returns the full iaccfvet suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		viewretain.Analyzer,
 		detiter.Analyzer,
 		detsource.Analyzer,
 	}

@@ -56,7 +56,7 @@ const (
 	// MsgViewChange asks to move to a new view, carrying the sender's
 	// committed sequence number and its prepared-but-uncommitted batches.
 	MsgViewChange MsgType = 4
-	// MsgNewView is the new primary's 2f+1 view-change certificate.
+	// MsgNewView is the new primary's quorum view-change certificate.
 	MsgNewView MsgType = 5
 	// MsgSyncRequest is a laggard's ask, to one peer: push what you
 	// committed past my watermark.
@@ -160,8 +160,8 @@ func decodeCommit(r *wire.Reader) *Commit {
 
 // PreparedProof is one prepared-but-uncommitted instance carried inside a
 // view-change: the batch's pre-prepare plus the prepares backing it —
-// together with the header's own primary signature they must cover 2f+1
-// replicas.
+// together with the header's own primary signature they must cover a
+// quorum (ledger.Quorum) of replicas.
 type PreparedProof struct {
 	PP       PrePrepare
 	Prepares []ledger.Prepare
@@ -177,10 +177,10 @@ const maxPreparedClaims = 1 << 8
 // proposal window, in ascending sequence order — the new primary must
 // re-propose every certified batch of the contiguous uncommitted prefix,
 // which is what preserves safety across the change (a batch that committed
-// anywhere was prepared by at least f+1 honest replicas, so every 2f+1
-// view-change quorum contains one of them; a batch beyond the first
-// uncertified gap cannot have committed anywhere, because commits are in
-// order). All proofs are made of signed or nonce-opened messages, so no
+// anywhere was prepared by a quorum, which shares at least f+1 replicas,
+// so at least one honest one, with every view-change quorum; a batch
+// beyond the first uncertified gap cannot have committed anywhere, because
+// commits are in order). All proofs are made of signed or nonce-opened messages, so no
 // claim can be fabricated.
 type ViewChange struct {
 	NewView      uint64
@@ -274,10 +274,11 @@ func decodeViewChange(r *wire.Reader) *ViewChange {
 	return m
 }
 
-// NewView is the new primary's certificate for entering its view: 2f+1
-// signed view-changes. Receivers recompute the committed high-water mark
-// and the prepared batch to re-propose from the certificate itself, so a
-// lying new primary cannot smuggle in a different starting state.
+// NewView is the new primary's certificate for entering its view: a
+// quorum of signed view-changes. Receivers recompute the committed
+// high-water mark and the prepared batch to re-propose from the
+// certificate itself, so a lying new primary cannot smuggle in a different
+// starting state.
 type NewView struct {
 	View    uint64
 	Replica ReplicaID

@@ -123,7 +123,7 @@ type Replica struct {
 	cfg    Config
 	n      int
 	f      int
-	quorum int // 2f+1
+	quorum int // ledger.Quorum(n)
 	window int
 	led    *ledger.Ledger
 	pool   *hashsig.VerifierPool
@@ -229,7 +229,7 @@ func New(cfg Config) (*Replica, error) {
 		cfg:           cfg,
 		n:             n,
 		f:             f,
-		quorum:        2*f + 1,
+		quorum:        ledger.Quorum(n),
 		window:        cfg.Window,
 		led:           led,
 		pool:          hashsig.DefaultPool(),
@@ -692,7 +692,7 @@ func (r *Replica) handleCommit(c *Commit, out *[]Outbound) error {
 	return nil
 }
 
-// checkPrepared fires once 2f+1 distinct replicas back the instance's
+// checkPrepared fires once a quorum of distinct replicas back the instance's
 // statement: the replica reveals its nonce in an unsigned commit message
 // (Lemma 3).
 func (r *Replica) checkPrepared(in *instance, out *[]Outbound) {
@@ -713,8 +713,9 @@ func (r *Replica) checkPrepared(in *instance, out *[]Outbound) {
 }
 
 // advanceCommits applies every completion the window allows, strictly in
-// order: the instance just above the committed boundary commits once 2f+1
-// distinct replicas opened their commitments, which may unblock the next.
+// order: the instance just above the committed boundary commits once a
+// quorum of distinct replicas opened their commitments, which may unblock
+// the next.
 // Quorums that completed out of order simply wait here, fully buffered,
 // until their predecessors commit.
 func (r *Replica) advanceCommits(out *[]Outbound) {
@@ -853,7 +854,7 @@ func (r *Replica) viewChangeStructure(vc *ViewChange, tasks *[]hashsig.VerifyTas
 		if vc.CommitProof == nil || vc.CommitProof.Seq() != vc.CommittedSeq {
 			return fmt.Errorf("%w: uncertified committed seq %d", ErrInvalid, vc.CommittedSeq)
 		}
-		ts, ok := vc.CommitProof.Structure(r.cfg.Peers, r.quorum)
+		ts, ok := vc.CommitProof.Structure(r.cfg.Peers)
 		if !ok {
 			return fmt.Errorf("%w: uncertified committed seq %d", ErrInvalid, vc.CommittedSeq)
 		}

@@ -35,50 +35,55 @@ func deliverFIFO(reps []*Replica, queue []routed) {
 }
 
 // TestSignaturesPerBatch asserts the protocol's signature bill as a count: one
-// signed statement per replica per batch. The primary signs the header (1);
-// each backup verifies it (3), signs its prepare (3) and verifies the other
-// two backups' prepares (6); the primary verifies all three prepares (3) and
-// never its own statement coming back. 4 signs and 12 verifies — it was 8
-// and 15 while the header and the proposal were signed separately and every
-// backup co-signed the header. A ledger on its own pays 1 and 0.
+// signed statement per replica per batch. At n = 4 the primary signs the
+// header (1); each backup verifies it (3), signs its prepare (3) and
+// verifies the other two backups' prepares (6); the primary verifies all
+// three prepares (3) and never its own statement coming back. 4 signs and
+// 12 verifies — it was 8 and 15 while the header and the proposal were
+// signed separately and every backup co-signed the header. In general n
+// signs and n(n−1) verifies: 7 and 42 at n = 7. A ledger on its own pays 1
+// and 0.
 func TestSignaturesPerBatch(t *testing.T) {
-	const n, batches = 4, 32
-	reps := make([]*Replica, n)
-	for i := range reps {
-		// Distinct key objects per replica, as in separate processes: nothing
-		// is shared that a verification could be remembered on.
-		peers := make([]*hashsig.PublicKey, n)
-		for j := range peers {
-			peers[j] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("sig-bill-%d", j)).Public()
-		}
-		r, err := New(Config{
-			ID: ReplicaID(i), Key: hashsig.GenerateKeyFromSeed(fmt.Sprintf("sig-bill-%d", i)), Peers: peers,
-			App: ledger.KVApp{}, CheckpointEvery: 4, Window: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-	}
-	author := hashsig.Sum([]byte("client"))
-	for b := uint64(1); b <= batches; b++ {
-		signs, verifies := hashsig.Counts()
-		pp, _, err := reps[0].Propose(reqs(author, 10*b, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		deliverFIFO(reps, []routed{{0, pp}})
-		for _, r := range reps {
-			if r.Committed() != b || r.InFlight() != 0 {
-				t.Fatalf("batch %d: %s", b, r.DebugState())
+	const batches = 32
+	for _, n := range []int{4, 7} {
+		reps := make([]*Replica, n)
+		for i := range reps {
+			// Distinct key objects per replica, as in separate processes:
+			// nothing is shared that a verification could be remembered on.
+			peers := make([]*hashsig.PublicKey, n)
+			for j := range peers {
+				peers[j] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("sig-bill-%d", j)).Public()
 			}
+			r, err := New(Config{
+				ID: ReplicaID(i), Key: hashsig.GenerateKeyFromSeed(fmt.Sprintf("sig-bill-%d", i)), Peers: peers,
+				App: ledger.KVApp{}, CheckpointEvery: 4, Window: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps[i] = r
 		}
-		s, v := hashsig.Counts()
-		if s-signs != 4 || v-verifies != 12 {
-			t.Fatalf("batch %d cost %d signs and %d verifies, want 4 and 12", b, s-signs, v-verifies)
+		author := hashsig.Sum([]byte("client"))
+		for b := uint64(1); b <= batches; b++ {
+			signs, verifies := hashsig.Counts()
+			pp, _, err := reps[0].Propose(reqs(author, 10*b, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			deliverFIFO(reps, []routed{{0, pp}})
+			for _, r := range reps {
+				if r.Committed() != b || r.InFlight() != 0 {
+					t.Fatalf("n=%d batch %d: %s", n, b, r.DebugState())
+				}
+			}
+			s, v := hashsig.Counts()
+			if s-signs != uint64(n) || v-verifies != uint64(n*(n-1)) {
+				t.Fatalf("n=%d batch %d cost %d signs and %d verifies, want %d and %d", n, b, s-signs, v-verifies, n, n*(n-1))
+			}
 		}
 	}
 
+	author := hashsig.Sum([]byte("client"))
 	led, err := ledger.New(ledger.Config{Key: hashsig.GenerateKeyFromSeed("sig-bill-bare"), App: ledger.KVApp{}})
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +426,7 @@ func TestCommitCertBindsTheStatement(t *testing.T) {
 	c.assertAgreement(1, 0, 1, 2, 3)
 	peers := c.replicas[0].cfg.Peers
 	cert := c.replicas[2].lastCommit
-	if cert == nil || !cert.Verify(peers, 3) {
+	if cert == nil || !cert.Verify(peers) {
 		t.Fatal("honest certificate does not verify")
 	}
 
@@ -438,10 +443,10 @@ func TestCommitCertBindsTheStatement(t *testing.T) {
 		}
 		forged.Prepares = append(forged.Prepares, q)
 	}
-	if _, ok := forged.Structure(peers, 3); ok {
+	if _, ok := forged.Structure(peers); ok {
 		t.Fatal("certificate whose prepares sign another view's statement passes structure")
 	}
-	if forged.Verify(peers, 3) {
+	if forged.Verify(peers) {
 		t.Fatal("certificate whose prepares sign another view's statement verifies")
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"iaccf/internal/wire"
 )
 
-// Catching up (paper §3.4, §6). A commit is a transferable fact — 2f+1
-// prepares plus opened nonces, retained as CommitCert — so a replica that
+// Catching up (paper §3.4, §6). A commit is a transferable fact — a quorum
+// of prepares plus opened nonces, retained as CommitCert — so a replica that
 // missed one never re-runs agreement on it: a peer pushes it the batches,
 // anchored by the peer's latest certificate, and it checks them by
 // re-execution. This file is the only way a replica obtains a batch it did
@@ -380,7 +380,7 @@ func (r *Replica) acceptOffer(m *SyncChunk) error {
 	} else if m.CkptSeq != r.committed {
 		return nil // answers an ask this replica has since moved past
 	}
-	tasks, ok := m.Cert.Structure(r.cfg.Peers, r.quorum)
+	tasks, ok := m.Cert.Structure(r.cfg.Peers)
 	if !ok || !r.verifyTasks(tasks) {
 		return fmt.Errorf("%w: sync offer certificate from %d does not verify", ErrInvalid, m.Replica)
 	}

@@ -277,7 +277,7 @@ func readMap(rd *wire.Reader) *champ.Map {
 			rd.Annotate("entry %d of %d: key", i, n)
 			break
 		}
-		v := rd.BytesView(wire.MaxValueLen) // Set copies
+		v := rd.Bytes(wire.MaxValueLen)
 		if rd.Err() != nil {
 			rd.Annotate("entry %d of %d: value for key %q", i, n, k)
 			break

@@ -99,6 +99,49 @@ func TestAllocsPerEntry(t *testing.T) {
 	}
 }
 
+// TestAllocsPerDecode pins the heap objects of the two decoders built on
+// decodeEntry, each over a bytes-mode reader: DecodeBatch of allocStream's
+// last batch (65 entries, 64 of them transactions with a payload each) and
+// DecodeReceipt. Each bound is the count measured — 67 and 5 — plus a
+// slack of half an object: decode allocates the same objects on every run,
+// so one object more is a regression (an entry encoding copied out before
+// it is decoded, say).
+func TestAllocsPerDecode(t *testing.T) {
+	reqs, stream := allocStream(t)
+	last := stream[len(stream)-1]
+	w := wire.NewAppendWriter(nil)
+	last.EncodeTo(w)
+	batch := w.AppendedBytes()
+	_, receipts, err := allocLedger(t).ExecuteBatch(reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	receipt := EncodeReceipt(nil, &receipts[0])
+	for _, c := range []struct {
+		name     string
+		measured float64
+		run      func()
+	}{
+		{"DecodeBatch", 67, func() {
+			r := wire.NewBytesReader(batch)
+			if b := DecodeBatch(r); r.Err() != nil || len(b.Entries) != len(last.Entries) {
+				t.Fatalf("DecodeBatch: %v", r.Err())
+			}
+		}},
+		{"DecodeReceipt", 5, func() {
+			if _, err := DecodeReceipt(receipt); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		got := testing.AllocsPerRun(100, c.run)
+		t.Logf("%s: %.0f allocs", c.name, got)
+		if bound := c.measured + 0.5; got > bound {
+			t.Errorf("%s: %.0f allocs, bound %.1f", c.name, got, bound)
+		}
+	}
+}
+
 // TestDigestsAllocateNothing pins the digests and the batch encoder of the
 // commit path at zero heap allocations: each preimage is assembled in a
 // stack array and hashed by a SHA-256 state that stays on the stack. A
@@ -153,10 +196,11 @@ func allocatedPerCall(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestKVAppAllocatesWhatIsPresent: KVApp sizes its op list by the bytes a
-// request holds, not by the op count it claims. A 4-byte body claiming
+// TestKVAppAllocatesWhatIsPresent: what KVApp allocates follows the bytes a
+// request holds, not the op count it claims. A 4-byte body claiming
 // KVApp's cap of 65 536 ops reaches every replica (in a proposal) and every
-// auditor (in a ledger); it used to allocate 3 MB each time.
+// auditor (in a ledger); anything sized by the claim would cost 3 MB each
+// time.
 func TestKVAppAllocatesWhatIsPresent(t *testing.T) {
 	for _, body := range [][]byte{
 		{0, 1, 0, 0},                // 65 536 ops claimed, none present

@@ -12,7 +12,8 @@ import (
 // App MUST be deterministic: given the same store state and request it
 // must produce the same write set (and the same error outcome), or replay
 // by an auditor would diverge from the primary's execution and wrongly
-// flag misbehaviour (paper §5).
+// flag misbehaviour (paper §5). When Execute returns an error the caller
+// aborts tx, so whatever it wrote before failing never commits.
 //
 // Execute must not write to request: it is the entry's payload, and an
 // auditor's replay digests the entry on its checker goroutine while later
@@ -54,9 +55,10 @@ func EncodeOps(ops []Op) []byte {
 // their own App.
 type KVApp struct{}
 
-// Execute applies the request's operations to the transaction. Values are
-// decoded as views into the request buffer (no copy): they flow only into
-// tx.Put, which copies, and the request outlives the call.
+// Execute applies the request's operations to the transaction as it
+// decodes them. A malformed request fails part-way, with the operations
+// before the fault already in tx; its error makes the caller abort tx, so
+// nothing of it commits.
 func (KVApp) Execute(tx *kv.Tx, request []byte) error {
 	r := wire.NewBytesReader(request)
 	n := r.Uint32()
@@ -64,20 +66,13 @@ func (KVApp) Execute(tx *kv.Tx, request []byte) error {
 	if r.Err() == nil && n > maxOps {
 		return fmt.Errorf("%w: %d ops", ErrBadRequest, n)
 	}
-	type op struct {
-		key string
-		val []byte
-		del bool
-	}
-	// The count is the request's claim: size by the bytes that can back it
-	// (an op is at least a tag and a key length), not by the claim.
-	ops := make([]op, 0, min(n, uint32(r.Remaining()/5)))
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		switch tag := r.Byte(); tag {
 		case 0x00:
-			ops = append(ops, op{key: r.String(wire.MaxKeyLen), del: true})
+			tx.Delete(r.String(wire.MaxKeyLen))
 		case 0x01:
-			ops = append(ops, op{key: r.String(wire.MaxKeyLen), val: r.BytesView(wire.MaxValueLen)})
+			k := r.String(wire.MaxKeyLen)
+			tx.Put(k, r.Bytes(wire.MaxValueLen))
 		default:
 			if r.Err() == nil {
 				return fmt.Errorf("%w: op tag %d", ErrBadRequest, tag)
@@ -87,15 +82,6 @@ func (KVApp) Execute(tx *kv.Tx, request []byte) error {
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	// Apply only after the whole request decodes: a half-applied malformed
-	// request would leave the abort/commit decision ambiguous.
-	for _, o := range ops {
-		if o.del {
-			tx.Delete(o.key)
-		} else {
-			tx.Put(o.key, o.val)
-		}
 	}
 	return nil
 }

@@ -89,48 +89,48 @@ func (e *Entry) Digest() hashsig.Digest {
 	return hashsig.Sum(e.Encode(append(buf[:0], entryDomain...)))
 }
 
-// decodeEntry reads one length-prefixed entry from a wire.Reader. View, not
-// copy: DecodeEntry itself copies everything an Entry retains (Payload), so
-// the frame slice is only read within this call and one copy per entry is
-// saved in bytes mode.
-func decodeEntry(r *wire.Reader) Entry {
-	b := r.BytesView(wire.MaxValueLen)
-	if r.Err() != nil {
-		return Entry{}
+// encodedLen is len(e.Encode(nil)), without encoding.
+func (e *Entry) encodedLen() int {
+	switch e.Kind {
+	case KindTransaction:
+		return 1 + 2*hashsig.DigestSize + 8 + 4 + len(e.Payload)
+	case KindGovernance:
+		return 1 + hashsig.DigestSize + 4 + len(e.Payload)
 	}
-	e, err := DecodeEntry(b)
-	if err != nil {
-		r.Fail(err)
-		return Entry{}
-	}
-	return e
+	return 1 + 8 + hashsig.DigestSize
 }
 
-// DecodeEntry parses the encoding produced by Encode.
-func DecodeEntry(b []byte) (Entry, error) {
-	if len(b) == 0 {
-		return Entry{}, fmt.Errorf("%w: empty", ErrBadEntry)
+// decodeEntry reads one entry in the length-prefixed form Batch.EncodeTo
+// and EncodeReceipt write it in. The fields are decoded straight from r and
+// must fill exactly the prefix, itself at most wire.MaxValueLen; the
+// payload, the one variable field, is an owned copy bounded by the prefix.
+// Errors stick to r, and a failed decode returns the zero Entry.
+func decodeEntry(r *wire.Reader) Entry {
+	n := r.Uint32()
+	if r.Err() == nil && n > wire.MaxValueLen {
+		r.Fail(fmt.Errorf("%w: %d-byte entry exceeds limit %d", ErrBadEntry, n, wire.MaxValueLen))
 	}
-	e := Entry{Kind: Kind(b[0])}
-	r := wire.NewBytesReader(b[1:])
+	e := Entry{Kind: Kind(r.Byte())}
 	switch e.Kind {
 	case KindTransaction:
 		e.Author = r.Digest()
 		e.ReqNo = r.Uint64()
-		e.Payload = r.Bytes(wire.MaxValueLen)
+		e.Payload = r.Bytes(n)
 		e.Result = r.Digest()
 	case KindGovernance:
 		e.Author = r.Digest()
-		e.Payload = r.Bytes(wire.MaxValueLen)
+		e.Payload = r.Bytes(n)
 	case KindCheckpoint:
 		e.Seq = r.Uint64()
 		e.State = r.Digest()
 	default:
-		return Entry{}, fmt.Errorf("%w: unknown kind %d", ErrBadEntry, b[0])
+		r.Fail(fmt.Errorf("%w: unknown kind %d", ErrBadEntry, e.Kind))
 	}
-	r.ExpectEOF()
-	if err := r.Err(); err != nil {
-		return Entry{}, fmt.Errorf("%w: %v", ErrBadEntry, err)
+	if r.Err() == nil && e.encodedLen() != int(n) {
+		r.Fail(fmt.Errorf("%w: %d bytes of fields under a %d-byte prefix", ErrBadEntry, e.encodedLen(), n))
 	}
-	return e, nil
+	if r.Err() != nil {
+		return Entry{}
+	}
+	return e
 }

@@ -89,13 +89,26 @@ type NonceOpen struct {
 // announce on decode; a real certificate holds at most n of each.
 const maxCertEntries = 1 << 10
 
+// Quorum is the number of replicas whose agreement a step of the protocol
+// needs among n: ⌈(n+f+1)/2⌉ with f = ⌊(n−1)/3⌋ faults tolerated. Any two
+// quorums share at least f+1 replicas, so at least one honest one, and a
+// quorum never exceeds n−f, so the honest replicas alone can form one. At
+// n = 3f+1 it is PBFT's 2f+1. At n = 3f+2 or 3f+3 two quorums of 2f+1
+// can share f replicas or fewer, and the ledger can fork with no honest
+// replica on both sides.
+func Quorum(n int) int {
+	f := (n - 1) / 3
+	return (n + f + 2) / 2
+}
+
 // CommitCert proves that a batch committed: the primary's signed header,
 // the signed prepares that announced each backup's nonce commitment, and
-// 2f+1 revealed nonces opening those commitments (the primary's commitment
-// rides in the header itself). View-change messages carry the sender's
-// certificate for its last committed batch, making the CommittedSeq claim
-// verifiable — a Byzantine replica can replay an old certificate but can
-// never exhibit one for a sequence number that did not actually commit.
+// a Quorum of revealed nonces opening those commitments (the primary's
+// commitment rides in the header itself). View-change messages carry the
+// sender's certificate for its last committed batch, making the
+// CommittedSeq claim verifiable — a Byzantine replica can replay an old
+// certificate but can never exhibit one for a sequence number that did not
+// actually commit.
 type CommitCert struct {
 	Header   BatchHeader
 	Prepares []Prepare
@@ -107,10 +120,10 @@ func (c *CommitCert) Seq() uint64 { return c.Header.Seq }
 
 // Verify reports whether the certificate proves a commit under the given
 // replica keys: the header and every counted prepare must be validly
-// signed, and at least quorum distinct replicas must have an opened nonce
-// matching their announced commitment.
-func (c *CommitCert) Verify(peers []*hashsig.PublicKey, quorum int) bool {
-	tasks, ok := c.Structure(peers, quorum)
+// signed, and at least Quorum(len(peers)) distinct replicas must have an
+// opened nonce matching their announced commitment.
+func (c *CommitCert) Verify(peers []*hashsig.PublicKey) bool {
+	tasks, ok := c.Structure(peers)
 	if !ok {
 		return false
 	}
@@ -125,11 +138,11 @@ func (c *CommitCert) Verify(peers []*hashsig.PublicKey, quorum int) bool {
 // Structure checks everything about the certificate except signature
 // validity — identities, every prepare naming this exact statement (the
 // same content under another view's statement does not count), and the
-// opened-nonce quorum — and returns the signature checks still owed as
-// verification tasks.
+// opened-nonce Quorum of len(peers) — and returns the signature checks
+// still owed as verification tasks.
 // Replicas batch those through a memoizing pooled verifier; the plain
 // Verify above runs them inline.
-func (c *CommitCert) Structure(peers []*hashsig.PublicKey, quorum int) ([]hashsig.VerifyTask, bool) {
+func (c *CommitCert) Structure(peers []*hashsig.PublicKey) ([]hashsig.VerifyTask, bool) {
 	n := ReplicaID(len(peers))
 	primary := ReplicaID(c.Header.Primary)
 	key := StatementKey(peers)(&c.Header)
@@ -158,7 +171,7 @@ func (c *CommitCert) Structure(peers []*hashsig.PublicKey, quorum int) ([]hashsi
 			opened[o.Replica] = true
 		}
 	}
-	return tasks, len(opened) >= quorum
+	return tasks, len(opened) >= Quorum(len(peers))
 }
 
 // EncodeTo writes the certificate: the header, the counted prepares, the

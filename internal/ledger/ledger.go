@@ -113,10 +113,10 @@
 // Every signed statement of the protocol, and the evidence built from
 // them, is ledger data (evidence.go), so a client or auditor checks it with
 // this package alone: the BatchHeader (the primary's pre-prepare), a
-// backup's Prepare, the CommitCert (a header, its prepares and 2f+1 opened
-// nonces; Structure hands a replica the signature checks it owes), Blame
-// (two headers with different content for one (view, seq) under one key)
-// and the Receipt. StatementKey names the key a header verifies under.
+// backup's Prepare, the CommitCert (a header, its prepares and a Quorum of
+// opened nonces; Structure hands a replica the signature checks it owes),
+// Blame (two headers with different content for one (view, seq) under one
+// key) and the Receipt. StatementKey names the key a header verifies under.
 //
 // # Memory ownership on the commit path
 //
@@ -142,9 +142,10 @@
 //     that reuse the scratch after it.
 //   - Replay and ReplayFrom only read the batches they are given.
 //
-// These rules, plus the determinism requirements (no map-order bytes, no
-// wall clocks or unseeded randomness), are enforced statically by the
-// iaccfvet analyzers — see internal/analysis/README.md.
+// The aliasing property tests (alias_test.go) enforce these rules. The
+// determinism requirements (no map-order bytes, no wall clocks or unseeded
+// randomness) are enforced statically by the iaccfvet analyzers — see
+// internal/analysis/README.md.
 //
 // # Pruning boundary invariant
 //

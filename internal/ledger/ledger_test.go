@@ -8,6 +8,7 @@ import (
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/merkle"
+	"iaccf/internal/wire"
 )
 
 var testKey = hashsig.GenerateKeyFromSeed("ledger-test-replica")
@@ -36,6 +37,21 @@ func putReq(author string, reqNo uint64, kvs ...string) Request {
 	}
 }
 
+// decodeFramed runs decodeEntry over b in a bytes-mode or a stream-mode
+// reader and returns the entry and the reader.
+func decodeFramed(b []byte, stream bool) (Entry, *wire.Reader) {
+	r := wire.NewBytesReader(b)
+	if stream {
+		r = wire.NewReader(bytes.NewReader(b))
+	}
+	return decodeEntry(r), r
+}
+
+// framed is e's encoding under a length prefix of n.
+func framed(n uint32, enc []byte) []byte {
+	return append(wire.AppendUint32(nil, n), enc...)
+}
+
 func TestEntryCodecRoundTrip(t *testing.T) {
 	entries := []Entry{
 		{Kind: KindTransaction, Author: hashsig.Sum([]byte("c")), ReqNo: 7, Payload: []byte("tx"), Result: hashsig.Sum([]byte("o"))},
@@ -43,36 +59,51 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		{Kind: KindGovernance, Author: hashsig.Sum([]byte("m")), Payload: []byte("add-member")},
 		{Kind: KindCheckpoint, Seq: 42, State: hashsig.Sum([]byte("d_C"))},
 	}
-	for i, e := range entries {
-		b := e.Encode(nil)
-		got, err := DecodeEntry(b)
-		if err != nil {
-			t.Fatalf("entry %d: %v", i, err)
-		}
-		if got.Digest() != e.Digest() {
-			t.Fatalf("entry %d: digest changed across codec round trip", i)
-		}
-		if !bytes.Equal(got.Encode(nil), b) {
-			t.Fatalf("entry %d: re-encoding differs", i)
+	for _, stream := range []bool{false, true} {
+		for i, e := range entries {
+			enc := e.Encode(nil)
+			if e.encodedLen() != len(enc) {
+				t.Fatalf("entry %d: encodedLen %d, encoding %d bytes", i, e.encodedLen(), len(enc))
+			}
+			got, r := decodeFramed(wire.AppendBytes(nil, enc), stream)
+			if r.ExpectEOF(); r.Err() != nil {
+				t.Fatalf("stream=%v entry %d: %v", stream, i, r.Err())
+			}
+			if got.Digest() != e.Digest() {
+				t.Fatalf("stream=%v entry %d: digest changed across codec round trip", stream, i)
+			}
+			if !bytes.Equal(got.Encode(nil), enc) {
+				t.Fatalf("stream=%v entry %d: re-encoding differs", stream, i)
+			}
 		}
 	}
 }
 
+// TestEntryCodecRejects: decodeEntry fails unless the fields fill exactly
+// their length prefix, and the prefix is at most wire.MaxValueLen, in both
+// reader modes. Each input is otherwise well formed, so only the rule under
+// test can refuse it.
 func TestEntryCodecRejects(t *testing.T) {
-	if _, err := DecodeEntry(nil); err == nil {
-		t.Fatal("empty entry decoded")
-	}
-	if _, err := DecodeEntry([]byte{99}); err == nil {
-		t.Fatal("unknown kind decoded")
-	}
-	e := Entry{Kind: KindCheckpoint, Seq: 1, State: hashsig.Sum([]byte("x"))}
-	b := append(e.Encode(nil), 0x00) // trailing garbage
-	if _, err := DecodeEntry(b); err == nil {
-		t.Fatal("trailing data accepted")
-	}
-	tx := Entry{Kind: KindTransaction, Payload: []byte("p")}
-	if _, err := DecodeEntry(tx.Encode(nil)[:10]); err == nil {
-		t.Fatal("truncated entry decoded")
+	ckpt := (&Entry{Kind: KindCheckpoint, Seq: 1, State: hashsig.Sum([]byte("x"))}).Encode(nil)
+	tx := (&Entry{Kind: KindTransaction, Payload: []byte("payload")}).Encode(nil)
+	n := uint32(len(tx))
+	for _, c := range []struct {
+		name string
+		in   []byte
+	}{
+		{"empty", framed(0, ckpt)},
+		{"unknown kind", framed(1, []byte{99})},
+		{"fields under-fill the prefix", append(framed(n+1, tx), 0x00)},
+		{"fields over-fill the prefix", framed(n-1, tx)},
+		{"payload longer than the prefix", framed(5, tx)},
+		{"prefix over MaxValueLen", framed(wire.MaxValueLen+1, ckpt)},
+		{"truncated", framed(n, tx[:10])},
+	} {
+		for _, stream := range []bool{false, true} {
+			if e, r := decodeFramed(c.in, stream); r.Err() == nil || e.Kind != 0 {
+				t.Errorf("%s (stream=%v): decoded %+v", c.name, stream, e)
+			}
+		}
 	}
 }
 
@@ -550,19 +581,31 @@ func TestNewConfigValidation(t *testing.T) {
 	}
 }
 
+// TestKVAppRejectsMalformed: KVApp applies ops as it decodes them, so a
+// body that fails after its first op has written that op into the
+// transaction. The failure must still abort it: the entry records a zero
+// result and the first op's key stays unwritten.
 func TestKVAppRejectsMalformed(t *testing.T) {
-	l := newTestLedger(t, 0)
-	// Valid ops followed by garbage: must abort, not half-apply.
-	body := append(EncodeOps([]Op{{Key: "k", Val: []byte("v")}}), 0xFF)
-	batch, _, err := l.ExecuteBatch([]Request{{Author: hashsig.Sum([]byte("c")), ReqNo: 1, Body: body}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Entries[0].Result != hashsig.ZeroDigest {
-		t.Fatal("malformed request recorded as succeeded")
-	}
-	if _, ok := l.Get("k"); ok {
-		t.Fatal("malformed request half-applied")
+	two := EncodeOps([]Op{{Key: "k", Val: []byte("v")}, {Key: "k2", Val: []byte("value")}})
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"trailing garbage", append(EncodeOps([]Op{{Key: "k", Val: []byte("v")}}), 0xFF)},
+		{"second op truncated", two[:len(two)-2]},
+		{"second op cut after its tag", two[:len(EncodeOps([]Op{{Key: "k", Val: []byte("v")}}))+1]},
+	} {
+		l := newTestLedger(t, 0)
+		batch, _, err := l.ExecuteBatch([]Request{{Author: hashsig.Sum([]byte("c")), ReqNo: 1, Body: c.body}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch.Entries[0].Result != hashsig.ZeroDigest {
+			t.Errorf("%s: malformed request recorded as succeeded", c.name)
+		}
+		if _, ok := l.Get("k"); ok {
+			t.Errorf("%s: malformed request half-applied", c.name)
+		}
 	}
 }
 
@@ -592,5 +635,28 @@ func TestReceiptChainsToHistory(t *testing.T) {
 	}
 	if !merkle.VerifyPath(receipts[0].Entry.Digest(), first, hist.Size(), paths[0], batch.Header.MRoot) {
 		t.Fatal("receipt entry does not chain into the signed history root")
+	}
+}
+
+// TestQuorum: any two quorums of n replicas share at least f+1, so an
+// honest one, and the n−f honest replicas can always form one; at
+// n = 3f+1 a quorum is PBFT's 2f+1.
+func TestQuorum(t *testing.T) {
+	for n, want := range map[int]int{4: 3, 5: 4, 6: 4, 7: 5, 10: 7} {
+		if got := Quorum(n); got != want {
+			t.Errorf("Quorum(%d) = %d, want %d", n, got, want)
+		}
+	}
+	for n := 4; n <= 256; n++ {
+		f, q := (n-1)/3, Quorum(n)
+		if shared := 2*q - n; shared < f+1 {
+			t.Errorf("n=%d: two quorums of %d share %d replicas, want ≥ f+1 = %d", n, q, shared, f+1)
+		}
+		if q > n-f {
+			t.Errorf("n=%d: quorum %d exceeds n−f = %d", n, q, n-f)
+		}
+		if n == 3*f+1 && q != 2*f+1 {
+			t.Errorf("n=%d: quorum %d, want 2f+1 = %d", n, q, 2*f+1)
+		}
 	}
 }

@@ -48,15 +48,7 @@ func EncodeReceipt(dst []byte, rc *Receipt) []byte {
 // validity is the caller's Verify call.
 func DecodeReceipt(b []byte) (*Receipt, error) {
 	r := wire.NewBytesReader(b)
-	rc := &Receipt{Header: DecodeHeader(r)}
-	eb := r.Bytes(wire.MaxValueLen)
-	if r.Err() == nil {
-		e, err := DecodeEntry(eb)
-		if err != nil {
-			r.Fail(err)
-		}
-		rc.Entry = e
-	}
+	rc := &Receipt{Header: DecodeHeader(r), Entry: decodeEntry(r)}
 	rc.Index = r.Uint64()
 	rc.Path = wire.ReadList(r, maxReceiptPath, "path digests", (*wire.Reader).Digest)
 	r.ExpectEOF()

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -111,35 +110,5 @@ func TestBytesOwnedCopy(t *testing.T) {
 	}
 	if string(got) != "retain-me" {
 		t.Fatalf("Bytes aliased the input: %q", got)
-	}
-}
-
-// TestBytesViewAliases: BytesView is documented to alias in bytes mode.
-func TestBytesViewAliases(t *testing.T) {
-	w := NewAppendWriter(nil)
-	w.Bytes([]byte("view"))
-	enc := w.AppendedBytes()
-	r := NewBytesReader(enc)
-	got := r.BytesView(1 << 10)
-	if string(got) != "view" {
-		t.Fatalf("BytesView = %q", got)
-	}
-	enc[len(enc)-1] ^= 0xFF
-	if string(got) == "view" {
-		t.Fatal("BytesView copied in bytes mode; expected an alias")
-	}
-	// Stream mode: falls back to an owned copy.
-	r2 := NewReader(strings.NewReader(string(AppendBytes(nil, []byte("view")))))
-	if got := r2.BytesView(1 << 10); string(got) != "view" {
-		t.Fatalf("stream BytesView = %q", got)
-	}
-}
-
-func TestBytesViewLimit(t *testing.T) {
-	w := NewAppendWriter(nil)
-	w.Bytes(make([]byte, 100))
-	r := NewBytesReader(w.AppendedBytes())
-	if got := r.BytesView(10); got != nil || r.Err() == nil {
-		t.Fatal("BytesView over limit not rejected")
 	}
 }

@@ -268,8 +268,8 @@ func NewReader(r io.Reader) *Reader {
 
 // NewBytesReader returns a Reader decoding directly from b. The Reader
 // never mutates b; the caller must not mutate it while decoding. Fields
-// returned by Bytes/String are copies, so decoded values outlive b — only
-// BytesView hands out aliases.
+// returned by Bytes/String are copies, so decoded values outlive b: no
+// method hands out a slice of b.
 func NewBytesReader(b []byte) *Reader {
 	return &Reader{data: b}
 }
@@ -317,16 +317,6 @@ func (r *Reader) read(p []byte) bool {
 	return true
 }
 
-// Remaining returns the bytes a bytes-mode reader has left (0 once it has
-// failed), the most any count it decodes can be backed by. It is 0 for a
-// stream reader, whose length is unknown.
-func (r *Reader) Remaining() int {
-	if r.err != nil || r.br != nil {
-		return 0
-	}
-	return len(r.data) - r.pos
-}
-
 // Byte reads a single byte (type tags, flags).
 func (r *Reader) Byte() byte {
 	var b [1]byte
@@ -354,28 +344,34 @@ func (r *Reader) Uint64() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
+// length reads a field's uint32 length prefix and fails r if it exceeds
+// max.
+func (r *Reader) length(max uint32) (int, bool) {
+	n := r.Uint32()
+	if r.err == nil && n > max {
+		r.err = fmt.Errorf("%w: field length %d exceeds limit %d", ErrCorrupt, n, max)
+	}
+	return int(n), r.err == nil
+}
+
 // Bytes reads a length-prefixed byte string of at most max bytes. The
 // result is freshly allocated and owned by the caller, in every mode.
 func (r *Reader) Bytes(max uint32) []byte {
-	n := r.Uint32()
-	if r.err != nil {
-		return nil
-	}
-	if n > max {
-		r.err = fmt.Errorf("%w: field length %d exceeds limit %d", ErrCorrupt, n, max)
+	n, ok := r.length(max)
+	if !ok {
 		return nil
 	}
 	if r.br == nil {
 		// What is claimed must be present before anything is allocated for
 		// it: a 4-byte input must not cost a MaxValueLen buffer.
-		b, ok := r.take(int(n))
+		b, ok := r.take(n)
 		if !ok {
 			return nil
 		}
 		return append(make([]byte, 0, n), b...)
 	}
 	// A stream's length is unknown, so the buffer grows as bytes arrive.
-	b, err := readN(r.br, make([]byte, 0, min(n, readStep)), int(n))
+	b, err := readN(r.br, make([]byte, 0, min(n, readStep)), n)
 	if err != nil {
 		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 		return nil
@@ -424,34 +420,18 @@ func ReadList[T any](r *Reader, max uint32, what string, read func(*Reader) T) [
 	return out
 }
 
-// BytesView reads a length-prefixed byte string of at most max bytes and,
-// in bytes mode, returns a view aliasing the input slice — zero copies,
-// zero allocations. The view is only valid while the input slice is; a
-// caller that retains the data beyond that must copy it. In stream mode it
-// falls back to Bytes (an owned copy), so callers need no mode check.
-func (r *Reader) BytesView(max uint32) []byte {
-	if r.br != nil {
-		return r.Bytes(max)
-	}
-	n := r.Uint32()
-	if r.err != nil {
-		return nil
-	}
-	if n > max {
-		r.err = fmt.Errorf("%w: field length %d exceeds limit %d", ErrCorrupt, n, max)
-		return nil
-	}
-	b, ok := r.take(int(n))
-	if !ok {
-		return nil
-	}
-	return b
-}
-
-// String reads a length-prefixed string of at most max bytes. The string
-// conversion copies, so BytesView is safe as the source in bytes mode.
+// String reads a length-prefixed string of at most max bytes. In bytes
+// mode the string conversion is the one copy.
 func (r *Reader) String(max uint32) string {
-	return string(r.BytesView(max))
+	if r.br != nil {
+		return string(r.Bytes(max))
+	}
+	n, ok := r.length(max)
+	if !ok {
+		return ""
+	}
+	b, _ := r.take(n)
+	return string(b)
 }
 
 // Digest reads raw digest bytes.

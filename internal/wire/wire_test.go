@@ -157,15 +157,33 @@ func TestWriteFrameAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestReaderLengthLimit: a length prefix over the field's limit fails the
+// reader with ErrCorrupt and yields the zero value, for every
+// variable-length read in either mode; at the limit the same field decodes.
 func TestReaderLengthLimit(t *testing.T) {
-	var b []byte
-	b = AppendUint32(b, MaxValueLen+1)
-	r := NewReader(bytes.NewReader(b))
-	if got := r.Bytes(MaxValueLen); got != nil {
-		t.Fatal("oversized field decoded")
+	// The claimed bytes are present, so only the limit can refuse them.
+	in := AppendBytes(nil, make([]byte, 100))
+	modes := map[string]func() *Reader{
+		"stream": func() *Reader { return NewReader(bytes.NewReader(in)) },
+		"bytes":  func() *Reader { return NewBytesReader(in) },
 	}
-	if r.Err() == nil {
-		t.Fatal("oversized field not reported")
+	reads := map[string]func(r *Reader, max uint32) int{
+		"Bytes":  func(r *Reader, max uint32) int { return len(r.Bytes(max)) },
+		"String": func(r *Reader, max uint32) int { return len(r.String(max)) },
+	}
+	for name, read := range reads {
+		for mode, open := range modes {
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				r := open()
+				if n := read(r, 99); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+					t.Fatalf("over the limit: %d bytes, err %v", n, r.Err())
+				}
+				r = open()
+				if n := read(r, 100); n != 100 || r.Err() != nil {
+					t.Fatalf("at the limit: %d bytes, err %v", n, r.Err())
+				}
+			})
+		}
 	}
 }
 
@@ -334,8 +352,8 @@ func TestBytesAllocatesWhatIsPresent(t *testing.T) {
 		}
 	}
 	r := NewBytesReader(binary.BigEndian.AppendUint32(nil, 3))
-	if r.Bytes(16); !errors.Is(r.Err(), ErrCorrupt) || r.Remaining() != 0 {
-		t.Fatalf("truncated field: error %v, %d bytes remaining", r.Err(), r.Remaining())
+	if r.Bytes(16); !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("truncated field: error %v", r.Err())
 	}
 }
 
