@@ -112,3 +112,16 @@ func TestBytesOwnedCopy(t *testing.T) {
 		t.Fatalf("Bytes aliased the input: %q", got)
 	}
 }
+
+// TestBytesViewLimit: a bytes-mode Reader refuses a field over its limit
+// even though every claimed byte is present in the input it reads in
+// place. The aliasing BytesView this once covered is gone; Bytes is now
+// the one variable-length read over that input.
+func TestBytesViewLimit(t *testing.T) {
+	w := NewAppendWriter(nil)
+	w.Bytes(make([]byte, 100))
+	r := NewBytesReader(w.AppendedBytes())
+	if got := r.Bytes(10); got != nil || r.Err() == nil {
+		t.Fatal("Bytes over limit not rejected")
+	}
+}
