@@ -78,10 +78,18 @@ func (c *cluster) flood(skip ...ReplicaID) {
 	}
 }
 
-// envelope is the envelope primary would sign with in view, under a fresh
-// nonce commitment — what tests forging a primary's statements need.
+// envelope is an envelope primary could sign with in view, under a nonce
+// commitment no replica derives — what tests forging a primary's
+// statements need.
 func envelope(view uint64, primary ReplicaID) ledger.Envelope {
-	return ledger.Envelope{View: view, Primary: uint32(primary), NonceCommit: hashsig.NewNonce().Commit()}
+	nonce := hashsig.NonceFromSeed(fmt.Sprintf("forged-%d-%d", view, primary))
+	return ledger.Envelope{View: view, Primary: uint32(primary), NonceCommit: nonce.Commit()}
+}
+
+// fixed is ExecuteBatchAs's envelope argument for an envelope that does
+// not depend on the content.
+func fixed(env ledger.Envelope) func(hashsig.Digest) ledger.Envelope {
+	return func(hashsig.Digest) ledger.Envelope { return env }
 }
 
 func reqs(author hashsig.Digest, base uint64, n int) []ledger.Request {
@@ -237,14 +245,14 @@ func TestEquivocatingPrimaryYieldsBlame(t *testing.T) {
 
 	// The primary signs two different batches for seq 1 by executing one,
 	// rolling back (Lemma 1 makes this cheap), and executing the other.
-	batchA, err := primary.Ledger().ExecuteBatchAs(envelope(0, 0), reqs(author, 10, 2))
+	batchA, err := primary.Ledger().ExecuteBatchAs(fixed(envelope(0, 0)), reqs(author, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.Ledger().RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
-	batchB, err := primary.Ledger().ExecuteBatchAs(envelope(0, 0), reqs(author, 99, 2))
+	batchB, err := primary.Ledger().ExecuteBatchAs(fixed(envelope(0, 0)), reqs(author, 99, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

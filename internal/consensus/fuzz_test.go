@@ -20,7 +20,7 @@ func messageCorpus() [][]byte {
 	}
 	nonce := hashsig.NonceFromSeed("fuzz-nonce")
 	env := ledger.Envelope{View: 1, Primary: 1, NonceCommit: nonce.Commit()}
-	batch, err := led.ExecuteBatchAs(env, []ledger.Request{{
+	batch, err := led.ExecuteBatchAs(fixed(env), []ledger.Request{{
 		Author: hashsig.Sum([]byte("client")),
 		ReqNo:  1,
 		Body:   ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}}),

@@ -36,7 +36,7 @@ func goldenMessages(t *testing.T) []Message {
 	}
 	nonce := hashsig.NonceFromSeed("golden-nonce")
 	backup := hashsig.NonceFromSeed("golden-backup")
-	batch, err := led.ExecuteBatchAs(ledger.Envelope{View: 1, Primary: 1, NonceCommit: nonce.Commit()}, []ledger.Request{{
+	batch, err := led.ExecuteBatchAs(fixed(ledger.Envelope{View: 1, Primary: 1, NonceCommit: nonce.Commit()}), []ledger.Request{{
 		Author: hashsig.Sum([]byte("golden-client")),
 		ReqNo:  7,
 		Body:   ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}}),

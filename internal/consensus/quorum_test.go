@@ -39,8 +39,11 @@ func TestEquivocatorSplitCannotForkAtFive(t *testing.T) {
 	author := hashsig.Sum([]byte("client"))
 	led := c.replicas[0].Ledger()
 	sign := func(base uint64) (*ledger.Batch, hashsig.Nonce) {
-		nonce := hashsig.NewNonce()
-		b, err := led.ExecuteBatchAs(ledger.Envelope{View: 0, Primary: 0, NonceCommit: nonce.Commit()}, reqs(author, base, 2))
+		var nonce hashsig.Nonce
+		b, err := led.ExecuteBatchAs(func(content hashsig.Digest) ledger.Envelope {
+			nonce = c.keys[0].Nonce(0, 1, content)
+			return ledger.Envelope{View: 0, Primary: 0, NonceCommit: nonce.Commit()}
+		}, reqs(author, base, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -331,13 +331,18 @@ func (r *Replica) Idle() bool {
 // from that one: Ledger.Receipts). Only the primary may propose, and only
 // while the proposal window has room (CanPropose). The batch's header is
 // the pre-prepare statement: the ledger signs it, once, with this view,
-// this replica and a fresh nonce commitment in the envelope.
+// this replica and the commitment to this replica's nonce for the content
+// in the envelope.
 func (r *Replica) Propose(reqs []ledger.Request) (*PrePrepare, hashsig.Digest, error) {
 	if !r.IsPrimary() || !r.CanPropose() {
 		return nil, hashsig.Digest{}, ErrNotPrimary
 	}
-	nonce := hashsig.NewNonce()
-	batch, err := r.led.ExecuteBatchAs(r.envelope(nonce), reqs)
+	seq := r.led.Seq()
+	var nonce hashsig.Nonce
+	batch, err := r.led.ExecuteBatchAs(func(content hashsig.Digest) ledger.Envelope {
+		nonce = r.cfg.Key.Nonce(r.view, seq, content)
+		return r.envelope(nonce)
+	}, reqs)
 	if err != nil {
 		return nil, hashsig.Digest{}, err
 	}
@@ -352,10 +357,10 @@ func (r *Replica) envelope(nonce hashsig.Nonce) ledger.Envelope {
 }
 
 // restate re-signs a batch this replica re-proposes as primary of the
-// current view: the same content under this view's envelope and a fresh
-// nonce — one signature, no execution.
+// current view: the same content under this view's envelope and this
+// view's nonce — one signature, no execution.
 func (r *Replica) restate(h *ledger.BatchHeader, entries []ledger.Entry) (*ledger.Batch, hashsig.Nonce) {
-	nonce := hashsig.NewNonce()
+	nonce := r.cfg.Key.Nonce(r.view, h.Seq, h.ContentDigest())
 	return &ledger.Batch{Header: r.led.Restate(h, r.envelope(nonce)), Entries: entries}, nonce
 }
 
@@ -570,7 +575,7 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 	if _, err := r.led.ApplyBatch(pp.Batch()); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	in := newInstance(h, pp.Entries, hashsig.NewNonce())
+	in := newInstance(h, pp.Entries, r.cfg.Key.Nonce(h.View, seq, h.ContentDigest()))
 	r.insts[seq] = in
 	r.gen++
 	delete(r.mustRepropose, seq)

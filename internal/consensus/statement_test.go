@@ -352,7 +352,7 @@ func TestPinnedReproposalIsByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
+	evil, err := scratch.ExecuteBatchAs(fixed(envelope(1, 1)), reqs(author, 666, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestSecondNonceCommitmentIsNotEquivocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil, err := scratch.ExecuteBatchAs(envelope(0, 0), reqs(author, 666, 2))
+	evil, err := scratch.ExecuteBatchAs(fixed(envelope(0, 0)), reqs(author, 666, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -405,7 +405,7 @@ func TestTamperedSuffixChangesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			evil, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
+			evil, err := scratch.ExecuteBatchAs(fixed(envelope(1, 1)), reqs(author, 666, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -543,7 +543,7 @@ func TestPinsSurviveAdoptionWithinView(t *testing.T) {
 			t.Fatalf("%s: adoption within the view lifted the pin above the adopted seq", what)
 		}
 
-		evil, err := scratch.ExecuteBatchAs(envelope(1, 1), reqs(author, 666, 2))
+		evil, err := scratch.ExecuteBatchAs(fixed(envelope(1, 1)), reqs(author, 666, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -180,7 +180,7 @@ func TestEquivocationNonHeadInstance(t *testing.T) {
 	if _, _, err := led.ExecuteBatch(reqs(author, 100, 2)); err != nil {
 		t.Fatal(err)
 	}
-	evil, err := led.ExecuteBatchAs(envelope(0, 0), reqs(author, 666, 2))
+	evil, err := led.ExecuteBatchAs(fixed(envelope(0, 0)), reqs(author, 666, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,28 @@
 // consensus replica keeps its own, and PublicKey.Verify itself consults none
 // — a memo on the key would let in-process replicas that share key objects
 // skip each other's checks, a saving no real deployment has.
+//
+// # Commit nonces
+//
+// A replica's commit nonce is not drawn from entropy: PrivateKey.Nonce is
+// HMAC-SHA-256 under a key derived, domain-tagged, from the signing seed,
+// over (view, seq, content digest). Nothing on a replica's path reads
+// randomness, so its messages are a function of its inputs and two runs
+// of one schedule emit the same bytes. The commitment scheme keeps its
+// three properties:
+//
+//   - An opening opens one statement. The content is a PRF input, so the
+//     nonce for another batch, or for the same batch at another view or
+//     seq, is an independent value; revealing one says nothing about
+//     another, and an opening only counts beside the replica's own signed
+//     prepare, which names the statement.
+//   - The commitment hides until opened. H(nonce) reveals nothing without
+//     the nonce key, which never leaves the replica, so a peer cannot
+//     compute an opening from the statement it sees.
+//   - Equivocation stays provable. A replica that prepares two statements
+//     in one slot signs two prepares (or, as primary, two headers) for
+//     them; those signatures, not the nonces, are the evidence (ledger's
+//     Blame), and a deterministic nonce removes none of them.
 package hashsig
 
 import (

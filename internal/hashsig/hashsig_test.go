@@ -232,7 +232,7 @@ func TestDeterministicKeys(t *testing.T) {
 }
 
 func TestNonceCommitment(t *testing.T) {
-	n := NewNonce()
+	n := GenerateKeyFromSeed("replica-0").Nonce(1, 2, Sum([]byte("batch")))
 	if n.IsZero() {
 		t.Fatal("fresh nonce is zero")
 	}
@@ -257,14 +257,28 @@ func TestNonceFromSeedDeterministic(t *testing.T) {
 	}
 }
 
+// TestNonceDistinct: a key's nonce is a function of (view, seq, content)
+// — the same statement re-derives the same nonce — and changing any input,
+// or the key, gives another one.
 func TestNonceDistinct(t *testing.T) {
-	seen := map[Nonce]bool{}
-	for i := 0; i < 64; i++ {
-		n := NewNonce()
-		if seen[n] {
-			t.Fatal("duplicate nonce from NewNonce")
+	k := GenerateKeyFromSeed("replica-0")
+	content := Sum([]byte("batch"))
+	n := k.Nonce(3, 7, content)
+	if k.Nonce(3, 7, content) != n {
+		t.Fatal("one statement derived two nonces")
+	}
+	seen := map[Nonce]bool{n: true}
+	for _, other := range []Nonce{
+		k.Nonce(4, 7, content),
+		k.Nonce(3, 8, content),
+		k.Nonce(3, 7, Sum([]byte("other batch"))),
+		k.Nonce(7, 3, content), // view and seq are not interchangeable
+		GenerateKeyFromSeed("replica-1").Nonce(3, 7, content),
+	} {
+		if seen[other] {
+			t.Fatal("two statements or two keys derived one nonce")
 		}
-		seen[n] = true
+		seen[other] = true
 	}
 }
 

@@ -43,9 +43,16 @@ func (s Signature) Clone() Signature {
 	return out
 }
 
-// PrivateKey is a replica, member, or client signing key.
+// PrivateKey is a replica, member, or client signing key, with the nonce
+// key derived from its seed (Nonce).
 type PrivateKey struct {
-	key ed25519.PrivateKey
+	key      ed25519.PrivateKey
+	nonceKey Digest
+}
+
+// newPrivateKey wraps k and derives its nonce key.
+func newPrivateKey(k ed25519.PrivateKey) *PrivateKey {
+	return &PrivateKey{key: k, nonceKey: nonceKey(k.Seed())}
 }
 
 // PublicKey is the verification half of a PrivateKey. Its canonical byte
@@ -71,7 +78,7 @@ func GenerateKey(r io.Reader) (*PrivateKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hashsig: generate key: %w", err)
 	}
-	return &PrivateKey{key: k}, nil
+	return newPrivateKey(k), nil
 }
 
 // MustGenerateKey is GenerateKey with crypto/rand, panicking on failure.
@@ -149,5 +156,5 @@ func ParsePublicKey(b []byte) (*PublicKey, error) {
 // GenerateKey.
 func GenerateKeyFromSeed(seed string) *PrivateKey {
 	h := Sum([]byte("iaccf-key-seed:" + seed))
-	return &PrivateKey{key: ed25519.NewKeyFromSeed(h[:])}
+	return newPrivateKey(ed25519.NewKeyFromSeed(h[:]))
 }

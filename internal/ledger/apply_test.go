@@ -278,14 +278,14 @@ func TestApplyBatchThenRollbackTo(t *testing.T) {
 func TestReplayKeyedTwoSigners(t *testing.T) {
 	first, second := applyPair(t)
 	pubs := []*hashsig.PublicKey{first.cfg.Key.Public(), second.cfg.Key.Public()}
-	b1, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0}, applyReqs(10, 3))
+	b1, err := first.ExecuteBatchAs(fixed(Envelope{View: 0, Primary: 0}), applyReqs(10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := second.ApplyBatch(b1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := second.ExecuteBatchAs(Envelope{View: 1, Primary: 1}, applyReqs(20, 3)); err != nil {
+	if _, err := second.ExecuteBatchAs(fixed(Envelope{View: 1, Primary: 1}), applyReqs(20, 3)); err != nil {
 		t.Fatal(err)
 	}
 	stream := second.Batches()
@@ -313,12 +313,18 @@ func TestReplayKeyedTwoSigners(t *testing.T) {
 	}
 }
 
+// fixed is ExecuteBatchAs's envelope argument for an envelope that does
+// not depend on the content.
+func fixed(env Envelope) func(hashsig.Digest) Envelope {
+	return func(hashsig.Digest) Envelope { return env }
+}
+
 // TestRestateKeepsContent: a restated header is the same batch under a new
 // statement — one signature, by the restating ledger's key, and the ledger
 // itself is untouched.
 func TestRestateKeepsContent(t *testing.T) {
 	first, second := applyPair(t)
-	b, err := first.ExecuteBatchAs(Envelope{View: 0, Primary: 0, NonceCommit: hashsig.Sum([]byte("n0"))}, applyReqs(10, 3))
+	b, err := first.ExecuteBatchAs(fixed(Envelope{View: 0, Primary: 0, NonceCommit: hashsig.Sum([]byte("n0"))}), applyReqs(10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

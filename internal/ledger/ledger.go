@@ -542,7 +542,7 @@ func (l *Ledger) BatchAt(seq uint64) *Batch {
 // the form a ledger used without consensus takes (a single writer, one
 // signer, no commit to wait for) — and returns its receipts too.
 func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
-	b, err := l.ExecuteBatchAs(Envelope{}, reqs)
+	b, err := l.ExecuteBatchAs(func(hashsig.Digest) Envelope { return Envelope{} }, reqs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -552,12 +552,13 @@ func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
 // ExecuteBatchAs is the propose policy: it mints the requests into entries —
 // plus a checkpoint marker when one is due — runs them through the core,
 // which sets every transaction's result (zero for an aborted one) and the
-// marker's incremental d_C, puts env around the derived content, signs the
-// statement — the batch's one signature — and retains the batch. It cuts
-// no receipts: under consensus the batch may yet commit under a later
-// view's statement, and Receipts cuts them from the header the ledger
-// holds then.
-func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, error) {
+// marker's incremental d_C, puts env(content digest) around the derived
+// content — a primary's nonce commitment is a function of the content —,
+// signs the statement — the batch's one signature — and retains the
+// batch. It cuts no receipts: under consensus the batch may yet commit
+// under a later view's statement, and Receipts cuts them from the header
+// the ledger holds then.
+func (l *Ledger) ExecuteBatchAs(env func(content hashsig.Digest) Envelope, reqs []Request) (*Batch, error) {
 	for i := range reqs {
 		if len(reqs[i].Body) > MaxRequestLen {
 			return nil, fmt.Errorf("%w: request %d body %d bytes exceeds %d",
@@ -586,7 +587,7 @@ func (l *Ledger) ExecuteBatchAs(env Envelope, reqs []Request) (*Batch, error) {
 	// to discard the half-executed batch.
 	l.mark(seq)
 	header, _ := l.derive(seq, entries, nil)
-	header.Envelope = env
+	header.Envelope = env(header.ContentDigest())
 	header.Sig = l.cfg.Key.MustSign(header.StatementDigest())
 	batch := &Batch{Header: header, Entries: entries}
 	l.adopt(batch)

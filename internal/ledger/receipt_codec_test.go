@@ -112,7 +112,7 @@ func TestReceiptCodecEnvelope(t *testing.T) {
 	}
 	for _, warm := range []bool{false, true} {
 		env := Envelope{View: 7, Primary: 3, NonceCommit: hashsig.NonceFromSeed(fmt.Sprint("codec", warm)).Commit()}
-		b, err := led.ExecuteBatchAs(env, []Request{{
+		b, err := led.ExecuteBatchAs(fixed(env), []Request{{
 			Author: hashsig.Sum([]byte("client")), ReqNo: 1, Body: EncodeOps([]Op{{Key: "k", Val: []byte("v")}}),
 		}})
 		if err != nil {

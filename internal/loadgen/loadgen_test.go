@@ -153,7 +153,9 @@ func TestVerifyUnderTheNamedPrimary(t *testing.T) {
 		}
 		reqNo++
 		rq := ledger.Request{Author: author, ReqNo: reqNo, Body: ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}})}
-		b, err := l.ExecuteBatchAs(ledger.Envelope{View: view, Primary: primary}, []ledger.Request{rq})
+		b, err := l.ExecuteBatchAs(func(hashsig.Digest) ledger.Envelope {
+			return ledger.Envelope{View: view, Primary: primary}
+		}, []ledger.Request{rq})
 		if err != nil {
 			t.Fatal(err)
 		}

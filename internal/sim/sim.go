@@ -178,6 +178,7 @@ type member struct {
 	behaviour Behaviour
 	node      *node.Node         // nil for the equivocator
 	rep       *consensus.Replica // the node's replica, or the equivocator's
+	key       *hashsig.PrivateKey
 	ep        transport.Transport
 	stepped   bool   // a node the driver steps: honest or lying-sync
 	checked   uint64 // committed prefix compared against canon
@@ -247,7 +248,7 @@ func New(cfg Config) (*Sim, error) {
 		s.pubs = append(s.pubs, keys[i].Public())
 	}
 	for i := range keys {
-		m := &member{id: consensus.ReplicaID(i), behaviour: cfg.Byzantine[consensus.ReplicaID(i)]}
+		m := &member{id: consensus.ReplicaID(i), behaviour: cfg.Byzantine[consensus.ReplicaID(i)], key: keys[i]}
 		ccfg := consensus.Config{
 			ID:              m.id,
 			Key:             keys[i],
@@ -410,8 +411,10 @@ func (s *Sim) strike(m *member) {
 			ReqNo:  seq,
 			Body:   ledger.EncodeOps([]ledger.Op{{Key: fmt.Sprintf("equivocation-%d", seq), Val: []byte(variant)}}),
 		}}
-		env := ledger.Envelope{View: rep.View(), Primary: uint32(m.id), NonceCommit: hashsig.NewNonce().Commit()}
-		batch, err := led.ExecuteBatchAs(env, reqs)
+		batch, err := led.ExecuteBatchAs(func(content hashsig.Digest) ledger.Envelope {
+			nonce := m.key.Nonce(rep.View(), seq, content)
+			return ledger.Envelope{View: rep.View(), Primary: uint32(m.id), NonceCommit: nonce.Commit()}
+		}, reqs)
 		if err != nil {
 			panic(err) // the scripted request always executes
 		}
