@@ -144,8 +144,9 @@
 //
 // The aliasing property tests (alias_test.go) enforce these rules. The
 // determinism requirements (no map-order bytes, no wall clocks or unseeded
-// randomness) are enforced statically by the iaccfvet analyzers — see
-// internal/analysis/README.md.
+// randomness) are tested, not linted: the golden and replay tests compare
+// bytes, and a replayed sim run must deliver the same frames
+// (TestSimDeterministicReplay).
 //
 // # Pruning boundary invariant
 //

@@ -3,10 +3,10 @@ package node
 import "time"
 
 // Clock is the tick seam between wall time and consensus logic. The
-// consensus package counts ticks, never reads a clock (its determinism is
-// analyzer-enforced; see internal/analysis); the node runtime consumes
-// whatever Clock it was configured with and converts tick arrivals into
-// SyncTick / Retransmit / OnTimeout calls. Production nodes use a
+// consensus package counts ticks and never reads a clock, so a replayed
+// sim run matches frame for frame (TestSimDeterministicReplay); the node
+// runtime consumes whatever Clock it was configured with and converts
+// tick arrivals into SyncTick / Retransmit / OnTimeout calls. Production nodes use a
 // WallClock; tests hand-drive a ManualClock, which makes every timing
 // scenario — stalls, retransmit cadence, sync backoff — reproducible
 // without sleeping.

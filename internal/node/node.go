@@ -7,8 +7,8 @@
 // One goroutine — the run loop — owns the consensus.Replica. Transport
 // handlers and RPC submissions communicate with it only through channels,
 // so replica state remains a pure function of the sequence of messages
-// and ticks the loop consumed, the property the detsource analyzer
-// enforces on the layers below. Each input is one turn (step); a
+// and ticks the loop consumed, which TestSimDeterministicReplay checks
+// frame for frame. Each input is one turn (step); a
 // deterministic driver (internal/sim) runs the same turns on a node it
 // never Started, through the Step methods.
 //

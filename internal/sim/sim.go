@@ -3,9 +3,13 @@
 // node.New, with their pool, pacing, receipt delivery and timers — on
 // transport.Hub endpoints, run from one goroutine through the nodes' Step
 // methods. Everything derives from one int64 seed: keys, clients and the
-// Hub's schedule. A failing run reports its seed, and the same
-// configuration with that seed replays the identical run
-// (TestSimDeterministicReplay). One step is:
+// Hub's schedule; replicas read no clock and no randomness (commit nonces
+// derive from their keys). A failing run reports its seed, and the same
+// configuration with that seed replays the identical run, frame for frame:
+// Result.Frames digests every frame the Hub delivered, and
+// TestSimDeterministicReplay compares two runs' digests. Every request
+// writes three keys, so a write set has an order a map walk could leak.
+// One step is:
 //
 //  1. A scripted equivocator that leads an idle view strikes.
 //  2. Each client submits its next request (StepSubmit) or reads the
@@ -57,8 +61,10 @@ package sim
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"strconv"
 	"strings"
 
@@ -158,6 +164,10 @@ type Result struct {
 	Steps int
 	// Lost counts frames Loss partitions discarded (drops are not counted).
 	Lost int
+	// Frames digests every frame the Hub delivered, in order, with its
+	// sender and receiver: two runs of one configuration match frame for
+	// frame.
+	Frames hashsig.Digest
 	// Committed is the final committed watermark, one for every honest node.
 	Committed uint64
 	// FinalView is the highest view an honest node ended in.
@@ -205,6 +215,7 @@ type reqKey struct {
 type Sim struct {
 	cfg     Config
 	hub     *transport.Hub
+	frames  hash.Hash // every delivered frame: sender, receiver, bytes
 	pubs    []*hashsig.PublicKey
 	members []*member
 	honest  []*member // ascending id
@@ -236,6 +247,7 @@ func New(cfg Config) (*Sim, error) {
 	cfg.CheckpointEvery, cfg.Clients = cmp.Or(cfg.CheckpointEvery, 2), cmp.Or(cfg.Clients, 1)
 	s := &Sim{
 		cfg:         cfg,
+		frames:      hashsig.NewHasher(),
 		canon:       make(map[uint64]hashsig.Digest),
 		committedAt: make(map[reqKey]uint64),
 	}
@@ -257,16 +269,26 @@ func New(cfg Config) (*Sim, error) {
 			CheckpointEvery: cfg.CheckpointEvery,
 			Window:          cfg.Window,
 		}
-		var handler transport.Handler
+		var handle transport.Handler
 		switch m.behaviour {
 		case BehaviourHonest, BehaviourLyingSync:
 			m.stepped = true
-			handler = func(from transport.NodeID, frame []byte) { m.node.StepFrame(from, frame) }
+			handle = func(from transport.NodeID, frame []byte) { m.node.StepFrame(from, frame) }
 		case BehaviourEquivocate:
-			handler = func(from transport.NodeID, frame []byte) { s.equivocatorHandle(m, frame) }
+			handle = func(from transport.NodeID, frame []byte) { s.equivocatorHandle(m, frame) }
 		case BehaviourSilent:
+			handle = func(transport.NodeID, []byte) {}
 		default:
 			return nil, fmt.Errorf("sim: unknown behaviour %q", m.behaviour)
+		}
+		handler := func(from transport.NodeID, frame []byte) {
+			var hdr [16]byte
+			binary.BigEndian.PutUint32(hdr[:], uint32(from))
+			binary.BigEndian.PutUint32(hdr[4:], uint32(m.id))
+			binary.BigEndian.PutUint64(hdr[8:], uint64(len(frame)))
+			s.frames.Write(hdr[:])
+			s.frames.Write(frame)
+			handle(from, frame)
 		}
 		m.ep = &endpoint{
 			Transport: s.hub.Endpoint(transport.NodeID(i), handler),
@@ -307,10 +329,22 @@ func New(cfg Config) (*Sim, error) {
 		c.reqs = append(c.reqs, ledger.Request{
 			Author: hashsig.Sum([]byte(fmt.Sprintf("sim-%d-client-%d", cfg.Seed, i%cfg.Clients))),
 			ReqNo:  uint64(len(c.reqs) + 1),
-			Body:   ledger.EncodeOps([]ledger.Op{{Key: fmt.Sprintf("key-%d", i), Val: []byte(fmt.Sprintf("val-%d", i))}}),
+			Body:   ledger.EncodeOps(writes(i)),
 		})
 	}
 	return s, nil
+}
+
+// writes is request i's write set: its own key and two of a few shared
+// ones, so every write set has an order for a map walk to leak and
+// requests overwrite each other.
+func writes(i int) []ledger.Op {
+	val := []byte(fmt.Sprintf("val-%d", i))
+	return []ledger.Op{
+		{Key: fmt.Sprintf("key-%d", i), Val: val},
+		{Key: fmt.Sprintf("shared-%d", i%5), Val: val},
+		{Key: fmt.Sprintf("shared-%d", (i+2)%5), Val: val},
+	}
 }
 
 // endpoint is a replica's Hub endpoint as the sim wires it: it records a
@@ -651,6 +685,7 @@ func (s *Sim) Run() (*Result, error) {
 func (s *Sim) result() (*Result, error) {
 	ref, res := s.honest[0].rep, &s.res
 	res.Steps, res.Committed = s.step, ref.Committed()
+	s.frames.Sum(res.Frames[:0])
 	res.Nodes = make(map[consensus.ReplicaID]*node.Node)
 	for _, m := range s.honest {
 		if m.rep.Ledger().HistRoot() != ref.Ledger().HistRoot() {

@@ -77,8 +77,10 @@ func TestSimRetryAfterReplacedBatch(t *testing.T) {
 }
 
 // TestSimDeterministicReplay re-runs one seed and demands the identical
-// run: the same step count, the same counts on every node and the same
-// final state.
+// run: the same frames delivered in the same order, the same step count,
+// the same counts on every node and the same final state. Honest replicas
+// run with independently randomised map order, so a map walk, a clock or
+// an unseeded draw that reaches a sent byte fails it.
 func TestSimDeterministicReplay(t *testing.T) {
 	run := func() *Result {
 		res, err := Run(Config{
@@ -93,6 +95,9 @@ func TestSimDeterministicReplay(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
+	if a.Frames != b.Frames {
+		t.Fatalf("runs delivered different frames (%d and %d steps)", a.Steps, b.Steps)
+	}
 	if a.Steps != b.Steps || a.ReceiptlessCommits != b.ReceiptlessCommits {
 		t.Fatalf("runs diverged: %d steps, %d receiptless vs %d steps, %d receiptless",
 			a.Steps, a.ReceiptlessCommits, b.Steps, b.ReceiptlessCommits)

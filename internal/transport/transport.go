@@ -2,8 +2,8 @@
 // is the first real-network layer in the repo: everything above it —
 // consensus, the node runtime, the transaction pool — stays byte-oriented
 // and deterministic, while this package owns sockets, reconnection, and
-// wall-clock deadlines (it is deliberately OUTSIDE iaccfvet's detsource
-// deterministic scope; see internal/analysis).
+// wall-clock deadlines. The Hub is its one deterministic part: a seeded
+// schedule the sim replays frame for frame.
 //
 // # Wire protocol
 //
