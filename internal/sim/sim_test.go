@@ -76,40 +76,62 @@ func TestSimRetryAfterReplacedBatch(t *testing.T) {
 	}
 }
 
-// TestSimDeterministicReplay re-runs one seed and demands the identical
-// run: the same frames delivered in the same order, the same step count,
-// the same counts on every node and the same final state. Honest replicas
-// run with independently randomised map order, so a map walk, a clock or
-// an unseeded draw that reaches a sent byte fails it.
+// TestSimDeterministicReplay re-runs each configuration and demands the
+// identical run: the same frames delivered in the same order, the same
+// step count, the same counts on every node and the same final state.
+// Honest replicas run with independently randomised map order, so a map
+// walk, a clock or an unseeded draw that reaches a sent byte fails it. The
+// configurations cover loss and reordering, a view change that re-proposes
+// in-flight batches, and an equivocating primary.
 func TestSimDeterministicReplay(t *testing.T) {
-	run := func() *Result {
-		res, err := Run(Config{
+	for name, cfg := range map[string]Config{
+		"loss and reordering": {
 			Seed:     42,
 			Requests: 15,
 			Clients:  3,
 			Network:  transport.TamperPolicy{DropRate: 0.3, ReorderWindow: 8},
-		})
-		if err != nil {
-			t.Fatal(err)
+		},
+		"view change": {
+			Seed:       3,
+			Requests:   12,
+			Clients:    3,
+			Network:    transport.TamperPolicy{DropRate: 0.1, ReorderWindow: 4},
+			Partitions: []Partition{{FromCommit: 2, UntilCommit: 6, Group: map[consensus.ReplicaID]int{0: 1}}},
+		},
+		"equivocation": {
+			Seed:      1,
+			Requests:  6,
+			Clients:   2,
+			Network:   transport.TamperPolicy{DropRate: 0.1, ReorderWindow: 4},
+			Byzantine: map[consensus.ReplicaID]Behaviour{0: BehaviourEquivocate},
+		},
+	} {
+		run := func() *Result {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res
 		}
-		return res
-	}
-	a, b := run(), run()
-	if a.Frames != b.Frames {
-		t.Fatalf("runs delivered different frames (%d and %d steps)", a.Steps, b.Steps)
-	}
-	if a.Steps != b.Steps || a.ReceiptlessCommits != b.ReceiptlessCommits {
-		t.Fatalf("runs diverged: %d steps, %d receiptless vs %d steps, %d receiptless",
-			a.Steps, a.ReceiptlessCommits, b.Steps, b.ReceiptlessCommits)
-	}
-	for id, nd := range a.Nodes {
-		if sa, sb := nd.Stats(), b.Nodes[id].Stats(); sa != sb {
-			t.Fatalf("node %d counted differently:\n%+v\n%+v", id, sa, sb)
+		a, b := run(), run()
+		if a.Frames != b.Frames {
+			t.Fatalf("%s: runs delivered different frames (%d and %d steps)", name, a.Steps, b.Steps)
 		}
-	}
-	ra, rb := a.Nodes[0].Replica().Ledger(), b.Nodes[0].Replica().Ledger()
-	if ra.HistRoot() != rb.HistRoot() || ra.StateDigest() != rb.StateDigest() {
-		t.Fatal("replayed run reached a different final state")
+		if a.Steps != b.Steps || a.ReceiptlessCommits != b.ReceiptlessCommits {
+			t.Fatalf("%s: runs diverged: %d steps, %d receiptless vs %d steps, %d receiptless",
+				name, a.Steps, a.ReceiptlessCommits, b.Steps, b.ReceiptlessCommits)
+		}
+		for id, nd := range a.Nodes {
+			if sa, sb := nd.Stats(), b.Nodes[id].Stats(); sa != sb {
+				t.Fatalf("%s: node %d counted differently:\n%+v\n%+v", name, id, sa, sb)
+			}
+		}
+		for id := range a.Nodes {
+			ra, rb := a.Nodes[id].Replica().Ledger(), b.Nodes[id].Replica().Ledger()
+			if ra.HistRoot() != rb.HistRoot() || ra.StateDigest() != rb.StateDigest() {
+				t.Fatalf("%s: replayed run reached a different final state", name)
+			}
+		}
 	}
 }
 
