@@ -3,6 +3,7 @@ package consensus
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -448,5 +449,43 @@ func TestCommitCertBindsTheStatement(t *testing.T) {
 	}
 	if forged.Verify(peers) {
 		t.Fatal("certificate whose prepares sign another view's statement verifies")
+	}
+}
+
+// TestCommitCertHasOneByteForm: a certificate's prepares and openings are
+// each strictly ascending by replica, as buildCommitCert emits them. A
+// duplicate — which used to let a later prepare's nonce commitment replace
+// an earlier one — or any other order is refused, so one commit has one
+// certificate encoding.
+func TestCommitCertHasOneByteForm(t *testing.T) {
+	c := newCluster(t, 4)
+	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
+	c.flood()
+	peers := c.replicas[0].cfg.Peers
+	cert := c.replicas[2].lastCommit
+	if cert == nil || !cert.Verify(peers) {
+		t.Fatal("honest certificate does not verify")
+	}
+	if len(cert.Prepares) < 2 || len(cert.Opens) < 2 {
+		t.Fatalf("certificate has %d prepares and %d openings; the rows need two of each", len(cert.Prepares), len(cert.Opens))
+	}
+	for name, mutate := range map[string]func(*ledger.CommitCert){
+		"duplicate prepare": func(x *ledger.CommitCert) {
+			x.Prepares = append(x.Prepares, x.Prepares[len(x.Prepares)-1])
+		},
+		"duplicate opening": func(x *ledger.CommitCert) {
+			x.Opens = append(x.Opens, x.Opens[len(x.Opens)-1])
+		},
+		"descending prepares": func(x *ledger.CommitCert) { slices.Reverse(x.Prepares) },
+		"descending openings": func(x *ledger.CommitCert) { slices.Reverse(x.Opens) },
+	} {
+		x := &ledger.CommitCert{Header: cert.Header, Prepares: slices.Clone(cert.Prepares), Opens: slices.Clone(cert.Opens)}
+		mutate(x)
+		if _, ok := x.Structure(peers); ok {
+			t.Errorf("%s: passes structure", name)
+		}
+		if x.Verify(peers) {
+			t.Errorf("%s: verifies", name)
+		}
 	}
 }

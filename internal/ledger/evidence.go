@@ -141,7 +141,9 @@ func (c *CommitCert) Verify(peers []*hashsig.PublicKey) bool {
 // opened-nonce Quorum of len(peers) — and returns the signature checks
 // still owed as verification tasks.
 // Replicas batch those through a memoizing pooled verifier; the plain
-// Verify above runs them inline.
+// Verify above runs them inline. A certificate has one byte form: its
+// prepares and its openings are each strictly ascending by replica, so a
+// replica appears at most once in each, and anything else is refused.
 func (c *CommitCert) Structure(peers []*hashsig.PublicKey) ([]hashsig.VerifyTask, bool) {
 	n := ReplicaID(len(peers))
 	primary := ReplicaID(c.Header.Primary)
@@ -155,7 +157,7 @@ func (c *CommitCert) Structure(peers []*hashsig.PublicKey) ([]hashsig.VerifyTask
 	commits := map[ReplicaID]hashsig.Digest{primary: c.Header.NonceCommit}
 	for i := range c.Prepares {
 		p := &c.Prepares[i]
-		if p.Replica >= n || p.Replica == primary {
+		if p.Replica >= n || p.Replica == primary || i > 0 && p.Replica <= c.Prepares[i-1].Replica {
 			return nil, false
 		}
 		if p.Header.StatementDigest() != statement {
@@ -164,14 +166,16 @@ func (c *CommitCert) Structure(peers []*hashsig.PublicKey) ([]hashsig.VerifyTask
 		tasks = append(tasks, hashsig.VerifyTask{Key: peers[p.Replica], Digest: p.SigningDigest(), Sig: p.Sig})
 		commits[p.Replica] = p.NonceCommit
 	}
-	opened := map[ReplicaID]bool{}
-	for _, o := range c.Opens {
-		cm, ok := commits[o.Replica]
-		if ok && o.Nonce.Opens(cm) {
-			opened[o.Replica] = true
+	opened := 0
+	for i, o := range c.Opens {
+		if i > 0 && o.Replica <= c.Opens[i-1].Replica {
+			return nil, false
+		}
+		if cm, ok := commits[o.Replica]; ok && o.Nonce.Opens(cm) {
+			opened++
 		}
 	}
-	return tasks, len(opened) >= Quorum(len(peers))
+	return tasks, opened >= Quorum(len(peers))
 }
 
 // EncodeTo writes the certificate: the header, the counted prepares, the
