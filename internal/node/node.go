@@ -521,9 +521,14 @@ func (n *Node) afterProgress() {
 	// The committed entry count comes from the watermark batch's signed
 	// header: HistSize is cumulative, so the counter stays exact even when
 	// a checkpoint install (sync) or an aggressive prune removed the
-	// individual batches a commit jump covered.
-	if b := n.rep.Ledger().BatchAt(c); b != nil {
+	// individual batches a commit jump covered. When the watermark is a
+	// checkpoint whose batch is gone (pruned, or never held: a
+	// checkpoint-only sync), the checkpoint's frontier has the count.
+	led := n.rep.Ledger()
+	if b := led.BatchAt(c); b != nil {
 		n.committedEntries.Store(b.Header.HistSize)
+	} else if ck := led.CheckpointAt(c); ck != nil && ck.Seq == c {
+		n.committedEntries.Store(ck.Frontier.Size)
 	}
 	n.lastCommitted = c
 	n.lastProgressTick = n.ticks

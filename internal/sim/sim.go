@@ -694,6 +694,9 @@ func (s *Sim) result() (*Result, error) {
 		if m.rep.Ledger().StateDigest() != ref.Ledger().StateDigest() {
 			return nil, s.fail("final state digests diverge between replicas %d and %d", s.honest[0].id, m.id)
 		}
+		if got, want := m.node.CommittedEntries(), m.rep.Ledger().HistSize(); got != want {
+			return nil, s.fail("node: replica %d counts %d committed entries, its watermark holds %d", m.id, got, want)
+		}
 		res.FinalView = max(res.FinalView, m.rep.View())
 		res.Blames = append(res.Blames, m.rep.Evidence()...)
 		res.Nodes[m.id] = m.node
