@@ -40,7 +40,10 @@
 // Byzantine scripts: "silent" is a node never stepped. "equivocate" is a
 // bare consensus.Replica that plays honestly until it leads an idle view,
 // then signs two batches for one seq (ExecuteBatchAs, RollbackTo), sends
-// one to each half of the others, and falls silent. "lying-sync" is a node
+// one to the first of the others and the other to the rest, and falls
+// silent. "split" does the same to two halves of the others and sends each
+// half its commit opening as well: the schedule that forks a cluster whose
+// quorums share no honest replica (ledger.Quorum). "lying-sync" is a node
 // whose endpoint corrupts every SyncChunk it sends.
 //
 // Invariants, after every step, on every honest node: retained batches
@@ -111,6 +114,7 @@ const (
 	BehaviourHonest     Behaviour = ""
 	BehaviourSilent     Behaviour = "silent"
 	BehaviourEquivocate Behaviour = "equivocate"
+	BehaviourSplit      Behaviour = "split"
 	BehaviourLyingSync  Behaviour = "lying-sync"
 )
 
@@ -129,7 +133,9 @@ type Partition struct {
 
 // Config parameterizes one simulation run.
 type Config struct {
-	Seed            int64
+	Seed int64
+	// Replicas is the cluster size n; default 4 (n = 3f + 1 with f = 1).
+	Replicas        int
 	CheckpointEvery uint64 // default 2
 	Window          int    // proposal window W; default consensus.DefaultWindow
 	// Requests is the workload: client requests that must commit on every
@@ -147,7 +153,6 @@ type Config struct {
 }
 
 const (
-	replicas = 4 // n = 3f + 1 with f = 1
 	// batchMax is every node's BatchMax: small, so a few clients keep
 	// several instances in flight.
 	batchMax   = 2
@@ -194,6 +199,12 @@ type member struct {
 	checked   uint64 // committed prefix compared against canon
 	blames    int    // evidence already checked
 	struck    bool   // the equivocator has equivocated
+}
+
+// scripted reports whether m is an equivocator: a bare replica the driver
+// plays until it strikes.
+func (m *member) scripted() bool {
+	return m.behaviour == BehaviourEquivocate || m.behaviour == BehaviourSplit
 }
 
 // client submits its share of the workload one request at a time.
@@ -245,6 +256,7 @@ func New(cfg Config) (*Sim, error) {
 		return nil, errors.New("sim: Config.Network.Cut is set; partition links with Config.Partitions instead")
 	}
 	cfg.CheckpointEvery, cfg.Clients = cmp.Or(cfg.CheckpointEvery, 2), cmp.Or(cfg.Clients, 1)
+	cfg.Replicas = cmp.Or(cfg.Replicas, 4)
 	s := &Sim{
 		cfg:         cfg,
 		frames:      hashsig.NewHasher(),
@@ -254,7 +266,7 @@ func New(cfg Config) (*Sim, error) {
 	policy := cfg.Network
 	policy.Cut = s.cut
 	s.hub = transport.NewHub(cfg.Seed, policy)
-	keys := make([]*hashsig.PrivateKey, replicas)
+	keys := make([]*hashsig.PrivateKey, cfg.Replicas)
 	for i := range keys {
 		keys[i] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("sim-%d-replica-%d", cfg.Seed, i))
 		s.pubs = append(s.pubs, keys[i].Public())
@@ -274,7 +286,7 @@ func New(cfg Config) (*Sim, error) {
 		case BehaviourHonest, BehaviourLyingSync:
 			m.stepped = true
 			handle = func(from transport.NodeID, frame []byte) { m.node.StepFrame(from, frame) }
-		case BehaviourEquivocate:
+		case BehaviourEquivocate, BehaviourSplit:
 			handle = func(from transport.NodeID, frame []byte) { s.equivocatorHandle(m, frame) }
 		case BehaviourSilent:
 			handle = func(transport.NodeID, []byte) {}
@@ -297,7 +309,7 @@ func New(cfg Config) (*Sim, error) {
 			lie:       m.behaviour == BehaviourLyingSync,
 		}
 		var err error
-		if m.behaviour == BehaviourEquivocate {
+		if m.scripted() {
 			m.rep, err = consensus.New(ccfg)
 		} else {
 			m.node, err = node.New(node.Config{
@@ -318,11 +330,11 @@ func New(cfg Config) (*Sim, error) {
 			s.honest = append(s.honest, m)
 		}
 	}
-	if len(s.honest) < 3 {
+	if len(s.honest) < ledger.Quorum(cfg.Replicas) {
 		return nil, fmt.Errorf("sim: %d honest replicas cannot form a quorum", len(s.honest))
 	}
 	for i := 0; i < cfg.Clients; i++ {
-		s.clients = append(s.clients, &client{target: consensus.ReplicaID(i % replicas)})
+		s.clients = append(s.clients, &client{target: consensus.ReplicaID(i % cfg.Replicas)})
 	}
 	for i := 0; i < cfg.Requests; i++ {
 		c := s.clients[i%cfg.Clients]
@@ -430,7 +442,10 @@ func (s *Sim) equivocatorHandle(m *member, frame []byte) {
 }
 
 // strike lets an equivocator that leads an idle view sign two conflicting
-// batches for its next seq and send one to each half of the other replicas.
+// batches for its next seq and send one to each part of the other
+// replicas: "equivocate" sends the first of them one batch and the rest
+// the other; "split" halves them and sends each half its commit opening
+// too, so each half sees the equivocator's part of a quorum for its batch.
 func (s *Sim) strike(m *member) {
 	rep := m.rep
 	if m.struck || !rep.IsPrimary() || !rep.Idle() {
@@ -438,16 +453,17 @@ func (s *Sim) strike(m *member) {
 	}
 	m.struck = true
 	led := rep.Ledger()
-	seq := rep.NextProposalSeq()
-	mk := func(variant string) []byte {
+	view, seq := rep.View(), rep.NextProposalSeq()
+	mk := func(variant string) [][]byte {
 		reqs := []ledger.Request{{
 			Author: hashsig.Sum([]byte("equivocator")),
 			ReqNo:  seq,
 			Body:   ledger.EncodeOps([]ledger.Op{{Key: fmt.Sprintf("equivocation-%d", seq), Val: []byte(variant)}}),
 		}}
+		var nonce hashsig.Nonce
 		batch, err := led.ExecuteBatchAs(func(content hashsig.Digest) ledger.Envelope {
-			nonce := m.key.Nonce(rep.View(), seq, content)
-			return ledger.Envelope{View: rep.View(), Primary: uint32(m.id), NonceCommit: nonce.Commit()}
+			nonce = m.key.Nonce(view, seq, content)
+			return ledger.Envelope{View: view, Primary: uint32(m.id), NonceCommit: nonce.Commit()}
 		}, reqs)
 		if err != nil {
 			panic(err) // the scripted request always executes
@@ -457,15 +473,38 @@ func (s *Sim) strike(m *member) {
 		if err := led.RollbackTo(seq); err != nil {
 			panic(err)
 		}
-		return consensus.EncodeMessage(&consensus.PrePrepare{Header: batch.Header, Entries: batch.Entries})
+		frames := [][]byte{consensus.EncodeMessage(&consensus.PrePrepare{Header: batch.Header, Entries: batch.Entries})}
+		if m.behaviour == BehaviourSplit {
+			frames = append(frames, consensus.EncodeMessage(&consensus.Commit{
+				View: view, Replica: m.id, Seq: seq, Statement: batch.Header.StatementDigest(), Nonce: nonce,
+			}))
+		}
+		return frames
 	}
-	batch, other := mk("a"), mk("b")
+	a, b := mk("a"), mk("b")
+	first := 1
+	if m.behaviour == BehaviourSplit {
+		first = (s.cfg.Replicas - 1) / 2
+	}
+	sent := 0
 	for _, o := range s.members {
-		if o.id != m.id {
-			m.ep.Send(transport.NodeID(o.id), batch)
-			batch = other // the first of the others gets one, the rest the other
+		if o.id == m.id {
+			continue
+		}
+		frames := b
+		if sent < first {
+			frames = a
+		}
+		sent++
+		for _, f := range frames {
+			m.ep.Send(transport.NodeID(o.id), f)
 		}
 	}
+}
+
+// next is the replica a client tries after id.
+func (s *Sim) next(id consensus.ReplicaID) consensus.ReplicaID {
+	return (id + 1) % consensus.ReplicaID(s.cfg.Replicas)
 }
 
 // serve moves one client forward: submit its next request, or read the
@@ -487,7 +526,7 @@ func (s *Sim) serve(c *client) error {
 	case r = <-c.resp:
 	default:
 		if c.waited++; c.waited >= clientPatience {
-			c.target = (c.target + 1) % replicas
+			c.target = s.next(c.target)
 			c.sent = false
 		}
 		return nil
@@ -507,8 +546,8 @@ func (s *Sim) serve(c *client) error {
 		// Follow the hint. A node that timed out may be cut off from the
 		// rest, or lead a view they have left: try the next.
 		next := consensus.ReplicaID(r.Leader)
-		if r.Status == rpc.StatusTimeout || int(next) >= replicas || next == c.target {
-			next = (c.target + 1) % replicas
+		if r.Status == rpc.StatusTimeout || int(next) >= s.cfg.Replicas || next == c.target {
+			next = s.next(c.target)
 		}
 		c.target = next
 		return nil
@@ -649,7 +688,7 @@ func (s *Sim) Run() (*Result, error) {
 			return nil, s.fail("no convergence after %d steps", s.step)
 		}
 		for _, m := range s.members {
-			if m.behaviour == BehaviourEquivocate {
+			if m.scripted() {
 				s.strike(m)
 			}
 		}

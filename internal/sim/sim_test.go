@@ -36,14 +36,52 @@ func seedMatrix(t *testing.T) []int64 {
 // across the full seed matrix. Run asserts that every request commits on
 // every honest node at one watermark with identical (¯M, d_C), and any
 // failure message carries the seed for replay.
+//
+// The cluster sizes between 3f+1 clusters run too, on the matrix's first
+// 30 seeds: n = 5 and 6 are where quorums of 2f+1 stop intersecting in an
+// honest replica, and n = 7 is the next f.
 func TestSimSeedMatrix(t *testing.T) {
+	seeds := seedMatrix(t)
+	for _, n := range []int{4, 5, 6, 7} {
+		if n > 4 {
+			seeds = seeds[:min(len(seeds), 30)]
+		}
+		for _, seed := range seeds {
+			cfg := matrixConfig(seed)
+			cfg.Replicas = n
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("n = %d: %v", n, err)
+			}
+			if len(res.Blames) != 0 {
+				t.Fatalf("n = %d seed %d: honest run produced blame: %v", n, seed, res.Blames[0])
+			}
+		}
+	}
+}
+
+// TestSimSplitEquivocator: at n = 5 an equivocating primary sends each
+// half of the others its own batch and its commit opening for it. With
+// quorums of 2f+1 = 3 each half commits its batch and the ledger forks;
+// with ledger.Quorum(5) = 4 neither half commits alone, every honest node
+// converges on one ledger, and any blame names the equivocator.
+func TestSimSplitEquivocator(t *testing.T) {
+	culprit := consensus.ReplicaID(0)
 	for _, seed := range seedMatrix(t) {
-		res, err := Run(matrixConfig(seed))
+		res, err := Run(Config{
+			Seed:      seed,
+			Replicas:  5,
+			Requests:  3,
+			Network:   transport.TamperPolicy{DropRate: 0.1, ReorderWindow: 4},
+			Byzantine: map[consensus.ReplicaID]Behaviour{culprit: BehaviourSplit},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Blames) != 0 {
-			t.Fatalf("seed %d: honest run produced blame: %v", seed, res.Blames[0])
+		for _, bl := range res.Blames {
+			if bl.Culprit != keyFor(seed, culprit).ID() {
+				t.Fatalf("seed %d: blame names %s, not the equivocator", seed, bl.Culprit)
+			}
 		}
 	}
 }
@@ -245,7 +283,7 @@ func TestSimReplayMatchesLiveState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayAll(t, fmt.Sprintf("seed %d", seed), res, seed, pool)
+		replayAll(t, fmt.Sprintf("seed %d", seed), res, seed, 4, pool)
 	}
 }
 
@@ -257,9 +295,13 @@ func TestSimReplayMatchesLiveState(t *testing.T) {
 func TestSimReplayAcrossViews(t *testing.T) {
 	pool := hashsig.NewVerifierPool(0)
 	defer pool.Close()
-	for seed := int64(1); seed <= 5; seed++ {
+	for i := 0; i < 10; i++ {
+		// Seeds 1-5 at n = 4, then at n = 7: the audit keys every
+		// replica of the cluster, not four.
+		seed, n := int64(i%5+1), 4+3*(i/5)
 		res, err := Run(Config{
 			Seed:     seed,
+			Replicas: n,
 			Requests: 6,
 			// One batch at a time, so the cut lands between commits rather
 			// than after the whole workload is already in flight; no
@@ -278,10 +320,10 @@ func TestSimReplayAcrossViews(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.FinalView == 0 {
-			t.Fatalf("seed %d: committed %d in view 0", seed, res.Committed)
+			t.Fatalf("n = %d seed %d: committed %d in view 0", n, seed, res.Committed)
 		}
-		label := fmt.Sprintf("seed %d", seed)
-		replayAll(t, label, res, seed, pool)
+		label := fmt.Sprintf("n = %d seed %d", n, seed)
+		replayAll(t, label, res, seed, n, pool)
 		for id, nd := range res.Nodes {
 			batches := nd.Replica().Ledger().Batches()
 			views := map[uint64]bool{}
@@ -300,11 +342,12 @@ func TestSimReplayAcrossViews(t *testing.T) {
 	}
 }
 
-// replayAll replays every honest node's retained stream through the keyed
-// audit and compares the result with every honest node's live state.
-func replayAll(t *testing.T, label string, res *Result, seed int64, pool *hashsig.VerifierPool) {
+// replayAll replays every honest node's retained stream of an n-replica
+// run through the keyed audit and compares the result with every honest
+// node's live state.
+func replayAll(t *testing.T, label string, res *Result, seed int64, n int, pool *hashsig.VerifierPool) {
 	t.Helper()
-	peers := make([]*hashsig.PublicKey, 4)
+	peers := make([]*hashsig.PublicKey, n)
 	for i := range peers {
 		peers[i] = keyFor(seed, consensus.ReplicaID(i))
 	}
