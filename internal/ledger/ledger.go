@@ -554,11 +554,11 @@ func (l *Ledger) ExecuteBatch(reqs []Request) (*Batch, []Receipt, error) {
 // plus a checkpoint marker when one is due — runs them through the core,
 // which sets every transaction's result (zero for an aborted one) and the
 // marker's incremental d_C, puts env(content digest) around the derived
-// content — a primary's nonce commitment is a function of the content —,
-// signs the statement — the batch's one signature — and retains the
-// batch. It cuts no receipts: under consensus the batch may yet commit
-// under a later view's statement, and Receipts cuts them from the header
-// the ledger holds then.
+// content, signs the statement — the batch's one signature — and retains
+// the batch. env takes the content digest because a primary's nonce
+// commitment is derived from it. ExecuteBatchAs cuts no receipts: under
+// consensus the batch may yet commit under a later view's statement, and
+// Receipts cuts them from the header the ledger holds then.
 func (l *Ledger) ExecuteBatchAs(env func(content hashsig.Digest) Envelope, reqs []Request) (*Batch, error) {
 	for i := range reqs {
 		if len(reqs[i].Body) > MaxRequestLen {

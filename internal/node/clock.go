@@ -6,10 +6,10 @@ import "time"
 // consensus package counts ticks and never reads a clock, so a replayed
 // sim run matches frame for frame (TestSimDeterministicReplay); the node
 // runtime consumes whatever Clock it was configured with and converts
-// tick arrivals into SyncTick / Retransmit / OnTimeout calls. Production nodes use a
-// WallClock; tests hand-drive a ManualClock, which makes every timing
-// scenario — stalls, retransmit cadence, sync backoff — reproducible
-// without sleeping.
+// tick arrivals into SyncTick / Retransmit / OnTimeout calls. Production
+// nodes use a WallClock; tests hand-drive a ManualClock, which makes
+// every timing scenario — stalls, retransmit cadence, sync backoff —
+// reproducible without sleeping.
 type Clock interface {
 	// C delivers tick events. The tick value is opaque to the runtime;
 	// only arrivals matter.

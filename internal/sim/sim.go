@@ -53,9 +53,11 @@
 // against scripted replicas, and verifying. Every replica sends sync
 // messages unicast. A run ends when every client has its verdicts and the
 // honest nodes share a watermark with nothing in flight; then their
-// history roots and state digests must match, and every request — with a
-// receipt or answered duplicate — must be committed at or below that
-// watermark. A failure prints each replica's Stats and DebugState.
+// history roots and state digests must match, each node's
+// CommittedEntries must equal its ledger's entry count, and every
+// request — with a receipt or answered duplicate — must be committed at
+// or below that watermark. A failure prints each replica's Stats and
+// DebugState.
 //
 // Simplifications: the driver's stall timer is synchronized, all nodes
 // tick together, and a replica behind a new-view certificate's high-water
