@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // write is one put of a SetAll: the entry, its placement hash, the hash's
@@ -30,10 +29,6 @@ func newWrite(key string, val []byte, h uint64, ord int) write {
 	}
 	return write{entry: e, h: h, path: path, ord: ord}
 }
-
-// writePool recycles SetAll's write vectors, so that a store flushing
-// once per batch allocates none per flush.
-var writePool = sync.Pool{New: func() any { return new([]write) }}
 
 // sortWrites sorts ws by path, then key (a collision bucket's order), and
 // drops every write a later one to the same key overrides.

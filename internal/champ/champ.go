@@ -218,18 +218,11 @@ func (m *Map) SetAll(keys []string, vals [][]byte) *Map {
 	if len(keys) == 0 {
 		return m
 	}
-	wp := writePool.Get().(*[]write)
-	// One allocation when the pooled vector is short (or the pool was
-	// emptied by a collection), not a doubling chain: one flush per batch
-	// hands over every write of the batch.
-	ws := slices.Grow((*wp)[:0], len(keys))
+	ws := make([]write, len(keys))
 	for i, k := range keys {
-		ws = append(ws, newWrite(k, vals[i], hashKey(k), i))
+		ws[i] = newWrite(k, vals[i], hashKey(k), i)
 	}
 	root, added := m.root.setAll(sortWrites(ws), 0)
-	clear(ws) // the pooled vector must not keep the values alive
-	*wp = ws[:0]
-	writePool.Put(wp)
 	return &Map{root: root, size: m.size + added}
 }
 

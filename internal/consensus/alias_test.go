@@ -13,10 +13,9 @@ import (
 // payloads of a message decoded from such a frame, must not share backing
 // memory with anything the replicas reuse. The test commits one sequence
 // while retaining every frame it produced (and a decode of each), then
-// commits another sequence — reusing the ledgers' batch-to-batch scratch
-// and arenas — and asserts the retained frames are byte-identical, still
-// decode, and that the earlier decodes' payloads are untouched. Run under
-// -race in CI, concurrent scratch reuse is caught too.
+// commits another sequence — writing the ledgers' history trees and stores
+// again — and asserts the retained frames are byte-identical, still
+// decode, and that the earlier decodes' payloads are untouched.
 func TestEncodedFramesSurvivePoolReuse(t *testing.T) {
 	c := newCluster(t, 4)
 	author := hashsig.Sum([]byte("alias-client"))
@@ -83,7 +82,7 @@ func TestEncodedFramesSurvivePoolReuse(t *testing.T) {
 
 	for i, f := range first {
 		if !bytes.Equal(f, copies[i]) {
-			t.Fatalf("frame %d mutated after scratch reuse", i)
+			t.Fatalf("frame %d mutated after another commit", i)
 		}
 		if _, err := DecodeMessage(f); err != nil {
 			t.Fatalf("frame %d no longer decodes: %v", i, err)
@@ -91,7 +90,7 @@ func TestEncodedFramesSurvivePoolReuse(t *testing.T) {
 	}
 	for i := range keptEntries {
 		if !bytes.Equal(keptEntries[i].Payload, keptPayloads[i]) {
-			t.Fatalf("decoded entry %d payload mutated after scratch reuse", i)
+			t.Fatalf("decoded entry %d payload mutated after another commit", i)
 		}
 	}
 }

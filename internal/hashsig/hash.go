@@ -112,23 +112,9 @@ func (d Digest) IsZero() bool { return d == ZeroDigest }
 // String returns the first 8 bytes of the digest in hex, for logs.
 func (d Digest) String() string { return hex.EncodeToString(d[:8]) }
 
-// Hex returns the full digest in hex.
-func (d Digest) Hex() string { return hex.EncodeToString(d[:]) }
-
 // Bytes returns the digest as a freshly allocated byte slice.
 func (d Digest) Bytes() []byte {
 	out := make([]byte, DigestSize)
 	copy(out, d[:])
 	return out
-}
-
-// DigestFromBytes converts a byte slice to a Digest. It returns false if the
-// slice is not exactly DigestSize bytes.
-func DigestFromBytes(b []byte) (Digest, bool) {
-	var d Digest
-	if len(b) != DigestSize {
-		return d, false
-	}
-	copy(d[:], b)
-	return d, true
 }

@@ -2,6 +2,7 @@ package hashsig
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -28,20 +29,6 @@ func TestSumManyAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestDigestFromBytes(t *testing.T) {
-	d := Sum([]byte("hello"))
-	got, ok := DigestFromBytes(d.Bytes())
-	if !ok || got != d {
-		t.Fatalf("round trip failed: ok=%v got=%v want=%v", ok, got, d)
-	}
-	if _, ok := DigestFromBytes([]byte("short")); ok {
-		t.Fatal("DigestFromBytes accepted a short slice")
-	}
-	if _, ok := DigestFromBytes(make([]byte, DigestSize+1)); ok {
-		t.Fatal("DigestFromBytes accepted a long slice")
-	}
-}
-
 func TestDigestZero(t *testing.T) {
 	if !ZeroDigest.IsZero() {
 		t.Fatal("ZeroDigest not zero")
@@ -52,7 +39,7 @@ func TestDigestZero(t *testing.T) {
 }
 
 func TestSignVerify(t *testing.T) {
-	k := MustGenerateKey()
+	k := GenerateKeyFromSeed("sign-verify")
 	d := Sum([]byte("transaction"))
 	sig := k.MustSign(d)
 	if !k.Public().Verify(d, sig) {
@@ -61,14 +48,20 @@ func TestSignVerify(t *testing.T) {
 	if k.Public().Verify(Sum([]byte("other")), sig) {
 		t.Fatal("signature accepted for wrong digest")
 	}
-	other := MustGenerateKey()
+	other := GenerateKeyFromSeed("sign-verify-other")
 	if other.Public().Verify(d, sig) {
 		t.Fatal("signature accepted under wrong key")
+	}
+	// Bytes hands out a copy: writing to it does not change the key.
+	pub := k.Public()
+	pub.Bytes()[0] ^= 0xff
+	if !pub.Verify(d, sig) {
+		t.Fatal("writing to Bytes() changed the key")
 	}
 }
 
 func TestVerifyCorruptedSignature(t *testing.T) {
-	k := MustGenerateKey()
+	k := GenerateKeyFromSeed("corrupt")
 	d := Sum([]byte("m"))
 	sig := k.MustSign(d)
 	for i := range sig {
@@ -80,50 +73,6 @@ func TestVerifyCorruptedSignature(t *testing.T) {
 	}
 	if k.Public().Verify(d, nil) {
 		t.Fatal("nil signature accepted")
-	}
-}
-
-func TestPublicKeyRoundTrip(t *testing.T) {
-	k := MustGenerateKey().Public()
-	parsed, err := ParsePublicKey(k.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parsed.Equal(k) {
-		t.Fatal("parsed key differs")
-	}
-	if parsed.ID() != k.ID() {
-		t.Fatal("parsed key ID differs")
-	}
-	if _, err := ParsePublicKey([]byte{0x04, 0x01}); err == nil {
-		t.Fatal("garbage key accepted")
-	}
-	if _, err := ParsePublicKey(nil); err == nil {
-		t.Fatal("nil key accepted")
-	}
-}
-
-// TestParsePublicKeyHostile: only exactly PublicKeySize bytes parse; 65 is
-// the length of the SEC1 point this package encoded before Ed25519. The
-// parsed key owns its bytes: neither the input nor Bytes() reaches it.
-func TestParsePublicKeyHostile(t *testing.T) {
-	for _, n := range []int{0, 31, 33, 65} {
-		if _, err := ParsePublicKey(make([]byte, n)); err == nil {
-			t.Fatalf("%d-byte key accepted", n)
-		}
-	}
-	key := GenerateKeyFromSeed("hostile-parse")
-	d := Sum([]byte("m"))
-	sig := key.MustSign(d)
-	enc := key.Public().Bytes()
-	pub, err := ParsePublicKey(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc[0] ^= 0xff
-	pub.Bytes()[1] ^= 0xff
-	if !pub.Verify(d, sig) || !pub.Equal(key.Public()) || pub.ID() != key.Public().ID() {
-		t.Fatal("mutating the parsed input or Bytes() changed the key")
 	}
 }
 
@@ -150,10 +99,7 @@ func TestVerifyTotal(t *testing.T) {
 		nonCanonical[32+i], carry = byte(v), v>>8
 	}
 	// Not a point on the curve: y = 2 has no x (decompression fails).
-	offCurve, err := ParsePublicKey(append([]byte{2}, make([]byte, PublicKeySize-1)...))
-	if err != nil {
-		t.Fatal(err)
-	}
+	offCurve := newPublicKey(append([]byte{2}, make([]byte, PublicKeySize-1)...))
 	cases := []struct {
 		name string
 		key  *PublicKey
@@ -282,6 +228,16 @@ func TestNonceDistinct(t *testing.T) {
 	}
 }
 
+// allValid reports whether p verifies every task.
+func allValid(p *VerifierPool, tasks []VerifyTask) bool {
+	for _, ok := range p.VerifyAll(tasks) {
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 func TestVerifierPool(t *testing.T) {
 	pool := NewVerifierPool(4)
 	defer pool.Close()
@@ -289,11 +245,11 @@ func TestVerifierPool(t *testing.T) {
 	keys := make([]*PrivateKey, 10)
 	tasks := make([]VerifyTask, 10)
 	for i := range keys {
-		keys[i] = MustGenerateKey()
+		keys[i] = GenerateKeyFromSeed(fmt.Sprintf("pool-%d", i))
 		d := Sum([]byte{byte(i)})
 		tasks[i] = VerifyTask{Key: keys[i].Public(), Digest: d, Sig: keys[i].MustSign(d)}
 	}
-	if !pool.AllValid(tasks) {
+	if !allValid(pool, tasks) {
 		t.Fatal("pool rejected valid signatures")
 	}
 
@@ -306,7 +262,7 @@ func TestVerifierPool(t *testing.T) {
 			t.Fatalf("task %d: got %v", i, ok)
 		}
 	}
-	if pool.AllValid(tasks) {
+	if allValid(pool, tasks) {
 		t.Fatal("pool accepted a corrupted signature")
 	}
 }
@@ -330,7 +286,7 @@ func TestDefaultPoolTracksGOMAXPROCS(t *testing.T) {
 	d := Sum([]byte("m"))
 	sig := key.MustSign(d)
 	tasks := []VerifyTask{{Key: key.Public(), Digest: d, Sig: sig}}
-	if !p2.AllValid(tasks) || !p3.AllValid(tasks) {
+	if !allValid(p2, tasks) || !allValid(p3, tasks) {
 		t.Fatal("default pools failed a valid verification")
 	}
 	// Same size is the same cached pool.
@@ -345,28 +301,25 @@ func TestVerifierPoolEmpty(t *testing.T) {
 	if got := pool.VerifyAll(nil); len(got) != 0 {
 		t.Fatalf("expected empty results, got %d", len(got))
 	}
-	if !pool.AllValid(nil) {
-		t.Fatal("empty task list should be valid")
-	}
 }
 
 func TestVerifierPoolManyTasks(t *testing.T) {
 	pool := NewVerifierPool(3)
 	defer pool.Close()
-	k := MustGenerateKey()
+	k := GenerateKeyFromSeed("pool-many")
 	d := Sum([]byte("same"))
 	sig := k.MustSign(d)
 	tasks := make([]VerifyTask, 100)
 	for i := range tasks {
 		tasks[i] = VerifyTask{Key: k.Public(), Digest: d, Sig: sig}
 	}
-	if !pool.AllValid(tasks) {
+	if !allValid(pool, tasks) {
 		t.Fatal("pool rejected valid batch")
 	}
 }
 
 func TestSignatureClone(t *testing.T) {
-	k := MustGenerateKey()
+	k := GenerateKeyFromSeed("clone")
 	sig := k.MustSign(Sum([]byte("x")))
 	cl := sig.Clone()
 	if !bytes.Equal(sig, cl) {

@@ -112,16 +112,6 @@ func (p *VerifierPool) VerifyAll(tasks []VerifyTask) []bool {
 	return results
 }
 
-// AllValid verifies every task and reports whether all signatures check out.
-func (p *VerifierPool) AllValid(tasks []VerifyTask) bool {
-	for _, ok := range p.VerifyAll(tasks) {
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Close shuts the pool down. Pending VerifyAll calls complete first.
 func (p *VerifierPool) Close() {
 	p.once.Do(func() {

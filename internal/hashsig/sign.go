@@ -3,7 +3,6 @@ package hashsig
 import (
 	"bytes"
 	"crypto/ed25519"
-	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -81,16 +80,6 @@ func GenerateKey(r io.Reader) (*PrivateKey, error) {
 	return newPrivateKey(k), nil
 }
 
-// MustGenerateKey is GenerateKey with crypto/rand, panicking on failure.
-// Entropy exhaustion is not a recoverable condition for callers.
-func MustGenerateKey() *PrivateKey {
-	k, err := GenerateKey(nil)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // Public returns the public half of the key.
 func (p *PrivateKey) Public() *PublicKey {
 	return newPublicKey(p.key.Public().(ed25519.PublicKey))
@@ -138,16 +127,6 @@ func (k *PublicKey) Equal(o *PublicKey) bool {
 		return k == o
 	}
 	return bytes.Equal(k.key, o.key)
-}
-
-// ParsePublicKey decodes a canonical public key encoding: exactly
-// PublicKeySize bytes, copied. Bytes that name no curve point parse — the
-// check would cost a decompression per key — and verify nothing.
-func ParsePublicKey(b []byte) (*PublicKey, error) {
-	if len(b) != PublicKeySize {
-		return nil, errors.New("hashsig: invalid public key encoding")
-	}
-	return newPublicKey(bytes.Clone(b)), nil
 }
 
 // GenerateKeyFromSeed deterministically derives a key pair from a seed

@@ -45,9 +45,10 @@ var ErrNoMark = errors.New("kv: no mark for sequence number")
 // instead of silently reading stale state or writing into the void.
 //
 // The snapshot is the store as Begin found it: its trie head and its
-// overlay of committed writes the trie has not absorbed yet (see Store). The transaction's own writes are an opLog whose first ops
-// live in the Tx itself, so a transaction of a few writes allocates the Tx
-// and the copies of its values, and nothing else.
+// overlay of committed writes the trie has not absorbed yet (see Store).
+// The transaction's own writes are an opLog whose first ops live in the
+// Tx itself, so a transaction of a few writes allocates the Tx and nothing
+// else.
 type Tx struct {
 	store   *Store
 	base    *champ.Map // the trie head at Begin (immutable)
@@ -170,12 +171,14 @@ func (t *Tx) Get(key string) ([]byte, bool) {
 	return read(&t.pending, t.base, key)
 }
 
-// Put buffers a write. The value is copied: the buffer outlives the call,
-// and it is what the store's overlay holds until a flush hands it to
-// champ, which copies it once more into a node.
+// Put buffers a write and takes ownership of val: the caller must not
+// write to it afterwards. The buffer outlives the call — it is what the
+// write set digests and the store's overlay holds until a flush hands it
+// to champ, which copies it into a node — so a caller that goes on using
+// its bytes passes a copy.
 func (t *Tx) Put(key string, val []byte) {
 	t.active("Put")
-	t.writes.put(op{key: key, val: append([]byte(nil), val...)}, 0)
+	t.writes.put(op{key: key, val: val}, 0)
 }
 
 // Delete buffers a deletion.

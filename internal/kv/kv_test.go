@@ -330,19 +330,6 @@ func TestWireRoundTripCanonical(t *testing.T) {
 	}
 }
 
-func TestPutCopiesValue(t *testing.T) {
-	s := New()
-	v := []byte("mutable")
-	tx := s.Begin()
-	tx.Put("k", v)
-	v[0] = 'X'
-	tx.Commit()
-	got, _ := s.Get("k")
-	if string(got) != "mutable" {
-		t.Fatal("Put aliased caller's slice")
-	}
-}
-
 // Property: a random batch of transactions followed by RollbackTo restores
 // the exact prior digest.
 func TestQuickRollbackRestoresDigest(t *testing.T) {

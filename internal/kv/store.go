@@ -77,10 +77,6 @@ type Store struct {
 	gen     uint64 // bumped whenever pending is replaced
 	readers int    // live transactions that captured pending at gen
 	hint    int    // ops in the last flush, to size the next overlay
-
-	// flush's scratch: the puts' keys and values.
-	keys []string
-	vals [][]byte
 }
 
 // mark captures the trie head at a batch boundary.
@@ -160,9 +156,7 @@ func (s *Store) replacePending() {
 }
 
 // flush lands the overlay in the trie copy-on-write: the deletes key by
-// key, then every put in one SetAll over the store's key and value
-// scratch, reused from flush to flush (the store has one writer) and
-// cleared afterwards so it keeps no value alive. Every snapshot captured
+// key, then every put in one SetAll. Every snapshot captured
 // by Begin, Mark or Clone holds an older head and stays frozen for free.
 // The overlay's order reaches no hash: the trie's shape, and so d_C, is a
 // function of its contents.
@@ -178,7 +172,7 @@ func (s *Store) flush() {
 		return
 	}
 	root := s.root
-	keys, vals := s.keys[:0], s.vals[:0]
+	keys, vals := make([]string, 0, len(ops)), make([][]byte, 0, len(ops))
 	for _, o := range ops {
 		if o.del {
 			root = root.Delete(o.key)
@@ -189,9 +183,7 @@ func (s *Store) flush() {
 	if len(keys) > 0 {
 		root = root.SetAll(keys, vals)
 	}
-	clear(keys)
-	clear(vals)
-	s.root, s.keys, s.vals = root, keys, vals
+	s.root = root
 	s.hint = len(ops)
 	s.replacePending()
 }

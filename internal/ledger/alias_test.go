@@ -25,7 +25,7 @@ func genSkewedBatch(rng *rand.Rand, n, keyPool, hotTenths int) []Request {
 
 // TestParallelMatchesSequentialUnderAuthorSkew holds the derivation to one
 // answer under author skew: with 90% of the requests from one client, the
-// arena'd proof builder and the pipelined leaf hashing must still emit
+// arena'd proof builder and the leaf hashing must still emit
 // byte-identical headers and receipts, and identical post-state, at
 // GOMAXPROCS=4 and GOMAXPROCS=1. Header equality is checked via
 // ContentDigest, which covers ¯M, ¯G and d_C, so checkpoint digests are
@@ -75,10 +75,10 @@ type receiptSnap struct {
 
 // TestBatchAndReceiptsSurvivePoolReuse is the aliasing property for the
 // execution path: nothing ExecuteBatch returns may share backing memory
-// with the ledger's batch-to-batch scratch or arenas. The subsequent
-// batches reuse that scratch, so any leaked alias turns into a visible
-// corruption in the retained batch or receipts. Run under -race,
-// concurrent reuse by the hashing workers is caught as well.
+// with what the ledger writes for later batches — the history tree's
+// leaves, the store's overlay, champ's nodes. Six more batches run after
+// the first, so any leaked alias turns into a visible corruption in the
+// retained batch or receipts.
 func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(42))
@@ -108,8 +108,7 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 		}
 	}
 
-	// Six more batches cycle the ledger's batch-to-batch scratch several
-	// times over.
+	// Six more batches write the history tree and the store after it.
 	for i := 0; i < 6; i++ {
 		if _, _, err := l.ExecuteBatch(genBatch(rng, 104, 256)); err != nil {
 			t.Fatal(err)
@@ -117,33 +116,33 @@ func TestBatchAndReceiptsSurvivePoolReuse(t *testing.T) {
 	}
 
 	if got := b1.Header.StatementDigest(); got != headerDigest {
-		t.Fatal("batch header mutated after scratch reuse")
+		t.Fatal("batch header mutated after later batches")
 	}
 	for i := range b1.Entries {
 		if !bytes.Equal(b1.Entries[i].Payload, payloads[i]) {
-			t.Fatalf("entry %d payload mutated after scratch reuse", i)
+			t.Fatalf("entry %d payload mutated after later batches", i)
 		}
 		if b1.Entries[i].Digest() != digests[i] {
-			t.Fatalf("entry %d digest changed after scratch reuse", i)
+			t.Fatalf("entry %d digest changed after later batches", i)
 		}
 	}
 	for i := range r1 {
 		if r1[i].Header.StatementDigest() != snaps[i].header {
-			t.Fatalf("receipt %d header mutated after scratch reuse", i)
+			t.Fatalf("receipt %d header mutated after later batches", i)
 		}
 		if !bytes.Equal(r1[i].Entry.Payload, snaps[i].payload) {
-			t.Fatalf("receipt %d entry payload mutated after scratch reuse", i)
+			t.Fatalf("receipt %d entry payload mutated after later batches", i)
 		}
 		if len(r1[i].Path) != len(snaps[i].path) {
-			t.Fatalf("receipt %d path length changed after scratch reuse", i)
+			t.Fatalf("receipt %d path length changed after later batches", i)
 		}
 		for j := range r1[i].Path {
 			if r1[i].Path[j] != snaps[i].path[j] {
-				t.Fatalf("receipt %d path element %d mutated after scratch reuse", i, j)
+				t.Fatalf("receipt %d path element %d mutated after later batches", i, j)
 			}
 		}
 		if !r1[i].Verify(testKey.Public()) {
-			t.Fatalf("receipt %d no longer verifies after scratch reuse", i)
+			t.Fatalf("receipt %d no longer verifies after later batches", i)
 		}
 	}
 }

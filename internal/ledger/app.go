@@ -15,10 +15,10 @@ import (
 // flag misbehaviour (paper §5). When Execute returns an error the caller
 // aborts tx, so whatever it wrote before failing never commits.
 //
-// Execute must not write to request: it is the entry's payload, and an
-// auditor's replay digests the entry on its checker goroutine while later
-// entries execute (core.check), as the entry hasher does on every policy
-// once a transaction has run.
+// Execute must not write to request: it is the entry's payload, which
+// every policy digests once the transaction has run, and an auditor's
+// replay digests it on its checker goroutine while later entries execute
+// (core.check).
 type App interface {
 	Execute(tx *kv.Tx, request []byte) error
 }

@@ -23,14 +23,7 @@ func CheckBatchShape(b *Batch) error {
 	if got := uint64(len(b.Entries)); got != h.GSize {
 		return fmt.Errorf("%w: batch %d: %d entries, header claims %d", ErrBadBatch, h.Seq, got, h.GSize)
 	}
-	var scratch execScratch
-	scratch.grow(len(b.Entries))
-	hasher := newEntryHasher(&scratch, len(b.Entries))
-	for ei := range b.Entries {
-		hasher.submit(ei, &b.Entries[ei])
-	}
-	hasher.wait()
-	if batchTree(scratch.leaves).Root() != h.GRoot {
+	if batchTree(leavesOf(b.Entries)).Root() != h.GRoot {
 		return fmt.Errorf("%w: batch %d: batch root mismatch", ErrBadBatch, h.Seq)
 	}
 	return nil

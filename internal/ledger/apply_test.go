@@ -102,11 +102,10 @@ func snapshotLedger(l *Ledger) applySnapshot {
 // the same signed header. The misbehaving primary re-signs what it
 // tampered with (Replay verifies signatures before anything else; ApplyBatch
 // leaves provenance to consensus), so the Divergence both return carries a
-// header that verifies under the primary's key: signed evidence. Small
-// batches hash inline; the large ones (72 entries, above the pipelining
-// gate) run at GOMAXPROCS=4, so the entry hasher runs beside ApplyBatch,
-// and Replay runs its pipeline at every size; the report must be the
-// inline one. A rejected ApplyBatch must also leave the backup exactly as it was.
+// header that verifies under the primary's key: signed evidence. It runs
+// at GOMAXPROCS=4, so Replay runs its checker pipeline at every batch
+// size, and its report must be the one ApplyBatch derives inline. A
+// rejected ApplyBatch must also leave the backup exactly as it was.
 func TestTamperedBatchRejectedAlike(t *testing.T) {
 	forceParallel(t)
 	last := func(b *Batch) *Entry { return &b.Entries[len(b.Entries)-1] }

@@ -26,12 +26,7 @@ type Checkpoint struct {
 // by adopt when seq is a checkpoint boundary — after the batch's entries landed in the history tree, so the
 // frontier matches the signed header's (HistSize, ¯M).
 func (l *Ledger) captureCheckpoint(seq uint64) {
-	f, err := l.hist.Frontier()
-	if err != nil {
-		// The frontier of the tree's own current size cannot be out of range.
-		panic(err)
-	}
-	l.ckpts = append(l.ckpts, &Checkpoint{Seq: seq, Store: l.store.Clone(), Frontier: f, Digest: l.lastCkpt})
+	l.ckpts = append(l.ckpts, &Checkpoint{Seq: seq, Store: l.store.Clone(), Frontier: l.hist.Frontier(), Digest: l.lastCkpt})
 }
 
 // CheckpointAt returns the latest retained checkpoint with Seq <= upTo, or
@@ -59,13 +54,13 @@ func (l *Ledger) FirstRetainedSeq() uint64 { return l.baseSeq + 1 }
 func (l *Ledger) RetainedBatches() int { return len(l.batches) }
 
 // Prune drops retained batches with seq < before, compacts the history
-// tree past their leaves, and discards rollback marks and checkpoint
-// records below the new boundary. The caller (consensus) must only prune
-// below its committed watermark and at or below the latest checkpoint
-// boundary plus one — pruned batches can never be rolled back to
-// (RollbackTo returns ErrPruned) and can no longer be served to laggards,
-// who instead sync from the retained checkpoint. Pruning to an unexecuted
-// boundary is a caller bug and panics.
+// tree to the newest checkpoint at or below the new boundary, and discards
+// rollback marks and checkpoint records below the boundary. The caller
+// (consensus) must only prune below its committed watermark and at or
+// below the latest checkpoint boundary plus one — pruned batches can never
+// be rolled back to (RollbackTo returns ErrPruned) and can no longer be
+// served to laggards, who instead sync from the retained checkpoint.
+// Pruning to an unexecuted boundary is a caller bug and panics.
 func (l *Ledger) Prune(before uint64) {
 	if before <= l.baseSeq+1 {
 		return // nothing below the boundary is retained
@@ -73,15 +68,17 @@ func (l *Ledger) Prune(before uint64) {
 	if before > l.nextSeq {
 		panic(fmt.Sprintf("ledger: prune to %d beyond next seq %d", before, l.nextSeq))
 	}
-	anchor := l.BatchAt(before - 1)
-	if anchor == nil {
+	if l.BatchAt(before-1) == nil {
 		panic(fmt.Sprintf("ledger: prune boundary %d not retained", before))
 	}
-	// Compact M first: the anchor batch's header pins the leaf count at the
-	// boundary. Leaves below it survive only as the peak summary, which is
-	// all a frontier-restored auditor or laggard ever needs.
-	if err := l.hist.Compact(anchor.Header.HistSize); err != nil {
-		panic(err)
+	// Compact M to the newest retained checkpoint at or below the anchor,
+	// whose frontier summarizes the leaves below it as recorded when it
+	// was taken: no leaf is re-hashed. Without one, M waits for a later
+	// prune; every retained batch's leaves stay either way.
+	if ck := l.CheckpointAt(before - 1); ck != nil {
+		if err := l.hist.CompactTo(ck.Frontier); err != nil {
+			panic(err)
+		}
 	}
 	// Copy the tail into a fresh slice so the dropped batches' backing
 	// array is actually released — re-slicing would pin every pruned batch.

@@ -118,6 +118,51 @@ func TestReceiptsFromRetainedBatches(t *testing.T) {
 	}
 }
 
+// TestPruneCompactsToCheckpoint: Prune compacts M to the newest retained
+// checkpoint at or below its anchor, from that checkpoint's frontier, and
+// leaves M alone when no such checkpoint is retained. With a checkpoint
+// every 4 batches, batch s ends at leaf s + s/4, so checkpoints 4 and 8
+// sit at leaves 5 and 10. Pruning one batch at a time meets both cases:
+// Prune(7)'s anchor 6 finds no checkpoint, since Prune(6) dropped
+// checkpoint 4. After every prune each retained batch still cuts the
+// receipts ExecuteBatch handed out, and the root does not move.
+func TestPruneCompactsToCheckpoint(t *testing.T) {
+	l := newTestLedger(t, 4)
+	cut := map[uint64][][]byte{}
+	for seq := uint64(1); seq <= 12; seq++ {
+		_, rcs, err := l.ExecuteBatch([]Request{putReq("alice", seq, fmt.Sprintf("a%d", seq), "x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rcs {
+			cut[seq] = append(cut[seq], EncodeReceipt(nil, &rcs[i]))
+		}
+	}
+	root := l.HistRoot()
+	// wantBase[before] is M's base after Prune(before).
+	wantBase := []uint64{2: 0, 3: 0, 4: 0, 5: 5, 6: 5, 7: 5, 8: 5, 9: 10, 10: 10, 11: 10, 12: 10}
+	for before := uint64(2); before <= 12; before++ {
+		l.Prune(before)
+		if got := l.hist.Base(); got != wantBase[before] {
+			t.Fatalf("Prune(%d): M compacted to %d, want %d", before, got, wantBase[before])
+		}
+		if l.HistRoot() != root {
+			t.Fatalf("Prune(%d) moved the history root", before)
+		}
+		for seq := before; seq <= 12; seq++ {
+			rcs := l.Receipts(seq)
+			if len(rcs) != len(cut[seq]) {
+				t.Fatalf("Prune(%d): %d receipts for seq %d, want %d", before, len(rcs), seq, len(cut[seq]))
+			}
+			for i := range rcs {
+				if !bytes.Equal(EncodeReceipt(nil, &rcs[i]), cut[seq][i]) {
+					t.Fatalf("Prune(%d): receipt %d of seq %d is not the one ExecuteBatch cut", before, i, seq)
+				}
+			}
+		}
+	}
+}
+
 func TestPruneBadBoundaryPanics(t *testing.T) {
 	l := newTestLedger(t, 2)
 	runBatches(t, l, 4)

@@ -16,7 +16,6 @@ type core struct {
 	store    *kv.Store
 	hist     *merkle.Tree
 	lastCkpt hashsig.Digest // d_C of the latest checkpoint marker executed
-	scratch  execScratch
 }
 
 // Divergence reports a batch that does not reproduce the header signed
@@ -56,16 +55,17 @@ func diverge(h *BatchHeader, entry int, field, format string, args ...any) *Dive
 // against want, and the first mismatch is returned. A caller that may have
 // to undo the batch marks the store first.
 //
-// derive is two halves composed inline: the execution half (execute) with
-// entry digesting pipelined beside it, then the commitment half (commit).
-// The audit policy runs every check of both halves on a checker goroutine
-// of its own, a batch behind execution (replay.go).
+// derive is two halves composed inline on the calling goroutine: the
+// execution half (execute), which also hashes every entry as it finishes,
+// then the commitment half (commit). The audit policy runs every check of
+// both halves on a checker goroutine of its own, a batch behind execution
+// (replay.go).
 func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHeader, *Divergence) {
-	c.scratch.grow(len(entries))
-	if div := c.execute(seq, entries, want, nil); div != nil {
+	leaves := make([]hashsig.Digest, len(entries))
+	if div := c.execute(seq, entries, want, leaves, nil); div != nil {
 		return BatchHeader{}, div
 	}
-	got := c.header(seq, len(entries), c.commit())
+	got := c.header(seq, len(entries), c.commit(leaves))
 	if want != nil {
 		if div := compareHeader(want, &got); div != nil {
 			return BatchHeader{}, div
@@ -74,14 +74,13 @@ func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHead
 	return got, nil
 }
 
-// commit is the commitment half given the batch's leaf hashes in the
-// scratch: the batch tree's root ¯G, then every leaf appended to M.
-func (c *core) commit() hashsig.Digest {
-	g := batchTree(c.scratch.leaves)
-	for _, lh := range c.scratch.leaves {
+// commit is the commitment half given the batch's leaf hashes: every leaf
+// appended to M, and the batch tree's root ¯G.
+func (c *core) commit(leaves []hashsig.Digest) hashsig.Digest {
+	for _, lh := range leaves {
 		c.hist.AppendLeafHash(lh)
 	}
-	return g.Root()
+	return batchTree(leaves).Root()
 }
 
 // header assembles the content this core derived for batch seq of n
@@ -121,19 +120,12 @@ func compareHeader(want, got *BatchHeader) *Divergence {
 //
 // With job nil every check runs here: each transaction's result is set or
 // compared as it finishes (settle) and the marker's d_C when it is reached
-// (checkpoint), and every entry digest and leaf hash is left in the
-// scratch, digested beside execution through the entry hasher — digesting
-// hashes full payloads, for large batches comparable to execution itself,
-// and the two overlap here. With job non-nil (the audit, want non-nil)
-// execution only executes: each finished transaction's outcome and the
-// store as of the marker go into job, and the checker does the rest.
-func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, job *checkJob) *Divergence {
-	// The deferred wait releases the workers even if the App panics.
-	var hasher *entryHasher
-	if job == nil {
-		hasher = newEntryHasher(&c.scratch, len(entries))
-	}
-	defer hasher.wait()
+// (checkpoint), and each entry's leaf hash goes into leaves once the entry
+// is final, while its payload is still warm in cache. With job non-nil
+// (the audit, want non-nil) execution only executes: each finished
+// transaction's outcome and the store as of the marker go into job, and
+// the checker does the rest, hashing included.
+func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, leaves []hashsig.Digest, job *checkJob) *Divergence {
 	for ei := range entries {
 		e := &entries[ei]
 		switch e.Kind {
@@ -167,10 +159,24 @@ func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, job *chec
 		default:
 			return diverge(want, ei, "Kind", " entry %d: unknown kind %d", ei, e.Kind)
 		}
-		hasher.submit(ei, e)
+		if job == nil {
+			leaves[ei] = leafOf(e)
+		}
 	}
-	hasher.wait()
 	return nil
+}
+
+// leafOf is entry e's leaf in both trees: the history tree M and the batch
+// tree G each commit to LeafHash(Digest(e)).
+func leafOf(e *Entry) hashsig.Digest { return merkle.LeafHash(e.Digest()) }
+
+// leavesOf hashes every entry of a batch that is already final.
+func leavesOf(entries []Entry) []hashsig.Digest {
+	leaves := make([]hashsig.Digest, len(entries))
+	for i := range entries {
+		leaves[i] = leafOf(&entries[i])
+	}
+	return leaves
 }
 
 // outcome is how a transaction finished: the write set it committed, or
@@ -228,36 +234,9 @@ func (c *core) checkpoint(want *BatchHeader, ei int, e *Entry, store *kv.Store) 
 	return nil
 }
 
-// execScratch is per-batch working storage handed batch to batch: the
-// digest and leaf-hash vectors. Nothing stored here may escape derive's or
-// Receipts' caller — every value a caller retains (entries, headers,
-// receipt paths, payloads) is freshly allocated or arena-backed per batch.
-// The core is single-writer, so reuse without synchronization is safe; the
-// concurrent entry hasher writes disjoint indices and is joined before the
-// slices are read or reused, and during an audit the checker is the
-// scratch's only user.
-type execScratch struct {
-	digests []hashsig.Digest // entry digests, one per entry
-	leaves  []hashsig.Digest // merkle.LeafHash of each digest
-}
-
-// grow sizes the scratch vectors for n entries, reusing prior capacity.
-func (s *execScratch) grow(n int) {
-	s.digests = growSlice(s.digests, n)
-	s.leaves = growSlice(s.leaves, n)
-}
-
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // batchTree builds the batch tree G over a batch's leaf hashes, one leaf
-// per entry in ledger order; its root is ¯G. G and M consume the hasher's
-// leaf hashes directly, so no per-entry SHA work happens here beyond the
-// interior nodes.
+// per entry in ledger order; its root is ¯G. G and M take the same leaf
+// hashes, so no per-entry SHA work happens here beyond the interior nodes.
 func batchTree(leaves []hashsig.Digest) *merkle.Tree {
 	g := merkle.New()
 	for _, lh := range leaves {

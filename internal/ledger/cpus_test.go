@@ -10,12 +10,11 @@ import (
 	"iaccf/internal/kv"
 )
 
-// The ledger executes one transaction at a time, but derives a batch on
-// more than one goroutine when it has the CPUs: the entry hasher digests
-// entries beside execution, and Replay runs every check on a checker
-// goroutine beside its execution lane. The tests here hold that schedule to the one-CPU derivation:
-// a ledger run at GOMAXPROCS=4 and one run at GOMAXPROCS=1 must emit the
-// same bytes.
+// The ledger derives a proposed or applied batch on the goroutine that
+// calls it, but Replay, when it has the CPUs, runs every check on a
+// checker goroutine beside its execution lane. The tests here hold every
+// policy to one answer whatever GOMAXPROCS says: a ledger run at
+// GOMAXPROCS=4 and one run at GOMAXPROCS=1 must emit the same bytes.
 
 // forceParallel pins GOMAXPROCS above 1 for the duration of a test so the
 // multi-goroutine schedules open even on a single-core machine.
@@ -240,10 +239,10 @@ func (panickyApp) Execute(tx *kv.Tx, request []byte) error {
 	return KVApp{}.Execute(tx, request)
 }
 
-// TestParallelExecutePanicPropagates: an App that panics mid-batch, while
-// the entry hasher's workers are digesting the entries before it, panics
-// the caller with the pre-batch mark intact, so the caller can roll back
-// — the same contract as on one CPU.
+// TestParallelExecutePanicPropagates: an App that panics mid-batch, after
+// the entries before it were executed and hashed, panics the caller with
+// the pre-batch mark intact, so the caller can roll back — at GOMAXPROCS=4
+// as on one CPU.
 func TestParallelExecutePanicPropagates(t *testing.T) {
 	forceParallel(t)
 	l, err := New(Config{Key: testKey, App: panickyApp{}, CheckpointEvery: 1})

@@ -147,9 +147,8 @@ func checkTrieRoots(t *testing.T, name string, l *Ledger) {
 // the recorded headers, receipts, ¯M, state digest and d_C, and the
 // recorded ledger must replay clean. Signing is deterministic, so the run
 // must also re-issue the recorded stream byte for byte, signatures
-// included. It runs at GOMAXPROCS=4 with 72-request batches, so all three
-// policies digest entries beside execution and the replay runs its
-// pipeline.
+// included. It runs at GOMAXPROCS=4 with 72-request batches, so the
+// replay runs its checker pipeline.
 func TestGoldenByteIdentity(t *testing.T) {
 	forceParallel(t)
 	raw, stream, golden := readGolden(t)

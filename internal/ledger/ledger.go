@@ -59,12 +59,13 @@
 //
 // derive is two halves: the execution half (transactions, markers, d_C,
 // result comparison) and the commitment half (entry digests, leaf hashes,
-// ¯G, the M append). Propose and apply compose them inline, digesting
-// entries beside execution through the entry hasher: a replica under load
-// has no idle core, and running the halves on two goroutines there was
-// measured and lost. The audit is the one path with a core to spare and
-// entries that are final before it starts, so with a second CPU it splits
-// the work differently: not by half but by kind. Its execution lane runs
+// ¯G, the M append). Propose and apply compose them inline, on the
+// goroutine that calls them, hashing each entry as soon as it is final:
+// a replica under load has no idle core, and both spreading the halves
+// over two goroutines and hashing entries on worker goroutines were
+// measured and bought nothing. The audit is the one path with a core to
+// spare and entries that are final before it starts, so with a second CPU
+// it splits the work: not by half but by kind. Its execution lane runs
 // the execution loop and nothing else — transactions in ledger order plus
 // the structural rules execution needs (a known Kind, the marker's
 // placement and label) — and hands each batch's finished write sets and,
@@ -120,26 +121,23 @@
 //
 // # Memory ownership on the commit path
 //
-// The commit path reuses memory batch to batch, so every API boundary
-// follows explicit ownership rules:
+// Every API boundary on the commit path follows explicit ownership rules:
 //
 //   - Everything ExecuteBatch, ApplyBatch and Receipts RETURN is
 //     caller-owned forever: Batch headers, entries, and Receipts never
-//     alias internal scratch or the history tree, and the ledger never
-//     writes to them after returning. Receipts from one call share arena
-//     backing with each other (paths in one []Digest arena, payloads in
-//     one []byte arena) — safe because the arenas are capped three-index
-//     sub-slices that a client append cannot grow into a neighbour — but
-//     never with internal scratch or with the retained stream.
+//     alias the history tree, and the ledger never writes to them after
+//     returning. Receipts from one call share arena backing with each
+//     other (paths in one []Digest arena, payloads in one []byte arena) —
+//     safe because the arenas are capped three-index sub-slices that a
+//     client append cannot grow into a neighbour — but never with the
+//     history tree or with the retained stream.
 //   - Request slices passed IN are read-only during the call and not
 //     retained. Entries inside a Batch handed to ApplyBatch are adopted
 //     into the retained stream and must not be mutated afterwards, same
 //     as Batches() results.
-//   - Internal scratch (per-entry digests and leaf hashes) lives on the
-//     core and is reused batch to batch;
-//     it is dead the moment the call returns, which the aliasing property
-//     tests prove by retaining what one batch returned across the batches
-//     that reuse the scratch after it.
+//   - A batch's leaf hashes are allocated per batch and M keeps its own
+//     copies; the aliasing property tests retain what one batch returned
+//     across the batches after it.
 //   - Replay and ReplayFrom only read the batches they are given.
 //
 // The aliasing property tests (alias_test.go) enforce these rules. The
@@ -151,8 +149,9 @@
 // # Pruning boundary invariant
 //
 // Prune(before) establishes a pruned boundary baseSeq = before-1: batches
-// at or below it are dropped, the history tree is compacted past their
-// leaves (only the peak summary survives), and their rollback marks are
+// at or below it are dropped, the history tree is compacted to the newest
+// checkpoint at or below it (that checkpoint's frontier is all that
+// survives of the leaves before it), and their rollback marks are
 // discarded. Everything above the boundary behaves exactly as before —
 // BatchAt, RollbackTo, ApplyBatch. At or below it, BatchAt
 // returns nil and RollbackTo fails with ErrPruned (wrapped, so
@@ -567,8 +566,7 @@ func (l *Ledger) ExecuteBatchAs(env func(content hashsig.Digest) Envelope, reqs 
 		}
 	}
 	seq := l.nextSeq
-	// Allocated with its final capacity: the entry hasher holds pointers
-	// into the slice.
+	// Room for the checkpoint marker, so appending it does not copy.
 	entries := make([]Entry, len(reqs), len(reqs)+1)
 	for i, req := range reqs {
 		e := Entry{Kind: KindTransaction, Author: req.Author, ReqNo: req.ReqNo, Payload: append([]byte(nil), req.Body...)}
@@ -583,9 +581,8 @@ func (l *Ledger) ExecuteBatchAs(env func(content hashsig.Digest) Envelope, reqs 
 	}
 
 	// If anything below panics (a buggy App retaining a finished Tx, say),
-	// the core releases its hashing workers on the way out; the
-	// marks pushed here stay, so a caller that recovers can RollbackTo(seq)
-	// to discard the half-executed batch.
+	// the marks pushed here stay, so a caller that recovers can
+	// RollbackTo(seq) to discard the half-executed batch.
 	l.mark(seq)
 	header, _ := l.derive(seq, entries, nil)
 	header.Envelope = env(header.ContentDigest())

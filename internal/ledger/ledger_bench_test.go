@@ -23,10 +23,9 @@ func benchRequests(batch, txPerBatch int) []Request {
 }
 
 // BenchmarkExecuteBatch is the end-to-end hot path: execute a batch of
-// transactions through the execution/hashing pipeline, build the batch
-// tree G, extend M, sign the header, then cut the receipts from the
-// batch's leaves in M. The checkpoint interval exercises the incremental
-// d_C path.
+// transactions and hash their entries, build the batch tree G, extend M,
+// sign the header, then cut the receipts from the batch's leaves in M. The
+// checkpoint interval exercises the incremental d_C path.
 func BenchmarkExecuteBatch(b *testing.B) {
 	for _, txs := range []int{16, 128} {
 		b.Run(fmt.Sprintf("txs=%d", txs), func(b *testing.B) {

@@ -157,10 +157,10 @@ func checkHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool) (wa
 // pipeline: this goroutine is the execution lane and only executes
 // (core.execute with a job), while a checker goroutine, fed through a small
 // bounded queue, runs every check of each batch in order a batch or more
-// behind it (core.check). The checker owns the history tree, the scratch
-// and lastCkpt; the lane owns the store, and hands the checker at each
-// marker a snapshot of it (Clone, O(1)), which the checker hashes
-// while the lane builds its successors (see champ's concurrency contract).
+// behind it (core.check). The checker owns the history tree and lastCkpt;
+// the lane owns the store, and hands the checker at each marker a snapshot
+// of it (Clone, O(1)), which the checker hashes while the lane builds its
+// successors (see champ's concurrency contract).
 // The verdict is the one derive would reach: the first divergence in
 // derivation order — batch, then entry, then header field. A structural
 // divergence the lane meets ends the stream at that entry, and the checker
@@ -214,7 +214,7 @@ func (c *core) replayLane(wantSeq uint64, b *Batch) *checkJob {
 	j := &checkJob{seq: seq, entries: b.Entries, want: &b.Header, outcomes: make([]outcome, len(b.Entries))}
 	if seq != wantSeq {
 		j.entries, j.end = nil, errSequence(seq, wantSeq)
-	} else if div := c.execute(seq, b.Entries, &b.Header, j); div != nil {
+	} else if div := c.execute(seq, b.Entries, &b.Header, nil, j); div != nil {
 		j.entries, j.end = b.Entries[:div.Entry], fmt.Errorf("%w: %w", ErrReplay, div)
 	}
 	return j
@@ -243,11 +243,11 @@ type checkJob struct {
 }
 
 // check is every check of one batch the lane executed, in derivation
-// order: each result (settle) and the entry digests and leaf hashes, then
-// the lane's own verdict if it stopped here, then the marker's d_C
-// (checkpoint), ¯G and the M append (commit), and the header.
+// order: each result (settle), then the lane's own verdict if it stopped
+// here, then the marker's d_C (checkpoint), the entries' leaf hashes, ¯G
+// and the M append (commit), and the header. Hashing reaches no verdict of
+// its own, so where it runs does not move the first divergence.
 func (c *core) check(j *checkJob) error {
-	c.scratch.grow(len(j.entries))
 	for ei := range j.entries {
 		e := &j.entries[ei]
 		if e.Kind == KindTransaction {
@@ -255,7 +255,6 @@ func (c *core) check(j *checkJob) error {
 				return fmt.Errorf("%w: %w", ErrReplay, div)
 			}
 		}
-		c.scratch.hash(ei, e)
 	}
 	if j.end != nil {
 		return j.end
@@ -266,7 +265,7 @@ func (c *core) check(j *checkJob) error {
 			return fmt.Errorf("%w: %w", ErrReplay, div)
 		}
 	}
-	got := c.header(j.seq, len(j.entries), c.commit())
+	got := c.header(j.seq, len(j.entries), c.commit(leavesOf(j.entries)))
 	if div := compareHeader(j.want, &got); div != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, div)
 	}

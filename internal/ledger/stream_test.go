@@ -89,7 +89,7 @@ func TestConfigValidatedInNew(t *testing.T) {
 }
 
 // panicApp executes normally until armed, then panics mid-batch — modeling
-// a buggy application — so the pipeline's panic path can be exercised.
+// a buggy application — so the panic path can be exercised.
 type panicApp struct {
 	arm bool
 }
@@ -101,8 +101,8 @@ func (p *panicApp) Execute(tx *kv.Tx, request []byte) error {
 	return KVApp{}.Execute(tx, request)
 }
 
-// A panicking App must not leak the hashing goroutine, and the mark pushed
-// at batch start must let the caller roll the half-executed batch back and
+// A panicking App must leave no goroutine behind, and the mark pushed at
+// batch start must let the caller roll the half-executed batch back and
 // continue.
 func TestExecuteBatchPanicIsRecoverable(t *testing.T) {
 	app := &panicApp{}
@@ -124,12 +124,11 @@ func TestExecuteBatchPanicIsRecoverable(t *testing.T) {
 		l.ExecuteBatch([]Request{putReq("c", 2, "k2", "v")})
 	}()
 	app.arm = false
-	// The hashing goroutine drains and exits via the deferred close.
 	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("hashing goroutine leaked: %d goroutines, baseline %d", got, before)
+		t.Fatalf("goroutine leaked: %d goroutines, baseline %d", got, before)
 	}
 	// Recover by undoing the poisoned batch, then continue normally.
 	if err := l.RollbackTo(2); err != nil {

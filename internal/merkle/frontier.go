@@ -20,77 +20,70 @@ type Frontier struct {
 }
 
 // Frontier captures the tree's current frontier.
-func (t *Tree) Frontier() (Frontier, error) {
-	n := t.Size()
-	peaks, err := t.peaksOf(n)
-	if err != nil {
-		return Frontier{}, err
-	}
-	hashes := make([]hashsig.Digest, len(peaks))
-	for i, p := range peaks {
+func (t *Tree) Frontier() Frontier {
+	hashes := make([]hashsig.Digest, len(t.peaks))
+	for i, p := range t.peaks {
 		hashes[i] = p.hash
 	}
-	return Frontier{Size: n, Peaks: hashes}, nil
+	return Frontier{Size: t.Size(), Peaks: hashes}
 }
 
-// peaksOf computes the peak decomposition of the prefix of n leaves.
-func (t *Tree) peaksOf(n uint64) ([]peak, error) {
-	if n < t.base || n > t.Size() {
-		return nil, fmt.Errorf("%w: peaks of %d (base %d, size %d)", ErrOutOfRange, n, t.base, t.Size())
+// check reports a frontier whose peak count does not fit its size: one
+// peak per set bit.
+func (f Frontier) check() error {
+	if want := bits.OnesCount64(f.Size); len(f.Peaks) != want {
+		return fmt.Errorf("merkle: frontier size %d needs %d peaks, got %d", f.Size, want, len(f.Peaks))
 	}
-	if n == t.Size() {
-		return append([]peak(nil), t.peaks...), nil
-	}
-	var out []peak
-	var off uint64
-	for rem := n; rem > 0; {
+	return nil
+}
+
+// appendPeaks appends f's peaks to dst with their sizes, largest first.
+func (f Frontier) appendPeaks(dst []peak) []peak {
+	rem := f.Size
+	for _, h := range f.Peaks {
 		size := uint64(1) << (bits.Len64(rem) - 1)
-		h, err := t.hashRange(off, off+size)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, peak{size: size, hash: h})
-		off += size
+		dst = append(dst, peak{size: size, hash: h})
 		rem -= size
 	}
-	return out, nil
+	return dst
 }
 
 // FromFrontier reconstructs a tree from a frontier. The resulting tree
 // accepts appends and produces identical roots, but cannot provide paths or
 // rollback for leaves before the restore point.
 func FromFrontier(f Frontier) (*Tree, error) {
-	want := bits.OnesCount64(f.Size)
-	if len(f.Peaks) != want {
-		return nil, fmt.Errorf("merkle: frontier size %d needs %d peaks, got %d", f.Size, want, len(f.Peaks))
+	if err := f.check(); err != nil {
+		return nil, err
 	}
-	t := &Tree{base: f.Size}
-	rem := f.Size
-	for _, h := range f.Peaks {
-		size := uint64(1) << (bits.Len64(rem) - 1)
-		t.basePeaks = append(t.basePeaks, peak{size: size, hash: h})
-		rem -= size
-	}
+	t := &Tree{base: f.Size, basePeaks: f.appendPeaks(nil)}
 	t.peaks = append([]peak(nil), t.basePeaks...)
 	return t, nil
 }
 
-// Compact drops retained leaves before index n, keeping only the peak
-// summary for the prefix. Rollback and paths before n become unavailable.
-func (t *Tree) Compact(n uint64) error {
-	if n <= t.base {
+// CompactTo drops the retained leaves before f.Size, keeping f's peaks as
+// the summary of that prefix; rollback and paths before it become
+// unavailable. f must be a frontier this tree itself captured at that size
+// (Frontier): its peaks are taken as they are, not re-hashed. A frontier at
+// or before the base is a no-op, and one beyond Size, or whose peak count
+// does not fit its size, is refused. The leaves shift in place and the
+// base peaks have room for the 64 a size can need, so only a tree's first
+// compaction allocates.
+func (t *Tree) CompactTo(f Frontier) error {
+	if f.Size <= t.base {
 		return nil
 	}
-	if n > t.Size() {
-		return fmt.Errorf("%w: compact to %d (size %d)", ErrOutOfRange, n, t.Size())
+	if f.Size > t.Size() {
+		return fmt.Errorf("%w: compact to %d (size %d)", ErrOutOfRange, f.Size, t.Size())
 	}
-	peaks, err := t.peaksOf(n)
-	if err != nil {
+	if err := f.check(); err != nil {
 		return err
 	}
-	t.leaves = append([]hashsig.Digest(nil), t.leaves[n-t.base:]...)
-	t.base = n
-	t.basePeaks = peaks
+	if cap(t.basePeaks) < len(f.Peaks) {
+		t.basePeaks = make([]peak, 0, 64)
+	}
+	t.basePeaks = f.appendPeaks(t.basePeaks[:0])
+	t.leaves = t.leaves[:copy(t.leaves, t.leaves[f.Size-t.base:])]
+	t.base = f.Size
 	return nil
 }
 

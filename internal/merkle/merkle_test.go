@@ -3,7 +3,9 @@ package merkle
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -215,10 +217,7 @@ func TestFrontierRestore(t *testing.T) {
 		for _, e := range es[:cut] {
 			tr.Append(e)
 		}
-		f, err := tr.Frontier()
-		if err != nil {
-			t.Fatalf("cut=%d Frontier: %v", cut, err)
-		}
+		f := tr.Frontier()
 		restored, err := FromFrontier(f)
 		if err != nil {
 			t.Fatalf("cut=%d FromFrontier: %v", cut, err)
@@ -262,10 +261,7 @@ func TestFrontierEncodeDecode(t *testing.T) {
 	for _, e := range entries(13, "enc") {
 		tr.Append(e)
 	}
-	f, err := tr.Frontier()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := tr.Frontier()
 	dec, err := DecodeFrontier(f.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +293,24 @@ func TestFromFrontierValidation(t *testing.T) {
 	}
 }
 
+// TestCompact: compacting to a frontier the tree captured earlier keeps
+// the root, the paths and the leaves from that size on, and drops the
+// ones before it.
 func TestCompact(t *testing.T) {
 	es := entries(48, "cp")
 	tr := New()
-	for _, e := range es {
+	var at3, at17 Frontier
+	for i, e := range es {
 		tr.Append(e)
+		switch i + 1 {
+		case 3:
+			at3 = tr.Frontier()
+		case 17:
+			at17 = tr.Frontier()
+		}
 	}
 	full := tr.Root()
-	if err := tr.Compact(17); err != nil {
+	if err := tr.CompactTo(at17); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Root() != full {
@@ -349,14 +355,85 @@ func TestCompact(t *testing.T) {
 		t.Fatal("root after compact+append differs from reference")
 	}
 	// Compacting to an earlier point is a no-op.
-	if err := tr.Compact(3); err != nil {
+	if err := tr.CompactTo(at3); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Base() != 17 {
 		t.Fatal("compact moved base backwards")
 	}
-	if err := tr.Compact(1000); err == nil {
-		t.Fatal("compact beyond size succeeded")
+}
+
+// TestCompactTo holds a compacted tree to an uncompacted twin: after each
+// CompactTo the root, every path from the new base on, and a rollback to
+// any size at or above it are the twin's. A frontier beyond the tree or
+// whose peaks do not fit its size is refused, and compacting allocates
+// nothing once the tree has compacted before.
+func TestCompactTo(t *testing.T) {
+	es := entries(1200, "ct")
+	tr, twin := New(), New()
+	var fs []Frontier
+	for i, e := range es {
+		tr.Append(e)
+		twin.Append(e)
+		if i%10 == 9 {
+			fs = append(fs, tr.Frontier())
+		}
+	}
+	for _, f := range fs[:8] {
+		if err := tr.CompactTo(f); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Base() != f.Size || tr.Root() != twin.Root() {
+			t.Fatalf("base %d: base %d, root matches %v", f.Size, tr.Base(), tr.Root() == twin.Root())
+		}
+		got, err := tr.PathsAt(f.Size, tr.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := twin.PathsAt(f.Size, twin.Size())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("base %d: paths differ from the uncompacted tree's", f.Size)
+		}
+	}
+	base := tr.Base()
+	for _, n := range []uint64{1100, 333, base} {
+		if err := tr.Rollback(n); err != nil {
+			t.Fatal(err)
+		}
+		twin.Rollback(n)
+		if tr.Root() != twin.Root() {
+			t.Fatalf("rollback to %d: root differs from the uncompacted tree's", n)
+		}
+	}
+	if err := tr.Rollback(base - 1); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("rollback below the base: %v, want ErrCompacted", err)
+	}
+	for _, e := range es[base:] {
+		tr.Append(e)
+		twin.Append(e)
+	}
+	for _, f := range []Frontier{
+		{Size: tr.Size() + 1, Peaks: make([]hashsig.Digest, bits.OnesCount64(tr.Size()+1))},
+		{Size: base + 10, Peaks: fs[0].Peaks},
+	} {
+		if err := tr.CompactTo(f); err == nil {
+			t.Fatalf("frontier of size %d with %d peaks accepted", f.Size, len(f.Peaks))
+		}
+	}
+	if tr.Base() != base || tr.Root() != twin.Root() {
+		t.Fatal("a refused frontier changed the tree")
+	}
+	i := 8
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tr.CompactTo(fs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Fatalf("CompactTo: %.1f allocations per call, want 0", allocs)
+	}
+	if tr.Base() != fs[i-1].Size || tr.Root() != twin.Root() {
+		t.Fatal("compaction in the allocation run changed the root")
 	}
 }
 
@@ -401,10 +478,7 @@ func TestQuickFrontierPaths(t *testing.T) {
 		for _, e := range es[:cut] {
 			tr.Append(e)
 		}
-		fr, err := tr.Frontier()
-		if err != nil {
-			return false
-		}
+		fr := tr.Frontier()
 		rt, err := FromFrontier(fr)
 		if err != nil {
 			return false

@@ -79,8 +79,12 @@ func TestAppendAndProveEmpty(t *testing.T) {
 
 func TestPathsAtValidation(t *testing.T) {
 	tr := New()
-	for _, e := range entries(8, "v") {
+	var at4 Frontier
+	for i, e := range entries(8, "v") {
 		tr.Append(e)
+		if i == 3 {
+			at4 = tr.Frontier()
+		}
 	}
 	if _, err := tr.PathsAt(3, 3); err == nil {
 		t.Fatal("empty range accepted")
@@ -88,7 +92,7 @@ func TestPathsAtValidation(t *testing.T) {
 	if _, err := tr.PathsAt(0, 9); err == nil {
 		t.Fatal("past-size range accepted")
 	}
-	if err := tr.Compact(4); err != nil {
+	if err := tr.CompactTo(at4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.PathsAt(2, 8); err == nil {
@@ -186,10 +190,7 @@ func TestFrontierRestoreConsistency(t *testing.T) {
 				full.Append(e)
 			}
 			oldRoot := full.Root()
-			f, err := full.Frontier()
-			if err != nil {
-				t.Fatal(err)
-			}
+			f := full.Frontier()
 
 			restored, err := FromFrontier(f)
 			if err != nil {

@@ -97,10 +97,11 @@ func New(cfg Config) *Pool {
 		cfg.Capacity = DefaultCapacity
 	}
 	return &Pool{
-		cap:     cfg.Capacity,
-		senders: make(map[hashsig.Digest]*sender),
-		pooled:  make(map[hashsig.Digest]bool),
-		seenCur: make(map[hashsig.Digest]bool),
+		cap:      cfg.Capacity,
+		senders:  make(map[hashsig.Digest]*sender),
+		pooled:   make(map[hashsig.Digest]bool),
+		seenCur:  make(map[hashsig.Digest]bool),
+		seenPrev: make(map[hashsig.Digest]bool),
 	}
 }
 
@@ -240,10 +241,17 @@ func (p *Pool) seen(h hashsig.Digest) bool {
 	return cur || prev
 }
 
+// markSeen records h in the current generation, where committed stays
+// true once set. A full generation retires the previous one, whose map is
+// cleared and reused as the next current one.
 func (p *Pool) markSeen(h hashsig.Digest, committed bool) {
 	if len(p.seenCur) >= seenBudget/2 {
-		p.seenPrev = p.seenCur
-		p.seenCur = make(map[hashsig.Digest]bool)
+		clear(p.seenPrev)
+		p.seenPrev, p.seenCur = p.seenCur, p.seenPrev
 	}
-	p.seenCur[h] = committed || p.seenCur[h]
+	if committed {
+		p.seenCur[h] = true
+	} else if _, ok := p.seenCur[h]; !ok {
+		p.seenCur[h] = false
+	}
 }
