@@ -137,11 +137,6 @@ type Replica struct {
 	// them belong to the current view.
 	insts map[uint64]*instance
 
-	// lastCommit retains the proof for the latest committed batch: carried
-	// in view-changes to certify CommittedSeq, and pushed to laggards as
-	// the anchor of what they catch up on (sync.go).
-	lastCommit *ledger.CommitCert
-
 	// view-change state
 	inViewChange bool
 	vcTarget     uint64
@@ -729,7 +724,10 @@ func (r *Replica) advanceCommits(out *[]Outbound) {
 		if in == nil || in.openedQuorum() < r.quorum {
 			break
 		}
-		r.markCommitted(r.buildCommitCert(in))
+		if err := r.markCommitted(r.buildCommitCert(in)); err != nil {
+			// The ledger executed this very statement's batch.
+			panic(err)
+		}
 	}
 	// A parked re-proposal chain resumes the moment the primary reaches its
 	// start.
@@ -743,16 +741,17 @@ func (r *Replica) advanceCommits(out *[]Outbound) {
 	}
 }
 
-// markCommitted moves the committed boundary to the batch cert proves —
-// formed here by advanceCommits or fetched by sync.go; the ledger already
-// holds the batch — and retires what the boundary passed: instances, pins
-// and rollback marks at or below it, seen slots below it (blame already
-// captured keeps its value), and the batches maybePrune lets go.
-func (r *Replica) markCommitted(cert *ledger.CommitCert) {
+// markCommitted binds cert — built by advanceCommits or fetched by sync.go,
+// verified either way — to the ledger (Ledger.Commit), returning a refusal,
+// and moves the committed boundary to it: what the boundary passed retires
+// (instances and pins at or below it, seen slots below it, blame already
+// captured keeping its value), and so do the batches maybePrune lets go.
+func (r *Replica) markCommitted(cert *ledger.CommitCert) error {
+	if err := r.led.Commit(cert); err != nil {
+		return err
+	}
 	seq := cert.Seq()
 	r.committed = seq
-	r.lastCommit = cert
-	r.led.PruneMarks(seq)
 	for s := range r.insts {
 		if s <= seq {
 			delete(r.insts, s)
@@ -775,6 +774,7 @@ func (r *Replica) markCommitted(cert *ledger.CommitCert) {
 	}
 	r.maybePrune()
 	r.gen++
+	return nil
 }
 
 // buildCommitCert assembles the proof that the instance committed.
@@ -813,7 +813,7 @@ func (r *Replica) startViewChange(target uint64) []Outbound {
 		NewView:      target,
 		Replica:      r.cfg.ID,
 		CommittedSeq: r.committed,
-		CommitProof:  r.lastCommit,
+		CommitProof:  r.led.Cert(r.committed),
 	}
 	for _, seq := range sortedKeys(r.insts) {
 		if in := r.insts[seq]; in.preparedCert && seq > r.committed {

@@ -426,7 +426,7 @@ func TestCommitCertBindsTheStatement(t *testing.T) {
 	c.flood()
 	c.assertAgreement(1, 0, 1, 2, 3)
 	peers := c.replicas[0].cfg.Peers
-	cert := c.replicas[2].lastCommit
+	cert := c.replicas[2].Ledger().Cert(c.replicas[2].Committed())
 	if cert == nil || !cert.Verify(peers) {
 		t.Fatal("honest certificate does not verify")
 	}
@@ -462,7 +462,7 @@ func TestCommitCertHasOneByteForm(t *testing.T) {
 	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
 	c.flood()
 	peers := c.replicas[0].cfg.Peers
-	cert := c.replicas[2].lastCommit
+	cert := c.replicas[2].Ledger().Cert(c.replicas[2].Committed())
 	if cert == nil || !cert.Verify(peers) {
 		t.Fatal("honest certificate does not verify")
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // Catching up (paper §3.4, §6). A commit is a transferable fact — a quorum
-// of prepares plus opened nonces, retained as CommitCert — so a replica that
-// missed one never re-runs agreement on it: a peer pushes it the batches,
-// anchored by the peer's latest certificate, and it checks them by
+// of prepares plus opened nonces, which the ledger keeps as CommitCert — so a
+// replica that missed one never re-runs agreement on it: a peer pushes it
+// the batches, anchored by its watermark's certificate, and it checks them by
 // re-execution. This file is the only way a replica obtains a batch it did
 // not commit itself.
 //
@@ -51,14 +51,14 @@ import (
 //   - The frontier and the batch suffix are verified transitively: the
 //     suffix is re-executed (ledger.ApplyBatch checks results, ¯G, ¯M, d_C
 //     per batch) onto the replica's own ledger or onto a candidate restored
-//     from the checkpoint; the final batch's header must reproduce the
-//     certified header's content digest (content, not statement: the server
-//     may hold the batch under another view's statement than its
-//     certificate's). The history roots chain every entry, so a lying
-//     frontier or a tampered suffix batch cannot survive the anchor. Each
-//     suffix header is adopted as received, so its signature is checked on
-//     arrival like any pre-prepare's — a replica's ledger holds only
-//     statements it verified.
+//     from the checkpoint; binding the certificate there (Ledger.Commit)
+//     demands the final batch's header reproduce the certified header's
+//     content digest (content, not statement: the server may hold the batch
+//     under another view's statement than its certificate's). The history
+//     roots chain every entry, so a lying frontier or a tampered suffix
+//     batch cannot survive the anchor. Each suffix header is adopted as
+//     received, so its signature is checked on arrival like any
+//     pre-prepare's — a replica's ledger holds only statements it verified.
 //
 // Adoption is all-or-nothing (adoptSync): the committed boundary moves only
 // after the full chain verifies; a failed one undoes what it executed and
@@ -272,7 +272,7 @@ func (r *Replica) handleSyncRequest(m *SyncRequest, out *[]Outbound) error {
 	if int(m.Replica) >= r.n || m.Replica == r.cfg.ID || r.committed <= m.HaveSeq {
 		return nil
 	}
-	offer := SyncChunk{Replica: r.cfg.ID, Requester: m.Replica, CkptSeq: m.HaveSeq, Cert: r.lastCommit}
+	offer := SyncChunk{Replica: r.cfg.ID, Requester: m.Replica, CkptSeq: m.HaveSeq, Cert: r.led.Cert(r.committed)}
 	var push []Outbound
 	send := func(kind uint32, index uint64, data []byte) {
 		c := offer
@@ -461,12 +461,13 @@ func (r *Replica) adoptIfComplete(out *[]Outbound) error {
 // checkpoint offer first builds a candidate ledger from the verified
 // state; either way the suffix is then re-executed onto the ledger — own
 // speculation that already holds a suffix batch's content stays, the first
-// that does not is rolled back — and only if the final header reproduces
-// the certified content digest does the committed boundary move to the
-// certificate. On failure everything this adoption executed is undone and
-// the speculation it rolled back is executed again under the instances it
-// had: Committed, Ledger().Seq(), StateDigest and the in-flight window read
-// as before the offer.
+// that does not is rolled back — and only if the ledger binds the
+// certificate (markCommitted: Ledger.Commit finds the certified content at
+// its seq, or an empty suffix's frontier reproduces the certified history)
+// does the committed boundary move to it. On failure everything this
+// adoption executed is undone and the speculation it rolled back is
+// executed again under the instances it had: Committed, Ledger().Seq(),
+// StateDigest and the in-flight window read as before the offer.
 func (r *Replica) adoptSync(out *[]Outbound) error {
 	s := &r.sync
 	offer, cert := s.offer, s.offer.cert
@@ -526,15 +527,13 @@ func (r *Replica) adoptSync(out *[]Outbound) error {
 			return fail(err)
 		}
 	}
-	if len(s.batch) == 0 {
-		// Empty suffix: the certificate is for the checkpoint batch itself,
-		// so the frontier must reproduce the certified history commitment
-		// directly (with a suffix, the per-batch ¯M checks anchor it).
-		if led.HistSize() != cert.Header.HistSize || led.HistRoot() != cert.Header.MRoot {
-			return fail(fmt.Errorf("%w: sync frontier does not reproduce the certified history root", ErrInvalid))
-		}
-	} else if final := led.BatchAt(cert.Seq()); final == nil || final.Header.ContentDigest() != cert.Header.ContentDigest() {
-		return fail(fmt.Errorf("%w: sync suffix does not reproduce the certified header", ErrInvalid))
+	// The anchor (Ledger.Commit): the final batch holds the certified
+	// content or, with an empty suffix, the frontier the certified history.
+	prev := r.led
+	r.led = led
+	if err := r.markCommitted(cert); err != nil {
+		r.led = prev
+		return fail(err)
 	}
 
 	// Verified end to end: resume as a normal replica at the certified
@@ -543,7 +542,6 @@ func (r *Replica) adoptSync(out *[]Outbound) error {
 	// held for the view it leaves goes: speculation, pins, a parked chain.
 	// Within the view, pins and instances above the certificate stand —
 	// instances as far as the ledger they executed on does.
-	r.led = led
 	stand := led.Seq()
 	if cert.Header.View > r.view {
 		r.view = cert.Header.View
@@ -556,7 +554,6 @@ func (r *Replica) adoptSync(out *[]Outbound) error {
 		r.inViewChange = false
 		r.ownVC = nil
 	}
-	r.markCommitted(cert)
 	s.reset()
 	s.force = false
 	s.behindFor = 0

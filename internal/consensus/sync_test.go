@@ -359,7 +359,7 @@ func TestSyncChunkFitsOneFrame(t *testing.T) {
 	c.propose(0, reqs(hashsig.Sum([]byte("client")), 10, 2))
 	c.flood()
 	c.assertAgreement(1, 0, 1, 2, 3)
-	committed := c.replicas[0].lastCommit
+	committed := c.replicas[0].Ledger().Cert(c.replicas[0].Committed())
 	for _, n := range []int{4, 165} {
 		cert := *committed
 		cert.Prepares, cert.Opens = nil, nil

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"maps"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
@@ -55,11 +56,12 @@ func (l *Ledger) RetainedBatches() int { return len(l.batches) }
 
 // Prune drops retained batches with seq < before, compacts the history
 // tree to the newest checkpoint at or below the new boundary, and discards
-// rollback marks and checkpoint records below the boundary. The caller
-// (consensus) must only prune below its committed watermark and at or
-// below the latest checkpoint boundary plus one — pruned batches can never
-// be rolled back to (RollbackTo returns ErrPruned) and can no longer be
-// served to laggards, who instead sync from the retained checkpoint.
+// rollback marks, commit certificates and checkpoint records below the
+// boundary. The caller (consensus) must only prune below its committed
+// watermark and at or below the latest checkpoint boundary plus one —
+// pruned batches can never be rolled back to (RollbackTo returns
+// ErrPruned) and can no longer be served to laggards, who instead sync
+// from the retained checkpoint.
 // Pruning to an unexecuted boundary is a caller bug and panics.
 func (l *Ledger) Prune(before uint64) {
 	if before <= l.baseSeq+1 {
@@ -84,7 +86,8 @@ func (l *Ledger) Prune(before uint64) {
 	// array is actually released — re-slicing would pin every pruned batch.
 	l.batches = append([]*Batch(nil), l.batches[before-1-l.baseSeq:]...)
 	l.baseSeq = before - 1
-	l.PruneMarks(before)
+	l.pruneMarks(before)
+	maps.DeleteFunc(l.certs, func(s uint64, _ *CommitCert) bool { return s < before })
 	keep := l.ckpts[:0]
 	for _, ck := range l.ckpts {
 		if ck.Seq >= l.baseSeq {

@@ -6,9 +6,9 @@
 // its nonce commitment around the content (seq, ¯M, ¯G, d_C) — and hands
 // each client a Receipt — its entry's audit path to ¯G — verifiable offline
 // against that header, cut from the batch as committed (Receipts).
-// RollbackTo undoes batches per Lemma 1; checkpoints,
-// pruning and NewFromCheckpoint bound memory and let a laggard resume from
-// a verified d_C.
+// RollbackTo undoes batches per Lemma 1 until Commit binds a certificate
+// for them; checkpoints, pruning and NewFromCheckpoint bound memory and let
+// a laggard resume from a verified d_C.
 //
 // # One statement, two digests
 //
@@ -118,6 +118,9 @@
 // opened nonces; Structure hands a replica the signature checks it owes),
 // Blame (two headers with different content for one (view, seq) under one
 // key) and the Receipt. StatementKey names the key a header verifies under.
+// A ledger keeps the CommitCert of each retained committed seq (Cert):
+// Commit binds one to what the ledger holds at its seq and retires the
+// rollback marks below it. It binds and does not verify; its callers do.
 //
 // # Memory ownership on the commit path
 //
@@ -151,10 +154,10 @@
 // Prune(before) establishes a pruned boundary baseSeq = before-1: batches
 // at or below it are dropped, the history tree is compacted to the newest
 // checkpoint at or below it (that checkpoint's frontier is all that
-// survives of the leaves before it), and their rollback marks are
-// discarded. Everything above the boundary behaves exactly as before —
-// BatchAt, RollbackTo, ApplyBatch. At or below it, BatchAt
-// returns nil and RollbackTo fails with ErrPruned (wrapped, so
+// survives of the leaves before it), and their rollback marks and commit
+// certificates are discarded. Everything above the boundary behaves
+// exactly as before — BatchAt, RollbackTo, ApplyBatch. At or below it,
+// BatchAt returns nil and RollbackTo fails with ErrPruned (wrapped, so
 // errors.Is(err, ErrPruned) routes a consensus view change into state
 // transfer instead of a crash). Callers must maintain: the boundary never
 // exceeds the latest checkpoint boundary (CheckpointAt(committed) stays
@@ -172,6 +175,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
@@ -191,6 +195,8 @@ var (
 	// checkpoint boundary: the batch and its rollback mark no longer exist.
 	// Consensus treats it as the signal to re-sync via state transfer.
 	ErrPruned = errors.New("ledger: sequence below the pruned checkpoint boundary")
+	// ErrCommit reports a certificate naming what the ledger does not hold.
+	ErrCommit = errors.New("ledger: certificate does not match the ledger")
 )
 
 // MaxRequestLen bounds request bodies accepted for execution. It sits far
@@ -461,6 +467,9 @@ type Ledger struct {
 	// (speculative ones included; rollback discards them). Prune keeps only
 	// those at or above the boundary.
 	ckpts []*Checkpoint
+	// certs are the certificates Commit bound, by seq; Prune and
+	// RollbackTo drop them with their batches.
+	certs map[uint64]*CommitCert
 }
 
 // ledgerMark pairs a kv mark with the history-tree size and checkpoint
@@ -494,6 +503,7 @@ func New(cfg Config) (*Ledger, error) {
 		},
 		cfg:     cfg,
 		nextSeq: 1,
+		certs:   make(map[uint64]*CommitCert),
 	}, nil
 }
 
@@ -682,13 +692,42 @@ func (l *Ledger) RollbackTo(seq uint64) error {
 	for len(l.ckpts) > 0 && l.ckpts[len(l.ckpts)-1].Seq >= seq {
 		l.ckpts = l.ckpts[:len(l.ckpts)-1]
 	}
+	maps.DeleteFunc(l.certs, func(s uint64, _ *CommitCert) bool { return s >= seq })
 	l.nextSeq = seq
 	return nil
 }
 
-// PruneMarks drops rollback marks with seq < before; batches that have
+// Commit binds cert to what the ledger holds at cert.Seq() — the retained
+// batch's content (under any view's statement) or, with no batch there, the
+// history the ledger stands on (one restored from a checkpoint) — then keeps
+// it for Cert and drops the rollback marks below it. A refused certificate
+// changes nothing. Commit does not verify: its callers hold only
+// certificates they checked.
+func (l *Ledger) Commit(cert *CommitCert) error {
+	seq, h := cert.Seq(), &cert.Header
+	switch b := l.BatchAt(seq); {
+	case b != nil:
+		if b.Header.ContentDigest() != h.ContentDigest() {
+			return fmt.Errorf("%w: seq %d holds other content than its certificate", ErrCommit, seq)
+		}
+	case seq+1 != l.nextSeq:
+		return fmt.Errorf("%w: seq %d is neither retained nor where the ledger stands", ErrCommit, seq)
+	case h.HistSize != l.hist.Size() || h.MRoot != l.hist.Root():
+		return fmt.Errorf("%w: the history at seq %d is not its certificate's", ErrCommit, seq)
+	}
+	l.certs[seq] = cert
+	l.pruneMarks(seq)
+	return nil
+}
+
+// Cert returns the certificate Commit bound at seq, or nil: not committed
+// here, pruned or rolled back, or inside a synced suffix, which arrives
+// with one certificate, for its last seq.
+func (l *Ledger) Cert(seq uint64) *CommitCert { return l.certs[seq] }
+
+// pruneMarks drops rollback marks with seq < before; batches that have
 // committed globally no longer need to be undoable.
-func (l *Ledger) PruneMarks(before uint64) {
+func (l *Ledger) pruneMarks(before uint64) {
 	l.store.PruneMarks(before)
 	keep := l.marks[:0]
 	for _, m := range l.marks {

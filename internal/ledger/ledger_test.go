@@ -313,7 +313,9 @@ func TestRollbackRestoresAllLayers(t *testing.T) {
 	if err := l.RollbackTo(99); err == nil {
 		t.Fatal("rollback to unknown seq succeeded")
 	}
-	l.PruneMarks(3)
+	if err := l.Commit(&CommitCert{Header: l.BatchAt(3).Header}); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.RollbackTo(1); err == nil {
 		t.Fatal("rollback to pruned mark succeeded")
 	}

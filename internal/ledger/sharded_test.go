@@ -120,8 +120,8 @@ func TestShardedBatchStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// Satellite: rollback across checkpoint boundaries interacting with
-// PruneMarks, at the ledger layer.
+// Satellite: rollback across checkpoint boundaries interacting with the
+// marks a commit retires, at the ledger layer.
 func TestShardedRollbackAcrossCheckpointsWithPrune(t *testing.T) {
 	l := newShardedLedger(t, 2)
 	stateAt := map[uint64]hashsig.Digest{}
@@ -134,7 +134,9 @@ func TestShardedRollbackAcrossCheckpointsWithPrune(t *testing.T) {
 		b := l.Batches()[len(l.Batches())-1]
 		ckptAt[seq] = b.Header.CkptDigest
 	}
-	l.PruneMarks(3)
+	if err := l.Commit(&CommitCert{Header: l.BatchAt(3).Header}); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.RollbackTo(2); err == nil {
 		t.Fatal("pruned mark usable")
 	}

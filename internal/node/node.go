@@ -75,8 +75,6 @@ type Config struct {
 	// flight the primary waits for that many pooled. The pool may end a
 	// batch sooner when its bodies are large. 0 means 128.
 	BatchMax int
-	// RetransmitEvery is the tick cadence of Retransmit. 0 means 8.
-	RetransmitEvery int
 	// StallTicks is how many ticks without commit progress (with work in
 	// flight) the node tolerates before voting for a view change.
 	// 0 means 32.
@@ -85,6 +83,9 @@ type Config struct {
 	// its commit before rpc.StatusTimeout. 0 means 128.
 	SubmitPatienceTicks int
 }
+
+// retransmitEvery is the tick cadence of Retransmit.
+const retransmitEvery = 8
 
 // Stats counts what the run loop decided and what it dropped, since the
 // node was built, and reports where its replica stood at the end of the
@@ -210,9 +211,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 128
-	}
-	if cfg.RetransmitEvery <= 0 {
-		cfg.RetransmitEvery = 8
 	}
 	if cfg.StallTicks <= 0 {
 		cfg.StallTicks = 32
@@ -424,7 +422,7 @@ func (n *Node) onTick() {
 		n.lastProgressTick = n.ticks
 	}
 	n.route(n.rep.SyncTick())
-	if n.ticks%uint64(n.cfg.RetransmitEvery) == 0 {
+	if n.ticks%retransmitEvery == 0 {
 		n.route(n.rep.Retransmit())
 	}
 	if n.rep.InFlight() > 0 && n.ticks-n.lastProgressTick >= uint64(n.cfg.StallTicks) {
@@ -518,18 +516,12 @@ func (n *Node) afterProgress() {
 	for seq := n.lastCommitted + 1; seq <= c; seq++ {
 		n.deliverSeq(seq)
 	}
-	// The committed entry count comes from the watermark batch's signed
-	// header: HistSize is cumulative, so the counter stays exact even when
-	// a checkpoint install (sync) or an aggressive prune removed the
-	// individual batches a commit jump covered. When the watermark is a
-	// checkpoint whose batch is gone (pruned, or never held: a
-	// checkpoint-only sync), the checkpoint's frontier has the count.
-	led := n.rep.Ledger()
-	if b := led.BatchAt(c); b != nil {
-		n.committedEntries.Store(b.Header.HistSize)
-	} else if ck := led.CheckpointAt(c); ck != nil && ck.Seq == c {
-		n.committedEntries.Store(ck.Frontier.Size)
-	}
+	// The committed entry count comes from the watermark's commit
+	// certificate, which the ledger keeps however the watermark was reached
+	// (a checkpoint-only sync holds no batch there): its header's HistSize
+	// is cumulative, so the counter stays exact even when a sync or a prune
+	// removed the batches a commit jump covered.
+	n.committedEntries.Store(n.rep.Ledger().Cert(c).Header.HistSize)
 	n.lastCommitted = c
 	n.lastProgressTick = n.ticks
 	n.committedSeqs.Store(c)

@@ -395,7 +395,7 @@ func TestPacing(t *testing.T) {
 	})
 
 	t.Run("a request pooled under an obligation goes when a frame clears it", func(t *testing.T) {
-		const stallTicks = 4 // < RetransmitEvery: the stall ticks below retransmit nothing
+		const stallTicks = 4 // < retransmitEvery: the stall ticks below retransmit nothing
 		c := startManualCluster(t, "pace-floor", func(cfg *Config) { cfg.StallTicks = stallTicks })
 		isVote := func(m consensus.Message) bool {
 			switch m.(type) {
@@ -718,7 +718,7 @@ func TestStatsReportLaggardSync(t *testing.T) {
 // or pooled behind that proposal — so the client's retry must wait for the
 // commit and get the receipt, not be told the request is a duplicate.
 func TestRetryAfterTimeoutGetsItsReceipt(t *testing.T) {
-	// Below StallTicks, RetransmitEvery and consensus' sync patience: the
+	// Below StallTicks, retransmitEvery and consensus' sync patience: the
 	// ticks here expire submissions and do nothing else.
 	const patience = 4
 	c := startManualCluster(t, "retry-timeout", func(cfg *Config) { cfg.SubmitPatienceTicks = patience })

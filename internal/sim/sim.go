@@ -54,10 +54,11 @@
 // messages unicast. A run ends when every client has its verdicts and the
 // honest nodes share a watermark with nothing in flight; then their
 // history roots and state digests must match, each node's
-// CommittedEntries must equal its ledger's entry count, and every
-// request — with a receipt or answered duplicate — must be committed at
-// or below that watermark. A failure prints each replica's Stats and
-// DebugState.
+// CommittedEntries must equal its ledger's entry count, every request —
+// with a receipt or answered duplicate — must be committed at or below
+// that watermark, and the commit evidence must hold (checkEvidence). A
+// failure prints each replica's Stats and DebugState, and a failed
+// evidence check.
 //
 // Simplifications: the driver's stall timer is synchronized, all nodes
 // tick together, and a replica behind a new-view certificate's high-water
@@ -668,8 +669,8 @@ func (s *Sim) done() bool {
 	return true
 }
 
-// fail reports an invariant failure with the seed, the step and each
-// replica's Stats and DebugState.
+// fail reports an invariant failure with the seed, the step, each
+// replica's Stats and DebugState, and a failed evidence check.
 func (s *Sim) fail(format string, args ...any) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim seed %d: step %d: %s", s.cfg.Seed, s.step, fmt.Sprintf(format, args...))
@@ -679,7 +680,48 @@ func (s *Sim) fail(format string, args ...any) error {
 			fmt.Fprintf(&b, "\n    %+v", m.node.Stats())
 		}
 	}
+	if err := s.checkEvidence(); err != nil {
+		fmt.Fprintf(&b, "\n  %v", err)
+	}
 	return errors.New(b.String())
+}
+
+// checkEvidence holds each honest node to the certificates its ledger keeps:
+// one for its watermark, every one verifying, and one content per seq across
+// nodes (statements may differ by view). It verifies signatures, so it runs
+// at the end of a run and in a failure's dump, not per step, and checks a
+// signature that several nodes' certificates carry once, as a replica does
+// (CommitCert.Structure, then each owed check through a VerifiedSet).
+func (s *Sim) checkEvidence() error {
+	content := make(map[uint64]hashsig.Digest)
+	checked := hashsig.NewVerifiedSet[hashsig.Digest](1 << 12)
+	verify := func(cert *ledger.CommitCert) bool {
+		tasks, ok := cert.Structure(s.pubs)
+		for _, t := range tasks {
+			ok = ok && checked.Verify(t.MemoKey(), func() bool { return t.Key.Verify(t.Digest, t.Sig) })
+		}
+		return ok
+	}
+	for _, m := range s.honest {
+		led, c := m.rep.Ledger(), m.rep.Committed()
+		for seq := led.FirstRetainedSeq() - 1; seq <= c; seq++ {
+			cert := led.Cert(seq)
+			switch {
+			case cert == nil && seq == c && c > 0:
+				return fmt.Errorf("evidence: replica %d holds no certificate for its watermark %d", m.id, c)
+			case cert == nil:
+				continue
+			case !verify(cert):
+				return fmt.Errorf("evidence: replica %d's certificate for seq %d does not verify", m.id, seq)
+			}
+			d := cert.Header.ContentDigest()
+			if prev, ok := content[seq]; ok && prev != d {
+				return fmt.Errorf("evidence: replica %d's certificate for seq %d names other content than another replica's", m.id, seq)
+			}
+			content[seq] = d
+		}
+	}
+	return nil
 }
 
 // Run executes the schedule until the workload commits everywhere or the
@@ -748,6 +790,9 @@ func (s *Sim) result() (*Result, error) {
 				return nil, s.fail("client: request %x/%d has its verdict but is not in the committed ledger", rq.Author[:4], rq.ReqNo)
 			}
 		}
+	}
+	if s.checkEvidence() != nil {
+		return nil, s.fail("the commit evidence does not hold")
 	}
 	return res, nil
 }

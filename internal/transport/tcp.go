@@ -23,14 +23,16 @@ type TCPConfig struct {
 	Addrs map[NodeID]string
 	// Handler receives inbound frames. Required.
 	Handler Handler
-	// QueueLen bounds each peer's outbound queue. 0 means 1024.
-	QueueLen int
-	// DialBackoff is the initial reconnect delay, doubling to 32x.
-	// 0 means 50ms.
-	DialBackoff time.Duration
-	// WriteTimeout bounds one frame write. 0 means 10s.
-	WriteTimeout time.Duration
 }
+
+const (
+	// queueLen bounds each peer's outbound queue.
+	queueLen = 1024
+	// dialBackoff is the initial reconnect delay, doubling to 32x.
+	dialBackoff = 50 * time.Millisecond
+	// writeTimeout bounds one frame write.
+	writeTimeout = 10 * time.Second
+)
 
 // TCP is the production transport: one dialed connection per peer for
 // sending (reconnecting with exponential backoff), one accepted connection
@@ -66,15 +68,6 @@ func ListenTCP(cfg TCPConfig) (*TCP, error) {
 	if _, ok := cfg.Addrs[cfg.Self]; !ok {
 		return nil, fmt.Errorf("transport: self %d missing from address map", cfg.Self)
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 50 * time.Millisecond
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
 	ln, err := net.Listen("tcp", cfg.Addrs[cfg.Self])
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Addrs[cfg.Self], err)
@@ -89,7 +82,7 @@ func ListenTCP(cfg TCPConfig) (*TCP, error) {
 		if id == cfg.Self {
 			continue
 		}
-		p := &tcpPeer{id: id, addr: addr, queue: make(chan []byte, cfg.QueueLen), done: make(chan struct{})}
+		p := &tcpPeer{id: id, addr: addr, queue: make(chan []byte, queueLen), done: make(chan struct{})}
 		t.peers[id] = p
 		t.wg.Add(1)
 		go t.sendLoop(p)
@@ -253,7 +246,7 @@ func readHandshake(br *bufio.Reader) (NodeID, error) {
 // frame and redials — consensus retransmission covers the loss.
 func (t *TCP) sendLoop(p *tcpPeer) {
 	defer t.wg.Done()
-	backoff := t.cfg.DialBackoff
+	backoff := dialBackoff
 	var conn net.Conn
 	var bw *bufio.Writer
 	defer func() {
@@ -277,7 +270,7 @@ func (t *TCP) sendLoop(p *tcpPeer) {
 						return
 					case <-time.After(backoff):
 					}
-					if backoff < t.cfg.DialBackoff*32 {
+					if backoff < dialBackoff*32 {
 						backoff *= 2
 					}
 					continue
@@ -291,9 +284,9 @@ func (t *TCP) sendLoop(p *tcpPeer) {
 					continue
 				}
 				conn, bw = c, w
-				backoff = t.cfg.DialBackoff
+				backoff = dialBackoff
 			}
-			conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if err := wire.WriteFrame(bw, frame); err == nil {
 				// Flush opportunistically: batch while the queue has more.
 				if len(p.queue) == 0 {

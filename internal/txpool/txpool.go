@@ -185,15 +185,21 @@ func (p *Pool) NextBatch(max int) []Pooled {
 	}
 	var out []Pooled
 	size := 0
+	// The cursor r walks the rotation and w trails it: a sender r passes
+	// with requests left is copied down to w, a drained one is not, and the
+	// unwalked tail closes up once, below.
+	w, r := p.next, p.next
 	for len(out) < max && p.n > 0 {
-		if p.next >= len(p.order) {
-			p.next = 0
+		if r >= len(p.order) {
+			p.order = p.order[:w]
+			w, r = 0, 0
 		}
-		s := p.senders[p.order[p.next]]
+		author := p.order[r]
+		s := p.senders[author]
 		if s == nil || len(s.reqs) == 0 {
-			// Compact a drained sender out of the rotation.
-			delete(p.senders, p.order[p.next])
-			p.order = append(p.order[:p.next], p.order[p.next+1:]...)
+			// A drained sender leaves the rotation.
+			delete(p.senders, author)
+			r++
 			continue
 		}
 		pr := s.reqs[0]
@@ -206,8 +212,13 @@ func (p *Pool) NextBatch(max int) []Pooled {
 		p.markSeen(pr.Hash, false)
 		p.n--
 		out = append(out, pr)
-		p.next++
+		p.order[w] = author
+		w, r = w+1, r+1
 	}
+	if w < r {
+		p.order = append(p.order[:w], p.order[r:]...)
+	}
+	p.next = w
 	return out
 }
 
