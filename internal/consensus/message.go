@@ -159,9 +159,8 @@ func decodeCommit(r *wire.Reader) *Commit {
 }
 
 // PreparedProof is one prepared-but-uncommitted instance carried inside a
-// view-change: the batch's pre-prepare plus the prepares backing it —
-// together with the header's own primary signature they must cover a
-// quorum (ledger.Quorum) of replicas.
+// view-change: the batch's pre-prepare plus the prepares backing it,
+// checked by ledger.Prepared, the rule a CommitCert's prepares meet too.
 type PreparedProof struct {
 	PP       PrePrepare
 	Prepares []ledger.Prepare

@@ -877,34 +877,17 @@ func (r *Replica) viewChangeStructure(vc *ViewChange, tasks *[]hashsig.VerifyTas
 		if h.View >= vc.NewView {
 			return fmt.Errorf("%w: prepared batch from view %d >= target %d", ErrInvalid, h.View, vc.NewView)
 		}
-		if err := r.statementStructure(h); err != nil {
-			return err
+		ts, ok := ledger.Prepared(h, claim.Prepares, r.cfg.Peers)
+		if !ok {
+			return fmt.Errorf("%w: bad prepared claim at seq %d", ErrInvalid, seq)
 		}
-		*tasks = append(*tasks, r.statementTask(h))
+		*tasks = append(*tasks, ts...)
 		// The entries ride outside every signature (the view-change binds
 		// only the statement digest), so check they reproduce the signed ¯G:
 		// a relayed certificate with tampered entries must not reach the
 		// new primary, which would fail to re-execute it and stall the view.
 		if err := ledger.CheckBatchShape(claim.PP.Batch()); err != nil {
 			return fmt.Errorf("%w: prepared batch entries do not match header: %v", ErrInvalid, err)
-		}
-		primary := ReplicaID(h.Primary)
-		endorsers := map[ReplicaID]bool{primary: true}
-		d := h.StatementDigest()
-		for j := range claim.Prepares {
-			p := &claim.Prepares[j]
-			if int(p.Replica) >= r.n || p.Replica == primary {
-				continue
-			}
-			if p.Header.StatementDigest() != d {
-				return fmt.Errorf("%w: bad prepare proof", ErrInvalid)
-			}
-			*tasks = append(*tasks, hashsig.VerifyTask{
-				Key: r.cfg.Peers[p.Replica], Digest: p.SigningDigest(), Sig: p.Sig})
-			endorsers[p.Replica] = true
-		}
-		if len(endorsers) < r.quorum {
-			return fmt.Errorf("%w: prepared claim backed by %d < %d replicas", ErrInvalid, len(endorsers), r.quorum)
 		}
 	}
 	return nil

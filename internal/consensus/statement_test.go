@@ -489,3 +489,69 @@ func TestCommitCertHasOneByteForm(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedClaimHasOneForm: a view-change's prepared claim meets the
+// rule a certificate's prepares meet (ledger.Prepared). A prepare from the
+// claim's own primary or from outside the replica set does not count
+// toward the quorum and is refused, not skipped, and so is any order but
+// strictly ascending; the canonical claim that keepPrepared builds passes.
+func TestPreparedClaimHasOneForm(t *testing.T) {
+	c := newCluster(t, 4)
+	pp, _, err := c.replicas[0].Propose(reqs(hashsig.Sum([]byte("client")), 10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seq 1 prepares at replicas 1-3; the commits are withheld.
+	var prepares []Message
+	for _, id := range []int{1, 2, 3} {
+		out, err := c.replicas[id].Handle(pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepares = append(prepares, outMsgs(out)...)
+	}
+	for _, m := range prepares {
+		for _, id := range []int{1, 2, 3} {
+			c.replicas[id].Handle(m)
+		}
+	}
+	var vc *ViewChange
+	for _, m := range outMsgs(c.replicas[1].OnTimeout()) {
+		if v, ok := m.(*ViewChange); ok {
+			vc = v
+		}
+	}
+	if vc == nil || len(vc.Prepared) != 1 || len(vc.Prepared[0].Prepares) < 2 {
+		t.Fatalf("replica 1's view-change holds no prepared claim with two prepares: %+v", vc)
+	}
+	extra := func(id ReplicaID, key *hashsig.PrivateKey) ledger.Prepare {
+		q := ledger.Prepare{Replica: id, Header: pp.Header, NonceCommit: hashsig.Sum([]byte("extra"))}
+		q.Sig = key.MustSign(q.SigningDigest())
+		return q
+	}
+	for _, row := range []struct {
+		name   string
+		mutate func([]ledger.Prepare) []ledger.Prepare
+		ok     bool
+	}{
+		{"canonical", func(ps []ledger.Prepare) []ledger.Prepare { return ps }, true},
+		{"descending prepares", func(ps []ledger.Prepare) []ledger.Prepare { slices.Reverse(ps); return ps }, false},
+		{"prepare by the primary", func(ps []ledger.Prepare) []ledger.Prepare {
+			return append([]ledger.Prepare{extra(0, c.keys[0])}, ps...)
+		}, false},
+		{"prepare from replica n", func(ps []ledger.Prepare) []ledger.Prepare {
+			return append(ps, extra(4, hashsig.GenerateKeyFromSeed("outsider")))
+		}, false},
+	} {
+		x := *vc
+		x.Prepared = []PreparedProof{{PP: vc.Prepared[0].PP, Prepares: row.mutate(slices.Clone(vc.Prepared[0].Prepares))}}
+		x.Sig = c.keys[1].MustSign(x.SigningDigest())
+		err := c.replicas[2].validateViewChange(&x)
+		if row.ok && err != nil {
+			t.Errorf("%s: refused: %v", row.name, err)
+		}
+		if !row.ok && !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: got %v, want ErrInvalid", row.name, err)
+		}
+	}
+}

@@ -332,7 +332,7 @@ func TestSignatureClone(t *testing.T) {
 }
 
 // TestCountsCountThePrimitive: Counts moves once per Ed25519 operation run —
-// through Sign, Verify and the pool alike — and not for work that never
+// through MustSign, Verify and the pool alike — and not for work that never
 // reaches the primitive: a nil key, a VerifiedSet hit.
 func TestCountsCountThePrimitive(t *testing.T) {
 	key := GenerateKeyFromSeed("counts")

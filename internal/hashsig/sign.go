@@ -3,8 +3,6 @@ package hashsig
 import (
 	"bytes"
 	"crypto/ed25519"
-	"fmt"
-	"io"
 	"sync/atomic"
 )
 
@@ -70,33 +68,16 @@ func newPublicKey(k ed25519.PublicKey) *PublicKey {
 	return &PublicKey{key: k, id: Sum(k)}
 }
 
-// GenerateKey creates a fresh key pair using entropy from r
-// (crypto/rand.Reader if r is nil).
-func GenerateKey(r io.Reader) (*PrivateKey, error) {
-	_, k, err := ed25519.GenerateKey(r)
-	if err != nil {
-		return nil, fmt.Errorf("hashsig: generate key: %w", err)
-	}
-	return newPrivateKey(k), nil
-}
-
 // Public returns the public half of the key.
 func (p *PrivateKey) Public() *PublicKey {
 	return newPublicKey(p.key.Public().(ed25519.PublicKey))
 }
 
-// Sign signs the digest d. It reads no entropy and allocates only the
-// signature. The error is always nil — Ed25519 signing cannot fail — and
-// is kept so callers written against a fallible signer do not change.
-func (p *PrivateKey) Sign(d Digest) (Signature, error) {
-	signCount.Add(1)
-	return ed25519.Sign(p.key, d[:]), nil
-}
-
-// MustSign is Sign without the error that is never set.
+// MustSign signs the digest d. It reads no entropy and allocates only the
+// signature; Ed25519 signing cannot fail, so there is no error.
 func (p *PrivateKey) MustSign(d Digest) Signature {
-	sig, _ := p.Sign(d)
-	return sig
+	signCount.Add(1)
+	return ed25519.Sign(p.key, d[:])
 }
 
 // Verify reports whether sig is a valid signature by k over digest d. It
@@ -130,9 +111,9 @@ func (k *PublicKey) Equal(o *PublicKey) bool {
 }
 
 // GenerateKeyFromSeed deterministically derives a key pair from a seed
-// string by hashing the seed into the RFC 8032 private seed. Intended for
-// tests, examples, and reproducible benchmarks; real deployments must use
-// GenerateKey.
+// string by hashing the seed into the RFC 8032 private seed. Every key in
+// this repository comes from here (cmd/node's -seed), which suits tests,
+// demos and reproducible benchmarks; a deployment needs secret seeds.
 func GenerateKeyFromSeed(seed string) *PrivateKey {
 	h := Sum([]byte("iaccf-key-seed:" + seed))
 	return newPrivateKey(ed25519.NewKeyFromSeed(h[:]))

@@ -136,8 +136,7 @@ func (c *CommitCert) Verify(peers []*hashsig.PublicKey) bool {
 }
 
 // Structure checks everything about the certificate except signature
-// validity — identities, every prepare naming this exact statement (the
-// same content under another view's statement does not count), and the
+// validity — Prepared's rule for the header and its prepares, and the
 // opened-nonce Quorum of len(peers) — and returns the signature checks
 // still owed as verification tasks.
 // Replicas batch those through a memoizing pooled verifier; the plain
@@ -145,26 +144,13 @@ func (c *CommitCert) Verify(peers []*hashsig.PublicKey) bool {
 // prepares and its openings are each strictly ascending by replica, so a
 // replica appears at most once in each, and anything else is refused.
 func (c *CommitCert) Structure(peers []*hashsig.PublicKey) ([]hashsig.VerifyTask, bool) {
-	n := ReplicaID(len(peers))
-	primary := ReplicaID(c.Header.Primary)
-	key := StatementKey(peers)(&c.Header)
-	if key == nil {
+	tasks, ok := Prepared(&c.Header, c.Prepares, peers)
+	if !ok {
 		return nil, false
 	}
-	statement := c.Header.StatementDigest()
-	tasks := make([]hashsig.VerifyTask, 0, 1+len(c.Prepares))
-	tasks = append(tasks, hashsig.VerifyTask{Key: key, Digest: statement, Sig: c.Header.Sig})
-	commits := map[ReplicaID]hashsig.Digest{primary: c.Header.NonceCommit}
+	commits := map[ReplicaID]hashsig.Digest{ReplicaID(c.Header.Primary): c.Header.NonceCommit}
 	for i := range c.Prepares {
-		p := &c.Prepares[i]
-		if p.Replica >= n || p.Replica == primary || i > 0 && p.Replica <= c.Prepares[i-1].Replica {
-			return nil, false
-		}
-		if p.Header.StatementDigest() != statement {
-			return nil, false
-		}
-		tasks = append(tasks, hashsig.VerifyTask{Key: peers[p.Replica], Digest: p.SigningDigest(), Sig: p.Sig})
-		commits[p.Replica] = p.NonceCommit
+		commits[c.Prepares[i].Replica] = c.Prepares[i].NonceCommit
 	}
 	opened := 0
 	for i, o := range c.Opens {
@@ -176,6 +162,38 @@ func (c *CommitCert) Structure(peers []*hashsig.PublicKey) ([]hashsig.VerifyTask
 		}
 	}
 	return tasks, opened >= Quorum(len(peers))
+}
+
+// Prepared is the one rule for a quorum of prepares behind a statement,
+// wherever it is checked: in a CommitCert and in a view-change's prepared
+// claim. It checks everything except signature validity: h's primary
+// leads h's view, every prepare is from an in-range backup other than
+// that primary, in strictly ascending replica order, and names h's exact
+// statement (the same content under another view's statement does not
+// count), and the primary with the backups make Quorum(len(peers))
+// replicas. It returns the signature checks still owed: h's, then each
+// prepare's.
+func Prepared(h *BatchHeader, prepares []Prepare, peers []*hashsig.PublicKey) ([]hashsig.VerifyTask, bool) {
+	key := StatementKey(peers)(h)
+	if key == nil || 1+len(prepares) < Quorum(len(peers)) {
+		return nil, false
+	}
+	n := ReplicaID(len(peers))
+	primary := ReplicaID(h.Primary)
+	statement := h.StatementDigest()
+	tasks := make([]hashsig.VerifyTask, 0, 1+len(prepares))
+	tasks = append(tasks, hashsig.VerifyTask{Key: key, Digest: statement, Sig: h.Sig})
+	for i := range prepares {
+		p := &prepares[i]
+		if p.Replica >= n || p.Replica == primary || i > 0 && p.Replica <= prepares[i-1].Replica {
+			return nil, false
+		}
+		if p.Header.StatementDigest() != statement {
+			return nil, false
+		}
+		tasks = append(tasks, hashsig.VerifyTask{Key: peers[p.Replica], Digest: p.SigningDigest(), Sig: p.Sig})
+	}
+	return tasks, true
 }
 
 // EncodeTo writes the certificate: the header, the counted prepares, the

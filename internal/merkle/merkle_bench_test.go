@@ -40,18 +40,3 @@ func BenchmarkAppendAndProve(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkConsistencyProof measures checkpoint-to-head consistency proofs.
-func BenchmarkConsistencyProof(b *testing.B) {
-	const n = 100000
-	tr := New()
-	for _, e := range entries(n, "bench") {
-		tr.Append(e)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.ConsistencyProof(uint64(1+i%(n-1)), n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

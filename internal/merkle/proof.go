@@ -8,35 +8,21 @@ import (
 
 // AppendAndProve appends the given entry digests and returns the index of
 // the first appended leaf, the root over the grown tree, and one audit path
-// per appended entry, each valid against that root. This is the batch
-// construction primitive: the ledger builds the per-batch tree G by
-// appending all of a batch's entries at once and handing the paths out in
-// client receipts (paper §3.1). Interior hashes are computed once and
-// shared across paths, instead of once per leaf as repeated Path calls
-// would. See PathsAt for the ownership of the returned paths.
+// per appended entry, each valid against that root. Interior hashes are
+// computed once and shared across paths, instead of once per leaf as
+// repeated Path calls would. See PathsAt for the ownership of the returned
+// paths. The ledger builds its batch tree G leaf by leaf and does not call
+// this; the benchmark's merkle layer row does.
 func (t *Tree) AppendAndProve(entries []hashsig.Digest) (uint64, hashsig.Digest, [][]hashsig.Digest, error) {
-	leaves := make([]hashsig.Digest, len(entries))
-	for i, e := range entries {
-		leaves[i] = LeafHash(e)
-	}
-	return t.AppendAndProveLeafHashes(leaves)
-}
-
-// AppendAndProveLeafHashes is AppendAndProve for pre-hashed (domain
-// separated) leaves. The ledger uses it to reuse leaf hashes that its entry
-// hasher already computed for the history tree, instead of hashing every
-// entry a second time per batch tree. The tree copies each leaf hash; the
-// caller keeps ownership of the slice.
-func (t *Tree) AppendAndProveLeafHashes(leaves []hashsig.Digest) (uint64, hashsig.Digest, [][]hashsig.Digest, error) {
 	first := t.Size()
-	for _, l := range leaves {
-		t.AppendLeafHash(l)
+	for _, e := range entries {
+		t.Append(e)
 	}
 	if t.Size() == 0 {
 		return first, EmptyRoot(), nil, nil
 	}
 	root := t.Root()
-	if len(leaves) == 0 {
+	if len(entries) == 0 {
 		return first, root, nil, nil
 	}
 	paths, err := t.PathsAt(first, t.Size())
@@ -128,103 +114,4 @@ func (t *Tree) buildPaths(from, a, b uint64, paths [][]hashsig.Digest) (hashsig.
 		paths[i-from] = append(paths[i-from], left)
 	}
 	return nodeHash(left, right), nil
-}
-
-// ConsistencyProof returns the RFC 6962 proof that the tree's first m
-// leaves are a prefix of its first n leaves (1 <= m <= n <= Size). A
-// restored tree can prove consistency from its restore point: the proof's
-// old-tree nodes are exactly the frontier peaks recorded in the checkpoint,
-// so an auditor holding a pre-checkpoint signed root ¯M can check it
-// against any later root (paper §3.4).
-func (t *Tree) ConsistencyProof(m, n uint64) ([]hashsig.Digest, error) {
-	if m == 0 || m > n || n > t.Size() {
-		return nil, fmt.Errorf("%w: consistency %d -> %d (size %d)", ErrOutOfRange, m, n, t.Size())
-	}
-	if m == n {
-		return nil, nil
-	}
-	return t.consProof(m, 0, n, true)
-}
-
-// consProof computes SUBPROOF(m, [a,b), complete) per RFC 6962 §2.1.2.
-func (t *Tree) consProof(m, a, b uint64, complete bool) ([]hashsig.Digest, error) {
-	if m == b-a {
-		if complete {
-			// The old tree is this entire subtree; the verifier already
-			// knows its hash (the old root).
-			return nil, nil
-		}
-		h, err := t.hashRange(a, b)
-		if err != nil {
-			return nil, err
-		}
-		return []hashsig.Digest{h}, nil
-	}
-	k := splitPoint(b - a)
-	if m <= k {
-		p, err := t.consProof(m, a, a+k, complete)
-		if err != nil {
-			return nil, err
-		}
-		sib, err := t.hashRange(a+k, b)
-		if err != nil {
-			return nil, err
-		}
-		return append(p, sib), nil
-	}
-	p, err := t.consProof(m-k, a+k, b, false)
-	if err != nil {
-		return nil, err
-	}
-	sib, err := t.hashRange(a, a+k)
-	if err != nil {
-		return nil, err
-	}
-	return append(p, sib), nil
-}
-
-// VerifyConsistency checks an RFC 6962 consistency proof: that the tree
-// with n leaves and root newRoot extends the tree with m leaves and root
-// oldRoot.
-func VerifyConsistency(m, n uint64, oldRoot, newRoot hashsig.Digest, proof []hashsig.Digest) bool {
-	if m == 0 || m > n {
-		return false
-	}
-	if m == n {
-		return len(proof) == 0 && oldRoot == newRoot
-	}
-	idx := 0
-	var rec func(m, n uint64, complete bool) (hashsig.Digest, hashsig.Digest, bool)
-	rec = func(m, n uint64, complete bool) (hashsig.Digest, hashsig.Digest, bool) {
-		if m == n {
-			if complete {
-				return oldRoot, oldRoot, true
-			}
-			if idx >= len(proof) {
-				return hashsig.Digest{}, hashsig.Digest{}, false
-			}
-			h := proof[idx]
-			idx++
-			return h, h, true
-		}
-		k := splitPoint(n)
-		if m <= k {
-			oldH, newH, ok := rec(m, k, complete)
-			if !ok || idx >= len(proof) {
-				return hashsig.Digest{}, hashsig.Digest{}, false
-			}
-			right := proof[idx]
-			idx++
-			return oldH, nodeHash(newH, right), true
-		}
-		oldH, newH, ok := rec(m-k, n-k, false)
-		if !ok || idx >= len(proof) {
-			return hashsig.Digest{}, hashsig.Digest{}, false
-		}
-		left := proof[idx]
-		idx++
-		return nodeHash(left, oldH), nodeHash(left, newH), true
-	}
-	oldH, newH, ok := rec(m, n, true)
-	return ok && idx == len(proof) && oldH == oldRoot && newH == newRoot
 }

@@ -83,37 +83,6 @@ func TestPathsArenaAppendSafe(t *testing.T) {
 	}
 }
 
-// TestAppendAndProveLeafHashes: the pre-hashed-leaves variant must be
-// byte-identical to AppendAndProve over the same entries.
-func TestAppendAndProveLeafHashes(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 700} {
-		entries := entryDigests(n)
-		t1, t2 := New(), New()
-		f1, r1, p1, err1 := t1.AppendAndProve(entries)
-		leaves := make([]hashsig.Digest, n)
-		for i, e := range entries {
-			leaves[i] = LeafHash(e)
-		}
-		f2, r2, p2, err2 := t2.AppendAndProveLeafHashes(leaves)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("n=%d: %v / %v", n, err1, err2)
-		}
-		if f1 != f2 || r1 != r2 || len(p1) != len(p2) {
-			t.Fatalf("n=%d: variants diverge (first %d/%d root %v/%v)", n, f1, f2, r1, r2)
-		}
-		for i := range p1 {
-			if len(p1[i]) != len(p2[i]) {
-				t.Fatalf("n=%d leaf %d: path lengths differ", n, i)
-			}
-			for j := range p1[i] {
-				if p1[i][j] != p2[i][j] {
-					t.Fatalf("n=%d leaf %d: paths differ at %d", n, i, j)
-				}
-			}
-		}
-	}
-}
-
 // TestAppendAndProveRagged: appending a second batch onto a ragged tree
 // still yields paths valid against the grown root (the arena sizing must
 // account for hashRange lookups left of the batch).

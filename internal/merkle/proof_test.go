@@ -2,8 +2,6 @@ package merkle
 
 import (
 	"testing"
-
-	"iaccf/internal/hashsig"
 )
 
 func TestAppendAndProveMatchesPathAt(t *testing.T) {
@@ -108,124 +106,6 @@ func TestPathsAtValidation(t *testing.T) {
 	for i := 4; i < 8; i++ {
 		if !VerifyPath(es[i], uint64(i), 8, paths[i-4], tr.Root()) {
 			t.Fatalf("leaf %d after compact does not verify", i)
-		}
-	}
-}
-
-func TestConsistencyProofAllSizes(t *testing.T) {
-	const maxN = 20
-	es := entries(maxN, "cons")
-	for n := 1; n <= maxN; n++ {
-		tr := New()
-		for _, e := range es[:n] {
-			tr.Append(e)
-		}
-		newRoot := tr.Root()
-		for m := 1; m <= n; m++ {
-			oldRoot := refRoot(es[:m])
-			proof, err := tr.ConsistencyProof(uint64(m), uint64(n))
-			if err != nil {
-				t.Fatalf("m=%d n=%d: %v", m, n, err)
-			}
-			if !VerifyConsistency(uint64(m), uint64(n), oldRoot, newRoot, proof) {
-				t.Fatalf("m=%d n=%d: proof does not verify", m, n)
-			}
-			// Tampering with the old root, new root, or any proof node fails.
-			bad := hashsig.Sum([]byte("bad"))
-			if VerifyConsistency(uint64(m), uint64(n), bad, newRoot, proof) && oldRoot != bad {
-				t.Fatalf("m=%d n=%d: wrong old root accepted", m, n)
-			}
-			if VerifyConsistency(uint64(m), uint64(n), oldRoot, bad, proof) && newRoot != bad {
-				t.Fatalf("m=%d n=%d: wrong new root accepted", m, n)
-			}
-			if len(proof) > 0 {
-				mut := append([]hashsig.Digest(nil), proof...)
-				mut[0] = hashsig.Sum(mut[0][:])
-				if VerifyConsistency(uint64(m), uint64(n), oldRoot, newRoot, mut) {
-					t.Fatalf("m=%d n=%d: corrupted proof accepted", m, n)
-				}
-				if VerifyConsistency(uint64(m), uint64(n), oldRoot, newRoot, proof[:len(proof)-1]) {
-					t.Fatalf("m=%d n=%d: truncated proof accepted", m, n)
-				}
-			}
-		}
-	}
-}
-
-func TestConsistencyProofValidation(t *testing.T) {
-	tr := New()
-	for _, e := range entries(8, "cv") {
-		tr.Append(e)
-	}
-	if _, err := tr.ConsistencyProof(0, 8); err == nil {
-		t.Fatal("m=0 accepted")
-	}
-	if _, err := tr.ConsistencyProof(5, 3); err == nil {
-		t.Fatal("m>n accepted")
-	}
-	if _, err := tr.ConsistencyProof(3, 9); err == nil {
-		t.Fatal("n>size accepted")
-	}
-	p, err := tr.ConsistencyProof(8, 8)
-	if err != nil || p != nil {
-		t.Fatal("m==n should yield an empty proof")
-	}
-	if !VerifyConsistency(8, 8, tr.Root(), tr.Root(), nil) {
-		t.Fatal("m==n identity proof rejected")
-	}
-}
-
-// TestFrontierRestoreConsistency is the checkpoint-audit scenario: a
-// replica records a frontier at size m, restores from it, keeps appending,
-// and proves to an auditor holding the pre-restore signed root that the new
-// history extends the old one.
-func TestFrontierRestoreConsistency(t *testing.T) {
-	for _, m := range []int{1, 3, 4, 6, 8, 11} {
-		for _, extra := range []int{1, 2, 5, 9} {
-			n := m + extra
-			es := entries(n, "fr")
-
-			full := New()
-			for _, e := range es[:m] {
-				full.Append(e)
-			}
-			oldRoot := full.Root()
-			f := full.Frontier()
-
-			restored, err := FromFrontier(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range es[m:] {
-				restored.Append(e)
-			}
-			for _, e := range es[m:] {
-				full.Append(e)
-			}
-			if restored.Root() != full.Root() {
-				t.Fatalf("m=%d n=%d: restored root diverges", m, n)
-			}
-			// The restored tree proves consistency with the pre-restore
-			// root, identically to a tree that never dropped its leaves.
-			proof, err := restored.ConsistencyProof(uint64(m), uint64(n))
-			if err != nil {
-				t.Fatalf("m=%d n=%d: restored proof: %v", m, n, err)
-			}
-			if !VerifyConsistency(uint64(m), uint64(n), oldRoot, restored.Root(), proof) {
-				t.Fatalf("m=%d n=%d: restored consistency proof rejected", m, n)
-			}
-			fullProof, err := full.ConsistencyProof(uint64(m), uint64(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(proof) != len(fullProof) {
-				t.Fatalf("m=%d n=%d: proof lengths differ", m, n)
-			}
-			for i := range proof {
-				if proof[i] != fullProof[i] {
-					t.Fatalf("m=%d n=%d: proof node %d differs from full tree", m, n, i)
-				}
-			}
 		}
 	}
 }

@@ -178,9 +178,13 @@ func await(t *testing.T, what string, cond func() bool) {
 
 // settle returns once the cluster is quiescent: every inbound queue is
 // empty, every run loop has finished the turn that emptied it, and no
-// frame was sent while checking.
+// frame was sent while checking. A cluster whose frames never stop
+// flowing (a broken commit path retransmits for ever) fails the test
+// after the 10 s that await allows, with the frame count.
 func (c *manualCluster) settle(t *testing.T) {
 	t.Helper()
+	start := c.net.sent.Load()
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		before := c.net.sent.Load()
 		for _, nd := range c.nodes {
@@ -189,6 +193,9 @@ func (c *manualCluster) settle(t *testing.T) {
 		}
 		if c.net.sent.Load() == before {
 			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster not quiescent after 10 s: %d frames sent meanwhile", c.net.sent.Load()-start)
 		}
 	}
 }

@@ -29,7 +29,8 @@
 //     node's stall timer expires at once (StepStall). A node's own stall
 //     rule runs only with work in flight, and a backup answers clients
 //     not-primary and keeps nothing, so without this timer a primary that
-//     dies while the cluster is idle is never replaced.
+//     dies while the cluster is idle is never replaced. A run whose honest
+//     nodes commit nothing through maxStalls such rounds in a row fails.
 //
 // A Partition starts at step From and, when FromCommit is set, once some
 // stepped node has committed it; it heals at step Until or, when
@@ -165,6 +166,11 @@ const (
 	// before the cluster is made to leave it.
 	clientPatience = 500
 	maxSteps       = 500_000
+	// maxStalls bounds the consecutive stall rounds with no honest commit
+	// between them. The longest such streak over seeds 1-1000 of every
+	// TestSim* configuration is 14; a run past 3x that is stuck, and fails
+	// after ≈ 49 000 steps instead of running on to maxSteps.
+	maxStalls = 48
 )
 
 // Result summarizes a completed run.
@@ -235,11 +241,12 @@ type Sim struct {
 	honest  []*member // ascending id
 	clients []*client
 
-	res   Result // the counts it reports, as they accrue
-	step  int
-	high  uint64 // highest watermark of a stepped node, as of the last check
-	idle  int    // steps since an honest node last committed
-	quiet bool   // the last Hub step left nothing queued
+	res    Result // the counts it reports, as they accrue
+	step   int
+	high   uint64 // highest watermark of a stepped node, as of the last check
+	idle   int    // steps since an honest node last committed
+	stalls int    // stall rounds since an honest node last committed
+	quiet  bool   // the last Hub step left nothing queued
 
 	// canon pins the first-committed content digest per seq; an honest
 	// node committing other content at that seq is a safety violation
@@ -642,7 +649,7 @@ func (s *Sim) check() error {
 				}
 			}
 		}
-		m.checked, s.idle = committed, 0
+		m.checked, s.idle, s.stalls = committed, 0, 0
 	}
 	for _, m := range s.members {
 		if m.stepped {
@@ -753,7 +760,10 @@ func (s *Sim) Run() (*Result, error) {
 			return nil, s.fail("%v", err)
 		}
 		if s.idle++; s.idle >= stallSteps {
-			s.idle = 0
+			if s.stalls == maxStalls {
+				return nil, s.fail("no honest commit through %d stall rounds", maxStalls)
+			}
+			s.idle, s.stalls = 0, s.stalls+1
 			for _, m := range s.members {
 				if m.stepped {
 					m.node.StepStall()
