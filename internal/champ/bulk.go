@@ -7,33 +7,39 @@ import (
 	"strings"
 )
 
-// write is one put of a SetAll: the entry, its placement hash, the hash's
-// chunks with level 0 most significant — sorting by path puts the writes
-// under every node next to each other, in slot order — and its position in
-// the input, so that the last of a repeated key wins.
-type write struct {
+// Write is one put of a SetAll. Put builds it from a key and a value; SetAll
+// fills in, in place, its placement hash, the hash's chunks with level 0
+// most significant — sorting by path puts the writes under every node next
+// to each other, in slot order — and its position in the input, so that the
+// last of a repeated key wins.
+type Write struct {
 	entry
 	h    uint64
 	path uint64
 	ord  int
 }
 
-func newWrite(key string, val []byte, h uint64, ord int) write {
-	e := entry{key, val}
-	if e.byRef() {
-		e.val = bytes.Clone(val) // an inline one is copied into a blob instead
+// Put is the write that binds key to val.
+func Put(key string, val []byte) Write { return Write{entry: entry{key, val}} }
+
+// place fills in w's placement under hash h as write number ord, and takes
+// its own copy of a value held by reference (an inline one is copied into
+// a blob instead).
+func (w *Write) place(h uint64, ord int) {
+	if w.byRef() {
+		w.val = bytes.Clone(w.val)
 	}
 	var path uint64
 	for level := 0; level < maxLevel; level++ {
 		path = path<<branchBits | uint64(chunk(h, level))
 	}
-	return write{entry: e, h: h, path: path, ord: ord}
+	w.h, w.path, w.ord = h, path, ord
 }
 
 // sortWrites sorts ws by path, then key (a collision bucket's order), and
 // drops every write a later one to the same key overrides.
-func sortWrites(ws []write) []write {
-	slices.SortFunc(ws, func(a, b write) int {
+func sortWrites(ws []Write) []Write {
+	slices.SortFunc(ws, func(a, b Write) int {
 		if c := cmp.Compare(a.path, b.path); c != 0 {
 			return c
 		}
@@ -60,7 +66,7 @@ func sortWrites(ws []write) []write {
 // another key go down into a fresh subtree with it. The blob and the child
 // slice are rebuilt once, at their exact size, and only if they change;
 // what lies between the written slots is copied as it is.
-func (n *node) setAll(ws []write, level int) (*node, int) {
+func (n *node) setAll(ws []Write, level int) (*node, int) {
 	if n.coll {
 		return n.bucketWith(ws)
 	}
@@ -100,7 +106,7 @@ func (n *node) setAll(ws []write, level int) (*node, int) {
 			// all of them go one level down.
 			edits[ne], ne = edit{c: c, to: to}, ne+1
 			c = to
-			extra := &write{entry: old, h: hashKey(old.key)}
+			extra := &Write{entry: old, h: hashKey(old.key)}
 			added += len(run)
 			for _, w := range run {
 				if w.key == old.key {
@@ -153,7 +159,7 @@ func (n *node) setAll(ws []write, level int) (*node, int) {
 // fresh builds the subtree at level holding ws and, if extra is not nil,
 // one more entry of a key ws does not hold: at least two keys, all sharing
 // the chunks above level.
-func fresh(ws []write, extra *write, level int) *node {
+func fresh(ws []Write, extra *Write, level int) *node {
 	if level >= maxLevel {
 		es := make([]entry, 0, len(ws)+1)
 		for _, w := range ws {
@@ -180,7 +186,7 @@ func fresh(ws []write, extra *write, level int) *node {
 		}
 		run := ws[i:j]
 		i = j
-		var here *write
+		var here *Write
 		if extra != nil && chunk(extra.h, level) == s {
 			here = extra
 		}
@@ -208,7 +214,7 @@ func fresh(ws []write, extra *write, level int) *node {
 // bucketWith returns collision bucket n with ws written, and the number of
 // keys that were new: the two key-sorted lists merged, a write replacing
 // the entry of its key.
-func (n *node) bucketWith(ws []write) (*node, int) {
+func (n *node) bucketWith(ws []Write) (*node, int) {
 	es := make([]entry, 0, len(ws)+n.entries())
 	var c cursor
 	for _, w := range ws {

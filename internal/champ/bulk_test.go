@@ -16,6 +16,15 @@ func canonicalPairs(m *Map) (keys []string, vals [][]byte) {
 	return keys, vals
 }
 
+// puts pairs keys with vals as SetAll's writes.
+func puts(keys []string, vals [][]byte) []Write {
+	ws := make([]Write, len(keys))
+	for i := range keys {
+		ws[i] = Put(keys[i], vals[i])
+	}
+	return ws
+}
+
 // sameMap fails the test unless got and want agree in Len, canonical
 // contents, node shape and root hash.
 func sameMap(t *testing.T, what string, got, want *Map) {
@@ -80,13 +89,13 @@ func TestSetAllMatchesSet(t *testing.T) {
 			keys[i], keys[j] = keys[j], keys[i]
 			vals[i], vals[j] = vals[j], vals[i]
 		})
-		got := base.SetAll(keys, vals)
+		got := base.SetAll(puts(keys, vals))
 		sameMap(t, fmt.Sprintf("seed %d", seed), got, want)
 
 		// A key named twice is bound to its last value.
 		twice := append(append([]string(nil), keys...), keys[0])
 		last := append(append([][]byte(nil), vals...), []byte("last"))
-		sameMap(t, fmt.Sprintf("seed %d, repeated key", seed), base.SetAll(twice, last), got.Set(keys[0], []byte("last")))
+		sameMap(t, fmt.Sprintf("seed %d, repeated key", seed), base.SetAll(puts(twice, last)), got.Set(keys[0], []byte("last")))
 
 		// SetAll copied what it was given and wrote nothing of the base.
 		for i := range vals {
@@ -103,7 +112,7 @@ func TestSetAllMatchesSet(t *testing.T) {
 			}
 		}
 	}
-	if m := Empty().SetAll(nil, nil); m != Empty() {
+	if m := Empty().SetAll(nil); m != Empty() {
 		t.Fatal("an empty SetAll built a new map")
 	}
 }
@@ -149,8 +158,8 @@ func TestSetAllCollisionBuckets(t *testing.T) {
 }
 
 // BenchmarkSetAll prices a flush of 256 overwrites into 8 192 keys — the
-// audit's checkpoint interval over its key space — in one SetAll and as
-// 256 Sets.
+// audit's checkpoint interval over its key space — in one SetAll, the
+// write vector a flush builds included, and as 256 Sets.
 func BenchmarkSetAll(b *testing.B) {
 	m := benchMap(8192)
 	m.Hash()
@@ -162,7 +171,7 @@ func BenchmarkSetAll(b *testing.B) {
 	b.Run("SetAll", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.SetAll(keys, vals)
+			m.SetAll(puts(keys, vals))
 		}
 	})
 	b.Run("Set", func(b *testing.B) {

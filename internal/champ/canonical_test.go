@@ -127,7 +127,7 @@ func TestRangeCanonicalHistoryIndependent(t *testing.T) {
 // at max depth (all keys share hash 0) and checks keys stream sorted no
 // matter the order they arrived in.
 func TestRangeCanonicalCollisions(t *testing.T) {
-	n := fresh([]write{{entry: entry{"delta", []byte("4")}}}, &write{entry: entry{"bravo", []byte("2")}}, maxLevel)
+	n := fresh([]Write{{entry: entry{"delta", []byte("4")}}}, &Write{entry: entry{"bravo", []byte("2")}}, maxLevel)
 	if !n.coll {
 		t.Fatal("expected collision node at max level")
 	}

@@ -201,26 +201,24 @@ func (m *Map) Set(key string, val []byte) *Map {
 	return &Map{root: root, size: size}
 }
 
-// SetAll returns a new map with every keys[i] bound to vals[i]: the map
+// SetAll returns a new map with every write in ws applied: the map
 // successive Sets in any order would build, where a key that repeats is
 // bound to its last value. The receiver is unchanged and the values are
-// copied, as by Set.
+// copied, as by Set. ws is the caller's write vector and SetAll works in
+// it: it fills in each write's placement, then sorts and compacts it, so
+// the caller must not read it afterwards.
 //
 // It builds the successor in one pass. The writes are sorted once by trie
 // path, so the writes under each node form one contiguous run, and every
 // node on a written path is copied once however many writes pass through
 // it, where n Sets would copy the root n times. The result does not depend
-// on the order of keys: the trie shape is a function of the contents.
-func (m *Map) SetAll(keys []string, vals [][]byte) *Map {
-	if len(keys) != len(vals) {
-		panic("champ: SetAll with unequal key and value counts")
-	}
-	if len(keys) == 0 {
+// on the order of ws: the trie shape is a function of the contents.
+func (m *Map) SetAll(ws []Write) *Map {
+	if len(ws) == 0 {
 		return m
 	}
-	ws := make([]write, len(keys))
-	for i, k := range keys {
-		ws[i] = newWrite(k, vals[i], hashKey(k), i)
+	for i := range ws {
+		ws[i].place(hashKey(ws[i].key), i)
 	}
 	root, added := m.root.setAll(sortWrites(ws), 0)
 	return &Map{root: root, size: m.size + added}
@@ -601,7 +599,7 @@ func (n *node) set(e entry, h uint64, level int) (*node, bool) {
 			return n.spliced(edit{c: c, to: to, put: e, has: true}), false
 		}
 		// Two distinct keys share this chunk: push both one level down.
-		child := fresh([]write{{entry: e, h: h}}, &write{entry: old, h: hashKey(old.key)}, level+1)
+		child := fresh([]Write{{entry: e, h: h}}, &Write{entry: old, h: hashKey(old.key)}, level+1)
 		out := n.spliced(edit{c: c, to: to})
 		out.dataMap &^= bit
 		i := n.nodeIndex(bit)

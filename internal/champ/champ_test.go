@@ -248,7 +248,7 @@ func TestManyKeysDeepPaths(t *testing.T) {
 
 func TestCollisionNodePaths(t *testing.T) {
 	// Drive push-down/collision logic directly at max depth.
-	n1 := fresh([]write{{entry: entry{"b", []byte("2")}}}, &write{entry: entry{"a", []byte("1")}}, maxLevel)
+	n1 := fresh([]Write{{entry: entry{"b", []byte("2")}}}, &Write{entry: entry{"a", []byte("1")}}, maxLevel)
 	if !n1.coll {
 		t.Fatal("expected collision node at max level")
 	}

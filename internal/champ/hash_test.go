@@ -39,9 +39,9 @@ func (t trie) set(k string, v []byte) trie {
 
 // setAll writes keys and vals in one pass, as Map.SetAll does.
 func (t trie) setAll(keys []string, vals [][]byte) trie {
-	ws := make([]write, len(keys))
-	for i, k := range keys {
-		ws[i] = newWrite(k, vals[i], t.place(k), i)
+	ws := puts(keys, vals)
+	for i := range ws {
+		ws[i].place(t.place(ws[i].key), i)
 	}
 	t.root, _ = t.root.setAll(sortWrites(ws), t.level)
 	return t
@@ -595,7 +595,7 @@ func TestHashBesideSet(t *testing.T) {
 				m = m.Set(k, v)
 			}
 		}
-		m = m.SetAll(keys, vals)
+		m = m.SetAll(puts(keys, vals))
 		if step%every == 0 {
 			s := snap{m: m, model: make(map[string][]byte, len(model))}
 			for k, v := range model {

@@ -433,12 +433,23 @@ func decodeSyncChunk(r *wire.Reader) *SyncChunk {
 }
 
 // EncodeMessage serializes a message as one self-describing frame: the type
-// tag byte, then the body in the deterministic wire codec. The frame is
-// built with the append-mode writer — one allocation for the frame itself,
-// no bufio buffer, no bytes.Buffer growth chain. The returned slice is
-// freshly allocated and owned by the caller: frames outlive the call (they
-// sit in transport queues), so they are never reused.
+// tag as a big-endian uint32, then the body in the deterministic wire codec.
+// The returned slice is freshly allocated and owned by the caller: frames
+// outlive the call (they sit in transport queues), so they are never
+// reused.
+//
+// A pre-prepare, the one frame the size of a batch, is encoded into a
+// buffer of exactly its length (ledger.Batch.EncodedLen) through concrete
+// calls, so the frame is its one allocation and len equals cap. Every
+// other message starts from 256 bytes and grows by append.
 func EncodeMessage(m Message) []byte {
+	if pp, ok := m.(*PrePrepare); ok {
+		b := pp.Batch()
+		w := wire.NewAppendWriter(make([]byte, 0, 4+b.EncodedLen()))
+		w.Uint32(uint32(MsgPrePrepare))
+		b.EncodeTo(w)
+		return w.AppendedBytes()
+	}
 	w := wire.NewAppendWriter(make([]byte, 0, 256))
 	w.Uint32(uint32(m.Type()))
 	m.encodeBody(w)

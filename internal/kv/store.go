@@ -172,17 +172,15 @@ func (s *Store) flush() {
 		return
 	}
 	root := s.root
-	keys, vals := make([]string, 0, len(ops)), make([][]byte, 0, len(ops))
+	ws := make([]champ.Write, 0, len(ops))
 	for _, o := range ops {
 		if o.del {
 			root = root.Delete(o.key)
 		} else {
-			keys, vals = append(keys, o.key), append(vals, o.val)
+			ws = append(ws, champ.Put(o.key, o.val))
 		}
 	}
-	if len(keys) > 0 {
-		root = root.SetAll(keys, vals)
-	}
+	root = root.SetAll(ws)
 	s.root = root
 	s.hint = len(ops)
 	s.replacePending()

@@ -47,16 +47,25 @@ func allocLedger(t testing.TB) *Ledger {
 	return l
 }
 
-// TestAllocsPerEntry pins the heap objects each of the three paths that run
+// TestAllocsPerEntry pins what each of the three paths that run
 // core.execute allocates per ledger entry — propose (ExecuteBatch), apply
 // (ApplyBatch) and the audit (Replay) — over allocStream, from a fresh
-// ledger each run. AllocsPerRun runs at GOMAXPROCS 1, so Replay derives
-// inline. Each bound is the count measured — 5.91, 4.63 and 3.91 — plus
-// a slack of half an object per entry, under the race detector too: no
-// digest preimage comes from a pool it could drop. When every commit
-// path-copied the trie they were 19.0, 17.6 and 17.6; while wire.Reader's
-// fixed-width fields still escaped to the heap, 11.2, 9.8 and 9.1; while
-// Tx.Put copied the value KVApp had already copied, 6.94, 5.65 and 4.98.
+// ledger each run, at GOMAXPROCS 1, so Replay derives inline. Two rows per
+// path:
+//
+//   - Heap objects: bounded by the count measured — 5.71, 4.43 and 3.73 —
+//     plus a slack of half an object per entry, under the race detector
+//     too: no digest preimage comes from a pool it could drop. When every
+//     commit path-copied the trie they were 19.0, 17.6 and 17.6; while
+//     wire.Reader's fixed-width fields still escaped to the heap, 11.2, 9.8
+//     and 9.1; while Tx.Put copied the value KVApp had already copied,
+//     6.94, 5.65 and 4.98; while ¯G was the root of a merkle.Tree built and
+//     dropped per batch and a flush built two write vectors, 5.92, 4.63
+//     and 3.91.
+//   - Heap bytes: bounded by the bytes measured — 1860, 888 and 872 (11 B
+//     more under the race detector) — plus a slack of 10 %. Before ¯G and
+//     the flush lost their spare buffers they were 1995, 1022 and 1001.
+//     Bytes allocated, not objects, set how often the collector runs.
 func TestAllocsPerEntry(t *testing.T) {
 	reqs, stream := allocStream(t)
 	entries := 0
@@ -66,11 +75,11 @@ func TestAllocsPerEntry(t *testing.T) {
 	pub := testKey.Public()
 	pool := hashsig.DefaultPool()
 	for _, c := range []struct {
-		name     string
-		measured float64
-		run      func()
+		name           string
+		objects, bytes float64 // measured per entry
+		run            func()
 	}{
-		{"ExecuteBatch", 5.91, func() {
+		{"ExecuteBatch", 5.71, 1860, func() {
 			l := allocLedger(t)
 			for _, batch := range reqs {
 				if _, _, err := l.ExecuteBatch(batch); err != nil {
@@ -78,7 +87,7 @@ func TestAllocsPerEntry(t *testing.T) {
 				}
 			}
 		}},
-		{"ApplyBatch", 4.63, func() {
+		{"ApplyBatch", 4.43, 888, func() {
 			l := allocLedger(t)
 			for _, b := range stream {
 				if _, err := l.ApplyBatch(b); err != nil {
@@ -86,16 +95,20 @@ func TestAllocsPerEntry(t *testing.T) {
 				}
 			}
 		}},
-		{"Replay", 3.91, func() {
+		{"Replay", 3.73, 872, func() {
 			if _, err := Replay(stream, pub, KVApp{}, pool); err != nil {
 				t.Fatal(err)
 			}
 		}},
 	} {
-		got := testing.AllocsPerRun(5, c.run) / float64(entries)
-		t.Logf("%s: %.2f allocs per entry", c.name, got)
-		if bound := c.measured + 0.5; got > bound {
-			t.Errorf("%s: %.2f allocs per entry, bound %.2f", c.name, got, bound)
+		objects := testing.AllocsPerRun(5, c.run) / float64(entries)
+		bytes := float64(allocatedPerCall(5, c.run)) / float64(entries)
+		t.Logf("%s: %.2f allocs, %.0f B per entry", c.name, objects, bytes)
+		if bound := c.objects + 0.5; objects > bound {
+			t.Errorf("%s: %.2f allocs per entry, bound %.2f", c.name, objects, bound)
+		}
+		if bound := c.bytes * 1.1; bytes > bound {
+			t.Errorf("%s: %.0f B per entry, bound %.0f", c.name, bytes, bound)
 		}
 	}
 }
@@ -155,6 +168,9 @@ func TestDigestsAllocateNothing(t *testing.T) {
 	sized := wire.NewAppendWriter(nil)
 	b.EncodeTo(sized)
 	size := len(sized.AppendedBytes())
+	if got := b.EncodedLen(); got != size {
+		t.Fatalf("EncodedLen %d, EncodeTo wrote %d bytes", got, size)
+	}
 	buf := make([]byte, 0, size)
 	for _, c := range []struct {
 		name string
@@ -184,9 +200,12 @@ func TestDigestsAllocateNothing(t *testing.T) {
 	}
 }
 
-// allocatedPerCall returns the bytes f allocates per call, averaged over
-// runs calls.
+// allocatedPerCall returns the heap bytes f allocates per call, averaged
+// over runs calls after a warm-up call, at GOMAXPROCS 1: the bytes
+// counterpart of testing.AllocsPerRun.
 func allocatedPerCall(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

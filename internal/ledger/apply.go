@@ -3,6 +3,8 @@ package ledger
 import (
 	"errors"
 	"fmt"
+
+	"iaccf/internal/merkle"
 )
 
 // ErrApply reports a proposed batch that diverges from this replica's own
@@ -23,7 +25,7 @@ func CheckBatchShape(b *Batch) error {
 	if got := uint64(len(b.Entries)); got != h.GSize {
 		return fmt.Errorf("%w: batch %d: %d entries, header claims %d", ErrBadBatch, h.Seq, got, h.GSize)
 	}
-	if batchTree(leavesOf(b.Entries)).Root() != h.GRoot {
+	if merkle.RootOf(leavesOf(b.Entries)) != h.GRoot {
 		return fmt.Errorf("%w: batch %d: batch root mismatch", ErrBadBatch, h.Seq)
 	}
 	return nil

@@ -75,12 +75,13 @@ func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHead
 }
 
 // commit is the commitment half given the batch's leaf hashes: every leaf
-// appended to M, and the batch tree's root ¯G.
+// appended to M, and the batch tree's root ¯G, folded from the same leaf
+// hashes without building G (merkle.RootOf).
 func (c *core) commit(leaves []hashsig.Digest) hashsig.Digest {
 	for _, lh := range leaves {
 		c.hist.AppendLeafHash(lh)
 	}
-	return batchTree(leaves).Root()
+	return merkle.RootOf(leaves)
 }
 
 // header assembles the content this core derived for batch seq of n
@@ -234,20 +235,10 @@ func (c *core) checkpoint(want *BatchHeader, ei int, e *Entry, store *kv.Store) 
 	return nil
 }
 
-// batchTree builds the batch tree G over a batch's leaf hashes, one leaf
-// per entry in ledger order; its root is ¯G. G and M take the same leaf
-// hashes, so no per-entry SHA work happens here beyond the interior nodes.
-func batchTree(leaves []hashsig.Digest) *merkle.Tree {
-	g := merkle.New()
-	for _, lh := range leaves {
-		g.AppendLeafHash(lh)
-	}
-	return g
-}
-
 // receipts cuts one receipt per transaction entry of a retained batch, in
 // ledger order, all carrying header, from the batch's leaf hashes: the
-// batch tree again, then every leaf's audit path in it. Two arenas back
+// batch tree G built over them, one leaf per entry in ledger order (its
+// root is ¯G), then every leaf's audit path in it. Two arenas back
 // every receipt in the batch: the one PathsAt allocates for the paths, and
 // one for the defensive payload copies (a client mutating its receipt must
 // not corrupt the ledger's retained stream). Each receipt gets a
@@ -257,8 +248,12 @@ func batchTree(leaves []hashsig.Digest) *merkle.Tree {
 func receipts(header *BatchHeader, entries []Entry, leaves []hashsig.Digest) []Receipt {
 	var paths [][]hashsig.Digest
 	if len(leaves) > 0 {
+		g := merkle.New()
+		for _, lh := range leaves {
+			g.AppendLeafHash(lh)
+		}
 		var err error
-		if paths, err = batchTree(leaves).PathsAt(0, uint64(len(leaves))); err != nil {
+		if paths, err = g.PathsAt(0, uint64(len(leaves))); err != nil {
 			// A tree's own full range cannot be out of bounds.
 			panic(err)
 		}

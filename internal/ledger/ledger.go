@@ -289,6 +289,10 @@ func (h *BatchHeader) appendContent(dst []byte) []byte {
 	return wire.AppendDigest(dst, h.CkptDigest)
 }
 
+// signedLen is the length appendSigned appends: four 64-bit fields, the
+// primary's 32-bit index and four digests.
+const signedLen = 4*8 + 4 + 4*hashsig.DigestSize
+
 func (h *BatchHeader) readSigned(r *wire.Reader) {
 	h.View = r.Uint64()
 	h.Primary = r.Uint32()
@@ -772,6 +776,16 @@ func (b *Batch) EncodeTo(w *wire.Writer) {
 		buf = b.Entries[i].Encode(buf[:0])
 		w.Bytes(buf)
 	}
+}
+
+// EncodedLen is the number of bytes EncodeTo writes for b, computed without
+// encoding, so that a frame holding a batch is allocated once, at its size.
+func (b *Batch) EncodedLen() int {
+	n := signedLen + 4 + len(b.Header.Sig) + 4 // the header, then the entry count
+	for i := range b.Entries {
+		n += 4 + b.Entries[i].encodedLen()
+	}
+	return n
 }
 
 // DecodeBatch reads one batch written by EncodeTo. Errors stick to the

@@ -146,16 +146,32 @@ func rebuildPeaks(basePeaks []peak, leaves []hashsig.Digest) []peak {
 	return peaks
 }
 
-// Root returns the Merkle root over all leaves: the right fold of the peak
-// decomposition, which is exactly the RFC 6962 recursion (the split point
-// of a ragged tree is its largest peak).
-func (t *Tree) Root() hashsig.Digest {
-	if t.Size() == 0 {
+// Root returns the Merkle root over all leaves (foldPeaks).
+func (t *Tree) Root() hashsig.Digest { return foldPeaks(t.peaks) }
+
+// RootOf returns the root of the tree whose leaf hashes are leaves, in
+// order: what Root returns after each of them is appended to an empty
+// Tree, with no Tree built. The peaks live in an array on the stack, so
+// the root of a batch costs its interior hashes and no allocation.
+func RootOf(leaves []hashsig.Digest) hashsig.Digest {
+	var stack [64]peak // a size below 2^64 has at most 64 peaks
+	peaks := stack[:0]
+	for _, leaf := range leaves {
+		peaks = pushPeak(peaks, leaf)
+	}
+	return foldPeaks(peaks)
+}
+
+// foldPeaks is the root over a peak decomposition: its right fold, which
+// is exactly the RFC 6962 recursion (the split point of a ragged tree is
+// its largest peak). No peaks is the empty tree.
+func foldPeaks(peaks []peak) hashsig.Digest {
+	if len(peaks) == 0 {
 		return EmptyRoot()
 	}
-	acc := t.peaks[len(t.peaks)-1].hash
-	for i := len(t.peaks) - 2; i >= 0; i-- {
-		acc = nodeHash(t.peaks[i].hash, acc)
+	acc := peaks[len(peaks)-1].hash
+	for i := len(peaks) - 2; i >= 0; i-- {
+		acc = nodeHash(peaks[i].hash, acc)
 	}
 	return acc
 }

@@ -67,6 +67,29 @@ func refPaths(entries []hashsig.Digest) [][]hashsig.Digest {
 	return paths
 }
 
+// TestRootOfMatchesTree holds RootOf to Tree.Root for every leaf count
+// from 0 to 300 — past two 128-leaf and one 256-leaf perfect subtrees, so
+// every peak count a batch meets — and pins it at zero allocations: the
+// batch root ¯G is computed on every replica for every batch.
+func TestRootOfMatchesTree(t *testing.T) {
+	leaves := make([]hashsig.Digest, 300)
+	for i, e := range entries(len(leaves), "rootof") {
+		leaves[i] = LeafHash(e)
+	}
+	tr := New()
+	for n := 0; n <= len(leaves); n++ {
+		if n > 0 {
+			tr.AppendLeafHash(leaves[n-1])
+		}
+		if got, want := RootOf(leaves[:n]), tr.Root(); got != want {
+			t.Fatalf("%d leaves: RootOf %x, Tree.Root %x", n, got, want)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { RootOf(leaves) }); got != 0 {
+		t.Errorf("RootOf of %d leaves: %.1f allocations, want 0", len(leaves), got)
+	}
+}
+
 // pathOf returns leaf i's audit path in tr at its current size.
 func pathOf(tr *Tree, i uint64) ([]hashsig.Digest, error) {
 	paths, err := tr.PathsAt(i, tr.Size())

@@ -26,19 +26,40 @@
 //
 // Batching pays because a batch costs the cluster the same bill however few
 // entries it carries: 4 Ed25519 signs and 12 verifies for four replicas
-// (TestSignaturesPerBatch) and ≈ 26 frames. In-process on two cores that
-// is ≈ 0.9 ms per entry in one-entry batches against ≈ 34 µs in 64-entry
-// ones. Proposing greedily — whenever the window has room and the pool is
+// (TestSignaturesPerBatch) and 24 frames, ≈ 26 with retransmissions.
+// In-process on two cores that is ≈ 0.9 ms per entry in one-entry batches
+// against ≈ 34 µs in 64-entry ones. Proposing greedily — whenever the window has room and the pool is
 // non-empty — pays the bill per request and was measured and rejected.
-// BatchMax defaults to 128: against 64, a saturated four-replica cluster
-// on two cores cut ≈ 116-entry batches and committed more per second,
-// while the lightly loaded workloads, whose window drains long before 64
-// requests pool, cut the batches they cut before. The price is at loads in
-// between: a primary owing more than one batch but fewer than W full ones
-// keeps fewer instances in flight than it did at 64; no benchmark workload
-// runs at that load. A rule that grew the batch with the requests the primary
-// owes was measured against the fixed 128 and lost on the saturated
-// workloads.
+//
+// BatchMax defaults to 256, the pick of a sweep on the two saturated
+// benchmark workloads (bench/: 512 parked callers, four replicas in one
+// process on two cores; medians of four alternating rounds of 8-s runs,
+// with the batch-sized buffers allocated once at every value):
+//
+//	BatchMax  entries/batch  sat512 entries/s  insert512 entries/s
+//	     128            114            42.7 k              29.0 k
+//	     192            165            44.8 k              30.5 k
+//	     256            198            44.2 k              28.9 k
+//	     384            243            42.5 k              28.9 k
+//	     512            255            39.4 k              29.0 k
+//
+// Six more rounds of 128, 192 and 256 read 33.9, 38.6 and 38.7 k/s on
+// sat512; 256 beat 128 in all ten rounds. At ≈ 114 entries per batch the
+// bill is 16/114 ≈ 0.14 Ed25519 operations and, traced, 0.23 frames per
+// entry; at ≈ 198 it is 0.08 and 0.13. Above 256 the 512 callers filled
+// no batch past ≈ 255 entries, and throughput fell. The lightly loaded
+// workloads, whose window drains long before 128 requests pool, cut the
+// batches they cut before.
+//
+// The price is at loads in between: a primary owing more than one batch
+// but fewer than W full ones keeps fewer instances in flight than a
+// smaller cap would. Against four cmd/node processes on two cores, in six
+// alternating runs a side of cmd/loadgen, 128 and 256 read alike there: at
+// 64 workers 14.2 k and 14.4 k entries/s with a 4.2 ms median each, and at
+// 200 workers, which never pool 256 requests, 18.4 k and 19.0 k entries/s
+// with 10.0 and 9.8 ms medians (256 read better in 3 and 4 of 6). A rule
+// that grew the batch with the requests the primary owes was measured
+// against a fixed 128 and lost on the saturated workloads.
 //
 // Ticks drive timers only: sync, retransmission, the stall timer and
 // submission patience. The tick interval is their granularity and is not
@@ -73,7 +94,8 @@ type Config struct {
 	Pool *txpool.Pool
 	// BatchMax bounds requests per proposed batch; with an instance in
 	// flight the primary waits for that many pooled. The pool may end a
-	// batch sooner when its bodies are large. 0 means 128.
+	// batch sooner when its bodies are large. 0 means 256 (see Pacing in
+	// the package doc).
 	BatchMax int
 	// StallTicks is how many ticks without commit progress (with work in
 	// flight) the node tolerates before voting for a view change.
@@ -210,7 +232,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: nil clock")
 	}
 	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 128
+		cfg.BatchMax = 256
 	}
 	if cfg.StallTicks <= 0 {
 		cfg.StallTicks = 32

@@ -395,9 +395,9 @@ func TestPacing(t *testing.T) {
 		}
 	})
 
-	t.Run("the zero Config cuts batches of 128", func(t *testing.T) {
-		if got := unstartedNode(t, "pace-zero").cfg.BatchMax; got != 128 {
-			t.Fatalf("the zero Config's BatchMax is %d, want 128", got)
+	t.Run("the zero Config cuts batches of 256", func(t *testing.T) {
+		if got := unstartedNode(t, "pace-zero").cfg.BatchMax; got != 256 {
+			t.Fatalf("the zero Config's BatchMax is %d, want 256", got)
 		}
 	})
 

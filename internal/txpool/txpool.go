@@ -42,8 +42,8 @@ type Config struct {
 }
 
 // DefaultCapacity bounds the pool when the caller does not say otherwise:
-// eight proposal windows of full batches at a node's defaults (a window of
-// 4 instances of 128 requests).
+// four proposal windows of full batches at a node's defaults (a window of
+// 4 instances of 256 requests).
 const DefaultCapacity = 4096
 
 // seenBudget bounds the two-generation drained-request memo. Eviction only
@@ -173,7 +173,9 @@ const (
 // batch's bodies pass maxBatchBytes (the first request always goes: Add caps
 // a body well below it). Drained requests move to the seen memo so a client
 // retry of an in-flight request is suppressed. Each comes with the hash it
-// was pooled under. Returns nil when the pool is empty.
+// was pooled under. The result is allocated once, for the requests it can
+// hold, min(max, Len()); only the byte budget leaves it short. Returns nil
+// when the pool is empty.
 func (p *Pool) NextBatch(max int) []Pooled {
 	if max <= 0 {
 		return nil
@@ -183,7 +185,7 @@ func (p *Pool) NextBatch(max int) []Pooled {
 	if p.n == 0 {
 		return nil
 	}
-	var out []Pooled
+	out := make([]Pooled, 0, min(max, p.n))
 	size := 0
 	// The cursor r walks the rotation and w trails it: a sender r passes
 	// with requests left is copied down to w, a drained one is not, and the
