@@ -348,3 +348,38 @@ func referenceOps(b []byte) (map[string][]byte, bool) {
 	}
 	return out, len(b) == 0
 }
+
+// receiptLedger returns a ledger holding one batch of n transaction
+// entries, each with a payload, as batch 1: no checkpoint marker is due.
+func receiptLedger(t testing.TB, n int) *Ledger {
+	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.ExecuteBatch(benchRequests(0, n)); err != nil {
+		t.Fatal(err)
+	}
+	if b := l.BatchAt(1); b == nil || len(b.Entries) != n {
+		t.Fatalf("batch 1 does not hold %d entries", n)
+	}
+	return l
+}
+
+// TestReceiptsAllocs pins what cutting a batch's receipts allocates: the
+// path arena and its slice of paths (merkle.PathsOf), the receipts, and
+// the payload arena — the same four objects at every batch size. While a
+// merkle.Tree was built for G and its paths hashed in a second pass, 64
+// entries cost 16 and 256 cost 19.
+func TestReceiptsAllocs(t *testing.T) {
+	for _, n := range []int{1, 64, 129, 256} {
+		l := receiptLedger(t, n)
+		got := testing.AllocsPerRun(20, func() {
+			if rs := l.Receipts(1); len(rs) != n {
+				t.Fatalf("%d receipts, want %d", len(rs), n)
+			}
+		})
+		if got != 4 {
+			t.Errorf("Receipts of %d entries: %.1f allocations, want 4", n, got)
+		}
+	}
+}

@@ -236,28 +236,18 @@ func (c *core) checkpoint(want *BatchHeader, ei int, e *Entry, store *kv.Store) 
 }
 
 // receipts cuts one receipt per transaction entry of a retained batch, in
-// ledger order, all carrying header, from the batch's leaf hashes: the
-// batch tree G built over them, one leaf per entry in ledger order (its
-// root is ¯G), then every leaf's audit path in it. Two arenas back
-// every receipt in the batch: the one PathsAt allocates for the paths, and
-// one for the defensive payload copies (a client mutating its receipt must
-// not corrupt the ledger's retained stream). Each receipt gets a
-// three-index sub-slice whose capacity ends at its own region, so
-// appending to one receipt's path or payload reallocates instead of
-// stomping the next receipt's.
+// ledger order, all carrying header, from the batch's leaf hashes: every
+// leaf's audit path in the batch tree G, against its root ¯G, with no
+// tree built (merkle.PathsOf). Two arenas back every receipt in the
+// batch: the one PathsOf allocates for the paths, and one for the
+// defensive payload copies (a client mutating its receipt must not
+// corrupt the ledger's retained stream; without the arena that is one
+// allocation per receipt). Each receipt gets a three-index sub-slice
+// whose capacity ends at its own region, so appending to one receipt's
+// path or payload stays in its region or reallocates instead of stomping
+// the next receipt's.
 func receipts(header *BatchHeader, entries []Entry, leaves []hashsig.Digest) []Receipt {
-	var paths [][]hashsig.Digest
-	if len(leaves) > 0 {
-		g := merkle.New()
-		for _, lh := range leaves {
-			g.AppendLeafHash(lh)
-		}
-		var err error
-		if paths, err = g.PathsAt(0, uint64(len(leaves))); err != nil {
-			// A tree's own full range cannot be out of bounds.
-			panic(err)
-		}
-	}
+	paths := merkle.PathsOf(leaves)
 	n, payloadTotal := 0, 0
 	for i := range entries {
 		if entries[i].Kind == KindTransaction {

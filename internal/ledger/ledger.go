@@ -130,10 +130,11 @@
 //     caller-owned forever: Batch headers, entries, and Receipts never
 //     alias the history tree, and the ledger never writes to them after
 //     returning. Receipts from one call share arena backing with each
-//     other (paths in one []Digest arena, payloads in one []byte arena) —
-//     safe because the arenas are capped three-index sub-slices that a
-//     client append cannot grow into a neighbour — but never with the
-//     history tree or with the retained stream.
+//     other (paths in the one []Digest arena merkle.PathsOf allocates for
+//     the batch, payloads in one []byte arena) — safe because each is a
+//     three-index sub-slice capped at its own region, which a client
+//     append cannot grow into a neighbour's — but never with the history
+//     tree or with the retained stream.
 //   - Request slices passed IN are read-only during the call and not
 //     retained. Entries inside a Batch handed to ApplyBatch are adopted
 //     into the retained stream and must not be mutated afterwards, same
@@ -399,10 +400,10 @@ type Batch struct {
 // batch tree G, and the signed header whose ¯G the path roots in (paper
 // §3.1). Index is the entry's position in the batch; the tree's size is
 // the header's signed GSize, so the one unsigned field is the position.
-// What the signature plus leaf/interior domain separation bind is that
-// this exact entry is committed under ¯G: another index whose roll-up
-// shape happens to coincide could verify, but never a different entry or
-// a different root, so receipts stay sound as execution proofs.
+// The signature plus leaf/interior domain separation bind that this exact
+// entry is committed under ¯G, and in a tree of GSize leaves the sides the
+// path's siblings take differ for every position, so a path that verifies
+// proves the entry is at Index, not merely somewhere in G (merkle.VerifyPath).
 type Receipt struct {
 	Header BatchHeader
 	Entry  Entry

@@ -86,6 +86,22 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportMetric(float64(b.N*entries)/b.Elapsed().Seconds(), "entries/s")
 }
 
+// BenchmarkReceipts is the cost of cutting every receipt of one committed
+// batch (Ledger.Receipts, what a replica does at commit): the audit paths
+// in G from the batch's leaf hashes, and the defensive payload copies.
+func BenchmarkReceipts(b *testing.B) {
+	for _, n := range []int{64, 256} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			l := receiptLedger(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Receipts(1)
+			}
+		})
+	}
+}
+
 // coldSeq numbers the headers BenchmarkReceiptVerify/cold signs and never
 // repeats within the process: signatures are deterministic, so a Seq signed
 // in an earlier b.N round would be a set hit in a later one and the row

@@ -5,14 +5,15 @@
 //	MTH([e])     = H(0x00 || e)
 //	MTH(D[0:n])  = H(0x01 || MTH(D[0:k]) || MTH(D[k:n]))   k = max pow2 < n
 //
-// Two trees are used by L-PBFT: the history tree M over all ledger entries,
-// whose root ¯M appears in every signed pre-prepare, and a small per-batch
-// tree G over the ⟨t,i,o⟩ transaction entries of one batch, whose root ¯G is
-// also signed and whose audit paths appear in client receipts.
-//
-// The tree supports rollback (truncation of a leaf suffix) as required by
-// Lemma 1, and can be reconstructed from a compact frontier (size + peaks)
-// recorded in checkpoints, after which it keeps accepting appends.
+// Two trees are used by L-PBFT. Tree is the history tree M over all ledger
+// entries, whose root ¯M appears in every signed pre-prepare: it is
+// appended to, rolled back (Lemma 1), and reconstructed from a compact
+// frontier (size + peaks) recorded in checkpoints, after which it keeps
+// accepting appends. The per-batch tree G over the ⟨t,i,o⟩ transaction
+// entries of one batch is never built: RootOf folds its root ¯G, which is
+// also signed, and PathsOf gives the audit paths that appear in client
+// receipts, both straight from the batch's leaf hashes. VerifyPath checks
+// such a path.
 package merkle
 
 import (
@@ -68,8 +69,8 @@ type peak struct {
 //
 // A Tree retains the leaf hashes appended since its base (zero for a fresh
 // tree; the restore point for a tree built from a Frontier, or the Compact
-// point). Audit paths are available for the retained region; the region
-// before the base is summarized by its peaks.
+// point). Leaves and rollback are available for the retained region; the
+// region before the base is summarized by its peaks.
 //
 // The tree additionally maintains its full peak decomposition incrementally
 // (a binary-counter merge per append, amortized one node hash), so Root is
@@ -90,7 +91,7 @@ func New() *Tree { return &Tree{} }
 func (t *Tree) Size() uint64 { return t.base + uint64(len(t.leaves)) }
 
 // Base returns the first leaf index for which the tree retains the leaf
-// hash. Paths and rollback are only available at or after the base.
+// hash. Leaves and rollback are only available at or after the base.
 func (t *Tree) Base() uint64 { return t.base }
 
 // Leaves returns the leaf hashes at positions [from, to), which must lie in
@@ -176,94 +177,99 @@ func foldPeaks(peaks []peak) hashsig.Digest {
 	return acc
 }
 
-// hashRange computes MTH(D[a:b)) for 0 <= a < b <= Size, using retained
-// leaves for positions >= base and base peaks for aligned blocks before it.
-func (t *Tree) hashRange(a, b uint64) (hashsig.Digest, error) {
-	if b <= a {
-		return hashsig.Digest{}, fmt.Errorf("%w: empty range [%d,%d)", ErrOutOfRange, a, b)
+// PathsOf returns every leaf's audit path in the tree whose leaf hashes are
+// leaves, in order, against the root RootOf returns for them: the siblings
+// from the leaf up. It walks the tree level by level, pairing adjacent
+// nodes; an unpaired last node rises to the next level unchanged, which is
+// the RFC 6962 shape, so each of the n − 1 interior nodes is hashed once.
+//
+// All paths sub-slice one arena of n × ⌈log₂ n⌉ digests, allocated by
+// this call, whose last n digests past them are the walk's scratch. Each
+// path is a three-index sub-slice capped at its own stride, so a caller
+// that appends to a returned path writes into its own stride or forces a
+// fresh copy, never into a neighbour's hashes or the scratch. Callers own
+// the paths and may retain them indefinitely. Any n allocates twice: the
+// arena and the slice of paths.
+func PathsOf(leaves []hashsig.Digest) [][]hashsig.Digest {
+	n := len(leaves)
+	if n == 0 {
+		return nil
 	}
-	if a >= t.base {
-		return t.hashRetained(a, b), nil
+	stride := bits.Len(uint(n - 1))
+	arena := make([]hashsig.Digest, n*stride+n)
+	paths := make([][]hashsig.Digest, n)
+	for i := range paths {
+		paths[i] = arena[i*stride : i*stride : (i+1)*stride]
 	}
-	// The range begins before the base: look for a base peak that starts
-	// exactly at a and fits in [a, b).
-	var off uint64
-	for _, p := range t.basePeaks {
-		if off == a {
-			if p.size == b-a {
-				return p.hash, nil
+	level := arena[n*stride:]
+	copy(level, leaves)
+	// Node j of a level covers leaves [j*w, min((j+1)*w, n)).
+	for w := 1; len(level) > 1; w *= 2 {
+		for j := 0; j+1 < len(level); j += 2 {
+			left, right := level[j], level[j+1]
+			for k := j * w; k < (j+1)*w; k++ {
+				paths[k] = append(paths[k], right)
 			}
-			if p.size < b-a {
-				// Peak covers a prefix of the range; combine with the rest.
-				// This only happens when the range is ragged on the right,
-				// i.e. the recursion below would split exactly at the peak
-				// boundary, so recurse on the remainder.
-				break
+			for k := (j + 1) * w; k < min((j+2)*w, n); k++ {
+				paths[k] = append(paths[k], left)
 			}
-			return hashsig.Digest{}, fmt.Errorf("%w: range [%d,%d) finer than frontier", ErrCompacted, a, b)
+			level[j/2] = nodeHash(left, right)
 		}
-		off += p.size
+		if len(level)%2 == 1 {
+			level[len(level)/2] = level[len(level)-1]
+		}
+		level = level[:(len(level)+1)/2]
 	}
-	if b-a == 1 {
-		return hashsig.Digest{}, fmt.Errorf("%w: leaf %d before base %d", ErrCompacted, a, t.base)
-	}
-	k := splitPoint(b - a)
-	left, err := t.hashRange(a, a+k)
-	if err != nil {
-		return hashsig.Digest{}, err
-	}
-	right, err := t.hashRange(a+k, b)
-	if err != nil {
-		return hashsig.Digest{}, err
-	}
-	return nodeHash(left, right), nil
-}
-
-// hashRetained computes MTH over a range fully inside the retained leaves.
-func (t *Tree) hashRetained(a, b uint64) hashsig.Digest {
-	if b-a == 1 {
-		return t.leaves[a-t.base]
-	}
-	k := splitPoint(b - a)
-	return nodeHash(t.hashRetained(a, a+k), t.hashRetained(a+k, b))
-}
-
-// splitPoint returns the largest power of two strictly less than n (n >= 2).
-func splitPoint(n uint64) uint64 {
-	return 1 << (bits.Len64(n-1) - 1)
+	return paths
 }
 
 // VerifyPath checks that entry is the i-th of n leaves of the tree with the
-// given root, using the audit path PathsAt returns for it.
+// given root, using the audit path PathsOf returns for it. It is PathsOf's
+// walk for one leaf: at each level the node consumes a sibling unless it is
+// the unpaired last one, on the left when its index is odd. A path with a
+// sibling too few or too many is refused. For a fixed n the sides the
+// siblings take differ for every i, so a path that verifies proves entry
+// is leaf i, not merely some leaf of the tree.
 func VerifyPath(entry hashsig.Digest, i, n uint64, path []hashsig.Digest, root hashsig.Digest) bool {
 	if i >= n {
 		return false
 	}
-	h, rest, ok := rollUp(LeafHash(entry), i, n, path)
-	return ok && len(rest) == 0 && h == root
+	h := LeafHash(entry)
+	for ; n > 1; i, n = i/2, n/2+n%2 {
+		if i%2 == 0 && i+1 == n {
+			continue
+		}
+		if len(path) == 0 {
+			return false
+		}
+		if i%2 == 1 {
+			h = nodeHash(path[0], h)
+		} else {
+			h = nodeHash(h, path[0])
+		}
+		path = path[1:]
+	}
+	return len(path) == 0 && h == root
 }
 
-// rollUp recomputes the subtree hash for the range containing leaf i.
-func rollUp(h hashsig.Digest, i, n uint64, path []hashsig.Digest) (hashsig.Digest, []hashsig.Digest, bool) {
-	if n == 1 {
-		return h, path, true
+// AppendAndProve appends the given entry digests and returns the index of
+// the first appended leaf, the root over the grown tree, and one audit path
+// per appended entry, each valid against that root (PathsOf over every
+// leaf, so it needs them all: a compacted or restored tree refuses with
+// ErrCompacted, before appending). The ledger builds no path in M and does
+// not call this; the benchmark's merkle layer row does, on a fresh tree.
+func (t *Tree) AppendAndProve(entries []hashsig.Digest) (uint64, hashsig.Digest, [][]hashsig.Digest, error) {
+	first := t.Size()
+	if t.base > 0 {
+		return first, hashsig.Digest{}, nil, fmt.Errorf("%w: paths need leaves from 0, base is %d", ErrCompacted, t.base)
 	}
-	if len(path) == 0 {
-		return h, nil, false
+	for _, e := range entries {
+		t.Append(e)
 	}
-	k := splitPoint(n)
-	if i < k {
-		sub, rest, ok := rollUp(h, i, k, path)
-		if !ok || len(rest) == 0 {
-			return h, nil, false
-		}
-		return nodeHash(sub, rest[0]), rest[1:], true
+	if len(entries) == 0 {
+		return first, t.Root(), nil, nil
 	}
-	sub, rest, ok := rollUp(h, i-k, n-k, path)
-	if !ok || len(rest) == 0 {
-		return h, nil, false
-	}
-	return nodeHash(rest[0], sub), rest[1:], true
+	return first, t.Root(), PathsOf(t.leaves)[first:], nil
 }
 
 // Rollback truncates the tree to n leaves, discarding the suffix. L-PBFT

@@ -15,11 +15,16 @@ import (
 // refRoot is an independent reference implementation of RFC 6962 MTH used to
 // validate the incremental tree.
 func refRoot(entries []hashsig.Digest) hashsig.Digest {
+	return refMTH(leafHashes(entries))
+}
+
+// leafHashes returns the leaf hash of every entry digest, in order.
+func leafHashes(entries []hashsig.Digest) []hashsig.Digest {
 	leaves := make([]hashsig.Digest, len(entries))
 	for i, e := range entries {
 		leaves[i] = LeafHash(e)
 	}
-	return refMTH(leaves)
+	return leaves
 }
 
 func refMTH(leaves []hashsig.Digest) hashsig.Digest {
@@ -37,12 +42,9 @@ func refMTH(leaves []hashsig.Digest) hashsig.Digest {
 }
 
 // refPaths returns every leaf's audit path, bottom-up, straight from the
-// RFC 6962 definition of PATH: an independent reference for PathsAt.
+// RFC 6962 definition of PATH: an independent reference for PathsOf.
 func refPaths(entries []hashsig.Digest) [][]hashsig.Digest {
-	leaves := make([]hashsig.Digest, len(entries))
-	for i, e := range entries {
-		leaves[i] = LeafHash(e)
-	}
+	leaves := leafHashes(entries)
 	paths := make([][]hashsig.Digest, len(leaves))
 	var walk func(a, b int)
 	walk = func(a, b int) {
@@ -90,15 +92,6 @@ func TestRootOfMatchesTree(t *testing.T) {
 	}
 }
 
-// pathOf returns leaf i's audit path in tr at its current size.
-func pathOf(tr *Tree, i uint64) ([]hashsig.Digest, error) {
-	paths, err := tr.PathsAt(i, tr.Size())
-	if err != nil {
-		return nil, err
-	}
-	return paths[0], nil
-}
-
 func entries(n int, seed string) []hashsig.Digest {
 	out := make([]hashsig.Digest, n)
 	for i := range out {
@@ -137,11 +130,8 @@ func TestPathsVerifyAllSizes(t *testing.T) {
 			tr.Append(e)
 		}
 		root := tr.Root()
-		for i := 0; i < n; i++ {
-			path, err := pathOf(tr, uint64(i))
-			if err != nil {
-				t.Fatalf("n=%d Path(%d): %v", n, i, err)
-			}
+		paths := PathsOf(leafHashes(es))
+		for i, path := range paths {
 			if !VerifyPath(es[i], uint64(i), uint64(n), path, root) {
 				t.Fatalf("n=%d: path for leaf %d does not verify", n, i)
 			}
@@ -161,15 +151,8 @@ func TestPathsVerifyAllSizes(t *testing.T) {
 
 func TestVerifyPathRejectsTruncatedPath(t *testing.T) {
 	es := entries(10, "trunc")
-	tr := New()
-	for _, e := range es {
-		tr.Append(e)
-	}
-	path, err := pathOf(tr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := tr.Root()
+	leaves := leafHashes(es)
+	path, root := PathsOf(leaves)[3], RootOf(leaves)
 	if len(path) == 0 {
 		t.Fatal("expected non-empty path")
 	}
@@ -259,21 +242,10 @@ func TestFrontierRestore(t *testing.T) {
 				t.Fatalf("cut=%d divergence at size %d", cut, tr.Size())
 			}
 		}
-		// Paths for post-restore leaves must verify against the full root.
-		root := restored.Root()
-		for i := cut; i < 60; i++ {
-			path, err := pathOf(restored, uint64(i))
-			if err != nil {
-				t.Fatalf("cut=%d Path(%d): %v", cut, i, err)
-			}
-			if !VerifyPath(es[i], uint64(i), 60, path, root) {
-				t.Fatalf("cut=%d: restored path for %d fails", cut, i)
-			}
-		}
-		// Pre-restore paths must be unavailable, not wrong.
+		// Pre-restore leaves must be unavailable, not wrong.
 		if cut > 0 {
-			if _, err := pathOf(restored, uint64(cut-1)); err == nil {
-				t.Fatalf("cut=%d: path before base succeeded", cut)
+			if _, err := restored.Leaves(uint64(cut-1), 60); !errors.Is(err, ErrCompacted) {
+				t.Fatalf("cut=%d: leaves before base: %v, want ErrCompacted", cut, err)
 			}
 		}
 	}
@@ -317,8 +289,7 @@ func TestFromFrontierValidation(t *testing.T) {
 }
 
 // TestCompact: compacting to a frontier the tree captured earlier keeps
-// the root, the paths and the leaves from that size on, and drops the
-// ones before it.
+// the root and the leaves from that size on, and drops the ones before it.
 func TestCompact(t *testing.T) {
 	es := entries(48, "cp")
 	tr := New()
@@ -341,19 +312,6 @@ func TestCompact(t *testing.T) {
 	}
 	if tr.Base() != 17 {
 		t.Fatalf("base %d after compact", tr.Base())
-	}
-	// Paths at or after the compact point still work.
-	for i := 17; i < 48; i++ {
-		path, err := pathOf(tr, uint64(i))
-		if err != nil {
-			t.Fatalf("Path(%d) after compact: %v", i, err)
-		}
-		if !VerifyPath(es[i], uint64(i), 48, path, full) {
-			t.Fatalf("path %d fails after compact", i)
-		}
-	}
-	if _, err := pathOf(tr, 16); err == nil {
-		t.Fatal("path before compact point succeeded")
 	}
 	if err := tr.Rollback(16); err == nil {
 		t.Fatal("rollback before compact point succeeded")
@@ -387,7 +345,7 @@ func TestCompact(t *testing.T) {
 }
 
 // TestCompactTo holds a compacted tree to an uncompacted twin: after each
-// CompactTo the root, every path from the new base on, and a rollback to
+// CompactTo the root, every leaf from the new base on, and a rollback to
 // any size at or above it are the twin's. A frontier beyond the tree or
 // whose peaks do not fit its size is refused, and compacting allocates
 // nothing once the tree has compacted before.
@@ -409,13 +367,13 @@ func TestCompactTo(t *testing.T) {
 		if tr.Base() != f.Size || tr.Root() != twin.Root() {
 			t.Fatalf("base %d: base %d, root matches %v", f.Size, tr.Base(), tr.Root() == twin.Root())
 		}
-		got, err := tr.PathsAt(f.Size, tr.Size())
+		got, err := tr.Leaves(f.Size, tr.Size())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := twin.PathsAt(f.Size, twin.Size())
+		want, _ := twin.Leaves(f.Size, twin.Size())
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("base %d: paths differ from the uncompacted tree's", f.Size)
+			t.Fatalf("base %d: leaves differ from the uncompacted tree's", f.Size)
 		}
 	}
 	base := tr.Base()
@@ -486,43 +444,6 @@ func TestQuickAppendRollbackMatchesReference(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: paths generated from a frontier-restored tree verify for every
-// retained leaf at every tree size.
-func TestQuickFrontierPaths(t *testing.T) {
-	f := func(cutRaw, extraRaw uint8) bool {
-		cut := int(cutRaw % 40)
-		extra := 1 + int(extraRaw%40)
-		es := entries(cut+extra, "qf")
-		tr := New()
-		for _, e := range es[:cut] {
-			tr.Append(e)
-		}
-		fr := tr.Frontier()
-		rt, err := FromFrontier(fr)
-		if err != nil {
-			return false
-		}
-		for _, e := range es[cut:] {
-			rt.Append(e)
-		}
-		root := rt.Root()
-		n := uint64(cut + extra)
-		for i := cut; i < cut+extra; i++ {
-			path, err := pathOf(rt, uint64(i))
-			if err != nil {
-				return false
-			}
-			if !VerifyPath(es[i], uint64(i), n, path, root) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

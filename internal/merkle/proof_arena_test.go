@@ -2,6 +2,7 @@ package merkle
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"iaccf/internal/hashsig"
@@ -15,61 +16,48 @@ func entryDigests(n int) []hashsig.Digest {
 	return out
 }
 
-// TestPathsAtMatchesPathAt checks PathsAt's shared traversal against the
-// reference paths (refPaths, RFC 6962 PATH leaf by leaf) across sizes from
-// one leaf to several perfect subtrees and ragged tree shapes.
-func TestPathsAtMatchesPathAt(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 64, 65, 511, 512, 1500} {
-		entries := entryDigests(n)
-		tree := New()
-		for _, e := range entries {
-			tree.Append(e)
+// TestPathsOfMatchesReference holds PathsOf's level walk to the reference
+// paths (refPaths, RFC 6962 PATH leaf by leaf) for every leaf count from
+// one to 600, past several perfect subtrees and every ragged shape in
+// between, and checks each path against RootOf. Any leaf count costs two
+// allocations: the arena and the slice of paths.
+func TestPathsOfMatchesReference(t *testing.T) {
+	entries := entryDigests(600)
+	leaves := leafHashes(entries)
+	if PathsOf(nil) != nil {
+		t.Fatal("paths of no leaves")
+	}
+	for n := 1; n <= len(entries); n++ {
+		paths, root := PathsOf(leaves[:n]), RootOf(leaves[:n])
+		ref := refPaths(entries[:n])
+		if !slices.EqualFunc(paths, ref, slices.Equal) {
+			t.Fatalf("n=%d: paths differ from the reference", n)
 		}
-		ref := refPaths(entries)
-		for _, from := range []uint64{0, uint64(n) / 3, uint64(n) - 1} {
-			paths, err := tree.PathsAt(from, uint64(n))
-			if err != nil {
-				t.Fatalf("n=%d from=%d: %v", n, from, err)
+		for i, path := range paths {
+			if !VerifyPath(entries[i], uint64(i), uint64(n), path, root) {
+				t.Fatalf("n=%d leaf %d: path does not verify", n, i)
 			}
-			for i := from; i < uint64(n); i++ {
-				want := ref[i]
-				got := paths[i-from]
-				if len(got) != len(want) {
-					t.Fatalf("n=%d from=%d leaf %d: path len %d, want %d", n, from, i, len(got), len(want))
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("n=%d from=%d leaf %d: path[%d] mismatch", n, from, i, j)
-					}
-				}
-				if !VerifyPath(entries[i], i, uint64(n), got, tree.Root()) {
-					t.Fatalf("n=%d from=%d leaf %d: path does not verify", n, from, i)
-				}
-			}
+		}
+	}
+	for _, n := range []int{1, 2, 600} {
+		if got := testing.AllocsPerRun(20, func() { PathsOf(leaves[:n]) }); got != 2 {
+			t.Errorf("PathsOf of %d leaves: %.1f allocations, want 2", n, got)
 		}
 	}
 }
 
 // TestPathsArenaAppendSafe: the arena'd paths must behave like independent
-// slices. Appending to one returned path must not alter any sibling path.
+// slices. Appending to one returned path must not alter any sibling path,
+// whether the append fits in the path's stride or not.
 func TestPathsArenaAppendSafe(t *testing.T) {
 	const n = 600 // a ragged tree over several perfect subtrees
 	entries := entryDigests(n)
-	tree := New()
-	for _, e := range entries {
-		tree.Append(e)
-	}
-	paths, err := tree.PathsAt(0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths[0]) != cap(paths[0]) {
-		t.Fatalf("path capacity %d exceeds length %d: appends would spill into the neighbor", cap(paths[0]), len(paths[0]))
-	}
+	paths := PathsOf(leafHashes(entries))
 	// Stomp every path with appended garbage...
 	junk := hashsig.Sum([]byte("junk"))
 	for i := range paths {
-		paths[i] = append(paths[i], junk, junk, junk)
+		paths[i] = append(paths[i], junk)
+		paths[i] = append(paths[i], junk, junk)
 	}
 	// ...then re-verify each original prefix against a fresh recompute.
 	ref := refPaths(entries)
@@ -84,8 +72,8 @@ func TestPathsArenaAppendSafe(t *testing.T) {
 }
 
 // TestAppendAndProveRagged: appending a second batch onto a ragged tree
-// still yields paths valid against the grown root (the arena sizing must
-// account for hashRange lookups left of the batch).
+// still yields paths valid against the grown root: the second batch's
+// paths run through interior nodes over the first batch's leaves.
 func TestAppendAndProveRagged(t *testing.T) {
 	entries := entryDigests(900)
 	tree := New()

@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -56,12 +57,9 @@ func TestAppendAndProveGrowsExistingTree(t *testing.T) {
 		}
 	}
 	// Old leaves still provable against the same root.
+	all := PathsOf(leafHashes(append(pre, more...)))
 	for i, e := range pre {
-		p, err := pathOf(tr, uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !VerifyPath(e, uint64(i), 8, p, root) {
+		if !VerifyPath(e, uint64(i), 8, all[i], root) {
 			t.Fatalf("pre-existing leaf %d no longer proves", i)
 		}
 	}
@@ -75,7 +73,10 @@ func TestAppendAndProveEmpty(t *testing.T) {
 	}
 }
 
-func TestPathsAtValidation(t *testing.T) {
+// TestAppendAndProveCompacted: a compacted or restored tree no longer
+// holds the leaves a path needs, so AppendAndProve refuses it with
+// ErrCompacted before appending anything.
+func TestAppendAndProveCompacted(t *testing.T) {
 	tr := New()
 	var at4 Frontier
 	for i, e := range entries(8, "v") {
@@ -84,28 +85,20 @@ func TestPathsAtValidation(t *testing.T) {
 			at4 = tr.Frontier()
 		}
 	}
-	if _, err := tr.PathsAt(3, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
-	if _, err := tr.PathsAt(0, 9); err == nil {
-		t.Fatal("past-size range accepted")
-	}
 	if err := tr.CompactTo(at4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.PathsAt(2, 8); err == nil {
-		t.Fatal("compacted range accepted")
-	}
-	// Retained suffix still provable: interior hashes left of base come
-	// from the peaks.
-	paths, err := tr.PathsAt(4, 8)
+	restored, err := FromFrontier(at4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := entries(8, "v")
-	for i := 4; i < 8; i++ {
-		if !VerifyPath(es[i], uint64(i), 8, paths[i-4], tr.Root()) {
-			t.Fatalf("leaf %d after compact does not verify", i)
+	for name, tree := range map[string]*Tree{"compacted": tr, "restored": restored} {
+		size, root := tree.Size(), tree.Root()
+		if _, _, _, err := tree.AppendAndProve(entries(3, "w")); !errors.Is(err, ErrCompacted) {
+			t.Fatalf("%s tree: %v, want ErrCompacted", name, err)
+		}
+		if tree.Size() != size || tree.Root() != root {
+			t.Fatalf("%s tree: a refused AppendAndProve changed the tree", name)
 		}
 	}
 }
