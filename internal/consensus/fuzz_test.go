@@ -20,11 +20,12 @@ func messageCorpus() [][]byte {
 	}
 	nonce := hashsig.NonceFromSeed("fuzz-nonce")
 	env := ledger.Envelope{View: 1, Primary: 1, NonceCommit: nonce.Commit()}
-	batch, err := led.ExecuteBatchAs(fixed(env), []ledger.Request{{
+	rq := ledger.Request{
 		Author: hashsig.Sum([]byte("client")),
 		ReqNo:  1,
 		Body:   ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}}),
-	}})
+	}
+	batch, err := led.ExecuteBatchAs(fixed(env), []ledger.Request{rq})
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +48,8 @@ func messageCorpus() [][]byte {
 	}
 
 	var out [][]byte
-	for _, m := range []Message{pp, prep, cm, vc, nv, ask, chunk} {
+	fw := &Forward{Request: rq}
+	for _, m := range []Message{pp, prep, cm, vc, nv, ask, chunk, fw} {
 		frame := EncodeMessage(m)
 		out = append(out, frame)
 		out = append(out, frame[:len(frame)/2])
@@ -91,7 +93,7 @@ func FuzzDecodeMessage(f *testing.F) {
 // frames decode, truncations and retired tags error, and nothing panics.
 func TestMessageCorpusDecodes(t *testing.T) {
 	corpus := messageCorpus()
-	const types = 7 // one intact frame and two mutants of each, first
+	const types = 8 // one intact frame and two mutants of each, first
 	for i, frame := range corpus {
 		m, err := DecodeMessage(frame)
 		if i >= len(corpus)-2 { // the retired tags
@@ -124,7 +126,7 @@ func TestFuzzCorpusCoversAllTypes(t *testing.T) {
 			seen[m.Type()] = true
 		}
 	}
-	for _, want := range []MsgType{MsgPrePrepare, MsgPrepare, MsgCommit, MsgViewChange, MsgNewView, MsgSyncRequest, MsgSyncChunk} {
+	for _, want := range []MsgType{MsgPrePrepare, MsgPrepare, MsgCommit, MsgViewChange, MsgNewView, MsgSyncRequest, MsgSyncChunk, MsgForward} {
 		if !seen[want] {
 			t.Fatalf("corpus has no valid frame of type %d", want)
 		}

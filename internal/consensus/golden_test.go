@@ -21,12 +21,15 @@ import (
 // when chunks began to carry their offer, and the frames of the retired
 // offer and chunk request (tags 7 and 8) were deleted; and every frame
 // carrying a batch header or naming its statement was re-recorded when the
-// shard partition went (testdata/README.md says what was held equal).
+// shard partition went (testdata/README.md says what was held equal). The
+// Forward frame was added, as the last line, when backups began to relay
+// client requests; the lines above it did not change.
 const goldenFrames = "testdata/golden_frames.txt"
 
 // goldenMessages builds the recorded messages from fixed seeds: one of every
 // type, the view-change carrying a commit proof and a prepared claim, the
-// sync chunk carrying its offer's certificate.
+// sync chunk carrying its offer's certificate, the forward carrying the
+// request the pre-prepare's batch holds.
 func goldenMessages(t *testing.T) []Message {
 	t.Helper()
 	key := hashsig.GenerateKeyFromSeed("golden-frames")
@@ -36,11 +39,12 @@ func goldenMessages(t *testing.T) []Message {
 	}
 	nonce := hashsig.NonceFromSeed("golden-nonce")
 	backup := hashsig.NonceFromSeed("golden-backup")
-	batch, err := led.ExecuteBatchAs(fixed(ledger.Envelope{View: 1, Primary: 1, NonceCommit: nonce.Commit()}), []ledger.Request{{
+	rq := ledger.Request{
 		Author: hashsig.Sum([]byte("golden-client")),
 		ReqNo:  7,
 		Body:   ledger.EncodeOps([]ledger.Op{{Key: "k", Val: []byte("v")}}),
-	}})
+	}
+	batch, err := led.ExecuteBatchAs(fixed(ledger.Envelope{View: 1, Primary: 1, NonceCommit: nonce.Commit()}), []ledger.Request{rq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +76,7 @@ func goldenMessages(t *testing.T) []Message {
 			Cert:     cert,
 			Kind:     SyncChunkState, Index: 0, Data: []byte("chunk"),
 		},
+		&Forward{Request: rq},
 	}
 }
 
@@ -183,6 +188,32 @@ func TestRetiredTagsDoNotDecode(t *testing.T) {
 		frame = append(frame, chunk[4:]...)
 		if m, err := DecodeMessage(frame); !errors.Is(err, ErrBadMessage) || m != nil {
 			t.Fatalf("retired tag %d decodes: %T, %v", tag, m, err)
+		}
+	}
+}
+
+// TestForwardUnderTheRequestCap: a forwarded request decodes through the
+// submission decoder, so a body over ledger.MaxRequestLen, a bad governance
+// flag, or an embedded encoding longer than the cap allows is
+// ErrBadMessage, and a request at the cap round-trips.
+func TestForwardUnderTheRequestCap(t *testing.T) {
+	rq := ledger.Request{Author: hashsig.Sum([]byte("forward")), ReqNo: 1, Body: make([]byte, ledger.MaxRequestLen)}
+	frame := EncodeMessage(&Forward{Request: rq})
+	m, err := DecodeMessage(frame)
+	if err != nil || m.(*Forward).Request.ReqNo != 1 || len(m.(*Forward).Request.Body) != ledger.MaxRequestLen {
+		t.Fatalf("a request at the cap: %v", err)
+	}
+	rq.Body = append(rq.Body, 0)
+	badFlag := EncodeMessage(&Forward{Request: ledger.Request{ReqNo: 2}})
+	badFlag[4+4+3] = 2 // the governance flag, after the tag and the length
+	tooLong := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(MsgForward)), ledger.MaxRequestLen+49)
+	for what, f := range map[string][]byte{
+		"a body over the cap":      EncodeMessage(&Forward{Request: rq}),
+		"a bad governance flag":    badFlag,
+		"an encoding over the cap": tooLong,
+	} {
+		if _, err := DecodeMessage(f); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("%s: %v, want ErrBadMessage", what, err)
 		}
 	}
 }

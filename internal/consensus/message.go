@@ -69,6 +69,9 @@ const (
 	// checkpoint's state, or one committed batch of the suffix above the
 	// offer's start — together with the offer itself.
 	MsgSyncChunk MsgType = 9
+	// MsgForward relays a client request from the replica the client
+	// reached to its peers; the node runtime handles it.
+	MsgForward MsgType = 10
 )
 
 // ErrBadMessage reports a malformed consensus message on decode.
@@ -432,6 +435,29 @@ func decodeSyncChunk(r *wire.Reader) *SyncChunk {
 	return m
 }
 
+// Forward relays a client request to the replicas, so that whichever one
+// leads proposes it. It is unsigned: until requests carry the client's
+// signature, a relayed request is no more forgeable than one a client sends
+// directly. The body is the request's submission encoding, decoded by
+// ledger.DecodeRequest under its cap.
+type Forward struct {
+	Request ledger.Request
+}
+
+// Type implements Message.
+func (m *Forward) Type() MsgType { return MsgForward }
+
+func (m *Forward) encodeBody(w *wire.Writer) { w.Bytes(ledger.EncodeRequest(nil, &m.Request)) }
+
+func decodeForward(r *wire.Reader) *Forward {
+	// The submission encoding's fixed fields are 48 bytes.
+	rq, err := ledger.DecodeRequest(r.Bytes(ledger.MaxRequestLen + 48))
+	if err != nil {
+		r.Fail(err)
+	}
+	return &Forward{Request: rq}
+}
+
 // EncodeMessage serializes a message as one self-describing frame: the type
 // tag as a big-endian uint32, then the body in the deterministic wire codec.
 // The returned slice is freshly allocated and owned by the caller: frames
@@ -467,7 +493,7 @@ func DecodeMessage(b []byte) (Message, error) {
 	r := wire.NewBytesReader(b)
 	var m Message
 	tag := r.Uint32()
-	if r.Err() == nil && tag > uint32(MsgSyncChunk) {
+	if r.Err() == nil && tag > uint32(MsgForward) {
 		// Reject out-of-range tags on the full 32 bits: a silent truncation
 		// to MsgType's underlying byte would let distinct frames decode to
 		// the same message, breaking canonical encoding.
@@ -488,6 +514,8 @@ func DecodeMessage(b []byte) (Message, error) {
 		m = decodeSyncRequest(r)
 	case MsgSyncChunk:
 		m = decodeSyncChunk(r)
+	case MsgForward:
+		m = decodeForward(r)
 	default:
 		if r.Err() == nil {
 			return nil, fmt.Errorf("%w: unknown type %d", ErrBadMessage, t)

@@ -140,7 +140,6 @@ type Replica struct {
 	// view-change state
 	inViewChange bool
 	vcTarget     uint64
-	ownVC        *ViewChange
 	vcs          map[uint64]map[ReplicaID]*ViewChange
 	lastNewView  *NewView
 	// mustRepropose pins, per sequence number, the content digest the
@@ -460,6 +459,8 @@ func (r *Replica) handle(m Message, out *[]Outbound) error {
 		return r.handleSyncRequest(msg, out)
 	case *SyncChunk:
 		return r.handleSyncChunk(msg, out)
+	case *Forward:
+		return nil // the node runtime's
 	default:
 		return fmt.Errorf("%w: unknown message %T", ErrInvalid, m)
 	}
@@ -790,11 +791,16 @@ func (r *Replica) buildCommitCert(in *instance) *ledger.CommitCert {
 }
 
 // OnTimeout abandons the current view and broadcasts a view change for the
-// next one. Callers invoke it when progress has stalled; repeated calls
-// escalate the target view.
+// next one. Callers invoke it when progress has stalled. As in PBFT, a
+// repeated call escalates the target only once a quorum voted for it: a
+// replica that timed out alone keeps its vote (Retransmit repeats it) where
+// the others can join it, rather than run ahead of any view they accept.
 func (r *Replica) OnTimeout() []Outbound {
 	target := r.view + 1
-	if r.inViewChange && r.vcTarget >= target {
+	if r.inViewChange {
+		if len(r.vcs[r.vcTarget]) < r.quorum {
+			return nil
+		}
 		target = r.vcTarget + 1
 	}
 	return r.startViewChange(target)
@@ -826,7 +832,6 @@ func (r *Replica) startViewChange(target uint64) []Outbound {
 		}
 	}
 	vc.Sig = r.cfg.Key.MustSign(vc.SigningDigest())
-	r.ownVC = vc
 	r.recordViewChange(vc)
 	out := []Outbound{toAll(vc)}
 	r.maybeEmitNewView(target, &out)
@@ -1047,7 +1052,6 @@ func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 	r.view = v
 	r.inViewChange = false
 	r.vcTarget = v
-	r.ownVC = nil
 	r.gen++
 	for tv := range r.vcs {
 		if tv <= v {
@@ -1108,8 +1112,12 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 func (r *Replica) Retransmit() []Outbound {
 	var msgs []Message
 	if r.inViewChange {
-		if r.ownVC != nil {
-			msgs = append(msgs, r.ownVC)
+		// Every vote cast above the view: a target this replica escalated
+		// past may lack only its vote at that target's primary.
+		for _, v := range sortedKeys(r.vcs) {
+			if own := r.vcs[v][r.cfg.ID]; v > r.view && own != nil {
+				msgs = append(msgs, own)
+			}
 		}
 		var out []Outbound
 		broadcastAll(&out, msgs)

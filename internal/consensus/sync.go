@@ -23,7 +23,9 @@ import (
 // lacks, more on a hunch, many when it hears nothing at all) sends
 // SyncRequest{HaveSeq: committed} to one peer. Each deadline that passes
 // without an adopted transfer moves the ask to the next peer it has not
-// banned and doubles the wait; a commit that lands cancels the ask. Who
+// banned and doubles the wait, and fresh evidence that the cluster
+// committed further (noteAhead) resets it; a commit that lands cancels the
+// ask. Who
 // answers: a peer with committed > HaveSeq, at once and to the requester
 // alone, with every chunk of the transfer it would offer at that moment;
 // peers with nothing newer stay silent, so a cluster under load sends
@@ -173,10 +175,16 @@ func (r *Replica) Syncing() bool { return r.sync.asking }
 // new-view certificates, verified offers) or window-implied bounds from
 // signed proposals; the evidence only gates when asking starts — everything
 // pushed is verified independently, so an inflated claim cannot corrupt
-// state.
+// state. Evidence that the cluster moved further than known resets the ask
+// backoff: a laggard whose asks went unanswered (a dead or cut-off peer)
+// asks again soon once the cluster is heard from.
 func (r *Replica) noteAhead(seq uint64) {
-	if seq > r.sync.ahead {
-		r.sync.ahead = seq
+	if s := &r.sync; seq > s.ahead {
+		s.ahead = seq
+		if s.asking && s.backoff > syncBaseBackoff {
+			s.backoff = syncBaseBackoff
+			s.deadline = min(s.deadline, s.tick+s.backoff)
+		}
 	}
 }
 
@@ -552,7 +560,6 @@ func (r *Replica) adoptSync(out *[]Outbound) error {
 	r.abandonFrom(stand)
 	if r.inViewChange && r.vcTarget <= r.view {
 		r.inViewChange = false
-		r.ownVC = nil
 	}
 	s.reset()
 	s.force = false

@@ -1,9 +1,10 @@
 // Package loadgen drives a running cluster through the client submission
 // RPC and measures committed throughput. It is both the library behind
 // cmd/loadgen and the workload driver for the CI acceptance job: workers
-// submit ordered request streams, follow leader hints, verify every
-// receipt client-side, and the run reports committed entries/sec and the
-// median submit→verified-receipt latency.
+// submit ordered request streams to any node (a backup forwards to the
+// primary), move to the next node when one times out or fails, verify
+// every receipt client-side, and the run reports committed entries/sec and
+// the median submit→verified-receipt latency.
 package loadgen
 
 import (
@@ -20,8 +21,8 @@ import (
 
 // Config parameterizes one load run.
 type Config struct {
-	// Addrs lists the cluster's RPC addresses, indexed by node ID. The
-	// NotPrimary leader hint is an index into this slice.
+	// Addrs lists the RPC addresses workers submit to. Worker w starts at
+	// Addrs[w % len(Addrs)] and moves on through the list.
 	Addrs []string
 	// Pubs are the replica public keys, indexed by replica ID: a receipt
 	// must verify under the key of the primary its header names.
@@ -50,7 +51,7 @@ type Result struct {
 	EntriesPerSec float64
 	// MedianLatency is the median, over committed requests, of the time
 	// from a worker's first submission of the request to its receipt
-	// verifying — leader redirects and busy back-offs included.
+	// verifying — moves to other nodes and busy back-offs included.
 	MedianLatency time.Duration
 }
 
@@ -126,7 +127,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // worker is one submission stream: a distinct author, strictly increasing
-// ReqNos, and a sticky connection that follows NotPrimary leader hints.
+// ReqNos, and a sticky connection to one node until it times out or fails.
 type worker struct {
 	cfg    *Config
 	author hashsig.Digest
@@ -170,8 +171,8 @@ func runWorker(cfg *Config, idx int) (lats []time.Duration, dups, fails int, err
 	return lats, dups, fails, nil
 }
 
-// submit pushes one request until a terminal verdict, rotating through
-// leader hints and (on connection failure) the remaining nodes.
+// submit pushes one request until a terminal verdict, moving through the
+// nodes when one times out or fails.
 func (wk *worker) submit(rq *ledger.Request) (rpc.Status, error) {
 	deadline := time.Now().Add(wk.cfg.Timeout * 4)
 	var lastErr error
@@ -180,7 +181,7 @@ func (wk *worker) submit(rq *ledger.Request) (rpc.Status, error) {
 			cl, err := rpc.Dial(wk.cfg.Addrs[wk.target], wk.cfg.Timeout)
 			if err != nil {
 				lastErr = err
-				wk.target = (wk.target + 1) % len(wk.cfg.Addrs)
+				wk.next()
 				time.Sleep(50 * time.Millisecond)
 				continue
 			}
@@ -189,8 +190,7 @@ func (wk *worker) submit(rq *ledger.Request) (rpc.Status, error) {
 		res, err := wk.cl.Submit(rq, wk.cfg.Timeout)
 		if err != nil {
 			lastErr = err
-			wk.disconnect()
-			wk.target = (wk.target + 1) % len(wk.cfg.Addrs)
+			wk.next()
 			continue
 		}
 		switch res.Status {
@@ -201,18 +201,14 @@ func (wk *worker) submit(rq *ledger.Request) (rpc.Status, error) {
 				}
 			}
 			return res.Status, nil
-		case rpc.StatusNotPrimary:
-			// Follow the hint; a stale hint just round-trips again.
-			next := int(res.Leader)
-			if next < 0 || next >= len(wk.cfg.Addrs) || next == wk.target {
-				next = (wk.target + 1) % len(wk.cfg.Addrs)
-			}
-			wk.disconnect()
-			wk.target = next
-		case rpc.StatusBusy, rpc.StatusTimeout:
-			// Transient: pool backpressure or a slow view — back off and
-			// resubmit the same request (dedup makes this safe).
+		case rpc.StatusBusy:
+			// Pool backpressure: back off and resubmit the same request
+			// (dedup makes this safe).
 			time.Sleep(100 * time.Millisecond)
+		case rpc.StatusTimeout, rpc.StatusShutdown:
+			// Cut off, or its primary dead, or going away: try the next.
+			lastErr = fmt.Errorf("node %d answered %v", wk.target, res.Status)
+			wk.next()
 		default:
 			return res.Status, nil
 		}
@@ -240,6 +236,12 @@ func VerifyReceipt(pubs []*hashsig.PublicKey, rq *ledger.Request, rc *ledger.Rec
 			rq.ReqNo, rc.Header.View, rc.Header.Primary)
 	}
 	return nil
+}
+
+// next moves the worker to the next node.
+func (wk *worker) next() {
+	wk.disconnect()
+	wk.target = (wk.target + 1) % len(wk.cfg.Addrs)
 }
 
 func (wk *worker) disconnect() {

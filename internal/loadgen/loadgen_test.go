@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,15 +16,37 @@ import (
 	"iaccf/internal/transport"
 )
 
+// cluster is an in-process cluster over real TCP transports.
+type cluster struct {
+	addrs []string // RPC addresses, by node
+	pubs  []*hashsig.PublicKey
+	nodes []*node.Node
+	// stop shuts node i down as a crash would look to its clients and
+	// peers: its RPC server closes, its run loop stops and its transport
+	// closes. It is idempotent, and the test's cleanup calls it.
+	stop []func()
+}
+
 // bootCluster starts an in-process n-node cluster over real TCP
-// transports and returns its RPC addresses and replica public keys.
-func bootCluster(t *testing.T, n int, seed string) ([]string, []*hashsig.PublicKey) {
+// transports.
+func bootCluster(t *testing.T, n int, seed string) *cluster {
 	t.Helper()
+	c := &cluster{addrs: make([]string, n), pubs: make([]*hashsig.PublicKey, n)}
 	keys := make([]*hashsig.PrivateKey, n)
-	pubs := make([]*hashsig.PublicKey, n)
 	for i := 0; i < n; i++ {
 		keys[i] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("%s/%d", seed, i))
-		pubs[i] = keys[i].Public()
+		c.pubs[i] = keys[i].Public()
+	}
+	// The RPC listeners are bound before the transport ports are reserved,
+	// so no RPC listener can take a reserved port before its transport
+	// binds it.
+	lns := make([]net.Listener, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
 	}
 	addrs := make(map[transport.NodeID]string, n)
 	for i := 0; i < n; i++ {
@@ -34,7 +57,6 @@ func bootCluster(t *testing.T, n int, seed string) ([]string, []*hashsig.PublicK
 		addrs[transport.NodeID(i)] = ln.Addr().String()
 		ln.Close()
 	}
-	rpcAddrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		proxy := &transport.HandlerProxy{}
 		tp, err := transport.ListenTCP(transport.TCPConfig{
@@ -45,14 +67,13 @@ func bootCluster(t *testing.T, n int, seed string) ([]string, []*hashsig.PublicK
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { tp.Close() })
 		clk := node.NewWallClock(2 * time.Millisecond)
 		t.Cleanup(clk.Stop)
 		nd, err := node.New(node.Config{
 			Consensus: consensus.Config{
 				ID:              consensus.ReplicaID(i),
 				Key:             keys[i],
-				Peers:           pubs,
+				Peers:           c.pubs,
 				App:             ledger.KVApp{},
 				CheckpointEvery: 4,
 			},
@@ -60,32 +81,47 @@ func bootCluster(t *testing.T, n int, seed string) ([]string, []*hashsig.PublicK
 			Clock:     clk,
 		})
 		if err != nil {
+			tp.Close()
 			t.Fatal(err)
 		}
 		proxy.Set(nd.InboundHandler())
 		nd.Start()
-		t.Cleanup(nd.Stop)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+		srv := rpc.Serve(lns[i], nd.Submit)
+		var once sync.Once
+		stop := func() {
+			once.Do(func() {
+				srv.Close()
+				nd.Stop()
+				tp.Close()
+			})
 		}
-		srv := rpc.Serve(ln, nd.Submit)
-		t.Cleanup(func() { srv.Close() })
-		rpcAddrs[i] = srv.Addr().String()
+		t.Cleanup(stop)
+		c.addrs[i] = srv.Addr().String()
+		c.nodes = append(c.nodes, nd)
+		c.stop = append(c.stop, stop)
 	}
-	return rpcAddrs, pubs
+	return c
+}
+
+// wantAll fails the test unless every request of the run committed or came
+// back duplicate, with no failures.
+func wantAll(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
+	if want := cfg.Workers * cfg.Requests; res.Committed+res.Duplicates != want || res.Failures != 0 {
+		t.Fatalf("committed %d + dup %d of %d requests, %d failed", res.Committed, res.Duplicates, want, res.Failures)
+	}
 }
 
 // TestClusterAcceptance is the CI acceptance gate: boot a 4-replica
-// cluster, drive it with concurrent loadgen workers (which follow leader
-// hints and verify every receipt client-side), and demand full commit.
-// With LOADGEN_REPORT set, the throughput line is written there so CI can
-// publish it as an artifact.
+// cluster, drive it with concurrent loadgen workers (which verify every
+// receipt client-side), and demand full commit. With LOADGEN_REPORT set,
+// the throughput line is written there so CI can publish it as an
+// artifact.
 func TestClusterAcceptance(t *testing.T) {
-	rpcAddrs, pubs := bootCluster(t, 4, "accept")
+	c := bootCluster(t, 4, "accept")
 	cfg := Config{
-		Addrs:    rpcAddrs,
-		Pubs:     pubs,
+		Addrs:    c.addrs,
+		Pubs:     c.pubs,
 		Workers:  4,
 		Requests: 12,
 		Timeout:  20 * time.Second,
@@ -94,14 +130,7 @@ func TestClusterAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.Workers * cfg.Requests
-	if res.Committed+res.Duplicates != want {
-		t.Fatalf("committed %d + dup %d of %d requests (failed %d)",
-			res.Committed, res.Duplicates, want, res.Failures)
-	}
-	if res.Failures != 0 {
-		t.Fatalf("%d submissions failed", res.Failures)
-	}
+	wantAll(t, cfg, res)
 	t.Logf("acceptance: %s", res)
 	if path := os.Getenv("LOADGEN_REPORT"); path != "" {
 		if err := os.WriteFile(path, []byte(res.String()+"\n"), 0o644); err != nil {
@@ -110,25 +139,94 @@ func TestClusterAcceptance(t *testing.T) {
 	}
 }
 
-// TestWorkerFollowsLeaderHint starts workers on backup nodes: the
-// NotPrimary hint must redirect them to the leader with no failures.
-func TestWorkerFollowsLeaderHint(t *testing.T) {
-	rpcAddrs, pubs := bootCluster(t, 4, "hint")
-	// Workers start at target = index % len(Addrs): workers 1 and 2 open
-	// against backups and can only commit by following the leader hint.
-	res, err := Run(Config{
-		Addrs:    rpcAddrs,
-		Pubs:     pubs,
+// TestWorkersOnBackupsCommit pins every worker to a backup: each request is
+// forwarded to the primary and its receipt comes back from the backup the
+// worker reached, verified client-side like any other, and nothing fails.
+// (Node 0 is primary at the start; it receives the forwards.)
+func TestWorkersOnBackupsCommit(t *testing.T) {
+	c := bootCluster(t, 4, "backups")
+	cfg := Config{
+		Addrs:    c.addrs[1:],
+		Pubs:     c.pubs,
 		Workers:  3,
 		Requests: 4,
-		Seed:     "hint-load",
+		Seed:     "backup-load",
 		Timeout:  20 * time.Second,
-	})
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed != 12 || res.Failures != 0 {
-		t.Fatalf("unexpected result: %s", res)
+	wantAll(t, cfg, res)
+	if res.Committed == 0 {
+		t.Fatalf("no receipt came back: %s", res)
+	}
+	if s := c.nodes[0].Stats(); s.Forwarded == 0 {
+		t.Fatal("the primary received no forwards")
+	}
+}
+
+// TestPrimaryKillUnderLoad stops the primary once the first requests have
+// committed, with sixteen workers submitting. The survivors must replace it
+// by their own timers — every replica a worker moved to holds its request,
+// so it times the dead primary out — and finish the run: every request
+// commits or comes back duplicate, none fails, the survivors reach a later
+// view and agree on the history at their common watermark.
+func TestPrimaryKillUnderLoad(t *testing.T) {
+	c := bootCluster(t, 4, "kill")
+	cfg := Config{
+		Addrs:    c.addrs,
+		Pubs:     c.pubs,
+		Workers:  16,
+		Requests: 16,
+		Seed:     "kill-load",
+		Timeout:  2 * time.Second,
+	}
+	killed := make(chan struct{})
+	go func() {
+		defer close(killed)
+		for c.nodes[0].CommittedSeqs() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		c.stop[0]()
+	}()
+	res, err := Run(cfg)
+	<-killed
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAll(t, cfg, res)
+	t.Logf("through the kill: %s", res)
+
+	survivors := c.nodes[1:]
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w := survivors[0].CommittedSeqs()
+		same := true
+		for _, nd := range survivors[1:] {
+			same = same && nd.CommittedSeqs() == w
+		}
+		if same {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("survivors did not converge: %d %d %d", w, survivors[1].CommittedSeqs(), survivors[2].CommittedSeqs())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i := range survivors {
+		c.stop[i+1]() // the ledgers are read with no run loop left
+	}
+	ref := survivors[0].Replica()
+	for i, nd := range survivors {
+		rep := nd.Replica()
+		if v := nd.Stats().View; v == 0 {
+			t.Fatalf("survivor %d is still in view 0", i+1)
+		}
+		if rep.Committed() != ref.Committed() || rep.Ledger().HistRoot() != ref.Ledger().HistRoot() {
+			t.Fatalf("survivor %d holds watermark %d root %s, survivor 1 %d %s", i+1,
+				rep.Committed(), rep.Ledger().HistRoot(), ref.Committed(), ref.Ledger().HistRoot())
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package node is the runtime that turns a deterministic consensus
 // replica into a networked cluster member. It owns everything the
 // consensus package deliberately does not: the wall clock (through the
-// Clock seam), the transport, the transaction pool feeding the primary,
-// and the client submission path with receipt delivery.
+// Clock seam), the transport, the transaction pool feeding proposals, and
+// the client submission path with receipt delivery.
 //
 // One goroutine — the run loop — owns the consensus.Replica. Transport
 // handlers and RPC submissions communicate with it only through channels,
@@ -26,48 +26,34 @@
 //
 // Batching pays because a batch costs the cluster the same bill however few
 // entries it carries: 4 Ed25519 signs and 12 verifies for four replicas
-// (TestSignaturesPerBatch) and 24 frames, ≈ 26 with retransmissions.
-// In-process on two cores that is ≈ 0.9 ms per entry in one-entry batches
-// against ≈ 34 µs in 64-entry ones. Proposing greedily — whenever the window has room and the pool is
-// non-empty — pays the bill per request and was measured and rejected.
-//
-// BatchMax defaults to 256, the pick of a sweep on the two saturated
-// benchmark workloads (bench/: 512 parked callers, four replicas in one
-// process on two cores; medians of four alternating rounds of 8-s runs,
-// with the batch-sized buffers allocated once at every value):
-//
-//	BatchMax  entries/batch  sat512 entries/s  insert512 entries/s
-//	     128            114            42.7 k              29.0 k
-//	     192            165            44.8 k              30.5 k
-//	     256            198            44.2 k              28.9 k
-//	     384            243            42.5 k              28.9 k
-//	     512            255            39.4 k              29.0 k
-//
-// Six more rounds of 128, 192 and 256 read 33.9, 38.6 and 38.7 k/s on
-// sat512; 256 beat 128 in all ten rounds. At ≈ 114 entries per batch the
-// bill is 16/114 ≈ 0.14 Ed25519 operations and, traced, 0.23 frames per
-// entry; at ≈ 198 it is 0.08 and 0.13. Above 256 the 512 callers filled
-// no batch past ≈ 255 entries, and throughput fell. The lightly loaded
-// workloads, whose window drains long before 128 requests pool, cut the
-// batches they cut before.
-//
-// The price is at loads in between: a primary owing more than one batch
-// but fewer than W full ones keeps fewer instances in flight than a
-// smaller cap would. Against four cmd/node processes on two cores, in six
-// alternating runs a side of cmd/loadgen, 128 and 256 read alike there: at
-// 64 workers 14.2 k and 14.4 k entries/s with a 4.2 ms median each, and at
-// 200 workers, which never pool 256 requests, 18.4 k and 19.0 k entries/s
-// with 10.0 and 9.8 ms medians (256 read better in 3 and 4 of 6). A rule
-// that grew the batch with the requests the primary owes was measured
-// against a fixed 128 and lost on the saturated workloads.
+// (TestSignaturesPerBatch) and 24 frames. Proposing greedily — whenever the
+// window has room and the pool is non-empty — pays the bill per request and
+// was measured and rejected. BatchMax defaults to 256, the pick of a sweep
+// of 128 to 512 on the saturated benchmark workloads (CHANGES.md, PR 64).
 //
 // Ticks drive timers only: sync, retransmission, the stall timer and
 // submission patience. The tick interval is their granularity and is not
 // on the commit path.
+//
+// # Submissions and liveness
+//
+// Every node takes client requests. It pools a submission and parks the
+// client's waiter; a node that is not primary also forwards the request to
+// every peer (consensus.Forward), which pools it with no waiter. A live
+// primary proposes it, a backup holds it, and whichever node leads next
+// proposes it; a commit answers every waiter whose request it carries,
+// whoever proposed it, and drops the request's pooled copies. So the pool,
+// with the instances in flight, is the record of the work a node owes, and
+// one stall rule runs on every node: while work is owed and nothing commits
+// for StallTicks ticks, the node votes to leave the view. This is PBFT's
+// rule (Castro and Liskov, OSDI '99, §4.4): every replica a client reached
+// suspects a primary that does not order the request, so a dead primary,
+// idle or under load, is replaced by the nodes' own timers.
 package node
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"sync/atomic"
@@ -97,9 +83,10 @@ type Config struct {
 	// batch sooner when its bodies are large. 0 means 256 (see Pacing in
 	// the package doc).
 	BatchMax int
-	// StallTicks is how many ticks without commit progress (with work in
-	// flight) the node tolerates before voting for a view change.
-	// 0 means 32.
+	// StallTicks is how many ticks with work owed (a request pooled or an
+	// instance in flight) and no commit the node tolerates before voting
+	// for a view change. Each further vote with no commit between waits
+	// twice as long, up to 2^maxStallDoublings times. 0 means 32.
 	StallTicks int
 	// SubmitPatienceTicks bounds how long a pending submission waits for
 	// its commit before rpc.StatusTimeout. 0 means 128.
@@ -108,6 +95,10 @@ type Config struct {
 
 // retransmitEvery is the tick cadence of Retransmit.
 const retransmitEvery = 8
+
+// maxStallDoublings caps the stall timeout's doubling (PBFT's backoff: under
+// loss a view eventually lasts long enough to commit).
+const maxStallDoublings = 5
 
 // Stats counts what the run loop decided and what it dropped, since the
 // node was built, and reports where its replica stood at the end of the
@@ -134,6 +125,9 @@ type Stats struct {
 	// Broadcast that returned an error (a closed transport, an unknown
 	// peer). A refused broadcast counts once.
 	SendErrors uint64
+	// Forwarded counts the client requests peers relayed to this node
+	// (consensus.Forward), 0 while every client submits to the primary.
+	Forwarded uint64
 	// View is the replica's current view.
 	View uint64
 	// Syncs counts state transfers the replica adopted, checkpoint or
@@ -184,6 +178,7 @@ type pendingBatch struct {
 	view    uint64
 	content hashsig.Digest
 	subs    []hashsig.Digest
+	reqs    []ledger.Request // request i is entry i, as subs
 }
 
 // Node runs one cluster member: replica, pool, and delivery bookkeeping.
@@ -198,11 +193,14 @@ type Node struct {
 	stopped chan struct{}
 
 	// Run-loop-owned state (no locks: single consumer).
-	ticks            uint64
-	lastCommitted    uint64
-	lastProgressTick uint64
-	pending          map[uint64]pendingBatch
-	waiters          map[hashsig.Digest][]waiter
+	ticks         uint64
+	lastCommitted uint64
+	owedTicks     uint64 // ticks with work owed since the last commit or vote
+	stalls        int    // view-change votes since the last commit
+	lastView      uint64
+	pending       map[uint64]pendingBatch
+	waiters       map[hashsig.Digest][]waiter
+	heard         map[hashsig.Digest]uint64 // tick a copy was last forwarded or requeued
 
 	// Published by the run loop after every turn, so nothing off the loop
 	// reads the replica.
@@ -221,6 +219,7 @@ type Node struct {
 	decodeErrors    atomic.Uint64
 	handleErrors    atomic.Uint64
 	sendErrors      atomic.Uint64
+	forwarded       atomic.Uint64
 }
 
 // New builds a node (replica included) but does not start it.
@@ -258,6 +257,7 @@ func New(cfg Config) (*Node, error) {
 		stopped: make(chan struct{}),
 		pending: make(map[uint64]pendingBatch),
 		waiters: make(map[hashsig.Digest][]waiter),
+		heard:   make(map[hashsig.Digest]uint64),
 	}, nil
 }
 
@@ -310,6 +310,7 @@ func (n *Node) Stats() Stats {
 		DecodeErrors:     n.decodeErrors.Load(),
 		HandleErrors:     n.handleErrors.Load(),
 		SendErrors:       n.sendErrors.Load(),
+		Forwarded:        n.forwarded.Load(),
 		View:             n.view.Load(),
 		Syncs:            n.syncs.Load(),
 		Syncing:          n.syncing.Load(),
@@ -317,8 +318,8 @@ func (n *Node) Stats() Stats {
 }
 
 // Submit hands one client request to the node and blocks until it
-// commits (receipt attached), fails fast (not primary / busy / too
-// large / duplicate), times out, or the node stops.
+// commits (receipt attached), fails fast (busy / too large / duplicate),
+// times out, or the node stops. Any node takes requests, primary or not.
 func (n *Node) Submit(rq ledger.Request) rpc.Result {
 	s := submission{rq: rq, resp: make(chan rpc.Result, 1)}
 	select {
@@ -359,6 +360,7 @@ func (n *Node) run() {
 func (n *Node) step(t turn, handle func()) {
 	handle()
 	n.afterProgress()
+	n.requeue()
 	n.pace(t)
 	n.publish()
 }
@@ -380,11 +382,6 @@ func (n *Node) StepSubmit(rq ledger.Request) <-chan rpc.Result {
 	n.step(turnSubmit, func() { n.onSubmit(submission{rq: rq, resp: resp}) })
 	return resp
 }
-
-// StepStall runs a tick turn in which the stall rule fires, whatever is in
-// flight. A backup with nothing in flight never fires it on its own, so
-// without this a cluster whose primary dies while idle never changes view.
-func (n *Node) StepStall() { n.step(turnTick, n.stall) }
 
 // Replica is the node's replica, for the driver of a node it never
 // Started: between turns, nothing else touches it.
@@ -424,6 +421,16 @@ func (n *Node) onFrame(f inFrame) {
 		n.decodeErrors.Add(1) // malformed frame: the sender's problem
 		return
 	}
+	if fw, ok := m.(*consensus.Forward); ok {
+		// A peer's client request, pooled with no waiter; a refusal needs
+		// no answer.
+		n.forwarded.Add(1)
+		h := txpool.Hash(&fw.Request)
+		if err := n.pool.AddHashed(fw.Request, h); err == nil || n.pool.Pooled(h) {
+			n.heard[h] = n.ticks
+		}
+		return
+	}
 	outs, err := n.rep.Handle(m)
 	if err != nil {
 		// A rejected message may still have produced output (blame, a
@@ -437,27 +444,47 @@ func (n *Node) onFrame(f inFrame) {
 // timer, submission patience. It proposes nothing: see pace.
 func (n *Node) onTick() {
 	n.ticks++
-	if n.rep.InFlight() == 0 {
-		// The stall timer runs only while work is in flight. Without this
-		// re-arm it would keep counting through idle gaps, and the first
-		// proposal after one would find it already expired.
-		n.lastProgressTick = n.ticks
+	if n.rep.InFlight() > 0 || n.pool.Len() > 0 {
+		// An idle gap does not expire the stall timer, and a copy that
+		// leaves the pool and comes back does not restart it.
+		n.owedTicks++
 	}
 	n.route(n.rep.SyncTick())
 	if n.ticks%retransmitEvery == 0 {
 		n.route(n.rep.Retransmit())
+		n.reforward()
 	}
-	if n.rep.InFlight() > 0 && n.ticks-n.lastProgressTick >= uint64(n.cfg.StallTicks) {
-		n.stall()
+	if n.owedTicks >= uint64(n.cfg.StallTicks)<<min(n.stalls, maxStallDoublings) {
+		// Vote to leave the view, and re-arm rather than fire every tick.
+		outs := n.rep.OnTimeout()
+		if len(outs) > 0 {
+			n.stalls++
+		}
+		n.route(outs)
+		n.owedTicks = 0
 	}
-	n.expireWaiters()
+	n.expire()
 }
 
-// stall is the stall rule's action: vote to leave the view, and re-arm
-// rather than fire again every tick.
-func (n *Node) stall() {
-	n.route(n.rep.OnTimeout())
-	n.lastProgressTick = n.ticks
+// forward relays a client's request to every peer.
+func (n *Node) forward(rq ledger.Request) {
+	n.route([]consensus.Outbound{{Dest: consensus.Broadcast, Msg: &consensus.Forward{Request: rq}}})
+}
+
+// reforward covers a lost forward to the primary: a backup sends it again
+// every pooled request a client of its own waits for, in pool order.
+func (n *Node) reforward() {
+	if n.rep.IsPrimary() || len(n.waiters) == 0 {
+		return
+	}
+	primary := consensus.ReplicaID(n.rep.View() % uint64(len(n.cfg.Consensus.Peers)))
+	var outs []consensus.Outbound
+	for _, pr := range n.pool.Requests() {
+		if len(n.waiters[pr.Hash]) > 0 {
+			outs = append(outs, consensus.Outbound{Dest: primary, Msg: &consensus.Forward{Request: pr.Req}})
+		}
+	}
+	n.route(outs)
 }
 
 // pace is the node's one proposing rule, run at the end of every turn:
@@ -496,13 +523,37 @@ func (n *Node) proposeFromPool() int {
 		n.failBatch(batch)
 		return 0
 	}
-	pb := pendingBatch{view: n.rep.View(), content: content, subs: subs}
+	pb := pendingBatch{view: n.rep.View(), content: content, subs: subs, reqs: reqs}
 	if old, ok := n.pending[pp.Header.Seq]; ok {
 		n.forget(old) // a view change abandoned this node's earlier batch here
 	}
 	n.pending[pp.Header.Seq] = pb
 	n.route([]consensus.Outbound{{Dest: consensus.Broadcast, Msg: pp}})
 	return len(batch)
+}
+
+// requeue gives the requests of this node's proposals from earlier views
+// back to the pool once the view changes: the change may have dropped them.
+// A commit of one, in whatever batch, answers its waiters and drops it.
+func (n *Node) requeue() {
+	v := n.rep.View()
+	if v == n.lastView {
+		return
+	}
+	n.lastView, n.owedTicks = v, 0 // a new view gets a whole stall timeout
+	for _, seq := range slices.Sorted(maps.Keys(n.pending)) {
+		pb := n.pending[seq]
+		if pb.view == v {
+			continue
+		}
+		delete(n.pending, seq)
+		for i, h := range pb.subs {
+			n.pool.Forget(h)
+			if n.pool.AddHashed(pb.reqs[i], h) == nil {
+				n.heard[h] = n.ticks
+			}
+		}
+	}
 }
 
 // failBatch resolves a drained batch the replica refused to propose. The
@@ -545,7 +596,7 @@ func (n *Node) afterProgress() {
 	// removed the batches a commit jump covered.
 	n.committedEntries.Store(n.rep.Ledger().Cert(c).Header.HistSize)
 	n.lastCommitted = c
-	n.lastProgressTick = n.ticks
+	n.owedTicks, n.stalls = 0, 0
 	n.committedSeqs.Store(c)
 }
 
@@ -553,24 +604,36 @@ func (n *Node) deliverSeq(seq uint64) {
 	b := n.rep.Ledger().BatchAt(seq)
 	pb, ok := n.pending[seq]
 	delete(n.pending, seq)
-	// A view change may have replaced the batch this node proposed. When the
-	// committed batch is retained, compare content directly. When a commit
-	// jump (state transfer) already pruned it, fall back to the view: within
-	// one view the primary signs exactly one pre-prepare per sequence, so if
-	// the view never changed since Propose, the batch that committed at seq
-	// can only be this one.
-	own := ok && (b != nil && b.Header.ContentDigest() == pb.content || b == nil && n.rep.View() == pb.view)
-	if b != nil {
-		n.observe(b, pb.subs, own)
+	if b == nil {
+		// A commit jump (state transfer) passed seq, so no copy in the pool
+		// can be observed committed any more: it goes, and its clients
+		// resubmit. In the view it was proposed in, the batch that committed
+		// at seq can only be this node's proposal (one pre-prepare per seq
+		// per view), committed with no receipt to cut; in another it may
+		// have been replaced.
+		for _, pr := range n.pool.Requests() {
+			n.pool.Drop(pr.Hash)
+		}
+		if !ok || n.rep.View() != pb.view {
+			n.forget(pb)
+			return
+		}
+		for _, h := range pb.subs {
+			n.answer(h, rpc.Result{Status: rpc.StatusDuplicate})
+		}
+		return
 	}
+	// A view change may have replaced the batch this node proposed: compare
+	// content.
+	own := ok && b.Header.ContentDigest() == pb.content
+	hs := n.observe(b, pb.subs, own)
 	if !own {
 		n.forget(pb) // a no-op when this node proposed nothing at seq
-		return
 	}
 	var rcs []ledger.Receipt
 	ti := -1 // index of entry i's receipt among the batch's transactions
-	for i, h := range pb.subs {
-		tx := b != nil && b.Entries[i].Kind == ledger.KindTransaction
+	for i, h := range hs {
+		tx := b.Entries[i].Kind == ledger.KindTransaction
 		if tx {
 			ti++
 		}
@@ -578,11 +641,7 @@ func (n *Node) deliverSeq(seq uint64) {
 			continue
 		}
 		res := rpc.Result{Status: rpc.StatusCommitted}
-		switch {
-		case b == nil:
-			// Committed, but pruned: there is nothing to cut a receipt from.
-			res.Status = rpc.StatusDuplicate
-		case tx:
+		if tx {
 			if rcs == nil {
 				rcs = n.rep.Ledger().Receipts(seq)
 			}
@@ -594,25 +653,28 @@ func (n *Node) deliverSeq(seq uint64) {
 	}
 }
 
-// observe suppresses client retries of the transactions committed batch b
-// carries, whoever proposed it. When b is this node's own proposal, subs
-// holds its requests' hashes (request i is entry i); otherwise each entry is
-// hashed as the request it records. (Governance entries drop the request
-// number on the ledger, so their duplicate suppression rests on the pool's
-// drain memo alone.)
-func (n *Node) observe(b *ledger.Batch, subs []hashsig.Digest, own bool) {
-	hs := make([]hashsig.Digest, 0, len(b.Entries))
-	for i := range b.Entries {
-		e := &b.Entries[i]
-		switch {
-		case e.Kind != ledger.KindTransaction:
-		case own:
-			hs = append(hs, subs[i])
-		default:
-			hs = append(hs, txpool.Hash(&ledger.Request{Author: e.Author, ReqNo: e.ReqNo, Body: e.Payload}))
-		}
+// observe feeds committed batch b to the pool, whoever proposed it (retries
+// are refused, pooled copies dropped), and returns its requests' hashes:
+// subs when b is this node's own proposal, else each transaction entry's.
+// (A governance entry drops the request number, so another node's is left
+// zero, and its duplicate suppression rests on the drain memo alone.)
+func (n *Node) observe(b *ledger.Batch, subs []hashsig.Digest, own bool) []hashsig.Digest {
+	if !own {
+		subs = make([]hashsig.Digest, len(b.Entries))
 	}
-	n.pool.Observe(hs...)
+	tx := make([]hashsig.Digest, 0, len(subs))
+	for i := range subs {
+		e := &b.Entries[i]
+		if e.Kind != ledger.KindTransaction {
+			continue
+		}
+		if !own {
+			subs[i] = txpool.Hash(&ledger.Request{Author: e.Author, ReqNo: e.ReqNo, Body: e.Payload})
+		}
+		tx = append(tx, subs[i])
+	}
+	n.pool.Observe(tx...)
+	return subs
 }
 
 // forget drops a replaced batch's requests that were not seen committed
@@ -624,7 +686,13 @@ func (n *Node) forget(pb pendingBatch) {
 	}
 }
 
-func (n *Node) expireWaiters() {
+// expire answers the waiters whose patience ran out (rpc.StatusTimeout)
+// and drops the copies no client waits for: a copy goes with its last
+// waiter here or, forwarded, once no forward of it came for the same
+// patience (each retry of its client is forwarded again). Such a copy
+// committed where this node did not see it, or its clients gave up.
+func (n *Node) expire() {
+	patience := uint64(n.cfg.SubmitPatienceTicks)
 	for h, ws := range n.waiters {
 		keep := ws[:0]
 		for _, w := range ws {
@@ -634,23 +702,24 @@ func (n *Node) expireWaiters() {
 				keep = append(keep, w)
 			}
 		}
-		if len(keep) == 0 {
-			delete(n.waiters, h)
-		} else {
+		if len(keep) > 0 {
 			n.waiters[h] = keep
+			continue
+		}
+		delete(n.waiters, h)
+		if _, ok := n.heard[h]; !ok {
+			n.pool.Drop(h)
+		}
+	}
+	for h, t := range n.heard {
+		if !n.pool.Pooled(h) || len(n.waiters[h]) == 0 && n.ticks-t >= patience {
+			n.pool.Drop(h)
+			delete(n.heard, h)
 		}
 	}
 }
 
 func (n *Node) onSubmit(s submission) {
-	if !n.rep.IsPrimary() {
-		nPeers := uint64(len(n.cfg.Consensus.Peers))
-		s.resp <- rpc.Result{
-			Status: rpc.StatusNotPrimary,
-			Leader: uint32(n.rep.View() % nPeers),
-		}
-		return
-	}
 	h := txpool.Hash(&s.rq)
 	err := n.pool.AddHashed(s.rq, h)
 	switch {
@@ -675,6 +744,10 @@ func (n *Node) onSubmit(s submission) {
 		s.resp <- rpc.Result{Status: rpc.StatusBusy}
 		return
 	}
+	if !n.rep.IsPrimary() {
+		// Every submission relays, so a client's retry covers a lost forward.
+		n.forward(s.rq)
+	}
 	n.waiters[h] = append(n.waiters[h], waiter{
 		resp:     s.resp,
 		deadline: n.ticks + uint64(n.cfg.SubmitPatienceTicks),
@@ -682,7 +755,7 @@ func (n *Node) onSubmit(s submission) {
 }
 
 // undecided reports whether request h is still on its way to a commit at
-// this primary: pooled, or in a batch it proposed that has not committed.
+// this node: pooled, or in a batch it proposed that has not committed.
 func (n *Node) undecided(h hashsig.Digest) bool {
 	if n.pool.Pooled(h) {
 		return true

@@ -172,14 +172,16 @@ func allEqual(nodes []*Node) bool {
 	return true
 }
 
-// TestSubmitStatuses exercises the fast-fail verdicts: NotPrimary with a
-// usable leader hint, TooLarge for an over-cap body, and Duplicate for a
-// committed retry.
+// TestSubmitStatuses exercises the verdicts a client can get: a backup
+// takes a request and answers with its receipt once it commits, an exact
+// retry is a duplicate, and an over-cap body is TooLarge.
 func TestSubmitStatuses(t *testing.T) {
 	_, rpcAddrs := startTCPCluster(t, 4, "statuses")
+	_, pubs := clusterKeys("statuses", 4)
 	author := hashsig.Sum([]byte("status-client"))
 
-	// A backup must refuse with the leader's identity.
+	// A backup pools the request, forwards it to the primary, and delivers
+	// the receipt of the primary's batch.
 	backup, err := rpc.Dial(rpcAddrs[1], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -187,28 +189,14 @@ func TestSubmitStatuses(t *testing.T) {
 	defer backup.Close()
 	rq := ledger.Request{Author: author, ReqNo: 1,
 		Body: ledger.EncodeOps([]ledger.Op{{Key: "a", Val: []byte("v")}})}
-	res, err := backup.Submit(&rq, 5*time.Second)
+	res, err := backup.Submit(&rq, 15*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != rpc.StatusNotPrimary || res.Leader != 0 {
-		t.Fatalf("backup answered %v leader %d, want not-primary leader 0", res.Status, res.Leader)
+	if res.Status != rpc.StatusCommitted || res.Receipt == nil || !res.Receipt.Verify(pubs[0]) {
+		t.Fatalf("backup answered %v (receipt %v), want committed under the primary's key", res.Status, res.Receipt != nil)
 	}
-
-	// The leader commits it; an exact retry is a duplicate.
-	leader, err := rpc.Dial(rpcAddrs[res.Leader], 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	res, err = leader.Submit(&rq, 15*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != rpc.StatusCommitted {
-		t.Fatalf("leader answered %v", res.Status)
-	}
-	res, err = leader.Submit(&rq, 5*time.Second)
+	res, err = backup.Submit(&rq, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +205,11 @@ func TestSubmitStatuses(t *testing.T) {
 	}
 
 	// An over-cap body dies at the frame boundary.
+	leader, err := rpc.Dial(rpcAddrs[0], 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
 	big := ledger.Request{Author: author, ReqNo: 2, Body: make([]byte, ledger.MaxRequestLen+1)}
 	res, err = leader.Submit(&big, 5*time.Second)
 	if err == nil && res.Status != rpc.StatusTooLarge {

@@ -110,9 +110,9 @@ type manualCluster struct {
 const manualClusterSize = 4
 
 // barrierRq is a request every pool of a manualCluster has been told is
-// already committed: submitting it gets an immediate verdict from any
-// node (duplicate on the primary, not-primary on a backup) and changes
-// nothing, so its round trip through the run loop is a barrier.
+// already committed: submitting it gets an immediate duplicate verdict
+// from any node and changes nothing, so its round trip through the run
+// loop is a barrier.
 var barrierRq = kvRequest("barrier", 1)
 
 func kvRequest(author string, reqNo uint64) ledger.Request {
@@ -430,8 +430,10 @@ func TestPacing(t *testing.T) {
 			c.clocks[i].Advance(stallTicks)
 		}
 		c.settle(t)
-		if res := c.nodes[0].Submit(barrierRq); res.Status != rpc.StatusNotPrimary || res.Leader != 1 {
-			t.Fatalf("after the view change node 0 answers %v leader %d, want not-primary leader 1", res.Status, res.Leader)
+		for i, nd := range c.nodes {
+			if v := nd.Stats().View; v != 1 {
+				t.Fatalf("after the view change node %d is in view %d, want 1", i, v)
+			}
 		}
 		done := submitAsync(c.nodes[1], kvRequest("floor", 3))
 		await(t, "the request to pool on the new primary", func() bool { return c.pools[1].Len() == 1 })
@@ -454,17 +456,26 @@ func TestPacing(t *testing.T) {
 		wantProposals(t, c.nodes[1], 0, 1, 0, 1)
 	})
 
-	t.Run("a backup answers not-primary and proposes nothing", func(t *testing.T) {
+	t.Run("a backup forwards, the primary proposes, the backup delivers", func(t *testing.T) {
 		c := startManualCluster(t, "pace-backup", nil)
-		res := c.nodes[2].Submit(kvRequest("b", 1))
-		if res.Status != rpc.StatusNotPrimary || res.Leader != 0 {
-			t.Fatalf("backup answered %v leader %d, want not-primary leader 0", res.Status, res.Leader)
+		rc := wantCommitted(t, "request submitted to a backup", submitAsync(c.nodes[2], kvRequest("b", 1)))
+		if _, pubs := clusterKeys("pace-backup", manualClusterSize); rc.Header.Seq != 1 || !rc.Verify(pubs[0]) {
+			t.Fatalf("committed at seq %d, want seq 1 under the primary's signature", rc.Header.Seq)
 		}
-		c.clocks[2].Advance(1)
 		c.settle(t)
-		wantProposals(t, c.nodes[2], 0, 0, 0, 0)
-		if l, sent := c.pools[2].Len(), c.net.sent.Load(); l != 0 || sent != 0 {
-			t.Fatalf("backup pooled %d requests and the cluster sent %d frames, want 0 and 0", l, sent)
+		// The forward is a frame at the primary: that turn proposes it.
+		wantProposals(t, c.nodes[0], 0, 1, 0, 1)
+		for i, nd := range c.nodes {
+			if i != 0 {
+				wantProposals(t, nd, 0, 0, 0, 0)
+			}
+			forwarded := uint64(1)
+			if i == 2 {
+				forwarded = 0
+			}
+			if s := nd.Stats(); s.Forwarded != forwarded || c.pools[i].Len() != 0 {
+				t.Fatalf("node %d received %d forwards and pools %d requests, want %d and 0", i, s.Forwarded, c.pools[i].Len(), forwarded)
+			}
 		}
 	})
 }
@@ -543,6 +554,8 @@ func TestFailBatchAnswersWaiters(t *testing.T) {
 
 // TestDeliverPrunedSeq covers delivery of a proposal whose batch a commit
 // jump (state transfer) already pruned, so no receipt can be cut from it.
+// The jump empties the pool: what committed in the batches it passed can
+// never be observed, so no copy stays that the node might owe for ever.
 // In the view it was proposed in, the batch that committed at its seq can
 // only be this one: its waiters hear rpc.StatusDuplicate, committed with no
 // receipt. In another view it may have been replaced: nobody is answered,
@@ -567,8 +580,16 @@ func TestDeliverPrunedSeq(t *testing.T) {
 		}
 		const seq = 5 // never executed here, so BatchAt(seq) is nil, as after a prune
 		nd.pending[seq] = pb
+		bystander := kvRequest("bystander", 1)
+		if err := nd.pool.Add(bystander); err != nil {
+			t.Fatal(err)
+		}
 
 		nd.deliverSeq(seq)
+
+		if nd.pool.Len() != 0 {
+			t.Fatalf("same view %v: %d requests still pooled after a commit jump, want none", sameView, nd.pool.Len())
+		}
 
 		if _, ok := nd.pending[seq]; ok {
 			t.Fatalf("same view %v: the delivered proposal is still parked", sameView)
@@ -759,5 +780,88 @@ func TestRetryAfterTimeoutGetsItsReceipt(t *testing.T) {
 		if e := rc.Entry; e.Author != rq.Author || e.ReqNo != rq.ReqNo || !bytes.Equal(e.Payload, rq.Body) {
 			t.Fatalf("retry %d got a receipt for another request", i)
 		}
+	}
+}
+
+// TestDroppedProposalCommitsInTheNextView: the primary's proposal reaches
+// nobody, and the client retries at a backup. The backup pools the request
+// and forwards it, so three replicas owe it, and their own stall timers
+// replace the primary; the new primary proposes it from its pool. The old
+// primary gives its dropped proposal back to its pool at the view change,
+// and the commit answers both submissions — the first at the node whose
+// proposal did not commit — and leaves every pool empty.
+func TestDroppedProposalCommitsInTheNextView(t *testing.T) {
+	const stallTicks = 4 // < retransmitEvery: nothing is retransmitted
+	c := startManualCluster(t, "dropped-proposal", func(cfg *Config) { cfg.StallTicks = stallTicks })
+	rq := kvRequest("dropped", 1)
+	c.net.setHold(func(_ transport.NodeID, m consensus.Message) bool {
+		_, ok := m.(*consensus.PrePrepare)
+		return ok
+	})
+	first := submitAsync(c.nodes[0], rq)
+	await(t, "the proposal", func() bool { return c.nodes[0].Stats().Batches() == 1 })
+	c.settle(t)
+	c.net.mu.Lock()
+	c.net.hold, c.net.parked = nil, nil // the pre-prepares are lost
+	c.net.mu.Unlock()
+
+	retry := submitAsync(c.nodes[1], rq)
+	await(t, "the forward to pool everywhere", func() bool {
+		return c.pools[1].Len() == 1 && c.pools[2].Len() == 1 && c.pools[3].Len() == 1
+	})
+	c.settle(t)
+	// Nodes 1 and 2 time out; f+1 votes make the others join. (A third
+	// timer could fire after its node entered view 1, and vote that view
+	// away.)
+	for _, i := range []int{1, 2} {
+		c.clocks[i].Advance(stallTicks)
+	}
+	_, pubs := clusterKeys("dropped-proposal", manualClusterSize)
+	for what, done := range map[string]<-chan rpc.Result{"first submission": first, "retry": retry} {
+		if rc := wantCommitted(t, what, done); rc.Header.View != 1 || !rc.Verify(pubs[1]) {
+			t.Fatalf("%s committed in view %d, want view 1 under node 1's signature", what, rc.Header.View)
+		}
+	}
+	c.settle(t)
+	for i, nd := range c.nodes {
+		if s := nd.Stats(); s.View != 1 || c.pools[i].Len() != 0 {
+			t.Fatalf("node %d ends in view %d with %d pooled, want view 1 and none", i, s.View, c.pools[i].Len())
+		}
+	}
+}
+
+// TestForwardedCopyLapses: a peer's forward is pooled with no waiter, and
+// it stays while forwards of it keep coming; once none came for a
+// submission's patience, no client waits for it any more and the copy
+// goes. A copy a client of this node waits for stays as long as the
+// waiter does, and goes with it.
+func TestForwardedCopyLapses(t *testing.T) {
+	const patience = 4
+	nd := unstartedNode(t, "lapse")
+	nd.cfg.SubmitPatienceTicks = patience
+	for i := range nd.cfg.Transport.(directEndpoint).net.handlers {
+		nd.cfg.Transport.(directEndpoint).net.handlers[i] = func(transport.NodeID, []byte) {}
+	}
+	nd.rep.OnTimeout() // in a view change, node 0 proposes nothing
+	relayed, local := kvRequest("relayed", 1), kvRequest("local", 1)
+	frame := consensus.EncodeMessage(&consensus.Forward{Request: relayed})
+	nd.StepFrame(1, frame)
+	resp := nd.StepSubmit(local)
+	for i := 0; i < patience-1; i++ {
+		nd.StepTick()
+	}
+	nd.StepFrame(2, frame) // renewed
+	nd.StepTick()
+	if s := nd.Stats(); s.Forwarded != 2 || nd.pool.Len() != 1 || !nd.pool.Pooled(txpool.Hash(&relayed)) {
+		t.Fatalf("at the waiter's deadline: %d forwards received, %d pooled; want 2, and only the renewed forwarded copy", s.Forwarded, nd.pool.Len())
+	}
+	if res := <-resp; res.Status != rpc.StatusTimeout {
+		t.Fatalf("local submission answered %v, want timeout", res.Status)
+	}
+	for i := 0; i < patience; i++ {
+		nd.StepTick()
+	}
+	if nd.pool.Len() != 0 {
+		t.Fatalf("%d pooled after the forwarded copy's patience, want none", nd.pool.Len())
 	}
 }

@@ -55,8 +55,9 @@ const (
 	// StatusCommitted: the request executed and committed; the result
 	// carries its receipt.
 	StatusCommitted Status = 1
-	// StatusNotPrimary: this node is a backup; the result names the
-	// current leader for the client to resubmit to.
+	// StatusNotPrimary: the result names a replica for the client to
+	// resubmit to. Nodes no longer send it (any node takes a request); the
+	// codec keeps it, so the protocol version stands.
 	StatusNotPrimary Status = 2
 	// StatusBusy: the transaction pool is full — backpressure, retry
 	// with backoff.

@@ -15,9 +15,9 @@
 //  2. Each client submits its next request (StepSubmit) or reads the
 //     verdict on the one it submitted: a receipt must pass
 //     loadgen.VerifyReceipt and carry the statement the node that
-//     delivered it committed, a not-primary answer sends the client where
-//     its hint points, busy resubmits, and a timeout — or clientPatience
-//     steps of silence — sends it to the next node.
+//     delivered it committed, busy resubmits, and a timeout — or
+//     clientPatience steps of silence — sends it to the next node. Any
+//     node takes a request: a backup forwards it to its peers.
 //  3. Every stepped node ticks (StepTick) every tickEvery steps, and at
 //     every step after one that left the Hub empty: time runs fastest when
 //     the network is quiet. Ticks drive the nodes' own timers.
@@ -25,12 +25,10 @@
 //     ReorderWindow queued, the partitions' verdict, then loss with
 //     probability DropRate. Nodes retransmit, so a drop is a loss.
 //  5. The invariants run (check).
-//  6. If no honest node committed for stallSteps steps, every stepped
-//     node's stall timer expires at once (StepStall). A node's own stall
-//     rule runs only with work in flight, and a backup answers clients
-//     not-primary and keeps nothing, so without this timer a primary that
-//     dies while the cluster is idle is never replaced. A run whose honest
-//     nodes commit nothing through maxStalls such rounds in a row fails.
+//
+// The driver fires no timer of its own: a faulty primary is replaced by the
+// nodes' stall rule, which runs on every node that holds a client's request
+// (see the node package doc).
 //
 // A Partition starts at step From and, when FromCommit is set, once some
 // stepped node has committed it; it heals at step Until or, when
@@ -53,17 +51,18 @@
 // Stats with no decode errors, send errors or propose failures; blame only
 // against scripted replicas, and verifying. Every replica sends sync
 // messages unicast. A run ends when every client has its verdicts and the
-// honest nodes share a watermark with nothing in flight; then their
-// history roots and state digests must match, each node's
-// CommittedEntries must equal its ledger's entry count, every request —
+// honest nodes share a watermark with nothing in flight and nothing pooled
+// (a copy leaves a pool when its request commits or, if a peer forwarded
+// it, once no client waits for it); then their history roots and state
+// digests must match, each node's CommittedEntries must equal its ledger's
+// entry count, every request —
 // with a receipt or answered duplicate — must be committed at or below
 // that watermark, and the commit evidence must hold (checkEvidence). A
 // failure prints each replica's Stats and DebugState, and a failed
 // evidence check.
 //
-// Simplifications: the driver's stall timer is synchronized, all nodes
-// tick together, and a replica behind a new-view certificate's high-water
-// mark trusts the certified re-proposal.
+// Simplifications: all nodes tick together, and a replica behind a new-view
+// certificate's high-water mark trusts the certified re-proposal.
 package sim
 
 import (
@@ -82,6 +81,7 @@ import (
 	"iaccf/internal/node"
 	"iaccf/internal/rpc"
 	"iaccf/internal/transport"
+	"iaccf/internal/txpool"
 	"iaccf/internal/wire"
 )
 
@@ -159,18 +159,13 @@ type Config struct {
 const (
 	// batchMax is every node's BatchMax: small, so a few clients keep
 	// several instances in flight.
-	batchMax   = 2
-	tickEvery  = 16
-	stallSteps = 1000
-	// clientPatience is below stallSteps, so a client leaves a dead node
-	// before the cluster is made to leave it.
+	batchMax  = 2
+	tickEvery = 16
+	// clientPatience is how many steps a client waits for a verdict before
+	// it tries the next node: the client's own timeout, for a node that
+	// never answers.
 	clientPatience = 500
 	maxSteps       = 500_000
-	// maxStalls bounds the consecutive stall rounds with no honest commit
-	// between them. The longest such streak over seeds 1-1000 of every
-	// TestSim* configuration is 14; a run past 3x that is stuck, and fails
-	// after ≈ 49 000 steps instead of running on to maxSteps.
-	maxStalls = 48
 )
 
 // Result summarizes a completed run.
@@ -201,6 +196,7 @@ type member struct {
 	id        consensus.ReplicaID
 	behaviour Behaviour
 	node      *node.Node         // nil for the equivocator
+	pool      *txpool.Pool       // the node's pool
 	rep       *consensus.Replica // the node's replica, or the equivocator's
 	key       *hashsig.PrivateKey
 	ep        transport.Transport
@@ -241,12 +237,10 @@ type Sim struct {
 	honest  []*member // ascending id
 	clients []*client
 
-	res    Result // the counts it reports, as they accrue
-	step   int
-	high   uint64 // highest watermark of a stepped node, as of the last check
-	idle   int    // steps since an honest node last committed
-	stalls int    // stall rounds since an honest node last committed
-	quiet  bool   // the last Hub step left nothing queued
+	res   Result // the counts it reports, as they accrue
+	step  int
+	high  uint64 // highest watermark of a stepped node, as of the last check
+	quiet bool   // the last Hub step left nothing queued
 
 	// canon pins the first-committed content digest per seq; an honest
 	// node committing other content at that seq is a safety violation
@@ -322,10 +316,12 @@ func New(cfg Config) (*Sim, error) {
 		if m.scripted() {
 			m.rep, err = consensus.New(ccfg)
 		} else {
+			m.pool = txpool.New(txpool.Config{})
 			m.node, err = node.New(node.Config{
 				Consensus: ccfg,
 				Transport: m.ep,
 				Clock:     node.NewManualClock(), // never read: the driver ticks
+				Pool:      m.pool,
 				BatchMax:  batchMax,
 			})
 			if err == nil {
@@ -552,14 +548,10 @@ func (s *Sim) serve(c *client) error {
 		}
 	case rpc.StatusDuplicate:
 		s.res.ReceiptlessCommits++
-	case rpc.StatusNotPrimary, rpc.StatusTimeout:
-		// Follow the hint. A node that timed out may be cut off from the
-		// rest, or lead a view they have left: try the next.
-		next := consensus.ReplicaID(r.Leader)
-		if r.Status == rpc.StatusTimeout || int(next) >= s.cfg.Replicas || next == c.target {
-			next = s.next(c.target)
-		}
-		c.target = next
+	case rpc.StatusTimeout:
+		// The node may be cut off from the rest, or lead a view they have
+		// left: try the next.
+		c.target = s.next(c.target)
 		return nil
 	case rpc.StatusBusy:
 		return nil // resubmit: the pool's dedup makes it safe
@@ -649,7 +641,7 @@ func (s *Sim) check() error {
 				}
 			}
 		}
-		m.checked, s.idle, s.stalls = committed, 0, 0
+		m.checked = committed
 	}
 	for _, m := range s.members {
 		if m.stepped {
@@ -660,7 +652,7 @@ func (s *Sim) check() error {
 }
 
 // done reports whether every client has its verdicts and the honest nodes
-// share one watermark with nothing in flight.
+// share one watermark with nothing in flight and nothing pooled.
 func (s *Sim) done() bool {
 	for _, c := range s.clients {
 		if c.next < len(c.reqs) {
@@ -669,7 +661,7 @@ func (s *Sim) done() bool {
 	}
 	w := s.honest[0].rep.Committed()
 	for _, m := range s.honest {
-		if m.rep.Committed() != w || m.rep.InFlight() != 0 {
+		if m.rep.Committed() != w || m.rep.InFlight() != 0 || m.pool.Len() != 0 {
 			return false
 		}
 	}
@@ -684,7 +676,7 @@ func (s *Sim) fail(format string, args ...any) error {
 	for _, m := range s.members {
 		fmt.Fprintf(&b, "\n  replica %d %q: %s", m.id, m.behaviour, m.rep.DebugState())
 		if m.node != nil {
-			fmt.Fprintf(&b, "\n    %+v", m.node.Stats())
+			fmt.Fprintf(&b, "\n    %+v, %d pooled", m.node.Stats(), m.pool.Len())
 		}
 	}
 	if err := s.checkEvidence(); err != nil {
@@ -758,17 +750,6 @@ func (s *Sim) Run() (*Result, error) {
 		s.quiet = !s.hub.Step()
 		if err := s.check(); err != nil {
 			return nil, s.fail("%v", err)
-		}
-		if s.idle++; s.idle >= stallSteps {
-			if s.stalls == maxStalls {
-				return nil, s.fail("no honest commit through %d stall rounds", maxStalls)
-			}
-			s.idle, s.stalls = 0, s.stalls+1
-			for _, m := range s.members {
-				if m.stepped {
-					m.node.StepStall()
-				}
-			}
 		}
 	}
 	return s.result()

@@ -208,8 +208,10 @@ func TestSimEquivocatingPrimary(t *testing.T) {
 }
 
 // TestSimSilentPrimary: the initial primary crashes from the start, so
-// clients hear nothing from it and backups have nothing in flight; the
-// driver's stall timer moves the rest past it, and they commit everything.
+// clients hear nothing from it and backups have nothing in flight. A client
+// that gives up on it submits to a backup, which forwards the request; the
+// nodes that hold it time the primary out by their own stall timers, and
+// they commit everything in a later view.
 func TestSimSilentPrimary(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		res, err := Run(Config{

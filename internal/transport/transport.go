@@ -45,10 +45,11 @@ const (
 	// pushed catch-up transfers (consensus tags 7 and 8 retired, SyncChunk
 	// carries its offer). Version 3 dropped the shard partition: every
 	// batch header loses its shard count and SyncChunk its shard digest
-	// vector, so every pre-prepare and sync frame changes shape. A peer of
-	// another version is refused at the handshake rather than at its first
-	// frame.
-	VCurrent = 3
+	// vector, so every pre-prepare and sync frame changes shape. Version 4
+	// added consensus.Forward, a frame an older node cannot decode. A peer
+	// of another version is refused at the handshake rather than at its
+	// first frame.
+	VCurrent = 4
 	// MaxFrameLen bounds frame bodies: a maximal sync chunk
 	// (wire.MaxChunkLen) plus 64 KiB of slack for the envelope and the offer
 	// every SyncChunk carries. At the longest frontier a decoder accepts,

@@ -1,5 +1,6 @@
 // Package txpool is the batching transaction pool that sits between the
-// client submission RPC and the primary's Propose loop. It accepts client
+// client submission RPC and the Propose loop; every replica keeps one, of
+// its clients' requests and those its peers forwarded. It accepts client
 // requests concurrently, deduplicates them by request hash, keeps each
 // sender's requests ordered by request number, and hands the proposer
 // bounded batches. The pool carries each request's hash beside it, from the
@@ -17,6 +18,7 @@ package txpool
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -81,9 +83,9 @@ type Pool struct {
 	cap     int
 	n       int
 	senders map[hashsig.Digest]*sender
-	order   []hashsig.Digest // round-robin arrival order of active senders
-	next    int              // round-robin cursor into order
-	pooled  map[hashsig.Digest]bool
+	order   []hashsig.Digest                  // round-robin arrival order of active senders
+	next    int                               // round-robin cursor into order
+	pooled  map[hashsig.Digest]hashsig.Digest // request hash -> author
 	// seenCur and seenPrev are the drained/committed memo, current and
 	// previous generation: a drained request maps to false, a committed one
 	// to true.
@@ -99,7 +101,7 @@ func New(cfg Config) *Pool {
 	return &Pool{
 		cap:      cfg.Capacity,
 		senders:  make(map[hashsig.Digest]*sender),
-		pooled:   make(map[hashsig.Digest]bool),
+		pooled:   make(map[hashsig.Digest]hashsig.Digest),
 		seenCur:  make(map[hashsig.Digest]bool),
 		seenPrev: make(map[hashsig.Digest]bool),
 	}
@@ -117,7 +119,22 @@ func (p *Pool) Len() int {
 func (p *Pool) Pooled(h hashsig.Digest) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.pooled[h]
+	_, ok := p.pooled[h]
+	return ok
+}
+
+// Requests returns the pooled requests in a deterministic order: sender by
+// sender in rotation order, each sender's by ReqNo.
+func (p *Pool) Requests() []Pooled {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]Pooled, 0, p.n)
+	for _, author := range p.order {
+		if s := p.senders[author]; s != nil {
+			out = append(out, s.reqs...)
+		}
+	}
+	return out
 }
 
 // Add pools a request: AddHashed with its Hash.
@@ -134,7 +151,7 @@ func (p *Pool) AddHashed(rq ledger.Request, h hashsig.Digest) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pooled[h] || p.seen(h) {
+	if _, ok := p.pooled[h]; ok || p.seen(h) {
 		return ErrDuplicate
 	}
 	if p.n >= p.cap {
@@ -153,7 +170,7 @@ func (p *Pool) AddHashed(rq ledger.Request, h hashsig.Digest) error {
 	s.reqs = append(s.reqs, Pooled{})
 	copy(s.reqs[i+1:], s.reqs[i:])
 	s.reqs[i] = Pooled{Req: rq, Hash: h}
-	p.pooled[h] = true
+	p.pooled[h] = rq.Author
 	p.n++
 	return nil
 }
@@ -226,13 +243,37 @@ func (p *Pool) NextBatch(max int) []Pooled {
 
 // Observe records committed request hashes (e.g. a batch's, whoever
 // proposed it) so client retries of them are suppressed like drained
-// requests. A batch's hashes are recorded under one lock.
+// requests, and drops their pooled copies. A batch's hashes are recorded
+// under one lock.
 func (p *Pool) Observe(hs ...hashsig.Digest) {
 	p.mu.Lock()
 	for _, h := range hs {
 		p.markSeen(h, true)
+		p.remove(h)
 	}
 	p.mu.Unlock()
+}
+
+// Drop removes the pooled copy of request h, if any, and not its memo: a
+// later submission of h pools again.
+func (p *Pool) Drop(h hashsig.Digest) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.remove(h)
+}
+
+// remove takes h's pooled copy out of its sender's queue; an emptied sender
+// leaves the rotation when NextBatch passes it.
+func (p *Pool) remove(h hashsig.Digest) {
+	author, ok := p.pooled[h]
+	if !ok {
+		return
+	}
+	s := p.senders[author]
+	i := slices.IndexFunc(s.reqs, func(pr Pooled) bool { return pr.Hash == h })
+	s.reqs = slices.Delete(s.reqs, i, i+1)
+	delete(p.pooled, h)
+	p.n--
 }
 
 // Forget drops a drained request from the memo unless it was observed

@@ -273,3 +273,62 @@ func TestHashAllocatesNothing(t *testing.T) {
 		t.Fatalf("Hash of a 64-byte body: %.1f allocations per call, want 0", got)
 	}
 }
+
+// TestObserveDropsPooledCopy: a request that committed in another
+// replica's batch leaves the pool when it is observed, from its sender's
+// queue and from the count, and stays refused; the rest of the pool is
+// untouched.
+func TestObserveDropsPooledCopy(t *testing.T) {
+	p := New(Config{})
+	a, b := hashsig.Sum([]byte("a")), hashsig.Sum([]byte("b"))
+	r1 := req(a, 1)
+	if err := p.Add(r1); err != nil {
+		t.Fatal(err)
+	}
+	p.Observe(Hash(&r1))
+	if l, batch := p.Len(), p.NextBatch(8); l != 0 || batch != nil || p.Pooled(Hash(&r1)) {
+		t.Fatalf("after Observe: Len %d, NextBatch %d requests, pooled %v; want an empty pool", l, len(batch), p.Pooled(Hash(&r1)))
+	}
+	if err := p.Add(r1); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("resubmission of the observed request: %v, want duplicate", err)
+	}
+	for _, r := range []ledger.Request{req(a, 2), req(a, 3), req(b, 1), req(a, 4)} {
+		if err := p.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := req(a, 3)
+	p.Observe(Hash(&mid))
+	var got []uint64
+	for _, pr := range p.NextBatch(8) {
+		got = append(got, pr.Req.ReqNo)
+	}
+	if fmt.Sprint(got) != "[2 1 4]" || p.Len() != 0 {
+		t.Fatalf("drained reqnos %v (Len %d after), want [2 1 4] and 0", got, p.Len())
+	}
+}
+
+// TestDropKeepsTheMemo: Drop removes one pooled copy and leaves the memo:
+// the dropped request pools again, a drained one stays refused.
+func TestDropKeepsTheMemo(t *testing.T) {
+	p := New(Config{})
+	a := hashsig.Sum([]byte("a"))
+	drained, pooled := req(a, 1), req(a, 2)
+	for _, r := range []ledger.Request{drained, pooled} {
+		if err := p.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.NextBatch(1)
+	p.Drop(Hash(&drained))
+	p.Drop(Hash(&pooled))
+	if l, batch := p.Len(), p.NextBatch(8); l != 0 || batch != nil || len(p.Requests()) != 0 {
+		t.Fatalf("after Drop: Len %d, NextBatch %d requests; want an empty pool", l, len(batch))
+	}
+	if err := p.Add(drained); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("drained request after Drop: %v, want duplicate", err)
+	}
+	if err := p.Add(pooled); err != nil {
+		t.Fatalf("dropped request: %v, want it pooled again", err)
+	}
+}
