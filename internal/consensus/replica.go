@@ -305,11 +305,14 @@ func (r *Replica) IsPrimary() bool { return r.primaryOf(r.view) == r.cfg.ID }
 
 // CanPropose reports whether the replica could start a new instance now:
 // no view change pending, no re-proposal obligation, caught up to every
-// certified commit it knows about, and a free slot in the proposal window.
+// certified commit it knows about, a free slot in the proposal window, and
+// no statement of its own already at the next seq of this view (a state
+// transfer rolls back the proposals above it; signing that seq again would
+// be equivocation).
 func (r *Replica) CanPropose() bool {
 	return !r.inViewChange && len(r.mustRepropose) == 0 &&
 		len(r.pendingRepropose) == 0 && r.committed >= r.proposeFloor &&
-		len(r.insts) < r.window
+		len(r.insts) < r.window && r.seen[slotKey{r.view, r.led.Seq()}] == nil
 }
 
 // Idle reports whether the replica has nothing in flight at all: no open

@@ -27,6 +27,10 @@ type cluster struct {
 	stop []func()
 }
 
+// checkpointEvery is bootCluster's checkpoint interval: the batch at every
+// multiple of it carries one checkpoint entry.
+const checkpointEvery = 4
+
 // bootCluster starts an in-process n-node cluster over real TCP
 // transports.
 func bootCluster(t *testing.T, n int, seed string) *cluster {
@@ -75,7 +79,7 @@ func bootCluster(t *testing.T, n int, seed string) *cluster {
 				Key:             keys[i],
 				Peers:           c.pubs,
 				App:             ledger.KVApp{},
-				CheckpointEvery: 4,
+				CheckpointEvery: checkpointEvery,
 			},
 			Transport: tp,
 			Clock:     clk,
@@ -227,6 +231,14 @@ func TestPrimaryKillUnderLoad(t *testing.T) {
 			t.Fatalf("survivor %d holds watermark %d root %s, survivor 1 %d %s", i+1,
 				rep.Committed(), rep.Ledger().HistRoot(), ref.Committed(), ref.Ledger().HistRoot())
 		}
+	}
+	// Every request commits once: the ledger holds one transaction entry
+	// per request and a checkpoint entry per interval, and nothing more. A
+	// request the new primary proposed again beside the view's re-proposed
+	// batch that carried it would show here.
+	nd := survivors[0]
+	if txs := nd.CommittedEntries() - nd.CommittedSeqs()/checkpointEvery; txs != uint64(cfg.Workers*cfg.Requests) {
+		t.Fatalf("%d transactions committed for %d requests", txs, cfg.Workers*cfg.Requests)
 	}
 }
 

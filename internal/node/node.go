@@ -37,18 +37,18 @@
 //
 // # Submissions and liveness
 //
-// Every node takes client requests. It pools a submission and parks the
-// client's waiter; a node that is not primary also forwards the request to
-// every peer (consensus.Forward), which pools it with no waiter. A live
-// primary proposes it, a backup holds it, and whichever node leads next
-// proposes it; a commit answers every waiter whose request it carries,
-// whoever proposed it, and drops the request's pooled copies. So the pool,
-// with the instances in flight, is the record of the work a node owes, and
-// one stall rule runs on every node: while work is owed and nothing commits
-// for StallTicks ticks, the node votes to leave the view. This is PBFT's
-// rule (Castro and Liskov, OSDI '99, §4.4): every replica a client reached
-// suspects a primary that does not order the request, so a dead primary,
-// idle or under load, is replaced by the nodes' own timers.
+// Every node takes client transactions; only the primary takes a
+// governance request, whose entry drops the request number, so no other
+// node could match its commit. A node pools a submission and parks the
+// client's waiter; a backup also forwards it to every peer
+// (consensus.Forward), which pools it with no waiter, and whichever node
+// leads proposes it. A commit answers every waiter whose request it
+// carries, whoever proposed it, and drops its pooled copies. So the pool,
+// with the instances in flight, is the work a node owes, and one stall rule
+// runs on every node: while work is owed and nothing commits for StallTicks
+// ticks, the node votes to leave the view (PBFT's rule, Castro and Liskov,
+// OSDI '99, §4.4), so a dead primary, idle or under load, is replaced by
+// the nodes' own timers.
 package node
 
 import (
@@ -200,7 +200,7 @@ type Node struct {
 	lastView      uint64
 	pending       map[uint64]pendingBatch
 	waiters       map[hashsig.Digest][]waiter
-	heard         map[hashsig.Digest]uint64 // tick a copy was last forwarded or requeued
+	heard         map[hashsig.Digest]uint64 // tick a copy was last forwarded (either way) or requeued
 
 	// Published by the run loop after every turn, so nothing off the loop
 	// reads the replica.
@@ -426,7 +426,7 @@ func (n *Node) onFrame(f inFrame) {
 		// no answer.
 		n.forwarded.Add(1)
 		h := txpool.Hash(&fw.Request)
-		if err := n.pool.AddHashed(fw.Request, h); err == nil || n.pool.Pooled(h) {
+		if !fw.Request.Governance && (n.pool.AddHashed(fw.Request, h) == nil || n.pool.Pooled(h)) {
 			n.heard[h] = n.ticks
 		}
 		return
@@ -457,22 +457,16 @@ func (n *Node) onTick() {
 	if n.owedTicks >= uint64(n.cfg.StallTicks)<<min(n.stalls, maxStallDoublings) {
 		// Vote to leave the view, and re-arm rather than fire every tick.
 		outs := n.rep.OnTimeout()
-		if len(outs) > 0 {
-			n.stalls++
-		}
+		n.stalls += min(len(outs), 1) // a lone voter casts nothing new
 		n.route(outs)
 		n.owedTicks = 0
 	}
 	n.expire()
 }
 
-// forward relays a client's request to every peer.
-func (n *Node) forward(rq ledger.Request) {
-	n.route([]consensus.Outbound{{Dest: consensus.Broadcast, Msg: &consensus.Forward{Request: rq}}})
-}
-
-// reforward covers a lost forward to the primary: a backup sends it again
-// every pooled request a client of its own waits for, in pool order.
+// reforward covers a lost forward: a backup sends the primary again each
+// pooled request a client of its own waits for, once no forward of it went
+// or came for retransmitEvery ticks.
 func (n *Node) reforward() {
 	if n.rep.IsPrimary() || len(n.waiters) == 0 {
 		return
@@ -480,7 +474,8 @@ func (n *Node) reforward() {
 	primary := consensus.ReplicaID(n.rep.View() % uint64(len(n.cfg.Consensus.Peers)))
 	var outs []consensus.Outbound
 	for _, pr := range n.pool.Requests() {
-		if len(n.waiters[pr.Hash]) > 0 {
+		if len(n.waiters[pr.Hash]) > 0 && n.ticks-n.heard[pr.Hash] >= retransmitEvery {
+			n.heard[pr.Hash] = n.ticks
 			outs = append(outs, consensus.Outbound{Dest: primary, Msg: &consensus.Forward{Request: pr.Req}})
 		}
 	}
@@ -532,27 +527,51 @@ func (n *Node) proposeFromPool() int {
 	return len(batch)
 }
 
-// requeue gives the requests of this node's proposals from earlier views
-// back to the pool once the view changes: the change may have dropped them.
-// A commit of one, in whatever batch, answers its waiters and drops it.
+// requeue keeps the node's proposals in step with its view. Once the view
+// changes, the requests of its proposals from earlier views go back to the
+// pool: the change may have dropped them, and a commit of one, in whatever
+// batch, answers its waiters and drops it. (A governance request is not
+// re-pooled: its entry drops the request number, so no commit could drop
+// the copy, and its client resubmits.) A primary also takes as its own each
+// uncommitted batch in its ledger that it did not cut, the new view's
+// re-proposed chain: their requests leave its pool before pace runs, since
+// proposed again they would commit twice.
 func (n *Node) requeue() {
 	v := n.rep.View()
-	if v == n.lastView {
-		return
-	}
-	n.lastView, n.owedTicks = v, 0 // a new view gets a whole stall timeout
-	for _, seq := range slices.Sorted(maps.Keys(n.pending)) {
-		pb := n.pending[seq]
-		if pb.view == v {
-			continue
-		}
-		delete(n.pending, seq)
-		for i, h := range pb.subs {
-			n.pool.Forget(h)
-			if n.pool.AddHashed(pb.reqs[i], h) == nil {
-				n.heard[h] = n.ticks
+	if v != n.lastView {
+		n.lastView, n.owedTicks = v, 0 // a new view gets a whole stall timeout
+		for _, seq := range slices.Sorted(maps.Keys(n.pending)) {
+			pb := n.pending[seq]
+			if pb.view == v {
+				continue
+			}
+			delete(n.pending, seq)
+			for i, h := range pb.subs {
+				n.pool.Forget(h)
+				if !pb.reqs[i].Governance && h != (hashsig.Digest{}) && n.pool.AddHashed(pb.reqs[i], h) == nil {
+					n.heard[h] = n.ticks
+				}
 			}
 		}
+	}
+	led := n.rep.Ledger()
+	for seq := n.lastCommitted + 1; n.rep.IsPrimary() && seq < led.Seq(); seq++ {
+		b := led.BatchAt(seq)
+		if _, ok := n.pending[seq]; ok || b == nil {
+			continue
+		}
+		// Entry i is request i, as in a batch this node cut; an entry that
+		// records no request keeps the zero request.
+		pb := pendingBatch{view: v, content: b.Header.ContentDigest(),
+			subs: make([]hashsig.Digest, len(b.Entries)), reqs: make([]ledger.Request, len(b.Entries))}
+		for i, e := range b.Entries {
+			if e.Kind == ledger.KindTransaction {
+				pb.reqs[i] = ledger.Request{Author: e.Author, ReqNo: e.ReqNo, Body: e.Payload}
+				pb.subs[i] = txpool.Hash(&pb.reqs[i])
+			}
+		}
+		n.pool.Take(pb.subs...)
+		n.pending[seq] = pb
 	}
 }
 
@@ -688,8 +707,8 @@ func (n *Node) forget(pb pendingBatch) {
 
 // expire answers the waiters whose patience ran out (rpc.StatusTimeout)
 // and drops the copies no client waits for: a copy goes with its last
-// waiter here or, forwarded, once no forward of it came for the same
-// patience (each retry of its client is forwarded again). Such a copy
+// waiter or, once forwarded, when no forward of it went or came for the
+// same patience (each retry of its client is forwarded again). Such a copy
 // committed where this node did not see it, or its clients gave up.
 func (n *Node) expire() {
 	patience := uint64(n.cfg.SubmitPatienceTicks)
@@ -720,6 +739,14 @@ func (n *Node) expire() {
 }
 
 func (n *Node) onSubmit(s submission) {
+	if s.rq.Governance && !n.rep.IsPrimary() {
+		// A governance entry drops its request number, so only the node
+		// that proposes one can match it to its waiter and its pooled
+		// copies: a backup sends the client to the primary.
+		peers := uint64(len(n.cfg.Consensus.Peers))
+		s.resp <- rpc.Result{Status: rpc.StatusNotPrimary, Leader: uint32(n.rep.View() % peers)}
+		return
+	}
 	h := txpool.Hash(&s.rq)
 	err := n.pool.AddHashed(s.rq, h)
 	switch {
@@ -745,8 +772,10 @@ func (n *Node) onSubmit(s submission) {
 		return
 	}
 	if !n.rep.IsPrimary() {
-		// Every submission relays, so a client's retry covers a lost forward.
-		n.forward(s.rq)
+		// Every submission goes to every peer, so a client's retry covers a
+		// lost forward.
+		n.route([]consensus.Outbound{{Dest: consensus.Broadcast, Msg: &consensus.Forward{Request: s.rq}}})
+		n.heard[h] = n.ticks
 	}
 	n.waiters[h] = append(n.waiters[h], waiter{
 		resp:     s.resp,

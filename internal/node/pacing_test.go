@@ -830,6 +830,44 @@ func TestDroppedProposalCommitsInTheNextView(t *testing.T) {
 	}
 }
 
+// TestGovernanceAtABackup: a governance entry drops its request number, so
+// no node but its proposer can match its commit to a waiter or a pooled
+// copy, and a copy no commit drops is owed work until it lapses. A backup
+// answers a governance submission not-primary, naming the primary, and
+// pools and forwards nothing; a forwarded one is not pooled either. Past
+// several stall timeouts no node has voted, and the primary takes it.
+func TestGovernanceAtABackup(t *testing.T) {
+	const stallTicks = 4
+	c := startManualCluster(t, "governance-backup", func(cfg *Config) { cfg.StallTicks = stallTicks })
+	gov := kvRequest("gov", 1)
+	gov.Governance = true
+	select {
+	case res := <-submitAsync(c.nodes[2], gov):
+		if res.Status != rpc.StatusNotPrimary || res.Leader != 0 {
+			t.Fatalf("backup answered %v naming %d, want not-primary naming 0", res.Status, res.Leader)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("backup did not answer a governance request at once")
+	}
+	c.net.handlers[3](1, consensus.EncodeMessage(&consensus.Forward{Request: gov}))
+	c.settle(t)
+	for _, clk := range c.clocks {
+		clk.Advance(4 * stallTicks)
+	}
+	c.settle(t)
+	for i, nd := range c.nodes {
+		if s := nd.Stats(); s.View != 0 || c.pools[i].Len() != 0 {
+			t.Fatalf("node %d in view %d with %d pooled, want view 0 and none", i, s.View, c.pools[i].Len())
+		}
+	}
+	if v, f := c.net.viewChanges.Load(), c.nodes[3].Stats().Forwarded; v != 0 || f != 1 {
+		t.Fatalf("%d view-change votes, %d forwards at node 3; want 0 and 1", v, f)
+	}
+	if res := c.nodes[0].Submit(gov); res.Status != rpc.StatusCommitted {
+		t.Fatalf("primary answered %v, want committed", res.Status)
+	}
+}
+
 // TestForwardedCopyLapses: a peer's forward is pooled with no waiter, and
 // it stays while forwards of it keep coming; once none came for a
 // submission's patience, no client waits for it any more and the copy

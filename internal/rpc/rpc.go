@@ -55,9 +55,8 @@ const (
 	// StatusCommitted: the request executed and committed; the result
 	// carries its receipt.
 	StatusCommitted Status = 1
-	// StatusNotPrimary: the result names a replica for the client to
-	// resubmit to. Nodes no longer send it (any node takes a request); the
-	// codec keeps it, so the protocol version stands.
+	// StatusNotPrimary: a backup refused a governance request (only the
+	// primary takes one); the result names the current leader.
 	StatusNotPrimary Status = 2
 	// StatusBusy: the transaction pool is full — backpressure, retry
 	// with backoff.

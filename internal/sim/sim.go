@@ -187,6 +187,9 @@ type Result struct {
 	// rpc.StatusDuplicate: they committed, but no node handed the client a
 	// receipt for them.
 	ReceiptlessCommits int
+	// Recommits counts transactions committed again at a later seq, each
+	// proposed by a node that had jumped past the first commit.
+	Recommits int
 	// Nodes are the honest nodes, for post-run assertions.
 	Nodes map[consensus.ReplicaID]*node.Node
 }
@@ -202,6 +205,7 @@ type member struct {
 	ep        transport.Transport
 	stepped   bool   // a node the driver steps: honest or lying-sync
 	checked   uint64 // committed prefix compared against canon
+	blind     uint64 // highest seq it committed with no batch to see (a sync jump)
 	blames    int    // evidence already checked
 	struck    bool   // the equivocator has equivocated
 }
@@ -621,6 +625,9 @@ func (s *Sim) check() error {
 		if committed == m.checked {
 			continue
 		}
+		if first := rep.Ledger().FirstRetainedSeq(); first > m.checked+1 {
+			m.blind = min(first-1, committed)
+		}
 		for _, b := range rep.Ledger().Batches() {
 			seq := b.Header.Seq
 			if seq <= m.checked || seq > committed {
@@ -636,9 +643,20 @@ func (s *Sim) check() error {
 			s.canon[seq] = d
 			for _, e := range b.Entries {
 				k := reqKey{e.Author, e.ReqNo}
-				if _, ok := s.committedAt[k]; !ok && e.Kind == ledger.KindTransaction {
-					s.committedAt[k] = seq
+				if e.Kind != ledger.KindTransaction {
+					continue
 				}
+				if first, ok := s.committedAt[k]; ok {
+					// Only a proposer that jumped past the first commit by
+					// state transfer cannot know of it (ROADMAP item 27).
+					if p := s.members[b.Header.Primary]; p.behaviour == BehaviourHonest && p.blind < first {
+						return fmt.Errorf("safety: replica %d proposed request %x/%d again at seq %d; it committed at seq %d",
+							p.id, e.Author[:4], e.ReqNo, seq, first)
+					}
+					s.res.Recommits++
+					continue
+				}
+				s.committedAt[k] = seq
 			}
 		}
 		m.checked = committed

@@ -399,6 +399,26 @@ func TestSimWindowedSchedules(t *testing.T) {
 	}
 }
 
+// TestSimPrimarySyncsPastItsProposals pins a schedule in which the primary
+// takes a checkpoint offer while its own proposals are in flight: the
+// transfer rolls them back, and the primary must not sign other content at
+// those seqs in the same view (its peers would blame it for equivocation).
+func TestSimPrimarySyncsPastItsProposals(t *testing.T) {
+	res, err := Run(Config{
+		Seed:     46,
+		Requests: 4 * consensus.DefaultWindow,
+		Clients:  2 * consensus.DefaultWindow,
+		Window:   consensus.DefaultWindow,
+		Network:  transport.TamperPolicy{DropRate: 0.3, ReorderWindow: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes[0].Stats().Syncs == 0 {
+		t.Fatal("the view-0 primary took no state transfer; the schedule no longer reaches the case")
+	}
+}
+
 // TestSimStateTransferChurn is the bounded-memory acceptance scenario:
 // replica 3 sits behind a loss partition until the majority has committed
 // more than two checkpoint intervals, so by heal time its peers have pruned

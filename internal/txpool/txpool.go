@@ -245,13 +245,19 @@ func (p *Pool) NextBatch(max int) []Pooled {
 // proposed it) so client retries of them are suppressed like drained
 // requests, and drops their pooled copies. A batch's hashes are recorded
 // under one lock.
-func (p *Pool) Observe(hs ...hashsig.Digest) {
+func (p *Pool) Observe(hs ...hashsig.Digest) { p.take(true, hs) }
+
+// Take drops the pooled copies of hs and records them drained, as NextBatch
+// does: a proposal other than one NextBatch cut carries them.
+func (p *Pool) Take(hs ...hashsig.Digest) { p.take(false, hs) }
+
+func (p *Pool) take(committed bool, hs []hashsig.Digest) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, h := range hs {
-		p.markSeen(h, true)
+		p.markSeen(h, committed)
 		p.remove(h)
 	}
-	p.mu.Unlock()
 }
 
 // Drop removes the pooled copy of request h, if any, and not its memo: a

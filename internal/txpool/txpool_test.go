@@ -332,3 +332,27 @@ func TestDropKeepsTheMemo(t *testing.T) {
 		t.Fatalf("dropped request: %v, want it pooled again", err)
 	}
 }
+
+// TestTakeMarksDrained: Take removes pooled copies and records them
+// drained, as a NextBatch drain does: they stay refused until a Forget.
+func TestTakeMarksDrained(t *testing.T) {
+	p := New(Config{})
+	a := hashsig.Sum([]byte("a"))
+	taken, kept := req(a, 1), req(a, 2)
+	for _, r := range []ledger.Request{taken, kept} {
+		if err := p.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Take(Hash(&taken))
+	if err := p.Add(taken); p.Len() != 1 || !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("after Take: Len %d, Add %v; want 1 and duplicate", p.Len(), err)
+	}
+	p.Forget(Hash(&taken))
+	if err := p.Add(taken); err != nil {
+		t.Fatalf("taken request after Forget: %v, want it pooled again", err)
+	}
+	if got := p.Requests(); len(got) != 2 || got[0].Hash != Hash(&taken) || got[1].Hash != Hash(&kept) {
+		t.Fatalf("Requests returned %d, want both in ReqNo order", len(got))
+	}
+}
