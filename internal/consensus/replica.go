@@ -51,6 +51,12 @@ type Config struct {
 	// configuration must agree on it (it bounds the prepared claims a
 	// view-change may carry).
 	Window int
+	// SigOK, when set, is the set of signature checks this replica consults
+	// and records into instead of a set of its own. Replicas in one process
+	// (the sim) may share one: a member is a check that passed, so sharing
+	// changes which replica runs a check, never a verdict. nil means a
+	// private set.
+	SigOK *hashsig.VerifiedSet[hashsig.Digest]
 }
 
 // slotKey identifies one proposal slot for equivocation detection: a
@@ -214,6 +220,10 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
 	}
+	sigOK := cfg.SigOK
+	if sigOK == nil {
+		sigOK = hashsig.NewVerifiedSet[hashsig.Digest](maxSigCache)
+	}
 	led, err := ledger.New(ledger.Config{Key: cfg.Key, App: cfg.App, CheckpointEvery: cfg.CheckpointEvery})
 	if err != nil {
 		return nil, err
@@ -234,7 +244,7 @@ func New(cfg Config) (*Replica, error) {
 		prepared:      make(map[uint64]*PreparedProof),
 		seen:          make(map[slotKey]*ledger.BatchHeader),
 		blamed:        make(map[slotKey]bool),
-		sigOK:         hashsig.NewVerifiedSet[hashsig.Digest](maxSigCache),
+		sigOK:         sigOK,
 	}, nil
 }
 

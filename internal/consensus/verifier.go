@@ -5,11 +5,9 @@ import (
 	"iaccf/internal/ledger"
 )
 
-// maxSigCache bounds each replica's hashsig.VerifiedSet; eviction only
+// maxSigCache bounds a replica's own hashsig.VerifiedSet; eviction only
 // re-imposes verification costs on the buffered-message drain, never
-// correctness. The set is per replica and never shared: replicas built
-// from the same key objects in one process must not vouch for each other's
-// checks — no multi-process deployment could.
+// correctness.
 const maxSigCache = 1 << 16
 
 // verifyTasks checks every task, consulting the set first and routing the

@@ -16,6 +16,18 @@
 // verify on two cores, against ≈ 40 and ≈ 82 µs for its P-256 ECDSA; it has
 // no secp256k1). crypto/sha256 likewise stands in for EverCrypt's SHA-256.
 //
+// Signing and key generation are crypto/ed25519's. Verification is not: it
+// runs the subset of Go 1.24.0's crypto/internal/fips140/edwards25519 that
+// verification calls, vendored in internal/edwards25519 (its doc lists what
+// was copied, cut and added), against a table of multiples of the key
+// precomputed on the key's first Verify. Every signature this system checks
+// is made by one of a few fixed replica keys, so the table's ≈ 0.15 ms is
+// paid once per key, and each check then costs about half of
+// crypto/ed25519.Verify (≈ 26 µs against ≈ 59 µs on the same two cores):
+// table additions replace the key decompression and the ≈ 256 doublings of
+// a variable-base scalar multiplication. The verdicts are crypto/ed25519's
+// (FuzzVerifyMatchesStdlib and the vendored package's edge-case tests).
+//
 // Signing is deterministic — no entropy is read on the commit path, and one
 // key over one statement always yields the same bytes, so a replica that
 // re-issues a statement re-issues the same message and ledgers can be
@@ -41,9 +53,9 @@
 // generations, hits promote), and eviction costs a re-check, never a
 // verdict. Sets are instances, not global state: ledger keeps one behind
 // BatchHeader.Verify for the clients and auditors of a process, each
-// consensus replica keeps its own, and PublicKey.Verify itself consults none
-// — a memo on the key would let in-process replicas that share key objects
-// skip each other's checks, a saving no real deployment has.
+// consensus replica keeps its own unless its configuration hands it one
+// (the sim shares one among a run's replicas, so it pays for each
+// signature once), and PublicKey.Verify itself consults none.
 //
 // # Commit nonces
 //

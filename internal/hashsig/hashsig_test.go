@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -367,4 +368,24 @@ func TestCountsCountThePrimitive(t *testing.T) {
 	if s, v := delta(func() { memoVerify(set, tasks[0]); memoVerify(set, tasks[0]); memoVerify(set, tasks[0]) }); s != 0 || v != 1 {
 		t.Fatalf("one miss and two hits counted %d signs, %d verifies", s, v)
 	}
+}
+
+// TestVerifyConcurrentFirstUse: the first Verify of a key builds its table;
+// concurrent first calls (a VerifierPool's workers) must all see it built.
+func TestVerifyConcurrentFirstUse(t *testing.T) {
+	key := GenerateKeyFromSeed("concurrent-first-use")
+	d := Sum([]byte("statement"))
+	sig := key.MustSign(d)
+	pub := key.Public()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !pub.Verify(d, sig) {
+				t.Error("valid signature rejected on first use")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -62,3 +62,17 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVerifyFirst is a key's first check: decoding the key and
+// building its table, then one verification. Later checks under the same
+// key cost BenchmarkVerify.
+func BenchmarkVerifyFirst(b *testing.B) {
+	t := benchTasks(1)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !newPublicKey(t.Key.key).Verify(t.Digest, t.Sig) {
+			b.Fatal("valid signature rejected")
+		}
+	}
+}

@@ -3,7 +3,10 @@ package hashsig
 import (
 	"bytes"
 	"crypto/ed25519"
+	"sync"
 	"sync/atomic"
+
+	"iaccf/internal/hashsig/internal/edwards25519"
 )
 
 // SignatureSize and PublicKeySize are the exact encoded lengths of a
@@ -55,11 +58,15 @@ func newPrivateKey(k ed25519.PrivateKey) *PrivateKey {
 // PublicKey is the verification half of a PrivateKey. Its canonical byte
 // encoding (Bytes) is what the ledger and governance transactions store.
 // The key's ID is computed once, when the object is built, so a
-// VerifiedSet lookup never hashes the key. The zero value is a key that
-// verifies nothing.
+// VerifiedSet lookup never hashes the key. Its verification table (see the
+// package doc) is built on its first Verify, so a key made only to compare
+// costs nothing. The zero value is a key that verifies nothing.
 type PublicKey struct {
 	key ed25519.PublicKey
 	id  Digest
+
+	once     sync.Once
+	verifier *edwards25519.Key // nil if key does not decode
 }
 
 // newPublicKey wraps k, which must be PublicKeySize bytes the caller will
@@ -80,16 +87,24 @@ func (p *PrivateKey) MustSign(d Digest) Signature {
 	return ed25519.Sign(p.key, d[:])
 }
 
-// Verify reports whether sig is a valid signature by k over digest d. It
-// is total: a nil or zero-value key, a signature of any length other than
-// SignatureSize, or one whose S is not reduced (S ≥ L) answers false, and
-// no input panics.
+// Verify reports whether sig is a valid signature by k over digest d, with
+// crypto/ed25519.Verify's verdict. It is total: a nil or zero-value key, a
+// signature of any length other than SignatureSize, or one whose S is not
+// reduced (S ≥ L) answers false, and no input panics.
 func (k *PublicKey) Verify(d Digest, sig Signature) bool {
 	if k == nil || len(k.key) != PublicKeySize {
 		return false
 	}
 	verifyCount.Add(1)
-	return ed25519.Verify(k.key, d[:], sig)
+	k.once.Do(k.buildVerifier)
+	return k.verifier != nil && k.verifier.Verify(d[:], sig)
+}
+
+// buildVerifier decodes the key and builds its table, once. A key that does
+// not decode keeps a nil verifier, which verifies nothing; that is the whole
+// of what the error says.
+func (k *PublicKey) buildVerifier() {
+	k.verifier, _ = edwards25519.NewKey(k.key)
 }
 
 // Bytes returns a copy of the canonical PublicKeySize-byte encoding of

@@ -57,9 +57,10 @@
 // digests must match, each node's CommittedEntries must equal its ledger's
 // entry count, every request —
 // with a receipt or answered duplicate — must be committed at or below
-// that watermark, and the commit evidence must hold (checkEvidence). A
-// failure prints each replica's Stats and DebugState, and a failed
-// evidence check.
+// that watermark, and the commit evidence must hold (checkEvidence). A run
+// in which no honest watermark rises for maxCommitGap steps fails as not
+// converging. A failure prints each replica's Stats and DebugState, and a
+// failed evidence check.
 //
 // Simplifications: all nodes tick together, and a replica behind a new-view
 // certificate's high-water mark trusts the certified re-proposal.
@@ -166,6 +167,12 @@ const (
 	// never answers.
 	clientPatience = 500
 	maxSteps       = 500_000
+	// maxCommitGap fails a run once no honest node's watermark has risen
+	// for this many steps: a stuck run ends near its last commit instead
+	// of at maxSteps. Over seeds 1-100 of every TestSim* configuration and
+	// TestAdversarialTransportSchedules the largest gap a passing run
+	// shows is 8 173 steps (17 936 over seeds 1-1000).
+	maxCommitGap = 40_000
 )
 
 // Result summarizes a completed run.
@@ -245,6 +252,8 @@ type Sim struct {
 	step  int
 	high  uint64 // highest watermark of a stepped node, as of the last check
 	quiet bool   // the last Hub step left nothing queued
+	// lastCommit is the last step at which an honest node's watermark rose.
+	lastCommit int
 
 	// canon pins the first-committed content digest per seq; an honest
 	// node committing other content at that seq is a safety violation
@@ -275,6 +284,10 @@ func New(cfg Config) (*Sim, error) {
 	policy.Cut = s.cut
 	s.hub = transport.NewHub(cfg.Seed, policy)
 	keys := make([]*hashsig.PrivateKey, cfg.Replicas)
+	// One set of passed signature checks for every replica of the run
+	// (consensus.Config.SigOK): a signature is checked once in the process,
+	// not once per receiver.
+	sigOK := hashsig.NewVerifiedSet[hashsig.Digest](1 << 16)
 	for i := range keys {
 		keys[i] = hashsig.GenerateKeyFromSeed(fmt.Sprintf("sim-%d-replica-%d", cfg.Seed, i))
 		s.pubs = append(s.pubs, keys[i].Public())
@@ -288,6 +301,7 @@ func New(cfg Config) (*Sim, error) {
 			App:             ledger.KVApp{},
 			CheckpointEvery: cfg.CheckpointEvery,
 			Window:          cfg.Window,
+			SigOK:           sigOK,
 		}
 		var handle transport.Handler
 		switch m.behaviour {
@@ -625,6 +639,7 @@ func (s *Sim) check() error {
 		if committed == m.checked {
 			continue
 		}
+		s.lastCommit = s.step
 		if first := rep.Ledger().FirstRetainedSeq(); first > m.checked+1 {
 			m.blind = min(first-1, committed)
 		}
@@ -745,8 +760,8 @@ func (s *Sim) checkEvidence() error {
 // step limit trips.
 func (s *Sim) Run() (*Result, error) {
 	for ; !s.done(); s.step++ {
-		if s.step >= maxSteps {
-			return nil, s.fail("no convergence after %d steps", s.step)
+		if s.step >= maxSteps || s.step-s.lastCommit >= maxCommitGap {
+			return nil, s.fail("no convergence after %d steps, the last honest commit at step %d", s.step, s.lastCommit)
 		}
 		for _, m := range s.members {
 			if m.scripted() {

@@ -248,6 +248,29 @@ func TestSimPartition(t *testing.T) {
 	}
 }
 
+// TestSimStuckRunFailsEarly: a partition that never heals splits four
+// replicas 2|2, so no quorum forms and nothing commits. The run must fail
+// with the no-convergence verdict maxCommitGap steps after its last honest
+// commit, not at maxSteps.
+func TestSimStuckRunFailsEarly(t *testing.T) {
+	s, err := New(Config{
+		Seed:       1,
+		Requests:   4,
+		Partitions: []Partition{{Until: maxSteps + 1, Loss: true, Group: map[consensus.ReplicaID]int{2: 1, 3: 1}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run()
+	if err == nil || !strings.Contains(err.Error(), "no convergence") {
+		t.Fatalf("run across a partition that never heals: err = %v, want no convergence", err)
+	}
+	if s.step-s.lastCommit != maxCommitGap || s.step >= maxSteps/10 {
+		t.Fatalf("failed at step %d with the last honest commit at step %d, want %d steps later and well before %d",
+			s.step, s.lastCommit, maxCommitGap, maxSteps)
+	}
+}
+
 // TestSimRefusesNetworkCut: the sim owns the Hub's Cut (it is how
 // Partitions take effect), so New refuses a config that sets one rather
 // than silently replacing it, and says what to use instead.
