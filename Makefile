@@ -1,16 +1,10 @@
 GO ?= go
 BENCHTIME ?= 1s
-# CPU counts benchmarks run under; benchcmp keeps each variant apart as
-# Name-N, so the regression gate watches the one-CPU and the four-CPU run
-# separately.
+# CPU counts benchmarks run under; each variant reports as Name-N.
 BENCH_CPU ?= 1,4
 # Benchmark output file; CI writes BENCH_ci.json and uploads it as an
 # artifact. Neither is committed.
 BENCH_OUT ?= BENCH.json
-# The one committed go-test-bench baseline the regression gate compares
-# against (recorded by PR 7; the end-to-end benchmark keeps its own
-# baseline under bench/).
-BENCH_BASELINE ?= BENCH_pr7.json
 # Where `make profile` drops pprof output.
 PROFILE_DIR ?= profiles
 # Fixed seed matrix for reproducible consensus-sim runs; on an invariant
@@ -79,24 +73,16 @@ profile:
 		-o $(PROFILE_DIR)/consensus.test ./internal/consensus/
 	@echo "profiles in $(PROFILE_DIR)/: cpu.out mem.out (binary: consensus.test)"
 
-# Benchmark-regression gate: the watched hot paths must stay within 15% of
-# the committed baseline on ns/op, B/op, and allocs/op, the pipelined
-# consensus window must sustain the serial (window=1) baseline's
-# throughput, the bounded-memory workload must keep its retained ledger
-# residency under the window + checkpoint-interval cap (absolute, however
-# long the run — a leak grows with b.N and blows the cap), and the store
-# must keep fewer than one live heap object per key it holds (absolute too: the
-# trie stores bytes, and a pointer per entry is what would break it), and a
-# warm receipt check must not allocate (its header is found by comparison).
+# Regression gate: counts, which do not drift with the machine as ns/op
+# does. Retained ledger batches and bytes stay under the window +
+# checkpoint-interval cap however long the run (TestBoundedMemory); a
+# commit's objects and bytes per entry, its signs, verifies and frames per
+# batch (TestAllocsPerCommit, TestSignaturesPerBatch at W = 1 and 4) and an
+# incremental d_C's objects (TestCheckpointDigestAllocs) stay at what was
+# measured; the store keeps under one live heap object per key
+# (TestLiveObjectsPerKey); a warm receipt check allocates nothing
+# (TestReceiptVerifyWarmIsAComparison). Wall-clock figures live in bench/.
 bench-check:
-	$(GO) run ./cmd/benchcmp \
-		-baseline $(BENCH_BASELINE) -current $(BENCH_OUT) \
-		-watch BenchmarkConsensusCommit -watch BenchmarkCheckpointDigest/incremental \
-		-faster 'BenchmarkConsensusCommit/entries=1024/window=4:BenchmarkConsensusCommit/entries=1024/window=1' \
-		-faster 'BenchmarkConsensusCommit/entries=128/window=4:BenchmarkConsensusCommit/entries=128/window=1' \
-		-max 'BenchmarkConsensusBoundedMemory:retained-batches:8' \
-		-max 'BenchmarkConsensusBoundedMemory:retained-bytes:65536' \
-		-max 'BenchmarkStoreInsert:live-objects/key:1' \
-		-max 'BenchmarkReceiptVerify/warm:allocs/op:0'
+	$(GO) test -count=1 -run '^(TestBoundedMemory|TestAllocsPerCommit|TestSignaturesPerBatch|TestCheckpointDigestAllocs|TestLiveObjectsPerKey|TestReceiptVerifyWarmIsAComparison)$$' ./internal/...
 
 check: lint build race

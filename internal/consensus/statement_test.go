@@ -42,11 +42,12 @@ func deliverFIFO(reps []*Replica, queue []routed) {
 // three prepares (3) and never its own statement coming back. 4 signs and
 // 12 verifies — it was 8 and 15 while the header and the proposal were
 // signed separately and every backup co-signed the header. In general n
-// signs and n(n−1) verifies: 7 and 42 at n = 7. A ledger on its own pays 1
-// and 0.
+// signs and n(n−1) verifies: 7 and 42 at n = 7, and the same with a
+// proposal window of 4 as of 1. A ledger on its own pays 1 and 0.
 func TestSignaturesPerBatch(t *testing.T) {
 	const batches = 32
-	for _, n := range []int{4, 7} {
+	for _, c := range []struct{ n, window int }{{4, 1}, {7, 1}, {4, DefaultWindow}, {7, DefaultWindow}} {
+		n := c.n
 		reps := make([]*Replica, n)
 		for i := range reps {
 			// Distinct key objects per replica, as in separate processes:
@@ -57,7 +58,7 @@ func TestSignaturesPerBatch(t *testing.T) {
 			}
 			r, err := New(Config{
 				ID: ReplicaID(i), Key: hashsig.GenerateKeyFromSeed(fmt.Sprintf("sig-bill-%d", i)), Peers: peers,
-				App: ledger.KVApp{}, CheckpointEvery: 4, Window: 1,
+				App: ledger.KVApp{}, CheckpointEvery: 4, Window: c.window,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -74,12 +75,12 @@ func TestSignaturesPerBatch(t *testing.T) {
 			deliverFIFO(reps, []routed{{0, pp}})
 			for _, r := range reps {
 				if r.Committed() != b || r.InFlight() != 0 {
-					t.Fatalf("n=%d batch %d: %s", n, b, r.DebugState())
+					t.Fatalf("n=%d W=%d batch %d: %s", n, c.window, b, r.DebugState())
 				}
 			}
 			s, v := hashsig.Counts()
 			if s-signs != uint64(n) || v-verifies != uint64(n*(n-1)) {
-				t.Fatalf("n=%d batch %d cost %d signs and %d verifies, want %d and %d", n, b, s-signs, v-verifies, n, n*(n-1))
+				t.Fatalf("n=%d W=%d batch %d cost %d signs and %d verifies, want %d and %d", n, c.window, b, s-signs, v-verifies, n, n*(n-1))
 			}
 		}
 	}

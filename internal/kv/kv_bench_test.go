@@ -105,13 +105,13 @@ func BenchmarkWriteSetDigest(b *testing.B) {
 // rewrote, so it follows the writes per checkpoint and (logarithmically)
 // the store size:
 //
-//   - incremental/n=…: 6 writes per checkpoint, the shape `make
-//     bench-check` has watched since BENCH_pr7.json (then: re-hash every
-//     key of the ≤ 6 touched shards of 64);
+//   - incremental/n=…: 6 writes per checkpoint;
 //   - incremental/writes=256/n=…: 256 writes per checkpoint — four
 //     64-entry batches at cmd/node's checkpoint interval. The repository
 //     benchmark's saturated batches carry ≈ 116 entries, so its
 //     checkpoints see about twice as many writes.
+//
+// TestCheckpointDigestAllocs pins both shapes' allocations at n = 10 000.
 func BenchmarkCheckpointDigest(b *testing.B) {
 	run := func(b *testing.B, s *Store, n, writes int) {
 		s.CheckpointDigest() // steady state starts fully hashed
@@ -145,17 +145,13 @@ func liveObjects() uint64 {
 	return ms.HeapObjects
 }
 
-// benchStoreWrites is the store's share of a committed request, isolated:
-// one transaction per 32-byte put, d_C every 256 of them (four 64-entry
-// batches, cmd/node's checkpoint interval). The first warm puts are setup,
-// so live-objects/key — heap objects the store keeps alive per key it
-// holds, which is what every mark phase walks — is taken over at least that
-// many keys whatever b.N is.
-func benchStoreWrites(b *testing.B, warm int, key func(i int) string) {
-	base := liveObjects()
-	s := New()
+// storeWriter returns put(i): one transaction writing key(i) as a 32-byte
+// value into s, and d_C every 256 of them (four 64-entry batches, cmd/node's
+// checkpoint interval) — the store's share of a committed request,
+// isolated.
+func storeWriter(s *Store, key func(i int) string) (put func(i int)) {
 	val := make([]byte, 32)
-	put := func(i int) {
+	return func(i int) {
 		tx := s.Begin()
 		tx.Put(key(i), val)
 		tx.Commit()
@@ -163,6 +159,16 @@ func benchStoreWrites(b *testing.B, warm int, key func(i int) string) {
 			s.CheckpointDigest()
 		}
 	}
+}
+
+// benchStoreWrites prices storeWriter's puts. The first warm puts are setup,
+// so live-objects/key — heap objects the store keeps alive per key it
+// holds, which is what every mark phase walks — is taken over at least that
+// many keys whatever b.N is.
+func benchStoreWrites(b *testing.B, warm int, key func(i int) string) {
+	base := liveObjects()
+	s := New()
+	put := storeWriter(s, key)
 	for i := 0; i < warm; i++ {
 		put(i)
 	}
@@ -176,12 +182,33 @@ func benchStoreWrites(b *testing.B, warm int, key func(i int) string) {
 	runtime.KeepAlive(s)
 }
 
+// insertKey names put i as submit4.insert512's 512 callers name theirs:
+// every key is new.
+func insertKey(i int) string { return fmt.Sprintf("i%d/%d", i%512, i/512) }
+
 // BenchmarkStoreInsert is submit4.insert512's store: every put is a key
-// never seen before, named as that workload's 512 callers name theirs, so
-// the state and the live heap grow with b.N. `make bench-check` caps its
-// live-objects/key at 1.
+// never seen before, so the state and the live heap grow with b.N.
 func BenchmarkStoreInsert(b *testing.B) {
-	benchStoreWrites(b, 8192, func(i int) string { return fmt.Sprintf("i%d/%d", i%512, i/512) })
+	benchStoreWrites(b, 8192, insertKey)
+}
+
+// TestLiveObjectsPerKey holds the store under one live heap object per key
+// it holds — the trie stores bytes, and a pointer per entry is what would
+// break it — after 8 192 + 16 384 of BenchmarkStoreInsert's puts. It reads
+// 0.62.
+func TestLiveObjectsPerKey(t *testing.T) {
+	base := liveObjects()
+	s := New()
+	put := storeWriter(s, insertKey)
+	for i := 0; i < 8192+16384; i++ {
+		put(i)
+	}
+	perKey := float64(liveObjects()-base) / float64(s.Len())
+	t.Logf("%.3f live objects per key", perKey)
+	if perKey > 1 {
+		t.Errorf("%.3f live heap objects per key, cap 1", perKey)
+	}
+	runtime.KeepAlive(s)
 }
 
 // BenchmarkStoreOverwrite8k is submit4.sat512's: puts over a fixed set of

@@ -131,6 +131,40 @@ func TestDigestsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestCheckpointDigestAllocs pins BenchmarkCheckpointDigest's incremental
+// rows at n = 10 000 as counts: the heap objects of one commit of 6 and of
+// 256 writes and the d_C after it, on a store the previous d_C hashed. Each
+// bound is the count measured plus half an object.
+func TestCheckpointDigestAllocs(t *testing.T) {
+	const n = 10000
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("account_%08d", i)
+	}
+	val := []byte("0000000200")
+	for _, c := range []struct {
+		writes   int
+		measured float64
+	}{{6, 35}, {256, 692}} {
+		s := benchStore(n)
+		s.CheckpointDigest()
+		i := 0
+		got := testing.AllocsPerRun(100, func() {
+			tx := s.Begin()
+			for j := 0; j < c.writes; j++ {
+				tx.Put(keys[(i*c.writes+j)%n], val)
+			}
+			tx.Commit()
+			s.CheckpointDigest()
+			i++
+		})
+		t.Logf("writes=%d: %.1f allocs", c.writes, got)
+		if bound := c.measured + 0.5; got > bound {
+			t.Errorf("writes=%d: %.1f allocs per commit and d_C, bound %.1f", c.writes, got, bound)
+		}
+	}
+}
+
 func TestMarksAndRollback(t *testing.T) {
 	s := New()
 	apply := func(k, v string) {

@@ -30,8 +30,8 @@ func genSkewedBatch(rng *rand.Rand, n, keyPool, hotTenths int) []Request {
 // GOMAXPROCS=4 and GOMAXPROCS=1. Header equality is checked via
 // ContentDigest, which covers ¯M, ¯G and d_C, so checkpoint digests are
 // compared batch by batch, not just at the end. The resulting stream must
-// replay to the live ledger's roots under both of Replay's schedules,
-// inline and pipelined. The ledgers take bench/'s Shards: 1, which names
+// replay to the live ledger's roots with Replay's checker sharing one CPU
+// and with CPUs to spare. The ledgers take bench/'s Shards: 1, which names
 // the subtests.
 func TestParallelMatchesSequentialUnderAuthorSkew(t *testing.T) {
 	for _, hotTenths := range []int{0, 9} {

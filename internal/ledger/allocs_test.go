@@ -50,8 +50,7 @@ func allocLedger(t testing.TB) *Ledger {
 // TestAllocsPerEntry pins what each of the three paths that run
 // core.execute allocates per ledger entry — propose (ExecuteBatch), apply
 // (ApplyBatch) and the audit (Replay) — over allocStream, from a fresh
-// ledger each run, at GOMAXPROCS 1, so Replay derives inline. Two rows per
-// path:
+// ledger each run, at GOMAXPROCS 1. Two rows per path:
 //
 //   - Heap objects: bounded by the count measured — 5.71, 4.43 and 3.73 —
 //     plus a slack of half an object per entry, under the race detector
@@ -61,7 +60,8 @@ func allocLedger(t testing.TB) *Ledger {
 //     and 9.1; while Tx.Put copied the value KVApp had already copied,
 //     6.94, 5.65 and 4.98; while ¯G was the root of a merkle.Tree built and
 //     dropped per batch and a flush built two write vectors, 5.92, 4.63
-//     and 3.91.
+//     and 3.91. Replay's row was measured when one CPU derived inline;
+//     its pipeline, the one schedule since, reads 3.79 objects and 912 B.
 //   - Heap bytes: bounded by the bytes measured — 1860, 888 and 872 (11 B
 //     more under the race detector) — plus a slack of 10 %. Before ¯G and
 //     the flush lost their spare buffers they were 1995, 1022 and 1001.

@@ -11,8 +11,8 @@ import (
 )
 
 // The ledger derives a proposed or applied batch on the goroutine that
-// calls it, but Replay, when it has the CPUs, runs every check on a
-// checker goroutine beside its execution lane. The tests here hold every
+// calls it, but Replay runs every check on a checker goroutine beside its
+// execution lane. The tests here hold every
 // policy to one answer whatever GOMAXPROCS says: a ledger run at
 // GOMAXPROCS=4 and one run at GOMAXPROCS=1 must emit the same bytes.
 

@@ -64,8 +64,8 @@
 // a replica under load has no idle core, and both spreading the halves
 // over two goroutines and hashing entries on worker goroutines were
 // measured and bought nothing. The audit is the one path with a core to
-// spare and entries that are final before it starts, so with a second CPU
-// it splits the work: not by half but by kind. Its execution lane runs
+// spare and entries that are final before it starts, so it splits the
+// work: not by half but by kind. Its execution lane runs
 // the execution loop and nothing else — transactions in ledger order plus
 // the structural rules execution needs (a known Kind, the marker's
 // placement and label) — and hands each batch's finished write sets and,

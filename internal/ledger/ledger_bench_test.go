@@ -46,9 +46,9 @@ func BenchmarkExecuteBatch(b *testing.B) {
 // BenchmarkReplay is the auditor's throughput in the shape of the
 // repository benchmark's audit.replay: 64-entry batches, one 32-byte put
 // per request over 8 192 keys, a checkpoint every 4 batches,
-// headers verified through DefaultPool. At -cpu 1 every batch runs derive
-// inline; with a second CPU replay is a pipeline (execution lane and
-// checker, core.replay), so `-cpu 1,2` prices that schedule.
+// headers verified through DefaultPool. Replay is a pipeline (execution
+// lane and checker, core.replay); `-cpu 1,2` prices it with the checker
+// sharing the lane's CPU and with one of its own.
 func BenchmarkReplay(b *testing.B) {
 	const batches, batchSize, keys = 256, 64, 8192
 	l, err := New(Config{Key: testKey, App: KVApp{}, CheckpointEvery: 4})
@@ -113,8 +113,8 @@ var coldSeq uint64 = 1
 // with many requests outstanding sees: the 64 receipts of one batch, whose
 // shared header was checked once before the timer — a set probe that
 // compares the header, then the audit path: no StatementDigest, no
-// signature check and no allocation (make bench-check caps it at 0
-// allocs/op). cold gives every iteration a header this process has never
+// signature check and no allocation (TestReceiptVerifyWarmIsAComparison
+// holds it at 0). cold gives every iteration a header this process has never
 // seen — the same receipts re-signed under another Seq before the timer
 // starts, so the path is the same length: StatementDigest, one pub.Verify
 // (hashsig's BenchmarkVerify) and the new member's allocation, plus warm.

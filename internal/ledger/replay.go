@@ -3,7 +3,6 @@ package ledger
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
@@ -153,11 +152,10 @@ func checkHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool) (wa
 // keeps: no batch is retained and no rollback mark taken, since a replay
 // that diverges is over. wantSeq pins the first batch's sequence number.
 //
-// With one CPU every batch is derived inline. Otherwise replay is a
-// pipeline: this goroutine is the execution lane and only executes
-// (core.execute with a job), while a checker goroutine, fed through a small
-// bounded queue, runs every check of each batch in order a batch or more
-// behind it (core.check). The checker owns the history tree and lastCkpt;
+// Replay is a pipeline: this goroutine is the execution lane and only
+// executes (core.execute with a job), while a checker goroutine, fed
+// through a small bounded queue, runs every check of each batch in order a
+// batch or more behind it (core.check). The checker owns the history tree and lastCkpt;
 // the lane owns the store, and hands the checker at each marker a snapshot
 // of it (Clone, O(1)), which the checker hashes while the lane builds its
 // successors (see champ's concurrency contract).
@@ -171,11 +169,7 @@ func (c *core) replay(wantSeq uint64, batches []*Batch) (*ReplayResult, error) {
 	// Joined on every exit, an App panic included.
 	defer k.join()
 	for _, b := range batches {
-		if k == nil {
-			if err := c.replayInline(wantSeq, b); err != nil {
-				return nil, err
-			}
-		} else if !k.submit(c.replayLane(wantSeq, b)) {
+		if !k.submit(c.replayLane(wantSeq, b)) {
 			break
 		}
 		wantSeq++
@@ -191,18 +185,6 @@ func (c *core) replay(wantSeq uint64, batches []*Batch) (*ReplayResult, error) {
 		StateDigest: c.store.CheckpointDigest(),
 		CkptDigest:  c.lastCkpt,
 	}, nil
-}
-
-// replayInline derives batch b, expected at wantSeq, on this goroutine.
-func (c *core) replayInline(wantSeq uint64, b *Batch) error {
-	seq := b.Header.Seq
-	if seq != wantSeq {
-		return errSequence(seq, wantSeq)
-	}
-	if _, div := c.derive(seq, b.Entries, &b.Header); div != nil {
-		return fmt.Errorf("%w: %w", ErrReplay, div)
-	}
-	return nil
 }
 
 // replayLane executes batch b, expected at wantSeq, and returns the
@@ -287,12 +269,8 @@ type checker struct {
 	err    error
 }
 
-// startChecker starts c's checker, or returns nil on one CPU, where every
-// batch is derived inline.
+// startChecker starts c's checker.
 func (c *core) startChecker() *checker {
-	if runtime.GOMAXPROCS(0) <= 1 {
-		return nil
-	}
 	k := &checker{jobs: make(chan *checkJob, checkerDepth), failed: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(k.done)
@@ -319,11 +297,8 @@ func (k *checker) submit(j *checkJob) bool {
 }
 
 // join ends the job stream and waits for the checker, returning its
-// verdict. It is idempotent and a no-op on a nil checker.
+// verdict. It is idempotent.
 func (k *checker) join() error {
-	if k == nil {
-		return nil
-	}
 	if !k.closed {
 		k.closed = true
 		close(k.jobs)

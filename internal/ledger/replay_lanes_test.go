@@ -60,7 +60,7 @@ func resign(b *Batch) { b.Header.Sig = testKey.MustSign(b.Header.StatementDigest
 // TestReplaySignatureWinsOverEarlierDivergence: the signatures are checked
 // beside the replay, not before it, and the verdict must not change — a
 // stream whose batch j diverges and whose later batch k carries a forged
-// signature is rejected for the signature, inline and pipelined.
+// signature is rejected for the signature, at one CPU and at four.
 func TestReplaySignatureWinsOverEarlierDivergence(t *testing.T) {
 	honest := laneStream(t, 4, 40)
 	pool := hashsig.NewVerifierPool(2)
@@ -163,8 +163,8 @@ func verdictOf(res *ReplayResult, err error) replayVerdict {
 	return v
 }
 
-// replayAt replays batches with GOMAXPROCS pinned to procs: 1 derives
-// every batch inline, more runs the pipeline (execution lane and checker).
+// replayAt replays batches with GOMAXPROCS pinned to procs: at 1 the
+// execution lane and the checker share a CPU, at more they run side by side.
 func replayAt(procs int, batches []*Batch) replayVerdict {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
@@ -172,8 +172,7 @@ func replayAt(procs int, batches []*Batch) replayVerdict {
 }
 
 // FuzzReplayStream feeds the auditor's whole input path — ReadBatches,
-// then Replay — mutated streams, with the inline schedule as the oracle
-// for the pipeline. For every input: nothing panics; a stream Replay
+// then Replay — mutated streams. For every input: nothing panics; a stream Replay
 // accepts is a prefix of one of the two honest streams — the one whose
 // first batch has as many entries — batch for batch byte-identical once
 // re-encoded (nothing else is signed by testKey); and GOMAXPROCS=1 and
@@ -209,11 +208,11 @@ func FuzzReplayStream(f *testing.F) {
 		if err != nil {
 			return
 		}
-		inline, lanes := replayAt(1, batches), replayAt(2, batches)
-		if inline != lanes {
-			t.Fatalf("schedules disagree:\n inline    %+v\n pipeline  %+v", inline, lanes)
+		one, two := replayAt(1, batches), replayAt(2, batches)
+		if one != two {
+			t.Fatalf("schedules disagree:\n GOMAXPROCS=1  %+v\n GOMAXPROCS=2  %+v", one, two)
 		}
-		if !inline.ok || len(batches) == 0 {
+		if !one.ok || len(batches) == 0 {
 			return
 		}
 		want, ok := honest[batches[0].Header.GSize]
@@ -239,8 +238,8 @@ func lastEntry(b *Batch) *Entry { return &b.Entries[len(b.Entries)-1] }
 // behind, yet must name the divergence derive names — the first in
 // derivation order (batch, then entry, then header field). For each
 // tampering the verdict at GOMAXPROCS 2 and 4 must equal the one at
-// GOMAXPROCS 1, where every batch is derived inline, and name the expected
-// batch and field. The paired cases put a structural divergence on the lane
+// GOMAXPROCS 1, where the lane and the checker share a CPU, and name the
+// expected batch and field. The paired cases put a structural divergence on the lane
 // after an earlier one only the checker can see, in one batch and in
 // adjacent ones, so the lane stops before the checker has reached the
 // verdict.
@@ -297,12 +296,12 @@ func TestReplayVerdictOrder(t *testing.T) {
 		}
 		want := replayAt(1, evil)
 		if want.ok != (tc.seq == 0) || want.seq != tc.seq || want.field != tc.field {
-			t.Fatalf("%s: inline verdict %+v, want batch %d field %q", tc.name, want, tc.seq, tc.field)
+			t.Fatalf("%s: GOMAXPROCS=1 verdict %+v, want batch %d field %q", tc.name, want, tc.seq, tc.field)
 		}
 		for _, procs := range []int{2, 4} {
 			for run := 0; run < 10; run++ {
 				if got := replayAt(procs, evil); got != want {
-					t.Fatalf("%s: GOMAXPROCS=%d run %d:\n pipeline %+v\n inline   %+v", tc.name, procs, run, got, want)
+					t.Fatalf("%s: GOMAXPROCS=%d run %d:\n got            %+v\n GOMAXPROCS=1   %+v", tc.name, procs, run, got, want)
 				}
 			}
 		}

@@ -262,6 +262,10 @@ type Sim struct {
 	canon map[uint64]hashsig.Digest
 	// committedAt is the seq at which each transaction first committed.
 	committedAt map[reqKey]uint64
+	// proposer names the replica that first broadcast a pre-prepare of
+	// each content digest: a new primary restates a prepared batch under
+	// its own name, but the requests in it are the first proposer's.
+	proposer map[hashsig.Digest]consensus.ReplicaID
 	// envelopeErr records the first envelope rule a sender broke.
 	envelopeErr error
 }
@@ -279,6 +283,7 @@ func New(cfg Config) (*Sim, error) {
 		frames:      hashsig.NewHasher(),
 		canon:       make(map[uint64]hashsig.Digest),
 		committedAt: make(map[reqKey]uint64),
+		proposer:    make(map[hashsig.Digest]consensus.ReplicaID),
 	}
 	policy := cfg.Network
 	policy.Cut = s.cut
@@ -384,8 +389,9 @@ func writes(i int) []ledger.Op {
 }
 
 // endpoint is a replica's Hub endpoint as the sim wires it: it records a
-// replica that broadcasts sync traffic, and for a lying-sync node corrupts
-// every SyncChunk it sends.
+// replica that broadcasts sync traffic and the first proposer of each
+// batch content, and for a lying-sync node corrupts every SyncChunk it
+// sends.
 type endpoint struct {
 	transport.Transport
 	s   *Sim
@@ -411,6 +417,13 @@ func (e *endpoint) Broadcast(frame []byte) error {
 	case consensus.MsgSyncRequest, consensus.MsgSyncChunk:
 		if e.s.envelopeErr == nil {
 			e.s.envelopeErr = fmt.Errorf("envelope: replica %d broadcast message type %d; sync traffic must be unicast", e.id, t)
+		}
+	case consensus.MsgPrePrepare:
+		if m, err := consensus.DecodeMessage(frame); err == nil {
+			d := m.(*consensus.PrePrepare).Header.ContentDigest()
+			if _, ok := e.s.proposer[d]; !ok {
+				e.s.proposer[d] = e.id
+			}
 		}
 	}
 	return e.Transport.Broadcast(frame)
@@ -663,8 +676,14 @@ func (s *Sim) check() error {
 				}
 				if first, ok := s.committedAt[k]; ok {
 					// Only a proposer that jumped past the first commit by
-					// state transfer cannot know of it (ROADMAP item 27).
-					if p := s.members[b.Header.Primary]; p.behaviour == BehaviourHonest && p.blind < first {
+					// state transfer cannot know of it (ROADMAP item 27). A
+					// primary restating a prepared batch did not propose
+					// its requests: the batch's first proposer did.
+					proposer, ok := s.proposer[d]
+					if !ok {
+						proposer = consensus.ReplicaID(b.Header.Primary) // a strike, sent unicast
+					}
+					if p := s.members[proposer]; p.behaviour == BehaviourHonest && p.blind < first {
 						return fmt.Errorf("safety: replica %d proposed request %x/%d again at seq %d; it committed at seq %d",
 							p.id, e.Author[:4], e.ReqNo, seq, first)
 					}
