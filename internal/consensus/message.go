@@ -215,11 +215,6 @@ func (m *ViewChange) SigningDigest() hashsig.Digest {
 	return hashsig.Sum(b)
 }
 
-// Verify reports whether the view-change carries a valid signature by pub.
-func (m *ViewChange) Verify(pub *hashsig.PublicKey) bool {
-	return pub.Verify(m.SigningDigest(), m.Sig)
-}
-
 func (m *ViewChange) encodeBody(w *wire.Writer) {
 	w.Uint64(m.NewView)
 	w.Uint32(uint32(m.Replica))
@@ -311,11 +306,6 @@ func (m *NewView) SigningDigest() hashsig.Digest {
 	var d hashsig.Digest
 	h.Sum(d[:0])
 	return d
-}
-
-// Verify reports whether the new-view carries a valid signature by pub.
-func (m *NewView) Verify(pub *hashsig.PublicKey) bool {
-	return pub.Verify(m.SigningDigest(), m.Sig)
 }
 
 func (m *NewView) encodeBody(w *wire.Writer) {

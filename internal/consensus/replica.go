@@ -1117,8 +1117,8 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 }
 
 // Retransmit returns this replica's current outbound state — the messages a
-// peer would need if earlier deliveries were lost. Harness and transport
-// call it to model timeout-driven resends. Everything here is broadcast:
+// peer would need if earlier deliveries were lost. The node's tick
+// (node.onTick) calls it: these are its timeout-driven resends. Everything here is broadcast:
 // own protocol messages feed every peer's quorum formation, unlike the
 // pairwise sync traffic. Nothing is resent for a committed instance —
 // a peer that missed one fetches it (sync.go).

@@ -1,19 +1,20 @@
 // Package kv implements the strictly-serializable transactional key-value
 // store that IA-CCF replicas execute transactions against (paper §2). It
-// supports rollback at transaction granularity (abort) and at batch
-// granularity (marks), as L-PBFT's early execution requires (Lemma 1), and
+// supports rollback at transaction granularity (abort) and, through the
+// O(1) clone the ledger keeps of it at each batch boundary, at batch
+// granularity, as L-PBFT's early execution requires (Lemma 1), and
 // deterministic checkpoint serialization with content digests (§3.4).
 //
 // There is one store, Store (store.go): one persistent CHAMP map — the
-// state-transfer chunk — plus an overlay of committed writes. Snapshots,
-// marks and rollback are pointer copies, and the checkpoint digest d_C is
-// read off the trie's cached Merkle root.
+// state-transfer chunk — plus an overlay of committed writes. Snapshots
+// and clones are pointer copies, and the checkpoint digest d_C is read off
+// the trie's cached Merkle root.
 //
 // Writes reach the trie in bulk. A transaction buffers its ops in a
 // slice; Commit adds them to the store's overlay of pending writes, which
 // reads see through; and the overlay is flushed into the trie — one
-// champ.Map.SetAll — only when something needs it: a mark, a clone, a
-// digest, a snapshot, a chunk. A transaction reads the overlay it found at
+// champ.Map.SetAll — only when something needs it: a clone, a digest, a
+// snapshot, a chunk. A transaction reads the overlay it found at
 // Begin, which nothing writes in place while it lives, and a flush
 // replaces the overlay rather than clearing it (see Store).
 //
@@ -22,7 +23,6 @@
 package kv
 
 import (
-	"errors"
 	"maps"
 	"slices"
 	"strings"
@@ -31,10 +31,6 @@ import (
 	"iaccf/internal/hashsig"
 	"iaccf/internal/wire"
 )
-
-// ErrNoMark reports a rollback to a batch boundary that was never marked or
-// has been pruned.
-var ErrNoMark = errors.New("kv: no mark for sequence number")
 
 // Tx is a single transaction: buffered writes over a snapshot. The ledger
 // runs a batch's transactions one at a time, in ledger order, on the
@@ -138,7 +134,7 @@ func (l *opLog) clone() opLog {
 }
 
 // read looks key up through an overlay into the trie head beneath it and
-// returns a copy of the value: both are shared (trie nodes with marks and
+// returns a copy of the value: both are shared (trie nodes with clones and
 // snapshots, overlay values with write sets), so handing out the stored
 // bytes would let a caller change history.
 func read(pending *opLog, m *champ.Map, key string) ([]byte, bool) {

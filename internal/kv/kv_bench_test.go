@@ -20,12 +20,13 @@ func benchStore(n int) *Store {
 
 // BenchmarkCommit measures one transaction (SmallBank-style: read-modify-
 // write of two keys) committing against stores of increasing size. The
-// commits land in the overlay; a flush comes with the next Mark or digest.
+// commits land in the overlay; a flush comes with the next Clone or digest.
 //
 // The ops=… rows price a transaction of that many distinct puts — one, a
-// few, and KVApp's cap — into a 100 000-key store, with the Mark that
-// flushes it, as a replica marks before every batch. ns/put must stay
-// flat: a transaction's writes and the overlay are linear in their ops.
+// few, and KVApp's cap — into a 100 000-key store, with the Clone that
+// flushes it, as a replica's ledger clones the store before every batch.
+// ns/put must stay flat: a transaction's writes and the overlay are linear
+// in their ops.
 func BenchmarkCommit(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -50,7 +51,7 @@ func BenchmarkCommit(b *testing.B) {
 	for _, ops := range []int{1, 16, 65536} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
 			s := benchStore(n)
-			s.Mark(0)
+			s.Clone()
 			val := []byte("0000000200")
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -60,8 +61,7 @@ func BenchmarkCommit(b *testing.B) {
 					tx.Put(keys[(i*ops+j)%n], val)
 				}
 				tx.Commit()
-				s.Mark(uint64(i + 1))
-				s.PruneMarks(uint64(i + 1))
+				s.Clone()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/put")
 		})

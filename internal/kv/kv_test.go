@@ -165,66 +165,6 @@ func TestCheckpointDigestAllocs(t *testing.T) {
 	}
 }
 
-func TestMarksAndRollback(t *testing.T) {
-	s := New()
-	apply := func(k, v string) {
-		tx := s.Begin()
-		tx.Put(k, []byte(v))
-		tx.Commit()
-	}
-	s.Mark(1)
-	apply("a", "1")
-	s.Mark(2)
-	apply("b", "2")
-	apply("a", "updated")
-	s.Mark(3)
-	apply("c", "3")
-
-	if err := s.RollbackTo(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("c"); ok {
-		t.Fatal("rollback to 3 kept c")
-	}
-	if v, _ := s.Get("a"); string(v) != "updated" {
-		t.Fatal("rollback to 3 lost batch-2 writes")
-	}
-	if err := s.RollbackTo(2); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.Get("a"); string(v) != "1" {
-		t.Fatal("rollback to 2 state wrong")
-	}
-	if _, ok := s.Get("b"); ok {
-		t.Fatal("rollback to 2 kept b")
-	}
-	// Mark 3 was consumed by the first rollback, and rollback to 2 discarded
-	// everything at or after 2.
-	if err := s.RollbackTo(3); err == nil {
-		t.Fatal("rollback to consumed mark succeeded")
-	}
-	if err := s.RollbackTo(1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 {
-		t.Fatal("rollback to 1 should empty the store")
-	}
-}
-
-func TestPruneMarks(t *testing.T) {
-	s := New()
-	for i := uint64(1); i <= 5; i++ {
-		s.Mark(i)
-	}
-	s.PruneMarks(3)
-	if err := s.RollbackTo(2); err == nil {
-		t.Fatal("pruned mark usable")
-	}
-	if err := s.RollbackTo(3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDigestDeterminism(t *testing.T) {
 	a, b := New(), New()
 	// Apply the same logical content in different orders/histories.
@@ -295,13 +235,13 @@ func TestClone(t *testing.T) {
 }
 
 // Regression: Get used to return the slice stored inside the CHAMP map, so
-// mutating the result corrupted every snapshot and mark sharing that node.
+// mutating the result corrupted every snapshot and clone sharing that node.
 func TestGetReturnsDefensiveCopy(t *testing.T) {
 	s := New()
 	tx := s.Begin()
 	tx.Put("k", []byte("original"))
 	tx.Commit()
-	s.Mark(1)
+	mark := s.Clone()
 	before := s.CheckpointDigest()
 
 	v, _ := s.Get("k")
@@ -327,11 +267,8 @@ func TestGetReturnsDefensiveCopy(t *testing.T) {
 		t.Fatal("mutating Tx.Get result corrupted the buffered write")
 	}
 
-	if err := s.RollbackTo(1); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := s.Get("k"); string(got) != "original" {
-		t.Fatal("marked snapshot was corrupted through a Get result")
+	if got, _ := mark.Get("k"); string(got) != "original" {
+		t.Fatal("a clone was corrupted through a Get result")
 	}
 }
 
@@ -364,8 +301,8 @@ func TestWireRoundTripCanonical(t *testing.T) {
 	}
 }
 
-// Property: a random batch of transactions followed by RollbackTo restores
-// the exact prior digest.
+// Property: a clone taken before a random batch of transactions — the
+// ledger's rollback record — still has the exact prior digest after it.
 func TestQuickRollbackRestoresDigest(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -376,7 +313,7 @@ func TestQuickRollbackRestoresDigest(t *testing.T) {
 			tx.Commit()
 		}
 		before := s.CheckpointDigest()
-		s.Mark(100)
+		mark := s.Clone()
 		for i := 0; i < 30; i++ {
 			tx := s.Begin()
 			k := fmt.Sprintf("k%d", rng.Intn(40))
@@ -387,10 +324,7 @@ func TestQuickRollbackRestoresDigest(t *testing.T) {
 			}
 			tx.Commit()
 		}
-		if err := s.RollbackTo(100); err != nil {
-			return false
-		}
-		return s.CheckpointDigest() == before && before == scratchDigest(s)
+		return mark.CheckpointDigest() == before && before == scratchDigest(mark)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

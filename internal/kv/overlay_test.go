@@ -32,13 +32,14 @@ func del(k string) op    { return op{key: k, del: true} }
 // of 40 keys, then transactions that overwrite, add, delete, put then
 // delete and delete then put within one interval. Puts of pending count
 // puts reach the overlay: a few take the key-by-key flush, many the SetAll
-// one.
-func overlayScenario(pending int) *Store {
-	s := New()
+// one. mark is a clone of the flushed base: the ledger's rollback record
+// for the boundary before the pending writes.
+func overlayScenario(pending int) (s, mark *Store) {
+	s = New()
 	for i := 0; i < 40; i++ {
 		commitOps(s, put(fmt.Sprint("base", i), fmt.Sprint("b", i)))
 	}
-	s.Mark(1)
+	mark = s.Clone()
 	for i := 0; i < pending; i++ {
 		commitOps(s, put(fmt.Sprint("base", i*3%40), fmt.Sprint("over", i)), put(fmt.Sprint("new", i), "n"))
 	}
@@ -48,7 +49,7 @@ func overlayScenario(pending int) *Store {
 	commitOps(s, del("base8"))
 	commitOps(s, put("base8", "8")) // delete then put, across transactions
 	commitOps(s, del("base9"))
-	return s
+	return s, mark
 }
 
 // overlayModel is overlayScenario's contents, from a plain map.
@@ -134,20 +135,12 @@ func TestOverlay(t *testing.T) {
 			}
 			return b.Bytes()
 		}},
-		{"Mark", func(t *testing.T, s *Store) any {
-			s.Mark(2)
-			commitOps(s, put("after-mark", "x"))
-			if err := s.RollbackTo(2); err != nil {
-				t.Fatal(err)
-			}
-			return s.CheckpointDigest()
-		}},
 	}
 	for _, pending := range []int{2, 200} {
 		model := overlayModel(pending)
 		for _, r := range reads {
 			t.Run(fmt.Sprintf("shards=1/pending=%d/%s", pending, r.name), func(t *testing.T) {
-				s := overlayScenario(pending)
+				s, _ := overlayScenario(pending)
 				if len(s.pending.ops) == 0 {
 					t.Fatal("scenario left nothing pending")
 				}
@@ -166,7 +159,7 @@ func TestOverlay(t *testing.T) {
 // writes go with them.
 func TestOverlayInstallShard(t *testing.T) {
 	for _, pending := range []int{2, 200} {
-		s := overlayScenario(pending)
+		s, _ := overlayScenario(pending)
 		ref := modelStore(map[string]string{"installed": "i"})
 		var chunk bytes.Buffer
 		if err := ref.SerializeShard(&chunk); err != nil {
@@ -184,32 +177,27 @@ func TestOverlayInstallShard(t *testing.T) {
 	}
 }
 
-// TestOverlayRollbackDropsPending: RollbackTo restores the mark's trie and
-// drops the overlay, whose writes all came after it; a failed rollback
-// keeps both.
+// TestOverlayRollbackDropsPending: the ledger rolls back by reinstating
+// its mark, a clone taken at the boundary. The clone holds the mark's trie
+// and none of the overlay, whose writes all came after it, and taking it
+// cost the store none of its pending writes.
 func TestOverlayRollbackDropsPending(t *testing.T) {
-	s := overlayScenario(200)
-	if err := s.RollbackTo(99); err == nil {
-		t.Fatal("rollback to an unknown mark succeeded")
-	}
+	s, mark := overlayScenario(200)
 	if _, ok := s.Get("new0"); !ok {
-		t.Fatal("a failed rollback dropped pending writes")
-	}
-	if err := s.RollbackTo(1); err != nil {
-		t.Fatal(err)
+		t.Fatal("the store lost a pending write")
 	}
 	base := map[string]string{}
 	for i := 0; i < 40; i++ {
 		base[fmt.Sprint("base", i)] = fmt.Sprint("b", i)
 	}
-	if _, ok := s.Get("new0"); ok {
-		t.Fatal("rollback kept a pending write")
+	if _, ok := mark.Get("new0"); ok {
+		t.Fatal("the mark holds a later write")
 	}
-	if v, _ := s.Get("base9"); string(v) != "b9" {
-		t.Fatal("rollback kept a pending delete")
+	if v, _ := mark.Get("base9"); string(v) != "b9" {
+		t.Fatal("the mark holds a later delete")
 	}
-	if s.CheckpointDigest() != modelStore(base).CheckpointDigest() {
-		t.Fatal("rollback did not restore the mark's digest")
+	if mark.CheckpointDigest() != modelStore(base).CheckpointDigest() {
+		t.Fatal("the mark does not have the boundary's digest")
 	}
 }
 
@@ -219,7 +207,7 @@ func TestOverlayRollbackDropsPending(t *testing.T) {
 func TestOverlaySnapshotAcrossFlush(t *testing.T) {
 	s := New()
 	commitOps(s, put("k", "v1"), put("j", "j1"))
-	s.Mark(1)
+	s.flush()
 	commitOps(s, put("k", "v2")) // pending
 	reader := s.Begin()
 	commitOps(s, put("k", "v3"), del("j")) // copies the overlay reader holds

@@ -6,16 +6,17 @@
 // trie). The trie caches a hash in every node and a flush path-copies
 // exactly the nodes its writes pass through, so a checkpoint hashes the
 // nodes written since the last one — at most depth × keys written — and
-// not the whole state: O(keys written), not O(keys stored). Rollback to a
-// mark and Clone reinstate an old trie head, whose nodes still carry their
-// hashes, so the store keeps no digest cache of its own.
+// not the whole state: O(keys written), not O(keys stored). A Clone keeps
+// an old trie head, whose nodes still carry their hashes, so the store
+// keeps no digest cache of its own, and a rollback (the ledger reinstating
+// the clone it took at a batch boundary) needs none.
 //
 // What the store holds per key is bytes in a trie node's blob, not objects:
 // champ copies a value in on Set and keeps no pointer per entry, so the
 // live heap the collector walks grows with the number of nodes (well under
 // one object per key; BenchmarkStoreInsert reports it) and not with the
 // number of keys. Everything champ hands back — Get, the Range callbacks —
-// is a view into a node shared by every snapshot and mark that holds it:
+// is a view into a node shared by every snapshot and clone that holds it:
 // Get copies before returning, and SerializeShard streams the views out
 // without keeping them.
 //
@@ -52,12 +53,12 @@ var ckptDomain = []byte("iaccf-ckpt:")
 // to one overlay of pending writes (the latest value or a tombstone per
 // key), and Get and Tx.Get read through it. The overlay is flushed — its
 // deletes applied key by key, then its puts in one champ.Map.SetAll — when
-// something needs the trie: Mark, Clone, ShardSnapshot, CheckpointDigest,
-// SerializeShard, InstallShard and Len. RollbackTo drops it. The ledger
-// marks the store before every batch and clones it at every checkpoint
-// marker, so a write path-copies the trie once per batch on a replica and
-// once per checkpoint interval on an audit, with every node on the written
-// paths copied once.
+// something needs the trie: Clone, ShardSnapshot, CheckpointDigest,
+// SerializeShard, InstallShard and Len. A clone starts without one. The
+// ledger clones the store before every batch (its rollback record) and at
+// every checkpoint marker, so a write path-copies the trie once per batch
+// on a replica and once per checkpoint interval on an audit, with every
+// node on the written paths copied once.
 //
 // Two rules keep this right and cheap:
 //
@@ -72,17 +73,10 @@ var ckptDomain = []byte("iaccf-ckpt:")
 //     sized from the last flush's count.
 type Store struct {
 	root    *champ.Map
-	marks   []mark
 	pending opLog  // committed writes the trie has not absorbed
 	gen     uint64 // bumped whenever pending is replaced
 	readers int    // live transactions that captured pending at gen
 	hint    int    // ops in the last flush, to size the next overlay
-}
-
-// mark captures the trie head at a batch boundary.
-type mark struct {
-	seq  uint64
-	root *champ.Map
 }
 
 // New returns an empty store.
@@ -105,7 +99,7 @@ func (s *Store) Len() int {
 
 // Get reads a key outside any transaction. The returned slice is a copy:
 // the stored value is bytes of a CHAMP node shared by every snapshot and
-// mark referencing it, so handing it out directly would let a caller
+// clone referencing it, so handing it out directly would let a caller
 // silently corrupt history that rollback depends on.
 func (s *Store) Get(key string) ([]byte, bool) {
 	return read(&s.pending, s.root, key)
@@ -157,7 +151,7 @@ func (s *Store) replacePending() {
 
 // flush lands the overlay in the trie copy-on-write: the deletes key by
 // key, then every put in one SetAll. Every snapshot captured
-// by Begin, Mark or Clone holds an older head and stays frozen for free.
+// by Begin or Clone holds an older head and stays frozen for free.
 // The overlay's order reaches no hash: the trie's shape, and so d_C, is a
 // function of its contents.
 //
@@ -184,42 +178,6 @@ func (s *Store) flush() {
 	s.root = root
 	s.hint = len(ops)
 	s.replacePending()
-}
-
-// Mark records a rollback point labelled seq, capturing the state before
-// the batch with that sequence number executes. Marks are kept until
-// PruneMarks. It flushes the overlay, then captures the trie head.
-func (s *Store) Mark(seq uint64) {
-	s.flush()
-	s.marks = append(s.marks, mark{seq: seq, root: s.root})
-}
-
-// RollbackTo restores the state captured by Mark(seq) and discards that
-// mark and all later ones, and the overlay, which holds only writes
-// committed since the latest mark. The restored head was hashed if a
-// checkpoint was taken on it, and still is.
-func (s *Store) RollbackTo(seq uint64) error {
-	for i := len(s.marks) - 1; i >= 0; i-- {
-		if s.marks[i].seq == seq {
-			s.root = s.marks[i].root
-			s.marks = s.marks[:i]
-			s.replacePending()
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %d", ErrNoMark, seq)
-}
-
-// PruneMarks drops marks with seq < before; batches that have committed can
-// no longer be rolled back.
-func (s *Store) PruneMarks(before uint64) {
-	keep := s.marks[:0]
-	for _, m := range s.marks {
-		if m.seq >= before {
-			keep = append(keep, m)
-		}
-	}
-	s.marks = keep
 }
 
 // digestOf is d_C of a trie: its key count and Merkle root, under the

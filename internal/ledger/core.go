@@ -50,51 +50,111 @@ func diverge(h *BatchHeader, entry int, field, format string, args ...any) *Dive
 // derive runs batch seq through the core and returns the commitments this
 // replica computes for it. With want nil (propose) the entries are being
 // minted: transaction results and the checkpoint marker's state digest are
-// set. With want non-nil the entries are final:
-// every result, the marker, and then every header field is compared
-// against want, and the first mismatch is returned. A caller that may have
-// to undo the batch marks the store first.
+// set. With want non-nil the entries are final: every result, the marker,
+// and then every header field is compared against want, and the first
+// mismatch is returned. A caller that may have to undo the batch marks the
+// ledger first.
 //
-// derive is two halves composed inline on the calling goroutine: the
-// execution half (execute), which also hashes every entry as it finishes,
-// then the commitment half (commit). The audit policy runs every check of
-// both halves on a checker goroutine of its own, a batch behind execution
-// (replay.go).
+// derive is the one derivation: the execution half (execute), then every
+// check (check). Propose and apply compose the two inline on the calling
+// goroutine; the audit runs the same two halves, check on a goroutine of
+// its own a batch or more behind execute (replay.go).
 func (c *core) derive(seq uint64, entries []Entry, want *BatchHeader) (BatchHeader, *Divergence) {
-	leaves := make([]hashsig.Digest, len(entries))
-	if div := c.execute(seq, entries, want, leaves, nil); div != nil {
-		return BatchHeader{}, div
+	return c.check(c.execute(seq, entries, want))
+}
+
+// checkJob is one batch as execution leaves it for check.
+type checkJob struct {
+	seq      uint64
+	entries  []Entry      // the entries executed: a prefix when end is set
+	want     *BatchHeader // nil when minting
+	outcomes []outcome    // per entry; set for transactions
+	snap     *kv.Store    // the store as of the batch's marker; nil without one
+	end      *Divergence  // execution stopped at entries[len(entries)], with this verdict
+	seqErr   error        // replay only: the batch is out of sequence, so none of it ran
+}
+
+// execute is the execution half, and the one execution loop: one kv
+// transaction per transaction entry, strictly in ledger order, and the
+// structural rules execution itself needs (a known Kind, the marker's
+// placement and label). It settles nothing: each finished transaction's
+// outcome and, at the marker, a snapshot of the store (Clone, O(1) once
+// flushed) go into the job, and check does the rest. A structural
+// divergence at entry i ends execution there: the job covers entries
+// [0, i) and carries that verdict as end.
+func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader) *checkJob {
+	j := &checkJob{seq: seq, entries: entries, want: want, outcomes: make([]outcome, len(entries))}
+	for ei := range entries {
+		e := &entries[ei]
+		switch e.Kind {
+		case KindTransaction:
+			tx := c.store.Begin()
+			if err := c.app.Execute(tx, e.Payload); err != nil {
+				// Failed transactions are still recorded, with a zero result:
+				// the ledger holds clients accountable for what they submitted,
+				// not only for what succeeded.
+				tx.Abort()
+			} else {
+				j.outcomes[ei] = outcome{ws: tx.Commit(), committed: true}
+			}
+		case KindGovernance:
+			// Recorded, no state effect.
+		case KindCheckpoint:
+			if j.end = c.marker(seq, entries, ei, want); j.end != nil {
+				j.entries = entries[:ei]
+				return j
+			}
+			j.snap = c.store.Clone()
+		default:
+			j.entries, j.end = entries[:ei], diverge(want, ei, "Kind", " entry %d: unknown kind %d", ei, e.Kind)
+			return j
+		}
 	}
-	got := c.header(seq, len(entries), c.commit(leaves))
-	if want != nil {
-		if div := compareHeader(want, &got); div != nil {
+	return j
+}
+
+// check is every check of one executed batch, in derivation order: each
+// result (settle), then execution's own verdict if it stopped early, then
+// the marker's d_C (checkpoint), the entries' leaf hashes, their M append
+// and ¯G, folded from the same hashes without building G (merkle.RootOf),
+// and, when want is given, the header. With want nil it sets what it
+// would compare. Hashing reaches no verdict of its own, so where check
+// runs does not move the first divergence.
+func (c *core) check(j *checkJob) (BatchHeader, *Divergence) {
+	for ei := range j.entries {
+		if e := &j.entries[ei]; e.Kind == KindTransaction {
+			if div := settle(j.want, ei, e, j.outcomes[ei]); div != nil {
+				return BatchHeader{}, div
+			}
+		}
+	}
+	if j.end != nil {
+		return BatchHeader{}, j.end
+	}
+	if j.snap != nil {
+		last := len(j.entries) - 1
+		if div := c.checkpoint(j.want, last, &j.entries[last], j.snap); div != nil {
+			return BatchHeader{}, div
+		}
+	}
+	leaves := leavesOf(j.entries)
+	for _, lh := range leaves {
+		c.hist.AppendLeafHash(lh)
+	}
+	got := BatchHeader{
+		Seq:        j.seq,
+		HistSize:   c.hist.Size(),
+		MRoot:      c.hist.Root(),
+		GRoot:      merkle.RootOf(leaves),
+		GSize:      uint64(len(j.entries)),
+		CkptDigest: c.lastCkpt,
+	}
+	if j.want != nil {
+		if div := compareHeader(j.want, &got); div != nil {
 			return BatchHeader{}, div
 		}
 	}
 	return got, nil
-}
-
-// commit is the commitment half given the batch's leaf hashes: every leaf
-// appended to M, and the batch tree's root ¯G, folded from the same leaf
-// hashes without building G (merkle.RootOf).
-func (c *core) commit(leaves []hashsig.Digest) hashsig.Digest {
-	for _, lh := range leaves {
-		c.hist.AppendLeafHash(lh)
-	}
-	return merkle.RootOf(leaves)
-}
-
-// header assembles the content this core derived for batch seq of n
-// entries.
-func (c *core) header(seq uint64, n int, gRoot hashsig.Digest) BatchHeader {
-	return BatchHeader{
-		Seq:        seq,
-		HistSize:   c.hist.Size(),
-		MRoot:      c.hist.Root(),
-		GRoot:      gRoot,
-		GSize:      uint64(n),
-		CkptDigest: c.lastCkpt,
-	}
 }
 
 // compareHeader checks the derived commitments against the signed ones.
@@ -114,68 +174,13 @@ func compareHeader(want, got *BatchHeader) *Divergence {
 	return nil
 }
 
-// execute is the execution half, and the one execution loop: one kv
-// transaction per transaction entry, strictly in ledger order, and the
-// structural rules execution itself needs (a known Kind, the marker's
-// placement and label).
-//
-// With job nil every check runs here: each transaction's result is set or
-// compared as it finishes (settle) and the marker's d_C when it is reached
-// (checkpoint), and each entry's leaf hash goes into leaves once the entry
-// is final, while its payload is still warm in cache. With job non-nil
-// (the audit, want non-nil) execution only executes: each finished
-// transaction's outcome and the store as of the marker go into job, and
-// the checker does the rest, hashing included.
-func (c *core) execute(seq uint64, entries []Entry, want *BatchHeader, leaves []hashsig.Digest, job *checkJob) *Divergence {
-	for ei := range entries {
-		e := &entries[ei]
-		switch e.Kind {
-		case KindTransaction:
-			var o outcome
-			tx := c.store.Begin()
-			if err := c.app.Execute(tx, e.Payload); err != nil {
-				// Failed transactions are still recorded, with a zero result:
-				// the ledger holds clients accountable for what they submitted,
-				// not only for what succeeded.
-				tx.Abort()
-			} else {
-				o = outcome{ws: tx.Commit(), committed: true}
-			}
-			if job != nil {
-				job.outcomes[ei] = o
-			} else if div := settle(want, ei, e, o); div != nil {
-				return div
-			}
-		case KindGovernance:
-			// Recorded, no state effect.
-		case KindCheckpoint:
-			if div := c.marker(seq, entries, ei, want); div != nil {
-				return div
-			}
-			if job != nil {
-				job.snap = c.store.Clone()
-			} else if div := c.checkpoint(want, ei, e, c.store); div != nil {
-				return div
-			}
-		default:
-			return diverge(want, ei, "Kind", " entry %d: unknown kind %d", ei, e.Kind)
-		}
-		if job == nil {
-			leaves[ei] = leafOf(e)
-		}
-	}
-	return nil
-}
-
-// leafOf is entry e's leaf in both trees: the history tree M and the batch
-// tree G each commit to LeafHash(Digest(e)).
-func leafOf(e *Entry) hashsig.Digest { return merkle.LeafHash(e.Digest()) }
-
-// leavesOf hashes every entry of a batch that is already final.
+// leavesOf hashes every entry of a batch that is already final: entry e's
+// leaf in both trees, the history tree M and the batch tree G, is
+// LeafHash(Digest(e)).
 func leavesOf(entries []Entry) []hashsig.Digest {
 	leaves := make([]hashsig.Digest, len(entries))
 	for i := range entries {
-		leaves[i] = leafOf(&entries[i])
+		leaves[i] = merkle.LeafHash(entries[i].Digest())
 	}
 	return leaves
 }

@@ -57,26 +57,23 @@
 //     replay (a bad one is the verdict whatever the replay found), never
 //     signs, and retains nothing — no batches, no rollback marks.
 //
-// derive is two halves: the execution half (transactions, markers, d_C,
-// result comparison) and the commitment half (entry digests, leaf hashes,
-// ¯G, the M append). Propose and apply compose them inline, on the
-// goroutine that calls them, hashing each entry as soon as it is final:
-// a replica under load has no idle core, and both spreading the halves
-// over two goroutines and hashing entries on worker goroutines were
+// derive is check(execute(…)), for every policy. execute is the execution
+// loop and nothing else — transactions in ledger order plus the structural
+// rules execution needs (a known Kind, the marker's placement and label) —
+// and leaves a job: each transaction's write set, a snapshot of the store
+// at the marker, and the structural verdict if it stopped early. check
+// runs every check of that job in derivation order — results against the
+// write sets, d_C of the snapshot, entry digests and leaf hashes, ¯G, the
+// M append, the header when one was signed — setting instead of comparing
+// when minting. The policies differ only in where check runs. Propose and
+// apply run it inline, on the goroutine that calls them: a replica under
+// load has no idle core, and spreading the work over goroutines was
 // measured and bought nothing. The audit is the one path with a core to
-// spare and entries that are final before it starts, so it splits the
-// work: not by half but by kind. Its execution lane runs
-// the execution loop and nothing else — transactions in ledger order plus
-// the structural rules execution needs (a known Kind, the marker's
-// placement and label) — and hands each batch's finished write sets and,
-// at a marker, a snapshot of the store to one checker goroutine for the
-// whole replay. The checker runs every check, a batch or more behind:
-// results against the write sets, entry digests and leaf hashes, ¯G,
-// the M append, d_C of the snapshot, the header (core.replay, core.check).
-// The one execution loop (core.execute) serves both: a transaction's
-// result check runs inline for propose and apply and is deferred to the
-// checker for the audit. The verdict is the same, byte for byte, as the
-// inline composition's: the first divergence in derivation order.
+// spare and entries that are final before it starts, so its execution lane
+// hands each job to one checker goroutine for the whole replay, which runs
+// check a batch or more behind (core.replay). Since the two schedules run
+// the same two functions, the verdict is the same, byte for byte: the
+// first divergence in derivation order.
 //
 // A mismatch is reported once, by the core, as a *Divergence naming the
 // first field that failed to reproduce and carrying the signed header it
@@ -139,9 +136,14 @@
 //     retained. Entries inside a Batch handed to ApplyBatch are adopted
 //     into the retained stream and must not be mutated afterwards, same
 //     as Batches() results.
-//   - A batch's leaf hashes are allocated per batch and M keeps its own
-//     copies; the aliasing property tests retain what one batch returned
-//     across the batches after it.
+//   - A batch's leaf hashes and outcomes are allocated per batch and M keeps
+//     its own copies of the leaves; the aliasing property tests retain what
+//     one batch returned across the batches after it.
+//   - A rollback mark holds a clone of the store (one flush plus one
+//     pointer: the trie is persistent and shares every node), and
+//     RollbackTo makes that clone the store. Commit and Prune drop the
+//     marks below them, so under consensus the marks pin the trie heads of
+//     at most the window's uncommitted batches.
 //   - Replay and ReplayFrom only read the batches they are given.
 //
 // The aliasing property tests (alias_test.go) enforce these rules. The
@@ -177,6 +179,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
@@ -477,11 +480,13 @@ type Ledger struct {
 	certs map[uint64]*CommitCert
 }
 
-// ledgerMark pairs a kv mark with the history-tree size and checkpoint
-// digest at the same boundary, so RollbackTo restores all three in
-// lockstep.
+// ledgerMark is the rollback record of one batch boundary: a clone of the
+// store (one flush plus one pointer: the trie is persistent), the
+// history-tree size and the checkpoint digest, so RollbackTo restores all
+// three in lockstep.
 type ledgerMark struct {
 	seq      uint64
+	store    *kv.Store
 	histSize uint64
 	lastCkpt hashsig.Digest
 }
@@ -596,7 +601,7 @@ func (l *Ledger) ExecuteBatchAs(env func(content hashsig.Digest) Envelope, reqs 
 	}
 
 	// If anything below panics (a buggy App retaining a finished Tx, say),
-	// the marks pushed here stay, so a caller that recovers can
+	// the mark pushed here stays, so a caller that recovers can
 	// RollbackTo(seq) to discard the half-executed batch.
 	l.mark(seq)
 	header, _ := l.derive(seq, entries, nil)
@@ -645,8 +650,7 @@ func (l *Ledger) checkpointDue(seq uint64) bool { return seq%l.cfg.CheckpointEve
 // mark records the boundary before batch seq — store, history tree size
 // and checkpoint digest — for RollbackTo.
 func (l *Ledger) mark(seq uint64) {
-	l.store.Mark(seq)
-	l.marks = append(l.marks, ledgerMark{seq: seq, histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
+	l.marks = append(l.marks, ledgerMark{seq: seq, store: l.store.Clone(), histSize: l.hist.Size(), lastCkpt: l.lastCkpt})
 }
 
 // adopt retains a batch the core just derived or reproduced and, at a
@@ -669,17 +673,9 @@ func (l *Ledger) RollbackTo(seq uint64) error {
 	if seq <= l.baseSeq {
 		return fmt.Errorf("%w: rollback to %d, boundary %d", ErrPruned, seq, l.baseSeq)
 	}
-	i := len(l.marks) - 1
-	for ; i >= 0; i-- {
-		if l.marks[i].seq == seq {
-			break
-		}
-	}
+	i := slices.IndexFunc(l.marks, func(m ledgerMark) bool { return m.seq == seq })
 	if i < 0 {
 		return fmt.Errorf("%w: %d", ErrUnknownSeq, seq)
-	}
-	if err := l.store.RollbackTo(seq); err != nil {
-		return err
 	}
 	m := l.marks[i]
 	if err := l.hist.Rollback(m.histSize); err != nil {
@@ -687,8 +683,12 @@ func (l *Ledger) RollbackTo(seq uint64) error {
 		// marked boundary is always within the retained region.
 		panic(err)
 	}
+	// The mark's clone becomes the store: it holds no overlay, and its
+	// trie head is the one the boundary had, hashes included. The mark
+	// goes with it, so nothing else holds the clone.
+	l.store = m.store
 	l.lastCkpt = m.lastCkpt
-	l.marks = l.marks[:i]
+	l.marks = slices.Delete(l.marks, i, len(l.marks))
 	for len(l.batches) > 0 && l.batches[len(l.batches)-1].Header.Seq >= seq {
 		l.batches = l.batches[:len(l.batches)-1]
 	}
@@ -733,14 +733,7 @@ func (l *Ledger) Cert(seq uint64) *CommitCert { return l.certs[seq] }
 // pruneMarks drops rollback marks with seq < before; batches that have
 // committed globally no longer need to be undoable.
 func (l *Ledger) pruneMarks(before uint64) {
-	l.store.PruneMarks(before)
-	keep := l.marks[:0]
-	for _, m := range l.marks {
-		if m.seq >= before {
-			keep = append(keep, m)
-		}
-	}
-	l.marks = keep
+	l.marks = slices.DeleteFunc(l.marks, func(m ledgerMark) bool { return m.seq < before })
 }
 
 // WriteBatches serializes a batch stream: the versioned stream header,

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -318,6 +319,96 @@ func TestRollbackRestoresAllLayers(t *testing.T) {
 	}
 	if err := l.RollbackTo(1); err == nil {
 		t.Fatal("rollback to pruned mark succeeded")
+	}
+}
+
+// TestRollbackToMarks: a ledger's rollback record for a boundary is a
+// clone of its store taken before the batch (mark). RollbackTo reinstates
+// it: the trie head the boundary had, and none of the writes since —
+// those still in the store's overlay included, here batch 3's, which
+// nothing flushed. A boundary never marked, consumed by a rollback,
+// retired by a commit or pruned is refused and changes nothing, and writes
+// after a rollback never reach an earlier mark.
+func TestRollbackToMarks(t *testing.T) {
+	l := newTestLedger(t, 2)
+	exec := func(seq uint64, kvs ...string) {
+		t.Helper()
+		if _, _, err := l.ExecuteBatch([]Request{putReq("c", seq, kvs...)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(k string) string {
+		v, ok := l.Get(k)
+		if !ok {
+			return "absent"
+		}
+		return string(v)
+	}
+	expect := func(what string, want map[string]string, state hashsig.Digest) {
+		t.Helper()
+		for k, v := range want {
+			if got := get(k); got != v {
+				t.Fatalf("%s: %s is %s, want %s", what, k, got, v)
+			}
+		}
+		if l.StateDigest() != state {
+			t.Fatalf("%s: the state digest is not the boundary's", what)
+		}
+	}
+	refused := func(seq uint64, want error) {
+		t.Helper()
+		state, next := l.StateDigest(), l.Seq()
+		if err := l.RollbackTo(seq); !errors.Is(err, want) {
+			t.Fatalf("rollback to %d: err = %v, want %v", seq, err, want)
+		}
+		if l.StateDigest() != state || l.Seq() != next {
+			t.Fatalf("a refused rollback to %d changed the ledger", seq)
+		}
+	}
+
+	at1 := l.StateDigest()
+	exec(1, "a", "1")
+	at2 := l.StateDigest()
+	exec(2, "b", "2", "a", "updated")
+	at3 := l.StateDigest()
+	exec(3, "c", "3")
+
+	if err := l.RollbackTo(3); err != nil {
+		t.Fatal(err)
+	}
+	expect("rollback to 3", map[string]string{"a": "updated", "b": "2", "c": "absent"}, at3)
+	refused(3, ErrUnknownSeq)
+	refused(99, ErrUnknownSeq)
+
+	// Batch 3 again, other writes: they land on the reinstated clone and
+	// must not reach mark 2, taken before it.
+	exec(3, "a", "after", "d", "4")
+	if err := l.RollbackTo(2); err != nil {
+		t.Fatal(err)
+	}
+	expect("rollback to 2", map[string]string{"a": "1", "b": "absent", "c": "absent", "d": "absent"}, at2)
+	refused(3, ErrUnknownSeq)
+	if err := l.RollbackTo(1); err != nil {
+		t.Fatal(err)
+	}
+	expect("rollback to 1", map[string]string{"a": "absent"}, at1)
+
+	for seq := uint64(1); seq <= 6; seq++ {
+		exec(seq, fmt.Sprint("k", seq), "v")
+	}
+	if err := l.Commit(&CommitCert{Header: l.BatchAt(3).Header}); err != nil {
+		t.Fatal(err)
+	}
+	refused(2, ErrUnknownSeq)
+	at5 := l.BatchAt(4).Header.CkptDigest // batch 4 ends a checkpoint interval
+	l.Prune(5)
+	refused(4, ErrPruned)
+	refused(3, ErrPruned)
+	if err := l.RollbackTo(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := l.Get("k5"); ok || l.StateDigest() != at5 {
+		t.Fatal("rollback to 5 after a prune did not restore the seq-4 checkpoint's state")
 	}
 }
 

@@ -58,24 +58,18 @@ func Replay(batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.Ver
 // The signatures are checked beside the replay, not before it, and an
 // invalid one is the verdict whatever the replay found; every goroutine
 // Replay starts has exited by the time it returns or panics.
-func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierPool) (res *ReplayResult, err error) {
+func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierPool) (*ReplayResult, error) {
 	if app == nil {
 		return nil, ErrConfig
 	}
-	sigs := checkHeaders(batches, keyOf, pool)
-	defer func() {
-		// Joined on every exit, a panic included; a bad signature wins
-		// over anything the replay found.
-		if bad := sigs(); bad != nil {
-			res, err = nil, bad
+	return audit(batches, keyOf, pool, func() (*ReplayResult, error) {
+		var wantSeq uint64
+		if len(batches) > 0 {
+			wantSeq = batches[0].Header.Seq
 		}
-	}()
-	var wantSeq uint64
-	if len(batches) > 0 {
-		wantSeq = batches[0].Header.Seq
-	}
-	c := &core{app: app, store: kv.New(), hist: merkle.New()}
-	return c.replay(wantSeq, batches)
+		c := &core{app: app, store: kv.New(), hist: merkle.New()}
+		return c.replay(wantSeq, batches)
+	})
 }
 
 // ReplayFrom re-executes a batch suffix resuming from a verified
@@ -89,28 +83,36 @@ func ReplayKeyed(batches []*Batch, keyOf KeyOf, app App, pool *hashsig.VerifierP
 // vouch for a suffix. The caller remains responsible for binding ck.Digest
 // to a signed header (paper §3.4); given that binding, a successful
 // ReplayFrom is equivalent evidence to a full replay.
-func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.VerifierPool) (res *ReplayResult, err error) {
+func ReplayFrom(ck *Checkpoint, batches []*Batch, pub *hashsig.PublicKey, app App, pool *hashsig.VerifierPool) (*ReplayResult, error) {
 	if app == nil || ck == nil {
 		return nil, ErrConfig
 	}
-	sigs := checkHeaders(batches, singleKey(pub), pool)
+	return audit(batches, singleKey(pub), pool, func() (*ReplayResult, error) {
+		store := ck.Store.Clone()
+		if got := store.CheckpointDigest(); got != ck.Digest {
+			return nil, fmt.Errorf("%w: checkpoint %d: snapshot digest mismatch", ErrReplay, ck.Seq)
+		}
+		hist, err := merkle.FromFrontier(ck.Frontier)
+		if err != nil {
+			return nil, fmt.Errorf("%w: checkpoint %d: %v", ErrReplay, ck.Seq, err)
+		}
+		c := &core{app: app, store: store, hist: hist, lastCkpt: ck.Digest}
+		return c.replay(ck.Seq+1, batches)
+	})
+}
+
+// audit runs replay with every header signature of batches checked beside
+// it (checkHeaders), each under the key keyOf names for it. The signatures
+// are joined on every exit, a panic included, and a bad one wins over
+// anything replay found.
+func audit(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool, replay func() (*ReplayResult, error)) (res *ReplayResult, err error) {
+	sigs := checkHeaders(batches, keyOf, pool)
 	defer func() {
-		// Joined on every exit, a panic included; a bad signature wins
-		// over anything the replay found.
 		if bad := sigs(); bad != nil {
 			res, err = nil, bad
 		}
 	}()
-	store := ck.Store.Clone()
-	if got := store.CheckpointDigest(); got != ck.Digest {
-		return nil, fmt.Errorf("%w: checkpoint %d: snapshot digest mismatch", ErrReplay, ck.Seq)
-	}
-	hist, err := merkle.FromFrontier(ck.Frontier)
-	if err != nil {
-		return nil, fmt.Errorf("%w: checkpoint %d: %v", ErrReplay, ck.Seq, err)
-	}
-	c := &core{app: app, store: store, hist: hist, lastCkpt: ck.Digest}
-	return c.replay(ck.Seq+1, batches)
+	return replay()
 }
 
 // checkHeaders starts verifying every header signature of the stream, each
@@ -152,34 +154,36 @@ func checkHeaders(batches []*Batch, keyOf KeyOf, pool *hashsig.VerifierPool) (wa
 // keeps: no batch is retained and no rollback mark taken, since a replay
 // that diverges is over. wantSeq pins the first batch's sequence number.
 //
-// Replay is a pipeline: this goroutine is the execution lane and only
-// executes (core.execute with a job), while a checker goroutine, fed
-// through a small bounded queue, runs every check of each batch in order a
-// batch or more behind it (core.check). The checker owns the history tree and lastCkpt;
-// the lane owns the store, and hands the checker at each marker a snapshot
-// of it (Clone, O(1)), which the checker hashes while the lane builds its
-// successors (see champ's concurrency contract).
-// The verdict is the one derive would reach: the first divergence in
+// Replay is derive as a pipeline: this goroutine is the execution lane and
+// runs core.execute, while a checker goroutine, fed through a small
+// bounded queue, runs core.check on each batch in order a batch or more
+// behind it. The checker owns the history tree and lastCkpt; the lane owns
+// the store, and the snapshot execute takes at each marker (Clone, O(1))
+// is what the checker hashes while the lane builds its successors (see
+// champ's concurrency contract). The verdict is the one derive would
+// reach, since it is derive's own two halves: the first divergence in
 // derivation order — batch, then entry, then header field. A structural
-// divergence the lane meets ends the stream at that entry, and the checker
-// reports it only if nothing before it diverged; a divergence the checker
-// finds stops the lane at its next batch.
+// divergence ends the stream at that entry, and the checker reports it
+// only if nothing before it diverged; a divergence the checker finds
+// stops the lane at its next batch.
 func (c *core) replay(wantSeq uint64, batches []*Batch) (*ReplayResult, error) {
 	k := c.startChecker()
 	// Joined on every exit, an App panic included.
 	defer k.join()
+	entries := 0
 	for _, b := range batches {
 		if !k.submit(c.replayLane(wantSeq, b)) {
 			break
 		}
 		wantSeq++
+		entries += len(b.Entries)
 	}
 	if err := k.join(); err != nil {
 		return nil, err
 	}
 	return &ReplayResult{
 		Batches:     len(batches),
-		Entries:     countEntries(batches),
+		Entries:     entries,
 		HistSize:    c.hist.Size(),
 		HistRoot:    c.hist.Root(),
 		StateDigest: c.store.CheckpointDigest(),
@@ -188,67 +192,22 @@ func (c *core) replay(wantSeq uint64, batches []*Batch) (*ReplayResult, error) {
 }
 
 // replayLane executes batch b, expected at wantSeq, and returns the
-// checker's share of it. If the lane cannot go on — a wrong sequence
-// number, a structural divergence at entry i — the job covers entries
-// [0, i) and carries that verdict as end.
+// checker's share of it: a batch out of sequence is not executed, and its
+// job carries only that verdict.
 func (c *core) replayLane(wantSeq uint64, b *Batch) *checkJob {
-	seq := b.Header.Seq
-	j := &checkJob{seq: seq, entries: b.Entries, want: &b.Header, outcomes: make([]outcome, len(b.Entries))}
-	if seq != wantSeq {
-		j.entries, j.end = nil, errSequence(seq, wantSeq)
-	} else if div := c.execute(seq, b.Entries, &b.Header, nil, j); div != nil {
-		j.entries, j.end = b.Entries[:div.Entry], fmt.Errorf("%w: %w", ErrReplay, div)
+	if seq := b.Header.Seq; seq != wantSeq {
+		return &checkJob{seq: seq, seqErr: fmt.Errorf("%w: batch %d: expected sequence %d", ErrReplay, seq, wantSeq)}
 	}
-	return j
+	return c.execute(wantSeq, b.Entries, &b.Header)
 }
 
-func errSequence(seq, want uint64) error {
-	return fmt.Errorf("%w: batch %d: expected sequence %d", ErrReplay, seq, want)
-}
-
-func countEntries(batches []*Batch) int {
-	n := 0
-	for _, b := range batches {
-		n += len(b.Entries)
+// verdict is check as the checker runs it: a batch out of sequence fails
+// as such, and a divergence is wrapped in ErrReplay.
+func (c *core) verdict(j *checkJob) error {
+	if j.seqErr != nil {
+		return j.seqErr
 	}
-	return n
-}
-
-// checkJob is one batch as the execution lane hands it to the checker.
-type checkJob struct {
-	seq      uint64
-	entries  []Entry
-	want     *BatchHeader
-	outcomes []outcome // per entry; set for transactions
-	snap     *kv.Store // the store as of the batch's marker; nil without one
-	end      error     // the lane stopped in this batch, with this verdict
-}
-
-// check is every check of one batch the lane executed, in derivation
-// order: each result (settle), then the lane's own verdict if it stopped
-// here, then the marker's d_C (checkpoint), the entries' leaf hashes, ¯G
-// and the M append (commit), and the header. Hashing reaches no verdict of
-// its own, so where it runs does not move the first divergence.
-func (c *core) check(j *checkJob) error {
-	for ei := range j.entries {
-		e := &j.entries[ei]
-		if e.Kind == KindTransaction {
-			if div := settle(j.want, ei, e, j.outcomes[ei]); div != nil {
-				return fmt.Errorf("%w: %w", ErrReplay, div)
-			}
-		}
-	}
-	if j.end != nil {
-		return j.end
-	}
-	if j.snap != nil {
-		last := len(j.entries) - 1
-		if div := c.checkpoint(j.want, last, &j.entries[last], j.snap); div != nil {
-			return fmt.Errorf("%w: %w", ErrReplay, div)
-		}
-	}
-	got := c.header(j.seq, len(j.entries), c.commit(leavesOf(j.entries)))
-	if div := compareHeader(j.want, &got); div != nil {
+	if _, div := c.check(j); div != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, div)
 	}
 	return nil
@@ -259,7 +218,7 @@ func (c *core) check(j *checkJob) error {
 // every trie path written since the last one.
 const checkerDepth = 8
 
-// checker is the goroutine that runs core.check over the jobs of one
+// checker is the goroutine that runs core.verdict over the jobs of one
 // replay, in order, until the first one fails.
 type checker struct {
 	jobs   chan *checkJob
@@ -275,7 +234,7 @@ func (c *core) startChecker() *checker {
 	go func() {
 		defer close(k.done)
 		for j := range k.jobs {
-			if k.err = c.check(j); k.err != nil {
+			if k.err = c.verdict(j); k.err != nil {
 				close(k.failed)
 				return
 			}
@@ -290,7 +249,7 @@ func (c *core) startChecker() *checker {
 func (k *checker) submit(j *checkJob) bool {
 	select {
 	case k.jobs <- j:
-		return j.end == nil
+		return j.end == nil && j.seqErr == nil
 	case <-k.failed:
 		return false
 	}

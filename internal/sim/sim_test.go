@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"iaccf/internal/consensus"
 	"iaccf/internal/hashsig"
@@ -251,23 +252,34 @@ func TestSimPartition(t *testing.T) {
 // TestSimStuckRunFailsEarly: a partition that never heals splits four
 // replicas 2|2, so no quorum forms and nothing commits. The run must fail
 // with the no-convergence verdict maxCommitGap steps after its last honest
-// commit, not at maxSteps.
+// commit, not at maxSteps, whether the partition loses the frames across
+// it or holds them. Holding must cost about what losing does: the Hub
+// probes each held link once per step, so the frames a Hold piles up over
+// 40 000 steps add nothing to a step's cost.
 func TestSimStuckRunFailsEarly(t *testing.T) {
-	s, err := New(Config{
-		Seed:       1,
-		Requests:   4,
-		Partitions: []Partition{{Until: maxSteps + 1, Loss: true, Group: map[consensus.ReplicaID]int{2: 1, 3: 1}}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var took [2]time.Duration
+	for i, loss := range []bool{true, false} {
+		s, err := New(Config{
+			Seed:       1,
+			Requests:   4,
+			Partitions: []Partition{{Until: maxSteps + 1, Loss: loss, Group: map[consensus.ReplicaID]int{2: 1, 3: 1}}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = s.Run()
+		took[i] = time.Since(start)
+		if err == nil || !strings.Contains(err.Error(), "no convergence") {
+			t.Fatalf("loss=%v: run across a partition that never heals: err = %v, want no convergence", loss, err)
+		}
+		if s.step-s.lastCommit != maxCommitGap || s.step >= maxSteps/10 {
+			t.Fatalf("loss=%v: failed at step %d with the last honest commit at step %d, want %d steps later and well before %d",
+				loss, s.step, s.lastCommit, maxCommitGap, maxSteps)
+		}
 	}
-	_, err = s.Run()
-	if err == nil || !strings.Contains(err.Error(), "no convergence") {
-		t.Fatalf("run across a partition that never heals: err = %v, want no convergence", err)
-	}
-	if s.step-s.lastCommit != maxCommitGap || s.step >= maxSteps/10 {
-		t.Fatalf("failed at step %d with the last honest commit at step %d, want %d steps later and well before %d",
-			s.step, s.lastCommit, maxCommitGap, maxSteps)
+	if lost, held := took[0], took[1]; held > 4*lost+250*time.Millisecond {
+		t.Fatalf("the held run took %v to fail, the lost one %v", held, lost)
 	}
 }
 

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -15,8 +17,10 @@ type TamperPolicy struct {
 	// ReorderWindow lets Step pick any of the first W queued frames
 	// instead of the head (0 or 1 means strict FIFO).
 	ReorderWindow int
-	// Cut, when set, is consulted for each frame Step picks and for each
-	// frame it holds: a partition's verdict on that link at this moment.
+	// Cut, when set, is a partition's verdict on a link at this moment. It
+	// is consulted for each frame Step picks, once per Step for each link
+	// holding frames, and once more for each further frame of a link whose
+	// held frames it loses, so a Lose verdict is given once per frame.
 	Cut func(from, to NodeID) Cut
 }
 
@@ -45,12 +49,25 @@ type Hub struct {
 	policy TamperPolicy
 	eps    map[NodeID]*loopEndpoint
 	queue  []loopFrame
-	held   []loopFrame // frames a Hold verdict keeps aside, in arrival order
+	held   []heldLink // frames a Hold verdict keeps aside, by link
+	holds  uint64     // frames held so far: the next held frame's place
 }
 
 type loopFrame struct {
 	from, to NodeID
 	body     []byte
+}
+
+// heldLink is one link's held frames, in the order they were held.
+type heldLink struct {
+	from, to NodeID
+	frames   []heldFrame
+}
+
+// heldFrame is a held frame and its place in the hub's hold order.
+type heldFrame struct {
+	loopFrame
+	n uint64
 }
 
 // NewHub builds a hub with a seeded schedule.
@@ -111,7 +128,7 @@ func (h *Hub) Step() bool {
 	var ep *loopEndpoint
 	switch h.policy.Cut(f.from, f.to) {
 	case Hold:
-		h.held = append(h.held, f)
+		h.hold(f)
 	case Pass:
 		if h.policy.DropRate == 0 || h.rng.Float64() >= h.policy.DropRate {
 			ep = h.eps[f.to]
@@ -126,19 +143,43 @@ func (h *Hub) Step() bool {
 	return len(h.queue) > 0
 }
 
-// release moves held frames whose link passes again back onto the queue
-// and discards those whose link now loses them.
+// hold sets f aside on its link.
+func (h *Hub) hold(f loopFrame) {
+	i := slices.IndexFunc(h.held, func(l heldLink) bool { return l.from == f.from && l.to == f.to })
+	if i < 0 {
+		i = len(h.held)
+		h.held = append(h.held, heldLink{from: f.from, to: f.to})
+	}
+	h.held[i].frames = append(h.held[i].frames, heldFrame{f, h.holds})
+	h.holds++
+}
+
+// release asks each link holding frames for its verdict once: the frames
+// of a link that passes again rejoin the queue, all of them in the order
+// they were held, and those of a link that now loses them are discarded.
 func (h *Hub) release() {
+	var passed []heldFrame
 	kept := h.held[:0]
-	for _, f := range h.held {
-		switch h.policy.Cut(f.from, f.to) {
+	for _, l := range h.held {
+		switch h.policy.Cut(l.from, l.to) {
 		case Hold:
-			kept = append(kept, f)
+			kept = append(kept, l)
 		case Pass:
-			h.queue = append(h.queue, f)
+			passed = append(passed, l.frames...)
+		case Lose:
+			// The probe was the first frame's verdict; every other frame
+			// gets its own, so a partition counts each frame it discards.
+			for range l.frames[1:] {
+				h.policy.Cut(l.from, l.to)
+			}
 		}
 	}
+	clear(h.held[len(kept):])
 	h.held = kept
+	slices.SortFunc(passed, func(a, b heldFrame) int { return cmp.Compare(a.n, b.n) })
+	for _, f := range passed {
+		h.queue = append(h.queue, f.loopFrame)
+	}
 }
 
 func (ep *loopEndpoint) Send(to NodeID, frame []byte) error {

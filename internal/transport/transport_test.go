@@ -376,3 +376,68 @@ func TestLoopbackCut(t *testing.T) {
 		t.Fatalf("under Lose: delivered %v, want nothing more", got)
 	}
 }
+
+// TestLoopbackHeldLinks: held frames are kept per link, and each Step asks
+// each link holding frames for its verdict once, however many frames it
+// holds. The frames of links that pass again rejoin the queue in the order
+// they were held, across links; a link that loses its frames gets one Lose
+// verdict per frame, so a partition can count every frame it discards.
+func TestLoopbackHeldLinks(t *testing.T) {
+	verdict := Hold
+	calls, loses := 0, 0
+	hub := NewHub(1, TamperPolicy{Cut: func(from, to NodeID) Cut {
+		calls++
+		if to != 2 {
+			return Pass
+		}
+		if verdict == Lose {
+			loses++
+		}
+		return verdict
+	}})
+	var got []string
+	eps := make([]Transport, 3)
+	for i := range eps {
+		eps[i] = hub.Endpoint(NodeID(i), func(from NodeID, frame []byte) { got = append(got, string(frame)) })
+	}
+	const n = 50
+	var want []string
+	for i := 0; i < n; i++ {
+		eps[0].Send(2, []byte(fmt.Sprint("a", i)))
+		eps[1].Send(2, []byte(fmt.Sprint("b", i)))
+		want = append(want, fmt.Sprint("a", i), fmt.Sprint("b", i))
+	}
+	for hub.Step() {
+	}
+	calls = 0
+	for i := 0; i < 10; i++ {
+		eps[0].Send(1, []byte("x"))
+		hub.Step()
+	}
+	// Per step: one probe for each of the two held links, one verdict for
+	// the frame picked.
+	if calls != 10*3 {
+		t.Fatalf("10 steps beside %d held frames on two links asked for %d verdicts, want 30", 2*n, calls)
+	}
+	got = got[:0]
+	verdict = Pass
+	for hub.Step() {
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("released frames arrived as %v, want the order they were held, %v", got, want)
+	}
+
+	verdict = Hold
+	for i := 0; i < 5; i++ {
+		eps[0].Send(2, []byte("c"))
+		eps[1].Send(2, []byte("d"))
+	}
+	for hub.Step() {
+	}
+	got, verdict, loses = got[:0], Lose, 0
+	for hub.Step() {
+	}
+	if len(got) != 0 || loses != 10 {
+		t.Fatalf("a losing cut delivered %v and gave %d Lose verdicts for 10 held frames", got, loses)
+	}
+}

@@ -1,7 +1,8 @@
 // Package txpool is the batching transaction pool that sits between the
 // client submission RPC and the Propose loop; every replica keeps one, of
-// its clients' requests and those its peers forwarded. It accepts client
-// requests concurrently, deduplicates them by request hash, keeps each
+// its clients' requests and those its peers forwarded. The node's run loop
+// is its one writer — every Add, from a client's submission or a peer's
+// forward, runs there — and it deduplicates requests by request hash, keeps each
 // sender's requests ordered by request number, and hands the proposer
 // bounded batches. The pool carries each request's hash beside it, from the
 // submission that pooled it to the proposer that drains it, so the node
@@ -13,7 +14,8 @@
 // The pool never inspects request semantics — ordering is per sender
 // ⟨author, reqno⟩, matching the ledger's uniqueness rule for client
 // requests, so a client streaming pipelined submissions sees them proposed
-// in the order it numbered them, even when RPC goroutines race.
+// in the order it numbered them, even when they reach the run loop out of
+// order.
 package txpool
 
 import (
@@ -76,8 +78,9 @@ type sender struct {
 	reqs   []Pooled
 }
 
-// Pool is the batching transaction pool. Safe for concurrent use: RPC
-// handler goroutines Add while the node's runtime loop drains NextBatch.
+// Pool is the batching transaction pool. The node's run loop makes every
+// call but one: bench/'s depth sampler reads Len from a goroutine of its
+// own, which is what the lock is for.
 type Pool struct {
 	mu      sync.Mutex
 	cap     int
@@ -163,9 +166,9 @@ func (p *Pool) AddHashed(rq ledger.Request, h hashsig.Digest) error {
 		p.senders[rq.Author] = s
 		p.order = append(p.order, rq.Author)
 	}
-	// Insert keeping the sender's queue sorted by ReqNo: pipelined RPC
-	// goroutines may land out of order, but the proposer must see each
-	// sender's numbering ascend.
+	// Insert keeping the sender's queue sorted by ReqNo: a client's
+	// pipelined submissions may reach the run loop out of order, but the
+	// proposer must see each sender's numbering ascend.
 	i := sort.Search(len(s.reqs), func(i int) bool { return s.reqs[i].Req.ReqNo >= rq.ReqNo })
 	s.reqs = append(s.reqs, Pooled{})
 	copy(s.reqs[i+1:], s.reqs[i:])
